@@ -79,13 +79,96 @@ def pairwise_squared_distances(a: Tensor, b: Tensor) -> Tensor:
     Uses the expansion ``|a|^2 - 2 a.b + |b|^2`` so that the dominant cost is
     a single batched matrix product (cache friendly, as recommended by the
     optimisation guide), and clips tiny negative values arising from
-    round-off.
+    round-off.  One autograd node: with ``G`` the incoming gradient masked
+    where the clip was active, ``dL/da = 2 (rowsum(G) a - G b)`` and
+    ``dL/db = 2 (colsum(G) b - G^T a)``.
     """
-    a_sq = (a * a).sum(axis=-1, keepdims=True)            # (..., N, 1)
-    b_sq = (b * b).sum(axis=-1, keepdims=True)            # (..., M, 1)
-    cross = a @ b.swapaxes(-1, -2)                        # (..., N, M)
-    d2 = a_sq - cross * 2.0 + b_sq.swapaxes(-1, -2)
-    return d2.clip(0.0, np.inf)
+    x, y = a.data, b.data
+    d2 = x @ np.swapaxes(y, -1, -2)
+    d2 *= -2.0
+    d2 += (x * x).sum(axis=-1)[..., :, None]
+    d2 += (y * y).sum(axis=-1)[..., None, :]
+    clipped = d2 < 0.0
+    d2[clipped] = 0.0
+
+    def backward(g: np.ndarray):
+        g = np.where(clipped, 0.0, g)
+        ga = gb = None
+        if a.requires_grad:
+            ga = g.sum(axis=-1)[..., :, None] * x
+            ga -= g @ y
+            ga *= 2.0
+        if b.requires_grad:
+            gt = np.swapaxes(g, -1, -2)
+            gb = gt.sum(axis=-1)[..., :, None] * y
+            gb -= gt @ x
+            gb *= 2.0
+        return ga, gb
+
+    return Tensor._make(d2, (a, b), backward)
+
+
+def affine_forward(x: np.ndarray, weight: np.ndarray,
+                   bias: Optional[np.ndarray], relu: bool) -> np.ndarray:
+    """Array half of :func:`affine`: ``x @ weight (+ bias)``, optionally
+    rectified.  A bias shorter than the output width repeats along it."""
+    out = x @ weight
+    if bias is not None:
+        view = out.reshape(-1, bias.shape[0])
+        view += bias
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    return out
+
+
+def affine_backward(g: np.ndarray, x: np.ndarray, weight: np.ndarray,
+                    bias: Optional[np.ndarray], out: np.ndarray, relu: bool,
+                    need_input: bool = True):
+    """Gradients of :func:`affine_forward` with respect to ``(x, weight,
+    bias)`` given the gradient ``g`` of its output ``out``; the input
+    gradient is skipped (``None``) unless ``need_input``."""
+    if relu:
+        g = g * (out > 0.0)
+    g2 = g.reshape(-1, weight.shape[1])
+    g_input = (g2 @ weight.T).reshape(x.shape) if need_input else None
+    g_weight = x.reshape(-1, weight.shape[0]).T @ g2
+    g_bias = None if bias is None else g.reshape(-1, bias.shape[0]).sum(axis=0)
+    return g_input, g_weight, g_bias
+
+
+def affine(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
+           relu: bool = False) -> Tensor:
+    """``x @ weight + bias`` (then ReLU if ``relu``) as one autograd node.
+
+    ``weight`` has shape ``(in, out)`` and ``x`` shape ``(..., in)``.  A
+    ``bias`` whose length divides ``out`` is repeated along the output axis
+    (the transposed convolution's one-bias-per-channel over ``k^3`` kernel
+    offsets).
+    """
+    b = None if bias is None else bias.data
+    out = affine_forward(x.data, weight.data, b, relu)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make(
+        out, parents,
+        lambda g: affine_backward(g, x.data, weight.data, b, out, relu,
+                                  need_input=x.requires_grad))
+
+
+def take_columns(x: Tensor, columns: Union[slice, np.ndarray]) -> Tensor:
+    """``x[:, columns]`` for columns that are each selected at most once (a
+    slice or a permutation).
+
+    The backward pass is then a plain indexed assignment — not the
+    unbuffered ``np.add.at`` the general ``Tensor.__getitem__`` needs.
+    """
+    shape = x.data.shape
+
+    def backward(g: np.ndarray):
+        full = np.zeros(shape)
+        full[:, columns] = g
+        return (full,)
+
+    return Tensor._make(x.data[:, columns], (x,), backward)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -110,10 +193,7 @@ def dropout(x: Tensor, p: float, training: bool,
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     """Affine map ``x @ weight + bias`` with ``weight`` of shape (in, out)."""
-    out = x @ weight
-    if bias is not None:
-        out = out + bias
-    return out
+    return affine(x, weight, bias)
 
 
 def mse(a: Tensor, b: Union[Tensor, np.ndarray]) -> Tensor:

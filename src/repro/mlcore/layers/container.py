@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, List
 
+from repro.mlcore.layers.activation import ReLU
+from repro.mlcore.layers.conv import PointwiseConv
+from repro.mlcore.layers.linear import Linear
 from repro.mlcore.module import Module
 from repro.mlcore.tensor import Tensor
 
@@ -35,8 +38,16 @@ class Sequential(Module):
         return self._modules[self._order[index]]
 
     def forward(self, x: Tensor) -> Tensor:
-        for name in self._order:
-            x = self._modules[name](x)
+        modules = list(self)
+        index = 0
+        while index < len(modules):
+            module = modules[index]
+            # an affine layer and the ReLU after it run as one autograd node
+            fuse = (isinstance(module, (Linear, PointwiseConv))
+                    and index + 1 < len(modules)
+                    and type(modules[index + 1]) is ReLU)
+            x = module(x, relu=True) if fuse else module(x)
+            index += 2 if fuse else 1
         return x
 
 

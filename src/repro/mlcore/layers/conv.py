@@ -19,6 +19,7 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.mlcore import functional as F
 from repro.mlcore import init
 from repro.mlcore.module import Module, Parameter
 from repro.mlcore.tensor import Tensor
@@ -45,14 +46,11 @@ class PointwiseConv(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
         if x.shape[-1] != self.in_channels:
             raise ValueError(f"expected last dimension {self.in_channels}, "
                              f"got {x.shape[-1]}")
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return F.affine(x, self.weight, self.bias, relu)
 
 
 class ConvTranspose3d(Module):
@@ -93,16 +91,21 @@ class ConvTranspose3d(Module):
         if x.shape[-1] != self.in_channels:
             raise ValueError(f"expected {self.in_channels} input channels, "
                              f"got {x.shape[-1]}")
-        b, d, h, w, _ = x.shape
-        k, c_out = self.kernel_size, self.out_channels
-        # (B, D, H, W, C_out * k^3)
-        out = x @ self.weight
-        # -> (B, D, H, W, k, k, k, C_out)
-        out = out.reshape(b, d, h, w, k, k, k, c_out)
-        # interleave kernel offsets with the spatial axes:
-        # (B, D, k, H, k, W, k, C_out)
-        out = out.transpose(0, 1, 4, 2, 5, 3, 6, 7)
-        out = out.reshape(b, d * k, h * k, w * k, c_out)
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        # (B, D, H, W, k^3 * C_out), one bias per channel repeated over the
+        # kernel offsets, then each voxel's k^3 block moved to its place
+        return _interleave(F.affine(x, self.weight, self.bias),
+                           self.kernel_size, self.out_channels)
+
+
+def _interleave(blocks: Tensor, k: int, c_out: int) -> Tensor:
+    """``(B, D, H, W, k^3 * C) -> (B, D*k, H*k, W*k, C)`` as one node: the
+    kernel offsets of every input voxel interleaved with the spatial axes."""
+    b, d, h, w, _ = blocks.shape
+
+    def backward(g: np.ndarray):
+        g = g.reshape(b, d, k, h, k, w, k, c_out)
+        return (g.transpose(0, 1, 3, 5, 2, 4, 6, 7).reshape(blocks.shape),)
+
+    out = blocks.data.reshape(b, d, h, w, k, k, k, c_out)
+    out = out.transpose(0, 1, 4, 2, 5, 3, 6, 7).reshape(b, d * k, h * k, w * k, c_out)
+    return Tensor._make(out, (blocks,), backward)

@@ -6,6 +6,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from repro.mlcore import functional as F
 from repro.mlcore import init
 from repro.mlcore.module import Module, Parameter
 from repro.mlcore.tensor import Tensor
@@ -37,11 +38,8 @@ class Linear(Module):
         else:
             self.bias = None
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
+        return F.affine(x, self.weight, self.bias, relu)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (f"Linear(in_features={self.in_features}, "

@@ -15,7 +15,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -69,17 +69,38 @@ def chamfer_distance(a: ArrayOrTensor, b: ArrayOrTensor,
         raise ValueError("chamfer_distance expects (B, N, D) point clouds")
     if a.shape[0] != b.shape[0]:
         raise ValueError("batch sizes must match")
+    if reduction not in ("none", "sum", "mean"):
+        raise ValueError(f"unknown reduction {reduction!r}")
     d2 = F.pairwise_squared_distances(a, b)          # (B, N, M)
-    a_to_b = d2.min(axis=2).mean(axis=1)             # (B,)
-    b_to_a = d2.min(axis=1).mean(axis=1)             # (B,)
-    per_batch = a_to_b + b_to_a
-    if reduction == "none":
-        return per_batch
-    if reduction == "sum":
-        return per_batch.sum()
-    if reduction == "mean":
-        return per_batch.mean()
-    raise ValueError(f"unknown reduction {reduction!r}")
+    return _two_sided_min_mean(d2, reduction)
+
+
+def _two_sided_min_mean(d2: Tensor, reduction: str) -> Tensor:
+    """``mean_i min_j d2 + mean_j min_i d2`` per batch entry, reduced over
+    the batch, as one autograd node.
+
+    The gradient of a minimum attained at several entries (duplicated
+    points) is shared equally between them, as ``Tensor.max`` does.
+    """
+    d = d2.data
+    row_min = d.min(axis=2, keepdims=True)           # nearest b of every a
+    col_min = d.min(axis=1, keepdims=True)           # nearest a of every b
+    value = row_min.mean(axis=(1, 2)) + col_min.mean(axis=(1, 2))    # (B,)
+    batch, n, m = d.shape
+    scale = 1.0 / batch if reduction == "mean" else 1.0
+    if reduction != "none":
+        value = value.sum() * scale
+
+    def backward(g: np.ndarray):
+        rows = (d == row_min).astype(np.float64)
+        rows /= rows.sum(axis=2, keepdims=True) * n
+        cols = (d == col_min).astype(np.float64)
+        cols /= cols.sum(axis=1, keepdims=True) * m
+        rows += cols
+        rows *= np.broadcast_to(g * scale, (batch,))[:, None, None]
+        return (rows,)
+
+    return Tensor._make(value, (d2,), backward)
 
 
 def kl_divergence_normal(mu: ArrayOrTensor, log_var: ArrayOrTensor) -> Tensor:
@@ -95,14 +116,30 @@ def kl_divergence_normal(mu: ArrayOrTensor, log_var: ArrayOrTensor) -> Tensor:
     return per_sample.mean()
 
 
-def _imq_kernel(d2: Tensor, scales: Sequence[float]) -> Tensor:
-    """Inverse multi-quadratic kernel ``sum_s s / (s + d^2)`` (Ardizzone et al.)."""
-    total: Optional[Tensor] = None
+def _imq_mmd(d2: Tensor, n_x: int, scales: Sequence[float]) -> Tensor:
+    """MMD^2 from the distance matrix of the stacked sample ``[x; y]``, as
+    one autograd node.
+
+    With the inverse multi-quadratic kernel ``k = sum_s s / (s + d^2)``
+    (Ardizzone et al.) and ``u = (1/N, ..., 1/N, -1/M, ..., -1/M)`` the
+    estimator ``mean k(x, x) + mean k(y, y) - 2 mean k(x, y)`` is the
+    quadratic form ``u^T K u``.
+    """
+    d = d2.data
+    n_y = d.shape[0] - n_x
+    u = np.concatenate([np.full(n_x, 1.0 / n_x), np.full(n_y, -1.0 / n_y)])
+    coefficients = u[:, None] * u[None, :]
+    kernel = np.zeros_like(d)
+    slope = np.zeros_like(d)                          # dK / d(d^2)
     for scale in scales:
-        term = 1.0 / (d2 * (1.0 / scale) + 1.0)
-        total = term if total is None else total + term
-    assert total is not None
-    return total
+        term = 1.0 / (d * (1.0 / scale) + 1.0)
+        kernel += term
+        term *= term
+        term *= 1.0 / scale
+        slope -= term
+    slope *= coefficients
+    return Tensor._make((coefficients * kernel).sum(), (d2,),
+                        lambda g: (g * slope,))
 
 
 def mmd_imq(x: ArrayOrTensor, y: ArrayOrTensor,
@@ -121,18 +158,19 @@ def mmd_imq(x: ArrayOrTensor, y: ArrayOrTensor,
     Returns
     -------
     A scalar tensor ``MMD^2(x, y) >= 0`` (up to sampling noise).
+
+    Notes
+    -----
+    All three kernel blocks come from one distance matrix of the stacked
+    sample ``[x; y]``.
     """
     x = _as_tensor(x)
     y = _as_tensor(y)
     if x.ndim != 2 or y.ndim != 2:
         raise ValueError("mmd_imq expects 2D sample matrices (N, D)")
-    d_xx = F.pairwise_squared_distances(x.expand_dims(0), x.expand_dims(0)).squeeze(0)
-    d_yy = F.pairwise_squared_distances(y.expand_dims(0), y.expand_dims(0)).squeeze(0)
-    d_xy = F.pairwise_squared_distances(x.expand_dims(0), y.expand_dims(0)).squeeze(0)
-    k_xx = _imq_kernel(d_xx, scales).mean()
-    k_yy = _imq_kernel(d_yy, scales).mean()
-    k_xy = _imq_kernel(d_xy, scales).mean()
-    return k_xx + k_yy - k_xy * 2.0
+    stacked = F.concatenate([x, y], axis=0)
+    d2 = F.pairwise_squared_distances(stacked, stacked)
+    return _imq_mmd(d2, x.shape[0], scales)
 
 
 def gaussian_nll(mu: ArrayOrTensor, log_var: ArrayOrTensor,

@@ -105,8 +105,12 @@ class SGD(Optimizer):
                 if self.momentum:
                     state = group.state.setdefault(id(p), {})
                     buf = state.get("momentum")
-                    buf = grad if buf is None else self.momentum * buf + grad
-                    state["momentum"] = buf
+                    if buf is None:
+                        # a copy: the buffer is updated in place from now on
+                        buf = state["momentum"] = np.array(grad)
+                    else:
+                        buf *= self.momentum
+                        buf += grad
                     grad = buf
                 p.data -= group.lr * grad
 
@@ -135,21 +139,35 @@ class Adam(Optimizer):
             for p in group.params:
                 if p.grad is None:
                     continue
-                grad = p.grad
-                if group.weight_decay:
-                    grad = grad + group.weight_decay * p.data
-                state = group.state.setdefault(id(p), {})
-                if not state:
-                    state["step"] = 0
-                    state["m"] = np.zeros_like(p.data)
-                    state["v"] = np.zeros_like(p.data)
+                state = group.state.get(id(p))
+                if state is None:
+                    state = group.state[id(p)] = {"step": 0,
+                                                  "m": np.zeros_like(p.data),
+                                                  "v": np.zeros_like(p.data)}
                 state["step"] += 1
                 t = state["step"]
-                state["m"] = b1 * state["m"] + (1.0 - b1) * grad
-                state["v"] = b2 * state["v"] + (1.0 - b2) * grad * grad
-                m_hat = state["m"] / (1.0 - b1 ** t)
-                v_hat = state["v"] / (1.0 - b2 ** t)
-                p.data -= group.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                m, v = state["m"], state["v"]
+                # ``work`` is the one temporary: gradient, then its square,
+                # then the denominator, then the update itself
+                if group.weight_decay:
+                    work = group.weight_decay * p.data
+                    work += p.grad
+                else:
+                    work = p.grad.copy()
+                m *= b1
+                m += (1.0 - b1) * work
+                v *= b2
+                work *= work
+                work *= 1.0 - b2
+                v += work
+                # p -= lr * (m / c1) / (sqrt(v / c2) + eps), with the bias
+                # corrections c1, c2 hoisted into scalars
+                np.sqrt(v, out=work)
+                work *= 1.0 / math.sqrt(1.0 - b2 ** t)
+                work += self.eps
+                np.divide(m, work, out=work)
+                work *= group.lr / (1.0 - b1 ** t)
+                p.data -= work
 
 
 def make_block_param_groups(vae_params: Iterable[Parameter],

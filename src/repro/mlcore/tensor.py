@@ -56,9 +56,9 @@ def is_grad_enabled() -> bool:
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so that it has ``shape``, undoing NumPy broadcasting."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape == shape:
+    if getattr(grad, "shape", None) == shape:
         return grad
+    grad = np.asarray(grad, dtype=np.float64)
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -166,7 +166,12 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         grad = _unbroadcast(grad, self.data.shape)
-        self.grad = grad.copy() if self.grad is None else self.grad + grad
+        if self.grad is None:
+            # the one copy: ``grad`` may alias another node's gradient or be a
+            # read-only broadcast view, ``self.grad`` is updated in place below
+            self.grad = np.array(grad, dtype=np.float64)
+        else:
+            self.grad += grad
 
     # ------------------------------------------------------------------ #
     # backward pass
@@ -185,7 +190,9 @@ class Tensor:
             grad = np.ones_like(self.data, dtype=np.float64)
         grad = np.asarray(grad, dtype=np.float64)
 
-        # Iterative topological sort of the reachable graph.
+        # Iterative topological sort of the reachable interior nodes; leaves
+        # accumulate as soon as a child routes a gradient to them, so they
+        # need no place in the order.
         topo: List[Tensor] = []
         visited = set()
         stack: List[Tuple[Tensor, bool]] = [(self, False)]
@@ -199,7 +206,7 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in visited and parent.requires_grad:
+                if parent._backward is not None and id(parent) not in visited:
                     stack.append((parent, False))
 
         pending = {id(self): grad}
@@ -210,19 +217,17 @@ class Tensor:
             if node._backward is None:
                 node._accumulate(node_grad)
                 continue
-            parent_grads = node._backward(node_grad)
-            for parent, pgrad in zip(node._parents, parent_grads):
+            for parent, pgrad in zip(node._parents, node._backward(node_grad)):
                 if pgrad is None or not parent.requires_grad:
                     continue
-                pgrad = _unbroadcast(pgrad, parent.data.shape)
                 if parent._backward is None:
                     parent._accumulate(pgrad)
-                else:
-                    key = id(parent)
-                    if key in pending:
-                        pending[key] = pending[key] + pgrad
-                    else:
-                        pending[key] = pgrad
+                    continue
+                if pgrad.shape != parent.data.shape:
+                    pgrad = _unbroadcast(pgrad, parent.data.shape)
+                key = id(parent)
+                earlier = pending.get(key)
+                pending[key] = pgrad if earlier is None else earlier + pgrad
 
     # ------------------------------------------------------------------ #
     # arithmetic

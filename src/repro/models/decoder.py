@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mlcore.layers import ConvTranspose3d, Linear, ReLU
+from repro.mlcore.layers import ConvTranspose3d, Linear, ModuleList
 from repro.mlcore.module import Module
 from repro.mlcore.tensor import Tensor
 from repro.models.config import ModelConfig
@@ -29,12 +29,9 @@ class PointCloudDecoder(Module):
         self.grid_size = (d, h, w)
         self.first_channels = first_channels
         self.fc = Linear(config.latent_dim, d * h * w * first_channels, rng=rng)
-        self.activation = ReLU()
         deconvs = []
         for c_in, c_out in zip(config.decoder_channels[:-1], config.decoder_channels[1:]):
             deconvs.append(ConvTranspose3d(c_in, c_out, kernel_size=2, rng=rng))
-        # register the deconvolution stages as sub-modules
-        from repro.mlcore.layers import ModuleList
         self.deconvs = ModuleList(deconvs)
 
     def forward(self, latent: Tensor) -> Tensor:
@@ -42,7 +39,7 @@ class PointCloudDecoder(Module):
             raise ValueError(f"expected latent of shape (B, {self.config.latent_dim})")
         b = latent.shape[0]
         d, h, w = self.grid_size
-        voxels = self.activation(self.fc(latent)).reshape(b, d, h, w, self.first_channels)
+        voxels = self.fc(latent, relu=True).reshape(b, d, h, w, self.first_channels)
         for i, deconv in enumerate(self.deconvs):
             voxels = deconv(voxels)
             if i < len(self.deconvs) - 1:

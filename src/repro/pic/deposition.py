@@ -22,13 +22,13 @@ implementations selected by ``kernel``:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.pic.grid import STAGGER, YeeGrid
 from repro.pic.interpolation import _cic_indices_weights
-from repro.pic.kernels import (_hat_weights, deposit_charge_cic_fused,
+from repro.pic.kernels import (Workspace, _hat_weights, deposit_charge_cic_fused,
                                deposit_current_cic_fused,
                                deposit_current_esirkepov_fused)
 
@@ -101,7 +101,8 @@ def deposit_current_cic(grid: YeeGrid, positions: np.ndarray, velocities: np.nda
 def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
                               new_positions: np.ndarray, charge: float,
                               weights: np.ndarray, dt: float,
-                              kernel: str = "fused") -> None:
+                              kernel: str = "fused",
+                              workspace: Optional[Workspace] = None) -> None:
     """Charge-conserving (Esirkepov, first order) current deposition.
 
     The particle may move at most one cell per time step (guaranteed by the
@@ -119,10 +120,13 @@ def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
         Real-particle charge [C], macro-particle weights, time step [s].
     kernel:
         ``"fused"`` (default, chunked bincount scatter) or ``"reference"``.
+    workspace:
+        Scratch buffers the fused kernel reuses between calls (``None``:
+        fresh allocations); see :class:`repro.pic.kernels.Workspace`.
     """
     if _check_kernel(kernel):
         deposit_current_esirkepov_fused(grid, old_positions, new_positions,
-                                        charge, weights, dt)
+                                        charge, weights, dt, workspace=workspace)
         return
     old_positions = np.asarray(old_positions, dtype=np.float64)
     new_positions = np.asarray(new_positions, dtype=np.float64)

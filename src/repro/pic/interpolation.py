@@ -15,12 +15,12 @@ implementations selected by ``kernel``:
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.pic.grid import STAGGER, YeeGrid
-from repro.pic.kernels import gather_fields_fused
+from repro.pic.kernels import Workspace, gather_fields_fused
 
 
 def _cic_indices_weights(positions: np.ndarray, cell_size: Tuple[float, float, float],
@@ -74,7 +74,8 @@ def gather_component(field: np.ndarray, positions: np.ndarray,
 
 
 def gather_fields(grid: YeeGrid, positions: np.ndarray,
-                  kernel: str = "fused") -> Tuple[np.ndarray, np.ndarray]:
+                  kernel: str = "fused", workspace: Optional[Workspace] = None
+                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Interpolate E and B to the particle positions.
 
     Parameters
@@ -82,13 +83,16 @@ def gather_fields(grid: YeeGrid, positions: np.ndarray,
     kernel:
         ``"fused"`` (default, shared-plan bincount kernels) or
         ``"reference"`` (the original per-component implementation).
+    workspace:
+        Scratch buffers the fused kernel reuses between calls (``None``:
+        fresh allocations); see :class:`repro.pic.kernels.Workspace`.
 
     Returns
     -------
     ``(E, B)`` each of shape ``(N, 3)`` in SI units (V/m and T).
     """
     if kernel == "fused":
-        return gather_fields_fused(grid, positions)
+        return gather_fields_fused(grid, positions, workspace)
     if kernel != "reference":
         raise ValueError(f"kernel must be 'fused' or 'reference', got {kernel!r}")
     positions = np.asarray(positions, dtype=np.float64)

@@ -36,7 +36,8 @@ continuity invariant of the fused Esirkepov path.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+import mmap
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -49,6 +50,39 @@ from repro.pic.particles import ParticleSpecies
 DEFAULT_CHUNK = 16384
 
 _STENCIL3 = np.arange(3)
+
+
+class Workspace:
+    """Scratch arrays kept between calls, so a stepping simulation stops
+    allocating (and the C allocator stops re-faulting) its large per-step
+    temporaries.
+
+    :meth:`array` returns a C-contiguous array of the requested shape backed
+    by a flat buffer that is kept under ``name`` and only replaced to grow,
+    so species of different sizes share one set of buffers.  The contents
+    are unspecified; every user fully overwrites what it takes (``out=``)
+    before reading it.  A workspace serves one kernel call at a time and
+    belongs to one simulation — never share one between threads.
+
+    Every buffer is an anonymous memory mapping of its own rather than a
+    ``np.empty`` block: it returns to the system the moment the workspace is
+    dropped.  Heap blocks this large, allocated on a stepping thread and
+    freed on another, can stay resident in that thread's malloc arena while
+    the next simulation's set is carved from a different arena.
+    """
+
+    def __init__(self) -> None:
+        self._flat: Dict[tuple, np.ndarray] = {}
+
+    def array(self, name, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = int(np.prod(shape))
+        flat = self._flat.get((name, dtype))
+        if flat is None or flat.size < size:
+            pages = mmap.mmap(-1, max(size, 1) * dtype.itemsize,
+                              flags=mmap.MAP_PRIVATE)
+            flat = self._flat[name, dtype] = np.frombuffer(pages, dtype=dtype)
+        return flat[:size].reshape(shape)
 
 
 def _hat_weights(xi: np.ndarray, base: np.ndarray, n_nodes: int = 4) -> np.ndarray:
@@ -167,43 +201,64 @@ class CICPlanSet:
         idx, w = self._offset(offset)
         return idx[axis], w[axis]
 
-    def plan(self, stagger: Tuple[float, float, float]) -> CICPlan:
-        """The (cached) eight-corner plan of one component stagger."""
+    def plan(self, stagger: Tuple[float, float, float],
+             out: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> CICPlan:
+        """The eight-corner plan of one component stagger.
+
+        Plans are cached per stagger.  With ``out=(lin, weights)`` — an
+        int64 and a float64 buffer of shape ``(2, 2, 2, N)`` — the plan is
+        built into those buffers instead of fresh arrays; it is then only
+        valid until the buffers are written again, so it is not cached.
+        """
         key = tuple(stagger)
-        plan = self._plan_cache.get(key)
+        plan = self._plan_cache.get(key) if out is None else None
         if plan is None:
             ix, wx = self._axis(0, stagger[0])
             iy, wy = self._axis(1, stagger[1])
             iz, wz = self._axis(2, stagger[2])
             n = self.positions.shape[0]
+            lin, weights = out if out is not None else (
+                np.empty((2, 2, 2, n), dtype=np.int64), np.empty((2, 2, 2, n)))
             # compose all eight corners in two broadcast adds / multiplies;
             # node axes lead so the inner loops run over the particle axis
-            lin = (ix[:, None, None, :] + iy[None, :, None, :]
-                   + iz[None, None, :, :]).reshape(8, n)
-            weights = (wx[:, None, None, :] * wy[None, :, None, :]
-                       * wz[None, None, :, :]).reshape(8, n)
-            plan = CICPlan(lin, weights, self.shape)
-            self._plan_cache[key] = plan
+            np.add(ix[:, None, None, :], iy[None, :, None, :], out=lin)
+            lin += iz[None, None, :, :]
+            np.multiply(wx[:, None, None, :], wy[None, :, None, :], out=weights)
+            weights *= wz[None, None, :, :]
+            plan = CICPlan(lin.reshape(8, n), weights.reshape(8, n), self.shape)
+            if out is None:
+                self._plan_cache[key] = plan
         return plan
 
 
 # --------------------------------------------------------------------------- #
 # gather
 # --------------------------------------------------------------------------- #
-def gather_fields_fused(grid: YeeGrid, positions: np.ndarray
+def gather_fields_fused(grid: YeeGrid, positions: np.ndarray,
+                        workspace: Optional[Workspace] = None
                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """Interpolate E and B to the particles through one shared plan set."""
+    """Interpolate E and B to the particles through one shared plan set.
+
+    Each component is gathered before the next plan is built, so all six
+    share one pair of plan buffers — taken from ``workspace`` when one is
+    given (``None``: allocated for this call).  The returned arrays are
+    always new.
+    """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must have shape (N, 3)")
+    if workspace is None:
+        workspace = Workspace()
     plans = CICPlanSet(positions, grid.config.cell_size, grid.shape)
     n = positions.shape[0]
+    buffers = (workspace.array("cic.lin", (2, 2, 2, n), np.int64),
+               workspace.array("cic.weights", (2, 2, 2, n)))
     e_fields = np.empty((n, 3), dtype=np.float64)
     b_fields = np.empty((n, 3), dtype=np.float64)
-    for axis, name in enumerate(("Ex", "Ey", "Ez")):
-        e_fields[:, axis] = plans.plan(STAGGER[name]).gather(grid.component(name))
-    for axis, name in enumerate(("Bx", "By", "Bz")):
-        b_fields[:, axis] = plans.plan(STAGGER[name]).gather(grid.component(name))
+    for fields, names in ((e_fields, ("Ex", "Ey", "Ez")), (b_fields, ("Bx", "By", "Bz"))):
+        for axis, name in enumerate(names):
+            plan = plans.plan(STAGGER[name], out=buffers)
+            fields[:, axis] = plan.gather(grid.component(name))
     return e_fields, b_fields
 
 
@@ -236,23 +291,11 @@ def deposit_current_cic_fused(grid: YeeGrid, positions: np.ndarray,
 # --------------------------------------------------------------------------- #
 # Esirkepov current deposition (chunked, fused bincount scatter)
 # --------------------------------------------------------------------------- #
-def _outer_term(a_b: np.ndarray, b_b: np.ndarray, s0_c: np.ndarray,
-                ds_c: np.ndarray) -> np.ndarray:
-    """The Esirkepov transverse factor over axes ``b`` (rows) and ``c``.
-
-    Algebraically ``s0_b⊗s0_c + ds_b⊗s0_c/2 + s0_b⊗ds_c/2 + ds_b⊗ds_c/3``,
-    grouped into two outer products with the row factors
-    ``a_b = s0_b + ds_b/2`` and ``b_b = s0_b/2 + ds_b/3`` precomputed (they
-    are shared between components).  Shapes follow the inputs: ``(k, m)``
-    rows × ``(k, m)`` columns give a ``(k, k, m)`` node-first block.
-    """
-    return a_b[:, None, :] * s0_c[None, :, :] + b_b[:, None, :] * ds_c[None, :, :]
-
-
 def deposit_current_esirkepov_fused(grid: YeeGrid, old_positions: np.ndarray,
                                     new_positions: np.ndarray, charge: float,
                                     weights: np.ndarray, dt: float,
-                                    chunk_size: int = DEFAULT_CHUNK) -> None:
+                                    chunk_size: int = DEFAULT_CHUNK,
+                                    workspace: Optional[Workspace] = None) -> None:
     """Charge-conserving Esirkepov deposition with a bounded working set.
 
     Numerically equivalent (up to summation order and identically-zero
@@ -263,6 +306,9 @@ def deposit_current_esirkepov_fused(grid: YeeGrid, old_positions: np.ndarray,
     only large temporaries, and all three current components are scattered
     with a single ``np.bincount`` over ``3 * n_cells`` fused bins instead of
     three unbuffered ``np.add.at`` calls against broadcast index arrays.
+    Those two blocks and the ``(3, 3, chunk)`` stencil arrays they are built
+    from live in ``workspace`` when one is given and are allocated once per
+    call otherwise.
     """
     old_positions = np.asarray(old_positions, dtype=np.float64)
     new_positions = np.asarray(new_positions, dtype=np.float64)
@@ -280,6 +326,7 @@ def deposit_current_esirkepov_fused(grid: YeeGrid, old_positions: np.ndarray,
     nx, ny, nz = grid.shape
     n_cells = nx * ny * nz
     inv_cell = np.array([1.0 / dx, 1.0 / dy, 1.0 / dz])[:, None]
+    cell = np.array([-dx, -dy, -dz])[:, None, None]
     factor = (charge / grid.config.cell_volume) * weights / dt     # (N,)
 
     # flat views of the (C-contiguous) current arrays; += below is in place
@@ -296,78 +343,80 @@ def deposit_current_esirkepov_fused(grid: YeeGrid, old_positions: np.ndarray,
     # vanishes identically (charge conservation) and would scatter pure
     # round-off.  That leaves 3 * 2*3*3 = 54 scattered values per particle
     # against the naive 3 * 4^3 = 192.
-    m0 = min(chunk_size, n)
-    big_lin0 = np.empty((3, 2, 3, 3, m0), dtype=np.int64)
-    big_w0 = np.empty((3, 2, 3, 3, m0), dtype=np.float64)
+    if workspace is None:
+        workspace = Workspace()
 
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
         m = stop - start
-        if m == m0:
-            big_lin, big_w = big_lin0, big_w0
-        else:                                       # final partial chunk
-            big_lin = np.empty((3, 2, 3, 3, m), dtype=np.int64)
-            big_w = np.empty((3, 2, 3, 3, m), dtype=np.float64)
+        # the first chunk is the largest, so later ones reuse its buffers
+        big_lin = workspace.array("esirkepov.lin", (3, 2, 3, 3, m), np.int64)
+        big_w = workspace.array("esirkepov.w", (3, 2, 3, 3, m))
+        xi0, xi1, moved = workspace.array("esirkepov.xi", (3, 3, m))
+        (s0, ds, a_row, b_row, s0_col, ds_col, ds_axis, term,
+         tmp) = workspace.array("esirkepov.stencil", (9, 3, 3, m))
+        nodes, lbc = workspace.array("esirkepov.nodes", (2, 3, 3, m), np.int64)
         # (3, m) cell-unit coordinates, axis-major; out= forces C order
         # (the transposed position slices are F-ordered and ufuncs would
         # otherwise keep that layout, striding every later particle-axis loop)
-        xi0 = np.empty((3, m))
-        xi1 = np.empty((3, m))
         np.multiply(old_positions[start:stop].T, inv_cell, out=xi0)
         np.multiply(new_positions[start:stop].T, inv_cell, out=xi1)
-        if np.any(np.abs(xi1 - xi0) >= 1.0):
+        np.subtract(xi1, xi0, out=moved)
+        np.abs(moved, out=moved)
+        if np.any(moved >= 1.0):
             raise ValueError("Esirkepov deposition requires particles to move "
                              "less than one cell per step")
         # Shared 3-node stencil: both hats live on nodes base .. base+2; all
         # three axes share one vectorised (3, 3, m) pass.
-        base = np.floor(np.minimum(xi0, xi1)).astype(np.int64)    # (3, m)
-        nodes = base[:, None, :] + _STENCIL3[None, :, None]       # (3, 3, m)
-        s0 = np.maximum(0.0, 1.0 - np.abs(xi0[:, None, :] - nodes))
-        ds = np.maximum(0.0, 1.0 - np.abs(xi1[:, None, :] - nodes))
+        np.minimum(xi0, xi1, out=moved)
+        np.floor(moved, out=moved)
+        np.add(moved.astype(np.int64)[:, None, :], _STENCIL3[None, :, None],
+               out=nodes)
+        for xi, hat in ((xi0, s0), (xi1, ds)):      # max(0, 1 - |xi - node|)
+            np.subtract(xi[:, None, :], nodes, out=hat)
+            np.abs(hat, out=hat)
+            np.subtract(1.0, hat, out=hat)
+            np.maximum(0.0, hat, out=hat)
         ds -= s0
 
         # Stride-scaled wrapped stencil indices; a node at (i, j, k) has
         # raveled index lin_all[0, i] + lin_all[1, j] + lin_all[2, k].
-        lin_all = nodes % nvec
+        lin_all = np.remainder(nodes, nvec, out=nodes)
         lin_all *= svec
 
         # Transverse row factors shared between the three components:
-        # term_b,c = (s0_b + ds_b/2) ⊗ s0_c + (s0_b/2 + ds_b/3) ⊗ ds_c.
-        # The per-particle charge factor rides on the column factors (one
-        # (3, 3, m) pass instead of a (m,) rescale per component) and the
-        # per-axis cell size on the along-axis ds (one pass for all three).
-        a_row = s0 + 0.5 * ds                       # (3, 3, m); axis 2 unused
-        b_row = 0.5 * s0 + (1.0 / 3.0) * ds
+        # a_row = s0 + ds/2 and b_row = s0/2 + ds/3.  The per-particle charge
+        # factor rides on the column factors (one (3, 3, m) pass instead of a
+        # (m,) rescale per component) and the per-axis cell size on the
+        # along-axis ds (one pass for all three).
+        np.multiply(0.5, ds, out=a_row)
+        a_row += s0
+        np.multiply(0.5, s0, out=b_row)
+        np.multiply(1.0 / 3.0, ds, out=tmp)
+        b_row += tmp
         scale = factor[start:stop]
-        s0_col = s0 * scale[None, None, :]
-        ds_col = ds * scale[None, None, :]
-        ds_axis = ds * np.array([-dx, -dy, -dz])[:, None, None]
+        np.multiply(s0, scale[None, None, :], out=s0_col)
+        np.multiply(ds, scale[None, None, :], out=ds_col)
+        np.multiply(ds, cell, out=ds_axis)
 
-        # Per component: the (pre-scaled, truncated) ds factor, its
-        # transverse term, and the raveled indices arranged [along-axis,
-        # transverse-1, transverse-2]; the along-axis index also carries the
-        # component offset into the fused 3 * n_cells bins.
-        per_axis = (
-            (ds_axis[0, :2],
-             _outer_term(a_row[1], b_row[1], s0_col[2], ds_col[2]),
-             lin_all[0, :2], lin_all[1], lin_all[2]),
-            (ds_axis[1, :2],
-             _outer_term(a_row[0], b_row[0], s0_col[2], ds_col[2]),
-             lin_all[1, :2], lin_all[0], lin_all[2]),
-            (ds_axis[2, :2],
-             _outer_term(a_row[0], b_row[0], s0_col[1], ds_col[1]),
-             lin_all[2, :2], lin_all[0], lin_all[1]),
-        )
-        for axis, (ds_scaled, term, la, lb, lc) in enumerate(per_axis):
+        # Per component: the Esirkepov transverse factor over the other two
+        # axes b (rows) and c (columns) — algebraically s0_b⊗s0_c +
+        # ds_b⊗s0_c/2 + s0_b⊗ds_c/2 + ds_b⊗ds_c/3, grouped into the two
+        # outer products a_row_b⊗s0_c + b_row_b⊗ds_c — times the (pre-scaled,
+        # truncated) along-axis ds, and the raveled indices arranged
+        # [along-axis, b, c]; the along-axis index also carries the component
+        # offset into the fused 3 * n_cells bins.
+        for axis, (b, c) in enumerate(((1, 2), (0, 2), (0, 1))):
+            np.multiply(a_row[b][:, None, :], s0_col[c][None, :, :], out=term)
+            np.multiply(b_row[b][:, None, :], ds_col[c][None, :, :], out=tmp)
+            term += tmp
             block = big_w[axis]
-            np.multiply(ds_scaled[:, None, None, :], term[None, :, :, :],
-                        out=block)
+            np.multiply(ds_axis[axis, :2, None, None, :], term[None], out=block)
             # prefix sum along the (truncated) node axis: one slice add
             block[1] += block[0]
-            lin = big_lin[axis]
-            lbc = lb[:, None, :] + lc[None, :, :]
-            np.add((la + axis * n_cells)[:, None, None, :],
-                   lbc[None, :, :, :], out=lin)
+            np.add(lin_all[b][:, None, :], lin_all[c][None, :, :], out=lbc)
+            np.add((lin_all[axis, :2] + axis * n_cells)[:, None, None, :],
+                   lbc[None], out=big_lin[axis])
         fused = np.bincount(big_lin.reshape(-1), weights=big_w.reshape(-1),
                             minlength=3 * n_cells).reshape(3, n_cells)
         for axis in range(3):

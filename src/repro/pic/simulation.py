@@ -23,7 +23,7 @@ from repro.pic.deposition import (deposit_charge_cic, deposit_current_cic,
 from repro.pic.fom import FigureOfMerit, figure_of_merit
 from repro.pic.grid import GridConfig, YeeGrid
 from repro.pic.interpolation import gather_fields
-from repro.pic.kernels import boris_push_fused
+from repro.pic.kernels import Workspace, boris_push_fused
 from repro.pic.maxwell import YeeSolver
 from repro.pic.particles import ParticleSpecies
 from repro.pic.pusher import advance_positions, boris_push
@@ -101,6 +101,9 @@ class PICSimulation:
         self.step_index = 0
         self.timer = Timer()
         self._started = False
+        # scratch of the fused kernels, kept across steps; one per simulation
+        # because several simulations may step concurrently in one process
+        self._workspace = Workspace()
 
     # -- setup ------------------------------------------------------------- #
     def add_species(self, species: ParticleSpecies) -> ParticleSpecies:
@@ -152,7 +155,8 @@ class PICSimulation:
             if not s.pushed:
                 continue
             with self.timer.section("gather"):
-                e_at_p, b_at_p = gather_fields(grid, s.positions, kernel=kernel)
+                e_at_p, b_at_p = gather_fields(grid, s.positions, kernel=kernel,
+                                               workspace=self._workspace)
             if self.config.current_deposition == "esirkepov":
                 with self.timer.section("push"):
                     push(s, e_at_p, b_at_p, dt)
@@ -163,7 +167,8 @@ class PICSimulation:
                 with self.timer.section("deposit"):
                     deposit_current_esirkepov(grid, old_positions, new_positions,
                                               s.charge, s.weights, dt,
-                                              kernel=kernel)
+                                              kernel=kernel,
+                                              workspace=self._workspace)
             else:
                 with self.timer.section("push"):
                     push(s, e_at_p, b_at_p, dt)

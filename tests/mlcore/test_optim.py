@@ -45,6 +45,22 @@ class TestSGD:
         opt.step()
         assert opt.step_count == 1
 
+    def test_momentum_buffer_is_updated_in_place(self, rng):
+        p = Parameter(rng.normal(size=3))
+        opt = SGD([p], lr=0.1, momentum=0.5, weight_decay=0.1)
+        want, velocity = p.data.copy(), np.zeros(3)
+        buffers = []
+        for _ in range(4):
+            p.grad = rng.normal(size=3)
+            kept = p.grad.copy()
+            velocity = 0.5 * velocity + (kept + 0.1 * want) if buffers else kept + 0.1 * want
+            want = want - 0.1 * velocity
+            opt.step()
+            np.testing.assert_array_equal(p.grad, kept)      # never written to
+            buffers.append(opt.param_groups[0].state[id(p)]["momentum"])
+        assert all(buf is buffers[0] for buf in buffers)
+        np.testing.assert_allclose(p.data, want, rtol=1e-13)
+
     def test_invalid_momentum(self, rng):
         with pytest.raises(ValueError):
             SGD([Parameter(np.zeros(2))], lr=0.1, momentum=1.5)
@@ -68,6 +84,35 @@ class TestAdam:
             loss.backward()
             opt.step()
         np.testing.assert_allclose(layer.weight.data, w_true, atol=0.05)
+
+    def test_in_place_update_matches_the_textbook_formula(self, rng):
+        p = Parameter(rng.normal(size=(3, 2)))
+        opt = Adam([p], lr=0.01, betas=(0.8, 0.9), eps=1e-6, weight_decay=0.02)
+        want = p.data.copy()
+        m, v = np.zeros_like(want), np.zeros_like(want)
+        moments = []
+        for t in range(1, 6):
+            p.grad = rng.normal(size=(3, 2))
+            kept = p.grad.copy()
+            grad = kept + 0.02 * want
+            m = 0.8 * m + 0.2 * grad
+            v = 0.9 * v + 0.1 * grad * grad
+            want = want - 0.01 * (m / (1 - 0.8 ** t)) / (np.sqrt(v / (1 - 0.9 ** t)) + 1e-6)
+            opt.step()
+            np.testing.assert_array_equal(p.grad, kept)      # never written to
+            state = opt.param_groups[0].state[id(p)]
+            moments.append((state["m"], state["v"]))
+            np.testing.assert_allclose(state["m"], m, rtol=1e-13)
+            np.testing.assert_allclose(state["v"], v, rtol=1e-13)
+            np.testing.assert_allclose(p.data, want, rtol=1e-12)
+        assert all(a is moments[0][0] and b is moments[0][1] for a, b in moments)
+
+    def test_zero_learning_rate_leaves_parameters_alone(self):
+        p = Parameter(np.ones(3))
+        opt = Adam([p], lr=0.0)
+        p.grad = np.full(3, 2.0)
+        opt.step()
+        np.testing.assert_array_equal(p.data, np.ones(3))
 
     def test_skips_params_without_grad(self):
         p = Parameter(np.ones(3))

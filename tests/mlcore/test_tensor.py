@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.mlcore.tensor import (Tensor, concatenate, no_grad, split, stack,
-                                 tensor, where, zeros)
+from repro.mlcore.tensor import (Tensor, _unbroadcast, concatenate, no_grad,
+                                 split, stack, tensor, where, zeros)
 from tests.conftest import numerical_gradient
 
 
@@ -65,6 +65,30 @@ class TestBasics:
         (x.sum()).backward()
         (x.sum()).backward()
         np.testing.assert_allclose(x.grad, [2.0, 2.0])
+
+    def test_leaf_gradient_is_owned_then_accumulated_in_place(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        x.sum().backward()                  # arrives as a read-only broadcast view
+        first = x.grad
+        assert first.flags.writeable and first.dtype == np.float64
+        (x * x).sum().backward()
+        assert x.grad is first
+        np.testing.assert_allclose(x.grad, [3.0, 5.0])
+
+    def test_leaf_gradient_does_not_alias_a_sibling(self):
+        # add's backward hands the same array to both parents
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([3.0, 4.0], requires_grad=True)
+        (a + b).sum().backward()
+        (a * 2.0).sum().backward()
+        np.testing.assert_allclose(a.grad, [3.0, 3.0])
+        np.testing.assert_allclose(b.grad, [1.0, 1.0])
+
+    def test_unbroadcast_checks_the_shape_before_converting(self):
+        grad = np.ones((2, 3), dtype=np.float32)
+        assert _unbroadcast(grad, (2, 3)) is grad
+        reduced = _unbroadcast(np.ones((4, 2, 3)), (1, 3))
+        np.testing.assert_allclose(reduced, np.full((1, 3), 8.0))
 
     def test_zero_grad(self):
         x = Tensor([1.0], requires_grad=True)

@@ -8,6 +8,9 @@ the simulator is backed by an oracle rather than by inspection.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +21,11 @@ from repro.pic.deposition import (deposit_charge_cic, deposit_current_cic,
                                   deposit_current_esirkepov)
 from repro.pic.grid import GridConfig, YeeGrid
 from repro.pic.interpolation import gather_fields
-from repro.pic.kernels import (CICPlanSet, boris_push_fused,
+from repro.pic.kernels import (CICPlanSet, Workspace, boris_push_fused,
                                deposit_current_esirkepov_fused)
 from repro.pic.particles import ParticleSpecies
 from repro.pic.pusher import boris_push
+from repro.pic.simulation import PICSimulation, SimulationConfig
 
 
 def make_grid(shape=(9, 7, 6), cell=1.0e-5):
@@ -156,6 +160,109 @@ class TestDepositionEquivalence:
         residual = (rho1.rho - rho0.rho) / dt + grid.divergence_j()
         scale = np.max(np.abs((rho1.rho - rho0.rho) / dt))
         assert np.max(np.abs(residual)) < 1e-12 * scale
+
+
+def two_species_simulation(seed, sizes=(300, 173), workspace=True):
+    """A small simulation whose two pushed species differ in size."""
+    rng = np.random.default_rng(seed)
+    config = SimulationConfig(grid=GridConfig(shape=(8, 6, 4),
+                                              cell_size=(1.0e-5, 1.0e-5, 1.0e-5)))
+    simulation = PICSimulation(config)
+    if not workspace:
+        simulation._workspace = None        # every step allocates afresh
+    for name in ("Ex", "Ey", "Ez", "Bx", "By", "Bz"):
+        scale = 1.0e6 if name.startswith("E") else 1.0e-3
+        simulation.grid.component(name)[...] = scale * rng.normal(
+            size=simulation.grid.shape)
+    for make, n in zip((ParticleSpecies.electrons, ParticleSpecies.protons), sizes):
+        positions, weights = random_particles(rng, simulation.grid, n)
+        simulation.add_species(make(positions, 0.3 * rng.normal(size=(n, 3)), weights))
+    return simulation
+
+
+def simulation_state(simulation):
+    grid = simulation.grid
+    state = [grid.component(name).copy()
+             for name in ("Ex", "Ey", "Ez", "Bx", "By", "Bz", "Jx", "Jy", "Jz")]
+    for species in simulation.species:
+        state += [species.positions.copy(), species.momenta.copy()]
+    return state
+
+
+class TestWorkspace:
+    def test_kernels_with_a_reused_workspace_are_bit_identical(self):
+        rng = np.random.default_rng(5)
+        workspace = Workspace()
+        grid = make_grid()
+        for name in ("Ex", "Ey", "Ez", "Bx", "By", "Bz"):
+            grid.component(name)[...] = rng.normal(size=grid.config.shape)
+        charge = -constants.ELEMENTARY_CHARGE
+        dt = 0.4 * grid.config.cell_size[0] / constants.SPEED_OF_LIGHT
+        # sizes shrink and grow again: buffers are reused, regrown, reused
+        for n in (90, 37, 90, 141, 8):
+            old, weights = random_particles(rng, grid, n)
+            new = old + rng.uniform(-0.4, 0.4, size=old.shape) * grid.config.cell_size[0]
+            fresh = gather_fields(grid, old)
+            reused = gather_fields(grid, old, workspace=workspace)
+            np.testing.assert_array_equal(reused[0], fresh[0])
+            np.testing.assert_array_equal(reused[1], fresh[1])
+            a, b = make_grid(), make_grid()
+            deposit_current_esirkepov_fused(a, old, new, charge, weights, dt,
+                                            chunk_size=32)
+            deposit_current_esirkepov_fused(b, old, new, charge, weights, dt,
+                                            chunk_size=32, workspace=workspace)
+            for name in ("Jx", "Jy", "Jz"):
+                np.testing.assert_array_equal(b.component(name), a.component(name))
+
+    def test_buffers_grow_but_are_not_reallocated_for_smaller_requests(self):
+        workspace = Workspace()
+        big = workspace.array("x", (4, 10))
+        small = workspace.array("x", (3, 5))
+        assert small.shape == (3, 5) and small.flags.c_contiguous
+        assert np.shares_memory(big, small)
+        assert not np.shares_memory(big, workspace.array("x", (4, 10), np.int64))
+        assert not np.shares_memory(big, workspace.array("x", (5, 10)))
+
+    def test_stepping_with_the_workspace_is_bit_identical_over_20_steps(self):
+        fresh = two_species_simulation(seed=9, workspace=False)
+        reused = two_species_simulation(seed=9)
+        assert fresh._workspace is None and reused._workspace is not None
+        for _ in range(20):
+            fresh.step()
+            reused.step()
+        for got, want in zip(simulation_state(reused), simulation_state(fresh)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_simulations_stepped_on_concurrent_threads_match_sequential_ones(self):
+        seeds = (21, 22, 23, 24)                  # more threads than cores
+        sequential = [two_species_simulation(seed) for seed in seeds]
+        for simulation in sequential:
+            for _ in range(20):
+                simulation.step()
+        concurrent = [two_species_simulation(seed) for seed in seeds]
+        assert len({id(s._workspace) for s in concurrent}) == len(seeds)
+        barrier = threading.Barrier(len(seeds))
+
+        def run(simulation):
+            barrier.wait(timeout=30)
+            for _ in range(20):
+                simulation.step()
+
+        threads = [threading.Thread(target=run, args=(s,)) for s in concurrent]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(concurrent, sequential):
+            assert got.step_index == 20
+            for a, b in zip(simulation_state(got), simulation_state(want)):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestBorisEquivalence:
