@@ -1,16 +1,13 @@
-"""Warm worker pool vs fresh-pool-per-chunk: the campaign launch path.
+"""Warm worker pool vs fresh-pool-per-launch: the campaign launch path.
 
-The service launches campaigns in small chunks (cooperative cancel lands
-on chunk boundaries), so an executor's *per-``execute()``* start-up cost
-is paid once per chunk.  The stock ``process`` executor builds a fresh
-``ProcessPoolExecutor`` every call — spawn + numpy/repro import per
-chunk — while the ``workers`` executor leases a process-wide pool of
-long-lived workers that stays warm across calls.  This benchmark drives
-the same service-style chunked launch through both and checks:
+The stock ``process`` executor builds a fresh ``ProcessPoolExecutor``
+inside every ``execute()`` call — process start-up per launch — while the
+``workers`` executor leases a process-wide pool of long-lived workers that
+stays warm across calls and hands them one run at a time.  This benchmark
+drives the same whole-campaign launch through both and checks:
 
-* **throughput** — the warm pool beats the fresh-pool executor on a
-  chunked launch (the recurring spawn+import cost is exactly what it
-  removes),
+* **throughput** — the warm pool beats the fresh-pool executor (the
+  recurring start-up cost is exactly what it removes),
 * **determinism** — the workers backend reproduces the serial executor's
   deterministic campaign report, crash-requeue and straggler machinery
   notwithstanding.
@@ -35,7 +32,6 @@ import pytest
 from repro.campaign import (CampaignStore, WorkerPool, WorkerPoolExecutor,
                             aggregate, execute_run, get_campaign_preset,
                             get_executor, run_campaign)
-from repro.campaign.hotpath import service_chunk_size
 
 N_RUNS = 8
 MAX_WORKERS = 2
@@ -54,16 +50,13 @@ def warm_pool():
     pool.shutdown()
 
 
-def _chunked_launch(executor, tmp_path):
-    """A service-style launch: the spec's runs executed chunk by chunk."""
+def _launch(executor, tmp_path):
+    """One whole-campaign launch; the store it filled and its wall time."""
     spec = get_campaign_preset("campaign-smoke")
     store = CampaignStore(
-        str(tmp_path / f"chunked-{next(_store_counter)}.jsonl"))
-    chunk = service_chunk_size(executor.name, MAX_WORKERS)
-    runs = spec.resolve()
+        str(tmp_path / f"launch-{next(_store_counter)}.jsonl"))
     start = time.perf_counter()
-    for lo in range(0, len(runs), chunk):
-        run_campaign(spec, store, executor, runs=runs[lo:lo + chunk])
+    run_campaign(spec, store, executor)
     wall = time.perf_counter() - start
     records = store.records()
     assert len(records) == N_RUNS
@@ -72,15 +65,12 @@ def _chunked_launch(executor, tmp_path):
     return store, wall
 
 
-def test_warm_pool_chunked_throughput(benchmark, warm_pool, tmp_path):
+def test_warm_pool_throughput(benchmark, warm_pool, tmp_path):
     executor = WorkerPoolExecutor(max_workers=MAX_WORKERS, pool=warm_pool)
     store, _ = benchmark.pedantic(
-        lambda: _chunked_launch(executor, tmp_path),
-        iterations=1, rounds=3)
+        lambda: _launch(executor, tmp_path), iterations=1, rounds=3)
 
     benchmark.extra_info["executor"] = "workers"
-    benchmark.extra_info["chunk_size"] = service_chunk_size(
-        "workers", MAX_WORKERS)
     benchmark.extra_info["pool_respawns"] = warm_pool.stats()["respawns"]
 
     # the pool must have survived the whole benchmark without a respawn
@@ -95,18 +85,15 @@ def test_warm_pool_chunked_throughput(benchmark, warm_pool, tmp_path):
         aggregate(reference_store.records()).deterministic_dict()
 
 
-def test_warm_pool_beats_fresh_pool_per_chunk(warm_pool, tmp_path):
-    """Best-of-3 chunked walls: the warm pool's margin is the per-chunk
-    spawn+import the process executor re-pays (robust even on one core,
-    where neither backend gets real parallelism)."""
+def test_warm_pool_beats_fresh_pool_per_launch(warm_pool, tmp_path):
+    """Best-of-3 launch walls: the warm pool's margin is the process
+    start-up the process executor re-pays on every launch."""
     workers_exec = WorkerPoolExecutor(max_workers=MAX_WORKERS,
                                       pool=warm_pool)
     process_exec = get_executor("process", max_workers=MAX_WORKERS)
-    _chunked_launch(workers_exec, tmp_path)  # warmup, pipes already hot
-    workers_wall = min(_chunked_launch(workers_exec, tmp_path)[1]
-                       for _ in range(3))
-    process_wall = min(_chunked_launch(process_exec, tmp_path)[1]
-                       for _ in range(3))
+    _launch(workers_exec, tmp_path)  # warmup, pipes already hot
+    workers_wall = min(_launch(workers_exec, tmp_path)[1] for _ in range(3))
+    process_wall = min(_launch(process_exec, tmp_path)[1] for _ in range(3))
     assert workers_wall < process_wall
 
 

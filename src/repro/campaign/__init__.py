@@ -19,9 +19,9 @@ as one hand-launched session.  This subsystem turns one declarative
   cache: completed runs are reusable across campaigns, not just within
   one store,
 * :mod:`repro.campaign.workers`   — the persistent worker-pool executor:
-  long-lived warm worker processes shared across calls/chunks/campaigns,
-  batched pipe dispatch, heartbeats, straggler re-dispatch and
-  crash-requeue,
+  long-lived warm worker processes shared across calls and campaigns,
+  run-granular breadth-first dispatch, concurrent leases, heartbeats,
+  straggler re-dispatch and crash-requeue,
 * :mod:`repro.campaign.hotpath`   — the campaign-throughput benchmark
   harness persisting ``BENCH_campaign_throughput.json`` records,
 * :mod:`repro.campaign.aggregate` — the campaign-level report (per-parameter

@@ -2,12 +2,10 @@
 
 The campaign-layer sibling of :mod:`repro.pic.hotpath`: where that harness
 tracks steps/second of the PIC kernels, this one tracks **runs/second of
-the campaign executors** on a service-style *chunked* launch of the smoke
-preset — the launch shape :mod:`repro.service.jobs` actually uses, where
-per-``execute()`` start-up cost (fresh process pools, re-imports, per-run
-pickling) multiplies by the number of chunks.  Results append to
-``BENCH_campaign_throughput.json`` at the repository root via
-:mod:`repro.utils.benchjson`, so the perf trajectory finally covers the
+the campaign executors** on one whole ``execute()`` of the smoke preset —
+the launch shape the CLI and :mod:`repro.service.jobs` both use.  Results
+append to ``BENCH_campaign_throughput.json`` at the repository root via
+:mod:`repro.utils.benchjson`, so the perf trajectory covers the
 orchestration layer, not just the kernels (see ``docs/performance.md``).
 
 The harness is also a correctness gate: the ``workers`` executor must
@@ -42,24 +40,12 @@ BENCH_EXECUTORS = ("serial", "process", "workers")
 DEFAULT_PRESET = "campaign-smoke"
 
 
-def service_chunk_size(executor_name: str, max_workers: int) -> int:
-    """The service-style launch chunk for an executor (see ``service.jobs``).
-
-    Mirrors ``CampaignJob._chunk_size``: the service launches campaigns in
-    small chunks so cancellation stays cooperative — one run at a time on
-    the serial executor, ``max_workers`` runs per chunk on the pools.
-    """
-    return 1 if executor_name == "serial" else max(1, int(max_workers))
-
-
 @dataclass
 class CampaignThroughputResult:
     """One campaign-throughput measurement plus the equivalence verdict."""
 
     #: best observed executor throughput, runs/second, per executor name
     runs_per_sec: Dict[str, float]
-    #: launch chunk used per executor (service-style)
-    chunk_sizes: Dict[str, int]
     preset: str
     n_runs: int
     max_workers: int
@@ -81,7 +67,6 @@ class CampaignThroughputResult:
         return {"preset": self.preset, "n_runs": self.n_runs,
                 "max_workers": self.max_workers,
                 "start_method": self.start_method,
-                "chunk_sizes": dict(self.chunk_sizes),
                 "executors": list(BENCH_EXECUTORS)}
 
     def metrics(self) -> Dict[str, object]:
@@ -100,14 +85,11 @@ def _resolve_payloads(spec: CampaignSpec) -> List[Dict[str, object]]:
     return [run.payload() for run in spec.resolve()]
 
 
-def _time_chunked(executor, payloads: Sequence[Dict[str, object]],
-                  chunk: int) -> Tuple[float, List[RunRecord]]:
-    """Runs/second + records of one chunked (service-style) launch."""
-    records: List[RunRecord] = []
+def _time_execute(executor, payloads: Sequence[Dict[str, object]]
+                  ) -> Tuple[float, List[RunRecord]]:
+    """Runs/second + records of one ``execute()`` over all the payloads."""
     start = time.perf_counter()
-    for position in range(0, len(payloads), chunk):
-        records.extend(executor.execute(payloads[position:position + chunk],
-                                        execute_run))
+    records = executor.execute(payloads, execute_run)
     wall = time.perf_counter() - start
     return len(payloads) / wall, records
 
@@ -148,12 +130,11 @@ def run_campaign_benchmark(preset: str = DEFAULT_PRESET,
                            start_method: Optional[str] = None,
                            repetitions: Optional[int] = None
                            ) -> CampaignThroughputResult:
-    """Measure executor throughput on a chunked launch of a campaign preset.
+    """Measure executor throughput on one launch of a campaign preset.
 
-    Each executor runs the preset's resolved payloads in service-style
-    chunks (:func:`service_chunk_size`), ``repeats`` times interleaved;
-    the best block per executor is kept, so background load hits every
-    executor alike.  The workers executor drives a dedicated
+    Each executor runs the preset's resolved payloads in one ``execute()``
+    call, ``repeats`` times interleaved; the best block per executor is
+    kept, so background load hits every executor alike.  The workers executor drives a dedicated
     :class:`repro.campaign.workers.WorkerPool` that is warmed once before
     timing (that one-off spawn+import cost is exactly what the pool
     amortises away in steady state) and shut down afterwards.
@@ -185,8 +166,6 @@ def run_campaign_benchmark(preset: str = DEFAULT_PRESET,
         spec = CampaignSpec.from_dict(document)
     payloads = _resolve_payloads(spec)
     workers_n = max_workers or default_pool_workers()
-    chunks = {name: service_chunk_size(name, workers_n)
-              for name in BENCH_EXECUTORS}
 
     pool = WorkerPool(workers_n, start_method=start_method)
     rates: Dict[str, float] = {}
@@ -201,13 +180,12 @@ def run_campaign_benchmark(preset: str = DEFAULT_PRESET,
         # disabled, so the timed sections must never include it
         with telemetry_disabled():
             pool.wait_ready()
-            # one untimed warmup chunk per executor (page caches, imports)
+            # a few untimed warmup runs per executor (page caches, imports)
             for name in BENCH_EXECUTORS:
-                executors[name].execute(payloads[:chunks[name]], execute_run)
+                executors[name].execute(payloads[:workers_n], execute_run)
             for _ in range(repeats):
                 for name in BENCH_EXECUTORS:
-                    rate, records = _time_chunked(executors[name], payloads,
-                                                  chunks[name])
+                    rate, records = _time_execute(executors[name], payloads)
                     if rate > rates.get(name, 0.0):
                         rates[name] = rate
                     last_records[name] = records
@@ -219,7 +197,7 @@ def run_campaign_benchmark(preset: str = DEFAULT_PRESET,
     equivalent, detail = check_equivalence(last_records["serial"],
                                            last_records["workers"])
     return CampaignThroughputResult(
-        runs_per_sec=rates, chunk_sizes=chunks, preset=spec.name,
+        runs_per_sec=rates, preset=spec.name,
         n_runs=len(payloads), max_workers=workers_n,
         start_method=pool.start_method, pool_stats=pool_stats,
         equivalent=equivalent, equivalence_detail=detail)
@@ -239,11 +217,10 @@ def format_result(result: CampaignThroughputResult) -> str:
     lines = [
         f"campaign throughput, preset {result.preset!r}, {result.n_runs} "
         f"runs, {result.max_workers} workers ({result.start_method}), "
-        f"service-style chunked launch:",
+        f"one execute() per executor:",
     ]
     for name in BENCH_EXECUTORS:
-        lines.append(f"  {name:>8}: {result.runs_per_sec[name]:7.2f} runs/s"
-                     f"  (chunk {result.chunk_sizes[name]})")
+        lines.append(f"  {name:>8}: {result.runs_per_sec[name]:7.2f} runs/s")
     lines.append(f"  workers vs process: "
                  f"{result.speedup('workers', 'process'):.2f}x"
                  f"   workers vs serial: "
@@ -260,8 +237,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.campaign.hotpath",
         description="benchmark campaign executors (serial/process/workers) "
-                    "on a chunked service-style launch of the smoke preset "
-                    "and append to BENCH_campaign_throughput.json")
+                    "on one launch of the smoke preset and append to "
+                    "BENCH_campaign_throughput.json")
     parser.add_argument("--preset", type=str, default=DEFAULT_PRESET,
                         help=f"campaign preset to drive "
                              f"(default {DEFAULT_PRESET})")

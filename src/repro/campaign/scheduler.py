@@ -2,11 +2,13 @@
 
 The scheduler owns the mechanics the spec deliberately leaves out: *how*
 the resolved runs get executed.  Executors share one contract —
-``execute(payloads, worker, on_record)`` returns one
+``execute(payloads, worker, on_record, should_stop)`` returns one
 :class:`repro.campaign.store.RunRecord` per payload, with per-run retry,
 a cooperative wall-clock timeout and every exception captured into the
-record instead of raised — so future scaling work (sharded executors,
-remote workers, result caching) only has to implement this interface.
+record instead of raised, and ``None`` in place of a run that a tripped
+``should_stop`` kept from starting — so future scaling work (sharded
+executors, remote workers, result caching) only has to implement this
+interface.
 
 * :class:`SerialExecutor`      — one run after another, in process,
 * :class:`ThreadPoolCampaignExecutor`  — bounded thread fan-out; the
@@ -18,8 +20,9 @@ remote workers, result caching) only has to implement this interface.
   across named shards under a routing policy and delegates each shard to
   any inner registered executor.
 
-The timeout is *cooperative*: an in-flight run is never killed (neither
-threads nor in-process work can be interrupted safely).  It budgets the
+The timeout and the stop are *cooperative*: an in-flight run is never
+killed (neither threads nor in-process work can be interrupted safely); a
+stop only keeps further runs from starting.  The timeout budgets the
 whole run including retries: a failing attempt is only retried while wall
 time remains, and a successful attempt is always recorded completed — over
 budget it keeps its result, annotated with a ``TimeoutWarning`` (discarding
@@ -68,6 +71,8 @@ _RUNS_PER_SEC = REGISTRY.gauge(
 RunWorker = Callable[[Dict[str, object]], Dict[str, object]]
 #: Observes each record as it is produced (progress reporting, store append).
 RecordCallback = Callable[[RunRecord], None]
+#: Cooperative stop: true once no further run should be started.
+StopCheck = Callable[[], bool]
 
 
 def execute_run(payload: Dict[str, object]) -> Dict[str, object]:
@@ -166,6 +171,15 @@ def _attempt_run_impl(payload: Dict[str, object], worker: RunWorker,
                      error=error, summary=summary)
 
 
+def _failed_record(payload: Dict[str, object], error: str,
+                   attempts: int = 1) -> RunRecord:
+    """The failed record of a run the execution infrastructure lost."""
+    return RunRecord(run_id=payload["run_id"], index=payload["index"],
+                     params=dict(payload["params"]), driver=payload["driver"],
+                     n_steps=int(payload["n_steps"]), status=STATUS_FAILED,
+                     attempts=attempts, error=error)
+
+
 #: Upper bound of the machine-derived default pool size: campaign runs are
 #: memory-hungry (each worker holds a full coupled simulation), so "one
 #: worker per hardware thread" stops paying off well before big core counts.
@@ -209,7 +223,9 @@ class CampaignExecutor:
         self.retries = int(retries)
 
     def execute(self, payloads: Sequence[Dict[str, object]], worker: RunWorker,
-                on_record: Optional[RecordCallback] = None) -> List[RunRecord]:
+                on_record: Optional[RecordCallback] = None,
+                should_stop: Optional[StopCheck] = None
+                ) -> List[Optional[RunRecord]]:
         """Execute every payload, returning records in submission order.
 
         Args:
@@ -217,11 +233,15 @@ class CampaignExecutor:
             worker: callable executing one payload into a summary dict.
             on_record: observer invoked once per finished record (in
                 completion order, which may differ from submission order).
+            should_stop: cooperative stop, consulted before a run is
+                started; once it returns true no further run starts and
+                runs already started finish normally.
 
         Returns:
-            One :class:`repro.campaign.store.RunRecord` per payload, in
-            submission order; worker exceptions are captured into failed
-            records, never raised.
+            One entry per payload, in submission order: the run's
+            :class:`repro.campaign.store.RunRecord` (worker exceptions are
+            captured into failed records, never raised), or ``None`` for a
+            payload a stop kept from starting.
         """
         raise NotImplementedError
 
@@ -231,12 +251,15 @@ class SerialExecutor(CampaignExecutor):
 
     name = "serial"
 
-    def execute(self, payloads, worker, on_record=None):
+    def execute(self, payloads, worker, on_record=None, should_stop=None):
         """Run the payloads sequentially (see the base-class contract)."""
-        records = []
-        for payload in payloads:
+        payloads = list(payloads)
+        records: List[Optional[RunRecord]] = [None] * len(payloads)
+        for position, payload in enumerate(payloads):
+            if should_stop is not None and should_stop():
+                break
             record = _attempt_run(payload, worker, self.retries, self.timeout)
-            records.append(record)
+            records[position] = record
             if on_record is not None:
                 on_record(record)
         return records
@@ -247,38 +270,42 @@ class _PoolExecutorBase(CampaignExecutor):
 
     pool_cls: type = None  # type: ignore[assignment]
 
-    def execute(self, payloads, worker, on_record=None):
+    def execute(self, payloads, worker, on_record=None, should_stop=None):
         payloads = list(payloads)
         if not payloads:
             return []
         n_workers = min(self.max_workers or default_pool_workers(),
                         len(payloads))
-        by_future = {}
-        futures = []
         with self.pool_cls(max_workers=n_workers) as pool:
-            for payload in payloads:
-                future = pool.submit(_attempt_run, payload, worker,
-                                     self.retries, self.timeout)
-                by_future[future] = payload
-                futures.append(future)
+            futures = [pool.submit(_attempt_run, payload, worker,
+                                   self.retries, self.timeout)
+                       for payload in payloads]
+            by_future = dict(zip(futures, payloads))
             records = {}
-            pending = set(by_future)
             try:
-                self._drain(pending, by_future, records, on_record)
+                self._drain(set(futures), by_future, records, on_record,
+                            should_stop)
             except BaseException:
                 # abort (Ctrl-C, store write failure, ...): stop queued runs
                 # instead of silently executing — and discarding — them all
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
-        # hand records back in submission order regardless of completion order
-        return [records[future] for future in futures]
+        # hand records back in submission order regardless of completion
+        # order; a future a stop cancelled never ran and has none
+        return [records.get(future) for future in futures]
 
     @staticmethod
-    def _drain(pending, by_future, records, on_record):
+    def _drain(pending, by_future, records, on_record, should_stop):
         while pending:
+            if should_stop is not None and should_stop():
+                # cancel() only succeeds on a future no worker has picked
+                # up, so every started run still finishes and is recorded
+                pending = {future for future in pending
+                           if not future.cancel()}
+                if not pending:
+                    break
             done, pending = wait(pending, return_when=FIRST_COMPLETED)
             for future in done:
-                payload = by_future[future]
                 try:
                     record = future.result()
                 except (KeyboardInterrupt, SystemExit):
@@ -286,13 +313,8 @@ class _PoolExecutorBase(CampaignExecutor):
                     # campaign aborts — don't log it as a failed run
                     raise
                 except BaseException as exc:  # noqa: BLE001 - pool infrastructure died
-                    record = RunRecord(
-                        run_id=payload["run_id"], index=payload["index"],
-                        params=dict(payload["params"]),
-                        driver=payload["driver"],
-                        n_steps=int(payload["n_steps"]),
-                        status=STATUS_FAILED, attempts=1,
-                        error=f"{type(exc).__name__}: {exc}")
+                    record = _failed_record(by_future[future],
+                                            f"{type(exc).__name__}: {exc}")
                 # keyed by future, not run_id: duplicate run ids in the
                 # payload list must each keep their own record
                 records[future] = record
@@ -382,7 +404,7 @@ class CampaignOutcome:
     executed: int                   #: runs executed by a worker this launch
     completed: int                  #: completed records (cache hits included)
     failed: int
-    deferred: int = 0               #: pending runs left out by ``max_runs``
+    deferred: int = 0               #: pending runs not started (``max_runs``, stop)
     cache_hits: int = 0             #: runs served from the result cache
     records: List[RunRecord] = field(default_factory=list)
 
@@ -448,11 +470,15 @@ class _LaunchTrace:
 
     def finish_run(self, record: RunRecord,
                    child_spans: Optional[List[dict]],
+                   placement: Optional[Dict[str, object]],
                    settle_start: float) -> None:
         """Settle one record's tree (called under the launch record lock).
 
         Cache hits never had a dispatch span; their ``settle`` parents
-        directly at the root.
+        directly at the root.  ``placement`` is what the worker pool
+        reports about the run's dispatch (``worker`` slot, ``queued_ms``
+        between send and the worker starting it); other executors have
+        none.
         """
         with self._lock:
             waiting = self._open.get(record.run_id)
@@ -467,7 +493,7 @@ class _LaunchTrace:
         for row in child_spans or ():
             self.writer.emit(row)
         if dispatch is not None:
-            dispatch.attrs["status"] = record.status
+            dispatch.attrs.update(placement or {}, status=record.status)
             if record.status != STATUS_COMPLETED:
                 dispatch.status = "error"
             self.writer.emit(dispatch.finish())
@@ -481,7 +507,7 @@ class _LaunchTrace:
         self.root.attrs.update(
             {"executed": outcome.executed, "completed": outcome.completed,
              "failed": outcome.failed, "cache_hits": outcome.cache_hits,
-             "skipped": outcome.skipped})
+             "skipped": outcome.skipped, "deferred": outcome.deferred})
         self.writer.emit(self.root.finish())
         self.writer.close()
 
@@ -498,7 +524,8 @@ def run_campaign(spec: CampaignSpec, store: CampaignStore,
                  max_runs: Optional[int] = None,
                  on_record: Optional[RecordCallback] = None,
                  runs=None, completed_ids=None,
-                 cache=None) -> CampaignOutcome:
+                 cache=None,
+                 should_stop: Optional[StopCheck] = None) -> CampaignOutcome:
     """Execute (or resume) a campaign: run whatever the store has not completed.
 
     Every finished run is appended to the store immediately, so a campaign
@@ -529,10 +556,16 @@ def run_campaign(spec: CampaignSpec, store: CampaignStore,
         cache: optional :class:`repro.campaign.cache.ResultCache`; pending
             runs found there are recorded (``cached=True``) without being
             executed, and newly completed runs are added to it.
+        should_stop: cooperative stop handed to the executor (forwarded
+            only when given, so an executor written against the
+            three-argument ``execute`` keeps working); runs it kept from
+            starting are counted in ``deferred`` and stay pending for the
+            next launch.
 
     Returns:
         The launch's :class:`CampaignOutcome`; ``executed`` counts only
-        worker-executed runs, cache hits are reported separately.
+        worker-executed runs, cache hits are reported separately, and
+        ``records`` holds the runs that produced a record.
 
     Raises:
         ValueError: on a negative ``max_runs``.
@@ -564,6 +597,7 @@ def run_campaign(spec: CampaignSpec, store: CampaignStore,
         # worker-side spans ride the record as an undeclared attribute;
         # strip them before the record reaches the store or any observer
         child_spans = record.__dict__.pop("_spans", None)
+        placement = record.__dict__.pop("_placement", None)
         # one lock around append + cache + dispatch: concurrent executors
         # call this from pool/drain threads, and observers (progress
         # printers, event buses) must see records one at a time, in the
@@ -574,7 +608,8 @@ def run_campaign(spec: CampaignSpec, store: CampaignStore,
             if cache is not None:
                 cache.put(record)   # refuses failed + already-cached records
             if trace is not None:
-                trace.finish_run(record, child_spans, settle_started)
+                trace.finish_run(record, child_spans, placement,
+                                 settle_started)
             _RUNS_TOTAL.inc(1, campaign=spec.name, status=record.status,
                             cached=str(record.cached).lower())
             if not record.cached:
@@ -621,22 +656,27 @@ def run_campaign(spec: CampaignSpec, store: CampaignStore,
     if trace is not None:
         for payload in payloads:
             trace.attach(payload)
+    stop = {} if should_stop is None else {"should_stop": should_stop}
     try:
         executed = executor.execute(payloads, worker,
-                                    on_record=record_and_store)
+                                    on_record=record_and_store, **stop)
     except BaseException:
         if trace is not None:
             trace.abort()
         raise
     for (position, _), record in zip(to_execute, executed):
-        by_position[position] = record
-    records = [by_position[position] for position in range(len(pending))]
+        if record is not None:
+            by_position[position] = record
+    records = [by_position[position] for position in range(len(pending))
+               if position in by_position]
+    not_started = len(pending) - len(records)
     completed = sum(1 for record in records if record.completed)
     outcome = CampaignOutcome(campaign=spec.name, total_runs=len(runs),
-                              skipped=skipped, executed=len(to_execute),
+                              skipped=skipped,
+                              executed=len(to_execute) - not_started,
                               completed=completed,
                               failed=len(records) - completed,
-                              deferred=deferred,
+                              deferred=deferred + not_started,
                               cache_hits=len(pending) - len(to_execute),
                               records=records)
     if trace is not None:

@@ -314,13 +314,15 @@ class ShardedExecutor(CampaignExecutor):
         return {f"shard-{index}": [payload for _, payload in bucket]
                 for index, bucket in self._position_buckets(payloads).items()}
 
-    def execute(self, payloads, worker, on_record=None):
+    def execute(self, payloads, worker, on_record=None, should_stop=None):
         """Execute the payloads shard-by-shard, merging in submission order.
 
         Shards run concurrently (one coordinating thread each); the
         ``on_record`` callback is serialised under a lock so store appends
-        from different shards never interleave.  An abort (e.g. Ctrl-C)
-        cancels the shards that have not started.
+        from different shards never interleave.  ``should_stop`` is handed
+        to every shard's inner executor (only when given, like
+        ``run_campaign`` does), whose ``None`` entries merge through.  An
+        abort (e.g. Ctrl-C) cancels the shards that have not started.
         """
         payloads = list(payloads)
         self.shard_sizes = {name: 0 for name in self.shard_names()}
@@ -337,17 +339,19 @@ class ShardedExecutor(CampaignExecutor):
                 on_record(record)
 
         shard_callback = locked_on_record if on_record is not None else None
+        stop = {} if should_stop is None else {"should_stop": should_stop}
 
         def run_shard(bucket: List[tuple]) -> List[tuple]:
             executor = get_executor(self.inner, max_workers=self.max_workers,
                                     timeout=self.timeout, retries=self.retries)
             records = executor.execute([payload for _, payload in bucket],
-                                       worker, on_record=shard_callback)
+                                       worker, on_record=shard_callback,
+                                       **stop)
             return [(position, record)
                     for (position, _), record in zip(bucket, records)]
 
         non_empty = [bucket for bucket in buckets.values() if bucket]
-        merged: Dict[int, RunRecord] = {}
+        merged: Dict[int, Optional[RunRecord]] = {}
         with ThreadPoolExecutor(max_workers=len(non_empty)) as pool:
             futures = [pool.submit(run_shard, bucket) for bucket in non_empty]
             try:

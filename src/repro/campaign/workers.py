@@ -1,28 +1,41 @@
-"""Persistent worker-pool campaign execution: warm workers, batched dispatch.
+"""Persistent worker-pool campaign execution: warm workers, run-granular dispatch.
 
 Every other concurrent executor in this repo pays its start-up cost per
 ``execute()`` call: :class:`repro.campaign.scheduler.ProcessPoolCampaignExecutor`
-constructs a fresh ``ProcessPoolExecutor`` inside each call, so a
-service-style chunked campaign launch (small ``run_campaign`` slices
-between cooperative-cancel checks, see :mod:`repro.service.jobs`) re-pays
-process spawn, interpreter start and the numpy/repro import for **every
-chunk**.  This module removes that tax:
+constructs a fresh ``ProcessPoolExecutor`` inside each call, so every
+campaign launch re-pays process spawn, interpreter start and the
+numpy/repro import.  This module removes that tax:
 
 * a :class:`WorkerPool` owns **long-lived worker processes** that import
-  repro once and stay warm across ``execute()`` calls, chunks, campaigns
-  and (via :func:`shared_pool`) across every executor instance in the
-  process — the service's job manager and the CLI lease the same pool;
-* dispatch is **batched**: one pipe message carries a whole batch of run
-  payloads (plus the worker callable, pickled once per batch), so IPC and
-  pickling are amortised instead of paid per run;
+  repro once and stay warm across ``execute()`` calls, campaigns and (via
+  :func:`shared_pool`) across every executor instance in the process —
+  the service's job manager and the CLI lease the same pool;
+* dispatch is **run-granular and breadth-first**: one pipe message
+  carries one run (about a kilobyte against runs of tens of
+  milliseconds), the next run always goes to the least-loaded live
+  worker, and a worker that finishes pulls the next run — so unequal
+  runs balance themselves and no worker waits while another holds a
+  prefetched run;
+* each worker has a bounded **capacity** of runs it may hold (one
+  executing, the rest prefetched in its pipe), so the next run's IPC
+  overlaps the current run's compute without flooding a slow worker;
+* one :meth:`WorkerPool.run` call is one **lease**, and any number of
+  leases share the pool at once: whichever lease thread holds the pump
+  reads every pipe and routes each result, by the lease id the message
+  carries, to the owning lease's inbox; the owner settles it and fires
+  ``on_record`` on its own thread.  Free worker slots go to the lease
+  with the fewest runs in flight, so two campaigns interleave run by
+  run;
+* a lease's **cooperative stop** drops its undispatched queue; the runs
+  the workers already hold (at most ``capacity`` each) finish and are
+  recorded;
 * workers send **heartbeats** from a background thread; a worker silent
   past the liveness deadline (or whose process died) is terminated,
-  respawned warm, and its in-flight runs are **requeued** — safe because
+  respawned warm, and the runs it held are **requeued** — safe because
   run records are idempotent (the store keeps the last record per run id
-  and :class:`repro.campaign.cache.ResultCache` writes are atomic);
-* each worker has a bounded **capacity** of in-flight batches, so the next
-  batch's IPC overlaps the current batch's compute without flooding a
-  slow worker;
+  and :class:`repro.campaign.cache.ResultCache` writes are atomic).
+  Only the run that was *executing* is charged against ``max_requeues``;
+  runs merely prefetched behind it go back to the queue uncharged;
 * when only a tail of runs remains, idle workers get **straggler
   re-dispatches** of the oldest in-flight runs; results are deduplicated
   per dispatch ticket — first completion wins, later duplicates are
@@ -32,8 +45,6 @@ The executor side, :class:`WorkerPoolExecutor`, registers as ``workers``
 in the executor registry, so it is reachable from ``--executor workers``,
 ``CampaignSpec.routing["inner"]`` (a sharded campaign can delegate every
 shard to the shared pool) and :func:`repro.campaign.scheduler.get_executor`.
-Only one ``execute()`` drains a pool at a time; concurrent leases (e.g.
-sharded delegation) queue on the pool lock and run back to back.
 
 Everything here is stdlib: ``multiprocessing`` pipes and processes, no
 new dependencies.  The default start method is ``spawn`` — workers pay
@@ -55,12 +66,13 @@ import threading
 import time
 from collections import deque
 from multiprocessing import connection
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.campaign.scheduler import (CampaignExecutor, RecordCallback,
-                                      RunWorker, _attempt_run,
-                                      default_pool_workers, register_executor)
-from repro.campaign.store import RunRecord, STATUS_FAILED
+                                      RunWorker, StopCheck, _attempt_run,
+                                      _failed_record, default_pool_workers,
+                                      register_executor)
+from repro.campaign.store import RunRecord
 from repro.telemetry import REGISTRY
 from repro.utils.logging import get_logger
 
@@ -69,7 +81,7 @@ logger = get_logger(__name__)
 _POOL_EVENTS = REGISTRY.counter(
     "repro_worker_pool_events_total",
     "Worker-pool lifecycle events (dispatches, results, requeues, "
-    "stragglers, respawns), by event")
+    "cancellations, stragglers, respawns), by event")
 
 #: Default start method of worker processes.  ``spawn`` gives workers a
 #: clean interpreter (no inherited threads/locks — safe under the threaded
@@ -77,8 +89,8 @@ _POOL_EVENTS = REGISTRY.counter(
 #: per pool lifetime.  Overridable per pool/executor (tests use ``fork``).
 DEFAULT_START_METHOD = "spawn"
 
-#: Default per-worker capacity: batches a worker may hold at once.  Two
-#: keeps one batch computing while the next waits in the pipe.
+#: Default per-worker capacity: runs a worker may hold at once.  Two keeps
+#: one run computing while the next waits in the pipe.
 DEFAULT_CAPACITY = 2
 
 #: Default straggler deadline (seconds): once the queue is drained, an
@@ -86,8 +98,8 @@ DEFAULT_CAPACITY = 2
 DEFAULT_STRAGGLER_AFTER_S = 30.0
 
 #: Default crash-requeue bound: how often one run may be requeued after
-#: worker deaths before it is recorded as failed (guards against a run
-#: that reliably kills its worker taking the pool down forever).
+#: killing its worker before it is recorded as failed (guards against a
+#: run that reliably kills its worker taking the pool down forever).
 DEFAULT_MAX_REQUEUES = 2
 
 #: Default worker heartbeat interval (seconds).
@@ -103,39 +115,27 @@ DEFAULT_LIVENESS_TIMEOUT_S = 30.0
 #: straggler duplicates).
 _MAX_HOLDERS = 2
 
-
-def default_batch_size(n_payloads: int, n_workers: int) -> int:
-    """The auto-chosen dispatch batch size for one ``execute()`` call.
-
-    Splits the payloads so every worker gets about two batches (capacity
-    pipelining still has work to prefetch), clamped to ``[1, 16]`` so
-    batches stay small enough for straggler re-dispatch and crash-requeue
-    to matter.
-
-    Args:
-        n_payloads: number of runs in this lease.
-        n_workers: workers in the pool.
-
-    Returns:
-        The batch size (``>= 1``).
-    """
-    if n_payloads <= 0:
-        return 1
-    per_worker = -(-n_payloads // max(1, n_workers) // 2) or 1
-    return max(1, min(per_worker, 16))
+#: The pool's event counters (lifetime on the pool, per lease in
+#: ``WorkerPoolExecutor.last_stats``).  ``dispatched_batches`` counts pipe
+#: messages, under the name the repo benchmark reads; with one run per
+#: message it equals ``dispatched_runs``.
+_COUNTERS = ("dispatched_batches", "dispatched_runs", "results",
+             "duplicate_results_dropped", "stale_results_dropped",
+             "requeued_runs", "cancelled_runs", "straggler_redispatches",
+             "respawns")
 
 
 # --------------------------------------------------------------------------- #
 # the worker process
 # --------------------------------------------------------------------------- #
 def _worker_main(conn, heartbeat_interval: float) -> None:
-    """Worker process entry point: heartbeat thread + batch loop.
+    """Worker process entry point: heartbeat thread + run loop.
 
-    Receives ``("batch", lease, [(ticket, payload), ...], worker, retries,
-    timeout)`` messages and answers one ``("result", lease, ticket,
-    record)`` per payload as each run finishes, so the parent can account
-    runs (and re-dispatch stragglers) at run granularity even though
-    dispatch is batched.  All run-level failure capture lives in
+    Receives ``("run", lease, ticket, payload, worker, retries, timeout)``
+    messages, executes them in arrival order and answers each with
+    ``("result", lease, ticket, record, started)`` — ``started`` being the
+    wall-clock time the run left the pipe, from which the parent derives
+    how long it sat queued.  All run-level failure capture lives in
     :func:`repro.campaign.scheduler._attempt_run` — a worker only dies on
     ``KeyboardInterrupt``/``SystemExit`` (which ``_attempt_run`` re-raises
     by contract) or on losing its pipe.
@@ -161,11 +161,11 @@ def _worker_main(conn, heartbeat_interval: float) -> None:
             message = conn.recv()
             if message[0] == "stop":
                 break
-            _, lease, batch, worker, retries, timeout = message
-            for ticket, payload in batch:
-                record = _attempt_run(payload, worker, retries, timeout)
-                with send_lock:
-                    conn.send(("result", lease, ticket, record))
+            _, lease, ticket, payload, worker, retries, timeout = message
+            started = time.time()
+            record = _attempt_run(payload, worker, retries, timeout)
+            with send_lock:
+                conn.send(("result", lease, ticket, record, started))
     except (EOFError, OSError, KeyboardInterrupt):
         pass
     finally:
@@ -180,7 +180,7 @@ class _Worker:
     """Parent-side bookkeeping of one worker process."""
 
     __slots__ = ("slot", "process", "conn", "last_seen", "ready", "dead",
-                 "batches")
+                 "tickets")
 
     def __init__(self, slot: int, process, conn) -> None:
         self.slot = slot
@@ -189,26 +189,11 @@ class _Worker:
         self.last_seen = time.monotonic()
         self.ready = False
         self.dead = False
-        #: outstanding ticket-id sets, one per in-flight batch
-        self.batches: List[Set[int]] = []
-
-    def outstanding(self) -> Set[int]:
-        """Every ticket currently dispatched to (and unanswered by) this worker."""
-        tickets: Set[int] = set()
-        for batch in self.batches:
-            tickets |= batch
-        return tickets
-
-    def resolve(self, ticket: int) -> None:
-        """Mark one ticket answered, freeing batch capacity when drained."""
-        for batch in self.batches:
-            batch.discard(ticket)
-        self.batches = [batch for batch in self.batches if batch]
-
-    @property
-    def idle(self) -> bool:
-        """Whether the worker has no batch in flight."""
-        return not self.batches
+        #: ticket -> (lease id, wall-clock send time) of every run sent and
+        #: not yet answered, oldest first.  The worker executes in arrival
+        #: order, so the first entry is the run it is executing and the
+        #: rest are prefetched.
+        self.tickets: Dict[int, Tuple[int, float]] = {}
 
 
 class WorkerPool:
@@ -219,10 +204,12 @@ class WorkerPool:
     :meth:`shutdown`, and recovers from worker death by requeueing the
     dead worker's in-flight runs and respawning the worker.
 
-    Thread safety: :meth:`run` holds an internal lock for its whole drain,
-    so concurrent leases (several campaign jobs, sharded delegation) are
-    serialised — correctness over parallel drains; the workers themselves
-    are the parallelism.
+    Thread safety: any number of threads may call :meth:`run` at once;
+    each call is a lease with its own queue, and the leases share the
+    workers run by run.  Pool state is guarded by a lock held only for
+    bookkeeping — never while waiting on the pipes or while an
+    ``on_record`` observer runs — so :meth:`stats` and
+    :meth:`worker_pids` answer at once during a drain.
 
     Args:
         n_workers: number of worker processes (``>= 1``).
@@ -253,21 +240,25 @@ class WorkerPool:
         self.heartbeat_interval = float(heartbeat_interval)
         self.liveness_timeout = float(liveness_timeout)
         self._context = multiprocessing.get_context(self.start_method)
+        #: guards every field below; held for bookkeeping only
         self._lock = threading.RLock()
+        #: the pump role: its holder alone waits on and reads the pipes
+        self._pump_lock = threading.Lock()
         self._workers: List[Optional[_Worker]] = [None] * n_workers
+        self._leases: Dict[int, "_Lease"] = {}
         self._started = False
         self._closed = False
         self._ticket_ids = itertools.count()
         self._lease_ids = itertools.count()
-        self.counters: Dict[str, int] = {
-            "dispatched_batches": 0, "dispatched_runs": 0, "results": 0,
-            "duplicate_results_dropped": 0, "stale_results_dropped": 0,
-            "requeued_runs": 0, "straggler_redispatches": 0, "respawns": 0,
-        }
+        self.counters: Dict[str, int] = dict.fromkeys(_COUNTERS, 0)
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        """Bump a lifetime counter, mirroring it into the metrics registry."""
+    def _count(self, name: str, amount: int = 1,
+               lease: Optional["_Lease"] = None) -> None:
+        """Bump a lifetime counter (and the lease's share of it), mirroring
+        it into the metrics registry."""
         self.counters[name] += amount
+        if lease is not None:
+            lease.counters[name] += amount
         _POOL_EVENTS.inc(amount, event=name)
 
     # -- lifecycle ---------------------------------------------------------- #
@@ -300,7 +291,7 @@ class WorkerPool:
         """Start the pool and wait until every worker reported ready.
 
         Used to warm the pool outside a timed section (benchmarks) — a
-        campaign run does not need it, batches queue in the pipes.
+        campaign run does not need it, runs queue in the pipes.
 
         Args:
             timeout: seconds to wait before giving up.
@@ -309,15 +300,14 @@ class WorkerPool:
             ``True`` if every worker is ready, ``False`` on timeout.
         """
         deadline = time.monotonic() + timeout
-        with self._lock:
-            self.start()
-            while time.monotonic() < deadline:
-                self._pump(block=0.05)
-                self._reap_dead()
+        self.start()
+        while time.monotonic() < deadline:
+            self._turn(0.05)
+            with self._lock:
                 if all(worker is not None and worker.ready
                        for worker in self._workers):
                     return True
-            return False
+        return False
 
     def worker_pids(self) -> List[Optional[int]]:
         """The workers' process ids, by slot (``None`` for unspawned slots)."""
@@ -362,27 +352,54 @@ class WorkerPool:
                 pass
 
     # -- message pump ------------------------------------------------------- #
-    def _pump(self, block: float = 0.0,
-              lease: Optional["_Lease"] = None) -> None:
-        """Drain every readable worker pipe, updating liveness + accounting."""
-        workers = [worker for worker in self._workers if worker is not None]
-        conns = [worker.conn for worker in workers if not worker.dead]
-        if not conns:
+    def _turn(self, block: float, lease: Optional["_Lease"] = None) -> None:
+        """One turn of the pool on behalf of ``lease`` (or of a warm-up).
+
+        The thread that gets the pump reaps dead workers, dispatches for
+        *every* lease, waits up to ``block`` seconds on the pipes and
+        routes what arrived.  A thread that does not get it fills any
+        free slots and then waits on its own inbox — the pumping thread
+        delivers into it.
+        """
+        if not self._pump_lock.acquire(blocking=False):
+            with self._lock:
+                self._dispatch()    # a new lease need not wait for the pump
+            if lease is None:
+                time.sleep(block)
+            else:
+                lease.wake.wait(block)
             return
         try:
-            readable = connection.wait(conns, timeout=block)
-        except OSError:
-            readable = []
-        by_conn = {worker.conn: worker for worker in workers}
-        for ready_conn in readable:
-            worker = by_conn[ready_conn]
+            with self._lock:
+                if self._closed:
+                    raise RuntimeError("worker pool is shut down")
+                self._reap_dead()
+                self._dispatch()
+                by_conn = {worker.conn: worker for worker in self._workers
+                           if worker is not None and not worker.dead}
+            if lease is not None and lease.inbox:
+                block = 0.0     # this lease has records to settle first
             try:
-                while ready_conn.poll():
-                    self._handle(worker, ready_conn.recv(), lease)
-            except (EOFError, OSError):
-                worker.dead = True
+                readable = connection.wait(list(by_conn), timeout=block)
+            except OSError:
+                readable = []
+            with self._lock:
+                for ready_conn in readable:
+                    self._drain_conn(by_conn[ready_conn])
+                if readable:
+                    self._dispatch()    # refill the slots the results freed
+        finally:
+            self._pump_lock.release()
 
-    def _handle(self, worker: _Worker, message, lease: Optional["_Lease"]):
+    def _drain_conn(self, worker: _Worker) -> None:
+        """Handle every message waiting in one worker's pipe."""
+        try:
+            while worker.conn.poll():
+                self._handle(worker, worker.conn.recv())
+        except (EOFError, OSError):
+            worker.dead = True
+
+    def _handle(self, worker: _Worker, message) -> None:
         worker.last_seen = time.monotonic()
         kind = message[0]
         if kind == "ready":
@@ -390,34 +407,43 @@ class WorkerPool:
         elif kind == "heartbeat":
             pass
         elif kind == "result":
-            _, _, ticket, record = message
-            worker.resolve(ticket)
-            self._count("results")
-            if lease is None or not lease.owns(ticket):
+            _, lease_id, ticket, record, started = message
+            _, sent = worker.tickets.pop(ticket, (lease_id, started))
+            lease = self._leases.get(lease_id)
+            self._count("results", lease=lease)
+            if lease is None:
+                # its lease ended without it (straggler loser, aborted run)
                 self._count("stale_results_dropped")
                 return
             lease.holders[ticket].discard(worker)
-            if lease.is_done(ticket):
+            if ticket in lease.done:
                 # a straggler duplicate already answered this ticket
-                self._count("duplicate_results_dropped")
+                self._count("duplicate_results_dropped", lease=lease)
                 return
-            lease.settle(ticket, record)
+            record._placement = {
+                "worker": worker.slot,
+                "queued_ms": round(1e3 * max(0.0, started - sent), 3)}
+            lease.deliver(ticket, record)
         else:  # pragma: no cover - future-proofing against protocol drift
             logger.warning("worker pool: unknown message kind %r", kind)
 
-    def _reap_dead(self, lease: Optional["_Lease"] = None) -> None:
-        """Respawn dead/hung workers, requeueing their in-flight runs."""
+    def _reap_dead(self) -> None:
+        """Respawn dead/hung workers, requeueing the runs they held."""
         now = time.monotonic()
         for slot in range(self.n_workers):
             worker = self._workers[slot]
             if worker is None:
-                if self._started and not self._closed:
+                if self._started:
                     self._spawn(slot)
                 continue
             hung = now - worker.last_seen > self.liveness_timeout
             if not (worker.dead or hung or not worker.process.is_alive()):
                 continue
-            orphans = worker.outstanding()
+            # results it managed to send before dying still count — and
+            # must not be mistaken for the run that killed it
+            self._drain_conn(worker)
+            orphans = [(ticket, self._leases.get(lease_id))
+                       for ticket, (lease_id, _) in worker.tickets.items()]
             logger.warning(
                 "worker pool: worker %d (pid %s) %s with %d run(s) in "
                 "flight; respawning", slot, worker.process.pid,
@@ -430,28 +456,58 @@ class WorkerPool:
                 worker.conn.close()
             except OSError:
                 pass
-            self._workers[slot] = None
-            if not self._closed:
-                self._spawn(slot)
-            self._count("respawns")
-            if lease is not None:
-                lease.drop_holder(worker, orphans)
+            self._spawn(slot)
+            self._count("respawns", lease=orphans[0][1] if orphans else None)
+            # newest first, so requeueing at the front restores the order
+            for rank in reversed(range(len(orphans))):
+                ticket, lease = orphans[rank]
+                if lease is not None:
+                    lease.orphaned(ticket, worker, executing=rank == 0)
+
+    # -- dispatch ----------------------------------------------------------- #
+    def _dispatch(self) -> None:
+        """Hand queued runs to workers: breadth-first, fair across leases.
+
+        Each run goes to the least-loaded live worker (so every worker
+        gets its first run before any gets a prefetched second) and comes
+        from the lease with the fewest runs in flight (so concurrent
+        leases share the pool run by run instead of queueing behind each
+        other).
+        """
+        while True:
+            live = [worker for worker in self._workers
+                    if worker is not None and not worker.dead]
+            if not live:
+                return
+            worker = min(live, key=lambda worker: len(worker.tickets))
+            ready = [lease for lease in self._leases.values()
+                     if lease.queue and len(worker.tickets) < lease.capacity]
+            if not ready:
+                break
+            lease = min(ready, key=lambda lease: lease.in_flight)
+            lease.send(worker, lease.queue.popleft())
+        idle = [worker for worker in live if not worker.tickets]
+        for lease in self._leases.values():
+            idle = lease.rescue_stragglers(idle)
 
     # -- the drain loop ----------------------------------------------------- #
     def run(self, payloads: Sequence[Dict[str, object]], worker: RunWorker,
             retries: int = 0, timeout: Optional[float] = None,
             on_record: Optional[RecordCallback] = None,
-            batch_size: Optional[int] = None,
+            should_stop: Optional[StopCheck] = None,
             capacity: int = DEFAULT_CAPACITY,
             straggler_after: Optional[float] = DEFAULT_STRAGGLER_AFTER_S,
-            max_requeues: int = DEFAULT_MAX_REQUEUES) -> List[RunRecord]:
+            max_requeues: int = DEFAULT_MAX_REQUEUES,
+            counters: Optional[Dict[str, int]] = None
+            ) -> List[Optional[RunRecord]]:
         """Execute the payloads on the warm pool; records in submission order.
 
         Implements the :class:`repro.campaign.scheduler.CampaignExecutor`
-        contract (one record per payload, worker exceptions captured by
+        contract (one entry per payload, worker exceptions captured by
         :func:`repro.campaign.scheduler._attempt_run` inside the worker
-        process, ``on_record`` fired once per finished record from this
-        single coordinating thread) on top of batched pipe dispatch.
+        process, ``on_record`` fired once per finished record and
+        ``should_stop`` consulted, both on the calling thread) as one
+        lease over the shared workers.
 
         Args:
             payloads: resolved run payloads (``RunSpec.payload()`` dicts).
@@ -459,17 +515,21 @@ class WorkerPool:
             retries: per-run retries (applied inside the worker process).
             timeout: per-run cooperative wall-clock budget (seconds).
             on_record: observer invoked once per finished record.
-            batch_size: payloads per dispatch message (default:
-                :func:`default_batch_size`).
-            capacity: in-flight batch limit per worker (``>= 1``).
+            should_stop: cooperative stop; once true, the undispatched
+                runs are dropped and the runs the workers already hold
+                (at most ``capacity`` each) finish.
+            capacity: runs a worker may hold at once (``>= 1``).
             straggler_after: seconds after which a tail run is duplicated
                 onto an idle worker (``None`` disables re-dispatch).
-            max_requeues: crash-requeues per run before it is recorded
-                failed.
+            max_requeues: how often a run may kill its worker and be
+                requeued before it is recorded failed.
+            counters: if given, receives this lease's share of the pool
+                counters.
 
         Returns:
-            One :class:`repro.campaign.store.RunRecord` per payload, in
-            submission order.
+            One entry per payload, in submission order: its
+            :class:`repro.campaign.store.RunRecord`, or ``None`` if a
+            stop dropped it before dispatch.
 
         Raises:
             RuntimeError: if the pool was shut down.
@@ -482,180 +542,168 @@ class WorkerPool:
             raise ValueError("max_requeues must be >= 0")
         if not payloads:
             return []
+        lease = _Lease(self, payloads, worker, retries, timeout, capacity,
+                       straggler_after, max_requeues)
         with self._lock:
             self.start()
-            lease = _Lease(self, payloads, worker, retries, timeout,
-                           on_record,
-                           batch_size or default_batch_size(len(payloads),
-                                                            self.n_workers),
-                           capacity, straggler_after, max_requeues)
-            return lease.drain()
+            self._leases[lease.id] = lease
+        tick = max(0.005, min(0.1, self.heartbeat_interval / 2.0))
+        records: Dict[int, RunRecord] = {}
+        try:
+            while len(records) + lease.cancelled < len(payloads):
+                if should_stop is not None and not lease.stopped \
+                        and should_stop():
+                    with self._lock:
+                        lease.stop()
+                self._turn(tick, lease)
+                lease.wake.clear()
+                while lease.inbox:
+                    position, record = lease.inbox.popleft()
+                    records[position] = record
+                    if on_record is not None:
+                        on_record(record)
+        finally:
+            with self._lock:
+                del self._leases[lease.id]
+                remaining = list(self._leases.values())
+            # this thread may have held the pump: let another lease take it
+            for other in remaining:
+                other.wake.set()
+        if counters is not None:
+            counters.update(lease.counters)
+        return [records.get(position) for position in range(len(payloads))]
 
 
 class _Lease:
-    """One ``run()``'s worth of drain state over a :class:`WorkerPool`.
+    """One ``run()``'s share of a :class:`WorkerPool`: queue + accounting.
 
     Tickets are pool-unique integers, one per submitted payload, so a
-    duplicate ``run_id`` in the payload list still gets its own record and
-    results arriving late from an earlier (aborted) lease can never be
-    mistaken for this lease's runs.
+    duplicate ``run_id`` in the payload list still gets its own record.
+    Every method runs under the pool lock; the owning thread only takes
+    finished records out of ``inbox``.
     """
 
     def __init__(self, pool: WorkerPool, payloads, worker, retries, timeout,
-                 on_record, batch_size, capacity, straggler_after,
-                 max_requeues) -> None:
+                 capacity, straggler_after, max_requeues) -> None:
         self.pool = pool
         self.worker_fn = worker
         self.retries = retries
         self.timeout = timeout
-        self.on_record = on_record
-        self.batch_size = batch_size
         self.capacity = capacity
         self.straggler_after = straggler_after
         self.max_requeues = max_requeues
         self.id = next(pool._lease_ids)
         self.position_of: Dict[int, int] = {}
         self.payload_of: Dict[int, Dict[str, object]] = {}
-        self.queue: deque = deque()
+        self.queue: Deque[int] = deque()
         for position, payload in enumerate(payloads):
             ticket = next(pool._ticket_ids)
             self.position_of[ticket] = position
             self.payload_of[ticket] = payload
             self.queue.append(ticket)
-        self.records: Dict[int, RunRecord] = {}
         self.done: Set[int] = set()
         self.holders: Dict[int, Set[_Worker]] = {
             ticket: set() for ticket in self.position_of}
         self.first_dispatch: Dict[int, float] = {}
         self.requeues: Dict[int, int] = {}
-        self.n_payloads = len(payloads)
+        self.stopped = False
+        self.cancelled = 0
+        self.counters: Dict[str, int] = dict.fromkeys(_COUNTERS, 0)
+        #: ``(position, record)`` pairs awaiting the owning thread
+        self.inbox: Deque[Tuple[int, RunRecord]] = deque()
+        self.wake = threading.Event()
 
-    # -- accounting --------------------------------------------------------- #
-    def owns(self, ticket: int) -> bool:
-        """Whether a ticket belongs to this lease."""
-        return ticket in self.position_of
+    @property
+    def in_flight(self) -> int:
+        """Runs dispatched and not yet answered."""
+        return (len(self.position_of) - len(self.queue) - len(self.done)
+                - self.cancelled)
 
-    def is_done(self, ticket: int) -> bool:
-        """Whether a ticket already has its record."""
-        return ticket in self.done
-
-    def settle(self, ticket: int, record: RunRecord) -> None:
-        """Record a ticket's result and notify the observer exactly once."""
+    def deliver(self, ticket: int, record: RunRecord) -> None:
+        """Close a ticket and hand its record to the owning thread."""
         self.done.add(ticket)
-        self.records[self.position_of[ticket]] = record
-        if self.on_record is not None:
-            self.on_record(record)
+        self.inbox.append((self.position_of[ticket], record))
+        self.wake.set()
 
-    def drop_holder(self, worker: _Worker, orphans: Set[int]) -> None:
-        """A worker died: requeue (or fail) its unanswered lease tickets."""
-        for ticket in orphans:
-            if not self.owns(ticket) or self.is_done(ticket):
-                continue
-            self.holders[ticket].discard(worker)
-            if self.holders[ticket]:
-                continue   # a straggler duplicate is still computing it
-            self.requeues[ticket] = self.requeues.get(ticket, 0) + 1
-            if self.requeues[ticket] > self.max_requeues:
-                payload = self.payload_of[ticket]
-                self.settle(ticket, RunRecord(
-                    run_id=payload["run_id"], index=payload["index"],
-                    params=dict(payload["params"]),
-                    driver=payload["driver"],
-                    n_steps=int(payload["n_steps"]), status=STATUS_FAILED,
-                    attempts=self.requeues[ticket],
-                    error=f"WorkerCrashError: worker died executing this "
-                          f"run {self.requeues[ticket]} time(s); giving up"))
-            else:
-                self.pool._count("requeued_runs")
-                self.queue.appendleft(ticket)
+    def stop(self) -> None:
+        """Drop every undispatched run; the dispatched ones finish."""
+        self.stopped = True
+        dropped = len(self.queue)
+        self.queue.clear()
+        self.cancelled += dropped
+        self.pool._count("cancelled_runs", dropped, lease=self)
 
-    # -- dispatch ----------------------------------------------------------- #
-    def _send(self, worker: _Worker, tickets: List[int]) -> bool:
-        """Ship one batch to one worker; False if the worker's pipe is gone."""
-        batch = [(ticket, self.payload_of[ticket]) for ticket in tickets]
+    def orphaned(self, ticket: int, worker: _Worker, executing: bool) -> None:
+        """A worker died holding this ticket: requeue it, or fail it.
+
+        Only the run the worker was executing can have killed it, so only
+        that one is charged against ``max_requeues``.
+        """
+        if ticket in self.done:
+            return
+        self.holders[ticket].discard(worker)
+        if self.holders[ticket]:
+            return   # a straggler duplicate is still computing it
+        if executing:
+            crashes = self.requeues[ticket] = self.requeues.get(ticket, 0) + 1
+            if crashes > self.max_requeues:
+                self.deliver(ticket, _failed_record(
+                    self.payload_of[ticket],
+                    f"WorkerCrashError: worker died executing this run "
+                    f"{crashes} time(s); giving up", attempts=crashes))
+                return
+        if self.stopped:
+            self.cancelled += 1
+            self.pool._count("cancelled_runs", lease=self)
+        else:
+            self.queue.appendleft(ticket)
+            self.pool._count("requeued_runs", lease=self)
+        self.wake.set()
+
+    def send(self, worker: _Worker, ticket: int) -> None:
+        """Ship one run to one worker."""
         try:
-            worker.conn.send(("batch", self.id, batch, self.worker_fn,
-                              self.retries, self.timeout))
+            worker.conn.send(("run", self.id, ticket, self.payload_of[ticket],
+                              self.worker_fn, self.retries, self.timeout))
         except (OSError, ValueError):
+            # pipe gone: back to the queue until the worker is respawned
             worker.dead = True
-            return False
+            if not self.holders[ticket]:
+                self.queue.appendleft(ticket)
+            return
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             # the worker callable (or a payload) cannot cross the pipe —
             # an infrastructure failure, captured per record like the pool
             # executors capture BrokenProcessPool
-            for ticket in tickets:
-                if not self.is_done(ticket):
-                    payload = self.payload_of[ticket]
-                    self.settle(ticket, RunRecord(
-                        run_id=payload["run_id"], index=payload["index"],
-                        params=dict(payload["params"]),
-                        driver=payload["driver"],
-                        n_steps=int(payload["n_steps"]),
-                        status=STATUS_FAILED, attempts=1,
-                        error=f"DispatchError: {type(exc).__name__}: {exc}"))
-            return True
-        now = time.monotonic()
-        worker.batches.append(set(tickets))
-        for ticket in tickets:
-            self.holders[ticket].add(worker)
-            self.first_dispatch.setdefault(ticket, now)
-        self.pool._count("dispatched_batches")
-        self.pool._count("dispatched_runs", len(tickets))
-        return True
-
-    def _dispatch(self) -> None:
-        """Fill idle worker capacity from the queue, batch by batch."""
-        for worker in self.pool._workers:
-            if worker is None or worker.dead:
-                continue
-            while self.queue and len(worker.batches) < self.capacity:
-                tickets = []
-                while self.queue and len(tickets) < self.batch_size:
-                    ticket = self.queue.popleft()
-                    if not self.is_done(ticket):
-                        tickets.append(ticket)
-                if not tickets:
-                    break
-                if not self._send(worker, tickets):
-                    # pipe gone: put the batch back for the respawned worker
-                    for ticket in reversed(tickets):
-                        self.queue.appendleft(ticket)
-                    break
-            if not self.queue:
-                break
-
-    def _rescue_stragglers(self) -> None:
-        """Duplicate the oldest tail runs onto idle workers (dedup by ticket)."""
-        if self.straggler_after is None or self.queue:
+            self.deliver(ticket, _failed_record(
+                self.payload_of[ticket],
+                f"DispatchError: {type(exc).__name__}: {exc}"))
             return
-        idle = [worker for worker in self.pool._workers
-                if worker is not None and not worker.dead and worker.idle]
-        if not idle:
-            return
+        worker.tickets[ticket] = (self.id, time.time())
+        self.holders[ticket].add(worker)
+        self.first_dispatch.setdefault(ticket, time.monotonic())
+        self.pool._count("dispatched_batches", lease=self)
+        self.pool._count("dispatched_runs", lease=self)
+
+    def rescue_stragglers(self, idle: List[_Worker]) -> List[_Worker]:
+        """Duplicate the oldest tail runs onto idle workers (dedup by
+        ticket); returns the workers still idle."""
+        if self.straggler_after is None or self.queue or self.stopped \
+                or not idle:
+            return idle
         now = time.monotonic()
         candidates = sorted(
-            (ticket for ticket in self.position_of
-             if not self.is_done(ticket) and ticket in self.first_dispatch
-             and now - self.first_dispatch[ticket] >= self.straggler_after
+            (ticket for ticket, since in self.first_dispatch.items()
+             if ticket not in self.done
+             and now - since >= self.straggler_after
              and len(self.holders[ticket]) < _MAX_HOLDERS),
-            key=lambda ticket: self.first_dispatch[ticket])
-        for worker in idle:
-            for ticket in candidates:
-                if self.is_done(ticket) or worker in self.holders[ticket]:
-                    continue
-                if self._send(worker, [ticket]):
-                    self.pool._count("straggler_redispatches")
-                break
-
-    def drain(self) -> List[RunRecord]:
-        """Run the dispatch/pump/reap loop until every payload has a record."""
-        tick = max(0.005, min(0.1, self.pool.heartbeat_interval / 2.0))
-        while len(self.records) < self.n_payloads:
-            self.pool._reap_dead(self)
-            self._dispatch()
-            self._rescue_stragglers()
-            self.pool._pump(block=tick, lease=self)
-        return [self.records[position] for position in range(self.n_payloads)]
+            key=self.first_dispatch.get)
+        for worker, ticket in zip(list(idle), candidates):
+            self.send(worker, ticket)
+            if worker.tickets:
+                self.pool._count("straggler_redispatches", lease=self)
+                idle.remove(worker)
+        return idle
 
 
 # --------------------------------------------------------------------------- #
@@ -717,8 +765,8 @@ class WorkerPoolExecutor(CampaignExecutor):
     for sharded delegation, and the service's executor options all reach
     it.  Unless an explicit ``pool`` is passed, instances lease the
     process-wide :func:`shared_pool` of their worker count, so repeated
-    ``execute()`` calls — and chunked service launches — reuse warm
-    workers instead of re-spawning and re-importing per call.
+    ``execute()`` calls — and concurrent campaigns of one service — reuse
+    warm workers instead of re-spawning and re-importing per call.
 
     Args:
         max_workers: pool size (default
@@ -727,17 +775,19 @@ class WorkerPoolExecutor(CampaignExecutor):
         retries: retries per failing run (inside the worker process).
         pool: explicit :class:`WorkerPool` to lease (tests, embedders);
             the caller owns its lifecycle.
-        batch_size: payloads per dispatch message (default: auto).
-        capacity: in-flight batch limit per worker.
+        capacity: runs a worker may hold at once (one executing, the rest
+            prefetched); also what a stop leaves to finish per worker.
         straggler_after: seconds before tail runs are duplicated onto
             idle workers (``None`` disables).
-        max_requeues: crash-requeues per run before it is failed.
+        max_requeues: how often a run may kill its worker and be requeued
+            before it is failed.
         start_method: start method of a lazily-leased shared pool.
 
     Attributes:
-        last_stats: after :meth:`execute`, the pool counters this call
-            added (dispatch/result/requeue/straggler/respawn counts) —
-            the worker-pool analogue of ``ShardedExecutor.shard_sizes``.
+        last_stats: after :meth:`execute`, this call's share of the pool
+            counters (dispatch/result/requeue/cancel/straggler/respawn
+            counts) — the worker-pool analogue of
+            ``ShardedExecutor.shard_sizes``.
     """
 
     name = "workers"
@@ -745,15 +795,12 @@ class WorkerPoolExecutor(CampaignExecutor):
     def __init__(self, max_workers: Optional[int] = None,
                  timeout: Optional[float] = None, retries: int = 0,
                  pool: Optional[WorkerPool] = None,
-                 batch_size: Optional[int] = None,
                  capacity: int = DEFAULT_CAPACITY,
                  straggler_after: Optional[float] = DEFAULT_STRAGGLER_AFTER_S,
                  max_requeues: int = DEFAULT_MAX_REQUEUES,
                  start_method: Optional[str] = None) -> None:
         super().__init__(max_workers=max_workers, timeout=timeout,
                          retries=retries)
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if max_requeues < 0:
@@ -761,7 +808,6 @@ class WorkerPoolExecutor(CampaignExecutor):
         if straggler_after is not None and straggler_after <= 0:
             raise ValueError("straggler_after must be positive (or None)")
         self._pool = pool
-        self.batch_size = batch_size
         self.capacity = capacity
         self.straggler_after = straggler_after
         self.max_requeues = max_requeues
@@ -774,24 +820,20 @@ class WorkerPoolExecutor(CampaignExecutor):
             return self._pool
         return shared_pool(self.max_workers, start_method=self.start_method)
 
-    def execute(self, payloads, worker, on_record=None):
+    def execute(self, payloads, worker, on_record=None, should_stop=None):
         """Execute the payloads on the warm pool (see the base contract)."""
         payloads = list(payloads)
         self.last_stats = {}
         if not payloads:
             return []
         pool = self.pool()
-        before = {key: value for key, value in pool.stats().items()
-                  if isinstance(value, int)}
+        counters: Dict[str, int] = {}
         records = pool.run(payloads, worker, retries=self.retries,
                            timeout=self.timeout, on_record=on_record,
-                           batch_size=self.batch_size, capacity=self.capacity,
+                           should_stop=should_stop, capacity=self.capacity,
                            straggler_after=self.straggler_after,
-                           max_requeues=self.max_requeues)
-        after = pool.stats()
-        self.last_stats = {key: after[key] - before.get(key, 0)
-                           for key in before}
-        self.last_stats["n_workers"] = pool.n_workers
+                           max_requeues=self.max_requeues, counters=counters)
+        self.last_stats = dict(counters, n_workers=pool.n_workers)
         return records
 
 

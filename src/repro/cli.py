@@ -27,8 +27,8 @@ script) exposes the main entry points of the reproduction:
   append the result to ``BENCH_pic_hotpath.json`` (see
   ``docs/performance.md``),
 * ``bench-campaign``   — benchmark the campaign executors
-  (serial/process/workers) on a chunked service-style launch and append
-  the result to ``BENCH_campaign_throughput.json``.
+  (serial/process/workers) on one whole launch each and append the
+  result to ``BENCH_campaign_throughput.json``.
 
 ``run`` is built on :mod:`repro.workflow`: it assembles a
 ``WorkflowSession`` from a preset (or a JSON config file) and drives it
@@ -262,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_campaign = sub.add_parser(
         "bench-campaign",
         help="benchmark the campaign executors (serial/process/workers) "
-             "on a chunked service-style launch "
+             "on one whole launch each "
              "(appends to BENCH_campaign_throughput.json)")
     bench_campaign.add_argument("--preset", type=str, default=None,
                                 help="campaign preset to drive "

@@ -15,7 +15,8 @@ Layers (each its own module, bottom up):
   with per-subscriber bounded queues, a slow-subscriber drop policy and
   atomic history+subscribe (the exactly-once snapshot/live guarantee),
 * :mod:`repro.service.jobs`   — :class:`CampaignJobManager`: background
-  campaign threads keyed by campaign id, chunked for cooperative cancel,
+  campaign threads keyed by campaign id, one launch each with the cancel
+  flag as its cooperative stop,
   with the append-only JSONL store as the single source of truth (service
   restarts resume exactly like CLI ``campaign run``),
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer`` API

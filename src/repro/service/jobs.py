@@ -3,10 +3,11 @@
 One :class:`CampaignJob` wraps one campaign: its spec, its append-only
 :class:`repro.campaign.store.CampaignStore` (the single source of truth —
 the service adds *no* second persistence layer), a resolved run list and a
-background thread driving :func:`repro.campaign.scheduler.run_campaign` in
-small chunks.  Chunked launches are what make cancellation cooperative:
-in-flight runs are never killed (the scheduler's own rule), but between
-chunks the job checks its cancel flag and stops scheduling more.
+background thread driving one :func:`repro.campaign.scheduler.run_campaign`
+call per launch.  Cancellation is cooperative: the job's cancel flag is the
+launch's ``should_stop``, so runs already started are never killed (the
+scheduler's own rule) and nothing else starts; what did not start stays
+pending for the next submit.
 
 The :class:`CampaignJobManager` owns the id→job map, the shared
 :class:`repro.service.bus.RunEventBus` and the store directory.  A
@@ -31,8 +32,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.campaign.aggregate import aggregate, status_document
 from repro.campaign.cache import ResultCache
-from repro.campaign.scheduler import (CampaignExecutor, default_pool_workers,
-                                      execute_run, get_executor, run_campaign)
+from repro.campaign.scheduler import (CampaignExecutor, execute_run,
+                                      get_executor, run_campaign)
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
 from repro.service.bus import RunEventBus
@@ -115,8 +116,8 @@ class CampaignJob:
         self.worker = worker
         self.executor_options = dict(executor_options or {})
         self.error: Optional[str] = None
-        #: accumulated executor counter deltas of this job's launches
-        #: (``WorkerPoolExecutor.last_stats`` summed over chunks)
+        #: the latest launch's executor counters
+        #: (``WorkerPoolExecutor.last_stats``; empty for other executors)
         self.executor_stats: Dict[str, int] = {}
         self.runs = spec.resolve()
         self._lock = threading.RLock()
@@ -191,61 +192,33 @@ class CampaignJob:
             thread.join(timeout)
 
     # -- the runner thread -------------------------------------------------- #
-    def _chunk_size(self, executor: CampaignExecutor) -> int:
-        # Chunks stay small for cooperative cancel.  That makes per-chunk
-        # executor start-up cost multiply — which is exactly what the
-        # ``workers`` executor eliminates: it leases the process-wide warm
-        # pool (repro.campaign.workers.shared_pool), so every chunk of
-        # every job reuses the same live worker processes.
-        if executor.name == "serial":
-            return 1
-        return int(executor.max_workers or default_pool_workers())
-
     def _run(self) -> None:
         try:
             executor = executor_for(self.spec, self.executor_options)
             cache_dir = (self.executor_options.get("cache_dir")
                          or self.spec.cache_dir)
             cache = ResultCache(str(cache_dir)) if cache_dir else None
-            chunk = self._chunk_size(executor)
+            # the in-memory mirror already knows what is complete: hand it
+            # over so run_campaign does not re-read the store
             done_ids = {run_id for run_id, record in self._records.items()
                         if record.completed}
-            pending = [run for run in self.runs if run.run_id not in done_ids]
-            position = 0
-            while position < len(pending):
-                if self._cancel.is_set():
-                    self._finish(STATE_CANCELLED)
-                    return
-                batch = pending[position:position + chunk]
-                # the batch is pre-filtered: hand run_campaign the slice and
-                # an empty completed set so it does not re-read the store
-                # (still consulted for cache hits, still appending per run)
-                run_campaign(self.spec, self.store, executor,
-                             worker=self.worker, on_record=self._publish,
-                             runs=batch, completed_ids=frozenset(),
-                             cache=cache)
-                self._accumulate_stats(getattr(executor, "last_stats", None))
-                position += len(batch)
-            completed = sum(1 for record in self._records.values()
-                            if record.completed)
-            self._finish(STATE_COMPLETED if completed == len(self.runs)
-                         else STATE_FAILED)
+            outcome = run_campaign(self.spec, self.store, executor,
+                                   worker=self.worker,
+                                   on_record=self._publish, runs=self.runs,
+                                   completed_ids=done_ids, cache=cache,
+                                   should_stop=self._cancel.is_set)
+            with self._lock:
+                self.executor_stats = dict(
+                    getattr(executor, "last_stats", None) or {})
+            if outcome.deferred:
+                self._finish(STATE_CANCELLED)
+            else:
+                self._finish(STATE_COMPLETED if outcome.done
+                             else STATE_FAILED)
         except BaseException as exc:  # noqa: BLE001 - surfaced via job state
             logger.exception("campaign %s: launch died", self.id)
             self.error = f"{type(exc).__name__}: {exc}"
             self._finish(STATE_FAILED)
-
-    def _accumulate_stats(self, last_stats: Optional[Dict[str, int]]) -> None:
-        """Fold one chunk's executor counter deltas into the job totals."""
-        if not last_stats:
-            return
-        with self._lock:
-            for key, value in last_stats.items():
-                if key == "n_workers":
-                    self.executor_stats[key] = int(value)
-                elif isinstance(value, int):
-                    self.executor_stats[key] = \
-                        self.executor_stats.get(key, 0) + value
 
     def _publish(self, record) -> None:
         with self._lock:

@@ -6,8 +6,7 @@ import pytest
 
 from repro.campaign.hotpath import (CampaignThroughputResult,
                                     check_equivalence, format_result, main,
-                                    persist_result, run_campaign_benchmark,
-                                    service_chunk_size)
+                                    persist_result, run_campaign_benchmark)
 from repro.campaign.store import RunRecord, STATUS_COMPLETED, STATUS_FAILED
 from repro.utils.benchjson import latest_run
 
@@ -22,20 +21,11 @@ def record(run_id, loss=1.0, status=STATUS_COMPLETED):
 def stub_result(**overrides):
     kwargs = dict(runs_per_sec={"serial": 40.0, "process": 20.0,
                                 "workers": 50.0},
-                  chunk_sizes={"serial": 1, "process": 2, "workers": 2},
                   preset="campaign-smoke", n_runs=8, max_workers=2,
                   start_method="spawn", pool_stats={"dispatched_runs": 8},
                   equivalent=True, equivalence_detail="")
     kwargs.update(overrides)
     return CampaignThroughputResult(**kwargs)
-
-
-class TestServiceChunkSize:
-    def test_mirrors_the_service_launch_shape(self):
-        assert service_chunk_size("serial", 4) == 1
-        assert service_chunk_size("process", 4) == 4
-        assert service_chunk_size("workers", 2) == 2
-        assert service_chunk_size("workers", 0) == 1
 
 
 class TestCheckEquivalence:
@@ -68,10 +58,11 @@ class TestRunCampaignBenchmark:
         assert set(result.runs_per_sec) == {"serial", "process", "workers"}
         assert all(rate > 0 for rate in result.runs_per_sec.values())
         assert result.n_runs == 8
-        assert result.chunk_sizes["serial"] == 1
         assert result.equivalent, result.equivalence_detail
-        # warmup chunk + measured blocks all ran on the one warm pool
-        assert result.pool_stats["dispatched_runs"] >= 8
+        # warmup + the measured block ran on the one warm pool, one pipe
+        # message per run
+        assert result.pool_stats["dispatched_runs"] == 8 + 2
+        assert result.pool_stats["dispatched_batches"] == 8 + 2
         assert result.pool_stats["respawns"] == 0
         assert result.speedup("workers", "process") > 0
 

@@ -9,6 +9,7 @@ the benchmark harness and CI's worker-smoke job.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -21,7 +22,6 @@ from repro.campaign import (CampaignSpec, CampaignStore, WorkerPool,
                             get_campaign_preset, get_executor, run_campaign,
                             shared_pool, shutdown_shared_pools)
 from repro.campaign.store import STATUS_COMPLETED, STATUS_FAILED
-from repro.campaign.workers import default_batch_size
 
 
 def smoke_spec(**kwargs) -> CampaignSpec:
@@ -91,6 +91,46 @@ def stall_once_worker(payload):
         except FileExistsError:
             pass
     return fake_worker(payload)
+
+
+#: Cross-process gates, inherited by the fork-started workers below.
+_FORK = multiprocessing.get_context("fork")
+_BARRIER = _FORK.Barrier(2)
+_GATE = _FORK.Event()
+
+
+def barrier_worker(payload):
+    """Completes only if two runs execute at the same time."""
+    _BARRIER.wait(timeout=10)
+    return dict(fake_worker(payload), pid=os.getpid())
+
+
+def gated_worker(payload):
+    """Blocks until the test opens ``_GATE``."""
+    assert _GATE.wait(timeout=20), "test gate never released"
+    return dict(fake_worker(payload), pid=os.getpid())
+
+
+@pytest.fixture
+def gate():
+    _GATE.clear()
+    yield _GATE
+    _GATE.set()
+
+
+def wait_for(predicate, timeout=15.0, message="condition"):
+    """Poll a predicate until true (fail loudly instead of hanging)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            pytest.fail(f"timed out waiting for {message}")
+        time.sleep(0.005)
+
+
+def loads(pool):
+    """Runs each worker currently holds, by slot."""
+    with pool._lock:
+        return [len(worker.tickets) for worker in pool._workers]
 
 
 def with_config(payloads, **extra):
@@ -170,13 +210,180 @@ class TestWorkerPoolBasics:
         with pytest.raises(RuntimeError, match="shut down"):
             pool.run(smoke_payloads(repetitions=1), fake_worker)
 
-    def test_default_batch_size_bounds(self):
-        assert default_batch_size(0, 4) == 1
-        assert default_batch_size(2, 2) == 1
-        assert default_batch_size(8, 2) == 2
-        assert default_batch_size(1000, 2) == 16
-        assert all(default_batch_size(n, w) >= 1
-                   for n in range(0, 40) for w in range(1, 5))
+    def test_one_pipe_message_per_run(self, pool):
+        """Dispatch is run-granular: as many messages as runs."""
+        payloads = smoke_payloads()
+        pool.run(payloads, fake_worker)
+        assert pool.counters["dispatched_runs"] == len(payloads)
+        assert pool.counters["dispatched_batches"] == len(payloads)
+
+
+class TestDispatchShape:
+    def test_two_runs_execute_on_two_workers_at_once(self, pool):
+        """Breadth-first: with two runs and two workers nobody idles —
+        the barrier only opens if both runs execute concurrently."""
+        records = pool.run(smoke_payloads(repetitions=1), barrier_worker)
+        assert all(r.completed for r in records), [r.error for r in records]
+        assert len({r.summary["pid"] for r in records}) == 2
+
+    def test_no_prefetch_while_a_worker_holds_nothing(self, pool, gate):
+        """capacity=2: the third run is prefetched only after both workers
+        hold one, and nobody ever holds more than ``capacity``."""
+        payloads = smoke_payloads()
+        result = {}
+        thread = threading.Thread(target=lambda: result.update(
+            records=pool.run(payloads[:3], gated_worker, capacity=2)))
+        thread.start()
+        wait_for(lambda: pool.stats()["dispatched_runs"] == 3,
+                 message="three dispatches")
+        assert sorted(loads(pool)) == [1, 2]
+        gate.set()
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+        assert all(r.completed for r in result["records"])
+        assert len({r.summary["pid"] for r in result["records"]}) == 2
+
+    def test_a_finishing_worker_pulls_the_next_run(self, pool, gate):
+        """Eight gated runs: exactly capacity x workers are out at once,
+        the rest stay queued in the parent until a worker answers."""
+        payloads = smoke_payloads()
+        result = {}
+        thread = threading.Thread(target=lambda: result.update(
+            records=pool.run(payloads, gated_worker, capacity=2)))
+        thread.start()
+        wait_for(lambda: pool.stats()["dispatched_runs"] == 4,
+                 message="the pool to fill")
+        assert loads(pool) == [2, 2]
+        assert pool.stats()["results"] == 0
+        gate.set()
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+        assert [r.run_id for r in result["records"]] == \
+            [p["run_id"] for p in payloads]
+        assert pool.stats()["dispatched_runs"] == len(payloads)
+
+
+class TestCooperativeStop:
+    def test_stop_drops_the_queue_and_lets_held_runs_finish(self, pool, gate):
+        payloads = smoke_payloads()
+        seen, stats, result = [], {}, {}
+        stop = threading.Event()
+        thread = threading.Thread(target=lambda: result.update(
+            records=pool.run(payloads, gated_worker, on_record=seen.append,
+                             should_stop=stop.is_set, capacity=2,
+                             counters=stats)))
+        thread.start()
+        wait_for(lambda: pool.stats()["dispatched_runs"] == 4,
+                 message="the pool to fill")
+        stop.set()
+        wait_for(lambda: pool.stats()["cancelled_runs"] == 4,
+                 message="the queue to be dropped")
+        gate.set()
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+        records = result["records"]
+        # at most capacity per worker finished; nothing else started
+        assert [r is not None for r in records] == [True] * 4 + [False] * 4
+        assert all(r.completed for r in records[:4])
+        assert sorted(r.run_id for r in seen) == \
+            sorted(p["run_id"] for p in payloads[:4])
+        assert stats["cancelled_runs"] == 4 and stats["dispatched_runs"] == 4
+        assert pool.stats()["respawns"] == 0     # nobody was killed
+
+    def test_stop_before_anything_started(self, pool):
+        payloads = smoke_payloads(repetitions=1)
+        assert pool.run(payloads, fake_worker, should_stop=lambda: True) == \
+            [None, None]
+        assert pool.stats()["dispatched_runs"] == 0
+
+
+class TestConcurrentLeases:
+    def test_two_leases_interleave_run_by_run(self, pool, gate):
+        """A second lease is not parked behind the first one's queue: free
+        slots go to the lease with fewer runs in flight."""
+        first = smoke_payloads()                       # 8 runs
+        second = smoke_payloads(n_steps=3)             # 8 other run ids
+        assert not {p["run_id"] for p in first} & {p["run_id"] for p in second}
+        order, order_lock = [], threading.Lock()
+
+        def observer(tag):
+            def on_record(record):
+                with order_lock:
+                    order.append((tag, record.run_id))
+            return on_record
+
+        executors = {tag: WorkerPoolExecutor(max_workers=2, pool=pool)
+                     for tag in ("first", "second")}
+        results = {}
+
+        def launch(tag, payloads):
+            results[tag] = executors[tag].execute(payloads, gated_worker,
+                                                  on_record=observer(tag))
+
+        threads = [threading.Thread(target=launch, args=("first", first))]
+        threads[0].start()
+        wait_for(lambda: pool.stats()["dispatched_runs"] == 4,
+                 message="the first lease to fill the pool")
+        threads.append(threading.Thread(target=launch,
+                                        args=("second", second)))
+        threads[1].start()
+        wait_for(lambda: len(pool._leases) == 2, message="the second lease")
+        # stats() answers while two leases are mid-drain
+        assert pool.stats()["results"] == 0
+        gate.set()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        tags = [tag for tag, _ in order]
+        last_of_first = len(tags) - 1 - tags[::-1].index("first")
+        assert tags.index("second") < last_of_first
+        # no record crossed leases, each in its own submission order
+        assert [r.run_id for r in results["first"]] == \
+            [p["run_id"] for p in first]
+        assert [r.run_id for r in results["second"]] == \
+            [p["run_id"] for p in second]
+        assert {run_id for tag, run_id in order if tag == "second"} == \
+            {p["run_id"] for p in second}
+        # the per-lease counters add up to the pool's
+        for key, total in pool.counters.items():
+            assert sum(executor.last_stats[key]
+                       for executor in executors.values()) == total, key
+        assert executors["second"].last_stats["dispatched_runs"] == 8
+
+    def test_many_leases_on_few_workers_lose_nothing(self, pool):
+        """Stress: more lease threads than workers (and cores), a short
+        switch interval — every lease still gets exactly its own records."""
+        import sys
+
+        payload_sets = [smoke_payloads(n_steps=2 + n) for n in range(6)]
+        results, errors = {}, []
+
+        def launch(n):
+            try:
+                results[n] = pool.run(payload_sets[n], fake_worker)
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=launch, args=(n,))
+                       for n in range(len(payload_sets))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        for n, payloads in enumerate(payload_sets):
+            assert [r.run_id for r in results[n]] == \
+                [p["run_id"] for p in payloads]
+            assert all(r.completed for r in results[n])
+        assert pool.counters["results"] == pool.counters["dispatched_runs"] \
+            == sum(len(payloads) for payloads in payload_sets)
+        assert pool.counters["stale_results_dropped"] == 0
 
 
 class TestCrashRequeue:
@@ -187,7 +394,7 @@ class TestCrashRequeue:
         attempt counts)."""
         payloads = with_config(smoke_payloads(), marker_dir=str(tmp_path),
                                crash_ids="all")
-        records = pool.run(payloads, crash_once_worker, batch_size=1)
+        records = pool.run(payloads, crash_once_worker)
         serial = get_executor("serial").execute(payloads, crash_once_worker)
         assert [r.run_id for r in records] == [r.run_id for r in serial]
         assert all(r.completed for r in records)
@@ -205,7 +412,7 @@ class TestCrashRequeue:
         payloads[3] = dict(payloads[3],
                            config=dict(payloads[3]["config"], poison=True))
 
-        records = pool.run(payloads, poison_worker, batch_size=1,
+        records = pool.run(payloads, poison_worker,
                            max_requeues=1)
         by_id = {r.run_id: r for r in records}
         assert by_id[poison_id].status == STATUS_FAILED
@@ -213,18 +420,34 @@ class TestCrashRequeue:
         others = [r for r in records if r.run_id != poison_id]
         assert all(r.completed for r in others)
 
+    def test_a_crash_is_charged_to_the_executing_run_only(self):
+        """A run prefetched behind a poison run is innocent: with
+        ``max_requeues=0`` only the poison run may fail."""
+        pool = WorkerPool(1, start_method="fork", heartbeat_interval=0.05,
+                          liveness_timeout=5.0)
+        try:
+            payloads = smoke_payloads(repetitions=1)   # 2 runs, 1 worker
+            payloads[0] = dict(payloads[0],
+                               config=dict(payloads[0]["config"], poison=True))
+            poisoned, neighbour = pool.run(payloads, poison_worker,
+                                           capacity=2, max_requeues=0)
+        finally:
+            pool.shutdown()
+        assert poisoned.status == STATUS_FAILED
+        assert "WorkerCrashError" in poisoned.error
+        assert neighbour.completed and neighbour.attempts == 1
+        assert pool.counters["respawns"] == 1
+
     def test_externally_killed_worker_is_detected_and_replaced(self, pool):
         """SIGKILL from outside (OOM killer, operator) while runs are in
         flight: liveness detection requeues and the campaign completes."""
         assert pool.wait_ready(timeout=30)
-        # pick the victim before launching: run() holds the pool lock for
-        # its whole drain, so worker_pids() would block until completion
         victim = next(pid for pid in pool.worker_pids() if pid is not None)
         payloads = with_config(smoke_payloads(), sleep_s=0.2)
         result = {}
 
         def launch():
-            result["records"] = pool.run(payloads, slow_worker, batch_size=1)
+            result["records"] = pool.run(payloads, slow_worker)
 
         thread = threading.Thread(target=launch)
         thread.start()
@@ -246,7 +469,7 @@ class TestStragglerRedispatch:
         stall_id = payloads[0]["run_id"]
         payloads = with_config(payloads, stall_id=stall_id)
         seen = []
-        records = pool.run(payloads, stall_once_worker, batch_size=1,
+        records = pool.run(payloads, stall_once_worker,
                            straggler_after=0.2, on_record=seen.append)
         assert [r.run_id for r in records] == [p["run_id"] for p in payloads]
         assert all(r.completed for r in records)
@@ -260,12 +483,13 @@ class TestStragglerRedispatch:
         """The losing holder's result lands after the lease finished; the
         next interaction with the pool discards it instead of crediting it
         to an unrelated run."""
-        payloads = with_config(smoke_payloads(repetitions=2), sleep_s=0.4)
-        records = pool.run(payloads, slow_worker, batch_size=1,
-                           straggler_after=0.05)
+        # three equal runs on two workers: the worker that ran one goes
+        # idle while the third (prefetched behind the other's first) is
+        # still out, so a straggler duplicate is certain
+        payloads = with_config(smoke_payloads(repetitions=2)[:3], sleep_s=0.4)
+        records = pool.run(payloads, slow_worker, straggler_after=0.05)
         assert all(r.completed for r in records)
-        if pool.counters["straggler_redispatches"] == 0:
-            pytest.skip("no straggler fired on this machine")
+        assert pool.counters["straggler_redispatches"] >= 1
         # give the losing duplicates time to finish, then pump via a run
         time.sleep(0.6)
         again = pool.run(with_config(smoke_payloads(repetitions=1)),
@@ -283,8 +507,6 @@ class TestWorkerPoolExecutor:
         assert isinstance(executor, WorkerPoolExecutor)
         assert executor.max_workers == 3
         with pytest.raises(ValueError):
-            WorkerPoolExecutor(batch_size=0)
-        with pytest.raises(ValueError):
             WorkerPoolExecutor(capacity=0)
         with pytest.raises(ValueError):
             WorkerPoolExecutor(straggler_after=0.0)
@@ -292,13 +514,13 @@ class TestWorkerPoolExecutor:
             WorkerPoolExecutor(max_requeues=-1)
 
     def test_executor_reports_per_call_stats(self, pool):
-        executor = WorkerPoolExecutor(max_workers=2, pool=pool, batch_size=2)
+        executor = WorkerPoolExecutor(max_workers=2, pool=pool)
         payloads = smoke_payloads()
         executor.execute(payloads, fake_worker)
         first = dict(executor.last_stats)
         assert first["dispatched_runs"] == len(payloads)
-        assert first["dispatched_batches"] == len(payloads) // 2
         assert first["results"] == len(payloads)
+        assert first["cancelled_runs"] == 0 and first["n_workers"] == 2
         # stats are per execute() call, not cumulative
         executor.execute(payloads[:2], fake_worker)
         assert executor.last_stats["dispatched_runs"] == 2
@@ -313,17 +535,37 @@ class TestWorkerPoolExecutor:
         assert outcome.completed == 2, [r.error for r in outcome.records]
         assert all(r.summary["ok"] for r in store.records())
 
-    def test_chunked_launches_reuse_the_same_workers(self, pool):
-        """The service launch shape: many small execute() calls must land
-        on the same warm worker processes, not respawned ones."""
-        executor = WorkerPoolExecutor(max_workers=2, pool=pool)
+    def test_repeated_launches_reuse_the_same_workers(self, pool):
+        """Campaign after campaign (fresh executor each, as the service
+        builds them) must land on the same warm worker processes."""
         payloads = smoke_payloads()
-        for position in range(0, len(payloads), 2):
-            executor.execute(payloads[position:position + 2], fake_worker)
-            if position == 0:
-                pids = pool.worker_pids()
+        WorkerPoolExecutor(max_workers=2, pool=pool).execute(payloads,
+                                                             fake_worker)
+        pids = pool.worker_pids()
+        for _ in range(3):
+            WorkerPoolExecutor(max_workers=2, pool=pool).execute(
+                payloads, fake_worker)
         assert pool.worker_pids() == pids
         assert pool.counters["respawns"] == 0
+
+    def test_records_identical_across_serial_workers_and_sharded(
+            self, pool, monkeypatch):
+        monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD",
+                            "fork")
+        shutdown_shared_pools()
+        payloads = smoke_payloads()
+        try:
+            reports = [
+                aggregate(executor.execute(payloads, fake_worker))
+                .deterministic_dict()
+                for executor in (
+                    get_executor("serial"),
+                    WorkerPoolExecutor(max_workers=2, pool=pool),
+                    get_executor("sharded", shards=2, inner="workers",
+                                 max_workers=2))]
+        finally:
+            shutdown_shared_pools()
+        assert reports[0] == reports[1] == reports[2]
 
     def test_shared_pool_is_shared_across_executors(self, monkeypatch):
         monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD",
@@ -350,7 +592,7 @@ class TestWorkerPoolExecutor:
     def test_sharded_campaign_can_delegate_to_workers(self, monkeypatch,
                                                       tmp_path):
         """``routing.inner = "workers"`` sends every shard to the shared
-        warm pool; the pool lock serialises the shards' leases."""
+        warm pool, where the shards' leases share the workers."""
         monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD",
                             "fork")
         shutdown_shared_pools()

@@ -6,6 +6,12 @@ import numpy as np
 import pytest
 
 
+def pytest_configure(config) -> None:
+    """Register the suite's custom markers (no pytest.ini in this repo)."""
+    config.addinivalue_line(
+        "markers", "slow: a test that takes seconds rather than milliseconds")
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator for tests."""

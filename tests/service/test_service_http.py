@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import json
+import multiprocessing
 import threading
 import time
 
@@ -17,7 +19,9 @@ import pytest
 
 from sse_helpers import run_ids_of
 
-from repro.campaign import CampaignSpec, get_campaign_preset
+from repro.campaign import (CampaignSpec, get_campaign_preset, shared_pool,
+                            shutdown_shared_pools)
+from repro.service.bus import RunEventBus
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import create_server, parse_submission
 
@@ -53,6 +57,58 @@ class GatedWorker:
         if gated:
             self.first_done.set()
         return result
+
+
+#: Cross-process gate for campaigns on the (fork-started) worker pool.
+_POOL_GATE = multiprocessing.get_context("fork").Event()
+
+
+def pool_gated_worker(payload):
+    """Picklable worker: run 0 of a sweep completes at once, every other
+    run blocks until the test opens ``_POOL_GATE``."""
+    if payload["index"] != 0:
+        assert _POOL_GATE.wait(timeout=30), "test gate never released"
+    return fake_worker(payload)
+
+
+def pool_blocked_worker(payload):
+    """Picklable worker: every run blocks until ``_POOL_GATE`` opens, then
+    takes long enough for several rounds of dispatch to be told apart."""
+    assert _POOL_GATE.wait(timeout=30), "test gate never released"
+    time.sleep(0.02)
+    return fake_worker(payload)
+
+
+@pytest.fixture
+def fork_pool(monkeypatch):
+    """The process-wide 2-worker pool the service leases, fork-started
+    (spawned workers could not import this test module), gate closed."""
+    monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD", "fork")
+    shutdown_shared_pools()
+    _POOL_GATE.clear()
+    yield shared_pool(2)
+    _POOL_GATE.set()
+    shutdown_shared_pools()
+
+
+class OrderedBus(RunEventBus):
+    """The service bus, noting the order of publishes across campaigns."""
+
+    def __init__(self):
+        super().__init__()
+        self.order = []
+        self._order_lock = threading.Lock()
+
+    def publish(self, topic, kind, data):
+        with self._order_lock:
+            self.order.append((topic, kind))
+        return super().publish(topic, kind, data)
+
+
+def stored_run_ids(status):
+    """Run ids in a campaign's store file, one per line written."""
+    with open(status["store"], encoding="utf-8") as handle:
+        return sorted(json.loads(line)["run_id"] for line in handle)
 
 
 def small_spec(name="svc-test", repetitions=1, n_steps=2):
@@ -210,27 +266,100 @@ class TestConcurrentSubscribers:
             assert done.data["state"] == "completed"
 
 
+    def test_two_campaigns_share_the_worker_pool_run_by_run(self, tmp_path,
+                                                            fork_pool):
+        """The same property on the warm pool: two ``workers`` campaigns
+        submitted back to back both stream runs before either finishes."""
+        bus = OrderedBus()
+        specs = [small_spec(name="pool-first", repetitions=4),
+                 small_spec(name="pool-second", repetitions=4, n_steps=3)]
+        with service(tmp_path, worker=pool_blocked_worker, bus=bus) \
+                as (client, _):
+            ids = []
+            for spec in specs:
+                ids.append(client.submit(spec=spec.to_dict(),
+                                         executor="workers",
+                                         max_workers=2)["campaign_id"])
+                # the first campaign fills the pool before the second arrives
+                wait_for(lambda: fork_pool.stats()["dispatched_runs"] >= 4,
+                         message="the pool to fill")
+            wait_for(lambda: len(fork_pool._leases) == 2,
+                     message="both campaigns to lease the pool")
+            _POOL_GATE.set()
+            for campaign_id in ids:
+                done = list(client.watch(campaign_id))[-1]
+                assert done.data["state"] == "completed"
+                assert done.data["completed"] == 8
+        first_done = bus.order.index((ids[0], "done"))
+        second_done = bus.order.index((ids[1], "done"))
+        assert bus.order.index((ids[1], "run")) < first_done
+        assert bus.order.index((ids[0], "run")) < second_done
+
+
 class TestCancelAndResume:
     def test_cancel_keeps_finished_runs_and_resubmit_resumes(self, tmp_path):
         worker = GatedWorker()
         spec = small_spec(name="cancel-me", repetitions=2)   # 4 runs
+        expected = sorted(run.run_id for run in spec.resolve())
         with service(tmp_path, worker=worker) as (client, _):
             submitted = client.submit(spec=spec.to_dict())
             campaign_id = submitted["campaign_id"]
             assert worker.first_done.wait(timeout=15)
+            wait_for(lambda: client.status(campaign_id)["completed"] == 1,
+                     message="the first record")
             cancelled = client.cancel(campaign_id)
             assert cancelled["state"] in ("cancelling", "cancelled")
             worker.gate.set()                 # let the in-flight run finish
             wait_for(lambda: client.status(campaign_id)["state"] == "cancelled",
                      message="cancelled state")
             status = client.status(campaign_id)
-            assert 0 < status["completed"] < status["total_runs"]
+            # the serial executor starts nothing once the flag is up: the
+            # finished run and at most the one in flight have records
+            assert 1 <= status["completed"] <= 2
+            assert status["failed"] == 0
             # resubmitting the same spec resumes exactly the pending part
             again = client.submit(spec=spec.to_dict())
             assert again["created"] is False and again["started"] is True
             done = list(client.watch(campaign_id))[-1]
             assert done.data["state"] == "completed"
             assert done.data["completed"] == done.data["total_runs"]
+            assert stored_run_ids(done.data) == expected   # each exactly once
+
+    def test_cancel_on_the_worker_pool_finishes_held_runs_only(self, tmp_path,
+                                                               fork_pool):
+        """``executor=workers``: after DELETE the runs the workers hold
+        (at most capacity x workers) finish, the queue is dropped, nobody
+        is killed, and a resubmit runs exactly the remainder."""
+        spec = small_spec(name="cancel-pool", repetitions=4)   # 8 runs
+        expected = sorted(run.run_id for run in spec.resolve())
+        with service(tmp_path, worker=pool_gated_worker) as (client, _):
+            campaign_id = client.submit(spec=spec.to_dict(), executor="workers",
+                                        max_workers=2)["campaign_id"]
+            # run 0 completes ungated; its slot is refilled, so four gated
+            # runs are out on the two workers and three wait in the queue
+            wait_for(lambda: client.status(campaign_id)["completed"] == 1
+                     and fork_pool.stats()["dispatched_runs"] == 5,
+                     message="the first record and a full pool")
+            assert client.cancel(campaign_id)["state"] == "cancelling"
+            wait_for(lambda: fork_pool.stats()["cancelled_runs"] == 3,
+                     message="the queue to be dropped")
+            _POOL_GATE.set()
+            wait_for(lambda: client.status(campaign_id)["state"] == "cancelled",
+                     message="cancelled state")
+            status = client.status(campaign_id)
+            assert status["completed"] == 5 and status["failed"] == 0
+            pool_stats = status["telemetry"]["executor"]
+            assert pool_stats["cancelled_runs"] == 3
+            assert pool_stats["dispatched_runs"] == 5
+            assert pool_stats["respawns"] == 0          # none was killed
+            again = client.submit(spec=spec.to_dict(), executor="workers",
+                                  max_workers=2)
+            assert again["created"] is False and again["started"] is True
+            done = list(client.watch(campaign_id))[-1]
+            assert done.data["state"] == "completed"
+            assert done.data["completed"] == 8
+            assert done.data["telemetry"]["executor"]["dispatched_runs"] == 3
+            assert stored_run_ids(done.data) == expected   # each exactly once
 
     def test_cancel_unknown_campaign_is_404(self, tmp_path):
         with service(tmp_path) as (client, _):

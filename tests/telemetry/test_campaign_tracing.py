@@ -165,6 +165,27 @@ class TestWorkerPoolTracing:
         executes = by_name(spans, "execute")
         assert len(executes) == 8
         assert all(s.attrs["pid"] != parent_pid for s in executes)
+        # each dispatch says where its run went and how long it waited there
+        dispatches = by_name(spans, "dispatch")
+        assert {s.attrs["worker"] for s in dispatches} == {0, 1}
+        assert all(0.0 <= s.attrs["queued_ms"] <= 1e3 * s.duration_s
+                   for s in dispatches)
+        for record in store.records():
+            assert "_placement" not in record.__dict__
+
+    def test_a_stopped_launch_traces_only_the_runs_it_started(self, tmp_path):
+        spec = smoke_spec(name="trace-stopped")
+        store = CampaignStore(tmp_path / "t.campaign.jsonl")
+        seen = []
+        outcome = run_campaign(spec, store, worker=fake_worker,
+                               on_record=seen.append,
+                               should_stop=lambda: len(seen) >= 3)
+        assert outcome.executed == 3 and outcome.deferred == 5
+        spans = spans_of(store)
+        assert_complete_trees(spans, list(store.records()))
+        assert len(by_name(spans, "dispatch")) == 3
+        (root,) = by_name(spans, "campaign")
+        assert root.attrs["deferred"] == 5 and root.status == "ok"
 
     def test_crash_requeue_settles_each_run_exactly_once(self, tmp_path):
         spec = smoke_spec(name="trace-crash")
@@ -173,8 +194,7 @@ class TestWorkerPoolTracing:
         pool = WorkerPool(2, start_method="fork", heartbeat_interval=0.05,
                           liveness_timeout=5.0)
         try:
-            executor = WorkerPoolExecutor(max_workers=2, pool=pool,
-                                          batch_size=1)
+            executor = WorkerPoolExecutor(max_workers=2, pool=pool)
             outcome = run_campaign(spec, store, executor,
                                    worker=crash_once_worker, runs=runs)
         finally:
@@ -198,7 +218,7 @@ class TestWorkerPoolTracing:
         pool = WorkerPool(2, start_method="fork", heartbeat_interval=0.05)
         try:
             executor = WorkerPoolExecutor(max_workers=2, pool=pool,
-                                          batch_size=1, straggler_after=0.3)
+                                          straggler_after=0.3)
             outcome = run_campaign(spec, store, executor,
                                    worker=stall_once_worker, runs=runs)
         finally:
