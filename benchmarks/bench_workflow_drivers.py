@@ -1,4 +1,4 @@
-"""Execution-driver comparison: serial vs threaded vs pipelined.
+"""Execution-driver comparison: serial vs pipelined.
 
 The paper's co-scheduled system overlaps simulation and training; the
 workflow drivers reproduce the schedule choices at laptop scale.  This

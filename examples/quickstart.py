@@ -8,8 +8,7 @@ transit with experience replay — and runs it for a handful of steps.
 
 The assembly uses the composable :mod:`repro.workflow` API: a named preset
 supplies the configuration, the builder wires the stream, and an execution
-driver (serial here; try ``"threaded"`` or ``"pipelined"``) owns the run
-schedule.  Lifecycle hooks observe the run without touching any component.
+driver (serial here; try ``"pipelined"``) owns the run schedule.  Lifecycle hooks observe the run without touching any component.
 
 Run with::
 

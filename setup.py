@@ -1,9 +1,9 @@
-"""Legacy setup shim.
+"""The package's build configuration (there is no ``pyproject.toml``).
 
-The canonical build configuration lives in ``pyproject.toml``.  This file
-exists so that ``pip install -e .`` also works on offline machines whose
-setuptools cannot build PEP 660 editable wheels (no ``wheel`` package
-available): ``pip install -e . --no-use-pep517 --no-build-isolation``.
+Nothing needs installing to run from the source tree (``PYTHONPATH=src``).
+``pip install -e .`` works too; on offline machines whose setuptools
+cannot build PEP 660 editable wheels (no ``wheel`` package available) use
+``pip install -e . --no-use-pep517 --no-build-isolation``.
 """
 
 from setuptools import find_packages, setup

@@ -7,9 +7,10 @@ as one hand-launched session.  This subsystem turns one declarative
 
 * :mod:`repro.campaign.spec`      — grid/random/explicit sampling over
   dotted ``WorkflowConfig`` overrides with deterministic per-run seeds,
-* :mod:`repro.campaign.scheduler` — pluggable executors (serial / thread /
-  process pools) with bounded concurrency, per-run timeout/retry and
-  captured exceptions, plus :func:`run_campaign` tying everything together,
+* :mod:`repro.campaign.scheduler` — the executor contract and registry,
+  the serial executor, per-run timeout/retry with captured exceptions,
+  :func:`executor_for` (spec routing + options → executor) and
+  :func:`run_campaign` tying everything together,
 * :mod:`repro.campaign.store`     — the append-only JSONL result log keyed
   by run-id hash that makes campaigns resumable,
 * :mod:`repro.campaign.sharding`  — the sharded executor: partition a
@@ -40,13 +41,10 @@ from repro.campaign.presets import (available_campaign_presets,
                                     get_campaign_preset,
                                     register_campaign_preset)
 from repro.campaign.scheduler import (CampaignExecutor, CampaignOutcome,
-                                      ProcessPoolCampaignExecutor,
-                                      SerialExecutor,
-                                      ThreadPoolCampaignExecutor,
-                                      available_executors,
+                                      SerialExecutor, available_executors,
                                       default_pool_workers, execute_run,
-                                      get_executor, register_executor,
-                                      run_campaign)
+                                      executor_for, get_executor,
+                                      register_executor, run_campaign)
 from repro.campaign.workers import (WorkerPool, WorkerPoolExecutor,
                                     shared_pool, shutdown_shared_pools)
 from repro.campaign.sharding import (ExplicitRouter, HashRouter,
@@ -67,8 +65,6 @@ __all__ = [
     "RunRecord",
     "CampaignExecutor",
     "SerialExecutor",
-    "ThreadPoolCampaignExecutor",
-    "ProcessPoolCampaignExecutor",
     "ShardedExecutor",
     "WorkloadRouter",
     "HashRouter",
@@ -86,6 +82,7 @@ __all__ = [
     "default_pool_workers",
     "available_executors",
     "get_executor",
+    "executor_for",
     "register_executor",
     "execute_run",
     "run_campaign",

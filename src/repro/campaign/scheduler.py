@@ -6,19 +6,17 @@ the resolved runs get executed.  Executors share one contract —
 :class:`repro.campaign.store.RunRecord` per payload, with per-run retry,
 a cooperative wall-clock timeout and every exception captured into the
 record instead of raised, and ``None`` in place of a run that a tripped
-``should_stop`` kept from starting — so future scaling work (sharded
-executors, remote workers, result caching) only has to implement this
-interface.
+``should_stop`` kept from starting — so a new backend (remote workers,
+a batch system) only has to implement this interface.
 
-* :class:`SerialExecutor`      — one run after another, in process,
-* :class:`ThreadPoolCampaignExecutor`  — bounded thread fan-out; the
-  coupled runs spend much of their time in numpy kernels that release the
-  GIL, so tiny sweeps already overlap usefully,
-* :class:`ProcessPoolCampaignExecutor` — bounded process fan-out for real
-  CPU parallelism (the worker and payloads are picklable by construction),
+* :class:`SerialExecutor` — one run after another, in process,
+* :class:`repro.campaign.workers.WorkerPoolExecutor` — warm worker
+  processes shared across launches: real CPU parallelism (the worker and
+  payloads are picklable by construction),
 * :class:`repro.campaign.sharding.ShardedExecutor` — partitions the runs
-  across named shards under a routing policy and delegates each shard to
-  any inner registered executor.
+  across named shards under a routing policy, one coordinating thread per
+  shard, and delegates each shard to either of the above (or any
+  registered executor).
 
 The timeout and the stop are *cooperative*: an in-flight run is never
 killed (neither threads nor in-process work can be interrupted safely); a
@@ -39,12 +37,11 @@ skips cached runs without knowing the cache exists.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, \
-    ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Type
 
@@ -78,8 +75,8 @@ StopCheck = Callable[[], bool]
 def execute_run(payload: Dict[str, object]) -> Dict[str, object]:
     """Default worker: one coupled workflow run from a resolved payload.
 
-    Module-level (hence picklable) so the process-pool executor can ship it
-    to workers by reference.  Returns the uniform ``RunResult.summary()``.
+    Module-level (hence picklable) so the worker pool can ship it to its
+    processes by reference.  Returns the uniform ``RunResult.summary()``.
     """
     from repro.core.config import WorkflowConfig
     from repro.workflow import WorkflowBuilder
@@ -92,14 +89,18 @@ def execute_run(payload: Dict[str, object]) -> Dict[str, object]:
     return result.summary()
 
 
+class NonFiniteLossError(ArithmeticError):
+    """The run's training diverged: its ``final_total_loss`` is NaN or inf."""
+
+
 def _attempt_run(payload: Dict[str, object], worker: RunWorker,
                  retries: int, timeout: Optional[float]) -> RunRecord:
     """Run one payload with retry + cooperative timeout, capturing failures.
 
-    The universal per-run wrapper: serial and thread executors call it in
-    process, the process pool and warm worker pool call it inside their
-    children.  That makes it the single place where the *execute* span of
-    a trace opens — when the payload carries a ``trace`` propagation
+    The universal per-run wrapper: the serial executor calls it in
+    process, the warm worker pool calls it inside its children.  That
+    makes it the single place where the *execute* span of a trace
+    opens — when the payload carries a ``trace`` propagation
     context (attached by :func:`run_campaign`), the attempt runs inside an
     ``execute`` span joined to the dispatching parent, and the finished
     spans travel back on the record as a ``_spans`` instance attribute
@@ -129,7 +130,9 @@ def _attempt_run_impl(payload: Dict[str, object], worker: RunWorker,
     ``timeout`` budgets the *whole run* including retries: a failing attempt
     is only retried while wall time is left.  A successful attempt is always
     recorded completed; over budget its record carries a ``TimeoutWarning``
-    but the result is kept.
+    but the result is kept.  A summary whose ``final_total_loss`` is not
+    finite is a failed attempt like any raising one — a diverged run must
+    not settle as completed, or the result cache would replay it forever.
     """
     attempts = 0
     error: Optional[str] = None
@@ -145,6 +148,9 @@ def _attempt_run_impl(payload: Dict[str, object], worker: RunWorker,
         attempts += 1
         try:
             summary = worker(payload)
+            loss = summary.get("final_total_loss")
+            if isinstance(loss, float) and not math.isfinite(loss):
+                raise NonFiniteLossError(f"final_total_loss is {loss}")
         except BaseException as exc:  # noqa: BLE001 - captured in the record
             error = f"{type(exc).__name__}: {exc}"
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
@@ -187,7 +193,7 @@ DEFAULT_MAX_POOL_WORKERS = 8
 
 
 def default_pool_workers(maximum: int = DEFAULT_MAX_POOL_WORKERS) -> int:
-    """The machine-derived default worker count of the pool executors.
+    """The machine-derived default worker count of the worker pool.
 
     ``os.cpu_count()`` clamped to ``[2, maximum]``: at least two workers so
     concurrency semantics are always exercised (and a single-core box still
@@ -265,84 +271,11 @@ class SerialExecutor(CampaignExecutor):
         return records
 
 
-class _PoolExecutorBase(CampaignExecutor):
-    """Shared bounded-pool scaffolding of the concurrent executors."""
-
-    pool_cls: type = None  # type: ignore[assignment]
-
-    def execute(self, payloads, worker, on_record=None, should_stop=None):
-        payloads = list(payloads)
-        if not payloads:
-            return []
-        n_workers = min(self.max_workers or default_pool_workers(),
-                        len(payloads))
-        with self.pool_cls(max_workers=n_workers) as pool:
-            futures = [pool.submit(_attempt_run, payload, worker,
-                                   self.retries, self.timeout)
-                       for payload in payloads]
-            by_future = dict(zip(futures, payloads))
-            records = {}
-            try:
-                self._drain(set(futures), by_future, records, on_record,
-                            should_stop)
-            except BaseException:
-                # abort (Ctrl-C, store write failure, ...): stop queued runs
-                # instead of silently executing — and discarding — them all
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-        # hand records back in submission order regardless of completion
-        # order; a future a stop cancelled never ran and has none
-        return [records.get(future) for future in futures]
-
-    @staticmethod
-    def _drain(pending, by_future, records, on_record, should_stop):
-        while pending:
-            if should_stop is not None and should_stop():
-                # cancel() only succeeds on a future no worker has picked
-                # up, so every started run still finishes and is recorded
-                pending = {future for future in pending
-                           if not future.cancel()}
-                if not pending:
-                    break
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                try:
-                    record = future.result()
-                except (KeyboardInterrupt, SystemExit):
-                    # _attempt_run re-raised it in the worker so the
-                    # campaign aborts — don't log it as a failed run
-                    raise
-                except BaseException as exc:  # noqa: BLE001 - pool infrastructure died
-                    record = _failed_record(by_future[future],
-                                            f"{type(exc).__name__}: {exc}")
-                # keyed by future, not run_id: duplicate run ids in the
-                # payload list must each keep their own record
-                records[future] = record
-                if on_record is not None:
-                    on_record(record)
-
-
-class ThreadPoolCampaignExecutor(_PoolExecutorBase):
-    """Bounded thread fan-out (shared memory, GIL-released numpy kernels)."""
-
-    name = "thread"
-    pool_cls = ThreadPoolExecutor
-
-
-class ProcessPoolCampaignExecutor(_PoolExecutorBase):
-    """Bounded process fan-out: real CPU parallelism for bigger sweeps."""
-
-    name = "process"
-    pool_cls = ProcessPoolExecutor
-
-
 # --------------------------------------------------------------------------- #
 # registry
 # --------------------------------------------------------------------------- #
 _EXECUTORS: Dict[str, Type[CampaignExecutor]] = {
     SerialExecutor.name: SerialExecutor,
-    ThreadPoolCampaignExecutor.name: ThreadPoolCampaignExecutor,
-    ProcessPoolCampaignExecutor.name: ProcessPoolCampaignExecutor,
 }
 
 
@@ -373,8 +306,8 @@ def get_executor(name: str, **kwargs) -> CampaignExecutor:
     """Instantiate a registered executor by name.
 
     Args:
-        name: one of :func:`available_executors` (``serial``, ``thread``,
-            ``process``, ``sharded``, or a user-registered backend).
+        name: one of :func:`available_executors` (``serial``, ``workers``,
+            ``sharded``, or a user-registered backend).
         **kwargs: forwarded to the executor's constructor.
 
     Returns:
@@ -389,6 +322,38 @@ def get_executor(name: str, **kwargs) -> CampaignExecutor:
         raise ValueError(f"unknown executor {name!r}; valid executors: "
                          f"{', '.join(available_executors())}") from None
     return executor_cls(**kwargs)
+
+
+def executor_for(spec: CampaignSpec,
+                 options: Optional[Dict[str, object]] = None
+                 ) -> CampaignExecutor:
+    """Build the executor a launch of ``spec`` under ``options`` runs on.
+
+    The one resolution rule behind CLI ``campaign run`` and the service's
+    submit body: an explicit ``executor`` option wins, otherwise a spec
+    carrying ``routing`` hints runs sharded and any other spec serial;
+    ``max_workers`` / ``timeout`` / ``retries`` are forwarded when set, and
+    the sharded executor takes its shape from the spec's routing.
+
+    Args:
+        spec: the campaign (only its ``routing`` hints are read).
+        options: ``executor``, ``max_workers``, ``timeout``, ``retries``;
+            ``None`` values and other keys are ignored.
+
+    Raises:
+        ValueError: on an unknown executor name or rejected options.
+    """
+    options = options or {}
+    routing = spec.routing
+    name = options.get("executor") or ("sharded" if routing else "serial")
+    kwargs = {key: options[key] for key in ("max_workers", "timeout", "retries")
+              if options.get(key) is not None}
+    if name == "sharded":
+        kwargs.update(shards=routing.get("shards", 2),
+                      route=routing.get("route", "hash"),
+                      inner=routing.get("inner", "serial"),
+                      assignments=routing.get("assignments"))
+    return get_executor(str(name), **kwargs)
 
 
 # --------------------------------------------------------------------------- #
@@ -599,7 +564,7 @@ def run_campaign(spec: CampaignSpec, store: CampaignStore,
         child_spans = record.__dict__.pop("_spans", None)
         placement = record.__dict__.pop("_placement", None)
         # one lock around append + cache + dispatch: concurrent executors
-        # call this from pool/drain threads, and observers (progress
+        # call this from lease/shard threads, and observers (progress
         # printers, event buses) must see records one at a time, in the
         # order they were persisted
         with record_lock:

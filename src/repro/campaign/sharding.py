@@ -5,11 +5,11 @@ simulation/training sessions; this module is the first scaling backend on
 the :class:`repro.campaign.scheduler.CampaignExecutor` seam.  A
 :class:`ShardedExecutor` splits the resolved run payloads across ``shards``
 named shards (``shard-0`` … ``shard-N-1``), hands each shard to a fresh
-instance of any *inner* registered executor (``serial``, ``thread``,
-``process``, or a user-registered backend) and merges the per-shard records
-back into one result list in submission order — so ``run_campaign`` builds
-exactly the same :class:`repro.campaign.scheduler.CampaignOutcome` a
-serial launch would.
+instance of any *inner* registered executor (``serial``, ``workers``, or a
+user-registered backend) and merges the per-shard records back into one
+result list in submission order — so ``run_campaign`` builds exactly the
+same :class:`repro.campaign.scheduler.CampaignOutcome` a serial launch
+would.
 
 *Which* run lands on *which* shard is a :class:`WorkloadRouter` policy:
 
@@ -24,10 +24,11 @@ serial launch would.
 Routers register through :func:`register_router` exactly like executors do
 through :func:`repro.campaign.scheduler.register_executor`.
 
-Shards execute concurrently (one coordinating thread each), so even with
-the ``serial`` inner executor a sharded launch overlaps the shards'
-wall-clock — and with a pool inner executor the concurrency multiplies
-(``shards x max_workers`` workers in flight).  In-process shards are the
+Shards execute concurrently (one coordinating thread each), so with the
+``serial`` inner executor a sharded launch is the repo's bounded *thread*
+fan-out (``shards`` runs in flight, overlapping whatever releases the
+interpreter lock), and with the ``workers`` inner executor every shard
+leases the one shared warm pool.  In-process shards are the
 local stand-in for the multi-node layout the paper implies: the routing
 policy, not the transport, is the part a remote backend would reuse.
 """
@@ -222,11 +223,11 @@ class ShardedExecutor(CampaignExecutor):
     """Partition a campaign across named shards, delegating per shard.
 
     Each shard gets a *fresh* instance of the inner executor (built with
-    this executor's ``max_workers`` / ``timeout`` / ``retries``), so a
-    pool inner executor yields ``shards x max_workers`` concurrent runs.
-    Records come back in submission order and the executor contract
-    (exceptions captured into records, timeout cooperative) is whatever
-    the inner executor guarantees — sharding adds routing, not semantics.
+    this executor's ``max_workers`` / ``timeout`` / ``retries``); ``workers``
+    instances of one width share one warm pool.  Records come back in
+    submission order and the executor contract (exceptions captured into
+    records, timeout cooperative) is whatever the inner executor
+    guarantees — sharding adds routing, not semantics.
 
     Args:
         shards: number of named shards (``>= 1``).
@@ -234,7 +235,8 @@ class ShardedExecutor(CampaignExecutor):
         inner: registered name of the executor run inside each shard
             (anything but ``sharded`` itself).
         assignments: ``run_id -> shard index`` map for ``route="explicit"``.
-        max_workers: per-shard concurrency bound of a pool inner executor.
+        max_workers: forwarded to the inner executor (the pool width of
+            ``inner="workers"``).
         timeout: per-run cooperative wall-clock budget (seconds).
         retries: retries per failing run.
 
@@ -260,8 +262,8 @@ class ShardedExecutor(CampaignExecutor):
             raise ValueError(f"shards must be an integer >= 1, got {shards!r}")
         if inner == self.name:
             raise ValueError("the sharded executor cannot shard into itself; "
-                             "pick a leaf inner executor (serial, thread, "
-                             "process, ...)")
+                             "pick a leaf inner executor (serial, workers, "
+                             "...)")
         if inner not in available_executors():
             raise ValueError(f"unknown inner executor {inner!r}; valid "
                              f"executors: {', '.join(available_executors())}")
@@ -359,8 +361,7 @@ class ShardedExecutor(CampaignExecutor):
                     for position, record in future.result():
                         merged[position] = record
             except BaseException:
-                # abort: stop shards that have not started, like the pool
-                # executors stop their queued runs
+                # abort: stop the shards that have not started
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
         return [merged[position] for position in range(len(payloads))]

@@ -27,8 +27,8 @@ script) exposes the main entry points of the reproduction:
   append the result to ``BENCH_pic_hotpath.json`` (see
   ``docs/performance.md``),
 * ``bench-campaign``   — benchmark the campaign executors
-  (serial/process/workers) on one whole launch each and append the
-  result to ``BENCH_campaign_throughput.json``.
+  (serial/workers) on one whole launch each and append the result to
+  ``BENCH_campaign_throughput.json``.
 
 ``run`` is built on :mod:`repro.workflow`: it assembles a
 ``WorkflowSession`` from a preset (or a JSON config file) and drives it
@@ -79,8 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", type=str, default=None,
                      help="JSON WorkflowConfig file (overrides --preset)")
     run.add_argument("--driver", type=str, default=None,
-                     help="execution driver: serial (default), threaded or "
-                          "pipelined")
+                     help="execution driver: serial (default) or pipelined "
+                          "(producer and consumers on their own threads)")
     run.add_argument("--n-rep", type=int, default=None,
                      help="override the preset's training iterations per "
                           "streamed step")
@@ -90,8 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--particles-per-cell", type=int, default=None)
     run.add_argument("--seed", type=int, default=None,
                      help="override the preset's seed")
-    run.add_argument("--threaded", action="store_true",
-                     help="deprecated alias for --driver threaded")
     run.add_argument("--monitor", action="store_true",
                      help="attach the histogram-monitor consumer to the "
                           "stream alongside the MLapp")
@@ -123,10 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_campaign_selectors(campaign_run)
     campaign_run.add_argument("--executor", type=str, default=None,
                               help="campaign executor: serial (default), "
-                                   "thread, process, workers (persistent "
-                                   "warm worker pool) or sharded (implied "
-                                   "by --shards/--route or a spec with "
-                                   "routing)")
+                                   "workers (persistent warm worker pool) "
+                                   "or sharded (implied by --shards/--route "
+                                   "or a spec with routing)")
     campaign_run.add_argument("--shards", type=int, default=None,
                               help="shard count of the sharded executor "
                                    "(implies --executor sharded)")
@@ -145,8 +142,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "campaign) are recorded without being "
                                    "executed; new completed runs are added")
     campaign_run.add_argument("--max-workers", type=int, default=None,
-                              help="bounded concurrency of the pool executors "
-                                   "(per shard under --executor sharded)")
+                              help="width of the worker pool (--executor "
+                                   "workers, or --inner-executor workers "
+                                   "under --executor sharded)")
     campaign_run.add_argument("--timeout", type=float, default=None,
                               help="per-run wall-clock budget in seconds, "
                                    "covering retries (cooperative: checked "
@@ -261,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench_campaign = sub.add_parser(
         "bench-campaign",
-        help="benchmark the campaign executors (serial/process/workers) "
+        help="benchmark the campaign executors (serial/workers) "
              "on one whole launch each "
              "(appends to BENCH_campaign_throughput.json)")
     bench_campaign.add_argument("--preset", type=str, default=None,
@@ -321,14 +319,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.steps < 1:
         print("error: --steps must be >= 1", file=sys.stderr)
         return 2
-    if args.threaded and args.driver not in (None, "threaded"):
-        print(f"error: --threaded conflicts with --driver {args.driver}; "
-              f"--threaded is a deprecated alias for --driver threaded",
-              file=sys.stderr)
-        return 2
-    driver_name = "threaded" if args.threaded else (args.driver or "serial")
     try:
-        builder = WorkflowBuilder().config(_run_config(args)).driver(driver_name)
+        builder = (WorkflowBuilder().config(_run_config(args))
+                   .driver(args.driver or "serial"))
     except (ValueError, OSError) as error:
         # typo'd preset/driver names and broken config files deserve a clean
         # one-line message, not a traceback
@@ -412,35 +405,28 @@ def _campaign_store(args: argparse.Namespace, spec):
 def _campaign_executor(args: argparse.Namespace, spec):
     """Build the run executor from the spec's routing hints and the flags.
 
-    Explicit flags win over the spec; sharding flags (or a spec that
-    carries routing) imply ``--executor sharded`` unless another executor
-    was named explicitly — in which case stray sharding flags are an error
-    rather than silently ignored.
+    The flags only map onto what :func:`repro.campaign.executor_for`
+    resolves: sharding flags override the spec's routing hints, the rest
+    become options.  Stray sharding flags next to another explicitly named
+    executor are an error rather than silently ignored.
     """
-    from repro.campaign import get_executor
+    from dataclasses import replace
 
-    routing = dict(spec.routing)
-    if args.shards is not None:
-        routing["shards"] = args.shards
-    if args.route is not None:
-        routing["route"] = args.route
-    if args.inner_executor is not None:
-        routing["inner"] = args.inner_executor
-    flags_used = any(value is not None
-                     for value in (args.shards, args.route, args.inner_executor))
-    name = args.executor or ("sharded" if routing else "serial")
-    kwargs = dict(max_workers=args.max_workers, timeout=args.timeout,
-                  retries=args.retries)
-    if name == "sharded":
-        kwargs.update(shards=routing.get("shards", 2),
-                      route=routing.get("route", "hash"),
-                      inner=routing.get("inner", "serial"),
-                      assignments=routing.get("assignments"))
-    elif flags_used:
+    from repro.campaign import executor_for
+
+    flags = {"shards": args.shards, "route": args.route,
+             "inner": args.inner_executor}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    if flags and args.executor not in (None, "sharded"):
         raise ValueError(f"--shards/--route/--inner-executor configure the "
-                         f"sharded executor; drop --executor {name} or use "
-                         f"--executor sharded")
-    return get_executor(name, **kwargs)
+                         f"sharded executor; drop --executor {args.executor} "
+                         f"or use --executor sharded")
+    if flags:
+        spec = replace(spec, routing={**spec.routing, **flags})
+    return executor_for(spec, {"executor": args.executor,
+                               "max_workers": args.max_workers,
+                               "timeout": args.timeout,
+                               "retries": args.retries})
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:

@@ -10,12 +10,10 @@ substrates:
   SST-style stream,
 * the **MLapp** (:mod:`repro.core.mlapp`) reads iterations from the stream,
   feeds the experience-replay buffer and trains the VAE+INN in transit,
-* :class:`repro.core.artificial_scientist.ArtificialScientist` wires both
-  applications together (intra-node loose coupling), drives the run and
-  collects the workflow report — since the ``repro.workflow`` redesign it
-  is a thin deprecated facade over
-  :class:`repro.workflow.WorkflowSession`; prefer the builder API for new
-  code (multiple consumers, pluggable drivers, presets),
+* :class:`repro.workflow.WorkflowSession` (built by
+  :class:`repro.workflow.WorkflowBuilder`) wires both applications
+  together (intra-node loose coupling), drives the run and collects the
+  workflow report,
 * :mod:`repro.core.placement` models the resource assignment choices of
   Fig. 3(c) (intra- vs inter-node placement, GCD split).
 """
@@ -26,16 +24,12 @@ from repro.core.transforms import (RegionPartition, encode_point_cloud, encode_s
                                    make_training_samples)
 from repro.core.producer import StreamingProducerPlugin
 from repro.core.mlapp import MLApp
-from repro.core.artificial_scientist import ArtificialScientist, WorkflowReport
 from repro.core.checkpoint import CheckpointInfo, load_checkpoint, save_checkpoint
-from repro.core.threaded import ThreadedRunResult, ThreadedWorkflowRunner
 
 __all__ = [
     "CheckpointInfo",
     "save_checkpoint",
     "load_checkpoint",
-    "ThreadedWorkflowRunner",
-    "ThreadedRunResult",
     "WorkflowConfig",
     "MLConfig",
     "StreamingConfig",
@@ -47,6 +41,4 @@ __all__ = [
     "make_training_samples",
     "StreamingProducerPlugin",
     "MLApp",
-    "ArtificialScientist",
-    "WorkflowReport",
 ]

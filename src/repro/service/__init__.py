@@ -35,7 +35,7 @@ See ``docs/service.md``.
 from repro.service.bus import BusEvent, RunEventBus, Subscription
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import (CampaignJob, CampaignJobManager,
-                                campaign_id_of, executor_for)
+                                campaign_id_of)
 from repro.service.server import (CampaignServiceHandler,
                                   CampaignServiceServer, create_server,
                                   parse_submission, serve, sse_event_stream)
@@ -53,7 +53,6 @@ __all__ = [
     "CampaignJob",
     "CampaignJobManager",
     "campaign_id_of",
-    "executor_for",
     "CampaignServiceHandler",
     "CampaignServiceServer",
     "create_server",

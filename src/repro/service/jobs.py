@@ -32,8 +32,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.campaign.aggregate import aggregate, status_document
 from repro.campaign.cache import ResultCache
-from repro.campaign.scheduler import (CampaignExecutor, execute_run,
-                                      get_executor, run_campaign)
+from repro.campaign.scheduler import (execute_run, executor_for,
+                                      run_campaign)
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
 from repro.service.bus import RunEventBus
@@ -74,32 +74,6 @@ def campaign_id_of(spec: CampaignSpec) -> str:
         json.dumps(identity, sort_keys=True).encode("utf-8")).hexdigest()
     slug = re.sub(r"[^A-Za-z0-9._-]+", "-", spec.name).strip("-") or "campaign"
     return f"{slug}-{digest[:10]}"
-
-
-def executor_for(spec: CampaignSpec,
-                 options: Optional[Dict[str, object]] = None
-                 ) -> CampaignExecutor:
-    """Build a campaign executor from a spec's routing hints + submit options.
-
-    Mirrors the CLI's resolution rules: explicit options win over the
-    spec, and a spec carrying ``routing`` defaults to the sharded executor.
-
-    Raises:
-        ValueError: on an unknown executor name or rejected options.
-    """
-    options = dict(options or {})
-    routing = dict(spec.routing)
-    name = options.pop("executor", None) or ("sharded" if routing else "serial")
-    kwargs: Dict[str, object] = {}
-    for key in ("max_workers", "timeout", "retries"):
-        if options.get(key) is not None:
-            kwargs[key] = options[key]
-    if name == "sharded":
-        kwargs.update(shards=routing.get("shards", 2),
-                      route=routing.get("route", "hash"),
-                      inner=routing.get("inner", "serial"),
-                      assignments=routing.get("assignments"))
-    return get_executor(str(name), **kwargs)
 
 
 class CampaignJob:

@@ -1,33 +1,25 @@
 """repro.workflow — the composable session/driver API of the coupled run.
 
-This subsystem replaces the monolithic ``ArtificialScientist`` wiring with
-pluggable, named components assembled around one openPMD-over-SST stream:
+Pluggable, named components assembled around one openPMD-over-SST stream:
 
 * :class:`WorkflowBuilder` / :class:`WorkflowSession` — assemble producers,
   consumers, data planes and lifecycle hooks from a ``WorkflowConfig``,
   with fan-out from one stream to many consumers,
-* :mod:`repro.workflow.drivers` — execution strategies (serial, threaded,
-  pipelined) all returning one uniform :class:`RunResult`,
+* :mod:`repro.workflow.drivers` — execution strategies (serial,
+  pipelined) both returning one uniform :class:`RunResult`,
 * :mod:`repro.workflow.presets` — named configurations (``laptop``,
   ``paper``, ``cli-small``, ``bench-tiny``),
 * :mod:`repro.workflow.consumers` — the consumer registry (MLapp trainer,
   histogram monitor, user-registered kinds).
-
-``repro.core.ArtificialScientist`` remains as a thin deprecated facade over
-a serial single-consumer session.
 """
 
-# NOTE: repro.workflow.report must be imported first — repro.core's modules
-# import it at module level, and repro.core is (re-)entered while the later
-# submodules here import the core building blocks.
 from repro.workflow.report import RunResult, WorkflowReport
 from repro.workflow.fanout import FanOutBroker
 from repro.workflow.consumers import (HistogramMonitorConsumer, MLAppConsumer,
                                       StreamConsumer, available_consumers,
                                       get_consumer_factory, register_consumer)
 from repro.workflow.drivers import (ExecutionDriver, PipelinedDriver, SerialDriver,
-                                    ThreadedDriver, available_drivers, get_driver,
-                                    register_driver)
+                                    available_drivers, get_driver, register_driver)
 from repro.workflow.presets import (available_presets, get_preset, preset_rows,
                                     register_preset)
 from repro.workflow.builder import (ConsumerSpec, WorkflowBuilder, WorkflowHooks,
@@ -45,7 +37,6 @@ __all__ = [
     "get_consumer_factory",
     "ExecutionDriver",
     "SerialDriver",
-    "ThreadedDriver",
     "PipelinedDriver",
     "available_drivers",
     "get_driver",

@@ -8,7 +8,7 @@ object reflects that — it assembles named components around one stream:
 * one **stream**: a :class:`repro.workflow.fanout.FanOutBroker` teeing every
   step into a bounded per-consumer queue,
 * *N* **consumers** (the MLapp by default; more via the consumer registry),
-* one **execution driver** (serial / threaded / pipelined) that owns the
+* one **execution driver** (serial / pipelined) that owns the
   run schedule and returns a uniform :class:`repro.workflow.report.RunResult`.
 
 Typical use::
@@ -17,7 +17,7 @@ Typical use::
 
     session = (WorkflowBuilder()
                .preset("laptop")
-               .driver("threaded")
+               .driver("pipelined")
                .add_consumer("monitor", kind="histogram-monitor")
                .on_step(lambda s, i: print("step", i))
                .build())
@@ -135,8 +135,8 @@ class WorkflowSession:
             reader = SSTReaderEngine(broker, data_plane=data_plane)
             series = Series(cfg.streaming.stream_name, Access.READ_LINEAR,
                             StreamingBackend(reader=reader))
-            # the primary consumer keeps the seed's RNG derivation so the
-            # ArtificialScientist facade reproduces seed results bit-for-bit
+            # the primary consumer keeps the seed's RNG derivation, so a
+            # default session reproduces the seed's results bit-for-bit
             stream_index = 4 if spec.name == self.PRIMARY_CONSUMER else 10 + position
             rng = seeded_rng(derive_seed(cfg.seed, stream_index))
             self.brokers[spec.name] = broker

@@ -1,23 +1,16 @@
 """Execution drivers: strategies for driving one workflow session.
 
-The seed API had two divergent run paths — ``ArtificialScientist.run``
-(strictly alternating, deterministic) and ``ThreadedWorkflowRunner``
-(concurrent, different result type).  Drivers unify them behind one
-interface: every driver takes a built
-:class:`repro.workflow.builder.WorkflowSession` and returns the same
-:class:`repro.workflow.report.RunResult`.
+Every driver takes a built :class:`repro.workflow.builder.WorkflowSession`
+and returns the same :class:`repro.workflow.report.RunResult`.
 
 * :class:`SerialDriver` — one thread, one simulation step then drain; the
-  deterministic steady-state schedule (the seed ``run()`` behaviour).
-* :class:`ThreadedDriver` — the simulation in a producer thread, every
-  consumer in its own thread; the bounded SST queues provide the only
-  coupling (the seed ``ThreadedWorkflowRunner`` behaviour, generalised to
-  many consumers).
-* :class:`PipelinedDriver` — like threaded, but with explicit bounded
-  back-pressure: the producer admits at most ``max_in_flight`` streamed
-  iterations that the slowest consumer has not finished yet, overlapping
-  simulation and training while keeping memory bounded independently of
-  the per-queue limits.  It also records a queue-depth timeline.
+  deterministic steady-state schedule.
+* :class:`PipelinedDriver` — the simulation in a producer thread, every
+  consumer in its own thread, coupled by the bounded SST queues plus
+  explicit back-pressure: the producer admits at most ``max_in_flight``
+  streamed iterations that the slowest consumer has not finished yet,
+  overlapping simulation and training while bounding how far training
+  lags.  It also records a queue-depth timeline.
 
 Producer and consumer exceptions are always captured (never silently
 dropped) and surfaced together on the ``RunResult``.
@@ -151,36 +144,68 @@ class SerialDriver(ExecutionDriver):
                          consumer_summaries=_collect_summaries(session))
 
 
-class _ConcurrentDriverBase(ExecutionDriver):
-    """Shared producer/consumer thread scaffolding of the concurrent drivers."""
+class PipelinedDriver(ExecutionDriver):
+    """The simulation in a producer thread, every consumer in its own thread.
 
-    def __init__(self, join_timeout: float = 300.0) -> None:
+    The bounded SST queues couple the threads (the paper's co-scheduled
+    steady state), and on top of the per-queue limits the producer only
+    starts a simulation step while fewer than ``max_in_flight`` streamed
+    iterations are still unconsumed by the *slowest* live consumer.  This
+    bounds end-to-end staleness (how far training lags the simulation)
+    rather than just queue memory.  ``max_in_flight=None`` derives the
+    bound from the brokers' ``queue_limit``.
+    """
+
+    name = "pipelined"
+
+    def __init__(self, max_in_flight: Optional[int] = None,
+                 join_timeout: float = 300.0, wait_timeout: float = 60.0) -> None:
+        if max_in_flight is not None and max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
+        self.max_in_flight = max_in_flight
         self.join_timeout = float(join_timeout)
-
-    # subclasses override these two to inject back-pressure / accounting
-    def _before_step(self, context: dict, index: int) -> None:
-        pass
-
-    def _consumer_extra(self, context: dict, name: str):
-        return None
+        self.wait_timeout = float(wait_timeout)
 
     def execute(self, session: "WorkflowSession", n_steps: int) -> RunResult:
         lock = threading.Lock()
+        abort = threading.Event()
         context: dict = {
-            "session": session, "lock": lock, "abort": threading.Event(),
             "producer_error": None, "consumer_errors": {},
             "max_depth": 0, "depth_samples": [], "simulation_time": 0.0,
             "steps_done": 0,
             "consumer_times": {name: 0.0 for name in session.consumers},
         }
-        self._prepare(context, session)
+        limit = self.max_in_flight
+        if limit is None:
+            limit = max(2, min(b.queue_limit for b in session.brokers.values()))
+        # back-pressure state, guarded by the condition
+        condition = threading.Condition()
+        consumed_counts = {name: 0 for name in session.consumers}
+        dead_consumers: set = set()
         start = time.perf_counter()
+
+        def in_flight() -> int:
+            counts = [count for name, count in consumed_counts.items()
+                      if name not in dead_consumers]
+            if not counts:
+                return 0  # nobody left to wait for
+            return session.producer.iterations_streamed - min(counts)
+
+        def wait_for_room() -> None:
+            with condition:
+                done = condition.wait_for(
+                    lambda: in_flight() < limit or abort.is_set(),
+                    timeout=self.wait_timeout)
+            if not done:
+                raise TimeoutError(
+                    "pipelined back-pressure stalled: no consumer drained the "
+                    f"stream for {self.wait_timeout:.0f} s")
 
         def produce() -> None:
             try:
                 for index in range(n_steps):
-                    self._before_step(context, index)
-                    if context["abort"].is_set():
+                    wait_for_room()
+                    if abort.is_set():
                         break
                     t0 = time.perf_counter()
                     session.simulation.step()
@@ -208,16 +233,24 @@ class _ConcurrentDriverBase(ExecutionDriver):
                             context["producer_error"] = error
 
         def consume(name: str, consumer) -> None:
-            callback = _iteration_callback(session, name,
-                                           extra=self._consumer_extra(context, name))
+            def consumed_one(iteration_index: int, n_samples: int) -> None:
+                with condition:
+                    consumed_counts[name] += 1
+                    condition.notify_all()
+
             t0 = time.perf_counter()
             try:
-                consumer.consume(on_iteration=callback)
+                consumer.consume(on_iteration=_iteration_callback(
+                    session, name, extra=consumed_one))
             except BaseException as error:  # noqa: BLE001
                 with lock:
                     context["consumer_errors"][name] = error
                 session.brokers[name].close()
-                self._consumer_died(context, name)
+                with condition:
+                    dead_consumers.add(name)
+                    if len(dead_consumers) == len(consumed_counts):
+                        abort.set()
+                    condition.notify_all()
             finally:
                 with lock:
                     context["consumer_times"][name] = time.perf_counter() - t0
@@ -236,7 +269,7 @@ class _ConcurrentDriverBase(ExecutionDriver):
             if thread.is_alive():
                 stuck.append(thread.name)
         if stuck:
-            context["abort"].set()
+            abort.set()
             timeout_error = TimeoutError(
                 f"threads did not finish within {self.join_timeout:.0f} s: "
                 f"{', '.join(stuck)}")
@@ -266,84 +299,10 @@ class _ConcurrentDriverBase(ExecutionDriver):
                          consumer_exceptions=consumer_errors,
                          consumer_summaries=_collect_summaries(session))
 
-    def _prepare(self, context: dict, session: "WorkflowSession") -> None:
-        pass
 
-    def _consumer_died(self, context: dict, name: str) -> None:
-        pass
-
-
-class ThreadedDriver(_ConcurrentDriverBase):
-    """Producer and every consumer in their own threads, coupled only by the
-    bounded SST queues (the paper's co-scheduled steady state)."""
-
-    name = "threaded"
-
-
-class PipelinedDriver(_ConcurrentDriverBase):
-    """Overlap simulation and training with explicit bounded back-pressure.
-
-    On top of the per-queue limits, the producer only starts a simulation
-    step while fewer than ``max_in_flight`` streamed iterations are still
-    unconsumed by the *slowest* consumer.  This bounds end-to-end staleness
-    (how far training lags the simulation) rather than just queue memory.
-    """
-
-    name = "pipelined"
-
-    def __init__(self, max_in_flight: Optional[int] = None,
-                 join_timeout: float = 300.0, wait_timeout: float = 60.0) -> None:
-        super().__init__(join_timeout=join_timeout)
-        if max_in_flight is not None and max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
-        self.max_in_flight = max_in_flight
-        self.wait_timeout = float(wait_timeout)
-
-    def _prepare(self, context: dict, session: "WorkflowSession") -> None:
-        limit = self.max_in_flight
-        if limit is None:
-            limit = max(2, min(b.queue_limit for b in session.brokers.values()))
-        context["max_in_flight"] = limit
-        context["condition"] = threading.Condition()
-        context["consumed_counts"] = {name: 0 for name in session.consumers}
-        context["dead_consumers"] = set()
-
-    def _in_flight(self, context: dict) -> int:
-        counts = [count for name, count in context["consumed_counts"].items()
-                  if name not in context["dead_consumers"]]
-        if not counts:
-            return 0  # nobody left to wait for
-        session = context["session"]
-        return session.producer.iterations_streamed - min(counts)
-
-    def _before_step(self, context: dict, index: int) -> None:
-        condition: threading.Condition = context["condition"]
-        with condition:
-            done = condition.wait_for(
-                lambda: self._in_flight(context) < context["max_in_flight"]
-                or context["abort"].is_set(),
-                timeout=self.wait_timeout)
-            if not done:
-                raise TimeoutError(
-                    "pipelined back-pressure stalled: no consumer drained the "
-                    f"stream for {self.wait_timeout:.0f} s")
-
-    def _consumer_extra(self, context: dict, name: str):
-        condition: threading.Condition = context["condition"]
-
-        def on_iteration(iteration_index: int, n_samples: int) -> None:
-            with condition:
-                context["consumed_counts"][name] += 1
-                condition.notify_all()
-        return on_iteration
-
-    def _consumer_died(self, context: dict, name: str) -> None:
-        condition: threading.Condition = context["condition"]
-        with condition:
-            context["dead_consumers"].add(name)
-            if len(context["dead_consumers"]) == len(context["consumed_counts"]):
-                context["abort"].set()
-            condition.notify_all()
+#: bench/tracing.py (frozen this round) patches the concurrent driver's
+#: ``execute`` under this name; the next [benchmark] PR renames its target.
+_ConcurrentDriverBase = PipelinedDriver
 
 
 # --------------------------------------------------------------------------- #
@@ -351,7 +310,6 @@ class PipelinedDriver(_ConcurrentDriverBase):
 # --------------------------------------------------------------------------- #
 _DRIVERS: Dict[str, Type[ExecutionDriver]] = {
     SerialDriver.name: SerialDriver,
-    ThreadedDriver.name: ThreadedDriver,
     PipelinedDriver.name: PipelinedDriver,
 }
 
@@ -368,7 +326,7 @@ def register_driver(name: str, driver_cls: Type[ExecutionDriver],
 
 
 def get_driver(name: str, **kwargs) -> ExecutionDriver:
-    """Instantiate a driver by name (``serial``, ``threaded``, ``pipelined``)."""
+    """Instantiate a driver by name (``serial``, ``pipelined``)."""
     try:
         driver_cls = _DRIVERS[name]
     except KeyError:

@@ -1,6 +1,6 @@
 """Uniform result types of the composable workflow API.
 
-Every :class:`repro.workflow.drivers.ExecutionDriver` — serial, threaded or
+Every :class:`repro.workflow.drivers.ExecutionDriver` — serial or
 pipelined — returns the same two-level result: a :class:`WorkflowReport`
 with the producer/trainer accounting (the schema the seed API already used)
 wrapped in a :class:`RunResult` that adds driver metadata, per-consumer
@@ -53,9 +53,7 @@ class RunResult:
 
     The producer and every consumer run under exception capture so that a
     failure on one side never silently swallows the other side's error —
-    both are surfaced here (the historical behaviour of
-    ``ThreadedWorkflowRunner`` was to drop the consumer exception when the
-    producer also failed).
+    both are surfaced here.
     """
 
     report: WorkflowReport

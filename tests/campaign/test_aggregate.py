@@ -51,9 +51,9 @@ class TestAggregate:
         records = [RunRecord(run_id=i, index=0, params={"driver": d},
                              driver=d, n_steps=2, status=STATUS_COMPLETED,
                              summary={"final_total_loss": 1.0})
-                   for i, d in (("a", "serial"), ("b", "threaded"))]
+                   for i, d in (("a", "serial"), ("b", "pipelined"))]
         report = aggregate(records)
-        assert set(report.per_parameter["driver"]) == {"serial", "threaded"}
+        assert set(report.per_parameter["driver"]) == {"serial", "pipelined"}
 
     def test_per_parameter_grouping(self):
         records = [record("a", 3.0, 1e-3), record("b", 1.0, 1e-4),

@@ -19,8 +19,7 @@ def record(run_id, loss=1.0, status=STATUS_COMPLETED):
 
 
 def stub_result(**overrides):
-    kwargs = dict(runs_per_sec={"serial": 40.0, "process": 20.0,
-                                "workers": 50.0},
+    kwargs = dict(runs_per_sec={"serial": 20.0, "workers": 50.0},
                   preset="campaign-smoke", n_runs=8, max_workers=2,
                   start_method="spawn", pool_stats={"dispatched_runs": 8},
                   equivalent=True, equivalence_detail="")
@@ -55,7 +54,7 @@ class TestRunCampaignBenchmark:
     def test_measures_all_executors_and_gates(self):
         result = run_campaign_benchmark(repeats=1, max_workers=2,
                                         start_method="fork")
-        assert set(result.runs_per_sec) == {"serial", "process", "workers"}
+        assert set(result.runs_per_sec) == {"serial", "workers"}
         assert all(rate > 0 for rate in result.runs_per_sec.values())
         assert result.n_runs == 8
         assert result.equivalent, result.equivalence_detail
@@ -64,7 +63,7 @@ class TestRunCampaignBenchmark:
         assert result.pool_stats["dispatched_runs"] == 8 + 2
         assert result.pool_stats["dispatched_batches"] == 8 + 2
         assert result.pool_stats["respawns"] == 0
-        assert result.speedup("workers", "process") > 0
+        assert result.speedup("workers", "serial") > 0
 
     def test_repetitions_scale_the_run_count(self):
         result = run_campaign_benchmark(repeats=1, max_workers=2,
@@ -84,13 +83,14 @@ class TestPersistAndFormat:
         path = persist_result(result, str(tmp_path))
         assert path.endswith("BENCH_campaign_throughput.json")
         saved = latest_run("campaign_throughput", str(tmp_path))
-        assert saved["metrics"]["speedup_workers_vs_process"] == 2.5
+        assert saved["metrics"]["speedup_workers_vs_serial"] == 2.5
+        assert saved["params"]["executors"] == ["serial", "workers"]
         assert saved["metrics"]["equivalent"] is True
         assert saved["params"]["preset"] == "campaign-smoke"
 
     def test_format_mentions_every_executor_and_the_gate(self):
         text = format_result(stub_result())
-        assert "serial" in text and "process" in text and "workers" in text
+        assert "serial" in text and "workers" in text
         assert "2.50x" in text
         assert "OK" in text
         failed = format_result(stub_result(equivalent=False,
@@ -104,7 +104,7 @@ class TestMain:
                      "--max-workers", "2", "--start-method", "fork",
                      "--no-persist"]) == 0
         out = capsys.readouterr().out
-        assert "workers vs process" in out
+        assert "workers vs serial" in out
         assert "recorded" not in out
 
     def test_main_persists_history(self, capsys, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.campaign import (CampaignSpec, CampaignStore, RunRecord,
                             available_executors, execute_run, get_campaign_preset,
-                            get_executor, run_campaign)
+                            get_executor, run_campaign, shutdown_shared_pools)
 from repro.campaign.store import STATUS_COMPLETED, STATUS_FAILED
 
 
@@ -22,18 +22,25 @@ def fake_worker(payload):
             "wall_time_s": 0.0, "ok": True}
 
 
+def diverging_worker(payload):
+    """A run whose training blew up: its loss is NaN (module-level so a
+    worker pool can ship it by reference)."""
+    return dict(fake_worker(payload), final_total_loss=float("nan"))
+
+
 def smoke_spec(**kwargs) -> CampaignSpec:
     base = get_campaign_preset("campaign-smoke").to_dict()
     base.update(kwargs)
     return CampaignSpec.from_dict(base)
 
 
-def process_killing_worker(payload):
-    """Kills its host process outright — no exception for the pool to relay,
-    so every pending future of the pool raises BrokenProcessPool."""
-    import os as os_module
-
-    os_module._exit(13)
+@pytest.fixture
+def fork_workers(monkeypatch):
+    """``get_executor("workers")`` on a fork pool (see ``test_workers.py``)."""
+    monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD", "fork")
+    shutdown_shared_pools()
+    yield
+    shutdown_shared_pools()
 
 
 class TestStore:
@@ -62,7 +69,7 @@ class TestStore:
     def test_round_trips_record_fields(self, tmp_path):
         store = CampaignStore(str(tmp_path / "log.jsonl"))
         record = RunRecord(run_id="a", index=3, params={"khi.seed": 5},
-                           driver="threaded", n_steps=4,
+                           driver="pipelined", n_steps=4,
                            status=STATUS_COMPLETED, attempts=2, elapsed_s=1.25,
                            summary={"final_total_loss": 2.5})
         store.append(record)
@@ -118,8 +125,7 @@ class TestStore:
 
 class TestExecutors:
     def test_registry_names(self):
-        assert available_executors() == ("process", "serial", "sharded",
-                                         "thread", "workers")
+        assert available_executors() == ("serial", "sharded", "workers")
         with pytest.raises(ValueError, match="valid executors"):
             get_executor("quantum")
 
@@ -134,28 +140,12 @@ class TestExecutors:
         assert value <= max(2, os_module.cpu_count() or 1)
         assert default_pool_workers(maximum=3) <= 3
 
-    def test_broken_pool_becomes_failed_records_not_an_exception(self):
-        """The pool-infrastructure death path of ``_PoolExecutorBase._drain``:
-        a worker process dying (BrokenProcessPool on every pending future)
-        must surface as failed records in submission order — executors
-        never raise for a run's failure, only for abort signals."""
-        payloads = [run.payload() for run in smoke_spec().resolve()][:4]
-        seen = []
-        records = get_executor("process", max_workers=1).execute(
-            payloads, process_killing_worker, on_record=seen.append)
-        assert [r.run_id for r in records] == [p["run_id"] for p in payloads]
-        assert all(r.status == STATUS_FAILED for r in records)
-        assert any("BrokenProcessPool" in r.error for r in records)
-        # the observer still saw every failed record exactly once
-        assert sorted(r.run_id for r in seen) == \
-            sorted(p["run_id"] for p in payloads)
-
-    @pytest.mark.parametrize("name", ("serial", "thread"))
+    @pytest.mark.parametrize("name", ("serial", "sharded"))
     def test_executor_runs_every_payload(self, name):
         spec = smoke_spec(repetitions=2)
         payloads = [run.payload() for run in spec.resolve()]
         seen = []
-        records = get_executor(name, max_workers=2).execute(
+        records = get_executor(name).execute(
             payloads, fake_worker, on_record=seen.append)
         assert [r.run_id for r in records] == [p["run_id"] for p in payloads]
         assert all(r.completed and r.attempts == 1 for r in records)
@@ -206,7 +196,7 @@ class TestExecutors:
             return {"final_total_loss": 1.0}
 
         payload = smoke_spec(repetitions=1).resolve()[0].payload()
-        record = get_executor("thread", timeout=0.01).execute([payload], slow)[0]
+        record = get_executor("serial", timeout=0.01).execute([payload], slow)[0]
         assert record.completed
         assert record.summary == {"final_total_loss": 1.0}
         assert "TimeoutWarning" in record.error and "budget" in record.error
@@ -227,7 +217,7 @@ class TestExecutors:
         assert record.attempts == 1
         assert "still failing" in record.error
 
-    @pytest.mark.parametrize("name", ("serial", "thread"))
+    @pytest.mark.parametrize("name", ("serial", "sharded"))
     def test_duplicate_run_ids_keep_their_own_records(self, name):
         """The executor contract takes arbitrary payloads: two payloads
         sharing a run id must each come back with their own record."""
@@ -243,8 +233,8 @@ class TestExecutors:
                 raise RuntimeError("twin failed")
             return {"final_total_loss": 1.0}
 
-        records = get_executor(name, max_workers=1).execute(
-            [payload, twin], second_call_fails)
+        records = get_executor(name).execute([payload, twin],
+                                             second_call_fails)
         assert len(records) == 2
         assert sorted(r.status for r in records) == \
             [STATUS_COMPLETED, STATUS_FAILED]
@@ -265,25 +255,26 @@ class TestExecutors:
             return {"final_total_loss": 1.0}
 
         with pytest.raises(KeyboardInterrupt):
-            get_executor("thread", max_workers=1).execute(payloads, interrupting)
-        # the one in-flight run may have started; the rest were cancelled
+            get_executor("sharded", shards=1).execute(payloads, interrupting)
+        # the abort left the shard's thread at once; the rest never ran
         with lock:
             executed = next(calls)
         assert executed <= 2
 
     def test_invalid_executor_options(self):
         with pytest.raises(ValueError):
-            get_executor("thread", max_workers=0)
+            get_executor("workers", max_workers=0)
         with pytest.raises(ValueError):
             get_executor("serial", retries=-1)
         with pytest.raises(ValueError):
             get_executor("serial", timeout=0.0)
 
-    def test_process_executor_runs_real_workflows(self, tmp_path):
+    def test_process_executor_runs_real_workflows(self, tmp_path,
+                                                  fork_workers):
         spec = smoke_spec(repetitions=1)
         store = CampaignStore(str(tmp_path / "proc.jsonl"))
         outcome = run_campaign(spec, store,
-                               get_executor("process", max_workers=2))
+                               get_executor("workers", max_workers=2))
         assert outcome.completed == 2, [r.error for r in outcome.records]
         assert all(r.summary["ok"] for r in store.records())
 
@@ -333,6 +324,30 @@ class TestRunCampaign:
         # rest of the launch — not retried per record
         assert calls == [store.records()[0].run_id]
         assert any("detaching" in message for message in caplog.messages)
+
+    @pytest.mark.parametrize("name", ("serial", "workers"))
+    def test_a_diverged_run_fails_and_is_never_cached(self, name, tmp_path,
+                                                      fork_workers):
+        """Injected NaN loss: the run settles ``failed`` (through the retry
+        path), the cache refuses it, and a relaunch executes it again
+        instead of replaying the NaN as a hit."""
+        from repro.campaign import ResultCache
+
+        spec = smoke_spec(repetitions=1)
+        store = CampaignStore(str(tmp_path / "log.jsonl"))
+        cache = ResultCache(str(tmp_path / "cache"))
+        outcome = run_campaign(spec, store,
+                               get_executor(name, max_workers=2, retries=1),
+                               worker=diverging_worker, cache=cache,
+                               max_runs=1)
+        assert outcome.failed == 1 and outcome.completed == 0
+        record = outcome.records[0]
+        assert record.status == STATUS_FAILED and record.attempts == 2
+        assert record.error.startswith("NonFiniteLossError:")
+        assert store.counts() == {"completed": 0, "failed": 1}
+        assert len(cache) == 0
+        again = run_campaign(spec, store, worker=fake_worker, cache=cache)
+        assert again.cache_hits == 0 and again.executed == 2 and again.done
 
     def test_max_runs_bounds_a_launch(self, tmp_path):
         spec = smoke_spec()

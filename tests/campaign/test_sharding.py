@@ -249,12 +249,6 @@ class TestShardedExecutor:
         assert aggregate(sharded_store.records(), spec.name).deterministic_dict() \
             == aggregate(serial_store.records(), spec.name).deterministic_dict()
 
-    def test_sharded_executor_with_thread_inner(self):
-        records = get_executor("sharded", shards=2, inner="thread",
-                               max_workers=2).execute(smoke_payloads(),
-                                                      fake_worker)
-        assert sorted(r.status for r in records) == [STATUS_COMPLETED] * 8
-
     def test_sharded_resume_skips_completed_runs(self, tmp_path):
         spec = smoke_spec()
         store = CampaignStore(str(tmp_path / "resume.jsonl"))

@@ -48,8 +48,6 @@ def sweep(name: str) -> CampaignSpec:
 
 EXECUTORS = {
     "serial": lambda pool: get_executor("serial"),
-    "thread": lambda pool: get_executor("thread", max_workers=2),
-    "process": lambda pool: get_executor("process", max_workers=2),
     "workers": lambda pool: WorkerPoolExecutor(max_workers=2, pool=pool),
     "sharded-serial": lambda pool: get_executor("sharded", shards=2,
                                                 inner="serial"),

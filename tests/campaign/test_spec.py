@@ -70,11 +70,11 @@ class TestSampling:
         assert all(run.config["khi"]["seed"] == 5 for run in runs)
 
     def test_run_level_parameters(self):
-        spec = smoke_spec(parameters={"driver": ["serial", "threaded"],
+        spec = smoke_spec(parameters={"driver": ["serial", "pipelined"],
                                       "n_steps": [2, 3]}, repetitions=1)
         runs = spec.resolve()
         assert {(run.driver, run.n_steps) for run in runs} == \
-            {("serial", 2), ("serial", 3), ("threaded", 2), ("threaded", 3)}
+            {("serial", 2), ("serial", 3), ("pipelined", 2), ("pipelined", 3)}
 
     def test_random_sampler_draws_choices_and_ranges(self):
         spec = smoke_spec(sampler="random", n_samples=12, repetitions=1,
@@ -198,7 +198,7 @@ class TestValidationAndRoundTrip:
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown CampaignSpec keys"):
-            CampaignSpec.from_dict({"executor": "thread"})
+            CampaignSpec.from_dict({"executor": "serial"})
 
     def test_base_preset_resolution(self):
         spec = CampaignSpec(base_preset="bench-tiny", parameters={},

@@ -79,20 +79,6 @@ def slow_worker(payload):
     return fake_worker(payload)
 
 
-def stall_once_worker(payload):
-    """Stalls for seconds — but only the FIRST execution of the marked run,
-    so the straggler duplicate (and any requeue) completes fast."""
-    marker = os.path.join(payload["config"]["marker_dir"], payload["run_id"])
-    if payload["config"].get("stall_id") == payload["run_id"]:
-        try:
-            handle = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.close(handle)
-            time.sleep(3.0)
-        except FileExistsError:
-            pass
-    return fake_worker(payload)
-
-
 #: Cross-process gates, inherited by the fork-started workers below.
 _FORK = multiprocessing.get_context("fork")
 _BARRIER = _FORK.Barrier(2)
@@ -109,6 +95,20 @@ def gated_worker(payload):
     """Blocks until the test opens ``_GATE``."""
     assert _GATE.wait(timeout=20), "test gate never released"
     return dict(fake_worker(payload), pid=os.getpid())
+
+
+def stall_once_worker(payload):
+    """Parks the FIRST execution of the marked run on ``_GATE``; the
+    straggler duplicate finds the marker file and completes at once, so
+    whichever copy starts second is certain to win the ticket."""
+    marker = os.path.join(payload["config"]["marker_dir"], payload["run_id"])
+    if payload["config"].get("stall_id") == payload["run_id"]:
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+        except FileExistsError:
+            return fake_worker(payload)
+        assert _GATE.wait(timeout=20), "test gate never released"
+    return fake_worker(payload)
 
 
 @pytest.fixture
@@ -461,7 +461,8 @@ class TestCrashRequeue:
 
 
 class TestStragglerRedispatch:
-    def test_tail_runs_are_duplicated_and_deduplicated(self, pool, tmp_path):
+    def test_tail_runs_are_duplicated_and_deduplicated(self, pool, gate,
+                                                       tmp_path):
         """One run stalls on its first execution; an idle worker gets a
         duplicate dispatch, the first completion wins, and exactly one
         record per run id comes back."""
@@ -470,7 +471,7 @@ class TestStragglerRedispatch:
         payloads = with_config(payloads, stall_id=stall_id)
         seen = []
         records = pool.run(payloads, stall_once_worker,
-                           straggler_after=0.2, on_record=seen.append)
+                           straggler_after=0.05, on_record=seen.append)
         assert [r.run_id for r in records] == [p["run_id"] for p in payloads]
         assert all(r.completed for r in records)
         assert pool.counters["straggler_redispatches"] >= 1
@@ -479,25 +480,33 @@ class TestStragglerRedispatch:
         assert sorted(r.run_id for r in seen) == \
             sorted(p["run_id"] for p in payloads)
 
-    def test_late_duplicate_results_are_dropped_not_misattributed(self, pool):
+    def test_late_duplicate_results_are_dropped_not_misattributed(
+            self, pool, gate, tmp_path):
         """The losing holder's result lands after the lease finished; the
         next interaction with the pool discards it instead of crediting it
         to an unrelated run."""
-        # three equal runs on two workers: the worker that ran one goes
-        # idle while the third (prefetched behind the other's first) is
-        # still out, so a straggler duplicate is certain
-        payloads = with_config(smoke_payloads(repetitions=2)[:3], sleep_s=0.4)
-        records = pool.run(payloads, slow_worker, straggler_after=0.05)
-        assert all(r.completed for r in records)
-        assert pool.counters["straggler_redispatches"] >= 1
-        # give the losing duplicates time to finish, then pump via a run
-        time.sleep(0.6)
-        again = pool.run(with_config(smoke_payloads(repetitions=1)),
-                         fake_worker)
+        # one run, two workers: the idle worker gets the duplicate, and the
+        # copy that started first stays parked on the gate — the lease ends
+        # on the other copy's answer with the loser still out
+        payload = with_config(smoke_payloads(repetitions=1)[:1],
+                              marker_dir=str(tmp_path))
+        payload = with_config(payload, stall_id=payload[0]["run_id"])
+        records = pool.run(payload, stall_once_worker, straggler_after=0.01)
+        assert [r.run_id for r in records] == [payload[0]["run_id"]]
+        assert records[0].completed
+        assert pool.counters["straggler_redispatches"] == 1
+        assert sorted(loads(pool)) == [0, 1]
+        gate.set()
+        # four runs over three free slots: the loser's worker gets one, and
+        # its pipe is first-in-first-out, so the late result is read (and
+        # dropped) before this launch can finish
+        later = smoke_payloads(repetitions=2)
+        again = pool.run(later, fake_worker)
+        assert [r.run_id for r in again] == [p["run_id"] for p in later]
         assert all(r.completed for r in again)
-        dropped = (pool.counters["duplicate_results_dropped"]
-                   + pool.counters["stale_results_dropped"])
-        assert dropped >= 1
+        assert pool.counters["stale_results_dropped"] == 1
+        assert pool.counters["duplicate_results_dropped"] == 0
+        assert loads(pool) == [0, 0]
 
 
 class TestWorkerPoolExecutor:

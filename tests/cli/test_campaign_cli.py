@@ -43,7 +43,7 @@ class TestCampaignRun:
         store = str(tmp_path / "store.jsonl")
         assert cli_main(["campaign", "run", "--preset", "campaign-smoke",
                          "--store", store, "--max-runs", "2",
-                         "--executor", "thread", "--json"]) == 0
+                         "--executor", "sharded", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["campaign"] == "campaign-smoke"
         assert payload["executed"] == 2
@@ -101,7 +101,7 @@ class TestShardedAndCachedRuns:
 
     def test_sharding_flags_conflict_with_other_executors(self, capsys):
         assert cli_main(["campaign", "run", "--preset", "campaign-smoke",
-                         "--executor", "thread", "--shards", "2"]) == 2
+                         "--executor", "workers", "--shards", "2"]) == 2
         assert "--executor sharded" in capsys.readouterr().err
 
     def test_invalid_sharding_options_fail_cleanly(self, capsys,

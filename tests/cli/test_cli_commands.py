@@ -68,12 +68,6 @@ class TestRunCommand:
         assert "monitor consumer: 2 iterations" in out
         assert "momentum histogram" in out
 
-    def test_run_threaded_alias_still_works(self, capsys):
-        assert cli_main(["run", "--steps", "2", "--threaded"] + TINY) == 0
-        out = capsys.readouterr().out
-        assert "driver: threaded" in out
-        assert "max stream queue depth" in out
-
     def test_run_json_output_is_machine_readable(self, capsys):
         import json
 

@@ -5,11 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ArtificialScientist, MLConfig, StreamingConfig, WorkflowConfig
+from repro.core import MLConfig, StreamingConfig, WorkflowConfig
 from repro.core.mlapp import MLApp
 from repro.models.config import ModelConfig
 from repro.openpmd import Access, MemoryBackend, Series
 from repro.pic.khi import KHIConfig
+from repro.workflow import WorkflowBuilder
 
 
 def tiny_config(n_rep=1, queue_limit=4):
@@ -28,10 +29,21 @@ def tiny_config(n_rep=1, queue_limit=4):
     )
 
 
+def run_report(session, n_steps, **kwargs):
+    """Run a session to its report, raising whatever either side raised."""
+    result = session.run(n_steps, **kwargs)
+    result.raise_if_failed()
+    return result.report
+
+
+def default_session(config):
+    """The seed wiring: one producer, one stream, the MLapp, serial driver."""
+    return WorkflowBuilder().config(config).driver("serial").build()
+
+
 class TestArtificialScientistWorkflow:
     def test_coupled_run_trains_in_transit(self):
-        scientist = ArtificialScientist(tiny_config(n_rep=2))
-        report = scientist.run(n_steps=3)
+        report = run_report(default_session(tiny_config(n_rep=2)), 3)
         # every simulation step produced one streamed iteration with 4 regions
         assert report.n_steps == 3
         assert report.iterations_streamed == 3
@@ -43,8 +55,7 @@ class TestArtificialScientistWorkflow:
         assert report.wall_time >= report.simulation_time
 
     def test_report_summary_keys(self):
-        scientist = ArtificialScientist(tiny_config())
-        report = scientist.run(n_steps=2)
+        report = run_report(default_session(tiny_config()), 2)
         summary = report.summary()
         assert {"steps", "iterations_streamed", "training_iterations",
                 "streamed_megabytes", "final_total_loss"} <= set(summary)
@@ -53,33 +64,29 @@ class TestArtificialScientistWorkflow:
     def test_no_intermediate_files_written(self, tmp_path, monkeypatch):
         """The in-transit workflow writes nothing to disk."""
         monkeypatch.chdir(tmp_path)
-        scientist = ArtificialScientist(tiny_config())
-        scientist.run(n_steps=2)
+        run_report(default_session(tiny_config()), 2)
         assert list(tmp_path.iterdir()) == []
 
     def test_evaluation_after_run(self):
-        scientist = ArtificialScientist(tiny_config(n_rep=1))
-        scientist.run(n_steps=3, keep_for_evaluation=2)
-        report = scientist.evaluate(n_posterior_samples=2)
+        session = default_session(tiny_config(n_rep=1))
+        run_report(session, 3, keep_for_evaluation=2)
+        report = session.evaluate(n_posterior_samples=2)
         assert report.n_evaluation_samples > 0
         assert len(report.regions) >= 1
         assert report.surrogate_spectrum_mse >= 0.0
 
     def test_evaluate_requires_samples(self):
-        scientist = ArtificialScientist(tiny_config())
         with pytest.raises(RuntimeError):
-            scientist.evaluate()
+            default_session(tiny_config()).evaluate()
 
     def test_invalid_steps(self):
-        scientist = ArtificialScientist(tiny_config())
         with pytest.raises(ValueError):
-            scientist.run(0)
+            default_session(tiny_config()).run(0)
 
     @pytest.mark.slow
     def test_loss_improves_over_stream(self):
         """In-transit training reduces the loss over the streamed steps."""
-        scientist = ArtificialScientist(tiny_config(n_rep=4))
-        report = scientist.run(n_steps=10)
+        report = run_report(default_session(tiny_config(n_rep=4)), 10)
         losses = np.asarray(report.loss_history_total)
         first = losses[: 4].mean()
         last = losses[-4:].mean()

@@ -1,4 +1,4 @@
-"""Tests of checkpointing, the threaded runner and the CLI."""
+"""Tests of checkpointing, the concurrent (threaded) run and the CLI."""
 
 from __future__ import annotations
 
@@ -9,11 +9,10 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.continual import InTransitTrainer, TrainingBuffer, TrainingSample
-from repro.core import ArtificialScientist
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
-from repro.core.threaded import ThreadedWorkflowRunner
 from repro.mlcore.optim import Adam
 from repro.models import ArtificialScientistModel, ModelConfig
+from repro.workflow import WorkflowBuilder
 from tests.core.test_artificial_scientist import tiny_config
 
 
@@ -74,20 +73,20 @@ class TestCheckpoint:
 
 class TestThreadedRunner:
     def test_concurrent_run_matches_sequential_accounting(self):
-        scientist = ArtificialScientist(tiny_config(n_rep=1))
-        runner = ThreadedWorkflowRunner(scientist)
-        result = runner.run(n_steps=3)
+        session = (WorkflowBuilder().config(tiny_config(n_rep=1))
+                   .driver("pipelined").build())
+        result = session.run(3)
         assert result.producer_exception is None
         report = result.report
         assert report.iterations_streamed == 3
         assert report.training_iterations == 3  # n_rep=1
         assert report.samples_streamed == 12
-        assert result.max_queue_depth <= scientist.broker.queue_limit
+        assert result.max_queue_depth <= session.broker.queue_limit
 
     def test_invalid_steps(self):
-        runner = ThreadedWorkflowRunner(ArtificialScientist(tiny_config()))
+        session = WorkflowBuilder().config(tiny_config()).driver("pipelined").build()
         with pytest.raises(ValueError):
-            runner.run(0)
+            session.run(0)
 
 
 class TestCLI:
@@ -130,7 +129,8 @@ class TestCLI:
 
     def test_run_threaded(self, capsys):
         code = cli_main(["run", "--steps", "2", "--grid", "6", "12", "2",
-                         "--particles-per-cell", "3", "--n-rep", "1", "--threaded"])
+                         "--particles-per-cell", "3", "--n-rep", "1",
+                         "--driver", "pipelined"])
         assert code == 0
         assert "max stream queue depth" in capsys.readouterr().out
 

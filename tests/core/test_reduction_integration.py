@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ArtificialScientist, StreamingConfig
-from tests.core.test_artificial_scientist import tiny_config
+from repro.core import StreamingConfig
+from tests.core.test_artificial_scientist import (default_session, run_report,
+                                                  tiny_config)
 
 
 class TestStreamReduction:
@@ -17,11 +18,10 @@ class TestStreamReduction:
                                                    particle_subsample_fraction=0.25,
                                                    reduce_precision=True)
 
-        baseline = ArtificialScientist(base_config)
-        baseline_report = baseline.run(n_steps=2)
+        baseline_report = run_report(default_session(base_config), 2)
 
-        reduced = ArtificialScientist(reduced_config)
-        reduced_report = reduced.run(n_steps=2)
+        reduced = default_session(reduced_config)
+        reduced_report = run_report(reduced, 2)
 
         # the ML samples are identical in size; the raw particle records shrink
         assert reduced_report.bytes_streamed < baseline_report.bytes_streamed
@@ -35,23 +35,23 @@ class TestStreamReduction:
         config = tiny_config(n_rep=1)
         config.streaming = StreamingConfig(queue_limit=4,
                                            particle_subsample_fraction=0.5)
-        scientist = ArtificialScientist(config)
+        session = default_session(config)
         # intercept one streamed iteration by consuming manually
-        scientist.simulation.step()
+        session.simulation.step()
         iterations = []
-        for iteration in scientist.reader_series.read_iterations():
+        for iteration in session.reader_series.read_iterations():
             iterations.append(iteration)
             break
         electrons = iterations[0].get_particles("electrons")
         x = electrons["position"]["x"].load()
         ux = electrons["momentum"]["x"].load()
         w = electrons["weighting"].load_scalar()
-        n_original = scientist.simulation.get_species("electrons").n_macro
+        n_original = session.simulation.get_species("electrons").n_macro
         assert len(x) == len(ux) == len(w)
         assert len(x) == pytest.approx(0.5 * n_original, rel=0.05)
         # weights rescaled so the total charge is preserved in expectation
         assert w.sum() == pytest.approx(
-            scientist.simulation.get_species("electrons").weights.sum(), rel=0.05)
+            session.simulation.get_species("electrons").weights.sum(), rel=0.05)
 
     def test_reduction_disabled_by_default(self):
         config = tiny_config()

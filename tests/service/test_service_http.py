@@ -444,9 +444,9 @@ class TestParseSubmission:
     def test_spec_and_options_split(self):
         spec, options = parse_submission(
             {"spec": small_spec().to_dict(), "max_workers": 2,
-             "executor": "threaded"})
+             "executor": "workers"})
         assert spec.name == "svc-test"
-        assert options == {"max_workers": 2, "executor": "threaded"}
+        assert options == {"max_workers": 2, "executor": "workers"}
 
     def test_preset_resolves(self):
         spec, options = parse_submission({"preset": "campaign-smoke"})

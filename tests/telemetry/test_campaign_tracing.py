@@ -18,8 +18,7 @@ import pytest
 
 from repro.campaign import (CampaignSpec, CampaignStore, ResultCache,
                             WorkerPool, WorkerPoolExecutor,
-                            get_campaign_preset, run_campaign)
-from repro.campaign.scheduler import ThreadPoolCampaignExecutor
+                            get_campaign_preset, get_executor, run_campaign)
 from repro.telemetry import REGISTRY, disabled, read_spans, trace_path_for
 
 
@@ -239,7 +238,8 @@ class TestMetricsUnderConcurrency:
         def launch(spec, store):
             try:
                 run_campaign(spec, store,
-                             ThreadPoolCampaignExecutor(max_workers=4),
+                             get_executor("sharded", shards=4,
+                                          route="round-robin"),
                              worker=fake_worker)
             except BaseException as exc:  # noqa: BLE001 - fail the test
                 errors.append(exc)

@@ -1,11 +1,11 @@
-"""Tests of the execution-driver strategy layer (serial/threaded/pipelined)."""
+"""Tests of the execution-driver strategy layer (serial/pipelined)."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.core import ArtificialScientist
-from repro.core.threaded import ThreadedWorkflowRunner
 from repro.workflow import (PipelinedDriver, WorkflowBuilder, available_drivers,
                             get_driver)
 from tests.core.test_artificial_scientist import tiny_config
@@ -15,6 +15,27 @@ def run_with(driver, n_steps=3, n_rep=1, **kwargs):
     session = (WorkflowBuilder().config(tiny_config(n_rep=n_rep))
                .driver(driver, **kwargs).build())
     return session.run(n_steps)
+
+
+def crash_both_sides():
+    """A pipelined run whose producer crashes and then its consumer; the
+    result and the two exceptions raised."""
+    session = WorkflowBuilder().config(tiny_config()).driver("pipelined").build()
+    producer_boom = RuntimeError("producer crash")
+    consumer_boom = RuntimeError("consumer crash")
+    producer_failed = threading.Event()
+
+    def exploding_step():
+        producer_failed.set()
+        raise producer_boom
+
+    def exploding_consume(max_iterations=None, on_iteration=None):
+        # a consumer dying first would stop the producer before it steps
+        assert producer_failed.wait(timeout=30)
+        raise consumer_boom
+    session.simulation.step = exploding_step
+    session.consumers["mlapp"].consume = exploding_consume
+    return session.run(2), producer_boom, consumer_boom
 
 
 class TestDriverParity:
@@ -36,8 +57,15 @@ class TestDriverParity:
         results = [run_with(d) for d in available_drivers()]
         assert all(set(r.summary()) == set(results[0].summary()) for r in results)
 
+    def test_drivers_train_identically_for_the_same_seed(self):
+        """The concurrent driver reorders nothing the trainer can see."""
+        serial = run_with("serial", n_steps=4, n_rep=2).report
+        pipelined = run_with("pipelined", n_steps=4, n_rep=2).report
+        assert list(pipelined.loss_history_total) == \
+            list(serial.loss_history_total)
+
     def test_queue_depth_respects_limit(self):
-        result = run_with("threaded", n_steps=4)
+        result = run_with("pipelined", n_steps=4)
         session_limit = tiny_config().streaming.queue_limit
         assert 0 <= result.max_queue_depth <= session_limit
 
@@ -61,7 +89,7 @@ class TestDriverParity:
 
 class TestFailureSurfacing:
     def test_producer_failure_is_captured_not_raised(self):
-        session = WorkflowBuilder().config(tiny_config()).driver("threaded").build()
+        session = WorkflowBuilder().config(tiny_config()).driver("pipelined").build()
         boom = RuntimeError("simulated producer crash")
 
         def exploding_step():
@@ -88,25 +116,40 @@ class TestFailureSurfacing:
             result.raise_if_failed()
 
     def test_both_failures_surfaced_together(self):
-        session = WorkflowBuilder().config(tiny_config()).driver("threaded").build()
-
-        def exploding_step():
-            raise RuntimeError("producer crash")
-
-        def exploding_consume(max_iterations=None, on_iteration=None):
-            raise RuntimeError("consumer crash")
-        session.simulation.step = exploding_step
-        session.consumers["mlapp"].consume = exploding_consume
-        result = session.run(2)
+        result, _, _ = crash_both_sides()
         assert isinstance(result.producer_exception, RuntimeError)
         assert isinstance(result.consumer_exceptions.get("mlapp"), RuntimeError)
         with pytest.raises(RuntimeError):
             result.raise_if_failed()
 
+    def test_last_consumer_dying_first_stops_the_producer_cleanly(self):
+        """The other interleaving: with nobody left to stream to the
+        producer stops, and the stream closing under it is not reported as
+        a producer failure."""
+        session = WorkflowBuilder().config(tiny_config()).driver("pipelined").build()
+        consumer_boom = RuntimeError("consumer crash")
+        consumer_failed = threading.Event()
+        real_step = session.simulation.step
+
+        def exploding_consume(max_iterations=None, on_iteration=None):
+            consumer_failed.set()
+            raise consumer_boom
+
+        def late_step():
+            assert consumer_failed.wait(timeout=30)
+            real_step()
+        session.consumers["mlapp"].consume = exploding_consume
+        session.simulation.step = late_step
+        result = session.run(3)
+        assert result.consumer_exceptions == {"mlapp": consumer_boom}
+        assert result.producer_exception is None
+        with pytest.raises(RuntimeError, match="consumer crash"):
+            result.raise_if_failed()
+
     def test_surviving_consumer_keeps_stream_alive(self):
         """One consumer dying must not starve the other (fan-out resilience)."""
         session = (WorkflowBuilder().config(tiny_config())
-                   .driver("threaded")
+                   .driver("pipelined")
                    .add_consumer("monitor", kind="histogram-monitor")
                    .build())
 
@@ -121,36 +164,23 @@ class TestFailureSurfacing:
 
 
 class TestLegacyThreadedRunner:
+    """What the seed's concurrent runner guaranteed, on the one concurrent
+    driver that is left."""
+
     def test_seed_result_still_produced(self):
-        runner = ThreadedWorkflowRunner(ArtificialScientist(tiny_config(n_rep=1)))
-        result = runner.run(3)
+        result = run_with("pipelined")
         assert result.ok
-        assert result.consumer_exception is None
+        assert not result.consumer_exceptions
         assert result.report.iterations_streamed == 3
 
     def test_runner_surfaces_both_exceptions(self):
-        scientist = ArtificialScientist(tiny_config())
-        producer_boom = RuntimeError("producer crash")
-        consumer_boom = RuntimeError("consumer crash")
-
-        def exploding_step():
-            raise producer_boom
-
-        def exploding_consume(max_iterations=None, keep_for_evaluation=0,
-                              on_iteration=None):
-            raise consumer_boom
-        scientist.simulation.step = exploding_step
-        scientist.mlapp.consume = exploding_consume
-        result = ThreadedWorkflowRunner(scientist).run(2)
+        result, producer_boom, consumer_boom = crash_both_sides()
         assert result.producer_exception is producer_boom
-        assert result.consumer_exception is consumer_boom
+        assert result.consumer_exceptions == {"mlapp": consumer_boom}
         assert not result.ok
 
     def test_runner_marks_session_consumed(self):
-        scientist = ArtificialScientist(tiny_config(n_rep=1))
-        runner = ThreadedWorkflowRunner(scientist)
-        runner.run(2)
+        session = WorkflowBuilder().config(tiny_config(n_rep=1)).driver("pipelined").build()
+        session.run(2)
         with pytest.raises(RuntimeError, match="session already consumed"):
-            scientist.run(1)
-        with pytest.raises(RuntimeError, match="session already consumed"):
-            runner.run(1)
+            session.run(1)
