@@ -1,10 +1,9 @@
-"""Ablation — Esirkepov (charge-conserving) vs direct CIC current deposition.
+"""Cost and continuity residual of the Esirkepov current deposition.
 
-PIConGPU uses the charge-conserving Esirkepov scheme; the direct CIC scatter
-is cheaper but violates the continuity equation, which shows up as Gauss-law
-errors over long runs.  This benchmark measures both costs and the
-continuity residual of each scheme, at a small and a large particle count so
-the per-particle scaling of the vectorised kernels is visible.
+PIConGPU uses the charge-conserving Esirkepov scheme, which satisfies the
+discrete continuity equation to machine precision.  This benchmark measures
+its cost and its continuity residual at a small and a large particle count,
+so the per-particle scaling of the vectorised kernel is visible.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ import numpy as np
 import pytest
 
 from repro import constants
-from repro.pic.deposition import (deposit_charge_cic, deposit_current_cic,
-                                  deposit_current_esirkepov)
+from repro.pic.deposition import deposit_charge_cic, deposit_current_esirkepov
 from repro.pic.grid import GridConfig, YeeGrid
 
 
@@ -28,21 +26,17 @@ def setup_particles(rng, grid, n_particles):
     velocities = rng.normal(scale=0.2, size=(n_particles, 3)) * constants.SPEED_OF_LIGHT
     new = old + velocities * dt
     weights = rng.uniform(0.5, 2.0, size=n_particles)
-    return old, new, velocities, weights, dt
+    return old, new, weights, dt
 
 
-def continuity_residual(grid_config, old, new, weights, dt, scheme):
+def continuity_residual(grid_config, old, new, weights, dt):
     grid = YeeGrid(grid_config)
     rho0, rho1 = YeeGrid(grid_config), YeeGrid(grid_config)
     charge = -constants.ELEMENTARY_CHARGE
     extent = np.asarray(grid_config.extent)
     deposit_charge_cic(rho0, old, charge, weights)
     deposit_charge_cic(rho1, np.mod(new, extent), charge, weights)
-    if scheme == "esirkepov":
-        deposit_current_esirkepov(grid, old, new, charge, weights, dt)
-    else:
-        velocities = (new - old) / dt
-        deposit_current_cic(grid, np.mod(new, extent), velocities, charge, weights)
+    deposit_current_esirkepov(grid, old, new, charge, weights, dt)
     residual = (rho1.rho - rho0.rho) / dt + grid.divergence_j()
     scale = np.max(np.abs((rho1.rho - rho0.rho) / dt)) + 1e-300
     return float(np.max(np.abs(residual)) / scale)
@@ -52,28 +46,12 @@ def continuity_residual(grid_config, old, new, weights, dt, scheme):
 def test_deposition_esirkepov_cost(benchmark, rng, n_particles):
     grid_config = GridConfig(shape=(16, 16, 8), cell_size=(1e-5,) * 3)
     grid = YeeGrid(grid_config)
-    old, new, velocities, weights, dt = setup_particles(rng, grid, n_particles)
+    old, new, weights, dt = setup_particles(rng, grid, n_particles)
     charge = -constants.ELEMENTARY_CHARGE
 
     benchmark(lambda: deposit_current_esirkepov(grid, old, new, charge, weights, dt))
 
-    residual = continuity_residual(grid_config, old, new, weights, dt, "esirkepov")
+    residual = continuity_residual(grid_config, old, new, weights, dt)
     benchmark.extra_info["continuity_residual"] = f"{residual:.2e}"
     benchmark.extra_info["particles"] = n_particles
     assert residual < 1e-9
-
-
-@pytest.mark.parametrize("n_particles", PARTICLE_COUNTS)
-def test_deposition_cic_cost(benchmark, rng, n_particles):
-    grid_config = GridConfig(shape=(16, 16, 8), cell_size=(1e-5,) * 3)
-    grid = YeeGrid(grid_config)
-    old, new, velocities, weights, dt = setup_particles(rng, grid, n_particles)
-    charge = -constants.ELEMENTARY_CHARGE
-
-    benchmark(lambda: deposit_current_cic(grid, new, velocities, charge, weights))
-
-    residual = continuity_residual(grid_config, old, new, weights, dt, "cic")
-    benchmark.extra_info["continuity_residual"] = f"{residual:.2e}"
-    benchmark.extra_info["particles"] = n_particles
-    # the direct scheme violates the continuity equation by orders of magnitude
-    assert residual > 1e-6

@@ -24,7 +24,8 @@ as one hand-launched session.  This subsystem turns one declarative
   run-granular breadth-first dispatch, concurrent leases, heartbeats,
   straggler re-dispatch and crash-requeue,
 * :mod:`repro.campaign.hotpath`   — the campaign-throughput benchmark
-  harness persisting ``BENCH_campaign_throughput.json`` records,
+  case (``BENCH_campaign_throughput.json``; the harness it runs under is
+  :mod:`repro.utils.benchjson`),
 * :mod:`repro.campaign.aggregate` — the campaign-level report (per-parameter
   stats, best-run selection, throughput, cache provenance),
 * :mod:`repro.campaign.presets`   — named campaigns (``campaign-smoke``,

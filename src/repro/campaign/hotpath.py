@@ -1,19 +1,20 @@
-"""The campaign-throughput benchmark: serial vs workers, persisted.
+"""The campaign-throughput benchmark case: serial vs workers.
 
-The campaign-layer sibling of :mod:`repro.pic.hotpath`: where that harness
+The campaign-layer sibling of :mod:`repro.pic.hotpath`: where that case
 tracks steps/second of the PIC kernels, this one tracks **runs/second of
 the campaign executors** on one whole ``execute()`` of the smoke preset —
-the launch shape the CLI and :mod:`repro.service.jobs` both use.  Results
-append to ``BENCH_campaign_throughput.json`` at the repository root via
-:mod:`repro.utils.benchjson`, so the perf trajectory covers the
-orchestration layer, not just the kernels (see ``docs/performance.md``).
+the launch shape the CLI and :mod:`repro.service.jobs` both use — so the
+perf trajectory covers the orchestration layer, not just the kernels (see
+``docs/performance.md``).  This module is the *case*: its flags, its timing
+callable, its gate and its record schema; the measurement loop, the shared
+flags, persistence to ``BENCH_campaign_throughput.json`` and the exit codes
+belong to the harness in :mod:`repro.utils.benchjson`.
 
-The harness is also a correctness gate: the ``workers`` executor must
-produce records equivalent to ``serial`` (same run ids in the same
-submission order, all completed, identical deterministic aggregate
-report).  Run it with ``python -m repro.campaign.hotpath`` or ``python -m
-repro.cli bench-campaign``; the exit status is non-zero when the
-equivalence gate fails, which lets CI use the benchmark as a gate.
+The gate: the ``workers`` executor must produce records equivalent to
+``serial`` (same run ids in the same submission order, all completed,
+identical deterministic aggregate report).  Run it with ``python -m
+repro.campaign.hotpath`` or ``python -m repro.cli bench-campaign`` (the same
+flag declarations); exit status 1 means the gate failed, 2 a bad argument.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.aggregate import aggregate
@@ -32,11 +34,12 @@ from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import RunRecord
 from repro.campaign.workers import WorkerPool, WorkerPoolExecutor
 from repro.telemetry import disabled as telemetry_disabled
+from repro.utils.benchjson import BenchCase, best_of_interleaved, case_main
 
 #: The executors the benchmark compares, in measurement order.
 BENCH_EXECUTORS = ("serial", "workers")
 
-#: The default campaign preset driven through the executors.
+#: The campaign preset driven through the executors.
 DEFAULT_PRESET = "campaign-smoke"
 
 
@@ -79,10 +82,6 @@ class CampaignThroughputResult:
                 "equivalence_detail": self.equivalence_detail}
 
 
-def _resolve_payloads(spec: CampaignSpec) -> List[Dict[str, object]]:
-    return [run.payload() for run in spec.resolve()]
-
-
 def _time_execute(executor, payloads: Sequence[Dict[str, object]]
                   ) -> Tuple[float, List[RunRecord]]:
     """Runs/second + records of one ``execute()`` over all the payloads."""
@@ -122,23 +121,21 @@ def check_equivalence(serial: Sequence[RunRecord],
     return True, ""
 
 
-def run_campaign_benchmark(preset: str = DEFAULT_PRESET,
-                           repeats: int = 3,
+def run_campaign_benchmark(repeats: int = 3,
                            max_workers: Optional[int] = None,
                            start_method: Optional[str] = None,
                            repetitions: Optional[int] = None
                            ) -> CampaignThroughputResult:
-    """Measure executor throughput on one launch of a campaign preset.
+    """Measure executor throughput on one launch of the smoke preset.
 
     Each executor runs the preset's resolved payloads in one ``execute()``
-    call, ``repeats`` times interleaved; the best block per executor is
-    kept, so background load hits every executor alike.  The workers executor drives a dedicated
-    :class:`repro.campaign.workers.WorkerPool` that is warmed once before
-    timing (that one-off spawn+import cost is exactly what the pool
+    call, in ``repeats`` interleaved blocks of which the best per executor
+    is kept (:func:`best_of_interleaved`).  The workers executor drives a
+    dedicated :class:`repro.campaign.workers.WorkerPool` that is warmed once
+    before timing (that one-off spawn+import cost is exactly what the pool
     amortises away in steady state) and shut down afterwards.
 
     Args:
-        preset: campaign preset name (default ``campaign-smoke``).
         repeats: interleaved measurement blocks per executor.
         max_workers: pool width (default
             :func:`repro.campaign.scheduler.default_pool_workers`).
@@ -151,62 +148,50 @@ def run_campaign_benchmark(preset: str = DEFAULT_PRESET,
         The measured :class:`CampaignThroughputResult`.
 
     Raises:
-        ValueError: on a bad ``repeats``/``repetitions`` or preset name.
+        ValueError: on a bad ``repeats``/``repetitions``/``max_workers``.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    spec = get_campaign_preset(preset)
+    spec = get_campaign_preset(DEFAULT_PRESET)
     if repetitions is not None:
         if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         document = spec.to_dict()
         document["repetitions"] = repetitions
         spec = CampaignSpec.from_dict(document)
-    payloads = _resolve_payloads(spec)
-    workers_n = max_workers or default_pool_workers()
+    payloads = [run.payload() for run in spec.resolve()]
+    workers_n = (default_pool_workers() if max_workers is None
+                 else max_workers)
 
     pool = WorkerPool(workers_n, start_method=start_method)
-    rates: Dict[str, float] = {}
-    last_records: Dict[str, List[RunRecord]] = {}
     executors = {"serial": get_executor("serial"),
                  "workers": WorkerPoolExecutor(max_workers=workers_n,
                                                pool=pool)}
+
+    def warm_up() -> None:
+        pool.wait_ready()
+        # a few untimed runs per executor (page caches, imports)
+        for name in BENCH_EXECUTORS:
+            executors[name].execute(payloads[:workers_n], execute_run)
+
     try:
         # telemetry off for the whole measured region: the persisted perf
         # trajectory is the guard that instrumentation costs nothing when
         # disabled, so the timed sections must never include it
         with telemetry_disabled():
-            pool.wait_ready()
-            # a few untimed warmup runs per executor (page caches, imports)
-            for name in BENCH_EXECUTORS:
-                executors[name].execute(payloads[:workers_n], execute_run)
-            for _ in range(repeats):
-                for name in BENCH_EXECUTORS:
-                    rate, records = _time_execute(executors[name], payloads)
-                    if rate > rates.get(name, 0.0):
-                        rates[name] = rate
-                    last_records[name] = records
+            best = best_of_interleaved(
+                {name: partial(_time_execute, executors[name], payloads)
+                 for name in BENCH_EXECUTORS}, repeats, setup=warm_up)
             pool_stats = {key: value for key, value in pool.stats().items()
                           if key != "pids"}
     finally:
         pool.shutdown()
 
-    equivalent, detail = check_equivalence(last_records["serial"],
-                                           last_records["workers"])
+    equivalent, detail = check_equivalence(best["serial"][1],
+                                           best["workers"][1])
     return CampaignThroughputResult(
-        runs_per_sec=rates, preset=spec.name,
-        n_runs=len(payloads), max_workers=workers_n,
+        runs_per_sec={name: rate for name, (rate, _) in best.items()},
+        preset=spec.name, n_runs=len(payloads), max_workers=workers_n,
         start_method=pool.start_method, pool_stats=pool_stats,
         equivalent=equivalent, equivalence_detail=detail)
-
-
-def persist_result(result: CampaignThroughputResult,
-                   directory: str = ".") -> str:
-    """Append ``result`` to ``BENCH_campaign_throughput.json``; the path."""
-    from repro.utils.benchjson import append_run
-
-    return append_run("campaign_throughput", result.params(),
-                      result.metrics(), directory)
 
 
 def format_result(result: CampaignThroughputResult) -> str:
@@ -227,19 +212,7 @@ def format_result(result: CampaignThroughputResult) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; exit 1 on equivalence failure, 2 on bad arguments."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.campaign.hotpath",
-        description="benchmark campaign executors (serial/workers) "
-                    "on one launch of the smoke preset and append to "
-                    "BENCH_campaign_throughput.json")
-    parser.add_argument("--preset", type=str, default=DEFAULT_PRESET,
-                        help=f"campaign preset to drive "
-                             f"(default {DEFAULT_PRESET})")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="interleaved measurement blocks per executor; "
-                             "the best block is recorded (default 3)")
+def _add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--repetitions", type=int, default=None,
                         help="override the preset's ensemble repetitions "
                              "(scales the run count)")
@@ -248,35 +221,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--start-method", type=str, default=None,
                         choices=("spawn", "fork", "forkserver"),
                         help="worker start method (default spawn)")
-    parser.add_argument("--output-dir", type=str, default=".",
-                        help="directory of BENCH_campaign_throughput.json "
-                             "(default .)")
-    parser.add_argument("--no-persist", action="store_true",
-                        help="measure and print only; do not touch the "
-                             "BENCH_*.json history")
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        print("error: --repeats must be >= 1", file=sys.stderr)
-        return 2
-    if args.repetitions is not None and args.repetitions < 1:
-        print("error: --repetitions must be >= 1", file=sys.stderr)
-        return 2
-    if args.max_workers is not None and args.max_workers < 1:
-        print("error: --max-workers must be >= 1", file=sys.stderr)
-        return 2
-    result = run_campaign_benchmark(preset=args.preset, repeats=args.repeats,
-                                    max_workers=args.max_workers,
-                                    start_method=args.start_method,
-                                    repetitions=args.repetitions)
-    print(format_result(result))
-    if not args.no_persist:
-        path = persist_result(result, args.output_dir)
-        print(f"  recorded in {path}")
-    if not result.equivalent:
-        print("error: workers and serial executors disagree: "
-              f"{result.equivalence_detail}", file=sys.stderr)
-        return 1
-    return 0
+
+
+CASE = BenchCase(
+    topic="campaign_throughput",
+    description="benchmark the campaign executors (serial/workers) on one "
+                f"whole launch of the {DEFAULT_PRESET} preset each (appends "
+                "to BENCH_campaign_throughput.json)",
+    add_arguments=_add_arguments,
+    run=lambda args: run_campaign_benchmark(
+        repeats=args.repeats, max_workers=args.max_workers,
+        start_method=args.start_method, repetitions=args.repetitions),
+    format_result=format_result,
+    gate_failure=lambda result: "workers and serial executors disagree: "
+                                f"{result.equivalence_detail}")
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Module entry point; exit 1 on a failed gate, 2 on bad arguments."""
+    return case_main(CASE, "python -m repro.campaign.hotpath", argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -28,7 +28,9 @@ script) exposes the main entry points of the reproduction:
   ``docs/performance.md``),
 * ``bench-campaign``   — benchmark the campaign executors
   (serial/workers) on one whole launch each and append the result to
-  ``BENCH_campaign_throughput.json``.
+  ``BENCH_campaign_throughput.json`` (both ``bench-*`` commands mount the
+  flags their case modules declare and run under the one harness in
+  :mod:`repro.utils.benchjson`).
 
 ``run`` is built on :mod:`repro.workflow`: it assembles a
 ``WorkflowSession`` from a preset (or a JSON config file) and drives it
@@ -237,53 +239,11 @@ def _build_parser() -> argparse.ArgumentParser:
     placement = sub.add_parser("placement", help="Fig. 3c: placement comparison")
     placement.add_argument("--nodes", type=int, default=96)
 
-    hotpath = sub.add_parser(
-        "bench-hotpath",
-        help="benchmark the fused vs reference PIC hot path "
-             "(appends to BENCH_pic_hotpath.json)")
-    hotpath.add_argument("--steps", type=int, default=40,
-                         help="timed steps per kernel (default 40)")
-    hotpath.add_argument("--warmup", type=int, default=5,
-                         help="untimed warmup steps per kernel (default 5)")
-    hotpath.add_argument("--repeats", type=int, default=3,
-                         help="interleaved measurement blocks per kernel; "
-                              "the best block is recorded (default 3)")
-    hotpath.add_argument("--grid", type=int, nargs=3, default=None,
-                         metavar=("NX", "NY", "NZ"),
-                         help="override the bench-tiny grid cells")
-    hotpath.add_argument("--output-dir", type=str, default=".",
-                         help="directory of BENCH_pic_hotpath.json (default .)")
-    hotpath.add_argument("--no-persist", action="store_true",
-                         help="measure and print only; do not touch the "
-                              "BENCH_*.json history")
+    from repro.utils.benchjson import add_case_arguments
 
-    bench_campaign = sub.add_parser(
-        "bench-campaign",
-        help="benchmark the campaign executors (serial/workers) "
-             "on one whole launch each "
-             "(appends to BENCH_campaign_throughput.json)")
-    bench_campaign.add_argument("--preset", type=str, default=None,
-                                help="campaign preset to drive "
-                                     "(default campaign-smoke)")
-    bench_campaign.add_argument("--repeats", type=int, default=3,
-                                help="interleaved measurement blocks per "
-                                     "executor; the best block is recorded "
-                                     "(default 3)")
-    bench_campaign.add_argument("--repetitions", type=int, default=None,
-                                help="override the preset's ensemble "
-                                     "repetitions (scales the run count)")
-    bench_campaign.add_argument("--max-workers", type=int, default=None,
-                                help="pool width (default: machine-derived)")
-    bench_campaign.add_argument("--start-method", type=str, default=None,
-                                choices=("spawn", "fork", "forkserver"),
-                                help="worker start method (default spawn)")
-    bench_campaign.add_argument("--output-dir", type=str, default=".",
-                                help="directory of "
-                                     "BENCH_campaign_throughput.json "
-                                     "(default .)")
-    bench_campaign.add_argument("--no-persist", action="store_true",
-                                help="measure and print only; do not touch "
-                                     "the BENCH_*.json history")
+    for name, case in _bench_cases().items():
+        add_case_arguments(sub.add_parser(name, help=case.description,
+                                          description=case.description), case)
     return parser
 
 
@@ -835,34 +795,18 @@ def _cmd_placement(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
-    from repro.pic.hotpath import BENCH_TINY_GRID, main as hotpath_main
+def _bench_cases() -> Dict[str, object]:
+    """The persisted benchmarks by command name (flags live with the case)."""
+    from repro.campaign.hotpath import CASE as campaign_case
+    from repro.pic.hotpath import CASE as hotpath_case
 
-    grid = args.grid if args.grid is not None else BENCH_TINY_GRID
-    argv = ["--steps", str(args.steps), "--warmup", str(args.warmup),
-            "--repeats", str(args.repeats),
-            "--grid", *(str(n) for n in grid),
-            "--output-dir", args.output_dir]
-    if args.no_persist:
-        argv.append("--no-persist")
-    return hotpath_main(argv)
+    return {"bench-hotpath": hotpath_case, "bench-campaign": campaign_case}
 
 
-def _cmd_bench_campaign(args: argparse.Namespace) -> int:
-    from repro.campaign.hotpath import DEFAULT_PRESET, main as campaign_main
+def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.utils.benchjson import run_case
 
-    argv = ["--preset", args.preset or DEFAULT_PRESET,
-            "--repeats", str(args.repeats),
-            "--output-dir", args.output_dir]
-    if args.repetitions is not None:
-        argv += ["--repetitions", str(args.repetitions)]
-    if args.max_workers is not None:
-        argv += ["--max-workers", str(args.max_workers)]
-    if args.start_method is not None:
-        argv += ["--start-method", args.start_method]
-    if args.no_persist:
-        argv.append("--no-persist")
-    return campaign_main(argv)
+    return run_case(_bench_cases()[args.command], args)
 
 
 _COMMANDS = {
@@ -876,8 +820,8 @@ _COMMANDS = {
     "ddp-scan": _cmd_ddp_scan,
     "khi-info": _cmd_khi_info,
     "placement": _cmd_placement,
-    "bench-hotpath": _cmd_bench_hotpath,
-    "bench-campaign": _cmd_bench_campaign,
+    "bench-hotpath": _cmd_bench,
+    "bench-campaign": _cmd_bench,
 }
 
 

@@ -3,10 +3,10 @@
 This subpackage is the paper's primary contribution assembled from the
 substrates:
 
-* the KHI PIC simulation (:mod:`repro.pic`) with the radiation plugin
-  (:mod:`repro.radiation`) acts as the **producer**; a streaming output
-  plugin converts each time step's local phase-space and radiation data
-  into training samples and writes them as an openPMD iteration through an
+* the KHI PIC simulation (:mod:`repro.pic`) acts as the **producer**; one
+  streaming output plugin computes each time step's local phase-space and
+  far-field radiation (:mod:`repro.radiation`) data, converts them into
+  training samples and writes them as an openPMD iteration through an
   SST-style stream,
 * the **MLapp** (:mod:`repro.core.mlapp`) reads iterations from the stream,
   feeds the experience-replay buffer and trains the VAE+INN in transit,

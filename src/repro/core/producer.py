@@ -26,7 +26,7 @@ from repro.utils.rng import RandomState, seeded_rng
 class StreamingProducerPlugin(Plugin):
     """Attachable plugin that streams training samples as openPMD iterations."""
 
-    order = 60  # after the radiation plugin (if any), before diagnostics
+    order = 60  # before diagnostics plugins (default order 100)
 
     def __init__(self, series: Series, detector: RadiationDetector,
                  partition: RegionPartition, n_points: int,

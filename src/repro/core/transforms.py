@@ -13,8 +13,8 @@ data".  In this reproduction:
   (:func:`encode_point_cloud`),
 * the spectral encoding is the log-scaled, normalised far-field spectrum of
   the sub-volume's particles as seen by the detector
-  (:func:`encode_spectrum`), computed with the same Liénard-Wiechert
-  kernel as the in-situ radiation plugin,
+  (:func:`encode_spectrum`), computed with the Liénard-Wiechert kernel of
+  :mod:`repro.radiation` (what PIConGPU's in-situ radiation plugin does),
 * :func:`make_training_samples` does all of it for one time step.
 """
 

@@ -3,10 +3,13 @@
 This subpackage plays the role of PIConGPU in the reproduced workflow: it
 provides the numerical scheme PIConGPU implements (Yee-grid FDTD field
 solver, relativistic Boris particle pusher, cloud-in-cell interpolation and
-charge-conserving Esirkepov current deposition), the Kelvin-Helmholtz
-instability setup of Section IV-A, supercell particle sorting, a slab domain
-decomposition used by the scaling studies, and the figure-of-merit
-accounting of Fig. 4.
+charge-conserving Esirkepov current deposition, each with a fused and a
+reference kernel), the Kelvin-Helmholtz instability setup of Section IV-A
+and the figure-of-merit accounting of Fig. 4.  ``supercells`` and ``domain``
+(supercell particle indexing, a slab decomposition) are standalone helpers
+no run uses yet.  The fused-vs-reference benchmark lives in
+:mod:`repro.pic.hotpath` and is deliberately not re-exported here, so
+``python -m repro.pic.hotpath`` imports it exactly once.
 
 Scales are laptop sized (10^4–10^6 macro-particles instead of 2.7·10^13) but
 the algorithms are the same, so the data fed to the ML pipeline exercises
@@ -16,12 +19,10 @@ the same code paths as the full-scale runs in the paper.
 from repro.pic.grid import GridConfig, YeeGrid
 from repro.pic.particles import ParticleSpecies
 from repro.pic.pusher import boris_push, advance_positions
-from repro.pic.deposition import (deposit_charge_cic, deposit_current_cic,
-                                  deposit_current_esirkepov)
+from repro.pic.deposition import deposit_charge_cic, deposit_current_esirkepov
 from repro.pic.interpolation import gather_fields
 from repro.pic.kernels import (CICPlan, CICPlanSet, boris_push_fused,
                                deposit_charge_cic_fused,
-                               deposit_current_cic_fused,
                                deposit_current_esirkepov_fused,
                                gather_fields_fused)
 from repro.pic.maxwell import YeeSolver
@@ -30,26 +31,8 @@ from repro.pic.khi import KHIConfig, make_khi_simulation
 from repro.pic.fom import FigureOfMerit, figure_of_merit
 from repro.pic.supercells import SupercellIndex
 from repro.pic.domain import SlabDecomposition
-from repro.pic.benchcase import (ScalingBenchmarkConfig, make_benchmark_simulation,
-                                 measured_weak_scaling)
-
-# lazy (PEP 562) so that ``python -m repro.pic.hotpath`` does not import the
-# hotpath module a second time through the package init
-_HOTPATH_EXPORTS = ("HotpathResult", "check_equivalence",
-                    "run_hotpath_benchmark")
-
-
-def __getattr__(name):
-    if name in _HOTPATH_EXPORTS:
-        from repro.pic import hotpath
-        return getattr(hotpath, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
-    "ScalingBenchmarkConfig",
-    "make_benchmark_simulation",
-    "measured_weak_scaling",
     "GridConfig",
     "YeeGrid",
     "ParticleSpecies",
@@ -57,16 +40,11 @@ __all__ = [
     "CICPlanSet",
     "boris_push_fused",
     "deposit_charge_cic_fused",
-    "deposit_current_cic_fused",
     "deposit_current_esirkepov_fused",
     "gather_fields_fused",
-    "HotpathResult",
-    "check_equivalence",
-    "run_hotpath_benchmark",
     "boris_push",
     "advance_positions",
     "deposit_charge_cic",
-    "deposit_current_cic",
     "deposit_current_esirkepov",
     "gather_fields",
     "YeeSolver",

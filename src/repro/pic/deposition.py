@@ -1,17 +1,15 @@
 """Charge and current deposition (particle → grid scatter).
 
-Two current-deposition schemes are provided:
-
-* :func:`deposit_current_cic` — straightforward CIC scatter of ``q w v``;
-  fast and simple but not charge conserving.
+* :func:`deposit_charge_cic` — CIC scatter of ``q w`` onto the node-centred
+  charge density.
 * :func:`deposit_current_esirkepov` — the first-order Esirkepov scheme used
   by PIConGPU, which satisfies the discrete continuity equation
   ``(rho^{n+1} - rho^n)/dt + div J = 0`` to machine precision (the property
-  tested in ``tests/pic/test_deposition.py`` and benchmarked in
-  ``benchmarks/bench_deposition.py``).
+  tested in ``tests/pic/test_deposition_interpolation.py`` and benchmarked
+  in ``benchmarks/bench_deposition.py``).
 
-Every deposition function dispatches between two numerically equivalent
-implementations selected by ``kernel``:
+Both dispatch between two numerically equivalent implementations selected
+by ``kernel``:
 
 * ``"fused"`` (default) — bincount scatter-adds on raveled linear indices
   with shared CIC plans and a chunked Esirkepov path
@@ -29,7 +27,6 @@ import numpy as np
 from repro.pic.grid import STAGGER, YeeGrid
 from repro.pic.interpolation import _cic_indices_weights
 from repro.pic.kernels import (Workspace, _hat_weights, deposit_charge_cic_fused,
-                               deposit_current_cic_fused,
                                deposit_current_esirkepov_fused)
 
 
@@ -81,21 +78,6 @@ def deposit_charge_cic(grid: YeeGrid, positions: np.ndarray, charge: float,
     values = (charge / dv) * np.asarray(weights, dtype=np.float64)
     _scatter_cic(grid.rho, positions, values, grid.config.cell_size, STAGGER["rho"])
     return grid.rho
-
-
-def deposit_current_cic(grid: YeeGrid, positions: np.ndarray, velocities: np.ndarray,
-                        charge: float, weights: np.ndarray,
-                        kernel: str = "fused") -> None:
-    """Direct CIC deposition of ``J = q w v / dV`` onto the staggered J grid."""
-    if _check_kernel(kernel):
-        deposit_current_cic_fused(grid, positions, velocities, charge, weights)
-        return
-    dv = grid.config.cell_volume
-    weights = np.asarray(weights, dtype=np.float64)
-    cell = grid.config.cell_size
-    for axis, name in enumerate(("Jx", "Jy", "Jz")):
-        values = (charge / dv) * weights * velocities[:, axis]
-        _scatter_cic(grid.component(name), positions, values, cell, STAGGER[name])
 
 
 def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,

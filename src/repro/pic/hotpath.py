@@ -1,14 +1,17 @@
-"""The PIC hot-path benchmark: fused vs reference kernels, persisted.
+"""The PIC hot-path benchmark case: fused vs reference kernels.
 
 Measures steps/second of the full PIC step (gather → push → Esirkepov
-deposit → field solve) on the bench-tiny KHI problem with both kernel paths,
-checks that they stay numerically equivalent, and appends the result to
-``BENCH_pic_hotpath.json`` at the repository root so the perf trajectory of
-the hot path is tracked across commits (see ``docs/performance.md``).
+deposit → field solve) on the bench-tiny KHI problem (or any ``--grid``)
+with both kernel paths and checks that they stay numerically equivalent.
+This module is the *case*: its flags, its timing callable, its equivalence
+gate and its record schema.  The measurement loop, the shared flags,
+persistence to ``BENCH_pic_hotpath.json`` and the exit codes belong to the
+harness in :mod:`repro.utils.benchjson` (see ``docs/performance.md``).
 
 Run it with ``python -m repro.pic.hotpath`` or ``python -m repro.cli
-bench-hotpath``; the exit status is non-zero when the fused and reference
-paths disagree, which lets CI use the benchmark as an equivalence gate.
+bench-hotpath`` (the same flag declarations); exit status 1 means the fused
+and reference paths disagree, which lets CI use the benchmark as an
+equivalence gate, 2 means a bad argument.
 """
 
 from __future__ import annotations
@@ -17,12 +20,13 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.pic.khi import KHIConfig, make_khi_simulation
-from repro.pic.simulation import PICSimulation
+from repro.utils.benchjson import BenchCase, best_of_interleaved, case_main
 
 #: bench-tiny problem: the KHI grid/ppc of the ``bench-tiny`` workflow preset.
 BENCH_TINY_GRID = (8, 16, 2)
@@ -41,6 +45,7 @@ class HotpathResult:
     steps_per_sec: Dict[str, float]
     sections_ms: Dict[str, Dict[str, float]]
     n_steps: int
+    warmup: int
     n_macro_particles: int
     grid_shape: Tuple[int, int, int]
     equivalence_error: float
@@ -54,7 +59,7 @@ class HotpathResult:
         return {"grid_shape": list(self.grid_shape),
                 "particles_per_cell": BENCH_TINY_PPC,
                 "n_macro_particles": self.n_macro_particles,
-                "n_steps": self.n_steps}
+                "n_steps": self.n_steps, "warmup": self.warmup}
 
     def metrics(self) -> Dict[str, object]:
         return {"steps_per_sec": self.steps_per_sec,
@@ -72,8 +77,8 @@ def _bench_config(kernel: str, grid_shape=BENCH_TINY_GRID,
 
 
 def _time_kernel(kernel: str, n_steps: int, warmup: int,
-                 grid_shape) -> Tuple[float, Dict[str, float], PICSimulation]:
-    """Steps/sec and per-section ms/step of one kernel path."""
+                 grid_shape) -> Tuple[float, Tuple[Dict[str, float], int]]:
+    """Steps/sec of one kernel path + (per-section ms/step, particle count)."""
     simulation = make_khi_simulation(_bench_config(kernel, grid_shape))
     for _ in range(warmup):
         simulation.step()
@@ -84,7 +89,7 @@ def _time_kernel(kernel: str, n_steps: int, warmup: int,
     wall = time.perf_counter() - start
     sections = {name: 1e3 * total / n_steps
                 for name, total in simulation.timer.totals().items()}
-    return n_steps / wall, sections, simulation
+    return n_steps / wall, (sections, simulation.n_macro_particles)
 
 
 def check_equivalence(n_steps: int = 10,
@@ -120,41 +125,27 @@ def run_hotpath_benchmark(n_steps: int = 40, warmup: int = 5,
     """Measure both kernel paths and their equivalence on bench-tiny.
 
     The two kernels are measured in ``repeats`` interleaved blocks and the
-    best block per kernel is kept: background load hits both paths alike
-    instead of whichever happened to run during a busy window, and the
-    minimum is the usual robust wall-clock estimator.
+    best block per kernel is kept (:func:`best_of_interleaved`).
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if warmup < 0:
         raise ValueError("warmup must be >= 0")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    best = best_of_interleaved(
+        {kernel: partial(_time_kernel, kernel, n_steps, warmup, grid_shape)
+         for kernel in ("reference", "fused")}, repeats)
     rates: Dict[str, float] = {}
     sections: Dict[str, Dict[str, float]] = {}
-    n_macro = 0
-    for _ in range(repeats):
-        for kernel in ("reference", "fused"):
-            rate, per_section, simulation = _time_kernel(kernel, n_steps,
-                                                         warmup, grid_shape)
-            if rate > rates.get(kernel, 0.0):
-                rates[kernel] = rate
-                sections[kernel] = per_section
-            n_macro = simulation.n_macro_particles
+    for kernel, (rate, (per_section, n_macro)) in best.items():
+        rates[kernel] = rate
+        sections[kernel] = per_section
     error = check_equivalence(equivalence_steps, grid_shape)
     return HotpathResult(steps_per_sec=rates, sections_ms=sections,
-                         n_steps=n_steps, n_macro_particles=n_macro,
+                         n_steps=n_steps, warmup=warmup,
+                         n_macro_particles=n_macro,
                          grid_shape=tuple(grid_shape),
                          equivalence_error=error,
                          equivalent=error < EQUIVALENCE_RTOL)
-
-
-def persist_result(result: HotpathResult, directory: str = ".") -> str:
-    """Append ``result`` to ``BENCH_pic_hotpath.json``; returns the path."""
-    from repro.utils.benchjson import append_run
-
-    return append_run("pic_hotpath", result.params(), result.metrics(),
-                      directory)
 
 
 def format_result(result: HotpathResult) -> str:
@@ -175,48 +166,30 @@ def format_result(result: HotpathResult) -> str:
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.pic.hotpath",
-        description="benchmark the fused vs reference PIC hot path on the "
-                    "bench-tiny problem and append to BENCH_pic_hotpath.json")
+def _add_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steps", type=int, default=40,
                         help="timed steps per kernel (default 40)")
     parser.add_argument("--warmup", type=int, default=5,
                         help="untimed warmup steps per kernel (default 5)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="interleaved measurement blocks per kernel; the "
-                             "best block is recorded (default 3)")
     parser.add_argument("--grid", type=int, nargs=3, default=BENCH_TINY_GRID,
                         metavar=("NX", "NY", "NZ"),
                         help="override the bench-tiny grid cells")
-    parser.add_argument("--output-dir", type=str, default=".",
-                        help="directory of BENCH_pic_hotpath.json (default .)")
-    parser.add_argument("--no-persist", action="store_true",
-                        help="measure and print only; do not touch the "
-                             "BENCH_*.json history")
-    args = parser.parse_args(argv)
-    if args.steps < 1:
-        print("error: --steps must be >= 1", file=sys.stderr)
-        return 2
-    if args.warmup < 0:
-        print("error: --warmup must be >= 0", file=sys.stderr)
-        return 2
 
-    if args.repeats < 1:
-        print("error: --repeats must be >= 1", file=sys.stderr)
-        return 2
-    result = run_hotpath_benchmark(n_steps=args.steps, warmup=args.warmup,
-                                   repeats=args.repeats,
-                                   grid_shape=tuple(args.grid))
-    print(format_result(result))
-    if not args.no_persist:
-        path = persist_result(result, args.output_dir)
-        print(f"  recorded in {path}")
-    if not result.equivalent:
-        print("error: fused and reference kernels disagree", file=sys.stderr)
-        return 1
-    return 0
+
+CASE = BenchCase(
+    topic="pic_hotpath",
+    description="benchmark the fused vs reference PIC hot path on the "
+                "bench-tiny problem (appends to BENCH_pic_hotpath.json)",
+    add_arguments=_add_arguments,
+    run=lambda args: run_hotpath_benchmark(
+        n_steps=args.steps, warmup=args.warmup, repeats=args.repeats,
+        grid_shape=tuple(args.grid)),
+    format_result=format_result,
+    gate_failure=lambda result: "fused and reference kernels disagree")
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return case_main(CASE, "python -m repro.pic.hotpath", argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

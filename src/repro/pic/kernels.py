@@ -263,7 +263,7 @@ def gather_fields_fused(grid: YeeGrid, positions: np.ndarray,
 
 
 # --------------------------------------------------------------------------- #
-# CIC scatters
+# CIC charge scatter
 # --------------------------------------------------------------------------- #
 def deposit_charge_cic_fused(grid: YeeGrid, positions: np.ndarray, charge: float,
                              weights: np.ndarray) -> np.ndarray:
@@ -274,18 +274,6 @@ def deposit_charge_cic_fused(grid: YeeGrid, positions: np.ndarray, charge: float
                          STAGGER["rho"])
     plan.scatter_add(grid.rho, values)
     return grid.rho
-
-
-def deposit_current_cic_fused(grid: YeeGrid, positions: np.ndarray,
-                              velocities: np.ndarray, charge: float,
-                              weights: np.ndarray) -> None:
-    """Bincount-based direct CIC current deposition onto the staggered J grid."""
-    weights = np.asarray(weights, dtype=np.float64)
-    factor = (charge / grid.config.cell_volume) * weights
-    plans = CICPlanSet(positions, grid.config.cell_size, grid.shape)
-    for axis, name in enumerate(("Jx", "Jy", "Jz")):
-        plans.plan(STAGGER[name]).scatter_add(grid.component(name),
-                                              factor * velocities[:, axis])
 
 
 # --------------------------------------------------------------------------- #

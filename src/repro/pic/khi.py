@@ -55,7 +55,6 @@ class KHIConfig:
     #: physical KHI setup of the paper) loads co-drifting protons so each
     #: stream is current neutral and the instability grows from noise.
     immobile_ions: bool = False
-    current_deposition: str = "esirkepov"
     #: hot-path kernel selection: ``"fused"`` (default) or ``"reference"``
     #: (see :mod:`repro.pic.kernels` and ``docs/performance.md``)
     kernel: str = "fused"
@@ -152,7 +151,6 @@ def make_khi_simulation(config: KHIConfig | None = None,
     electrons = ParticleSpecies.electrons(positions, momenta, weights)
 
     sim_config = SimulationConfig(grid=grid_config, dt=config.dt,
-                                  current_deposition=config.current_deposition,
                                   kernel=config.kernel)
     simulation = PICSimulation(sim_config, species=[electrons])
 

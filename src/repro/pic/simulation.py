@@ -3,10 +3,12 @@
 PIConGPU exposes its in-situ diagnostics (the far-field radiation plugin,
 openPMD output, ISAAC visualisation, ...) as plugins invoked after every
 time step.  :class:`PICSimulation` mirrors that structure: a
-:class:`Plugin` registers for a hook and receives the simulation object, so
-the radiation calculation (:mod:`repro.radiation`) and the openPMD streaming
-output (:mod:`repro.core`) attach to the simulation exactly the way the
-paper describes (two independent output plugins feeding two data streams).
+:class:`Plugin` registers for a hook and receives the simulation object.
+Where the paper has two independent output plugins feeding two data
+streams, this repository attaches one,
+:class:`repro.core.producer.StreamingProducerPlugin`, which computes the
+radiation (:mod:`repro.radiation`) and streams it with the particle data as
+one openPMD iteration.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro import constants
-from repro.pic.deposition import (deposit_charge_cic, deposit_current_cic,
-                                  deposit_current_esirkepov)
+from repro.pic.deposition import deposit_charge_cic, deposit_current_esirkepov
 from repro.pic.fom import FigureOfMerit, figure_of_merit
 from repro.pic.grid import GridConfig, YeeGrid
 from repro.pic.interpolation import gather_fields
@@ -56,12 +57,6 @@ class SimulationConfig:
         Grid geometry.
     dt:
         Time step [s]; defaults to 99.5 % of the CFL limit.
-    current_deposition:
-        ``"esirkepov"`` (charge conserving, default — what PIConGPU uses) or
-        ``"cic"`` (direct deposition, cheaper but not charge conserving).
-    deposit_charge_density:
-        Whether to additionally deposit ``rho`` every step (needed by some
-        diagnostics; costs one extra scatter pass).
     kernel:
         ``"fused"`` (default) runs the gather/push/deposit hot path on the
         shared-plan bincount kernels of :mod:`repro.pic.kernels`;
@@ -71,8 +66,6 @@ class SimulationConfig:
 
     grid: GridConfig
     dt: Optional[float] = None
-    current_deposition: str = "esirkepov"
-    deposit_charge_density: bool = False
     kernel: str = "fused"
 
     def __post_init__(self) -> None:
@@ -82,8 +75,6 @@ class SimulationConfig:
             raise ValueError("dt must be positive")
         if self.dt > self.grid.courant_time_step(safety=1.0):
             raise ValueError("dt violates the CFL limit of the grid")
-        if self.current_deposition not in ("esirkepov", "cic"):
-            raise ValueError("current_deposition must be 'esirkepov' or 'cic'")
         if self.kernel not in ("fused", "reference"):
             raise ValueError("kernel must be 'fused' or 'reference'")
 
@@ -157,32 +148,17 @@ class PICSimulation:
             with self.timer.section("gather"):
                 e_at_p, b_at_p = gather_fields(grid, s.positions, kernel=kernel,
                                                workspace=self._workspace)
-            if self.config.current_deposition == "esirkepov":
-                with self.timer.section("push"):
-                    push(s, e_at_p, b_at_p, dt)
-                    # advance_positions rebinds (never mutates) the stored
-                    # array, so the pre-push positions survive without a copy
-                    old_positions = s.positions
-                    new_positions = advance_positions(s, dt, box_extent=extent)
-                with self.timer.section("deposit"):
-                    deposit_current_esirkepov(grid, old_positions, new_positions,
-                                              s.charge, s.weights, dt,
-                                              kernel=kernel,
-                                              workspace=self._workspace)
-            else:
-                with self.timer.section("push"):
-                    push(s, e_at_p, b_at_p, dt)
-                    advance_positions(s, dt, box_extent=extent)
-                with self.timer.section("deposit"):
-                    velocities = s.velocities()
-                    deposit_current_cic(grid, s.positions, velocities, s.charge,
-                                        s.weights, kernel=kernel)
-        if self.config.deposit_charge_density:
+            with self.timer.section("push"):
+                push(s, e_at_p, b_at_p, dt)
+                # advance_positions rebinds (never mutates) the stored
+                # array, so the pre-push positions survive without a copy
+                old_positions = s.positions
+                new_positions = advance_positions(s, dt, box_extent=extent)
             with self.timer.section("deposit"):
-                grid.clear_charge()
-                for s in self.species:
-                    deposit_charge_cic(grid, s.positions, s.charge, s.weights,
-                                       kernel=kernel)
+                deposit_current_esirkepov(grid, old_positions, new_positions,
+                                          s.charge, s.weights, dt,
+                                          kernel=kernel,
+                                          workspace=self._workspace)
         with self.timer.section("fields"):
             self.solver.step(dt)
         self.step_index += 1

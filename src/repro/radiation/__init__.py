@@ -9,18 +9,18 @@ model must reconstruct the particle dynamics.
 * :mod:`repro.radiation.detector` — the angular/spectral detector grid.
 * :mod:`repro.radiation.lienard_wiechert` — per-time-step far-field
   amplitude accumulation.
-* :mod:`repro.radiation.form_factor` — macro-particle form factors for
-  quantitatively consistent coherent and incoherent radiation
-  (Pausch et al. 2018).
-* :mod:`repro.radiation.plugin` — the in-situ plugin hooked into
-  :class:`repro.pic.PICSimulation`.
+* :mod:`repro.radiation.spectrum` — spectra and radiated energy from the
+  accumulated amplitude.
+
+The coupled workflow computes its per-step, per-sub-volume radiation inside
+:class:`repro.core.producer.StreamingProducerPlugin`
+(:func:`repro.core.transforms.region_spectrum` →
+:func:`radiation_amplitude_step`); there is no separate radiation plugin.
 """
 
 from repro.radiation.detector import RadiationDetector, direction_grid, frequency_grid
 from repro.radiation.lienard_wiechert import (accumulate_amplitude,
                                               radiation_amplitude_step)
-from repro.radiation.form_factor import macro_particle_form_factor, combine_coherent_incoherent
-from repro.radiation.plugin import RadiationPlugin, RadiationResult
 from repro.radiation.spectrum import spectrum_from_amplitude, total_radiated_energy
 
 __all__ = [
@@ -29,10 +29,6 @@ __all__ = [
     "frequency_grid",
     "accumulate_amplitude",
     "radiation_amplitude_step",
-    "macro_particle_form_factor",
-    "combine_coherent_incoherent",
-    "RadiationPlugin",
-    "RadiationResult",
     "spectrum_from_amplitude",
     "total_radiated_energy",
 ]

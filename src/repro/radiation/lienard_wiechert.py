@@ -58,9 +58,7 @@ def radiation_amplitude_step(detector: RadiationDetector,
         the momenta across the step).
     weights:
         Macro-particle weights ``(N,)``.  Weights multiply the *amplitude*
-        (fully coherent macro-particles); see
-        :mod:`repro.radiation.form_factor` for the coherent/incoherent
-        split.
+        (fully coherent macro-particles).
     time:
         Current simulation time [s].
     dt:

@@ -24,15 +24,29 @@ File schema (version 1)::
 Writes are atomic (temp file + ``os.replace``) so a crashed benchmark never
 corrupts the history; unknown or corrupt files fail loudly rather than being
 silently overwritten.
+
+The module is also the one harness under every persisted benchmark
+(:mod:`repro.pic.hotpath`, :mod:`repro.campaign.hotpath`).  A benchmark is a
+:class:`BenchCase`: its topic, its own flags, a ``run(args)`` returning a
+result with ``params()`` / ``metrics()`` / ``equivalent``, the result's text
+rendering and the message of a failed gate.  The harness supplies the rest:
+:func:`best_of_interleaved` (the measurement loop), the shared flags
+(``--repeats``, ``--output-dir``, ``--no-persist``), persistence, and one
+exit-code policy — 2 for a ``ValueError`` (a bad argument), 1 for a failed
+equivalence gate, 0 otherwise.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
+import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Dict, List, Optional
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from repro.utils.serialization import jsonable
 
@@ -118,3 +132,93 @@ def latest_run(topic: str, directory: str = ".") -> Optional[Dict[str, object]]:
         return None
     runs: List[Dict[str, object]] = load_history(path)["runs"]
     return runs[-1] if runs else None
+
+
+# --------------------------------------------------------------------------- #
+# The harness every persisted benchmark runs under
+# --------------------------------------------------------------------------- #
+def best_of_interleaved(timed: Mapping[str, Callable[[], Tuple[float, Any]]],
+                        repeats: int,
+                        setup: Optional[Callable[[], None]] = None
+                        ) -> Dict[str, Tuple[float, Any]]:
+    """Measure the named callables in ``repeats`` interleaved blocks.
+
+    Each callable returns ``(rate, payload)``; per name, the block with the
+    highest rate is kept, payload included.  Interleaving makes background
+    load hit every side alike instead of whichever happened to run during a
+    busy window, and the best block is the usual robust wall-clock
+    estimator.  ``setup`` (e.g. a one-off warmup) runs once before the first
+    block, after ``repeats`` was checked, so a bad argument never pays for it.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    if setup is not None:
+        setup()
+    best: Dict[str, Tuple[float, Any]] = {}
+    for _ in range(repeats):
+        for name, measure in timed.items():
+            rate, payload = measure()
+            if name not in best or rate > best[name][0]:
+                best[name] = (rate, payload)
+    return best
+
+
+@dataclass
+class BenchCase:
+    """What one persisted benchmark supplies to the harness."""
+
+    #: the history file is ``BENCH_<topic>.json``
+    topic: str
+    #: the ``--help`` text of the entry points
+    description: str
+    #: declares the case's own flags on a parser
+    add_arguments: Callable[[argparse.ArgumentParser], None]
+    #: measures; ``ValueError`` means a bad argument.  The result exposes
+    #: ``params()``, ``metrics()`` and the gate verdict ``equivalent``
+    run: Callable[[argparse.Namespace], Any]
+    #: the human-readable table of a result
+    format_result: Callable[[Any], str]
+    #: one line naming the sides that disagree in a failed-gate result
+    gate_failure: Callable[[Any], str]
+
+
+def add_case_arguments(parser: argparse.ArgumentParser,
+                       case: BenchCase) -> None:
+    """Declare ``case``'s own flags and the shared harness flags."""
+    case.add_arguments(parser)
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="interleaved measurement blocks; the best block "
+                             "of each side is recorded (default 3)")
+    parser.add_argument("--output-dir", type=str, default=".",
+                        help=f"directory of {bench_path(case.topic, '')} "
+                             f"(default .)")
+    parser.add_argument("--no-persist", action="store_true",
+                        help="measure and print only; do not touch the "
+                             "BENCH_*.json history")
+
+
+def run_case(case: BenchCase, args: argparse.Namespace) -> int:
+    """Run, print, persist and gate ``case``; returns the exit code."""
+    try:
+        result = case.run(args)
+        print(case.format_result(result))
+        if not args.no_persist:
+            params = dict(result.params(), repeats=args.repeats)
+            path = append_run(case.topic, params, result.metrics(),
+                              args.output_dir)
+            print(f"  recorded in {path}")
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    if not result.equivalent:
+        print(f"error: {case.gate_failure(result)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def case_main(case: BenchCase, prog: str,
+              argv: Optional[Sequence[str]] = None) -> int:
+    """The ``python -m`` entry point of ``case``."""
+    parser = argparse.ArgumentParser(prog=prog, description=case.description)
+    add_case_arguments(parser, case)
+    return run_case(case, parser.parse_args(argv))

@@ -1,9 +1,14 @@
 """Wall-clock timing helpers.
 
 The streaming and scaling studies in the paper are throughput measurements;
-this module provides a small, dependency-free timer abstraction that can also
-be driven by a *simulated* clock so that performance-model benchmarks produce
-deterministic results (see :mod:`repro.perfmodel`).
+this module provides a small, dependency-free accumulating timer.
+:class:`Timer` is what :class:`repro.pic.simulation.PICSimulation`
+(``gather``/``push``/``deposit``/``fields``/``plugins``) and the trainer
+(``ingest``/``batch``/``forward``/``backward``/``optimizer``) split their
+wall time with; the hot-path benchmark and ``bench/`` read those totals.
+The clock is injectable, and :class:`VirtualClock` makes the timer's own
+tests deterministic — no performance model drives it
+(:mod:`repro.perfmodel` is analytic and never measures time).
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ class WallClock:
 
 
 class VirtualClock(WallClock):
-    """A manually advanced clock used by the performance models."""
+    """A manually advanced clock, for deterministic timer tests."""
 
     def __init__(self, start: float = 0.0) -> None:
         self._t = float(start)

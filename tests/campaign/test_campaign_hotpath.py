@@ -1,12 +1,17 @@
-"""Tests of the campaign-throughput harness (``repro.campaign.hotpath``)."""
+"""Tests of the campaign-throughput benchmark case
+(``repro.campaign.hotpath``).
+
+The harness behaviour every case shares (flags, persist, exit codes) is
+tested once, over both cases, in ``tests/test_bench_harness.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.campaign.hotpath import (CampaignThroughputResult,
+from repro.campaign.hotpath import (CASE, CampaignThroughputResult,
                                     check_equivalence, format_result, main,
-                                    persist_result, run_campaign_benchmark)
+                                    run_campaign_benchmark)
 from repro.campaign.store import RunRecord, STATUS_COMPLETED, STATUS_FAILED
 from repro.utils.benchjson import latest_run
 
@@ -71,22 +76,30 @@ class TestRunCampaignBenchmark:
         assert result.n_runs == 2
 
     @pytest.mark.parametrize("kwargs", [{"repeats": 0}, {"repetitions": 0},
-                                        {"preset": "no-such-preset"}])
+                                        {"max_workers": 0}])
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
             run_campaign_benchmark(**kwargs)
 
 
 class TestPersistAndFormat:
-    def test_persist_appends_bench_record(self, tmp_path):
-        result = stub_result()
-        path = persist_result(result, str(tmp_path))
-        assert path.endswith("BENCH_campaign_throughput.json")
+    def test_persist_appends_bench_record(self, tmp_path, monkeypatch,
+                                          capsys):
+        """The record schema: the case's params/metrics plus the harness's
+        ``repeats`` stamp, so a record says how it was taken."""
+        monkeypatch.setattr(CASE, "run", lambda args: stub_result())
+        assert main(["--repeats", "5", "--output-dir", str(tmp_path)]) == 0
+        assert "BENCH_campaign_throughput.json" in capsys.readouterr().out
         saved = latest_run("campaign_throughput", str(tmp_path))
+        assert saved["params"] == {
+            "preset": "campaign-smoke", "n_runs": 8, "max_workers": 2,
+            "start_method": "spawn", "executors": ["serial", "workers"],
+            "repeats": 5}
+        assert set(saved["metrics"]) == {
+            "runs_per_sec", "speedup_workers_vs_serial", "pool_stats",
+            "equivalent", "equivalence_detail"}
         assert saved["metrics"]["speedup_workers_vs_serial"] == 2.5
-        assert saved["params"]["executors"] == ["serial", "workers"]
         assert saved["metrics"]["equivalent"] is True
-        assert saved["params"]["preset"] == "campaign-smoke"
 
     def test_format_mentions_every_executor_and_the_gate(self):
         text = format_result(stub_result())
@@ -97,38 +110,3 @@ class TestPersistAndFormat:
                                            equivalence_detail="diverged"))
         assert "FAILED" in failed and "diverged" in failed
 
-
-class TestMain:
-    def test_main_no_persist(self, capsys):
-        assert main(["--repeats", "1", "--repetitions", "1",
-                     "--max-workers", "2", "--start-method", "fork",
-                     "--no-persist"]) == 0
-        out = capsys.readouterr().out
-        assert "workers vs serial" in out
-        assert "recorded" not in out
-
-    def test_main_persists_history(self, capsys, tmp_path):
-        assert main(["--repeats", "1", "--repetitions", "1",
-                     "--max-workers", "2", "--start-method", "fork",
-                     "--output-dir", str(tmp_path)]) == 0
-        assert latest_run("campaign_throughput", str(tmp_path)) is not None
-        assert "recorded" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("argv", [["--repeats", "0"],
-                                      ["--repetitions", "0"],
-                                      ["--max-workers", "0"]])
-    def test_main_rejects_bad_flags(self, argv, capsys):
-        assert main(argv + ["--no-persist"]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_equivalence_failure_exits_nonzero(self, capsys, monkeypatch):
-        """The CI gate: a workers-vs-serial disagreement must fail the
-        process, not just print a warning."""
-        import repro.campaign.hotpath as hotpath_module
-
-        monkeypatch.setattr(
-            hotpath_module, "run_campaign_benchmark",
-            lambda **kwargs: stub_result(equivalent=False,
-                                         equivalence_detail="diverged"))
-        assert main(["--no-persist"]) == 1
-        assert "disagree" in capsys.readouterr().err

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import constants
-from repro.pic.deposition import (deposit_charge_cic, deposit_current_cic,
-                                  deposit_current_esirkepov)
+from repro.pic.deposition import deposit_charge_cic, deposit_current_esirkepov
 from repro.pic.grid import GridConfig, YeeGrid
 from repro.pic.interpolation import gather_component, gather_fields
 
@@ -72,19 +71,6 @@ class TestChargeDeposition:
 
 
 class TestCurrentDeposition:
-    def test_cic_total_current(self, rng):
-        grid = make_grid()
-        n = 100
-        positions = rng.uniform(0, 8e-5, size=(n, 3))
-        velocities = rng.normal(scale=1e6, size=(n, 3))
-        weights = rng.uniform(0.5, 2.0, size=n)
-        charge = constants.ELEMENTARY_CHARGE
-        deposit_current_cic(grid, positions, velocities, charge, weights)
-        box_volume = np.prod(grid.config.extent)
-        total_jx = np.sum(grid.Jx) * grid.config.cell_volume
-        expected = charge * np.sum(weights * velocities[:, 0])
-        assert total_jx == pytest.approx(expected, rel=1e-12)
-
     def test_esirkepov_continuity_equation(self, rng):
         """The Esirkepov deposition satisfies d(rho)/dt + div J = 0 exactly."""
         grid = make_grid(shape=(10, 9, 8), cell=2.0e-5)

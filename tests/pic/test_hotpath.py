@@ -1,17 +1,32 @@
-"""Smoke tests of the hot-path benchmark harness (``repro.pic.hotpath``)."""
+"""Tests of the PIC hot-path benchmark case (``repro.pic.hotpath``).
+
+The harness behaviour every case shares (flags, persist, exit codes) is
+tested once, over both cases, in ``tests/test_bench_harness.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.pic.hotpath import (HotpathResult, format_result, main,
-                               persist_result, run_hotpath_benchmark)
+from repro.pic.hotpath import (CASE, HotpathResult, format_result, main,
+                               run_hotpath_benchmark)
 from repro.utils.benchjson import latest_run
 
 
 def tiny_result():
     return run_hotpath_benchmark(n_steps=2, warmup=1, equivalence_steps=2,
                                  repeats=1)
+
+
+def stub_result(**overrides):
+    kwargs = dict(steps_per_sec={"fused": 200.0, "reference": 50.0},
+                  sections_ms={"fused": {"deposit": 2.0},
+                               "reference": {"deposit": 16.0}},
+                  n_steps=4, warmup=1, n_macro_particles=2048,
+                  grid_shape=(8, 16, 2), equivalence_error=1e-13,
+                  equivalent=True)
+    kwargs.update(overrides)
+    return HotpathResult(**kwargs)
 
 
 class TestRunHotpathBenchmark:
@@ -21,55 +36,38 @@ class TestRunHotpathBenchmark:
         assert all(rate > 0 for rate in result.steps_per_sec.values())
         assert set(result.sections_ms) == {"fused", "reference"}
         assert "deposit" in result.sections_ms["fused"]
-        assert result.n_macro_particles > 0
+        assert result.n_macro_particles == 8 * 16 * 2 * 4 * 2
         assert result.equivalent
         assert result.speedup > 0
 
     @pytest.mark.parametrize("kwargs", [{"n_steps": 0}, {"warmup": -1},
-                                        {"repeats": 0}])
+                                        {"repeats": 0},
+                                        {"grid_shape": (0, 16, 2)}])
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
             run_hotpath_benchmark(**kwargs)
 
 
 class TestPersistAndFormat:
-    def test_persist_appends_bench_record(self, tmp_path):
-        result = tiny_result()
-        path = persist_result(result, str(tmp_path))
+    def test_persist_appends_bench_record(self, tmp_path, monkeypatch, capsys):
+        """The record schema: the case's params/metrics plus the harness's
+        ``repeats`` stamp, so a record says how it was taken."""
+        result = stub_result()
+        monkeypatch.setattr(CASE, "run", lambda args: result)
+        assert main(["--repeats", "5", "--output-dir", str(tmp_path)]) == 0
+        assert "BENCH_pic_hotpath.json" in capsys.readouterr().out
         record = latest_run("pic_hotpath", str(tmp_path))
-        assert path.endswith("BENCH_pic_hotpath.json")
+        assert record["params"] == {
+            "grid_shape": [8, 16, 2], "particles_per_cell": 4,
+            "n_macro_particles": 2048, "n_steps": 4, "warmup": 1,
+            "repeats": 5}
+        assert set(record["metrics"]) == {
+            "steps_per_sec", "speedup", "sections_ms_per_step",
+            "equivalence_error", "equivalent"}
         assert record["metrics"]["speedup"] == pytest.approx(result.speedup)
-        assert record["params"]["n_macro_particles"] == result.n_macro_particles
 
     def test_format_mentions_both_kernels(self):
-        result = HotpathResult(
-            steps_per_sec={"fused": 200.0, "reference": 50.0},
-            sections_ms={"fused": {"deposit": 2.0},
-                         "reference": {"deposit": 16.0}},
-            n_steps=4, n_macro_particles=2048, grid_shape=(8, 16, 2),
-            equivalence_error=1e-13, equivalent=True)
-        text = format_result(result)
+        text = format_result(stub_result())
         assert "fused" in text and "reference" in text
         assert "4.00x" in text
         assert "OK" in text
-
-
-class TestMain:
-    def test_main_no_persist(self, capsys):
-        assert main(["--steps", "2", "--warmup", "1", "--repeats", "1",
-                     "--no-persist"]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "recorded" not in out
-
-    def test_main_persists_history(self, capsys, tmp_path):
-        assert main(["--steps", "2", "--warmup", "1", "--repeats", "1",
-                     "--output-dir", str(tmp_path)]) == 0
-        assert latest_run("pic_hotpath", str(tmp_path)) is not None
-        assert "recorded" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("argv", [["--steps", "0"], ["--warmup", "-1"],
-                                      ["--repeats", "0"]])
-    def test_main_rejects_bad_flags(self, argv, capsys):
-        assert main(argv + ["--no-persist"]) == 2
-        assert "error" in capsys.readouterr().err

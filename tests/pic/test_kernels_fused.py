@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import constants
-from repro.pic.deposition import (deposit_charge_cic, deposit_current_cic,
-                                  deposit_current_esirkepov)
+from repro.pic.deposition import deposit_charge_cic, deposit_current_esirkepov
 from repro.pic.grid import GridConfig, YeeGrid
 from repro.pic.interpolation import gather_fields
 from repro.pic.kernels import (CICPlanSet, Workspace, boris_push_fused,
@@ -79,22 +78,6 @@ class TestDepositionEquivalence:
         deposit_charge_cic(ref, positions, charge, weights, kernel="reference")
         deposit_charge_cic(fused, positions, charge, weights, kernel="fused")
         np.testing.assert_allclose(fused.rho, ref.rho, rtol=1e-12, atol=1e-300)
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_current_cic(self, seed):
-        rng = np.random.default_rng(seed)
-        ref, fused = make_grid(), make_grid()
-        positions, weights = random_particles(rng, ref, 80)
-        velocities = rng.normal(scale=1e6, size=(80, 3))
-        charge = constants.ELEMENTARY_CHARGE
-        deposit_current_cic(ref, positions, velocities, charge, weights,
-                            kernel="reference")
-        deposit_current_cic(fused, positions, velocities, charge, weights,
-                            kernel="fused")
-        for name in ("Jx", "Jy", "Jz"):
-            a, b = fused.component(name), ref.component(name)
-            scale = np.max(np.abs(b)) + 1e-300
-            assert np.max(np.abs(a - b)) < 1e-12 * scale
 
     @given(st.integers(1, 120), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)

@@ -66,7 +66,7 @@ class TestSimulationLoop:
         with pytest.raises(ValueError):
             SimulationConfig(grid=grid, dt=1.0)
         with pytest.raises(ValueError):
-            SimulationConfig(grid=grid, current_deposition="magic")
+            SimulationConfig(grid=grid, kernel="magic")
 
     def test_get_species(self):
         sim = make_khi_simulation(tiny_khi())

@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from repro import constants
-from repro.pic.khi import KHIConfig, make_khi_simulation
 from repro.radiation.detector import RadiationDetector, direction_grid, frequency_grid
-from repro.radiation.form_factor import (combine_coherent_incoherent,
-                                         macro_particle_form_factor)
 from repro.radiation.lienard_wiechert import accumulate_amplitude
-from repro.radiation.plugin import RadiationPlugin
 from repro.radiation.spectrum import (normalize_log_spectrum, spectrum_from_amplitude,
                                       total_radiated_energy)
 
@@ -131,34 +127,6 @@ class TestLienardWiechert:
         assert run(10.0) == pytest.approx(100.0 * run(1.0), rel=1e-9)
 
 
-class TestFormFactor:
-    def test_limits(self):
-        omega = np.array([0.0, 1e12, 1e18])
-        f = macro_particle_form_factor(omega, macro_extent=1e-5)
-        assert f[0] == pytest.approx(1.0)
-        assert f[-1] < 1e-6
-        assert np.all(np.diff(f) <= 0)
-
-    def test_cic_shape(self):
-        omega = np.linspace(0, 1e16, 50)
-        f = macro_particle_form_factor(omega, macro_extent=1e-6, shape="cic")
-        assert f[0] == pytest.approx(1.0)
-        assert np.all((f >= 0) & (f <= 1))
-
-    def test_combination_interpolates(self):
-        coherent = np.full((2, 3), 100.0)
-        incoherent = np.full((2, 3), 10.0)
-        combined_low = combine_coherent_incoherent(coherent, incoherent, np.ones(3))
-        combined_high = combine_coherent_incoherent(coherent, incoherent, np.zeros(3))
-        np.testing.assert_allclose(combined_low, 100.0)
-        np.testing.assert_allclose(combined_high, 10.0)
-
-    def test_invalid_form_factor(self):
-        with pytest.raises(ValueError):
-            combine_coherent_incoherent(np.ones((1, 1)), np.ones((1, 1)),
-                                        np.array([1.5]))
-
-
 class TestSpectrumHelpers:
     def test_spectrum_shape_validation(self):
         with pytest.raises(ValueError):
@@ -179,30 +147,3 @@ class TestSpectrumHelpers:
         out = normalize_log_spectrum(np.full((2, 2), 5.0))
         np.testing.assert_allclose(out, 0.0)
 
-
-class TestRadiationPlugin:
-    def test_plugin_accumulates_during_khi_run(self):
-        cfg = KHIConfig(grid_shape=(8, 16, 2), particles_per_cell=2, seed=5)
-        sim = make_khi_simulation(cfg)
-        detector = RadiationDetector.for_khi(density=cfg.density, n_directions=3,
-                                             n_frequencies=12)
-        plugin = RadiationPlugin(detector, sample_fraction=0.5)
-        sim.add_plugin(plugin)
-        sim.run(5)
-        spectrum = plugin.spectrum()
-        assert spectrum.shape == detector.shape
-        assert np.all(spectrum >= 0)
-        assert spectrum.sum() > 0
-        result = plugin.result(step=sim.step_index)
-        assert result.amplitude.shape == detector.shape + (3,)
-
-    def test_plugin_requires_run(self):
-        detector = RadiationDetector.for_khi(density=1e20, n_directions=2, n_frequencies=4)
-        plugin = RadiationPlugin(detector)
-        with pytest.raises(RuntimeError):
-            plugin.spectrum()
-
-    def test_invalid_sample_fraction(self):
-        detector = RadiationDetector.for_khi(density=1e20, n_directions=2, n_frequencies=4)
-        with pytest.raises(ValueError):
-            RadiationPlugin(detector, sample_fraction=0.0)
