@@ -21,8 +21,8 @@ as one hand-launched session.  This subsystem turns one declarative
   one store,
 * :mod:`repro.campaign.workers`   — the persistent worker-pool executor:
   long-lived warm worker processes shared across calls and campaigns,
-  run-granular breadth-first dispatch, concurrent leases, heartbeats,
-  straggler re-dispatch and crash-requeue,
+  run-granular breadth-first dispatch, concurrent leases, heartbeats
+  and crash-requeue,
 * :mod:`repro.campaign.hotpath`   — the campaign-throughput benchmark
   case (``BENCH_campaign_throughput.json``; the harness it runs under is
   :mod:`repro.utils.benchjson`),

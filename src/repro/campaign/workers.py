@@ -34,11 +34,7 @@ launches for exactly that reason).  This module removes that tax:
   run records are idempotent (the store keeps the last record per run id
   and :class:`repro.campaign.cache.ResultCache` writes are atomic).
   Only the run that was *executing* is charged against ``max_requeues``;
-  runs merely prefetched behind it go back to the queue uncharged;
-* when only a tail of runs remains, idle workers get **straggler
-  re-dispatches** of the oldest in-flight runs; results are deduplicated
-  per dispatch ticket — first completion wins, later duplicates are
-  dropped.
+  runs merely prefetched behind it go back to the queue uncharged.
 
 The executor side, :class:`WorkerPoolExecutor`, registers as ``workers``
 in the executor registry, so it is reachable from ``--executor workers``,
@@ -80,7 +76,7 @@ logger = get_logger(__name__)
 _POOL_EVENTS = REGISTRY.counter(
     "repro_worker_pool_events_total",
     "Worker-pool lifecycle events (dispatches, results, requeues, "
-    "cancellations, stragglers, respawns), by event")
+    "cancellations, respawns), by event")
 
 #: Default start method of worker processes.  ``spawn`` gives workers a
 #: clean interpreter (no inherited threads/locks — safe under the threaded
@@ -91,10 +87,6 @@ DEFAULT_START_METHOD = "spawn"
 #: Default per-worker capacity: runs a worker may hold at once.  Two keeps
 #: one run computing while the next waits in the pipe.
 DEFAULT_CAPACITY = 2
-
-#: Default straggler deadline (seconds): once the queue is drained, an
-#: in-flight run older than this is re-dispatched to an idle worker.
-DEFAULT_STRAGGLER_AFTER_S = 30.0
 
 #: Default crash-requeue bound: how often one run may be requeued after
 #: killing its worker before it is recorded as failed (guards against a
@@ -110,18 +102,14 @@ DEFAULT_HEARTBEAT_INTERVAL_S = 1.0
 #: dedicated thread, so ordinary long runs keep beating.
 DEFAULT_LIVENESS_TIMEOUT_S = 30.0
 
-#: Upper bound on concurrent dispatches of one ticket (the original plus
-#: straggler duplicates).
-_MAX_HOLDERS = 2
-
 #: The pool's event counters (lifetime on the pool, per lease in
 #: ``WorkerPoolExecutor.last_stats``).  ``dispatched_batches`` counts pipe
 #: messages, under the name the repo benchmark reads; with one run per
-#: message it equals ``dispatched_runs``.
+#: message it equals ``dispatched_runs``.  ``straggler_redispatches`` is
+#: kept, always 0, for the same reader: a run in flight exists once.
 _COUNTERS = ("dispatched_batches", "dispatched_runs", "results",
-             "duplicate_results_dropped", "stale_results_dropped",
-             "requeued_runs", "cancelled_runs", "straggler_redispatches",
-             "respawns")
+             "stale_results_dropped", "requeued_runs", "cancelled_runs",
+             "straggler_redispatches", "respawns")
 
 
 # --------------------------------------------------------------------------- #
@@ -411,13 +399,8 @@ class WorkerPool:
             lease = self._leases.get(lease_id)
             self._count("results", lease=lease)
             if lease is None:
-                # its lease ended without it (straggler loser, aborted run)
+                # its lease was aborted (on_record raised) before it answered
                 self._count("stale_results_dropped")
-                return
-            lease.holders[ticket].discard(worker)
-            if ticket in lease.done:
-                # a straggler duplicate already answered this ticket
-                self._count("duplicate_results_dropped", lease=lease)
                 return
             record._placement = {
                 "worker": worker.slot,
@@ -461,7 +444,7 @@ class WorkerPool:
             for rank in reversed(range(len(orphans))):
                 ticket, lease = orphans[rank]
                 if lease is not None:
-                    lease.orphaned(ticket, worker, executing=rank == 0)
+                    lease.orphaned(ticket, executing=rank == 0)
 
     # -- dispatch ----------------------------------------------------------- #
     def _dispatch(self) -> None:
@@ -485,9 +468,6 @@ class WorkerPool:
                 break
             lease = min(ready, key=lambda lease: lease.in_flight)
             lease.send(worker, lease.queue.popleft())
-        idle = [worker for worker in live if not worker.tickets]
-        for lease in self._leases.values():
-            idle = lease.rescue_stragglers(idle)
 
     # -- the drain loop ----------------------------------------------------- #
     def run(self, payloads: Sequence[Dict[str, object]], worker: RunWorker,
@@ -495,7 +475,6 @@ class WorkerPool:
             on_record: Optional[RecordCallback] = None,
             should_stop: Optional[StopCheck] = None,
             capacity: int = DEFAULT_CAPACITY,
-            straggler_after: Optional[float] = DEFAULT_STRAGGLER_AFTER_S,
             max_requeues: int = DEFAULT_MAX_REQUEUES,
             counters: Optional[Dict[str, int]] = None
             ) -> List[Optional[RunRecord]]:
@@ -518,8 +497,6 @@ class WorkerPool:
                 runs are dropped and the runs the workers already hold
                 (at most ``capacity`` each) finish.
             capacity: runs a worker may hold at once (``>= 1``).
-            straggler_after: seconds after which a tail run is duplicated
-                onto an idle worker (``None`` disables re-dispatch).
             max_requeues: how often a run may kill its worker and be
                 requeued before it is recorded failed.
             counters: if given, receives this lease's share of the pool
@@ -542,7 +519,7 @@ class WorkerPool:
         if not payloads:
             return []
         lease = _Lease(self, payloads, worker, retries, timeout, capacity,
-                       straggler_after, max_requeues)
+                       max_requeues)
         with self._lock:
             self.start()
             self._leases[lease.id] = lease
@@ -583,13 +560,12 @@ class _Lease:
     """
 
     def __init__(self, pool: WorkerPool, payloads, worker, retries, timeout,
-                 capacity, straggler_after, max_requeues) -> None:
+                 capacity, max_requeues) -> None:
         self.pool = pool
         self.worker_fn = worker
         self.retries = retries
         self.timeout = timeout
         self.capacity = capacity
-        self.straggler_after = straggler_after
         self.max_requeues = max_requeues
         self.id = next(pool._lease_ids)
         self.position_of: Dict[int, int] = {}
@@ -601,9 +577,6 @@ class _Lease:
             self.payload_of[ticket] = payload
             self.queue.append(ticket)
         self.done: Set[int] = set()
-        self.holders: Dict[int, Set[_Worker]] = {
-            ticket: set() for ticket in self.position_of}
-        self.first_dispatch: Dict[int, float] = {}
         self.requeues: Dict[int, int] = {}
         self.stopped = False
         self.cancelled = 0
@@ -632,17 +605,12 @@ class _Lease:
         self.cancelled += dropped
         self.pool._count("cancelled_runs", dropped, lease=self)
 
-    def orphaned(self, ticket: int, worker: _Worker, executing: bool) -> None:
+    def orphaned(self, ticket: int, executing: bool) -> None:
         """A worker died holding this ticket: requeue it, or fail it.
 
         Only the run the worker was executing can have killed it, so only
         that one is charged against ``max_requeues``.
         """
-        if ticket in self.done:
-            return
-        self.holders[ticket].discard(worker)
-        if self.holders[ticket]:
-            return   # a straggler duplicate is still computing it
         if executing:
             crashes = self.requeues[ticket] = self.requeues.get(ticket, 0) + 1
             if crashes > self.max_requeues:
@@ -667,8 +635,7 @@ class _Lease:
         except (OSError, ValueError):
             # pipe gone: back to the queue until the worker is respawned
             worker.dead = True
-            if not self.holders[ticket]:
-                self.queue.appendleft(ticket)
+            self.queue.appendleft(ticket)
             return
         except (pickle.PicklingError, AttributeError, TypeError) as exc:
             # the worker callable (or a payload) cannot cross the pipe —
@@ -678,30 +645,8 @@ class _Lease:
                 f"DispatchError: {type(exc).__name__}: {exc}"))
             return
         worker.tickets[ticket] = (self.id, time.time())
-        self.holders[ticket].add(worker)
-        self.first_dispatch.setdefault(ticket, time.monotonic())
         self.pool._count("dispatched_batches", lease=self)
         self.pool._count("dispatched_runs", lease=self)
-
-    def rescue_stragglers(self, idle: List[_Worker]) -> List[_Worker]:
-        """Duplicate the oldest tail runs onto idle workers (dedup by
-        ticket); returns the workers still idle."""
-        if self.straggler_after is None or self.queue or self.stopped \
-                or not idle:
-            return idle
-        now = time.monotonic()
-        candidates = sorted(
-            (ticket for ticket, since in self.first_dispatch.items()
-             if ticket not in self.done
-             and now - since >= self.straggler_after
-             and len(self.holders[ticket]) < _MAX_HOLDERS),
-            key=self.first_dispatch.get)
-        for worker, ticket in zip(list(idle), candidates):
-            self.send(worker, ticket)
-            if worker.tickets:
-                self.pool._count("straggler_redispatches", lease=self)
-                idle.remove(worker)
-        return idle
 
 
 # --------------------------------------------------------------------------- #
@@ -775,15 +720,13 @@ class WorkerPoolExecutor(CampaignExecutor):
             the caller owns its lifecycle.
         capacity: runs a worker may hold at once (one executing, the rest
             prefetched); also what a stop leaves to finish per worker.
-        straggler_after: seconds before tail runs are duplicated onto
-            idle workers (``None`` disables).
         max_requeues: how often a run may kill its worker and be requeued
             before it is failed.
         start_method: start method of a lazily-leased shared pool.
 
     Attributes:
         last_stats: after :meth:`execute`, this call's share of the pool
-            counters (dispatch/result/requeue/cancel/straggler/respawn
+            counters (dispatch/result/requeue/cancel/respawn
             counts) — the worker-pool analogue of
             ``ShardedExecutor.shard_sizes``.
     """
@@ -794,7 +737,6 @@ class WorkerPoolExecutor(CampaignExecutor):
                  timeout: Optional[float] = None, retries: int = 0,
                  pool: Optional[WorkerPool] = None,
                  capacity: int = DEFAULT_CAPACITY,
-                 straggler_after: Optional[float] = DEFAULT_STRAGGLER_AFTER_S,
                  max_requeues: int = DEFAULT_MAX_REQUEUES,
                  start_method: Optional[str] = None) -> None:
         super().__init__(max_workers=max_workers, timeout=timeout,
@@ -803,11 +745,8 @@ class WorkerPoolExecutor(CampaignExecutor):
             raise ValueError("capacity must be >= 1")
         if max_requeues < 0:
             raise ValueError("max_requeues must be >= 0")
-        if straggler_after is not None and straggler_after <= 0:
-            raise ValueError("straggler_after must be positive (or None)")
         self._pool = pool
         self.capacity = capacity
-        self.straggler_after = straggler_after
         self.max_requeues = max_requeues
         self.start_method = start_method
         self.last_stats: Dict[str, object] = {}
@@ -829,7 +768,6 @@ class WorkerPoolExecutor(CampaignExecutor):
         records = pool.run(payloads, worker, retries=self.retries,
                            timeout=self.timeout, on_record=on_record,
                            should_stop=should_stop, capacity=self.capacity,
-                           straggler_after=self.straggler_after,
                            max_requeues=self.max_requeues, counters=counters)
         self.last_stats = dict(counters, n_workers=pool.n_workers)
         return records

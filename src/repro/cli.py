@@ -282,14 +282,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         builder = (WorkflowBuilder().config(_run_config(args))
                    .driver(args.driver or "serial"))
+        if args.monitor:
+            builder.add_consumer("monitor", kind="histogram-monitor")
+        session = builder.build()
     except (ValueError, OSError) as error:
-        # typo'd preset/driver names and broken config files deserve a clean
+        # typo'd preset/driver names, broken config files and out-of-range
+        # overrides (checked when the session is built) deserve a clean
         # one-line message, not a traceback
         print(f"error: {error}", file=sys.stderr)
         return 2
-    if args.monitor:
-        builder.add_consumer("monitor", kind="histogram-monitor")
-    session = builder.build()
 
     result = session.run(args.steps)
     if result.producer_exception is not None:

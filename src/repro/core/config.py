@@ -48,7 +48,6 @@ class StreamingConfig:
     """Streaming-layer knobs of the coupled run."""
 
     queue_limit: int = 2                 #: SST step-queue depth (writer stalls beyond it)
-    data_plane: str = "inmemory"         #: data plane used for the real coupled run
     sample_interval: int = 1             #: stream every N-th simulation step
     stream_name: str = "khi-particles"
     #: keep this fraction of the raw particle records in the stream

@@ -24,8 +24,7 @@ import numpy as np
 
 from repro.openpmd.records import Record
 from repro.openpmd.series import Iteration
-from repro.streaming.engine import (FileReaderEngine, FileWriterEngine,
-                                    SSTReaderEngine, SSTWriterEngine)
+from repro.streaming.engine import SSTReaderEngine, SSTWriterEngine
 from repro.streaming.step import Step, StepStatus
 from repro.streaming.variable import Block, Variable
 

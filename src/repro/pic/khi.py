@@ -61,6 +61,11 @@ class KHIConfig:
     dt: Optional[float] = None
     seed: Optional[int] = 42
 
+    def __post_init__(self) -> None:
+        if self.particles_per_cell < 1:
+            raise ValueError(f"particles_per_cell must be >= 1, "
+                             f"got {self.particles_per_cell!r}")
+
     @classmethod
     def paper(cls) -> "KHIConfig":
         """The smallest volume reported in the paper (192×256×12 cells)."""

@@ -14,10 +14,10 @@ This subpackage reproduces that protocol in-process:
 * :class:`repro.streaming.engine.SSTWriterEngine` /
   :class:`repro.streaming.engine.SSTReaderEngine` — the step-based put/get
   API,
-* :mod:`repro.streaming.dataplane` — pluggable data planes: a zero-copy
-  in-memory plane used by the real coupled workflow, and calibrated
-  bandwidth/latency models of the ``libfabric``/CXI and ``MPI`` planes used
-  to regenerate the full-scale throughput study (Fig. 6),
+* :mod:`repro.streaming.dataplane` — calibrated bandwidth/latency cost
+  models of the ``libfabric``/CXI and ``MPI`` data planes used to
+  regenerate the full-scale throughput study (Fig. 6); the coupled run
+  itself moves steps through process memory,
 * :class:`repro.streaming.noop.NoOpConsumer` — the synthetic benchmark
   consumer that only measures and discards,
 * :mod:`repro.streaming.throughput` — throughput accounting helpers.
@@ -25,39 +25,30 @@ This subpackage reproduces that protocol in-process:
 
 from repro.streaming.variable import Block, Variable
 from repro.streaming.step import Step, StepStatus
-from repro.streaming.broker import QueueFullPolicy, SSTBroker
-from repro.streaming.dataplane import (DataPlane, InMemoryDataPlane, ModeledDataPlane,
-                                       make_data_plane)
-from repro.streaming.engine import (EndOfStreamError, FileWriterEngine, FileReaderEngine,
-                                    SSTReaderEngine, SSTWriterEngine)
+from repro.streaming.broker import SSTBroker
+from repro.streaming.dataplane import DataPlane, ModeledDataPlane, make_data_plane
+from repro.streaming.engine import EndOfStreamError, SSTReaderEngine, SSTWriterEngine
 from repro.streaming.noop import NoOpConsumer
 from repro.streaming.throughput import ThroughputResult, measure_stream_throughput
-from repro.streaming.reduction import (IdentityReducer, ParticleSubsampleReducer,
-                                       PrecisionReducer, ReductionPipeline,
-                                       ReductionReport, SpectrumBinningReducer)
+from repro.streaming.reduction import (ParticleSubsampleReducer, PrecisionReducer,
+                                       ReductionPipeline, ReductionReport)
 
 __all__ = [
-    "IdentityReducer",
     "ParticleSubsampleReducer",
     "PrecisionReducer",
     "ReductionPipeline",
     "ReductionReport",
-    "SpectrumBinningReducer",
     "Block",
     "Variable",
     "Step",
     "StepStatus",
-    "QueueFullPolicy",
     "SSTBroker",
     "DataPlane",
-    "InMemoryDataPlane",
     "ModeledDataPlane",
     "make_data_plane",
     "EndOfStreamError",
     "SSTWriterEngine",
     "SSTReaderEngine",
-    "FileWriterEngine",
-    "FileReaderEngine",
     "NoOpConsumer",
     "ThroughputResult",
     "measure_stream_throughput",

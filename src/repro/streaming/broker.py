@@ -1,35 +1,26 @@
 """The in-process broker connecting one writer to its readers.
 
 The SST engine holds produced steps in a bounded queue ("QueueLimit" in
-ADIOS2 terms).  When the queue is full the writer either blocks — stalling
-the simulation, which the paper explicitly allows ("as long as we have some
-leeway to stall the running simulation") — or discards the oldest step.
-Both policies are implemented; the in-transit trainer relies on ``BLOCK``.
+ADIOS2 terms).  When the queue is full the writer blocks — stalling the
+simulation, which the paper explicitly allows ("as long as we have some
+leeway to stall the running simulation"); the in-transit trainer relies on
+never losing a step.
 """
 
 from __future__ import annotations
 
-import enum
 import threading
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Optional
 
 from repro.streaming.step import Step
 from repro.telemetry import REGISTRY
 
 _STREAM_STEPS = REGISTRY.counter(
     "repro_stream_steps_total",
-    "SST broker step events (written/read/discarded), by event")
+    "SST broker step events (written/read), by event")
 _STREAM_BYTES = REGISTRY.counter(
     "repro_stream_bytes_total", "Bytes written through the SST brokers")
-
-
-class QueueFullPolicy(enum.Enum):
-    """What the writer does when the step queue is full."""
-
-    BLOCK = "block"
-    DISCARD_OLDEST = "discard_oldest"
-    RAISE = "raise"
 
 
 class StreamClosedError(RuntimeError):
@@ -45,13 +36,11 @@ class SSTBroker:
     supports both via condition variables with timeouts.
     """
 
-    def __init__(self, stream_name: str, queue_limit: int = 2,
-                 policy: QueueFullPolicy = QueueFullPolicy.BLOCK) -> None:
+    def __init__(self, stream_name: str, queue_limit: int = 2) -> None:
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
         self.stream_name = stream_name
         self.queue_limit = int(queue_limit)
-        self.policy = policy
         self._queue: Deque[Step] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -59,30 +48,22 @@ class SSTBroker:
         self._closed = False
         self.steps_written = 0
         self.steps_read = 0
-        self.steps_discarded = 0
         self.bytes_written = 0
 
     # -- writer side -------------------------------------------------------- #
     def put_step(self, step: Step, timeout: Optional[float] = None) -> None:
-        """Enqueue a finished step according to the queue-full policy."""
+        """Enqueue a finished step, blocking while the queue is full."""
         with self._lock:
             if self._closed:
                 raise StreamClosedError(f"stream {self.stream_name!r} is closed")
             if len(self._queue) >= self.queue_limit:
-                if self.policy is QueueFullPolicy.RAISE:
-                    raise RuntimeError("step queue is full")
-                if self.policy is QueueFullPolicy.DISCARD_OLDEST:
-                    self._queue.popleft()
-                    self.steps_discarded += 1
-                    _STREAM_STEPS.inc(1, event="discarded")
-                else:  # BLOCK
-                    deadline_ok = self._not_full.wait_for(
-                        lambda: len(self._queue) < self.queue_limit or self._closed,
-                        timeout=timeout)
-                    if not deadline_ok:
-                        raise TimeoutError("timed out waiting for the reader to drain the queue")
-                    if self._closed:
-                        raise StreamClosedError(f"stream {self.stream_name!r} is closed")
+                deadline_ok = self._not_full.wait_for(
+                    lambda: len(self._queue) < self.queue_limit or self._closed,
+                    timeout=timeout)
+                if not deadline_ok:
+                    raise TimeoutError("timed out waiting for the reader to drain the queue")
+                if self._closed:
+                    raise StreamClosedError(f"stream {self.stream_name!r} is closed")
             self._queue.append(step)
             self.steps_written += 1
             self.bytes_written += step.nbytes

@@ -5,15 +5,13 @@ TCP as a non-scalable fallback, libfabric on top of the CXI provider for
 Slingshot, ucx, and MPI via ``MPI_Open_port``.  The paper benchmarks the
 libfabric and MPI planes at full Frontier scale (Fig. 6).
 
-Within this reproduction two kinds of plane exist:
-
-* :class:`InMemoryDataPlane` — used by the real coupled workflow; data stays
-  in process memory and transfer time is effectively zero.
-* :class:`ModeledDataPlane` — used by the Fig. 6 benchmark harness: no real
-  payload is moved, instead a calibrated bandwidth/latency/contention model
-  predicts the per-node read time, including the behaviour of the two read
-  enqueue strategies (all-at-once vs. batches of 10) whose difference the
-  paper reports.
+The real coupled workflow moves steps through process memory and has no
+plane; a :class:`DataPlane` here is a *cost model*, not a transport.
+:class:`ModeledDataPlane` is used by the Fig. 6 benchmark harness: no real
+payload is moved, instead a calibrated bandwidth/latency/contention model
+predicts the per-node read time, including the behaviour of the two read
+enqueue strategies (all-at-once vs. batches of 10) whose difference the
+paper reports.
 """
 
 from __future__ import annotations
@@ -42,16 +40,6 @@ class DataPlane:
     def supports(self, n_nodes: int, enqueue_strategy: str = "batched") -> bool:
         """Whether the plane/strategy combination works at this scale."""
         return True
-
-
-class InMemoryDataPlane(DataPlane):
-    """Zero-copy in-process transfers (the coupled laptop-scale workflow)."""
-
-    name = "inmemory"
-
-    def transfer_time(self, nbytes: int, n_nodes: int = 1,
-                      enqueue_strategy: str = "batched") -> float:
-        return 0.0
 
 
 @dataclass
@@ -120,12 +108,10 @@ def make_data_plane(kind: str, rng: RandomState = None) -> DataPlane:
     Parameters
     ----------
     kind:
-        ``"inmemory"``, ``"libfabric"`` (CXI provider), ``"mpi"``
-        (``MPI_Open_port`` based) or ``"tcp"`` (non-scalable fallback).
+        ``"libfabric"`` (CXI provider), ``"mpi"`` (``MPI_Open_port``
+        based) or ``"tcp"`` (non-scalable fallback).
     """
     rng = seeded_rng(rng)
-    if kind == "inmemory":
-        return InMemoryDataPlane()
     if kind == "libfabric":
         # Lower-level control: fastest per-node rates at moderate scale with
         # the all-at-once strategy, but that strategy breaks beyond ~half of

@@ -17,38 +17,35 @@ The reader side::
         mine = reader.get("particles/position", rank=2)  # one block only
         reader.end_step()    # tells the writer the data can be dropped
 
-A file-based pair (:class:`FileWriterEngine` / :class:`FileReaderEngine`)
-writes each step to an ``.npz`` file, providing the classical file-based
-workflow the paper compares against (and a persistence option for
-checkpointing streams).
+The classical file-based workflow the paper compares against is
+:class:`repro.openpmd.backends.JSONBackend`.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.streaming.broker import SSTBroker
-from repro.streaming.dataplane import DataPlane, InMemoryDataPlane
 from repro.streaming.step import Step, StepStatus
 from repro.streaming.variable import Block, Variable
-from repro.utils.serialization import jsonable
 
 
 class EndOfStreamError(RuntimeError):
     """Raised when an operation requires an open step after the stream ended."""
 
 
-class _StepWriterMixin:
-    """Shared step-assembly logic of writer engines."""
+class SSTWriterEngine:
+    """Producer side of the SST-style stream."""
 
-    def __init__(self, n_ranks: int = 1) -> None:
+    def __init__(self, broker: SSTBroker, n_ranks: int = 1,
+                 put_timeout: Optional[float] = 30.0) -> None:
         if n_ranks < 1:
             raise ValueError("n_ranks must be >= 1")
+        self.broker = broker
         self.n_ranks = int(n_ranks)
+        self.put_timeout = put_timeout
         self._current: Optional[Step] = None
         self._step_index = 0
         self.total_bytes_put = 0
@@ -76,28 +73,12 @@ class _StepWriterMixin:
             raise RuntimeError("put_attributes() requires an open step")
         self._current.attributes.update(attributes)
 
-    def _finish_step(self) -> Step:
+    def end_step(self) -> Step:
+        """Gather the step's metadata and present it to the readers."""
         if self._current is None:
             raise RuntimeError("end_step() without begin_step()")
         step, self._current = self._current, None
         self._step_index += 1
-        return step
-
-
-class SSTWriterEngine(_StepWriterMixin):
-    """Producer side of the SST-style stream."""
-
-    def __init__(self, broker: SSTBroker, n_ranks: int = 1,
-                 data_plane: Optional[DataPlane] = None,
-                 put_timeout: Optional[float] = 30.0) -> None:
-        super().__init__(n_ranks=n_ranks)
-        self.broker = broker
-        self.data_plane = data_plane or InMemoryDataPlane()
-        self.put_timeout = put_timeout
-
-    def end_step(self) -> Step:
-        """Gather the step's metadata and present it to the readers."""
-        step = self._finish_step()
         self.broker.put_step(step, timeout=self.put_timeout)
         return step
 
@@ -114,10 +95,9 @@ class SSTReaderEngine:
     all blocks are gathered.
     """
 
-    def __init__(self, broker: SSTBroker, data_plane: Optional[DataPlane] = None,
+    def __init__(self, broker: SSTBroker,
                  get_timeout: Optional[float] = 30.0) -> None:
         self.broker = broker
-        self.data_plane = data_plane or InMemoryDataPlane()
         self.get_timeout = get_timeout
         self._current: Optional[Step] = None
         self._ended = False
@@ -168,116 +148,3 @@ class SSTReaderEngine:
     def close(self) -> None:
         self._current = None
         self._ended = True
-
-
-class FileWriterEngine(_StepWriterMixin):
-    """File-based engine: one ``.npz`` + ``.json`` pair per step.
-
-    This is the classical workflow the paper's streaming approach replaces;
-    it is retained both for comparison benchmarks and because "file I/O can
-    certainly be initiated when desired".
-    """
-
-    def __init__(self, directory: str, n_ranks: int = 1) -> None:
-        super().__init__(n_ranks=n_ranks)
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-        self._written_steps: List[int] = []
-
-    def end_step(self) -> Step:
-        step = self._finish_step()
-        arrays: Dict[str, np.ndarray] = {}
-        layout: Dict[str, Dict[str, Dict[str, object]]] = {}
-        for name, variable in step.variables.items():
-            layout[name] = {}
-            for rank, block in variable.blocks.items():
-                key = f"{name}::{rank}"
-                arrays[key] = block.data
-                layout[name][str(rank)] = {"offset": list(block.offset)}
-        np.savez(self._array_path(step.index), **arrays)
-        with open(self._meta_path(step.index), "w", encoding="utf-8") as handle:
-            # strict=False: this metadata is a Python-internal round-trip and
-            # a non-finite attribute (diverged diagnostic) must stay nan
-            json.dump({"index": step.index,
-                       "attributes": jsonable(step.attributes, strict=False),
-                       "layout": layout}, handle)
-        self._written_steps.append(step.index)
-        return step
-
-    def close(self) -> None:
-        with open(os.path.join(self.directory, "series.json"), "w", encoding="utf-8") as handle:
-            json.dump({"steps": self._written_steps}, handle)
-
-    def _array_path(self, index: int) -> str:
-        return os.path.join(self.directory, f"step_{index:06d}.npz")
-
-    def _meta_path(self, index: int) -> str:
-        return os.path.join(self.directory, f"step_{index:06d}.json")
-
-
-class FileReaderEngine:
-    """Read steps previously written by :class:`FileWriterEngine`."""
-
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-        series_path = os.path.join(directory, "series.json")
-        if os.path.exists(series_path):
-            with open(series_path, encoding="utf-8") as handle:
-                self._steps = list(json.load(handle)["steps"])
-        else:
-            self._steps = sorted(
-                int(f[len("step_"):-len(".json")]) for f in os.listdir(directory)
-                if f.startswith("step_") and f.endswith(".json"))
-        self._cursor = 0
-        self._current: Optional[Step] = None
-        self.total_bytes_read = 0
-        self.steps_read = 0
-
-    def begin_step(self) -> StepStatus:
-        if self._current is not None:
-            raise RuntimeError("previous step has not been ended")
-        if self._cursor >= len(self._steps):
-            return StepStatus.END_OF_STREAM
-        index = self._steps[self._cursor]
-        with open(os.path.join(self.directory, f"step_{index:06d}.json"),
-                  encoding="utf-8") as handle:
-            meta = json.load(handle)
-        arrays = np.load(os.path.join(self.directory, f"step_{index:06d}.npz"))
-        step = Step(index=index, attributes=meta["attributes"])
-        for name, ranks in meta["layout"].items():
-            variable = Variable(name)
-            for rank_str, info in ranks.items():
-                data = arrays[f"{name}::{rank_str}"]
-                variable.add_block(Block(rank=int(rank_str),
-                                         offset=tuple(info["offset"]), data=data))
-            step.put(variable)
-        self._current = step
-        self._cursor += 1
-        return StepStatus.OK
-
-    def available_variables(self) -> Tuple[str, ...]:
-        if self._current is None:
-            raise EndOfStreamError("no step is currently open")
-        return self._current.available_variables()
-
-    def attributes(self) -> Dict[str, object]:
-        if self._current is None:
-            raise EndOfStreamError("no step is currently open")
-        return dict(self._current.attributes)
-
-    def get(self, name: str, rank: Optional[int] = None) -> np.ndarray:
-        if self._current is None:
-            raise EndOfStreamError("no step is currently open")
-        variable = self._current.get(name)
-        data = variable.gather() if rank is None else variable.block(rank).data
-        self.total_bytes_read += int(np.asarray(data).nbytes)
-        return data
-
-    def end_step(self) -> None:
-        if self._current is None:
-            raise RuntimeError("end_step() without begin_step()")
-        self._current = None
-        self.steps_read += 1
-
-    def close(self) -> None:
-        self._current = None

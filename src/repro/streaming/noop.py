@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.streaming.dataplane import DataPlane, InMemoryDataPlane
+from repro.streaming.dataplane import DataPlane
 from repro.streaming.engine import SSTReaderEngine
 from repro.streaming.step import StepStatus
 
@@ -44,7 +44,6 @@ class NoOpConsumer:
     def run(self, max_steps: Optional[int] = None) -> int:
         """Drain the stream (or ``max_steps`` of it); returns steps consumed."""
         consumed = 0
-        plane = self.data_plane or InMemoryDataPlane()
         while max_steps is None or consumed < max_steps:
             status = self.reader.begin_step()
             if status is not StepStatus.OK:
@@ -55,8 +54,10 @@ class NoOpConsumer:
                 data = self.reader.get(name)
                 nbytes += int(data.nbytes)
             elapsed = time.perf_counter() - start
-            elapsed += plane.transfer_time(nbytes, n_nodes=self.n_nodes,
-                                           enqueue_strategy=self.enqueue_strategy)
+            if self.data_plane is not None:
+                elapsed += self.data_plane.transfer_time(
+                    nbytes, n_nodes=self.n_nodes,
+                    enqueue_strategy=self.enqueue_strategy)
             self.reader.end_step()
             self.step_times.append(elapsed)
             self.step_bytes.append(nbytes)

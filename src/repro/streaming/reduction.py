@@ -36,15 +36,6 @@ class Reducer:
         return float(np.asarray(original).nbytes) / reduced_bytes
 
 
-class IdentityReducer(Reducer):
-    """No reduction (the baseline)."""
-
-    name = "identity"
-
-    def reduce(self, name: str, data: np.ndarray) -> np.ndarray:
-        return np.asarray(data)
-
-
 class PrecisionReducer(Reducer):
     """Cast floating-point payloads to a narrower dtype (e.g. float32/float16).
 
@@ -110,37 +101,6 @@ class ParticleSubsampleReducer(Reducer):
             # weight-like record: rescale so the total is preserved in expectation
             reduced = reduced * (n / len(selection))
         return reduced
-
-
-class SpectrumBinningReducer(Reducer):
-    """Rebin spectra (last axis) by an integer factor.
-
-    Radiation spectra are smooth on the scale of a few bins; averaging
-    neighbouring frequencies reduces the spectral payload without moving the
-    peaks the inversion relies on.
-    """
-
-    name = "spectrum_binning"
-
-    def __init__(self, factor: int, spectrum_prefixes: Sequence[str] = ("radiation/",
-                                                                        "meshes/radiation")) -> None:
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        self.bin_factor = int(factor)
-        self.spectrum_prefixes = tuple(spectrum_prefixes)
-
-    def reduce(self, name: str, data: np.ndarray) -> np.ndarray:
-        data = np.asarray(data)
-        if self.bin_factor == 1 or data.ndim == 0 or \
-                not any(name.startswith(p) for p in self.spectrum_prefixes):
-            return data
-        length = data.shape[-1]
-        usable = (length // self.bin_factor) * self.bin_factor
-        if usable == 0:
-            return data
-        trimmed = data[..., :usable]
-        new_shape = trimmed.shape[:-1] + (usable // self.bin_factor, self.bin_factor)
-        return trimmed.reshape(new_shape).mean(axis=-1)
 
 
 @dataclass

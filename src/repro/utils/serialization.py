@@ -1,4 +1,4 @@
-"""JSON serialisation helpers shared by the CLI and the streaming engine."""
+"""JSON serialisation helpers shared by the CLI, the campaign store and the service."""
 
 from __future__ import annotations
 
@@ -14,8 +14,7 @@ def jsonable(value, *, strict: bool = True):
     ``json.dumps`` would otherwise emit bare ``NaN``/``Infinity`` tokens,
     which are not valid strict JSON and break non-Python consumers of the
     machine-readable dumps.  ``strict=False`` keeps non-finite floats for
-    Python-internal round-trips that want nan to stay nan (the file-based
-    dataplane's step metadata).
+    Python-internal round-trips that want nan to stay nan.
     """
     if isinstance(value, np.generic):
         value = value.item()

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Union
 
 from repro.core.config import WorkflowConfig
-from repro.core.placement import PlacementMode, ResourcePlan
 from repro.core.producer import StreamingProducerPlugin
 from repro.core.transforms import RegionPartition
 from repro.openpmd.backends import StreamingBackend
@@ -42,8 +41,7 @@ from repro.openpmd.series import Access, Series
 from repro.pic.khi import make_khi_simulation
 from repro.pic.simulation import PICSimulation
 from repro.radiation.detector import RadiationDetector
-from repro.streaming.broker import QueueFullPolicy, SSTBroker
-from repro.streaming.dataplane import make_data_plane
+from repro.streaming.broker import SSTBroker
 from repro.streaming.engine import SSTReaderEngine, SSTWriterEngine
 from repro.telemetry import add_phase_spans
 from repro.utils.rng import derive_seed, seeded_rng
@@ -93,13 +91,10 @@ class WorkflowSession:
     PRIMARY_CONSUMER = "mlapp"
 
     def __init__(self, config: Optional[WorkflowConfig] = None,
-                 placement: Optional[ResourcePlan] = None,
                  driver: Optional[ExecutionDriver] = None,
                  consumer_specs: Optional[List[ConsumerSpec]] = None,
                  hooks: Optional[WorkflowHooks] = None) -> None:
         self.config = config or WorkflowConfig()
-        self.placement = placement or ResourcePlan(n_nodes=1,
-                                                   mode=PlacementMode.INTRA_NODE)
         self.driver = driver or SerialDriver()
         self.hooks = hooks or WorkflowHooks()
         cfg = self.config
@@ -112,8 +107,6 @@ class WorkflowSession:
             n_directions=cfg.n_detector_directions,
             n_frequencies=cfg.n_detector_frequencies)
         self.partition = RegionPartition(cfg.khi.grid_config, cfg.region_counts)
-        data_plane = make_data_plane(cfg.streaming.data_plane,
-                                     rng=seeded_rng(derive_seed(cfg.seed, 2)))
 
         # --- consumers: one bounded queue + reader series each -------------- #
         if consumer_specs is None:
@@ -130,9 +123,8 @@ class WorkflowSession:
         for position, spec in enumerate(consumer_specs):
             broker = SSTBroker(f"{cfg.streaming.stream_name}#{spec.name}",
                                queue_limit=cfg.streaming.queue_limit
-                               if spec.queue_limit is None else spec.queue_limit,
-                               policy=QueueFullPolicy.BLOCK)
-            reader = SSTReaderEngine(broker, data_plane=data_plane)
+                               if spec.queue_limit is None else spec.queue_limit)
+            reader = SSTReaderEngine(broker)
             series = Series(cfg.streaming.stream_name, Access.READ_LINEAR,
                             StreamingBackend(reader=reader))
             # the primary consumer keeps the seed's RNG derivation, so a
@@ -147,7 +139,7 @@ class WorkflowSession:
         # --- the stream: one writer teeing into every consumer queue -------- #
         self.fanout = FanOutBroker(cfg.streaming.stream_name,
                                    list(self.brokers.values()))
-        writer_engine = SSTWriterEngine(self.fanout, data_plane=data_plane)
+        writer_engine = SSTWriterEngine(self.fanout)
         self.writer_series = Series(cfg.streaming.stream_name, Access.CREATE,
                                     StreamingBackend(writer=writer_engine))
         reduction = cfg.streaming.build_reduction_pipeline(
@@ -270,7 +262,6 @@ class WorkflowBuilder:
 
     def __init__(self) -> None:
         self._config: Optional[WorkflowConfig] = None
-        self._placement: Optional[ResourcePlan] = None
         self._driver: Optional[ExecutionDriver] = None
         self._consumer_specs: List[ConsumerSpec] = [
             ConsumerSpec(WorkflowSession.PRIMARY_CONSUMER,
@@ -290,10 +281,6 @@ class WorkflowBuilder:
     def config_file(self, path: str) -> "WorkflowBuilder":
         """Load the configuration from a JSON file (``WorkflowConfig.from_file``)."""
         self._config = WorkflowConfig.from_file(path)
-        return self
-
-    def placement(self, plan: ResourcePlan) -> "WorkflowBuilder":
-        self._placement = plan
         return self
 
     # -- execution strategy ---------------------------------------------------- #
@@ -350,7 +337,6 @@ class WorkflowBuilder:
                               on_iteration_consumed=list(
                                   self._hooks.on_iteration_consumed),
                               on_run_end=list(self._hooks.on_run_end))
-        return WorkflowSession(config=self._config, placement=self._placement,
-                               driver=self._driver,
+        return WorkflowSession(config=self._config, driver=self._driver,
                                consumer_specs=list(self._consumer_specs),
                                hooks=hooks)

@@ -92,23 +92,11 @@ def barrier_worker(payload):
 
 
 def gated_worker(payload):
-    """Blocks until the test opens ``_GATE``."""
-    assert _GATE.wait(timeout=20), "test gate never released"
-    return dict(fake_worker(payload), pid=os.getpid())
-
-
-def stall_once_worker(payload):
-    """Parks the FIRST execution of the marked run on ``_GATE``; the
-    straggler duplicate finds the marker file and completes at once, so
-    whichever copy starts second is certain to win the ticket."""
-    marker = os.path.join(payload["config"]["marker_dir"], payload["run_id"])
-    if payload["config"].get("stall_id") == payload["run_id"]:
-        try:
-            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
-            return fake_worker(payload)
+    """Blocks until the test opens ``_GATE`` — every run, or only the one a
+    ``gate_id`` config key names."""
+    if payload["config"].get("gate_id", payload["run_id"]) == payload["run_id"]:
         assert _GATE.wait(timeout=20), "test gate never released"
-    return fake_worker(payload)
+    return dict(fake_worker(payload), pid=os.getpid())
 
 
 @pytest.fixture
@@ -460,52 +448,31 @@ class TestCrashRequeue:
         assert victim not in pool.worker_pids()
 
 
-class TestStragglerRedispatch:
-    def test_tail_runs_are_duplicated_and_deduplicated(self, pool, gate,
-                                                       tmp_path):
-        """One run stalls on its first execution; an idle worker gets a
-        duplicate dispatch, the first completion wins, and exactly one
-        record per run id comes back."""
-        payloads = with_config(smoke_payloads(), marker_dir=str(tmp_path))
-        stall_id = payloads[0]["run_id"]
-        payloads = with_config(payloads, stall_id=stall_id)
-        seen = []
-        records = pool.run(payloads, stall_once_worker,
-                           straggler_after=0.05, on_record=seen.append)
-        assert [r.run_id for r in records] == [p["run_id"] for p in payloads]
-        assert all(r.completed for r in records)
-        assert pool.counters["straggler_redispatches"] >= 1
-        # first completion wins, exactly once per run — the observer never
-        # fires twice for the straggler
-        assert sorted(r.run_id for r in seen) == \
-            sorted(p["run_id"] for p in payloads)
+class TestAbortedLease:
+    def test_late_results_are_dropped_not_misattributed(self, pool, gate):
+        """A lease whose observer raises (an unwritable store) ends with a
+        run still out; its late result is discarded by the next lease
+        instead of being credited to an unrelated run."""
+        payloads = smoke_payloads(repetitions=1)
+        payloads = with_config(payloads, gate_id=payloads[1]["run_id"])
 
-    def test_late_duplicate_results_are_dropped_not_misattributed(
-            self, pool, gate, tmp_path):
-        """The losing holder's result lands after the lease finished; the
-        next interaction with the pool discards it instead of crediting it
-        to an unrelated run."""
-        # one run, two workers: the idle worker gets the duplicate, and the
-        # copy that started first stays parked on the gate — the lease ends
-        # on the other copy's answer with the loser still out
-        payload = with_config(smoke_payloads(repetitions=1)[:1],
-                              marker_dir=str(tmp_path))
-        payload = with_config(payload, stall_id=payload[0]["run_id"])
-        records = pool.run(payload, stall_once_worker, straggler_after=0.01)
-        assert [r.run_id for r in records] == [payload[0]["run_id"]]
-        assert records[0].completed
-        assert pool.counters["straggler_redispatches"] == 1
+        def unwritable_store(record):
+            raise OSError("no space left on device")
+
+        # two runs, two workers: the ungated one answers, the observer
+        # raises, and the lease ends with the gated one parked on a worker
+        with pytest.raises(OSError):
+            pool.run(payloads, gated_worker, on_record=unwritable_store)
         assert sorted(loads(pool)) == [0, 1]
         gate.set()
-        # four runs over three free slots: the loser's worker gets one, and
+        # four runs over three free slots: the parked worker gets one, and
         # its pipe is first-in-first-out, so the late result is read (and
         # dropped) before this launch can finish
         later = smoke_payloads(repetitions=2)
         again = pool.run(later, fake_worker)
         assert [r.run_id for r in again] == [p["run_id"] for p in later]
-        assert all(r.completed for r in again)
+        assert [r.summary for r in again] == [fake_worker(p) for p in later]
         assert pool.counters["stale_results_dropped"] == 1
-        assert pool.counters["duplicate_results_dropped"] == 0
         assert loads(pool) == [0, 0]
 
 
@@ -517,8 +484,6 @@ class TestWorkerPoolExecutor:
         assert executor.max_workers == 3
         with pytest.raises(ValueError):
             WorkerPoolExecutor(capacity=0)
-        with pytest.raises(ValueError):
-            WorkerPoolExecutor(straggler_after=0.0)
         with pytest.raises(ValueError):
             WorkerPoolExecutor(max_requeues=-1)
 

@@ -52,6 +52,15 @@ class TestRunCommand:
                          "--config", "/does/not/exist.json"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        ["--grid", "0", "4", "2"], ["--n-rep", "0"],
+        ["--particles-per-cell", "0"]], ids=["grid", "n-rep", "ppc"])
+    def test_run_with_bad_override_exits_2(self, capsys, override):
+        # these values are only checked when the session is built
+        assert cli_main(["run", "--steps", "2"] + override) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_run_with_config_file(self, capsys, tmp_path):
         from repro.workflow import get_preset
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.streaming.reduction import (IdentityReducer, ParticleSubsampleReducer,
-                                       PrecisionReducer, ReductionPipeline,
-                                       SpectrumBinningReducer)
+from repro.streaming.reduction import (ParticleSubsampleReducer,
+                                       PrecisionReducer, ReductionPipeline)
 
 
 class TestPrecisionReducer:
@@ -75,35 +74,6 @@ class TestParticleSubsampleReducer:
         assert not np.array_equal(first, second)
 
 
-class TestSpectrumBinningReducer:
-    def test_rebins_by_factor(self, rng):
-        reducer = SpectrumBinningReducer(4, spectrum_prefixes=("radiation/",))
-        spectrum = rng.random((3, 64))
-        reduced = reducer.reduce("radiation/spectrum", spectrum)
-        assert reduced.shape == (3, 16)
-        np.testing.assert_allclose(reduced[:, 0], spectrum[:, :4].mean(axis=1))
-
-    def test_preserves_total_power(self, rng):
-        reducer = SpectrumBinningReducer(4, spectrum_prefixes=("radiation/",))
-        spectrum = rng.random(64)
-        reduced = reducer.reduce("radiation/spectrum", spectrum)
-        assert reduced.mean() == pytest.approx(spectrum.mean())
-
-    def test_factor_one_is_identity(self, rng):
-        reducer = SpectrumBinningReducer(1)
-        data = rng.random(16)
-        np.testing.assert_allclose(reducer.reduce("radiation/s", data), data)
-
-    def test_other_records_untouched(self, rng):
-        reducer = SpectrumBinningReducer(4)
-        data = rng.random((8, 8))
-        np.testing.assert_allclose(reducer.reduce("particles/x", data), data)
-
-    def test_invalid_factor(self):
-        with pytest.raises(ValueError):
-            SpectrumBinningReducer(0)
-
-
 class TestReductionPipeline:
     def test_combined_factor(self, rng):
         pipeline = ReductionPipeline([
@@ -121,7 +91,7 @@ class TestReductionPipeline:
         assert pipeline.total_factor() == pytest.approx(report.factor)
 
     def test_identity_pipeline(self, rng):
-        pipeline = ReductionPipeline([IdentityReducer()])
+        pipeline = ReductionPipeline([])
         variables = {"a": rng.random(10)}
         out = pipeline.reduce_step(variables)
         np.testing.assert_allclose(out["a"], variables["a"])

@@ -7,10 +7,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.streaming import (Block, EndOfStreamError, FileReaderEngine,
-                             FileWriterEngine, InMemoryDataPlane, ModeledDataPlane,
-                             NoOpConsumer, QueueFullPolicy, SSTBroker,
-                             SSTReaderEngine, SSTWriterEngine, Step, StepStatus,
+from repro.streaming import (Block, EndOfStreamError, ModeledDataPlane,
+                             NoOpConsumer, SSTBroker, SSTReaderEngine,
+                             SSTWriterEngine, Step, StepStatus,
                              ThroughputResult, Variable, make_data_plane,
                              measure_stream_throughput)
 from repro.streaming.broker import StreamClosedError
@@ -63,21 +62,8 @@ class TestBroker:
         with pytest.raises(StreamClosedError):
             broker.put_step(Step(index=0))
 
-    def test_discard_oldest_policy(self):
-        broker = SSTBroker("s", queue_limit=1, policy=QueueFullPolicy.DISCARD_OLDEST)
-        broker.put_step(Step(index=0))
-        broker.put_step(Step(index=1))
-        assert broker.steps_discarded == 1
-        assert broker.get_step().index == 1
-
-    def test_raise_policy(self):
-        broker = SSTBroker("s", queue_limit=1, policy=QueueFullPolicy.RAISE)
-        broker.put_step(Step(index=0))
-        with pytest.raises(RuntimeError):
-            broker.put_step(Step(index=1))
-
     def test_block_policy_times_out(self):
-        broker = SSTBroker("s", queue_limit=1, policy=QueueFullPolicy.BLOCK)
+        broker = SSTBroker("s", queue_limit=1)
         broker.put_step(Step(index=0))
         with pytest.raises(TimeoutError):
             broker.put_step(Step(index=1), timeout=0.05)
@@ -154,33 +140,8 @@ class TestEngines:
         with pytest.raises(ValueError):
             writer.put("x", np.zeros(3), rank=5)
 
-    def test_file_engine_roundtrip(self, rng, tmp_path):
-        directory = str(tmp_path / "bp")
-        writer = FileWriterEngine(directory, n_ranks=2)
-        payloads = []
-        for i in range(3):
-            writer.begin_step()
-            data = rng.random((4, 2))
-            payloads.append(data)
-            writer.put("field", data, rank=0)
-            writer.put_attributes({"step": i})
-            writer.end_step()
-        writer.close()
-
-        reader = FileReaderEngine(directory)
-        count = 0
-        while reader.begin_step() is StepStatus.OK:
-            np.testing.assert_allclose(reader.get("field"), payloads[count])
-            assert reader.attributes()["step"] == count
-            reader.end_step()
-            count += 1
-        assert count == 3
-
 
 class TestDataPlanes:
-    def test_inmemory_is_free(self):
-        assert InMemoryDataPlane().transfer_time(10**9) == 0.0
-
     def test_modeled_time_increases_with_bytes(self):
         plane = make_data_plane("mpi")
         assert plane.transfer_time(2 * 10**9, n_nodes=100) > \

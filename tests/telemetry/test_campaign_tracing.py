@@ -48,20 +48,6 @@ def crash_once_worker(payload):
     os._exit(17)
 
 
-def stall_once_worker(payload):
-    """Stalls the FIRST execution of the marked run (straggler bait)."""
-    marker = os.path.join(payload["config"]["marker_dir"], payload["run_id"])
-    if payload["config"].get("stall_id") == payload["run_id"]:
-        try:
-            handle = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.close(handle)
-            import time
-            time.sleep(3.0)
-        except FileExistsError:
-            pass
-    return fake_worker(payload)
-
-
 def runs_with_config(spec, **extra):
     """The spec's resolved runs with extra keys merged into their configs."""
     return [replace(run, config=dict(run.config, **extra))
@@ -206,26 +192,6 @@ class TestWorkerPoolTracing:
         assert_complete_trees(spans, list(store.records()))
         events = REGISTRY.counter("repro_worker_pool_events_total")
         assert events.value(event="requeued_runs") >= 8
-
-    def test_straggler_redispatch_settles_each_run_exactly_once(self, tmp_path):
-        spec = smoke_spec(name="trace-straggler")
-        runs = runs_with_config(spec, marker_dir=str(tmp_path))
-        stall_id = runs[0].run_id
-        runs = [replace(run, config=dict(run.config, stall_id=stall_id))
-                for run in runs]
-        store = CampaignStore(tmp_path / "t.campaign.jsonl")
-        pool = WorkerPool(2, start_method="fork", heartbeat_interval=0.05)
-        try:
-            executor = WorkerPoolExecutor(max_workers=2, pool=pool,
-                                          straggler_after=0.3)
-            outcome = run_campaign(spec, store, executor,
-                                   worker=stall_once_worker, runs=runs)
-        finally:
-            pool.shutdown()
-        assert outcome.completed == 8
-        settles = by_name(spans_of(store), "settle")
-        assert sorted(s.attrs["run_id"] for s in settles) == \
-            sorted(r.run_id for r in runs)
 
 
 class TestMetricsUnderConcurrency:

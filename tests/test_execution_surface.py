@@ -4,18 +4,27 @@ rule that picks an executor for a launch.
 Three executors, two drivers, no facade; CLI flags and the service's
 submit body are two spellings of the same ``(spec, options)`` and must
 resolve to the same executor through ``repro.campaign.executor_for``.
+The options of the run path — worker pool, stream, session — are pinned by
+name, so a new one shows up in review as a diff of this file.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import pytest
 
 import repro.core
-from repro.campaign import (CampaignSpec, available_executors, executor_for,
+from repro.campaign import (CampaignSpec, WorkerPool, WorkerPoolExecutor,
+                            available_executors, executor_for,
                             get_campaign_preset, get_executor)
 from repro.cli import _build_parser, _campaign_executor
+from repro.core.config import StreamingConfig, WorkflowConfig
 from repro.service import jobs, parse_submission
-from repro.workflow import WorkflowBuilder, available_drivers, get_driver
+from repro.streaming import SSTBroker, SSTReaderEngine, SSTWriterEngine
+from repro.workflow import (WorkflowBuilder, WorkflowSession,
+                            available_drivers, get_driver)
 
 
 class TestSurface:
@@ -103,3 +112,42 @@ class TestOneResolutionRule:
         from_flags = _campaign_executor(_build_parser().parse_args(argv), plain)
         hinted = routed_spec(shards=3, route="round-robin", inner="workers")
         assert shape_of(from_flags) == shape_of(executor_for(hinted))
+
+
+def parameters_of(function):
+    return [name for name in inspect.signature(function).parameters
+            if name != "self"]
+
+
+class TestOptionsCensus:
+    def test_the_run_path_takes_exactly_these_options(self):
+        assert parameters_of(WorkerPoolExecutor.__init__) == [
+            "max_workers", "timeout", "retries", "pool", "capacity",
+            "max_requeues", "start_method"]
+        assert parameters_of(WorkerPool.run) == [
+            "payloads", "worker", "retries", "timeout", "on_record",
+            "should_stop", "capacity", "max_requeues", "counters"]
+        assert parameters_of(SSTBroker.__init__) == [
+            "stream_name", "queue_limit"]
+        assert parameters_of(SSTWriterEngine.__init__) == [
+            "broker", "n_ranks", "put_timeout"]
+        assert parameters_of(SSTReaderEngine.__init__) == [
+            "broker", "get_timeout"]
+        assert parameters_of(WorkflowSession.__init__) == [
+            "config", "driver", "consumer_specs", "hooks"]
+        assert [field.name for field in dataclasses.fields(StreamingConfig)] \
+            == ["queue_limit", "sample_interval", "stream_name",
+                "particle_subsample_fraction", "reduce_precision"]
+
+    def test_options_that_no_longer_exist_are_rejected_not_ignored(self):
+        with pytest.raises(ValueError, match="valid keys: .*queue_limit"):
+            WorkflowConfig.from_dict({"streaming": {"data_plane": "mpi"}})
+        # the name in two pieces: a grep for it over the tree stays empty
+        redispatch_threshold = "straggler" + "_after"
+        with pytest.raises(TypeError, match=redispatch_threshold):
+            get_executor("workers", **{redispatch_threshold: 1.0})
+
+    def test_the_pool_keeps_the_counters_the_benchmark_reads(self):
+        stats = WorkerPool(1).stats()     # spawns lazily: no process here
+        assert {"dispatched_batches", "requeued_runs",
+                "straggler_redispatches"} <= set(stats)

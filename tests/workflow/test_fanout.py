@@ -7,8 +7,7 @@ import threading
 
 import pytest
 
-from repro.streaming.broker import (QueueFullPolicy, SSTBroker,
-                                    StreamClosedError)
+from repro.streaming.broker import SSTBroker, StreamClosedError
 from repro.streaming.step import Step
 from repro.streaming.variable import Block, Variable
 from repro.workflow import FanOutBroker, WorkflowBuilder
@@ -101,8 +100,7 @@ class TestConsumerUnregisteredMidRun:
 class TestSlowConsumerBackPressure:
     def test_full_bounded_queue_blocks_until_drained(self):
         fast = SSTBroker("s#fast", queue_limit=8)
-        slow = SSTBroker("s#slow", queue_limit=1,
-                         policy=QueueFullPolicy.BLOCK)
+        slow = SSTBroker("s#slow", queue_limit=1)
         fanout = FanOutBroker("s", [fast, slow])
         fanout.put_step(make_step(0))  # fills the slow queue
 
