@@ -126,6 +126,12 @@ def region_spectrum(detector: RadiationDetector, positions: np.ndarray,
     return spectrum_from_amplitude(amplitude, charge)
 
 
+def _beta(momenta: np.ndarray) -> np.ndarray:
+    """Normalised velocities ``u / gamma`` of ``(n, 3)`` momenta ``u``."""
+    gamma = np.sqrt(1.0 + np.einsum("ij,ij->i", momenta, momenta))
+    return momenta / gamma[:, None]
+
+
 def make_training_samples(species: ParticleSpecies, previous_momenta: np.ndarray,
                           detector: RadiationDetector, partition: RegionPartition,
                           n_points: int, step: int, time: float, dt: float,
@@ -153,12 +159,6 @@ def make_training_samples(species: ParticleSpecies, previous_momenta: np.ndarray
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    gamma_now = species.gamma()
-    beta_now = species.momenta / gamma_now[:, None]
-    gamma_prev = np.sqrt(1.0 + np.einsum("ij,ij->i", previous_momenta, previous_momenta))
-    beta_prev = previous_momenta / gamma_prev[:, None]
-    beta_dot = (beta_now - beta_prev) / dt
-
     extent = partition.grid_config.extent
     labels = label_particles(species.positions, species.momenta, extent)
     region_ids = partition.region_of(species.positions)
@@ -173,10 +173,13 @@ def make_training_samples(species: ParticleSpecies, previous_momenta: np.ndarray
         indices = np.flatnonzero(mask)
         chosen = rng.choice(indices, size=n_points, replace=count < n_points)
 
-        cloud = encode_point_cloud(species.positions[chosen], species.momenta[chosen],
-                                   region)
-        spectrum = region_spectrum(detector, species.positions[chosen],
-                                   beta_now[chosen], beta_dot[chosen],
+        # only the chosen rows radiate, so beta and its rate of change are
+        # worked out for them alone (element-wise: same values as all-N)
+        positions, momenta = species.positions[chosen], species.momenta[chosen]
+        beta_now = _beta(momenta)
+        beta_dot = (beta_now - _beta(previous_momenta[chosen])) / dt
+        cloud = encode_point_cloud(positions, momenta, region)
+        spectrum = region_spectrum(detector, positions, beta_now, beta_dot,
                                    species.weights[chosen], species.charge,
                                    time=time, dt=dt)
         region_label = REGION_NAMES[majority_region(labels[indices])]

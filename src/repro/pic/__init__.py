@@ -5,11 +5,9 @@ provides the numerical scheme PIConGPU implements (Yee-grid FDTD field
 solver, relativistic Boris particle pusher, cloud-in-cell interpolation and
 charge-conserving Esirkepov current deposition, each with a fused and a
 reference kernel), the Kelvin-Helmholtz instability setup of Section IV-A
-and the figure-of-merit accounting of Fig. 4.  ``supercells`` and ``domain``
-(supercell particle indexing, a slab decomposition) are standalone helpers
-no run uses yet.  The fused-vs-reference benchmark lives in
-:mod:`repro.pic.hotpath` and is deliberately not re-exported here, so
-``python -m repro.pic.hotpath`` imports it exactly once.
+and the figure-of-merit accounting of Fig. 4.  The fused-vs-reference
+benchmark lives in :mod:`repro.pic.hotpath` and is deliberately not
+re-exported here, so ``python -m repro.pic.hotpath`` imports it exactly once.
 
 Scales are laptop sized (10^4–10^6 macro-particles instead of 2.7·10^13) but
 the algorithms are the same, so the data fed to the ML pipeline exercises
@@ -29,8 +27,6 @@ from repro.pic.maxwell import YeeSolver
 from repro.pic.simulation import PICSimulation, SimulationConfig, Plugin
 from repro.pic.khi import KHIConfig, make_khi_simulation
 from repro.pic.fom import FigureOfMerit, figure_of_merit
-from repro.pic.supercells import SupercellIndex
-from repro.pic.domain import SlabDecomposition
 
 __all__ = [
     "GridConfig",
@@ -55,6 +51,4 @@ __all__ = [
     "make_khi_simulation",
     "FigureOfMerit",
     "figure_of_merit",
-    "SupercellIndex",
-    "SlabDecomposition",
 ]

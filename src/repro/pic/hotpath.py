@@ -25,6 +25,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.pic import kernels
 from repro.pic.khi import KHIConfig, make_khi_simulation
 from repro.utils.benchjson import BenchCase, best_of_interleaved, case_main
 
@@ -59,6 +60,7 @@ class HotpathResult:
         return {"grid_shape": list(self.grid_shape),
                 "particles_per_cell": BENCH_TINY_PPC,
                 "n_macro_particles": self.n_macro_particles,
+                "chunk": kernels.CHUNK,
                 "n_steps": self.n_steps, "warmup": self.warmup}
 
     def metrics(self) -> Dict[str, object]:

@@ -9,33 +9,44 @@ numerically equivalent kernels organised for speed:
 
 * :class:`CICPlanSet` — a shared CIC index/weight plan.  On a Yee lattice
   every component stagger is a combination of per-axis offsets ``0`` and
-  ``1/2``, so the floor/wrap/fraction work is done once per (axis, offset)
-  and every component's trilinear plan is composed from the cached pieces.
+  ``1/2``, so the floor/wrap/fraction work of both offsets and all three
+  axes is one ``(2, 3, m)`` pass and every component's trilinear plan is
+  composed from those pieces.
 * :class:`CICPlan` — flattened linear indices plus the eight corner weights
-  of one stagger; gathers are a single fancy-index + ``einsum``, scatters a
+  of one stagger; gathers are a single ``np.take`` + ``einsum``, scatters a
   single ``np.bincount`` on the raveled indices.
 * :func:`deposit_current_esirkepov_fused` — the first-order Esirkepov
-  scheme evaluated in bounded particle chunks, so the per-particle stencil
-  temporaries of the reference path become a fixed working set, with all
-  three current components scattered by one fused ``np.bincount``.
-* :func:`boris_push_fused` — the Boris rotation with in-place updates and
-  one reused half-kick array instead of a fresh allocation per term.
+  scheme with all three current components scattered by one fused
+  ``np.bincount``.
+* :func:`boris_push_fused` — the Boris rotation on component-major
+  ``(3, m)`` rows, every term a contiguous row operation.
+
+All of them are cache-blocked: they walk a species in blocks of
+:data:`CHUNK` particles and take every per-particle temporary, written with
+``out=``, from the simulation's :class:`Workspace`.  What the reference path
+allocates per call and sizes by the species is a fixed, cache-sized working
+set allocated once per simulation.  The block loops are inside the kernels
+— a caller passes whole ``(N, 3)`` arrays and gets whole arrays back — and
+there is one code path: a species of at most ``CHUNK`` particles is simply
+one block.
 
 Layout note: all stencil arrays put the *node* axes first and the particle
-axis last (``(8, N)`` corner plans, ``(2, 3, 3, m)`` Esirkepov blocks).
-With the particle axis innermost every broadcast ufunc runs long contiguous
-inner loops; the particle-first layout spends most of its time iterating
-2- or 4-element inner loops and is several times slower at laptop particle
-counts.
+axis last (``(8, m)`` corner plans, ``(2, 3, 3, m)`` Esirkepov blocks,
+``(3, m)`` momenta).  With the particle axis innermost every broadcast ufunc
+runs long contiguous inner loops; the particle-first layout spends most of
+its time iterating 2-, 3- or 4-element inner loops and is several times
+slower at laptop particle counts.
 
 All kernels are bit-compatible with the reference path up to floating-point
-summation order; ``tests/pic/test_kernels_fused.py`` pins the equivalence
-(including particles straddling the periodic boundary) and the discrete
-continuity invariant of the fused Esirkepov path.
+summation order, and gather and push do not depend on ``CHUNK`` at all (no
+reduction runs across particles); ``tests/pic/test_kernels_fused.py`` pins
+both (including particles straddling the periodic boundary) and the
+discrete continuity invariant of the fused Esirkepov path.
 """
 
 from __future__ import annotations
 
+import math
 import mmap
 from typing import Dict, Optional, Tuple
 
@@ -45,11 +56,21 @@ from repro import constants
 from repro.pic.grid import STAGGER, YeeGrid
 from repro.pic.particles import ParticleSpecies
 
-#: Particles per Esirkepov chunk: bounds the (3, 2, 3, 3, chunk) temporaries
-#: to a few MB regardless of the total particle count.
-DEFAULT_CHUNK = 16384
+#: Particles per block of the gather, push and deposit loops.  It bounds every
+#: per-particle temporary (the ``(8, m)`` CIC plans, the ``(3, 2, 3, 3, m)``
+#: Esirkepov blocks) whatever the species size: ~3.7 MB per gather block,
+#: inside a 4 MB L2.  Larger blocks spill, below ~4096 the per-block Python
+#: overhead takes over.  Set from the sweep in ``docs/performance.md`` (PR 21).
+CHUNK = 8192
 
 _STENCIL3 = np.arange(3)
+#: row of a plan set for each of the two per-axis offsets the Yee staggers use
+_OFFSET_ROW = {0.0: 0, 0.5: 1}
+
+
+def _chunks(n: int):
+    """``(start, stop)`` of the consecutive ``CHUNK``-particle blocks of ``n``."""
+    return ((start, min(start + CHUNK, n)) for start in range(0, n, CHUNK))
 
 
 class Workspace:
@@ -76,7 +97,7 @@ class Workspace:
 
     def array(self, name, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         dtype = np.dtype(dtype)
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         flat = self._flat.get((name, dtype))
         if flat is None or flat.size < size:
             pages = mmap.mmap(-1, max(size, 1) * dtype.itemsize,
@@ -121,17 +142,17 @@ class CICPlan:
         self.shape = shape
         self.n_cells = int(shape[0]) * int(shape[1]) * int(shape[2])
 
-    @classmethod
-    def build(cls, positions: np.ndarray, cell_size: Tuple[float, float, float],
-              shape: Tuple[int, int, int],
-              stagger: Tuple[float, float, float]) -> "CICPlan":
-        """Build a standalone plan (one stagger, no cross-component sharing)."""
-        return CICPlanSet(positions, cell_size, shape).plan(stagger)
+    def gather(self, field: np.ndarray, workspace: Workspace) -> np.ndarray:
+        """Interpolate ``field`` to the planned particle positions.
 
-    def gather(self, field: np.ndarray) -> np.ndarray:
-        """Interpolate ``field`` to the planned particle positions."""
-        flat = field.reshape(-1)
-        return np.einsum("cn,cn->n", self.weights, flat[self.lin])
+        The corner values and the returned ``(N,)`` row live in ``workspace``.
+        """
+        values = workspace.array("cic.values", self.lin.shape)
+        # the plan's indices are wrapped into the grid, so no bounds check
+        # (mode="raise" would also route ``out`` through a copy)
+        np.take(field.reshape(-1), self.lin, out=values, mode="clip")
+        return np.einsum("cn,cn->n", self.weights, values,
+                         out=workspace.array("cic.row", self.lin.shape[1:]))
 
     def scatter_add(self, target: np.ndarray, values: np.ndarray) -> None:
         """Scatter-add per-particle ``values`` with the planned weights."""
@@ -142,123 +163,122 @@ class CICPlan:
 
 
 class CICPlanSet:
-    """Shared CIC plans for one set of particle positions on one grid.
+    """Shared CIC plans for one block of particle positions on one grid.
 
     The Yee staggers (:data:`repro.pic.grid.STAGGER`) only ever use per-axis
-    offsets ``0`` and ``1/2``; the set computes the floor/wrap/fraction work
-    once per (axis, offset) pair (at most 6 passes instead of 3 per
-    component) and composes the eight-corner plan of any stagger from the
-    cached per-axis pieces.  Plans themselves are cached too, so the J
-    components reuse the E-component plans wherever the staggers coincide.
+    offsets ``0`` and ``1/2``; the set does the floor/wrap/fraction work of
+    both offsets and all three axes in one ``(2, 3, m)`` pass at construction
+    and composes the eight-corner plan of any stagger from those per-axis
+    pieces.  Pieces and plans live in ``workspace`` (``None``: a private
+    one): a plan is valid until the next :meth:`plan` call and a set until
+    the next set is built on the same workspace — the kernels build one per
+    ``CHUNK`` particles, so a stepping simulation allocates nothing for them.
     """
 
     def __init__(self, positions: np.ndarray,
                  cell_size: Tuple[float, float, float],
-                 shape: Tuple[int, int, int]) -> None:
-        self.positions = np.asarray(positions, dtype=np.float64)
-        self.cell_size = tuple(float(d) for d in cell_size)
+                 shape: Tuple[int, int, int],
+                 workspace: Optional[Workspace] = None) -> None:
+        positions = np.asarray(positions, dtype=np.float64)
         self.shape = tuple(int(n) for n in shape)
         nx, ny, nz = self.shape
-        self._strides = (ny * nz, nz, 1)
-        self._xi = None                      # lazily built (3, N) cell units
-        self._axis_cache: Dict[float, tuple] = {}
-        self._plan_cache: Dict[Tuple[float, float, float], CICPlan] = {}
+        self._m = m = positions.shape[0]
+        if workspace is None:
+            workspace = Workspace()
+        self._workspace = workspace
+        inv_cell = np.array([1.0 / float(d) for d in cell_size])[:, None]
+        nvec = np.array(self.shape, dtype=np.float64)[:, None]
+        svec = np.array([ny * nz, nz, 1], dtype=np.float64)[:, None]
 
-    def _offset(self, offset: float) -> tuple:
-        """Stride-scaled wrapped index pairs and weights of all three axes.
+        # cell-unit coordinates less the offset, ``(offset, axis, m)``; out=
+        # forces C order (positions.T is F-ordered and ufuncs would propagate
+        # that layout, leaving the particle axis strided in every later
+        # broadcast)
+        shifted, base = workspace.array("cic.axis", (2, 2, 3, m))
+        np.multiply(positions.T, inv_cell, out=shifted[0])
+        np.subtract(shifted[0], 0.5, out=shifted[1])
+        np.floor(shifted, out=base)
+        #: ``(offset, axis, lower/upper, m)`` CIC weights ``(1 - frac, frac)``
+        self._w = w = workspace.array("cic.w", (2, 3, 2, m))
+        np.subtract(shifted, base, out=w[:, :, 1])
+        np.subtract(1.0, w[:, :, 1], out=w[:, :, 0])
+        # stride-scaled lower/upper node pair, still float.  The periodic
+        # wrap base - n * floor(base / n) is exact: a correctly rounded
+        # quotient of two integers below 2**53 floors to the exact integer
+        # quotient (and beyond 2**52 a coordinate has no fraction left to
+        # interpolate with).  An upper node one past the last row wraps to 0.
+        pair = workspace.array("cic.pair", (2, 3, 2, m))
+        lower, upper = pair[:, :, 0], pair[:, :, 1]
+        np.divide(base, nvec, out=upper)
+        np.floor(upper, out=upper)
+        upper *= nvec
+        base -= upper
+        np.multiply(base, svec, out=lower)
+        np.add(lower, svec, out=upper)
+        np.putmask(upper, upper == nvec * svec, 0.0)
+        #: ``(offset, axis, lower/upper, m)`` stride-scaled wrapped indices
+        self._idx = workspace.array("cic.idx", (2, 3, 2, m), np.int64)
+        np.copyto(self._idx, pair, casting="unsafe")
 
-        Returns ``(idx, w)`` with ``idx`` a ``(3, 2, N)`` int64 array holding
-        the stride-scaled lower/upper wrapped indices per axis and ``w`` the
-        matching ``(3, 2, N)`` CIC weights ``(1 - frac, frac)``.  All three
-        axes share one vectorised pass (the Yee staggers only use per-axis
-        offsets 0 and 1/2, so at most two passes cover every component).
-        """
-        cached = self._axis_cache.get(offset)
-        if cached is None:
-            if self._xi is None:
-                inv_cell = np.array([1.0 / d for d in self.cell_size])[:, None]
-                # out= forces C order: positions.T is F-ordered and ufuncs
-                # would propagate that layout, leaving the particle axis
-                # strided in every later broadcast
-                self._xi = np.empty((3, self.positions.shape[0]))
-                np.multiply(self.positions.T, inv_cell, out=self._xi)
-            nvec = np.array(self.shape, dtype=np.int64)[:, None]
-            xi = self._xi - offset
-            i0 = np.floor(xi).astype(np.int64)
-            frac = xi - i0
-            i0 %= nvec
-            i1 = i0 + 1
-            i1[i1 == nvec] = 0
-            idx = np.stack((i0, i1), axis=1)                     # (3, 2, N)
-            idx *= np.array(self._strides, dtype=np.int64)[:, None, None]
-            w = np.stack((1.0 - frac, frac), axis=1)             # (3, 2, N)
-            cached = (idx, w)
-            self._axis_cache[offset] = cached
-        return cached
-
-    def _axis(self, axis: int, offset: float) -> tuple:
-        """One axis' ``(2, N)`` stride-scaled index and weight pair."""
-        idx, w = self._offset(offset)
-        return idx[axis], w[axis]
-
-    def plan(self, stagger: Tuple[float, float, float],
-             out: Optional[Tuple[np.ndarray, np.ndarray]] = None) -> CICPlan:
+    def plan(self, stagger: Tuple[float, float, float]) -> CICPlan:
         """The eight-corner plan of one component stagger.
 
-        Plans are cached per stagger.  With ``out=(lin, weights)`` — an
-        int64 and a float64 buffer of shape ``(2, 2, 2, N)`` — the plan is
-        built into those buffers instead of fresh arrays; it is then only
-        valid until the buffers are written again, so it is not cached.
+        Composed as ``(x ⊕ y) ⊕ z`` from the per-axis pieces, node axes first
+        so the inner loops run over the particle axis.
         """
-        key = tuple(stagger)
-        plan = self._plan_cache.get(key) if out is None else None
-        if plan is None:
-            ix, wx = self._axis(0, stagger[0])
-            iy, wy = self._axis(1, stagger[1])
-            iz, wz = self._axis(2, stagger[2])
-            n = self.positions.shape[0]
-            lin, weights = out if out is not None else (
-                np.empty((2, 2, 2, n), dtype=np.int64), np.empty((2, 2, 2, n)))
-            # compose all eight corners in two broadcast adds / multiplies;
-            # node axes lead so the inner loops run over the particle axis
-            np.add(ix[:, None, None, :], iy[None, :, None, :], out=lin)
-            lin += iz[None, None, :, :]
-            np.multiply(wx[:, None, None, :], wy[None, :, None, :], out=weights)
-            weights *= wz[None, None, :, :]
-            plan = CICPlan(lin.reshape(8, n), weights.reshape(8, n), self.shape)
-            if out is None:
-                self._plan_cache[key] = plan
-        return plan
+        try:
+            rx, ry, rz = (_OFFSET_ROW[float(offset)] for offset in stagger)
+        except KeyError:
+            raise ValueError("stagger offsets must be 0 or 1/2") from None
+        m, workspace, idx, w = self._m, self._workspace, self._idx, self._w
+        lin_xy = workspace.array("cic.lin_xy", (2, 2, m), np.int64)
+        lin = workspace.array("cic.lin", (2, 2, 2, m), np.int64)
+        np.add(idx[rx, 0, :, None, :], idx[ry, 1, None, :, :], out=lin_xy)
+        np.add(lin_xy[:, :, None, :], idx[rz, 2], out=lin)
+        w_xy = workspace.array("cic.w_xy", (2, 2, m))
+        weights = workspace.array("cic.weights", (2, 2, 2, m))
+        np.multiply(w[rx, 0, :, None, :], w[ry, 1, None, :, :], out=w_xy)
+        np.multiply(w_xy[:, :, None, :], w[rz, 2], out=weights)
+        return CICPlan(lin.reshape(8, m), weights.reshape(8, m), self.shape)
 
 
 # --------------------------------------------------------------------------- #
 # gather
 # --------------------------------------------------------------------------- #
+_COMPONENTS = (("Ex", "Ey", "Ez"), ("Bx", "By", "Bz"))
+
+
 def gather_fields_fused(grid: YeeGrid, positions: np.ndarray,
                         workspace: Optional[Workspace] = None
                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """Interpolate E and B to the particles through one shared plan set.
+    """Interpolate E and B to the particles, ``CHUNK`` particles at a time.
 
-    Each component is gathered before the next plan is built, so all six
-    share one pair of plan buffers — taken from ``workspace`` when one is
-    given (``None``: allocated for this call).  The returned arrays are
-    always new.
+    Per block one :class:`CICPlanSet` is built and each of the six
+    components is gathered before the next plan is composed, so the working
+    set is bounded by ``CHUNK`` whatever the species size.  All scratch comes
+    from ``workspace`` (``None``: a private one for this call); the returned
+    ``(N, 3)`` arrays are always new.  There is no reduction across
+    particles, so the result does not depend on ``CHUNK``.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must have shape (N, 3)")
     if workspace is None:
         workspace = Workspace()
-    plans = CICPlanSet(positions, grid.config.cell_size, grid.shape)
     n = positions.shape[0]
-    buffers = (workspace.array("cic.lin", (2, 2, 2, n), np.int64),
-               workspace.array("cic.weights", (2, 2, 2, n)))
     e_fields = np.empty((n, 3), dtype=np.float64)
     b_fields = np.empty((n, 3), dtype=np.float64)
-    for fields, names in ((e_fields, ("Ex", "Ey", "Ez")), (b_fields, ("Bx", "By", "Bz"))):
-        for axis, name in enumerate(names):
-            plan = plans.plan(STAGGER[name], out=buffers)
-            fields[:, axis] = plan.gather(grid.component(name))
+    for start, stop in _chunks(n):
+        if stop - start == 1 and start:
+            # einsum sums a lone particle's eight corners in another order
+            # than a row of them; redo the neighbour so no block is lone
+            start -= 1
+        plans = CICPlanSet(positions[start:stop], grid.config.cell_size,
+                           grid.shape, workspace)
+        for fields, names in zip((e_fields, b_fields), _COMPONENTS):
+            for axis, name in enumerate(names):
+                fields[start:stop, axis] = plans.plan(STAGGER[name]).gather(
+                    grid.component(name), workspace)
     return e_fields, b_fields
 
 
@@ -268,11 +288,14 @@ def gather_fields_fused(grid: YeeGrid, positions: np.ndarray,
 def deposit_charge_cic_fused(grid: YeeGrid, positions: np.ndarray, charge: float,
                              weights: np.ndarray) -> np.ndarray:
     """Bincount-based CIC charge deposition (adds into ``grid.rho``)."""
+    positions = np.asarray(positions, dtype=np.float64)
     values = (charge / grid.config.cell_volume) * np.asarray(weights,
                                                              dtype=np.float64)
-    plan = CICPlan.build(positions, grid.config.cell_size, grid.shape,
-                         STAGGER["rho"])
-    plan.scatter_add(grid.rho, values)
+    workspace = Workspace()
+    for start, stop in _chunks(positions.shape[0]):
+        plans = CICPlanSet(positions[start:stop], grid.config.cell_size,
+                           grid.shape, workspace)
+        plans.plan(STAGGER["rho"]).scatter_add(grid.rho, values[start:stop])
     return grid.rho
 
 
@@ -282,14 +305,13 @@ def deposit_charge_cic_fused(grid: YeeGrid, positions: np.ndarray, charge: float
 def deposit_current_esirkepov_fused(grid: YeeGrid, old_positions: np.ndarray,
                                     new_positions: np.ndarray, charge: float,
                                     weights: np.ndarray, dt: float,
-                                    chunk_size: int = DEFAULT_CHUNK,
                                     workspace: Optional[Workspace] = None) -> None:
     """Charge-conserving Esirkepov deposition with a bounded working set.
 
     Numerically equivalent (up to summation order and identically-zero
     stencil planes, which the reference path scatters as exact zeros or
     round-off) to :func:`repro.pic.deposition.deposit_current_esirkepov`, but
-    particles are processed in chunks of at most ``chunk_size`` so the
+    particles are processed in blocks of at most ``CHUNK`` so the
     per-axis ``(2, 3, 3, chunk)`` weight block and linear-index block are the
     only large temporaries, and all three current components are scattered
     with a single ``np.bincount`` over ``3 * n_cells`` fused bins instead of
@@ -305,8 +327,6 @@ def deposit_current_esirkepov_fused(grid: YeeGrid, old_positions: np.ndarray,
         raise ValueError("old and new positions must have the same shape")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
     n = old_positions.shape[0]
     if n == 0:
         return
@@ -334,8 +354,7 @@ def deposit_current_esirkepov_fused(grid: YeeGrid, old_positions: np.ndarray,
     if workspace is None:
         workspace = Workspace()
 
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
+    for start, stop in _chunks(n):
         m = stop - start
         # the first chunk is the largest, so later ones reuse its buffers
         big_lin = workspace.array("esirkepov.lin", (3, 2, 3, 3, m), np.int64)
@@ -415,31 +434,46 @@ def deposit_current_esirkepov_fused(grid: YeeGrid, old_positions: np.ndarray,
 # --------------------------------------------------------------------------- #
 # particle push
 # --------------------------------------------------------------------------- #
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise cross product of two ``(N, 3)`` arrays.
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Cross product of two component-major ``(3, m)`` arrays into ``out``.
 
-    Equivalent to ``np.cross(a, b)`` but written out component-wise:
-    ``np.cross`` routes through ``moveaxis``/``empty``/slice assignments with
-    enough per-call overhead to show up at laptop particle counts.
+    Written out per component on contiguous rows: ``np.cross`` routes through
+    ``moveaxis``/``empty``/slice assignments with enough per-call overhead to
+    show up at laptop particle counts.  ``tmp`` is an ``(m,)`` scratch row.
     """
-    out = np.empty_like(a)
-    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
-    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
-    out[:, 0] = a1 * b2 - a2 * b1
-    out[:, 1] = a2 * b0 - a0 * b2
-    out[:, 2] = a0 * b1 - a1 * b0
-    return out
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(a[j], b[k], out=out[i])
+        np.multiply(a[k], b[j], out=tmp)
+        out[i] -= tmp
+
+
+def _norm_sq(a: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+    """Squared length of the columns of a ``(3, m)`` array into ``out``.
+
+    Summed as ``(a0² + a2²) + a1²`` — any order is as accurate; this is the
+    one ``np.einsum("ij,ij->i")`` takes over an ``(N, 3)`` row in its two-lane
+    accumulator, so the push reproduces its ``(N, 3)`` formulation (the oracle
+    in ``tests/pic/test_kernels_fused.py``) bit for bit.
+    """
+    np.multiply(a[0], a[0], out=out)
+    np.multiply(a[2], a[2], out=tmp)
+    out += tmp
+    np.multiply(a[1], a[1], out=tmp)
+    out += tmp
 
 
 def boris_push_fused(species: ParticleSpecies, e_fields: np.ndarray,
-                     b_fields: np.ndarray, dt: float) -> None:
-    """Relativistic Boris push with in-place momentum updates.
+                     b_fields: np.ndarray, dt: float,
+                     workspace: Optional[Workspace] = None) -> None:
+    """Relativistic Boris push, ``CHUNK`` particles at a time, in place.
 
     Same scheme as :func:`repro.pic.pusher.boris_push` (half electric kick,
-    magnetic rotation, half electric kick) but the half-kick array is
-    computed once and reused, the rotation vector is scaled in place into
-    the ``s`` vector, and ``species.momenta`` is updated in place instead of
-    rebinding freshly allocated arrays for every intermediate.
+    magnetic rotation, half electric kick).  Each block is transposed into
+    component-major ``(3, m)`` rows taken from ``workspace`` (``None``: a
+    private one for this call), every term is a contiguous row operation
+    written with ``out=``, and the result is transposed back into
+    ``species.momenta`` — no ``(N, 3)`` intermediate is allocated and no
+    strided column is walked more than once.
     """
     if not species.pushed:
         return
@@ -447,19 +481,33 @@ def boris_push_fused(species: ParticleSpecies, e_fields: np.ndarray,
         raise ValueError("dt must be positive")
     e_fields = np.asarray(e_fields, dtype=np.float64)
     b_fields = np.asarray(b_fields, dtype=np.float64)
-    if e_fields.shape != species.momenta.shape or b_fields.shape != species.momenta.shape:
+    momenta = species.momenta
+    if e_fields.shape != momenta.shape or b_fields.shape != momenta.shape:
         raise ValueError("field arrays must have shape (N, 3)")
+    if workspace is None:
+        workspace = Workspace()
 
     qmdt2 = species.charge * dt / (2.0 * species.mass * constants.SPEED_OF_LIGHT)
-    half_kick = qmdt2 * e_fields
-
-    u = species.momenta
-    u += half_kick                     # u_minus
-    gamma = np.sqrt(1.0 + np.einsum("ij,ij->i", u, u))
-
-    t_vec = b_fields * ((species.charge * dt / (2.0 * species.mass)) / gamma)[:, None]
-    t_sq = np.einsum("ij,ij->i", t_vec, t_vec)
-    u_prime = u + _cross(u, t_vec)
-    t_vec *= (2.0 / (1.0 + t_sq))[:, None]   # t_vec becomes the s vector
-    u += _cross(u_prime, t_vec)              # u_plus
-    u += half_kick
+    qdt2m = species.charge * dt / (2.0 * species.mass)
+    for start, stop in _chunks(momenta.shape[0]):
+        m = stop - start
+        half_kick, u, t_vec, u_prime, turn = workspace.array("boris.rows",
+                                                             (5, 3, m))
+        scale, tmp = workspace.array("boris.scalars", (2, m))
+        np.multiply(e_fields[start:stop].T, qmdt2, out=half_kick)
+        np.add(momenta[start:stop].T, half_kick, out=u)        # u_minus
+        _norm_sq(u, scale, tmp)
+        scale += 1.0
+        np.sqrt(scale, out=scale)                              # gamma
+        np.divide(qdt2m, scale, out=scale)
+        np.multiply(b_fields[start:stop].T, scale, out=t_vec)
+        _norm_sq(t_vec, scale, tmp)
+        _cross(u, t_vec, turn, tmp)
+        np.add(u, turn, out=u_prime)
+        scale += 1.0
+        np.divide(2.0, scale, out=scale)
+        t_vec *= scale                       # t_vec becomes the s vector
+        _cross(u_prime, t_vec, turn, tmp)
+        u += turn                                              # u_plus
+        u += half_kick
+        momenta[start:stop] = u.T

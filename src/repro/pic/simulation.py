@@ -139,7 +139,6 @@ class PICSimulation:
         extent = self.config.grid.extent
         grid = self.grid
         kernel = self.config.kernel
-        push = boris_push_fused if kernel == "fused" else boris_push
 
         grid.clear_currents()
         for s in self.species:
@@ -149,7 +148,11 @@ class PICSimulation:
                 e_at_p, b_at_p = gather_fields(grid, s.positions, kernel=kernel,
                                                workspace=self._workspace)
             with self.timer.section("push"):
-                push(s, e_at_p, b_at_p, dt)
+                if kernel == "fused":
+                    boris_push_fused(s, e_at_p, b_at_p, dt,
+                                     workspace=self._workspace)
+                else:
+                    boris_push(s, e_at_p, b_at_p, dt)
                 # advance_positions rebinds (never mutates) the stored
                 # array, so the pre-push positions survive without a copy
                 old_positions = s.positions

@@ -286,9 +286,20 @@ class TestCooperativeStop:
 
 
 class TestConcurrentLeases:
-    def test_two_leases_interleave_run_by_run(self, pool, gate):
+    def test_two_leases_interleave_run_by_run(self, pool, gate, monkeypatch):
         """A second lease is not parked behind the first one's queue: free
         slots go to the lease with fewer runs in flight."""
+        from repro.campaign.workers import _Lease
+
+        # the order the pool hands runs to workers — what its fairness decides
+        # (the order two owner threads fire on_record is the scheduler's)
+        sends, send = [], _Lease.send
+
+        def recording_send(lease, worker, ticket):
+            sends.append(lease.id)
+            send(lease, worker, ticket)
+
+        monkeypatch.setattr(_Lease, "send", recording_send)
         first = smoke_payloads()                       # 8 runs
         second = smoke_payloads(n_steps=3)             # 8 other run ids
         assert not {p["run_id"] for p in first} & {p["run_id"] for p in second}
@@ -322,9 +333,12 @@ class TestConcurrentLeases:
         for thread in threads:
             thread.join(timeout=30)
             assert not thread.is_alive()
-        tags = [tag for tag, _ in order]
-        last_of_first = len(tags) - 1 - tags[::-1].index("first")
-        assert tags.index("second") < last_of_first
+        assert len(sends) == 16 and len(set(sends)) == 2
+        first_lease = sends[0]                 # it filled the pool alone
+        last_of_first = len(sends) - 1 - sends[::-1].index(first_lease)
+        first_of_second = next(i for i, lease in enumerate(sends)
+                               if lease != first_lease)
+        assert first_of_second < last_of_first
         # no record crossed leases, each in its own submission order
         assert [r.run_id for r in results["first"]] == \
             [p["run_id"] for p in first]

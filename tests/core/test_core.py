@@ -154,6 +154,62 @@ class TestMakeTrainingSamples:
         assert any(v > 0.1 for v in drifts.values())
         assert any(v < -0.1 for v in drifts.values())
 
+    def test_samples_equal_the_all_particle_formulation(self):
+        """beta and beta-dot worked out for the chosen rows only are, array for
+        array, what computing them for every electron and indexing gives."""
+        from repro.analysis.regions import (REGION_NAMES, label_particles,
+                                            majority_region)
+        from repro.core.transforms import region_spectrum
+
+        def all_particle_oracle(species, previous, detector, partition, n_points,
+                                time, dt, rng, min_particles_per_region=8):
+            gamma_now = species.gamma()
+            beta_now = species.momenta / gamma_now[:, None]
+            gamma_prev = np.sqrt(1.0 + np.einsum("ij,ij->i", previous, previous))
+            beta_dot = (beta_now - previous / gamma_prev[:, None]) / dt
+            labels = label_particles(species.positions, species.momenta,
+                                     partition.grid_config.extent)
+            region_ids = partition.region_of(species.positions)
+            out = []
+            for flat_id, region in enumerate(partition.regions()):
+                indices = np.flatnonzero(region_ids == flat_id)
+                if indices.size < min_particles_per_region:
+                    continue
+                chosen = rng.choice(indices, size=n_points,
+                                    replace=indices.size < n_points)
+                cloud = encode_point_cloud(species.positions[chosen],
+                                           species.momenta[chosen], region)
+                spectrum = region_spectrum(detector, species.positions[chosen],
+                                           beta_now[chosen], beta_dot[chosen],
+                                           species.weights[chosen], species.charge,
+                                           time=time, dt=dt)
+                out.append((cloud, encode_spectrum(spectrum),
+                            REGION_NAMES[majority_region(labels[indices])]))
+            return out
+
+        cfg = KHIConfig(grid_shape=(8, 16, 2), particles_per_cell=4, seed=7)
+        sim = make_khi_simulation(cfg)
+        electrons = sim.get_species("electrons")
+        for _ in range(3):
+            previous = electrons.momenta.copy()
+            sim.step()
+        detector = RadiationDetector.for_khi(density=cfg.density, n_directions=2,
+                                             n_frequencies=8)
+        partition = RegionPartition(cfg.grid_config, (1, 4, 1))
+        samples = make_training_samples(electrons, previous, detector, partition,
+                                        n_points=32, step=3, time=sim.time,
+                                        dt=sim.config.dt,
+                                        rng=np.random.default_rng(17))
+        expected = all_particle_oracle(electrons, previous, detector, partition, 32,
+                                       sim.time, sim.config.dt,
+                                       np.random.default_rng(17))
+        assert len(samples) == len(expected) == 4
+        for sample, (cloud, spectrum, region) in zip(samples, expected):
+            np.testing.assert_array_equal(sample.point_cloud, cloud)
+            np.testing.assert_array_equal(sample.spectrum, spectrum)
+            assert sample.region == region
+        assert not np.array_equal(previous, electrons.momenta)
+
     def test_validation(self, rng):
         cfg = KHIConfig(grid_shape=(8, 16, 2), particles_per_cell=2, seed=7)
         sim = make_khi_simulation(cfg)

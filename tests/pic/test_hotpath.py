@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.pic import kernels
 from repro.pic.hotpath import (CASE, HotpathResult, format_result, main,
                                run_hotpath_benchmark)
 from repro.utils.benchjson import latest_run
@@ -59,8 +60,8 @@ class TestPersistAndFormat:
         record = latest_run("pic_hotpath", str(tmp_path))
         assert record["params"] == {
             "grid_shape": [8, 16, 2], "particles_per_cell": 4,
-            "n_macro_particles": 2048, "n_steps": 4, "warmup": 1,
-            "repeats": 5}
+            "n_macro_particles": 2048, "chunk": kernels.CHUNK,
+            "n_steps": 4, "warmup": 1, "repeats": 5}
         assert set(record["metrics"]) == {
             "steps_per_sec", "speedup", "sections_ms_per_step",
             "equivalence_error", "equivalent"}

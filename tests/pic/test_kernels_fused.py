@@ -20,8 +20,10 @@ from repro import constants
 from repro.pic.deposition import deposit_charge_cic, deposit_current_esirkepov
 from repro.pic.grid import GridConfig, YeeGrid
 from repro.pic.interpolation import gather_fields
+from repro.pic import kernels
 from repro.pic.kernels import (CICPlanSet, Workspace, boris_push_fused,
-                               deposit_current_esirkepov_fused)
+                               deposit_current_esirkepov_fused,
+                               gather_fields_fused)
 from repro.pic.particles import ParticleSpecies
 from repro.pic.pusher import boris_push
 from repro.pic.simulation import PICSimulation, SimulationConfig
@@ -64,8 +66,14 @@ class TestGatherEquivalence:
         positions, _ = random_particles(rng, grid, 16)
         plans = CICPlanSet(positions, grid.config.cell_size, grid.config.shape)
         first = plans.plan((0.5, 0.0, 0.0))
+        lin, weights = first.lin.copy(), first.weights.copy()
+        np.testing.assert_allclose(weights.sum(axis=0), 1.0, rtol=1e-14)
+        # the per-(axis, offset) pieces are worked out once, at construction:
+        # composing another stagger from them leaves them intact
+        plans.plan((0.0, 0.5, 0.5))
         again = plans.plan((0.5, 0.0, 0.0))
-        assert first is again  # stagger-group plans are computed once
+        np.testing.assert_array_equal(again.lin, lin)
+        np.testing.assert_array_equal(again.weights, weights)
 
 
 class TestDepositionEquivalence:
@@ -100,7 +108,7 @@ class TestDepositionEquivalence:
             scale = np.max(np.abs(b)) + 1e-300
             assert np.max(np.abs(a - b)) < 1e-12 * scale
 
-    def test_esirkepov_chunked_matches_unchunked(self):
+    def test_esirkepov_chunked_matches_unchunked(self, monkeypatch):
         rng = np.random.default_rng(7)
         grid_a, grid_b = make_grid(), make_grid()
         n = 500
@@ -108,9 +116,10 @@ class TestDepositionEquivalence:
         old, weights = random_particles(rng, grid_a, n)
         new = old + rng.uniform(-0.9, 0.9, size=(n, 3)) \
             * np.asarray(grid_a.config.cell_size)
-        deposit_current_esirkepov_fused(grid_a, old, new, 1.0, weights, dt,
-                                        chunk_size=64)
+        assert n <= kernels.CHUNK
         deposit_current_esirkepov_fused(grid_b, old, new, 1.0, weights, dt)
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        deposit_current_esirkepov_fused(grid_a, old, new, 1.0, weights, dt)
         for name in ("Jx", "Jy", "Jz"):
             a, b = grid_a.component(name), grid_b.component(name)
             scale = np.max(np.abs(b)) + 1e-300
@@ -173,7 +182,8 @@ def simulation_state(simulation):
 
 
 class TestWorkspace:
-    def test_kernels_with_a_reused_workspace_are_bit_identical(self):
+    def test_kernels_with_a_reused_workspace_are_bit_identical(self, monkeypatch):
+        monkeypatch.setattr(kernels, "CHUNK", 32)
         rng = np.random.default_rng(5)
         workspace = Workspace()
         grid = make_grid()
@@ -190,10 +200,9 @@ class TestWorkspace:
             np.testing.assert_array_equal(reused[0], fresh[0])
             np.testing.assert_array_equal(reused[1], fresh[1])
             a, b = make_grid(), make_grid()
-            deposit_current_esirkepov_fused(a, old, new, charge, weights, dt,
-                                            chunk_size=32)
+            deposit_current_esirkepov_fused(a, old, new, charge, weights, dt)
             deposit_current_esirkepov_fused(b, old, new, charge, weights, dt,
-                                            chunk_size=32, workspace=workspace)
+                                            workspace=workspace)
             for name in ("Jx", "Jy", "Jz"):
                 np.testing.assert_array_equal(b.component(name), a.component(name))
 
@@ -246,6 +255,143 @@ class TestWorkspace:
             assert got.step_index == 20
             for a, b in zip(simulation_state(got), simulation_state(want)):
                 np.testing.assert_array_equal(a, b)
+
+
+def awkward_positions(rng, grid, n):
+    """Positions far outside the box, exactly on nodes and half-nodes (incl.
+    the box faces) and a hair below zero, among ordinary ones."""
+    extent = np.asarray(grid.config.extent)
+    cell = np.asarray(grid.config.cell_size)
+    positions = rng.uniform(0.0, 1.0, size=(n, 3)) * extent
+    k = n // 10
+    positions[:k] = rng.uniform(-40.0, 40.0, size=(k, 3)) * extent
+    positions[k:2 * k] = rng.integers(-3, 12, size=(k, 3)) * cell
+    positions[2 * k:3 * k] = (rng.integers(-3, 12, size=(k, 3)) + 0.5) * cell
+    positions[3 * k:3 * k + 4] = np.array(
+        [(-1e-20, 0.0, 1e-20), extent, np.nextafter(extent, 0.0), 0.5 * cell])
+    return positions
+
+
+def boris_push_n3(species, e_fields, b_fields, dt):
+    """The unblocked ``(N, 3)`` formulation ``boris_push_fused`` had before it
+    worked on ``(3, m)`` rows — kept as its bitwise oracle.  (It took the two
+    squared lengths with ``einsum("ij,ij->i")``, whose summation order depends
+    on the NumPy build; they are written out here.)"""
+    def cross(a, b):
+        out = np.empty_like(a)
+        out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+        out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+        out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+        return out
+
+    def norm_sq(a):
+        return a[:, 0] * a[:, 0] + a[:, 2] * a[:, 2] + a[:, 1] * a[:, 1]
+
+    qmdt2 = species.charge * dt / (2.0 * species.mass * constants.SPEED_OF_LIGHT)
+    half_kick = qmdt2 * e_fields
+    u = species.momenta
+    u += half_kick
+    gamma = np.sqrt(1.0 + norm_sq(u))
+    t_vec = b_fields * ((species.charge * dt / (2.0 * species.mass)) / gamma)[:, None]
+    t_sq = norm_sq(t_vec)
+    u_prime = u + cross(u, t_vec)
+    t_vec *= (2.0 / (1.0 + t_sq))[:, None]
+    u += cross(u_prime, t_vec)
+    u += half_kick
+
+
+def count_workspace_calls(monkeypatch):
+    """Spy on ``Workspace.array``; returns the list the calls are logged to."""
+    calls = []
+    original = Workspace.array
+
+    def spy(self, name, shape, dtype=np.float64):
+        calls.append(name)
+        return original(self, name, shape, dtype)
+
+    monkeypatch.setattr(Workspace, "array", spy)
+    return calls
+
+
+class TestBlockedKernels:
+    """The ``CHUNK``-particle blocking changes no result and bounds the scratch."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 129, 500])
+    def test_gather_does_not_depend_on_the_chunk(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        grid = make_grid()
+        for name in ("Ex", "Ey", "Ez", "Bx", "By", "Bz"):
+            grid.component(name)[...] = rng.normal(size=grid.config.shape)
+        positions = awkward_positions(rng, grid, n) if n >= 40 \
+            else random_particles(rng, grid, n)[0]
+        assert n <= kernels.CHUNK
+        whole = gather_fields_fused(grid, positions)
+        monkeypatch.setattr(kernels, "CHUNK", 64)   # 129: a last block of one
+        blocked = gather_fields_fused(grid, positions, Workspace())
+        for got, want in zip(blocked, whole):
+            assert got.shape == (n, 3)
+            assert got.tobytes() == want.tobytes()
+        # and the awkward positions are still right, not just self-consistent
+        reference = gather_fields(grid, positions, kernel="reference")
+        for got, want in zip(blocked, reference):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+
+    def test_plan_rejects_a_stagger_that_is_not_on_the_yee_lattice(self):
+        grid = make_grid()
+        plans = CICPlanSet(np.zeros((2, 3)), grid.config.cell_size, grid.shape)
+        with pytest.raises(ValueError, match="stagger"):
+            plans.plan((0.25, 0.0, 0.0))
+
+    @pytest.mark.parametrize("n", [1, 64, 65, 200])
+    def test_push_is_bitwise_the_n3_formulation_across_blocks(self, n, monkeypatch):
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        rng = np.random.default_rng(n)
+        momenta = rng.normal(size=(n, 3)) * rng.uniform(0.01, 5.0, size=(n, 1))
+        species = [ParticleSpecies.electrons(np.zeros((n, 3)), momenta.copy(),
+                                             np.ones(n)) for _ in range(3)]
+        e_fields = rng.normal(scale=1e8, size=(n, 3))
+        b_fields = rng.normal(scale=10.0, size=(n, 3))
+        boris_push_n3(species[0], e_fields, b_fields, 1e-14)
+        stored = species[1].momenta
+        boris_push_fused(species[1], e_fields, b_fields, 1e-14)
+        assert species[1].momenta is stored          # updated in place
+        assert stored.tobytes() == species[0].momenta.tobytes()
+        boris_push(species[2], e_fields, b_fields, 1e-14)
+        np.testing.assert_allclose(stored, species[2].momenta,
+                                   rtol=1e-13, atol=1e-300)
+
+    def test_continuity_at_machine_precision_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        TestDepositionEquivalence().test_continuity_at_machine_precision_under_fused()
+
+    def test_one_block_is_one_pass_per_kernel(self, monkeypatch):
+        """A species of at most ``CHUNK`` particles takes each kernel's scratch
+        once — the blocking costs it nothing — and b blocks take it b times."""
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        calls = count_workspace_calls(monkeypatch)
+        per_size = {}
+        for n in (5, 64, 3 * 64):
+            simulation = two_species_simulation(seed=3, sizes=(n, n))
+            del calls[:]
+            simulation.step()
+            per_size[n] = sorted(calls)
+        assert per_size[5] == per_size[64]
+        assert per_size[3 * 64] == sorted(3 * per_size[64])
+        # gather, push and deposit each went through the workspace
+        assert {name.split(".")[0] for name in per_size[64]} == {
+            "cic", "boris", "esirkepov"}
+
+    def test_workspace_footprint_is_bounded_by_the_chunk(self, monkeypatch):
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+
+        def footprint(n):
+            simulation = two_species_simulation(seed=4, sizes=(n, n))
+            for _ in range(2):
+                simulation.step()
+            return sum(flat.nbytes for flat in simulation._workspace._flat.values())
+
+        assert footprint(3 * 64 + 17) == footprint(64)
+        assert footprint(64) > footprint(8)
 
 
 class TestBorisEquivalence:

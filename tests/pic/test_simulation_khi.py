@@ -13,8 +13,6 @@ from repro.pic.grid import GridConfig
 from repro.pic.khi import KHIConfig, growth_rate_estimate, make_khi_simulation
 from repro.pic.particles import ParticleSpecies
 from repro.pic.simulation import PICSimulation, Plugin, SimulationConfig
-from repro.pic.domain import SlabDecomposition
-from repro.pic.supercells import SupercellIndex
 
 
 def tiny_khi(steps_grid=(8, 16, 2), ppc=4, seed=3):
@@ -178,56 +176,3 @@ class TestFOM:
         with pytest.raises(ValueError):
             figure_of_merit(1, 1, 0, 1.0)
 
-
-class TestSupercellsAndDomain:
-    def test_supercell_occupancy_counts_all_particles(self, rng):
-        cfg = GridConfig(shape=(16, 16, 8), cell_size=(1e-5,) * 3)
-        index = SupercellIndex(cfg, supercell_shape=(8, 8, 4))
-        positions = rng.uniform(0, 1, size=(500, 3)) * np.asarray(cfg.extent)
-        occupancy = index.occupancy(positions)
-        assert occupancy.shape == (2, 2, 2)
-        assert occupancy.sum() == 500
-
-    def test_group_by_supercell_partitions(self, rng):
-        cfg = GridConfig(shape=(16, 16, 8), cell_size=(1e-5,) * 3)
-        index = SupercellIndex(cfg, supercell_shape=(4, 4, 4))
-        positions = rng.uniform(0, 1, size=(200, 3)) * np.asarray(cfg.extent)
-        groups = index.group_by_supercell(positions)
-        all_indices = np.sort(np.concatenate(list(groups.values())))
-        np.testing.assert_array_equal(all_indices, np.arange(200))
-
-    def test_sort_order_groups_particles(self, rng):
-        cfg = GridConfig(shape=(8, 8, 8), cell_size=(1e-5,) * 3)
-        index = SupercellIndex(cfg, supercell_shape=(4, 4, 4))
-        positions = rng.uniform(0, 1, size=(100, 3)) * np.asarray(cfg.extent)
-        order = index.sort_order(positions)
-        flat_sorted = index.flat_indices(positions)[order]
-        assert np.all(np.diff(flat_sorted) >= 0)
-
-    def test_slab_decomposition_covers_grid(self):
-        cfg = GridConfig(shape=(30, 8, 8), cell_size=(1e-5,) * 3)
-        decomp = SlabDecomposition(cfg, n_ranks=4, axis=0)
-        slabs = decomp.slabs()
-        assert slabs[0].cell_start == 0
-        assert slabs[-1].cell_stop == 30
-        assert sum(s.n_cells_along_axis for s in slabs) == 30
-
-    def test_rank_of_position(self, rng):
-        cfg = GridConfig(shape=(32, 8, 8), cell_size=(1e-5,) * 3)
-        decomp = SlabDecomposition(cfg, n_ranks=4, axis=0)
-        positions = rng.uniform(0, 1, size=(300, 3)) * np.asarray(cfg.extent)
-        ranks = decomp.rank_of_position(positions)
-        assert ranks.min() >= 0 and ranks.max() <= 3
-        # particles in the first quarter of the box belong to rank 0
-        first_quarter = positions[:, 0] < cfg.extent[0] / 4
-        assert np.all(ranks[first_quarter] == 0)
-
-    def test_halo_bytes_positive(self):
-        cfg = GridConfig(shape=(32, 8, 8), cell_size=(1e-5,) * 3)
-        decomp = SlabDecomposition(cfg, n_ranks=4, axis=0)
-        assert decomp.halo_bytes() == 8 * 8 * 6 * 8
-
-    def test_invalid_decomposition(self):
-        cfg = GridConfig(shape=(4, 8, 8), cell_size=(1e-5,) * 3)
-        with pytest.raises(ValueError):
-            SlabDecomposition(cfg, n_ranks=8, axis=0)

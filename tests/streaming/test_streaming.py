@@ -143,7 +143,8 @@ class TestEngines:
 
 class TestDataPlanes:
     def test_modeled_time_increases_with_bytes(self):
-        plane = make_data_plane("mpi")
+        # seeded: the plane's 12 % jitter otherwise fails this ~1 run in 100
+        plane = make_data_plane("mpi", rng=0)
         assert plane.transfer_time(2 * 10**9, n_nodes=100) > \
             plane.transfer_time(10**9, n_nodes=100) * 1.2
 
