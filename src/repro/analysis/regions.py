@@ -18,6 +18,8 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from repro.pic.pusher import wrap_periodic
+
 REGION_APPROACHING = 0
 REGION_RECEDING = 1
 REGION_VORTEX = 2
@@ -63,7 +65,7 @@ def label_particles(positions: np.ndarray, momenta: np.ndarray,
     extent_shear = float(extent[shear_axis])
     if vortex_half_width is None:
         vortex_half_width = 0.10 * extent_shear
-    y = np.mod(positions[:, shear_axis], extent_shear)
+    y = wrap_periodic(positions[:, shear_axis], extent_shear)
     s1, s2 = shear_surface_positions(extent_shear)
     near_shear = (np.abs(y - s1) < vortex_half_width) | (np.abs(y - s2) < vortex_half_width)
 

@@ -29,6 +29,7 @@ from repro.analysis.regions import REGION_NAMES, label_particles, majority_regio
 from repro.continual.buffer import TrainingSample
 from repro.pic.grid import GridConfig
 from repro.pic.particles import ParticleSpecies
+from repro.pic.pusher import wrap_periodic
 from repro.radiation.detector import RadiationDetector
 from repro.radiation.lienard_wiechert import radiation_amplitude_step
 from repro.radiation.spectrum import normalize_log_spectrum, spectrum_from_amplitude
@@ -85,7 +86,7 @@ class RegionPartition:
         positions = np.asarray(positions, dtype=np.float64)
         extent = np.asarray(self.grid_config.extent)
         counts = np.asarray(self.region_counts)
-        idx = np.floor(np.mod(positions, extent) / self._sizes).astype(np.int64)
+        idx = np.floor(wrap_periodic(positions, extent) / self._sizes).astype(np.int64)
         idx = np.minimum(idx, counts - 1)
         return (idx[:, 0] * counts[1] + idx[:, 1]) * counts[2] + idx[:, 2]
 

@@ -128,7 +128,7 @@ def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
     xi0 = old_positions / cell           # (N, 3) in cell units
     xi1 = new_positions / cell
     displacement = np.abs(xi1 - xi0)
-    if np.any(displacement >= 1.0):
+    if not np.all(displacement < 1.0):          # NaN must fail the check too
         raise ValueError("Esirkepov deposition requires particles to move "
                          "less than one cell per step")
 

@@ -49,6 +49,9 @@ class HotpathResult:
     warmup: int
     n_macro_particles: int
     grid_shape: Tuple[int, int, int]
+    #: share of particles one step leaves in their cell along all three axes
+    #: — the property the two-width Esirkepov deposit's saving scales with
+    stay_fraction: float
     equivalence_error: float
     equivalent: bool
 
@@ -61,6 +64,7 @@ class HotpathResult:
                 "particles_per_cell": BENCH_TINY_PPC,
                 "n_macro_particles": self.n_macro_particles,
                 "chunk": kernels.CHUNK,
+                "stay_fraction": self.stay_fraction,
                 "n_steps": self.n_steps, "warmup": self.warmup}
 
     def metrics(self) -> Dict[str, object]:
@@ -76,6 +80,17 @@ def _bench_config(kernel: str, grid_shape=BENCH_TINY_GRID,
     return KHIConfig(grid_shape=tuple(grid_shape),
                      particles_per_cell=BENCH_TINY_PPC, seed=seed,
                      kernel=kernel)
+
+
+def _stay_fraction(simulation) -> float:
+    """Step once; the share of pushed particles that kept their cell."""
+    cell = np.asarray(simulation.grid.config.cell_size)
+    pushed = [s for s in simulation.species if s.pushed]
+    before = [np.floor(s.positions / cell) for s in pushed]
+    simulation.step()
+    return float(np.mean(np.concatenate(
+        [(np.floor(s.positions / cell) == cells).all(axis=1)
+         for s, cells in zip(pushed, before)])))
 
 
 def _time_kernel(kernel: str, n_steps: int, warmup: int,
@@ -142,10 +157,14 @@ def run_hotpath_benchmark(n_steps: int = 40, warmup: int = 5,
         rates[kernel] = rate
         sections[kernel] = per_section
     error = check_equivalence(equivalence_steps, grid_shape)
+    simulation = make_khi_simulation(_bench_config("fused", grid_shape))
+    for _ in range(warmup):
+        simulation.step()
     return HotpathResult(steps_per_sec=rates, sections_ms=sections,
                          n_steps=n_steps, warmup=warmup,
                          n_macro_particles=n_macro,
                          grid_shape=tuple(grid_shape),
+                         stay_fraction=_stay_fraction(simulation),
                          equivalence_error=error,
                          equivalent=error < EQUIVALENCE_RTOL)
 
@@ -153,7 +172,8 @@ def run_hotpath_benchmark(n_steps: int = 40, warmup: int = 5,
 def format_result(result: HotpathResult) -> str:
     lines = [
         f"PIC hot path, {'x'.join(str(n) for n in result.grid_shape)} cells, "
-        f"{result.n_macro_particles} macro-particles, {result.n_steps} steps:",
+        f"{result.n_macro_particles} macro-particles "
+        f"({result.stay_fraction:.1%} stay in their cell), {result.n_steps} steps:",
     ]
     for kernel in ("reference", "fused"):
         split = ", ".join(f"{name} {ms:.2f}" for name, ms in

@@ -17,7 +17,8 @@ numerically equivalent kernels organised for speed:
   single ``np.bincount`` on the raveled indices.
 * :func:`deposit_current_esirkepov_fused` — the first-order Esirkepov
   scheme with all three current components scattered by one fused
-  ``np.bincount``.
+  ``np.bincount``; one block body at two stencil widths, 2 nodes and one
+  plane for the particles that stay in their cell, 3 and two for the rest.
 * :func:`boris_push_fused` — the Boris rotation on component-major
   ``(3, m)`` rows, every term a contiguous row operation.
 
@@ -31,7 +32,7 @@ there is one code path: a species of at most ``CHUNK`` particles is simply
 one block.
 
 Layout note: all stencil arrays put the *node* axes first and the particle
-axis last (``(8, m)`` corner plans, ``(2, 3, 3, m)`` Esirkepov blocks,
+axis last (``(8, m)`` corner plans, ``(2, 5, w, m)`` Esirkepov hats,
 ``(3, m)`` momenta).  With the particle axis innermost every broadcast ufunc
 runs long contiguous inner loops; the particle-first layout spends most of
 its time iterating 2-, 3- or 4-element inner loops and is several times
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import math
 import mmap
+from itertools import accumulate
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -57,13 +59,16 @@ from repro.pic.grid import STAGGER, YeeGrid
 from repro.pic.particles import ParticleSpecies
 
 #: Particles per block of the gather, push and deposit loops.  It bounds every
-#: per-particle temporary (the ``(8, m)`` CIC plans, the ``(3, 2, 3, 3, m)``
+#: per-particle temporary (the ``(8, m)`` CIC plans, the ``(3, p, w, w, m)``
 #: Esirkepov blocks) whatever the species size: ~3.7 MB per gather block,
 #: inside a 4 MB L2.  Larger blocks spill, below ~4096 the per-block Python
 #: overhead takes over.  Set from the sweep in ``docs/performance.md`` (PR 21).
 CHUNK = 8192
 
-_STENCIL3 = np.arange(3)
+_STENCIL3 = np.arange(3.0)
+#: coefficients of (s0, ds) in the two Esirkepov transverse row factors
+_ROW_S0 = np.array([1.0, 0.5])[:, None, None, None]
+_ROW_DS = np.array([0.5, 1.0 / 3.0])[:, None, None, None]
 #: row of a plan set for each of the two per-axis offsets the Yee staggers use
 _OFFSET_ROW = {0.0: 0, 0.5: 1}
 
@@ -302,6 +307,25 @@ def deposit_charge_cic_fused(grid: YeeGrid, positions: np.ndarray, charge: float
 # --------------------------------------------------------------------------- #
 # Esirkepov current deposition (chunked, fused bincount scatter)
 # --------------------------------------------------------------------------- #
+#: ``(stencil width, along-axis planes)`` of a particle that stays in its cell
+#: along all three axes and of one that crosses a cell face
+_STAY, _GO = (2, 1), (3, 2)
+
+
+def _stencil_shapes(width: int, planes: int, m: int):
+    """Shapes of the float and the int scratch arrays of one block body."""
+    return (((2, 5, width, m), (2, 2, 3, width, m), (3, width, m), (3, planes, m),
+             (2, 3, width, width, m)),
+            ((5, width, m), (3, width, width, m), (3, planes, m)))
+
+
+def _carve(flat: np.ndarray, shapes) -> list:
+    """Consecutive C-contiguous arrays of ``shapes`` out of a flat buffer."""
+    sizes = [math.prod(shape) for shape in shapes]
+    return [flat[stop - size:stop].reshape(shape)
+            for shape, size, stop in zip(shapes, sizes, accumulate(sizes))]
+
+
 def deposit_current_esirkepov_fused(grid: YeeGrid, old_positions: np.ndarray,
                                     new_positions: np.ndarray, charge: float,
                                     weights: np.ndarray, dt: float,
@@ -311,14 +335,22 @@ def deposit_current_esirkepov_fused(grid: YeeGrid, old_positions: np.ndarray,
     Numerically equivalent (up to summation order and identically-zero
     stencil planes, which the reference path scatters as exact zeros or
     round-off) to :func:`repro.pic.deposition.deposit_current_esirkepov`, but
-    particles are processed in blocks of at most ``CHUNK`` so the
-    per-axis ``(2, 3, 3, chunk)`` weight block and linear-index block are the
-    only large temporaries, and all three current components are scattered
-    with a single ``np.bincount`` over ``3 * n_cells`` fused bins instead of
-    three unbuffered ``np.add.at`` calls against broadcast index arrays.
-    Those two blocks and the ``(3, 3, chunk)`` stencil arrays they are built
-    from live in ``workspace`` when one is given and are allocated once per
-    call otherwise.
+    particles go in blocks of at most ``CHUNK`` and all three current
+    components of a block are scattered by one ``np.bincount`` over
+    ``3 * n_cells`` fused bins instead of three unbuffered ``np.add.at``.
+
+    Because a particle moves less than one cell, old and new shape functions
+    share a THREE-node stencil anchored at ``floor(min(xi0, xi1))``, and the
+    along-axis prefix sum needs only TWO planes — the third is the total
+    shape-function change, which vanishes identically (charge conservation)
+    and would scatter pure round-off: ``3 * 2*3*3 = 54`` scattered values per
+    particle against the naive ``3 * 4^3 = 192``.  A particle that stays in
+    its cell along all three axes (most do) has more zeros of both kinds —
+    its third node's hat weights are exactly ``0.0`` and its second plane is
+    again the total change — so ``3 * 1*2*2 = 12`` are left.  Each block is
+    ordered stay-first and the two classes run one body at their own
+    ``(width, planes)``; every buffer is taken from ``workspace`` (``None``: a
+    private one) once per block and sized by it, whatever the split.
     """
     old_positions = np.asarray(old_positions, dtype=np.float64)
     new_positions = np.asarray(new_positions, dtype=np.float64)
@@ -341,94 +373,108 @@ def deposit_current_esirkepov_fused(grid: YeeGrid, old_positions: np.ndarray,
     j_flat = (grid.Jx.reshape(-1), grid.Jy.reshape(-1), grid.Jz.reshape(-1))
     nvec = np.array([nx, ny, nz], dtype=np.int64)[:, None, None]
     svec = np.array([ny * nz, nz, 1], dtype=np.int64)[:, None, None]
-
-    # One working set reused for every full chunk: the three per-axis weight
-    # blocks and their raveled node indices, [component, along-axis,
-    # transverse-1, transverse-2, particle].  Because a particle moves less
-    # than one cell, old and new shape functions share a THREE-node stencil
-    # anchored at floor(min(xi0, xi1)); the along-axis prefix sum then needs
-    # only TWO planes — the third is the total shape-function change, which
-    # vanishes identically (charge conservation) and would scatter pure
-    # round-off.  That leaves 3 * 2*3*3 = 54 scattered values per particle
-    # against the naive 3 * 4^3 = 192.
+    component = n_cells * np.arange(3)[:, None, None]
     if workspace is None:
         workspace = Workspace()
+    n_values = 3 * _GO[1] * _GO[0] ** 2       # per particle, at most
 
     for start, stop in _chunks(n):
         m = stop - start
         # the first chunk is the largest, so later ones reuse its buffers
-        big_lin = workspace.array("esirkepov.lin", (3, 2, 3, 3, m), np.int64)
-        big_w = workspace.array("esirkepov.w", (3, 2, 3, 3, m))
-        xi0, xi1, moved = workspace.array("esirkepov.xi", (3, 3, m))
-        (s0, ds, a_row, b_row, s0_col, ds_col, ds_axis, term,
-         tmp) = workspace.array("esirkepov.stencil", (9, 3, 3, m))
-        nodes, lbc = workspace.array("esirkepov.nodes", (2, 3, 3, m), np.int64)
-        # (3, m) cell-unit coordinates, axis-major; out= forces C order
+        big_lin = workspace.array("esirkepov.lin", (n_values * m,), np.int64)
+        big_w = workspace.array("esirkepov.w", (n_values * m,))
+        xi, cells, xi_ordered = workspace.array("esirkepov.xi", (3, 2, 3, m))
+        base, base_ordered = workspace.array("esirkepov.base", (2, 3, m))
+        scale_ordered = workspace.array("esirkepov.scale", (m,))
+        # flat scratch for a whole block at the widest body; a class carves
+        # its own contiguous arrays from the front of it
+        n_float, n_int = (sum(map(math.prod, shapes))
+                          for shapes in _stencil_shapes(*_GO, m))
+        floats = workspace.array("esirkepov.stencil", (n_float,))
+        ints = workspace.array("esirkepov.nodes", (n_int,), np.int64)
+        # (old, new) cell-unit coordinates, axis-major; out= forces C order
         # (the transposed position slices are F-ordered and ufuncs would
         # otherwise keep that layout, striding every later particle-axis loop)
-        np.multiply(old_positions[start:stop].T, inv_cell, out=xi0)
-        np.multiply(new_positions[start:stop].T, inv_cell, out=xi1)
-        np.subtract(xi1, xi0, out=moved)
-        np.abs(moved, out=moved)
-        if np.any(moved >= 1.0):
+        np.multiply(old_positions[start:stop].T, inv_cell, out=xi[0])
+        np.multiply(new_positions[start:stop].T, inv_cell, out=xi[1])
+        np.subtract(xi[1], xi[0], out=base)
+        np.abs(base, out=base)
+        # "not all below", not "any at or above": a NaN coordinate compares
+        # False either way and must not reach the integer cast
+        if not np.all(base < 1.0):
             raise ValueError("Esirkepov deposition requires particles to move "
                              "less than one cell per step")
-        # Shared 3-node stencil: both hats live on nodes base .. base+2; all
-        # three axes share one vectorised (3, 3, m) pass.
-        np.minimum(xi0, xi1, out=moved)
-        np.floor(moved, out=moved)
-        np.add(moved.astype(np.int64)[:, None, :], _STENCIL3[None, :, None],
-               out=nodes)
-        for xi, hat in ((xi0, s0), (xi1, ds)):      # max(0, 1 - |xi - node|)
-            np.subtract(xi[:, None, :], nodes, out=hat)
-            np.abs(hat, out=hat)
-            np.subtract(1.0, hat, out=hat)
-            np.maximum(0.0, hat, out=hat)
-        ds -= s0
-
-        # Stride-scaled wrapped stencil indices; a node at (i, j, k) has
-        # raveled index lin_all[0, i] + lin_all[1, j] + lin_all[2, k].
-        lin_all = np.remainder(nodes, nvec, out=nodes)
-        lin_all *= svec
-
-        # Transverse row factors shared between the three components:
-        # a_row = s0 + ds/2 and b_row = s0/2 + ds/3.  The per-particle charge
-        # factor rides on the column factors (one (3, 3, m) pass instead of a
-        # (m,) rescale per component) and the per-axis cell size on the
-        # along-axis ds (one pass for all three).
-        np.multiply(0.5, ds, out=a_row)
-        a_row += s0
-        np.multiply(0.5, s0, out=b_row)
-        np.multiply(1.0 / 3.0, ds, out=tmp)
-        b_row += tmp
+        # the stencil starts at floor(min(xi0, xi1)) = the smaller floor; a
+        # particle whose floors agree on every axis stayed in its cell
+        np.floor(xi, out=cells)
+        np.minimum(cells[0], cells[1], out=base)
+        stays = (cells[0] == cells[1]).all(axis=0)
+        k = int(np.count_nonzero(stays))
         scale = factor[start:stop]
-        np.multiply(s0, scale[None, None, :], out=s0_col)
-        np.multiply(ds, scale[None, None, :], out=ds_col)
-        np.multiply(ds, cell, out=ds_axis)
+        if 0 < k < m:
+            order = np.concatenate((np.flatnonzero(stays), np.flatnonzero(~stays)))
+            xi = np.take(xi, order, axis=2, out=xi_ordered, mode="clip")
+            base = np.take(base, order, axis=1, out=base_ordered, mode="clip")
+            scale = np.take(scale, order, out=scale_ordered, mode="clip")
 
-        # Per component: the Esirkepov transverse factor over the other two
-        # axes b (rows) and c (columns) — algebraically s0_b⊗s0_c +
-        # ds_b⊗s0_c/2 + s0_b⊗ds_c/2 + ds_b⊗ds_c/3, grouped into the two
-        # outer products a_row_b⊗s0_c + b_row_b⊗ds_c — times the (pre-scaled,
-        # truncated) along-axis ds, and the raveled indices arranged
-        # [along-axis, b, c]; the along-axis index also carries the component
-        # offset into the fused 3 * n_cells bins.
-        for axis, (b, c) in enumerate(((1, 2), (0, 2), (0, 1))):
-            np.multiply(a_row[b][:, None, :], s0_col[c][None, :, :], out=term)
-            np.multiply(b_row[b][:, None, :], ds_col[c][None, :, :], out=tmp)
-            term += tmp
-            block = big_w[axis]
-            np.multiply(ds_axis[axis, :2, None, None, :], term[None], out=block)
-            # prefix sum along the (truncated) node axis: one slice add
-            block[1] += block[0]
-            np.add(lin_all[b][:, None, :], lin_all[c][None, :, :], out=lbc)
-            np.add((lin_all[axis, :2] + axis * n_cells)[:, None, None, :],
-                   lbc[None], out=big_lin[axis])
-        fused = np.bincount(big_lin.reshape(-1), weights=big_w.reshape(-1),
+        filled = 0
+        for (width, planes), lo, hi in ((_STAY, 0, k), (_GO, k, m)):
+            if lo == hi:
+                continue
+            float_shapes, int_shapes = _stencil_shapes(width, planes, hi - lo)
+            hats, (rows, tmp), nodes, ds_axis, term = _carve(floats, float_shapes)
+            lin, lbc, along = _carve(ints, int_shapes)
+            values = slice(filled, filled + 3 * planes * width * width * (hi - lo))
+            filled = values.stop
+            block = big_w[values].reshape(3, planes, width, width, hi - lo)
+
+            # max(0, 1 - |xi - node|) of both positions and all axes in one
+            # stacked pass; hats[0] is s0 and hats[1] becomes ds.  The axis
+            # dimension has five rows [x, y, z, x, y]: component a's
+            # transverse pair is (b, c) = (a+1, a+2), so the three b axes are
+            # rows 1..3 and the three c axes rows 2..4 — views of one array.
+            np.add(base[:, None, lo:hi], _STENCIL3[:width, None], out=nodes)
+            live = hats[:, :3]
+            np.subtract(xi[:, :, None, lo:hi], nodes, out=live)
+            np.abs(live, out=live)
+            np.subtract(1.0, live, out=live)
+            np.maximum(0.0, live, out=live)
+            live[1] -= live[0]
+            hats[:, 3:] = hats[:, :2]
+
+            # stride-scaled wrapped node indices, the same five rows: node
+            # (i, j, k) has raveled index lin[0, i] + lin[1, j] + lin[2, k]
+            np.copyto(lin[:3], nodes, casting="unsafe")
+            np.remainder(lin[:3], nvec, out=lin[:3])
+            lin[:3] *= svec
+            lin[3:] = lin[:2]
+
+            # The transverse factor s0_b⊗s0_c + ds_b⊗s0_c/2 + s0_b⊗ds_c/2 +
+            # ds_b⊗ds_c/3 as two outer products, (s0 + ds/2)_b⊗s0_c +
+            # (s0/2 + ds/3)_b⊗ds_c, times the along-axis ds truncated to
+            # ``planes`` nodes, which carries the cell size and the charge.
+            np.multiply(hats[0, None, 1:4], _ROW_S0, out=rows)
+            np.multiply(hats[1, None, 1:4], _ROW_DS, out=tmp)
+            rows += tmp
+            np.multiply(rows[:, :, :, None, :], hats[:, 2:5, None, :, :], out=term)
+            term[0] += term[1]
+            np.multiply(hats[1, :3, :planes], cell, out=ds_axis)
+            ds_axis *= scale[lo:hi]
+            np.multiply(ds_axis[:, :, None, None, :], term[0][:, None], out=block)
+            if planes == 2:
+                # prefix sum along the (truncated) node axis: one slice add
+                block[:, 1] += block[:, 0]
+
+            # indices arranged like the weights, [component, plane, b, c];
+            # the plane's carries the offset into the fused 3 * n_cells bins
+            np.add(lin[1:4, :, None, :], lin[2:5, None, :, :], out=lbc)
+            np.add(lin[:3, :planes], component, out=along)
+            np.add(along[:, :, None, None, :], lbc[:, None],
+                   out=big_lin[values].reshape(block.shape))
+        fused = np.bincount(big_lin[:filled], weights=big_w[:filled],
                             minlength=3 * n_cells).reshape(3, n_cells)
-        for axis in range(3):
-            target = j_flat[axis]
-            target += fused[axis]
+        for target, part in zip(j_flat, fused):
+            target += part
 
 
 # --------------------------------------------------------------------------- #

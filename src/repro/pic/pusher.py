@@ -54,6 +54,24 @@ def boris_push(species: ParticleSpecies, e_fields: np.ndarray, b_fields: np.ndar
     species.momenta = u_plus + qmdt2 * e_fields
 
 
+def wrap_periodic(values: np.ndarray, extent) -> np.ndarray:
+    """The floored remainder ``values mod extent``, bit for bit, as a new array.
+
+    ``extent`` is a scalar or one value per entry of the last axis.  For
+    ``0 < x < extent`` the remainder is ``x`` itself, so only the entries
+    outside that open interval (``±0.0``, ``extent``, negatives, NaN, ``±inf``)
+    pay the division.
+    """
+    wrapped = np.array(values, dtype=np.float64)
+    extent = np.asarray(extent, dtype=np.float64)
+    outside = np.flatnonzero(~((wrapped > 0.0) & (wrapped < extent)))
+    if outside.size:
+        flat = wrapped.reshape(-1)
+        flat[outside] = np.mod(flat[outside],
+                               extent.reshape(-1)[outside % extent.size])
+    return wrapped
+
+
 def advance_positions(species: ParticleSpecies, dt: float,
                       box_extent: Tuple[float, float, float] | None = None
                       ) -> np.ndarray:
@@ -69,8 +87,7 @@ def advance_positions(species: ParticleSpecies, dt: float,
         return species.positions.copy()
     new_positions = species.positions + species.velocities() * dt
     if box_extent is not None:
-        extent = np.asarray(box_extent, dtype=np.float64)
-        species.positions = np.mod(new_positions, extent)
+        species.positions = wrap_periodic(new_positions, box_extent)
     else:
         # the sum above already allocated a fresh array — no defensive copy
         species.positions = new_positions

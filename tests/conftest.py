@@ -9,7 +9,21 @@ import pytest
 def pytest_configure(config) -> None:
     """Register the suite's custom markers (no pytest.ini in this repo)."""
     config.addinivalue_line(
-        "markers", "slow: a test that takes seconds rather than milliseconds")
+        "markers", "slow: a long-horizon test, skipped unless --runslow is given")
+
+
+def pytest_addoption(parser) -> None:
+    parser.addoption("--runslow", action="store_true", default=False,
+                     help="also run the tests marked slow")
+
+
+def pytest_collection_modifyitems(config, items) -> None:
+    if config.getoption("--runslow"):
+        return
+    skip_slow = pytest.mark.skip(reason="slow: needs --runslow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip_slow)
 
 
 @pytest.fixture

@@ -83,7 +83,6 @@ class TestArtificialScientistWorkflow:
         with pytest.raises(ValueError):
             default_session(tiny_config()).run(0)
 
-    @pytest.mark.slow
     def test_loss_improves_over_stream(self):
         """In-transit training reduces the loss over the streamed steps."""
         report = run_report(default_session(tiny_config(n_rep=4)), 10)

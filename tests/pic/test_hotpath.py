@@ -24,7 +24,8 @@ def stub_result(**overrides):
                   sections_ms={"fused": {"deposit": 2.0},
                                "reference": {"deposit": 16.0}},
                   n_steps=4, warmup=1, n_macro_particles=2048,
-                  grid_shape=(8, 16, 2), equivalence_error=1e-13,
+                  grid_shape=(8, 16, 2), stay_fraction=0.875,
+                  equivalence_error=1e-13,
                   equivalent=True)
     kwargs.update(overrides)
     return HotpathResult(**kwargs)
@@ -38,6 +39,9 @@ class TestRunHotpathBenchmark:
         assert set(result.sections_ms) == {"fused", "reference"}
         assert "deposit" in result.sections_ms["fused"]
         assert result.n_macro_particles == 8 * 16 * 2 * 4 * 2
+        # a KHI step moves a particle a fraction of a cell: most stay, some
+        # cross — both classes of the Esirkepov deposit are exercised
+        assert 0.5 < result.stay_fraction < 1.0
         assert result.equivalent
         assert result.speedup > 0
 
@@ -61,7 +65,7 @@ class TestPersistAndFormat:
         assert record["params"] == {
             "grid_shape": [8, 16, 2], "particles_per_cell": 4,
             "n_macro_particles": 2048, "chunk": kernels.CHUNK,
-            "n_steps": 4, "warmup": 1, "repeats": 5}
+            "stay_fraction": 0.875, "n_steps": 4, "warmup": 1, "repeats": 5}
         assert set(record["metrics"]) == {
             "steps_per_sec", "speedup", "sections_ms_per_step",
             "equivalence_error", "equivalent"}
@@ -71,4 +75,5 @@ class TestPersistAndFormat:
         text = format_result(stub_result())
         assert "fused" in text and "reference" in text
         assert "4.00x" in text
+        assert "87.5% stay in their cell" in text
         assert "OK" in text

@@ -132,6 +132,22 @@ class TestDepositionEquivalence:
             deposit_current_esirkepov_fused(grid, old, old + 2.0e-6, 1.0,
                                             np.ones(1), 1e-13)
 
+    @pytest.mark.parametrize("kernel", ["fused", "reference"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_esirkepov_rejects_a_non_finite_position(self, kernel, bad, recwarn):
+        """``NaN >= 1`` is False: the check must be "not all below one cell",
+        or the NaN is cast to a garbage index and lands in ``J``."""
+        rng = np.random.default_rng(4)
+        grid = make_grid()
+        old, weights = random_particles(rng, grid, 40)
+        new = old + 0.1 * grid.config.cell_size[0]
+        new[17, 1] = bad
+        with pytest.raises(ValueError, match="less than one cell"):
+            deposit_current_esirkepov(grid, old, new, 1.0, weights, 1e-15,
+                                      kernel=kernel)
+        assert not recwarn.list
+        assert not grid.Jx.any() and not grid.Jy.any() and not grid.Jz.any()
+
     def test_continuity_at_machine_precision_under_fused(self):
         """Regression: the fused Esirkepov path conserves charge exactly."""
         rng = np.random.default_rng(11)
@@ -152,6 +168,188 @@ class TestDepositionEquivalence:
         residual = (rho1.rho - rho0.rho) / dt + grid.divergence_j()
         scale = np.max(np.abs((rho1.rho - rho0.rho) / dt))
         assert np.max(np.abs(residual)) < 1e-12 * scale
+
+
+def count_workspace_calls(monkeypatch):
+    """Spy on ``Workspace.array``; returns the list the calls are logged to."""
+    calls = []
+    original = Workspace.array
+
+    def spy(self, name, shape, dtype=np.float64):
+        calls.append(name)
+        return original(self, name, shape, dtype)
+
+    monkeypatch.setattr(Workspace, "array", spy)
+    return calls
+
+
+#: cell size of the stay/go cases: a power of two, so ``index + fraction``
+#: survives the trip through metres exactly and "on a cell face" means it
+FACE_EXACT_CELL = 2.0 ** -16
+STAY_GO_KINDS = ("all-stay", "all-go", "mixed", "y-only", "z-only", "two-axes",
+                 "seam-up", "seam-down", "on-face-before", "on-face-after")
+
+
+def stay_go_case(kind, rng, grid, n):
+    """``(old, new)`` positions whose cell crossings are what ``kind`` says.
+
+    Every particle starts in the middle 40 % of a random cell and moves by
+    less than a quarter cell (it stays) unless the kind pushes it, along the
+    named axes, by 0.75–0.95 cells across a face (it goes).
+    """
+    shape, cell = np.asarray(grid.shape), np.asarray(grid.config.cell_size)
+    index = rng.integers(0, shape, size=(n, 3)).astype(np.float64)
+    fraction = rng.uniform(0.3, 0.7, size=(n, 3))
+    shift = rng.uniform(-0.25, 0.25, size=(n, 3))
+    push = rng.choice([-1.0, 1.0], size=(n, 3)) * rng.uniform(0.75, 0.95, size=(n, 3))
+    some = rng.random(n) < 0.5 if n > 2 else np.arange(n) == 0
+    if kind == "all-go":
+        shift[:, 0] = push[:, 0]
+    elif kind in ("mixed", "y-only", "z-only"):
+        axis = ("mixed", "y-only", "z-only").index(kind)
+        shift[some, axis] = push[some, axis]
+    elif kind == "two-axes":
+        shift[some, 0], shift[some, 2] = push[some, 0], push[some, 2]
+    elif kind == "seam-up":           # out through the upper box faces
+        index[some] = shape - 1.0
+        shift[some] = np.abs(push[some])
+    elif kind == "seam-down":         # out through the lower ones
+        index[some] = 0.0
+        shift[some] = -np.abs(push[some])
+    elif kind == "on-face-before":    # starts on a face, moves up or down from it
+        fraction[some] = 0.0
+    elif kind == "on-face-after":     # lands on the upper or the lower face
+        fraction[some] = 0.5
+        shift[some] = rng.choice([-0.5, 0.5], size=(int(some.sum()), 3))
+    return (index + fraction) * cell, (index + fraction + shift) * cell
+
+
+def n_staying(grid, old, new):
+    cell = np.asarray(grid.config.cell_size)
+    return int((np.floor(old / cell) == np.floor(new / cell)).all(axis=1).sum())
+
+
+def spy_on_bincount(monkeypatch):
+    """Record the ``(indices, weights)`` of every ``np.bincount`` call."""
+    scattered = []
+    original = np.bincount
+
+    def spy(x, weights=None, minlength=0):
+        scattered.append((x.copy(), weights.copy()))
+        return original(x, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(kernels.np, "bincount", spy)
+    return scattered
+
+
+def deposit_three_nodes_two_planes(monkeypatch, grid, *args):
+    """The oracle: the kernel's block body at ``(width, planes) = (3, 2)`` on
+    every particle — right for any move of less than a cell, and the
+    arithmetic the kernel ran before it told stayers from goers."""
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "_STAY", kernels._GO)
+        deposit_current_esirkepov_fused(grid, *args)
+
+
+def assert_currents_close(got, want, rtol):
+    for name in ("Jx", "Jy", "Jz"):
+        a, b = got.component(name), want.component(name)
+        assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), name
+
+
+class TestTwoClassDeposit:
+    """Stayers take a 2-node stencil and one plane, goers 3 nodes and two;
+    the result is the (3, 2)-everywhere one and what is skipped is zero."""
+
+    def check(self, monkeypatch, grid_shape, kind, n, seed=0):
+        rng = np.random.default_rng(seed)
+        grids = [make_grid(grid_shape, FACE_EXACT_CELL) for _ in range(3)]
+        two_class, oracle, reference = grids
+        old, new = stay_go_case(kind, rng, two_class, n)
+        weights = rng.uniform(0.5, 2.0, size=n)
+        charge, dt = -constants.ELEMENTARY_CHARGE, two_class.config.courant_time_step()
+        args = (old, new, charge, weights, dt)
+        deposit_current_esirkepov_fused(two_class, *args)
+        deposit_three_nodes_two_planes(monkeypatch, oracle, *args)
+        deposit_current_esirkepov(reference, *args, kernel="reference")
+        assert_currents_close(two_class, oracle, 1e-15)
+        assert_currents_close(two_class, reference, 1e-12)
+        # continuity against the CIC charge of the two position sets
+        rho0, rho1 = YeeGrid(two_class.config), YeeGrid(two_class.config)
+        deposit_charge_cic(rho0, old, charge, weights)
+        deposit_charge_cic(rho1, np.mod(new, two_class.config.extent), charge, weights)
+        change = (rho1.rho - rho0.rho) / dt
+        scale = max(np.max(np.abs(change)), np.max(np.abs(two_class.Jx)) / FACE_EXACT_CELL)
+        assert np.max(np.abs(change + two_class.divergence_j())) < 1e-12 * scale
+        return two_class, old, new
+
+    @pytest.mark.parametrize("kind", STAY_GO_KINDS)
+    def test_equals_three_nodes_two_planes_everywhere(self, kind, monkeypatch):
+        grid, old, new = self.check(monkeypatch, (9, 7, 6), kind, 300)
+        k = n_staying(grid, old, new)
+        assert {"all-stay": k == 300, "all-go": k == 0}.get(kind, 0 < k < 300)
+
+    @pytest.mark.parametrize("n", [1, 2, 65])
+    @pytest.mark.parametrize("kind", ["all-stay", "all-go", "mixed"])
+    def test_any_count_and_a_last_block_of_one(self, kind, n, monkeypatch):
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        self.check(monkeypatch, (9, 7, 6), kind, n, seed=n)
+
+    @pytest.mark.parametrize("kind", ["z-only", "two-axes", "seam-up", "seam-down"])
+    def test_an_axis_shorter_than_the_stencil(self, kind, monkeypatch):
+        """``nz = 2``: a goer's three z nodes wrap onto two."""
+        self.check(monkeypatch, (6, 5, 2), kind, 200)
+
+    def test_what_the_stay_class_skips_is_exactly_zero(self, monkeypatch):
+        """Not a tolerance: under the oracle a stayer's weights on the third
+        node are ``0.0`` and its second plane is round-off of the first."""
+        rng = np.random.default_rng(1)
+        grid = make_grid((9, 7, 6), FACE_EXACT_CELL)
+        n = 200
+        old, new = stay_go_case("all-stay", rng, grid, n)
+        scattered = spy_on_bincount(monkeypatch)
+        deposit_three_nodes_two_planes(monkeypatch, grid, old, new, 1.0,
+                                       np.ones(n), 1e-15)
+        (_, weights), = scattered
+        weights = weights.reshape(3, 2, 3, 3, n)    # [component, plane, b, c]
+        assert np.all(weights[:, :, 2] == 0.0) and np.all(weights[:, :, :, 2] == 0.0)
+        assert np.any(weights[:, 0, :2, :2] != 0.0)
+        assert np.max(np.abs(weights[:, 1])) <= 1e-15 * np.max(np.abs(weights[:, 0]))
+
+    @pytest.mark.parametrize("kind", ["all-stay", "all-go", "mixed", "seam-up"])
+    def test_scatters_12_values_per_stayer_and_54_per_goer(self, kind, monkeypatch):
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        rng = np.random.default_rng(2)
+        grid = make_grid((9, 7, 6), FACE_EXACT_CELL)
+        n = 2 * 64 + 9
+        old, new = stay_go_case(kind, rng, grid, n)
+        scattered = spy_on_bincount(monkeypatch)
+        deposit_current_esirkepov_fused(grid, old, new, 1.0, np.ones(n), 1e-15)
+        expected = []
+        for start in range(0, n, 64):
+            k = n_staying(grid, old[start:start + 64], new[start:start + 64])
+            expected.append(12 * k + 54 * (len(old[start:start + 64]) - k))
+        assert [len(indices) for indices, _ in scattered] == expected
+
+    def test_workspace_use_does_not_depend_on_the_split(self, monkeypatch):
+        """An all-stay, an all-go and a mixed species take the same buffers in
+        the same order and leave a workspace of the same size."""
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        calls = count_workspace_calls(monkeypatch)
+        rng = np.random.default_rng(3)
+        grid = make_grid((9, 7, 6), FACE_EXACT_CELL)
+        n = 3 * 64 + 17
+        seen = {}
+        for kind in ("all-stay", "all-go", "mixed"):
+            old, new = stay_go_case(kind, rng, grid, n)
+            workspace = Workspace()
+            del calls[:]
+            deposit_current_esirkepov_fused(grid, old, new, 1.0, np.ones(n), 1e-15,
+                                            workspace=workspace)
+            seen[kind] = (list(calls),
+                          sum(flat.nbytes for flat in workspace._flat.values()))
+        assert seen["all-stay"] == seen["all-go"] == seen["mixed"]
+        assert len(seen["mixed"][0]) == 4 * len(set(seen["mixed"][0]))
 
 
 def two_species_simulation(seed, sizes=(300, 173), workspace=True):
@@ -298,19 +496,6 @@ def boris_push_n3(species, e_fields, b_fields, dt):
     t_vec *= (2.0 / (1.0 + t_sq))[:, None]
     u += cross(u_prime, t_vec)
     u += half_kick
-
-
-def count_workspace_calls(monkeypatch):
-    """Spy on ``Workspace.array``; returns the list the calls are logged to."""
-    calls = []
-    original = Workspace.array
-
-    def spy(self, name, shape, dtype=np.float64):
-        calls.append(name)
-        return original(self, name, shape, dtype)
-
-    monkeypatch.setattr(Workspace, "array", spy)
-    return calls
 
 
 class TestBlockedKernels:

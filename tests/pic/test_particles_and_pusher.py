@@ -7,7 +7,7 @@ import pytest
 
 from repro import constants
 from repro.pic.particles import ParticleSpecies
-from repro.pic.pusher import advance_positions, boris_push
+from repro.pic.pusher import advance_positions, boris_push, wrap_periodic
 
 
 def single_electron(u=(0.0, 0.0, 0.0)):
@@ -127,6 +127,24 @@ class TestAdvancePositions:
         unwrapped = advance_positions(s, dt, box_extent=extent)
         assert unwrapped[0, 0] > 0.9e-6
         assert 0.0 <= s.positions[0, 0] < 1.0e-6
+
+    @pytest.mark.parametrize("extent", [3.2e-4, (3.2e-4, 6.4e-4, 2.0e-5)])
+    def test_wrap_is_np_mod_bit_for_bit(self, rng, extent):
+        """In the box the remainder is the value itself; everything else —
+        signed zeros, the faces, negatives, non-finite — takes ``np.mod``."""
+        size = np.asarray(extent, dtype=np.float64)
+        values = rng.uniform(0.0, 1.0, size=(4000, 3)) * size
+        values[::7] = rng.uniform(-40.0, 40.0, size=values[::7].shape) * size
+        special = np.array([0.0, -0.0, 1.0, -1.0, 2.0, np.nextafter(1.0, 0.0),
+                            np.nan, np.inf, -np.inf])
+        values[:special.size] = special[:, None] * size
+        values[special.size] = -1e-25
+        with np.errstate(invalid="ignore"):       # mod of an infinity
+            want = np.mod(values, extent)
+            got = wrap_periodic(values, extent)
+        assert got is not values
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.signbit(got[1, 0]) == np.signbit(want[1, 0])    # -0.0 -> 0.0
 
     def test_speed_never_exceeds_c(self, rng):
         momenta = rng.normal(scale=5.0, size=(100, 3))

@@ -138,7 +138,6 @@ class TestKHIPhysics:
         sim.run(5)
         assert monitor.max_residual() < 1e-8
 
-    @pytest.mark.slow
     def test_magnetic_field_grows_from_shear_flow(self):
         """The counter-streaming shear flow drives magnetic field growth
         (the onset of the KHI / current filamentation), Fig. 1 physics."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.workflow import (PipelinedDriver, WorkflowBuilder, available_drivers,
@@ -114,6 +115,30 @@ class TestFailureSurfacing:
         assert result.producer_exception is None
         with pytest.raises(RuntimeError, match="simulated consumer crash"):
             result.raise_if_failed()
+
+    @pytest.mark.parametrize("driver", available_drivers())
+    def test_a_nan_position_mid_run_fails_the_run(self, driver):
+        """A momentum that goes NaN after step 2 makes step 3's new position
+        NaN: the deposit refuses it, the run ends not ok with that producer
+        error, and no NaN sample was streamed or trained on."""
+        session = WorkflowBuilder().config(tiny_config()).driver(driver).build()
+        simulation = session.simulation
+        step = simulation.step
+
+        def step_with_fault():
+            if simulation.step_index == 2:
+                simulation.species[0].momenta[5, 0] = np.nan
+            step()
+        simulation.step = step_with_fault
+        result = session.run(5)
+        assert not result.ok
+        assert isinstance(result.producer_exception, ValueError)
+        assert "less than one cell" in str(result.producer_exception)
+        assert not result.consumer_exceptions
+        assert simulation.step_index == 2
+        assert result.report.iterations_streamed == 2
+        assert np.all(np.isfinite(simulation.grid.Jx))
+        assert np.all(np.isfinite(list(result.report.loss_history_total)))
 
     def test_both_failures_surfaced_together(self):
         result, _, _ = crash_both_sides()
