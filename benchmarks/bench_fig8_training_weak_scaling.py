@@ -1,8 +1,7 @@
 """Fig. 8 — weak scaling of the in-transit training from 8 to 96 nodes.
 
 * the *measured* part times a real single-batch training iteration of the
-  (small) model on this machine and verifies that simulated data-parallel
-  replicas with gradient all-reduce stay in sync,
+  (small) model on this machine,
 * the *modelled* part feeds the measured compute time into the DDP
   weak-scaling model and regenerates the efficiency curve, checking the
   paper's ~35 % efficiency at 96 nodes and that the all-reduce and the
@@ -11,17 +10,13 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import tiny_workflow_config
 from repro.continual import TrainingBuffer, TrainingSample
 from repro.continual.trainer import InTransitTrainer
-from repro.mlcore.distributed import DistributedDataParallel, LocalCommunicator
 from repro.mlcore.optim import Adam, make_block_param_groups
-from repro.mlcore.tensor import Tensor
 from repro.models import ArtificialScientistModel
-from repro.models.losses import CombinedLoss
 from repro.perfmodel.ddp import DDPWeakScalingModel
 
 
@@ -53,38 +48,6 @@ def test_fig8_measured_single_batch_time(benchmark, rng):
     benchmark.extra_info["gradient_bytes"] = gradient_bytes
     benchmark.extra_info["model_parameters"] = model.num_parameters()
     assert len(trainer.history) >= 1
-
-
-def test_fig8_ddp_replicas_stay_in_sync(benchmark, rng):
-    """Gradient-averaging across simulated ranks keeps the replicas identical."""
-    config = tiny_workflow_config()
-    world = 4
-    replicas = [ArtificialScientistModel(config.ml.model, rng=np.random.default_rng(1))
-                for _ in range(world)]
-    comm = LocalCommunicator(world)
-    ddp = DistributedDataParallel(replicas, comm)
-    ddp.sync_parameters()
-    loss = CombinedLoss()
-    samples = _samples(config, rng, count=world * 2)
-    m = config.ml.model
-
-    def one_ddp_step():
-        for rank, replica in enumerate(replicas):
-            clouds = np.stack([samples[2 * rank + i].point_cloud for i in range(2)])
-            spectra = np.stack([samples[2 * rank + i].spectrum for i in range(2)])
-            replica.zero_grad()
-            total = loss(replica(Tensor(clouds), Tensor(spectra)),
-                         Tensor(clouds), Tensor(spectra))
-            total.backward()
-        ddp.sync_gradients()
-        return comm.record.allreduce_bytes
-
-    allreduce_bytes = benchmark.pedantic(one_ddp_step, iterations=1, rounds=2)
-    benchmark.extra_info["allreduce_bytes_per_step"] = allreduce_bytes
-    grads = [dict(r.named_parameters()) for r in replicas]
-    names = list(grads[0])
-    for name in names[:5]:
-        np.testing.assert_allclose(grads[0][name].grad, grads[1][name].grad)
 
 
 def test_fig8_weak_scaling_efficiency_curve(benchmark):

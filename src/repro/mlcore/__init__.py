@@ -12,9 +12,10 @@ implements the pieces the MLapp actually relies on:
   an inverse multi-quadratic kernel and a Sinkhorn-based earth mover's
   distance,
 * :mod:`repro.mlcore.optim` — SGD and Adam with the paper's hyper-parameters
-  and square-root learning-rate scaling,
-* :mod:`repro.mlcore.distributed` — simulated multi-rank data parallelism
-  with gradient all-reduce and a ring all-reduce communication cost model.
+  and square-root learning-rate scaling.
+
+Data-parallel training across ranks is modelled, not executed: the Fig. 8
+weak-scaling study is :mod:`repro.perfmodel.ddp`.
 """
 
 from repro.mlcore.tensor import Tensor, no_grad, tensor, zeros, ones, randn
@@ -23,7 +24,6 @@ from repro.mlcore import functional
 from repro.mlcore import layers
 from repro.mlcore import losses
 from repro.mlcore import optim
-from repro.mlcore import distributed
 from repro.mlcore import schedulers
 
 __all__ = [
@@ -40,5 +40,4 @@ __all__ = [
     "layers",
     "losses",
     "optim",
-    "distributed",
 ]

@@ -12,9 +12,9 @@ runtime at size N — drops to about 35 % at 96 nodes.  Two effects dominate:
    ``all_gather_into_tensor`` — a cost that grows with the global batch.
 
 :class:`DDPWeakScalingModel` combines a fixed per-batch compute time, a ring
-all-reduce term (:class:`repro.mlcore.distributed.RingAllReduceModel`) and a
-replicated-MMD term growing linearly with the number of ranks, and returns
-the same efficiency curve.
+all-reduce term (:class:`RingAllReduceModel`) and a replicated-MMD term
+growing linearly with the number of ranks, and returns the same efficiency
+curve.
 """
 
 from __future__ import annotations
@@ -22,10 +22,52 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-import numpy as np
-
-from repro.mlcore.distributed import RingAllReduceModel
 from repro.perfmodel.machines import FRONTIER, MachineSpec
+
+
+@dataclass
+class RingAllReduceModel:
+    """Analytic time model of a ring all-reduce.
+
+    ``t(p, n) = 2 (p - 1) / p * n / bandwidth + 2 (p - 1) * latency``
+
+    where ``n`` is the message size in bytes per rank, ``p`` the number of
+    ranks and ``bandwidth`` the per-link bandwidth in bytes/s.  This is the
+    classical bandwidth-optimal ring algorithm used by NCCL/RCCL and is the
+    model behind the DDP weak-scaling extrapolation (Fig. 8).
+    """
+
+    bandwidth: float = 25.0e9      #: bytes/s per link (Slingshot NIC: 25 GB/s)
+    latency: float = 5.0e-6        #: per-hop latency [s]
+    intra_node_bandwidth: float = 150.0e9  #: Infinity-Fabric class link within a node
+    gcds_per_node: int = 8
+
+    def time(self, world_size: int, message_bytes: float) -> float:
+        """Time of one all-reduce of ``message_bytes`` across ``world_size`` ranks."""
+        if world_size < 1:
+            raise ValueError("world_size must be >= 1")
+        if world_size == 1:
+            return 0.0
+        p = world_size
+        # Effective bandwidth: communication within a node uses the fast
+        # intra-node links; the ring crosses node boundaries only
+        # ceil(p / gcds_per_node) times, so the slowest (inter-node) hop
+        # dominates once more than one node participates.
+        if p <= self.gcds_per_node:
+            bw = self.intra_node_bandwidth
+        else:
+            bw = self.bandwidth
+        transfer = 2.0 * (p - 1) / p * message_bytes / bw
+        latency = 2.0 * (p - 1) * self.latency
+        return transfer + latency
+
+    def allgather_time(self, world_size: int, message_bytes: float) -> float:
+        """Time of an all-gather (each rank contributes ``message_bytes``)."""
+        if world_size <= 1:
+            return 0.0
+        p = world_size
+        bw = self.intra_node_bandwidth if p <= self.gcds_per_node else self.bandwidth
+        return (p - 1) / p * message_bytes * p / bw + (p - 1) * self.latency
 
 
 @dataclass(frozen=True)

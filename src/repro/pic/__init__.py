@@ -3,11 +3,15 @@
 This subpackage plays the role of PIConGPU in the reproduced workflow: it
 provides the numerical scheme PIConGPU implements (Yee-grid FDTD field
 solver, relativistic Boris particle pusher, cloud-in-cell interpolation and
-charge-conserving Esirkepov current deposition, each with a fused and a
-reference kernel), the Kelvin-Helmholtz instability setup of Section IV-A
-and the figure-of-merit accounting of Fig. 4.  The fused-vs-reference
-benchmark lives in :mod:`repro.pic.hotpath` and is deliberately not
-re-exported here, so ``python -m repro.pic.hotpath`` imports it exactly once.
+charge-conserving Esirkepov current deposition, on the cache-blocked
+kernels of :mod:`repro.pic.kernels`), the Kelvin-Helmholtz instability
+setup of Section IV-A and the figure-of-merit accounting of Fig. 4.
+
+The readable ``*_reference`` implementations and ``boris_push`` are the
+oracles those kernels are tested against, not run options, and are not
+re-exported here; neither is :mod:`repro.pic.hotpath` (its
+``reference_step`` steps a simulation on them), so ``python -m
+repro.pic.hotpath`` imports it exactly once.
 
 Scales are laptop sized (10^4–10^6 macro-particles instead of 2.7·10^13) but
 the algorithms are the same, so the data fed to the ML pipeline exercises
@@ -16,13 +20,10 @@ the same code paths as the full-scale runs in the paper.
 
 from repro.pic.grid import GridConfig, YeeGrid
 from repro.pic.particles import ParticleSpecies
-from repro.pic.pusher import boris_push, advance_positions
-from repro.pic.deposition import deposit_charge_cic, deposit_current_esirkepov
-from repro.pic.interpolation import gather_fields
+from repro.pic.pusher import advance_positions
 from repro.pic.kernels import (CICPlan, CICPlanSet, boris_push_fused,
-                               deposit_charge_cic_fused,
-                               deposit_current_esirkepov_fused,
-                               gather_fields_fused)
+                               deposit_charge_cic, deposit_current_esirkepov,
+                               gather_fields)
 from repro.pic.maxwell import YeeSolver
 from repro.pic.simulation import PICSimulation, SimulationConfig, Plugin
 from repro.pic.khi import KHIConfig, make_khi_simulation
@@ -35,10 +36,6 @@ __all__ = [
     "CICPlan",
     "CICPlanSet",
     "boris_push_fused",
-    "deposit_charge_cic_fused",
-    "deposit_current_esirkepov_fused",
-    "gather_fields_fused",
-    "boris_push",
     "advance_positions",
     "deposit_charge_cic",
     "deposit_current_esirkepov",

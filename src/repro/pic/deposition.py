@@ -1,40 +1,44 @@
-"""Charge and current deposition (particle → grid scatter).
+"""Charge and current deposition (particle → grid scatter), the readable
+oracles.
 
-* :func:`deposit_charge_cic` — CIC scatter of ``q w`` onto the node-centred
-  charge density.
-* :func:`deposit_current_esirkepov` — the first-order Esirkepov scheme used
-  by PIConGPU, which satisfies the discrete continuity equation
-  ``(rho^{n+1} - rho^n)/dt + div J = 0`` to machine precision (the property
-  tested in ``tests/pic/test_deposition_interpolation.py`` and benchmarked
-  in ``benchmarks/bench_deposition.py``).
+* :func:`deposit_charge_cic_reference` — CIC scatter of ``q w`` onto the
+  node-centred charge density.
+* :func:`deposit_current_esirkepov_reference` — the first-order Esirkepov
+  scheme used by PIConGPU, which satisfies the discrete continuity equation
+  ``(rho^{n+1} - rho^n)/dt + div J = 0`` to machine precision.
 
-Both dispatch between two numerically equivalent implementations selected
-by ``kernel``:
-
-* ``"fused"`` (default) — bincount scatter-adds on raveled linear indices
-  with shared CIC plans and a chunked Esirkepov path
-  (:mod:`repro.pic.kernels`), the hot path of the simulator,
-* ``"reference"`` — the original ``np.add.at`` implementations kept as the
-  readable oracle the fused kernels are tested against.
+Both scatter through ``np.add.at`` (the current on a full 4-node stencil).
+No run calls them: they are the oracles the simulator's kernels
+:func:`repro.pic.kernels.deposit_charge_cic` and
+:func:`repro.pic.kernels.deposit_current_esirkepov` are tested against.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.pic.grid import STAGGER, YeeGrid
 from repro.pic.interpolation import _cic_indices_weights
-from repro.pic.kernels import (Workspace, _hat_weights, deposit_charge_cic_fused,
-                               deposit_current_esirkepov_fused)
 
 
-def _check_kernel(kernel: str) -> bool:
-    """``True`` for the fused path, ``False`` for reference; raises otherwise."""
-    if kernel not in ("fused", "reference"):
-        raise ValueError(f"kernel must be 'fused' or 'reference', got {kernel!r}")
-    return kernel == "fused"
+def _hat_weights(xi: np.ndarray, base: np.ndarray, n_nodes: int = 4) -> np.ndarray:
+    """First-order (hat-function) shape weights on a local node stencil.
+
+    Parameters
+    ----------
+    xi:
+        Normalised particle coordinates along one axis, shape ``(N,)``.
+    base:
+        Integer index of the first node of the local stencil, shape ``(N,)``.
+
+    Returns
+    -------
+    ``(N, n_nodes)`` array with ``S[s] = max(0, 1 - |xi - (base + s)|)``.
+    """
+    nodes = base[:, None] + np.arange(n_nodes)[None, :]
+    return np.maximum(0.0, 1.0 - np.abs(xi[:, None] - nodes))
 
 
 def _scatter_cic(target: np.ndarray, positions: np.ndarray, values: np.ndarray,
@@ -57,34 +61,18 @@ def _scatter_cic(target: np.ndarray, positions: np.ndarray, values: np.ndarray,
                 np.add.at(target, (ix[di], iy[dj], iz[dk]), w)
 
 
-def deposit_charge_cic(grid: YeeGrid, positions: np.ndarray, charge: float,
-                       weights: np.ndarray, accumulate: bool = True,
-                       kernel: str = "fused") -> np.ndarray:
-    """Deposit charge density [C/m^3] onto the cell nodes.
-
-    Parameters
-    ----------
-    accumulate:
-        If ``False`` the grid's ``rho`` array is zeroed first.
-    kernel:
-        ``"fused"`` (default) or ``"reference"``.
-    """
-    fused = _check_kernel(kernel)
-    if not accumulate:
-        grid.clear_charge()
-    if fused:
-        return deposit_charge_cic_fused(grid, positions, charge, weights)
+def deposit_charge_cic_reference(grid: YeeGrid, positions: np.ndarray,
+                                 charge: float, weights: np.ndarray) -> np.ndarray:
+    """Add the charge density [C/m^3] of the particles into ``grid.rho``."""
     dv = grid.config.cell_volume
     values = (charge / dv) * np.asarray(weights, dtype=np.float64)
     _scatter_cic(grid.rho, positions, values, grid.config.cell_size, STAGGER["rho"])
     return grid.rho
 
 
-def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
-                              new_positions: np.ndarray, charge: float,
-                              weights: np.ndarray, dt: float,
-                              kernel: str = "fused",
-                              workspace: Optional[Workspace] = None) -> None:
+def deposit_current_esirkepov_reference(grid: YeeGrid, old_positions: np.ndarray,
+                                        new_positions: np.ndarray, charge: float,
+                                        weights: np.ndarray, dt: float) -> None:
     """Charge-conserving (Esirkepov, first order) current deposition.
 
     The particle may move at most one cell per time step (guaranteed by the
@@ -100,16 +88,7 @@ def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
         positions so that the displacement is continuous).
     charge, weights, dt:
         Real-particle charge [C], macro-particle weights, time step [s].
-    kernel:
-        ``"fused"`` (default, chunked bincount scatter) or ``"reference"``.
-    workspace:
-        Scratch buffers the fused kernel reuses between calls (``None``:
-        fresh allocations); see :class:`repro.pic.kernels.Workspace`.
     """
-    if _check_kernel(kernel):
-        deposit_current_esirkepov_fused(grid, old_positions, new_positions,
-                                        charge, weights, dt, workspace=workspace)
-        return
     old_positions = np.asarray(old_positions, dtype=np.float64)
     new_positions = np.asarray(new_positions, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)

@@ -13,8 +13,8 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.pic.deposition import deposit_charge_cic
 from repro.pic.grid import YeeGrid
+from repro.pic.kernels import deposit_charge_cic
 from repro.pic.particles import ParticleSpecies
 from repro.pic.simulation import PICSimulation, Plugin
 

@@ -1,8 +1,10 @@
-"""The PIC hot-path benchmark case: fused vs reference kernels.
+"""The PIC hot-path benchmark case: fused kernels vs their reference oracle.
 
 Measures steps/second of the full PIC step (gather → push → Esirkepov
 deposit → field solve) on the bench-tiny KHI problem (or any ``--grid``)
-with both kernel paths and checks that they stay numerically equivalent.
+twice — :meth:`PICSimulation.step` on the :mod:`repro.pic.kernels` it runs
+(``"fused"``) and :func:`reference_step` on the readable oracles
+(``"reference"``) — and checks that the two stay numerically equivalent.
 This module is the *case*: its flags, its timing callable, its equivalence
 gate and its record schema.  The measurement loop, the shared flags,
 persistence to ``BENCH_pic_hotpath.json`` and the exit codes belong to the
@@ -26,7 +28,11 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.pic import kernels
+from repro.pic.deposition import deposit_current_esirkepov_reference
+from repro.pic.interpolation import gather_fields_reference
 from repro.pic.khi import KHIConfig, make_khi_simulation
+from repro.pic.pusher import advance_positions, boris_push
+from repro.pic.simulation import PICSimulation
 from repro.utils.benchjson import BenchCase, best_of_interleaved, case_main
 
 #: bench-tiny problem: the KHI grid/ppc of the ``bench-tiny`` workflow preset.
@@ -75,11 +81,52 @@ class HotpathResult:
                 "equivalent": self.equivalent}
 
 
-def _bench_config(kernel: str, grid_shape=BENCH_TINY_GRID,
-                  seed: int = 11) -> KHIConfig:
+def reference_step(simulation: PICSimulation) -> None:
+    """Advance ``simulation`` by one step on the reference kernels.
+
+    The oracle of :meth:`PICSimulation.step`: the same phases in the same
+    order, the same plugin hooks and timer sections, with
+    :func:`~repro.pic.interpolation.gather_fields_reference`,
+    :func:`~repro.pic.pusher.boris_push` and
+    :func:`~repro.pic.deposition.deposit_current_esirkepov_reference` in
+    place of the :mod:`repro.pic.kernels` the simulation runs.
+    """
+    if not simulation._started:
+        for plugin in simulation.plugins:
+            plugin.on_start(simulation)
+        simulation._started = True
+    dt = simulation.config.dt
+    extent = simulation.config.grid.extent
+    grid, timer = simulation.grid, simulation.timer
+
+    grid.clear_currents()
+    for s in simulation.species:
+        if not s.pushed:
+            continue
+        with timer.section("gather"):
+            e_at_p, b_at_p = gather_fields_reference(grid, s.positions)
+        with timer.section("push"):
+            boris_push(s, e_at_p, b_at_p, dt)
+            old_positions = s.positions
+            new_positions = advance_positions(s, dt, extent)
+        with timer.section("deposit"):
+            deposit_current_esirkepov_reference(grid, old_positions, new_positions,
+                                                s.charge, s.weights, dt)
+    with timer.section("fields"):
+        simulation.solver.step(dt)
+    simulation.step_index += 1
+    with timer.section("plugins"):
+        for plugin in simulation.plugins:
+            plugin.on_step(simulation)
+
+
+#: how each kernel path advances a simulation by one step
+STEP = {"fused": PICSimulation.step, "reference": reference_step}
+
+
+def _bench_config(grid_shape=BENCH_TINY_GRID, seed: int = 11) -> KHIConfig:
     return KHIConfig(grid_shape=tuple(grid_shape),
-                     particles_per_cell=BENCH_TINY_PPC, seed=seed,
-                     kernel=kernel)
+                     particles_per_cell=BENCH_TINY_PPC, seed=seed)
 
 
 def _stay_fraction(simulation) -> float:
@@ -96,13 +143,14 @@ def _stay_fraction(simulation) -> float:
 def _time_kernel(kernel: str, n_steps: int, warmup: int,
                  grid_shape) -> Tuple[float, Tuple[Dict[str, float], int]]:
     """Steps/sec of one kernel path + (per-section ms/step, particle count)."""
-    simulation = make_khi_simulation(_bench_config(kernel, grid_shape))
+    step = STEP[kernel]
+    simulation = make_khi_simulation(_bench_config(grid_shape))
     for _ in range(warmup):
-        simulation.step()
+        step(simulation)
     simulation.timer.reset()
     start = time.perf_counter()
     for _ in range(n_steps):
-        simulation.step()
+        step(simulation)
     wall = time.perf_counter() - start
     sections = {name: 1e3 * total / n_steps
                 for name, total in simulation.timer.totals().items()}
@@ -117,11 +165,11 @@ def check_equivalence(n_steps: int = 10,
     relative difference over all six field components and the particle
     positions of every species.
     """
-    sims = {kernel: make_khi_simulation(_bench_config(kernel, grid_shape))
-            for kernel in ("fused", "reference")}
-    for simulation in sims.values():
+    sims = {kernel: make_khi_simulation(_bench_config(grid_shape))
+            for kernel in STEP}
+    for kernel, simulation in sims.items():
         for _ in range(n_steps):
-            simulation.step()
+            STEP[kernel](simulation)
     fused, reference = sims["fused"], sims["reference"]
     worst = 0.0
     for name in ("Ex", "Ey", "Ez", "Bx", "By", "Bz"):
@@ -157,7 +205,7 @@ def run_hotpath_benchmark(n_steps: int = 40, warmup: int = 5,
         rates[kernel] = rate
         sections[kernel] = per_section
     error = check_equivalence(equivalence_steps, grid_shape)
-    simulation = make_khi_simulation(_bench_config("fused", grid_shape))
+    simulation = make_khi_simulation(_bench_config(grid_shape))
     for _ in range(warmup):
         simulation.step()
     return HotpathResult(steps_per_sec=rates, sections_ms=sections,

@@ -1,26 +1,21 @@
-"""Cloud-in-cell (CIC) field gather.
+"""Cloud-in-cell (CIC) field gather, the readable oracle.
 
 Every Yee component is interpolated to the particle positions with trilinear
 weights evaluated on its own staggered sub-grid, matching how PIConGPU
 assigns fields to macro-particles (first-order assignment function).
 
-:func:`gather_fields` dispatches between two numerically equivalent
-implementations selected by ``kernel``:
-
-* ``"fused"`` (default) — one shared index/weight plan reused across all six
-  components (:mod:`repro.pic.kernels`), the hot path of the simulator,
-* ``"reference"`` — the per-component scalar-indexed implementation kept as
-  the readable oracle the fused kernels are tested against.
+:func:`gather_fields_reference` does it one component at a time with scalar
+indexing.  No run calls it: it is the oracle the simulator's
+:func:`repro.pic.kernels.gather_fields` is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.pic.grid import STAGGER, YeeGrid
-from repro.pic.kernels import Workspace, gather_fields_fused
 
 
 def _cic_indices_weights(positions: np.ndarray, cell_size: Tuple[float, float, float],
@@ -73,28 +68,14 @@ def gather_component(field: np.ndarray, positions: np.ndarray,
     return out
 
 
-def gather_fields(grid: YeeGrid, positions: np.ndarray,
-                  kernel: str = "fused", workspace: Optional[Workspace] = None
-                  ) -> Tuple[np.ndarray, np.ndarray]:
+def gather_fields_reference(grid: YeeGrid, positions: np.ndarray
+                            ) -> Tuple[np.ndarray, np.ndarray]:
     """Interpolate E and B to the particle positions.
-
-    Parameters
-    ----------
-    kernel:
-        ``"fused"`` (default, shared-plan bincount kernels) or
-        ``"reference"`` (the original per-component implementation).
-    workspace:
-        Scratch buffers the fused kernel reuses between calls (``None``:
-        fresh allocations); see :class:`repro.pic.kernels.Workspace`.
 
     Returns
     -------
     ``(E, B)`` each of shape ``(N, 3)`` in SI units (V/m and T).
     """
-    if kernel == "fused":
-        return gather_fields_fused(grid, positions, workspace)
-    if kernel != "reference":
-        raise ValueError(f"kernel must be 'fused' or 'reference', got {kernel!r}")
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must have shape (N, 3)")

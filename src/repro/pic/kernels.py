@@ -1,11 +1,13 @@
-"""Fused hot-path kernels for the PIC inner loop.
+"""The kernels of the PIC inner loop — the only ones a run executes.
 
-The reference implementations in :mod:`repro.pic.interpolation` and
-:mod:`repro.pic.deposition` are written for clarity: every component gather
-recomputes its CIC indices and weights from scratch (6× per step), and all
-scatters go through ``np.add.at``, which is unbuffered and roughly an order
-of magnitude slower than a histogram-style scatter.  This module provides
-numerically equivalent kernels organised for speed:
+Each is tested against a readable ``*_reference`` oracle (``boris_push``
+for the push) in :mod:`repro.pic.interpolation`, :mod:`repro.pic.pusher`
+and :mod:`repro.pic.deposition`; :func:`repro.pic.hotpath.reference_step`
+steps a simulation on them.  The oracles recompute the CIC indices and
+weights of every component from scratch (6× per step) and scatter through
+``np.add.at``, which is unbuffered and roughly an order of magnitude slower
+than a histogram-style scatter; the kernels here are numerically equivalent
+and organised for speed:
 
 * :class:`CICPlanSet` — a shared CIC index/weight plan.  On a Yee lattice
   every component stagger is a combination of per-axis offsets ``0`` and
@@ -15,7 +17,7 @@ numerically equivalent kernels organised for speed:
 * :class:`CICPlan` — flattened linear indices plus the eight corner weights
   of one stagger; gathers are a single ``np.take`` + ``einsum``, scatters a
   single ``np.bincount`` on the raveled indices.
-* :func:`deposit_current_esirkepov_fused` — the first-order Esirkepov
+* :func:`deposit_current_esirkepov` — the first-order Esirkepov
   scheme with all three current components scattered by one fused
   ``np.bincount``; one block body at two stencil widths, 2 nodes and one
   plane for the particles that stay in their cell, 3 and two for the rest.
@@ -24,8 +26,8 @@ numerically equivalent kernels organised for speed:
 
 All of them are cache-blocked: they walk a species in blocks of
 :data:`CHUNK` particles and take every per-particle temporary, written with
-``out=``, from the simulation's :class:`Workspace`.  What the reference path
-allocates per call and sizes by the species is a fixed, cache-sized working
+``out=``, from the simulation's :class:`Workspace`.  What the oracles
+allocate per call and size by the species is a fixed, cache-sized working
 set allocated once per simulation.  The block loops are inside the kernels
 — a caller passes whole ``(N, 3)`` arrays and gets whole arrays back — and
 there is one code path: a species of at most ``CHUNK`` particles is simply
@@ -38,11 +40,11 @@ runs long contiguous inner loops; the particle-first layout spends most of
 its time iterating 2-, 3- or 4-element inner loops and is several times
 slower at laptop particle counts.
 
-All kernels are bit-compatible with the reference path up to floating-point
+All kernels are bit-compatible with their oracles up to floating-point
 summation order, and gather and push do not depend on ``CHUNK`` at all (no
 reduction runs across particles); ``tests/pic/test_kernels_fused.py`` pins
 both (including particles straddling the periodic boundary) and the
-discrete continuity invariant of the fused Esirkepov path.
+discrete continuity invariant of the Esirkepov kernel.
 """
 
 from __future__ import annotations
@@ -109,24 +111,6 @@ class Workspace:
                               flags=mmap.MAP_PRIVATE)
             flat = self._flat[name, dtype] = np.frombuffer(pages, dtype=dtype)
         return flat[:size].reshape(shape)
-
-
-def _hat_weights(xi: np.ndarray, base: np.ndarray, n_nodes: int = 4) -> np.ndarray:
-    """First-order (hat-function) shape weights on a local node stencil.
-
-    Parameters
-    ----------
-    xi:
-        Normalised particle coordinates along one axis, shape ``(N,)``.
-    base:
-        Integer index of the first node of the local stencil, shape ``(N,)``.
-
-    Returns
-    -------
-    ``(N, n_nodes)`` array with ``S[s] = max(0, 1 - |xi - (base + s)|)``.
-    """
-    nodes = base[:, None] + np.arange(n_nodes)[None, :]
-    return np.maximum(0.0, 1.0 - np.abs(xi[:, None] - nodes))
 
 
 class CICPlan:
@@ -253,17 +237,17 @@ class CICPlanSet:
 _COMPONENTS = (("Ex", "Ey", "Ez"), ("Bx", "By", "Bz"))
 
 
-def gather_fields_fused(grid: YeeGrid, positions: np.ndarray,
-                        workspace: Optional[Workspace] = None
-                        ) -> Tuple[np.ndarray, np.ndarray]:
+def gather_fields(grid: YeeGrid, positions: np.ndarray,
+                  workspace: Optional[Workspace] = None
+                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Interpolate E and B to the particles, ``CHUNK`` particles at a time.
 
-    Per block one :class:`CICPlanSet` is built and each of the six
+    Returns ``(E, B)``, each ``(N, 3)`` in SI units (V/m and T), always new
+    arrays.  Per block one :class:`CICPlanSet` is built and each of the six
     components is gathered before the next plan is composed, so the working
     set is bounded by ``CHUNK`` whatever the species size.  All scratch comes
-    from ``workspace`` (``None``: a private one for this call); the returned
-    ``(N, 3)`` arrays are always new.  There is no reduction across
-    particles, so the result does not depend on ``CHUNK``.
+    from ``workspace`` (``None``: a private one for this call).  There is no
+    reduction across particles, so the result does not depend on ``CHUNK``.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
@@ -290,9 +274,9 @@ def gather_fields_fused(grid: YeeGrid, positions: np.ndarray,
 # --------------------------------------------------------------------------- #
 # CIC charge scatter
 # --------------------------------------------------------------------------- #
-def deposit_charge_cic_fused(grid: YeeGrid, positions: np.ndarray, charge: float,
-                             weights: np.ndarray) -> np.ndarray:
-    """Bincount-based CIC charge deposition (adds into ``grid.rho``)."""
+def deposit_charge_cic(grid: YeeGrid, positions: np.ndarray, charge: float,
+                       weights: np.ndarray) -> np.ndarray:
+    """Add the CIC charge density [C/m^3] of the particles into ``grid.rho``."""
     positions = np.asarray(positions, dtype=np.float64)
     values = (charge / grid.config.cell_volume) * np.asarray(weights,
                                                              dtype=np.float64)
@@ -326,15 +310,20 @@ def _carve(flat: np.ndarray, shapes) -> list:
             for shape, size, stop in zip(shapes, sizes, accumulate(sizes))]
 
 
-def deposit_current_esirkepov_fused(grid: YeeGrid, old_positions: np.ndarray,
-                                    new_positions: np.ndarray, charge: float,
-                                    weights: np.ndarray, dt: float,
-                                    workspace: Optional[Workspace] = None) -> None:
-    """Charge-conserving Esirkepov deposition with a bounded working set.
+def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
+                              new_positions: np.ndarray, charge: float,
+                              weights: np.ndarray, dt: float,
+                              workspace: Optional[Workspace] = None) -> None:
+    """Charge-conserving (Esirkepov, first order) current deposition.
 
-    Numerically equivalent (up to summation order and identically-zero
-    stencil planes, which the reference path scatters as exact zeros or
-    round-off) to :func:`repro.pic.deposition.deposit_current_esirkepov`, but
+    Adds into ``grid.Jx/Jy/Jz`` the current of particles moving from
+    ``old_positions`` to ``new_positions`` (both ``(N, 3)``, the new ones not
+    yet wrapped, so the displacement is continuous) in ``dt``; it satisfies
+    the discrete continuity equation with the CIC charge of
+    :func:`deposit_charge_cic` to machine precision.  Numerically equivalent
+    (up to summation order and identically-zero stencil planes, which the
+    oracle scatters as exact zeros or round-off) to
+    :func:`repro.pic.deposition.deposit_current_esirkepov_reference`, but
     particles go in blocks of at most ``CHUNK`` and all three current
     components of a block are scattered by one ``np.bincount`` over
     ``3 * n_cells`` fused bins instead of three unbuffered ``np.add.at``.
@@ -513,13 +502,13 @@ def boris_push_fused(species: ParticleSpecies, e_fields: np.ndarray,
                      workspace: Optional[Workspace] = None) -> None:
     """Relativistic Boris push, ``CHUNK`` particles at a time, in place.
 
-    Same scheme as :func:`repro.pic.pusher.boris_push` (half electric kick,
-    magnetic rotation, half electric kick).  Each block is transposed into
-    component-major ``(3, m)`` rows taken from ``workspace`` (``None``: a
-    private one for this call), every term is a contiguous row operation
-    written with ``out=``, and the result is transposed back into
-    ``species.momenta`` — no ``(N, 3)`` intermediate is allocated and no
-    strided column is walked more than once.
+    Same scheme as its oracle :func:`repro.pic.pusher.boris_push` (half
+    electric kick, magnetic rotation, half electric kick).  Each block is
+    transposed into component-major ``(3, m)`` rows taken from
+    ``workspace`` (``None``: a private one for this call), every term is a
+    contiguous row operation written with ``out=``, and the result is
+    transposed back into ``species.momenta`` — no ``(N, 3)`` intermediate is
+    allocated and no strided column is walked more than once.
     """
     if not species.pushed:
         return

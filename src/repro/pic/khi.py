@@ -14,6 +14,7 @@ perturbation plus thermal noise seeds the instability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -55,9 +56,6 @@ class KHIConfig:
     #: physical KHI setup of the paper) loads co-drifting protons so each
     #: stream is current neutral and the instability grows from noise.
     immobile_ions: bool = False
-    #: hot-path kernel selection: ``"fused"`` (default) or ``"reference"``
-    #: (see :mod:`repro.pic.kernels` and ``docs/performance.md``)
-    kernel: str = "fused"
     dt: Optional[float] = None
     seed: Optional[int] = 42
 
@@ -65,6 +63,10 @@ class KHIConfig:
         if self.particles_per_cell < 1:
             raise ValueError(f"particles_per_cell must be >= 1, "
                              f"got {self.particles_per_cell!r}")
+        # checked here, not only by SimulationConfig, so that a campaign
+        # spec or --config file carrying a NaN fails when it is resolved
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
 
     @classmethod
     def paper(cls) -> "KHIConfig":
@@ -155,8 +157,7 @@ def make_khi_simulation(config: KHIConfig | None = None,
     weights = np.full(n_macro, config.macro_weight)
     electrons = ParticleSpecies.electrons(positions, momenta, weights)
 
-    sim_config = SimulationConfig(grid=grid_config, dt=config.dt,
-                                  kernel=config.kernel)
+    sim_config = SimulationConfig(grid=grid_config, dt=config.dt)
     simulation = PICSimulation(sim_config, species=[electrons])
 
     if config.immobile_ions:

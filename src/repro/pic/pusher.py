@@ -3,6 +3,10 @@
 Momenta are stored as the dimensionless ``u = gamma * beta``; the standard
 Boris rotation is applied in that variable (Birdsall & Langdon / Hockney &
 Eastwood form), which conserves energy exactly for a pure magnetic field.
+
+:func:`boris_push` is the readable ``(N, 3)`` form of that rotation and the
+oracle of :func:`repro.pic.kernels.boris_push_fused`, which is what the
+simulator runs; :func:`advance_positions` is the position update both use.
 """
 
 from __future__ import annotations
@@ -73,22 +77,17 @@ def wrap_periodic(values: np.ndarray, extent) -> np.ndarray:
 
 
 def advance_positions(species: ParticleSpecies, dt: float,
-                      box_extent: Tuple[float, float, float] | None = None
-                      ) -> np.ndarray:
+                      box_extent: Tuple[float, float, float]) -> np.ndarray:
     """Advance positions by ``dt`` using the current momenta.
 
     Returns the *unwrapped* new positions (needed by the Esirkepov
-    deposition); if ``box_extent`` is given, the species' stored positions
-    are additionally wrapped periodically into the box.
+    deposition); the species' stored positions are rebound to them wrapped
+    periodically into the box of ``box_extent``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not species.pushed:
         return species.positions.copy()
     new_positions = species.positions + species.velocities() * dt
-    if box_extent is not None:
-        species.positions = wrap_periodic(new_positions, box_extent)
-    else:
-        # the sum above already allocated a fresh array — no defensive copy
-        species.positions = new_positions
+    species.positions = wrap_periodic(new_positions, box_extent)
     return new_positions

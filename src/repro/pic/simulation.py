@@ -13,21 +13,18 @@ one openPMD iteration.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro import constants
-from repro.pic.deposition import deposit_charge_cic, deposit_current_esirkepov
 from repro.pic.fom import FigureOfMerit, figure_of_merit
 from repro.pic.grid import GridConfig, YeeGrid
-from repro.pic.interpolation import gather_fields
-from repro.pic.kernels import Workspace, boris_push_fused
+from repro.pic.kernels import (Workspace, boris_push_fused, deposit_charge_cic,
+                               deposit_current_esirkepov, gather_fields)
 from repro.pic.maxwell import YeeSolver
 from repro.pic.particles import ParticleSpecies
-from repro.pic.pusher import advance_positions, boris_push
+from repro.pic.pusher import advance_positions
 from repro.utils.timer import Timer
 
 
@@ -57,26 +54,18 @@ class SimulationConfig:
         Grid geometry.
     dt:
         Time step [s]; defaults to 99.5 % of the CFL limit.
-    kernel:
-        ``"fused"`` (default) runs the gather/push/deposit hot path on the
-        shared-plan bincount kernels of :mod:`repro.pic.kernels`;
-        ``"reference"`` runs the original implementations (the oracle the
-        fused kernels are verified against — see ``docs/performance.md``).
     """
 
     grid: GridConfig
     dt: Optional[float] = None
-    kernel: str = "fused"
 
     def __post_init__(self) -> None:
         if self.dt is None:
             self.dt = self.grid.courant_time_step()
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
         if self.dt > self.grid.courant_time_step(safety=1.0):
             raise ValueError("dt violates the CFL limit of the grid")
-        if self.kernel not in ("fused", "reference"):
-            raise ValueError("kernel must be 'fused' or 'reference'")
 
 
 class PICSimulation:
@@ -126,11 +115,14 @@ class PICSimulation:
         """Deposit the initial charge density (used for Gauss-law diagnostics)."""
         self.grid.clear_charge()
         for s in self.species:
-            deposit_charge_cic(self.grid, s.positions, s.charge, s.weights,
-                               kernel=self.config.kernel)
+            deposit_charge_cic(self.grid, s.positions, s.charge, s.weights)
 
     def step(self) -> None:
-        """Advance the whole system by one time step."""
+        """Advance the whole system by one time step.
+
+        :func:`repro.pic.hotpath.reference_step` is the same step on the
+        readable oracle kernels; keep the two in step when editing this one.
+        """
         if not self._started:
             for plugin in self.plugins:
                 plugin.on_start(self)
@@ -138,29 +130,22 @@ class PICSimulation:
         dt = self.config.dt
         extent = self.config.grid.extent
         grid = self.grid
-        kernel = self.config.kernel
 
         grid.clear_currents()
         for s in self.species:
             if not s.pushed:
                 continue
             with self.timer.section("gather"):
-                e_at_p, b_at_p = gather_fields(grid, s.positions, kernel=kernel,
-                                               workspace=self._workspace)
+                e_at_p, b_at_p = gather_fields(grid, s.positions, self._workspace)
             with self.timer.section("push"):
-                if kernel == "fused":
-                    boris_push_fused(s, e_at_p, b_at_p, dt,
-                                     workspace=self._workspace)
-                else:
-                    boris_push(s, e_at_p, b_at_p, dt)
+                boris_push_fused(s, e_at_p, b_at_p, dt, workspace=self._workspace)
                 # advance_positions rebinds (never mutates) the stored
                 # array, so the pre-push positions survive without a copy
                 old_positions = s.positions
-                new_positions = advance_positions(s, dt, box_extent=extent)
+                new_positions = advance_positions(s, dt, extent)
             with self.timer.section("deposit"):
                 deposit_current_esirkepov(grid, old_positions, new_positions,
                                           s.charge, s.weights, dt,
-                                          kernel=kernel,
                                           workspace=self._workspace)
         with self.timer.section("fields"):
             self.solver.step(dt)

@@ -91,7 +91,11 @@ def sse_event_stream(job: CampaignJob, keepalive_s: float = DEFAULT_KEEPALIVE_S,
     try:
         for index, event in enumerate(history):
             if event.kind == EVENT_DONE:
-                if index == len(history) - 1 and job.is_terminal():
+                # a launch publishes its runs before it turns terminal, so
+                # a terminal job with an empty queue has had no launch since
+                # this marker (the order of the two checks matters)
+                if index == len(history) - 1 and job.is_terminal() \
+                        and subscription.pending() == 0:
                     yield format_event(EVENT_DONE, event.data,
                                        event_id=event.seq)
                     return

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.campaign import CampaignSpec, apply_override, run_id_of
@@ -34,6 +36,13 @@ class TestApplyOverride:
         config = get_preset("cli-small").to_dict()
         with pytest.raises(ValueError, match="valid keys"):
             apply_override(config, "khi.sneed", 7)
+
+    def test_a_nan_time_step_fails_at_resolve(self):
+        # Python's json reads NaN, so a spec file can carry one
+        spec = CampaignSpec.from_dict(json.loads(json.dumps(
+            smoke_spec(parameters={"khi.dt": [float("nan")]}).to_dict())))
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            spec.resolve()
 
     def test_non_section_path_names_sections(self):
         config = get_preset("cli-small").to_dict()

@@ -71,6 +71,27 @@ class TestRunCommand:
                          "--n-rep", "1"]) == 0
         assert "iterations_streamed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("khi, message", [
+        ({"kernel": "reference"}, "unknown KHIConfig keys ['kernel']"),
+        ({"dt": float("nan")}, "dt must be positive and finite")],
+        ids=["kernel", "nan-dt"])
+    def test_run_with_a_bad_khi_section_in_the_config_exits_2(
+            self, capsys, tmp_path, khi, message):
+        """The reference kernels are not a setting, and Python's json reads
+        NaN: both fail when the config is loaded, before anything runs."""
+        import json
+
+        from repro.workflow import get_preset
+
+        config = get_preset("bench-tiny").to_dict()
+        config["khi"].update(khi)
+        path = tmp_path / "workflow.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli_main(["run", "--steps", "1", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
+
     def test_run_with_monitor_consumer(self, capsys):
         assert cli_main(["run", "--steps", "2", "--monitor"] + TINY) == 0
         out = capsys.readouterr().out

@@ -7,6 +7,7 @@ import pytest
 
 from repro.perfmodel import (DDPWeakScalingModel, FOMScalingModel, FRONTIER,
                              StreamingScalingStudy, SUMMIT)
+from repro.perfmodel.ddp import RingAllReduceModel
 
 
 class TestMachines:
@@ -112,6 +113,37 @@ class TestStreamingStudy:
         point = study.run_case("libfabric", 9126, "all_at_once")
         assert not point.supported
         assert point.terabytes_per_second is None
+
+
+class TestRingAllReduceModel:
+    def test_single_rank_is_free(self):
+        model = RingAllReduceModel()
+        assert model.time(1, 1e9) == 0.0
+
+    def test_time_increases_with_message_size(self):
+        model = RingAllReduceModel()
+        assert model.time(16, 2e9) > model.time(16, 1e9)
+
+    def test_time_saturates_with_ranks(self):
+        """The 2(p-1)/p factor approaches 2, so doubling ranks far out barely
+        changes the bandwidth term (latency term keeps growing)."""
+        model = RingAllReduceModel(latency=0.0)
+        t64 = model.time(64, 1e9)
+        t128 = model.time(128, 1e9)
+        assert t128 / t64 < 1.05
+
+    def test_intra_node_faster(self):
+        model = RingAllReduceModel()
+        assert model.time(8, 1e9) < model.time(16, 1e9)
+
+    def test_invalid_world_size(self):
+        with pytest.raises(ValueError):
+            RingAllReduceModel().time(0, 1.0)
+
+    def test_allgather_time_monotone(self):
+        model = RingAllReduceModel()
+        assert model.allgather_time(32, 1e8) > model.allgather_time(16, 1e8)
+        assert model.allgather_time(1, 1e8) == 0.0
 
 
 class TestDDPModel:

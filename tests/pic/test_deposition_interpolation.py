@@ -1,4 +1,4 @@
-"""Tests of field gather and charge/current deposition."""
+"""Tests of the simulator's field gather and charge/current deposition."""
 
 from __future__ import annotations
 
@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import constants
-from repro.pic.deposition import deposit_charge_cic, deposit_current_esirkepov
 from repro.pic.grid import GridConfig, YeeGrid
-from repro.pic.interpolation import gather_component, gather_fields
+from repro.pic.interpolation import gather_component
+from repro.pic.kernels import (deposit_charge_cic, deposit_current_esirkepov,
+                               gather_fields)
 
 
 def make_grid(shape=(8, 8, 8), cell=1.0e-5):
@@ -61,13 +62,13 @@ class TestChargeDeposition:
         assert grid.rho[2, 3, 4] == pytest.approx(1.0)
         assert np.count_nonzero(grid.rho) == 1
 
-    def test_accumulate_flag(self, rng):
+    def test_deposits_add_into_rho(self, rng):
         grid = make_grid()
         pos = rng.uniform(0, 8e-5, size=(10, 3))
         deposit_charge_cic(grid, pos, 1.0, np.ones(10))
         first = grid.rho.copy()
-        deposit_charge_cic(grid, pos, 1.0, np.ones(10), accumulate=False)
-        np.testing.assert_allclose(grid.rho, first)
+        deposit_charge_cic(grid, pos, 1.0, np.ones(10))
+        np.testing.assert_allclose(grid.rho, 2.0 * first)
 
 
 class TestCurrentDeposition:

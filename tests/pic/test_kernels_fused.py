@@ -1,9 +1,9 @@
 """Fused bincount kernels vs the reference implementations.
 
-Every fused kernel in :mod:`repro.pic.kernels` is tested against the
-readable reference path it replaces, on randomized particle sets that
-include periodic-boundary straddlers, so the ``kernel="fused"`` default of
-the simulator is backed by an oracle rather than by inspection.
+Every kernel in :mod:`repro.pic.kernels` is tested against the readable
+``*_reference`` oracle (or ``boris_push``) it replaced, on randomized
+particle sets that include periodic-boundary straddlers, so the only kernels
+the simulator runs are backed by an oracle rather than by inspection.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import constants
-from repro.pic.deposition import deposit_charge_cic, deposit_current_esirkepov
+from repro.pic.deposition import (deposit_charge_cic_reference,
+                                  deposit_current_esirkepov_reference)
 from repro.pic.grid import GridConfig, YeeGrid
-from repro.pic.interpolation import gather_fields
+from repro.pic.interpolation import gather_fields_reference
 from repro.pic import kernels
 from repro.pic.kernels import (CICPlanSet, Workspace, boris_push_fused,
-                               deposit_current_esirkepov_fused,
-                               gather_fields_fused)
+                               deposit_charge_cic, deposit_current_esirkepov,
+                               gather_fields)
 from repro.pic.particles import ParticleSpecies
 from repro.pic.pusher import boris_push
 from repro.pic.simulation import PICSimulation, SimulationConfig
@@ -54,8 +55,8 @@ class TestGatherEquivalence:
         for name in ("Ex", "Ey", "Ez", "Bx", "By", "Bz"):
             grid.component(name)[...] = rng.normal(size=grid.config.shape)
         positions, _ = random_particles(rng, grid, 64)
-        e_ref, b_ref = gather_fields(grid, positions, kernel="reference")
-        e_fused, b_fused = gather_fields(grid, positions, kernel="fused")
+        e_ref, b_ref = gather_fields_reference(grid, positions)
+        e_fused, b_fused = gather_fields(grid, positions)
         # the paths differ only in floating-point summation order
         np.testing.assert_allclose(e_fused, e_ref, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(b_fused, b_ref, rtol=1e-10, atol=1e-13)
@@ -83,8 +84,8 @@ class TestDepositionEquivalence:
         ref, fused = make_grid(), make_grid()
         positions, weights = random_particles(rng, ref, 80)
         charge = -constants.ELEMENTARY_CHARGE
-        deposit_charge_cic(ref, positions, charge, weights, kernel="reference")
-        deposit_charge_cic(fused, positions, charge, weights, kernel="fused")
+        deposit_charge_cic_reference(ref, positions, charge, weights)
+        deposit_charge_cic(fused, positions, charge, weights)
         np.testing.assert_allclose(fused.rho, ref.rho, rtol=1e-12, atol=1e-300)
 
     @given(st.integers(1, 120), st.integers(0, 2 ** 31 - 1))
@@ -99,10 +100,8 @@ class TestDepositionEquivalence:
             * np.asarray(ref.config.cell_size)
         new = old + displacement
         charge = -constants.ELEMENTARY_CHARGE
-        deposit_current_esirkepov(ref, old, new, charge, weights, dt,
-                                  kernel="reference")
-        deposit_current_esirkepov(fused, old, new, charge, weights, dt,
-                                  kernel="fused")
+        deposit_current_esirkepov_reference(ref, old, new, charge, weights, dt)
+        deposit_current_esirkepov(fused, old, new, charge, weights, dt)
         for name in ("Jx", "Jy", "Jz"):
             a, b = fused.component(name), ref.component(name)
             scale = np.max(np.abs(b)) + 1e-300
@@ -117,9 +116,9 @@ class TestDepositionEquivalence:
         new = old + rng.uniform(-0.9, 0.9, size=(n, 3)) \
             * np.asarray(grid_a.config.cell_size)
         assert n <= kernels.CHUNK
-        deposit_current_esirkepov_fused(grid_b, old, new, 1.0, weights, dt)
+        deposit_current_esirkepov(grid_b, old, new, 1.0, weights, dt)
         monkeypatch.setattr(kernels, "CHUNK", 64)
-        deposit_current_esirkepov_fused(grid_a, old, new, 1.0, weights, dt)
+        deposit_current_esirkepov(grid_a, old, new, 1.0, weights, dt)
         for name in ("Jx", "Jy", "Jz"):
             a, b = grid_a.component(name), grid_b.component(name)
             scale = np.max(np.abs(b)) + 1e-300
@@ -129,12 +128,14 @@ class TestDepositionEquivalence:
         grid = make_grid(cell=1.0e-6)
         old = np.array([[1.0e-6, 1.0e-6, 1.0e-6]])
         with pytest.raises(ValueError):
-            deposit_current_esirkepov_fused(grid, old, old + 2.0e-6, 1.0,
-                                            np.ones(1), 1e-13)
+            deposit_current_esirkepov(grid, old, old + 2.0e-6, 1.0,
+                                      np.ones(1), 1e-13)
 
-    @pytest.mark.parametrize("kernel", ["fused", "reference"])
+    @pytest.mark.parametrize("deposit", [deposit_current_esirkepov,
+                                         deposit_current_esirkepov_reference],
+                             ids=["fused", "reference"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_esirkepov_rejects_a_non_finite_position(self, kernel, bad, recwarn):
+    def test_esirkepov_rejects_a_non_finite_position(self, deposit, bad, recwarn):
         """``NaN >= 1`` is False: the check must be "not all below one cell",
         or the NaN is cast to a garbage index and lands in ``J``."""
         rng = np.random.default_rng(4)
@@ -143,8 +144,7 @@ class TestDepositionEquivalence:
         new = old + 0.1 * grid.config.cell_size[0]
         new[17, 1] = bad
         with pytest.raises(ValueError, match="less than one cell"):
-            deposit_current_esirkepov(grid, old, new, 1.0, weights, 1e-15,
-                                      kernel=kernel)
+            deposit(grid, old, new, 1.0, weights, 1e-15)
         assert not recwarn.list
         assert not grid.Jx.any() and not grid.Jy.any() and not grid.Jz.any()
 
@@ -160,11 +160,9 @@ class TestDepositionEquivalence:
             * np.asarray(grid.config.cell_size)
         rho0, rho1 = YeeGrid(grid.config), YeeGrid(grid.config)
         charge = -constants.ELEMENTARY_CHARGE
-        deposit_charge_cic(rho0, old, charge, weights, kernel="fused")
-        deposit_charge_cic(rho1, np.mod(new, extent), charge, weights,
-                           kernel="fused")
-        deposit_current_esirkepov(grid, old, new, charge, weights, dt,
-                                  kernel="fused")
+        deposit_charge_cic(rho0, old, charge, weights)
+        deposit_charge_cic(rho1, np.mod(new, extent), charge, weights)
+        deposit_current_esirkepov(grid, old, new, charge, weights, dt)
         residual = (rho1.rho - rho0.rho) / dt + grid.divergence_j()
         scale = np.max(np.abs((rho1.rho - rho0.rho) / dt))
         assert np.max(np.abs(residual)) < 1e-12 * scale
@@ -248,7 +246,7 @@ def deposit_three_nodes_two_planes(monkeypatch, grid, *args):
     arithmetic the kernel ran before it told stayers from goers."""
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "_STAY", kernels._GO)
-        deposit_current_esirkepov_fused(grid, *args)
+        deposit_current_esirkepov(grid, *args)
 
 
 def assert_currents_close(got, want, rtol):
@@ -269,9 +267,9 @@ class TestTwoClassDeposit:
         weights = rng.uniform(0.5, 2.0, size=n)
         charge, dt = -constants.ELEMENTARY_CHARGE, two_class.config.courant_time_step()
         args = (old, new, charge, weights, dt)
-        deposit_current_esirkepov_fused(two_class, *args)
+        deposit_current_esirkepov(two_class, *args)
         deposit_three_nodes_two_planes(monkeypatch, oracle, *args)
-        deposit_current_esirkepov(reference, *args, kernel="reference")
+        deposit_current_esirkepov_reference(reference, *args)
         assert_currents_close(two_class, oracle, 1e-15)
         assert_currents_close(two_class, reference, 1e-12)
         # continuity against the CIC charge of the two position sets
@@ -324,7 +322,7 @@ class TestTwoClassDeposit:
         n = 2 * 64 + 9
         old, new = stay_go_case(kind, rng, grid, n)
         scattered = spy_on_bincount(monkeypatch)
-        deposit_current_esirkepov_fused(grid, old, new, 1.0, np.ones(n), 1e-15)
+        deposit_current_esirkepov(grid, old, new, 1.0, np.ones(n), 1e-15)
         expected = []
         for start in range(0, n, 64):
             k = n_staying(grid, old[start:start + 64], new[start:start + 64])
@@ -344,8 +342,8 @@ class TestTwoClassDeposit:
             old, new = stay_go_case(kind, rng, grid, n)
             workspace = Workspace()
             del calls[:]
-            deposit_current_esirkepov_fused(grid, old, new, 1.0, np.ones(n), 1e-15,
-                                            workspace=workspace)
+            deposit_current_esirkepov(grid, old, new, 1.0, np.ones(n), 1e-15,
+                                      workspace=workspace)
             seen[kind] = (list(calls),
                           sum(flat.nbytes for flat in workspace._flat.values()))
         assert seen["all-stay"] == seen["all-go"] == seen["mixed"]
@@ -398,9 +396,9 @@ class TestWorkspace:
             np.testing.assert_array_equal(reused[0], fresh[0])
             np.testing.assert_array_equal(reused[1], fresh[1])
             a, b = make_grid(), make_grid()
-            deposit_current_esirkepov_fused(a, old, new, charge, weights, dt)
-            deposit_current_esirkepov_fused(b, old, new, charge, weights, dt,
-                                            workspace=workspace)
+            deposit_current_esirkepov(a, old, new, charge, weights, dt)
+            deposit_current_esirkepov(b, old, new, charge, weights, dt,
+                                      workspace=workspace)
             for name in ("Jx", "Jy", "Jz"):
                 np.testing.assert_array_equal(b.component(name), a.component(name))
 
@@ -510,14 +508,14 @@ class TestBlockedKernels:
         positions = awkward_positions(rng, grid, n) if n >= 40 \
             else random_particles(rng, grid, n)[0]
         assert n <= kernels.CHUNK
-        whole = gather_fields_fused(grid, positions)
+        whole = gather_fields(grid, positions)
         monkeypatch.setattr(kernels, "CHUNK", 64)   # 129: a last block of one
-        blocked = gather_fields_fused(grid, positions, Workspace())
+        blocked = gather_fields(grid, positions, Workspace())
         for got, want in zip(blocked, whole):
             assert got.shape == (n, 3)
             assert got.tobytes() == want.tobytes()
         # and the awkward positions are still right, not just self-consistent
-        reference = gather_fields(grid, positions, kernel="reference")
+        reference = gather_fields_reference(grid, positions)
         for got, want in zip(blocked, reference):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
 
@@ -603,24 +601,6 @@ class TestBorisEquivalence:
                                    rtol=1e-13, atol=1e-300)
 
 
-class TestKernelValidation:
-    def test_unknown_kernel_name_rejected(self):
-        grid = make_grid()
-        positions = np.zeros((1, 3))
-        with pytest.raises(ValueError, match="kernel"):
-            gather_fields(grid, positions, kernel="turbo")
-        with pytest.raises(ValueError, match="kernel"):
-            deposit_charge_cic(grid, positions, 1.0, np.ones(1), kernel="")
-
-    def test_simulation_config_rejects_unknown_kernel(self):
-        from repro.pic.simulation import SimulationConfig
-
-        with pytest.raises(ValueError, match="kernel"):
-            SimulationConfig(grid=GridConfig(shape=(4, 4, 4),
-                                             cell_size=(1e-5,) * 3),
-                             kernel="turbo")
-
-
 class TestFullStepEquivalence:
     def test_khi_run_matches_between_kernels(self):
         from repro.pic.hotpath import EQUIVALENCE_RTOL, check_equivalence
@@ -628,3 +608,34 @@ class TestFullStepEquivalence:
         error = check_equivalence(n_steps=5)
         assert np.isfinite(error)
         assert error < EQUIVALENCE_RTOL
+
+    def test_reference_step_has_the_hooks_and_timer_sections_of_step(self):
+        """The oracle loop is a drop-in for ``PICSimulation.step``: plugins
+        see the same calls at the same step indices, and the timer the same
+        sections the same number of times."""
+        from repro.pic.hotpath import STEP
+        from repro.pic.khi import KHIConfig, make_khi_simulation
+        from repro.pic.simulation import Plugin
+
+        class Probe(Plugin):
+            def __init__(self):
+                self.calls = []
+
+            def on_start(self, simulation):
+                self.calls.append(("start", simulation.step_index))
+
+            def on_step(self, simulation):
+                self.calls.append(("step", simulation.step_index))
+
+        seen = {}
+        for kernel, step in STEP.items():
+            simulation = make_khi_simulation(KHIConfig(
+                grid_shape=(4, 8, 2), particles_per_cell=2, seed=5))
+            probe = simulation.add_plugin(Probe())
+            for _ in range(3):
+                step(simulation)
+            seen[kernel] = (probe.calls, simulation.timer.counts())
+        assert seen["reference"] == seen["fused"]
+        calls, counts = seen["fused"]
+        assert calls == [("start", 0), ("step", 1), ("step", 2), ("step", 3)]
+        assert set(counts) == {"gather", "push", "deposit", "fields", "plugins"}

@@ -1,8 +1,9 @@
-"""The fused kernels against the reference ones over a long run.
+"""The fused kernels against the reference oracle over a long run.
 
-Tier-1 compares the two kernel paths over five steps; a drift that only
-shows after a hundred would pass it.  This is the suite's ``slow`` test
-(skipped unless ``--runslow`` is given; CI runs it in the ``bench-smoke`` job).
+Tier-1 compares ``PICSimulation.step`` with ``reference_step`` over five
+steps; a drift that only shows after a hundred would pass it.  This is the
+suite's ``slow`` test (skipped unless ``--runslow`` is given; CI runs it in
+the ``bench-smoke`` job).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.pic.diagnostics import ChargeConservationMonitor
-from repro.pic.hotpath import EQUIVALENCE_RTOL
+from repro.pic.hotpath import EQUIVALENCE_RTOL, STEP
 from repro.pic.khi import make_khi_simulation
 from repro.workflow import get_preset
 
@@ -40,15 +41,14 @@ def test_fused_tracks_reference_over_200_steps():
         low, high = json.load(handle)["workloads"][BAND_KEY]["energy_drift"]
     khi = replace(get_preset("bench-tiny").khi, seed=SEED)
     assert khi.grid_shape == (8, 16, 2)
-    sims = {kernel: make_khi_simulation(replace(khi, kernel=kernel))
-            for kernel in ("fused", "reference")}
+    sims = {kernel: make_khi_simulation(khi) for kernel in STEP}
     monitors = {kernel: ChargeConservationMonitor() for kernel in sims}
     for kernel, simulation in sims.items():
         simulation.add_plugin(monitors[kernel])
     energy_before = {kernel: sim.total_energy() for kernel, sim in sims.items()}
     for step in range(1, 201):
-        for simulation in sims.values():
-            simulation.step()
+        for kernel, simulation in sims.items():
+            STEP[kernel](simulation)
         if step in (1, 100, 200):           # continuity, every step so far
             for kernel, monitor in monitors.items():
                 assert len(monitor.residuals) == step

@@ -116,7 +116,7 @@ class TestAdvancePositions:
         s = single_electron(u=(0.2, 0.0, 0.0))
         dt = 1e-12
         v = s.velocities()[0, 0]
-        advance_positions(s, dt)
+        advance_positions(s, dt, box_extent=(1.0, 1.0, 1.0))
         assert s.positions[0, 0] == pytest.approx(v * dt)
 
     def test_periodic_wrapping(self):

@@ -63,8 +63,9 @@ class TestSimulationLoop:
         grid = GridConfig(shape=(4, 4, 4), cell_size=(1e-5,) * 3)
         with pytest.raises(ValueError):
             SimulationConfig(grid=grid, dt=1.0)
-        with pytest.raises(ValueError):
-            SimulationConfig(grid=grid, kernel="magic")
+        # NaN passes both ``dt <= 0`` and ``dt > CFL`` unless asked directly
+        with pytest.raises(ValueError, match="positive and finite"):
+            SimulationConfig(grid=grid, dt=float("nan"))
 
     def test_get_species(self):
         sim = make_khi_simulation(tiny_khi())
@@ -107,6 +108,13 @@ class TestKHISetup:
         cfg = KHIConfig(grid_shape=(4, 8, 2), density=1e28)
         with pytest.warns(RuntimeWarning):
             make_khi_simulation(cfg)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-15])
+    def test_a_bad_time_step_fails_in_the_config(self, dt):
+        """Before any simulation is built, so a spec carrying it fails at
+        resolve instead of at the first deposit with the wrong cause."""
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            KHIConfig(grid_shape=(4, 8, 2), dt=dt)
 
     def test_growth_rate_estimate_positive(self):
         assert growth_rate_estimate(KHIConfig()) > 0

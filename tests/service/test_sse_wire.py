@@ -117,6 +117,44 @@ class TestEventStream:
             ["snapshot", "run", "done"]
         assert run_ids_of(events) == ["old", "new"]
 
+    def test_a_stale_done_is_skipped_while_the_resumed_launch_runs(self):
+        bus = RunEventBus()
+        job = _StubJob(bus)              # resumed: running again
+        bus.seed(job.id, "run", {"run_id": "old", "status": "completed"})
+        bus.seed(job.id, "done", {"state": "cancelled"})
+        stream = sse_event_stream(job, keepalive_s=5)
+        first = next(stream)             # subscribed, replaying "old"
+        _publish_run(bus, job.id, "new")
+        first += next(stream)            # passes over the stale done
+        assert parse_sse_events(first)[-1]["event"] == "run"
+        job.state = "completed"
+        bus.publish(job.id, "done", {"state": "completed"})
+        events = parse_sse_events(first + "".join(stream))
+        assert [event["event"] for event in events] == \
+            ["snapshot", "run", "done"]
+        assert run_ids_of(events) == ["old", "new"]
+        assert events[-1]["data"]["state"] == "completed"
+
+    def test_a_resumed_launch_that_ends_mid_replay_is_streamed(self):
+        """A cancelled campaign was resubmitted; its new launch runs and
+        turns terminal while the old history is still being replayed.  The
+        old ``done`` is stale: the stream carries the new runs and ends on
+        the new launch's ``done``."""
+        bus = RunEventBus()
+        job = _StubJob(bus)              # resumed: running again
+        bus.seed(job.id, "run", {"run_id": "old", "status": "completed"})
+        bus.seed(job.id, "done", {"state": "cancelled"})
+        stream = sse_event_stream(job, keepalive_s=5)
+        first = next(stream)             # subscribed, replaying "old"
+        _publish_run(bus, job.id, "new")
+        job.state = "completed"          # set before its done is published
+        bus.publish(job.id, "done", {"state": "completed"})
+        events = parse_sse_events(first + "".join(stream))
+        assert [event["event"] for event in events] == \
+            ["snapshot", "run", "done"]
+        assert run_ids_of(events) == ["old", "new"]
+        assert events[-1]["data"]["state"] == "completed"
+
     def test_slow_consumer_drop_is_reported_on_the_wire(self):
         """A subscriber whose bounded queue overflows gets an explicit
         ``dropped`` frame with the loss count — never silent gaps."""

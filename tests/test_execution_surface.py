@@ -4,8 +4,8 @@ rule that picks an executor for a launch.
 Three executors, two drivers, no facade; CLI flags and the service's
 submit body are two spellings of the same ``(spec, options)`` and must
 resolve to the same executor through ``repro.campaign.executor_for``.
-The options of the run path — worker pool, stream, session — are pinned by
-name, so a new one shows up in review as a diff of this file.
+The options of the run path — worker pool, stream, session, PIC step — are
+pinned by name, so a new one shows up in review as a diff of this file.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from repro.campaign import (CampaignSpec, WorkerPool, WorkerPoolExecutor,
                             get_campaign_preset, get_executor)
 from repro.cli import _build_parser, _campaign_executor
 from repro.core.config import StreamingConfig, WorkflowConfig
+from repro.pic import simulation as pic_simulation
+from repro.pic.khi import KHIConfig
+from repro.pic.simulation import SimulationConfig
 from repro.service import jobs, parse_submission
 from repro.streaming import SSTBroker, SSTReaderEngine, SSTWriterEngine
 from repro.workflow import (WorkflowBuilder, WorkflowSession,
@@ -139,9 +142,34 @@ class TestOptionsCensus:
             == ["queue_limit", "sample_interval", "stream_name",
                 "particle_subsample_fraction", "reduce_precision"]
 
+    def test_the_pic_step_takes_exactly_these_options(self):
+        """One kernel per phase; the reference kernels are oracles, not a
+        setting.  These are the names the simulation step resolves."""
+        assert [field.name for field in dataclasses.fields(SimulationConfig)] \
+            == ["grid", "dt"]
+        assert [field.name for field in dataclasses.fields(KHIConfig)] == [
+            "grid_shape", "cell_size", "density", "beta", "particles_per_cell",
+            "thermal_beta", "perturbation_amplitude", "perturbation_modes",
+            "flow_axis", "shear_axis", "immobile_ions", "dt", "seed"]
+        assert parameters_of(pic_simulation.gather_fields) == [
+            "grid", "positions", "workspace"]
+        assert parameters_of(pic_simulation.deposit_charge_cic) == [
+            "grid", "positions", "charge", "weights"]
+        assert parameters_of(pic_simulation.deposit_current_esirkepov) == [
+            "grid", "old_positions", "new_positions", "charge", "weights",
+            "dt", "workspace"]
+        assert parameters_of(pic_simulation.advance_positions) == [
+            "species", "dt", "box_extent"]
+        box_extent = inspect.signature(
+            pic_simulation.advance_positions).parameters["box_extent"]
+        assert box_extent.default is inspect.Parameter.empty
+
     def test_options_that_no_longer_exist_are_rejected_not_ignored(self):
         with pytest.raises(ValueError, match="valid keys: .*queue_limit"):
             WorkflowConfig.from_dict({"streaming": {"data_plane": "mpi"}})
+        with pytest.raises(ValueError,
+                           match=r"unknown KHIConfig keys \['kernel'\]; valid keys"):
+            WorkflowConfig.from_dict({"khi": {"kernel": "fused"}})
         # the name in two pieces: a grep for it over the tree stays empty
         redispatch_threshold = "straggler" + "_after"
         with pytest.raises(TypeError, match=redispatch_threshold):
