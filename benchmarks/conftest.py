@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table or figure of the paper's evaluation
-(see DESIGN.md §3 and EXPERIMENTS.md).  Reproduced values are attached to
+(``docs/performance.md`` records what the repo measures and how).
+Reproduced values are attached to
 ``benchmark.extra_info`` so that ``pytest benchmarks/ --benchmark-only``
 produces both timing and the regenerated rows/series.
 """

@@ -9,13 +9,10 @@ as one hand-launched session.  This subsystem turns one declarative
   dotted ``WorkflowConfig`` overrides with deterministic per-run seeds,
 * :mod:`repro.campaign.scheduler` — the executor contract and registry,
   the serial executor, per-run timeout/retry with captured exceptions,
-  :func:`executor_for` (spec routing + options → executor) and
-  :func:`run_campaign` tying everything together,
+  :func:`executor_for` (options → executor) and :func:`run_campaign`
+  tying everything together,
 * :mod:`repro.campaign.store`     — the append-only JSONL result log keyed
   by run-id hash that makes campaigns resumable,
-* :mod:`repro.campaign.sharding`  — the sharded executor: partition a
-  campaign across named shards under a routing policy (hash / round-robin
-  / explicit) and delegate each shard to any registered inner executor,
 * :mod:`repro.campaign.cache`     — the content-addressed per-run result
   cache: completed runs are reusable across campaigns, not just within
   one store,
@@ -28,8 +25,7 @@ as one hand-launched session.  This subsystem turns one declarative
   :mod:`repro.utils.benchjson`),
 * :mod:`repro.campaign.aggregate` — the campaign-level report (per-parameter
   stats, best-run selection, throughput, cache provenance),
-* :mod:`repro.campaign.presets`   — named campaigns (``campaign-smoke``,
-  ``campaign-smoke-sharded``).
+* :mod:`repro.campaign.presets`   — named campaigns (``campaign-smoke``).
 
 CLI access: ``python -m repro.cli campaign run|status|report``.
 See ``docs/campaigns.md`` and ``docs/extending-executors.md``.
@@ -48,11 +44,6 @@ from repro.campaign.scheduler import (CampaignExecutor, CampaignOutcome,
                                       register_executor, run_campaign)
 from repro.campaign.workers import (WorkerPool, WorkerPoolExecutor,
                                     shared_pool, shutdown_shared_pools)
-from repro.campaign.sharding import (ExplicitRouter, HashRouter,
-                                     RoundRobinRouter, ShardedExecutor,
-                                     WorkloadRouter, available_routers,
-                                     get_router, register_router,
-                                     stable_shard_hash)
 from repro.campaign.spec import (CampaignSpec, RunSpec, apply_override,
                                  run_id_of)
 from repro.campaign.store import CampaignStore, RunRecord
@@ -66,15 +57,6 @@ __all__ = [
     "RunRecord",
     "CampaignExecutor",
     "SerialExecutor",
-    "ShardedExecutor",
-    "WorkloadRouter",
-    "HashRouter",
-    "RoundRobinRouter",
-    "ExplicitRouter",
-    "available_routers",
-    "get_router",
-    "register_router",
-    "stable_shard_hash",
     "ResultCache",
     "WorkerPool",
     "WorkerPoolExecutor",

@@ -19,7 +19,7 @@ deleted or hand-pruned without breaking anything.
 Only **completed** records are cached: a failed run must stay eligible for
 re-execution.  :func:`repro.campaign.scheduler.run_campaign` consults the
 cache *before* dispatching to its executor, which is what lets every
-executor — serial, pools, sharded, user-registered — skip cached runs
+executor — serial, the worker pool, user-registered — skip cached runs
 without knowing the cache exists.
 """
 

@@ -12,11 +12,7 @@ a batch system) only has to implement this interface.
 * :class:`SerialExecutor` — one run after another, in process,
 * :class:`repro.campaign.workers.WorkerPoolExecutor` — warm worker
   processes shared across launches: real CPU parallelism (the worker and
-  payloads are picklable by construction),
-* :class:`repro.campaign.sharding.ShardedExecutor` — partitions the runs
-  across named shards under a routing policy, one coordinating thread per
-  shard, and delegates each shard to either of the above (or any
-  registered executor).
+  payloads are picklable by construction).
 
 The timeout and the stop are *cooperative*: an in-flight run is never
 killed (neither threads nor in-process work can be interrupted safely); a
@@ -286,7 +282,7 @@ def available_executors() -> tuple:
 
 def register_executor(name: str, executor_cls: Type[CampaignExecutor],
                       overwrite: bool = False) -> None:
-    """Register a campaign executor (the hook for sharded/remote backends).
+    """Register a campaign executor (the hook for remote backends).
 
     Args:
         name: the registry key (what ``--executor`` and :func:`get_executor`
@@ -306,8 +302,8 @@ def get_executor(name: str, **kwargs) -> CampaignExecutor:
     """Instantiate a registered executor by name.
 
     Args:
-        name: one of :func:`available_executors` (``serial``, ``workers``,
-            ``sharded``, or a user-registered backend).
+        name: one of :func:`available_executors` (``serial``, ``workers``
+            or a user-registered backend).
         **kwargs: forwarded to the executor's constructor.
 
     Returns:
@@ -324,19 +320,15 @@ def get_executor(name: str, **kwargs) -> CampaignExecutor:
     return executor_cls(**kwargs)
 
 
-def executor_for(spec: CampaignSpec,
-                 options: Optional[Dict[str, object]] = None
+def executor_for(options: Optional[Dict[str, object]] = None
                  ) -> CampaignExecutor:
-    """Build the executor a launch of ``spec`` under ``options`` runs on.
+    """Build the executor a launch under ``options`` runs on.
 
     The one resolution rule behind CLI ``campaign run`` and the service's
-    submit body: an explicit ``executor`` option wins, otherwise a spec
-    carrying ``routing`` hints runs sharded and any other spec serial;
-    ``max_workers`` / ``timeout`` / ``retries`` are forwarded when set, and
-    the sharded executor takes its shape from the spec's routing.
+    submit body: the ``executor`` option names it (``serial`` when unset),
+    and ``max_workers`` / ``timeout`` / ``retries`` are forwarded when set.
 
     Args:
-        spec: the campaign (only its ``routing`` hints are read).
         options: ``executor``, ``max_workers``, ``timeout``, ``retries``;
             ``None`` values and other keys are ignored.
 
@@ -344,16 +336,9 @@ def executor_for(spec: CampaignSpec,
         ValueError: on an unknown executor name or rejected options.
     """
     options = options or {}
-    routing = spec.routing
-    name = options.get("executor") or ("sharded" if routing else "serial")
     kwargs = {key: options[key] for key in ("max_workers", "timeout", "retries")
               if options.get(key) is not None}
-    if name == "sharded":
-        kwargs.update(shards=routing.get("shards", 2),
-                      route=routing.get("route", "hash"),
-                      inner=routing.get("inner", "serial"),
-                      assignments=routing.get("assignments"))
-    return get_executor(str(name), **kwargs)
+    return get_executor(str(options.get("executor") or "serial"), **kwargs)
 
 
 # --------------------------------------------------------------------------- #
@@ -563,8 +548,8 @@ def run_campaign(spec: CampaignSpec, store: CampaignStore,
         # strip them before the record reaches the store or any observer
         child_spans = record.__dict__.pop("_spans", None)
         placement = record.__dict__.pop("_placement", None)
-        # one lock around append + cache + dispatch: concurrent executors
-        # call this from lease/shard threads, and observers (progress
+        # one lock around append + cache + dispatch: a registered executor
+        # may call this from its own threads, and observers (progress
         # printers, event buses) must see records one at a time, in the
         # order they were persisted
         with record_lock:

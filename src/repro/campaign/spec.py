@@ -24,10 +24,9 @@ resumable (see :mod:`repro.campaign.store`).
 
 Like ``WorkflowConfig``, specs round-trip losslessly through dicts and JSON
 files (``to_dict``/``from_dict``/``to_file``/``from_file``).  A spec may
-also carry execution *hints* — ``routing`` (sharded-executor defaults) and
-``cache_dir`` (result-cache directory) — which the CLI honours but which
-are deliberately **not** part of run identity: resharding a campaign or
-pointing it at a cache never changes its run ids.
+also carry a ``cache_dir`` (result-cache directory), which the CLI honours
+but which is deliberately **not** part of run identity: pointing a
+campaign at a cache never changes its run ids.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import warnings
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.core.config import WorkflowConfig
+from repro.core.config import WorkflowConfig, check_keys
 from repro.utils.rng import derive_seed, seeded_rng, spawn_rngs
 from repro.workflow.drivers import available_drivers
 from repro.workflow.presets import get_preset
@@ -48,9 +47,6 @@ from repro.workflow.presets import get_preset
 RUN_LEVEL_KEYS = ("driver", "n_steps")
 
 SAMPLERS = ("grid", "random", "explicit")
-
-#: Keys a spec's ``routing`` mapping may carry (sharded-execution hints).
-ROUTING_KEYS = ("shards", "route", "inner", "assignments")
 
 
 def _as_int(name: str, value: object, minimum: Optional[int] = None) -> int:
@@ -146,16 +142,9 @@ class CampaignSpec:
     n_steps: int = 2                #: simulation steps per run
     driver: str = "serial"          #: workflow execution driver per run
     seed: int = 7                   #: campaign seed: drives sampling + per-run seeds
-    #: sharded-execution defaults consumed by the CLI and
-    #: :class:`repro.campaign.sharding.ShardedExecutor`: keys ``shards``
-    #: (int >= 1), ``route`` (router name), ``inner`` (inner executor name)
-    #: and ``assignments`` (explicit ``run_id -> shard`` map).  Never part
-    #: of run identity — two specs differing only here resolve to the same
-    #: run ids.
-    routing: Dict[str, object] = field(default_factory=dict)
     #: default :class:`repro.campaign.cache.ResultCache` directory for this
-    #: campaign (the CLI ``--cache-dir`` flag overrides it); also outside
-    #: run identity
+    #: campaign (the CLI ``--cache-dir`` flag overrides it); outside run
+    #: identity
     cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -189,38 +178,9 @@ class CampaignSpec:
             raise ValueError("sampler 'explicit' needs a non-empty explicit list")
         if self.sampler != "explicit" and self.explicit:
             raise ValueError("explicit points require sampler='explicit'")
-        self._validate_routing()
         if self.cache_dir is not None and not isinstance(self.cache_dir, str):
             raise ValueError(f"cache_dir must be a directory path string, "
                              f"got {self.cache_dir!r}")
-
-    def _validate_routing(self) -> None:
-        """Type-check the routing hints (names are resolved at executor build)."""
-        if not isinstance(self.routing, Mapping):
-            raise ValueError(f"routing must be a mapping with keys "
-                             f"{', '.join(ROUTING_KEYS)}; got {self.routing!r}")
-        self.routing = dict(self.routing)
-        unknown = sorted(set(self.routing) - set(ROUTING_KEYS))
-        if unknown:
-            raise ValueError(f"unknown routing keys {unknown}; valid keys: "
-                             f"{', '.join(ROUTING_KEYS)}")
-        if "shards" in self.routing:
-            self.routing["shards"] = _as_int("routing.shards",
-                                             self.routing["shards"], minimum=1)
-        for key in ("route", "inner"):
-            if key in self.routing and not isinstance(self.routing[key], str):
-                raise ValueError(f"routing.{key} must be a name string, "
-                                 f"got {self.routing[key]!r}")
-        if "assignments" in self.routing:
-            if not isinstance(self.routing["assignments"], Mapping):
-                raise ValueError(
-                    f"routing.assignments must map run ids to shard indices, "
-                    f"got {self.routing['assignments']!r}")
-            # mirror the sampler/explicit strictness: assignments under a
-            # non-explicit route would be silently ignored at execution
-            if self.routing.get("route") != "explicit":
-                raise ValueError("routing.assignments requires "
-                                 "routing.route='explicit'")
 
     # -- sampling ----------------------------------------------------------- #
     def _base_dict(self) -> Dict[str, object]:
@@ -343,14 +303,11 @@ class CampaignSpec:
         """Rebuild (and re-validate) a spec from its :meth:`to_dict` form.
 
         Raises:
-            ValueError: on unknown keys or invalid field values — a typo'd
-                spec file fails loudly with the valid keys listed.
+            ValueError: on a non-mapping, unknown keys or invalid field
+                values — a typo'd spec file fails loudly with the valid
+                keys listed.
         """
-        valid = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(data) - valid)
-        if unknown:
-            raise ValueError(f"unknown CampaignSpec keys {unknown}; valid keys: "
-                             f"{', '.join(sorted(valid))}")
+        check_keys("CampaignSpec", data, {spec.name for spec in fields(cls)})
         return cls(**dict(data))
 
     def to_file(self, path: str) -> None:

@@ -38,8 +38,7 @@ launches for exactly that reason).  This module removes that tax:
 
 The executor side, :class:`WorkerPoolExecutor`, registers as ``workers``
 in the executor registry, so it is reachable from ``--executor workers``,
-``CampaignSpec.routing["inner"]`` (a sharded campaign can delegate every
-shard to the shared pool) and :func:`repro.campaign.scheduler.get_executor`.
+the service's submit body and :func:`repro.campaign.scheduler.get_executor`.
 
 Everything here is stdlib: ``multiprocessing`` pipes and processes, no
 new dependencies.  The default start method is ``spawn`` — workers pay
@@ -704,9 +703,8 @@ class WorkerPoolExecutor(CampaignExecutor):
     """Campaign executor backed by a persistent warm worker pool.
 
     Registered as ``workers``: ``get_executor("workers", max_workers=4)``,
-    ``--executor workers`` on the CLI, ``routing["inner"] = "workers"``
-    for sharded delegation, and the service's executor options all reach
-    it.  Unless an explicit ``pool`` is passed, instances lease the
+    ``--executor workers`` on the CLI and the service's executor options
+    all reach it.  Unless an explicit ``pool`` is passed, instances lease the
     process-wide :func:`shared_pool` of their worker count, so repeated
     ``execute()`` calls — and concurrent campaigns of one service — reuse
     warm workers instead of re-spawning and re-importing per call.
@@ -727,8 +725,7 @@ class WorkerPoolExecutor(CampaignExecutor):
     Attributes:
         last_stats: after :meth:`execute`, this call's share of the pool
             counters (dispatch/result/requeue/cancel/respawn
-            counts) — the worker-pool analogue of
-            ``ShardedExecutor.shard_sizes``.
+            counts).
     """
 
     name = "workers"

@@ -122,22 +122,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "run", help="run (or resume) a campaign; completed runs are skipped")
     add_campaign_selectors(campaign_run)
     campaign_run.add_argument("--executor", type=str, default=None,
-                              help="campaign executor: serial (default), "
-                                   "workers (persistent warm worker pool) "
-                                   "or sharded (implied by --shards/--route "
-                                   "or a spec with routing)")
-    campaign_run.add_argument("--shards", type=int, default=None,
-                              help="shard count of the sharded executor "
-                                   "(implies --executor sharded)")
-    campaign_run.add_argument("--route", type=str, default=None,
-                              help="workload routing policy of the sharded "
-                                   "executor: hash (default), round-robin "
-                                   "or explicit (implies --executor sharded)")
-    campaign_run.add_argument("--inner-executor", dest="inner_executor",
-                              type=str, default=None,
-                              help="executor each shard delegates to "
-                                   "(default serial; implies --executor "
-                                   "sharded)")
+                              help="campaign executor: serial (default) "
+                                   "or workers (persistent warm worker "
+                                   "pool)")
     campaign_run.add_argument("--cache-dir", type=str, default=None,
                               help="content-addressed result cache: pending "
                                    "runs already cached (even by another "
@@ -145,8 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "executed; new completed runs are added")
     campaign_run.add_argument("--max-workers", type=int, default=None,
                               help="width of the worker pool (--executor "
-                                   "workers, or --inner-executor workers "
-                                   "under --executor sharded)")
+                                   "workers)")
     campaign_run.add_argument("--timeout", type=float, default=None,
                               help="per-run wall-clock budget in seconds, "
                                    "covering retries (cooperative: checked "
@@ -363,31 +349,17 @@ def _campaign_store(args: argparse.Namespace, spec):
     return CampaignStore(args.store or f"{spec.name}.campaign.jsonl")
 
 
-def _campaign_executor(args: argparse.Namespace, spec):
-    """Build the run executor from the spec's routing hints and the flags.
+def _campaign_executor(args: argparse.Namespace):
+    """Build the run executor from the flags.
 
-    The flags only map onto what :func:`repro.campaign.executor_for`
-    resolves: sharding flags override the spec's routing hints, the rest
-    become options.  Stray sharding flags next to another explicitly named
-    executor are an error rather than silently ignored.
+    The flags are the options :func:`repro.campaign.executor_for` resolves,
+    by another name — the service's submit body is the third spelling.
     """
-    from dataclasses import replace
-
     from repro.campaign import executor_for
 
-    flags = {"shards": args.shards, "route": args.route,
-             "inner": args.inner_executor}
-    flags = {key: value for key, value in flags.items() if value is not None}
-    if flags and args.executor not in (None, "sharded"):
-        raise ValueError(f"--shards/--route/--inner-executor configure the "
-                         f"sharded executor; drop --executor {args.executor} "
-                         f"or use --executor sharded")
-    if flags:
-        spec = replace(spec, routing={**spec.routing, **flags})
-    return executor_for(spec, {"executor": args.executor,
-                               "max_workers": args.max_workers,
-                               "timeout": args.timeout,
-                               "retries": args.retries})
+    return executor_for({"executor": args.executor,
+                         "max_workers": args.max_workers,
+                         "timeout": args.timeout, "retries": args.retries})
 
 
 def _cmd_campaign_run(args: argparse.Namespace) -> int:
@@ -398,7 +370,7 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
             raise ValueError("max_runs must be >= 0")
         spec = _campaign_spec(args)
         store = _campaign_store(args, spec)
-        executor = _campaign_executor(args, spec)
+        executor = _campaign_executor(args)
         cache_dir = args.cache_dir or spec.cache_dir
         cache = ResultCache(cache_dir) if cache_dir else None
         runs = spec.resolve()
@@ -428,9 +400,8 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
                                on_record=progress, runs=runs,
                                completed_ids=done_ids, cache=cache)
     except (ValueError, OSError) as error:
-        # e.g. the store became unwritable mid-campaign, or a router
-        # produced an invalid shard for a run (workers' exceptions are
-        # captured into records and never surface here)
+        # e.g. the store became unwritable mid-campaign (workers'
+        # exceptions are captured into records and never surface here)
         print(f"error: {error}", file=sys.stderr)
         return 2
     executor_stats = getattr(executor, "last_stats", None)
@@ -438,17 +409,10 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         payload = outcome.summary()
         if cache is not None:
             payload["cache"] = dict(cache.stats(), dir=cache_dir)
-        shard_sizes = getattr(executor, "shard_sizes", None)
-        if shard_sizes:
-            payload["shards"] = shard_sizes
         if executor_stats:
             payload["executor_stats"] = executor_stats
         print(json.dumps(_jsonable(payload), indent=2))
     else:
-        shard_sizes = getattr(executor, "shard_sizes", None)
-        if shard_sizes:
-            print("shards: " + ", ".join(f"{name}: {count}" for name, count
-                                         in sorted(shard_sizes.items())))
         if executor_stats:
             print("worker pool: " + ", ".join(
                 f"{key}: {value}" for key, value

@@ -27,14 +27,27 @@ def _dataclass_to_dict(obj) -> Dict[str, object]:
     return out
 
 
+def check_keys(name: str, data: object, valid) -> None:
+    """Refuse ``data`` unless it is a mapping whose keys are all in ``valid``.
+
+    The one key check behind every ``from_dict``: a hand-written file or
+    request body holding a number, a string or a typo'd key fails with a
+    ``ValueError`` naming what was expected, never a ``TypeError``.
+    """
+    if not isinstance(data, Mapping):
+        raise ValueError(f"{name} must be a JSON object, got "
+                         f"{type(data).__name__} {data!r}")
+    unknown = sorted(set(data) - set(valid))
+    if unknown:
+        raise ValueError(f"unknown {name} keys {unknown}; valid keys: "
+                         f"{', '.join(sorted(valid))}")
+
+
 def _dataclass_from_dict(cls, data: Mapping[str, object]):
     """Rebuild one dataclass level, coercing lists back to tuples."""
     hints = typing.get_type_hints(cls)
-    valid = {spec.name for spec in fields(cls) if spec.init}
-    unknown = sorted(set(data) - valid)
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys {unknown}; valid keys: "
-                         f"{', '.join(sorted(valid))}")
+    check_keys(cls.__name__, data,
+               {spec.name for spec in fields(cls) if spec.init})
     kwargs = {}
     for key, value in data.items():
         if typing.get_origin(hints.get(key)) is tuple and value is not None:
@@ -151,16 +164,15 @@ class WorkflowConfig:
         defaults — but unknown keys raise a ``ValueError`` naming the valid
         choices, so typos fail loudly instead of silently running defaults.
         """
-        valid = {"khi", "ml", "streaming", "region_counts",
-                 "n_detector_directions", "n_detector_frequencies", "seed"}
-        unknown = sorted(set(data) - valid)
-        if unknown:
-            raise ValueError(f"unknown WorkflowConfig keys {unknown}; "
-                             f"valid keys: {', '.join(sorted(valid))}")
+        check_keys("WorkflowConfig", data,
+                   {"khi", "ml", "streaming", "region_counts",
+                    "n_detector_directions", "n_detector_frequencies", "seed"})
         kwargs: Dict[str, object] = {}
         if "khi" in data:
             kwargs["khi"] = _dataclass_from_dict(KHIConfig, data["khi"])
         if "ml" in data:
+            check_keys("MLConfig", data["ml"],
+                       {spec.name for spec in fields(MLConfig)})
             ml_data = dict(data["ml"])
             model_data = ml_data.pop("model", None)
             kwargs["ml"] = _dataclass_from_dict(MLConfig, ml_data)

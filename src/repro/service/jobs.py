@@ -12,7 +12,7 @@ pending for the next submit.
 The :class:`CampaignJobManager` owns the id→job map, the shared
 :class:`repro.service.bus.RunEventBus` and the store directory.  A
 campaign's id is derived from the spec's *execution identity* (everything
-except the ``routing``/``cache_dir`` hints, which never change run ids),
+except the ``cache_dir`` hint, which never changes run ids),
 so resubmitting the same sweep — after a crash, a restart, or from a
 second client — attaches to the same store and resumes exactly like CLI
 ``campaign run`` does.  Specs are persisted next to their stores
@@ -63,12 +63,11 @@ def campaign_id_of(spec: CampaignSpec) -> str:
     """Stable campaign identity: slugged name + hash of the execution identity.
 
     The hash covers everything that shapes the resolved runs and drops the
-    ``routing``/``cache_dir`` hints (they are not part of run identity —
-    resubmitting a resharded or cache-pointed copy of a sweep must resume
-    the same campaign, not start a parallel one).
+    ``cache_dir`` hint (it is not part of run identity — resubmitting a
+    cache-pointed copy of a sweep must resume the same campaign, not start
+    a parallel one).
     """
     identity = spec.to_dict()
-    identity.pop("routing", None)
     identity.pop("cache_dir", None)
     digest = hashlib.sha256(
         json.dumps(identity, sort_keys=True).encode("utf-8")).hexdigest()
@@ -168,7 +167,7 @@ class CampaignJob:
     # -- the runner thread -------------------------------------------------- #
     def _run(self) -> None:
         try:
-            executor = executor_for(self.spec, self.executor_options)
+            executor = executor_for(self.executor_options)
             cache_dir = (self.executor_options.get("cache_dir")
                          or self.spec.cache_dir)
             cache = ResultCache(str(cache_dir)) if cache_dir else None
@@ -315,7 +314,7 @@ class CampaignJobManager:
         if unknown:
             raise ValueError(f"unknown submit options {unknown}; valid "
                              f"options: {', '.join(EXECUTOR_OPTION_KEYS)}")
-        executor_for(spec, options)    # validate before accepting
+        executor_for(options)    # validate before accepting
         campaign_id = campaign_id_of(spec)
         with self._lock:
             job = self._jobs.get(campaign_id)

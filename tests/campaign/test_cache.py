@@ -8,7 +8,7 @@ import os
 import pytest
 
 from repro.campaign import (CampaignStore, ResultCache, RunRecord, aggregate,
-                            get_executor, run_campaign)
+                            run_campaign)
 from repro.campaign.store import STATUS_COMPLETED, STATUS_FAILED
 
 from tests.campaign.test_scheduler_store import fake_worker, smoke_spec
@@ -130,10 +130,9 @@ class TestCachedCampaigns:
         original = smoke_spec(name="study-a")
         run_campaign(original, CampaignStore(str(tmp_path / "a.jsonl")),
                      worker=fake_worker, cache=cache)
-        renamed = smoke_spec(name="study-b", routing={"shards": 2})
+        renamed = smoke_spec(name="study-b")
         outcome = run_campaign(renamed,
                                CampaignStore(str(tmp_path / "b.jsonl")),
-                               get_executor("sharded", shards=2),
                                worker=refusing_worker, cache=cache)
         assert outcome.cache_hits == 8 and outcome.executed == 0
         assert outcome.campaign == "study-b"

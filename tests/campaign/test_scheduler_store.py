@@ -28,6 +28,13 @@ def diverging_worker(payload):
     return dict(fake_worker(payload), final_total_loss=float("nan"))
 
 
+def twin_fails(payload):
+    """Fails the payload at index 1 only (module-level, like the above)."""
+    if payload["index"] == 1:
+        raise RuntimeError("twin failed")
+    return {"final_total_loss": 1.0}
+
+
 def smoke_spec(**kwargs) -> CampaignSpec:
     base = get_campaign_preset("campaign-smoke").to_dict()
     base.update(kwargs)
@@ -125,7 +132,7 @@ class TestStore:
 
 class TestExecutors:
     def test_registry_names(self):
-        assert available_executors() == ("serial", "sharded", "workers")
+        assert available_executors() == ("serial", "workers")
         with pytest.raises(ValueError, match="valid executors"):
             get_executor("quantum")
 
@@ -140,12 +147,12 @@ class TestExecutors:
         assert value <= max(2, os_module.cpu_count() or 1)
         assert default_pool_workers(maximum=3) <= 3
 
-    @pytest.mark.parametrize("name", ("serial", "sharded"))
-    def test_executor_runs_every_payload(self, name):
+    @pytest.mark.parametrize("name", ("serial", "workers"))
+    def test_executor_runs_every_payload(self, name, fork_workers):
         spec = smoke_spec(repetitions=2)
         payloads = [run.payload() for run in spec.resolve()]
         seen = []
-        records = get_executor(name).execute(
+        records = get_executor(name, max_workers=2).execute(
             payloads, fake_worker, on_record=seen.append)
         assert [r.run_id for r in records] == [p["run_id"] for p in payloads]
         assert all(r.completed and r.attempts == 1 for r in records)
@@ -217,27 +224,18 @@ class TestExecutors:
         assert record.attempts == 1
         assert "still failing" in record.error
 
-    @pytest.mark.parametrize("name", ("serial", "sharded"))
-    def test_duplicate_run_ids_keep_their_own_records(self, name):
+    @pytest.mark.parametrize("name", ("serial", "workers"))
+    def test_duplicate_run_ids_keep_their_own_records(self, name,
+                                                      fork_workers):
         """The executor contract takes arbitrary payloads: two payloads
         sharing a run id must each come back with their own record."""
         payload = smoke_spec(repetitions=1).resolve()[0].payload()
         twin = dict(payload, index=1)
-        calls = itertools.count()
-        lock = threading.Lock()
-
-        def second_call_fails(p):
-            with lock:
-                attempt = next(calls)
-            if attempt == 1:
-                raise RuntimeError("twin failed")
-            return {"final_total_loss": 1.0}
-
-        records = get_executor(name).execute([payload, twin],
-                                             second_call_fails)
-        assert len(records) == 2
-        assert sorted(r.status for r in records) == \
-            [STATUS_COMPLETED, STATUS_FAILED]
+        records = get_executor(name, max_workers=2).execute([payload, twin],
+                                                            twin_fails)
+        assert [r.index for r in records] == [0, 1]
+        assert [r.status for r in records] == [STATUS_COMPLETED,
+                                               STATUS_FAILED]
 
     def test_abort_cancels_queued_runs(self):
         """Ctrl-C (or a store write failure) must not silently execute — and
@@ -255,11 +253,11 @@ class TestExecutors:
             return {"final_total_loss": 1.0}
 
         with pytest.raises(KeyboardInterrupt):
-            get_executor("sharded", shards=1).execute(payloads, interrupting)
-        # the abort left the shard's thread at once; the rest never ran
+            get_executor("serial").execute(payloads, interrupting)
+        # the abort surfaced at once; the rest never ran
         with lock:
             executed = next(calls)
-        assert executed <= 2
+        assert executed == 1
 
     def test_invalid_executor_options(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,7 @@ import pytest
 
 from repro.campaign import (CampaignSpec, CampaignStore, WorkerPool,
                             WorkerPoolExecutor, get_campaign_preset,
-                            get_executor, run_campaign, shutdown_shared_pools)
+                            get_executor, run_campaign)
 from repro.campaign.scheduler import (_EXECUTORS, CampaignExecutor,
                                       register_executor)
 
@@ -49,22 +49,14 @@ def sweep(name: str) -> CampaignSpec:
 EXECUTORS = {
     "serial": lambda pool: get_executor("serial"),
     "workers": lambda pool: WorkerPoolExecutor(max_workers=2, pool=pool),
-    "sharded-serial": lambda pool: get_executor("sharded", shards=2,
-                                                inner="serial"),
-    "sharded-workers": lambda pool: get_executor(
-        "sharded", shards=2, inner="workers", max_workers=2),
 }
 
 
 @pytest.fixture
-def pool(monkeypatch):
-    # sharded-over-workers leases the shared pool: make that one fork too
-    monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD", "fork")
-    shutdown_shared_pools()
+def pool():
     pool = WorkerPool(2, start_method="fork", heartbeat_interval=0.05)
     yield pool
     pool.shutdown()
-    shutdown_shared_pools()
 
 
 class Tripwire:
@@ -140,10 +132,6 @@ class TestOlderExecutorsKeepWorking:
             outcome = run_campaign(spec, CampaignStore(str(tmp_path / "l.jsonl")),
                                    get_executor(Legacy.name),
                                    worker=paced_worker)
-            assert outcome.done
-            sharded = get_executor("sharded", shards=2, inner=Legacy.name)
-            outcome = run_campaign(spec, CampaignStore(str(tmp_path / "s.jsonl")),
-                                   sharded, worker=paced_worker)
             assert outcome.done
         finally:
             _EXECUTORS.pop(Legacy.name)

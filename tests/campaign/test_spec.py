@@ -6,8 +6,10 @@ import json
 
 import pytest
 
-from repro.campaign import CampaignSpec, apply_override, run_id_of
+from repro.campaign import (CampaignSpec, apply_override,
+                            get_campaign_preset, run_id_of)
 from repro.core.config import WorkflowConfig
+from repro.service.jobs import campaign_id_of
 from repro.workflow import get_preset
 
 
@@ -118,6 +120,15 @@ class TestSampling:
         assert run.run_id == run_id_of(run.config, run.driver, run.n_steps)
         assert len({r.run_id for r in spec.resolve()}) == 2
 
+    def test_smoke_campaign_and_run_ids_are_pinned(self):
+        """Campaign and run identities are content hashes that stores,
+        caches and service ids key on: a change to what they hash must be
+        deliberate, so the smoke campaign's are pinned literally."""
+        spec = get_campaign_preset("campaign-smoke")
+        assert campaign_id_of(spec) == "campaign-smoke-162b35c4b7"
+        assert [run.run_id for run in spec.resolve()[:2]] == [
+            "7147ff13c0b01250", "9c891ec1c973facd"]
+
     def test_bad_override_fails_at_resolve_time(self):
         spec = smoke_spec(parameters={"khi.warp_factor": [9]}, repetitions=1)
         with pytest.raises(ValueError, match="warp_factor"):
@@ -208,6 +219,25 @@ class TestValidationAndRoundTrip:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown CampaignSpec keys"):
             CampaignSpec.from_dict({"executor": "serial"})
+
+    @pytest.mark.parametrize("document", [5, True, "abc", [1, 2], None])
+    def test_from_dict_rejects_a_non_object(self, document):
+        """A spec file holding a number or a string is not read as a list
+        of keys (``"abc"`` used to report unknown keys a, b and c)."""
+        with pytest.raises(ValueError,
+                           match="CampaignSpec must be a JSON object, got "):
+            CampaignSpec.from_dict(document)
+        with pytest.raises(ValueError,
+                           match="WorkflowConfig must be a JSON object, got "):
+            WorkflowConfig.from_dict(document)
+        for section, name in (("khi", "KHIConfig"), ("ml", "MLConfig"),
+                              ("streaming", "StreamingConfig")):
+            with pytest.raises(ValueError, match=f"{name} must be a JSON "
+                                                 f"object, got "):
+                WorkflowConfig.from_dict({section: document})
+        with pytest.raises(ValueError,
+                           match="ModelConfig must be a JSON object, got "):
+            WorkflowConfig.from_dict({"ml": {"model": [document]}})
 
     def test_base_preset_resolution(self):
         spec = CampaignSpec(base_preset="bench-tiny", parameters={},

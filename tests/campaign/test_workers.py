@@ -536,7 +536,7 @@ class TestWorkerPoolExecutor:
         assert pool.worker_pids() == pids
         assert pool.counters["respawns"] == 0
 
-    def test_records_identical_across_serial_workers_and_sharded(
+    def test_records_identical_across_serial_workers_and_the_shared_pool(
             self, pool, monkeypatch):
         monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD",
                             "fork")
@@ -549,8 +549,7 @@ class TestWorkerPoolExecutor:
                 for executor in (
                     get_executor("serial"),
                     WorkerPoolExecutor(max_workers=2, pool=pool),
-                    get_executor("sharded", shards=2, inner="workers",
-                                 max_workers=2))]
+                    get_executor("workers", max_workers=2))]
         finally:
             shutdown_shared_pools()
         assert reports[0] == reports[1] == reports[2]
@@ -576,21 +575,3 @@ class TestWorkerPoolExecutor:
         fresh = shared_pool(2)
         assert not fresh._closed
         shutdown_shared_pools()
-
-    def test_sharded_campaign_can_delegate_to_workers(self, monkeypatch,
-                                                      tmp_path):
-        """``routing.inner = "workers"`` sends every shard to the shared
-        warm pool, where the shards' leases share the workers."""
-        monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD",
-                            "fork")
-        shutdown_shared_pools()
-        try:
-            spec = smoke_spec(routing={"shards": 2, "route": "hash",
-                                       "inner": "workers"})
-            store = CampaignStore(str(tmp_path / "sharded.jsonl"))
-            executor = get_executor("sharded", shards=2, route="hash",
-                                    inner="workers", max_workers=2)
-            outcome = run_campaign(spec, store, executor, worker=fake_worker)
-            assert outcome.completed == 8 and outcome.done
-        finally:
-            shutdown_shared_pools()

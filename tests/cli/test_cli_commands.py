@@ -92,6 +92,21 @@ class TestRunCommand:
         assert err.startswith("error:") and "Traceback" not in err
         assert message in err
 
+    @pytest.mark.parametrize("document, kind", [("5", "int"), ('"abc"', "str")],
+                             ids=["number", "string"])
+    @pytest.mark.parametrize("command", [["run", "--steps", "1", "--config"],
+                                         ["campaign", "run", "--spec"]],
+                             ids=["run-config", "campaign-spec"])
+    def test_a_file_that_is_not_a_json_object_exits_2(
+            self, capsys, tmp_path, command, document, kind):
+        path = tmp_path / "file.json"
+        path.write_text(document, encoding="utf-8")
+        assert cli_main(command + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"must be a JSON object, got {kind}" in err
+        assert "unknown" not in err
+
     def test_run_with_monitor_consumer(self, capsys):
         assert cli_main(["run", "--steps", "2", "--monitor"] + TINY) == 0
         out = capsys.readouterr().out

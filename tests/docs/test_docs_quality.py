@@ -76,7 +76,7 @@ class TestDocstringCoverage:
         campaign = [name for name, _ in _public_symbols("repro.campaign")]
         assert len(campaign) >= 20
         assert "repro.campaign.spec.CampaignSpec" in campaign
-        assert "repro.campaign.sharding.ShardedExecutor" in campaign
+        assert "repro.campaign.workers.WorkerPoolExecutor" in campaign
         assert "repro.campaign.cache.ResultCache" in campaign
         service = [name for name, _ in _public_symbols("repro.service")]
         assert len(service) >= 10

@@ -3,7 +3,9 @@
 A :class:`CampaignServiceServer` runs on a live socket in a background
 thread with a fake (fast, deterministic) worker; every assertion goes
 through :class:`repro.service.client.ServiceClient` — the same
-urllib+SSE path the CLI, the CI smoke job and real users take.
+urllib+SSE path the CLI, the CI smoke job and real users take.  One
+restart test drives the job manager directly, because what it restarts on
+is a store directory written by an older release.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import contextlib
 import itertools
 import json
 import multiprocessing
+import re
 import threading
 import time
 
@@ -19,10 +22,11 @@ import pytest
 
 from sse_helpers import run_ids_of
 
-from repro.campaign import (CampaignSpec, get_campaign_preset, shared_pool,
-                            shutdown_shared_pools)
+from repro.campaign import (CampaignSpec, CampaignStore, get_campaign_preset,
+                            run_campaign, shared_pool, shutdown_shared_pools)
 from repro.service.bus import RunEventBus
 from repro.service.client import ServiceClient, ServiceError
+from repro.service.jobs import CampaignJobManager, campaign_id_of
 from repro.service.server import create_server, parse_submission
 
 
@@ -406,6 +410,48 @@ class TestRestartResume:
             again = client.submit(spec=spec.to_dict())
             assert again["created"] is False and again["started"] is False
 
+    def test_a_spec_file_with_a_removed_key_is_skipped_and_resubmit_resumes(
+            self, tmp_path, caplog):
+        """A spec file written when specs still carried ``routing`` no
+        longer loads on restart.  The campaign id never hashed that key,
+        so resubmitting the sweep reattaches to its store and executes
+        only the runs it had not completed."""
+        spec = small_spec(name="written-before", repetitions=2)   # 4 runs
+        campaign_id = campaign_id_of(spec)
+        store_dir = tmp_path / "svc"
+        store_dir.mkdir()
+        store = CampaignStore(str(store_dir / f"{campaign_id}.campaign.jsonl"))
+        run_campaign(spec, store, worker=fake_worker, max_runs=2)
+        finished = store.completed_run_ids()
+        assert len(finished) == 2
+        with open(store_dir / f"{campaign_id}.spec.json", "w",
+                  encoding="utf-8") as handle:
+            json.dump(dict(spec.to_dict(), routing={}), handle)
+
+        executed = []
+
+        def refusing_finished(payload):
+            assert payload["run_id"] not in finished, "re-executed a run"
+            executed.append(payload["run_id"])
+            return fake_worker(payload)
+
+        with caplog.at_level("WARNING", logger="repro.service.jobs"):
+            manager = CampaignJobManager(str(store_dir),
+                                         worker=refusing_finished)
+        assert manager.jobs() == []
+        assert f"skipping unloadable campaign {campaign_id}" in caplog.text
+        assert "unknown CampaignSpec keys ['routing']" in caplog.text
+
+        job, created, started = manager.submit(spec)
+        assert (job.id, created, started) == (campaign_id, True, True)
+        job.join(timeout=30)
+        assert job.status()["state"] == "completed"
+        assert sorted(executed) == sorted(
+            run.run_id for run in spec.resolve() if run.run_id not in finished)
+        # the rewritten spec file loads on the next restart
+        (reloaded,) = CampaignJobManager(str(store_dir)).jobs()
+        assert (reloaded.id, reloaded.state) == (campaign_id, "completed")
+
 
 class TestErrorPaths:
     def test_unknown_campaign_routes_are_404(self, tmp_path):
@@ -432,6 +478,24 @@ class TestErrorPaths:
                 with pytest.raises(ServiceError) as excinfo:
                     client._request("POST", "/v1/campaigns", body)
                 assert excinfo.value.status == 400, body
+
+    @pytest.mark.parametrize("spec, message", [
+        (5, "CampaignSpec must be a JSON object, got int 5"),
+        (True, "CampaignSpec must be a JSON object, got bool True"),
+        ({"base_config": {"khi": 5}},
+         "KHIConfig must be a JSON object, got int 5"),
+        ({"routing": {}}, r"unknown CampaignSpec keys \['routing'\]"),
+    ])
+    def test_a_malformed_spec_is_a_400_with_the_reason(self, tmp_path, spec,
+                                                       message):
+        """Outside input that is not a spec object answers 400 on the wire
+        instead of dropping the connection on a server-side traceback."""
+        with service(tmp_path) as (client, _):
+            with pytest.raises(ServiceError) as excinfo:
+                client._request("POST", "/v1/campaigns", {"spec": spec})
+            assert excinfo.value.status == 400
+            assert re.search(message, excinfo.value.message)
+            assert client.health()["status"] == "ok"
 
     def test_unrouted_paths_are_404(self, tmp_path):
         with service(tmp_path) as (client, _):

@@ -18,7 +18,7 @@ import pytest
 
 from repro.campaign import (CampaignSpec, CampaignStore, ResultCache,
                             WorkerPool, WorkerPoolExecutor,
-                            get_campaign_preset, get_executor, run_campaign)
+                            get_campaign_preset, run_campaign)
 from repro.telemetry import REGISTRY, disabled, read_spans, trace_path_for
 
 
@@ -200,22 +200,27 @@ class TestMetricsUnderConcurrency:
         stores = [CampaignStore(tmp_path / f"{index}.campaign.jsonl")
                   for index in (0, 1)]
         errors = []
+        # two campaigns leasing one warm pool at once, as two service
+        # campaigns do: their records settle concurrently
+        pool = WorkerPool(2, start_method="fork", heartbeat_interval=0.05)
 
         def launch(spec, store):
             try:
                 run_campaign(spec, store,
-                             get_executor("sharded", shards=4,
-                                          route="round-robin"),
+                             WorkerPoolExecutor(max_workers=2, pool=pool),
                              worker=fake_worker)
             except BaseException as exc:  # noqa: BLE001 - fail the test
                 errors.append(exc)
 
         threads = [threading.Thread(target=launch, args=(spec, store))
                    for spec, store in zip(specs, stores)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            pool.shutdown()
         assert errors == []
         runs_total = REGISTRY.counter("repro_campaign_runs_total")
         for spec in specs:
@@ -224,7 +229,7 @@ class TestMetricsUnderConcurrency:
         seconds = REGISTRY.histogram("repro_campaign_run_seconds")
         for spec in specs:
             assert seconds.value(campaign=spec.name) == 8
-        # each launch wrote its own complete trace despite sharing threads
+        # each launch wrote its own complete trace despite sharing the pool
         for spec, store in zip(specs, stores):
             spans = spans_of(store)
             assert_complete_trees(spans, list(store.records()))

@@ -1,26 +1,30 @@
 """The execution surface: which executors and drivers exist, and the one
 rule that picks an executor for a launch.
 
-Three executors, two drivers, no facade; CLI flags and the service's
-submit body are two spellings of the same ``(spec, options)`` and must
-resolve to the same executor through ``repro.campaign.executor_for``.
+Two executors, two drivers, no facade; CLI flags and the service's
+submit body are two spellings of the same options and must resolve to the
+same executor through ``repro.campaign.executor_for``.
 The options of the run path — worker pool, stream, session, PIC step — are
 pinned by name, so a new one shows up in review as a diff of this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
+import importlib.util
 import inspect
 
 import pytest
 
+import repro.campaign
 import repro.core
 from repro.campaign import (CampaignSpec, WorkerPool, WorkerPoolExecutor,
-                            available_executors, executor_for,
-                            get_campaign_preset, get_executor)
+                            available_campaign_presets, available_executors,
+                            executor_for, get_campaign_preset, get_executor)
 from repro.cli import _build_parser, _campaign_executor
 from repro.core.config import StreamingConfig, WorkflowConfig
+from repro.utils.serialization import jsonable
 from repro.pic import simulation as pic_simulation
 from repro.pic.khi import KHIConfig
 from repro.pic.simulation import SimulationConfig
@@ -32,13 +36,12 @@ from repro.workflow import (WorkflowBuilder, WorkflowSession,
 
 class TestSurface:
     def test_removed_names_are_gone_not_aliased(self):
-        assert available_executors() == ("serial", "sharded", "workers")
+        assert available_executors() == ("serial", "workers")
         assert available_drivers() == ("pipelined", "serial")
-        for name in ("thread", "process"):
-            with pytest.raises(ValueError, match="serial, sharded, workers"):
+        for name in ("thread", "process", "sharded"):
+            with pytest.raises(ValueError, match="unknown executor .*; "
+                               "valid executors: serial, workers$"):
                 get_executor(name)
-            with pytest.raises(ValueError, match="serial, sharded, workers"):
-                get_executor("sharded", inner=name)
         with pytest.raises(ValueError, match="pipelined, serial"):
             get_driver("threaded")
         with pytest.raises(ValueError, match="pipelined, serial"):
@@ -52,36 +55,24 @@ class TestSurface:
         assert [name for name in dir(repro.core)
                 if "scientist" in name.lower() or "threaded" in name.lower()
                 or name == "WorkflowReport"] == []
+        # the sharded executor, its routers and their module
+        assert importlib.util.find_spec("repro.campaign.sharding") is None
+        assert [name for name in dir(repro.campaign)
+                if "shard" in name.lower() or "router" in name.lower()] == []
 
 
 def shape_of(executor):
     """An executor's type and constructor arguments, comparably."""
-    shape = {key: getattr(executor, key)
-             for key in ("max_workers", "timeout", "retries", "shards",
-                         "inner") if hasattr(executor, key)}
-    router = getattr(executor, "router", None)
-    if router is not None:
-        shape["route"] = router.name
-        shape["assignments"] = getattr(router, "assignments", None)
-    return type(executor), shape
+    return type(executor), {key: getattr(executor, key)
+                            for key in ("max_workers", "timeout", "retries")}
 
 
-def routed_spec(**routing) -> CampaignSpec:
-    document = get_campaign_preset("campaign-smoke").to_dict()
-    document.update(name="surface", routing=routing)
-    return CampaignSpec.from_dict(document)
-
-
-#: (routing hints of the spec, options) — each spelled as flags and as a body.
+#: executor options — each spelled as flags and as a body.
 CASES = {
-    "default-serial": ({}, {}),
-    "routing-implies-sharded": ({"shards": 3, "route": "round-robin"}, {}),
-    "explicit-workers": ({}, {"executor": "workers", "max_workers": 2,
-                              "timeout": 30.0, "retries": 1}),
-    "explicit-beats-routing": ({"shards": 4}, {"executor": "serial",
-                                               "retries": 2}),
-    "sharded-over-workers": ({"shards": 2, "inner": "workers"},
-                             {"executor": "sharded", "max_workers": 2}),
+    "default-serial": {},
+    "explicit-workers": {"executor": "workers", "max_workers": 2,
+                         "timeout": 30.0, "retries": 1},
+    "explicit-serial": {"executor": "serial", "retries": 2},
 }
 
 
@@ -90,31 +81,19 @@ class TestOneResolutionRule:
         assert jobs.executor_for is executor_for
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_flags_and_submit_body_resolve_alike(self, case, tmp_path):
-        routing, options = CASES[case]
-        spec = routed_spec(**routing)
-        spec_path = str(tmp_path / "spec.json")
-        spec.to_file(spec_path)
-
-        argv = ["campaign", "run", "--spec", spec_path]
+    def test_flags_and_submit_body_resolve_alike(self, case):
+        options = CASES[case]
+        argv = ["campaign", "run", "--preset", "campaign-smoke"]
         for key, value in options.items():
             argv += [f"--{key.replace('_', '-')}", str(value)]
-        from_flags = _campaign_executor(_build_parser().parse_args(argv), spec)
+        from_flags = _campaign_executor(_build_parser().parse_args(argv))
 
-        body_spec, body_options = parse_submission(
-            dict(options, spec=spec.to_dict()))
-        from_body = jobs.executor_for(body_spec, body_options)
+        _, body_options = parse_submission(dict(options,
+                                                preset="campaign-smoke"))
+        from_body = jobs.executor_for(body_options)
 
         assert shape_of(from_flags) == shape_of(from_body) \
-            == shape_of(executor_for(spec, options))
-
-    def test_sharding_flags_are_routing_hints_by_another_name(self):
-        argv = ["campaign", "run", "--preset", "campaign-smoke", "--shards",
-                "3", "--route", "round-robin", "--inner-executor", "workers"]
-        plain = get_campaign_preset("campaign-smoke")
-        from_flags = _campaign_executor(_build_parser().parse_args(argv), plain)
-        hinted = routed_spec(shards=3, route="round-robin", inner="workers")
-        assert shape_of(from_flags) == shape_of(executor_for(hinted))
+            == shape_of(executor_for(options))
 
 
 def parameters_of(function):
@@ -122,7 +101,49 @@ def parameters_of(function):
             if name != "self"]
 
 
+def flags_of(parser, *path):
+    """The option strings of the sub-command ``path`` of ``parser``."""
+    for name in path:
+        (commands,) = [action for action in parser._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+        parser = commands.choices[name]
+    return sorted(option for action in parser._actions
+                  for option in action.option_strings)
+
+
 class TestOptionsCensus:
+    def test_a_campaign_launch_takes_exactly_these_options(self):
+        """One concurrent executor; a spec carries no execution hints but
+        its cache directory."""
+        assert available_executors() == ("serial", "workers")
+        assert available_campaign_presets() == ("campaign-smoke",)
+        assert parameters_of(executor_for) == ["options"]
+        assert [field.name for field in dataclasses.fields(CampaignSpec)] == [
+            "name", "base_preset", "base_config", "sampler", "parameters",
+            "explicit", "n_samples", "repetitions", "n_steps", "driver",
+            "seed", "cache_dir"]
+        assert flags_of(_build_parser(), "campaign", "run") == [
+            "--cache-dir", "--executor", "--help", "--json", "--max-runs",
+            "--max-workers", "--preset", "--retries", "--spec", "--store",
+            "--timeout", "-h"]
+        assert parameters_of(jsonable) == ["value"]
+
+    def test_removed_campaign_options_are_rejected_not_ignored(self, capsys):
+        smoke = get_campaign_preset("campaign-smoke").to_dict()
+        with pytest.raises(ValueError,
+                           match=r"unknown CampaignSpec keys \['routing'\]"):
+            CampaignSpec.from_dict(dict(smoke, routing={}))
+        with pytest.raises(ValueError, match="valid campaign presets"):
+            get_campaign_preset("campaign-smoke-sharded")
+        for flag in ("--shards", "--route", "--inner-executor"):
+            with pytest.raises(SystemExit) as exited:
+                _build_parser().parse_args(["campaign", "run", "--preset",
+                                            "campaign-smoke", flag, "2"])
+            assert exited.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(TypeError, match="strict"):
+            jsonable(float("nan"), strict=False)
+
     def test_the_run_path_takes_exactly_these_options(self):
         assert parameters_of(WorkerPoolExecutor.__init__) == [
             "max_workers", "timeout", "retries", "pool", "capacity",
