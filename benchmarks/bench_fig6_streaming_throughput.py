@@ -1,7 +1,7 @@
 """Fig. 6 + Section IV-B table — full-scale streaming throughput.
 
 * the *measured* part streams real KHI particle data through the in-memory
-  SST engine into the no-op consumer (the same synthetic benchmark the paper
+  SST broker into the no-op consumer (the same synthetic benchmark the paper
   runs, at laptop scale),
 * the *modelled* part regenerates the libfabric/MPI weak-scaling study from
   4096 to 9126 nodes at 5.86 GB/node/step and checks the paper's reported
@@ -17,8 +17,7 @@ import pytest
 from repro.perfmodel.streaming import (PAPER_BYTES_PER_NODE, PAPER_NODE_COUNTS,
                                        StreamingScalingStudy)
 from repro.pic.khi import KHIConfig, make_khi_simulation
-from repro.streaming import (NoOpConsumer, SSTBroker, SSTReaderEngine, SSTWriterEngine,
-                             measure_stream_throughput)
+from repro.streaming import NoOpConsumer, SSTBroker, Step, measure_stream_throughput
 
 
 def test_fig6_measured_inmemory_stream(benchmark):
@@ -33,15 +32,12 @@ def test_fig6_measured_inmemory_stream(benchmark):
 
     def stream_five_steps():
         broker = SSTBroker("bench", queue_limit=2)
-        writer = SSTWriterEngine(broker)
-        consumer = NoOpConsumer(reader=SSTReaderEngine(broker))
-        for _ in range(5):
-            writer.begin_step()
-            writer.put("particles/phase_space", payload)
-            writer.put("particles/weighting", weights)
-            writer.end_step()
+        consumer = NoOpConsumer(broker)
+        for index in range(5):
+            broker.put_step(Step(index, {"particles/phase_space": payload,
+                                         "particles/weighting": weights}))
             consumer.run(max_steps=1)
-        writer.close()
+        broker.close()
         return consumer
 
     consumer = benchmark(stream_five_steps)

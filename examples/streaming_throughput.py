@@ -21,8 +21,7 @@ import numpy as np
 
 from repro.perfmodel.streaming import StreamingScalingStudy
 from repro.pic.khi import KHIConfig, make_khi_simulation
-from repro.streaming import (NoOpConsumer, SSTBroker, SSTReaderEngine, SSTWriterEngine,
-                             measure_stream_throughput)
+from repro.streaming import NoOpConsumer, SSTBroker, Step, measure_stream_throughput
 
 
 def real_inmemory_benchmark(n_steps: int = 5) -> None:
@@ -32,19 +31,15 @@ def real_inmemory_benchmark(n_steps: int = 5) -> None:
     electrons = simulation.get_species("electrons")
 
     broker = SSTBroker("khi-particles", queue_limit=2)
-    writer = SSTWriterEngine(broker)
-    reader = SSTReaderEngine(broker)
-    consumer = NoOpConsumer(reader=reader)
+    consumer = NoOpConsumer(broker)
 
     bytes_per_step = electrons.phase_space().nbytes + electrons.weights.nbytes
-    for _ in range(n_steps):
+    for index in range(n_steps):
         simulation.step()
-        writer.begin_step()
-        writer.put("particles/phase_space", electrons.phase_space())
-        writer.put("particles/weighting", electrons.weights)
-        writer.end_step()
+        broker.put_step(Step(index, {"particles/phase_space": electrons.phase_space(),
+                                     "particles/weighting": electrons.weights}))
         consumer.run(max_steps=1)
-    writer.close()
+    broker.close()
 
     result = measure_stream_throughput(consumer.step_times, n_nodes=1,
                                        bytes_per_node=bytes_per_step,

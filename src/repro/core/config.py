@@ -10,6 +10,8 @@ and coerced back on load; unknown keys raise with the valid choices listed.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import typing
 from dataclasses import dataclass, field, fields
 from typing import Dict, Mapping, Optional, Tuple
@@ -68,6 +70,23 @@ class StreamingConfig:
     particle_subsample_fraction: float = 1.0
     #: cast streamed floating-point payloads to float32 before sending
     reduce_precision: bool = False
+
+    def __post_init__(self) -> None:
+        # checked here, not when the session is built, so that a campaign
+        # spec or --config file carrying an unrunnable value fails at resolve
+        for name in ("queue_limit", "sample_interval"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+                    or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        fraction = self.particle_subsample_fraction
+        if not isinstance(fraction, numbers.Real) or isinstance(fraction, bool) \
+                or not (math.isfinite(fraction) and 0.0 < fraction <= 1.0):
+            raise ValueError(f"particle_subsample_fraction must lie in (0, 1], "
+                             f"got {fraction!r}")
+        if not isinstance(self.reduce_precision, bool):
+            raise ValueError(f"reduce_precision must be true or false, "
+                             f"got {self.reduce_precision!r}")
 
     def build_reduction_pipeline(self, rng=None):
         """Create the producer-side reduction pipeline (or ``None`` if disabled)."""

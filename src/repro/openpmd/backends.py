@@ -1,32 +1,33 @@
 """Backends turning closed openPMD iterations into stored or streamed steps.
 
 The openPMD standard is format agnostic; the reference implementation
-supports JSON/HDF5/ADIOS2 backends.  Here:
+supports JSON/HDF5/ADIOS2 backends, and its ADIOS2 backend can run on the
+SST engine, which hands each closed iteration to the readers as one step
+instead of writing a file.  Here:
 
 * :class:`MemoryBackend` keeps iterations in a dict (testing, tight loops),
 * :class:`JSONBackend` persists them as JSON + ``.npz`` files,
-* :class:`StreamingBackend` forwards them through a
-  :mod:`repro.streaming` writer/reader engine — the in-transit path.
+* :class:`StreamingBackend` puts each iteration as one
+  :class:`repro.streaming.step.Step` on a broker — the in-transit path.
 
 Serialisation layout (shared by all backends): every record component is a
-flat variable named ``meshes/<mesh>/<component>`` or
-``particles/<species>/<record>/<component>``, and iteration/record
-attributes travel in the step's attribute dictionary.
+flat array named ``meshes/<mesh>/<component>`` or
+``particles/<species>/<record>/<component>``, and the iteration's time
+attributes travel next to the arrays.  :func:`iteration_to_arrays` and
+:func:`arrays_to_iteration` are the one codec between the two.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 import numpy as np
 
 from repro.openpmd.records import Record
 from repro.openpmd.series import Iteration
-from repro.streaming.engine import SSTReaderEngine, SSTWriterEngine
-from repro.streaming.step import Step, StepStatus
-from repro.streaming.variable import Block, Variable
+from repro.streaming.step import Step
 
 SCALAR = Record.SCALAR
 
@@ -80,9 +81,6 @@ def arrays_to_iteration(index: int, arrays: Dict[str, np.ndarray],
 
 class Backend:
     """Base class of series backends."""
-
-    def attach(self, series) -> None:
-        self.series = series
 
     def put_iteration(self, iteration: Iteration) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -144,51 +142,34 @@ class JSONBackend(Backend):
 
 
 class StreamingBackend(Backend):
-    """Forward iterations through a streaming writer/reader engine.
+    """Put iterations on a broker as steps, or read them back off one.
 
-    Construct it with a *writer* engine for CREATE series and with a
-    *reader* engine for READ_LINEAR series.  Iterations read from a stream
+    A CREATE series puts, a READ_LINEAR series iterates; the broker is an
+    :class:`repro.streaming.broker.SSTBroker` or anything with its
+    ``put_step`` / ``get_step`` / ``close``.  Iterations read from a stream
     are yielded exactly once and then dropped — the defining property of the
     in-transit workflow.
     """
 
-    def __init__(self, writer: Optional[SSTWriterEngine] = None,
-                 reader: Optional[SSTReaderEngine] = None,
-                 rank: int = 0) -> None:
-        if (writer is None) == (reader is None):
-            raise ValueError("provide exactly one of writer or reader")
-        self.writer = writer
-        self.reader = reader
-        self.rank = int(rank)
+    #: seconds a put or get may block before it raises: a deadlock guard,
+    #: not a tuning knob
+    TIMEOUT = 30.0
 
-    # -- writer ----------------------------------------------------------- #
+    def __init__(self, broker) -> None:
+        self.broker = broker
+
     def put_iteration(self, iteration: Iteration) -> None:
-        if self.writer is None:
-            raise RuntimeError("this backend was configured for reading")
-        arrays = iteration_to_arrays(iteration)
-        self.writer.begin_step()
-        for path, data in arrays.items():
-            self.writer.put(path, data, rank=self.rank)
-        self.writer.put_attributes(iteration_attributes(iteration))
-        self.writer.end_step()
+        self.broker.put_step(Step(iteration.index, iteration_to_arrays(iteration),
+                                  iteration_attributes(iteration)),
+                             timeout=self.TIMEOUT)
 
-    # -- reader ------------------------------------------------------------- #
     def iterate(self) -> Iterator[Iteration]:
-        if self.reader is None:
-            raise RuntimeError("this backend was configured for writing")
         while True:
-            status = self.reader.begin_step()
-            if status is not StepStatus.OK:
+            step = self.broker.get_step(timeout=self.TIMEOUT)
+            if step is None:
                 return
-            attributes = self.reader.attributes()
-            arrays = {name: self.reader.get(name)
-                      for name in self.reader.available_variables()}
-            self.reader.end_step()
-            index = int(attributes.get("iteration", 0))
-            yield arrays_to_iteration(index, arrays, attributes)
+            yield arrays_to_iteration(step.index, step.arrays, step.attributes)
 
     def close(self) -> None:
-        if self.writer is not None:
-            self.writer.close()
-        if self.reader is not None:
-            self.reader.close()
+        """End the stream (writer) or leave it (reader)."""
+        self.broker.close()

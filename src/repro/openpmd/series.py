@@ -94,7 +94,6 @@ class Series:
         self.backend = backend
         self._iterations: Dict[int, Iteration] = {}
         self._closed_indices: set = set()
-        backend.attach(self)
 
     # -- writer API ---------------------------------------------------------- #
     def write_iteration(self, index: int) -> Iteration:

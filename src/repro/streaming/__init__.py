@@ -1,33 +1,32 @@
-"""An in-memory streaming substrate modelled on ADIOS2's SST engine.
+"""An in-memory stream modelled on ADIOS2's SST engine.
 
-The Sustainable Staging Transport (SST) engine connects one parallel data
-producer to an arbitrary number of parallel consumers without touching the
-filesystem: the writer presents *steps* containing named variables, readers
-inquire the available variables and read the blocks they decide to load, and
-closing a step tells the writer the data may be dropped (Section IV-D of the
-paper).
+ADIOS2's Sustainable Staging Transport (SST) engine connects one parallel
+producer to any number of consumers without touching the filesystem: the
+writer presents *steps* of named variables in a bounded queue, each reader
+loads what it needs, and releasing a step tells the writer the data may be
+dropped (Section IV-D of the paper).  The application code never sees this
+protocol: it reads and writes openPMD iterations, and SST is the transport
+between them.
 
-This subpackage reproduces that protocol in-process:
+This subpackage models the transport's observable behaviour in-process —
+one step at a time, in order, through a bounded queue that stalls the
+writer — and nothing of its rank/block layout:
 
-* :class:`repro.streaming.broker.SSTBroker` — the rendezvous point between
-  writer and readers with a bounded step queue,
-* :class:`repro.streaming.engine.SSTWriterEngine` /
-  :class:`repro.streaming.engine.SSTReaderEngine` — the step-based put/get
-  API,
-* :mod:`repro.streaming.dataplane` — calibrated bandwidth/latency cost
-  models of the ``libfabric``/CXI and ``MPI`` data planes used to
-  regenerate the full-scale throughput study (Fig. 6); the coupled run
-  itself moves steps through process memory,
+* :class:`repro.streaming.step.Step` — one step, a flat ``path -> ndarray``
+  dict plus attributes,
+* :class:`repro.streaming.broker.SSTBroker` — the bounded step queue
+  between the writer and one reader group,
+* :mod:`repro.streaming.reduction` — producer-side reducers (Fig. 3b),
 * :class:`repro.streaming.noop.NoOpConsumer` — the synthetic benchmark
   consumer that only measures and discards,
-* :mod:`repro.streaming.throughput` — throughput accounting helpers.
+* :mod:`repro.streaming.dataplane` / :mod:`repro.streaming.throughput` —
+  calibrated cost models of the ``libfabric``/CXI and ``MPI`` data planes
+  and the accounting behind the full-scale throughput study (Fig. 6).
 """
 
-from repro.streaming.variable import Block, Variable
-from repro.streaming.step import Step, StepStatus
+from repro.streaming.step import Step
 from repro.streaming.broker import SSTBroker
 from repro.streaming.dataplane import DataPlane, ModeledDataPlane, make_data_plane
-from repro.streaming.engine import EndOfStreamError, SSTReaderEngine, SSTWriterEngine
 from repro.streaming.noop import NoOpConsumer
 from repro.streaming.throughput import ThroughputResult, measure_stream_throughput
 from repro.streaming.reduction import (ParticleSubsampleReducer, PrecisionReducer,
@@ -38,17 +37,11 @@ __all__ = [
     "PrecisionReducer",
     "ReductionPipeline",
     "ReductionReport",
-    "Block",
-    "Variable",
     "Step",
-    "StepStatus",
     "SSTBroker",
     "DataPlane",
     "ModeledDataPlane",
     "make_data_plane",
-    "EndOfStreamError",
-    "SSTWriterEngine",
-    "SSTReaderEngine",
     "NoOpConsumer",
     "ThroughputResult",
     "measure_stream_throughput",

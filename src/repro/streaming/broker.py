@@ -31,9 +31,9 @@ class SSTBroker:
     """Bounded, thread-safe step queue between a writer and one reader group.
 
     The reproduction drives producer and consumer either from the same
-    thread (strictly alternating begin/end step calls, the common case in
-    tests) or from separate threads (the streaming examples); the broker
-    supports both via condition variables with timeouts.
+    thread (strictly alternating puts and gets, the serial driver) or from
+    separate threads (the pipelined driver); the broker supports both via
+    condition variables with timeouts.
     """
 
     def __init__(self, stream_name: str, queue_limit: int = 2) -> None:
@@ -72,7 +72,7 @@ class SSTBroker:
             self._not_empty.notify_all()
 
     def close(self) -> None:
-        """Mark the end of the stream (readers receive END_OF_STREAM afterwards)."""
+        """Mark the end of the stream (:meth:`get_step` returns ``None`` once drained)."""
         with self._lock:
             self._closed = True
             self._not_empty.notify_all()

@@ -3,7 +3,7 @@
 "Employing the no-op consumer gives us a testbed for full-system scaling
 runs of a particle data stream fed by PIConGPU, helping us identify and
 eliminate scaling issues before applying the full PIConGPU+MLapp pipeline"
-(Section IV-B).  The consumer reads every variable of every step, measures
+(Section IV-B).  The consumer reads every array of every step, measures
 the time needed for loading the data, and discards it.
 """
 
@@ -13,31 +13,14 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.streaming.dataplane import DataPlane
-from repro.streaming.engine import SSTReaderEngine
-from repro.streaming.step import StepStatus
+from repro.streaming.broker import SSTBroker
 
 
 @dataclass
 class NoOpConsumer:
-    """Read steps from a reader engine, measure, and discard.
+    """Drain steps from a broker, measure, and discard."""
 
-    Parameters
-    ----------
-    reader:
-        The reader engine to drain.
-    data_plane:
-        Optional data-plane model; its predicted transfer time is *added* to
-        the measured in-process load time so that the same consumer can be
-        used both for real in-memory runs and for modelled scaling studies.
-    n_nodes:
-        Number of nodes assumed by the data-plane model.
-    """
-
-    reader: SSTReaderEngine
-    data_plane: Optional[DataPlane] = None
-    n_nodes: int = 1
-    enqueue_strategy: str = "batched"
+    broker: SSTBroker
     step_times: List[float] = field(default_factory=list)
     step_bytes: List[int] = field(default_factory=list)
 
@@ -45,21 +28,12 @@ class NoOpConsumer:
         """Drain the stream (or ``max_steps`` of it); returns steps consumed."""
         consumed = 0
         while max_steps is None or consumed < max_steps:
-            status = self.reader.begin_step()
-            if status is not StepStatus.OK:
+            step = self.broker.get_step()
+            if step is None:
                 break
             start = time.perf_counter()
-            nbytes = 0
-            for name in self.reader.available_variables():
-                data = self.reader.get(name)
-                nbytes += int(data.nbytes)
-            elapsed = time.perf_counter() - start
-            if self.data_plane is not None:
-                elapsed += self.data_plane.transfer_time(
-                    nbytes, n_nodes=self.n_nodes,
-                    enqueue_strategy=self.enqueue_strategy)
-            self.reader.end_step()
-            self.step_times.append(elapsed)
+            nbytes = step.nbytes
+            self.step_times.append(time.perf_counter() - start)
             self.step_bytes.append(nbytes)
             consumed += 1
         return consumed

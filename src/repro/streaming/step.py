@@ -2,40 +2,25 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
-from repro.streaming.variable import Variable
-
-
-class StepStatus(enum.Enum):
-    """Result of a reader's ``begin_step`` (subset of ADIOS2's StepStatus)."""
-
-    OK = "ok"
-    END_OF_STREAM = "end_of_stream"
-    NOT_READY = "not_ready"
+import numpy as np
 
 
 @dataclass
 class Step:
-    """One step's variables and attributes as presented to readers."""
+    """One streamed step: a flat ``path -> ndarray`` dict plus attributes.
+
+    The paths are the openPMD record paths of
+    :func:`repro.openpmd.backends.iteration_to_arrays`; a step carries no
+    object tree, so anything that moves arrays can carry it.
+    """
 
     index: int
-    variables: Dict[str, Variable] = field(default_factory=dict)
+    arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     attributes: Dict[str, object] = field(default_factory=dict)
-
-    def put(self, variable: Variable) -> None:
-        self.variables[variable.name] = variable
-
-    def get(self, name: str) -> Variable:
-        if name not in self.variables:
-            raise KeyError(f"variable {name!r} is not part of step {self.index}")
-        return self.variables[name]
-
-    def available_variables(self) -> tuple:
-        return tuple(sorted(self.variables))
 
     @property
     def nbytes(self) -> int:
-        return sum(v.nbytes for v in self.variables.values())
+        return sum(int(data.nbytes) for data in self.arrays.values())

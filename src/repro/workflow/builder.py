@@ -42,7 +42,6 @@ from repro.pic.khi import make_khi_simulation
 from repro.pic.simulation import PICSimulation
 from repro.radiation.detector import RadiationDetector
 from repro.streaming.broker import SSTBroker
-from repro.streaming.engine import SSTReaderEngine, SSTWriterEngine
 from repro.telemetry import add_phase_spans
 from repro.utils.rng import derive_seed, seeded_rng
 from repro.workflow.consumers import (ConsumerFactory, MLAppConsumer, StreamConsumer,
@@ -124,9 +123,8 @@ class WorkflowSession:
             broker = SSTBroker(f"{cfg.streaming.stream_name}#{spec.name}",
                                queue_limit=cfg.streaming.queue_limit
                                if spec.queue_limit is None else spec.queue_limit)
-            reader = SSTReaderEngine(broker)
             series = Series(cfg.streaming.stream_name, Access.READ_LINEAR,
-                            StreamingBackend(reader=reader))
+                            StreamingBackend(broker))
             # the primary consumer keeps the seed's RNG derivation, so a
             # default session reproduces the seed's results bit-for-bit
             stream_index = 4 if spec.name == self.PRIMARY_CONSUMER else 10 + position
@@ -139,9 +137,8 @@ class WorkflowSession:
         # --- the stream: one writer teeing into every consumer queue -------- #
         self.fanout = FanOutBroker(cfg.streaming.stream_name,
                                    list(self.brokers.values()))
-        writer_engine = SSTWriterEngine(self.fanout)
         self.writer_series = Series(cfg.streaming.stream_name, Access.CREATE,
-                                    StreamingBackend(writer=writer_engine))
+                                    StreamingBackend(self.fanout))
         reduction = cfg.streaming.build_reduction_pipeline(
             rng=seeded_rng(derive_seed(cfg.seed, 6)))
         self.producer = StreamingProducerPlugin(

@@ -2,13 +2,13 @@
 
 ADIOS2's SST engine connects one parallel writer to *N* independent reader
 applications; each reader cohort gets every step and acknowledges it
-separately.  The seed reproduction only ever wired one reader to the
-:class:`repro.streaming.broker.SSTBroker`, whose queue is consuming (a step
-popped by one reader is gone).  :class:`FanOutBroker` restores the SST
-semantics for multiple consumers: it exposes the broker *writer* interface
-(``put_step`` / ``close`` plus the introspection attributes the drivers
-sample) and tees every step into one downstream :class:`SSTBroker` per
-consumer, each with its own bounded queue and back-pressure.
+separately.  Here a step is an in-process :class:`repro.streaming.step.Step`
+and one :class:`repro.streaming.broker.SSTBroker` queue is consuming (a step
+popped by one reader is gone), so :class:`FanOutBroker` models the cohorts:
+it exposes the broker *writer* interface (``put_step`` / ``close`` plus the
+introspection attributes the drivers sample) and tees every step into one
+downstream :class:`SSTBroker` per consumer, each with its own bounded queue
+and back-pressure.
 
 A downstream broker that has been closed (e.g. because its consumer died)
 is skipped instead of poisoning the whole stream — the surviving consumers
@@ -22,19 +22,12 @@ from typing import List, Optional, Sequence
 
 from repro.streaming.broker import SSTBroker, StreamClosedError
 from repro.streaming.step import Step
-from repro.streaming.variable import Block, Variable
 
 
 def _copy_step(step: Step) -> Step:
-    """Deep-copy a step so one consumer cannot mutate another's buffers."""
-    clone = Step(index=step.index, attributes=dict(step.attributes))
-    for name, variable in step.variables.items():
-        copied = Variable(name)
-        for block in variable.blocks.values():
-            copied.add_block(Block(rank=block.rank, offset=block.offset,
-                                   data=block.data.copy()))
-        clone.put(copied)
-    return clone
+    """Copy every array so one consumer cannot mutate another's buffers."""
+    return Step(step.index, {path: data.copy() for path, data in step.arrays.items()},
+                dict(step.attributes))
 
 
 class FanOutBroker:
@@ -54,7 +47,7 @@ class FanOutBroker:
         self.steps_written = 0
         self.bytes_written = 0
 
-    # -- writer interface (what SSTWriterEngine calls) ---------------------- #
+    # -- writer interface (what StreamingBackend calls) --------------------- #
     def put_step(self, step: Step, timeout: Optional[float] = None) -> None:
         """Present one step to every live downstream queue."""
         delivered = 0

@@ -46,6 +46,29 @@ class TestApplyOverride:
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             spec.resolve()
 
+    @pytest.mark.parametrize("path, value, message", [
+        ("khi.particles_per_cell", 0, "particles_per_cell must be >= 1"),
+        ("streaming.queue_limit", 0, "queue_limit must be an integer >= 1"),
+        ("streaming.sample_interval", 1.5,
+         "sample_interval must be an integer >= 1"),
+        ("streaming.particle_subsample_fraction", 1.5,
+         r"particle_subsample_fraction must lie in \(0, 1\]"),
+        ("streaming.particle_subsample_fraction", float("nan"),
+         r"particle_subsample_fraction must lie in \(0, 1\]"),
+        ("streaming.particle_subsample_fraction", 0.0,
+         r"particle_subsample_fraction must lie in \(0, 1\]"),
+        ("streaming.reduce_precision", "no",
+         "reduce_precision must be true or false")],
+        ids=["khi-ppc-0", "queue-limit-0", "sample-interval-float",
+             "fraction-1.5", "fraction-nan", "fraction-0", "precision-string"])
+    def test_an_unrunnable_value_fails_at_resolve(self, path, value, message):
+        """A swept value the session cannot run is refused when the spec
+        is resolved, before any run of the sweep is scheduled."""
+        spec = CampaignSpec.from_dict(json.loads(json.dumps(
+            smoke_spec(parameters={path: [value]}).to_dict())))
+        with pytest.raises(ValueError, match=message):
+            spec.resolve()
+
     def test_non_section_path_names_sections(self):
         config = get_preset("cli-small").to_dict()
         with pytest.raises(ValueError, match="not a config section"):

@@ -92,6 +92,25 @@ class TestRunCommand:
         assert err.startswith("error:") and "Traceback" not in err
         assert message in err
 
+    @pytest.mark.parametrize("streaming, message", [
+        ({"particle_subsample_fraction": 1.5},
+         "particle_subsample_fraction must lie in (0, 1]"),
+        ({"reduce_precision": "no"}, "reduce_precision must be true or false"),
+        ({"queue_limit": 0}, "queue_limit must be an integer >= 1")],
+        ids=["fraction", "precision", "queue-limit"])
+    def test_run_with_a_bad_streaming_section_in_the_config_exits_2(
+            self, capsys, tmp_path, streaming, message):
+        """Fails at load, not silently (an unreduced stream, precision on
+        for ``"no"``) and not at session build."""
+        import json
+
+        path = tmp_path / "workflow.json"
+        path.write_text(json.dumps({"streaming": streaming}), encoding="utf-8")
+        assert cli_main(["run", "--steps", "1", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
+
     @pytest.mark.parametrize("document, kind", [("5", "int"), ('"abc"', "str")],
                              ids=["number", "string"])
     @pytest.mark.parametrize("command", [["run", "--steps", "1", "--config"],

@@ -8,7 +8,7 @@ import pytest
 from repro.openpmd import (Access, Iteration, JSONBackend, MemoryBackend, Series,
                            StreamingBackend)
 from repro.openpmd.backends import arrays_to_iteration, iteration_to_arrays
-from repro.streaming import SSTBroker, SSTReaderEngine, SSTWriterEngine
+from repro.streaming import SSTBroker
 
 
 def fill_iteration(iteration: Iteration, rng, n_particles=20, grid=(4, 4, 2)):
@@ -109,34 +109,33 @@ class TestSeriesWithBackends:
 
     def test_streaming_backend_roundtrip(self, rng):
         broker = SSTBroker("khi", queue_limit=8)
-        writer_backend = StreamingBackend(writer=SSTWriterEngine(broker))
-        writer = Series("khi", Access.CREATE, writer_backend)
+        writer = Series("khi", Access.CREATE, StreamingBackend(broker))
         expected = []
         for i in range(4):
             it = fill_iteration(writer.write_iteration(i), rng)
-            expected.append(it.get_mesh("E")["x"].load().copy())
+            expected.append((it.get_mesh("E")["x"].load().copy(), it.time))
             writer.close_iteration(i)
         writer.close()
 
-        reader_backend = StreamingBackend(reader=SSTReaderEngine(broker))
-        reader = Series("khi", Access.READ_LINEAR, reader_backend)
+        reader = Series("khi", Access.READ_LINEAR, StreamingBackend(broker))
         count = 0
         for it in reader.read_iterations():
-            np.testing.assert_allclose(it.get_mesh("E")["x"].load(), expected[count])
+            field, time = expected[count]
+            np.testing.assert_allclose(it.get_mesh("E")["x"].load(), field)
             assert it.index == count
+            assert it.time == time
             count += 1
         assert count == 4
 
     def test_streaming_iterations_consumed_once(self, rng):
         """Streamed data is dropped after being read (in-transit property)."""
         broker = SSTBroker("khi", queue_limit=8)
-        writer = Series("khi", Access.CREATE, StreamingBackend(writer=SSTWriterEngine(broker)))
+        writer = Series("khi", Access.CREATE, StreamingBackend(broker))
         fill_iteration(writer.write_iteration(0), rng)
         writer.close_iteration(0)
         writer.close()
 
-        reader = Series("khi", Access.READ_LINEAR,
-                        StreamingBackend(reader=SSTReaderEngine(broker)))
+        reader = Series("khi", Access.READ_LINEAR, StreamingBackend(broker))
         assert len(list(reader.read_iterations())) == 1
         assert len(list(reader.read_iterations())) == 0
 
@@ -160,11 +159,3 @@ class TestSeriesWithBackends:
         series.close_iteration(0)
         with pytest.raises(RuntimeError):
             series.write_iteration(0)
-
-    def test_streaming_backend_requires_one_engine(self):
-        with pytest.raises(ValueError):
-            StreamingBackend()
-        broker = SSTBroker("x")
-        with pytest.raises(ValueError):
-            StreamingBackend(writer=SSTWriterEngine(broker),
-                             reader=SSTReaderEngine(broker))

@@ -485,10 +485,12 @@ class TestErrorPaths:
         ({"base_config": {"khi": 5}},
          "KHIConfig must be a JSON object, got int 5"),
         ({"routing": {}}, r"unknown CampaignSpec keys \['routing'\]"),
+        ({"parameters": {"streaming.queue_limit": [0]}},
+         "queue_limit must be an integer >= 1"),
     ])
     def test_a_malformed_spec_is_a_400_with_the_reason(self, tmp_path, spec,
                                                        message):
-        """Outside input that is not a spec object answers 400 on the wire
+        """Outside input that is not a runnable spec answers 400 on the wire
         instead of dropping the connection on a server-side traceback."""
         with service(tmp_path) as (client, _):
             with pytest.raises(ServiceError) as excinfo:

@@ -7,37 +7,20 @@ import threading
 import numpy as np
 import pytest
 
-from repro.streaming import (Block, EndOfStreamError, ModeledDataPlane,
-                             NoOpConsumer, SSTBroker, SSTReaderEngine,
-                             SSTWriterEngine, Step, StepStatus,
-                             ThroughputResult, Variable, make_data_plane,
-                             measure_stream_throughput)
+from repro.streaming import (ModeledDataPlane, NoOpConsumer, SSTBroker, Step,
+                             make_data_plane, measure_stream_throughput)
 from repro.streaming.broker import StreamClosedError
 from repro.streaming.throughput import remove_outliers
 
 
 class TestVariableAndStep:
-    def test_gather_concatenates_rank_blocks(self, rng):
-        v = Variable("particles/x")
-        v.add_block(Block(rank=1, offset=(10,), data=np.arange(10, 20.0)))
-        v.add_block(Block(rank=0, offset=(0,), data=np.arange(0, 10.0)))
-        np.testing.assert_allclose(v.gather(), np.arange(20.0))
-        assert v.ranks == (0, 1)
-        assert v.nbytes == 20 * 8
-
-    def test_gather_empty_raises(self):
-        with pytest.raises(ValueError):
-            Variable("empty").gather()
-
     def test_step_bookkeeping(self, rng):
-        step = Step(index=3)
-        v = Variable("a")
-        v.add_block(Block(rank=0, offset=(0,), data=rng.random(5)))
-        step.put(v)
-        assert step.available_variables() == ("a",)
-        assert step.nbytes == 40
-        with pytest.raises(KeyError):
-            step.get("b")
+        assert Step(index=3).nbytes == 0
+        step = Step(3, {"a": rng.random(5),
+                        "b": np.zeros((2, 3), dtype=np.float32)}, {"time": 1.5})
+        assert step.nbytes == 5 * 8 + 6 * 4
+        assert list(step.arrays) == ["a", "b"]
+        assert step.attributes == {"time": 1.5}
 
 
 class TestBroker:
@@ -75,18 +58,14 @@ class TestBroker:
         received = []
 
         def produce():
-            writer = SSTWriterEngine(broker)
             for i in range(n_steps):
-                writer.begin_step()
-                writer.put("x", np.full(100, float(i)))
-                writer.end_step()
-            writer.close()
+                broker.put_step(Step(i, {"x": np.full(100, float(i))}),
+                                timeout=10)
+            broker.close()
 
         def consume():
-            reader = SSTReaderEngine(broker)
-            while reader.begin_step() is StepStatus.OK:
-                received.append(float(reader.get("x")[0]))
-                reader.end_step()
+            while (step := broker.get_step(timeout=10)) is not None:
+                received.append(float(step.arrays["x"][0]))
 
         producer = threading.Thread(target=produce)
         consumer = threading.Thread(target=consume)
@@ -99,46 +78,6 @@ class TestBroker:
     def test_invalid_queue_limit(self):
         with pytest.raises(ValueError):
             SSTBroker("s", queue_limit=0)
-
-
-class TestEngines:
-    def test_roundtrip_multi_rank(self, rng):
-        broker = SSTBroker("sim")
-        writer = SSTWriterEngine(broker, n_ranks=2)
-        reader = SSTReaderEngine(broker)
-
-        data0, data1 = rng.random((5, 3)), rng.random((7, 3))
-        writer.begin_step()
-        writer.put("particles/position", data0, rank=0, offset=(0, 0))
-        writer.put("particles/position", data1, rank=1, offset=(5, 0))
-        writer.put_attributes({"time": 1.5})
-        writer.end_step()
-        writer.close()
-
-        assert reader.begin_step() is StepStatus.OK
-        assert reader.available_variables() == ("particles/position",)
-        assert reader.attributes()["time"] == 1.5
-        np.testing.assert_allclose(reader.get("particles/position", rank=1), data1)
-        np.testing.assert_allclose(reader.get("particles/position"),
-                                   np.concatenate([data0, data1], axis=0))
-        reader.end_step()
-        assert reader.begin_step() is StepStatus.END_OF_STREAM
-
-    def test_put_requires_open_step(self):
-        writer = SSTWriterEngine(SSTBroker("s"))
-        with pytest.raises(RuntimeError):
-            writer.put("x", np.zeros(3))
-
-    def test_get_requires_open_step(self):
-        reader = SSTReaderEngine(SSTBroker("s"))
-        with pytest.raises(EndOfStreamError):
-            reader.get("x")
-
-    def test_invalid_rank(self):
-        writer = SSTWriterEngine(SSTBroker("s"), n_ranks=2)
-        writer.begin_step()
-        with pytest.raises(ValueError):
-            writer.put("x", np.zeros(3), rank=5)
 
 
 class TestDataPlanes:
@@ -181,13 +120,10 @@ class TestDataPlanes:
 class TestNoOpConsumer:
     def test_drains_stream_and_counts_bytes(self, rng):
         broker = SSTBroker("sim", queue_limit=10)
-        writer = SSTWriterEngine(broker)
         for i in range(4):
-            writer.begin_step()
-            writer.put("data", rng.random(1000))
-            writer.end_step()
-        writer.close()
-        consumer = NoOpConsumer(reader=SSTReaderEngine(broker))
+            broker.put_step(Step(i, {"data": rng.random(1000)}))
+        broker.close()
+        consumer = NoOpConsumer(broker)
         consumed = consumer.run()
         assert consumed == 4
         assert consumer.total_bytes == 4 * 8000
@@ -195,14 +131,12 @@ class TestNoOpConsumer:
 
     def test_max_steps_limit(self, rng):
         broker = SSTBroker("sim", queue_limit=10)
-        writer = SSTWriterEngine(broker)
-        for _ in range(5):
-            writer.begin_step()
-            writer.put("data", rng.random(10))
-            writer.end_step()
-        writer.close()
-        consumer = NoOpConsumer(reader=SSTReaderEngine(broker))
+        for i in range(5):
+            broker.put_step(Step(i, {"data": rng.random(10)}))
+        broker.close()
+        consumer = NoOpConsumer(broker)
         assert consumer.run(max_steps=2) == 2
+        assert broker.queued_steps == 3
 
 
 class TestThroughput:

@@ -19,17 +19,19 @@ import pytest
 
 import repro.campaign
 import repro.core
+import repro.streaming
 from repro.campaign import (CampaignSpec, WorkerPool, WorkerPoolExecutor,
                             available_campaign_presets, available_executors,
                             executor_for, get_campaign_preset, get_executor)
 from repro.cli import _build_parser, _campaign_executor
 from repro.core.config import StreamingConfig, WorkflowConfig
+from repro.openpmd import StreamingBackend
 from repro.utils.serialization import jsonable
 from repro.pic import simulation as pic_simulation
 from repro.pic.khi import KHIConfig
 from repro.pic.simulation import SimulationConfig
 from repro.service import jobs, parse_submission
-from repro.streaming import SSTBroker, SSTReaderEngine, SSTWriterEngine
+from repro.streaming import NoOpConsumer, SSTBroker, Step
 from repro.workflow import (WorkflowBuilder, WorkflowSession,
                             available_drivers, get_driver)
 
@@ -153,10 +155,19 @@ class TestOptionsCensus:
             "should_stop", "capacity", "max_requeues", "counters"]
         assert parameters_of(SSTBroker.__init__) == [
             "stream_name", "queue_limit"]
-        assert parameters_of(SSTWriterEngine.__init__) == [
-            "broker", "n_ranks", "put_timeout"]
-        assert parameters_of(SSTReaderEngine.__init__) == [
-            "broker", "get_timeout"]
+        assert parameters_of(StreamingBackend.__init__) == ["broker"]
+        assert [field.name for field in dataclasses.fields(Step)] == [
+            "index", "arrays", "attributes"]
+        assert [field.name for field in dataclasses.fields(NoOpConsumer)] == [
+            "broker", "step_times", "step_bytes"]
+        assert parameters_of(NoOpConsumer.run) == ["max_steps"]
+        # a step is flat arrays: no engines, rank blocks or step protocol
+        assert [name for name in ("SSTWriterEngine", "SSTReaderEngine",
+                                  "Variable", "Block", "StepStatus",
+                                  "EndOfStreamError")
+                if hasattr(repro.streaming, name)] == []
+        assert importlib.util.find_spec("repro.streaming.engine") is None
+        assert importlib.util.find_spec("repro.streaming.variable") is None
         assert parameters_of(WorkflowSession.__init__) == [
             "config", "driver", "consumer_specs", "hooks"]
         assert [field.name for field in dataclasses.fields(StreamingConfig)] \

@@ -1,28 +1,43 @@
-"""Edge-case tests of the fan-out layer: consumers leaving mid-run,
-back-pressure against a full bounded queue, and zero-consumer sessions."""
+"""Edge-case tests of the fan-out layer: what each consumer's arrays share,
+consumers leaving mid-run, back-pressure against a full bounded queue, and
+zero-consumer sessions."""
 
 from __future__ import annotations
 
 import threading
 
+import numpy as np
 import pytest
 
 from repro.streaming.broker import SSTBroker, StreamClosedError
 from repro.streaming.step import Step
-from repro.streaming.variable import Block, Variable
 from repro.workflow import FanOutBroker, WorkflowBuilder
 from tests.core.test_artificial_scientist import tiny_config
 
 
 def make_step(index: int) -> Step:
-    import numpy as np
+    return Step(index, {"payload": np.arange(4, dtype=np.float64)})
 
-    step = Step(index=index)
-    variable = Variable("payload")
-    variable.add_block(Block(rank=0, offset=0,
-                             data=np.arange(4, dtype=np.float64)))
-    step.put(variable)
-    return step
+
+class TestIsolation:
+    def test_first_consumer_shares_the_producers_arrays(self):
+        first, second = SSTBroker("s#a"), SSTBroker("s#b")
+        step = make_step(0)
+        FanOutBroker("s", [first, second]).put_step(step)
+        produced = step.arrays["payload"]
+        assert np.shares_memory(first.get_step().arrays["payload"], produced)
+        assert not np.shares_memory(second.get_step().arrays["payload"],
+                                    produced)
+
+    def test_mutating_one_consumers_array_leaves_the_others_intact(self):
+        first, second, third = (SSTBroker(f"s#{n}") for n in "abc")
+        FanOutBroker("s", [first, second, third]).put_step(make_step(0))
+        steps = [broker.get_step() for broker in (first, second, third)]
+        steps[1].arrays["payload"][:] = -1.0
+        expected = np.arange(4, dtype=np.float64)
+        np.testing.assert_array_equal(steps[0].arrays["payload"], expected)
+        np.testing.assert_array_equal(steps[2].arrays["payload"], expected)
+        assert steps[2].index == 0 and steps[2].nbytes == steps[0].nbytes
 
 
 class TestZeroConsumers:
