@@ -29,7 +29,7 @@ def test_fig3b_reduction_pipeline(benchmark, rng):
     }
     pipeline = ReductionPipeline([
         ParticleSubsampleReducer(0.25, rng=np.random.default_rng(0)),
-        PrecisionReducer(np.float32),
+        PrecisionReducer(),
     ])
 
     benchmark(lambda: pipeline.reduce_step(variables))

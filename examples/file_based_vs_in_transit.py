@@ -7,9 +7,12 @@ a full-scale PIC simulation, while streaming the data in transit removes the
 filesystem from the critical path entirely.  This example runs *both*
 workflows on the same (small) simulation:
 
-* file-based: every streamed step is written to disk (openPMD JSON backend),
-  then read back and used for training,
-* in-transit: the same data goes through the in-memory SST-style stream.
+* file-based: the producer's series is opened on a ``DirectoryStore``, so
+  every step is written to disk, then read back and used for training,
+* in-transit: the same steps go through the in-memory SST-style broker.
+
+The producer and the MLapp are the same code in both: only what the
+``Series`` is opened on changes.
 
 It reports the bytes written to disk, the wall time of both variants and the
 projected per-node filesystem bandwidth a full-scale run would need.
@@ -30,7 +33,7 @@ from repro.core import (MLConfig, RegionPartition, StreamingConfig,
 from repro.core.mlapp import MLApp
 from repro.workflow import WorkflowBuilder
 from repro.models.config import ModelConfig
-from repro.openpmd import Access, JSONBackend, Series
+from repro.openpmd import DirectoryStore, Series
 from repro.perfmodel.machines import FRONTIER
 from repro.perfmodel.streaming import PAPER_BYTES_PER_NODE
 from repro.pic.khi import KHIConfig, make_khi_simulation
@@ -53,8 +56,7 @@ def workflow_config() -> WorkflowConfig:
 def run_file_based(config: WorkflowConfig, n_steps: int, directory: str) -> dict:
     """Produce to disk first, then train from the files (offline workflow)."""
     start = time.perf_counter()
-    backend = JSONBackend(directory)
-    writer = Series("khi", Access.CREATE, backend)
+    writer = Series(DirectoryStore(directory))
     simulation = make_khi_simulation(config.khi)
     detector = RadiationDetector.for_khi(density=config.khi.density,
                                          n_directions=config.n_detector_directions,
@@ -69,7 +71,7 @@ def run_file_based(config: WorkflowConfig, n_steps: int, directory: str) -> dict
                         for f in os.listdir(directory))
 
     start = time.perf_counter()
-    mlapp = MLApp(Series("khi", Access.READ_LINEAR, JSONBackend(directory)), config.ml)
+    mlapp = MLApp(Series(DirectoryStore(directory)), config.ml)
     mlapp.consume()
     train_time = time.perf_counter() - start
     return {"produce_s": produce_time, "train_s": train_time,

@@ -2,7 +2,7 @@
 Learning of Plasma Simulations" (Kelling et al., IPDPS 2025).
 
 The package is organised as a set of substrates (PIC simulation, radiation
-diagnostics, openPMD data model, SST-like streaming, a NumPy deep-learning
+diagnostics, openPMD series, SST-like streaming, a NumPy deep-learning
 core) and the paper's primary contribution on top of them: the loosely
 coupled, in-transit learning workflow (:mod:`repro.core`) with its VAE+INN
 model (:mod:`repro.models`) and experience-replay continual learning

@@ -90,8 +90,6 @@ class StreamingConfig:
 
     def build_reduction_pipeline(self, rng=None):
         """Create the producer-side reduction pipeline (or ``None`` if disabled)."""
-        import numpy as np
-
         from repro.streaming.reduction import (ParticleSubsampleReducer,
                                                PrecisionReducer, ReductionPipeline)
         reducers = []
@@ -99,7 +97,7 @@ class StreamingConfig:
             reducers.append(ParticleSubsampleReducer(self.particle_subsample_fraction,
                                                      rng=rng))
         if self.reduce_precision:
-            reducers.append(PrecisionReducer(np.float32))
+            reducers.append(PrecisionReducer())
         return ReductionPipeline(reducers) if reducers else None
 
 

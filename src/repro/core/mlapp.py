@@ -6,14 +6,16 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
+from repro.analysis.regions import REGION_NAMES
 from repro.continual.buffer import TrainingBuffer, TrainingSample
 from repro.continual.trainer import InTransitTrainer
 from repro.core.config import MLConfig
-from repro.core.producer import int_to_region
+from repro.core.producer import POINT_CLOUDS, REGIONS, SPECTRA
 from repro.mlcore.optim import Adam, make_block_param_groups
 from repro.models.losses import CombinedLoss
 from repro.models.model import ArtificialScientistModel
-from repro.openpmd.series import Access, Iteration, Series
+from repro.openpmd.series import Series
+from repro.streaming.step import Step
 from repro.utils.rng import RandomState, seeded_rng
 from repro.utils.timer import Timer
 
@@ -24,12 +26,12 @@ class MLApp:
     The MLapp is an application of its own in the paper (PyTorch + DDP); it
     shares no code with the simulation apart from the openPMD data
     interface, which is exactly the boundary this class respects: its only
-    input is a :class:`repro.openpmd.Series` opened for reading.
+    input is the reader end of a :class:`repro.openpmd.Series`, and of each
+    streamed :class:`repro.streaming.Step` it reads the ``ml_samples``
+    records laid out by :mod:`repro.core.producer`.
     """
 
     def __init__(self, series: Series, config: MLConfig, rng: RandomState = None) -> None:
-        if series.access is not Access.READ_LINEAR:
-            raise ValueError("the MLapp needs a series opened with READ_LINEAR access")
         rng = seeded_rng(rng)
         self.series = series
         self.config = config
@@ -57,18 +59,13 @@ class MLApp:
 
     # -- stream consumption ----------------------------------------------------- #
     @staticmethod
-    def samples_from_iteration(iteration: Iteration) -> List[TrainingSample]:
+    def samples_from_iteration(step: Step) -> List[TrainingSample]:
         """Decode the ML sample records written by the producer plugin."""
-        records = iteration.get_particles("ml_samples")
-        clouds = records["point_clouds"].load_scalar()
-        spectra = records["spectra"].load_scalar()
-        regions = records["regions"].load_scalar()
-        samples = []
-        for cloud, spectrum, region in zip(clouds, spectra, regions):
-            samples.append(TrainingSample(point_cloud=cloud, spectrum=spectrum,
-                                          step=iteration.index,
-                                          region=int_to_region(int(region))))
-        return samples
+        arrays = step.arrays
+        return [TrainingSample(point_cloud=cloud, spectrum=spectrum, step=step.index,
+                               region=REGION_NAMES[int(region)])
+                for cloud, spectrum, region in zip(arrays[POINT_CLOUDS], arrays[SPECTRA],
+                                                   arrays[REGIONS])]
 
     def consume(self, max_iterations: Optional[int] = None,
                 keep_for_evaluation: int = 0,
@@ -88,18 +85,18 @@ class MLApp:
             hook the workflow drivers use for back-pressure accounting.
         """
         consumed = 0
-        for iteration in self.series.read_iterations():
+        for step in self.series.read_iterations():
             with self.timer.section("decode"):
-                samples = self.samples_from_iteration(iteration)
+                samples = self.samples_from_iteration(step)
             if keep_for_evaluation:
                 self.evaluation_samples.extend(samples[:keep_for_evaluation])
             with self.timer.section("train"):
-                self.trainer.train_on_stream_step(samples, step=iteration.index)
+                self.trainer.train_on_stream_step(samples, step=step.index)
             self.iterations_consumed += 1
             self.samples_consumed += len(samples)
             consumed += 1
             if on_iteration is not None:
-                on_iteration(iteration.index, len(samples))
+                on_iteration(step.index, len(samples))
             if max_iterations is not None and consumed >= max_iterations:
                 break
         return consumed

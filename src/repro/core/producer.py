@@ -3,9 +3,14 @@
 Due to the plugin-based structure of PIConGPU, the particle and radiation
 input required by the MLapp are provided by distinct output plugins; here a
 single plugin prepares *both* records (the per-sub-volume point clouds and
-their spectra) and writes them as one openPMD iteration per streamed step.
-Data never touches the filesystem unless a file-based backend is configured
-explicitly.
+their spectra) and writes them, next to the raw species records, as one
+openPMD iteration per streamed :class:`repro.streaming.Step`.  Data never
+touches the filesystem unless the series is opened on a
+:class:`repro.openpmd.DirectoryStore`.
+
+The ML-sample layout of a step lives here and nowhere else: the three
+scalar records below, one row per sub-volume, with each sample's region
+streamed as its id in :data:`repro.analysis.regions.REGION_NAMES`.
 """
 
 from __future__ import annotations
@@ -14,13 +19,20 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.analysis.regions import REGION_NAMES
 from repro.continual.buffer import TrainingSample
-from repro.core.config import WorkflowConfig
 from repro.core.transforms import RegionPartition, make_training_samples
-from repro.openpmd.series import Access, Series
+from repro.openpmd.series import Series
 from repro.pic.simulation import PICSimulation, Plugin
 from repro.radiation.detector import RadiationDetector
+from repro.streaming.step import Step
 from repro.utils.rng import RandomState, seeded_rng
+
+POINT_CLOUDS = "particles/ml_samples/point_clouds"
+SPECTRA = "particles/ml_samples/spectra"
+REGIONS = "particles/ml_samples/regions"
+
+_REGION_IDS: Dict[str, int] = {name: index for index, name in REGION_NAMES.items()}
 
 
 class StreamingProducerPlugin(Plugin):
@@ -32,8 +44,6 @@ class StreamingProducerPlugin(Plugin):
                  partition: RegionPartition, n_points: int,
                  species_name: str = "electrons", sample_interval: int = 1,
                  reduction=None, rng: RandomState = None) -> None:
-        if series.access is not Access.CREATE:
-            raise ValueError("the producer needs a series opened with CREATE access")
         if sample_interval < 1:
             raise ValueError("sample_interval must be >= 1")
         self.series = series
@@ -83,59 +93,33 @@ class StreamingProducerPlugin(Plugin):
     # -- openPMD output --------------------------------------------------------- #
     def _write_iteration(self, simulation: PICSimulation,
                          samples: List[TrainingSample]) -> None:
-        iteration = self.series.write_iteration(simulation.step_index)
-        iteration.set_time(simulation.time, simulation.config.dt)
-
-        clouds = np.stack([s.point_cloud for s in samples], axis=0)
-        spectra = np.stack([s.spectrum for s in samples], axis=0)
-        regions = np.array([_region_to_int(s.region) for s in samples], dtype=np.float64)
-
-        ml_records = iteration.get_particles("ml_samples")
-        ml_records["point_clouds"].store_scalar(clouds)
-        ml_records["spectra"].store_scalar(spectra)
-        ml_records["regions"].store_scalar(regions)
-
-        # Also expose the raw species data the paper streams (positions,
-        # momenta, weighting) so that other consumers can attach to the same
-        # stream without knowing about the ML sample encoding.  An optional
-        # reduction pipeline shrinks these records close to the producer.
+        # the raw species data the paper streams (positions, momenta,
+        # weighting), so that other consumers can attach to the same stream
+        # without knowing about the ML sample encoding; an optional
+        # reduction pipeline shrinks these records close to the producer
         species = simulation.get_species(self.species_name)
+        prefix = f"particles/{self.species_name}"
         raw_records: Dict[str, np.ndarray] = {}
         for axis, name in enumerate(("x", "y", "z")):
-            raw_records[f"particles/{self.species_name}/position/{name}"] = \
-                species.positions[:, axis]
-            raw_records[f"particles/{self.species_name}/momentum/{name}"] = \
-                species.momenta[:, axis]
-        raw_records[f"particles/{self.species_name}/weighting"] = species.weights
+            raw_records[f"{prefix}/position/{name}"] = species.positions[:, axis]
+            raw_records[f"{prefix}/momentum/{name}"] = species.momenta[:, axis]
+        raw_records[f"{prefix}/weighting"] = species.weights
         self.bytes_before_reduction += int(sum(a.nbytes for a in raw_records.values()))
         if self.reduction is not None:
             raw_records = self.reduction.reduce_step(raw_records)
 
-        raw = iteration.get_particles(self.species_name)
-        for axis, name in enumerate(("x", "y", "z")):
-            raw["position"][name].store(
-                raw_records[f"particles/{self.species_name}/position/{name}"])
-            raw["momentum"][name].store(
-                raw_records[f"particles/{self.species_name}/momentum/{name}"])
-        raw["weighting"].store_scalar(
-            raw_records[f"particles/{self.species_name}/weighting"])
-
-        self.bytes_streamed += iteration.nbytes
-        self.series.close_iteration(simulation.step_index)
+        arrays = {
+            POINT_CLOUDS: np.stack([s.point_cloud for s in samples], axis=0),
+            SPECTRA: np.stack([s.spectrum for s in samples], axis=0),
+            REGIONS: np.array([_REGION_IDS[s.region] for s in samples],
+                              dtype=np.float64),
+            **raw_records,
+        }
+        step = Step(simulation.step_index, arrays,
+                    {"iteration": simulation.step_index,
+                     "time": float(simulation.time),
+                     "dt": float(simulation.config.dt), "timeUnitSI": 1.0})
+        self.bytes_streamed += step.nbytes
+        self.series.close_iteration(step)
         self.samples_streamed += len(samples)
         self.iterations_streamed += 1
-
-
-_REGION_TO_INT: Dict[str, int] = {"approaching": 0, "receding": 1, "vortex": 2, "": 0,
-                                  "bulk": 0}
-
-
-def _region_to_int(region: str) -> int:
-    return _REGION_TO_INT.get(region, 0)
-
-
-def int_to_region(value: int) -> str:
-    for name, idx in _REGION_TO_INT.items():
-        if idx == int(value) and name:
-            return name
-    return "approaching"

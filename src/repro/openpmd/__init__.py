@@ -1,40 +1,20 @@
-"""An openPMD-like object model for particle-mesh data.
+"""openPMD output as the steps it is streamed as.
 
 openPMD is the data standard the paper uses to describe simulation output
-(meshes and particle records with unit metadata) independently of the
-transport backend: the same writer code can target HDF5/JSON files or the
-ADIOS2 SST streaming engine, which hands every closed iteration to the
-readers as one step over the network.  This subpackage reproduces the
-object model of the openPMD-api (Series → Iteration → Mesh /
-ParticleSpecies → Record → RecordComponent) with three backends:
+independently of the transport: the same writer code targets files or the
+ADIOS2 SST engine, which hands every closed iteration to the readers as one
+step.  Here an iteration *is* that step — a :class:`repro.streaming.Step`
+whose arrays are keyed by their openPMD record paths
+(``particles/<species>/<record>[/<component>]``) — and
+:class:`repro.openpmd.series.Series` writes and reads steps on
 
-* :class:`repro.openpmd.backends.MemoryBackend` — keeps iterations in
-  memory (useful for tests and tight loops),
-* :class:`repro.openpmd.backends.JSONBackend` — writes one JSON + ``.npz``
-  pair per iteration (the classical file-based workflow the paper moves
-  away from),
-* :class:`repro.openpmd.backends.StreamingBackend` — puts every closed
-  iteration as one flat-array step on a :mod:`repro.streaming` broker, the
-  in-process stand-in for SST (the in-transit workflow of the paper).
+* an :class:`repro.streaming.SSTBroker` (or the workflow's fan-out over
+  several) — the in-transit workflow of the paper, or
+* a :class:`repro.openpmd.series.DirectoryStore` — one JSON + ``.npz`` pair
+  per iteration, the classical file-based workflow the paper moves away
+  from.
 """
 
-from repro.openpmd.records import (Attributable, Mesh, ParticleSpecies, Record,
-                                   RecordComponent)
-from repro.openpmd.series import Access, Iteration, Series
-from repro.openpmd.backends import (Backend, JSONBackend, MemoryBackend,
-                                    StreamingBackend)
+from repro.openpmd.series import DirectoryStore, Series
 
-__all__ = [
-    "Access",
-    "Attributable",
-    "Backend",
-    "Iteration",
-    "JSONBackend",
-    "MemoryBackend",
-    "Mesh",
-    "ParticleSpecies",
-    "Record",
-    "RecordComponent",
-    "Series",
-    "StreamingBackend",
-]
+__all__ = ["DirectoryStore", "Series"]

@@ -1,131 +1,95 @@
-"""Series and Iteration: the top of the openPMD hierarchy.
+"""Series: openPMD iterations written and read as steps.
 
-A writer creates iterations, fills meshes/particles and *closes* them; a
-closed iteration is handed to the backend, which either stores it (memory /
-JSON) or streams it as one step (SST-style).  A reader iterates over
-available iterations in order; with a streaming backend each iteration can
-only be read once and is dropped afterwards — exactly the "data is produced
-on demand and discarded after being used for training" constraint that
-motivates the paper's continual-learning approach.
+A writer closes an iteration by putting it, as one
+:class:`repro.streaming.step.Step`, on whatever the series was opened on; a
+reader takes the steps off in order until the writer ends the stream.  On a
+broker every step is read exactly once and then dropped — the "data is
+produced on demand and discarded after being used for training" constraint
+that motivates the paper's continual-learning approach; a
+:class:`DirectoryStore` keeps the steps on disk instead.
 """
 
 from __future__ import annotations
 
-import enum
-from typing import Dict, Iterator, Optional
+import json
+import os
+from typing import Iterator, Optional
 
-from repro.openpmd.records import Attributable, Mesh, ParticleSpecies
+import numpy as np
 
-
-class Access(enum.Enum):
-    """Access modes of a :class:`Series` (subset of openPMD-api's)."""
-
-    CREATE = "create"
-    READ_LINEAR = "read_linear"
-
-
-class Iteration(Attributable):
-    """One simulation time step's worth of meshes and particle records."""
-
-    def __init__(self, index: int) -> None:
-        super().__init__()
-        self.index = int(index)
-        self.time: float = 0.0
-        self.dt: float = 0.0
-        self.time_unit_si: float = 1.0
-        self.meshes: Dict[str, Mesh] = {}
-        self.particles: Dict[str, ParticleSpecies] = {}
-        self._closed = False
-
-    # -- structure -------------------------------------------------------- #
-    def get_mesh(self, name: str) -> Mesh:
-        if name not in self.meshes:
-            self.meshes[name] = Mesh(name)
-        return self.meshes[name]
-
-    def get_particles(self, name: str) -> ParticleSpecies:
-        if name not in self.particles:
-            self.particles[name] = ParticleSpecies(name)
-        return self.particles[name]
-
-    def set_time(self, time: float, dt: float, time_unit_si: float = 1.0) -> "Iteration":
-        self.time = float(time)
-        self.dt = float(dt)
-        self.time_unit_si = float(time_unit_si)
-        self.set_attribute("time", self.time)
-        self.set_attribute("dt", self.dt)
-        self.set_attribute("timeUnitSI", self.time_unit_si)
-        return self
-
-    # -- lifecycle ---------------------------------------------------------- #
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def mark_closed(self) -> None:
-        self._closed = True
-
-    @property
-    def nbytes(self) -> int:
-        total = sum(m.nbytes for m in self.meshes.values())
-        total += sum(p.nbytes for p in self.particles.values())
-        return total
+from repro.streaming.step import Step
 
 
 class Series:
-    """A stream or store of iterations.
+    """The writer or reader end of one stream or store of steps.
 
-    Parameters
-    ----------
-    name:
-        Series name (used as file prefix / stream name).
-    access:
-        :attr:`Access.CREATE` for writers, :attr:`Access.READ_LINEAR` for
-        readers.
-    backend:
-        A :class:`repro.openpmd.backends.Backend` instance.  The backend
-        decides whether closing an iteration writes a file, keeps it in
-        memory or streams it in-transit.
+    ``broker`` is a :class:`repro.streaming.broker.SSTBroker`, a
+    :class:`repro.workflow.fanout.FanOutBroker`, a :class:`DirectoryStore`
+    or anything else with their ``put_step`` / ``get_step`` / ``close``.
     """
 
-    def __init__(self, name: str, access: Access, backend) -> None:
-        self.name = name
-        self.access = access
-        self.backend = backend
-        self._iterations: Dict[int, Iteration] = {}
-        self._closed_indices: set = set()
+    #: seconds a put or get may block before it raises: a deadlock guard,
+    #: not a tuning knob
+    TIMEOUT = 30.0
 
-    # -- writer API ---------------------------------------------------------- #
-    def write_iteration(self, index: int) -> Iteration:
-        """Create (or fetch the still-open) iteration ``index`` for writing."""
-        if self.access is not Access.CREATE:
-            raise RuntimeError("write_iteration requires CREATE access")
-        if index in self._closed_indices:
-            raise RuntimeError(f"iteration {index} was already closed")
-        iteration = self._iterations.setdefault(index, Iteration(index))
-        return iteration
+    def __init__(self, broker) -> None:
+        self.broker = broker
 
-    def close_iteration(self, index: int) -> None:
-        """Close an iteration: hand it to the backend and drop the local copy."""
-        if index not in self._iterations:
-            raise KeyError(f"iteration {index} is not open")
-        iteration = self._iterations.pop(index)
-        iteration.mark_closed()
-        self._closed_indices.add(index)
-        self.backend.put_iteration(iteration)
+    def close_iteration(self, step: Step) -> None:
+        """Hand one finished iteration to the readers."""
+        self.broker.put_step(step, timeout=self.TIMEOUT)
 
-    # -- reader API ------------------------------------------------------------ #
-    def read_iterations(self) -> Iterator[Iteration]:
-        """Iterate over available iterations in order (blocking on streams)."""
-        if self.access is not Access.READ_LINEAR:
-            raise RuntimeError("read_iterations requires READ_LINEAR access")
-        yield from self.backend.iterate()
-
-    # -- common ------------------------------------------------------------------ #
-    @property
-    def open_iterations(self) -> Dict[int, Iteration]:
-        return dict(self._iterations)
+    def read_iterations(self) -> Iterator[Step]:
+        """Yield the steps in order until the stream ends."""
+        while True:
+            step = self.broker.get_step(timeout=self.TIMEOUT)
+            if step is None:
+                return
+            yield step
 
     def close(self) -> None:
-        """Close the series and its backend (ends the stream for readers)."""
-        self.backend.close()
+        """End the stream (writer) or leave it (reader)."""
+        self.broker.close()
+
+
+class DirectoryStore:
+    """Steps kept as ``<directory>/iteration_<n>.json`` + ``.npz`` pairs.
+
+    A reader walks the iterations on disk once, in index order.  Writing an
+    iteration that is already on disk raises :class:`FileExistsError`, so a
+    second run into the same directory cannot mix its steps with the first.
+    """
+
+    def __init__(self, directory: str) -> None:
+        self.directory = directory
+        os.makedirs(directory, exist_ok=True)
+        self._unread: Optional[Iterator[int]] = None
+
+    def _path(self, index: int, suffix: str) -> str:
+        return os.path.join(self.directory, f"iteration_{index:06d}{suffix}")
+
+    def put_step(self, step: Step, timeout: Optional[float] = None) -> None:
+        if os.path.exists(self._path(step.index, ".json")):
+            raise FileExistsError(
+                f"iteration {step.index} is already in {self.directory!r}")
+        np.savez(self._path(step.index, ".npz"),
+                 **{path.replace("/", "__"): data for path, data in step.arrays.items()})
+        with open(self._path(step.index, ".json"), "w", encoding="utf-8") as handle:
+            json.dump({"attributes": step.attributes, "paths": list(step.arrays)}, handle)
+
+    def get_step(self, timeout: Optional[float] = None) -> Optional[Step]:
+        if self._unread is None:
+            self._unread = iter(sorted(
+                int(name[len("iteration_"):-len(".json")])
+                for name in os.listdir(self.directory) if name.endswith(".json")))
+        index = next(self._unread, None)
+        if index is None:
+            return None
+        with open(self._path(index, ".json"), encoding="utf-8") as handle:
+            meta = json.load(handle)
+        with np.load(self._path(index, ".npz")) as stored:
+            arrays = {path: stored[path.replace("/", "__")] for path in meta["paths"]}
+        return Step(index, arrays, meta["attributes"])
+
+    def close(self) -> None:
+        """Nothing to flush: a step is on disk once :meth:`put_step` returns."""

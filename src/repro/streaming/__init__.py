@@ -5,8 +5,8 @@ producer to any number of consumers without touching the filesystem: the
 writer presents *steps* of named variables in a bounded queue, each reader
 loads what it needs, and releasing a step tells the writer the data may be
 dropped (Section IV-D of the paper).  The application code never sees this
-protocol: it reads and writes openPMD iterations, and SST is the transport
-between them.
+protocol: it writes and reads openPMD iterations through a
+:class:`repro.openpmd.Series`, and each iteration travels as one step.
 
 This subpackage models the transport's observable behaviour in-process —
 one step at a time, in order, through a bounded queue that stalls the

@@ -14,7 +14,7 @@ the loss explicit and controllable instead of dropping whole time steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -23,8 +23,6 @@ from repro.utils.rng import RandomState, seeded_rng
 
 class Reducer:
     """Base class of in-stream reducers."""
-
-    name: str = "identity"
 
     def reduce(self, name: str, data: np.ndarray) -> np.ndarray:
         """Return the reduced payload for variable ``name``."""
@@ -37,25 +35,18 @@ class Reducer:
 
 
 class PrecisionReducer(Reducer):
-    """Cast floating-point payloads to a narrower dtype (e.g. float32/float16).
+    """Cast wider floating-point payloads to float32.
 
     The cheapest, always-applicable reduction: PIC particle data is produced
-    in float64/float32 but the ML model does not benefit from the extra
-    mantissa bits.
+    in float64 but the ML model does not benefit from the extra mantissa
+    bits.
     """
-
-    name = "precision"
-
-    def __init__(self, dtype=np.float32) -> None:
-        self.dtype = np.dtype(dtype)
-        if self.dtype.kind != "f":
-            raise ValueError("PrecisionReducer requires a floating-point target dtype")
 
     def reduce(self, name: str, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data)
-        if data.dtype.kind != "f" or data.dtype.itemsize <= self.dtype.itemsize:
+        if data.dtype.kind != "f" or data.dtype.itemsize <= 4:  # float32 or narrower
             return data
-        return data.astype(self.dtype)
+        return data.astype(np.float32)
 
 
 class ParticleSubsampleReducer(Reducer):
@@ -68,23 +59,18 @@ class ParticleSubsampleReducer(Reducer):
     preserved in expectation.
     """
 
-    name = "particle_subsample"
-
-    def __init__(self, fraction: float, rng: RandomState = None,
-                 particle_prefixes: Sequence[str] = ("particles/",)) -> None:
+    def __init__(self, fraction: float, rng: RandomState = None) -> None:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must lie in (0, 1]")
         self.fraction = float(fraction)
         self.rng = seeded_rng(rng)
-        self.particle_prefixes = tuple(particle_prefixes)
-        self._selection_cache: Dict[Tuple[int, int], np.ndarray] = {}
+        self._selection_cache: Dict[int, np.ndarray] = {}
 
-    def _selection(self, n: int, step_key: int) -> np.ndarray:
-        key = (step_key, n)
-        if key not in self._selection_cache:
+    def _selection(self, n: int) -> np.ndarray:
+        if n not in self._selection_cache:
             keep = max(1, int(round(self.fraction * n)))
-            self._selection_cache[key] = np.sort(self.rng.choice(n, size=keep, replace=False))
-        return self._selection_cache[key]
+            self._selection_cache[n] = np.sort(self.rng.choice(n, size=keep, replace=False))
+        return self._selection_cache[n]
 
     def new_step(self) -> None:
         """Reset the per-step selection cache (call once per streamed step)."""
@@ -92,10 +78,10 @@ class ParticleSubsampleReducer(Reducer):
 
     def reduce(self, name: str, data: np.ndarray) -> np.ndarray:
         data = np.asarray(data)
-        if not any(name.startswith(p) for p in self.particle_prefixes) or data.ndim == 0:
+        if not name.startswith("particles/") or data.ndim == 0:
             return data
         n = data.shape[0]
-        selection = self._selection(n, step_key=0)
+        selection = self._selection(n)
         reduced = data[selection]
         if "weight" in name.lower():
             # weight-like record: rescale so the total is preserved in expectation
@@ -124,8 +110,6 @@ class ReductionReport:
 
 class ReductionPipeline(Reducer):
     """Apply several reducers in sequence and keep per-step statistics."""
-
-    name = "pipeline"
 
     def __init__(self, reducers: Sequence[Reducer]) -> None:
         self.reducers = list(reducers)

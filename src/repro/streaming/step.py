@@ -12,9 +12,10 @@ import numpy as np
 class Step:
     """One streamed step: a flat ``path -> ndarray`` dict plus attributes.
 
-    The paths are the openPMD record paths of
-    :func:`repro.openpmd.backends.iteration_to_arrays`; a step carries no
-    object tree, so anything that moves arrays can carry it.
+    The paths are openPMD record paths
+    (``particles/<species>/<record>[/<component>]``) and the attributes the
+    iteration's; a step is the whole openPMD iteration, with no object tree,
+    so anything that moves arrays can carry it.
     """
 
     index: int

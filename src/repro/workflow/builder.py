@@ -36,8 +36,7 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Union
 from repro.core.config import WorkflowConfig
 from repro.core.producer import StreamingProducerPlugin
 from repro.core.transforms import RegionPartition
-from repro.openpmd.backends import StreamingBackend
-from repro.openpmd.series import Access, Series
+from repro.openpmd.series import Series
 from repro.pic.khi import make_khi_simulation
 from repro.pic.simulation import PICSimulation
 from repro.radiation.detector import RadiationDetector
@@ -123,8 +122,7 @@ class WorkflowSession:
             broker = SSTBroker(f"{cfg.streaming.stream_name}#{spec.name}",
                                queue_limit=cfg.streaming.queue_limit
                                if spec.queue_limit is None else spec.queue_limit)
-            series = Series(cfg.streaming.stream_name, Access.READ_LINEAR,
-                            StreamingBackend(broker))
+            series = Series(broker)
             # the primary consumer keeps the seed's RNG derivation, so a
             # default session reproduces the seed's results bit-for-bit
             stream_index = 4 if spec.name == self.PRIMARY_CONSUMER else 10 + position
@@ -137,8 +135,7 @@ class WorkflowSession:
         # --- the stream: one writer teeing into every consumer queue -------- #
         self.fanout = FanOutBroker(cfg.streaming.stream_name,
                                    list(self.brokers.values()))
-        self.writer_series = Series(cfg.streaming.stream_name, Access.CREATE,
-                                    StreamingBackend(self.fanout))
+        self.writer_series = Series(self.fanout)
         reduction = cfg.streaming.build_reduction_pipeline(
             rng=seeded_rng(derive_seed(cfg.seed, 6)))
         self.producer = StreamingProducerPlugin(

@@ -5,7 +5,9 @@ the openPMD-over-SST stream — the MLapp is simply the one that trains.
 This module gives consumers a uniform shape (:class:`StreamConsumer`) so
 that :class:`repro.workflow.builder.WorkflowSession` can fan one producer
 stream out to several of them, and a small registry so that the CLI and
-configs can name them.
+configs can name them.  A consumer reads its own
+:class:`repro.openpmd.Series`, whose iterations are
+:class:`repro.streaming.Step` dicts keyed by openPMD record path.
 
 Two consumers ship by default:
 
@@ -24,6 +26,7 @@ from typing import Callable, Dict, Optional, TYPE_CHECKING
 import numpy as np
 
 from repro.core.mlapp import MLApp
+from repro.core.producer import POINT_CLOUDS, SPECTRA
 from repro.openpmd.series import Series
 from repro.utils.rng import RandomState
 
@@ -110,24 +113,21 @@ class HistogramMonitorConsumer(StreamConsumer):
     def consume(self, max_iterations: Optional[int] = None,
                 on_iteration: Optional[IterationCallback] = None) -> int:
         consumed = 0
-        for iteration in self.series.read_iterations():
-            records = iteration.get_particles("ml_samples")
-            clouds = records["point_clouds"].load_scalar()
-            spectra = records["spectra"].load_scalar()
+        for step in self.series.read_iterations():
+            clouds = step.arrays[POINT_CLOUDS]
             # flow-direction momentum component of every point of every cloud
-            momenta = np.asarray(clouds)[..., 3].ravel()
-            counts, _ = np.histogram(momenta, bins=self.bin_edges)
+            counts, _ = np.histogram(clouds[..., 3].ravel(), bins=self.bin_edges)
             self.momentum_counts += counts
-            total = np.asarray(spectra).sum(axis=0)
+            total = step.arrays[SPECTRA].sum(axis=0)
             self.spectrum_sum = total if self.spectrum_sum is None \
                 else self.spectrum_sum + total
             n_samples = len(clouds)
-            self.per_step_sample_counts[iteration.index] = n_samples
+            self.per_step_sample_counts[step.index] = n_samples
             self.iterations_consumed += 1
             self.samples_consumed += n_samples
             consumed += 1
             if on_iteration is not None:
-                on_iteration(iteration.index, n_samples)
+                on_iteration(step.index, n_samples)
             if max_iterations is not None and consumed >= max_iterations:
                 break
         return consumed

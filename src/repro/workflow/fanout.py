@@ -47,7 +47,7 @@ class FanOutBroker:
         self.steps_written = 0
         self.bytes_written = 0
 
-    # -- writer interface (what StreamingBackend calls) --------------------- #
+    # -- writer interface (what the writer Series calls) -------------------- #
     def put_step(self, step: Step, timeout: Optional[float] = None) -> None:
         """Present one step to every live downstream queue."""
         delivered = 0

@@ -8,7 +8,8 @@ import pytest
 from repro.core import MLConfig, StreamingConfig, WorkflowConfig
 from repro.core.mlapp import MLApp
 from repro.models.config import ModelConfig
-from repro.openpmd import Access, MemoryBackend, Series
+from repro.openpmd import DirectoryStore, Series
+from repro.streaming import SSTBroker
 from repro.pic.khi import KHIConfig
 from repro.workflow import WorkflowBuilder
 
@@ -92,33 +93,49 @@ class TestArtificialScientistWorkflow:
         assert last < first
 
 
+def produce(cfg, broker, n_steps):
+    """Run the producer plugin alone for ``n_steps`` onto ``broker``."""
+    from repro.core import RegionPartition, StreamingProducerPlugin
+    from repro.pic.khi import make_khi_simulation
+    from repro.radiation.detector import RadiationDetector
+
+    sim = make_khi_simulation(cfg.khi)
+    detector = RadiationDetector.for_khi(density=cfg.khi.density,
+                                         n_directions=1, n_frequencies=8)
+    partition = RegionPartition(cfg.khi.grid_config, cfg.region_counts)
+    sim.add_plugin(StreamingProducerPlugin(Series(broker), detector, partition,
+                                           n_points=cfg.ml.model.n_input_points,
+                                           rng=0))
+    sim.run(n_steps)
+
+
 class TestMLAppStandalone:
-    def test_mlapp_requires_reader_series(self):
-        series = Series("x", Access.CREATE, MemoryBackend())
-        with pytest.raises(ValueError):
-            MLApp(series, MLConfig())
-
-    def test_mlapp_consumes_memory_backend(self, rng):
-        """The MLapp can also train from stored (file-like) series — the
-        classical offline workflow retained for comparison."""
-        from repro.core import RegionPartition, StreamingProducerPlugin
-        from repro.pic.khi import make_khi_simulation
-        from repro.radiation.detector import RadiationDetector
-
+    def test_mlapp_consumes_a_broker(self, rng):
+        """The MLapp trains on whatever a series reads: here a broker the
+        producer has filled and closed before the MLapp starts."""
         cfg = tiny_config()
-        backend = MemoryBackend()
-        writer = Series("khi", Access.CREATE, backend)
-        sim = make_khi_simulation(cfg.khi)
-        detector = RadiationDetector.for_khi(density=cfg.khi.density,
-                                             n_directions=1, n_frequencies=8)
-        partition = RegionPartition(cfg.khi.grid_config, cfg.region_counts)
-        sim.add_plugin(StreamingProducerPlugin(writer, detector, partition,
-                                               n_points=cfg.ml.model.n_input_points))
-        sim.run(2)
+        broker = SSTBroker("khi", queue_limit=2)
+        produce(cfg, broker, 2)
 
-        mlapp = MLApp(Series("khi", Access.READ_LINEAR, backend), cfg.ml, rng=rng)
+        mlapp = MLApp(Series(broker), cfg.ml, rng=rng)
         consumed = mlapp.consume()
         assert consumed == 2
         assert mlapp.samples_consumed == 8
         assert len(mlapp.history) == 2 * cfg.ml.n_rep
         assert mlapp.loss_summary()["total"] > 0
+
+    def test_mlapp_trains_alike_from_files_and_from_the_stream(self, tmp_path):
+        """The file-based workflow — the classical offline one retained for
+        comparison — feeds the MLapp the same samples as the stream."""
+        cfg = tiny_config()
+        broker = SSTBroker("khi", queue_limit=2)
+        produce(cfg, broker, 2)
+        produce(cfg, DirectoryStore(str(tmp_path)), 2)
+
+        def losses(series):
+            mlapp = MLApp(series, cfg.ml, rng=np.random.default_rng(3))
+            assert mlapp.consume() == 2
+            return mlapp.history.series("total")
+
+        np.testing.assert_array_equal(
+            losses(Series(DirectoryStore(str(tmp_path)))), losses(Series(broker)))

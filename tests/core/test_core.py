@@ -10,10 +10,12 @@ from repro.core import (MLConfig, PlacementMode, RegionPartition, ResourcePlan,
                         encode_point_cloud, encode_spectrum, make_training_samples)
 from repro.core.transforms import Region, decode_point_cloud
 from repro.models.config import ModelConfig
-from repro.openpmd import Access, MemoryBackend, Series
+from repro.core.producer import POINT_CLOUDS
+from repro.openpmd import Series
 from repro.pic.grid import GridConfig
 from repro.pic.khi import KHIConfig, make_khi_simulation
 from repro.radiation.detector import RadiationDetector
+from repro.streaming import SSTBroker
 
 
 def small_workflow_config(**overrides):
@@ -232,28 +234,17 @@ class TestProducerPlugin:
         detector = RadiationDetector.for_khi(density=cfg.density, n_directions=2,
                                              n_frequencies=8)
         partition = RegionPartition(cfg.grid_config, (1, 4, 1))
-        backend = MemoryBackend()
-        series = Series("khi", Access.CREATE, backend)
-        plugin = StreamingProducerPlugin(series, detector, partition, n_points=32,
-                                         sample_interval=2, rng=rng)
+        broker = SSTBroker("khi", queue_limit=4)
+        plugin = StreamingProducerPlugin(Series(broker), detector, partition,
+                                         n_points=32, sample_interval=2, rng=rng)
         sim.add_plugin(plugin)
         sim.run(4)
         assert plugin.iterations_streamed == 2   # steps 2 and 4
         assert plugin.samples_streamed == 8
         assert plugin.bytes_streamed > 0
 
-        reader = Series("khi", Access.READ_LINEAR, backend)
-        iterations = list(reader.read_iterations())
-        assert [it.index for it in iterations] == [2, 4]
-        clouds = iterations[0].get_particles("ml_samples")["point_clouds"].load_scalar()
-        assert clouds.shape == (4, 32, 6)
-        assert "electrons" in iterations[0].particles
-
-    def test_requires_create_series(self, rng):
-        cfg = KHIConfig(grid_shape=(8, 16, 2), particles_per_cell=2, seed=7)
-        detector = RadiationDetector.for_khi(density=cfg.density, n_directions=2,
-                                             n_frequencies=8)
-        partition = RegionPartition(cfg.grid_config, (1, 2, 1))
-        series = Series("khi", Access.READ_LINEAR, MemoryBackend())
-        with pytest.raises(ValueError):
-            StreamingProducerPlugin(series, detector, partition, n_points=8)
+        steps = list(Series(broker).read_iterations())   # the run closed the stream
+        assert [step.index for step in steps] == [2, 4]
+        assert steps[0].arrays[POINT_CLOUDS].shape == (4, 32, 6)
+        assert "particles/electrons/weighting" in steps[0].arrays
+        assert plugin.bytes_streamed == sum(step.nbytes for step in steps)

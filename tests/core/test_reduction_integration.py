@@ -36,16 +36,12 @@ class TestStreamReduction:
         config.streaming = StreamingConfig(queue_limit=4,
                                            particle_subsample_fraction=0.5)
         session = default_session(config)
-        # intercept one streamed iteration by consuming manually
+        # intercept one streamed step by reading the trainer's queue by hand
         session.simulation.step()
-        iterations = []
-        for iteration in session.reader_series.read_iterations():
-            iterations.append(iteration)
-            break
-        electrons = iterations[0].get_particles("electrons")
-        x = electrons["position"]["x"].load()
-        ux = electrons["momentum"]["x"].load()
-        w = electrons["weighting"].load_scalar()
+        step = next(session.reader_series.read_iterations())
+        x = step.arrays["particles/electrons/position/x"]
+        ux = step.arrays["particles/electrons/momentum/x"]
+        w = step.arrays["particles/electrons/weighting"]
         n_original = session.simulation.get_species("electrons").n_macro
         assert len(x) == len(ux) == len(w)
         assert len(x) == pytest.approx(0.5 * n_original, rel=0.05)

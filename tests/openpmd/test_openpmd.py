@@ -1,161 +1,135 @@
-"""Tests of the openPMD-like object model and its backends."""
+"""Tests of openPMD series on brokers and directory stores, and of the
+record layout a workflow streams."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.openpmd import (Access, Iteration, JSONBackend, MemoryBackend, Series,
-                           StreamingBackend)
-from repro.openpmd.backends import arrays_to_iteration, iteration_to_arrays
-from repro.streaming import SSTBroker
+from repro.core.producer import POINT_CLOUDS, REGIONS, SPECTRA
+from repro.openpmd import DirectoryStore, Series
+from repro.streaming import SSTBroker, Step
+from repro.workflow import WorkflowBuilder
 
 
-def fill_iteration(iteration: Iteration, rng, n_particles=20, grid=(4, 4, 2)):
-    iteration.set_time(1.0e-13 * iteration.index, 1.0e-13)
-    mesh = iteration.get_mesh("E")
-    mesh.set_grid(spacing=(1e-5, 1e-5, 1e-5))
-    for comp in ("x", "y", "z"):
-        mesh[comp].store(rng.random(grid), unit_si=1.0)
-    electrons = iteration.get_particles("electrons")
-    for comp in ("x", "y", "z"):
-        electrons["position"][comp].store(rng.random(n_particles), unit_si=1.0)
-        electrons["momentum"][comp].store(rng.random(n_particles), unit_si=1.0)
-    electrons["weighting"].store_scalar(np.ones(n_particles))
-    return iteration
+def make_step(index: int, rng, n_particles=20) -> Step:
+    arrays = {f"particles/electrons/{record}/{comp}": rng.random(n_particles)
+              for record in ("position", "momentum") for comp in ("x", "y", "z")}
+    arrays["particles/electrons/weighting"] = np.ones(n_particles)
+    arrays["particles/electrons/id"] = np.arange(n_particles, dtype=np.int64)
+    return Step(index, arrays, {"iteration": index, "time": 1.0e-13 * index,
+                                "dt": 1.0e-13, "timeUnitSI": 1.0})
 
 
-class TestRecords:
-    def test_component_store_load(self, rng):
-        it = Iteration(0)
-        comp = it.get_mesh("B")["x"]
-        data = rng.random((3, 3, 3))
-        comp.store(data, unit_si=2.0)
-        np.testing.assert_allclose(comp.load(), data)
-        np.testing.assert_allclose(comp.load_si(), 2.0 * data)
-        assert comp.nbytes == data.nbytes
-        assert not comp.empty
-
-    def test_load_empty_raises(self):
-        it = Iteration(0)
-        with pytest.raises(RuntimeError):
-            it.get_mesh("B")["x"].load()
-
-    def test_scalar_record(self, rng):
-        it = Iteration(0)
-        record = it.get_particles("e")["weighting"]
-        record.store_scalar(np.ones(5))
-        np.testing.assert_allclose(record.load_scalar(), 1.0)
-
-    def test_mesh_grid_metadata(self):
-        it = Iteration(0)
-        mesh = it.get_mesh("E").set_grid(spacing=(1.0, 2.0, 3.0),
-                                         axis_labels=("x", "y", "z"))
-        assert mesh.get_attribute("gridSpacing") == [1.0, 2.0, 3.0]
-        assert mesh.axis_labels == ("x", "y", "z")
-
-    def test_attributes(self):
-        it = Iteration(0)
-        it.set_attribute("author", "artificial scientist")
-        assert it.get_attribute("author") == "artificial scientist"
-        assert it.has_attribute("author")
-        assert not it.has_attribute("missing")
-
-    def test_nbytes_aggregation(self, rng):
-        it = fill_iteration(Iteration(0), rng, n_particles=10, grid=(2, 2, 2))
-        assert it.nbytes == 3 * 2 * 2 * 2 * 8 + (6 * 10 + 10) * 8
+def assert_same_step(read: Step, written: Step) -> None:
+    assert read.index == written.index
+    assert read.attributes == written.attributes
+    assert list(read.arrays) == list(written.arrays)
+    for path, data in written.arrays.items():
+        assert read.arrays[path].dtype == data.dtype
+        np.testing.assert_array_equal(read.arrays[path], data)
 
 
 class TestSerialization:
-    def test_roundtrip(self, rng):
-        it = fill_iteration(Iteration(7), rng)
-        arrays = iteration_to_arrays(it)
-        assert "meshes/E/x" in arrays
-        assert "particles/electrons/position/x" in arrays
-        assert "particles/electrons/weighting" in arrays
-        rebuilt = arrays_to_iteration(7, arrays, {"time": it.time, "dt": it.dt})
-        np.testing.assert_allclose(rebuilt.get_mesh("E")["x"].load(),
-                                   it.get_mesh("E")["x"].load())
-        np.testing.assert_allclose(
-            rebuilt.get_particles("electrons")["weighting"].load_scalar(), 1.0)
-        assert rebuilt.time == pytest.approx(it.time)
+    def test_roundtrip(self, rng, tmp_path):
+        """A directory keeps every path, dtype, value and attribute of a step."""
+        written = make_step(7, rng)
+        DirectoryStore(str(tmp_path)).put_step(written)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "iteration_000007.json", "iteration_000007.npz"]
+        read = DirectoryStore(str(tmp_path)).get_step()
+        assert_same_step(read, written)
 
 
 class TestSeriesWithBackends:
-    def test_memory_backend_roundtrip(self, rng):
-        backend = MemoryBackend()
-        writer = Series("khi", Access.CREATE, backend)
-        for i in range(3):
-            fill_iteration(writer.write_iteration(i), rng)
-            writer.close_iteration(i)
-        writer.close()
-
-        reader = Series("khi", Access.READ_LINEAR, backend)
-        indices = [it.index for it in reader.read_iterations()]
-        assert indices == [0, 1, 2]
-
-    def test_json_backend_roundtrip(self, rng, tmp_path):
-        directory = str(tmp_path / "openpmd")
-        writer = Series("khi", Access.CREATE, JSONBackend(directory))
-        original = fill_iteration(writer.write_iteration(0), rng)
-        expected = original.get_particles("electrons")["position"]["x"].load().copy()
-        writer.close_iteration(0)
-
-        reader = Series("khi", Access.READ_LINEAR, JSONBackend(directory))
-        read = list(reader.read_iterations())
-        assert len(read) == 1
-        np.testing.assert_allclose(
-            read[0].get_particles("electrons")["position"]["x"].load(), expected)
-
-    def test_streaming_backend_roundtrip(self, rng):
+    def test_broker_roundtrip(self, rng):
         broker = SSTBroker("khi", queue_limit=8)
-        writer = Series("khi", Access.CREATE, StreamingBackend(broker))
-        expected = []
-        for i in range(4):
-            it = fill_iteration(writer.write_iteration(i), rng)
-            expected.append((it.get_mesh("E")["x"].load().copy(), it.time))
-            writer.close_iteration(i)
+        writer = Series(broker)
+        written = [make_step(i, rng) for i in range(4)]
+        for step in written:
+            writer.close_iteration(step)
         writer.close()
 
-        reader = Series("khi", Access.READ_LINEAR, StreamingBackend(broker))
-        count = 0
-        for it in reader.read_iterations():
-            field, time = expected[count]
-            np.testing.assert_allclose(it.get_mesh("E")["x"].load(), field)
-            assert it.index == count
-            assert it.time == time
-            count += 1
-        assert count == 4
+        read = list(Series(broker).read_iterations())
+        assert [step.index for step in read] == [0, 1, 2, 3]
+        for got, expected in zip(read, written):
+            assert got is expected      # in transit: the step itself, no copy
+        assert broker.steps_read == 4
+
+    def test_directory_store_roundtrip(self, rng, tmp_path):
+        writer = Series(DirectoryStore(str(tmp_path)))
+        written = [make_step(i, rng) for i in (3, 1, 2)]
+        for step in written:
+            writer.close_iteration(step)
+        writer.close()
+
+        read = list(Series(DirectoryStore(str(tmp_path))).read_iterations())
+        assert [step.index for step in read] == [1, 2, 3]
+        by_index = {step.index: step for step in written}
+        for got in read:
+            assert_same_step(got, by_index[got.index])
 
     def test_streaming_iterations_consumed_once(self, rng):
         """Streamed data is dropped after being read (in-transit property)."""
         broker = SSTBroker("khi", queue_limit=8)
-        writer = Series("khi", Access.CREATE, StreamingBackend(broker))
-        fill_iteration(writer.write_iteration(0), rng)
-        writer.close_iteration(0)
+        writer = Series(broker)
+        writer.close_iteration(make_step(0, rng))
         writer.close()
 
-        reader = Series("khi", Access.READ_LINEAR, StreamingBackend(broker))
+        reader = Series(broker)
         assert len(list(reader.read_iterations())) == 1
         assert len(list(reader.read_iterations())) == 0
 
-    def test_access_mode_enforced(self, rng):
-        backend = MemoryBackend()
-        writer = Series("khi", Access.CREATE, backend)
-        with pytest.raises(RuntimeError):
-            list(writer.read_iterations())
-        reader = Series("khi", Access.READ_LINEAR, backend)
-        with pytest.raises(RuntimeError):
-            reader.write_iteration(0)
 
-    def test_closing_unknown_iteration(self):
-        series = Series("khi", Access.CREATE, MemoryBackend())
-        with pytest.raises(KeyError):
-            series.close_iteration(3)
+class TestDirectoryStore:
+    def test_a_second_run_cannot_mix_its_steps_into_the_first(self, rng, tmp_path):
+        """Steps 1-5, then a second run's steps 1-2 into the same directory:
+        the second run is refused and the reader sees the first run alone."""
+        first = [make_step(i, rng) for i in range(1, 6)]
+        writer = Series(DirectoryStore(str(tmp_path)))
+        for step in first:
+            writer.close_iteration(step)
+        writer.close()
 
-    def test_double_close_raises(self, rng):
-        series = Series("khi", Access.CREATE, MemoryBackend())
-        fill_iteration(series.write_iteration(0), rng)
-        series.close_iteration(0)
-        with pytest.raises(RuntimeError):
-            series.write_iteration(0)
+        second = Series(DirectoryStore(str(tmp_path)))
+        with pytest.raises(FileExistsError, match="iteration 1 is already in"):
+            second.close_iteration(make_step(1, rng))
+
+        read = list(Series(DirectoryStore(str(tmp_path))).read_iterations())
+        assert [step.index for step in read] == [1, 2, 3, 4, 5]
+        for got, expected in zip(read, first):
+            assert_same_step(got, expected)
+
+    def test_empty_directory_ends_at_once(self, tmp_path):
+        store = DirectoryStore(str(tmp_path / "new"))
+        assert store.get_step() is None
+        assert list(Series(store).read_iterations()) == []
+
+
+class TestStreamedLayout:
+    def test_bench_tiny_steps_hold_exactly_these_records(self):
+        """What the object tree used to imply, pinned on the flat step."""
+        session = WorkflowBuilder().preset("bench-tiny").driver("serial").build()
+        steps = []
+        put_step = session.fanout.put_step
+
+        def recording_put(step, timeout=None):
+            steps.append(step)
+            put_step(step, timeout=timeout)
+
+        session.fanout.put_step = recording_put
+        report = session.run(3).raise_if_failed().report
+
+        assert len(steps) == report.iterations_streamed == 3
+        electrons = {f"particles/electrons/{record}/{comp}"
+                     for record in ("position", "momentum") for comp in ("x", "y", "z")}
+        electrons.add("particles/electrons/weighting")
+        for step in steps:
+            assert set(step.arrays) == {POINT_CLOUDS, SPECTRA, REGIONS} | electrons
+            assert len(step.arrays) == 10
+            assert set(step.attributes) == {"iteration", "time", "dt", "timeUnitSI"}
+            assert step.attributes["iteration"] == step.index
+            assert step.attributes["timeUnitSI"] == 1.0
+            n_samples = len(step.arrays[POINT_CLOUDS])
+            assert len(step.arrays[SPECTRA]) == len(step.arrays[REGIONS]) == n_samples
+        assert report.bytes_streamed == sum(step.nbytes for step in steps)

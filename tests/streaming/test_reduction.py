@@ -13,25 +13,24 @@ from repro.streaming.reduction import (ParticleSubsampleReducer,
 
 class TestPrecisionReducer:
     def test_downcasts_float64(self, rng):
-        reducer = PrecisionReducer(np.float32)
+        reducer = PrecisionReducer()
         data = rng.random((100, 3))
         reduced = reducer.reduce("particles/position", data)
         assert reduced.dtype == np.float32
         assert reducer.factor(data, reduced) == pytest.approx(2.0)
 
     def test_keeps_narrow_types(self, rng):
-        reducer = PrecisionReducer(np.float32)
+        reducer = PrecisionReducer()
         data = rng.random((10,)).astype(np.float32)
         assert reducer.reduce("x", data).dtype == np.float32
+        assert reducer.reduce("x", data.astype(np.float16)).dtype == np.float16
+        ids = np.arange(10, dtype=np.int64)
+        assert reducer.reduce("x", ids) is ids
 
     def test_values_preserved_within_precision(self, rng):
-        reducer = PrecisionReducer(np.float32)
+        reducer = PrecisionReducer()
         data = rng.random((50,))
         np.testing.assert_allclose(reducer.reduce("x", data), data, rtol=1e-6)
-
-    def test_rejects_non_float_target(self):
-        with pytest.raises(ValueError):
-            PrecisionReducer(np.int32)
 
 
 class TestParticleSubsampleReducer:
@@ -78,7 +77,7 @@ class TestReductionPipeline:
     def test_combined_factor(self, rng):
         pipeline = ReductionPipeline([
             ParticleSubsampleReducer(0.5, rng=rng),
-            PrecisionReducer(np.float32),
+            PrecisionReducer(),
         ])
         variables = {"particles/phase_space": rng.random((1000, 6)),
                      "particles/weighting": rng.random(1000)}

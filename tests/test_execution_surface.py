@@ -19,13 +19,14 @@ import pytest
 
 import repro.campaign
 import repro.core
+import repro.openpmd
 import repro.streaming
 from repro.campaign import (CampaignSpec, WorkerPool, WorkerPoolExecutor,
                             available_campaign_presets, available_executors,
                             executor_for, get_campaign_preset, get_executor)
 from repro.cli import _build_parser, _campaign_executor
 from repro.core.config import StreamingConfig, WorkflowConfig
-from repro.openpmd import StreamingBackend
+from repro.openpmd import DirectoryStore, Series
 from repro.utils.serialization import jsonable
 from repro.pic import simulation as pic_simulation
 from repro.pic.khi import KHIConfig
@@ -155,7 +156,17 @@ class TestOptionsCensus:
             "should_stop", "capacity", "max_requeues", "counters"]
         assert parameters_of(SSTBroker.__init__) == [
             "stream_name", "queue_limit"]
-        assert parameters_of(StreamingBackend.__init__) == ["broker"]
+        assert parameters_of(Series.__init__) == ["broker"]
+        assert parameters_of(DirectoryStore.__init__) == ["directory"]
+        # an openPMD iteration is the step it is streamed as: no object
+        # tree, access modes or backend classes
+        assert repro.openpmd.__all__ == ["DirectoryStore", "Series"]
+        assert [name for name in (
+            "Access", "Iteration", "Attributable", "Record", "RecordComponent",
+            "Mesh", "ParticleSpecies", "Backend", "MemoryBackend", "JSONBackend",
+            "StreamingBackend") if hasattr(repro.openpmd, name)] == []
+        assert importlib.util.find_spec("repro.openpmd.records") is None
+        assert importlib.util.find_spec("repro.openpmd.backends") is None
         assert [field.name for field in dataclasses.fields(Step)] == [
             "index", "arrays", "attributes"]
         assert [field.name for field in dataclasses.fields(NoOpConsumer)] == [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.producer import POINT_CLOUDS
 from repro.workflow import (HistogramMonitorConsumer, WorkflowBuilder,
                             WorkflowSession, available_consumers,
                             get_consumer_factory, register_consumer)
@@ -99,10 +100,8 @@ class TestFanOut:
         class VandalConsumer(HistogramMonitorConsumer):
             def consume(self, max_iterations=None, on_iteration=None):
                 consumed = 0
-                for iteration in self.series.read_iterations():
-                    records = iteration.get_particles("ml_samples")
-                    clouds = records["point_clouds"].load_scalar()
-                    np.asarray(clouds)[...] = 1e9  # corrupt in place
+                for step in self.series.read_iterations():
+                    step.arrays[POINT_CLOUDS][...] = 1e9  # corrupt in place
                     self.iterations_consumed += 1
                     consumed += 1
                     if max_iterations and consumed >= max_iterations:
