@@ -28,8 +28,11 @@ script) exposes the main entry points of the reproduction:
   ``docs/performance.md``),
 * ``bench-campaign``   — benchmark the campaign executors
   (serial/workers) on one whole launch each and append the result to
-  ``BENCH_campaign_throughput.json`` (both ``bench-*`` commands mount the
-  flags their case modules declare and run under the one harness in
+  ``BENCH_campaign_throughput.json``,
+* ``bench-train``      — benchmark one training iteration phase by phase at
+  the ``bench-tiny`` and ``laptop`` models and append the result to
+  ``BENCH_train_hotpath.json`` (every ``bench-*`` command mounts the flags
+  its case module declares and runs under the one harness in
   :mod:`repro.utils.benchjson`).
 
 ``run`` is built on :mod:`repro.workflow`: it assembles a
@@ -764,8 +767,10 @@ def _bench_cases() -> Dict[str, object]:
     """The persisted benchmarks by command name (flags live with the case)."""
     from repro.campaign.hotpath import CASE as campaign_case
     from repro.pic.hotpath import CASE as hotpath_case
+    from repro.workflow.train_hotpath import CASE as train_case
 
-    return {"bench-hotpath": hotpath_case, "bench-campaign": campaign_case}
+    return {"bench-hotpath": hotpath_case, "bench-campaign": campaign_case,
+            "bench-train": train_case}
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -787,6 +792,7 @@ _COMMANDS = {
     "placement": _cmd_placement,
     "bench-hotpath": _cmd_bench,
     "bench-campaign": _cmd_bench,
+    "bench-train": _cmd_bench,
 }
 
 

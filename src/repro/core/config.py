@@ -58,6 +58,18 @@ def _dataclass_from_dict(cls, data: Mapping[str, object]):
     return cls(**kwargs)
 
 
+def _check_int(name: str, value: object, minimum: int) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _finite(value: object) -> bool:
+    """Whether ``value`` is a finite real number (a bool is not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
 @dataclass
 class StreamingConfig:
     """Streaming-layer knobs of the coupled run."""
@@ -75,13 +87,9 @@ class StreamingConfig:
         # checked here, not when the session is built, so that a campaign
         # spec or --config file carrying an unrunnable value fails at resolve
         for name in ("queue_limit", "sample_interval"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
-                    or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            _check_int(name, getattr(self, name), 1)
         fraction = self.particle_subsample_fraction
-        if not isinstance(fraction, numbers.Real) or isinstance(fraction, bool) \
-                or not (math.isfinite(fraction) and 0.0 < fraction <= 1.0):
+        if not (_finite(fraction) and 0.0 < fraction <= 1.0):
             raise ValueError(f"particle_subsample_fraction must lie in (0, 1], "
                              f"got {fraction!r}")
         if not isinstance(self.reduce_precision, bool):
@@ -116,6 +124,22 @@ class MLConfig:
     n_points_per_sample: Optional[int] = None  #: defaults to model.n_input_points
     max_grad_norm: Optional[float] = None      #: global-norm gradient clipping
     warmup_steps: int = 0                      #: linear LR warm-up iterations
+
+    def __post_init__(self) -> None:
+        # checked here, as StreamingConfig does, so that a campaign spec or
+        # --config file carrying a value that cannot train fails at resolve:
+        # a NaN rate trains to a NaN loss, a negative m_vae ascends the VAE
+        _check_int("n_rep", self.n_rep, 1)
+        _check_int("warmup_steps", self.warmup_steps, 0)
+        if not (_finite(self.base_learning_rate) and self.base_learning_rate >= 0):
+            raise ValueError(f"base_learning_rate must be finite and >= 0, "
+                             f"got {self.base_learning_rate!r}")
+        if not (_finite(self.m_vae) and self.m_vae > 0):
+            raise ValueError(f"m_vae must be finite and > 0, got {self.m_vae!r}")
+        if self.max_grad_norm is not None and not (
+                _finite(self.max_grad_norm) and self.max_grad_norm > 0):
+            raise ValueError(f"max_grad_norm must be null or finite and > 0, "
+                             f"got {self.max_grad_norm!r}")
 
 
 @dataclass

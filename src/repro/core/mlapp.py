@@ -20,6 +20,27 @@ from repro.utils.rng import RandomState, seeded_rng
 from repro.utils.timer import Timer
 
 
+def build_trainer(config: MLConfig, rng: RandomState = None) -> InTransitTrainer:
+    """The model, block-rate Adam, replay buffer and trainer ``config``
+    describes — what an :class:`MLApp` trains with."""
+    rng = seeded_rng(rng)
+    model = ArtificialScientistModel(config.model, rng=rng)
+    groups = make_block_param_groups(model.vae_parameters(), model.inn_parameters(),
+                                     base_lr=config.base_learning_rate,
+                                     m_vae=config.m_vae)
+    optimizer = Adam(groups, lr=config.base_learning_rate)
+    buffer = TrainingBuffer(now_size=config.now_buffer_size,
+                            ep_size=config.ep_buffer_size,
+                            n_now=config.n_now, n_ep=config.n_ep, rng=rng)
+    scheduler = None
+    if config.warmup_steps > 0:
+        from repro.mlcore.schedulers import WarmupScheduler
+        scheduler = WarmupScheduler(optimizer, warmup_steps=config.warmup_steps)
+    return InTransitTrainer(model, optimizer, buffer, loss=CombinedLoss(),
+                            n_rep=config.n_rep, max_grad_norm=config.max_grad_norm,
+                            scheduler=scheduler)
+
+
 class MLApp:
     """Reads openPMD iterations from a stream and trains the model on them.
 
@@ -32,26 +53,12 @@ class MLApp:
     """
 
     def __init__(self, series: Series, config: MLConfig, rng: RandomState = None) -> None:
-        rng = seeded_rng(rng)
         self.series = series
         self.config = config
-        self.model = ArtificialScientistModel(config.model, rng=rng)
-        groups = make_block_param_groups(self.model.vae_parameters(),
-                                         self.model.inn_parameters(),
-                                         base_lr=config.base_learning_rate,
-                                         m_vae=config.m_vae)
-        self.optimizer = Adam(groups, lr=config.base_learning_rate)
-        self.buffer = TrainingBuffer(now_size=config.now_buffer_size,
-                                     ep_size=config.ep_buffer_size,
-                                     n_now=config.n_now, n_ep=config.n_ep, rng=rng)
-        scheduler = None
-        if config.warmup_steps > 0:
-            from repro.mlcore.schedulers import WarmupScheduler
-            scheduler = WarmupScheduler(self.optimizer, warmup_steps=config.warmup_steps)
-        self.trainer = InTransitTrainer(self.model, self.optimizer, self.buffer,
-                                        loss=CombinedLoss(), n_rep=config.n_rep,
-                                        max_grad_norm=config.max_grad_norm,
-                                        scheduler=scheduler)
+        self.trainer = build_trainer(config, rng)
+        self.model = self.trainer.model
+        self.optimizer = self.trainer.optimizer
+        self.buffer = self.trainer.buffer
         self.timer = Timer()
         self.iterations_consumed = 0
         self.samples_consumed = 0

@@ -3,7 +3,7 @@ used by the paper's architecture."""
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -108,6 +108,29 @@ def pairwise_squared_distances(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._make(d2, (a, b), backward)
 
 
+def reparameterize(mu: Tensor, log_var: Tensor, eps: np.ndarray) -> Tensor:
+    """``mu + exp(log_var / 2) * eps`` — a draw from ``N(mu, exp(log_var))``
+    given the standard-normal ``eps`` — as one autograd node.
+
+    With ``sigma = exp(log_var / 2)``: ``dz/dmu = 1`` and
+    ``dz/dlog_var = eps sigma / 2``, multiplied in the order the op-by-op
+    tape multiplied it, so training reproduces it bit for bit.
+    """
+    sigma = np.exp(log_var.data * 0.5)
+    return Tensor._make(mu.data + sigma * eps, (mu, log_var),
+                        lambda g: (g, g * eps * sigma * 0.5))
+
+
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """``terms[0] * weights[0] + terms[1] * weights[1] + ...`` (same-shape
+    terms, summed left to right) as one autograd node."""
+    terms, weights = tuple(terms), tuple(weights)
+    value = terms[0].data * weights[0]
+    for term, weight in zip(terms[1:], weights[1:]):
+        value = value + term.data * weight
+    return Tensor._make(value, terms, lambda g: tuple(g * w for w in weights))
+
+
 def affine_forward(x: np.ndarray, weight: np.ndarray,
                    bias: Optional[np.ndarray], relu: bool) -> np.ndarray:
     """Array half of :func:`affine`: ``x @ weight (+ bias)``, optionally
@@ -198,6 +221,6 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
 def mse(a: Tensor, b: Union[Tensor, np.ndarray]) -> Tensor:
     """Mean squared error (convenience wrapper around the losses module)."""
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    diff = a - b
-    return (diff * diff).mean()
+    from repro.mlcore.losses import mse_loss   # losses imports this module
+
+    return mse_loss(a, b)

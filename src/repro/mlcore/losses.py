@@ -30,11 +30,22 @@ def _as_tensor(x: ArrayOrTensor) -> Tensor:
 
 
 def mse_loss(prediction: ArrayOrTensor, target: ArrayOrTensor) -> Tensor:
-    """Mean squared error averaged over all elements."""
+    """Mean squared error averaged over all elements, as one autograd node.
+
+    ``d/dprediction = 2 (prediction - target) / n`` and the negative of it
+    for ``target`` (reduced over any axes the two were broadcast along).
+    """
     prediction = _as_tensor(prediction)
     target = _as_tensor(target)
-    diff = prediction - target
-    return (diff * diff).mean()
+    diff = prediction.data - target.data
+    scale = 1.0 / max(diff.size, 1)
+
+    def backward(g: np.ndarray):
+        grad = diff * (2.0 * scale * g)
+        return grad, (-grad if target.requires_grad else None)
+
+    return Tensor._make((diff * diff).sum() * scale, (prediction, target),
+                        backward)
 
 
 def l1_loss(prediction: ArrayOrTensor, target: ArrayOrTensor) -> Tensor:
@@ -107,13 +118,31 @@ def kl_divergence_normal(mu: ArrayOrTensor, log_var: ArrayOrTensor) -> Tensor:
     """KL divergence ``KL(N(mu, sigma^2) || N(0, 1))`` averaged over the batch.
 
     ``log_var`` is the natural logarithm of the variance, the standard VAE
-    parameterisation (Kingma & Welling).
+    parameterisation (Kingma & Welling).  One autograd node: with ``n`` the
+    number of samples, ``d/dmu = mu / n`` and
+    ``d/dlog_var = (exp(log_var) - 1) / (2 n)``.
     """
     mu = _as_tensor(mu)
     log_var = _as_tensor(log_var)
+    m, lv = mu.data, log_var.data
+    variance = np.exp(lv)
     # 0.5 * sum(exp(logvar) + mu^2 - 1 - logvar) per sample, then batch mean.
-    per_sample = (log_var.exp() + mu * mu - 1.0 - log_var).sum(axis=-1) * 0.5
-    return per_sample.mean()
+    terms = variance + m * m
+    terms -= 1.0
+    terms -= lv
+    per_sample = terms.sum(axis=-1) * 0.5
+    scale = 1.0 / max(per_sample.size, 1)
+
+    def backward(g: np.ndarray):
+        # rounded as the op-by-op tape rounded it (exp(lv) h - h, not
+        # (exp(lv) - 1) h), so training reproduces it bit for bit
+        g = g * scale
+        half = g * 0.5
+        g_log_var = variance * half
+        g_log_var -= half
+        return m * g, g_log_var
+
+    return Tensor._make(per_sample.sum() * scale, (mu, log_var), backward)
 
 
 def _imq_mmd(d2: Tensor, n_x: int, scales: Sequence[float]) -> Tensor:

@@ -10,6 +10,7 @@ groups make that split explicit.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Union
@@ -27,13 +28,23 @@ PAPER_BASE_LEARNING_RATE = 1e-6
 
 @dataclass
 class ParamGroup:
-    """A set of parameters sharing hyper-parameters (like torch param groups)."""
+    """A set of parameters sharing hyper-parameters (like torch param groups).
+
+    ``state`` belongs to the optimiser stepping the group: ``SGD`` keys its
+    momentum buffers by ``id(p)``, ``Adam`` keeps flat per-group buffers.
+    """
 
     params: List[Parameter]
     lr: float
     weight_decay: float = 0.0
     name: str = "default"
-    state: Dict[int, dict] = field(default_factory=dict)
+    state: Dict[object, object] = field(default_factory=dict)
+
+
+def _check_lr(lr: float) -> None:
+    if not math.isfinite(lr) or lr < 0:
+        raise ValueError(f"learning rate must be finite and non-negative, "
+                         f"got {lr!r}")
 
 
 def sqrt_lr_scaling(base_lr: float, batch_size: int, base_batch_size: int) -> float:
@@ -51,17 +62,19 @@ class Optimizer:
 
     def __init__(self, params: Union[Iterable[Parameter], Sequence[ParamGroup]],
                  lr: float, weight_decay: float = 0.0) -> None:
-        if lr < 0:
-            raise ValueError("learning rate must be non-negative")
+        _check_lr(lr)
         params = list(params)
         if params and isinstance(params[0], ParamGroup):
             self.param_groups: List[ParamGroup] = list(params)  # type: ignore[arg-type]
         else:
             self.param_groups = [ParamGroup(params=list(params), lr=lr,
                                             weight_decay=weight_decay)]
+        for group in self.param_groups:
+            _check_lr(group.lr)
         self._step_count = 0
 
     def add_param_group(self, group: ParamGroup) -> None:
+        _check_lr(group.lr)
         self.param_groups.append(group)
 
     def zero_grad(self) -> None:
@@ -78,6 +91,7 @@ class Optimizer:
 
     def set_lr(self, lr: float, group_name: Optional[str] = None) -> None:
         """Set the learning rate of one (by name) or all parameter groups."""
+        _check_lr(lr)
         for group in self.param_groups:
             if group_name is None or group.name == group_name:
                 group.lr = lr
@@ -116,7 +130,20 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam optimiser with the paper's default hyper-parameters."""
+    """Adam optimiser with the paper's default hyper-parameters.
+
+    A parameter group's moments live in flat buffers (``group.state["m"]``
+    and ``["v"]``, parameters laid end to end in group order, with a step
+    count per parameter in ``["step"]``), so one step gathers the group's
+    gradients once and updates it with a dozen whole-buffer NumPy calls
+    instead of a dozen per parameter.  The parameters themselves stay
+    independently owned arrays and are updated in place.
+
+    A parameter without a gradient is not updated, and its moments and step
+    count do not advance: the update runs over each range of consecutive
+    parameters that have a gradient and share a step count, which on a
+    training step where every parameter has one is the whole group.
+    """
 
     def __init__(self, params, lr: float = PAPER_BASE_LEARNING_RATE,
                  betas: Sequence[float] = PAPER_ADAM_BETAS,
@@ -134,40 +161,70 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._step_count += 1
-        b1, b2 = self.beta1, self.beta2
         for group in self.param_groups:
-            for p in group.params:
+            state = group.state or self._flat_state(group)
+            steps = state["step"]
+            keys = []
+            for index, p in enumerate(group.params):
                 if p.grad is None:
-                    continue
-                state = group.state.get(id(p))
-                if state is None:
-                    state = group.state[id(p)] = {"step": 0,
-                                                  "m": np.zeros_like(p.data),
-                                                  "v": np.zeros_like(p.data)}
-                state["step"] += 1
-                t = state["step"]
-                m, v = state["m"], state["v"]
-                # ``work`` is the one temporary: gradient, then its square,
-                # then the denominator, then the update itself
-                if group.weight_decay:
-                    work = group.weight_decay * p.data
-                    work += p.grad
+                    keys.append(None)
                 else:
-                    work = p.grad.copy()
-                m *= b1
-                m += (1.0 - b1) * work
-                v *= b2
-                work *= work
-                work *= 1.0 - b2
-                v += work
-                # p -= lr * (m / c1) / (sqrt(v / c2) + eps), with the bias
-                # corrections c1, c2 hoisted into scalars
-                np.sqrt(v, out=work)
-                work *= 1.0 / math.sqrt(1.0 - b2 ** t)
-                work += self.eps
-                np.divide(m, work, out=work)
-                work *= group.lr / (1.0 - b1 ** t)
-                p.data -= work
+                    steps[index] += 1
+                    keys.append(steps[index])
+            start = 0
+            for t, run in itertools.groupby(keys):
+                stop = start + sum(1 for _ in run)
+                if t is not None:
+                    self._update(group, state, start, stop, t)
+                start = stop
+
+    @staticmethod
+    def _flat_state(group: ParamGroup) -> dict:
+        offsets = list(itertools.accumulate((p.data.size for p in group.params),
+                                            initial=0))
+        work = np.empty(offsets[-1])
+        group.state.update(
+            m=np.zeros(offsets[-1]), v=np.zeros(offsets[-1]),
+            step=[0] * len(group.params), offsets=offsets, work=work,
+            scratch=np.empty(offsets[-1]),
+            # each parameter's slice of ``work``, in its own shape
+            updates=[work[a:b].reshape(p.data.shape) for p, a, b in
+                     zip(group.params, offsets, offsets[1:])])
+        return group.state
+
+    def _update(self, group: ParamGroup, state: dict, first: int, last: int,
+                t: int) -> None:
+        """Update parameters ``first:last`` of ``group``, all at step ``t``."""
+        params = group.params[first:last]
+        lo, hi = state["offsets"][first], state["offsets"][last]
+        m, v = state["m"][lo:hi], state["v"][lo:hi]
+        work, scratch = state["work"][lo:hi], state["scratch"][lo:hi]
+        b1, b2 = self.beta1, self.beta2
+        # ``work`` holds the gradient, then its square, then the denominator,
+        # then the update itself
+        if group.weight_decay:
+            np.concatenate([p.data for p in params], axis=None, out=work)
+            work *= group.weight_decay
+            np.concatenate([p.grad for p in params], axis=None, out=scratch)
+            work += scratch
+        else:
+            np.concatenate([p.grad for p in params], axis=None, out=work)
+        m *= b1
+        np.multiply(work, 1.0 - b1, out=scratch)
+        m += scratch
+        v *= b2
+        work *= work
+        work *= 1.0 - b2
+        v += work
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps), with the bias
+        # corrections c1, c2 hoisted into scalars
+        np.sqrt(v, out=work)
+        work *= 1.0 / math.sqrt(1.0 - b2 ** t)
+        work += self.eps
+        np.divide(m, work, out=work)
+        work *= group.lr / (1.0 - b1 ** t)
+        for p, update in zip(params, state["updates"][first:last]):
+            p.data -= update
 
 
 def make_block_param_groups(vae_params: Iterable[Parameter],

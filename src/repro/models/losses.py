@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-import numpy as np
-
+from repro.mlcore import functional as F
 from repro.mlcore.losses import chamfer_distance, kl_divergence_normal, mmd_imq, mse_loss
 from repro.mlcore.tensor import Tensor
 
@@ -54,8 +53,9 @@ class CombinedLoss:
         l_mmd_latent = mmd_imq(output.latent, output.latent_backward, scales=self.mmd_scales)
         l_mmd_normal = mmd_imq(output.normal_prediction, output.normal_reference,
                                scales=self.mmd_scales)
-        total = (l_cd * w.chamfer + l_kl * w.kl + l_mse * w.mse
-                 + l_mmd_latent * w.mmd_latent + l_mmd_normal * w.mmd_normal)
+        total = F.weighted_sum(
+            (l_cd, l_kl, l_mse, l_mmd_latent, l_mmd_normal),
+            (w.chamfer, w.kl, w.mse, w.mmd_latent, w.mmd_normal))
         self.last_terms: Dict[str, float] = {
             "chamfer": float(l_cd.item()),
             "kl": float(l_kl.item()),

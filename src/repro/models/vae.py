@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.mlcore import functional as F
 from repro.mlcore.module import Module
 from repro.mlcore.tensor import Tensor
 from repro.models.config import ModelConfig
@@ -38,14 +39,15 @@ class VariationalAutoEncoder(Module):
 
     def reparameterize(self, mu: Tensor, log_var: Tensor,
                        sample: Optional[bool] = None) -> Tensor:
-        """Draw ``z = mu + sigma * eps``; deterministic (``z = mu``) in eval mode."""
+        """Draw ``z = mu + sigma * eps`` (one autograd node,
+        :func:`repro.mlcore.functional.reparameterize`); deterministic
+        (``z = mu``) in eval mode."""
         if sample is None:
             sample = self.training
         if not sample:
             return mu
         eps = self._sample_rng.standard_normal(size=mu.shape)
-        sigma = (log_var * 0.5).exp()
-        return mu + sigma * Tensor(eps)
+        return F.reparameterize(mu, log_var, eps)
 
     def decode(self, latent: Tensor) -> Tensor:
         return self.decoder(latent)

@@ -26,7 +26,8 @@ corrupts the history; unknown or corrupt files fail loudly rather than being
 silently overwritten.
 
 The module is also the one harness under every persisted benchmark
-(:mod:`repro.pic.hotpath`, :mod:`repro.campaign.hotpath`).  A benchmark is a
+(:mod:`repro.pic.hotpath`, :mod:`repro.campaign.hotpath`,
+:mod:`repro.workflow.train_hotpath`).  A benchmark is a
 :class:`BenchCase`: its topic, its own flags, a ``run(args)`` returning a
 result with ``params()`` / ``metrics()`` / ``equivalent``, the result's text
 rendering and the message of a failed gate.  The harness supplies the rest:

@@ -58,9 +58,22 @@ class TestApplyOverride:
         ("streaming.particle_subsample_fraction", 0.0,
          r"particle_subsample_fraction must lie in \(0, 1\]"),
         ("streaming.reduce_precision", "no",
-         "reduce_precision must be true or false")],
+         "reduce_precision must be true or false"),
+        ("ml.base_learning_rate", float("nan"),
+         "base_learning_rate must be finite and >= 0"),
+        ("ml.base_learning_rate", -1e-3,
+         "base_learning_rate must be finite and >= 0"),
+        ("ml.m_vae", -2.0, "m_vae must be finite and > 0"),
+        ("ml.m_vae", 0.0, "m_vae must be finite and > 0"),
+        ("ml.n_rep", 0, "n_rep must be an integer >= 1"),
+        ("ml.n_rep", 2.5, "n_rep must be an integer >= 1"),
+        ("ml.max_grad_norm", float("inf"), "max_grad_norm must be null or finite"),
+        ("ml.max_grad_norm", 0.0, "max_grad_norm must be null or finite"),
+        ("ml.warmup_steps", -1, "warmup_steps must be an integer >= 0")],
         ids=["khi-ppc-0", "queue-limit-0", "sample-interval-float",
-             "fraction-1.5", "fraction-nan", "fraction-0", "precision-string"])
+             "fraction-1.5", "fraction-nan", "fraction-0", "precision-string",
+             "lr-nan", "lr-negative", "m-vae-negative", "m-vae-0", "n-rep-0",
+             "n-rep-float", "grad-norm-inf", "grad-norm-0", "warmup-negative"])
     def test_an_unrunnable_value_fails_at_resolve(self, path, value, message):
         """A swept value the session cannot run is refused when the spec
         is resolved, before any run of the sweep is scheduled."""

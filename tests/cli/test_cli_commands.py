@@ -111,6 +111,24 @@ class TestRunCommand:
         assert err.startswith("error:") and "Traceback" not in err
         assert message in err
 
+    @pytest.mark.parametrize("ml, message", [
+        ({"base_learning_rate": float("nan")},
+         "base_learning_rate must be finite and >= 0, got nan"),
+        ({"m_vae": -2.0}, "m_vae must be finite and > 0, got -2.0")],
+        ids=["nan-rate", "negative-m-vae"])
+    def test_run_with_a_rate_that_cannot_train_exits_2(
+            self, capsys, tmp_path, ml, message):
+        """A NaN rate trained to a NaN loss and a negative m_vae ascended
+        the VAE loss, both exiting 0: now they fail when the config loads."""
+        import json
+
+        path = tmp_path / "workflow.json"
+        path.write_text(json.dumps({"ml": ml}), encoding="utf-8")
+        assert cli_main(["run", "--steps", "1", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert message in err
+
     @pytest.mark.parametrize("document, kind", [("5", "int"), ('"abc"', "str")],
                              ids=["number", "string"])
     @pytest.mark.parametrize("command", [["run", "--steps", "1", "--config"],

@@ -32,6 +32,15 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def short_training(monkeypatch) -> None:
+    """Cut the ``bench-train`` case to 2 timed iterations after 1 warmup."""
+    from repro.workflow import train_hotpath
+
+    monkeypatch.setattr(train_hotpath, "ITERATIONS", 2)
+    monkeypatch.setattr(train_hotpath, "WARMUP", 1)
+
+
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference numerical gradient of a scalar function of ``x``."""
     x = np.asarray(x, dtype=np.float64)

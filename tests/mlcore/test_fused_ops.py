@@ -10,6 +10,8 @@ check of its own.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,10 +22,12 @@ from repro.mlcore import losses
 from repro.mlcore.layers import ConvTranspose3d, Linear, PointwiseConv, conv
 from repro.mlcore.optim import Adam
 from repro.mlcore.tensor import Tensor, concatenate
+from repro.models import losses as model_losses
 from repro.models.inn import GlowCouplingBlock
-from repro.models.losses import CombinedLoss
+from repro.models.losses import CombinedLoss, LossWeights
 from repro.models.model import ArtificialScientistModel
 from repro.workflow.presets import get_preset
+from repro.workflow.train_hotpath import MAX_TAPE_NODES, count_nodes
 from tests.conftest import numerical_gradient
 
 SCALES = (0.05, 0.2, 0.9)
@@ -97,6 +101,27 @@ def oracle_mmd_imq(x: Tensor, y: Tensor, scales=SCALES) -> Tensor:
     return k_xx + k_yy - k_xy * 2.0
 
 
+def oracle_kl(mu: Tensor, log_var: Tensor) -> Tensor:
+    per_sample = (log_var.exp() + mu * mu - 1.0 - log_var).sum(axis=-1) * 0.5
+    return per_sample.mean()
+
+
+def oracle_mse(prediction, target) -> Tensor:
+    diff = Tensor._coerce(prediction) - Tensor._coerce(target)
+    return (diff * diff).mean()
+
+
+def oracle_reparameterize(mu: Tensor, log_var: Tensor, eps: np.ndarray) -> Tensor:
+    return mu + (log_var * 0.5).exp() * Tensor(eps)
+
+
+def oracle_weighted_sum(terms, weights) -> Tensor:
+    total = None
+    for term, weight in zip(terms, weights):
+        total = term * weight if total is None else total + term * weight
+    return total
+
+
 def oracle_coupling(block: GlowCouplingBlock, x: Tensor, inverse: bool) -> Tensor:
     """The Glow block op by op (stands in for ``GlowCouplingBlock._node``)."""
     half = block.half
@@ -122,6 +147,15 @@ def oracle_coupling(block: GlowCouplingBlock, x: Tensor, inverse: bool) -> Tenso
     return concatenate([y1, y2], axis=1)
 
 
+def install_loss_tail_oracles(patch) -> None:
+    """Swap the KL, MSE, reparameterise and weighted-total nodes for their
+    oracles (``CombinedLoss`` resolves KL and MSE in its own module)."""
+    patch.setattr(model_losses, "kl_divergence_normal", oracle_kl)
+    patch.setattr(model_losses, "mse_loss", oracle_mse)
+    patch.setattr(F, "reparameterize", oracle_reparameterize)
+    patch.setattr(F, "weighted_sum", oracle_weighted_sum)
+
+
 def install_oracles(patch) -> None:
     """Swap every fused node for its oracle: the library on the plain tape."""
     patch.setattr(F, "pairwise_squared_distances", oracle_pairwise)
@@ -131,6 +165,7 @@ def install_oracles(patch) -> None:
     patch.setattr(losses, "_two_sided_min_mean", oracle_min_mean)
     patch.setattr(losses, "_imq_mmd", oracle_imq_mmd)
     patch.setattr(GlowCouplingBlock, "_node", oracle_coupling)
+    install_loss_tail_oracles(patch)
 
 
 # --------------------------------------------------------------------------- #
@@ -360,6 +395,74 @@ class TestMMDNode:
         assert_central_difference(lambda x, y: losses.mmd_imq(x, y, SCALES), arrays)
 
 
+class TestLossTailNodes:
+    """KL, MSE, reparameterise and the weighted total: one node each."""
+
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 5), (2, 3, 4)])
+    def test_kl_matches_oracle(self, rng, shape):
+        arrays = [rng.normal(size=shape), rng.normal(size=shape)]
+        assert_matches_oracle(losses.kl_divergence_normal, oracle_kl, arrays)
+
+    @pytest.mark.parametrize("shape_p, shape_t", [
+        ((4, 3), (4, 3)), ((2, 5), (5,)), ((3, 1), (3, 4)), ((6,), (6,))])
+    def test_mse_matches_oracle(self, rng, shape_p, shape_t):
+        arrays = [rng.normal(size=shape_p), rng.normal(size=shape_t)]
+        assert_matches_oracle(losses.mse_loss, oracle_mse, arrays)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 6)])
+    def test_reparameterize_matches_oracle(self, rng, shape):
+        eps = rng.normal(size=shape)
+        arrays = [rng.normal(size=shape), rng.normal(size=shape)]
+        assert_matches_oracle(lambda mu, lv: F.reparameterize(mu, lv, eps),
+                              lambda mu, lv: oracle_reparameterize(mu, lv, eps),
+                              arrays)
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_weighted_sum_matches_oracle(self, rng, shape):
+        weights = dataclasses.astuple(LossWeights())
+        arrays = [rng.normal(size=shape) for _ in weights]
+        assert_matches_oracle(lambda *terms: F.weighted_sum(terms, weights),
+                              lambda *terms: oracle_weighted_sum(terms, weights),
+                              arrays)
+
+    def test_value_and_gradients_equal_the_oracles_bit_for_bit(self, rng):
+        """Each node rounds as its oracle's tape did, so the two are equal,
+        not just close (what keeps training from drifting)."""
+        eps = rng.normal(size=(8, 5))
+        weights = dataclasses.astuple(LossWeights())
+        cases = [
+            (losses.kl_divergence_normal, oracle_kl, 2),
+            (losses.mse_loss, oracle_mse, 2),
+            (lambda mu, lv: F.reparameterize(mu, lv, eps),
+             lambda mu, lv: oracle_reparameterize(mu, lv, eps), 2)]
+        for fused, oracle, n_inputs in cases:
+            arrays = [rng.normal(size=(8, 5)) for _ in range(n_inputs)]
+            value, grads = value_and_grads(fused, arrays)
+            want_value, want_grads = value_and_grads(oracle, arrays)
+            np.testing.assert_array_equal(value, want_value)
+            for got, want in zip(grads, want_grads):
+                np.testing.assert_array_equal(got, want)
+        terms = [rng.normal(size=()) for _ in weights]
+        value, grads = value_and_grads(lambda *t: F.weighted_sum(t, weights), terms)
+        want_value, want_grads = value_and_grads(
+            lambda *t: oracle_weighted_sum(t, weights), terms)
+        np.testing.assert_array_equal(value, want_value)
+        np.testing.assert_array_equal(grads, want_grads)
+
+    def test_central_difference(self, rng):
+        eps = rng.normal(size=(3, 4))
+        weights = (1.0, 0.001, 0.3, 40.0, 0.03)
+        cases = [
+            (losses.kl_divergence_normal, [rng.normal(size=(3, 4)) for _ in range(2)]),
+            (losses.mse_loss, [rng.normal(size=(3, 4)), rng.normal(size=(4,))]),
+            (lambda mu, lv: F.reparameterize(mu, lv, eps),
+             [rng.normal(size=(3, 4)) for _ in range(2)]),
+            (lambda *terms: F.weighted_sum(terms, weights),
+             [rng.normal(size=(2,)) for _ in weights])]
+        for fn, arrays in cases:
+            assert_central_difference(fn, arrays)
+
+
 # --------------------------------------------------------------------------- #
 # the Glow coupling block
 # --------------------------------------------------------------------------- #
@@ -431,16 +534,6 @@ def _bench_tiny_batch(rng, batch: int = 8):
     return config, clouds, spectra
 
 
-def _count_make_calls(monkeypatch, action) -> int:
-    calls = []
-    original = Tensor._make
-    with monkeypatch.context() as patch:
-        patch.setattr(Tensor, "_make", staticmethod(
-            lambda *args: calls.append(1) or original(*args)))
-        action()
-    return len(calls)
-
-
 class TestFullModel:
     def _loss_and_gradients(self, config, clouds, spectra):
         model = ArtificialScientistModel(config, rng=np.random.default_rng(3))
@@ -468,7 +561,20 @@ class TestFullModel:
             np.testing.assert_allclose(grads[name], want, rtol=0.0,
                                        atol=1e-9 * largest, err_msg=name)
 
-    def test_training_iteration_builds_at_most_60_nodes(self, rng, monkeypatch):
+    def test_the_loss_tail_reproduces_its_oracles_bit_for_bit(self, rng, monkeypatch):
+        """KL, MSE, reparameterise and the weighted total round their
+        gradients as the op-by-op tape did, so training does not drift."""
+        config, clouds, spectra = _bench_tiny_batch(rng)
+        total, terms, grads = self._loss_and_gradients(config, clouds, spectra)
+        with monkeypatch.context() as patch:
+            install_loss_tail_oracles(patch)
+            want_total, want_terms, want_grads = self._loss_and_gradients(
+                config, clouds, spectra)
+        assert (total, terms) == (want_total, want_terms)
+        for name, want in want_grads.items():
+            np.testing.assert_array_equal(grads[name], want, err_msg=name)
+
+    def test_training_iteration_builds_at_most_40_nodes(self, rng, monkeypatch):
         config, clouds, spectra = _bench_tiny_batch(rng)
         model = ArtificialScientistModel(config, rng=np.random.default_rng(3))
         buffer = TrainingBuffer(now_size=8, ep_size=8, n_now=4, n_ep=4,
@@ -477,9 +583,8 @@ class TestFullModel:
                          for c, s in zip(clouds, spectra)])
         trainer = InTransitTrainer(model, Adam(model.parameters(), lr=1e-3), buffer)
         trainer.train_iteration(0)
-        fused = _count_make_calls(monkeypatch, lambda: trainer.train_iteration(1))
-        assert 0 < fused <= 60
+        assert 0 < count_nodes(trainer) <= MAX_TAPE_NODES
         with monkeypatch.context() as patch:
             install_oracles(patch)
-            oracle = _count_make_calls(monkeypatch, lambda: trainer.train_iteration(2))
+            oracle = count_nodes(trainer)
         assert oracle > 300            # the oracles really are op by op

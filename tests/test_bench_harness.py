@@ -1,9 +1,10 @@
 """The benchmark harness contract (``repro.utils.benchjson``), tested once.
 
-Both persisted benchmarks — ``repro.pic.hotpath`` and
-``repro.campaign.hotpath`` — are case definitions over one harness, so the
-behaviour they share (shared flags, persistence, exit codes, the flags the
-CLI mounts) is checked here over both cases instead of once per module.
+Every persisted benchmark — ``repro.pic.hotpath``,
+``repro.campaign.hotpath`` and ``repro.workflow.train_hotpath`` — is a case
+definition over one harness, so the behaviour they share (shared flags,
+persistence, exit codes, the flags the CLI mounts) is checked here over
+every case instead of once per module.
 """
 
 from __future__ import annotations
@@ -14,27 +15,37 @@ import pytest
 
 import repro.campaign.hotpath as campaign_hotpath
 import repro.pic.hotpath as pic_hotpath
+import repro.workflow.train_hotpath as train_hotpath
 from repro.cli import main as cli_main
 from repro.utils.benchjson import best_of_interleaved, latest_run
 from tests.campaign.test_campaign_hotpath import stub_result as campaign_stub
 from tests.pic.test_hotpath import stub_result as pic_stub
+from tests.workflow.test_train_hotpath import stub_result as train_stub
+
+pytestmark = pytest.mark.usefixtures("short_training")
 
 #: per case: module, CLI command, the smallest real invocation, the flags
-#: the entry points accept, a stub result builder and both gate sides
+#: the entry points accept, a stub result factory and what a failed gate
+#: names on stderr
 CASES = {
     "pic": dict(
         module=pic_hotpath, command="bench-hotpath",
         tiny=["--steps", "2", "--warmup", "1", "--repeats", "1"],
         flags={"--steps", "--warmup", "--grid", "--repeats", "--output-dir",
                "--no-persist", "--help"},
-        stub=pic_stub, sides=("fused", "reference")),
+        stub=pic_stub, failure=("disagree", "fused", "reference")),
     "campaign": dict(
         module=campaign_hotpath, command="bench-campaign",
         tiny=["--repeats", "1", "--repetitions", "1", "--max-workers", "2",
               "--start-method", "fork"],
         flags={"--repetitions", "--max-workers", "--start-method",
                "--repeats", "--output-dir", "--no-persist", "--help"},
-        stub=campaign_stub, sides=("workers", "serial")),
+        stub=campaign_stub, failure=("disagree", "workers", "serial")),
+    "train": dict(
+        module=train_hotpath, command="bench-train",
+        tiny=["--repeats", "1"],
+        flags={"--repeats", "--output-dir", "--no-persist", "--help"},
+        stub=train_stub, failure=("not finite", "58 nodes", "diverged")),
 }
 
 BAD_FLAGS = [
@@ -47,6 +58,7 @@ BAD_FLAGS = [
                  id="campaign-repetitions"),
     pytest.param("campaign", ["--max-workers", "0"],
                  id="campaign-max-workers"),
+    pytest.param("train", ["--repeats", "0"], id="train-repeats"),
 ]
 
 
@@ -126,8 +138,7 @@ class TestCaseContract:
             assert entry(["--no-persist"]) == 1
             captured = capsys.readouterr()
             assert "FAILED" in captured.out
-            assert "disagree" in captured.err
-            assert all(side in captured.err for side in case["sides"])
+            assert all(part in captured.err for part in case["failure"])
 
     def test_cli_mounts_exactly_the_module_flags(self, case, capsys):
         """Flags are declared once: both entry points list the same set."""
