@@ -1,20 +1,29 @@
 """Checkpointing of the in-transit training state.
 
 The streamed simulation data is gone once consumed, but the *learning state*
-— model weights, optimiser moments, the experience-replay buffers and the
-loss history — can and should be persisted: it is the only product of the
-run (the paper's trained model is what gets evaluated in Fig. 9), and a
-restartable MLapp lets a long campaign survive the failure of either side of
-the loosely coupled pair without losing the accumulated knowledge.
+can and should be persisted: it is the only product of the run (the paper's
+trained model is what gets evaluated in Fig. 9), and a restartable MLapp
+lets a long campaign survive the failure of either side of the loosely
+coupled pair without losing the accumulated knowledge.
 
-Checkpoints are plain ``.npz`` archives plus a JSON manifest, written
-atomically (write to a temporary name, then rename).
+A checkpoint directory holds ``manifest.json`` (stream step, iteration and
+buffer counts, ``n_rep``) and one ``state-*`` directory it names, with three
+``.npz`` archives: the model weights (``model.npz``), the now/EP
+experience-replay buffers (``buffer.npz``) and the per-iteration loss
+history (``history.npz``).  Adam's moments are not saved: the optimiser of
+a restored trainer starts them afresh.
+
+A save is atomic.  The archives and the new manifest are written into a
+fresh state directory, and a single rename of the manifest commits them;
+only then does the previous state directory go.  A save that fails before
+the rename leaves the previous checkpoint loading exactly as it was.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -23,7 +32,6 @@ import numpy as np
 
 from repro.continual.buffer import TrainingBuffer, TrainingSample
 from repro.continual.trainer import InTransitTrainer
-from repro.mlcore.serialization import load_state_dict, save_state_dict
 from repro.models.model import ArtificialScientistModel
 
 
@@ -39,6 +47,15 @@ class CheckpointInfo:
     @property
     def manifest_path(self) -> str:
         return os.path.join(self.directory, "manifest.json")
+
+
+def _save_npz(path: str, arrays: Dict[str, np.ndarray]) -> None:
+    np.savez(path, **arrays)
+
+
+def _load_npz(path: str) -> Dict[str, np.ndarray]:
+    with np.load(path) as archive:
+        return {key: archive[key] for key in archive.files}
 
 
 def _buffer_to_arrays(buffer: TrainingBuffer) -> Dict[str, np.ndarray]:
@@ -70,21 +87,15 @@ def _arrays_to_samples(arrays: Dict[str, np.ndarray], prefix: str) -> List[Train
 
 def save_checkpoint(directory: str, model: ArtificialScientistModel,
                     trainer: InTransitTrainer, step: int) -> CheckpointInfo:
-    """Write model weights, buffers and training history to ``directory``."""
+    """Write model weights, buffers and training history to ``directory``,
+    replacing the checkpoint there only once all of it is on disk."""
     os.makedirs(directory, exist_ok=True)
-
-    save_state_dict(model.state_dict(), os.path.join(directory, "model"))
-
-    buffer_arrays = _buffer_to_arrays(trainer.buffer)
-    np.savez(os.path.join(directory, "buffer.npz"), **buffer_arrays)
-
+    state = tempfile.mkdtemp(prefix="state-", dir=directory)
     history = trainer.history
     history_arrays = {"steps": np.asarray(history.steps, dtype=np.int64)}
     if history.terms:
         for name in history.terms[0]:
             history_arrays[f"loss_{name}"] = history.series(name)
-    np.savez(os.path.join(directory, "history.npz"), **history_arrays)
-
     manifest = {
         "step": int(step),
         "training_iterations": len(history),
@@ -92,12 +103,22 @@ def save_checkpoint(directory: str, model: ArtificialScientistModel,
         "buffer": {"now": trainer.buffer.now_count, "ep": trainer.buffer.ep_count,
                    "now_size": trainer.buffer.now_size, "ep_size": trainer.buffer.ep_size},
         "n_rep": trainer.n_rep,
+        "state": os.path.basename(state),
     }
-    manifest_path = os.path.join(directory, "manifest.json")
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".json")
-    with os.fdopen(fd, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2)
-    os.replace(tmp_path, manifest_path)
+    try:
+        _save_npz(os.path.join(state, "model.npz"), model.state_dict())
+        _save_npz(os.path.join(state, "buffer.npz"), _buffer_to_arrays(trainer.buffer))
+        _save_npz(os.path.join(state, "history.npz"), history_arrays)
+        staged = os.path.join(state, "manifest.json")
+        with open(staged, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2)
+        os.replace(staged, os.path.join(directory, "manifest.json"))
+    except BaseException:
+        shutil.rmtree(state, ignore_errors=True)
+        raise
+    for entry in os.listdir(directory):
+        if entry.startswith("state-") and entry != manifest["state"]:
+            shutil.rmtree(os.path.join(directory, entry), ignore_errors=True)
 
     return CheckpointInfo(directory=directory, step=int(step),
                           training_iterations=len(history),
@@ -106,7 +127,8 @@ def save_checkpoint(directory: str, model: ArtificialScientistModel,
 
 def load_checkpoint(directory: str, model: ArtificialScientistModel,
                     trainer: Optional[InTransitTrainer] = None) -> Dict[str, object]:
-    """Restore model weights (and, if given, the trainer's buffers) in place.
+    """Restore model weights (and, if given, the trainer's buffers and loss
+    history) in place.
 
     Returns the checkpoint manifest.
     """
@@ -115,23 +137,18 @@ def load_checkpoint(directory: str, model: ArtificialScientistModel,
         raise FileNotFoundError(f"no checkpoint manifest found in {directory!r}")
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
+    state = os.path.join(directory, manifest["state"])
 
-    model.load_state_dict(load_state_dict(os.path.join(directory, "model")))
+    model.load_state_dict(_load_npz(os.path.join(state, "model.npz")))
 
     if trainer is not None:
-        buffer_path = os.path.join(directory, "buffer.npz")
-        if os.path.exists(buffer_path):
-            with np.load(buffer_path) as archive:
-                arrays = {key: archive[key] for key in archive.files}
-            trainer.buffer._now = _arrays_to_samples(arrays, "now")
-            trainer.buffer._ep = _arrays_to_samples(arrays, "ep")
-        history_path = os.path.join(directory, "history.npz")
-        if os.path.exists(history_path):
-            with np.load(history_path) as archive:
-                steps = archive["steps"]
-                term_names = [k[len("loss_"):] for k in archive.files if k.startswith("loss_")]
-                trainer.history.steps = [int(s) for s in steps]
-                trainer.history.terms = [
-                    {name: float(archive[f"loss_{name}"][i]) for name in term_names}
-                    for i in range(len(steps))]
+        arrays = _load_npz(os.path.join(state, "buffer.npz"))
+        trainer.buffer._now = _arrays_to_samples(arrays, "now")
+        trainer.buffer._ep = _arrays_to_samples(arrays, "ep")
+        history = _load_npz(os.path.join(state, "history.npz"))
+        term_names = [k[len("loss_"):] for k in history if k.startswith("loss_")]
+        trainer.history.steps = [int(s) for s in history["steps"]]
+        trainer.history.terms = [
+            {name: float(history[f"loss_{name}"][i]) for name in term_names}
+            for i in range(len(history["steps"]))]
     return manifest

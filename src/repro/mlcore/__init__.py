@@ -2,23 +2,28 @@
 
 The paper's MLapp is built on PyTorch with Distributed Data Parallel (DDP)
 training.  Since the reproduction is pure Python/NumPy, this subpackage
-implements the pieces the MLapp actually relies on:
+implements the pieces the MLapp actually relies on, and nothing else:
 
 * :mod:`repro.mlcore.tensor` — a reverse-mode autograd :class:`Tensor`,
+* :mod:`repro.mlcore.functional` — the fused autograd nodes the model is
+  built from (affine + ReLU, pairwise distances, reparameterisation, the
+  weighted loss total, column selection),
 * :mod:`repro.mlcore.module` — ``Module``/``Parameter`` containers,
-* :mod:`repro.mlcore.layers` — Linear, point-wise convolutions, max pooling,
-  transposed 3D convolutions, activations and ``Sequential``,
+* :mod:`repro.mlcore.layers` — Linear, MLP, point-wise convolutions, max
+  pooling, transposed 3D convolutions, ReLU and ``Sequential``,
 * :mod:`repro.mlcore.losses` — MSE, Chamfer distance, KL divergence, MMD with
   an inverse multi-quadratic kernel and a Sinkhorn-based earth mover's
   distance,
-* :mod:`repro.mlcore.optim` — SGD and Adam with the paper's hyper-parameters
-  and square-root learning-rate scaling.
+* :mod:`repro.mlcore.optim` — Adam with the paper's hyper-parameters,
+  VAE/INN parameter groups and square-root learning-rate scaling,
+* :mod:`repro.mlcore.schedulers` — learning-rate warm-up and gradient
+  clipping.
 
 Data-parallel training across ranks is modelled, not executed: the Fig. 8
 weak-scaling study is :mod:`repro.perfmodel.ddp`.
 """
 
-from repro.mlcore.tensor import Tensor, no_grad, tensor, zeros, ones, randn
+from repro.mlcore.tensor import Tensor, no_grad
 from repro.mlcore.module import Module, Parameter
 from repro.mlcore import functional
 from repro.mlcore import layers
@@ -29,11 +34,7 @@ from repro.mlcore import schedulers
 __all__ = [
     "schedulers",
     "Tensor",
-    "tensor",
     "no_grad",
-    "zeros",
-    "ones",
-    "randn",
     "Module",
     "Parameter",
     "functional",

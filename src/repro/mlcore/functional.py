@@ -1,5 +1,9 @@
-"""Functional interface mirroring the small subset of ``torch.nn.functional``
-used by the paper's architecture."""
+"""The fused autograd nodes the model is built from.
+
+Each function here is one tape node with a hand-written backward pass in
+place of the chain of primitive :class:`~repro.mlcore.tensor.Tensor`
+operations it replaces; ``tests/mlcore/test_fused_ops.py`` holds those
+chains as the oracles every node must reproduce."""
 
 from __future__ import annotations
 
@@ -7,57 +11,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.mlcore.tensor import Tensor, concatenate, split, stack, where  # noqa: F401
-
-
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
-    return x.relu()
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    """Leaky ReLU with configurable negative slope."""
-    return x.leaky_relu(negative_slope)
-
-
-def tanh(x: Tensor) -> Tensor:
-    return x.tanh()
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    return x.sigmoid()
-
-
-def softplus(x: Tensor) -> Tensor:
-    return x.softplus()
-
-
-def exp(x: Tensor) -> Tensor:
-    return x.exp()
-
-
-def log(x: Tensor) -> Tensor:
-    return x.log()
-
-
-def sqrt(x: Tensor) -> Tensor:
-    return x.sqrt()
-
-
-def clamp(x: Tensor, low: float, high: float) -> Tensor:
-    return x.clip(low, high)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along ``axis``."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
+from repro.mlcore.tensor import Tensor
 
 
 def pairwise_squared_distances(a: Tensor, b: Tensor) -> Tensor:
@@ -192,35 +146,3 @@ def take_columns(x: Tensor, columns: Union[slice, np.ndarray]) -> Tensor:
         return (full,)
 
     return Tensor._make(x.data[:, columns], (x,), backward)
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """One-hot encode integer labels (plain ndarray; labels carry no grad)."""
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.zeros(labels.shape + (num_classes,), dtype=np.float64)
-    np.put_along_axis(out, labels[..., None], 1.0, axis=-1)
-    return out
-
-
-def dropout(x: Tensor, p: float, training: bool,
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Inverted dropout; identity when not training or ``p == 0``."""
-    if not training or p <= 0.0:
-        return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError("dropout probability must lie in [0, 1)")
-    rng = rng or np.random.default_rng()
-    mask = (rng.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return x * Tensor(mask)
-
-
-def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """Affine map ``x @ weight + bias`` with ``weight`` of shape (in, out)."""
-    return affine(x, weight, bias)
-
-
-def mse(a: Tensor, b: Union[Tensor, np.ndarray]) -> Tensor:
-    """Mean squared error (convenience wrapper around the losses module)."""
-    from repro.mlcore.losses import mse_loss   # losses imports this module
-
-    return mse_loss(a, b)

@@ -1,52 +1,16 @@
-"""Weight initialisation schemes."""
+"""Weight initialisation."""
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.utils.rng import RandomState, seeded_rng
 
 
-def xavier_uniform(shape: Tuple[int, ...], rng: RandomState = None,
-                   gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation for a (fan_in, fan_out) weight."""
+def kaiming_uniform(shape: Tuple[int, int], rng: RandomState = None) -> np.ndarray:
+    """He uniform initialisation, for ReLU, of a ``(fan_in, fan_out)`` weight."""
     rng = seeded_rng(rng)
-    fan_in, fan_out = _fans(shape)
-    limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    limit = np.sqrt(2.0) * np.sqrt(3.0 / shape[0])
     return rng.uniform(-limit, limit, size=shape)
-
-
-def xavier_normal(shape: Tuple[int, ...], rng: RandomState = None,
-                  gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal initialisation."""
-    rng = seeded_rng(rng)
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def kaiming_uniform(shape: Tuple[int, ...], rng: RandomState = None,
-                    negative_slope: float = 0.0) -> np.ndarray:
-    """He initialisation suitable for (leaky-)ReLU activations."""
-    rng = seeded_rng(rng)
-    fan_in, _ = _fans(shape)
-    gain = np.sqrt(2.0 / (1.0 + negative_slope ** 2))
-    limit = gain * np.sqrt(3.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def zeros(shape: Tuple[int, ...]) -> np.ndarray:
-    return np.zeros(shape)
-
-
-def _fans(shape: Tuple[int, ...]) -> Tuple[int, int]:
-    if len(shape) < 1:
-        raise ValueError("weight shape must have at least one dimension")
-    if len(shape) == 1:
-        return shape[0], shape[0]
-    receptive = int(np.prod(shape[2:])) if len(shape) > 2 else 1
-    fan_in = shape[0] * receptive
-    fan_out = shape[1] * receptive
-    return fan_in, fan_out

@@ -1,24 +1,18 @@
 """Neural-network layers used by the paper's architecture (Fig. 7)."""
 
 from repro.mlcore.layers.linear import Linear, MLP
-from repro.mlcore.layers.activation import LeakyReLU, ReLU, Sigmoid, Softplus, Tanh
+from repro.mlcore.layers.activation import ReLU
 from repro.mlcore.layers.container import ModuleList, Sequential
 from repro.mlcore.layers.conv import ConvTranspose3d, PointwiseConv
 from repro.mlcore.layers.pooling import MaxPoolPoints
-from repro.mlcore.layers.dropout import Dropout
 
 __all__ = [
     "Linear",
     "MLP",
     "ReLU",
-    "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softplus",
     "Sequential",
     "ModuleList",
     "PointwiseConv",
     "ConvTranspose3d",
     "MaxPoolPoints",
-    "Dropout",
 ]

@@ -3,43 +3,12 @@
 from __future__ import annotations
 
 from repro.mlcore.module import Module
-from repro.mlcore.tensor import Tensor
 
 
 class ReLU(Module):
-    """Rectified linear unit."""
+    """Rectified linear unit.
 
-    def forward(self, x: Tensor) -> Tensor:
-        return x.relu()
-
-
-class LeakyReLU(Module):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = float(negative_slope)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Tanh(Module):
-    """Hyperbolic tangent."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Softplus(Module):
-    """Softplus, used to keep predicted standard deviations positive."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.softplus()
+    It has no forward pass of its own: in a
+    :class:`~repro.mlcore.layers.container.Sequential` it rectifies the
+    affine layer before it, inside that layer's autograd node.
+    """

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterable, Iterator
 
 from repro.mlcore.layers.activation import ReLU
 from repro.mlcore.layers.conv import PointwiseConv
@@ -11,69 +11,39 @@ from repro.mlcore.module import Module
 from repro.mlcore.tensor import Tensor
 
 
-class Sequential(Module):
-    """Apply modules in order."""
-
-    def __init__(self, *modules: Module) -> None:
-        super().__init__()
-        self._order: List[str] = []
-        for index, module in enumerate(modules):
-            name = str(index)
-            self.add_module(name, module)
-            self._order.append(name)
-
-    def append(self, module: Module) -> "Sequential":
-        name = str(len(self._order))
-        self.add_module(name, module)
-        self._order.append(name)
-        return self
-
-    def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules[name] for name in self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, index: int) -> Module:
-        return self._modules[self._order[index]]
-
-    def forward(self, x: Tensor) -> Tensor:
-        modules = list(self)
-        index = 0
-        while index < len(modules):
-            module = modules[index]
-            # an affine layer and the ReLU after it run as one autograd node
-            fuse = (isinstance(module, (Linear, PointwiseConv))
-                    and index + 1 < len(modules)
-                    and type(modules[index + 1]) is ReLU)
-            x = module(x, relu=True) if fuse else module(x)
-            index += 2 if fuse else 1
-        return x
-
-
 class ModuleList(Module):
-    """A list of sub-modules registered for parameter traversal."""
+    """A list of sub-modules, registered as ``"0"``, ``"1"``, ... for
+    parameter traversal."""
 
     def __init__(self, modules: Iterable[Module] = ()) -> None:
         super().__init__()
-        self._order: List[str] = []
-        for module in modules:
-            self.append(module)
-
-    def append(self, module: Module) -> "ModuleList":
-        name = str(len(self._order))
-        self.add_module(name, module)
-        self._order.append(name)
-        return self
+        for index, module in enumerate(modules):
+            self.add_module(str(index), module)
 
     def __iter__(self) -> Iterator[Module]:
-        return iter(self._modules[name] for name in self._order)
+        return iter(self._modules.values())
 
     def __len__(self) -> int:
-        return len(self._order)
+        return len(self._modules)
 
-    def __getitem__(self, index: int) -> Module:
-        return self._modules[self._order[index]]
 
-    def forward(self, *args, **kwargs):  # pragma: no cover - not callable
-        raise RuntimeError("ModuleList is a container and cannot be called")
+class Sequential(ModuleList):
+    """Apply modules in order.
+
+    A :class:`ReLU` rectifies the Linear or PointwiseConv layer before it,
+    and the two run as one autograd node
+    (:func:`repro.mlcore.functional.affine`).
+    """
+
+    def __init__(self, *modules: Module) -> None:
+        for before, module in zip((None,) + modules, modules):
+            if type(module) is ReLU and not isinstance(before, (Linear, PointwiseConv)):
+                raise ValueError("a ReLU must follow a Linear or PointwiseConv layer")
+        super().__init__(modules)
+
+    def forward(self, x: Tensor) -> Tensor:
+        modules = list(self)
+        for module, after in zip(modules, modules[1:] + [None]):
+            if type(module) is not ReLU:
+                x = module(x, relu=True) if type(after) is ReLU else module(x)
+        return x

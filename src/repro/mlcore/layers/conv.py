@@ -10,12 +10,10 @@ transposed convolutions with kernel size 2³ and stride 2³.  For that special
 (but exactly the paper's) case each input voxel contributes an independent
 2×2×2 output block, so the operation is a Linear map from ``C_in`` to
 ``8 · C_out`` followed by a reshape/interleave — again a single matmul.
-:class:`ConvTranspose3d` implements the general kernel==stride case.
+:class:`ConvTranspose3d` implements exactly that case.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -29,7 +27,7 @@ from repro.utils.rng import RandomState, seeded_rng
 class PointwiseConv(Module):
     """1×1 convolution over a point cloud: ``(B, N, C_in) -> (B, N, C_out)``."""
 
-    def __init__(self, in_channels: int, out_channels: int, bias: bool = True,
+    def __init__(self, in_channels: int, out_channels: int,
                  rng: RandomState = None) -> None:
         super().__init__()
         if in_channels <= 0 or out_channels <= 0:
@@ -37,14 +35,9 @@ class PointwiseConv(Module):
         rng = seeded_rng(rng)
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.weight = Parameter(init.kaiming_uniform((in_channels, out_channels), rng),
-                                name="weight")
-        if bias:
-            bound = 1.0 / np.sqrt(in_channels)
-            self.bias = Parameter(rng.uniform(-bound, bound, size=(out_channels,)),
-                                  name="bias")
-        else:
-            self.bias = None
+        self.weight = Parameter(init.kaiming_uniform((in_channels, out_channels), rng))
+        bound = 1.0 / np.sqrt(in_channels)
+        self.bias = Parameter(rng.uniform(-bound, bound, size=(out_channels,)))
 
     def forward(self, x: Tensor, relu: bool = False) -> Tensor:
         if x.shape[-1] != self.in_channels:
@@ -53,37 +46,29 @@ class PointwiseConv(Module):
         return F.affine(x, self.weight, self.bias, relu)
 
 
+#: The paper's deconvolution kernel and stride, per axis.
+KERNEL_SIZE = 2
+
+
 class ConvTranspose3d(Module):
-    """Transposed 3D convolution with ``kernel_size == stride`` (no overlap).
+    """Transposed 3D convolution with kernel 2³ and stride 2³ (no overlap).
 
     Input/output layout is channels-last: ``(B, D, H, W, C_in)`` maps to
-    ``(B, D*k, H*k, W*k, C_out)``.  This exactly covers the decoder of the
-    paper (kernel 2³, stride 2³) while keeping the implementation a single
-    batched matrix product plus reshapes.
+    ``(B, 2D, 2H, 2W, C_out)``.  This exactly covers the decoder of the
+    paper while keeping the implementation a single batched matrix product
+    plus reshapes.
     """
 
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int = 2,
-                 bias: bool = True, rng: RandomState = None) -> None:
+    def __init__(self, in_channels: int, out_channels: int,
+                 rng: RandomState = None) -> None:
         super().__init__()
-        if kernel_size < 1:
-            raise ValueError("kernel_size must be >= 1")
         rng = seeded_rng(rng)
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel_size = int(kernel_size)
-        k3 = self.kernel_size ** 3
-        self.weight = Parameter(
-            init.kaiming_uniform((in_channels, out_channels * k3), rng), name="weight")
-        if bias:
-            bound = 1.0 / np.sqrt(in_channels)
-            self.bias = Parameter(rng.uniform(-bound, bound, size=(out_channels,)),
-                                  name="bias")
-        else:
-            self.bias = None
-
-    def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
-        k = self.kernel_size
-        return (input_shape[0] * k, input_shape[1] * k, input_shape[2] * k)
+        self.weight = Parameter(init.kaiming_uniform(
+            (in_channels, out_channels * KERNEL_SIZE ** 3), rng))
+        bound = 1.0 / np.sqrt(in_channels)
+        self.bias = Parameter(rng.uniform(-bound, bound, size=(out_channels,)))
 
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 5:
@@ -94,7 +79,7 @@ class ConvTranspose3d(Module):
         # (B, D, H, W, k^3 * C_out), one bias per channel repeated over the
         # kernel offsets, then each voxel's k^3 block moved to its place
         return _interleave(F.affine(x, self.weight, self.bias),
-                           self.kernel_size, self.out_channels)
+                           KERNEL_SIZE, self.out_channels)
 
 
 def _interleave(blocks: Tensor, k: int, c_out: int) -> Tensor:

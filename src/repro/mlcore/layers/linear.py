@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,25 +29,20 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         rng = seeded_rng(rng)
-        self.weight = Parameter(init.kaiming_uniform((in_features, out_features), rng),
-                                name="weight")
+        self.weight = Parameter(init.kaiming_uniform((in_features, out_features), rng))
         if bias:
             bound = 1.0 / np.sqrt(in_features)
             self.bias: Optional[Parameter] = Parameter(
-                rng.uniform(-bound, bound, size=(out_features,)), name="bias")
+                rng.uniform(-bound, bound, size=(out_features,)))
         else:
             self.bias = None
 
     def forward(self, x: Tensor, relu: bool = False) -> Tensor:
         return F.affine(x, self.weight, self.bias, relu)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return (f"Linear(in_features={self.in_features}, "
-                f"out_features={self.out_features}, bias={self.bias is not None})")
-
 
 class MLP(Module):
-    """A stack of Linear layers with a configurable hidden activation.
+    """A stack of Linear layers with a ReLU between every two of them.
 
     The paper uses MLPs both as the encoder's µ/σ heads (608 → 544) and as
     the sub-networks of the Glow coupling blocks (→ 272 → 256 → 544).
@@ -56,31 +51,20 @@ class MLP(Module):
     ----------
     dims:
         Sequence of layer widths ``(in, hidden..., out)``.
-    activation:
-        Factory producing the activation module placed between layers.
-    final_activation:
-        Whether to also apply the activation after the last layer.
     """
 
-    def __init__(self, dims: Sequence[int],
-                 activation: Callable[[], Module] | None = None,
-                 final_activation: bool = False,
-                 rng: RandomState = None) -> None:
+    def __init__(self, dims: Sequence[int], rng: RandomState = None) -> None:
         super().__init__()
         if len(dims) < 2:
             raise ValueError("MLP needs at least an input and an output width")
         from repro.mlcore.layers.activation import ReLU
-        activation = activation or ReLU
+        from repro.mlcore.layers.container import Sequential
         rng = seeded_rng(rng)
         self.dims = tuple(int(d) for d in dims)
         layers = []
-        for i, (a, b) in enumerate(zip(self.dims[:-1], self.dims[1:])):
-            layers.append(Linear(a, b, rng=rng))
-            is_last = i == len(self.dims) - 2
-            if not is_last or final_activation:
-                layers.append(activation())
-        from repro.mlcore.layers.container import Sequential
-        self.net = Sequential(*layers)
+        for a, b in zip(self.dims[:-1], self.dims[1:]):
+            layers += [Linear(a, b, rng=rng), ReLU()]
+        self.net = Sequential(*layers[:-1])
 
     def forward(self, x: Tensor) -> Tensor:
         return self.net(x)

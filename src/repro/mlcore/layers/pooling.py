@@ -14,11 +14,7 @@ class MaxPoolPoints(Module):
     particles in the input vector, as required by the paper (Section IV-C).
     """
 
-    def __init__(self, axis: int = 1) -> None:
-        super().__init__()
-        self.axis = int(axis)
-
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim < 2:
             raise ValueError("MaxPoolPoints expects at least a 2D input")
-        return x.max(axis=self.axis)
+        return x.max(axis=1)

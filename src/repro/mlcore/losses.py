@@ -20,7 +20,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.mlcore import functional as F
-from repro.mlcore.tensor import Tensor
+from repro.mlcore.tensor import Tensor, concatenate
 
 ArrayOrTensor = Union[Tensor, np.ndarray]
 
@@ -48,25 +48,15 @@ def mse_loss(prediction: ArrayOrTensor, target: ArrayOrTensor) -> Tensor:
                         backward)
 
 
-def l1_loss(prediction: ArrayOrTensor, target: ArrayOrTensor) -> Tensor:
-    """Mean absolute error."""
-    prediction = _as_tensor(prediction)
-    target = _as_tensor(target)
-    return (prediction - target).abs().mean()
-
-
-def chamfer_distance(a: ArrayOrTensor, b: ArrayOrTensor,
-                     reduction: str = "mean") -> Tensor:
-    """Symmetric Chamfer distance between two point clouds.
+def chamfer_distance(a: ArrayOrTensor, b: ArrayOrTensor) -> Tensor:
+    """Symmetric Chamfer distance between two point clouds, averaged over
+    the batch.
 
     Parameters
     ----------
     a, b:
         Point clouds of shape ``(B, N, D)`` and ``(B, M, D)`` (a leading
         batch axis is required; pass ``points[None]`` for a single cloud).
-    reduction:
-        ``"mean"`` (default) averages over the batch, ``"sum"`` sums,
-        ``"none"`` returns the per-batch values.
 
     Notes
     -----
@@ -80,14 +70,12 @@ def chamfer_distance(a: ArrayOrTensor, b: ArrayOrTensor,
         raise ValueError("chamfer_distance expects (B, N, D) point clouds")
     if a.shape[0] != b.shape[0]:
         raise ValueError("batch sizes must match")
-    if reduction not in ("none", "sum", "mean"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     d2 = F.pairwise_squared_distances(a, b)          # (B, N, M)
-    return _two_sided_min_mean(d2, reduction)
+    return _two_sided_min_mean(d2)
 
 
-def _two_sided_min_mean(d2: Tensor, reduction: str) -> Tensor:
-    """``mean_i min_j d2 + mean_j min_i d2`` per batch entry, reduced over
+def _two_sided_min_mean(d2: Tensor) -> Tensor:
+    """``mean_i min_j d2 + mean_j min_i d2`` per batch entry, averaged over
     the batch, as one autograd node.
 
     The gradient of a minimum attained at several entries (duplicated
@@ -98,9 +86,8 @@ def _two_sided_min_mean(d2: Tensor, reduction: str) -> Tensor:
     col_min = d.min(axis=1, keepdims=True)           # nearest a of every b
     value = row_min.mean(axis=(1, 2)) + col_min.mean(axis=(1, 2))    # (B,)
     batch, n, m = d.shape
-    scale = 1.0 / batch if reduction == "mean" else 1.0
-    if reduction != "none":
-        value = value.sum() * scale
+    scale = 1.0 / batch
+    value = value.sum() * scale
 
     def backward(g: np.ndarray):
         rows = (d == row_min).astype(np.float64)
@@ -108,7 +95,7 @@ def _two_sided_min_mean(d2: Tensor, reduction: str) -> Tensor:
         cols = (d == col_min).astype(np.float64)
         cols /= cols.sum(axis=1, keepdims=True) * m
         rows += cols
-        rows *= np.broadcast_to(g * scale, (batch,))[:, None, None]
+        rows *= g * scale
         return (rows,)
 
     return Tensor._make(value, (d2,), backward)
@@ -197,25 +184,15 @@ def mmd_imq(x: ArrayOrTensor, y: ArrayOrTensor,
     y = _as_tensor(y)
     if x.ndim != 2 or y.ndim != 2:
         raise ValueError("mmd_imq expects 2D sample matrices (N, D)")
-    stacked = F.concatenate([x, y], axis=0)
+    stacked = concatenate([x, y], axis=0)
     d2 = F.pairwise_squared_distances(stacked, stacked)
     return _imq_mmd(d2, x.shape[0], scales)
 
 
-def gaussian_nll(mu: ArrayOrTensor, log_var: ArrayOrTensor,
-                 target: ArrayOrTensor) -> Tensor:
-    """Negative log-likelihood of ``target`` under ``N(mu, exp(log_var))``."""
-    mu = _as_tensor(mu)
-    log_var = _as_tensor(log_var)
-    target = _as_tensor(target)
-    diff = target - mu
-    per_element = (log_var + diff * diff / log_var.exp()) * 0.5
-    return per_element.mean()
-
-
 def sinkhorn_emd(a: ArrayOrTensor, b: ArrayOrTensor, epsilon: float = 0.05,
-                 n_iterations: int = 50, reduction: str = "mean") -> Tensor:
-    """Entropy-regularised earth mover's distance between point clouds.
+                 n_iterations: int = 50) -> Tensor:
+    """Entropy-regularised earth mover's distance between point clouds,
+    averaged over the batch.
 
     Uses the Sinkhorn-Knopp algorithm on the squared Euclidean cost with
     uniform marginals.  The transport plan is computed without gradient
@@ -254,14 +231,7 @@ def sinkhorn_emd(a: ArrayOrTensor, b: ArrayOrTensor, epsilon: float = 0.05,
         g = epsilon * (log_nu - _logsumexp((f[:, :, None] - c) / epsilon, axis=1))
     log_plan = (f[:, :, None] + g[:, None, :] - c) / epsilon
     plan = np.exp(log_plan)
-    per_batch = (cost * Tensor(plan)).sum(axis=(1, 2))
-    if reduction == "none":
-        return per_batch
-    if reduction == "sum":
-        return per_batch.sum()
-    if reduction == "mean":
-        return per_batch.mean()
-    raise ValueError(f"unknown reduction {reduction!r}")
+    return (cost * Tensor(plan)).sum(axis=(1, 2)).mean()
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:

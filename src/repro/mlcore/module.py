@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -15,8 +15,8 @@ class Parameter(Tensor):
 
     __slots__ = ()
 
-    def __init__(self, data, name: Optional[str] = None) -> None:
-        super().__init__(data, requires_grad=True, name=name)
+    def __init__(self, data) -> None:
+        super().__init__(data, requires_grad=True)
 
 
 class Module:
@@ -28,7 +28,7 @@ class Module:
     * :meth:`parameters` / :meth:`named_parameters` walk the module tree,
     * :meth:`state_dict` / :meth:`load_state_dict` snapshot parameter values,
     * :meth:`train` / :meth:`eval` toggle the ``training`` flag (used by
-      dropout and the VAE's sampling behaviour).
+      the VAE's sampling behaviour).
     """
 
     def __init__(self) -> None:
@@ -44,11 +44,6 @@ class Module:
             self._modules[name] = value
         object.__setattr__(self, name, value)
 
-    def register_parameter(self, name: str, param: Parameter) -> None:
-        """Explicitly register a parameter under ``name``."""
-        self._parameters[name] = param
-        object.__setattr__(self, name, param)
-
     def add_module(self, name: str, module: "Module") -> None:
         """Explicitly register a sub-module under ``name``."""
         self._modules[name] = module
@@ -63,14 +58,6 @@ class Module:
 
     def parameters(self) -> List[Parameter]:
         return [p for _, p in self.named_parameters()]
-
-    def named_modules(self, prefix: str = "") -> Iterator[Tuple[str, "Module"]]:
-        yield prefix.rstrip("."), self
-        for name, module in self._modules.items():
-            yield from module.named_modules(prefix=f"{prefix}{name}.")
-
-    def modules(self) -> List["Module"]:
-        return [m for _, m in self.named_modules()]
 
     # -- training state --------------------------------------------------- #
     def train(self, mode: bool = True) -> "Module":
@@ -91,17 +78,16 @@ class Module:
         """Return a flat ``name -> ndarray copy`` mapping of all parameters."""
         return {name: param.data.copy() for name, param in self.named_parameters()}
 
-    def load_state_dict(self, state: Dict[str, np.ndarray], strict: bool = True) -> None:
-        """Load parameter values from :meth:`state_dict` output."""
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Load parameter values from :meth:`state_dict` output; the names
+        must match exactly."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
-        if strict and (missing or unexpected):
+        if missing or unexpected:
             raise KeyError(f"state dict mismatch: missing={sorted(missing)}, "
                            f"unexpected={sorted(unexpected)}")
         for name, param in own.items():
-            if name not in state:
-                continue
             value = np.asarray(state[name], dtype=np.float64)
             if value.shape != param.data.shape:
                 raise ValueError(f"shape mismatch for {name}: "
@@ -112,9 +98,6 @@ class Module:
         """Total number of scalar parameters."""
         return int(sum(p.data.size for p in self.parameters()))
 
-    # -- forward ----------------------------------------------------------- #
-    def forward(self, *args, **kwargs):  # pragma: no cover - abstract
-        raise NotImplementedError
-
+    # -- forward (``forward`` is each subclass's own) ----------------------- #
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

@@ -1,4 +1,4 @@
-"""Optimisers and learning-rate scaling rules.
+"""The Adam optimiser and learning-rate scaling rules.
 
 The paper trains with Adam using ``beta1 = 0.8``, ``beta2 = 0.9``,
 ``eps = 1e-6`` and weight decay ``2e-5`` (Section IV-C), scales learning
@@ -30,8 +30,7 @@ PAPER_BASE_LEARNING_RATE = 1e-6
 class ParamGroup:
     """A set of parameters sharing hyper-parameters (like torch param groups).
 
-    ``state`` belongs to the optimiser stepping the group: ``SGD`` keys its
-    momentum buffers by ``id(p)``, ``Adam`` keeps flat per-group buffers.
+    ``state`` holds the group's flat Adam buffers once it has been stepped.
     """
 
     params: List[Parameter]
@@ -58,7 +57,7 @@ def sqrt_lr_scaling(base_lr: float, batch_size: int, base_batch_size: int) -> fl
 
 
 class Optimizer:
-    """Base class holding parameter groups."""
+    """Holds the parameter groups; :class:`Adam` steps them."""
 
     def __init__(self, params: Union[Iterable[Parameter], Sequence[ParamGroup]],
                  lr: float, weight_decay: float = 0.0) -> None:
@@ -71,62 +70,11 @@ class Optimizer:
                                             weight_decay=weight_decay)]
         for group in self.param_groups:
             _check_lr(group.lr)
-        self._step_count = 0
-
-    def add_param_group(self, group: ParamGroup) -> None:
-        _check_lr(group.lr)
-        self.param_groups.append(group)
 
     def zero_grad(self) -> None:
         for group in self.param_groups:
             for p in group.params:
                 p.zero_grad()
-
-    @property
-    def step_count(self) -> int:
-        return self._step_count
-
-    def step(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def set_lr(self, lr: float, group_name: Optional[str] = None) -> None:
-        """Set the learning rate of one (by name) or all parameter groups."""
-        _check_lr(lr)
-        for group in self.param_groups:
-            if group_name is None or group.name == group_name:
-                group.lr = lr
-
-
-class SGD(Optimizer):
-    """Plain (optionally momentum) stochastic gradient descent."""
-
-    def __init__(self, params, lr: float = 1e-3, momentum: float = 0.0,
-                 weight_decay: float = 0.0) -> None:
-        super().__init__(params, lr, weight_decay)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
-        self.momentum = momentum
-
-    def step(self) -> None:
-        self._step_count += 1
-        for group in self.param_groups:
-            for p in group.params:
-                if p.grad is None:
-                    continue
-                grad = p.grad
-                if group.weight_decay:
-                    grad = grad + group.weight_decay * p.data
-                if self.momentum:
-                    state = group.state.setdefault(id(p), {})
-                    buf = state.get("momentum")
-                    if buf is None:
-                        # a copy: the buffer is updated in place from now on
-                        buf = state["momentum"] = np.array(grad)
-                    else:
-                        buf *= self.momentum
-                        buf += grad
-                    grad = buf
-                p.data -= group.lr * grad
 
 
 class Adam(Optimizer):
@@ -160,7 +108,6 @@ class Adam(Optimizer):
         self.eps = float(eps)
 
     def step(self) -> None:
-        self._step_count += 1
         for group in self.param_groups:
             state = group.state or self._flat_state(group)
             steps = state["step"]

@@ -1,35 +1,46 @@
-"""Learning-rate schedules and gradient utilities for large-batch training.
+"""Learning-rate warm-up and gradient clipping for large-batch training.
 
 Section V-A1 concludes that "comprehensive studies of the relations between
 the block learning rates l_VAE and l_INN, batch sizes, and maybe even loss
-weights have to be performed" for in-transit training at scale.  These
-schedulers provide the standard tools such a study needs: linear warm-up
-(essential with the square-root-scaled rates of large batches), cosine and
-exponential decay, plus global-norm gradient clipping to keep the INN's
-exponential couplings stable early in training.
+weights have to be performed" for in-transit training at scale.  The two
+tools ``MLConfig`` exposes for that are here: a linear warm-up (essential
+with the square-root-scaled rates of large batches) and global-norm
+gradient clipping to keep the INN's exponential couplings stable early in
+training.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from repro.mlcore.module import Parameter
 from repro.mlcore.optim import Optimizer
 
+#: Fraction of each group's rate that the first warm-up step starts from.
+WARMUP_START_FACTOR = 0.1
 
-class LRScheduler:
-    """Base class: multiplies each parameter group's base LR by a factor."""
 
-    def __init__(self, optimizer: Optimizer) -> None:
+class WarmupScheduler:
+    """Linear warm-up of every parameter group's learning rate, from
+    :data:`WARMUP_START_FACTOR` times its base value to the base value over
+    ``warmup_steps`` training iterations."""
+
+    def __init__(self, optimizer: Optimizer, warmup_steps: int) -> None:
+        if warmup_steps < 1:
+            raise ValueError("warmup_steps must be >= 1")
         self.optimizer = optimizer
+        self.warmup_steps = int(warmup_steps)
         self._base_lrs = [group.lr for group in optimizer.param_groups]
         self._step_count = 0
 
-    def factor(self, step: int) -> float:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def factor(self, step: int) -> float:
+        if step >= self.warmup_steps:
+            return 1.0
+        progress = step / self.warmup_steps
+        return WARMUP_START_FACTOR + (1.0 - WARMUP_START_FACTOR) * progress
 
     def step(self) -> None:
         """Advance the schedule by one training iteration."""
@@ -37,72 +48,6 @@ class LRScheduler:
         scale = self.factor(self._step_count)
         for group, base in zip(self.optimizer.param_groups, self._base_lrs):
             group.lr = base * scale
-
-    @property
-    def last_factor(self) -> float:
-        return self.factor(self._step_count) if self._step_count else self.factor(0)
-
-    def current_lrs(self) -> List[float]:
-        return [group.lr for group in self.optimizer.param_groups]
-
-
-class WarmupScheduler(LRScheduler):
-    """Linear warm-up from ``start_factor`` to 1 over ``warmup_steps``."""
-
-    def __init__(self, optimizer: Optimizer, warmup_steps: int,
-                 start_factor: float = 0.1) -> None:
-        super().__init__(optimizer)
-        if warmup_steps < 1:
-            raise ValueError("warmup_steps must be >= 1")
-        if not 0.0 < start_factor <= 1.0:
-            raise ValueError("start_factor must lie in (0, 1]")
-        self.warmup_steps = int(warmup_steps)
-        self.start_factor = float(start_factor)
-
-    def factor(self, step: int) -> float:
-        if step >= self.warmup_steps:
-            return 1.0
-        progress = step / self.warmup_steps
-        return self.start_factor + (1.0 - self.start_factor) * progress
-
-
-class CosineDecayScheduler(LRScheduler):
-    """Cosine decay from 1 to ``final_factor`` over ``total_steps``."""
-
-    def __init__(self, optimizer: Optimizer, total_steps: int,
-                 final_factor: float = 0.0, warmup_steps: int = 0) -> None:
-        super().__init__(optimizer)
-        if total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if warmup_steps < 0 or warmup_steps >= total_steps:
-            raise ValueError("warmup_steps must lie in [0, total_steps)")
-        self.total_steps = int(total_steps)
-        self.final_factor = float(final_factor)
-        self.warmup_steps = int(warmup_steps)
-
-    def factor(self, step: int) -> float:
-        if self.warmup_steps and step < self.warmup_steps:
-            return max(step, 1) / self.warmup_steps
-        progress = min(1.0, (step - self.warmup_steps)
-                       / max(1, self.total_steps - self.warmup_steps))
-        cosine = 0.5 * (1.0 + math.cos(math.pi * progress))
-        return self.final_factor + (1.0 - self.final_factor) * cosine
-
-
-class ExponentialDecayScheduler(LRScheduler):
-    """Multiply the learning rate by ``gamma`` every ``every`` steps."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.99, every: int = 1) -> None:
-        super().__init__(optimizer)
-        if not 0.0 < gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        self.gamma = float(gamma)
-        self.every = int(every)
-
-    def factor(self, step: int) -> float:
-        return self.gamma ** (step // self.every)
 
 
 def clip_gradient_norm(parameters: Iterable[Parameter], max_norm: float) -> float:
@@ -121,11 +66,3 @@ def clip_gradient_norm(parameters: Iterable[Parameter], max_norm: float) -> floa
         for p in params:
             p.grad = p.grad * scale
     return total
-
-
-def gradient_norm(parameters: Iterable[Parameter]) -> float:
-    """Global L2 norm of the current gradients."""
-    params = [p for p in parameters if p.grad is not None]
-    if not params:
-        return 0.0
-    return math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in params))

@@ -19,9 +19,12 @@ gradients to parents, summing over broadcast dimensions via
 :func:`_unbroadcast`.  Only leaves (tensors without ``_backward``) retain a
 ``.grad``.
 
-The implementation follows the vectorisation guidance of the HPC-parallel
-coding guides: gradients are computed with whole-array NumPy expressions, no
-per-element Python loop appears on any hot path.
+The training run builds its graph from the fused nodes of
+:mod:`repro.mlcore.functional`, :mod:`repro.mlcore.losses` and the models;
+the generic operators below are the few the models still apply directly
+and the primitive tape the fused nodes' oracles are written on
+(``tests/mlcore/test_fused_ops.py``).  Gradients are whole-array NumPy
+expressions: no per-element Python loop appears on any hot path.
 """
 
 from __future__ import annotations
@@ -47,11 +50,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def is_grad_enabled() -> bool:
-    """Return whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -82,10 +80,9 @@ class Tensor:
         :meth:`backward`.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
 
-    def __init__(self, data: ArrayLike, requires_grad: bool = False,
-                 name: Optional[str] = None) -> None:
+    def __init__(self, data: ArrayLike, requires_grad: bool = False) -> None:
         if isinstance(data, Tensor):
             data = data.data
         arr = np.asarray(data)
@@ -96,7 +93,6 @@ class Tensor:
         self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
         self._backward: Optional[BackwardFn] = None
         self._parents: Tuple["Tensor", ...] = ()
-        self.name = name
 
     # ------------------------------------------------------------------ #
     # construction of graph nodes
@@ -127,21 +123,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        grad_flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}{grad_flag})"
-
     def numpy(self) -> np.ndarray:
         """Return the underlying array (no copy)."""
         return self.data
@@ -151,14 +132,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError("item() requires a single-element tensor")
         return float(self.data.reshape(-1)[0])
-
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but detached from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
-    def clone(self) -> "Tensor":
-        """Return a copy participating in the graph (identity op)."""
-        return self._make(self.data.copy(), (self,), lambda g: (g,))
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""
@@ -244,9 +217,6 @@ class Tensor:
         return self._make(self.data - other.data, (self, other),
                           lambda g: (g, -g))
 
-    def __rsub__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return self._coerce(other).__sub__(self)
-
     def __mul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._coerce(other)
         a, b = self.data, other.data
@@ -265,12 +235,6 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         return self._make(-self.data, (self,), lambda g: (-g,))
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        exponent = float(exponent)
-        x = self.data
-        return self._make(x ** exponent, (self,),
-                          lambda g: (g * exponent * x ** (exponent - 1.0),))
 
     def __matmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
         other = self._coerce(other)
@@ -296,22 +260,6 @@ class Tensor:
 
         return self._make(a @ b, (self, other), backward)
 
-    def __rmatmul__(self, other: Union["Tensor", ArrayLike]) -> "Tensor":
-        return self._coerce(other).__matmul__(self)
-
-    # comparisons return plain boolean arrays (no gradient)
-    def __gt__(self, other):
-        return self.data > (other.data if isinstance(other, Tensor) else other)
-
-    def __lt__(self, other):
-        return self.data < (other.data if isinstance(other, Tensor) else other)
-
-    def __ge__(self, other):
-        return self.data >= (other.data if isinstance(other, Tensor) else other)
-
-    def __le__(self, other):
-        return self.data <= (other.data if isinstance(other, Tensor) else other)
-
     # ------------------------------------------------------------------ #
     # element-wise functions
     # ------------------------------------------------------------------ #
@@ -319,40 +267,13 @@ class Tensor:
         value = np.exp(self.data)
         return self._make(value, (self,), lambda g: (g * value,))
 
-    def log(self) -> "Tensor":
-        x = self.data
-        return self._make(np.log(x), (self,), lambda g: (g / x,))
-
-    def sqrt(self) -> "Tensor":
-        value = np.sqrt(self.data)
-        return self._make(value, (self,),
-                          lambda g: (g * 0.5 / np.maximum(value, 1e-300),))
-
     def tanh(self) -> "Tensor":
         value = np.tanh(self.data)
         return self._make(value, (self,), lambda g: (g * (1.0 - value * value),))
 
-    def sigmoid(self) -> "Tensor":
-        value = 1.0 / (1.0 + np.exp(-self.data))
-        return self._make(value, (self,), lambda g: (g * value * (1.0 - value),))
-
     def relu(self) -> "Tensor":
         mask = (self.data > 0).astype(np.float64)
         return self._make(self.data * mask, (self,), lambda g: (g * mask,))
-
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        slope = np.where(self.data > 0, 1.0, negative_slope)
-        return self._make(self.data * slope, (self,), lambda g: (g * slope,))
-
-    def softplus(self) -> "Tensor":
-        x = self.data
-        value = np.logaddexp(0.0, x)
-        return self._make(value, (self,),
-                          lambda g: (g / (1.0 + np.exp(-x)),))
-
-    def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        return self._make(np.abs(self.data), (self,), lambda g: (g * sign,))
 
     def clip(self, low: float, high: float) -> "Tensor":
         mask = ((self.data >= low) & (self.data <= high)).astype(np.float64)
@@ -456,28 +377,6 @@ class Tensor:
         return self.reshape(new_shape)
 
 
-# ---------------------------------------------------------------------- #
-# free functions
-# ---------------------------------------------------------------------- #
-def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
-    """Create a tensor (convenience alias mirroring ``torch.tensor``)."""
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape: Union[int, Tuple[int, ...]], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=requires_grad)
-
-
-def ones(shape: Union[int, Tuple[int, ...]], requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=requires_grad)
-
-
-def randn(shape: Union[int, Tuple[int, ...]], rng: Optional[np.random.Generator] = None,
-          requires_grad: bool = False, scale: float = 1.0) -> Tensor:
-    rng = rng or np.random.default_rng()
-    return Tensor(rng.normal(0.0, scale, size=shape), requires_grad=requires_grad)
-
-
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = [Tensor._coerce(t) for t in tensors]
@@ -495,41 +394,3 @@ def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(outs)
 
     return Tensor._make(value, tuple(tensors), backward)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis with gradient support."""
-    tensors = [Tensor._coerce(t) for t in tensors]
-    expanded = [t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors]
-    return concatenate(expanded, axis=axis)
-
-
-def split(t: Tensor, sections: Union[int, Sequence[int]], axis: int = -1) -> List[Tensor]:
-    """Split a tensor along ``axis`` (gradients flow back through slicing)."""
-    axis = axis % t.ndim
-    length = t.shape[axis]
-    if isinstance(sections, int):
-        if length % sections != 0:
-            raise ValueError("tensor cannot be split evenly")
-        sizes = [length // sections] * sections
-    else:
-        sizes = list(sections)
-        if sum(sizes) != length:
-            raise ValueError("split sizes must sum to the axis length")
-    pieces: List[Tensor] = []
-    start = 0
-    for size in sizes:
-        slicer = [slice(None)] * t.ndim
-        slicer[axis] = slice(start, start + size)
-        pieces.append(t[tuple(slicer)])
-        start += size
-    return pieces
-
-
-def where(condition: np.ndarray, a: Union[Tensor, ArrayLike],
-          b: Union[Tensor, ArrayLike]) -> Tensor:
-    """Element-wise selection; ``condition`` carries no gradient."""
-    a = Tensor._coerce(a)
-    b = Tensor._coerce(b)
-    mask = Tensor(np.asarray(condition, dtype=bool).astype(np.float64))
-    return a * mask + b * (1.0 - mask)

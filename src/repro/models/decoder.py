@@ -31,7 +31,7 @@ class PointCloudDecoder(Module):
         self.fc = Linear(config.latent_dim, d * h * w * first_channels, rng=rng)
         deconvs = []
         for c_in, c_out in zip(config.decoder_channels[:-1], config.decoder_channels[1:]):
-            deconvs.append(ConvTranspose3d(c_in, c_out, kernel_size=2, rng=rng))
+            deconvs.append(ConvTranspose3d(c_in, c_out, rng=rng))
         self.deconvs = ModuleList(deconvs)
 
     def forward(self, latent: Tensor) -> Tensor:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from repro.mlcore.layers import MLP, MaxPoolPoints, PointwiseConv, ReLU, Sequential
 from repro.mlcore.module import Module
 from repro.mlcore.tensor import Tensor
@@ -33,7 +31,7 @@ class PointNetEncoder(Module):
             layers.append(PointwiseConv(c_in, c_out, rng=rng))
             layers.append(ReLU())
         self.point_features = Sequential(*layers)
-        self.pool = MaxPoolPoints(axis=1)
+        self.pool = MaxPoolPoints()
         feature_dim = channels[-1]
         self.mu_head = MLP((feature_dim, config.encoder_head_hidden, config.latent_dim),
                            rng=rng)
@@ -49,7 +47,3 @@ class PointNetEncoder(Module):
         mu = self.mu_head(pooled)
         log_var = self.log_var_head(pooled).clip(-10.0, 10.0)
         return mu, log_var
-
-    def global_features(self, point_cloud: Tensor) -> Tensor:
-        """Return the pooled, transposition-invariant feature vector (B, C)."""
-        return self.pool(self.point_features(point_cloud))

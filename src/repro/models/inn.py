@@ -170,19 +170,6 @@ class GlowCouplingBlock(Module):
     def inverse(self, y: Tensor) -> Tensor:
         return self._node(y, inverse=True)
 
-    def log_det_jacobian(self, x: Tensor) -> Tensor:
-        """Log-determinant of the forward Jacobian (per sample): the sum of
-        the clamped log-scales of both half-couplings."""
-        x1, x2 = x[:, : self.half], x[:, self.half:]
-        scale1, shift1 = self._scale_shift(self.subnet1, x2)
-        y1 = x1 * scale1.exp() + shift1
-        scale2, _ = self._scale_shift(self.subnet2, y1)
-        return scale1.sum(axis=1) + scale2.sum(axis=1)
-
-    def _scale_shift(self, subnet: MLP, x: Tensor) -> Tuple[Tensor, Tensor]:
-        params = subnet(x)
-        return params[:, : self.half].tanh() * self.clamp, params[:, self.half:]
-
 
 class _Permutation(Module):
     """Fixed random permutation of the feature axis (invertible, no parameters)."""

@@ -190,7 +190,7 @@ class TestInTransitTrainer:
         from repro.mlcore.schedulers import WarmupScheduler
         model = ArtificialScientistModel(CFG, rng=rng)
         optimizer = Adam(model.parameters(), lr=1e-3)
-        scheduler = WarmupScheduler(optimizer, warmup_steps=10, start_factor=0.1)
+        scheduler = WarmupScheduler(optimizer, warmup_steps=10)
         trainer = InTransitTrainer(model, optimizer, TrainingBuffer(rng=rng),
                                    n_rep=3, scheduler=scheduler)
         trainer.train_on_stream_step([make_sample(0, rng)], step=0)

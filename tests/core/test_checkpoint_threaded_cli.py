@@ -9,6 +9,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.continual import InTransitTrainer, TrainingBuffer, TrainingSample
+from repro.core import checkpoint
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.mlcore.optim import Adam
 from repro.models import ArtificialScientistModel, ModelConfig
@@ -56,10 +57,129 @@ class TestCheckpoint:
         # the restored trainer can continue training immediately
         fresh_trainer.train_iteration(step=4)
 
+    @pytest.mark.parametrize("failing_write", [1, 2, 3])
+    def test_a_failed_save_leaves_the_previous_checkpoint_intact(
+            self, rng, tmp_path, monkeypatch, failing_write):
+        """A save that fails at any of its three ``.npz`` writes commits
+        nothing: the previous manifest and every previous weight load."""
+        model, trainer = make_trained_trainer(rng)
+        directory = str(tmp_path / "ckpt")
+        save_checkpoint(directory, model, trainer, step=3)
+        saved_weights = model.state_dict()
+        with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as handle:
+            saved_manifest = handle.read()
+
+        for p in model.parameters():
+            p.data += 1.0
+        trainer.train_iteration(step=4)
+        writes = []
+        original = checkpoint._save_npz
+
+        def flaky(path, arrays):
+            writes.append(path)
+            if len(writes) == failing_write:
+                raise OSError("disk full")
+            original(path, arrays)
+
+        monkeypatch.setattr(checkpoint, "_save_npz", flaky)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(directory, model, trainer, step=4)
+
+        fresh = ArtificialScientistModel(SMALL, rng=np.random.default_rng(99))
+        fresh_trainer = InTransitTrainer(fresh, Adam(fresh.parameters(), lr=1e-3),
+                                         TrainingBuffer(rng=np.random.default_rng(98)),
+                                         n_rep=1)
+        manifest = load_checkpoint(directory, fresh, fresh_trainer)
+        with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as handle:
+            assert handle.read() == saved_manifest
+        assert manifest["step"] == 3 and len(fresh_trainer.history) == 3
+        restored = fresh.state_dict()
+        assert restored.keys() == saved_weights.keys()
+        for name, value in saved_weights.items():
+            np.testing.assert_array_equal(restored[name], value, err_msg=name)
+        # the half-written state directory is gone; only the committed one stays
+        assert [entry for entry in os.listdir(directory) if entry != "manifest.json"] \
+            == [manifest["state"]]
+
+    def test_a_resave_replaces_the_previous_state(self, rng, tmp_path):
+        model, trainer = make_trained_trainer(rng)
+        directory = str(tmp_path / "ckpt")
+        save_checkpoint(directory, model, trainer, step=3)
+        trainer.train_iteration(step=4)
+        save_checkpoint(directory, model, trainer, step=4)
+        fresh = ArtificialScientistModel(SMALL, rng=np.random.default_rng(99))
+        manifest = load_checkpoint(directory, fresh)
+        assert (manifest["step"], manifest["training_iterations"]) == (4, 4)
+        assert sorted(os.listdir(directory)) == sorted(["manifest.json", manifest["state"]])
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(fresh.state_dict()[name], value)
+
     def test_load_missing_checkpoint(self, rng, tmp_path):
         model = ArtificialScientistModel(SMALL, rng=rng)
         with pytest.raises(FileNotFoundError):
             load_checkpoint(str(tmp_path / "missing"), model)
+
+    def test_the_manifest_records_the_training_state(self, rng, tmp_path):
+        model, trainer = make_trained_trainer(rng)
+        info = save_checkpoint(str(tmp_path / "ckpt"), model, trainer, step=7)
+        manifest = load_checkpoint(info.directory,
+                                   ArtificialScientistModel(SMALL, rng=rng))
+        assert manifest["step"] == info.step == 7
+        assert manifest["training_iterations"] == info.training_iterations == 3
+        assert manifest["samples_consumed"] == trainer.samples_consumed == 3
+        assert manifest["n_rep"] == trainer.n_rep
+        assert manifest["buffer"] == {
+            "now": trainer.buffer.now_count, "ep": trainer.buffer.ep_count,
+            "now_size": trainer.buffer.now_size, "ep_size": trainer.buffer.ep_size}
+        assert info.n_buffer_samples == len(trainer.buffer)
+        assert manifest["state"].startswith("state-")
+
+    def test_history_and_buffer_samples_load_exactly(self, rng, tmp_path):
+        model, trainer = make_trained_trainer(rng, n_iterations=4)
+        directory = str(tmp_path / "ckpt")
+        save_checkpoint(directory, model, trainer, step=4)
+        fresh = ArtificialScientistModel(SMALL, rng=np.random.default_rng(99))
+        fresh_trainer = InTransitTrainer(fresh, Adam(fresh.parameters(), lr=1e-3),
+                                         TrainingBuffer(rng=np.random.default_rng(98)),
+                                         n_rep=1)
+        load_checkpoint(directory, fresh, fresh_trainer)
+        assert fresh_trainer.history.steps == trainer.history.steps
+        assert fresh_trainer.history.terms == trainer.history.terms
+        for restored, saved in ((fresh_trainer.buffer._now, trainer.buffer._now),
+                                (fresh_trainer.buffer._ep, trainer.buffer._ep)):
+            assert len(restored) == len(saved)
+            for got, want in zip(restored, saved):
+                np.testing.assert_array_equal(got.point_cloud, want.point_cloud)
+                np.testing.assert_array_equal(got.spectrum, want.spectrum)
+                assert (got.step, got.region) == (want.step, want.region)
+
+    def test_an_untrained_trainer_checkpoints_and_loads(self, rng, tmp_path):
+        model = ArtificialScientistModel(SMALL, rng=rng)
+        trainer = InTransitTrainer(model, Adam(model.parameters(), lr=1e-3),
+                                   TrainingBuffer(rng=rng), n_rep=1)
+        directory = str(tmp_path / "ckpt")
+        info = save_checkpoint(directory, model, trainer, step=0)
+        assert (info.training_iterations, info.n_buffer_samples) == (0, 0)
+        fresh = ArtificialScientistModel(SMALL, rng=np.random.default_rng(99))
+        fresh_trainer = InTransitTrainer(fresh, Adam(fresh.parameters(), lr=1e-3),
+                                         TrainingBuffer(rng=np.random.default_rng(98)),
+                                         n_rep=1)
+        load_checkpoint(directory, fresh, fresh_trainer)
+        assert len(fresh_trainer.history) == 0 and len(fresh_trainer.buffer) == 0
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(fresh.state_dict()[name], value)
+
+    def test_loading_into_a_different_architecture_is_refused(self, rng, tmp_path):
+        model, trainer = make_trained_trainer(rng)
+        directory = str(tmp_path / "ckpt")
+        save_checkpoint(directory, model, trainer, step=3)
+        other = ArtificialScientistModel(
+            ModelConfig(n_input_points=24, encoder_channels=(12, 24),
+                        encoder_head_hidden=16, latent_dim=16, decoder_grid=(2, 2, 2),
+                        decoder_channels=(8, 6), spectrum_dim=8, inn_blocks=3,
+                        inn_hidden=(16,)), rng=rng)
+        with pytest.raises(KeyError, match="state dict mismatch"):
+            load_checkpoint(directory, other)
 
     def test_model_only_load(self, rng, tmp_path):
         model, trainer = make_trained_trainer(rng)

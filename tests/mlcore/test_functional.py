@@ -1,33 +1,12 @@
-"""Tests of the functional interface helpers."""
+"""Tests of the pairwise-distance and loss-tail nodes on plain NumPy
+references."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.mlcore import functional as F
 from repro.mlcore.tensor import Tensor
-from tests.conftest import numerical_gradient
-
-
-class TestSoftmax:
-    def test_rows_sum_to_one(self, rng):
-        out = F.softmax(Tensor(rng.normal(size=(4, 7)) * 10)).numpy()
-        np.testing.assert_allclose(out.sum(axis=-1), 1.0)
-        assert np.all(out > 0)
-
-    def test_log_softmax_consistent(self, rng):
-        x = Tensor(rng.normal(size=(3, 5)))
-        np.testing.assert_allclose(F.log_softmax(x).numpy(),
-                                   np.log(F.softmax(x).numpy()), atol=1e-12)
-
-    def test_softmax_gradient(self, rng):
-        x0 = rng.normal(size=(2, 4))
-        t = Tensor(x0, requires_grad=True)
-        (F.softmax(t)[:, 0]).sum().backward()
-        want = numerical_gradient(
-            lambda arr: float(F.softmax(Tensor(arr)).numpy()[:, 0].sum()), x0)
-        np.testing.assert_allclose(t.grad, want, atol=1e-6)
 
 
 class TestPairwiseDistances:
@@ -44,44 +23,34 @@ class TestPairwiseDistances:
         assert np.all(d2 >= 0)
         np.testing.assert_allclose(np.diagonal(d2, axis1=1, axis2=2), 0.0, atol=1e-9)
 
+    def test_constant_inputs_record_no_graph(self, rng):
+        d2 = F.pairwise_squared_distances(Tensor(rng.normal(size=(3, 2))),
+                                          Tensor(rng.normal(size=(4, 2))))
+        assert d2.shape == (3, 4)
+        assert not d2.requires_grad and d2._backward is None
 
-class TestMisc:
-    def test_one_hot(self):
-        out = F.one_hot(np.array([0, 2, 1]), 3)
-        np.testing.assert_allclose(out, np.eye(3)[[0, 2, 1]])
 
-    def test_linear_helper(self, rng):
-        x = Tensor(rng.normal(size=(4, 3)))
-        w = Tensor(rng.normal(size=(3, 2)))
-        b = Tensor(rng.normal(size=(2,)))
-        np.testing.assert_allclose(F.linear(x, w, b).numpy(),
-                                   x.numpy() @ w.numpy() + b.numpy())
+class TestLossTailHelpers:
+    def test_reparameterize_without_noise_is_the_mean(self, rng):
+        mu = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        log_var = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        z = F.reparameterize(mu, log_var, np.zeros((3, 2)))
+        np.testing.assert_array_equal(z.numpy(), mu.numpy())
+        z.sum().backward()
+        np.testing.assert_array_equal(mu.grad, np.ones((3, 2)))
+        np.testing.assert_array_equal(log_var.grad, np.zeros((3, 2)))
 
-    def test_mse_helper(self, rng):
-        a = rng.normal(size=(5,))
-        b = rng.normal(size=(5,))
-        assert F.mse(Tensor(a), b).item() == pytest.approx(np.mean((a - b) ** 2))
+    def test_reparameterize_scales_the_noise_by_the_standard_deviation(self):
+        mu = Tensor([0.0, 1.0])
+        log_var = Tensor([np.log(4.0), 0.0])
+        z = F.reparameterize(mu, log_var, np.array([1.0, -1.0]))
+        np.testing.assert_allclose(z.numpy(), [2.0, 0.0])
 
-    def test_dropout_eval_identity(self, rng):
-        x = Tensor(rng.normal(size=(10,)))
-        np.testing.assert_allclose(F.dropout(x, 0.5, training=False).numpy(), x.numpy())
-
-    def test_dropout_invalid_p(self, rng):
-        with pytest.raises(ValueError):
-            F.dropout(Tensor(rng.normal(size=(4,))), 1.2, training=True)
-
-    def test_clamp(self, rng):
-        x = Tensor(rng.normal(size=(20,)) * 5)
-        out = F.clamp(x, -1.0, 1.0).numpy()
-        assert out.min() >= -1.0 and out.max() <= 1.0
-
-    @pytest.mark.parametrize("fn,ref", [
-        (F.relu, lambda v: np.maximum(v, 0)),
-        (F.tanh, np.tanh),
-        (F.sigmoid, lambda v: 1 / (1 + np.exp(-v))),
-        (F.exp, np.exp),
-        (F.sqrt, np.sqrt),
-    ])
-    def test_elementwise_wrappers(self, fn, ref, rng):
-        x = np.abs(rng.normal(size=(6,))) + 0.1
-        np.testing.assert_allclose(fn(Tensor(x)).numpy(), ref(x), rtol=1e-12)
+    def test_weighted_sum_of_three_terms(self, rng):
+        terms = [Tensor(rng.normal(size=(2,)), requires_grad=True) for _ in range(3)]
+        total = F.weighted_sum(terms, (1.0, 0.5, 2.0))
+        want = terms[0].data + 0.5 * terms[1].data + 2.0 * terms[2].data
+        np.testing.assert_allclose(total.numpy(), want)
+        total.sum().backward()
+        for term, weight in zip(terms, (1.0, 0.5, 2.0)):
+            np.testing.assert_array_equal(term.grad, np.full(2, weight))

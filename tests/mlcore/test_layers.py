@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mlcore.layers import (MLP, ConvTranspose3d, Dropout, Linear,
-                                 MaxPoolPoints, ModuleList, PointwiseConv,
-                                 ReLU, Sequential, Tanh)
+from repro.mlcore.layers import (MLP, ConvTranspose3d, Linear, MaxPoolPoints,
+                                 ModuleList, PointwiseConv, ReLU, Sequential)
 from repro.mlcore.module import Module, Parameter
 from repro.mlcore.tensor import Tensor
 
@@ -50,10 +49,11 @@ class TestMLP:
         with pytest.raises(ValueError):
             MLP((4,))
 
-    def test_final_activation(self, rng):
-        mlp = MLP((3, 5), activation=Tanh, final_activation=True, rng=rng)
-        out = mlp(Tensor(rng.normal(size=(2, 3)) * 10)).numpy()
-        assert np.all(np.abs(out) <= 1.0)
+    def test_relu_between_layers_only(self, rng):
+        mlp = MLP((3, 5, 4, 2), rng=rng)
+        assert [type(m) for m in mlp.net] == [Linear, ReLU, Linear, ReLU, Linear]
+        out = mlp(Tensor(rng.normal(size=(64, 3)))).numpy()
+        assert (out < 0.0).any()          # the last layer is not rectified
 
 
 class TestPointwiseConv:
@@ -75,20 +75,20 @@ class TestPointwiseConv:
 
 class TestMaxPoolPoints:
     def test_permutation_invariance(self, rng):
-        pool = MaxPoolPoints(axis=1)
+        pool = MaxPoolPoints()
         cloud = rng.normal(size=(3, 20, 8))
         base = pool(Tensor(cloud)).numpy()
         perm = rng.permutation(20)
         np.testing.assert_allclose(pool(Tensor(cloud[:, perm])).numpy(), base)
 
     def test_output_shape(self, rng):
-        pool = MaxPoolPoints(axis=1)
+        pool = MaxPoolPoints()
         assert pool(Tensor(rng.normal(size=(3, 20, 8)))).shape == (3, 8)
 
 
 class TestConvTranspose3d:
     def test_upsamples_by_kernel(self, rng):
-        deconv = ConvTranspose3d(16, 8, kernel_size=2, rng=rng)
+        deconv = ConvTranspose3d(16, 8, rng=rng)
         x = Tensor(rng.normal(size=(2, 4, 4, 4, 16)))
         out = deconv(x)
         assert out.shape == (2, 8, 8, 8, 8)
@@ -111,7 +111,8 @@ class TestConvTranspose3d:
 
     def test_block_structure(self, rng):
         """Each input voxel influences exactly its own 2x2x2 output block."""
-        deconv = ConvTranspose3d(1, 1, kernel_size=2, bias=False, rng=rng)
+        deconv = ConvTranspose3d(1, 1, rng=rng)
+        deconv.bias.data[...] = 0.0
         x = np.zeros((1, 2, 2, 2, 1))
         x[0, 1, 0, 1, 0] = 1.0
         out = deconv(Tensor(x)).numpy()[0, :, :, :, 0]
@@ -133,6 +134,12 @@ class TestContainersAndModule:
         assert out.shape == (3, 2)
         assert len(model) == 3
 
+    def test_a_relu_must_follow_an_affine_layer(self, rng):
+        with pytest.raises(ValueError, match="must follow"):
+            Sequential(ReLU(), Linear(4, 2, rng=rng))
+        with pytest.raises(ValueError, match="must follow"):
+            Sequential(Linear(4, 2, rng=rng), MaxPoolPoints(), ReLU())
+
     def test_named_parameters_nested(self, rng):
         model = Sequential(Linear(4, 8, rng=rng), Linear(8, 2, rng=rng))
         names = [n for n, _ in model.named_parameters()]
@@ -149,7 +156,7 @@ class TestContainersAndModule:
     def test_state_dict_strict_mismatch(self, rng):
         model = Linear(4, 2, rng=rng)
         with pytest.raises(KeyError):
-            model.load_state_dict({"weight": np.zeros((4, 2))}, strict=True)
+            model.load_state_dict({"weight": np.zeros((4, 2))})
 
     def test_state_dict_shape_mismatch(self, rng):
         model = Linear(4, 2, rng=rng)
@@ -164,11 +171,49 @@ class TestContainersAndModule:
         assert len(blocks.parameters()) == 8
 
     def test_train_eval_propagates(self, rng):
-        model = Sequential(Dropout(0.5), Linear(3, 3, rng=rng))
+        model = Sequential(Linear(3, 3, rng=rng), ReLU())
         model.eval()
-        assert not model[0].training
+        assert not any(module.training for module in (model, *model))
         model.train()
-        assert model[0].training
+        assert all(module.training for module in (model, *model))
+
+    def test_state_dict_holds_copies(self, rng):
+        layer = Linear(3, 2, rng=rng)
+        state = layer.state_dict()
+        state["weight"] += 1.0
+        assert not np.array_equal(layer.weight.data, state["weight"])
+
+    def test_load_state_dict_writes_into_the_existing_arrays(self, rng):
+        layer = Linear(3, 2, rng=rng)
+        weight = layer.weight.data
+        state = {name: np.full_like(value, 0.5) for name, value in
+                 layer.state_dict().items()}
+        layer.load_state_dict(state)
+        assert layer.weight.data is weight
+        np.testing.assert_array_equal(weight, 0.5)
+        state["weight"][...] = 2.0
+        np.testing.assert_array_equal(layer.weight.data, 0.5)
+
+    def test_an_unexpected_key_is_refused(self, rng):
+        layer = Linear(3, 2, rng=rng)
+        state = layer.state_dict()
+        state["extra"] = np.zeros(1)
+        with pytest.raises(KeyError, match="unexpected=\\['extra'\\]"):
+            layer.load_state_dict(state)
+
+    def test_zero_grad_clears_every_parameter(self, rng):
+        model = Sequential(Linear(3, 4, rng=rng), ReLU(), Linear(4, 1, rng=rng))
+        model(Tensor(rng.normal(size=(5, 3)))).sum().backward()
+        assert all(p.grad is not None for p in model.parameters())
+        model.zero_grad()
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_add_module_registers_a_named_child(self, rng):
+        parent = Module()
+        child = Linear(2, 2, rng=rng)
+        parent.add_module("head", child)
+        assert parent.head is child
+        assert [n for n, _ in parent.named_parameters()] == ["head.weight", "head.bias"]
 
     def test_num_parameters(self, rng):
         layer = Linear(4, 3, rng=rng)
@@ -187,24 +232,3 @@ class TestContainersAndModule:
         m = Custom()
         names = {n for n, _ in m.named_parameters()}
         assert names == {"w", "inner.weight", "inner.bias"}
-
-
-class TestDropout:
-    def test_identity_in_eval(self, rng):
-        drop = Dropout(0.5, rng=rng)
-        drop.eval()
-        x = Tensor(rng.normal(size=(10, 10)))
-        np.testing.assert_allclose(drop(x).numpy(), x.numpy())
-
-    def test_scales_in_train(self, rng):
-        drop = Dropout(0.5, rng=np.random.default_rng(0))
-        x = Tensor(np.ones((2000,)))
-        out = drop(x).numpy()
-        kept = out[out != 0.0]
-        # inverted dropout rescales kept activations by 1/(1-p)
-        np.testing.assert_allclose(kept, 2.0)
-        assert 0.3 < (out == 0).mean() < 0.7
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.mlcore.tensor import (Tensor, _unbroadcast, concatenate, no_grad,
-                                 split, stack, tensor, where, zeros)
+from repro.mlcore.tensor import Tensor, _unbroadcast, concatenate, no_grad
 from tests.conftest import numerical_gradient
 
 
@@ -22,6 +21,10 @@ def analytic_grad(build, x0: np.ndarray) -> np.ndarray:
     return t.grad
 
 
+def square(t: Tensor) -> Tensor:
+    return t * t
+
+
 def check_grad(build, x0: np.ndarray, atol: float = 1e-5) -> None:
     got = analytic_grad(build, x0)
     want = numerical_gradient(lambda arr: build(Tensor(arr)).item(), x0)
@@ -31,19 +34,14 @@ def check_grad(build, x0: np.ndarray, atol: float = 1e-5) -> None:
 class TestBasics:
     def test_data_promoted_to_float(self):
         t = Tensor([1, 2, 3])
-        assert t.dtype.kind == "f"
+        assert t.data.dtype.kind == "f"
 
     def test_item_on_scalar(self):
-        assert tensor(3.5).item() == pytest.approx(3.5)
+        assert Tensor(3.5).item() == pytest.approx(3.5)
 
     def test_item_on_vector_raises(self):
         with pytest.raises(ValueError):
-            tensor([1.0, 2.0]).item()
-
-    def test_detach_breaks_graph(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        y = (x * 2).detach()
-        assert not y.requires_grad
+            Tensor([1.0, 2.0]).item()
 
     def test_backward_requires_scalar(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -96,13 +94,59 @@ class TestBasics:
         x.zero_grad()
         assert x.grad is None
 
+    def test_bool_data_promoted_to_float(self):
+        t = Tensor(np.array([True, False]))
+        assert t.data.dtype == np.float64
+        np.testing.assert_array_equal(t.data, [1.0, 0.0])
+
+    def test_constructing_from_a_tensor_shares_its_array(self):
+        x = Tensor(np.arange(3.0), requires_grad=True)
+        y = Tensor(x)
+        assert y.data is x.data
+        assert not y.requires_grad
+
+    def test_shape_ndim_and_numpy(self):
+        data = np.zeros((2, 3, 4))
+        t = Tensor(data)
+        assert t.shape == (2, 3, 4) and t.ndim == 3
+        assert t.numpy() is t.data
+
+    def test_no_grad_nests_and_restores_after_an_exception(self):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(KeyError):
+            with no_grad():
+                with no_grad():
+                    pass
+                assert not (x * 2).requires_grad
+                raise KeyError("boom")
+        assert (x * 2).requires_grad
+
+    def test_a_leaf_made_under_no_grad_does_not_require_grad(self):
+        with no_grad():
+            x = Tensor([1.0], requires_grad=True)
+        assert not x.requires_grad
+
+    def test_backward_with_an_explicit_output_gradient(self):
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        (x * x).backward(np.array([1.0, 0.5, -1.0]))
+        np.testing.assert_allclose(x.grad, [2.0, 2.0, -6.0])
+
+    def test_a_constant_operand_records_no_graph_and_gets_no_gradient(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        c = Tensor([3.0, 4.0])
+        const = c * 2.0
+        assert not const.requires_grad and const._backward is None
+        (x * c).sum().backward()
+        assert c.grad is None
+        np.testing.assert_allclose(x.grad, [3.0, 4.0])
+
 
 class TestArithmeticGradients:
     def test_add(self, rng):
         check_grad(lambda t: (t + 3.0).sum(), rng.normal(size=(3, 4)))
 
     def test_sub(self, rng):
-        check_grad(lambda t: (5.0 - t).sum(), rng.normal(size=(4,)))
+        check_grad(lambda t: (Tensor(5.0) - t).sum(), rng.normal(size=(4,)))
 
     def test_mul(self, rng):
         x0 = rng.normal(size=(3, 2))
@@ -112,10 +156,6 @@ class TestArithmeticGradients:
     def test_div(self, rng):
         x0 = rng.normal(size=(5,)) + 3.0
         check_grad(lambda t: (1.0 / t).sum(), x0)
-
-    def test_pow(self, rng):
-        x0 = np.abs(rng.normal(size=(4,))) + 0.5
-        check_grad(lambda t: (t ** 3).sum(), x0)
 
     def test_neg(self, rng):
         check_grad(lambda t: (-t).sum(), rng.normal(size=(3,)))
@@ -138,31 +178,45 @@ class TestArithmeticGradients:
 
     def test_broadcast_add_bias(self, rng):
         x = rng.normal(size=(6, 3))
-        check_grad(lambda t: ((Tensor(x) + t) ** 2).sum(), rng.normal(size=(3,)))
+        check_grad(lambda t: square(Tensor(x) + t).sum(), rng.normal(size=(3,)))
 
     def test_broadcast_mul_scalar_like(self, rng):
         x = rng.normal(size=(2, 5))
         check_grad(lambda t: (Tensor(x) * t).sum(), rng.normal(size=(1, 5)))
 
+    def test_reflected_add_and_mul(self, rng):
+        check_grad(lambda t: (2.0 * (1.5 + t) * t).sum(), rng.normal(size=(4,)))
+
+    def test_div_by_a_tensor_differentiates_the_divisor(self, rng):
+        x = rng.normal(size=(3, 4))
+        check_grad(lambda t: (Tensor(x) / t).sum(), rng.normal(size=(3, 4)) + 3.0)
+
+    def test_broadcast_div_reduces_to_the_divisor_shape(self, rng):
+        x = rng.normal(size=(4, 3))
+        check_grad(lambda t: (Tensor(x) / t).sum(), rng.normal(size=(3,)) + 3.0)
+
+    def test_matmul_vector_matrix(self, rng):
+        b = rng.normal(size=(4, 3))
+        check_grad(lambda t: square(t @ Tensor(b)).sum(), rng.normal(size=(4,)))
+        a = rng.normal(size=(4,))
+        check_grad(lambda t: square(Tensor(a) @ t).sum(), rng.normal(size=(4, 3)))
+
+    def test_matmul_matrix_vector(self, rng):
+        b = rng.normal(size=(4,))
+        check_grad(lambda t: square(t @ Tensor(b)).sum(), rng.normal(size=(2, 4)))
+        a = rng.normal(size=(2, 4))
+        check_grad(lambda t: square(Tensor(a) @ t).sum(), rng.normal(size=(4,)))
+
+    def test_matmul_broadcasts_a_shared_right_operand(self, rng):
+        x = rng.normal(size=(5, 2, 4))
+        check_grad(lambda t: square(Tensor(x) @ t).sum(), rng.normal(size=(4, 3)))
+
 
 class TestElementwiseGradients:
-    @pytest.mark.parametrize("name", ["exp", "tanh", "sigmoid", "relu",
-                                      "softplus", "abs"])
+    @pytest.mark.parametrize("name", ["exp", "tanh", "relu"])
     def test_unary(self, name, rng):
-        x0 = rng.normal(size=(7,)) + 0.1  # avoid the relu/abs kink at exactly 0
+        x0 = rng.normal(size=(7,)) + 0.1  # avoid the relu kink at exactly 0
         check_grad(lambda t: getattr(t, name)().sum(), x0)
-
-    def test_log(self, rng):
-        x0 = np.abs(rng.normal(size=(5,))) + 0.5
-        check_grad(lambda t: t.log().sum(), x0)
-
-    def test_sqrt(self, rng):
-        x0 = np.abs(rng.normal(size=(5,))) + 0.5
-        check_grad(lambda t: t.sqrt().sum(), x0)
-
-    def test_leaky_relu(self, rng):
-        x0 = rng.normal(size=(9,)) + 0.05
-        check_grad(lambda t: t.leaky_relu(0.1).sum(), x0)
 
     def test_clip(self, rng):
         x0 = rng.normal(size=(8,)) * 3.0
@@ -171,14 +225,14 @@ class TestElementwiseGradients:
 
 class TestReductionsAndShapes:
     def test_sum_axis(self, rng):
-        check_grad(lambda t: (t.sum(axis=0) ** 2).sum(), rng.normal(size=(3, 4)))
+        check_grad(lambda t: square(t.sum(axis=0)).sum(), rng.normal(size=(3, 4)))
 
     def test_sum_keepdims(self, rng):
         check_grad(lambda t: (t.sum(axis=1, keepdims=True) * 2).sum(),
                    rng.normal(size=(3, 4)))
 
     def test_mean(self, rng):
-        check_grad(lambda t: (t.mean(axis=1) ** 2).sum(), rng.normal(size=(2, 6)))
+        check_grad(lambda t: square(t.mean(axis=1)).sum(), rng.normal(size=(2, 6)))
 
     def test_max(self, rng):
         # distinct values so the argmax is unambiguous for the numeric check
@@ -190,7 +244,7 @@ class TestReductionsAndShapes:
         check_grad(lambda t: t.min(axis=0).sum(), x0)
 
     def test_reshape(self, rng):
-        check_grad(lambda t: (t.reshape(6, 2) ** 2).sum(), rng.normal(size=(3, 4)))
+        check_grad(lambda t: square(t.reshape(6, 2)).sum(), rng.normal(size=(3, 4)))
 
     def test_transpose(self, rng):
         w = rng.normal(size=(3, 4))
@@ -198,31 +252,88 @@ class TestReductionsAndShapes:
                    rng.normal(size=(3, 4)))
 
     def test_getitem(self, rng):
-        check_grad(lambda t: (t[1:, :2] ** 2).sum(), rng.normal(size=(4, 3)))
+        check_grad(lambda t: square(t[1:, :2]).sum(), rng.normal(size=(4, 3)))
 
     def test_squeeze_expand(self, rng):
-        check_grad(lambda t: (t.expand_dims(1).squeeze(1) ** 2).sum(),
+        check_grad(lambda t: square(t.expand_dims(1).squeeze(1)).sum(),
                    rng.normal(size=(5,)))
 
     def test_concatenate(self, rng):
         b = rng.normal(size=(2, 3))
-        check_grad(lambda t: (concatenate([t, Tensor(b)], axis=0) ** 2).sum(),
+        check_grad(lambda t: square(concatenate([t, Tensor(b)], axis=0)).sum(),
                    rng.normal(size=(2, 3)))
 
-    def test_stack(self, rng):
-        b = rng.normal(size=(4,))
-        check_grad(lambda t: (stack([t, Tensor(b)], axis=0) ** 2).sum(),
-                   rng.normal(size=(4,)))
+    def test_sum_over_a_tuple_of_axes(self, rng):
+        check_grad(lambda t: square(t.sum(axis=(0, 2))).sum(),
+                   rng.normal(size=(2, 3, 4)))
 
-    def test_split_roundtrip(self, rng):
-        x0 = rng.normal(size=(2, 6))
-        check_grad(lambda t: sum((p ** 2).sum() for p in split(t, 3, axis=1)), x0)
+    def test_sum_over_a_negative_axis(self, rng):
+        check_grad(lambda t: square(t.sum(axis=-1)).sum(), rng.normal(size=(3, 4)))
 
-    def test_where(self, rng):
-        cond = rng.random((5,)) > 0.5
-        b = rng.normal(size=(5,))
-        check_grad(lambda t: (where(cond, t, Tensor(b)) ** 2).sum(),
-                   rng.normal(size=(5,)))
+    def test_mean_of_everything(self, rng):
+        x0 = rng.normal(size=(3, 4))
+        assert Tensor(x0).mean().item() == pytest.approx(float(x0.mean()))
+        check_grad(lambda t: square(t.mean()).sum(), x0)
+
+    def test_mean_over_a_tuple_of_axes(self, rng):
+        x0 = rng.normal(size=(2, 3, 4))
+        np.testing.assert_allclose(Tensor(x0).mean(axis=(0, 2)).numpy(),
+                                   x0.mean(axis=(0, 2)))
+        check_grad(lambda t: square(t.mean(axis=(0, 2), keepdims=True)).sum(), x0)
+
+    def test_global_max_splits_the_gradient_between_ties(self):
+        x = Tensor([1.0, 3.0, 3.0, 2.0], requires_grad=True)
+        x.max().backward()
+        np.testing.assert_allclose(x.grad, [0.0, 0.5, 0.5, 0.0])
+
+    def test_max_keepdims(self, rng):
+        x0 = rng.permutation(np.arange(12, dtype=np.float64)).reshape(3, 4)
+        assert Tensor(x0).max(axis=1, keepdims=True).shape == (3, 1)
+        check_grad(lambda t: square(t.max(axis=1, keepdims=True)).sum(), x0)
+
+    def test_reshape_takes_a_tuple(self, rng):
+        x0 = rng.normal(size=(3, 4))
+        assert Tensor(x0).reshape((2, 6)).shape == (2, 6)
+        check_grad(lambda t: square(t.reshape((4, 3))).sum(), x0)
+
+    def test_transpose_without_axes_reverses_them(self, rng):
+        x0 = rng.normal(size=(2, 3, 4))
+        np.testing.assert_array_equal(Tensor(x0).transpose().numpy(), x0.T)
+        w = rng.normal(size=(4, 3, 2))
+        check_grad(lambda t: (t.transpose() * Tensor(w)).sum(), x0)
+
+    def test_swapaxes(self, rng):
+        x0 = rng.normal(size=(2, 3, 4))
+        np.testing.assert_array_equal(Tensor(x0).swapaxes(-1, -2).numpy(),
+                                      np.swapaxes(x0, -1, -2))
+        w = rng.normal(size=(2, 4, 3))
+        check_grad(lambda t: (t.swapaxes(1, 2) * Tensor(w)).sum(), x0)
+
+    def test_getitem_with_a_repeated_index_accumulates(self):
+        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+        x[np.array([0, 2, 0])].sum().backward()
+        np.testing.assert_allclose(x.grad, [2.0, 0.0, 1.0])
+
+    def test_squeeze_every_singleton_axis(self, rng):
+        x0 = rng.normal(size=(1, 3, 1))
+        assert Tensor(x0).squeeze().shape == (3,)
+        assert Tensor(np.ones((1, 1))).squeeze().shape == (1,)
+        check_grad(lambda t: square(t.squeeze()).sum(), x0)
+
+    def test_squeeze_rejects_a_non_singleton_axis(self):
+        with pytest.raises(ValueError):
+            Tensor(np.ones((2, 3))).squeeze(0)
+
+    def test_expand_dims_with_a_negative_axis(self):
+        assert Tensor(np.ones((2, 3))).expand_dims(-1).shape == (2, 3, 1)
+        assert Tensor(np.ones((2, 3))).expand_dims(0).shape == (1, 2, 3)
+
+    def test_concatenate_along_the_last_axis(self, rng):
+        b = rng.normal(size=(2, 1))
+        out = concatenate([Tensor(np.ones((2, 3))), Tensor(b)], axis=1)
+        assert out.shape == (2, 4)
+        check_grad(lambda t: square(concatenate([Tensor(b), t], axis=1)).sum(),
+                   rng.normal(size=(2, 3)))
 
     def test_diamond_graph(self, rng):
         # y = x*x + x*x re-uses the same intermediate twice
@@ -262,16 +373,3 @@ class TestHypothesisProperties:
     def test_tanh_bounded(self, data):
         out = Tensor(data).tanh().numpy()
         assert np.all(np.abs(out) <= 1.0)
-
-
-class TestFactories:
-    def test_zeros(self):
-        z = zeros((2, 3))
-        assert z.shape == (2, 3)
-        assert np.all(z.numpy() == 0.0)
-
-    def test_randn_seeded(self):
-        a = np.random.default_rng(0)
-        b = np.random.default_rng(0)
-        from repro.mlcore.tensor import randn
-        np.testing.assert_allclose(randn((3,), rng=a).numpy(), randn((3,), rng=b).numpy())

@@ -157,24 +157,6 @@ class TestINN:
             inn.assemble_condition(Tensor(rng.normal(size=(3, CFG.spectrum_dim + 1))),
                                    Tensor(rng.normal(size=(3, CFG.normal_dim))))
 
-    def test_log_det_finite(self, rng):
-        block = GlowCouplingBlock(dim=8, hidden=(16,), rng=rng)
-        ld = block.log_det_jacobian(Tensor(rng.normal(size=(3, 8))))
-        assert np.all(np.isfinite(ld.numpy()))
-
-    def test_log_det_is_the_sum_of_the_scales_the_fused_forward_caches(self, rng, monkeypatch):
-        block = GlowCouplingBlock(dim=8, hidden=(16,), rng=rng)
-        x = rng.normal(size=(3, 8))
-        _, (scale1, scale2), _ = block.coupling(x)
-        calls = []
-        forward = block.subnet1.forward
-        monkeypatch.setattr(block.subnet1, "forward",
-                            lambda value: calls.append(1) or forward(value))
-        ld = block.log_det_jacobian(Tensor(x))
-        assert len(calls) == 1                  # it used to evaluate subnet1 twice
-        np.testing.assert_allclose(ld.numpy(), scale1.sum(axis=1) + scale2.sum(axis=1),
-                                   rtol=1e-12)
-
 
 class TestFullModel:
     def test_forward_produces_all_outputs(self, rng):

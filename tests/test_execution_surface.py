@@ -4,8 +4,9 @@ rule that picks an executor for a launch.
 Two executors, two drivers, no facade; CLI flags and the service's
 submit body are two spellings of the same options and must resolve to the
 same executor through ``repro.campaign.executor_for``.
-The options of the run path — worker pool, stream, session, PIC step — are
-pinned by name, so a new one shows up in review as a diff of this file.
+The options of the run path — worker pool, stream, session, PIC step — and
+the surface of the ``repro.mlcore`` PyTorch stand-in are pinned by name, so
+a new one shows up in review as a diff of this file.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 import repro.campaign
 import repro.core
+import repro.mlcore
 import repro.openpmd
 import repro.streaming
 from repro.campaign import (CampaignSpec, WorkerPool, WorkerPoolExecutor,
@@ -26,6 +28,16 @@ from repro.campaign import (CampaignSpec, WorkerPool, WorkerPoolExecutor,
                             executor_for, get_campaign_preset, get_executor)
 from repro.cli import _build_parser, _campaign_executor
 from repro.core.config import StreamingConfig, WorkflowConfig
+from repro.mlcore import functional as F
+from repro.mlcore import init as mlcore_init
+from repro.mlcore import layers as mlcore_layers
+from repro.mlcore import losses as mlcore_losses
+from repro.mlcore import optim, schedulers
+from repro.mlcore import tensor as tensor_module
+from repro.mlcore.module import Module, Parameter
+from repro.mlcore.tensor import Tensor
+from repro.models.encoder import PointNetEncoder
+from repro.models.inn import GlowCouplingBlock
 from repro.openpmd import DirectoryStore, Series
 from repro.utils.serialization import jsonable
 from repro.pic import simulation as pic_simulation
@@ -102,6 +114,13 @@ class TestOneResolutionRule:
 def parameters_of(function):
     return [name for name in inspect.signature(function).parameters
             if name != "self"]
+
+
+def public_names(module):
+    """The public names ``module`` defines itself, not those it imports."""
+    return sorted(name for name, value in vars(module).items()
+                  if not name.startswith("_") and not inspect.ismodule(value)
+                  and getattr(value, "__module__", module.__name__) == module.__name__)
 
 
 def flags_of(parser, *path):
@@ -217,6 +236,79 @@ class TestOptionsCensus:
         redispatch_threshold = "straggler" + "_after"
         with pytest.raises(TypeError, match=redispatch_threshold):
             get_executor("workers", **{redispatch_threshold: 1.0})
+
+    def test_mlcore_exports_exactly_what_a_run_or_an_oracle_reaches(self):
+        """The PyTorch stand-in is what the model, its trainer, the
+        benchmarks and the fused nodes' tape oracles use, and no more."""
+        assert repro.mlcore.__all__ == [
+            "schedulers", "Tensor", "no_grad", "Module", "Parameter",
+            "functional", "layers", "losses", "optim"]
+        assert mlcore_layers.__all__ == [
+            "Linear", "MLP", "ReLU", "Sequential", "ModuleList",
+            "PointwiseConv", "ConvTranspose3d", "MaxPoolPoints"]
+        assert public_names(F) == [
+            "affine", "affine_backward", "affine_forward",
+            "pairwise_squared_distances", "reparameterize", "take_columns",
+            "weighted_sum"]
+        assert public_names(mlcore_losses) == [
+            "chamfer_distance", "kl_divergence_normal", "mmd_imq", "mse_loss",
+            "sinkhorn_emd"]
+        assert public_names(optim) == [
+            "Adam", "Optimizer", "PAPER_ADAM_BETAS", "PAPER_ADAM_EPS",
+            "PAPER_BASE_LEARNING_RATE", "PAPER_WEIGHT_DECAY", "ParamGroup",
+            "make_block_param_groups", "sqrt_lr_scaling"]
+        assert public_names(schedulers) == [
+            "WARMUP_START_FACTOR", "WarmupScheduler", "clip_gradient_norm"]
+
+    def test_mlcore_options_with_one_value_are_constants(self):
+        assert parameters_of(mlcore_losses.chamfer_distance) == ["a", "b"]
+        assert parameters_of(mlcore_losses.sinkhorn_emd) == [
+            "a", "b", "epsilon", "n_iterations"]
+        assert parameters_of(mlcore_layers.MLP.__init__) == ["dims", "rng"]
+        assert parameters_of(mlcore_layers.MaxPoolPoints.__init__) == []
+        assert parameters_of(mlcore_init.kaiming_uniform) == ["shape", "rng"]
+        assert parameters_of(mlcore_layers.PointwiseConv.__init__) == [
+            "in_channels", "out_channels", "rng"]
+        assert parameters_of(mlcore_layers.ConvTranspose3d.__init__) == [
+            "in_channels", "out_channels", "rng"]
+        assert parameters_of(Module.load_state_dict) == ["state"]
+        assert parameters_of(Tensor.__init__) == ["data", "requires_grad"]
+        assert parameters_of(Parameter.__init__) == ["data"]
+        assert "name" not in Tensor.__slots__
+        assert parameters_of(schedulers.WarmupScheduler.__init__) == [
+            "optimizer", "warmup_steps"]
+
+    def test_removed_mlcore_names_are_gone_not_aliased(self):
+        removed = {
+            F: ["relu", "leaky_relu", "tanh", "sigmoid", "softplus", "exp", "log",
+                "sqrt", "clamp", "softmax", "log_softmax", "one_hot", "dropout",
+                "linear", "mse", "stack", "split", "where", "concatenate"],
+            tensor_module: ["stack", "split", "where", "tensor", "zeros", "ones",
+                            "randn", "is_grad_enabled"],
+            Tensor: ["size", "dtype", "__len__", "__repr__", "detach", "clone",
+                     "__rsub__", "__pow__", "__rmatmul__", "__gt__", "__lt__",
+                     "__ge__", "__le__", "log", "sqrt", "sigmoid", "leaky_relu",
+                     "softplus", "abs"],
+            mlcore_layers: ["LeakyReLU", "Tanh", "Sigmoid", "Softplus", "Dropout"],
+            mlcore_layers.Sequential: ["append", "__getitem__"],
+            mlcore_layers.ModuleList: ["__getitem__", "forward"],
+            mlcore_layers.ConvTranspose3d: ["output_shape"],
+            mlcore_init: ["xavier_uniform", "xavier_normal", "zeros"],
+            mlcore_losses: ["l1_loss", "gaussian_nll"],
+            Module: ["register_parameter", "named_modules", "modules", "forward"],
+            optim: ["SGD"],
+            optim.Optimizer: ["set_lr", "add_param_group", "step_count", "step"],
+            schedulers: ["CosineDecayScheduler", "ExponentialDecayScheduler",
+                         "LRScheduler", "gradient_norm"],
+            schedulers.WarmupScheduler: ["last_factor", "current_lrs"],
+            GlowCouplingBlock: ["log_det_jacobian", "_scale_shift"],
+            PointNetEncoder: ["global_features"],
+        }
+        assert {owner: [name for name in names if name in vars(owner)]
+                for owner, names in removed.items()} \
+            == {owner: [] for owner in removed}
+        assert importlib.util.find_spec("repro.mlcore.serialization") is None
+        assert importlib.util.find_spec("repro.mlcore.layers.dropout") is None
 
     def test_the_pool_keeps_the_counters_the_benchmark_reads(self):
         stats = WorkerPool(1).stats()     # spawns lazily: no process here
