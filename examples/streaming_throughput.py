@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.perfmodel.streaming import StreamingScalingStudy
+from repro.perfmodel.streaming import StreamingScalingStudy, measure_stream_throughput
 from repro.pic.khi import KHIConfig, make_khi_simulation
-from repro.streaming import NoOpConsumer, SSTBroker, Step, measure_stream_throughput
+from repro.streaming import NoOpConsumer, SSTBroker, Step
 
 
 def real_inmemory_benchmark(n_steps: int = 5) -> None:

@@ -50,10 +50,6 @@ class RegionEvaluation:
     def peak_error(self) -> float:
         return abs(self.predicted_peak - self.true_peak)
 
-    @property
-    def mean_error(self) -> float:
-        return abs(self.predicted_mean - self.true_mean)
-
 
 @dataclass
 class InversionReport:

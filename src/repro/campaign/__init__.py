@@ -34,9 +34,7 @@ See ``docs/campaigns.md`` and ``docs/extending-executors.md``.
 from repro.campaign.aggregate import (CampaignReport, aggregate,
                                       status_document)
 from repro.campaign.cache import ResultCache
-from repro.campaign.presets import (available_campaign_presets,
-                                    get_campaign_preset,
-                                    register_campaign_preset)
+from repro.campaign.presets import available_campaign_presets, get_campaign_preset
 from repro.campaign.scheduler import (CampaignExecutor, CampaignOutcome,
                                       SerialExecutor, available_executors,
                                       default_pool_workers, execute_run,
@@ -75,5 +73,4 @@ __all__ = [
     "status_document",
     "available_campaign_presets",
     "get_campaign_preset",
-    "register_campaign_preset",
 ]

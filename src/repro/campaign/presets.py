@@ -57,14 +57,6 @@ def available_campaign_presets() -> tuple:
     return tuple(sorted(_CAMPAIGN_PRESETS))
 
 
-def register_campaign_preset(name: str, factory: Callable[[], CampaignSpec],
-                             overwrite: bool = False) -> None:
-    """Add a named campaign preset (e.g. a site- or study-specific sweep)."""
-    if name in _CAMPAIGN_PRESETS and not overwrite:
-        raise ValueError(f"campaign preset {name!r} is already registered")
-    _CAMPAIGN_PRESETS[name] = factory
-
-
 def get_campaign_preset(name: str) -> CampaignSpec:
     """Build a fresh :class:`CampaignSpec` for a named campaign preset."""
     try:

@@ -108,10 +108,6 @@ class RunSpec:
     n_steps: int
     repetition: int = 0             #: ensemble member index at this point
 
-    def build_config(self) -> WorkflowConfig:
-        """Rebuild the run's :class:`WorkflowConfig` from its resolved dict."""
-        return WorkflowConfig.from_dict(self.config)
-
     def payload(self) -> Dict[str, object]:
         """The picklable dict handed to campaign executors/workers."""
         return {"run_id": self.run_id, "index": self.index,

@@ -679,6 +679,12 @@ def _cmd_presets(_: argparse.Namespace) -> int:
     return 0
 
 
+def _study_error(error: ValueError) -> int:
+    """A figure study's out-of-range input: one ``error:`` line, exit 2."""
+    print(f"error: {error}", file=sys.stderr)
+    return 2
+
+
 def _cmd_fom_scan(_: argparse.Namespace) -> int:
     from repro.perfmodel.fom import FOMScalingModel
 
@@ -696,14 +702,17 @@ def _cmd_fom_scan(_: argparse.Namespace) -> int:
 def _cmd_streaming_study(args: argparse.Namespace) -> int:
     from repro.perfmodel.streaming import StreamingScalingStudy
 
-    study = StreamingScalingStudy(bytes_per_node=args.bytes_per_node)
+    try:
+        rows = StreamingScalingStudy(bytes_per_node=args.bytes_per_node).rows()
+    except ValueError as error:
+        return _study_error(error)
     print(f"{'data plane':>18} {'strategy':>12} {'nodes':>6} {'TB/s':>7} "
           f"{'GB/s/node':>10} {'step [s]':>9}")
 
     def fmt(value, width, precision):
         return "n/a".rjust(width) if value is None else f"{value:{width}.{precision}f}"
 
-    for row in study.rows():
+    for row in rows:
         print(f"{row['data_plane']:>18} {row['strategy']:>12} {row['nodes']:>6} "
               f"{fmt(row['parallel_tb_per_s'], 7, 1)} "
               f"{fmt(row['per_node_gb_per_s'], 10, 2)} "
@@ -715,9 +724,13 @@ def _cmd_ddp_scan(args: argparse.Namespace) -> int:
     from repro.perfmodel.ddp import DDPWeakScalingModel
 
     model = DDPWeakScalingModel.paper_calibrated()
+    try:
+        points = model.scan(tuple(args.nodes))
+    except ValueError as error:
+        return _study_error(error)
     print(f"{'nodes':>6} {'GCDs':>6} {'batch':>6} {'efficiency %':>13} "
           f"{'allreduce %':>12} {'MMD %':>7}")
-    for point in model.scan(tuple(args.nodes)):
+    for point in points:
         print(f"{point.n_nodes:>6} {point.n_gcds:>6} {point.global_batch_size:>6} "
               f"{100 * point.efficiency:>13.1f} {100 * point.allreduce_fraction:>12.1f} "
               f"{100 * point.mmd_fraction:>7.1f}")
@@ -751,14 +764,17 @@ def _cmd_khi_info(_: argparse.Namespace) -> int:
 
 
 def _cmd_placement(args: argparse.Namespace) -> int:
-    from repro.core.placement import PlacementMode, ResourcePlan
+    from repro.perfmodel.placement import PlacementMode, ResourcePlan
     from repro.perfmodel.streaming import PAPER_BYTES_PER_NODE
 
-    for mode in (PlacementMode.INTRA_NODE, PlacementMode.INTER_NODE):
-        plan = ResourcePlan(n_nodes=args.nodes, mode=mode)
+    try:
+        plans = [ResourcePlan(n_nodes=args.nodes, mode=mode) for mode in PlacementMode]
+    except ValueError as error:
+        return _study_error(error)
+    for plan in plans:
         description = plan.describe()
         exchange = plan.exchange_time_per_step(PAPER_BYTES_PER_NODE)
-        print(f"{mode.value:>12}: {description}  exchange of 5.86 GB/node: "
+        print(f"{plan.mode.value:>12}: {description}  exchange of 5.86 GB/node: "
               f"{exchange:.3f} s")
     return 0
 

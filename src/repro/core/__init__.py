@@ -13,13 +13,13 @@ substrates:
 * :class:`repro.workflow.WorkflowSession` (built by
   :class:`repro.workflow.WorkflowBuilder`) wires both applications
   together (intra-node loose coupling), drives the run and collects the
-  workflow report,
-* :mod:`repro.core.placement` models the resource assignment choices of
-  Fig. 3(c) (intra- vs inter-node placement, GCD split).
+  workflow report.
+
+The Frontier-scale placement model of Fig. 3(c) lives in
+:mod:`repro.perfmodel.placement`.
 """
 
 from repro.core.config import MLConfig, StreamingConfig, WorkflowConfig
-from repro.core.placement import PlacementMode, ResourcePlan
 from repro.core.transforms import (RegionPartition, encode_point_cloud, encode_spectrum,
                                    make_training_samples)
 from repro.core.producer import StreamingProducerPlugin
@@ -33,8 +33,6 @@ __all__ = [
     "WorkflowConfig",
     "MLConfig",
     "StreamingConfig",
-    "PlacementMode",
-    "ResourcePlan",
     "RegionPartition",
     "encode_point_cloud",
     "encode_spectrum",

@@ -46,7 +46,3 @@ class PointCloudDecoder(Module):
                 voxels = voxels.relu()
         b_, dd, hh, ww, c = voxels.shape
         return voxels.reshape(b_, dd * hh * ww, c)
-
-    @property
-    def n_output_points(self) -> int:
-        return self.config.n_output_points

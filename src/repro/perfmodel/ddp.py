@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.perfmodel.machines import FRONTIER, MachineSpec
+#: Node count at which the efficiency curve is 1 (the paper's smallest run).
+BASE_NODES = 8
 
 
 @dataclass
@@ -116,7 +117,6 @@ class DDPWeakScalingModel:
     mmd_time_per_rank: float = 0.00025
     batch_per_gcd: int = 8
     gcds_per_node: int = 4
-    machine: MachineSpec = FRONTIER
 
     # -- components -------------------------------------------------------- #
     def n_gcds(self, n_nodes: int) -> int:
@@ -134,16 +134,13 @@ class DDPWeakScalingModel:
 
     def step_time(self, n_nodes: int) -> float:
         if n_nodes < 1:
-            raise ValueError("n_nodes must be >= 1")
+            raise ValueError(f"n_nodes must be >= 1, got {n_nodes}")
         return self.compute_time + self.allreduce_time(n_nodes) + self.mmd_time(n_nodes)
 
     # -- the Fig. 8 curve ----------------------------------------------------- #
-    def efficiency(self, n_nodes: int, base_nodes: int = 8) -> float:
-        return self.step_time(base_nodes) / self.step_time(n_nodes)
-
-    def scan(self, node_counts: Sequence[int] = (8, 24, 48, 96),
-             base_nodes: int = 8) -> List[DDPScalingPoint]:
-        base_time = self.step_time(base_nodes)
+    def scan(self, node_counts: Sequence[int] = (8, 24, 48, 96)) -> List[DDPScalingPoint]:
+        """One point per node count, efficiency relative to ``BASE_NODES``."""
+        base_time = self.step_time(BASE_NODES)
         points = []
         for n_nodes in node_counts:
             t = self.step_time(n_nodes)
@@ -159,14 +156,15 @@ class DDPWeakScalingModel:
             ))
         return points
 
-    def deficit_attribution(self, n_nodes: int = 96, base_nodes: int = 8) -> Dict[str, float]:
-        """How much of the lost efficiency each component accounts for."""
-        base = self.step_time(base_nodes)
+    def deficit_attribution(self, n_nodes: int = 96) -> Dict[str, float]:
+        """How much of the efficiency lost since ``BASE_NODES`` each
+        component accounts for."""
+        base = self.step_time(BASE_NODES)
         total_extra = self.step_time(n_nodes) - base
         if total_extra <= 0:
             return {"allreduce": 0.0, "mmd": 0.0}
-        extra_ar = self.allreduce_time(n_nodes) - self.allreduce_time(base_nodes)
-        extra_mmd = self.mmd_time(n_nodes) - self.mmd_time(base_nodes)
+        extra_ar = self.allreduce_time(n_nodes) - self.allreduce_time(BASE_NODES)
+        extra_mmd = self.mmd_time(n_nodes) - self.mmd_time(BASE_NODES)
         return {"allreduce": extra_ar / total_extra, "mmd": extra_mmd / total_extra}
 
     # -- calibration --------------------------------------------------------------- #
@@ -176,10 +174,3 @@ class DDPWeakScalingModel:
         return cls(compute_time=0.060, gradient_bytes=26.0e6,
                    overlap_fraction=0.35, mmd_time_per_rank=0.00025,
                    batch_per_gcd=8, gcds_per_node=4)
-
-    @classmethod
-    def from_measurement(cls, compute_time: float, gradient_bytes: float,
-                         **kwargs) -> "DDPWeakScalingModel":
-        """Build the model from quantities measured on the real (small) run."""
-        return cls(compute_time=float(compute_time), gradient_bytes=float(gradient_bytes),
-                   **kwargs)

@@ -13,26 +13,13 @@ baseline reaches 14.7 TeraUpdates/s.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
 from repro.pic.fom import CELL_WEIGHT, PARTICLE_WEIGHT
 from repro.perfmodel.machines import FRONTIER, SUMMIT, MachineSpec
-
-
-@dataclass(frozen=True)
-class FOMScalingPoint:
-    """One point of the weak-scaling curve."""
-
-    n_gpus: int
-    fom_updates_per_second: float
-    efficiency: float
-
-    @property
-    def tera_updates_per_second(self) -> float:
-        return self.fom_updates_per_second / 1e12
 
 
 @dataclass
@@ -42,7 +29,8 @@ class FOMScalingModel:
     Parameters
     ----------
     machine:
-        Machine description (used for documentation and GPU counts).
+        The system the calibration describes (a label; the rates carry
+        the numbers).
     per_gpu_particle_rate:
         Macro-particle updates per second of one GPU package.
     per_gpu_cell_rate:
@@ -75,11 +63,6 @@ class FOMScalingModel:
     def fom(self, n_gpus: int) -> float:
         """Aggregate FOM [updates/s] of a weak-scaled run on ``n_gpus`` GPUs."""
         return n_gpus * self.per_gpu_fom() * self.efficiency(n_gpus)
-
-    def scan(self, gpu_counts: Sequence[int]) -> List[FOMScalingPoint]:
-        return [FOMScalingPoint(n_gpus=int(n), fom_updates_per_second=self.fom(int(n)),
-                                efficiency=self.efficiency(int(n)))
-                for n in gpu_counts]
 
     # -- paper presets ------------------------------------------------------ #
     @classmethod
@@ -117,11 +100,3 @@ class FOMScalingModel:
         if counts[-1] != 36_864:
             counts.append(36_864)
         return counts
-
-    # -- paper-scale run-time estimate (Section IV-A) -------------------------- #
-    def time_per_step(self, particles_per_gpu: float, cells_per_gpu: float,
-                      n_gpus: int) -> float:
-        """Seconds per PIC step for a given per-GPU workload."""
-        rate_particles = self.per_gpu_particle_rate * self.efficiency(n_gpus)
-        rate_cells = self.per_gpu_cell_rate * self.efficiency(n_gpus)
-        return particles_per_gpu / rate_particles + cells_per_gpu / rate_cells

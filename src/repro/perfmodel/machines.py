@@ -44,29 +44,18 @@ class MachineSpec:
         return self.gpus_per_node * self.gcds_per_gpu
 
     @property
-    def total_gpus(self) -> int:
-        return self.n_nodes * self.gpus_per_node
-
-    @property
-    def total_gcds(self) -> int:
-        return self.n_nodes * self.gcds_per_node
-
-    @property
     def node_injection_bandwidth(self) -> float:
         """Total network injection bandwidth of one node [bytes/s]."""
         return self.nic_bandwidth * self.nics_per_node
 
-    def filesystem_bandwidth_per_node(self, n_nodes: int | None = None) -> float:
-        """Parallel-filesystem share of one node when ``n_nodes`` write at once.
+    def filesystem_bandwidth_per_node(self) -> float:
+        """Parallel-filesystem share of one node when every node writes at once.
 
         This is the "breaking down the throughput of massively parallel
         filesystems to the single node" argument of the introduction: at
         full scale it drops to tens of MB/s … GB/s, far below the NIC.
         """
-        n = self.n_nodes if n_nodes is None else n_nodes
-        if n < 1:
-            raise ValueError("n_nodes must be >= 1")
-        return self.filesystem_bandwidth / n
+        return self.filesystem_bandwidth / self.n_nodes
 
 
 #: Frontier (OLCF), as described in Section IV and public specifications:

@@ -1,4 +1,4 @@
-"""In-situ diagnostics: energy history, momentum histograms, density fields.
+"""In-situ diagnostics: energy history, momentum histograms, charge conservation.
 
 These provide the "ground truth" views used by the scientific evaluation
 (Fig. 9): per-region momentum distributions weighted by charge, and the
@@ -9,7 +9,7 @@ instability (Pausch et al. 2017).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -39,18 +39,6 @@ def momentum_histogram(species: ParticleSpecies, axis: int = 0,
     return centres, hist
 
 
-def density_field(grid: YeeGrid, species: ParticleSpecies) -> np.ndarray:
-    """Number density of a species on the grid [1/m^3]."""
-    scratch = YeeGrid(grid.config)
-    deposit_charge_cic(scratch, species.positions, 1.0, species.weights)
-    return scratch.rho.copy()
-
-
-def current_sheet_indicator(grid: YeeGrid) -> np.ndarray:
-    """Magnitude of the in-plane magnetic field, which peaks at the KHI vortices."""
-    return np.sqrt(grid.Bx ** 2 + grid.Bz ** 2 + grid.By ** 2)
-
-
 @dataclass
 class EnergyHistory(Plugin):
     """Plugin recording field and particle energies every ``interval`` steps."""
@@ -77,24 +65,6 @@ class EnergyHistory(Plugin):
     def total(self) -> np.ndarray:
         return (np.asarray(self.electric) + np.asarray(self.magnetic)
                 + np.asarray(self.kinetic))
-
-    def magnetic_growth_factor(self) -> float:
-        """Ratio of the final to the initial magnetic field energy."""
-        if len(self.magnetic) < 2:
-            raise RuntimeError("not enough samples recorded")
-        initial = self.magnetic[0] if self.magnetic[0] > 0 else self.magnetic[1]
-        if initial == 0:
-            return float("inf") if self.magnetic[-1] > 0 else 1.0
-        return self.magnetic[-1] / initial
-
-    def as_dict(self) -> Dict[str, np.ndarray]:
-        return {
-            "steps": np.asarray(self.steps),
-            "electric": np.asarray(self.electric),
-            "magnetic": np.asarray(self.magnetic),
-            "kinetic": np.asarray(self.kinetic),
-            "total": self.total(),
-        }
 
 
 @dataclass

@@ -102,18 +102,6 @@ class YeeGrid:
     def shape(self) -> Tuple[int, int, int]:
         return tuple(self.config.shape)
 
-    @property
-    def E(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.Ex, self.Ey, self.Ez
-
-    @property
-    def B(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.Bx, self.By, self.Bz
-
-    @property
-    def J(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.Jx, self.Jy, self.Jz
-
     def clear_currents(self) -> None:
         """Zero the current density (start of every deposition phase)."""
         self.Jx.fill(0.0)

@@ -91,11 +91,6 @@ class KHIConfig:
     def plasma_frequency(self) -> float:
         return constants.plasma_frequency(self.density)
 
-    @property
-    def skin_depth(self) -> float:
-        """Collisionless skin depth c / omega_p [m]."""
-        return constants.skin_depth(self.density)
-
     def omega_p_dt(self) -> float:
         """Plasma frequency times the (effective) time step.
 

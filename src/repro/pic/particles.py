@@ -66,11 +66,6 @@ class ParticleSpecies:
         """Number of macro-particles."""
         return int(self.positions.shape[0])
 
-    @property
-    def charge_to_mass(self) -> float:
-        """q/m of a real particle [C/kg]."""
-        return self.charge / self.mass
-
     def gamma(self) -> np.ndarray:
         """Lorentz factor per macro-particle."""
         u2 = np.einsum("ij,ij->i", self.momenta, self.momenta)
@@ -88,11 +83,6 @@ class ParticleSpecies:
         """Total kinetic energy ``sum w (gamma - 1) m c^2`` in joules."""
         mc2 = self.mass * constants.SPEED_OF_LIGHT ** 2
         return float(np.sum(self.weights * (self.gamma() - 1.0)) * mc2)
-
-    def momentum_total(self) -> np.ndarray:
-        """Total (weighted) momentum ``sum w m c u`` [kg m/s], shape (3,)."""
-        mc = self.mass * constants.SPEED_OF_LIGHT
-        return mc * np.einsum("i,ij->j", self.weights, self.momenta)
 
     def total_charge(self) -> float:
         """Total charge carried by the species [C]."""
@@ -124,14 +114,6 @@ class ParticleSpecies:
         channels of the encoder input in Fig. 7).
         """
         return np.concatenate([self.positions, self.momenta], axis=1)
-
-    @staticmethod
-    def empty(name: str, charge: float, mass: float) -> "ParticleSpecies":
-        """Create a species with zero particles."""
-        return ParticleSpecies(name=name, charge=charge, mass=mass,
-                               positions=np.zeros((0, 3)),
-                               momenta=np.zeros((0, 3)),
-                               weights=np.zeros((0,)))
 
     @staticmethod
     def electrons(positions: np.ndarray, momenta: np.ndarray,

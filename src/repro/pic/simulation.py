@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.pic.fom import FigureOfMerit, figure_of_merit
 from repro.pic.grid import GridConfig, YeeGrid
@@ -174,11 +174,3 @@ class PICSimulation:
     def total_energy(self) -> float:
         """Field plus particle kinetic energy [J]."""
         return self.grid.field_energy() + self.total_kinetic_energy()
-
-    def energy_report(self) -> Dict[str, float]:
-        return {
-            "electric": self.grid.electric_energy(),
-            "magnetic": self.grid.magnetic_energy(),
-            "kinetic": self.total_kinetic_energy(),
-            "total": self.total_energy(),
-        }

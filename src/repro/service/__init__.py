@@ -41,8 +41,7 @@ from repro.service.server import (CampaignServiceHandler,
                                   parse_submission, serve, sse_event_stream)
 from repro.service.sse import (EVENT_DONE, EVENT_DROPPED, EVENT_RUN,
                                EVENT_SNAPSHOT, SSEEvent, SSEParser,
-                               format_comment, format_event, iter_events,
-                               parse_events)
+                               format_comment, format_event, parse_events)
 
 __all__ = [
     "BusEvent",
@@ -67,6 +66,5 @@ __all__ = [
     "SSEParser",
     "format_comment",
     "format_event",
-    "iter_events",
     "parse_events",
 ]

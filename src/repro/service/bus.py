@@ -191,11 +191,6 @@ class RunEventBus:
         with self._lock:
             return len(self._subscribers.get(topic, ()))
 
-    def dropped_count(self, topic: str) -> int:
-        """Total events dropped on a topic across every subscriber."""
-        with self._lock:
-            return self._dropped.get(topic, 0)
-
     def topic_stats(self, topic: str) -> Dict[str, int]:
         """JSON-able per-topic accounting: events, subscribers, drops."""
         with self._lock:

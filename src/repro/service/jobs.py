@@ -341,11 +341,6 @@ class CampaignJobManager:
         with self._lock:
             return list(self._jobs.values())
 
-    def cancel(self, campaign_id: str) -> Optional[str]:
-        """Request cooperative cancellation; the resulting state, or None."""
-        job = self.get(campaign_id)
-        return None if job is None else job.request_cancel()
-
     def shutdown(self, timeout: float = 5.0) -> None:
         """Cancel every running job and wait briefly for the threads."""
         for job in self.jobs():

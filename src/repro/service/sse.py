@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 #: SSE event types emitted by the campaign control plane.
 EVENT_SNAPSHOT = "snapshot"     #: replay of an already-recorded run on connect
@@ -73,10 +73,6 @@ class SSEEvent:
     event: str                       #: the ``event:`` field
     data: Dict[str, object]          #: the JSON-decoded ``data:`` payload
     id: Optional[int] = None         #: the ``id:`` field, when present
-
-    def __getitem__(self, key: str) -> object:
-        """Dict-style access into the payload (``event["run_id"]``)."""
-        return self.data[key]
 
 
 @dataclass
@@ -131,11 +127,3 @@ class SSEParser:
 def parse_events(raw: str) -> List[SSEEvent]:
     """Parse a complete SSE stream body into its events (test convenience)."""
     return SSEParser().feed(raw if raw.endswith("\n") else raw + "\n")
-
-
-def iter_events(lines: Iterable[str]) -> Iterable[SSEEvent]:
-    """Parse an iterable of stream lines into events as they complete."""
-    parser = SSEParser()
-    for line in lines:
-        for event in parser.feed(line if line.endswith("\n") else line + "\n"):
-            yield event

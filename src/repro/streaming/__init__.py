@@ -18,17 +18,16 @@ writer — and nothing of its rank/block layout:
   between the writer and one reader group,
 * :mod:`repro.streaming.reduction` — producer-side reducers (Fig. 3b),
 * :class:`repro.streaming.noop.NoOpConsumer` — the synthetic benchmark
-  consumer that only measures and discards,
-* :mod:`repro.streaming.dataplane` / :mod:`repro.streaming.throughput` —
-  calibrated cost models of the ``libfabric``/CXI and ``MPI`` data planes
-  and the accounting behind the full-scale throughput study (Fig. 6).
+  consumer that only measures and discards.
+
+The cost models of the network data planes behind the full-scale
+throughput study (Fig. 6) are not a transport; they live in
+:mod:`repro.perfmodel.streaming`.
 """
 
 from repro.streaming.step import Step
 from repro.streaming.broker import SSTBroker
-from repro.streaming.dataplane import DataPlane, ModeledDataPlane, make_data_plane
 from repro.streaming.noop import NoOpConsumer
-from repro.streaming.throughput import ThroughputResult, measure_stream_throughput
 from repro.streaming.reduction import (ParticleSubsampleReducer, PrecisionReducer,
                                        ReductionPipeline, ReductionReport)
 
@@ -39,10 +38,5 @@ __all__ = [
     "ReductionReport",
     "Step",
     "SSTBroker",
-    "DataPlane",
-    "ModeledDataPlane",
-    "make_data_plane",
     "NoOpConsumer",
-    "ThroughputResult",
-    "measure_stream_throughput",
 ]

@@ -19,7 +19,7 @@ from repro.workflow.consumers import (HistogramMonitorConsumer, MLAppConsumer,
                                       StreamConsumer, available_consumers,
                                       get_consumer_factory, register_consumer)
 from repro.workflow.drivers import (ExecutionDriver, PipelinedDriver, SerialDriver,
-                                    available_drivers, get_driver, register_driver)
+                                    available_drivers, get_driver)
 from repro.workflow.presets import (available_presets, get_preset, preset_rows,
                                     register_preset)
 from repro.workflow.builder import (ConsumerSpec, WorkflowBuilder, WorkflowHooks,
@@ -40,7 +40,6 @@ __all__ = [
     "PipelinedDriver",
     "available_drivers",
     "get_driver",
-    "register_driver",
     "available_presets",
     "get_preset",
     "register_preset",

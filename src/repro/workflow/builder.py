@@ -207,10 +207,6 @@ class WorkflowSession:
 
     # -- convenience accessors ------------------------------------------------ #
     @property
-    def primary(self) -> StreamConsumer:
-        return self.consumers[self.primary_name]
-
-    @property
     def mlapp(self):
         """The first training consumer's MLapp (``None`` if there is none)."""
         for consumer in self.consumers.values():
@@ -270,11 +266,6 @@ class WorkflowBuilder:
     def preset(self, name: str) -> "WorkflowBuilder":
         """Use a named preset from :mod:`repro.workflow.presets`."""
         self._config = get_preset(name)
-        return self
-
-    def config_file(self, path: str) -> "WorkflowBuilder":
-        """Load the configuration from a JSON file (``WorkflowConfig.from_file``)."""
-        self._config = WorkflowConfig.from_file(path)
         return self
 
     # -- execution strategy ---------------------------------------------------- #

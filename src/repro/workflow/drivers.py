@@ -318,13 +318,6 @@ def available_drivers() -> tuple:
     return tuple(sorted(_DRIVERS))
 
 
-def register_driver(name: str, driver_cls: Type[ExecutionDriver],
-                    overwrite: bool = False) -> None:
-    if name in _DRIVERS and not overwrite:
-        raise ValueError(f"driver {name!r} is already registered")
-    _DRIVERS[name] = driver_cls
-
-
 def get_driver(name: str, **kwargs) -> ExecutionDriver:
     """Instantiate a driver by name (``serial``, ``pipelined``)."""
     try:

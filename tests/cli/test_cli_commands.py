@@ -223,6 +223,20 @@ class TestStudyCommands:
         out = capsys.readouterr().out
         assert "intra_node" in out and "inter_node" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["placement", "--nodes", "0"], ["ddp-scan", "--nodes", "0"],
+        ["ddp-scan", "--nodes", "8", "-4"],
+        ["streaming-study", "--bytes-per-node", "-1"],
+        ["streaming-study", "--bytes-per-node", "nan"],
+        ["streaming-study", "--bytes-per-node", "inf"]],
+        ids=["placement-nodes-0", "ddp-nodes-0", "ddp-nodes-negative",
+             "bytes-negative", "bytes-nan", "bytes-inf"])
+    def test_out_of_range_study_input_exits_2(self, capsys, argv):
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""           # no table header before the error
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_bench_hotpath_no_persist(self, capsys):
         assert cli_main(["bench-hotpath", "--steps", "2", "--warmup", "1",
                          "--repeats", "1", "--no-persist"]) == 0

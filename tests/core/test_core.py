@@ -1,13 +1,13 @@
-"""Tests of the workflow configuration, placement, transforms and producer."""
+"""Tests of the workflow configuration, transforms and producer."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import (MLConfig, PlacementMode, RegionPartition, ResourcePlan,
-                        StreamingConfig, StreamingProducerPlugin, WorkflowConfig,
-                        encode_point_cloud, encode_spectrum, make_training_samples)
+from repro.core import (MLConfig, RegionPartition, StreamingConfig,
+                        StreamingProducerPlugin, WorkflowConfig, encode_point_cloud,
+                        encode_spectrum, make_training_samples)
 from repro.core.transforms import Region, decode_point_cloud
 from repro.models.config import ModelConfig
 from repro.core.producer import POINT_CLOUDS
@@ -48,42 +48,6 @@ class TestWorkflowConfig:
     def test_n_points_defaults_to_model_input(self):
         cfg = small_workflow_config()
         assert cfg.n_points_per_sample == cfg.ml.model.n_input_points
-
-
-class TestPlacement:
-    def test_intra_node_split(self):
-        plan = ResourcePlan(n_nodes=10, mode=PlacementMode.INTRA_NODE,
-                            producer_gcds_per_node=4)
-        assert plan.producer_nodes == 10 and plan.consumer_nodes == 10
-        assert plan.total_producer_gcds == 40
-        assert plan.total_consumer_gcds == 40
-
-    def test_inter_node_split(self):
-        plan = ResourcePlan(n_nodes=10, mode=PlacementMode.INTER_NODE,
-                            consumer_node_fraction=0.3)
-        assert plan.consumer_nodes == 3
-        assert plan.producer_nodes == 7
-        assert plan.total_consumer_gcds == 3 * 8
-
-    def test_intra_node_has_higher_exchange_bandwidth(self):
-        intra = ResourcePlan(n_nodes=4, mode=PlacementMode.INTRA_NODE)
-        inter = ResourcePlan(n_nodes=4, mode=PlacementMode.INTER_NODE)
-        assert intra.exchange_bandwidth_per_node() > inter.exchange_bandwidth_per_node()
-        assert intra.exchange_time_per_step(5.86e9) < inter.exchange_time_per_step(5.86e9)
-
-    def test_describe_keys(self):
-        plan = ResourcePlan(n_nodes=2)
-        assert {"mode", "producer_gcds", "consumer_gcds"} <= set(plan.describe())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResourcePlan(n_nodes=0)
-        with pytest.raises(ValueError):
-            ResourcePlan(n_nodes=2, producer_gcds_per_node=8)
-        with pytest.raises(ValueError):
-            ResourcePlan(n_nodes=2, consumer_node_fraction=1.5)
-        with pytest.raises(ValueError):
-            ResourcePlan(n_nodes=2).exchange_time_per_step(-1.0)
 
 
 class TestRegionPartition:

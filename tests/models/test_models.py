@@ -34,6 +34,9 @@ class TestModelConfig:
         assert cfg.n_output_points == 4096
         assert cfg.inn_blocks == 4
         assert cfg.inn_hidden == (272, 256, 544)
+        # millions of parameters, yet the float64 gradients fit on one 64 GB GCD
+        n_params = ArtificialScientistModel(cfg, rng=np.random.default_rng(0)).num_parameters()
+        assert 1e6 < n_params < 64e9 / 8
 
     def test_output_points_small_config(self):
         assert CFG.n_output_points == 2 * 2 * 2 * 4 ** 3
@@ -204,6 +207,7 @@ class TestFullModel:
         clouds, spectra = Tensor(random_cloud(rng)), Tensor(random_spectrum(rng))
         total = loss(model(clouds, spectra), clouds, spectra)
         total.backward()
+        assert total.item() > 0
         assert any(p.grad is not None and np.any(p.grad != 0)
                    for p in model.vae_parameters())
         assert any(p.grad is not None and np.any(p.grad != 0)

@@ -99,12 +99,18 @@ class TestKHISetup:
         assert cfg.n_macro_electrons == np.prod(cfg.grid_shape) * 5
 
     def test_paper_preset(self):
+        """Section IV-A: 192x256x12 cubic cells of 93.5 um on 16 GPUs,
+        beta = 0.2, 9 particles per cell."""
         cfg = KHIConfig.paper()
         assert cfg.grid_shape == constants.PAPER_SMALLEST_GRID
+        assert cfg.cell_size == pytest.approx(93.5e-6)
         assert cfg.particles_per_cell == 9
         assert cfg.beta == pytest.approx(0.2)
+        assert cfg.n_macro_electrons == 192 * 256 * 12 * 9
+        assert constants.PAPER_SMALLEST_GPUS == 16
 
     def test_unstable_config_warns(self):
+        assert KHIConfig().omega_p_dt() < 2.0    # the default density is stable
         cfg = KHIConfig(grid_shape=(4, 8, 2), density=1e28)
         with pytest.warns(RuntimeWarning):
             make_khi_simulation(cfg)

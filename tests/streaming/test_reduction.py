@@ -75,19 +75,21 @@ class TestParticleSubsampleReducer:
 
 class TestReductionPipeline:
     def test_combined_factor(self, rng):
-        pipeline = ReductionPipeline([
-            ParticleSubsampleReducer(0.5, rng=rng),
-            PrecisionReducer(),
-        ])
-        variables = {"particles/phase_space": rng.random((1000, 6)),
-                     "particles/weighting": rng.random(1000)}
-        reduced = pipeline.reduce_step(variables)
-        assert reduced["particles/phase_space"].shape[0] == 500
-        assert reduced["particles/phase_space"].dtype == np.float32
-        report = pipeline.reports[-1]
-        assert report.factor == pytest.approx(4.0, rel=0.05)
-        assert 0.7 < report.saved_fraction < 0.8
-        assert pipeline.total_factor() == pytest.approx(report.factor)
+        # subsample 1/fraction x, float64 -> float32 2x
+        for fraction, factor in ((0.5, 4.0), (0.25, 8.0)):
+            pipeline = ReductionPipeline([
+                ParticleSubsampleReducer(fraction, rng=rng),
+                PrecisionReducer(),
+            ])
+            variables = {"particles/phase_space": rng.random((1000, 6)),
+                         "particles/weighting": rng.random(1000)}
+            reduced = pipeline.reduce_step(variables)
+            assert reduced["particles/phase_space"].shape[0] == 1000 * fraction
+            assert reduced["particles/phase_space"].dtype == np.float32
+            report = pipeline.reports[-1]
+            assert report.factor == pytest.approx(factor, rel=0.05)
+            assert report.saved_fraction == pytest.approx(1 - 1 / factor, abs=0.05)
+            assert pipeline.total_factor() == pytest.approx(report.factor)
 
     def test_identity_pipeline(self, rng):
         pipeline = ReductionPipeline([])

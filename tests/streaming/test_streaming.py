@@ -7,10 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from repro.streaming import (ModeledDataPlane, NoOpConsumer, SSTBroker, Step,
-                             make_data_plane, measure_stream_throughput)
+from repro.streaming import NoOpConsumer, SSTBroker, Step
 from repro.streaming.broker import StreamClosedError
-from repro.streaming.throughput import remove_outliers
 
 
 class TestVariableAndStep:
@@ -80,43 +78,6 @@ class TestBroker:
             SSTBroker("s", queue_limit=0)
 
 
-class TestDataPlanes:
-    def test_modeled_time_increases_with_bytes(self):
-        # seeded: the plane's 12 % jitter otherwise fails this ~1 run in 100
-        plane = make_data_plane("mpi", rng=0)
-        assert plane.transfer_time(2 * 10**9, n_nodes=100) > \
-            plane.transfer_time(10**9, n_nodes=100) * 1.2
-
-    def test_contention_reduces_bandwidth(self):
-        plane = make_data_plane("mpi")
-        assert plane.effective_bandwidth(9126) < plane.effective_bandwidth(4096)
-
-    def test_libfabric_all_at_once_fails_at_full_scale(self):
-        plane = make_data_plane("libfabric")
-        assert plane.supports(4096, "all_at_once")
-        assert not plane.supports(9126, "all_at_once")
-        with pytest.raises(RuntimeError):
-            plane.effective_bandwidth(9126, "all_at_once")
-
-    def test_calibration_matches_paper_per_node_ranges(self):
-        """Per-node throughputs fall in the ranges reported in Section IV-B."""
-        libfabric = make_data_plane("libfabric")
-        mpi = make_data_plane("mpi")
-        gb = 1e9
-        assert 3.5 <= libfabric.effective_bandwidth(4096, "all_at_once") / gb <= 4.7
-        assert 1.9 <= libfabric.effective_bandwidth(9126, "batched") / gb <= 2.6
-        assert 2.6 <= mpi.effective_bandwidth(4096) / gb <= 3.7
-        assert 2.4 <= mpi.effective_bandwidth(9126) / gb <= 3.3
-
-    def test_bandwidth_capped_at_nic_limit(self):
-        plane = ModeledDataPlane(base_bandwidth=1e12, latency=0.0, jitter=0.0)
-        assert plane.effective_bandwidth(1) == pytest.approx(25e9)
-
-    def test_unknown_plane(self):
-        with pytest.raises(ValueError):
-            make_data_plane("infiniband-magic")
-
-
 class TestNoOpConsumer:
     def test_drains_stream_and_counts_bytes(self, rng):
         broker = SSTBroker("sim", queue_limit=10)
@@ -138,30 +99,3 @@ class TestNoOpConsumer:
         assert consumer.run(max_steps=2) == 2
         assert broker.queued_steps == 3
 
-
-class TestThroughput:
-    def test_result_properties(self):
-        result = measure_stream_throughput([2.0, 2.5, 4.0], n_nodes=100,
-                                           bytes_per_node=5.86e9, data_plane="mpi")
-        assert result.global_bytes == pytest.approx(586e9)
-        assert result.median_throughput == pytest.approx(586e9 / 2.5)
-        assert result.max_throughput == pytest.approx(586e9 / 2.0)
-        assert result.per_node_throughput.shape == (3,)
-        assert result.terabytes_per_second() == pytest.approx(586e9 / 2.5 / 1e12)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            measure_stream_throughput([], 1, 1.0)
-        with pytest.raises(ValueError):
-            measure_stream_throughput([0.0], 1, 1.0)
-        with pytest.raises(ValueError):
-            measure_stream_throughput([1.0], 0, 1.0)
-
-    def test_remove_outliers(self):
-        values = [1.0] * 50 + [1000.0]
-        cleaned = remove_outliers(values, n_sigma=4.0)
-        assert 1000.0 not in cleaned
-        assert len(cleaned) == 50
-
-    def test_remove_outliers_keeps_constant_series(self):
-        assert remove_outliers([2.0, 2.0, 2.0]) == [2.0, 2.0, 2.0]

@@ -132,6 +132,32 @@ class TestSerialTracing:
         assert all(s.attrs["cached"] for s in settles)
         assert by_name(spans, "dispatch") == []
 
+    def test_a_store_failure_aborts_the_root_and_the_trace_still_renders(
+            self, tmp_path, capsys):
+        from repro.cli import main as cli_main
+
+        store = CampaignStore(tmp_path / "t.campaign.jsonl")
+        append, appended = store.append, []
+
+        def append_until_the_disk_fills(record):
+            if len(appended) == 2:
+                raise OSError(28, "No space left on device")
+            append(record)
+            appended.append(record)
+
+        store.append = append_until_the_disk_fills
+        with pytest.raises(OSError, match="No space left"):
+            run_campaign(smoke_spec(name="trace-abort"), store,
+                         worker=fake_worker)
+        spans = spans_of(store)
+        (root,) = by_name(spans, "campaign")
+        assert root.status == "error" and root.attrs["aborted"] is True
+        assert len(by_name(spans, "settle")) == 2
+        assert cli_main(["trace", store.path]) == 0
+        rendered = capsys.readouterr().out
+        assert "campaign !" in rendered           # the errored root is marked
+        assert rendered.count("settle") == 2
+
 
 class TestWorkerPoolTracing:
     def test_execute_spans_come_back_from_worker_processes(self, tmp_path):

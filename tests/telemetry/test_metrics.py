@@ -113,7 +113,10 @@ class TestRegistry:
 
     def test_snapshot_is_jsonable(self, registry):
         registry.counter("c_total").inc(2, kind="run")
-        assert registry.snapshot() == {"c_total": {"kind=run": 2.0}}
+        # a histogram's series are its observation counts
+        registry.histogram("h_seconds").observe(0.5, kind="run")
+        assert registry.snapshot() == {"c_total": {"kind=run": 2.0},
+                                       "h_seconds": {"kind=run": 1.0}}
 
     def test_reset_drops_everything(self, registry):
         registry.counter("c_total").inc()

@@ -4,8 +4,9 @@ rule that picks an executor for a launch.
 Two executors, two drivers, no facade; CLI flags and the service's
 submit body are two spellings of the same options and must resolve to the
 same executor through ``repro.campaign.executor_for``.
-The options of the run path — worker pool, stream, session, PIC step — and
-the surface of the ``repro.mlcore`` PyTorch stand-in are pinned by name, so
+The options of the run path — worker pool, stream, session, PIC step — the
+surface of the ``repro.mlcore`` PyTorch stand-in and that of the
+Frontier-scale figure models in ``repro.perfmodel`` are pinned by name, so
 a new one shows up in review as a diff of this file.
 """
 
@@ -22,6 +23,7 @@ import repro.campaign
 import repro.core
 import repro.mlcore
 import repro.openpmd
+import repro.perfmodel
 import repro.streaming
 from repro.campaign import (CampaignSpec, WorkerPool, WorkerPoolExecutor,
                             available_campaign_presets, available_executors,
@@ -36,17 +38,32 @@ from repro.mlcore import optim, schedulers
 from repro.mlcore import tensor as tensor_module
 from repro.mlcore.module import Module, Parameter
 from repro.mlcore.tensor import Tensor
+from repro.analysis.evaluation import RegionEvaluation
+from repro.campaign import presets as campaign_presets
+from repro.campaign.spec import RunSpec
+from repro.models.decoder import PointCloudDecoder
 from repro.models.encoder import PointNetEncoder
 from repro.models.inn import GlowCouplingBlock
 from repro.openpmd import DirectoryStore, Series
+from repro.perfmodel import (DDPWeakScalingModel, FOMScalingModel, MachineSpec,
+                             ResourcePlan, StreamingScalingPoint,
+                             StreamingScalingStudy)
+from repro.perfmodel import fom as perfmodel_fom
+from repro.perfmodel import streaming as perfmodel_streaming
 from repro.utils.serialization import jsonable
+from repro.pic import diagnostics as pic_diagnostics
 from repro.pic import simulation as pic_simulation
+from repro.pic.grid import YeeGrid
 from repro.pic.khi import KHIConfig
-from repro.pic.simulation import SimulationConfig
+from repro.pic.particles import ParticleSpecies
+from repro.pic.simulation import PICSimulation, SimulationConfig
 from repro.service import jobs, parse_submission
+from repro.service import sse as service_sse
+from repro.service.bus import RunEventBus
 from repro.streaming import NoOpConsumer, SSTBroker, Step
 from repro.workflow import (WorkflowBuilder, WorkflowSession,
                             available_drivers, get_driver)
+from repro.workflow import drivers as workflow_drivers
 
 
 class TestSurface:
@@ -314,3 +331,69 @@ class TestOptionsCensus:
         stats = WorkerPool(1).stats()     # spawns lazily: no process here
         assert {"dispatched_batches", "requeued_runs",
                 "straggler_redispatches"} <= set(stats)
+
+
+def field_names(cls):
+    return [field.name for field in dataclasses.fields(cls)]
+
+
+class TestFigureModels:
+    def test_each_package_owns_one_decision(self):
+        """``streaming`` is the transport, ``core`` the coupled app, and
+        every Frontier-scale figure model lives in ``perfmodel``."""
+        assert repro.streaming.__all__ == [
+            "ParticleSubsampleReducer", "PrecisionReducer", "ReductionPipeline",
+            "ReductionReport", "Step", "SSTBroker", "NoOpConsumer"]
+        assert repro.perfmodel.__all__ == [
+            "MachineSpec", "FRONTIER", "SUMMIT", "PlacementMode", "ResourcePlan",
+            "FOMScalingModel", "StreamingScalingStudy", "StreamingScalingPoint",
+            "measure_stream_throughput", "DDPWeakScalingModel", "DDPScalingPoint"]
+        for module in ("repro.streaming.dataplane", "repro.streaming.throughput",
+                       "repro.core.placement"):
+            assert importlib.util.find_spec(module) is None, module
+        assert [name for name in ("PlacementMode", "ResourcePlan")
+                if hasattr(repro.core, name)] == []
+
+    def test_figure_model_options_with_one_value_are_constants(self):
+        assert field_names(StreamingScalingStudy) == ["bytes_per_node"]
+        assert parameters_of(StreamingScalingStudy.run) == []
+        assert "contention_exponent" not in field_names(
+            perfmodel_streaming.ModeledDataPlane)
+        assert field_names(ResourcePlan) == ["n_nodes", "mode"]
+        assert parameters_of(DDPWeakScalingModel.scan) == ["node_counts"]
+        assert parameters_of(DDPWeakScalingModel.deficit_attribution) == ["n_nodes"]
+        assert parameters_of(MachineSpec.filesystem_bandwidth_per_node) == []
+        with pytest.raises(ValueError, match="unknown data plane"):
+            perfmodel_streaming.make_data_plane("tcp")
+
+    def test_names_nothing_reaches_are_gone_not_aliased(self):
+        removed = {
+            perfmodel_streaming: ["DataPlane", "remove_outliers"],
+            perfmodel_streaming.ThroughputResult: ["min_throughput",
+                                                   "max_throughput"],
+            perfmodel_fom: ["FOMScalingPoint"],
+            FOMScalingModel: ["scan", "time_per_step"],
+            DDPWeakScalingModel: ["efficiency", "from_measurement"],
+            MachineSpec: ["total_gpus", "total_gcds"],
+            StreamingScalingPoint: ["supported", "terabytes_per_second"],
+            jobs.CampaignJobManager: ["cancel"],
+            RunEventBus: ["dropped_count"],
+            service_sse.SSEEvent: ["__getitem__"],
+            service_sse: ["iter_events"],
+            WorkflowBuilder: ["config_file"],
+            WorkflowSession: ["primary"],
+            workflow_drivers: ["register_driver"],
+            campaign_presets: ["register_campaign_preset"],
+            RunSpec: ["build_config"],
+            pic_diagnostics.EnergyHistory: ["as_dict", "magnetic_growth_factor"],
+            pic_diagnostics: ["current_sheet_indicator", "density_field"],
+            YeeGrid: ["B", "E", "J"],
+            KHIConfig: ["skin_depth"],
+            ParticleSpecies: ["charge_to_mass", "empty", "momentum_total"],
+            PICSimulation: ["energy_report"],
+            RegionEvaluation: ["mean_error"],
+            PointCloudDecoder: ["n_output_points"],
+        }
+        assert {owner: [name for name in names if name in vars(owner)]
+                for owner, names in removed.items()} \
+            == {owner: [] for owner in removed}
