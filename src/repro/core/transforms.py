@@ -82,13 +82,18 @@ class RegionPartition:
         return regions
 
     def region_of(self, positions: np.ndarray) -> np.ndarray:
-        """Flat region id of each particle position, shape ``(N,)``."""
+        """Flat region id of each particle position, shape ``(N,)``; only the
+        axes cut into more than one region are wrapped, a column at a time."""
         positions = np.asarray(positions, dtype=np.float64)
-        extent = np.asarray(self.grid_config.extent)
-        counts = np.asarray(self.region_counts)
-        idx = np.floor(wrap_periodic(positions, extent) / self._sizes).astype(np.int64)
-        idx = np.minimum(idx, counts - 1)
-        return (idx[:, 0] * counts[1] + idx[:, 1]) * counts[2] + idx[:, 2]
+        extent = self.grid_config.extent
+        ids = np.zeros(positions.shape[0], dtype=np.int64)
+        for axis, count in enumerate(self.region_counts):
+            ids *= count
+            if count > 1:
+                column = wrap_periodic(positions[:, axis], extent[axis])
+                column /= self._sizes[axis]
+                ids += np.minimum(np.floor(column).astype(np.int64), count - 1)
+        return ids
 
 
 def encode_point_cloud(positions: np.ndarray, momenta: np.ndarray,

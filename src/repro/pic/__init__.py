@@ -21,9 +21,8 @@ the same code paths as the full-scale runs in the paper.
 from repro.pic.grid import GridConfig, YeeGrid
 from repro.pic.particles import ParticleSpecies
 from repro.pic.pusher import advance_positions
-from repro.pic.kernels import (CICPlan, CICPlanSet, boris_push_fused,
-                               deposit_charge_cic, deposit_current_esirkepov,
-                               gather_fields)
+from repro.pic.kernels import (boris_push_fused, deposit_charge_cic,
+                               deposit_current_esirkepov, gather_fields)
 from repro.pic.maxwell import YeeSolver
 from repro.pic.simulation import PICSimulation, SimulationConfig, Plugin
 from repro.pic.khi import KHIConfig, make_khi_simulation
@@ -33,8 +32,6 @@ __all__ = [
     "GridConfig",
     "YeeGrid",
     "ParticleSpecies",
-    "CICPlan",
-    "CICPlanSet",
     "boris_push_fused",
     "advance_positions",
     "deposit_charge_cic",

@@ -65,6 +65,12 @@ class HotpathResult:
     def speedup(self) -> float:
         return self.steps_per_sec["fused"] / self.steps_per_sec["reference"]
 
+    @property
+    def particle_updates_per_sec(self) -> Dict[str, float]:
+        """Fig. 4's figure of merit, per path (as :meth:`PICSimulation.run`)."""
+        return {kernel: self.n_macro_particles * rate
+                for kernel, rate in self.steps_per_sec.items()}
+
     def params(self) -> Dict[str, object]:
         return {"grid_shape": list(self.grid_shape),
                 "particles_per_cell": BENCH_TINY_PPC,
@@ -75,6 +81,7 @@ class HotpathResult:
 
     def metrics(self) -> Dict[str, object]:
         return {"steps_per_sec": self.steps_per_sec,
+                "particle_updates_per_sec": self.particle_updates_per_sec,
                 "speedup": self.speedup,
                 "sections_ms_per_step": self.sections_ms,
                 "equivalence_error": self.equivalence_error,
@@ -228,7 +235,8 @@ def format_result(result: HotpathResult) -> str:
                           sorted(result.sections_ms[kernel].items(),
                                  key=lambda kv: -kv[1]) if ms >= 0.01)
         lines.append(f"  {kernel:>9}: {result.steps_per_sec[kernel]:7.1f} "
-                     f"steps/s  (ms/step: {split})")
+                     f"steps/s, {result.particle_updates_per_sec[kernel] / 1e6:.2f} M "
+                     f"particle updates/s  (ms/step: {split})")
     lines.append(f"  speedup  : {result.speedup:.2f}x")
     status = "OK" if result.equivalent else "FAILED"
     lines.append(f"  fused == reference: {status} "

@@ -9,14 +9,13 @@ weights of every component from scratch (6× per step) and scatter through
 than a histogram-style scatter; the kernels here are numerically equivalent
 and organised for speed:
 
-* :class:`CICPlanSet` — a shared CIC index/weight plan.  On a Yee lattice
-  every component stagger is a combination of per-axis offsets ``0`` and
-  ``1/2``, so the floor/wrap/fraction work of both offsets and all three
-  axes is one ``(2, 3, m)`` pass and every component's trilinear plan is
-  composed from those pieces.
-* :class:`CICPlan` — flattened linear indices plus the eight corner weights
-  of one stagger; gathers are a single ``np.take`` + ``einsum``, scatters a
-  single ``np.bincount`` on the raveled indices.
+* :func:`gather_fields` and :func:`deposit_charge_cic` — one CIC index
+  scheme: :func:`_lower_nodes` floors, weighs and wraps the lower node of
+  both Yee offsets (``0``, ``1/2``) on all three axes in one pass, into
+  arrays with a periodic ghost plane on the upper side of each axis (E/B
+  copied once per gather, charge bins folded back), so a component's eight
+  corners are its lower node plus eight constant offsets: one ``np.take`` +
+  ``einsum`` per component, one ``np.bincount`` per charge block.
 * :func:`deposit_current_esirkepov` — the first-order Esirkepov
   scheme with all three current components scattered by one fused
   ``np.bincount``; one block body at two stencil widths, 2 nodes and one
@@ -34,11 +33,11 @@ there is one code path: a species of at most ``CHUNK`` particles is simply
 one block.
 
 Layout note: all stencil arrays put the *node* axes first and the particle
-axis last (``(8, m)`` corner plans, ``(2, 5, w, m)`` Esirkepov hats,
-``(3, m)`` momenta).  With the particle axis innermost every broadcast ufunc
-runs long contiguous inner loops; the particle-first layout spends most of
-its time iterating 2-, 3- or 4-element inner loops and is several times
-slower at laptop particle counts.
+axis last (``(8, m)`` CIC corners, ``(2, 5, w, m)`` Esirkepov hats,
+``(3, m)`` momenta, the gather's ``(6, N)`` E/B).  With the particle axis
+innermost every broadcast ufunc runs long contiguous inner loops; the
+particle-first layout spends most of its time iterating 2-, 3- or 4-element
+inner loops and is several times slower at laptop particle counts.
 
 All kernels are bit-compatible with their oracles up to floating-point
 summation order, and gather and push do not depend on ``CHUNK`` at all (no
@@ -51,28 +50,30 @@ from __future__ import annotations
 
 import math
 import mmap
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import constants
-from repro.pic.grid import STAGGER, YeeGrid
+from repro.pic.grid import YeeGrid
 from repro.pic.particles import ParticleSpecies
 
 #: Particles per block of the gather, push and deposit loops.  It bounds every
-#: per-particle temporary (the ``(8, m)`` CIC plans, the ``(3, p, w, w, m)``
-#: Esirkepov blocks) whatever the species size: ~3.7 MB per gather block,
-#: inside a 4 MB L2.  Larger blocks spill, below ~4096 the per-block Python
-#: overhead takes over.  Set from the sweep in ``docs/performance.md`` (PR 21).
+#: per-particle temporary (the ``(8, m)`` CIC corners, the ``(3, p, w, w, m)``
+#: Esirkepov blocks) whatever the species size: ~3.1 MB live in a gather
+#: block, inside a 4 MB L2.  Larger blocks spill, below ~4096 the per-block
+#: Python overhead takes over.  Set from the sweep in
+#: ``docs/performance.md``, "Cache-blocked particle kernels".
 CHUNK = 8192
 
 _STENCIL3 = np.arange(3.0)
 #: coefficients of (s0, ds) in the two Esirkepov transverse row factors
 _ROW_S0 = np.array([1.0, 0.5])[:, None, None, None]
 _ROW_DS = np.array([0.5, 1.0 / 3.0])[:, None, None, None]
-#: row of a plan set for each of the two per-axis offsets the Yee staggers use
-_OFFSET_ROW = {0.0: 0, 0.5: 1}
+#: lower (0) / upper (1) node of each CIC corner along (x, y, z), in the
+#: order of the ``(2, 2, 2, m)`` weights
+_CORNERS = np.array(list(product((0, 1), repeat=3)))
 
 
 def _chunks(n: int):
@@ -113,128 +114,69 @@ class Workspace:
         return flat[:size].reshape(shape)
 
 
-class CICPlan:
-    """Precomputed trilinear gather/scatter plan for one stagger.
-
-    Holds the raveled (periodic) linear indices of the eight stencil corners
-    and the matching CIC weights in node-first ``(8, N)`` layout, so every
-    gather/scatter against the same particle positions is a single
-    vectorised pass with no index recompute.
-    """
-
-    __slots__ = ("lin", "weights", "shape", "n_cells")
-
-    def __init__(self, lin: np.ndarray, weights: np.ndarray,
-                 shape: Tuple[int, int, int]) -> None:
-        self.lin = lin              #: ``(8, N)`` int64 raveled corner indices
-        self.weights = weights      #: ``(8, N)`` weights; corner sums are 1
-        self.shape = shape
-        self.n_cells = int(shape[0]) * int(shape[1]) * int(shape[2])
-
-    def gather(self, field: np.ndarray, workspace: Workspace) -> np.ndarray:
-        """Interpolate ``field`` to the planned particle positions.
-
-        The corner values and the returned ``(N,)`` row live in ``workspace``.
-        """
-        values = workspace.array("cic.values", self.lin.shape)
-        # the plan's indices are wrapped into the grid, so no bounds check
-        # (mode="raise" would also route ``out`` through a copy)
-        np.take(field.reshape(-1), self.lin, out=values, mode="clip")
-        return np.einsum("cn,cn->n", self.weights, values,
-                         out=workspace.array("cic.row", self.lin.shape[1:]))
-
-    def scatter_add(self, target: np.ndarray, values: np.ndarray) -> None:
-        """Scatter-add per-particle ``values`` with the planned weights."""
-        contrib = self.weights * values
-        flat = np.bincount(self.lin.reshape(-1), weights=contrib.reshape(-1),
-                           minlength=self.n_cells)
-        target += flat.reshape(target.shape)
+def _ghost_strides(shape: Tuple[int, int, int]) -> np.ndarray:
+    """Element strides of a ``shape`` grid with one ghost plane on the upper
+    side of each axis, ``(nx+1, ny+1, nz+1)``."""
+    _, ny, nz = shape
+    return np.array([(ny + 1) * (nz + 1), nz + 1, 1])
 
 
-class CICPlanSet:
-    """Shared CIC plans for one block of particle positions on one grid.
-
-    The Yee staggers (:data:`repro.pic.grid.STAGGER`) only ever use per-axis
-    offsets ``0`` and ``1/2``; the set does the floor/wrap/fraction work of
-    both offsets and all three axes in one ``(2, 3, m)`` pass at construction
-    and composes the eight-corner plan of any stagger from those per-axis
-    pieces.  Pieces and plans live in ``workspace`` (``None``: a private
-    one): a plan is valid until the next :meth:`plan` call and a set until
-    the next set is built on the same workspace — the kernels build one per
-    ``CHUNK`` particles, so a stepping simulation allocates nothing for them.
-    """
-
-    def __init__(self, positions: np.ndarray,
-                 cell_size: Tuple[float, float, float],
+def _lower_nodes(positions: np.ndarray, cell_size: Tuple[float, float, float],
                  shape: Tuple[int, int, int],
-                 workspace: Optional[Workspace] = None) -> None:
-        positions = np.asarray(positions, dtype=np.float64)
-        self.shape = tuple(int(n) for n in shape)
-        nx, ny, nz = self.shape
-        self._m = m = positions.shape[0]
-        if workspace is None:
-            workspace = Workspace()
-        self._workspace = workspace
-        inv_cell = np.array([1.0 / float(d) for d in cell_size])[:, None]
-        nvec = np.array(self.shape, dtype=np.float64)[:, None]
-        svec = np.array([ny * nz, nz, 1], dtype=np.float64)[:, None]
+                 workspace: Workspace) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-axis CIC pieces of one block of positions, for both Yee offsets.
 
-        # cell-unit coordinates less the offset, ``(offset, axis, m)``; out=
-        # forces C order (positions.T is F-ordered and ufuncs would propagate
-        # that layout, leaving the particle axis strided in every later
-        # broadcast)
-        shifted, base = workspace.array("cic.axis", (2, 2, 3, m))
-        np.multiply(positions.T, inv_cell, out=shifted[0])
-        np.subtract(shifted[0], 0.5, out=shifted[1])
-        np.floor(shifted, out=base)
-        #: ``(offset, axis, lower/upper, m)`` CIC weights ``(1 - frac, frac)``
-        self._w = w = workspace.array("cic.w", (2, 3, 2, m))
-        np.subtract(shifted, base, out=w[:, :, 1])
-        np.subtract(1.0, w[:, :, 1], out=w[:, :, 0])
-        # stride-scaled lower/upper node pair, still float.  The periodic
-        # wrap base - n * floor(base / n) is exact: a correctly rounded
-        # quotient of two integers below 2**53 floors to the exact integer
-        # quotient (and beyond 2**52 a coordinate has no fraction left to
-        # interpolate with).  An upper node one past the last row wraps to 0.
-        pair = workspace.array("cic.pair", (2, 3, 2, m))
-        lower, upper = pair[:, :, 0], pair[:, :, 1]
-        np.divide(base, nvec, out=upper)
-        np.floor(upper, out=upper)
-        upper *= nvec
-        base -= upper
-        np.multiply(base, svec, out=lower)
-        np.add(lower, svec, out=upper)
-        np.putmask(upper, upper == nvec * svec, 0.0)
-        #: ``(offset, axis, lower/upper, m)`` stride-scaled wrapped indices
-        self._idx = workspace.array("cic.idx", (2, 3, 2, m), np.int64)
-        np.copyto(self._idx, pair, casting="unsafe")
-
-    def plan(self, stagger: Tuple[float, float, float]) -> CICPlan:
-        """The eight-corner plan of one component stagger.
-
-        Composed as ``(x ⊕ y) ⊕ z`` from the per-axis pieces, node axes first
-        so the inner loops run over the particle axis.
-        """
-        try:
-            rx, ry, rz = (_OFFSET_ROW[float(offset)] for offset in stagger)
-        except KeyError:
-            raise ValueError("stagger offsets must be 0 or 1/2") from None
-        m, workspace, idx, w = self._m, self._workspace, self._idx, self._w
-        lin_xy = workspace.array("cic.lin_xy", (2, 2, m), np.int64)
-        lin = workspace.array("cic.lin", (2, 2, 2, m), np.int64)
-        np.add(idx[rx, 0, :, None, :], idx[ry, 1, None, :, :], out=lin_xy)
-        np.add(lin_xy[:, :, None, :], idx[rz, 2], out=lin)
-        w_xy = workspace.array("cic.w_xy", (2, 2, m))
-        weights = workspace.array("cic.weights", (2, 2, 2, m))
-        np.multiply(w[rx, 0, :, None, :], w[ry, 1, None, :, :], out=w_xy)
-        np.multiply(w_xy[:, :, None, :], w[rz, 2], out=weights)
-        return CICPlan(lin.reshape(8, m), weights.reshape(8, m), self.shape)
+    The Yee staggers (:data:`repro.pic.grid.STAGGER`) only use per-axis
+    offsets ``0`` and ``1/2`` — rows 0 and 1 here — so the floor, fraction
+    and periodic wrap of both offsets and all three axes are one
+    ``(2, 3, m)`` pass.  Returns ``(w, lower)`` from ``workspace``:
+    ``w[offset, axis]`` the ``(1 - f, f)`` weights of the lower and upper
+    node, ``(2, 3, 2, m)``, and ``lower[offset, axis]`` the lower node
+    wrapped into the grid and scaled by the :func:`_ghost_strides`,
+    ``(2, 3, m)`` int64.  The arrays indexed with it are ghost-padded, so
+    the upper node is always ``lower + stride``.
+    """
+    m = positions.shape[0]
+    inv_cell = np.array([1.0 / float(d) for d in cell_size])[:, None]
+    # cell-unit coordinates less the offset, ``(offset, axis, m)``; out=
+    # forces C order (positions.T is F-ordered and ufuncs would propagate
+    # that layout, leaving the particle axis strided in every later
+    # broadcast)
+    cells, lower = workspace.array("cic.axis", (2, 2, 3, m))
+    np.multiply(positions.T, inv_cell, out=cells[0])
+    # before any arithmetic that warns on an inf, and before the integer
+    # cast, which would turn a NaN into an arbitrary cell
+    if not np.isfinite(cells[0]).all():
+        raise ValueError("particle positions must be finite")
+    np.subtract(cells[0], 0.5, out=cells[1])
+    np.floor(cells, out=lower)
+    w = workspace.array("cic.w", (2, 3, 2, m))
+    np.subtract(cells, lower, out=w[:, :, 1])
+    np.subtract(1.0, w[:, :, 1], out=w[:, :, 0])
+    # The periodic wrap lower - n * floor(lower / n) is exact in float: a
+    # correctly rounded quotient of two integers below 2**53 floors to the
+    # exact integer quotient (and beyond 2**52 a coordinate has no fraction
+    # left to interpolate with).
+    nvec = np.array(shape, dtype=np.float64)[:, None]
+    np.divide(lower, nvec, out=cells)
+    np.floor(cells, out=cells)
+    cells *= nvec
+    lower -= cells
+    lower *= _ghost_strides(shape)[:, None]
+    nodes = workspace.array("cic.lower", (2, 3, m), np.int64)
+    np.copyto(nodes, lower, casting="unsafe")
+    return w, nodes
 
 
 # --------------------------------------------------------------------------- #
 # gather
 # --------------------------------------------------------------------------- #
-_COMPONENTS = (("Ex", "Ey", "Ez"), ("Bx", "By", "Bz"))
+_E_B = ("Ex", "Ey", "Ez", "Bx", "By", "Bz")
+#: rows of the gather's ``(6, N)`` result grouped by the offset row (0 for
+#: 0, 1 for 1/2) of their x and y stagger — four pairs, as Ex/By and Ey/Bx
+#: share theirs — each with its z row: ``((rx, ry), ((row, rz), ...))``
+_XY_PAIRS = (((1, 0), ((0, 0), (4, 1))), ((0, 1), ((1, 0), (3, 1))),
+             ((0, 0), ((2, 1),)), ((1, 1), ((5, 0),)))
 
 
 def gather_fields(grid: YeeGrid, positions: np.ndarray,
@@ -243,32 +185,59 @@ def gather_fields(grid: YeeGrid, positions: np.ndarray,
     """Interpolate E and B to the particles, ``CHUNK`` particles at a time.
 
     Returns ``(E, B)``, each ``(N, 3)`` in SI units (V/m and T), always new
-    arrays.  Per block one :class:`CICPlanSet` is built and each of the six
-    components is gathered before the next plan is composed, so the working
-    set is bounded by ``CHUNK`` whatever the species size.  All scratch comes
-    from ``workspace`` (``None``: a private one for this call).  There is no
-    reduction across particles, so the result does not depend on ``CHUNK``.
+    arrays: transposed rows of one ``(6, N)`` array, so ``E[a:b].T`` is
+    three contiguous rows.  E/B are copied once per call into a ghost-padded
+    workspace array; per block a component's eight corners are its
+    :func:`_lower_nodes` index plus eight constant offsets, and its weights
+    are composed as ``(x ⊕ y) ⊕ z``, the ``x ⊕ y`` half once per
+    :data:`_XY_PAIRS` entry.  All scratch comes from ``workspace`` (``None``:
+    a private one).  No reduction runs across particles, so the result does
+    not depend on ``CHUNK``.  A non-finite position raises ``ValueError``.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must have shape (N, 3)")
     if workspace is None:
         workspace = Workspace()
+    nx, ny, nz = shape = grid.shape
+    padded = workspace.array("gather.padded", (6, nx + 1, ny + 1, nz + 1))
+    for row, name in enumerate(_E_B):
+        padded[row, :nx, :ny, :nz] = grid.component(name)
+    padded[:, nx, :ny, :nz] = padded[:, 0, :ny, :nz]
+    padded[:, :, ny, :nz] = padded[:, :, 0, :nz]
+    padded[:, :, :, nz] = padded[:, :, :, 0]
+    flat = padded.reshape(-1)
+    # row r's corners sit at r * padded[0].size + lower + a corner offset
+    corners = ((_CORNERS @ _ghost_strides(shape))[:, None]
+               + padded[0].size * np.arange(6)[:, None, None])
     n = positions.shape[0]
-    e_fields = np.empty((n, 3), dtype=np.float64)
-    b_fields = np.empty((n, 3), dtype=np.float64)
+    out = np.empty((6, n), dtype=np.float64)
     for start, stop in _chunks(n):
         if stop - start == 1 and start:
             # einsum sums a lone particle's eight corners in another order
             # than a row of them; redo the neighbour so no block is lone
             start -= 1
-        plans = CICPlanSet(positions[start:stop], grid.config.cell_size,
-                           grid.shape, workspace)
-        for fields, names in zip((e_fields, b_fields), _COMPONENTS):
-            for axis, name in enumerate(names):
-                fields[start:stop, axis] = plans.plan(STAGGER[name]).gather(
-                    grid.component(name), workspace)
-    return e_fields, b_fields
+        m = stop - start
+        w, lower = _lower_nodes(positions[start:stop], grid.config.cell_size,
+                                shape, workspace)
+        w_xy = workspace.array("gather.w_xy", (2, 2, m))
+        weights = workspace.array("gather.weights", (2, 2, 2, m))
+        base_xy, base = workspace.array("gather.base", (2, m), np.int64)
+        lin = workspace.array("gather.lin", (8, m), np.int64)
+        values = workspace.array("gather.values", (8, m))
+        for (rx, ry), rows in _XY_PAIRS:
+            np.multiply(w[rx, 0, :, None, :], w[ry, 1, None, :, :], out=w_xy)
+            np.add(lower[rx, 0], lower[ry, 1], out=base_xy)
+            for row, rz in rows:
+                np.multiply(w_xy[:, :, None, :], w[rz, 2], out=weights)
+                np.add(base_xy, lower[rz, 2], out=base)
+                np.add(base, corners[row], out=lin)
+                # every index is inside the padded array, so no bounds check
+                # (mode="raise" would also route ``out`` through a copy)
+                np.take(flat, lin, out=values, mode="clip")
+                np.einsum("cn,cn->n", weights.reshape(8, m), values,
+                          out=out[row, start:stop])
+    return out[:3].T, out[3:].T
 
 
 # --------------------------------------------------------------------------- #
@@ -276,15 +245,31 @@ def gather_fields(grid: YeeGrid, positions: np.ndarray,
 # --------------------------------------------------------------------------- #
 def deposit_charge_cic(grid: YeeGrid, positions: np.ndarray, charge: float,
                        weights: np.ndarray) -> np.ndarray:
-    """Add the CIC charge density [C/m^3] of the particles into ``grid.rho``."""
+    """Add the CIC charge density [C/m^3] of the particles into ``grid.rho``.
+
+    The gather's index scheme: one ``np.bincount`` per block into
+    ghost-padded bins, whose ghost planes are folded back at the end.  A
+    non-finite position raises ``ValueError``.
+    """
     positions = np.asarray(positions, dtype=np.float64)
     values = (charge / grid.config.cell_volume) * np.asarray(weights,
                                                              dtype=np.float64)
     workspace = Workspace()
+    nx, ny, nz = shape = grid.shape
+    corners = (_CORNERS @ _ghost_strides(shape))[:, None]
+    bins = np.zeros((nx + 1, ny + 1, nz + 1))
     for start, stop in _chunks(positions.shape[0]):
-        plans = CICPlanSet(positions[start:stop], grid.config.cell_size,
-                           grid.shape, workspace)
-        plans.plan(STAGGER["rho"]).scatter_add(grid.rho, values[start:stop])
+        w, lower = _lower_nodes(positions[start:stop], grid.config.cell_size,
+                                shape, workspace)
+        w_xy = w[0, 0, :, None, :] * w[0, 1, None, :, :]
+        contrib = w_xy[:, :, None, :] * w[0, 2] * values[start:stop]
+        bins += np.bincount((lower[0].sum(axis=0) + corners).reshape(-1),
+                            weights=contrib.reshape(-1),
+                            minlength=bins.size).reshape(bins.shape)
+    bins[0] += bins[nx]
+    bins[:, 0] += bins[:, ny]
+    bins[:, :, 0] += bins[:, :, nz]
+    grid.rho += bins[:nx, :ny, :nz]
     return grid.rho
 
 

@@ -14,6 +14,7 @@ from repro.core.producer import POINT_CLOUDS
 from repro.openpmd import Series
 from repro.pic.grid import GridConfig
 from repro.pic.khi import KHIConfig, make_khi_simulation
+from repro.pic.pusher import wrap_periodic
 from repro.radiation.detector import RadiationDetector
 from repro.streaming import SSTBroker
 
@@ -65,6 +66,22 @@ class TestRegionPartition:
         positions = rng.uniform(0, 1, size=(200, 3)) * np.asarray(grid.extent)
         ids = partition.region_of(positions)
         assert ids.min() >= 0 and ids.max() < partition.n_regions
+
+    @pytest.mark.parametrize("counts", [(1, 4, 1), (2, 3, 2), (1, 1, 1), (3, 1, 5)])
+    def test_region_of_is_the_whole_array_formula(self, counts, rng):
+        """Wrapping only the cut axes, a column at a time, gives the ids the
+        ``(N, 3)`` formula gives — in the box, on its faces and outside."""
+        grid = GridConfig(shape=(8, 16, 6), cell_size=(1e-5,) * 3)
+        partition = RegionPartition(grid, counts)
+        extent = np.asarray(grid.extent)
+        positions = rng.uniform(-2.0, 3.0, size=(400, 3)) * extent
+        positions[:4] = [np.full(3, -0.0), extent, np.nextafter(extent, 0.0),
+                         extent / np.asarray(counts)]
+        sizes = extent / np.asarray(counts)
+        idx = np.floor(wrap_periodic(positions, extent) / sizes).astype(np.int64)
+        idx = np.minimum(idx, np.asarray(counts) - 1)
+        expected = (idx[:, 0] * counts[1] + idx[:, 1]) * counts[2] + idx[:, 2]
+        np.testing.assert_array_equal(partition.region_of(positions), expected)
 
     def test_point_cloud_encoding_roundtrip(self, rng):
         region = Region(index=(0, 0, 0), lower=(0.0, 0.0, 0.0), upper=(2.0, 4.0, 2.0))

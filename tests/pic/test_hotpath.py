@@ -67,13 +67,16 @@ class TestPersistAndFormat:
             "n_macro_particles": 2048, "chunk": kernels.CHUNK,
             "stay_fraction": 0.875, "n_steps": 4, "warmup": 1, "repeats": 5}
         assert set(record["metrics"]) == {
-            "steps_per_sec", "speedup", "sections_ms_per_step",
-            "equivalence_error", "equivalent"}
+            "steps_per_sec", "particle_updates_per_sec", "speedup",
+            "sections_ms_per_step", "equivalence_error", "equivalent"}
         assert record["metrics"]["speedup"] == pytest.approx(result.speedup)
+        assert record["metrics"]["particle_updates_per_sec"] == {
+            "fused": 2048 * 200.0, "reference": 2048 * 50.0}
 
     def test_format_mentions_both_kernels(self):
         text = format_result(stub_result())
         assert "fused" in text and "reference" in text
         assert "4.00x" in text
+        assert "0.41 M particle updates/s" in text
         assert "87.5% stay in their cell" in text
         assert "OK" in text

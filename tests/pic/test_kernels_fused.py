@@ -19,12 +19,11 @@ from hypothesis import strategies as st
 from repro import constants
 from repro.pic.deposition import (deposit_charge_cic_reference,
                                   deposit_current_esirkepov_reference)
-from repro.pic.grid import GridConfig, YeeGrid
+from repro.pic.grid import STAGGER, GridConfig, YeeGrid
 from repro.pic.interpolation import gather_fields_reference
 from repro.pic import kernels
-from repro.pic.kernels import (CICPlanSet, Workspace, boris_push_fused,
-                               deposit_charge_cic, deposit_current_esirkepov,
-                               gather_fields)
+from repro.pic.kernels import (Workspace, boris_push_fused, deposit_charge_cic,
+                               deposit_current_esirkepov, gather_fields)
 from repro.pic.particles import ParticleSpecies
 from repro.pic.pusher import boris_push
 from repro.pic.simulation import PICSimulation, SimulationConfig
@@ -60,21 +59,6 @@ class TestGatherEquivalence:
         # the paths differ only in floating-point summation order
         np.testing.assert_allclose(e_fused, e_ref, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(b_fused, b_ref, rtol=1e-10, atol=1e-13)
-
-    def test_plan_cache_reuses_offsets(self):
-        rng = np.random.default_rng(3)
-        grid = make_grid()
-        positions, _ = random_particles(rng, grid, 16)
-        plans = CICPlanSet(positions, grid.config.cell_size, grid.config.shape)
-        first = plans.plan((0.5, 0.0, 0.0))
-        lin, weights = first.lin.copy(), first.weights.copy()
-        np.testing.assert_allclose(weights.sum(axis=0), 1.0, rtol=1e-14)
-        # the per-(axis, offset) pieces are worked out once, at construction:
-        # composing another stagger from them leaves them intact
-        plans.plan((0.0, 0.5, 0.5))
-        again = plans.plan((0.5, 0.0, 0.0))
-        np.testing.assert_array_equal(again.lin, lin)
-        np.testing.assert_array_equal(again.weights, weights)
 
 
 class TestDepositionEquivalence:
@@ -519,12 +503,6 @@ class TestBlockedKernels:
         for got, want in zip(blocked, reference):
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
 
-    def test_plan_rejects_a_stagger_that_is_not_on_the_yee_lattice(self):
-        grid = make_grid()
-        plans = CICPlanSet(np.zeros((2, 3)), grid.config.cell_size, grid.shape)
-        with pytest.raises(ValueError, match="stagger"):
-            plans.plan((0.25, 0.0, 0.0))
-
     @pytest.mark.parametrize("n", [1, 64, 65, 200])
     def test_push_is_bitwise_the_n3_formulation_across_blocks(self, n, monkeypatch):
         monkeypatch.setattr(kernels, "CHUNK", 64)
@@ -549,20 +527,25 @@ class TestBlockedKernels:
 
     def test_one_block_is_one_pass_per_kernel(self, monkeypatch):
         """A species of at most ``CHUNK`` particles takes each kernel's scratch
-        once — the blocking costs it nothing — and b blocks take it b times."""
+        once — the blocking costs it nothing — and b blocks take the
+        per-block scratch b times.  The gather's ghost-padded copy of E/B is
+        taken once per call (per species), however many blocks there are."""
         monkeypatch.setattr(kernels, "CHUNK", 64)
         calls = count_workspace_calls(monkeypatch)
-        per_size = {}
+        per_block = {}
         for n in (5, 64, 3 * 64):
             simulation = two_species_simulation(seed=3, sizes=(n, n))
+            pushed = sum(species.pushed for species in simulation.species)
             del calls[:]
             simulation.step()
-            per_size[n] = sorted(calls)
-        assert per_size[5] == per_size[64]
-        assert per_size[3 * 64] == sorted(3 * per_size[64])
-        # gather, push and deposit each went through the workspace
-        assert {name.split(".")[0] for name in per_size[64]} == {
-            "cic", "boris", "esirkepov"}
+            assert calls.count("gather.padded") == pushed
+            per_block[n] = sorted(name for name in calls if name != "gather.padded")
+        assert per_block[5] == per_block[64]
+        assert per_block[3 * 64] == sorted(3 * per_block[64])
+        # gather (its own scratch and the shared CIC pieces), push and
+        # deposit each went through the workspace
+        assert {name.split(".")[0] for name in per_block[64]} == {
+            "cic", "gather", "boris", "esirkepov"}
 
     def test_workspace_footprint_is_bounded_by_the_chunk(self, monkeypatch):
         monkeypatch.setattr(kernels, "CHUNK", 64)
@@ -575,6 +558,132 @@ class TestBlockedKernels:
 
         assert footprint(3 * 64 + 17) == footprint(64)
         assert footprint(64) > footprint(8)
+
+
+_E_B = ("Ex", "Ey", "Ez", "Bx", "By", "Bz")
+
+
+def gather_eight_wrapped_corners(grid, positions):
+    """The gather before the ghost layer, kept as its bitwise oracle.
+
+    Per axis and Yee offset the lower *and* the upper node are wrapped into
+    the unpadded grid (an upper node one past the last row becomes 0), and
+    each component's eight raveled corner indices are composed as
+    ``(x ⊕ y) ⊕ z`` from them — the same corner values, weights and
+    ``einsum`` as the kernel, reached through another index scheme.
+    """
+    positions = np.asarray(positions, dtype=np.float64)
+    nx, ny, nz = grid.shape
+    m = positions.shape[0]
+    inv_cell = np.array([1.0 / d for d in grid.config.cell_size])[:, None]
+    nvec = np.array(grid.shape, dtype=np.float64)[:, None]
+    svec = np.array([ny * nz, nz, 1], dtype=np.float64)[:, None]
+    shifted = np.empty((2, 3, m))
+    np.multiply(positions.T, inv_cell, out=shifted[0])
+    np.subtract(shifted[0], 0.5, out=shifted[1])
+    base = np.floor(shifted)
+    w = np.empty((2, 3, 2, m))
+    w[:, :, 1] = shifted - base
+    w[:, :, 0] = 1.0 - w[:, :, 1]
+    base -= np.floor(base / nvec) * nvec
+    lower = base * svec
+    upper = lower + svec
+    upper[upper == nvec * svec] = 0.0
+    idx = np.stack([lower, upper], axis=2).astype(np.int64)
+    rows = []
+    for name in _E_B:
+        rx, ry, rz = (int(2 * offset) for offset in STAGGER[name])
+        lin = (idx[rx, 0, :, None, None] + idx[ry, 1, None, :, None]
+               + idx[rz, 2, None, None, :]).reshape(8, m)
+        w_xy = w[rx, 0, :, None, :] * w[ry, 1, None, :, :]
+        weights = (w_xy[:, :, None, :] * w[rz, 2]).reshape(8, m)
+        values = grid.component(name).reshape(-1)[lin]
+        rows.append(np.einsum("cn,cn->n", weights, values))
+    return np.stack(rows[:3], axis=1), np.stack(rows[3:], axis=1)
+
+
+def random_fields(rng, grid):
+    for name in _E_B:
+        grid.component(name)[...] = rng.normal(size=grid.shape)
+    return grid
+
+
+def face_positions(grid):
+    """``-0.0``, the float below ``L``, ``L`` and far outside, per axis."""
+    extent = np.asarray(grid.config.extent)
+    below = np.nextafter(extent, 0.0)
+    cell = np.asarray(grid.config.cell_size)
+    return np.array([np.full(3, -0.0), below, extent, (-0.0, extent[1], below[2]),
+                     (extent[0], -0.0, 0.25 * cell[2]), 1e3 * extent,
+                     -1e3 * extent - 0.3 * cell, 37.5 * extent, -0.5 * cell,
+                     extent + 0.5 * cell])
+
+
+class TestGhostLayerGather:
+    """The ghost-padded gather is the eight-wrapped-corner one, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 129, 500])
+    def test_bitwise_the_eight_wrapped_corner_composition(self, n, monkeypatch):
+        rng = np.random.default_rng(100 + n)
+        grid = random_fields(rng, make_grid())
+        positions = awkward_positions(rng, grid, n) if n >= 40 \
+            else random_particles(rng, grid, n)[0]
+        monkeypatch.setattr(kernels, "CHUNK", 64)    # several blocks
+        for got, want in zip(gather_fields(grid, positions),
+                             gather_eight_wrapped_corners(grid, positions)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(9, 7, 6), (5, 1, 4), (1, 6, 3),
+                                       (4, 3, 1), (1, 1, 1)])
+    def test_box_faces_far_outside_and_one_cell_axes(self, shape, monkeypatch):
+        """On a 1-cell axis the lower node is always 0 and the upper one the
+        ghost plane, which is that same plane again."""
+        rng = np.random.default_rng(sum(shape))
+        grid = random_fields(rng, make_grid(shape))
+        positions = np.vstack([random_particles(rng, grid, 150)[0],
+                               face_positions(grid)])
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        fields = gather_fields(grid, positions)
+        for got, want in zip(fields, gather_eight_wrapped_corners(grid, positions)):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(fields, gather_fields_reference(grid, positions)):
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-13)
+        charge, reference = YeeGrid(grid.config), YeeGrid(grid.config)
+        weights = rng.uniform(0.5, 2.0, size=len(positions))
+        deposit_charge_cic(charge, positions, 1.0, weights)
+        deposit_charge_cic_reference(reference, positions, 1.0, weights)
+        # a thousand boxes out a coordinate keeps ~10 fewer fraction bits,
+        # and the oracle divides by the cell where the kernel multiplies
+        np.testing.assert_allclose(charge.rho, reference.rho, rtol=1e-10)
+
+    def test_fields_reach_the_push_component_major(self, monkeypatch):
+        """``E`` and ``B`` are ``(N, 3)`` views of ``(3, N)`` C-contiguous
+        rows, so the push's per-block ``E[a:b].T`` reads contiguous rows."""
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        rng = np.random.default_rng(9)
+        grid = random_fields(rng, make_grid())
+        positions, _ = random_particles(rng, grid, 200)
+        e_fields, b_fields = gather_fields(grid, positions)
+        for fields in (e_fields, b_fields):
+            assert fields.shape == (200, 3)
+            assert fields.T.flags.c_contiguous
+            assert fields[64:128].T[0].flags.c_contiguous
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_position_raises_without_a_warning(self, bad, monkeypatch):
+        """A NaN or an inf used to be cast to an arbitrary cell: the gather
+        read there and ``rho`` took a NaN in some unrelated cell."""
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        rng = np.random.default_rng(10)
+        grid = random_fields(rng, make_grid())
+        positions, weights = random_particles(rng, grid, 150)
+        positions[97, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            gather_fields(grid, positions)
+        with pytest.raises(ValueError, match="finite"):
+            deposit_charge_cic(grid, positions, 1.0, weights)
+        assert not grid.rho.any()
 
 
 class TestBorisEquivalence:
