@@ -82,6 +82,9 @@ class StreamingProducerPlugin(Plugin):
             species, self._previous_momenta, self.detector, self.partition,
             n_points=self.n_points, step=simulation.step_index,
             time=simulation.time, dt=simulation.config.dt, rng=self.rng)
+        # this step's momenta, which the next push overwrites in place: the
+        # streamed momentum records are views of this copy, not of the live
+        # array (a queued step must keep its own step's values)
         self._previous_momenta = species.momenta.copy()
         if not samples:
             return
@@ -102,7 +105,7 @@ class StreamingProducerPlugin(Plugin):
         raw_records: Dict[str, np.ndarray] = {}
         for axis, name in enumerate(("x", "y", "z")):
             raw_records[f"{prefix}/position/{name}"] = species.positions[:, axis]
-            raw_records[f"{prefix}/momentum/{name}"] = species.momenta[:, axis]
+            raw_records[f"{prefix}/momentum/{name}"] = self._previous_momenta[:, axis]
         raw_records[f"{prefix}/weighting"] = species.weights
         self.bytes_before_reduction += int(sum(a.nbytes for a in raw_records.values()))
         if self.reduction is not None:

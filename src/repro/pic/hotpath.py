@@ -58,6 +58,9 @@ class HotpathResult:
     #: share of particles one step leaves in their cell along all three axes
     #: — the property the two-width Esirkepov deposit's saving scales with
     stay_fraction: float
+    #: bytes of kernel scratch the fused path's simulation holds after its
+    #: steps: the largest one kernel call needs (``Workspace.nbytes``)
+    scratch_bytes: int
     equivalence_error: float
     equivalent: bool
 
@@ -84,6 +87,7 @@ class HotpathResult:
                 "particle_updates_per_sec": self.particle_updates_per_sec,
                 "speedup": self.speedup,
                 "sections_ms_per_step": self.sections_ms,
+                "scratch_bytes": self.scratch_bytes,
                 "equivalence_error": self.equivalence_error,
                 "equivalent": self.equivalent}
 
@@ -220,6 +224,7 @@ def run_hotpath_benchmark(n_steps: int = 40, warmup: int = 5,
                          n_macro_particles=n_macro,
                          grid_shape=tuple(grid_shape),
                          stay_fraction=_stay_fraction(simulation),
+                         scratch_bytes=simulation._workspace.nbytes,
                          equivalence_error=error,
                          equivalent=error < EQUIVALENCE_RTOL)
 
@@ -238,6 +243,8 @@ def format_result(result: HotpathResult) -> str:
                      f"steps/s, {result.particle_updates_per_sec[kernel] / 1e6:.2f} M "
                      f"particle updates/s  (ms/step: {split})")
     lines.append(f"  speedup  : {result.speedup:.2f}x")
+    lines.append(f"  scratch  : {result.scratch_bytes / 1e6:.2f} MB mapped for "
+                 f"the fused kernels (the largest call's need)")
     status = "OK" if result.equivalent else "FAILED"
     lines.append(f"  fused == reference: {status} "
                  f"(max rel deviation {result.equivalence_error:.2e})")

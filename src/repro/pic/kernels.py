@@ -27,7 +27,9 @@ All of them are cache-blocked: they walk a species in blocks of
 :data:`CHUNK` particles and take every per-particle temporary, written with
 ``out=``, from the simulation's :class:`Workspace`.  What the oracles
 allocate per call and size by the species is a fixed, cache-sized working
-set allocated once per simulation.  The block loops are inside the kernels
+set in one scratch region per simulation, which the kernels share because
+their calls never overlap: it holds the largest one call needs (the
+deposit's), not the sum of all three.  The block loops are inside the kernels
 — a caller passes whole ``(N, 3)`` arrays and gets whole arrays back — and
 there is one code path: a species of at most ``CHUNK`` particles is simply
 one block.
@@ -81,37 +83,65 @@ def _chunks(n: int):
     return ((start, min(start + CHUNK, n)) for start in range(0, n, CHUNK))
 
 
+#: byte alignment of every array carved from a :class:`Workspace` region
+_ALIGN = 64
+
+
 class Workspace:
-    """Scratch arrays kept between calls, so a stepping simulation stops
-    allocating (and the C allocator stops re-faulting) its large per-step
-    temporaries.
+    """One scratch region kept between calls, shared by every kernel call of
+    a simulation, so a stepping simulation stops allocating (and the C
+    allocator stops re-faulting) its large per-step temporaries.
 
-    :meth:`array` returns a C-contiguous array of the requested shape backed
-    by a flat buffer that is kept under ``name`` and only replaced to grow,
-    so species of different sizes share one set of buffers.  The contents
-    are unspecified; every user fully overwrites what it takes (``out=``)
-    before reading it.  A workspace serves one kernel call at a time and
-    belongs to one simulation — never share one between threads.
+    A kernel calls :meth:`begin` on entry, which releases every array handed
+    out before; :meth:`array` then carves a C-contiguous array of the
+    requested shape from the region, after the arrays this call already
+    holds.  A name asked for again in the same call, at a size that fits, is
+    the same memory (a kernel re-requests its buffers once per block).  The
+    gather, the push and the deposit never run at the same time, so they all
+    start at the front of the region, and it is as large as the largest
+    single call's need — :attr:`nbytes` — not the sum of the kernels' needs.
+    It only grows: a call that outgrows it carries on in a larger region
+    (the arrays it already holds keep the old one alive until they go).  The
+    contents are unspecified; every user fully overwrites what it takes
+    (``out=``) before reading it.  A workspace belongs to one simulation —
+    never share one between threads.
 
-    Every buffer is an anonymous memory mapping of its own rather than a
-    ``np.empty`` block: it returns to the system the moment the workspace is
-    dropped.  Heap blocks this large, allocated on a stepping thread and
-    freed on another, can stay resident in that thread's malloc arena while
-    the next simulation's set is carved from a different arena.
+    The region is an anonymous memory mapping rather than a ``np.empty``
+    block: it returns to the system the moment the workspace is dropped.
+    Heap blocks this large, allocated on a stepping thread and freed on
+    another, can stay resident in that thread's malloc arena while the next
+    simulation's region is carved from a different arena.
     """
 
     def __init__(self) -> None:
-        self._flat: Dict[tuple, np.ndarray] = {}
+        self._region = np.empty(0, dtype=np.uint8)
+        #: ``(name, dtype) -> (offset, nbytes)`` of this call's arrays
+        self._slots: Dict[tuple, Tuple[int, int]] = {}
+        self._used = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of scratch held: the largest one kernel call has needed."""
+        return self._region.nbytes
+
+    def begin(self) -> "Workspace":
+        """Start a kernel call: every array handed out so far is released."""
+        self._slots.clear()
+        self._used = 0
+        return self
 
     def array(self, name, shape: Tuple[int, ...], dtype=np.float64) -> np.ndarray:
         dtype = np.dtype(dtype)
-        size = math.prod(shape)
-        flat = self._flat.get((name, dtype))
-        if flat is None or flat.size < size:
-            pages = mmap.mmap(-1, max(size, 1) * dtype.itemsize,
-                              flags=mmap.MAP_PRIVATE)
-            flat = self._flat[name, dtype] = np.frombuffer(pages, dtype=dtype)
-        return flat[:size].reshape(shape)
+        nbytes = math.prod(shape) * dtype.itemsize
+        slot = self._slots.get((name, dtype))
+        if slot is None or slot[1] < nbytes:
+            slot = self._slots[name, dtype] = (self._used, nbytes)
+            self._used += -(-nbytes // _ALIGN) * _ALIGN
+            if self._used > self._region.nbytes:
+                pages = mmap.mmap(-1, self._used, flags=mmap.MAP_PRIVATE)
+                self._region = np.frombuffer(pages, dtype=np.uint8)
+        offset = slot[0]
+        return self._region[offset:offset + nbytes].view(dtype).reshape(shape)
 
 
 def _ghost_strides(shape: Tuple[int, int, int]) -> np.ndarray:
@@ -197,8 +227,7 @@ def gather_fields(grid: YeeGrid, positions: np.ndarray,
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must have shape (N, 3)")
-    if workspace is None:
-        workspace = Workspace()
+    workspace = (Workspace() if workspace is None else workspace).begin()
     nx, ny, nz = shape = grid.shape
     padded = workspace.array("gather.padded", (6, nx + 1, ny + 1, nz + 1))
     for row, name in enumerate(_E_B):
@@ -348,15 +377,17 @@ def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
     nvec = np.array([nx, ny, nz], dtype=np.int64)[:, None, None]
     svec = np.array([ny * nz, nz, 1], dtype=np.int64)[:, None, None]
     component = n_cells * np.arange(3)[:, None, None]
-    if workspace is None:
-        workspace = Workspace()
+    workspace = (Workspace() if workspace is None else workspace).begin()
     n_values = 3 * _GO[1] * _GO[0] ** 2       # per particle, at most
 
     for start, stop in _chunks(n):
         m = stop - start
-        # the first chunk is the largest, so later ones reuse its buffers
-        big_lin = workspace.array("esirkepov.lin", (n_values * m,), np.int64)
-        big_w = workspace.array("esirkepov.w", (n_values * m,))
+        # the first chunk is the largest, so later ones reuse its buffers.
+        # Taken in the order of how densely a block writes them — whole
+        # arrays, then the stencil scratch each class carves from the front
+        # of, then the scattered pairs, filled only as far as the block needs
+        # — so the front of the region, where the gather and the push put
+        # their scratch, is made of pages the deposit writes anyway.
         xi, cells, xi_ordered = workspace.array("esirkepov.xi", (3, 2, 3, m))
         base, base_ordered = workspace.array("esirkepov.base", (2, 3, m))
         scale_ordered = workspace.array("esirkepov.scale", (m,))
@@ -366,6 +397,8 @@ def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
                           for shapes in _stencil_shapes(*_GO, m))
         floats = workspace.array("esirkepov.stencil", (n_float,))
         ints = workspace.array("esirkepov.nodes", (n_int,), np.int64)
+        big_lin = workspace.array("esirkepov.lin", (n_values * m,), np.int64)
+        big_w = workspace.array("esirkepov.w", (n_values * m,))
         # (old, new) cell-unit coordinates, axis-major; out= forces C order
         # (the transposed position slices are F-ordered and ufuncs would
         # otherwise keep that layout, striding every later particle-axis loop)
@@ -504,8 +537,7 @@ def boris_push_fused(species: ParticleSpecies, e_fields: np.ndarray,
     momenta = species.momenta
     if e_fields.shape != momenta.shape or b_fields.shape != momenta.shape:
         raise ValueError("field arrays must have shape (N, 3)")
-    if workspace is None:
-        workspace = Workspace()
+    workspace = (Workspace() if workspace is None else workspace).begin()
 
     qmdt2 = species.charge * dt / (2.0 * species.mass * constants.SPEED_OF_LIGHT)
     qdt2m = species.charge * dt / (2.0 * species.mass)

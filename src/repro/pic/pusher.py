@@ -88,6 +88,9 @@ def advance_positions(species: ParticleSpecies, dt: float,
         raise ValueError("dt must be positive")
     if not species.pushed:
         return species.positions.copy()
-    new_positions = species.positions + species.velocities() * dt
+    # one array: v * dt, then + x in place (the sum of the same two terms)
+    new_positions = species.velocities()
+    new_positions *= dt
+    new_positions += species.positions
     species.positions = wrap_periodic(new_positions, box_extent)
     return new_positions

@@ -139,6 +139,9 @@ class PICSimulation:
                 e_at_p, b_at_p = gather_fields(grid, s.positions, self._workspace)
             with self.timer.section("push"):
                 boris_push_fused(s, e_at_p, b_at_p, dt, workspace=self._workspace)
+                # every per-species array goes as soon as nothing reads it,
+                # so the next species never steps beside this one's
+                del e_at_p, b_at_p
                 # advance_positions rebinds (never mutates) the stored
                 # array, so the pre-push positions survive without a copy
                 old_positions = s.positions
@@ -147,6 +150,7 @@ class PICSimulation:
                 deposit_current_esirkepov(grid, old_positions, new_positions,
                                           s.charge, s.weights, dt,
                                           workspace=self._workspace)
+            del old_positions, new_positions
         with self.timer.section("fields"):
             self.solver.step(dt)
         self.step_index += 1

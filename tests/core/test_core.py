@@ -229,3 +229,30 @@ class TestProducerPlugin:
         assert steps[0].arrays[POINT_CLOUDS].shape == (4, 32, 6)
         assert "particles/electrons/weighting" in steps[0].arrays
         assert plugin.bytes_streamed == sum(step.nbytes for step in steps)
+
+    def test_a_queued_step_keeps_the_momenta_of_its_own_step(self):
+        """The push overwrites the live momenta in place, so a step still in
+        the queue must stream a copy: the zero-copy consumer and a fan-out
+        copy both read the momenta of the step the iteration was written at."""
+        from repro.workflow import WorkflowBuilder
+
+        session = (WorkflowBuilder().preset("bench-tiny")
+                   .add_consumer("monitor", kind="histogram-monitor").build())
+        simulation = session.simulation
+        electrons = simulation.get_species("electrons")
+        simulation.step()
+        first = electrons.momenta.copy()
+        simulation.step()
+        assert not np.array_equal(electrons.momenta, first)
+
+        zero_copy = session.brokers["mlapp"].get_step(timeout=5.0)
+        fanned_out = session.brokers["monitor"].get_step(timeout=5.0)
+        assert zero_copy.index == fanned_out.index == 1
+        for axis, name in enumerate("xyz"):
+            np.testing.assert_array_equal(
+                zero_copy.arrays[f"particles/electrons/momentum/{name}"],
+                first[:, axis])
+        assert zero_copy.arrays.keys() == fanned_out.arrays.keys()
+        for path, data in zero_copy.arrays.items():
+            np.testing.assert_array_equal(fanned_out.arrays[path], data,
+                                          err_msg=path)

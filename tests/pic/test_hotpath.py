@@ -25,7 +25,7 @@ def stub_result(**overrides):
                                "reference": {"deposit": 16.0}},
                   n_steps=4, warmup=1, n_macro_particles=2048,
                   grid_shape=(8, 16, 2), stay_fraction=0.875,
-                  equivalence_error=1e-13,
+                  scratch_bytes=1_250_000, equivalence_error=1e-13,
                   equivalent=True)
     kwargs.update(overrides)
     return HotpathResult(**kwargs)
@@ -42,6 +42,7 @@ class TestRunHotpathBenchmark:
         # a KHI step moves a particle a fraction of a cell: most stay, some
         # cross — both classes of the Esirkepov deposit are exercised
         assert 0.5 < result.stay_fraction < 1.0
+        assert result.scratch_bytes > 0
         assert result.equivalent
         assert result.speedup > 0
 
@@ -68,7 +69,9 @@ class TestPersistAndFormat:
             "stay_fraction": 0.875, "n_steps": 4, "warmup": 1, "repeats": 5}
         assert set(record["metrics"]) == {
             "steps_per_sec", "particle_updates_per_sec", "speedup",
-            "sections_ms_per_step", "equivalence_error", "equivalent"}
+            "sections_ms_per_step", "scratch_bytes", "equivalence_error",
+            "equivalent"}
+        assert record["metrics"]["scratch_bytes"] == 1_250_000
         assert record["metrics"]["speedup"] == pytest.approx(result.speedup)
         assert record["metrics"]["particle_updates_per_sec"] == {
             "fused": 2048 * 200.0, "reference": 2048 * 50.0}
@@ -78,5 +81,6 @@ class TestPersistAndFormat:
         assert "fused" in text and "reference" in text
         assert "4.00x" in text
         assert "0.41 M particle updates/s" in text
+        assert "1.25 MB" in text
         assert "87.5% stay in their cell" in text
         assert "OK" in text

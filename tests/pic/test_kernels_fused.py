@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.pic.deposition import (deposit_charge_cic_reference,
 from repro.pic.grid import STAGGER, GridConfig, YeeGrid
 from repro.pic.interpolation import gather_fields_reference
 from repro.pic import kernels
+from repro.pic.khi import KHIConfig, make_khi_simulation
 from repro.pic.kernels import (Workspace, boris_push_fused, deposit_charge_cic,
                                deposit_current_esirkepov, gather_fields)
 from repro.pic.particles import ParticleSpecies
@@ -328,8 +330,7 @@ class TestTwoClassDeposit:
             del calls[:]
             deposit_current_esirkepov(grid, old, new, 1.0, np.ones(n), 1e-15,
                                       workspace=workspace)
-            seen[kind] = (list(calls),
-                          sum(flat.nbytes for flat in workspace._flat.values()))
+            seen[kind] = (list(calls), workspace.nbytes)
         assert seen["all-stay"] == seen["all-go"] == seen["mixed"]
         assert len(seen["mixed"][0]) == 4 * len(set(seen["mixed"][0]))
 
@@ -435,6 +436,68 @@ class TestWorkspace:
             assert got.step_index == 20
             for a, b in zip(simulation_state(got), simulation_state(want)):
                 np.testing.assert_array_equal(a, b)
+
+    def test_the_kernels_share_one_region_the_size_of_the_largest_call(
+            self, monkeypatch):
+        """Gather, push and deposit run one at a time, so after a step the
+        simulation holds the scratch its largest single kernel call needs
+        (the deposit's), not the sum of the three."""
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        sizes = (3 * 64 + 17, 64)
+        probe = two_species_simulation(seed=6, sizes=sizes)
+        species = probe.species[0]
+        dt = probe.config.dt
+        positions = species.positions
+        e_fields, b_fields = gather_fields(probe.grid, positions)
+        need = {}
+        for kernel, call in (
+                ("gather", lambda ws: gather_fields(probe.grid, positions, ws)),
+                ("push", lambda ws: boris_push_fused(species, e_fields, b_fields,
+                                                     dt, workspace=ws)),
+                ("deposit", lambda ws: deposit_current_esirkepov(
+                    probe.grid, positions, positions, species.charge,
+                    species.weights, dt, workspace=ws))):
+            workspace = Workspace()
+            call(workspace)
+            need[kernel] = workspace.nbytes
+        assert max(need.values()) == need["deposit"]
+        assert max(need.values()) < sum(need.values())
+
+        simulation = two_species_simulation(seed=6, sizes=sizes)
+        simulation.step()
+        assert simulation._workspace.nbytes == need["deposit"]
+
+    def test_a_step_holds_the_arrays_of_one_species_at_a_time(self, monkeypatch):
+        """Heap high-water of a step per macro-particle of one species, as
+        the slope between two particle counts on one grid (per-block and
+        per-grid scratch cancel).  At its widest a step holds, for the one
+        species stepping, its unwrapped and wrapped new positions (3 + 3
+        doubles) and the deposit's charge factor (1): 56 B.  The bound
+        allows one more double for a NumPy temporary.  A step that kept the
+        previous species' E/B (6 doubles) or old and new positions (6) alive
+        while the next one steps is above it."""
+        monkeypatch.setattr(kernels, "CHUNK", 512)
+
+        def high_water(particles_per_cell):
+            simulation = make_khi_simulation(KHIConfig(
+                grid_shape=(8, 8, 4), particles_per_cell=particles_per_cell,
+                seed=11))
+            assert all(s.n_macro == simulation.species[0].n_macro
+                       for s in simulation.species)
+            tracemalloc.start()
+            try:
+                simulation.step()          # every array it keeps is traced
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                simulation.step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return simulation.species[0].n_macro, peak - held
+
+        (n_small, small), (n_large, large) = high_water(16), high_water(48)
+        per_particle = (large - small) / (n_large - n_small)
+        assert per_particle <= 8 * 8
 
 
 def awkward_positions(rng, grid, n):
@@ -554,7 +617,7 @@ class TestBlockedKernels:
             simulation = two_species_simulation(seed=4, sizes=(n, n))
             for _ in range(2):
                 simulation.step()
-            return sum(flat.nbytes for flat in simulation._workspace._flat.values())
+            return simulation._workspace.nbytes
 
         assert footprint(3 * 64 + 17) == footprint(64)
         assert footprint(64) > footprint(8)
