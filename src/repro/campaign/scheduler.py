@@ -380,9 +380,9 @@ class _LaunchTrace:
     store.  Each pending payload gets a ``dispatch`` child whose context
     rides the payload into the executor; when the record settles back,
     :meth:`finish_run` emits the ``settle`` span, replays the worker-side
-    ``execute`` (+ phase) spans, and closes the dispatch — yielding one
-    resolve → dispatch → execute → settle tree per run, correlated by the
-    launch's trace id.
+    ``execute`` span and the timer sections below it, and closes the
+    dispatch — yielding one resolve → dispatch → execute → settle tree per
+    run, correlated by the launch's trace id.
     """
 
     def __init__(self, spec: CampaignSpec, store: CampaignStore,

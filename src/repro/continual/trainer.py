@@ -21,7 +21,7 @@ from repro.mlcore.optim import Optimizer
 from repro.mlcore.tensor import Tensor
 from repro.models.losses import CombinedLoss
 from repro.models.model import ArtificialScientistModel
-from repro.utils.timer import Timer
+from repro.telemetry.spans import Timer
 
 
 @dataclass
@@ -83,7 +83,7 @@ class InTransitTrainer:
         self.max_grad_norm = max_grad_norm
         self.scheduler = scheduler
         self.history = TrainingHistory()
-        self.timer = Timer()
+        self.timer = Timer("continual")
         self.samples_consumed = 0
         self.gradient_norms: List[float] = []
 

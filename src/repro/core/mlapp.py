@@ -16,8 +16,8 @@ from repro.models.losses import CombinedLoss
 from repro.models.model import ArtificialScientistModel
 from repro.openpmd.series import Series
 from repro.streaming.step import Step
+from repro.telemetry.spans import Timer
 from repro.utils.rng import RandomState, seeded_rng
-from repro.utils.timer import Timer
 
 
 def build_trainer(config: MLConfig, rng: RandomState = None) -> InTransitTrainer:
@@ -59,7 +59,7 @@ class MLApp:
         self.model = self.trainer.model
         self.optimizer = self.trainer.optimizer
         self.buffer = self.trainer.buffer
-        self.timer = Timer()
+        self.timer = Timer("core")
         self.iterations_consumed = 0
         self.samples_consumed = 0
         self.evaluation_samples: List[TrainingSample] = []

@@ -25,7 +25,7 @@ from repro.pic.kernels import (Workspace, boris_push_fused, deposit_charge_cic,
 from repro.pic.maxwell import YeeSolver
 from repro.pic.particles import ParticleSpecies
 from repro.pic.pusher import advance_positions
-from repro.utils.timer import Timer
+from repro.telemetry.spans import Timer
 
 
 class Plugin:
@@ -79,7 +79,7 @@ class PICSimulation:
         self.species: List[ParticleSpecies] = list(species)
         self.plugins: List[Plugin] = []
         self.step_index = 0
-        self.timer = Timer()
+        self.timer = Timer("pic")
         self._started = False
         # scratch of the fused kernels, kept across steps; one per simulation
         # because several simulations may step concurrently in one process

@@ -25,7 +25,7 @@ Layers (each its own module, bottom up):
   client whose SSE iterator backs ``campaign watch`` and the CI smoke job.
 
 No new dependencies: everything runs on the standard library plus the
-existing numpy/scipy install requirements.
+existing numpy install requirement.
 
 CLI access: ``python -m repro.cli serve`` starts the service;
 ``python -m repro.cli campaign submit|watch --url ...`` drive it.

@@ -3,14 +3,18 @@
 Spans arrive as a flat list (the order of a JSONL trace file is emit
 order: children before their parents, traces interleaved); rendering
 groups them by ``trace_id``, rebuilds each tree from ``parent_id`` links
-and prints a box-drawing outline with per-span durations.  Spans whose
-parent never made it into the file (e.g. a crashed launch) are promoted
-to roots so nothing is silently dropped.
+and prints a box-drawing outline with per-span durations.  Siblings that
+would print the same line but for their duration — the hundreds of
+``pic.gather`` sections of one run — fold into one line with a count and
+their summed time (``pic.gather ×50 (12.3ms)``), and their children fold
+together beneath it.  Spans whose parent never made it into the file
+(e.g. a crashed launch) are promoted to roots so nothing is silently
+dropped.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.telemetry.spans import Span
 
@@ -61,36 +65,46 @@ def _children_index(spans: Sequence[Span]) -> Dict[Optional[str], List[Span]]:
     return children
 
 
-def _render_subtree(span: Span, children: Dict[Optional[str], List[Span]],
-                    prefix: str, is_last: bool, lines: List[str]) -> None:
-    connector = "└─ " if is_last else "├─ "
+def _label(span: Span) -> Tuple[str, str]:
+    """What a span's line shows besides its duration: the name with the
+    error marker, and the bracketed attributes."""
     marker = " !" if span.status != "ok" else ""
     attrs = _format_attrs(span)
-    suffix = f"  [{attrs}]" if attrs else ""
-    lines.append(f"{prefix}{connector}{span.name}{marker} "
-                 f"({_format_duration(span.duration_s)}){suffix}")
-    child_prefix = prefix + ("   " if is_last else "│  ")
-    own = children.get(span.span_id, [])
-    for position, child in enumerate(own):
-        _render_subtree(child, children, child_prefix,
-                        position == len(own) - 1, lines)
+    return f"{span.name}{marker}", f"  [{attrs}]" if attrs else ""
+
+
+def _fold(spans: Iterable[Span]) -> List[List[Span]]:
+    """Siblings grouped by :func:`_label`, groups in first-start order."""
+    groups: Dict[Tuple[str, str], List[Span]] = {}
+    for span in sorted(spans, key=lambda span: (span.start_s, span.span_id)):
+        groups.setdefault(_label(span), []).append(span)
+    return list(groups.values())
+
+
+def _render_group(group: List[Span],
+                  children: Dict[Optional[str], List[Span]], lead: str,
+                  child_prefix: str, lines: List[str]) -> None:
+    head, attrs = _label(group[0])
+    count = f" ×{len(group)}" if len(group) > 1 else ""
+    durations = [span.duration_s for span in group]
+    total = None if None in durations else sum(durations)
+    lines.append(f"{lead}{head}{count} ({_format_duration(total)}){attrs}")
+    folded = _fold(child for span in group
+                   for child in children.get(span.span_id, ()))
+    for position, child in enumerate(folded):
+        last = position == len(folded) - 1
+        _render_group(child, children,
+                      child_prefix + ("└─ " if last else "├─ "),
+                      child_prefix + ("   " if last else "│  "), lines)
 
 
 def render_trace(spans: Sequence[Span]) -> str:
-    """One trace's tree as box-drawing text (roots at column zero)."""
+    """One trace's tree as box-drawing text (roots at column zero), with
+    same-line siblings folded into one counted line."""
     children = _children_index(spans)
     lines: List[str] = []
-    roots = children.get(None, [])
-    for root in roots:
-        marker = " !" if root.status != "ok" else ""
-        attrs = _format_attrs(root)
-        suffix = f"  [{attrs}]" if attrs else ""
-        lines.append(f"{root.name}{marker} "
-                     f"({_format_duration(root.duration_s)}){suffix}")
-        own = children.get(root.span_id, [])
-        for position, child in enumerate(own):
-            _render_subtree(child, children, "",
-                            position == len(own) - 1, lines)
+    for group in _fold(children.get(None, ())):
+        _render_group(group, children, "", "", lines)
     return "\n".join(lines)
 
 

@@ -19,17 +19,25 @@ Recording is sink-based: spans are only captured while a sink (a
 :class:`repro.telemetry.export.TraceWriter`) is activated on the current
 thread with :func:`recording`.  No sink — for example in ordinary library
 use, or with telemetry disabled — means ``span(...)`` yields ``None`` and
-costs one thread-local read.
+costs one thread-local read.  A new thread starts without either; a
+target wrapped by :func:`carry_trace` joins the trace of the thread that
+wrapped it.
+
+:class:`Timer` is how every layer times itself: ``section(name)`` adds
+to the timer's totals and, while a sink records, is also a child span
+``"{prefix}.{name}"`` — so a traced run's tree reaches from the campaign
+launch down to ``pic.gather`` and ``continual.backward``.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Callable, Dict, Iterator, List, Mapping, Optional
 
 from repro.telemetry.state import is_enabled
 
@@ -37,10 +45,16 @@ from repro.telemetry.state import is_enabled
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
+#: Id source: seeded from the OS, re-seeded in a forked child.  Not
+#: ``os.urandom`` per id: that call releases the GIL, so every span a
+#: thread opened would hand the interpreter to a busy sibling thread.
+_IDS = random.Random()
+os.register_at_fork(after_in_child=_IDS.seed)
+
 
 def new_id() -> str:
     """A fresh 64-bit hex id (trace or span)."""
-    return os.urandom(8).hex()
+    return f"{_IDS.getrandbits(64):016x}"
 
 
 @dataclass
@@ -101,22 +115,21 @@ class Span:
 
 
 class SpanRecorder:
-    """A sink collecting finished spans into a list (thread-safe).
+    """A sink collecting finished spans into a list (thread-safe: one
+    ``list.append`` per span, no lock a sibling thread could stall on).
 
     The worker-side half of cross-process tracing: activated around
-    ``_attempt_run`` so the execute span (and any workflow phase
-    sub-spans) accumulate here, then travel back to the parent attached
-    to the run record.
+    ``_attempt_run`` so the execute span and every :class:`Timer` section
+    below it accumulate here, then travel back to the parent attached to
+    the run record.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self.spans: List[Span] = []
 
     def emit(self, span: Span) -> None:
         """Collect one finished span."""
-        with self._lock:
-            self.spans.append(span)
+        self.spans.append(span)
 
 
 class _ThreadState(threading.local):
@@ -179,6 +192,18 @@ def span(name: str, attrs: Optional[Dict[str, object]] = None,
     if sink is None or not is_enabled():
         yield None
         return
+    opened = _open(name, attrs, ctx)
+    try:
+        yield opened
+    except BaseException as exc:
+        _close(sink, opened, exc)
+        raise
+    _close(sink, opened, None)
+
+
+def _open(name: str, attrs: Optional[Dict[str, object]],
+          ctx: Optional[Mapping[str, str]]) -> Span:
+    """A new span under ``ctx`` or the current one, pushed on the stack."""
     parent = current_span()
     if ctx is not None:
         trace_id = str(ctx["trace_id"])
@@ -190,51 +215,112 @@ def span(name: str, attrs: Optional[Dict[str, object]] = None,
     opened = Span(name=name, trace_id=trace_id, parent_id=parent_id,
                   attrs=dict(attrs or {}))
     _STATE.stack.append(opened)
-    try:
-        yield opened
-    except BaseException as exc:
-        opened.attrs.setdefault("exception", type(exc).__name__)
-        opened.finish(status=STATUS_ERROR)
-        raise
-    else:
+    return opened
+
+
+def _close(sink, opened: Span, error: Optional[BaseException]) -> None:
+    """Finish the innermost span (``error`` if the block raised) and emit it."""
+    if error is None:
         opened.finish()
-    finally:
-        _STATE.stack.pop()
-        sink.emit(opened)
+    else:
+        opened.attrs.setdefault("exception", type(error).__name__)
+        opened.finish(status=STATUS_ERROR)
+    _STATE.stack.pop()
+    sink.emit(opened)
 
 
-def add_phase_spans(phases: Mapping[str, float],
-                    attrs: Optional[Dict[str, object]] = None) -> int:
-    """Attach synthetic fixed-duration children to the current span.
+def carry_trace(target: Callable) -> Callable:
+    """``target`` wrapped to record into this thread's trace from another.
 
-    The workflow layer reports *accumulated* per-phase times (PIC stepping
-    vs training) rather than live begin/end pairs, so phase sub-spans are
-    synthesised backwards from "now": each phase ends now and starts its
-    duration ago.  A no-op (returning 0) without an active span/sink or
-    with telemetry disabled — which is what makes the call site in
-    :meth:`repro.workflow.builder.WorkflowSession.run` safe for every
-    uninstrumented workflow run.
-
-    Args:
-        phases: phase name → duration in seconds (``None`` durations are
-            skipped).
-        attrs: extra attributes stamped on every phase span.
-
-    Returns:
-        The number of spans emitted.
+    A new thread starts with no sink and no open span; the wrapper, built
+    on the calling thread, carries both over, so spans ``target`` opens on
+    its thread become children of the span open here.  Without a sink
+    ``target`` comes back as it is.
     """
-    sink = _STATE.sink
-    parent = current_span()
-    if sink is None or parent is None or not is_enabled():
-        return 0
-    now = time.time()
-    emitted = 0
-    for name, duration in phases.items():
-        if duration is None:
-            continue
-        duration = max(0.0, float(duration))
-        sink.emit(Span(name=name, trace_id=parent.trace_id,
-                       parent_id=parent.span_id, start_s=now - duration,
-                       end_s=now, attrs=dict(attrs or {})))
-        emitted += 1
-    return emitted
+    sink, parent = _STATE.sink, current_span()
+    if sink is None:
+        return target
+
+    def traced(*args, **kwargs):
+        previous, depth = _STATE.sink, len(_STATE.stack)
+        _STATE.sink = sink
+        if parent is not None:
+            _STATE.stack.append(parent)
+        try:
+            return target(*args, **kwargs)
+        finally:
+            _STATE.sink = previous
+            del _STATE.stack[depth:]
+    return traced
+
+
+class Timer:
+    """Accumulating named sections of one layer: its totals and its spans.
+
+    ``section(name)`` always adds its wall time to :meth:`totals` under the
+    bare ``name``; while a sink records on the thread it is also a child
+    span of the current one, named ``"{prefix}.{name}"``.  Untraced, the
+    only cost beyond the clock is the thread-local sink read :func:`span`
+    makes.  Different threads may time different sections of one timer.
+
+    Examples
+    --------
+    >>> timer = Timer("pic")
+    >>> with timer.section("push"):
+    ...     pass
+    >>> timer.counts()
+    {'push': 1}
+    """
+
+    def __init__(self, prefix: str) -> None:
+        self.prefix = prefix
+        self._totals: Dict[str, float] = {}
+        self._counts: Dict[str, int] = {}
+
+    def section(self, name: str) -> "_Section":
+        """Time a ``with`` block as section ``name`` (a span too while
+        tracing).  An exception inside the block still counts and
+        re-raises; the span, if any, is marked ``error``."""
+        return _Section(self, name)
+
+    def totals(self) -> Dict[str, float]:
+        """Seconds per section name."""
+        return dict(self._totals)
+
+    def counts(self) -> Dict[str, int]:
+        """Calls per section name."""
+        return dict(self._counts)
+
+    def reset(self) -> None:
+        """Forget every section."""
+        self._totals.clear()
+        self._counts.clear()
+
+
+class _Section:
+    """The context manager of one :meth:`Timer.section` block.
+
+    A class rather than a generator: the PIC step and the trainer open
+    dozens of sections per step, so its cost shows in a traced run's
+    spans as time the parent has and no child does.
+    """
+
+    __slots__ = ("timer", "name", "sink", "span", "start")
+
+    def __init__(self, timer: Timer, name: str) -> None:
+        self.timer, self.name = timer, name
+
+    def __enter__(self) -> None:
+        sink = self.sink = _STATE.sink
+        self.span = None
+        if sink is not None and is_enabled():
+            self.span = _open(f"{self.timer.prefix}.{self.name}", None, None)
+        self.start = time.perf_counter()
+
+    def __exit__(self, exc_type, error, traceback) -> None:
+        elapsed = time.perf_counter() - self.start
+        totals, counts, name = self.timer._totals, self.timer._counts, self.name
+        totals[name] = totals.get(name, 0.0) + elapsed
+        counts[name] = counts.get(name, 0) + 1
+        if self.span is not None:
+            _close(self.sink, self.span, error)

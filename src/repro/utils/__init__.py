@@ -1,11 +1,10 @@
-"""Shared utilities: deterministic RNG, timers, validation, serialisation,
+"""Shared utilities: deterministic RNG, validation, serialisation,
 persisted benchmark histories, logging setup."""
 
 from repro.utils.benchjson import append_run, bench_path, latest_run, load_history
 from repro.utils.logging import get_logger, setup_logging
 from repro.utils.rng import RandomState, seeded_rng, spawn_rngs
 from repro.utils.serialization import jsonable
-from repro.utils.timer import Timer, WallClock, timed
 from repro.utils.validation import (
     check_array,
     check_positive,
@@ -24,9 +23,6 @@ __all__ = [
     "seeded_rng",
     "spawn_rngs",
     "jsonable",
-    "Timer",
-    "WallClock",
-    "timed",
     "check_array",
     "check_positive",
     "check_probability",

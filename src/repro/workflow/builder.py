@@ -41,7 +41,7 @@ from repro.pic.khi import make_khi_simulation
 from repro.pic.simulation import PICSimulation
 from repro.radiation.detector import RadiationDetector
 from repro.streaming.broker import SSTBroker
-from repro.telemetry import add_phase_spans
+from repro.telemetry.spans import Timer
 from repro.utils.rng import derive_seed, seeded_rng
 from repro.workflow.consumers import (ConsumerFactory, MLAppConsumer, StreamConsumer,
                                       get_consumer_factory)
@@ -115,6 +115,9 @@ class WorkflowSession:
         names = [spec.name for spec in consumer_specs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate consumer names: {names}")
+        if "pic" in names:
+            raise ValueError("'pic' names the simulation's timer section, "
+                             "not a consumer")
         self.brokers: Dict[str, SSTBroker] = {}
         self.consumer_series: Dict[str, Series] = {}
         self.consumers: Dict[str, StreamConsumer] = {}
@@ -145,6 +148,9 @@ class WorkflowSession:
             reduction=reduction,
             rng=seeded_rng(derive_seed(cfg.seed, 3)))
         self.simulation.add_plugin(self.producer)
+        #: the drivers' sections: ``pic`` around each ``simulation.step()``
+        #: and, per consumer, its name around each drain
+        self.timer = Timer("workflow")
         self._consumed = False
 
     # -- running ------------------------------------------------------------ #
@@ -164,12 +170,6 @@ class WorkflowSession:
         for consumer in self.consumers.values():
             consumer.configure_run(keep_for_evaluation)
         result = self.driver.execute(self, n_steps)
-        report = getattr(result, "report", None)
-        if report is not None:
-            # phase sub-spans of the surrounding execute span (no-op when
-            # nothing is tracing): where this run's wall time actually went
-            add_phase_spans({"pic": getattr(report, "simulation_time", None),
-                             "train": getattr(report, "training_time", None)})
         for hook in self.hooks.on_run_end:
             hook(self, result)
         return result
@@ -188,9 +188,10 @@ class WorkflowSession:
         """Depth of the fullest consumer queue right now."""
         return self.fanout.queued_steps
 
-    def build_report(self, n_steps: int, wall_time: float,
-                     simulation_time: float, training_time: float) -> WorkflowReport:
+    def build_report(self, n_steps: int, wall_time: float) -> WorkflowReport:
+        """The run's report; its PIC and training times are :attr:`timer`'s."""
         mlapp = self.mlapp
+        totals = self.timer.totals()
         return WorkflowReport(
             n_steps=n_steps,
             iterations_streamed=self.producer.iterations_streamed,
@@ -198,8 +199,8 @@ class WorkflowSession:
             training_iterations=len(mlapp.history) if mlapp is not None else 0,
             bytes_streamed=self.producer.bytes_streamed,
             wall_time=wall_time,
-            simulation_time=simulation_time,
-            training_time=training_time,
+            simulation_time=totals.get("pic", 0.0),
+            training_time=totals.get(self.primary_name, 0.0),
             final_losses=mlapp.loss_summary() if mlapp is not None else {},
             loss_history_total=list(mlapp.history.series("total"))
             if mlapp is not None and len(mlapp.history) else [],

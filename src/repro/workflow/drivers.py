@@ -12,8 +12,13 @@ and returns the same :class:`repro.workflow.report.RunResult`.
   overlapping simulation and training while bounding how far training
   lags.  It also records a queue-depth timeline.
 
-Producer and consumer exceptions are always captured (never silently
-dropped) and surfaced together on the ``RunResult``.
+Both time the same two things with the session's
+:class:`repro.telemetry.Timer`: ``simulation.step()`` as section ``pic``
+(the ``on_step`` hooks stay outside it) and each consumer's drain as a
+section named after the consumer; the report's ``simulation_time`` and
+``training_time`` are those totals.  Producer and consumer exceptions are
+always captured (never silently dropped) and surfaced together on the
+``RunResult``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import time
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Type
 
 from repro.streaming.broker import StreamClosedError
+from repro.telemetry.spans import carry_trace
 from repro.workflow.report import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -37,6 +43,20 @@ def _iteration_callback(session: "WorkflowSession", name: str,
         if extra is not None:
             extra(iteration_index, n_samples)
     return callback
+
+
+def _drain(session: "WorkflowSession", name: str, consumer,
+           consumer_errors: Dict[str, BaseException],
+           max_iterations: Optional[int] = None) -> None:
+    """One timed ``consume`` call of a serial run; a failure is recorded
+    and closes the consumer's queue."""
+    try:
+        with session.timer.section(name):
+            consumer.consume(max_iterations=max_iterations,
+                             on_iteration=_iteration_callback(session, name))
+    except BaseException as error:  # noqa: BLE001 - surfaced in the result
+        consumer_errors[name] = error
+        session.brokers[name].close()
 
 
 def _collect_summaries(session: "WorkflowSession") -> Dict[str, Dict[str, object]]:
@@ -75,8 +95,6 @@ class SerialDriver(ExecutionDriver):
 
     def execute(self, session: "WorkflowSession", n_steps: int) -> RunResult:
         start = time.perf_counter()
-        simulation_time = 0.0
-        consumer_times = {name: 0.0 for name in session.consumers}
         producer_error: Optional[BaseException] = None
         consumer_errors: Dict[str, BaseException] = {}
         max_depth = 0
@@ -84,34 +102,21 @@ class SerialDriver(ExecutionDriver):
 
         steps_done = 0
         for index in range(n_steps):
-            t0 = time.perf_counter()
             try:
-                session.simulation.step()
+                with session.timer.section("pic"):
+                    session.simulation.step()
                 session.fire_step(index)
                 steps_done += 1
             except BaseException as error:  # noqa: BLE001 - surfaced in the result
                 producer_error = error
                 break
-            finally:
-                simulation_time += time.perf_counter() - t0
             depth = session.queue_depth()
             depth_samples.append(depth)
             max_depth = max(max_depth, depth)
             for name, consumer in session.consumers.items():
-                if name in consumer_errors:
-                    continue
                 queued = session.brokers[name].queued_steps
-                if not queued:
-                    continue
-                t0 = time.perf_counter()
-                try:
-                    consumer.consume(max_iterations=queued,
-                                     on_iteration=_iteration_callback(session, name))
-                except BaseException as error:  # noqa: BLE001
-                    consumer_errors[name] = error
-                    session.brokers[name].close()
-                finally:
-                    consumer_times[name] += time.perf_counter() - t0
+                if queued and name not in consumer_errors:
+                    _drain(session, name, consumer, consumer_errors, queued)
 
         # flush: end the stream and let every consumer drain what is left
         try:
@@ -119,23 +124,13 @@ class SerialDriver(ExecutionDriver):
         except BaseException as error:  # noqa: BLE001
             producer_error = producer_error or error
         for name, consumer in session.consumers.items():
-            if name in consumer_errors:
-                continue
-            t0 = time.perf_counter()
-            try:
-                consumer.consume(on_iteration=_iteration_callback(session, name))
-            except BaseException as error:  # noqa: BLE001
-                consumer_errors[name] = error
-                session.brokers[name].close()
-            finally:
-                consumer_times[name] += time.perf_counter() - t0
+            if name not in consumer_errors:
+                _drain(session, name, consumer, consumer_errors)
 
         wall = time.perf_counter() - start
         # report the steps actually completed, not the ones requested — the
         # two differ when the producer failed mid-run
-        report = session.build_report(
-            n_steps=steps_done, wall_time=wall, simulation_time=simulation_time,
-            training_time=consumer_times.get(session.primary_name, 0.0))
+        report = session.build_report(n_steps=steps_done, wall_time=wall)
         return RunResult(report=report, driver=self.name, max_queue_depth=max_depth,
                          queue_depth_samples=depth_samples,
                          producer_exception=_true_producer_error(producer_error,
@@ -171,9 +166,7 @@ class PipelinedDriver(ExecutionDriver):
         abort = threading.Event()
         context: dict = {
             "producer_error": None, "consumer_errors": {},
-            "max_depth": 0, "depth_samples": [], "simulation_time": 0.0,
-            "steps_done": 0,
-            "consumer_times": {name: 0.0 for name in session.consumers},
+            "max_depth": 0, "depth_samples": [], "steps_done": 0,
         }
         limit = self.max_in_flight
         if limit is None:
@@ -207,16 +200,14 @@ class PipelinedDriver(ExecutionDriver):
                     wait_for_room()
                     if abort.is_set():
                         break
-                    t0 = time.perf_counter()
-                    session.simulation.step()
-                    elapsed = time.perf_counter() - t0
+                    with session.timer.section("pic"):
+                        session.simulation.step()
                     session.fire_step(index)
                     depth = session.queue_depth()
                     # all run accounting updates under one lock so the final
                     # snapshot is coherent even if this thread leaks past the
                     # join timeout
                     with lock:
-                        context["simulation_time"] += elapsed
                         context["steps_done"] += 1
                         context["depth_samples"].append(depth)
                         context["max_depth"] = max(context["max_depth"], depth)
@@ -238,10 +229,10 @@ class PipelinedDriver(ExecutionDriver):
                     consumed_counts[name] += 1
                     condition.notify_all()
 
-            t0 = time.perf_counter()
             try:
-                consumer.consume(on_iteration=_iteration_callback(
-                    session, name, extra=consumed_one))
+                with session.timer.section(name):
+                    consumer.consume(on_iteration=_iteration_callback(
+                        session, name, extra=consumed_one))
             except BaseException as error:  # noqa: BLE001
                 with lock:
                     context["consumer_errors"][name] = error
@@ -251,15 +242,16 @@ class PipelinedDriver(ExecutionDriver):
                     if len(dead_consumers) == len(consumed_counts):
                         abort.set()
                     condition.notify_all()
-            finally:
-                with lock:
-                    context["consumer_times"][name] = time.perf_counter() - t0
 
-        threads = [threading.Thread(target=produce, name="workflow-producer",
-                                    daemon=True)]
-        threads += [threading.Thread(target=consume, args=(name, consumer),
-                                     name=f"workflow-consumer-{name}", daemon=True)
-                    for name, consumer in session.consumers.items()]
+        # both sides record into the caller's trace, under its open span;
+        # the consumers start first, so their start-up never lands inside
+        # the producer's first step
+        threads = [threading.Thread(target=carry_trace(consume),
+                                    args=(name, consumer),
+                                    name=f"workflow-consumer-{name}", daemon=True)
+                   for name, consumer in session.consumers.items()]
+        threads.append(threading.Thread(target=carry_trace(produce),
+                                        name="workflow-producer", daemon=True))
         for thread in threads:
             thread.start()
         deadline = time.monotonic() + self.join_timeout
@@ -282,15 +274,11 @@ class PipelinedDriver(ExecutionDriver):
         # must not mutate the result the caller is already inspecting
         with lock:
             steps_done = context["steps_done"]
-            simulation_time = context["simulation_time"]
-            training_time = context["consumer_times"].get(session.primary_name, 0.0)
             consumer_errors = dict(context["consumer_errors"])
             producer_error = context["producer_error"]
             depth_samples = list(context["depth_samples"])
             max_depth = context["max_depth"]
-        report = session.build_report(
-            n_steps=steps_done, wall_time=wall,
-            simulation_time=simulation_time, training_time=training_time)
+        report = session.build_report(n_steps=steps_done, wall_time=wall)
         return RunResult(report=report, driver=self.name,
                          max_queue_depth=max_depth,
                          queue_depth_samples=depth_samples,

@@ -159,6 +159,41 @@ class TestSerialTracing:
         assert rendered.count("settle") == 2
 
 
+@pytest.mark.parametrize("driver", ["serial", "pipelined"])
+def test_real_runs_trace_their_sections_under_execute(tmp_path, driver):
+    """Each run's workflow sections hang off its execute span, the layers'
+    sections off those, and the spans add up to the record's times."""
+    spec = smoke_spec(name=f"trace-sections-{driver}", driver=driver)
+    store = CampaignStore(tmp_path / "t.campaign.jsonl")
+    assert run_campaign(spec, store).completed == 8
+    spans = spans_of(store)
+    by_id = {s.span_id: s for s in spans}
+    edges, seconds = set(), {}
+    for s in spans:
+        execute = by_id.get(s.parent_id)
+        if execute is None:
+            continue
+        edges.add((execute.name, s.name))
+        while execute is not None and execute.name != "execute":
+            execute = by_id.get(execute.parent_id)
+        if execute is not None:
+            key = (execute.attrs["run_id"],
+                   "pic.*" if s.name.startswith("pic.") else s.name)
+            seconds[key] = seconds.get(key, 0.0) + s.duration_s
+    layers = {"gather", "push", "deposit", "fields", "plugins"}
+    assert {("execute", "workflow.pic"), ("execute", "workflow.mlapp"),
+            ("workflow.mlapp", "core.decode"), ("workflow.mlapp", "core.train"),
+            ("core.train", "continual.forward"),
+            ("core.train", "continual.backward")} <= edges
+    assert {name for parent, name in edges if parent == "workflow.pic"} == \
+        {f"pic.{layer}" for layer in layers}
+    for record in store.records():
+        pic = seconds[(record.run_id, "workflow.pic")]
+        assert seconds[(record.run_id, "pic.*")] == pytest.approx(pic, rel=0.05)
+        assert pic == pytest.approx(record.summary["simulation_time_s"],
+                                    abs=1e-3)
+
+
 class TestWorkerPoolTracing:
     def test_execute_spans_come_back_from_worker_processes(self, tmp_path):
         spec = smoke_spec(name="trace-pool")

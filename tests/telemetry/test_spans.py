@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
-from repro.telemetry import (Span, SpanRecorder, TraceWriter, add_phase_spans,
-                             context_of, current_span, disabled, new_id,
-                             read_spans, recording, render_traces, span,
-                             trace_path_for)
+from repro.telemetry import (Span, SpanRecorder, Timer, TraceWriter,
+                             carry_trace, context_of, current_span, disabled,
+                             new_id, read_spans, recording, render_trace,
+                             render_traces, span, trace_path_for)
 
 
 class TestSpanBasics:
@@ -68,33 +70,107 @@ class TestSpanBasics:
         assert opened.duration_s is not None
 
 
-class TestPhaseSpans:
-    def test_phases_become_children_of_current_span(self):
+class TestTimer:
+    def test_sections_accumulate_under_their_bare_names(self):
+        timer = Timer("pic")
+        with timer.section("a"):
+            pass
+        with timer.section("a"):
+            pass
+        assert timer.counts() == {"a": 2}
+        assert timer.totals()["a"] >= 0.0
+        timer.reset()
+        assert timer.totals() == {} and timer.counts() == {}
+
+    def test_a_section_is_a_prefixed_child_of_the_current_span(self):
         recorder = SpanRecorder()
+        timer = Timer("pic")
         with recording(recorder):
             with span("execute") as execute:
-                emitted = add_phase_spans({"pic": 1.5, "train": 2.0,
-                                           "skipped": None})
-        assert emitted == 2
-        phases = {s.name: s for s in recorder.spans if s.name != "execute"}
-        assert set(phases) == {"pic", "train"}
-        for phase in phases.values():
-            assert phase.parent_id == execute.span_id
-        assert phases["pic"].duration_s == pytest.approx(1.5)
+                with timer.section("gather"):
+                    pass
+        gather, _ = recorder.spans
+        assert gather.name == "pic.gather"
+        assert gather.parent_id == execute.span_id
+        assert gather.trace_id == execute.trace_id
+        assert timer.counts() == {"gather": 1}
 
-    def test_negative_durations_clamp_to_zero(self):
+    def test_an_exception_marks_the_span_reraises_and_still_counts(self):
         recorder = SpanRecorder()
+        timer = Timer("continual")
         with recording(recorder):
-            with span("execute"):
-                assert add_phase_spans({"pic": -0.5}) == 1
-        phase = next(s for s in recorder.spans if s.name == "pic")
-        assert phase.duration_s == 0.0
+            with pytest.raises(ValueError):
+                with timer.section("backward"):
+                    raise ValueError("boom")
+        (emitted,) = recorder.spans
+        assert emitted.name == "continual.backward"
+        assert emitted.status == "error"
+        assert emitted.attrs["exception"] == "ValueError"
+        assert timer.counts() == {"backward": 1}
 
-    def test_noop_without_parent_or_sink(self):
-        assert add_phase_spans({"pic": 1.0}) == 0
+    def test_no_sink_or_telemetry_disabled_emits_nothing(self):
+        timer = Timer("pic")
+        with timer.section("push"):
+            assert current_span() is None
         recorder = SpanRecorder()
+        with recording(recorder), disabled():
+            with timer.section("push"):
+                assert current_span() is None
+        assert recorder.spans == []
+        assert timer.counts() == {"push": 2}
+
+    def test_carry_trace_joins_another_thread_under_the_open_span(self):
+        recorder = SpanRecorder()
+        timer = Timer("workflow")
         with recording(recorder):
-            assert add_phase_spans({"pic": 1.0}) == 0   # no open span
+            with span("execute") as execute:
+                worker = threading.Thread(target=carry_trace(_step),
+                                          args=(timer,))
+                worker.start()
+                worker.join()
+        pic, _ = recorder.spans
+        assert pic.name == "workflow.pic"
+        assert pic.parent_id == execute.span_id
+        assert pic.trace_id == execute.trace_id
+        assert timer.counts() == {"pic": 1}
+
+    def test_threads_timing_their_own_sections_lose_no_update(self):
+        """One timer and one recorder shared by more threads than cores,
+        switching as often as the interpreter allows: every section of
+        every thread is counted and recorded."""
+        recorder = SpanRecorder()
+        timer = Timer("workflow")
+        names = [f"consumer{index}" for index in range(8)]
+
+        def drain(name):
+            for _ in range(200):
+                with timer.section(name):
+                    pass
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with recording(recorder), span("execute"):
+                threads = [threading.Thread(target=carry_trace(drain),
+                                            args=(name,)) for name in names]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert timer.counts() == {name: 200 for name in names}
+        assert len(recorder.spans) == 8 * 200 + 1
+
+    def test_carry_trace_without_a_sink_returns_the_target(self):
+        def target():
+            return 1
+        assert carry_trace(target) is target
+
+
+def _step(timer):
+    with timer.section("pic"):
+        pass
 
 
 class TestExport:
@@ -150,3 +226,33 @@ class TestRender:
         spans = self._trace()
         assert render_traces(spans, run_id="abcdef") != ""
         assert render_traces(spans, run_id="ffff") == ""
+
+    def test_same_line_siblings_fold_with_their_subtrees(self):
+        trace = new_id()
+
+        def make(name, parent, start, end, **attrs):
+            return Span(name=name, trace_id=trace, span_id=new_id(),
+                        parent_id=parent and parent.span_id, start_s=start,
+                        end_s=end, attrs=attrs)
+        root = make("execute", None, 0.0, 1.0, run_id="run-a")
+        spans = [root]
+        for step in range(2):
+            pic = make("workflow.pic", root, 0.1 * step, 0.1 * step + 0.05)
+            spans.append(pic)
+            spans += [make("pic.gather", pic, pic.start_s, pic.start_s + 0.01)
+                      for _ in range(3)]
+        train = make("workflow.mlapp", root, 0.5, 0.6)
+        failed = make("pic.gather", spans[1], 0.01, 0.02)
+        failed.status = "error"
+        spans += [train, failed]
+        spans += [make("dispatch", root, start, start + 0.1, run_id=run)
+                  for start, run in ((0.7, "run-b"), (0.8, "run-c"))]
+        assert render_trace(spans).splitlines() == [
+            "execute (1.00s)  [run_id=run-a]",
+            "├─ workflow.pic ×2 (100.0ms)",
+            "│  ├─ pic.gather ×6 (60.0ms)",
+            "│  └─ pic.gather ! (10.0ms)",
+            "├─ workflow.mlapp (100.0ms)",
+            "├─ dispatch (100.0ms)  [run_id=run-b]",
+            "└─ dispatch (100.0ms)  [run_id=run-c]",
+        ]

@@ -16,6 +16,9 @@ import argparse
 import dataclasses
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -397,3 +400,19 @@ class TestFigureModels:
         assert {owner: [name for name in names if name in vars(owner)]
                 for owner, names in removed.items()} \
             == {owner: [] for owner in removed}
+
+
+def test_every_repro_module_imports_without_scipy():
+    """numpy is the one dependency: with scipy unimportable, every module
+    of the package still imports."""
+    code = ("import importlib, pkgutil, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import repro\n"
+            "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    importlib.import_module(info.name)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from repro import constants
 from repro.utils.rng import derive_seed, seeded_rng, spawn_rngs
 from repro.utils.serialization import jsonable
-from repro.utils.timer import Timer, VirtualClock, WallClock, timed
 from repro.utils.validation import (broadcast_shapes, check_array, check_in,
                                     check_positive, check_probability, check_shape)
 
@@ -131,53 +129,6 @@ class TestJsonable:
     def test_zero_dimensional_arrays_become_scalars(self):
         assert jsonable(np.array(1.5)) == 1.5
         assert jsonable({"a": np.array(2)}) == {"a": 2}
-
-
-class TestTimer:
-    def test_sections_accumulate(self):
-        timer = Timer()
-        with timer.section("a"):
-            pass
-        with timer.section("a"):
-            pass
-        assert timer.counts()["a"] == 2
-        assert timer.totals()["a"] >= 0.0
-        assert timer.mean("a") >= 0.0
-
-    def test_add_and_total(self):
-        timer = Timer()
-        timer.add("io", 1.5)
-        timer.add("io", 0.5)
-        assert timer.totals()["io"] == pytest.approx(2.0)
-        assert timer.total() == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            timer.add("io", -1.0)
-
-    def test_mean_unknown_section(self):
-        with pytest.raises(KeyError):
-            Timer().mean("missing")
-
-    def test_reset(self):
-        timer = Timer()
-        timer.add("x", 1.0)
-        timer.reset()
-        assert timer.totals() == {}
-
-    def test_virtual_clock(self):
-        clock = VirtualClock()
-        timer = Timer(clock=clock)
-        with timer.section("sim"):
-            clock.advance(2.0)
-        assert timer.totals()["sim"] == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            clock.advance(-1.0)
-
-    def test_timed_helper(self):
-        result, times = timed(lambda x: x * 2, 21, repeat=3)
-        assert result == 42
-        assert len(times) == 3
-        with pytest.raises(ValueError):
-            timed(lambda: None, repeat=0)
 
 
 class TestValidation:

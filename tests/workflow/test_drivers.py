@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.telemetry import SpanRecorder, recording, span
 from repro.workflow import (PipelinedDriver, WorkflowBuilder, available_drivers,
                             get_driver)
 from tests.core.test_artificial_scientist import tiny_config
@@ -86,6 +87,40 @@ class TestDriverParity:
             get_driver("warp")
         for name in available_drivers():
             assert name in str(excinfo.value)
+
+
+class TestTiming:
+    @pytest.mark.parametrize("driver", available_drivers())
+    def test_the_report_reads_the_session_timer(self, driver):
+        session = (WorkflowBuilder().config(tiny_config()).driver(driver)
+                   .add_consumer("monitor", kind="histogram-monitor").build())
+        report = session.run(3).report
+        totals = session.timer.totals()
+        assert set(totals) == {"pic", "mlapp", "monitor"}
+        assert session.timer.counts()["pic"] == 3
+        assert report.simulation_time == totals["pic"]
+        assert report.training_time == totals["mlapp"]
+
+    @pytest.mark.parametrize("driver", available_drivers())
+    def test_on_step_hooks_run_outside_the_timed_step(self, driver):
+        def hook(session, index):
+            with span("hook"):
+                pass
+        session = (WorkflowBuilder().config(tiny_config()).driver(driver)
+                   .on_step(hook).build())
+        recorder = SpanRecorder()
+        with recording(recorder), span("execute"):
+            assert session.run(2).ok
+        parents = {s.span_id: s.name for s in recorder.spans}
+        hooks = [s for s in recorder.spans if s.name == "hook"]
+        assert len(hooks) == 2
+        assert all(parents[s.parent_id] == "execute" for s in hooks)
+        assert sum(s.name == "workflow.pic" for s in recorder.spans) == 2
+
+    def test_a_consumer_may_not_take_the_simulation_section_name(self):
+        with pytest.raises(ValueError, match="'pic'"):
+            (WorkflowBuilder().config(tiny_config())
+             .add_consumer("pic", kind="histogram-monitor").build())
 
 
 class TestFailureSurfacing:
