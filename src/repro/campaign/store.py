@@ -21,7 +21,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Set
 
-from repro.utils.serialization import jsonable
+from repro.utils.serialization import jsonable, open_append
 
 #: Run record status values.
 STATUS_COMPLETED = "completed"
@@ -83,23 +83,11 @@ class CampaignStore:
     # -- writing ------------------------------------------------------------ #
     def append(self, record: RunRecord) -> None:
         """Append one record and flush it to disk immediately."""
-        parent = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(parent, exist_ok=True)
-        # a process killed mid-append leaves a partial line without its
-        # newline; start a fresh line so the new record is not glued to
-        # (and lost with) the truncated one
-        needs_newline = False
-        if os.path.exists(self.path) and os.path.getsize(self.path) > 0:
-            with open(self.path, "rb") as tail:
-                tail.seek(-1, os.SEEK_END)
-                needs_newline = tail.read(1) != b"\n"
         # jsonable: numpy scalars to JSON types, non-finite floats to null —
         # a bare NaN token would make the line invalid strict JSON
         row = json.dumps(jsonable(record.to_dict()), sort_keys=True,
                          allow_nan=False)
-        with open(self.path, "a", encoding="utf-8") as handle:
-            if needs_newline:
-                handle.write("\n")
+        with open_append(self.path) as handle:
             handle.write(row + "\n")
             handle.flush()
 

@@ -27,8 +27,12 @@ from typing import Dict, Iterator, List, Optional
 from repro.service.sse import EVENT_DONE, SSEEvent, SSEParser
 
 
-class ServiceError(RuntimeError):
-    """An HTTP-level failure, carrying the status code and error payload."""
+class ServiceError(OSError):
+    """An HTTP-level failure, carrying the status code and error payload.
+
+    An ``OSError``, as urllib's ``HTTPError`` is: a caller that handles a
+    refused connection handles an error answer with the same clause.
+    """
 
     def __init__(self, status: int, message: str) -> None:
         super().__init__(f"HTTP {status}: {message}")
@@ -88,7 +92,7 @@ class ServiceClient:
         while True:
             try:
                 return self.health()
-            except (OSError, ServiceError):
+            except OSError:
                 if time.monotonic() >= deadline:
                     raise TimeoutError(
                         f"service at {self.base_url} not ready after "

@@ -41,8 +41,10 @@ class TraceWriter:
 
     The file (and its directory) is created lazily on the first emit, so
     merely constructing a writer for a campaign that never runs leaves no
-    artifact.  Writes are line-buffered and flushed per span — a reader
-    (or a crashed process's post-mortem) always sees whole lines.
+    artifact; a torn tail line a killed launch left is closed off first
+    (:func:`repro.utils.serialization.open_append`).  Writes are
+    line-buffered and flushed per span — a reader (or a crashed process's
+    post-mortem) always sees whole lines.
     Thread-safe: the scheduler's settle path and the resolve span emit
     from different call sites.
     """
@@ -58,10 +60,9 @@ class TraceWriter:
         line = json.dumps(row, sort_keys=True)
         with self._lock:
             if self._file is None:
-                directory = os.path.dirname(self.path)
-                if directory:
-                    os.makedirs(directory, exist_ok=True)
-                self._file = open(self.path, "a", encoding="utf-8")
+                # imported here so that importing telemetry stays stdlib-only
+                from repro.utils.serialization import open_append
+                self._file = open_append(self.path)
             self._file.write(line + "\n")
             self._file.flush()
 

@@ -1,8 +1,10 @@
-"""JSON serialisation helpers shared by the CLI, the campaign store and the service."""
+"""JSON and JSONL helpers shared by the CLI, the campaign store, the trace
+writer and the service."""
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -27,3 +29,22 @@ def jsonable(value):
     if isinstance(value, (list, tuple)):
         return [jsonable(item) for item in value]
     return value
+
+
+def open_append(path: str):
+    """Open the JSONL file ``path`` for appending whole lines.
+
+    Creates the parent directory.  A process killed mid-append leaves a
+    partial line without its newline; a fresh line is started after it, so
+    the next row is not glued to (and lost with) the torn one.
+    """
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    torn = False
+    if os.path.exists(path) and os.path.getsize(path) > 0:
+        with open(path, "rb") as tail:
+            tail.seek(-1, os.SEEK_END)
+            torn = tail.read(1) != b"\n"
+    handle = open(path, "a", encoding="utf-8")
+    if torn:
+        handle.write("\n")
+    return handle

@@ -185,6 +185,14 @@ class TestRunCommand:
         assert "predicted peak" in out
         assert os.path.exists(os.path.join(checkpoint, "manifest.json"))
 
+    def test_unwritable_checkpoint_exits_2_with_one_line(self, capsys, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        assert cli_main(["run", "--steps", "1", "--preset", "bench-tiny",
+                         "--checkpoint", str(blocker / "ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestPresetsCommand:
     def test_presets_lists_everything(self, capsys):

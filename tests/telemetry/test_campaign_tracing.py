@@ -105,6 +105,19 @@ class TestSerialTracing:
         with open(store.path, encoding="utf-8") as handle:
             assert "trace_id" not in handle.read()
 
+    def test_a_torn_tail_does_not_swallow_the_next_launchs_first_span(
+            self, tmp_path):
+        """A launch killed mid-write leaves a partial line; the next launch
+        starts a fresh line, so its ``resolve`` span reads back."""
+        store = CampaignStore(tmp_path / "t.campaign.jsonl")
+        with open(trace_path_for(store.path), "w", encoding="utf-8") as handle:
+            handle.write('{"name": "campaign", "trace_id": "ab')
+        run_campaign(smoke_spec(name="trace-torn"), store, worker=fake_worker,
+                     max_runs=1)
+        spans = spans_of(store)
+        assert len(by_name(spans, "resolve")) == 1
+        assert len(by_name(spans, "settle")) == 1
+
     def test_disabled_leaves_no_trace_and_counts_nothing(self, tmp_path):
         spec = smoke_spec(name="trace-disabled-unique")
         store = CampaignStore(tmp_path / "t.campaign.jsonl")

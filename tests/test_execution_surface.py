@@ -23,6 +23,7 @@ import sys
 import pytest
 
 import repro.campaign
+import repro.cli
 import repro.core
 import repro.mlcore
 import repro.openpmd
@@ -31,7 +32,7 @@ import repro.streaming
 from repro.campaign import (CampaignSpec, WorkerPool, WorkerPoolExecutor,
                             available_campaign_presets, available_executors,
                             executor_for, get_campaign_preset, get_executor)
-from repro.cli import _build_parser, _campaign_executor
+from repro.cli import _build_parser
 from repro.core.config import StreamingConfig, WorkflowConfig
 from repro.mlcore import functional as F
 from repro.mlcore import init as mlcore_init
@@ -121,7 +122,7 @@ class TestOneResolutionRule:
         argv = ["campaign", "run", "--preset", "campaign-smoke"]
         for key, value in options.items():
             argv += [f"--{key.replace('_', '-')}", str(value)]
-        from_flags = _campaign_executor(_build_parser().parse_args(argv))
+        from_flags = executor_for(vars(_build_parser().parse_args(argv)))
 
         _, body_options = parse_submission(dict(options,
                                                 preset="campaign-smoke"))
@@ -168,7 +169,36 @@ class TestOptionsCensus:
             "--cache-dir", "--executor", "--help", "--json", "--max-runs",
             "--max-workers", "--preset", "--retries", "--spec", "--store",
             "--timeout", "-h"]
+        # submit sends run's spec and executor flags; the store and the
+        # launch size are the service's
+        assert flags_of(_build_parser(), "campaign", "submit") == sorted(
+            set(flags_of(_build_parser(), "campaign", "run"))
+            - {"--store", "--max-runs"} | {"--url"})
+        assert flags_of(_build_parser(), "trace") == [
+            "--help", "--json", "--run", "--store-dir", "-h"]
         assert parameters_of(jsonable) == ["value"]
+
+    def test_every_command_binds_its_handler(self):
+        """A sub-command is declared once, beside its handler: every leaf
+        of the parser carries a callable ``handler`` default."""
+        def leaves(parser, path):
+            subcommands = [action for action in parser._actions
+                           if isinstance(action, argparse._SubParsersAction)]
+            if not subcommands:
+                yield path, parser
+            for action in subcommands:
+                for name, child in action.choices.items():
+                    yield from leaves(child, path + (name,))
+
+        assert [name for name in ("_COMMANDS", "_CAMPAIGN_COMMANDS",
+                                  "_cmd_campaign", "_cmd_bench", "_study_error",
+                                  "_campaign_executor")
+                if hasattr(repro.cli, name)] == []
+        found = dict(leaves(_build_parser(), ()))
+        assert len(found) == 17
+        assert {path: callable(parser.get_default("handler"))
+                for path, parser in found.items()} \
+            == {path: True for path in found}
 
     def test_removed_campaign_options_are_rejected_not_ignored(self, capsys):
         smoke = get_campaign_preset("campaign-smoke").to_dict()
@@ -185,6 +215,11 @@ class TestOptionsCensus:
             assert "unrecognized arguments" in capsys.readouterr().err
         with pytest.raises(TypeError, match="strict"):
             jsonable(float("nan"), strict=False)
+        # a removed flag is not read as a prefix of a surviving one
+        with pytest.raises(SystemExit) as exited:
+            _build_parser().parse_args(["trace", "--store", "x"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --store" in capsys.readouterr().err
 
     def test_the_run_path_takes_exactly_these_options(self):
         assert parameters_of(WorkerPoolExecutor.__init__) == [
