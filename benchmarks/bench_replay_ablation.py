@@ -22,6 +22,7 @@ import pytest
 from repro.continual import InTransitTrainer, TrainingBuffer, TrainingSample
 from repro.mlcore.optim import Adam
 from repro.models import ArtificialScientistModel, ModelConfig
+from repro.models.config import POINT_DIM
 
 
 CFG = ModelConfig(n_input_points=32, encoder_channels=(16, 32), encoder_head_hidden=24,
@@ -32,7 +33,7 @@ CFG = ModelConfig(n_input_points=32, encoder_channels=(16, 32), encoder_head_hid
 def make_phase_samples(rng, drift, n, step0):
     samples = []
     for i in range(n):
-        cloud = rng.normal(scale=0.05, size=(CFG.n_input_points, CFG.point_dim))
+        cloud = rng.normal(scale=0.05, size=(CFG.n_input_points, POINT_DIM))
         cloud[:, 3] += drift
         spectrum = np.clip(rng.random(CFG.spectrum_dim) * 0.2 + (0.5 + drift), 0, 1)
         samples.append(TrainingSample(point_cloud=cloud, spectrum=spectrum,

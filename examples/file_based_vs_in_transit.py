@@ -49,7 +49,7 @@ def workflow_config() -> WorkflowConfig:
         khi=KHIConfig(grid_shape=(8, 16, 2), particles_per_cell=4, seed=21),
         ml=MLConfig(model=model, n_rep=2, base_learning_rate=1e-3),
         streaming=StreamingConfig(queue_limit=2),
-        region_counts=(1, 4, 1), n_detector_directions=2, n_detector_frequencies=8,
+        region_counts=(1, 4, 1), n_detector_directions=2,
         seed=31)
 
 
@@ -63,7 +63,7 @@ def run_file_based(config: WorkflowConfig, n_steps: int, directory: str) -> dict
                                          n_frequencies=config.n_detector_frequencies)
     partition = RegionPartition(config.khi.grid_config, config.region_counts)
     simulation.add_plugin(StreamingProducerPlugin(writer, detector, partition,
-                                                  n_points=config.n_points_per_sample))
+                                                  n_points=config.ml.model.n_input_points))
     simulation.run(n_steps)
     produce_time = time.perf_counter() - start
 

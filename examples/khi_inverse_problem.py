@@ -38,7 +38,6 @@ def build_config() -> WorkflowConfig:
         streaming=StreamingConfig(queue_limit=2),
         region_counts=(1, 6, 1),
         n_detector_directions=3,
-        n_detector_frequencies=8,
         seed=7,
     )
 

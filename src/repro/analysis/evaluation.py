@@ -23,7 +23,7 @@ import numpy as np
 from repro.analysis.classifier import LatentRegimeClassifier
 from repro.analysis.histograms import (detects_two_populations, histogram_distance,
                                        mean_momentum, momentum_histogram, peak_momentum)
-from repro.analysis.regions import REGION_NAMES
+from repro.analysis.regions import FLOW_MOMENTUM_COLUMN, REGION_NAMES
 from repro.continual.buffer import TrainingSample
 from repro.models.model import ArtificialScientistModel
 from repro.utils.rng import RandomState, seeded_rng
@@ -87,9 +87,9 @@ class InversionReport:
         }
 
 
-def _momentum_from_cloud(cloud: np.ndarray, momentum_axis: int = 3) -> np.ndarray:
+def _momentum_from_cloud(cloud: np.ndarray) -> np.ndarray:
     """Extract the detector-direction momentum column from (…, 6) point clouds."""
-    return np.asarray(cloud)[..., momentum_axis]
+    return np.asarray(cloud)[..., FLOW_MOMENTUM_COLUMN]
 
 
 def evaluate_inversion(model: ArtificialScientistModel,

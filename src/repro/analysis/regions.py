@@ -18,11 +18,17 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from repro.pic.khi import FLOW_AXIS, SHEAR_AXIS
 from repro.pic.pusher import wrap_periodic
 
 REGION_APPROACHING = 0
 REGION_RECEDING = 1
 REGION_VORTEX = 2
+
+#: Column of a streamed point cloud (3 positions, then 3 momenta, see
+#: :func:`repro.core.transforms.encode_point_cloud`) that holds the momentum
+#: along the flow, towards the detector.
+FLOW_MOMENTUM_COLUMN = 3 + FLOW_AXIS
 
 REGION_NAMES: Dict[int, str] = {
     REGION_APPROACHING: "approaching",
@@ -37,9 +43,13 @@ def shear_surface_positions(extent_shear: float) -> Tuple[float, float]:
 
 
 def label_particles(positions: np.ndarray, momenta: np.ndarray,
-                    extent: Sequence[float], shear_axis: int = 1, flow_axis: int = 0,
+                    extent: Sequence[float],
                     vortex_half_width: float | None = None) -> np.ndarray:
     """Label each particle as approaching / receding / vortex.
+
+    The geometry is the KHI setup's: flow along
+    :data:`repro.pic.khi.FLOW_AXIS`, shear along
+    :data:`repro.pic.khi.SHEAR_AXIS`.
 
     Parameters
     ----------
@@ -47,9 +57,6 @@ def label_particles(positions: np.ndarray, momenta: np.ndarray,
         ``(N, 3)`` arrays (metres / dimensionless ``gamma beta``).
     extent:
         Physical box size.
-    shear_axis, flow_axis:
-        Geometry of the KHI configuration (defaults match
-        :class:`repro.pic.khi.KHIConfig`).
     vortex_half_width:
         Particles within this distance of a shear surface are labelled
         vortex; defaults to 10 % of the box size along the shear axis.
@@ -62,14 +69,14 @@ def label_particles(positions: np.ndarray, momenta: np.ndarray,
     momenta = np.asarray(momenta, dtype=np.float64)
     if positions.shape != momenta.shape or positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions and momenta must both have shape (N, 3)")
-    extent_shear = float(extent[shear_axis])
+    extent_shear = float(extent[SHEAR_AXIS])
     if vortex_half_width is None:
         vortex_half_width = 0.10 * extent_shear
-    y = wrap_periodic(positions[:, shear_axis], extent_shear)
+    y = wrap_periodic(positions[:, SHEAR_AXIS], extent_shear)
     s1, s2 = shear_surface_positions(extent_shear)
     near_shear = (np.abs(y - s1) < vortex_half_width) | (np.abs(y - s2) < vortex_half_width)
 
-    labels = np.where(momenta[:, flow_axis] > 0.0, REGION_APPROACHING, REGION_RECEDING)
+    labels = np.where(momenta[:, FLOW_AXIS] > 0.0, REGION_APPROACHING, REGION_RECEDING)
     labels = np.where(near_shear, REGION_VORTEX, labels)
     return labels.astype(np.int64)
 

@@ -31,8 +31,7 @@ def _smoke_base_config() -> WorkflowConfig:
         khi=KHIConfig(grid_shape=(6, 12, 2), particles_per_cell=3, seed=9),
         ml=MLConfig(model=model, n_rep=1, base_learning_rate=1e-3),
         streaming=StreamingConfig(queue_limit=2),
-        region_counts=(1, 4, 1), n_detector_directions=1,
-        n_detector_frequencies=8, seed=123)
+        region_counts=(1, 4, 1), n_detector_directions=1, seed=123)
 
 
 def _campaign_smoke() -> CampaignSpec:

@@ -94,7 +94,7 @@ def _khi_info(_: argparse.Namespace) -> int:
     print("Section IV-A KHI setup (paper constants):")
     print(f"  smallest volume      : {'x'.join(str(n) for n in paper.grid_shape)} cells "
           f"on {constants.PAPER_SMALLEST_GPUS} GPUs")
-    print(f"  cell size            : {paper.cell_size * 1e6:.1f} um (cubic)")
+    print(f"  cell size            : {constants.PAPER_CELL_SIZE * 1e6:.1f} um (cubic)")
     print(f"  paper time step      : {constants.PAPER_TIME_STEP * 1e15:.1f} fs")
     print(f"  density              : {constants.PAPER_DENSITY:.1e} 1/m^3")
     print(f"  stream velocity      : beta = {paper.beta}")

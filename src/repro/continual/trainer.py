@@ -69,23 +69,17 @@ class InTransitTrainer:
 
     def __init__(self, model: ArtificialScientistModel, optimizer: Optimizer,
                  buffer: TrainingBuffer, loss: Optional[CombinedLoss] = None,
-                 n_rep: int = 4, max_grad_norm: Optional[float] = None,
-                 scheduler=None) -> None:
+                 n_rep: int = 4) -> None:
         if n_rep < 1:
             raise ValueError("n_rep must be >= 1")
-        if max_grad_norm is not None and max_grad_norm <= 0:
-            raise ValueError("max_grad_norm must be positive")
         self.model = model
         self.optimizer = optimizer
         self.buffer = buffer
         self.loss = loss or CombinedLoss()
         self.n_rep = int(n_rep)
-        self.max_grad_norm = max_grad_norm
-        self.scheduler = scheduler
         self.history = TrainingHistory()
         self.timer = Timer("continual")
         self.samples_consumed = 0
-        self.gradient_norms: List[float] = []
 
     # -- the in-transit step --------------------------------------------------- #
     def train_on_stream_step(self, samples: Sequence[TrainingSample], step: int) -> float:
@@ -112,13 +106,7 @@ class InTransitTrainer:
             self.optimizer.zero_grad()
             total.backward()
         with self.timer.section("optimizer"):
-            if self.max_grad_norm is not None:
-                from repro.mlcore.schedulers import clip_gradient_norm
-                self.gradient_norms.append(
-                    clip_gradient_norm(self.model.parameters(), self.max_grad_norm))
             self.optimizer.step()
-            if self.scheduler is not None:
-                self.scheduler.step()
         self.history.append(step, self.loss.last_terms)
         return float(total.item())
 

@@ -10,14 +10,13 @@ and coerced back on load; unknown keys raise with the valid choices listed.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import typing
 from dataclasses import dataclass, field, fields
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.models.config import ModelConfig
 from repro.pic.khi import KHIConfig
+from repro.utils.validation import check_int, is_finite_real
 
 
 def _dataclass_to_dict(obj) -> Dict[str, object]:
@@ -58,18 +57,6 @@ def _dataclass_from_dict(cls, data: Mapping[str, object]):
     return cls(**kwargs)
 
 
-def _check_int(name: str, value: object, minimum: int) -> None:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
-            or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
-
-
-def _finite(value: object) -> bool:
-    """Whether ``value`` is a finite real number (a bool is not)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
-        and math.isfinite(value)
-
-
 @dataclass
 class StreamingConfig:
     """Streaming-layer knobs of the coupled run."""
@@ -87,9 +74,9 @@ class StreamingConfig:
         # checked here, not when the session is built, so that a campaign
         # spec or --config file carrying an unrunnable value fails at resolve
         for name in ("queue_limit", "sample_interval"):
-            _check_int(name, getattr(self, name), 1)
+            check_int(name, getattr(self, name), 1)
         fraction = self.particle_subsample_fraction
-        if not (_finite(fraction) and 0.0 < fraction <= 1.0):
+        if not (is_finite_real(fraction) and 0.0 < fraction <= 1.0):
             raise ValueError(f"particle_subsample_fraction must lie in (0, 1], "
                              f"got {fraction!r}")
         if not isinstance(self.reduce_precision, bool):
@@ -121,25 +108,18 @@ class MLConfig:
     n_ep: int = 4
     base_learning_rate: float = 1.0e-3   #: laptop-scale default (paper: 1e-6 at scale)
     m_vae: float = 1.0                   #: l_VAE / l_INN ratio
-    n_points_per_sample: Optional[int] = None  #: defaults to model.n_input_points
-    max_grad_norm: Optional[float] = None      #: global-norm gradient clipping
-    warmup_steps: int = 0                      #: linear LR warm-up iterations
 
     def __post_init__(self) -> None:
         # checked here, as StreamingConfig does, so that a campaign spec or
         # --config file carrying a value that cannot train fails at resolve:
         # a NaN rate trains to a NaN loss, a negative m_vae ascends the VAE
-        _check_int("n_rep", self.n_rep, 1)
-        _check_int("warmup_steps", self.warmup_steps, 0)
-        if not (_finite(self.base_learning_rate) and self.base_learning_rate >= 0):
+        check_int("n_rep", self.n_rep, 1)
+        if not (is_finite_real(self.base_learning_rate)
+                and self.base_learning_rate >= 0):
             raise ValueError(f"base_learning_rate must be finite and >= 0, "
                              f"got {self.base_learning_rate!r}")
-        if not (_finite(self.m_vae) and self.m_vae > 0):
+        if not (is_finite_real(self.m_vae) and self.m_vae > 0):
             raise ValueError(f"m_vae must be finite and > 0, got {self.m_vae!r}")
-        if self.max_grad_norm is not None and not (
-                _finite(self.max_grad_norm) and self.max_grad_norm > 0):
-            raise ValueError(f"max_grad_norm must be null or finite and > 0, "
-                             f"got {self.max_grad_norm!r}")
 
 
 @dataclass
@@ -157,25 +137,25 @@ class WorkflowConfig:
     streaming: StreamingConfig = field(default_factory=StreamingConfig)
     #: sub-volume grid (regions along x, y, z) used to cut local point clouds
     region_counts: Tuple[int, int, int] = (1, 4, 1)
-    #: radiation detector resolution; directions * frequencies must equal
-    #: the model's spectrum_dim
+    #: radiation detector directions; each sees the model's spectrum_dim /
+    #: n_detector_directions frequencies
     n_detector_directions: int = 2
-    n_detector_frequencies: int = 8
     seed: int = 2024
 
     def __post_init__(self) -> None:
-        spectrum_dim = self.n_detector_directions * self.n_detector_frequencies
-        if spectrum_dim != self.ml.model.spectrum_dim:
+        check_int("n_detector_directions", self.n_detector_directions, 1)
+        spectrum_dim = self.ml.model.spectrum_dim
+        if spectrum_dim % self.n_detector_directions:
             raise ValueError(
-                f"detector resolution ({self.n_detector_directions} directions × "
-                f"{self.n_detector_frequencies} frequencies = {spectrum_dim}) must match "
-                f"the model's spectrum_dim ({self.ml.model.spectrum_dim})")
+                f"n_detector_directions ({self.n_detector_directions}) must "
+                f"divide the model's spectrum_dim ({spectrum_dim})")
         if any(c < 1 for c in self.region_counts):
             raise ValueError("region_counts entries must be >= 1")
 
     @property
-    def n_points_per_sample(self) -> int:
-        return self.ml.n_points_per_sample or self.ml.model.n_input_points
+    def n_detector_frequencies(self) -> int:
+        """Frequencies per detector direction: the spectrum is split evenly."""
+        return self.ml.model.spectrum_dim // self.n_detector_directions
 
     @property
     def n_regions(self) -> int:
@@ -193,7 +173,6 @@ class WorkflowConfig:
             "streaming": _dataclass_to_dict(self.streaming),
             "region_counts": list(self.region_counts),
             "n_detector_directions": self.n_detector_directions,
-            "n_detector_frequencies": self.n_detector_frequencies,
             "seed": self.seed,
         }
 
@@ -207,7 +186,7 @@ class WorkflowConfig:
         """
         check_keys("WorkflowConfig", data,
                    {"khi", "ml", "streaming", "region_counts",
-                    "n_detector_directions", "n_detector_frequencies", "seed"})
+                    "n_detector_directions", "seed"})
         kwargs: Dict[str, object] = {}
         if "khi" in data:
             kwargs["khi"] = _dataclass_from_dict(KHIConfig, data["khi"])
@@ -224,7 +203,7 @@ class WorkflowConfig:
                                                        data["streaming"])
         if "region_counts" in data:
             kwargs["region_counts"] = tuple(data["region_counts"])
-        for key in ("n_detector_directions", "n_detector_frequencies", "seed"):
+        for key in ("n_detector_directions", "seed"):
             if key in data:
                 kwargs[key] = data[key]
         return cls(**kwargs)

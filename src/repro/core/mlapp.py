@@ -32,13 +32,8 @@ def build_trainer(config: MLConfig, rng: RandomState = None) -> InTransitTrainer
     buffer = TrainingBuffer(now_size=config.now_buffer_size,
                             ep_size=config.ep_buffer_size,
                             n_now=config.n_now, n_ep=config.n_ep, rng=rng)
-    scheduler = None
-    if config.warmup_steps > 0:
-        from repro.mlcore.schedulers import WarmupScheduler
-        scheduler = WarmupScheduler(optimizer, warmup_steps=config.warmup_steps)
     return InTransitTrainer(model, optimizer, buffer, loss=CombinedLoss(),
-                            n_rep=config.n_rep, max_grad_norm=config.max_grad_norm,
-                            scheduler=scheduler)
+                            n_rep=config.n_rep)
 
 
 class MLApp:

@@ -15,9 +15,7 @@ implements the pieces the MLapp actually relies on, and nothing else:
   an inverse multi-quadratic kernel and a Sinkhorn-based earth mover's
   distance,
 * :mod:`repro.mlcore.optim` — Adam with the paper's hyper-parameters,
-  VAE/INN parameter groups and square-root learning-rate scaling,
-* :mod:`repro.mlcore.schedulers` — learning-rate warm-up and gradient
-  clipping.
+  VAE/INN parameter groups and square-root learning-rate scaling.
 
 Data-parallel training across ranks is modelled, not executed: the Fig. 8
 weak-scaling study is :mod:`repro.perfmodel.ddp`.
@@ -29,10 +27,8 @@ from repro.mlcore import functional
 from repro.mlcore import layers
 from repro.mlcore import losses
 from repro.mlcore import optim
-from repro.mlcore import schedulers
 
 __all__ = [
-    "schedulers",
     "Tensor",
     "no_grad",
     "Module",

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
+
+#: Per-particle features of a point cloud: 3 positions, then 3 momenta
+#: (the layout :func:`repro.core.transforms.encode_point_cloud` writes).
+POINT_DIM = 6
 
 
 @dataclass(frozen=True)
@@ -14,8 +18,6 @@ class ModelConfig:
     ----------
     n_input_points:
         Particles per input point cloud (paper: 3·10⁴).
-    point_dim:
-        Per-particle features — 3 positions + 3 momenta.
     encoder_channels:
         Channel progression of the 1×1 convolutions (paper:
         6 → 16 → 32 → 64 → 128 → 256 → 608).
@@ -29,7 +31,8 @@ class ModelConfig:
     decoder_channels:
         Channel progression of the 3D deconvolutions (paper: 16 → 8 → 6);
         each stage doubles every spatial dimension, so the paper's decoder
-        outputs 16³ = 4096 particles with 6 features each.
+        outputs 16³ = 4096 particles with :data:`POINT_DIM` features
+        each.
     spectrum_dim:
         Length of the encoded radiation spectrum.  The INN's forward output
         is split into ``[spectrum_dim | latent_dim - spectrum_dim]``.
@@ -41,7 +44,6 @@ class ModelConfig:
     """
 
     n_input_points: int = 128
-    point_dim: int = 6
     encoder_channels: Tuple[int, ...] = (16, 32, 64)
     encoder_head_hidden: int = 48
     latent_dim: int = 32
@@ -56,8 +58,9 @@ class ModelConfig:
             raise ValueError("latent_dim must be even (coupling blocks split it in half)")
         if not 0 < self.spectrum_dim < self.latent_dim:
             raise ValueError("spectrum_dim must lie strictly between 0 and latent_dim")
-        if self.decoder_channels[-1] != self.point_dim:
-            raise ValueError("the last decoder channel count must equal point_dim")
+        if self.decoder_channels[-1] != POINT_DIM:
+            raise ValueError(f"the last decoder channel count must equal "
+                             f"POINT_DIM ({POINT_DIM})")
         if self.n_input_points < 1:
             raise ValueError("n_input_points must be positive")
 
@@ -83,7 +86,6 @@ def paper_config() -> ModelConfig:
     """The architecture exactly as described in Section IV-C of the paper."""
     return ModelConfig(
         n_input_points=30_000,
-        point_dim=6,
         encoder_channels=(16, 32, 64, 128, 256, 608),
         encoder_head_hidden=544,
         latent_dim=544,

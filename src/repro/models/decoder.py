@@ -18,7 +18,7 @@ from repro.utils.rng import RandomState, seeded_rng
 
 
 class PointCloudDecoder(Module):
-    """Map latent vectors ``(B, latent_dim)`` to point clouds ``(B, M, point_dim)``."""
+    """Map latent vectors ``(B, latent_dim)`` to point clouds ``(B, M, POINT_DIM)``."""
 
     def __init__(self, config: ModelConfig, rng: RandomState = None) -> None:
         super().__init__()

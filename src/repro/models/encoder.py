@@ -14,19 +14,19 @@ from typing import Tuple
 from repro.mlcore.layers import MLP, MaxPoolPoints, PointwiseConv, ReLU, Sequential
 from repro.mlcore.module import Module
 from repro.mlcore.tensor import Tensor
-from repro.models.config import ModelConfig
+from repro.models.config import POINT_DIM, ModelConfig
 from repro.utils.rng import RandomState, seeded_rng
 
 
 class PointNetEncoder(Module):
-    """Map a batch of point clouds ``(B, N, point_dim)`` to ``(mu, log_var)``."""
+    """Map a batch of point clouds ``(B, N, POINT_DIM)`` to ``(mu, log_var)``."""
 
     def __init__(self, config: ModelConfig, rng: RandomState = None) -> None:
         super().__init__()
         rng = seeded_rng(rng)
         self.config = config
         layers = []
-        channels = (config.point_dim,) + tuple(config.encoder_channels)
+        channels = (POINT_DIM,) + tuple(config.encoder_channels)
         for c_in, c_out in zip(channels[:-1], channels[1:]):
             layers.append(PointwiseConv(c_in, c_out, rng=rng))
             layers.append(ReLU())
@@ -39,9 +39,9 @@ class PointNetEncoder(Module):
                                 rng=rng)
 
     def forward(self, point_cloud: Tensor) -> Tuple[Tensor, Tensor]:
-        if point_cloud.ndim != 3 or point_cloud.shape[-1] != self.config.point_dim:
+        if point_cloud.ndim != 3 or point_cloud.shape[-1] != POINT_DIM:
             raise ValueError(
-                f"expected point clouds of shape (B, N, {self.config.point_dim})")
+                f"expected point clouds of shape (B, N, {POINT_DIM})")
         features = self.point_features(point_cloud)     # (B, N, C)
         pooled = self.pool(features)                     # (B, C)
         mu = self.mu_head(pooled)

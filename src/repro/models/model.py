@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.mlcore.module import Module, Parameter
 from repro.mlcore.tensor import Tensor, no_grad
-from repro.models.config import ModelConfig
+from repro.models.config import POINT_DIM, ModelConfig
 from repro.models.inn import InvertibleNetwork
 from repro.models.vae import VariationalAutoEncoder
 from repro.utils.rng import RandomState, seeded_rng
@@ -33,7 +33,7 @@ from repro.utils.rng import RandomState, seeded_rng
 class ModelOutput:
     """All tensors produced by one full training pass."""
 
-    reconstruction: Tensor        #: decoded point cloud (B, M, point_dim)
+    reconstruction: Tensor        #: decoded point cloud (B, M, POINT_DIM)
     mu: Tensor                    #: encoder mean (B, latent_dim)
     log_var: Tensor               #: encoder log variance (B, latent_dim)
     latent: Tensor                #: sampled latent z (B, latent_dim)
@@ -100,12 +100,11 @@ class ArtificialScientistModel(Module):
 
         Returns
         -------
-        Array of shape ``(B, n_samples, M, point_dim)``.
+        Array of shape ``(B, n_samples, M, POINT_DIM)``.
         """
         spectrum = np.atleast_2d(np.asarray(spectrum, dtype=np.float64))
         batch = spectrum.shape[0]
-        outputs = np.zeros((batch, n_samples, self.config.n_output_points,
-                            self.config.point_dim))
+        outputs = np.zeros((batch, n_samples, self.config.n_output_points, POINT_DIM))
         with no_grad():
             for sample in range(n_samples):
                 normal = Tensor(self._rng.standard_normal((batch, self.config.normal_dim)))

@@ -112,8 +112,6 @@ def reference_step(simulation: PICSimulation) -> None:
 
     grid.clear_currents()
     for s in simulation.species:
-        if not s.pushed:
-            continue
         with timer.section("gather"):
             e_at_p, b_at_p = gather_fields_reference(grid, s.positions)
         with timer.section("push"):
@@ -141,14 +139,13 @@ def _bench_config(grid_shape=BENCH_TINY_GRID, seed: int = 11) -> KHIConfig:
 
 
 def _stay_fraction(simulation) -> float:
-    """Step once; the share of pushed particles that kept their cell."""
+    """Step once; the share of particles that kept their cell."""
     cell = np.asarray(simulation.grid.config.cell_size)
-    pushed = [s for s in simulation.species if s.pushed]
-    before = [np.floor(s.positions / cell) for s in pushed]
+    before = [np.floor(s.positions / cell) for s in simulation.species]
     simulation.step()
     return float(np.mean(np.concatenate(
         [(np.floor(s.positions / cell) == cells).all(axis=1)
-         for s, cells in zip(pushed, before)])))
+         for s, cells in zip(simulation.species, before)])))
 
 
 def _time_kernel(kernel: str, n_steps: int, warmup: int,

@@ -528,8 +528,6 @@ def boris_push_fused(species: ParticleSpecies, e_fields: np.ndarray,
     transposed back into ``species.momenta`` — no ``(N, 3)`` intermediate is
     allocated and no strided column is walked more than once.
     """
-    if not species.pushed:
-        return
     if dt <= 0:
         raise ValueError("dt must be positive")
     e_fields = np.asarray(e_fields, dtype=np.float64)

@@ -7,15 +7,14 @@ normalised velocity ``beta = v/c = 0.2``, particle density ``n0 = 1e25 m^-3``,
 along ``y`` (two shear surfaces because of the periodic box, see Fig. 1).
 
 :func:`make_khi_simulation` builds a ready-to-run :class:`PICSimulation`
-with electrons following the shear-flow profile and an immobile,
-charge-neutralising proton background.  A small sinusoidal velocity
+with electrons following the shear-flow profile and co-drifting,
+charge- and current-neutralising protons.  A small sinusoidal velocity
 perturbation plus thermal noise seeds the instability.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -25,6 +24,20 @@ from repro.pic.grid import GridConfig
 from repro.pic.particles import ParticleSpecies
 from repro.pic.simulation import PICSimulation, SimulationConfig
 from repro.utils.rng import RandomState, seeded_rng
+from repro.utils.validation import check_int, is_finite_real
+
+
+#: Geometry of the setup: the streams flow along x and the velocity
+#: changes sign along y.  Region labels, the streamed momentum histogram and
+#: the inversion's evaluation all read these.
+FLOW_AXIS = 0
+SHEAR_AXIS = 1
+#: Thermal spread of every velocity component (units of c).
+THERMAL_BETA = 0.005
+#: Seed perturbation: a transverse velocity of this fraction of ``beta``,
+#: sinusoidal along the flow with one period across the box.
+PERTURBATION_AMPLITUDE = 0.01
+PERTURBATION_MODES = 1
 
 
 @dataclass
@@ -33,11 +46,12 @@ class KHIConfig:
 
     The defaults are scaled-down but keep the paper's dimensionless
     parameters (``beta``, particles per cell).  Use :meth:`paper` for the
-    full Section IV-A configuration.
+    full Section IV-A configuration.  Cells are the paper's cubes of
+    :data:`repro.constants.PAPER_CELL_SIZE` and the time step is the grid's
+    Courant step.
     """
 
     grid_shape: Tuple[int, int, int] = (16, 32, 4)
-    cell_size: float = constants.PAPER_CELL_SIZE
     #: Default density is reduced with respect to the paper's 1e25 m^-3 so
     #: that the *default* (coarse, laptop-sized) grid still resolves the
     #: plasma frequency and skin depth (a few cells per skin depth); the
@@ -46,27 +60,25 @@ class KHIConfig:
     density: float = 4.0e20
     beta: float = constants.PAPER_BETA
     particles_per_cell: int = constants.PAPER_PARTICLES_PER_CELL
-    thermal_beta: float = 0.005
-    perturbation_amplitude: float = 0.01
-    perturbation_modes: int = 1
-    flow_axis: int = 0          #: streams flow along x
-    shear_axis: int = 1         #: velocity changes sign along y
-    #: ``True`` uses a static neutralising background (cheaper, but the
-    #: electron streams then carry a net current); ``False`` (default, the
-    #: physical KHI setup of the paper) loads co-drifting protons so each
-    #: stream is current neutral and the instability grows from noise.
-    immobile_ions: bool = False
-    dt: Optional[float] = None
     seed: Optional[int] = 42
 
     def __post_init__(self) -> None:
+        # checked here, not when the simulation is built, so that a campaign
+        # spec or --config file carrying an unrunnable value fails at resolve
+        if len(self.grid_shape) != 3:
+            raise ValueError(f"grid_shape must be three integers >= 1, "
+                             f"got {self.grid_shape!r}")
+        for cells in self.grid_shape:
+            check_int("grid_shape entries", cells, 1)
         if self.particles_per_cell < 1:
             raise ValueError(f"particles_per_cell must be >= 1, "
                              f"got {self.particles_per_cell!r}")
-        # checked here, not only by SimulationConfig, so that a campaign
-        # spec or --config file carrying a NaN fails when it is resolved
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt!r}")
+        if not (is_finite_real(self.density) and self.density > 0):
+            raise ValueError(f"density must be finite and > 0, "
+                             f"got {self.density!r}")
+        if not (is_finite_real(self.beta) and 0 < self.beta < 1):
+            raise ValueError(f"beta must be finite with 0 < beta < 1, "
+                             f"got {self.beta!r}")
 
     @classmethod
     def paper(cls) -> "KHIConfig":
@@ -75,7 +87,8 @@ class KHIConfig:
 
     @property
     def grid_config(self) -> GridConfig:
-        return GridConfig(shape=self.grid_shape, cell_size=(self.cell_size,) * 3)
+        return GridConfig(shape=self.grid_shape,
+                          cell_size=(constants.PAPER_CELL_SIZE,) * 3)
 
     @property
     def n_macro_electrons(self) -> int:
@@ -84,7 +97,7 @@ class KHIConfig:
     @property
     def macro_weight(self) -> float:
         """Real electrons represented by one macro-particle."""
-        cell_volume = self.cell_size ** 3
+        cell_volume = constants.PAPER_CELL_SIZE ** 3
         return self.density * cell_volume / self.particles_per_cell
 
     @property
@@ -92,14 +105,13 @@ class KHIConfig:
         return constants.plasma_frequency(self.density)
 
     def omega_p_dt(self) -> float:
-        """Plasma frequency times the (effective) time step.
+        """Plasma frequency times the time step.
 
         Explicit PIC requires ``omega_p * dt < 2`` for stability; well below
         that for accuracy.  :func:`make_khi_simulation` warns when the
         configuration violates this.
         """
-        dt = self.dt if self.dt is not None else self.grid_config.courant_time_step()
-        return self.plasma_frequency * dt
+        return self.plasma_frequency * self.grid_config.courant_time_step()
 
 
 def _shear_velocity_profile(y: np.ndarray, extent_y: float, beta: float) -> np.ndarray:
@@ -120,8 +132,8 @@ def make_khi_simulation(config: KHIConfig | None = None,
         import warnings
         warnings.warn(
             f"omega_p * dt = {config.omega_p_dt():.2f} > 2: the explicit PIC "
-            "scheme is unstable for this density/time-step combination; "
-            "reduce the density, the cell size or the time step",
+            "scheme is unstable at this density on the paper's cells and "
+            "Courant step; reduce the density",
             RuntimeWarning, stacklevel=2)
     rng = seeded_rng(config.seed if rng is None else rng)
     grid_config = config.grid_config
@@ -132,18 +144,18 @@ def make_khi_simulation(config: KHIConfig | None = None,
     # keeps density noise low without costing extra memory.
     positions = rng.uniform(0.0, 1.0, size=(n_macro, 3)) * np.asarray(extent)
 
-    beta_flow = _shear_velocity_profile(positions[:, config.shear_axis],
-                                        extent[config.shear_axis], config.beta)
+    beta_flow = _shear_velocity_profile(positions[:, SHEAR_AXIS],
+                                        extent[SHEAR_AXIS], config.beta)
     # seed perturbation: small sinusoidal transverse velocity along the flow axis
-    k = 2.0 * np.pi * config.perturbation_modes / extent[config.flow_axis]
-    perturbation = config.perturbation_amplitude * config.beta * np.sin(
-        k * positions[:, config.flow_axis])
+    k = 2.0 * np.pi * PERTURBATION_MODES / extent[FLOW_AXIS]
+    perturbation = PERTURBATION_AMPLITUDE * config.beta * np.sin(
+        k * positions[:, FLOW_AXIS])
 
     beta_vec = np.zeros((n_macro, 3))
-    beta_vec[:, config.flow_axis] = beta_flow
-    beta_vec[:, config.shear_axis] = perturbation
+    beta_vec[:, FLOW_AXIS] = beta_flow
+    beta_vec[:, SHEAR_AXIS] = perturbation
     # thermal spread
-    beta_vec += rng.normal(0.0, config.thermal_beta, size=(n_macro, 3))
+    beta_vec += rng.normal(0.0, THERMAL_BETA, size=(n_macro, 3))
     speed = np.linalg.norm(beta_vec, axis=1)
     np.clip(speed, None, 0.99, out=speed)
     gamma = 1.0 / np.sqrt(1.0 - speed ** 2)
@@ -151,28 +163,17 @@ def make_khi_simulation(config: KHIConfig | None = None,
 
     weights = np.full(n_macro, config.macro_weight)
     electrons = ParticleSpecies.electrons(positions, momenta, weights)
-
-    sim_config = SimulationConfig(grid=grid_config, dt=config.dt)
-    simulation = PICSimulation(sim_config, species=[electrons])
-
-    if config.immobile_ions:
-        # Charge-neutralising background at the same positions: with equal
-        # weights the net charge density starts at exactly zero everywhere.
-        ions = ParticleSpecies.protons(positions.copy(), np.zeros((n_macro, 3)),
-                                       weights.copy(), pushed=False)
-        simulation.add_species(ions)
-    else:
-        # Co-drifting protons: each stream is both charge and current
-        # neutral, so fields start at noise level and the shear-driven
-        # instability can grow out of it (the setup of Fig. 1).
-        ion_beta = np.zeros((n_macro, 3))
-        ion_beta[:, config.flow_axis] = beta_flow
-        ion_speed = np.abs(beta_flow)
-        ion_gamma = 1.0 / np.sqrt(1.0 - ion_speed ** 2)
-        ion_momenta = ion_beta * ion_gamma[:, None]
-        ions = ParticleSpecies.protons(positions.copy(), ion_momenta,
-                                       weights.copy(), pushed=True)
-        simulation.add_species(ions)
+    # Co-drifting protons: each stream is both charge and current neutral,
+    # so fields start at noise level and the shear-driven instability can
+    # grow out of it (the setup of Fig. 1).
+    ion_beta = np.zeros((n_macro, 3))
+    ion_beta[:, FLOW_AXIS] = beta_flow
+    ion_speed = np.abs(beta_flow)
+    ion_gamma = 1.0 / np.sqrt(1.0 - ion_speed ** 2)
+    ion_momenta = ion_beta * ion_gamma[:, None]
+    ions = ParticleSpecies.protons(positions.copy(), ion_momenta, weights.copy())
+    simulation = PICSimulation(SimulationConfig(grid=grid_config),
+                               species=[electrons, ions])
 
     simulation.initialize_fields_from_charge()
     return simulation

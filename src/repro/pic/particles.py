@@ -36,9 +36,6 @@ class ParticleSpecies:
         Array of shape ``(N, 3)``, dimensionless ``gamma * beta``.
     weights:
         Array of shape ``(N,)``; number of real particles per macro-particle.
-    pushed:
-        Whether this species is advanced by the pusher (immobile neutralising
-        backgrounds set this to ``False``).
     """
 
     name: str
@@ -47,7 +44,6 @@ class ParticleSpecies:
     positions: np.ndarray
     momenta: np.ndarray
     weights: np.ndarray
-    pushed: bool = True
 
     def __post_init__(self) -> None:
         self.positions = check_array(self.positions, "positions", dtype=np.float64, ndim=2)
@@ -96,8 +92,7 @@ class ParticleSpecies:
             name=self.name, charge=self.charge, mass=self.mass,
             positions=self.positions[mask].copy(),
             momenta=self.momenta[mask].copy(),
-            weights=self.weights[mask].copy(),
-            pushed=self.pushed)
+            weights=self.weights[mask].copy())
 
     def sample(self, n: int, rng: np.random.Generator,
                replace: Optional[bool] = None) -> "ParticleSpecies":
@@ -124,8 +119,7 @@ class ParticleSpecies:
 
     @staticmethod
     def protons(positions: np.ndarray, momenta: np.ndarray,
-                weights: np.ndarray, pushed: bool = False) -> "ParticleSpecies":
-        """Convenience constructor for a (by default immobile) proton background."""
+                weights: np.ndarray) -> "ParticleSpecies":
+        """Convenience constructor for a proton species."""
         return ParticleSpecies("protons", constants.ELEMENTARY_CHARGE,
-                               constants.PROTON_MASS, positions, momenta, weights,
-                               pushed=pushed)
+                               constants.PROTON_MASS, positions, momenta, weights)

@@ -31,8 +31,6 @@ def boris_push(species: ParticleSpecies, e_fields: np.ndarray, b_fields: np.ndar
     dt:
         Time step in seconds.
     """
-    if not species.pushed:
-        return
     if dt <= 0:
         raise ValueError("dt must be positive")
     e_fields = np.asarray(e_fields, dtype=np.float64)
@@ -86,8 +84,6 @@ def advance_positions(species: ParticleSpecies, dt: float,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if not species.pushed:
-        return species.positions.copy()
     # one array: v * dt, then + x in place (the sum of the same two terms)
     new_positions = species.velocities()
     new_positions *= dt

@@ -133,8 +133,6 @@ class PICSimulation:
 
         grid.clear_currents()
         for s in self.species:
-            if not s.pushed:
-                continue
             with self.timer.section("gather"):
                 e_at_p, b_at_p = gather_fields(grid, s.positions, self._workspace)
             with self.timer.section("push"):

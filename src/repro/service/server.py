@@ -362,6 +362,10 @@ def create_server(host: str = "127.0.0.1", port: int = 0,
         An unstarted :class:`CampaignServiceServer`; call
         ``serve_forever()`` (or drive it from a thread in tests).
     """
+    # refused before the store directory or the socket is touched: bind()
+    # would raise OverflowError, which is not a bad-input error
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must lie in 0..65535, got {port}")
     manager = CampaignJobManager(store_dir, worker=worker, bus=bus)
     return CampaignServiceServer((host, port), manager,
                                  keepalive_s=keepalive_s,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -16,6 +18,19 @@ def check_array(value, name: str, *, dtype=None, ndim: Optional[int] = None,
     if not allow_empty and arr.size == 0:
         raise ValueError(f"{name} must not be empty")
     return arr
+
+
+def check_int(name: str, value: object, minimum: int) -> None:
+    """Refuse ``value`` unless it is an integer (not a bool) >= ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) \
+            or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def is_finite_real(value: object) -> bool:
+    """Whether ``value`` is a finite real number (a bool is not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 def check_shape(arr: np.ndarray, shape: Sequence[Optional[int]], name: str) -> None:

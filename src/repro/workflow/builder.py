@@ -77,7 +77,6 @@ class ConsumerSpec:
 
     name: str
     factory: ConsumerFactory
-    queue_limit: Optional[int] = None   #: defaults to the streaming config's
 
 
 class WorkflowSession:
@@ -123,8 +122,7 @@ class WorkflowSession:
         self.consumers: Dict[str, StreamConsumer] = {}
         for position, spec in enumerate(consumer_specs):
             broker = SSTBroker(f"{cfg.streaming.stream_name}#{spec.name}",
-                               queue_limit=cfg.streaming.queue_limit
-                               if spec.queue_limit is None else spec.queue_limit)
+                               queue_limit=cfg.streaming.queue_limit)
             series = Series(broker)
             # the primary consumer keeps the seed's RNG derivation, so a
             # default session reproduces the seed's results bit-for-bit
@@ -143,7 +141,7 @@ class WorkflowSession:
             rng=seeded_rng(derive_seed(cfg.seed, 6)))
         self.producer = StreamingProducerPlugin(
             self.writer_series, self.detector, self.partition,
-            n_points=cfg.n_points_per_sample,
+            n_points=cfg.ml.model.n_input_points,
             sample_interval=cfg.streaming.sample_interval,
             reduction=reduction,
             rng=seeded_rng(derive_seed(cfg.seed, 3)))
@@ -283,8 +281,7 @@ class WorkflowBuilder:
 
     # -- consumers -------------------------------------------------------------- #
     def add_consumer(self, name: str, kind: Optional[str] = None,
-                     factory: Optional[ConsumerFactory] = None,
-                     queue_limit: Optional[int] = None) -> "WorkflowBuilder":
+                     factory: Optional[ConsumerFactory] = None) -> "WorkflowBuilder":
         """Attach an additional named consumer to the stream.
 
         Provide either a registered ``kind`` (see
@@ -295,8 +292,7 @@ class WorkflowBuilder:
             factory = get_consumer_factory(kind or name)
         elif kind is not None:
             raise ValueError("pass either kind or factory, not both")
-        self._consumer_specs.append(ConsumerSpec(name, factory,
-                                                 queue_limit=queue_limit))
+        self._consumer_specs.append(ConsumerSpec(name, factory))
         return self
 
     def replace_consumers(self, specs: List[ConsumerSpec]) -> "WorkflowBuilder":

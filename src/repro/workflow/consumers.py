@@ -25,6 +25,7 @@ from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 import numpy as np
 
+from repro.analysis.regions import FLOW_MOMENTUM_COLUMN
 from repro.core.mlapp import MLApp
 from repro.core.producer import POINT_CLOUDS, SPECTRA
 from repro.openpmd.series import Series
@@ -116,7 +117,8 @@ class HistogramMonitorConsumer(StreamConsumer):
         for step in self.series.read_iterations():
             clouds = step.arrays[POINT_CLOUDS]
             # flow-direction momentum component of every point of every cloud
-            counts, _ = np.histogram(clouds[..., 3].ravel(), bins=self.bin_edges)
+            counts, _ = np.histogram(clouds[..., FLOW_MOMENTUM_COLUMN].ravel(),
+                                     bins=self.bin_edges)
             self.momentum_counts += counts
             total = step.arrays[SPECTRA].sum(axis=0)
             self.spectrum_sum = total if self.spectrum_sum is None \

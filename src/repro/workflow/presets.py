@@ -39,8 +39,7 @@ def _cli_small() -> WorkflowConfig:
         khi=KHIConfig(grid_shape=(8, 16, 2), particles_per_cell=4, seed=42),
         ml=MLConfig(model=model, n_rep=2, base_learning_rate=1e-3),
         streaming=StreamingConfig(queue_limit=2),
-        region_counts=(1, 4, 1), n_detector_directions=2,
-        n_detector_frequencies=8, seed=42)
+        region_counts=(1, 4, 1), n_detector_directions=2, seed=42)
 
 
 def _bench_tiny() -> WorkflowConfig:
@@ -60,8 +59,7 @@ def _paper() -> WorkflowConfig:
         khi=KHIConfig.paper(),
         ml=MLConfig(model=paper_config(), n_rep=4, base_learning_rate=1e-6),
         streaming=StreamingConfig(queue_limit=2),
-        region_counts=(1, 8, 1), n_detector_directions=8,
-        n_detector_frequencies=16, seed=2024)
+        region_counts=(1, 8, 1), n_detector_directions=8, seed=2024)
 
 
 _PRESETS: Dict[str, Callable[[], WorkflowConfig]] = {

@@ -37,6 +37,7 @@ from repro.continual.buffer import TrainingSample
 from repro.continual.trainer import InTransitTrainer
 from repro.core.mlapp import build_trainer
 from repro.mlcore.tensor import Tensor
+from repro.models.config import POINT_DIM
 from repro.utils.benchjson import BenchCase, best_of_interleaved, case_main
 from repro.workflow.presets import get_preset
 
@@ -90,7 +91,7 @@ def _trainer(size: str) -> InTransitTrainer:
     ml = get_preset(size).ml
     trainer = build_trainer(ml, rng=SEED)
     rng = np.random.default_rng(SEED)
-    shape = (ml.model.n_input_points, ml.model.point_dim)
+    shape = (ml.model.n_input_points, POINT_DIM)
     trainer.buffer.add_many([
         TrainingSample(point_cloud=rng.normal(size=shape),
                        spectrum=rng.random(ml.model.spectrum_dim), step=index)

@@ -40,14 +40,25 @@ class TestApplyOverride:
             apply_override(config, "khi.sneed", 7)
 
     def test_a_nan_time_step_fails_at_resolve(self):
-        # Python's json reads NaN, so a spec file can carry one
+        # Python's json reads NaN, so a spec file can carry one; the time
+        # step is derived now, so the key itself is refused
         spec = CampaignSpec.from_dict(json.loads(json.dumps(
             smoke_spec(parameters={"khi.dt": [float("nan")]}).to_dict())))
-        with pytest.raises(ValueError, match="dt must be positive and finite"):
+        with pytest.raises(ValueError, match="unknown key 'dt'; valid keys"):
             spec.resolve()
 
     @pytest.mark.parametrize("path, value, message", [
         ("khi.particles_per_cell", 0, "particles_per_cell must be >= 1"),
+        ("khi.beta", 1.5, "beta must be finite with 0 < beta < 1"),
+        ("khi.beta", 0.0, "beta must be finite with 0 < beta < 1"),
+        ("khi.beta", float("nan"), "beta must be finite with 0 < beta < 1"),
+        ("khi.density", float("nan"), "density must be finite and > 0"),
+        ("khi.density", -1.0, "density must be finite and > 0"),
+        ("khi.grid_shape", [0, 16, 2],
+         "grid_shape entries must be an integer >= 1"),
+        ("khi.grid_shape", [8, 16], "grid_shape must be three integers >= 1"),
+        ("khi.dt", float("nan"), "unknown key 'dt'; valid keys: beta, "
+         "density, grid_shape, particles_per_cell, seed$"),
         ("streaming.queue_limit", 0, "queue_limit must be an integer >= 1"),
         ("streaming.sample_interval", 1.5,
          "sample_interval must be an integer >= 1"),
@@ -67,13 +78,19 @@ class TestApplyOverride:
         ("ml.m_vae", 0.0, "m_vae must be finite and > 0"),
         ("ml.n_rep", 0, "n_rep must be an integer >= 1"),
         ("ml.n_rep", 2.5, "n_rep must be an integer >= 1"),
-        ("ml.max_grad_norm", float("inf"), "max_grad_norm must be null or finite"),
-        ("ml.max_grad_norm", 0.0, "max_grad_norm must be null or finite"),
-        ("ml.warmup_steps", -1, "warmup_steps must be an integer >= 0")],
-        ids=["khi-ppc-0", "queue-limit-0", "sample-interval-float",
+        ("ml.max_grad_norm", float("inf"),
+         "unknown key 'max_grad_norm'; valid keys"),
+        ("ml.max_grad_norm", 0.0, "unknown key 'max_grad_norm'; valid keys"),
+        ("ml.max_grad_norm", 1.0, "unknown key 'max_grad_norm'; valid keys"),
+        ("ml.warmup_steps", -1, "unknown key 'warmup_steps'; valid keys"),
+        ("ml.warmup_steps", 10, "unknown key 'warmup_steps'; valid keys")],
+        ids=["khi-ppc-0", "beta-1.5", "beta-0", "beta-nan", "density-nan",
+             "density-negative", "grid-0-cells", "grid-2d", "dt-removed",
+             "queue-limit-0", "sample-interval-float",
              "fraction-1.5", "fraction-nan", "fraction-0", "precision-string",
              "lr-nan", "lr-negative", "m-vae-negative", "m-vae-0", "n-rep-0",
-             "n-rep-float", "grad-norm-inf", "grad-norm-0", "warmup-negative"])
+             "n-rep-float", "grad-norm-inf", "grad-norm-0", "grad-norm-removed",
+             "warmup-negative", "warmup-removed"])
     def test_an_unrunnable_value_fails_at_resolve(self, path, value, message):
         """A swept value the session cannot run is refused when the spec
         is resolved, before any run of the sweep is scheduled."""
@@ -161,9 +178,9 @@ class TestSampling:
         caches and service ids key on: a change to what they hash must be
         deliberate, so the smoke campaign's are pinned literally."""
         spec = get_campaign_preset("campaign-smoke")
-        assert campaign_id_of(spec) == "campaign-smoke-162b35c4b7"
+        assert campaign_id_of(spec) == "campaign-smoke-07ab536b29"
         assert [run.run_id for run in spec.resolve()[:2]] == [
-            "7147ff13c0b01250", "9c891ec1c973facd"]
+            "7e2136f196c5ed44", "58c8a407b112cde0"]
 
     def test_bad_override_fails_at_resolve_time(self):
         spec = smoke_spec(parameters={"khi.warp_factor": [9]}, repetitions=1)

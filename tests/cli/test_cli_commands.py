@@ -73,12 +73,18 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("khi, message", [
         ({"kernel": "reference"}, "unknown KHIConfig keys ['kernel']"),
-        ({"dt": float("nan")}, "dt must be positive and finite")],
-        ids=["kernel", "nan-dt"])
+        ({"flow_axis": 1}, "unknown KHIConfig keys ['flow_axis']; valid keys: "
+                           "beta, density, grid_shape, particles_per_cell, seed"),
+        ({"beta": 1.5}, "beta must be finite with 0 < beta < 1"),
+        ({"density": float("nan")}, "density must be finite and > 0"),
+        ({"dt": float("nan")}, "unknown KHIConfig keys ['dt']; valid keys: "
+                               "beta, density, grid_shape, particles_per_cell, seed")],
+        ids=["kernel", "flow-axis", "beta-1.5", "nan-density", "nan-dt"])
     def test_run_with_a_bad_khi_section_in_the_config_exits_2(
             self, capsys, tmp_path, khi, message):
-        """The reference kernels are not a setting, and Python's json reads
-        NaN: both fail when the config is loaded, before anything runs."""
+        """Neither the kernels, the geometry nor the time step is a setting,
+        and Python's json reads NaN: each fails when the config is loaded,
+        before anything runs."""
         import json
 
         from repro.workflow import get_preset
@@ -203,6 +209,20 @@ class TestPresetsCommand:
         for name in available_drivers():
             assert name in out
         assert "192x256x12" in out  # the paper preset's grid
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize("port", ["99999", "-1"])
+    def test_serve_with_a_port_out_of_range_exits_2(self, capsys, tmp_path,
+                                                    port):
+        """Refused before the store directory is made or a socket bound."""
+        store_dir = tmp_path / "service"
+        assert cli_main(["serve", "--port", port,
+                         "--store-dir", str(store_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: port must lie in 0..65535, got {port}\n"
+        assert not store_dir.exists()
 
 
 class TestStudyCommands:

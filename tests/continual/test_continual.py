@@ -12,6 +12,7 @@ from repro.continual.buffer import (PAPER_EP_BUFFER_SIZE, PAPER_N_EP, PAPER_N_NO
                                     PAPER_NOW_BUFFER_SIZE)
 from repro.mlcore.optim import Adam, make_block_param_groups
 from repro.models import ArtificialScientistModel, small_config
+from repro.models.config import POINT_DIM
 
 
 CFG = small_config()
@@ -19,7 +20,7 @@ CFG = small_config()
 
 def make_sample(step: int, rng, config=CFG) -> TrainingSample:
     return TrainingSample(
-        point_cloud=rng.normal(size=(config.n_input_points, config.point_dim)),
+        point_cloud=rng.normal(size=(config.n_input_points, POINT_DIM)),
         spectrum=rng.random(config.spectrum_dim),
         step=step, region="bulk")
 
@@ -84,7 +85,7 @@ class TestTrainingBuffer:
         for step in range(12):
             buffer.add(make_sample(step, rng))
         clouds, spectra = buffer.batch_arrays()
-        assert clouds.shape == (8, CFG.n_input_points, CFG.point_dim)
+        assert clouds.shape == (8, CFG.n_input_points, POINT_DIM)
         assert spectra.shape == (8, CFG.spectrum_dim)
 
     def test_replay_retains_old_steps(self, rng):
@@ -170,30 +171,3 @@ class TestInTransitTrainer:
         with pytest.raises(ValueError):
             InTransitTrainer(model, Adam(model.parameters(), lr=1e-3),
                              TrainingBuffer(), n_rep=0)
-
-    def test_gradient_clipping_records_norms(self, rng):
-        model = ArtificialScientistModel(CFG, rng=rng)
-        trainer = InTransitTrainer(model, Adam(model.parameters(), lr=1e-3),
-                                   TrainingBuffer(rng=rng), n_rep=2,
-                                   max_grad_norm=1.0)
-        trainer.train_on_stream_step([make_sample(0, rng)], step=0)
-        assert len(trainer.gradient_norms) == 2
-        assert all(n >= 0 for n in trainer.gradient_norms)
-
-    def test_invalid_max_grad_norm(self, rng):
-        model = ArtificialScientistModel(CFG, rng=rng)
-        with pytest.raises(ValueError):
-            InTransitTrainer(model, Adam(model.parameters(), lr=1e-3),
-                             TrainingBuffer(), max_grad_norm=0.0)
-
-    def test_scheduler_advances_with_training(self, rng):
-        from repro.mlcore.schedulers import WarmupScheduler
-        model = ArtificialScientistModel(CFG, rng=rng)
-        optimizer = Adam(model.parameters(), lr=1e-3)
-        scheduler = WarmupScheduler(optimizer, warmup_steps=10)
-        trainer = InTransitTrainer(model, optimizer, TrainingBuffer(rng=rng),
-                                   n_rep=3, scheduler=scheduler)
-        trainer.train_on_stream_step([make_sample(0, rng)], step=0)
-        # after 3 iterations the LR has warmed up above its starting value
-        assert optimizer.param_groups[0].lr > 0.1 * 1e-3
-        assert optimizer.param_groups[0].lr < 1e-3

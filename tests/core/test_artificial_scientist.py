@@ -25,7 +25,6 @@ def tiny_config(n_rep=1, queue_limit=4):
         streaming=StreamingConfig(queue_limit=queue_limit),
         region_counts=(1, 4, 1),
         n_detector_directions=1,
-        n_detector_frequencies=8,
         seed=123,
     )
 

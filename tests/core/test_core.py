@@ -29,7 +29,6 @@ def small_workflow_config(**overrides):
                     n_rep=1),
         region_counts=(1, 4, 1),
         n_detector_directions=2,
-        n_detector_frequencies=8,
     )
     defaults.update(overrides)
     return WorkflowConfig(**defaults)
@@ -37,18 +36,28 @@ def small_workflow_config(**overrides):
 
 class TestWorkflowConfig:
     def test_detector_must_match_spectrum_dim(self):
-        with pytest.raises(ValueError):
-            small_workflow_config(n_detector_frequencies=4)
+        """The detector's directions x frequencies is the spectrum length."""
+        for directions in (1, 2, 4, 8, 16):
+            cfg = small_workflow_config(n_detector_directions=directions)
+            assert directions * cfg.n_detector_frequencies \
+                == cfg.ml.model.spectrum_dim
+
+    def test_detector_directions_must_divide_spectrum_dim(self):
+        assert small_workflow_config().n_detector_frequencies == 8
+        assert small_workflow_config(n_detector_directions=4) \
+            .n_detector_frequencies == 4
+        with pytest.raises(ValueError, match=r"n_detector_directions \(3\) "
+                                             r"must divide .*spectrum_dim \(16\)"):
+            small_workflow_config(n_detector_directions=3)
+        with pytest.raises(ValueError, match="n_detector_directions must be "
+                                             "an integer >= 1"):
+            small_workflow_config(n_detector_directions=0)
 
     def test_defaults_are_consistent(self):
         cfg = WorkflowConfig()
         assert cfg.ml.model.spectrum_dim == \
             cfg.n_detector_directions * cfg.n_detector_frequencies
         assert cfg.n_regions == 4
-
-    def test_n_points_defaults_to_model_input(self):
-        cfg = small_workflow_config()
-        assert cfg.n_points_per_sample == cfg.ml.model.n_input_points
 
 
 class TestRegionPartition:

@@ -23,6 +23,7 @@ from repro.mlcore.layers import ConvTranspose3d, Linear, PointwiseConv, conv
 from repro.mlcore.optim import Adam
 from repro.mlcore.tensor import Tensor, concatenate
 from repro.models import losses as model_losses
+from repro.models.config import POINT_DIM
 from repro.models.inn import GlowCouplingBlock
 from repro.models.losses import CombinedLoss, LossWeights
 from repro.models.model import ArtificialScientistModel
@@ -517,7 +518,7 @@ class TestCouplingBlock:
 # --------------------------------------------------------------------------- #
 def _bench_tiny_batch(rng, batch: int = 8):
     config = get_preset("bench-tiny").ml.model
-    clouds = rng.normal(size=(batch, config.n_input_points, config.point_dim))
+    clouds = rng.normal(size=(batch, config.n_input_points, POINT_DIM))
     clouds[:, 5] = clouds[:, 9]            # duplicated points: max-pool ties
     clouds[:, 6] = clouds[:, 9]
     spectra = rng.random((batch, config.spectrum_dim))

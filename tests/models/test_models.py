@@ -10,13 +10,14 @@ from repro.models import (ArtificialScientistModel, CombinedLoss, GlowCouplingBl
                           InvertibleNetwork, LossWeights, ModelConfig,
                           PointCloudDecoder, PointNetEncoder,
                           VariationalAutoEncoder, paper_config, small_config)
+from repro.models.config import POINT_DIM
 
 
 CFG = small_config()
 
 
 def random_cloud(rng, batch=2, config=CFG):
-    return rng.normal(size=(batch, config.n_input_points, config.point_dim))
+    return rng.normal(size=(batch, config.n_input_points, POINT_DIM))
 
 
 def random_spectrum(rng, batch=2, config=CFG):
@@ -84,7 +85,7 @@ class TestDecoder:
     def test_output_shape(self, rng):
         decoder = PointCloudDecoder(CFG, rng=rng)
         out = decoder(Tensor(rng.normal(size=(3, CFG.latent_dim))))
-        assert out.shape == (3, CFG.n_output_points, CFG.point_dim)
+        assert out.shape == (3, CFG.n_output_points, POINT_DIM)
 
     def test_rejects_wrong_latent(self, rng):
         decoder = PointCloudDecoder(CFG, rng=rng)
@@ -96,7 +97,7 @@ class TestVAE:
     def test_forward_shapes(self, rng):
         vae = VariationalAutoEncoder(CFG, rng=rng)
         recon, mu, log_var, z = vae(Tensor(random_cloud(rng)))
-        assert recon.shape == (2, CFG.n_output_points, CFG.point_dim)
+        assert recon.shape == (2, CFG.n_output_points, POINT_DIM)
         assert z.shape == (2, CFG.latent_dim)
 
     def test_eval_mode_is_deterministic(self, rng):
@@ -165,7 +166,7 @@ class TestFullModel:
     def test_forward_produces_all_outputs(self, rng):
         model = ArtificialScientistModel(CFG, rng=rng)
         output = model(Tensor(random_cloud(rng)), Tensor(random_spectrum(rng)))
-        assert output.reconstruction.shape == (2, CFG.n_output_points, CFG.point_dim)
+        assert output.reconstruction.shape == (2, CFG.n_output_points, POINT_DIM)
         assert output.spectrum_prediction.shape == (2, CFG.spectrum_dim)
         assert output.normal_prediction.shape == (2, CFG.normal_dim)
         assert output.latent_backward.shape == (2, CFG.latent_dim)
@@ -187,7 +188,7 @@ class TestFullModel:
         model = ArtificialScientistModel(CFG, rng=rng)
         spectrum = rng.random(CFG.spectrum_dim)
         clouds = model.predict_particles_from_radiation(spectrum, n_samples=3)
-        assert clouds.shape == (1, 3, CFG.n_output_points, CFG.point_dim)
+        assert clouds.shape == (1, 3, CFG.n_output_points, POINT_DIM)
         # the ill-posed problem: different normal draws give different posteriors
         assert not np.allclose(clouds[0, 0], clouds[0, 1])
 

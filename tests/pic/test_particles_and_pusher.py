@@ -99,12 +99,6 @@ class TestBorisPusher:
             constants.ELECTRON_MASS * constants.SPEED_OF_LIGHT)
         assert s.momenta[0, 2] == pytest.approx(expected_u, rel=1e-9)
 
-    def test_unpushed_species_not_moved(self):
-        ions = ParticleSpecies.protons(np.zeros((2, 3)), np.zeros((2, 3)),
-                                       np.ones(2), pushed=False)
-        boris_push(ions, np.ones((2, 3)), np.ones((2, 3)), 1e-12)
-        np.testing.assert_allclose(ions.momenta, 0.0)
-
     def test_invalid_dt(self):
         s = single_electron()
         with pytest.raises(ValueError):

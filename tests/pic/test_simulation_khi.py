@@ -10,7 +10,8 @@ from repro.pic.diagnostics import (ChargeConservationMonitor, EnergyHistory,
                                    momentum_histogram)
 from repro.pic.fom import FigureOfMerit, figure_of_merit
 from repro.pic.grid import GridConfig
-from repro.pic.khi import KHIConfig, growth_rate_estimate, make_khi_simulation
+from repro.pic.khi import (FLOW_AXIS, SHEAR_AXIS, KHIConfig, growth_rate_estimate,
+                           make_khi_simulation)
 from repro.pic.particles import ParticleSpecies
 from repro.pic.simulation import PICSimulation, Plugin, SimulationConfig
 
@@ -79,10 +80,10 @@ class TestKHISetup:
         cfg = tiny_khi()
         sim = make_khi_simulation(cfg)
         electrons = sim.get_species("electrons")
-        y = electrons.positions[:, cfg.shear_axis]
-        extent_y = cfg.grid_config.extent[cfg.shear_axis]
+        y = electrons.positions[:, SHEAR_AXIS]
+        extent_y = cfg.grid_config.extent[SHEAR_AXIS]
         inner = (y > 0.25 * extent_y) & (y < 0.75 * extent_y)
-        ux = electrons.momenta[:, cfg.flow_axis]
+        ux = electrons.momenta[:, FLOW_AXIS]
         assert np.mean(ux[inner]) > 0.1
         assert np.mean(ux[~inner]) < -0.1
 
@@ -103,7 +104,7 @@ class TestKHISetup:
         beta = 0.2, 9 particles per cell."""
         cfg = KHIConfig.paper()
         assert cfg.grid_shape == constants.PAPER_SMALLEST_GRID
-        assert cfg.cell_size == pytest.approx(93.5e-6)
+        assert cfg.grid_config.cell_size == (pytest.approx(93.5e-6),) * 3
         assert cfg.particles_per_cell == 9
         assert cfg.beta == pytest.approx(0.2)
         assert cfg.n_macro_electrons == 192 * 256 * 12 * 9
@@ -117,10 +118,21 @@ class TestKHISetup:
 
     @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -1e-15])
     def test_a_bad_time_step_fails_in_the_config(self, dt):
-        """Before any simulation is built, so a spec carrying it fails at
-        resolve instead of at the first deposit with the wrong cause."""
+        """The time step is no longer a KHI setting: the simulation's own
+        config refuses a bad one before any particle is pushed."""
+        grid = tiny_khi().grid_config
         with pytest.raises(ValueError, match="dt must be positive and finite"):
-            KHIConfig(grid_shape=(4, 8, 2), dt=dt)
+            SimulationConfig(grid=grid, dt=dt)
+
+    def test_the_time_step_is_the_courant_step_and_every_species_moves(self):
+        cfg = tiny_khi()
+        sim = make_khi_simulation(cfg)
+        assert sim.config.dt == cfg.grid_config.courant_time_step()
+        before = [s.positions.copy() for s in sim.species]
+        sim.step()
+        assert [s.name for s in sim.species] == ["electrons", "protons"]
+        assert all(np.any(s.positions != old)
+                   for s, old in zip(sim.species, before))
 
     def test_growth_rate_estimate_positive(self):
         assert growth_rate_estimate(KHIConfig()) > 0

@@ -7,15 +7,19 @@ same executor through ``repro.campaign.executor_for``.
 The options of the run path — worker pool, stream, session, PIC step — the
 surface of the ``repro.mlcore`` PyTorch stand-in and that of the
 Frontier-scale figure models in ``repro.perfmodel`` are pinned by name, so
-a new one shows up in review as a diff of this file.
+a new one shows up in review as a diff of this file.  ``WorkflowConfig`` is
+held to the census rule: every option takes two values in the configs the
+repository runs, or says why not.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -33,16 +37,18 @@ from repro.campaign import (CampaignSpec, WorkerPool, WorkerPoolExecutor,
                             available_campaign_presets, available_executors,
                             executor_for, get_campaign_preset, get_executor)
 from repro.cli import _build_parser
+from repro.continual import InTransitTrainer
 from repro.core.config import StreamingConfig, WorkflowConfig
 from repro.mlcore import functional as F
 from repro.mlcore import init as mlcore_init
 from repro.mlcore import layers as mlcore_layers
 from repro.mlcore import losses as mlcore_losses
-from repro.mlcore import optim, schedulers
+from repro.mlcore import optim
 from repro.mlcore import tensor as tensor_module
 from repro.mlcore.module import Module, Parameter
 from repro.mlcore.tensor import Tensor
 from repro.analysis.evaluation import RegionEvaluation
+from repro.analysis.regions import label_particles
 from repro.campaign import presets as campaign_presets
 from repro.campaign.spec import RunSpec
 from repro.models.decoder import PointCloudDecoder
@@ -66,8 +72,12 @@ from repro.service import sse as service_sse
 from repro.service.bus import RunEventBus
 from repro.streaming import NoOpConsumer, SSTBroker, Step
 from repro.workflow import (WorkflowBuilder, WorkflowSession,
-                            available_drivers, get_driver)
+                            available_drivers, available_presets, get_driver,
+                            get_preset)
 from repro.workflow import drivers as workflow_drivers
+from repro.workflow.builder import ConsumerSpec
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestSurface:
@@ -154,7 +164,97 @@ def flags_of(parser, *path):
                   for option in action.option_strings)
 
 
+#: ``WorkflowConfig`` leaves that every census config leaves at one value,
+#: each kept for the reason given
+ONE_VALUED = {
+    "khi.beta": "an input of growth_rate_estimate; the KHI validation's "
+                "no-shear control runs at beta = 1e-4",
+    "khi.density": "an input of growth_rate_estimate",
+    "ml.n_now": "the replay ablation and learning-rate benchmarks set other "
+                "values one layer down, and bench-learning drives them",
+    "ml.n_ep": "as ml.n_now",
+    "ml.now_buffer_size": "as ml.n_now",
+    "ml.ep_buffer_size": "as ml.n_now",
+    "ml.m_vae": "as ml.n_now",
+    "streaming.queue_limit": "the SST QueueLimit",
+    "streaming.sample_interval": "the time-integrated spectra make it "
+                                 "two-valued",
+    "streaming.stream_name": "a name",
+}
+#: values computed from the options, never set
+DERIVED = {"n_detector_frequencies": "spectrum_dim // n_detector_directions"}
+#: options made constants or derived, each with the section it left
+REMOVED_OPTIONS = {
+    ("khi",): ["cell_size", "dt", "thermal_beta", "perturbation_amplitude",
+               "perturbation_modes", "immobile_ions", "flow_axis",
+               "shear_axis"],
+    ("ml",): ["n_points_per_sample", "max_grad_norm", "warmup_steps"],
+    ("ml", "model"): ["point_dim"],
+    (): ["n_detector_frequencies"],
+}
+
+
+def _example(name):
+    """An example script loaded as a module (its ``main`` is not run)."""
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(ROOT, "examples", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def census_traffic():
+    """Every ``WorkflowConfig`` the repository runs: the workflow presets,
+    the smoke campaign's runs, the benchmark's coupled shapes at both
+    sizes and its sweep, and the examples' configs and sweep.  The
+    benchmark is imported read-only, so the repository root must be on
+    ``sys.path``."""
+    workloads = importlib.import_module("bench.workloads")
+    configs = [get_preset(name) for name in available_presets()]
+    specs = [get_campaign_preset("campaign-smoke"),
+             _example("campaign_sweep").sweep_spec("census")]
+    for smoke in (True, False):
+        configs += [shape.configure(workloads.DEFAULT_SEED, smoke)
+                    for shape in workloads.COUPLED_SHAPES.values()]
+        specs.append(workloads.sweep_spec("census", workloads.DEFAULT_SEED,
+                                          smoke))
+    configs += [WorkflowConfig.from_dict(run.config)
+                for spec in specs for run in spec.resolve()]
+    configs += [_example("khi_inverse_problem").build_config(),
+                _example("file_based_vs_in_transit").workflow_config()]
+    return configs
+
+
+def config_leaves(data, prefix=""):
+    """``(dotted path, JSON of the value)`` of every leaf of ``to_dict()``."""
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, json.dumps(value)
+
+
 class TestOptionsCensus:
+    def test_every_config_option_takes_two_values_in_use(self, monkeypatch):
+        """An option the census traffic leaves at one value is a constant,
+        unless ``ONE_VALUED`` says why it stays an option."""
+        monkeypatch.syspath_prepend(ROOT)
+        values = {}
+        traffic = census_traffic()
+        for config in traffic:
+            for path, value in config_leaves(config.to_dict()):
+                values.setdefault(path, set()).add(value)
+        assert len(traffic) == 36
+        assert len(values) == 29
+        assert sorted(path for path, seen in values.items()
+                      if len(seen) < 2) == sorted(ONE_VALUED)
+        assert all(ONE_VALUED.values())
+        for name in DERIVED:
+            assert name not in values
+            assert all(config.n_detector_frequencies
+                       * config.n_detector_directions
+                       == config.ml.model.spectrum_dim for config in traffic)
+
     def test_a_campaign_launch_takes_exactly_these_options(self):
         """One concurrent executor; a spec carries no execution hints but
         its cache directory."""
@@ -255,6 +355,12 @@ class TestOptionsCensus:
         assert importlib.util.find_spec("repro.streaming.variable") is None
         assert parameters_of(WorkflowSession.__init__) == [
             "config", "driver", "consumer_specs", "hooks"]
+        # every consumer queue is streaming.queue_limit deep
+        assert field_names(ConsumerSpec) == ["name", "factory"]
+        assert parameters_of(WorkflowBuilder.add_consumer) == [
+            "name", "kind", "factory"]
+        assert parameters_of(InTransitTrainer.__init__) == [
+            "model", "optimizer", "buffer", "loss", "n_rep"]
         assert [field.name for field in dataclasses.fields(StreamingConfig)] \
             == ["queue_limit", "sample_interval", "stream_name",
                 "particle_subsample_fraction", "reduce_precision"]
@@ -265,9 +371,14 @@ class TestOptionsCensus:
         assert [field.name for field in dataclasses.fields(SimulationConfig)] \
             == ["grid", "dt"]
         assert [field.name for field in dataclasses.fields(KHIConfig)] == [
-            "grid_shape", "cell_size", "density", "beta", "particles_per_cell",
-            "thermal_beta", "perturbation_amplitude", "perturbation_modes",
-            "flow_axis", "shear_axis", "immobile_ions", "dt", "seed"]
+            "grid_shape", "density", "beta", "particles_per_cell", "seed"]
+        # every species is pushed; the KHI geometry is one pair of constants
+        assert field_names(ParticleSpecies) == [
+            "name", "charge", "mass", "positions", "momenta", "weights"]
+        assert parameters_of(ParticleSpecies.protons) == [
+            "positions", "momenta", "weights"]
+        assert parameters_of(label_particles) == [
+            "positions", "momenta", "extent", "vortex_half_width"]
         assert parameters_of(pic_simulation.gather_fields) == [
             "grid", "positions", "workspace"]
         assert parameters_of(pic_simulation.deposit_charge_cic) == [
@@ -287,6 +398,16 @@ class TestOptionsCensus:
         with pytest.raises(ValueError,
                            match=r"unknown KHIConfig keys \['kernel'\]; valid keys"):
             WorkflowConfig.from_dict({"khi": {"kernel": "fused"}})
+        for section, keys in REMOVED_OPTIONS.items():
+            for key in keys:
+                data = {key: None}
+                for name in reversed(section):
+                    data = {name: data}
+                with pytest.raises(ValueError,
+                                   match=rf"unknown \w+ keys \['{key}'\]; "
+                                         r"valid keys: "):
+                    WorkflowConfig.from_dict(data)
+        assert sum(map(len, REMOVED_OPTIONS.values())) == 13
         # the name in two pieces: a grep for it over the tree stays empty
         redispatch_threshold = "straggler" + "_after"
         with pytest.raises(TypeError, match=redispatch_threshold):
@@ -296,7 +417,7 @@ class TestOptionsCensus:
         """The PyTorch stand-in is what the model, its trainer, the
         benchmarks and the fused nodes' tape oracles use, and no more."""
         assert repro.mlcore.__all__ == [
-            "schedulers", "Tensor", "no_grad", "Module", "Parameter",
+            "Tensor", "no_grad", "Module", "Parameter",
             "functional", "layers", "losses", "optim"]
         assert mlcore_layers.__all__ == [
             "Linear", "MLP", "ReLU", "Sequential", "ModuleList",
@@ -312,8 +433,6 @@ class TestOptionsCensus:
             "Adam", "Optimizer", "PAPER_ADAM_BETAS", "PAPER_ADAM_EPS",
             "PAPER_BASE_LEARNING_RATE", "PAPER_WEIGHT_DECAY", "ParamGroup",
             "make_block_param_groups", "sqrt_lr_scaling"]
-        assert public_names(schedulers) == [
-            "WARMUP_START_FACTOR", "WarmupScheduler", "clip_gradient_norm"]
 
     def test_mlcore_options_with_one_value_are_constants(self):
         assert parameters_of(mlcore_losses.chamfer_distance) == ["a", "b"]
@@ -330,8 +449,6 @@ class TestOptionsCensus:
         assert parameters_of(Tensor.__init__) == ["data", "requires_grad"]
         assert parameters_of(Parameter.__init__) == ["data"]
         assert "name" not in Tensor.__slots__
-        assert parameters_of(schedulers.WarmupScheduler.__init__) == [
-            "optimizer", "warmup_steps"]
 
     def test_removed_mlcore_names_are_gone_not_aliased(self):
         removed = {
@@ -353,9 +470,6 @@ class TestOptionsCensus:
             Module: ["register_parameter", "named_modules", "modules", "forward"],
             optim: ["SGD"],
             optim.Optimizer: ["set_lr", "add_param_group", "step_count", "step"],
-            schedulers: ["CosineDecayScheduler", "ExponentialDecayScheduler",
-                         "LRScheduler", "gradient_norm"],
-            schedulers.WarmupScheduler: ["last_factor", "current_lrs"],
             GlowCouplingBlock: ["log_det_jacobian", "_scale_shift"],
             PointNetEncoder: ["global_features"],
         }
@@ -363,6 +477,8 @@ class TestOptionsCensus:
                 for owner, names in removed.items()} \
             == {owner: [] for owner in removed}
         assert importlib.util.find_spec("repro.mlcore.serialization") is None
+        # warm-up and clipping went with the options that reached them
+        assert importlib.util.find_spec("repro.mlcore.schedulers") is None
         assert importlib.util.find_spec("repro.mlcore.layers.dropout") is None
 
     def test_the_pool_keeps_the_counters_the_benchmark_reads(self):

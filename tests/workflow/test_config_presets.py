@@ -67,7 +67,7 @@ class TestValidation:
 
     def test_consistency_still_enforced_after_load(self):
         data = get_preset("laptop").to_dict()
-        data["n_detector_frequencies"] = 3  # 2*3 != spectrum_dim 16
+        data["n_detector_directions"] = 3  # does not divide spectrum_dim 16
         with pytest.raises(ValueError, match="spectrum_dim"):
             WorkflowConfig.from_dict(data)
 
