@@ -27,9 +27,9 @@ All of them are cache-blocked: they walk a species in blocks of
 :data:`CHUNK` particles and take every per-particle temporary, written with
 ``out=``, from the simulation's :class:`Workspace`.  What the oracles
 allocate per call and size by the species is a fixed, cache-sized working
-set in one scratch region per simulation, which the kernels share because
-their calls never overlap: it holds the largest one call needs (the
-deposit's), not the sum of all three.  The block loops are inside the kernels
+set in one scratch region per stepping thread of a simulation, which the
+kernels share because their calls on that thread never overlap: it holds
+the largest one call needs (the deposit's), not the sum of all three.  The block loops are inside the kernels
 — a caller passes whole ``(N, 3)`` arrays and gets whole arrays back — and
 there is one code path: a species of at most ``CHUNK`` particles is simply
 one block.
@@ -68,6 +68,15 @@ from repro.pic.particles import ParticleSpecies
 #: Python overhead takes over.  Set from the sweep in
 #: ``docs/performance.md``, "Cache-blocked particle kernels".
 CHUNK = 8192
+#: Crossing particles per sub-block of the deposit's stencil scratch (the
+#: hats, rows and node indices: 0.8 kB a particle at the wide body, which is
+#: why a sub-block of the narrow body holds ~1.6x as many).  The deposit fills
+#: it one sub-block at a time, each writing its scattered pairs straight to
+#: their place in the block's, so the pairs and the ``bincount`` do not
+#: depend on it.  It keeps that scratch at a quarter of a block's, which is
+#: what lets a second stepping thread's workspace fit
+#: (``docs/performance.md``, "The PIC step on two threads").
+SUB_BLOCK = 2048
 
 _STENCIL3 = np.arange(3.0)
 #: coefficients of (s0, ds) in the two Esirkepov transverse row factors
@@ -85,6 +94,11 @@ def _chunks(n: int):
 
 #: byte alignment of every array carved from a :class:`Workspace` region
 _ALIGN = 64
+#: address space a :class:`Workspace` reserves at once (its pages cost
+#: memory only once written): the default problems' kernel calls all fit, so
+#: the region is never outgrown mid-call, which would keep the old region
+#: resident beside the new one until the call ends
+_RESERVE = 32 << 20
 
 
 class Workspace:
@@ -110,7 +124,9 @@ class Workspace:
     block: it returns to the system the moment the workspace is dropped.
     Heap blocks this large, allocated on a stepping thread and freed on
     another, can stay resident in that thread's malloc arena while the next
-    simulation's region is carved from a different arena.
+    simulation's region is carved from a different arena.  It reserves
+    :data:`_RESERVE` bytes of address space, of which only the pages the
+    kernels write take memory.
     """
 
     def __init__(self) -> None:
@@ -118,11 +134,12 @@ class Workspace:
         #: ``(name, dtype) -> (offset, nbytes)`` of this call's arrays
         self._slots: Dict[tuple, Tuple[int, int]] = {}
         self._used = 0
+        self._peak = 0
 
     @property
     def nbytes(self) -> int:
         """Bytes of scratch held: the largest one kernel call has needed."""
-        return self._region.nbytes
+        return self._peak
 
     def begin(self) -> "Workspace":
         """Start a kernel call: every array handed out so far is released."""
@@ -137,8 +154,10 @@ class Workspace:
         if slot is None or slot[1] < nbytes:
             slot = self._slots[name, dtype] = (self._used, nbytes)
             self._used += -(-nbytes // _ALIGN) * _ALIGN
+            self._peak = max(self._peak, self._used)
             if self._used > self._region.nbytes:
-                pages = mmap.mmap(-1, self._used, flags=mmap.MAP_PRIVATE)
+                pages = mmap.mmap(-1, max(self._used, _RESERVE),
+                                  flags=mmap.MAP_PRIVATE)
                 self._region = np.frombuffer(pages, dtype=np.uint8)
         offset = slot[0]
         return self._region[offset:offset + nbytes].view(dtype).reshape(shape)
@@ -210,13 +229,14 @@ _XY_PAIRS = (((1, 0), ((0, 0), (4, 1))), ((0, 1), ((1, 0), (3, 1))),
 
 
 def gather_fields(grid: YeeGrid, positions: np.ndarray,
-                  workspace: Optional[Workspace] = None
+                  workspace: Optional[Workspace] = None,
+                  out: Optional[np.ndarray] = None
                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Interpolate E and B to the particles, ``CHUNK`` particles at a time.
 
-    Returns ``(E, B)``, each ``(N, 3)`` in SI units (V/m and T), always new
-    arrays: transposed rows of one ``(6, N)`` array, so ``E[a:b].T`` is
-    three contiguous rows.  E/B are copied once per call into a ghost-padded
+    Returns ``(E, B)``, each ``(N, 3)`` in SI units (V/m and T): transposed
+    rows of one ``(6, N)`` array — ``out``, or a new one — so ``E[a:b].T``
+    is three contiguous rows.  E/B are copied once per call into a ghost-padded
     workspace array; per block a component's eight corners are its
     :func:`_lower_nodes` index plus eight constant offsets, and its weights
     are composed as ``(x ⊕ y) ⊕ z``, the ``x ⊕ y`` half once per
@@ -240,7 +260,10 @@ def gather_fields(grid: YeeGrid, positions: np.ndarray,
     corners = ((_CORNERS @ _ghost_strides(shape))[:, None]
                + padded[0].size * np.arange(6)[:, None, None])
     n = positions.shape[0]
-    out = np.empty((6, n), dtype=np.float64)
+    if out is None:
+        out = np.empty((6, n), dtype=np.float64)
+    elif out.shape != (6, n):
+        raise ValueError("out must have shape (6, N)")
     for start, stop in _chunks(n):
         if stop - start == 1 and start:
             # einsum sums a lone particle's eight corners in another order
@@ -312,9 +335,9 @@ _STAY, _GO = (2, 1), (3, 2)
 
 def _stencil_shapes(width: int, planes: int, m: int):
     """Shapes of the float and the int scratch arrays of one block body."""
-    return (((2, 5, width, m), (2, 2, 3, width, m), (3, width, m), (3, planes, m),
-             (2, 3, width, width, m)),
-            ((5, width, m), (3, width, width, m), (3, planes, m)))
+    return (((2, 5, width, m), (2, 3, width, m), (3, width, m),
+             (3, width, width, m)),
+            ((5, width, m), (3, planes, m)))
 
 
 def _carve(flat: np.ndarray, shapes) -> list:
@@ -327,7 +350,8 @@ def _carve(flat: np.ndarray, shapes) -> list:
 def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
                               new_positions: np.ndarray, charge: float,
                               weights: np.ndarray, dt: float,
-                              workspace: Optional[Workspace] = None) -> None:
+                              workspace: Optional[Workspace] = None,
+                              blocks: Optional[np.ndarray] = None) -> None:
     """Charge-conserving (Esirkepov, first order) current deposition.
 
     Adds into ``grid.Jx/Jy/Jz`` the current of particles moving from
@@ -352,8 +376,14 @@ def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
     its third node's hat weights are exactly ``0.0`` and its second plane is
     again the total change — so ``3 * 1*2*2 = 12`` are left.  Each block is
     ordered stay-first and the two classes run one body at their own
-    ``(width, planes)``; every buffer is taken from ``workspace`` (``None``: a
-    private one) once per block and sized by it, whatever the split.
+    ``(width, planes)``, in sub-blocks sized by :data:`SUB_BLOCK`, each
+    writing its scattered pairs straight to their place in the block's;
+    every buffer is taken from ``workspace`` (``None``: a private
+    one) once per block and sized by it, whatever the split.
+
+    ``blocks`` (``None``: add into ``grid.J*``) is a ``(n_blocks(N), 3,
+    n_cells)`` array that receives each block's current instead, for
+    :func:`add_current` to add later in the same order.
     """
     old_positions = np.asarray(old_positions, dtype=np.float64)
     new_positions = np.asarray(new_positions, dtype=np.float64)
@@ -370,17 +400,15 @@ def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
     n_cells = nx * ny * nz
     inv_cell = np.array([1.0 / dx, 1.0 / dy, 1.0 / dz])[:, None]
     cell = np.array([-dx, -dy, -dz])[:, None, None]
-    factor = (charge / grid.config.cell_volume) * weights / dt     # (N,)
+    charge_density = charge / grid.config.cell_volume
 
-    # flat views of the (C-contiguous) current arrays; += below is in place
-    j_flat = (grid.Jx.reshape(-1), grid.Jy.reshape(-1), grid.Jz.reshape(-1))
     nvec = np.array([nx, ny, nz], dtype=np.int64)[:, None, None]
     svec = np.array([ny * nz, nz, 1], dtype=np.int64)[:, None, None]
     component = n_cells * np.arange(3)[:, None, None]
     workspace = (Workspace() if workspace is None else workspace).begin()
     n_values = 3 * _GO[1] * _GO[0] ** 2       # per particle, at most
 
-    for start, stop in _chunks(n):
+    for block_index, (start, stop) in enumerate(_chunks(n)):
         m = stop - start
         # the first chunk is the largest, so later ones reuse its buffers.
         # Taken in the order of how densely a block writes them — whole
@@ -388,13 +416,13 @@ def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
         # of, then the scattered pairs, filled only as far as the block needs
         # — so the front of the region, where the gather and the push put
         # their scratch, is made of pages the deposit writes anyway.
-        xi, cells, xi_ordered = workspace.array("esirkepov.xi", (3, 2, 3, m))
+        xi, xi_ordered = workspace.array("esirkepov.xi", (2, 2, 3, m))
         base, base_ordered = workspace.array("esirkepov.base", (2, 3, m))
-        scale_ordered = workspace.array("esirkepov.scale", (m,))
-        # flat scratch for a whole block at the widest body; a class carves
+        scale, scale_ordered = workspace.array("esirkepov.scale", (2, m))
+        # flat scratch for one sub-block at the widest body; a class carves
         # its own contiguous arrays from the front of it
-        n_float, n_int = (sum(map(math.prod, shapes))
-                          for shapes in _stencil_shapes(*_GO, m))
+        n_float, n_int = (sum(map(math.prod, shapes)) for shapes
+                          in _stencil_shapes(*_GO, min(m, SUB_BLOCK)))
         floats = workspace.array("esirkepov.stencil", (n_float,))
         ints = workspace.array("esirkepov.nodes", (n_int,), np.int64)
         big_lin = workspace.array("esirkepov.lin", (n_values * m,), np.int64)
@@ -412,12 +440,15 @@ def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
             raise ValueError("Esirkepov deposition requires particles to move "
                              "less than one cell per step")
         # the stencil starts at floor(min(xi0, xi1)) = the smaller floor; a
-        # particle whose floors agree on every axis stayed in its cell
-        np.floor(xi, out=cells)
+        # particle whose floors agree on every axis stayed in its cell.  The
+        # floors live where the reordered coordinates go once they are dead.
+        cells = np.floor(xi, out=xi_ordered)
         np.minimum(cells[0], cells[1], out=base)
         stays = (cells[0] == cells[1]).all(axis=0)
         k = int(np.count_nonzero(stays))
-        scale = factor[start:stop]
+        # charge density x weight / dt, the factor every value carries
+        np.multiply(charge_density, weights[start:stop], out=scale)
+        scale /= dt
         if 0 < k < m:
             order = np.concatenate((np.flatnonzero(stays), np.flatnonzero(~stays)))
             xi = np.take(xi, order, axis=2, out=xi_ordered, mode="clip")
@@ -428,59 +459,112 @@ def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
         for (width, planes), lo, hi in ((_STAY, 0, k), (_GO, k, m)):
             if lo == hi:
                 continue
-            float_shapes, int_shapes = _stencil_shapes(width, planes, hi - lo)
-            hats, (rows, tmp), nodes, ds_axis, term = _carve(floats, float_shapes)
-            lin, lbc, along = _carve(ints, int_shapes)
             values = slice(filled, filled + 3 * planes * width * width * (hi - lo))
             filled = values.stop
-            block = big_w[values].reshape(3, planes, width, width, hi - lo)
-
-            # max(0, 1 - |xi - node|) of both positions and all axes in one
-            # stacked pass; hats[0] is s0 and hats[1] becomes ds.  The axis
-            # dimension has five rows [x, y, z, x, y]: component a's
-            # transverse pair is (b, c) = (a+1, a+2), so the three b axes are
-            # rows 1..3 and the three c axes rows 2..4 — views of one array.
-            np.add(base[:, None, lo:hi], _STENCIL3[:width, None], out=nodes)
-            live = hats[:, :3]
-            np.subtract(xi[:, :, None, lo:hi], nodes, out=live)
-            np.abs(live, out=live)
-            np.subtract(1.0, live, out=live)
-            np.maximum(0.0, live, out=live)
-            live[1] -= live[0]
-            hats[:, 3:] = hats[:, :2]
-
-            # stride-scaled wrapped node indices, the same five rows: node
-            # (i, j, k) has raveled index lin[0, i] + lin[1, j] + lin[2, k]
-            np.copyto(lin[:3], nodes, casting="unsafe")
-            np.remainder(lin[:3], nvec, out=lin[:3])
-            lin[:3] *= svec
-            lin[3:] = lin[:2]
-
-            # The transverse factor s0_b⊗s0_c + ds_b⊗s0_c/2 + s0_b⊗ds_c/2 +
-            # ds_b⊗ds_c/3 as two outer products, (s0 + ds/2)_b⊗s0_c +
-            # (s0/2 + ds/3)_b⊗ds_c, times the along-axis ds truncated to
-            # ``planes`` nodes, which carries the cell size and the charge.
-            np.multiply(hats[0, None, 1:4], _ROW_S0, out=rows)
-            np.multiply(hats[1, None, 1:4], _ROW_DS, out=tmp)
-            rows += tmp
-            np.multiply(rows[:, :, :, None, :], hats[:, 2:5, None, :, :], out=term)
-            term[0] += term[1]
-            np.multiply(hats[1, :3, :planes], cell, out=ds_axis)
-            ds_axis *= scale[lo:hi]
-            np.multiply(ds_axis[:, :, None, None, :], term[0][:, None], out=block)
-            if planes == 2:
-                # prefix sum along the (truncated) node axis: one slice add
-                block[:, 1] += block[:, 0]
-
-            # indices arranged like the weights, [component, plane, b, c];
-            # the plane's carries the offset into the fused 3 * n_cells bins
-            np.add(lin[1:4, :, None, :], lin[2:5, None, :, :], out=lbc)
-            np.add(lin[:3, :planes], component, out=along)
-            np.add(along[:, :, None, None, :], lbc[:, None],
-                   out=big_lin[values].reshape(block.shape))
+            shape = (3, planes, width, width, hi - lo)
+            class_w = big_w[values].reshape(shape)
+            class_lin = big_lin[values].reshape(shape)
+            # as many particles a sub-block as the scratch holds stencils of
+            # this class: the narrow body takes ~1.6x SUB_BLOCK at a time
+            per_float, per_int = (sum(map(math.prod, shapes)) for shapes
+                                  in _stencil_shapes(width, planes, 1))
+            size = min(floats.size // per_float, ints.size // per_int)
+            for sub in range(lo, hi, size):
+                end = min(sub + size, hi)
+                at = slice(sub - lo, end - lo)
+                _esirkepov_body(xi[:, :, sub:end], base[:, sub:end],
+                                scale[sub:end], width, planes, floats, ints,
+                                class_w[..., at], class_lin[..., at],
+                                nvec, svec, component, cell)
         fused = np.bincount(big_lin[:filled], weights=big_w[:filled],
                             minlength=3 * n_cells).reshape(3, n_cells)
-        for target, part in zip(j_flat, fused):
+        if blocks is None:
+            add_current(grid, (fused,))
+        else:
+            blocks[block_index] = fused
+
+
+def _esirkepov_body(xi: np.ndarray, base: np.ndarray, scale: np.ndarray,
+                    width: int, planes: int, floats: np.ndarray,
+                    ints: np.ndarray, block: np.ndarray, block_lin: np.ndarray,
+                    nvec, svec, component, cell) -> None:
+    """The scattered (weight, index) pairs of one sub-block of one class.
+
+    ``xi`` ``(2, 3, s)``, ``base`` ``(3, s)`` and ``scale`` ``(s,)`` are the
+    sub-block's cell-unit positions, stencil anchors and charge factors;
+    ``block``/``block_lin`` the ``(3, planes, width, width, s)`` views of
+    the block's pairs it writes, with ``floats``/``ints`` as scratch.
+    """
+    s = scale.shape[0]
+    float_shapes, int_shapes = _stencil_shapes(width, planes, s)
+    hats, rows, nodes, term = _carve(floats, float_shapes)
+    lin, along = _carve(ints, int_shapes)
+    # ``tmp`` is dead before ``term`` is written, ``ds_axis`` is taken after
+    # ``nodes`` is dead: each lives in the other's memory
+    tmp = term.reshape(-1)[:rows.size].reshape(rows.shape)
+    ds_axis = nodes.reshape(-1)[:3 * planes * s].reshape(3, planes, s)
+
+    # max(0, 1 - |xi - node|) of both positions and all axes in one stacked
+    # pass; hats[0] is s0 and hats[1] becomes ds.  The axis dimension has
+    # five rows [x, y, z, x, y]: component a's transverse pair is (b, c) =
+    # (a+1, a+2), so the three b axes are rows 1..3 and the three c axes
+    # rows 2..4 — views of one array.
+    np.add(base[:, None], _STENCIL3[:width, None], out=nodes)
+    live = hats[:, :3]
+    np.subtract(xi[:, :, None], nodes, out=live)
+    np.abs(live, out=live)
+    np.subtract(1.0, live, out=live)
+    np.maximum(0.0, live, out=live)
+    live[1] -= live[0]
+    hats[:, 3:] = hats[:, :2]
+
+    # stride-scaled wrapped node indices, the same five rows: node (i, j, k)
+    # has raveled index lin[0, i] + lin[1, j] + lin[2, k]
+    np.copyto(lin[:3], nodes, casting="unsafe")
+    np.remainder(lin[:3], nvec, out=lin[:3])
+    lin[:3] *= svec
+    lin[3:] = lin[:2]
+
+    # The transverse factor s0_b⊗s0_c + ds_b⊗s0_c/2 + s0_b⊗ds_c/2 +
+    # ds_b⊗ds_c/3 as two outer products, (s0 + ds/2)_b⊗s0_c +
+    # (s0/2 + ds/3)_b⊗ds_c, times the along-axis ds truncated to ``planes``
+    # nodes, which carries the cell size and the charge.
+    np.multiply(hats[0, None, 1:4], _ROW_S0, out=rows)
+    np.multiply(hats[1, None, 1:4], _ROW_DS, out=tmp)
+    rows += tmp
+    # (the second outer product goes to the block's last plane, which the
+    # final product overwrites)
+    np.multiply(rows[0, :, :, None, :], hats[0, 2:5, None, :, :], out=term)
+    second = block[:, -1]
+    np.multiply(rows[1, :, :, None, :], hats[1, 2:5, None, :, :], out=second)
+    term += second
+    np.multiply(hats[1, :3, :planes], cell, out=ds_axis)
+    ds_axis *= scale
+    np.multiply(ds_axis[:, :, None, None, :], term[:, None], out=block)
+    if planes == 2:
+        # prefix sum along the (truncated) node axis: one slice add
+        block[:, 1] += block[:, 0]
+
+    # indices arranged like the weights, [component, plane, b, c]; the
+    # plane's carries the offset into the fused 3 * n_cells bins
+    np.add(lin[:3, :planes], component, out=along)
+    np.add(along[:, :, None, None, :], lin[1:4, None, :, None, :],
+           out=block_lin)
+    block_lin += lin[2:5, None, None, :, :]
+
+
+def n_blocks(n: int) -> int:
+    """How many ``CHUNK``-particle blocks the kernels cut ``n`` into."""
+    return -(-n // CHUNK)
+
+
+def add_current(grid: YeeGrid, blocks) -> None:
+    """Add per-block currents (``(3, n_cells)`` each) into ``grid.J*``, in
+    order — :func:`deposit_current_esirkepov`'s own sum, deferred."""
+    # flat views of the (C-contiguous) current arrays; += is in place
+    j_flat = (grid.Jx.reshape(-1), grid.Jy.reshape(-1), grid.Jz.reshape(-1))
+    for block in blocks:
+        for target, part in zip(j_flat, block):
             target += part
 
 
@@ -517,8 +601,10 @@ def _norm_sq(a: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
 
 def boris_push_fused(species: ParticleSpecies, e_fields: np.ndarray,
                      b_fields: np.ndarray, dt: float,
-                     workspace: Optional[Workspace] = None) -> None:
-    """Relativistic Boris push, ``CHUNK`` particles at a time, in place.
+                     workspace: Optional[Workspace] = None,
+                     particles: slice = slice(None)) -> None:
+    """Relativistic Boris push of ``species.momenta[particles]`` (all of
+    them by default), ``CHUNK`` particles at a time, in place.
 
     Same scheme as its oracle :func:`repro.pic.pusher.boris_push` (half
     electric kick, magnetic rotation, half electric kick).  Each block is
@@ -526,13 +612,15 @@ def boris_push_fused(species: ParticleSpecies, e_fields: np.ndarray,
     ``workspace`` (``None``: a private one for this call), every term is a
     contiguous row operation written with ``out=``, and the result is
     transposed back into ``species.momenta`` — no ``(N, 3)`` intermediate is
-    allocated and no strided column is walked more than once.
+    allocated and no strided column is walked more than once.  The fields
+    are those of the pushed particles.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     e_fields = np.asarray(e_fields, dtype=np.float64)
     b_fields = np.asarray(b_fields, dtype=np.float64)
-    momenta = species.momenta
+    # a view: the blocks below write through it into the species
+    momenta = species.momenta[particles]
     if e_fields.shape != momenta.shape or b_fields.shape != momenta.shape:
         raise ValueError("field arrays must have shape (N, 3)")
     workspace = (Workspace() if workspace is None else workspace).begin()

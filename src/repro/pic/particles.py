@@ -64,8 +64,9 @@ class ParticleSpecies:
 
     def gamma(self) -> np.ndarray:
         """Lorentz factor per macro-particle."""
-        u2 = np.einsum("ij,ij->i", self.momenta, self.momenta)
-        return np.sqrt(1.0 + u2)
+        gamma = np.einsum("ij,ij->i", self.momenta, self.momenta)
+        gamma += 1.0
+        return np.sqrt(gamma, out=gamma)
 
     def velocities(self) -> np.ndarray:
         """Velocities ``v = u c / gamma`` [m/s], shape (N, 3)."""

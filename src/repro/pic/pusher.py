@@ -11,7 +11,7 @@ simulator runs; :func:`advance_positions` is the position update both use.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -56,15 +56,21 @@ def boris_push(species: ParticleSpecies, e_fields: np.ndarray, b_fields: np.ndar
     species.momenta = u_plus + qmdt2 * e_fields
 
 
-def wrap_periodic(values: np.ndarray, extent) -> np.ndarray:
-    """The floored remainder ``values mod extent``, bit for bit, as a new array.
+def wrap_periodic(values: np.ndarray, extent,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The floored remainder ``values mod extent``, bit for bit, in ``out``
+    (``None``: a new array).
 
     ``extent`` is a scalar or one value per entry of the last axis.  For
     ``0 < x < extent`` the remainder is ``x`` itself, so only the entries
     outside that open interval (``±0.0``, ``extent``, negatives, NaN, ``±inf``)
     pay the division.
     """
-    wrapped = np.array(values, dtype=np.float64)
+    if out is None:
+        wrapped = np.array(values, dtype=np.float64)
+    else:
+        wrapped = out
+        np.copyto(wrapped, values)
     extent = np.asarray(extent, dtype=np.float64)
     outside = np.flatnonzero(~((wrapped > 0.0) & (wrapped < extent)))
     if outside.size:
@@ -75,18 +81,23 @@ def wrap_periodic(values: np.ndarray, extent) -> np.ndarray:
 
 
 def advance_positions(species: ParticleSpecies, dt: float,
-                      box_extent: Tuple[float, float, float]) -> np.ndarray:
-    """Advance positions by ``dt`` using the current momenta.
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The species' new positions ``x + v dt``, *unwrapped*, in ``out`` (a
+    C-contiguous ``(N, 3)`` array; ``None``: a new one).
 
-    Returns the *unwrapped* new positions (needed by the Esirkepov
-    deposition); the species' stored positions are rebound to them wrapped
-    periodically into the box of ``box_extent``.
+    The species is not changed.  The Esirkepov deposition reads the new
+    positions unwrapped, so the displacement is continuous; the caller
+    stores them afterwards wrapped into the box, in place:
+    ``species.positions = wrap_periodic(new, box_extent, out=new)``.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    # one array: v * dt, then + x in place (the sum of the same two terms)
-    new_positions = species.velocities()
-    new_positions *= dt
-    new_positions += species.positions
-    species.positions = wrap_periodic(new_positions, box_extent)
-    return new_positions
+    if out is None:
+        out = np.empty(species.positions.shape)
+    scale = species.gamma()
+    np.divide(constants.SPEED_OF_LIGHT, scale, out=scale)
+    # v * dt, then + x in place (the sum of the same two terms)
+    np.multiply(species.momenta, scale[:, None], out=out)
+    out *= dt
+    out += species.positions
+    return out

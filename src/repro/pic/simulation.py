@@ -15,17 +15,23 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import Executor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
+import numpy as np
+
+from repro.pic import kernels
 from repro.pic.fom import FigureOfMerit, figure_of_merit
 from repro.pic.grid import GridConfig, YeeGrid
-from repro.pic.kernels import (Workspace, boris_push_fused, deposit_charge_cic,
-                               deposit_current_esirkepov, gather_fields)
+from repro.pic.kernels import (Workspace, add_current, boris_push_fused,
+                               deposit_charge_cic, deposit_current_esirkepov,
+                               gather_fields, n_blocks)
 from repro.pic.maxwell import YeeSolver
 from repro.pic.particles import ParticleSpecies
-from repro.pic.pusher import advance_positions
-from repro.telemetry.spans import Timer
+from repro.pic.pusher import advance_positions, wrap_periodic
+from repro.telemetry.spans import Timer, carry_trace
 
 
 class Plugin:
@@ -84,6 +90,10 @@ class PICSimulation:
         # scratch of the fused kernels, kept across steps; one per simulation
         # because several simulations may step concurrently in one process
         self._workspace = Workspace()
+        # the executor a driver lends to the steps (:meth:`lent`), if any
+        self._helper: Optional[Executor] = None
+        # the helper thread's kernel scratch and step-lived arrays
+        self._helper_workspaces = (Workspace(), Workspace())
 
     # -- setup ------------------------------------------------------------- #
     def add_species(self, species: ParticleSpecies) -> ParticleSpecies:
@@ -117,8 +127,29 @@ class PICSimulation:
         for s in self.species:
             deposit_charge_cic(self.grid, s.positions, s.charge, s.weights)
 
+    @contextmanager
+    def lent(self, helper: Executor) -> Iterator["PICSimulation"]:
+        """Lend ``helper``, a one-thread executor, to every step of the block.
+
+        The species then step in pairs: the second of a pair, if it holds
+        at least ``CHUNK`` particles, steps on the helper while this thread
+        steps the first.  Its current comes back per block and is added
+        after the first's, so ``J`` is summed in species order and block
+        order, as on one thread, and every step is bit-identical.  A failure
+        on either thread propagates once the helper is idle, the stepping
+        thread's first; the species that failed adds no current.  A failed
+        step is not atomic: the helper's species may have been pushed and
+        moved while the step adds none of its current.
+        """
+        self._helper = helper
+        try:
+            yield self
+        finally:
+            self._helper = None
+
     def step(self) -> None:
-        """Advance the whole system by one time step.
+        """Advance the whole system by one time step (on two threads while
+        a helper is :meth:`lent`).
 
         :func:`repro.pic.hotpath.reference_step` is the same step on the
         readable oracle kernels; keep the two in step when editing this one.
@@ -127,34 +158,95 @@ class PICSimulation:
             for plugin in self.plugins:
                 plugin.on_start(self)
             self._started = True
-        dt = self.config.dt
-        extent = self.config.grid.extent
-        grid = self.grid
+        grid, helper = self.grid, self._helper
+        species = self.species
 
         grid.clear_currents()
-        for s in self.species:
-            with self.timer.section("gather"):
-                e_at_p, b_at_p = gather_fields(grid, s.positions, self._workspace)
-            with self.timer.section("push"):
-                boris_push_fused(s, e_at_p, b_at_p, dt, workspace=self._workspace)
-                # every per-species array goes as soon as nothing reads it,
-                # so the next species never steps beside this one's
-                del e_at_p, b_at_p
-                # advance_positions rebinds (never mutates) the stored
-                # array, so the pre-push positions survive without a copy
-                old_positions = s.positions
-                new_positions = advance_positions(s, dt, extent)
-            with self.timer.section("deposit"):
-                deposit_current_esirkepov(grid, old_positions, new_positions,
-                                          s.charge, s.weights, dt,
-                                          workspace=self._workspace)
-            del old_positions, new_positions
+        for first in range(0, len(species), 2):
+            pair = species[first:first + 2]
+            future = None
+            if (helper is not None and len(pair) == 2
+                    and pair[1].n_macro >= kernels.CHUNK):
+                # the new stored positions outlive the step: they come from
+                # this thread's heap, where the ones they replace go back
+                future = helper.submit(carry_trace(self._advance), pair[1],
+                                       *self._helper_workspaces,
+                                       np.empty(pair[1].positions.shape))
+            try:
+                self._advance(pair[0], self._workspace)
+            finally:
+                # nothing propagates while the helper still works; this
+                # thread's error, if any, goes before the helper's
+                if future is not None:
+                    wait((future,))
+            if future is not None:
+                add_current(grid, future.result())
+            elif len(pair) == 2:
+                self._advance(pair[1], self._workspace)
         with self.timer.section("fields"):
-            self.solver.step(dt)
+            self.solver.step(self.config.dt)
         self.step_index += 1
         with self.timer.section("plugins"):
             for plugin in self.plugins:
                 plugin.on_step(self)
+
+    def _advance(self, s: ParticleSpecies, scratch: Workspace,
+                 held: Optional[Workspace] = None,
+                 positions: Optional[np.ndarray] = None
+                 ) -> Optional[np.ndarray]:
+        """Gather → push → advance → deposit of one species.
+
+        The gather and the push go in two parts of whole blocks, so the E/B
+        rows of a part are no larger than the new positions; and the new
+        positions are wrapped in place once the deposit has read them, so
+        one array holds them.  Without ``held`` the current goes into
+        ``grid.J*``.  With it — the helper's case — the E/B rows and the
+        per-block currents are carved from ``held``, the new positions go
+        into ``positions``, and the currents are returned for
+        :func:`add_current`: the helper thread allocates nothing larger
+        than one row of Lorentz factors, so its malloc arena keeps little
+        resident beside the stepping thread's.
+        """
+        grid, dt, n = self.grid, self.config.dt, s.n_macro
+        split = kernels.CHUNK * -(-n_blocks(n) // 2)
+        # (a lone last particle stays with its block: the gather sums one
+        # particle's corners in another order than a row of them)
+        parts = ((0, n),) if n - split <= 1 else ((0, split), (split, n))
+        rows_shape = (6, parts[0][1])
+        rows = (np.empty(rows_shape) if held is None
+                else held.begin().array("step.fields", rows_shape))
+        for start, stop in parts:
+            with self.timer.section("gather"):
+                e_at_p, b_at_p = gather_fields(grid, s.positions[start:stop],
+                                               scratch, rows[:, :stop - start])
+            with self.timer.section("push"):
+                boris_push_fused(s, e_at_p, b_at_p, dt, workspace=scratch,
+                                 particles=slice(start, stop))
+                if stop == n:
+                    # every per-species array goes as soon as nothing reads
+                    # it: the new positions never sit beside the E/B rows
+                    del e_at_p, b_at_p, rows
+                    blocks = None if held is None else held.begin().array(
+                        "step.current",
+                        (n_blocks(n), 3, self.config.grid.n_cells))
+                    new_positions = advance_positions(s, dt, positions)
+        with self.timer.section("deposit"):
+            deposit_current_esirkepov(grid, s.positions, new_positions,
+                                      s.charge, s.weights, dt,
+                                      workspace=scratch, blocks=blocks)
+            # read unwrapped, stored wrapped: in the new array, not the
+            # stored one, which a streamed step may still hold
+            s.positions = wrap_periodic(new_positions,
+                                        self.config.grid.extent,
+                                        out=new_positions)
+        return blocks
+
+    @property
+    def scratch_bytes(self) -> int:
+        """Bytes of kernel scratch held, over every :class:`Workspace` of
+        the stepping thread and the helper's."""
+        return sum(workspace.nbytes for workspace in
+                   (self._workspace, *self._helper_workspaces))
 
     def run(self, n_steps: int) -> FigureOfMerit:
         """Run ``n_steps`` and return the figure of merit of the run."""

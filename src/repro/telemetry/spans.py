@@ -261,7 +261,8 @@ class Timer:
     bare ``name``; while a sink records on the thread it is also a child
     span of the current one, named ``"{prefix}.{name}"``.  Untraced, the
     only cost beyond the clock is the thread-local sink read :func:`span`
-    makes.  Different threads may time different sections of one timer.
+    makes.  Several threads may time sections of one timer, also of one
+    name: a section's update of its totals and counts is atomic.
 
     Examples
     --------
@@ -276,6 +277,7 @@ class Timer:
         self.prefix = prefix
         self._totals: Dict[str, float] = {}
         self._counts: Dict[str, int] = {}
+        self._lock = threading.Lock()
 
     def section(self, name: str) -> "_Section":
         """Time a ``with`` block as section ``name`` (a span too while
@@ -285,16 +287,19 @@ class Timer:
 
     def totals(self) -> Dict[str, float]:
         """Seconds per section name."""
-        return dict(self._totals)
+        with self._lock:
+            return dict(self._totals)
 
     def counts(self) -> Dict[str, int]:
         """Calls per section name."""
-        return dict(self._counts)
+        with self._lock:
+            return dict(self._counts)
 
     def reset(self) -> None:
         """Forget every section."""
-        self._totals.clear()
-        self._counts.clear()
+        with self._lock:
+            self._totals.clear()
+            self._counts.clear()
 
 
 class _Section:
@@ -319,8 +324,9 @@ class _Section:
 
     def __exit__(self, exc_type, error, traceback) -> None:
         elapsed = time.perf_counter() - self.start
-        totals, counts, name = self.timer._totals, self.timer._counts, self.name
-        totals[name] = totals.get(name, 0.0) + elapsed
-        counts[name] = counts.get(name, 0) + 1
+        timer, name = self.timer, self.name
+        with timer._lock:
+            timer._totals[name] = timer._totals.get(name, 0.0) + elapsed
+            timer._counts[name] = timer._counts.get(name, 0) + 1
         if self.span is not None:
             _close(self.sink, self.span, error)

@@ -86,9 +86,16 @@ def make_record(params: Dict[str, object], metrics: Dict[str, object],
 
 
 def load_history(path: str) -> Dict[str, object]:
-    """Load a benchmark history file, validating the schema."""
+    """Load a benchmark history file, validating the schema.
+
+    A file that is not one — torn JSON included — raises ``ValueError``
+    naming it."""
     with open(path, "r", encoding="utf-8") as handle:
-        data = json.load(handle)
+        try:
+            data = json.load(handle)
+        except json.JSONDecodeError as error:
+            raise ValueError(f"{path} is not a benchmark history file "
+                             f"({error})") from None
     if not isinstance(data, dict) or "runs" not in data:
         raise ValueError(f"{path} is not a benchmark history file")
     version = data.get("schema_version")

@@ -3,8 +3,11 @@
 Every driver takes a built :class:`repro.workflow.builder.WorkflowSession`
 and returns the same :class:`repro.workflow.report.RunResult`.
 
-* :class:`SerialDriver` — one thread, one simulation step then drain; the
-  deterministic steady-state schedule.
+* :class:`SerialDriver` — one simulation step then drain; the
+  deterministic steady-state schedule.  When the run has the box to itself
+  (:func:`has_the_box`) it owns one helper thread for the run and lends it
+  to every :meth:`~repro.pic.simulation.PICSimulation.step`, which steps a
+  second species on it (bit for bit the one-thread step).
 * :class:`PipelinedDriver` — the simulation in a producer thread, every
   consumer in its own thread, coupled by the bounded SST queues plus
   explicit back-pressure: the producer admits at most ``max_in_flight``
@@ -23,8 +26,12 @@ always captured (never silently dropped) and surfaced together on the
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Type
 
 from repro.streaming.broker import StreamClosedError
@@ -33,6 +40,24 @@ from repro.workflow.report import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workflow.builder import WorkflowSession
+
+#: name prefix of the serial driver's PIC helper thread
+HELPER_THREAD = "pic-helper"
+
+
+def has_the_box() -> bool:
+    """Whether a run started here may take a second core for a helper.
+
+    Only a run on the main thread of a process no pool started, on a box of
+    two cores or more.  Its siblings busy the other cores wherever runs go
+    side by side: a campaign's worker processes, the service's job threads,
+    a pipelined producer beside its trainer.  A helper there is one more
+    busy thread than there are cores, which loses (0.94x measured beside
+    the pipelined producer).
+    """
+    return (threading.current_thread() is threading.main_thread()
+            and multiprocessing.parent_process() is None
+            and (os.cpu_count() or 1) >= 2)
 
 
 def _iteration_callback(session: "WorkflowSession", name: str,
@@ -101,22 +126,30 @@ class SerialDriver(ExecutionDriver):
         depth_samples: List[int] = []
 
         steps_done = 0
-        for index in range(n_steps):
-            try:
-                with session.timer.section("pic"):
-                    session.simulation.step()
-                session.fire_step(index)
-                steps_done += 1
-            except BaseException as error:  # noqa: BLE001 - surfaced in the result
-                producer_error = error
-                break
-            depth = session.queue_depth()
-            depth_samples.append(depth)
-            max_depth = max(max_depth, depth)
-            for name, consumer in session.consumers.items():
-                queued = session.brokers[name].queued_steps
-                if queued and name not in consumer_errors:
-                    _drain(session, name, consumer, consumer_errors, queued)
+        with ExitStack() as stack:
+            if has_the_box():
+                # one helper thread for the run, lent to every step: started
+                # by the first step with a species large enough to use it,
+                # joined on exit
+                helper = stack.enter_context(ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix=HELPER_THREAD))
+                stack.enter_context(session.simulation.lent(helper))
+            for index in range(n_steps):
+                try:
+                    with session.timer.section("pic"):
+                        session.simulation.step()
+                    session.fire_step(index)
+                    steps_done += 1
+                except BaseException as error:  # noqa: BLE001 - surfaced in the result
+                    producer_error = error
+                    break
+                depth = session.queue_depth()
+                depth_samples.append(depth)
+                max_depth = max(max_depth, depth)
+                for name, consumer in session.consumers.items():
+                    queued = session.brokers[name].queued_steps
+                    if queued and name not in consumer_errors:
+                        _drain(session, name, consumer, consumer_errors, queued)
 
         # flush: end the stream and let every consumer drain what is left
         try:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 
 import pytest
 
@@ -161,6 +162,35 @@ class TestTimer:
         assert not any(thread.is_alive() for thread in threads)
         assert timer.counts() == {name: 200 for name in names}
         assert len(recorder.spans) == 8 * 200 + 1
+
+    def test_two_threads_timing_one_section_name_lose_no_time(self):
+        """The PIC step's helper times ``gather``/``push``/``deposit`` on the
+        stepping thread's timer: two threads adding to one name at once
+        lose neither a count nor the time inside their sections."""
+        timer = Timer("pic")
+        inside = [0.0, 0.0]
+
+        def time_sections(slot):
+            clock = time.perf_counter
+            for _ in range(10_000):
+                with timer.section("gather"):
+                    start = clock()
+                    sum(range(50))
+                    inside[slot] += clock() - start
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=time_sections, args=(slot,))
+                       for slot in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert timer.counts() == {"gather": 20_000}
+        assert timer.totals()["gather"] >= sum(inside)
 
     def test_carry_trace_without_a_sink_returns_the_target(self):
         def target():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +70,25 @@ class TestLoadHistory:
         path.write_text("[1, 2, 3]\n")
         with pytest.raises(ValueError, match="not a benchmark history"):
             load_history(str(path))
+
+    def test_a_torn_file_is_named_and_never_appended_to(self, tmp_path):
+        """A history cut off mid-write: the error names the file, and an
+        append refuses it and leaves it byte for byte as it was."""
+        directory = str(tmp_path)
+        path = append_run("t", {"n": 1}, {"rate": 2.0}, directory)
+        with open(path, "rb") as handle:
+            torn = handle.read()[:-40]
+        with open(path, "wb") as handle:
+            handle.write(torn)
+        with pytest.raises(ValueError,
+                           match=f"{re.escape(path)} is not a benchmark "
+                                 f"history file"):
+            load_history(path)
+        with pytest.raises(ValueError, match=re.escape(path)):
+            append_run("t", {"n": 2}, {"rate": 3.0}, directory)
+        with open(path, "rb") as handle:
+            assert handle.read() == torn
+        assert sorted(os.listdir(directory)) == ["BENCH_t.json"]
 
     def test_rejects_unknown_schema_version(self, tmp_path):
         path = tmp_path / "BENCH_bad.json"

@@ -367,7 +367,9 @@ class TestOptionsCensus:
 
     def test_the_pic_step_takes_exactly_these_options(self):
         """One kernel per phase; the reference kernels are oracles, not a
-        setting.  These are the names the simulation step resolves."""
+        setting.  These are the names the simulation step resolves; beside
+        their inputs they take only scratch and output buffers (and the push
+        the slice of the species it pushes)."""
         assert [field.name for field in dataclasses.fields(SimulationConfig)] \
             == ["grid", "dt"]
         assert [field.name for field in dataclasses.fields(KHIConfig)] == [
@@ -380,17 +382,23 @@ class TestOptionsCensus:
         assert parameters_of(label_particles) == [
             "positions", "momenta", "extent", "vortex_half_width"]
         assert parameters_of(pic_simulation.gather_fields) == [
-            "grid", "positions", "workspace"]
+            "grid", "positions", "workspace", "out"]
         assert parameters_of(pic_simulation.deposit_charge_cic) == [
             "grid", "positions", "charge", "weights"]
         assert parameters_of(pic_simulation.deposit_current_esirkepov) == [
             "grid", "old_positions", "new_positions", "charge", "weights",
-            "dt", "workspace"]
+            "dt", "workspace", "blocks"]
+        assert parameters_of(pic_simulation.boris_push_fused) == [
+            "species", "e_fields", "b_fields", "dt", "workspace", "particles"]
+        # the new positions come unwrapped; the step wraps them, and a wrap
+        # always names its box
         assert parameters_of(pic_simulation.advance_positions) == [
-            "species", "dt", "box_extent"]
-        box_extent = inspect.signature(
-            pic_simulation.advance_positions).parameters["box_extent"]
-        assert box_extent.default is inspect.Parameter.empty
+            "species", "dt", "out"]
+        assert parameters_of(pic_simulation.wrap_periodic) == [
+            "values", "extent", "out"]
+        extent = inspect.signature(
+            pic_simulation.wrap_periodic).parameters["extent"]
+        assert extent.default is inspect.Parameter.empty
 
     def test_options_that_no_longer_exist_are_rejected_not_ignored(self):
         with pytest.raises(ValueError, match="valid keys: .*queue_limit"):
