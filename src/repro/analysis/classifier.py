@@ -81,8 +81,3 @@ class LatentRegimeClassifier:
 
     def predict(self, latents: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(latents), axis=1)
-
-    def accuracy(self, latents: np.ndarray, labels: np.ndarray) -> float:
-        """Fraction of correctly classified samples."""
-        labels = np.asarray(labels, dtype=np.int64)
-        return float(np.mean(self.predict(latents) == labels))

@@ -104,22 +104,18 @@ class MLConfig:
     n_rep: int = 4                       #: training iterations per streamed step
     now_buffer_size: int = 10
     ep_buffer_size: int = 20
-    n_now: int = 4
     n_ep: int = 4
     base_learning_rate: float = 1.0e-3   #: laptop-scale default (paper: 1e-6 at scale)
-    m_vae: float = 1.0                   #: l_VAE / l_INN ratio
 
     def __post_init__(self) -> None:
         # checked here, as StreamingConfig does, so that a campaign spec or
         # --config file carrying a value that cannot train fails at resolve:
-        # a NaN rate trains to a NaN loss, a negative m_vae ascends the VAE
+        # a NaN rate trains to a NaN loss
         check_int("n_rep", self.n_rep, 1)
         if not (is_finite_real(self.base_learning_rate)
                 and self.base_learning_rate >= 0):
             raise ValueError(f"base_learning_rate must be finite and >= 0, "
                              f"got {self.base_learning_rate!r}")
-        if not (is_finite_real(self.m_vae) and self.m_vae > 0):
-            raise ValueError(f"m_vae must be finite and > 0, got {self.m_vae!r}")
 
 
 @dataclass

@@ -19,6 +19,10 @@ from repro.streaming.step import Step
 from repro.telemetry.spans import Timer
 from repro.utils.rng import RandomState, seeded_rng
 
+#: l_VAE / l_INN (``m_VAE``, Sec. V-A1): every run here trains both blocks
+#: at one rate
+M_VAE = 1.0
+
 
 def build_trainer(config: MLConfig, rng: RandomState = None) -> InTransitTrainer:
     """The model, block-rate Adam, replay buffer and trainer ``config``
@@ -26,12 +30,11 @@ def build_trainer(config: MLConfig, rng: RandomState = None) -> InTransitTrainer
     rng = seeded_rng(rng)
     model = ArtificialScientistModel(config.model, rng=rng)
     groups = make_block_param_groups(model.vae_parameters(), model.inn_parameters(),
-                                     base_lr=config.base_learning_rate,
-                                     m_vae=config.m_vae)
+                                     config.base_learning_rate, M_VAE)
     optimizer = Adam(groups, lr=config.base_learning_rate)
     buffer = TrainingBuffer(now_size=config.now_buffer_size,
                             ep_size=config.ep_buffer_size,
-                            n_now=config.n_now, n_ep=config.n_ep, rng=rng)
+                            n_ep=config.n_ep, rng=rng)
     return InTransitTrainer(model, optimizer, buffer, loss=CombinedLoss(),
                             n_rep=config.n_rep)
 

@@ -11,11 +11,10 @@ implements the pieces the MLapp actually relies on, and nothing else:
 * :mod:`repro.mlcore.module` — ``Module``/``Parameter`` containers,
 * :mod:`repro.mlcore.layers` — Linear, MLP, point-wise convolutions, max
   pooling, transposed 3D convolutions, ReLU and ``Sequential``,
-* :mod:`repro.mlcore.losses` — MSE, Chamfer distance, KL divergence, MMD with
-  an inverse multi-quadratic kernel and a Sinkhorn-based earth mover's
-  distance,
-* :mod:`repro.mlcore.optim` — Adam with the paper's hyper-parameters,
-  VAE/INN parameter groups and square-root learning-rate scaling.
+* :mod:`repro.mlcore.losses` — MSE, Chamfer distance, KL divergence and MMD
+  with an inverse multi-quadratic kernel,
+* :mod:`repro.mlcore.optim` — Adam with the paper's hyper-parameters and
+  the VAE/INN parameter groups.
 
 Data-parallel training across ranks is modelled, not executed: the Fig. 8
 weak-scaling study is :mod:`repro.perfmodel.ddp`.

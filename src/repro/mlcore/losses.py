@@ -7,10 +7,6 @@
 * :func:`mmd_imq` — maximum mean discrepancy with an inverse multi-quadratic
   kernel, used for ``L_MMD(N, N')`` and ``L_MMD(z, z')`` (following
   Ardizzone et al.).
-* :func:`sinkhorn_emd` — an entropy-regularised earth mover's distance.  The
-  paper could not use the CUDA-only KeOps/geomloss EMD on Frontier's AMD
-  GPUs; this NumPy implementation plays the role of that missing piece and
-  is used in the CD-vs-EMD cost comparison benchmark.
 """
 
 from __future__ import annotations
@@ -187,54 +183,3 @@ def mmd_imq(x: ArrayOrTensor, y: ArrayOrTensor,
     stacked = concatenate([x, y], axis=0)
     d2 = F.pairwise_squared_distances(stacked, stacked)
     return _imq_mmd(d2, x.shape[0], scales)
-
-
-def sinkhorn_emd(a: ArrayOrTensor, b: ArrayOrTensor, epsilon: float = 0.05,
-                 n_iterations: int = 50) -> Tensor:
-    """Entropy-regularised earth mover's distance between point clouds,
-    averaged over the batch.
-
-    Uses the Sinkhorn-Knopp algorithm on the squared Euclidean cost with
-    uniform marginals.  The transport plan is computed without gradient
-    tracking (the standard "Sinkhorn as a constant plan" approximation) and
-    the returned loss is ``<P, C>`` with gradients flowing through the cost
-    matrix ``C`` — which is what makes the point positions trainable.
-
-    Parameters
-    ----------
-    a, b:
-        Point clouds of shape ``(B, N, D)`` and ``(B, M, D)``.
-    epsilon:
-        Entropic regularisation strength (smaller is closer to exact EMD but
-        slower to converge).
-    n_iterations:
-        Number of Sinkhorn iterations.
-    """
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.ndim != 3 or b.ndim != 3:
-        raise ValueError("sinkhorn_emd expects (B, N, D) point clouds")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if n_iterations < 1:
-        raise ValueError("n_iterations must be >= 1")
-    cost = F.pairwise_squared_distances(a, b)        # (B, N, M), differentiable
-    c = cost.data
-    batch, n, m = c.shape
-    log_mu = -np.log(n) * np.ones((batch, n))
-    log_nu = -np.log(m) * np.ones((batch, m))
-    f = np.zeros((batch, n))
-    g = np.zeros((batch, m))
-    # Sinkhorn iterations in log space for numerical stability.
-    for _ in range(n_iterations):
-        f = epsilon * (log_mu - _logsumexp((g[:, None, :] - c) / epsilon, axis=2))
-        g = epsilon * (log_nu - _logsumexp((f[:, :, None] - c) / epsilon, axis=1))
-    log_plan = (f[:, :, None] + g[:, None, :] - c) / epsilon
-    plan = np.exp(log_plan)
-    return (cost * Tensor(plan)).sum(axis=(1, 2)).mean()
-
-
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    xmax = x.max(axis=axis, keepdims=True)
-    out = np.log(np.exp(x - xmax).sum(axis=axis)) + np.squeeze(xmax, axis=axis)
-    return out

@@ -1,11 +1,9 @@
-"""The Adam optimiser and learning-rate scaling rules.
+"""The Adam optimiser and the VAE/INN learning-rate split.
 
 The paper trains with Adam using ``beta1 = 0.8``, ``beta2 = 0.9``,
-``eps = 1e-6`` and weight decay ``2e-5`` (Section IV-C), scales learning
-rates with the square-root rule when increasing the global batch size
-(Krizhevsky's "one weird trick") and uses a *higher* learning rate for the
-VAE block than for the INN block (``m_VAE`` in Section V-A1).  Parameter
-groups make that split explicit.
+``eps = 1e-6`` and weight decay ``2e-5`` (Section IV-C) and uses a *higher*
+learning rate for the VAE block than for the INN block (``m_VAE`` in
+Section V-A1).  Parameter groups make that split explicit.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Sequence, Union
 
 import numpy as np
 
@@ -44,16 +42,6 @@ def _check_lr(lr: float) -> None:
     if not math.isfinite(lr) or lr < 0:
         raise ValueError(f"learning rate must be finite and non-negative, "
                          f"got {lr!r}")
-
-
-def sqrt_lr_scaling(base_lr: float, batch_size: int, base_batch_size: int) -> float:
-    """Square-root learning-rate scaling rule for large-batch training.
-
-    ``lr = base_lr * sqrt(batch_size / base_batch_size)``
-    """
-    if batch_size <= 0 or base_batch_size <= 0:
-        raise ValueError("batch sizes must be positive")
-    return base_lr * math.sqrt(batch_size / base_batch_size)
 
 
 class Optimizer:
@@ -176,25 +164,18 @@ class Adam(Optimizer):
 
 def make_block_param_groups(vae_params: Iterable[Parameter],
                             inn_params: Iterable[Parameter],
-                            base_lr: float = PAPER_BASE_LEARNING_RATE,
-                            m_vae: float = 10.0,
-                            weight_decay: float = PAPER_WEIGHT_DECAY,
-                            batch_size: Optional[int] = None,
-                            base_batch_size: int = 8) -> List[ParamGroup]:
+                            base_lr: float, m_vae: float,
+                            weight_decay: float = PAPER_WEIGHT_DECAY
+                            ) -> List[ParamGroup]:
     """Create the VAE/INN parameter groups with separate learning rates.
 
     The paper observes that the VAE only finds good minima at the highest
     learning rate while the INN losses converge best at lower rates, hence
-    ``l_VAE = m_VAE * l_INN``.  If ``batch_size`` is given, both rates are
-    additionally scaled with the square-root rule.
+    ``l_VAE = m_VAE * l_INN``.
     """
-    lr_inn = base_lr
-    if batch_size is not None:
-        lr_inn = sqrt_lr_scaling(base_lr, batch_size, base_batch_size)
-    lr_vae = lr_inn * m_vae
     return [
-        ParamGroup(params=list(vae_params), lr=lr_vae,
+        ParamGroup(params=list(vae_params), lr=base_lr * m_vae,
                    weight_decay=weight_decay, name="vae"),
-        ParamGroup(params=list(inn_params), lr=lr_inn,
+        ParamGroup(params=list(inn_params), lr=base_lr,
                    weight_decay=weight_decay, name="inn"),
     ]

@@ -27,10 +27,11 @@ silently overwritten.
 
 The module is also the one harness under every persisted benchmark
 (:mod:`repro.pic.hotpath`, :mod:`repro.campaign.hotpath`,
-:mod:`repro.workflow.train_hotpath`).  A benchmark is a
-:class:`BenchCase`: its topic, its own flags, a ``run(args)`` returning a
-result with ``params()`` / ``metrics()`` / ``equivalent``, the result's text
-rendering and the message of a failed gate.  The harness supplies the rest:
+:mod:`repro.workflow.train_hotpath`, :mod:`repro.workflow.learning`).  A
+benchmark is a :class:`BenchCase`: its topic, its own flags, a
+``run(args)`` returning a result with ``params()`` / ``metrics()`` /
+``equivalent``, the result's text rendering and the message of a failed
+gate.  The harness supplies the rest:
 :func:`best_of_interleaved` (the measurement loop), the shared flags
 (``--repeats``, ``--output-dir``, ``--no-persist``), persistence, and one
 exit-code policy — 2 for a ``ValueError`` (a bad argument), 1 for a failed

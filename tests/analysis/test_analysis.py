@@ -10,8 +10,9 @@ from repro.analysis import (LatentRegimeClassifier, REGION_APPROACHING, REGION_N
                             histogram_distance, label_particles, majority_region,
                             momentum_histogram, peak_momentum,
                             region_momentum_histograms)
+from repro.analysis.evaluation import held_out_accuracy
 from repro.analysis.histograms import detects_two_populations, mean_momentum
-from repro.analysis.regions import region_fractions
+from repro.analysis.regions import FLOW_MOMENTUM_COLUMN, region_fractions
 from repro.continual.buffer import TrainingSample
 from repro.models import ArtificialScientistModel, small_config
 
@@ -112,7 +113,7 @@ class TestLatentClassifier:
         ])
         labels = np.repeat([0, 1, 2], n)
         classifier = LatentRegimeClassifier(rng=rng).fit(latents, labels)
-        assert classifier.accuracy(latents, labels) > 0.95
+        assert np.mean(classifier.predict(latents) == labels) > 0.95
         proba = classifier.predict_proba(latents[:5])
         np.testing.assert_allclose(proba.sum(axis=1), 1.0)
 
@@ -129,7 +130,7 @@ class TestLatentClassifier:
         latents = rng.normal(size=(300, 4))
         labels = rng.integers(0, 3, size=300)
         classifier = LatentRegimeClassifier(n_epochs=50, rng=rng).fit(latents, labels)
-        assert classifier.accuracy(latents, labels) < 0.6
+        assert np.mean(classifier.predict(latents) == labels) < 0.6
 
 
 class TestInversionEvaluation:
@@ -165,6 +166,45 @@ class TestInversionEvaluation:
         report = evaluate_inversion(model, samples, n_posterior_samples=1, rng=rng)
         assert report.regions["approaching"].true_peak == pytest.approx(0.2, abs=0.05)
         assert report.regions["receding"].true_peak == pytest.approx(-0.2, abs=0.05)
+
+    @pytest.mark.parametrize("n_samples", [40, 80])
+    def test_classifier_accuracy_on_random_latents_reads_chance(self, rng,
+                                                               n_samples):
+        """Random latents with random labels hold nothing to learn: scored
+        on the samples it was fitted to, the classifier read 1.0 at 40
+        samples; held out, it reads near chance (1/3)."""
+        config = small_config()
+        model = ArtificialScientistModel(config, rng=rng)
+        model.encode_to_latent = lambda clouds: rng.normal(size=(len(clouds), 32))
+        accuracies = [evaluate_inversion(model, [TrainingSample(
+            point_cloud=rng.normal(size=(config.n_input_points, 6)),
+            spectrum=rng.random(config.spectrum_dim), region=region)
+            for region in rng.choice(sorted(REGION_NAMES.values()), n_samples)],
+            n_posterior_samples=1, rng=rng).latent_classifier_accuracy
+            for _ in range(5)]
+        assert max(accuracies) < 0.6 and np.mean(accuracies) < 0.45
+
+    def test_held_out_accuracy_still_separates_clusters(self, rng):
+        labels = np.repeat([0, 1, 2], 10)
+        latents = rng.normal(size=(30, 4)) + 10.0 * labels[:, None]
+        assert held_out_accuracy(latents, labels, rng) == 1.0
+
+    def test_report_states_the_share_of_momenta_it_clipped(self, rng):
+        """Half the predicted momenta lie far outside the histogram range."""
+        config = small_config()
+        model = ArtificialScientistModel(config, rng=rng)
+
+        def predict(spectra, n_samples):
+            clouds = np.zeros((len(spectra), n_samples, 8, 6))
+            clouds[..., FLOW_MOMENTUM_COLUMN] = np.tile([5.0, 0.1, -3.0, 0.0], 2)
+            return clouds
+
+        model.predict_particles_from_radiation = predict
+        report = evaluate_inversion(model, self.make_samples(rng, config),
+                                    n_posterior_samples=2, rng=rng)
+        assert report.clipped_fraction == report.summary()["clipped_fraction"] \
+            == 0.5
+        assert {row["clipped_fraction"] for row in report.rows()} == {0.5}
 
     def test_requires_samples(self, rng):
         model = ArtificialScientistModel(small_config(), rng=rng)

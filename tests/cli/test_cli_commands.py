@@ -120,12 +120,13 @@ class TestRunCommand:
     @pytest.mark.parametrize("ml, message", [
         ({"base_learning_rate": float("nan")},
          "base_learning_rate must be finite and >= 0, got nan"),
-        ({"m_vae": -2.0}, "m_vae must be finite and > 0, got -2.0")],
+        ({"m_vae": -2.0}, "unknown MLConfig keys ['m_vae']")],
         ids=["nan-rate", "negative-m-vae"])
     def test_run_with_a_rate_that_cannot_train_exits_2(
             self, capsys, tmp_path, ml, message):
         """A NaN rate trained to a NaN loss and a negative m_vae ascended
-        the VAE loss, both exiting 0: now they fail when the config loads."""
+        the VAE loss, both exiting 0: now they fail when the config loads
+        (``m_vae`` is a constant, so the key itself is refused)."""
         import json
 
         path = tmp_path / "workflow.json"

@@ -41,6 +41,18 @@ def short_training(monkeypatch) -> None:
     monkeypatch.setattr(train_hotpath, "WARMUP", 1)
 
 
+@pytest.fixture
+def short_learning(monkeypatch) -> None:
+    """Cut ``bench-learning`` to one seed pair of 8-sample phases (seed 0
+    still forgets) and a 4-step session, banded at that size."""
+    from repro.workflow import learning
+
+    monkeypatch.setattr(learning, "SEEDS", (0,))
+    monkeypatch.setattr(learning, "PHASE_SAMPLES", 8)
+    monkeypatch.setattr(learning, "STEPS", 4)
+    monkeypatch.setattr(learning, "BANDS", learning.measure_bands())
+
+
 def numerical_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference numerical gradient of a scalar function of ``x``."""
     x = np.asarray(x, dtype=np.float64)

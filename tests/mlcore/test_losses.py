@@ -152,38 +152,6 @@ class TestMMD:
                            Tensor(rng.normal(size=(4, 3))))
 
 
-class TestSinkhornEMD:
-    def test_zero_for_identical(self, rng):
-        a = rng.normal(size=(1, 10, 3))
-        value = losses.sinkhorn_emd(Tensor(a), Tensor(a.copy()), epsilon=0.01).item()
-        assert value == pytest.approx(0.0, abs=1e-2)
-
-    def test_detects_shift_better_than_density(self, rng):
-        a = rng.normal(size=(1, 24, 2))
-        small = losses.sinkhorn_emd(Tensor(a), Tensor(a + 0.1)).item()
-        large = losses.sinkhorn_emd(Tensor(a), Tensor(a + 1.0)).item()
-        assert large > small
-
-    def test_emd_sees_density_difference_cd_misses(self, rng):
-        """The paper motivates EMD because CD is insensitive to point density."""
-        # cloud A: uniform points; cloud B: same support but 90% of points
-        # piled onto one location.  CD barely changes, EMD does.
-        base = rng.uniform(-1, 1, size=(1, 40, 2))
-        piled = base.copy()
-        piled[0, : 36] = base[0, :1]
-        cd_uniform = losses.chamfer_distance(Tensor(base), Tensor(base)).item()
-        cd_piled = losses.chamfer_distance(Tensor(base), Tensor(piled)).item()
-        emd_piled = losses.sinkhorn_emd(Tensor(base), Tensor(piled)).item()
-        assert emd_piled > 10 * max(cd_piled - cd_uniform, 1e-6) or emd_piled > 0.1
-
-    def test_invalid_args(self, rng):
-        a = Tensor(rng.normal(size=(1, 5, 2)))
-        with pytest.raises(ValueError):
-            losses.sinkhorn_emd(a, a, epsilon=0.0)
-        with pytest.raises(ValueError):
-            losses.sinkhorn_emd(a, a, n_iterations=0)
-
-
 class TestHypothesisLossProperties:
     @given(st.integers(2, 12), st.integers(2, 12), st.integers(1, 3))
     @settings(max_examples=25, deadline=None)

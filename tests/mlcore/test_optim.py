@@ -11,7 +11,7 @@ from repro.mlcore import optim
 from repro.mlcore.layers import Linear
 from repro.mlcore.losses import mse_loss
 from repro.mlcore.module import Parameter
-from repro.mlcore.optim import Adam, ParamGroup, make_block_param_groups, sqrt_lr_scaling
+from repro.mlcore.optim import Adam, ParamGroup, make_block_param_groups
 from repro.mlcore.tensor import Tensor
 
 
@@ -195,27 +195,20 @@ class TestAdam:
 
 
 class TestParamGroupsAndScaling:
-    def test_sqrt_scaling(self):
-        assert sqrt_lr_scaling(1e-6, 3072, 8) == pytest.approx(1e-6 * np.sqrt(384))
-        assert sqrt_lr_scaling(1e-6, 8, 8) == pytest.approx(1e-6)
-
-    def test_sqrt_scaling_invalid(self):
-        with pytest.raises(ValueError):
-            sqrt_lr_scaling(1e-6, 0, 8)
-
     def test_block_param_groups(self, rng):
         vae = Linear(4, 4, rng=rng)
         inn = Linear(4, 4, rng=rng)
         groups = make_block_param_groups(vae.parameters(), inn.parameters(),
-                                         base_lr=1e-6, m_vae=10.0, batch_size=256)
+                                         base_lr=1e-6, m_vae=10.0)
         assert groups[0].name == "vae" and groups[1].name == "inn"
         assert groups[0].lr == pytest.approx(10.0 * groups[1].lr)
-        assert groups[1].lr == pytest.approx(sqrt_lr_scaling(1e-6, 256, 8))
+        assert groups[1].lr == 1e-6
 
     def test_optimizer_with_groups(self, rng):
         vae = Linear(4, 4, rng=rng)
         inn = Linear(4, 4, rng=rng)
-        groups = make_block_param_groups(vae.parameters(), inn.parameters())
+        groups = make_block_param_groups(vae.parameters(), inn.parameters(),
+                                         base_lr=1e-6, m_vae=10.0)
         opt = Adam(groups, lr=1e-6)
         assert opt.param_groups == groups
         assert [group.name for group in opt.param_groups] == ["vae", "inn"]

@@ -1,7 +1,8 @@
 """The benchmark harness contract (``repro.utils.benchjson``), tested once.
 
 Every persisted benchmark — ``repro.pic.hotpath``,
-``repro.campaign.hotpath`` and ``repro.workflow.train_hotpath`` — is a case
+``repro.campaign.hotpath``, ``repro.workflow.train_hotpath`` and
+``repro.workflow.learning`` — is a case
 definition over one harness, so the behaviour they share (shared flags,
 persistence, exit codes, the flags the CLI mounts) is checked here over
 every case instead of once per module.
@@ -15,11 +16,13 @@ import pytest
 
 import repro.campaign.hotpath as campaign_hotpath
 import repro.pic.hotpath as pic_hotpath
+import repro.workflow.learning as learning
 import repro.workflow.train_hotpath as train_hotpath
 from repro.cli import main as cli_main
 from repro.utils.benchjson import best_of_interleaved, latest_run
 from tests.campaign.test_campaign_hotpath import stub_result as campaign_stub
 from tests.pic.test_hotpath import stub_result as pic_stub
+from tests.workflow.test_learning import stub_result as learning_stub
 from tests.workflow.test_train_hotpath import stub_result as train_stub
 
 pytestmark = pytest.mark.usefixtures("short_training")
@@ -46,6 +49,12 @@ CASES = {
         tiny=["--repeats", "1"],
         flags={"--repeats", "--output-dir", "--no-persist", "--help"},
         stub=train_stub, failure=("not finite", "58 nodes", "diverged")),
+    "learning": dict(
+        module=learning, command="bench-learning",
+        tiny=["--repeats", "1"],
+        flags={"--repeats", "--output-dir", "--no-persist", "--help"},
+        stub=learning_stub,
+        failure=("surrogate_spectrum_mse", "left its band")),
 }
 
 BAD_FLAGS = [
@@ -59,11 +68,14 @@ BAD_FLAGS = [
     pytest.param("campaign", ["--max-workers", "0"],
                  id="campaign-max-workers"),
     pytest.param("train", ["--repeats", "0"], id="train-repeats"),
+    pytest.param("learning", ["--repeats", "0"], id="learning-repeats"),
 ]
 
 
 @pytest.fixture(params=sorted(CASES))
 def case(request):
+    if request.param == "learning":
+        request.getfixturevalue("short_learning")
     return CASES[request.param]
 
 

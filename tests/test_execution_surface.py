@@ -75,6 +75,7 @@ from repro.workflow import (WorkflowBuilder, WorkflowSession,
                             available_drivers, available_presets, get_driver,
                             get_preset)
 from repro.workflow import drivers as workflow_drivers
+from repro.workflow import learning
 from repro.workflow.builder import ConsumerSpec
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -170,12 +171,6 @@ ONE_VALUED = {
     "khi.beta": "an input of growth_rate_estimate; the KHI validation's "
                 "no-shear control runs at beta = 1e-4",
     "khi.density": "an input of growth_rate_estimate",
-    "ml.n_now": "the replay ablation and learning-rate benchmarks set other "
-                "values one layer down, and bench-learning drives them",
-    "ml.n_ep": "as ml.n_now",
-    "ml.now_buffer_size": "as ml.n_now",
-    "ml.ep_buffer_size": "as ml.n_now",
-    "ml.m_vae": "as ml.n_now",
     "streaming.queue_limit": "the SST QueueLimit",
     "streaming.sample_interval": "the time-integrated spectra make it "
                                  "two-valued",
@@ -188,7 +183,8 @@ REMOVED_OPTIONS = {
     ("khi",): ["cell_size", "dt", "thermal_beta", "perturbation_amplitude",
                "perturbation_modes", "immobile_ions", "flow_axis",
                "shear_axis"],
-    ("ml",): ["n_points_per_sample", "max_grad_norm", "warmup_steps"],
+    ("ml",): ["n_points_per_sample", "max_grad_norm", "warmup_steps",
+              "n_now", "m_vae"],
     ("ml", "model"): ["point_dim"],
     (): ["n_detector_frequencies"],
 }
@@ -221,7 +217,8 @@ def census_traffic():
     configs += [WorkflowConfig.from_dict(run.config)
                 for spec in specs for run in spec.resolve()]
     configs += [_example("khi_inverse_problem").build_config(),
-                _example("file_based_vs_in_transit").workflow_config()]
+                _example("file_based_vs_in_transit").workflow_config(),
+                learning.session_config(learning.SEEDS[0])]
     return configs
 
 
@@ -244,8 +241,12 @@ class TestOptionsCensus:
         for config in traffic:
             for path, value in config_leaves(config.to_dict()):
                 values.setdefault(path, set()).add(value)
-        assert len(traffic) == 36
-        assert len(values) == 29
+        for replay in (False, True):       # bench-learning's two trainers
+            ml = dataclasses.asdict(learning.stream_config(replay))
+            for path, value in config_leaves(ml, "ml."):
+                values.setdefault(path, set()).add(value)
+        assert len(traffic) == 37
+        assert len(values) == 27
         assert sorted(path for path, seen in values.items()
                       if len(seen) < 2) == sorted(ONE_VALUED)
         assert all(ONE_VALUED.values())
@@ -295,7 +296,7 @@ class TestOptionsCensus:
                                   "_campaign_executor")
                 if hasattr(repro.cli, name)] == []
         found = dict(leaves(_build_parser(), ()))
-        assert len(found) == 17
+        assert len(found) == 18
         assert {path: callable(parser.get_default("handler"))
                 for path, parser in found.items()} \
             == {path: True for path in found}
@@ -415,15 +416,15 @@ class TestOptionsCensus:
                                    match=rf"unknown \w+ keys \['{key}'\]; "
                                          r"valid keys: "):
                     WorkflowConfig.from_dict(data)
-        assert sum(map(len, REMOVED_OPTIONS.values())) == 13
+        assert sum(map(len, REMOVED_OPTIONS.values())) == 15
         # the name in two pieces: a grep for it over the tree stays empty
         redispatch_threshold = "straggler" + "_after"
         with pytest.raises(TypeError, match=redispatch_threshold):
             get_executor("workers", **{redispatch_threshold: 1.0})
 
     def test_mlcore_exports_exactly_what_a_run_or_an_oracle_reaches(self):
-        """The PyTorch stand-in is what the model, its trainer, the
-        benchmarks and the fused nodes' tape oracles use, and no more."""
+        """The PyTorch stand-in is what the model, its trainer and the
+        fused nodes' tape oracles use, and no more."""
         assert repro.mlcore.__all__ == [
             "Tensor", "no_grad", "Module", "Parameter",
             "functional", "layers", "losses", "optim"]
@@ -435,17 +436,16 @@ class TestOptionsCensus:
             "pairwise_squared_distances", "reparameterize", "take_columns",
             "weighted_sum"]
         assert public_names(mlcore_losses) == [
-            "chamfer_distance", "kl_divergence_normal", "mmd_imq", "mse_loss",
-            "sinkhorn_emd"]
+            "chamfer_distance", "kl_divergence_normal", "mmd_imq", "mse_loss"]
         assert public_names(optim) == [
             "Adam", "Optimizer", "PAPER_ADAM_BETAS", "PAPER_ADAM_EPS",
             "PAPER_BASE_LEARNING_RATE", "PAPER_WEIGHT_DECAY", "ParamGroup",
-            "make_block_param_groups", "sqrt_lr_scaling"]
+            "make_block_param_groups"]
 
     def test_mlcore_options_with_one_value_are_constants(self):
         assert parameters_of(mlcore_losses.chamfer_distance) == ["a", "b"]
-        assert parameters_of(mlcore_losses.sinkhorn_emd) == [
-            "a", "b", "epsilon", "n_iterations"]
+        assert parameters_of(optim.make_block_param_groups) == [
+            "vae_params", "inn_params", "base_lr", "m_vae", "weight_decay"]
         assert parameters_of(mlcore_layers.MLP.__init__) == ["dims", "rng"]
         assert parameters_of(mlcore_layers.MaxPoolPoints.__init__) == []
         assert parameters_of(mlcore_init.kaiming_uniform) == ["shape", "rng"]
@@ -474,9 +474,10 @@ class TestOptionsCensus:
             mlcore_layers.ModuleList: ["__getitem__", "forward"],
             mlcore_layers.ConvTranspose3d: ["output_shape"],
             mlcore_init: ["xavier_uniform", "xavier_normal", "zeros"],
-            mlcore_losses: ["l1_loss", "gaussian_nll"],
+            mlcore_losses: ["l1_loss", "gaussian_nll", "sinkhorn_emd",
+                            "_logsumexp"],
             Module: ["register_parameter", "named_modules", "modules", "forward"],
-            optim: ["SGD"],
+            optim: ["SGD", "sqrt_lr_scaling"],
             optim.Optimizer: ["set_lr", "add_param_group", "step_count", "step"],
             GlowCouplingBlock: ["log_det_jacobian", "_scale_shift"],
             PointNetEncoder: ["global_features"],
@@ -488,6 +489,8 @@ class TestOptionsCensus:
         # warm-up and clipping went with the options that reached them
         assert importlib.util.find_spec("repro.mlcore.schedulers") is None
         assert importlib.util.find_spec("repro.mlcore.layers.dropout") is None
+        # EMD and the sqrt rule went with their only caller, benchmarks/
+        assert not os.path.exists(os.path.join(ROOT, "benchmarks"))
 
     def test_the_pool_keeps_the_counters_the_benchmark_reads(self):
         stats = WorkerPool(1).stats()     # spawns lazily: no process here
