@@ -48,10 +48,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
-def __dir__():
-    return sorted(__all__)
-
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro import (analysis, campaign, constants, continual, core,  # noqa: F401
                        mlcore, models, openpmd, perfmodel, pic, radiation,

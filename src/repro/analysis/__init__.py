@@ -14,7 +14,7 @@
 from repro.analysis.regions import (REGION_APPROACHING, REGION_NAMES, REGION_RECEDING,
                                     REGION_VORTEX, label_particles, majority_region)
 from repro.analysis.histograms import (histogram_distance, momentum_histogram,
-                                       peak_momentum, region_momentum_histograms)
+                                       peak_momentum)
 from repro.analysis.classifier import LatentRegimeClassifier
 from repro.analysis.evaluation import InversionReport, RegionEvaluation, evaluate_inversion
 from repro.analysis.growth import (GrowthRateFit, fit_exponential_growth,
@@ -35,7 +35,6 @@ __all__ = [
     "label_particles",
     "majority_region",
     "momentum_histogram",
-    "region_momentum_histograms",
     "histogram_distance",
     "peak_momentum",
     "LatentRegimeClassifier",

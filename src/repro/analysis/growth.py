@@ -33,11 +33,6 @@ class GrowthRateFit:
     window: Tuple[int, int]     #: index window used for the fit
     r_squared: float            #: goodness of fit of log(energy) vs t
 
-    @property
-    def e_folding_time(self) -> float:
-        """Time for the field amplitude to grow by a factor e [s]."""
-        return np.inf if self.rate == 0 else 1.0 / self.rate
-
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> Tuple[float, float, float]:
     """Least-squares fit y = a + b x; returns (a, b, r^2)."""
@@ -121,27 +116,44 @@ def growth_rate_from_radiation_history(times: Sequence[float],
     return fit_exponential_growth(times, radiated_power, window=window)
 
 
-def identify_linear_phase(energies: Sequence[float], threshold: float = 10.0
-                          ) -> Tuple[int, int]:
-    """Heuristically locate the linear-growth window of an energy series.
+#: how straight log-energy must be over a window to count as exponential growth
+LINEAR_PHASE_R_SQUARED = 0.995
 
-    Returns the index range between "clearly above the initial noise floor"
-    (``threshold`` times the early minimum) and the point where growth slows
-    to below 10 % per sample (saturation).
+
+def identify_linear_phase(energies: Sequence[float]) -> Tuple[int, int]:
+    """Locate the linear-growth window ``(start, stop)`` of an energy series.
+
+    The window is the longest run of positive samples over which log-energy
+    rises on a straight line (:data:`LINEAR_PHASE_R_SQUARED`).  A start-up
+    transient — the jump from zero field and its fast first steps — is
+    short and bends away from the growth that follows, so it is never
+    chosen, and neither is a saturated plateau, which does not rise.  A
+    series without such a run gets its middle half.
     """
     energies = np.asarray(energies, dtype=np.float64)
-    if len(energies) < 5:
+    n = len(energies)
+    if n < 5:
         raise ValueError("need at least five samples")
-    noise = max(energies[:max(2, len(energies) // 10)].min(), 1e-300)
-    above = np.flatnonzero(energies > threshold * noise)
-    start = int(above[0]) if len(above) else len(energies) // 4
-    # saturation: growth per sample drops below 10 %
-    stop = len(energies)
-    for i in range(start + 2, len(energies)):
-        if energies[i] <= energies[i - 1] * 1.1:
-            stop = i
-            break
-    if stop - start < 3:
-        start = max(0, len(energies) // 4)
-        stop = max(start + 3, (3 * len(energies)) // 4)
-    return start, min(stop, len(energies))
+    x = np.arange(n, dtype=np.float64)
+    y = np.log(np.where(energies > 0, energies, 1.0))
+    # prefix sums: a sum over [start, stop) is one difference
+    sx, sy, sxx, sxy, syy, non_positive = (
+        np.concatenate([[0.0], np.cumsum(values)])
+        for values in (x, y, x * x, x * y, y * y, energies <= 0))
+    best = (n // 4, max(n // 4 + 3, (3 * n) // 4))
+    longest = 0
+    for start in range(n - 2):
+        stop = np.arange(start + 3, n + 1)
+        k = stop - start
+        cx, cy = sx[stop] - sx[start], sy[stop] - sy[start]
+        vxx = k * (sxx[stop] - sxx[start]) - cx * cx
+        vxy = k * (sxy[stop] - sxy[start]) - cx * cy
+        vyy = k * (syy[stop] - syy[start]) - cy * cy
+        with np.errstate(divide="ignore", invalid="ignore"):
+            straight = vxy * vxy >= LINEAR_PHASE_R_SQUARED * vxx * vyy
+        fits = np.flatnonzero(straight & (vxy > 0) & (vyy > 0)
+                              & (non_positive[stop] == non_positive[start]))
+        if len(fits) and k[fits[-1]] > longest:
+            longest = int(k[fits[-1]])
+            best = (start, start + longest)
+    return best

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-
-from repro.analysis.regions import REGION_NAMES
 
 
 def momentum_histogram(momenta: np.ndarray, weights: Optional[np.ndarray] = None,
@@ -35,24 +33,6 @@ def momentum_histogram(momenta: np.ndarray, weights: Optional[np.ndarray] = None
     hist, edges = np.histogram(values, bins=bins, range=momentum_range, weights=weights)
     centres = 0.5 * (edges[:-1] + edges[1:])
     return centres, hist
-
-
-def region_momentum_histograms(momenta: np.ndarray, labels: np.ndarray,
-                               weights: Optional[np.ndarray] = None, bins: int = 64,
-                               momentum_range: Tuple[float, float] = (-0.35, 0.35),
-                               axis: int = 0) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
-    """Per-region momentum histograms keyed by region name."""
-    momenta = np.asarray(momenta, dtype=np.float64)
-    labels = np.asarray(labels)
-    out: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
-    for region, name in REGION_NAMES.items():
-        mask = labels == region
-        if not np.any(mask):
-            continue
-        w = None if weights is None else np.asarray(weights)[mask]
-        out[name] = momentum_histogram(momenta[mask], weights=w, bins=bins,
-                                       momentum_range=momentum_range, axis=axis)
-    return out
 
 
 def peak_momentum(centres: np.ndarray, counts: np.ndarray) -> float:

@@ -91,11 +91,3 @@ def majority_region(labels: np.ndarray) -> int:
     order = np.array([REGION_VORTEX, REGION_APPROACHING, REGION_RECEDING])
     best = order[np.argmax(counts[order])]
     return int(best)
-
-
-def region_fractions(labels: np.ndarray) -> Dict[str, float]:
-    """Fraction of particles per region name."""
-    labels = np.asarray(labels)
-    counts = np.bincount(labels, minlength=3)
-    total = max(labels.size, 1)
-    return {REGION_NAMES[i]: counts[i] / total for i in range(3)}

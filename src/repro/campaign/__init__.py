@@ -34,10 +34,10 @@ See ``docs/campaigns.md`` and ``docs/extending-executors.md``.
 from repro.campaign.aggregate import (CampaignReport, aggregate,
                                       status_document)
 from repro.campaign.cache import ResultCache
-from repro.campaign.presets import available_campaign_presets, get_campaign_preset
+from repro.campaign.presets import get_campaign_preset
 from repro.campaign.scheduler import (CampaignExecutor, CampaignOutcome,
-                                      SerialExecutor, available_executors,
-                                      default_pool_workers, execute_run,
+                                      SerialExecutor, default_pool_workers,
+                                      execute_run,
                                       executor_for, get_executor,
                                       register_executor, run_campaign)
 from repro.campaign.workers import (WorkerPool, WorkerPoolExecutor,
@@ -61,7 +61,6 @@ __all__ = [
     "shared_pool",
     "shutdown_shared_pools",
     "default_pool_workers",
-    "available_executors",
     "get_executor",
     "executor_for",
     "register_executor",
@@ -71,6 +70,5 @@ __all__ = [
     "CampaignReport",
     "aggregate",
     "status_document",
-    "available_campaign_presets",
     "get_campaign_preset",
 ]

@@ -137,15 +137,3 @@ class ResultCache:
     def stats(self) -> Dict[str, int]:
         """Hit/miss counters of this cache handle (JSON-able)."""
         return {"hits": self.hits, "misses": self.misses}
-
-    def __len__(self) -> int:
-        """Number of entries currently on disk."""
-        count = 0
-        if not os.path.isdir(self.root):
-            return 0
-        for prefix in os.listdir(self.root):
-            subdir = os.path.join(self.root, prefix)
-            if os.path.isdir(subdir):
-                count += sum(1 for name in os.listdir(subdir)
-                             if name.endswith(".json"))
-        return count

@@ -13,14 +13,13 @@ belong to the harness in :mod:`repro.utils.benchjson`.
 The gate: the ``workers`` executor must produce records equivalent to
 ``serial`` (same run ids in the same submission order, all completed,
 identical deterministic aggregate report).  Run it with ``python -m
-repro.campaign.hotpath`` or ``python -m repro.cli bench-campaign`` (the same
-flag declarations); exit status 1 means the gate failed, 2 a bad argument.
+repro.cli bench-campaign``; exit status 1 means the gate failed, 2 a bad
+argument.
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -34,7 +33,7 @@ from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import RunRecord
 from repro.campaign.workers import WorkerPool, WorkerPoolExecutor
 from repro.telemetry import disabled as telemetry_disabled
-from repro.utils.benchjson import BenchCase, best_of_interleaved, case_main
+from repro.utils.benchjson import BenchCase, best_of_interleaved
 
 #: The executors the benchmark compares, in measurement order.
 BENCH_EXECUTORS = ("serial", "workers")
@@ -235,12 +234,3 @@ CASE = BenchCase(
     format_result=format_result,
     gate_failure=lambda result: "workers and serial executors disagree: "
                                 f"{result.equivalence_detail}")
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Module entry point; exit 1 on a failed gate, 2 on bad arguments."""
-    return case_main(CASE, "python -m repro.campaign.hotpath", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

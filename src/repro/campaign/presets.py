@@ -51,11 +51,6 @@ _CAMPAIGN_PRESETS: Dict[str, Callable[[], CampaignSpec]] = {
 }
 
 
-def available_campaign_presets() -> tuple:
-    """The registered campaign preset names, sorted."""
-    return tuple(sorted(_CAMPAIGN_PRESETS))
-
-
 def get_campaign_preset(name: str) -> CampaignSpec:
     """Build a fresh :class:`CampaignSpec` for a named campaign preset."""
     try:
@@ -63,5 +58,5 @@ def get_campaign_preset(name: str) -> CampaignSpec:
     except KeyError:
         raise ValueError(
             f"unknown campaign preset {name!r}; valid campaign presets: "
-            f"{', '.join(available_campaign_presets())}") from None
+            f"{', '.join(sorted(_CAMPAIGN_PRESETS))}") from None
     return factory()

@@ -275,11 +275,6 @@ _EXECUTORS: Dict[str, Type[CampaignExecutor]] = {
 }
 
 
-def available_executors() -> tuple:
-    """The registered campaign executor names, sorted."""
-    return tuple(sorted(_EXECUTORS))
-
-
 def register_executor(name: str, executor_cls: Type[CampaignExecutor],
                       overwrite: bool = False) -> None:
     """Register a campaign executor (the hook for remote backends).
@@ -302,7 +297,7 @@ def get_executor(name: str, **kwargs) -> CampaignExecutor:
     """Instantiate a registered executor by name.
 
     Args:
-        name: one of :func:`available_executors` (``serial``, ``workers``
+        name: one of the registered executors (``serial``, ``workers``
             or a user-registered backend).
         **kwargs: forwarded to the executor's constructor.
 
@@ -316,7 +311,7 @@ def get_executor(name: str, **kwargs) -> CampaignExecutor:
         executor_cls = _EXECUTORS[name]
     except KeyError:
         raise ValueError(f"unknown executor {name!r}; valid executors: "
-                         f"{', '.join(available_executors())}") from None
+                         f"{', '.join(sorted(_EXECUTORS))}") from None
     return executor_cls(**kwargs)
 
 

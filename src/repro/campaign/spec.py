@@ -36,7 +36,7 @@ import itertools
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from repro.core.config import WorkflowConfig, check_keys
 from repro.utils.rng import derive_seed, seeded_rng, spawn_rngs
@@ -323,11 +323,3 @@ class CampaignSpec:
             return cls.from_dict(json.load(handle))
 
     # -- introspection ------------------------------------------------------ #
-    def swept_parameters(self) -> List[str]:
-        """The parameter names this campaign varies (sorted)."""
-        if self.sampler == "explicit":
-            names = set()
-            for point in self.explicit:
-                names.update(point)
-            return sorted(names)
-        return sorted(self.parameters)

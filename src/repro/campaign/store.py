@@ -128,13 +128,3 @@ class CampaignStore:
     def completed_run_ids(self) -> Set[str]:
         """Run ids whose latest record completed — the resume skip-list."""
         return {record.run_id for record in self.records() if record.completed}
-
-    def counts(self) -> Dict[str, int]:
-        """Latest-record counts per status (``completed`` / ``failed``)."""
-        out = {STATUS_COMPLETED: 0, STATUS_FAILED: 0}
-        for record in self.records():
-            out[record.status] = out.get(record.status, 0) + 1
-        return out
-
-    def __len__(self) -> int:
-        return len(self.records())

@@ -2,9 +2,9 @@
 ``bench-campaign``, ``bench-train`` and ``bench-learning``.
 
 Each mounts the flags its :class:`~repro.utils.benchjson.BenchCase`
-declares and runs under :func:`~repro.utils.benchjson.run_case` — the same
-harness as ``python -m repro.pic.hotpath`` / ``repro.campaign.hotpath`` /
-``repro.workflow.train_hotpath`` / ``repro.workflow.learning``.
+declares and runs under :func:`~repro.utils.benchjson.run_case`; the cases
+are :mod:`repro.pic.hotpath`, :mod:`repro.campaign.hotpath`,
+:mod:`repro.workflow.train_hotpath` and :mod:`repro.workflow.learning`.
 """
 
 from __future__ import annotations

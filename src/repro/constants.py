@@ -51,29 +51,6 @@ def plasma_frequency(density: float, charge: float = ELEMENTARY_CHARGE,
     return math.sqrt(density * charge * charge / (mass * EPSILON_0))
 
 
-def plasma_wavelength(density: float, **kwargs: float) -> float:
-    """Plasma wavelength ``2 pi c / omega_p`` [m] for a given density."""
-    omega_p = plasma_frequency(density, **kwargs)
-    if omega_p == 0.0:
-        return math.inf
-    return 2.0 * math.pi * SPEED_OF_LIGHT / omega_p
-
-
-def skin_depth(density: float, **kwargs: float) -> float:
-    """Collisionless (electron) skin depth ``c / omega_p`` [m]."""
-    omega_p = plasma_frequency(density, **kwargs)
-    if omega_p == 0.0:
-        return math.inf
-    return SPEED_OF_LIGHT / omega_p
-
-
-def lorentz_gamma(beta: float) -> float:
-    """Lorentz factor for a normalised velocity ``beta = v / c``."""
-    if not -1.0 < beta < 1.0:
-        raise ValueError("|beta| must be < 1")
-    return 1.0 / math.sqrt(1.0 - beta * beta)
-
-
 def courant_limit(dx: float, dy: float, dz: float) -> float:
     """CFL time-step limit of the 3D Yee scheme [s].
 

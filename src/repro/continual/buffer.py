@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -140,22 +140,12 @@ class TrainingBuffer:
 
     # -- introspection ----------------------------------------------------------- #
     @property
-    def batch_size(self) -> int:
-        return self.n_now + self.n_ep
-
-    @property
     def now_count(self) -> int:
         return len(self._now)
 
     @property
     def ep_count(self) -> int:
         return len(self._ep)
-
-    def now_steps(self) -> List[int]:
-        return [s.step for s in self._now]
-
-    def ep_steps(self) -> List[int]:
-        return [s.step for s in self._ep]
 
     def __len__(self) -> int:
         return len(self._now) + len(self._ep)

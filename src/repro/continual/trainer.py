@@ -39,11 +39,6 @@ class TrainingHistory:
         """Time series of one loss term across all recorded iterations."""
         return np.asarray([t[name] for t in self.terms])
 
-    def latest(self, name: str = "total") -> float:
-        if not self.terms:
-            raise RuntimeError("no training iterations recorded yet")
-        return self.terms[-1][name]
-
     def mean_over_last(self, n: int, name: str = "total") -> float:
         values = self.series(name)
         return float(values[-n:].mean())

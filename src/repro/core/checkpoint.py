@@ -44,10 +44,6 @@ class CheckpointInfo:
     training_iterations: int
     n_buffer_samples: int
 
-    @property
-    def manifest_path(self) -> str:
-        return os.path.join(self.directory, "manifest.json")
-
 
 def _save_npz(path: str, arrays: Dict[str, np.ndarray]) -> None:
     np.savez(path, **arrays)

@@ -153,11 +153,6 @@ class WorkflowConfig:
         """Frequencies per detector direction: the spectrum is split evenly."""
         return self.ml.model.spectrum_dim // self.n_detector_directions
 
-    @property
-    def n_regions(self) -> int:
-        rx, ry, rz = self.region_counts
-        return rx * ry * rz
-
     # -- serialisation ------------------------------------------------------- #
     def to_dict(self) -> Dict[str, object]:
         """A plain, JSON-able dictionary; inverse of :meth:`from_dict`."""

@@ -21,7 +21,7 @@ data".  In this reproduction:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -64,10 +64,6 @@ class RegionPartition:
         self.region_counts = tuple(int(c) for c in region_counts)
         extent = np.asarray(grid_config.extent)
         self._sizes = extent / np.asarray(self.region_counts)
-
-    @property
-    def n_regions(self) -> int:
-        return int(np.prod(self.region_counts))
 
     def regions(self) -> List[Region]:
         regions = []

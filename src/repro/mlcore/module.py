@@ -69,10 +69,6 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
-    def zero_grad(self) -> None:
-        for param in self.parameters():
-            param.zero_grad()
-
     # -- (de)serialisation ------------------------------------------------ #
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Return a flat ``name -> ndarray copy`` mapping of all parameters."""

@@ -18,7 +18,7 @@ numbers (3·10⁴ particles, 608 features, 544-dimensional latent, four Glow
 blocks with → 272 → 256 → 544 sub-networks).
 """
 
-from repro.models.config import ModelConfig, paper_config, small_config
+from repro.models.config import ModelConfig, paper_config
 from repro.models.encoder import PointNetEncoder
 from repro.models.decoder import PointCloudDecoder
 from repro.models.vae import VariationalAutoEncoder
@@ -29,7 +29,6 @@ from repro.models.losses import CombinedLoss, LossWeights
 __all__ = [
     "ModelConfig",
     "paper_config",
-    "small_config",
     "PointNetEncoder",
     "PointCloudDecoder",
     "VariationalAutoEncoder",

@@ -77,11 +77,6 @@ class ModelConfig:
         return self.latent_dim - self.spectrum_dim
 
 
-def small_config(spectrum_dim: int = 16) -> ModelConfig:
-    """A configuration small enough for tests and laptop examples."""
-    return ModelConfig(spectrum_dim=spectrum_dim)
-
-
 def paper_config() -> ModelConfig:
     """The architecture exactly as described in Section IV-C of the paper."""
     return ModelConfig(

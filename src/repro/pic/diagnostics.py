@@ -9,34 +9,13 @@ instability (Pausch et al. 2017).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.pic.grid import YeeGrid
 from repro.pic.kernels import deposit_charge_cic
-from repro.pic.particles import ParticleSpecies
 from repro.pic.simulation import PICSimulation, Plugin
-
-
-def momentum_histogram(species: ParticleSpecies, axis: int = 0,
-                       bins: int = 64, momentum_range: Tuple[float, float] = (-0.5, 0.5),
-                       mask: Optional[np.ndarray] = None
-                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """Charge-weighted histogram of one momentum component.
-
-    Returns ``(bin_centres, charge_density)`` where the charge density is the
-    weighted count per bin (arbitrary units, matching the "charge density"
-    axis of Fig. 9(b, c)).
-    """
-    momenta = species.momenta[:, axis]
-    weights = species.weights
-    if mask is not None:
-        momenta = momenta[mask]
-        weights = weights[mask]
-    hist, edges = np.histogram(momenta, bins=bins, range=momentum_range, weights=weights)
-    centres = 0.5 * (edges[:-1] + edges[1:])
-    return centres, hist
 
 
 @dataclass

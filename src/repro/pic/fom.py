@@ -33,16 +33,6 @@ class FigureOfMerit:
     particle_updates_per_second: float
     cell_updates_per_second: float
 
-    @property
-    def value(self) -> float:
-        return (PARTICLE_WEIGHT * self.particle_updates_per_second
-                + CELL_WEIGHT * self.cell_updates_per_second)
-
-    @property
-    def tera_updates_per_second(self) -> float:
-        """FOM in TeraUpdates/s, the unit used in Fig. 4."""
-        return self.value / 1e12
-
 
 def figure_of_merit(n_particles: int, n_cells: int, n_steps: int,
                     wall_time: float) -> FigureOfMerit:

@@ -153,7 +153,3 @@ class YeeGrid:
         if name not in self._FIELDS:
             raise KeyError(f"unknown field component {name!r}")
         return getattr(self, name)
-
-    def stagger(self, name: str) -> Tuple[float, float, float]:
-        """Return the stagger offset of a component in cell fractions."""
-        return STAGGER[name]

@@ -14,9 +14,8 @@ gate and its record schema.  The measurement loop, the shared flags,
 persistence to ``BENCH_pic_hotpath.json`` and the exit codes belong to the
 harness in :mod:`repro.utils.benchjson` (see ``docs/performance.md``).
 
-Run it with ``python -m repro.pic.hotpath`` or ``python -m repro.cli
-bench-hotpath`` (the same flag declarations); exit status 1 means a gate
-failed — fused and reference disagree, or the helper's step differs from
+Run it with ``python -m repro.cli bench-hotpath``; exit status 1 means a
+gate failed — fused and reference disagree, or the helper's step differs from
 the one-thread step in any bit — which lets CI use the benchmark as an
 equivalence gate, 2 means a bad argument.
 """
@@ -24,13 +23,12 @@ equivalence gate, 2 means a bad argument.
 from __future__ import annotations
 
 import argparse
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +38,7 @@ from repro.pic.interpolation import gather_fields_reference
 from repro.pic.khi import KHIConfig, make_khi_simulation
 from repro.pic.pusher import advance_positions, boris_push, wrap_periodic
 from repro.pic.simulation import PICSimulation
-from repro.utils.benchjson import BenchCase, best_of_interleaved, case_main
+from repro.utils.benchjson import BenchCase, best_of_interleaved
 
 #: bench-tiny problem: the KHI grid/ppc of the ``bench-tiny`` workflow preset.
 BENCH_TINY_GRID = (8, 16, 2)
@@ -342,11 +340,3 @@ CASE = BenchCase(
         "fused and reference kernels disagree"
         if result.equivalence_error >= EQUIVALENCE_RTOL
         else "the step with a helper differs from the one-thread step"))
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    return case_main(CASE, "python -m repro.pic.hotpath", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -187,5 +187,5 @@ def growth_rate_estimate(config: KHIConfig) -> float:
     (Grismayer et al. 2013 scaling).  This is used only to pick sensible run
     lengths for examples and tests, not as a validation target.
     """
-    gamma0 = constants.lorentz_gamma(config.beta)
+    gamma0 = 1.0 / np.sqrt(1.0 - config.beta ** 2)
     return config.beta / np.sqrt(8.0) * config.plasma_frequency / gamma0

@@ -10,7 +10,6 @@ fully vectorised.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
 
 import numpy as np
 
@@ -68,41 +67,12 @@ class ParticleSpecies:
         gamma += 1.0
         return np.sqrt(gamma, out=gamma)
 
-    def velocities(self) -> np.ndarray:
-        """Velocities ``v = u c / gamma`` [m/s], shape (N, 3)."""
-        return self.momenta * (constants.SPEED_OF_LIGHT / self.gamma())[:, None]
-
-    def beta(self) -> np.ndarray:
-        """Normalised velocities ``v/c``."""
-        return self.momenta / self.gamma()[:, None]
-
     def kinetic_energy(self) -> float:
         """Total kinetic energy ``sum w (gamma - 1) m c^2`` in joules."""
         mc2 = self.mass * constants.SPEED_OF_LIGHT ** 2
         return float(np.sum(self.weights * (self.gamma() - 1.0)) * mc2)
 
-    def total_charge(self) -> float:
-        """Total charge carried by the species [C]."""
-        return float(self.charge * np.sum(self.weights))
-
     # ------------------------------------------------------------------ #
-    def select(self, mask: np.ndarray) -> "ParticleSpecies":
-        """Return a new species containing only the masked particles (copy)."""
-        mask = np.asarray(mask)
-        return ParticleSpecies(
-            name=self.name, charge=self.charge, mass=self.mass,
-            positions=self.positions[mask].copy(),
-            momenta=self.momenta[mask].copy(),
-            weights=self.weights[mask].copy())
-
-    def sample(self, n: int, rng: np.random.Generator,
-               replace: Optional[bool] = None) -> "ParticleSpecies":
-        """Randomly sample ``n`` macro-particles (with replacement if needed)."""
-        if replace is None:
-            replace = n > self.n_macro
-        idx = rng.choice(self.n_macro, size=n, replace=replace)
-        return self.select(idx)
-
     def phase_space(self) -> np.ndarray:
         """Return the 6D phase-space array ``(N, 6)`` = [x, y, z, ux, uy, uz].
 

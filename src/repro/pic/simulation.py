@@ -96,10 +96,6 @@ class PICSimulation:
         self._helper_workspaces = (Workspace(), Workspace())
 
     # -- setup ------------------------------------------------------------- #
-    def add_species(self, species: ParticleSpecies) -> ParticleSpecies:
-        self.species.append(species)
-        return species
-
     def get_species(self, name: str) -> ParticleSpecies:
         for s in self.species:
             if s.name == name:

@@ -21,7 +21,7 @@ The coupled workflow computes its per-step, per-sub-volume radiation inside
 from repro.radiation.detector import RadiationDetector, direction_grid, frequency_grid
 from repro.radiation.lienard_wiechert import (accumulate_amplitude,
                                               radiation_amplitude_step)
-from repro.radiation.spectrum import spectrum_from_amplitude, total_radiated_energy
+from repro.radiation.spectrum import spectrum_from_amplitude
 
 __all__ = [
     "RadiationDetector",
@@ -30,5 +30,4 @@ __all__ = [
     "accumulate_amplitude",
     "radiation_amplitude_step",
     "spectrum_from_amplitude",
-    "total_radiated_energy",
 ]

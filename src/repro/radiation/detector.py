@@ -9,7 +9,7 @@ plasma frequency (the x-axis of Fig. 9(a)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -121,15 +121,6 @@ class RadiationDetector:
     @property
     def n_frequencies(self) -> int:
         return int(self.frequencies.shape[0])
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """Shape of the spectrum array ``(n_directions, n_frequencies)``."""
-        return (self.n_directions, self.n_frequencies)
-
-    def frequencies_in_plasma_units(self, density: float) -> np.ndarray:
-        """Frequencies in units of the plasma frequency of ``density``."""
-        return self.frequencies / constants.plasma_frequency(density)
 
     @classmethod
     def for_khi(cls, density: float, n_directions: int = 8, n_frequencies: int = 64,

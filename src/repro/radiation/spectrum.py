@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.radiation.detector import RadiationDetector
 from repro.radiation.lienard_wiechert import spectral_prefactor
 
 
@@ -29,24 +28,6 @@ def spectrum_from_amplitude(amplitude: np.ndarray, charge: float) -> np.ndarray:
         raise ValueError("amplitude must have shape (directions, frequencies, 3)")
     power = np.sum(np.abs(amplitude) ** 2, axis=-1)
     return spectral_prefactor(charge) * power
-
-
-def total_radiated_energy(spectrum: np.ndarray, detector: RadiationDetector,
-                          solid_angle_per_direction: float = 4.0 * np.pi) -> float:
-    """Integrate a spectrum over frequency and solid angle.
-
-    The default assigns the full sphere split uniformly over the detector's
-    directions, which is adequate for relative comparisons; pass the actual
-    per-direction solid angle for absolute numbers.
-    """
-    spectrum = np.asarray(spectrum, dtype=np.float64)
-    if spectrum.shape != detector.shape:
-        raise ValueError("spectrum shape does not match the detector")
-    omega = detector.frequencies
-    if len(omega) < 2:
-        return float(spectrum.sum() * solid_angle_per_direction / detector.n_directions)
-    per_direction = np.trapezoid(spectrum, omega, axis=1)
-    return float(per_direction.sum() * solid_angle_per_direction / detector.n_directions)
 
 
 def normalize_log_spectrum(spectrum: np.ndarray, floor: float = 1e-30) -> np.ndarray:

@@ -41,7 +41,7 @@ from repro.service.server import (CampaignServiceHandler,
                                   parse_submission, serve, sse_event_stream)
 from repro.service.sse import (EVENT_DONE, EVENT_DROPPED, EVENT_RUN,
                                EVENT_SNAPSHOT, SSEEvent, SSEParser,
-                               format_comment, format_event, parse_events)
+                               format_comment, format_event)
 
 __all__ = [
     "BusEvent",
@@ -66,5 +66,4 @@ __all__ = [
     "SSEParser",
     "format_comment",
     "format_event",
-    "parse_events",
 ]

@@ -186,11 +186,6 @@ class RunEventBus:
                 subscribers.remove(subscription)
 
     # -- introspection ------------------------------------------------------ #
-    def subscriber_count(self, topic: str) -> int:
-        """Open subscriptions on a topic (the SSE test hooks poll this)."""
-        with self._lock:
-            return len(self._subscribers.get(topic, ()))
-
     def topic_stats(self, topic: str) -> Dict[str, int]:
         """JSON-able per-topic accounting: events, subscribers, drops."""
         with self._lock:

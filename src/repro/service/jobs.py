@@ -135,7 +135,8 @@ class CampaignJob:
         with self._lock:
             if self._thread is not None and self._thread.is_alive():
                 return False
-            if self.state == STATE_COMPLETED and self.pending_count() == 0:
+            if self.state == STATE_COMPLETED and len(self.runs) == sum(
+                    1 for record in self._records.values() if record.completed):
                 return False
             self._cancel.clear()
             self.state = STATE_RUNNING
@@ -208,13 +209,6 @@ class CampaignJob:
         """The latest in-memory record per run id (store-backed)."""
         with self._lock:
             return list(self._records.values())
-
-    def pending_count(self) -> int:
-        """Resolved runs without a completed record yet."""
-        with self._lock:
-            completed = sum(1 for record in self._records.values()
-                            if record.completed)
-        return len(self.runs) - completed
 
     def status(self, include_records: bool = False) -> Dict[str, object]:
         """The service status document for this campaign.

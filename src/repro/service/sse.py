@@ -12,7 +12,7 @@ a long-lived HTTP response carrying newline-delimited frames of the form ::
 Both directions of that protocol live here so they cannot drift apart:
 
 * :func:`format_event` / :func:`format_comment` — what the server writes,
-* :class:`SSEParser` / :func:`parse_events` — what
+* :class:`SSEParser` — what
   :class:`repro.service.client.ServiceClient` (and the test suite's shared
   ``parse_sse_events`` helper) read back.
 
@@ -122,8 +122,3 @@ class SSEParser:
             self._event, self._data_lines, self._id = None, [], None
             return event
         return None                          # unknown field or stray blank
-
-
-def parse_events(raw: str) -> List[SSEEvent]:
-    """Parse a complete SSE stream body into its events (test convenience)."""
-    return SSEParser().feed(raw if raw.endswith("\n") else raw + "\n")

@@ -37,13 +37,3 @@ class NoOpConsumer:
             self.step_bytes.append(nbytes)
             consumed += 1
         return consumed
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(self.step_bytes)
-
-    @property
-    def mean_step_time(self) -> float:
-        if not self.step_times:
-            raise RuntimeError("the consumer has not read any step yet")
-        return sum(self.step_times) / len(self.step_times)

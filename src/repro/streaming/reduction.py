@@ -28,11 +28,6 @@ class Reducer:
         """Return the reduced payload for variable ``name``."""
         raise NotImplementedError
 
-    def factor(self, original: np.ndarray, reduced: np.ndarray) -> float:
-        """Compression factor achieved (original bytes / reduced bytes)."""
-        reduced_bytes = max(int(np.asarray(reduced).nbytes), 1)
-        return float(np.asarray(original).nbytes) / reduced_bytes
-
 
 class PrecisionReducer(Reducer):
     """Cast wider floating-point payloads to float32.
@@ -97,16 +92,6 @@ class ReductionReport:
     reduced_bytes: int
     per_variable: Dict[str, float]
 
-    @property
-    def factor(self) -> float:
-        return self.original_bytes / max(self.reduced_bytes, 1)
-
-    @property
-    def saved_fraction(self) -> float:
-        if self.original_bytes == 0:
-            return 0.0
-        return 1.0 - self.reduced_bytes / self.original_bytes
-
 
 class ReductionPipeline(Reducer):
     """Apply several reducers in sequence and keep per-step statistics."""
@@ -141,9 +126,3 @@ class ReductionPipeline(Reducer):
                                             reduced_bytes=reduced_bytes,
                                             per_variable=per_variable))
         return out
-
-    def total_factor(self) -> float:
-        """Aggregate compression factor over all reduced steps."""
-        original = sum(r.original_bytes for r in self.reports)
-        reduced = sum(r.reduced_bytes for r in self.reports)
-        return original / max(reduced, 1)

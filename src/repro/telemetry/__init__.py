@@ -25,8 +25,7 @@ from repro.telemetry.state import disabled, is_enabled, set_enabled
 from repro.telemetry.metrics import (Counter, Gauge, Histogram,
                                      MetricsRegistry, REGISTRY, get_registry)
 from repro.telemetry.spans import (Span, SpanRecorder, Timer, carry_trace,
-                                   context_of, current_span, new_id,
-                                   recording, span)
+                                   current_span, new_id, recording, span)
 from repro.telemetry.export import (TRACE_SUFFIX, TraceWriter, read_spans,
                                     trace_path_for)
 from repro.telemetry.render import render_trace, render_traces
@@ -35,8 +34,8 @@ __all__ = [
     "disabled", "is_enabled", "set_enabled",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
     "get_registry",
-    "Span", "SpanRecorder", "Timer", "carry_trace", "context_of",
-    "current_span", "new_id", "recording", "span",
+    "Span", "SpanRecorder", "Timer", "carry_trace", "current_span",
+    "new_id", "recording", "span",
     "TRACE_SUFFIX", "TraceWriter", "read_spans", "trace_path_for",
     "render_trace", "render_traces",
 ]

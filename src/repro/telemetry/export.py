@@ -73,12 +73,6 @@ class TraceWriter:
                 self._file.close()
                 self._file = None
 
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
 
 def read_spans(path: Union[str, os.PathLike]) -> List[Span]:
     """Every span in a trace file, skipping corrupt or torn lines."""

@@ -89,11 +89,6 @@ class Metric:
         with self._lock:
             return dict(self._series)
 
-    def value(self, **labels) -> float:
-        """The current value of one label combination (0.0 if unseen)."""
-        with self._lock:
-            return self._series.get(_label_key(labels), 0.0)
-
     def _add(self, amount: float, labels: Dict[str, object]) -> None:
         key = _label_key(labels)
         with self._lock:
@@ -140,12 +135,6 @@ class Gauge(Metric):
         with self._lock:
             self._series[key] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels) -> None:
-        """Add ``amount`` (may be negative) to one label combination."""
-        if not is_enabled():
-            return
-        self._add(amount, labels)
-
 
 class Histogram(Metric):
     """A distribution: cumulative buckets plus sum and count per series.
@@ -181,24 +170,6 @@ class Histogram(Metric):
                 if value <= bound:
                     counts[position] += 1
             self._data[key] = (counts, total + value, count + 1)
-
-    def series(self) -> Dict[LabelKey, float]:
-        """Snapshot of per-series observation *counts* (uniform base API)."""
-        with self._lock:
-            return {key: float(count)
-                    for key, (_, _, count) in self._data.items()}
-
-    def value(self, **labels) -> float:
-        """The observation count of one label combination (0.0 if unseen)."""
-        with self._lock:
-            entry = self._data.get(_label_key(labels))
-            return 0.0 if entry is None else float(entry[2])
-
-    def sum(self, **labels) -> float:
-        """The summed observations of one label combination."""
-        with self._lock:
-            entry = self._data.get(_label_key(labels))
-            return 0.0 if entry is None else float(entry[1])
 
     def render(self) -> List[str]:
         """Exposition lines: cumulative buckets + ``_sum`` + ``_count``."""
@@ -264,26 +235,12 @@ class MetricsRegistry:
         with self._lock:
             return [self._metrics[name] for name in sorted(self._metrics)]
 
-    def snapshot(self) -> Dict[str, Dict[str, float]]:
-        """A JSON-able dump: metric name → rendered label string → value."""
-        out: Dict[str, Dict[str, float]] = {}
-        for metric in self.collect():
-            out[metric.name] = {
-                ",".join(f"{label}={value}" for label, value in key): number
-                for key, number in metric.series().items()}
-        return out
-
     def render_prometheus(self) -> str:
         """The whole registry in Prometheus text exposition format."""
         lines: List[str] = []
         for metric in self.collect():
             lines.extend(metric.render())
         return "\n".join(lines) + "\n"
-
-    def reset(self) -> None:
-        """Drop every registered metric (test isolation only)."""
-        with self._lock:
-            self._metrics.clear()
 
 
 #: The process-wide default registry every instrumented module uses.

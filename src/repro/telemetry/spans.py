@@ -6,9 +6,9 @@ executes in a worker process, the record settles back in the parent — and
 a span tree ties the pieces together: every :class:`Span` carries a
 ``trace_id`` (the whole launch), its own ``span_id`` and a ``parent_id``.
 
-Propagation is explicit and transport-agnostic: :func:`context_of` turns
-a span into a small JSON-able dict (``{"trace_id", "span_id"}``); a child
-created with ``span(name, ctx=that_dict)`` joins the remote trace.  The
+Propagation is explicit and transport-agnostic: a span's context is the
+small JSON-able dict ``{"trace_id", "span_id"}``; a child created with
+``span(name, ctx=that_dict)`` joins the remote trace.  The
 campaign layer rides this across the worker-pool pipe protocol by tucking
 the context into the run payload and shipping finished spans back as an
 undeclared attribute on the pickled ``RunRecord`` — no wire-format
@@ -148,11 +148,6 @@ def current_span() -> Optional[Span]:
     return _STATE.stack[-1] if _STATE.stack else None
 
 
-def context_of(span: Span) -> Dict[str, str]:
-    """The propagation context of a span (JSON-able, payload-embeddable)."""
-    return {"trace_id": span.trace_id, "span_id": span.span_id}
-
-
 @contextmanager
 def recording(sink) -> Iterator[None]:
     """Activate a span sink on the current thread for the block's duration.
@@ -184,7 +179,7 @@ def span(name: str, attrs: Optional[Dict[str, object]] = None,
     Args:
         name: the span name (e.g. ``execute``).
         attrs: initial attributes.
-        ctx: a remote parent's :func:`context_of` dict; without it the
+        ctx: a remote parent's ``{"trace_id", "span_id"}``; without it the
             parent is the thread's current span (a fresh trace id is
             minted at the root).
     """
@@ -262,21 +257,20 @@ class Timer:
     span of the current one, named ``"{prefix}.{name}"``.  Untraced, the
     only cost beyond the clock is the thread-local sink read :func:`span`
     makes.  Several threads may time sections of one timer, also of one
-    name: a section's update of its totals and counts is atomic.
+    name: a section's update of its totals is atomic.
 
     Examples
     --------
     >>> timer = Timer("pic")
     >>> with timer.section("push"):
     ...     pass
-    >>> timer.counts()
-    {'push': 1}
+    >>> list(timer.totals())
+    ['push']
     """
 
     def __init__(self, prefix: str) -> None:
         self.prefix = prefix
         self._totals: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
         self._lock = threading.Lock()
 
     def section(self, name: str) -> "_Section":
@@ -290,16 +284,10 @@ class Timer:
         with self._lock:
             return dict(self._totals)
 
-    def counts(self) -> Dict[str, int]:
-        """Calls per section name."""
-        with self._lock:
-            return dict(self._counts)
-
     def reset(self) -> None:
         """Forget every section."""
         with self._lock:
             self._totals.clear()
-            self._counts.clear()
 
 
 class _Section:
@@ -327,6 +315,5 @@ class _Section:
         timer, name = self.timer, self.name
         with timer._lock:
             timer._totals[name] = timer._totals.get(name, 0.0) + elapsed
-            timer._counts[name] = timer._counts.get(name, 0) + 1
         if self.span is not None:
             _close(self.sink, self.span, error)

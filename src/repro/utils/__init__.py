@@ -1,21 +1,15 @@
 """Shared utilities: deterministic RNG, validation, serialisation,
 persisted benchmark histories, logging setup."""
 
-from repro.utils.benchjson import append_run, bench_path, latest_run, load_history
+from repro.utils.benchjson import append_run, bench_path, load_history
 from repro.utils.logging import get_logger, setup_logging
 from repro.utils.rng import RandomState, seeded_rng, spawn_rngs
 from repro.utils.serialization import jsonable
-from repro.utils.validation import (
-    check_array,
-    check_positive,
-    check_probability,
-    check_shape,
-)
+from repro.utils.validation import check_array, check_positive
 
 __all__ = [
     "append_run",
     "bench_path",
-    "latest_run",
     "load_history",
     "get_logger",
     "setup_logging",
@@ -25,6 +19,4 @@ __all__ = [
     "jsonable",
     "check_array",
     "check_positive",
-    "check_probability",
-    "check_shape",
 ]

@@ -47,8 +47,7 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.utils.serialization import jsonable
 
@@ -134,15 +133,6 @@ def append_run(topic: str, params: Dict[str, object],
     return path
 
 
-def latest_run(topic: str, directory: str = ".") -> Optional[Dict[str, object]]:
-    """The most recent record of ``topic``, or ``None`` without history."""
-    path = bench_path(topic, directory)
-    if not os.path.exists(path):
-        return None
-    runs: List[Dict[str, object]] = load_history(path)["runs"]
-    return runs[-1] if runs else None
-
-
 # --------------------------------------------------------------------------- #
 # The harness every persisted benchmark runs under
 # --------------------------------------------------------------------------- #
@@ -223,11 +213,3 @@ def run_case(case: BenchCase, args: argparse.Namespace) -> int:
         print(f"error: {case.gate_failure(result)}", file=sys.stderr)
         return 1
     return 0
-
-
-def case_main(case: BenchCase, prog: str,
-              argv: Optional[Sequence[str]] = None) -> int:
-    """The ``python -m`` entry point of ``case``."""
-    parser = argparse.ArgumentParser(prog=prog, description=case.description)
-    add_case_arguments(parser, case)
-    return run_case(case, parser.parse_args(argv))

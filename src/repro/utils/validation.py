@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -33,17 +33,6 @@ def is_finite_real(value: object) -> bool:
         and math.isfinite(value)
 
 
-def check_shape(arr: np.ndarray, shape: Sequence[Optional[int]], name: str) -> None:
-    """Validate an array shape against a template with ``None`` wildcards."""
-    if len(arr.shape) != len(shape):
-        raise ValueError(
-            f"{name} must have {len(shape)} dimensions, got shape {arr.shape}")
-    for axis, (got, want) in enumerate(zip(arr.shape, shape)):
-        if want is not None and got != want:
-            raise ValueError(
-                f"{name} has size {got} along axis {axis}, expected {want}")
-
-
 def check_positive(value: float, name: str, *, strict: bool = True) -> float:
     """Validate a (strictly) positive scalar."""
     value = float(value)
@@ -52,24 +41,3 @@ def check_positive(value: float, name: str, *, strict: bool = True) -> float:
     if not strict and value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
     return value
-
-
-def check_probability(value: float, name: str) -> float:
-    """Validate a scalar in the closed interval [0, 1]."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
-def check_in(value, options: Iterable, name: str):
-    """Validate membership of ``value`` in ``options``."""
-    options = tuple(options)
-    if value not in options:
-        raise ValueError(f"{name} must be one of {options}, got {value!r}")
-    return value
-
-
-def broadcast_shapes(*shapes: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Return the NumPy broadcast shape of the given shapes (raises if incompatible)."""
-    return np.broadcast_shapes(*shapes)

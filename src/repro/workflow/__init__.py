@@ -17,11 +17,10 @@ from repro.workflow.report import RunResult, WorkflowReport
 from repro.workflow.fanout import FanOutBroker
 from repro.workflow.consumers import (HistogramMonitorConsumer, MLAppConsumer,
                                       StreamConsumer, available_consumers,
-                                      get_consumer_factory, register_consumer)
+                                      get_consumer_factory)
 from repro.workflow.drivers import (ExecutionDriver, PipelinedDriver, SerialDriver,
                                     available_drivers, get_driver)
-from repro.workflow.presets import (available_presets, get_preset, preset_rows,
-                                    register_preset)
+from repro.workflow.presets import available_presets, get_preset, preset_rows
 from repro.workflow.builder import (ConsumerSpec, WorkflowBuilder, WorkflowHooks,
                                     WorkflowSession)
 
@@ -33,7 +32,6 @@ __all__ = [
     "MLAppConsumer",
     "HistogramMonitorConsumer",
     "available_consumers",
-    "register_consumer",
     "get_consumer_factory",
     "ExecutionDriver",
     "SerialDriver",
@@ -42,7 +40,6 @@ __all__ = [
     "get_driver",
     "available_presets",
     "get_preset",
-    "register_preset",
     "preset_rows",
     "ConsumerSpec",
     "WorkflowBuilder",

@@ -58,8 +58,6 @@ StepHook = Callable[["WorkflowSession", int], None]
 #: ``hook(session, consumer_name, iteration_index, n_samples)`` after a
 #: consumer finishes one streamed iteration.
 IterationHook = Callable[["WorkflowSession", str, int, int], None]
-#: ``hook(session, result)`` once the driver returns.
-RunEndHook = Callable[["WorkflowSession", RunResult], None]
 
 
 @dataclass
@@ -68,7 +66,6 @@ class WorkflowHooks:
 
     on_step: List[StepHook] = field(default_factory=list)
     on_iteration_consumed: List[IterationHook] = field(default_factory=list)
-    on_run_end: List[RunEndHook] = field(default_factory=list)
 
 
 @dataclass
@@ -152,10 +149,6 @@ class WorkflowSession:
         self._consumed = False
 
     # -- running ------------------------------------------------------------ #
-    @property
-    def consumed(self) -> bool:
-        return self._consumed
-
     def run(self, n_steps: int, keep_for_evaluation: int = 1) -> RunResult:
         """Drive the session for ``n_steps`` with the configured driver."""
         if n_steps < 1:
@@ -167,10 +160,7 @@ class WorkflowSession:
         self._consumed = True
         for consumer in self.consumers.values():
             consumer.configure_run(keep_for_evaluation)
-        result = self.driver.execute(self, n_steps)
-        for hook in self.hooks.on_run_end:
-            hook(self, result)
-        return result
+        return self.driver.execute(self, n_steps)
 
     # -- driver-facing helpers ----------------------------------------------- #
     def fire_step(self, step_index: int) -> None:
@@ -217,15 +207,6 @@ class WorkflowSession:
     def model(self):
         mlapp = self.mlapp
         return mlapp.model if mlapp is not None else None
-
-    @property
-    def broker(self) -> SSTBroker:
-        """The primary consumer's bounded queue (seed-compatible accessor)."""
-        return self.brokers[self.primary_name]
-
-    @property
-    def reader_series(self) -> Series:
-        return self.consumer_series[self.primary_name]
 
     def evaluate(self, n_posterior_samples: int = 4) -> "InversionReport":
         """Evaluate the trained model on the held-out streamed samples (Fig. 9)."""
@@ -295,11 +276,6 @@ class WorkflowBuilder:
         self._consumer_specs.append(ConsumerSpec(name, factory))
         return self
 
-    def replace_consumers(self, specs: List[ConsumerSpec]) -> "WorkflowBuilder":
-        """Swap out the full consumer list (including the default MLapp)."""
-        self._consumer_specs = list(specs)
-        return self
-
     # -- lifecycle hooks ---------------------------------------------------------- #
     def on_step(self, hook: StepHook) -> "WorkflowBuilder":
         self._hooks.on_step.append(hook)
@@ -309,16 +285,11 @@ class WorkflowBuilder:
         self._hooks.on_iteration_consumed.append(hook)
         return self
 
-    def on_run_end(self, hook: RunEndHook) -> "WorkflowBuilder":
-        self._hooks.on_run_end.append(hook)
-        return self
-
     # -- assembly --------------------------------------------------------------- #
     def build(self) -> WorkflowSession:
         hooks = WorkflowHooks(on_step=list(self._hooks.on_step),
                               on_iteration_consumed=list(
-                                  self._hooks.on_iteration_consumed),
-                              on_run_end=list(self._hooks.on_run_end))
+                                  self._hooks.on_iteration_consumed))
         return WorkflowSession(config=self._config, driver=self._driver,
                                consumer_specs=list(self._consumer_specs),
                                hooks=hooks)

@@ -174,14 +174,6 @@ def available_consumers() -> tuple:
     return tuple(sorted(_CONSUMER_FACTORIES))
 
 
-def register_consumer(kind: str, factory: ConsumerFactory,
-                      overwrite: bool = False) -> None:
-    """Register a named consumer factory for builders/CLI to reference."""
-    if kind in _CONSUMER_FACTORIES and not overwrite:
-        raise ValueError(f"consumer kind {kind!r} is already registered")
-    _CONSUMER_FACTORIES[kind] = factory
-
-
 def get_consumer_factory(kind: str) -> ConsumerFactory:
     try:
         return _CONSUMER_FACTORIES[kind]

@@ -72,14 +72,6 @@ class FanOutBroker:
 
     # -- introspection ------------------------------------------------------ #
     @property
-    def closed(self) -> bool:
-        return all(broker.closed for broker in self.downstreams)
-
-    @property
-    def queue_limit(self) -> int:
-        return max(broker.queue_limit for broker in self.downstreams)
-
-    @property
     def queued_steps(self) -> int:
         """Depth of the fullest downstream queue (the back-pressure driver)."""
         return max(broker.queued_steps for broker in self.downstreams)

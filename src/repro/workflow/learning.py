@@ -9,18 +9,17 @@ session's losses and :meth:`WorkflowSession.evaluate`'s metrics must stay in
 their ten-seed :data:`BANDS`; a band that reaches its metric's worst value
 and the wall-clock loss are recorded, not gated.  ``--repeats`` sessions are
 timed, the one with the most steps in the wall-clock budget kept.  Run it
-with ``python -m repro.workflow.learning`` or ``python -m repro.cli
-bench-learning``; exit status 1 means the gate failed, 2 a bad argument.
+with ``python -m repro.cli bench-learning``; exit status 1 means the gate
+failed, 2 a bad argument.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from repro.continual.buffer import TrainingSample
 from repro.core.config import MLConfig, WorkflowConfig
 from repro.core.mlapp import build_trainer
 from repro.models.config import POINT_DIM, ModelConfig
-from repro.utils.benchjson import BenchCase, best_of_interleaved, case_main
+from repro.utils.benchjson import BenchCase, best_of_interleaved
 from repro.workflow.builder import WorkflowBuilder
 from repro.workflow.presets import get_preset
 
@@ -276,11 +275,3 @@ CASE = BenchCase(
     run=lambda args: run_learning_benchmark(repeats=args.repeats),
     format_result=format_result,
     gate_failure=lambda result: "; ".join(result.failures()))
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    return case_main(CASE, "python -m repro.workflow.learning", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

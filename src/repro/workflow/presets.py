@@ -74,14 +74,6 @@ def available_presets() -> tuple:
     return tuple(sorted(_PRESETS))
 
 
-def register_preset(name: str, factory: Callable[[], WorkflowConfig],
-                    overwrite: bool = False) -> None:
-    """Add a named preset (e.g. a site- or study-specific configuration)."""
-    if name in _PRESETS and not overwrite:
-        raise ValueError(f"preset {name!r} is already registered")
-    _PRESETS[name] = factory
-
-
 def get_preset(name: str) -> WorkflowConfig:
     """Build a fresh :class:`WorkflowConfig` for a named preset."""
     try:

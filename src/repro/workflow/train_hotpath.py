@@ -18,18 +18,17 @@ harness in :mod:`repro.utils.benchjson`.
 The gate: every timed loss term is finite, one ``bench-tiny`` iteration
 builds at most :data:`MAX_TAPE_NODES` nodes, and two trainers built from the
 same seed produce bit-identical loss histories.  Run it with ``python -m
-repro.workflow.train_hotpath`` or ``python -m repro.cli bench-train``; exit
-status 1 means the gate failed, 2 a bad argument.
+repro.cli bench-train``; exit status 1 means the gate failed, 2 a bad
+argument.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from repro.continual.trainer import InTransitTrainer
 from repro.core.mlapp import build_trainer
 from repro.mlcore.tensor import Tensor
 from repro.models.config import POINT_DIM
-from repro.utils.benchjson import BenchCase, best_of_interleaved, case_main
+from repro.utils.benchjson import BenchCase, best_of_interleaved
 from repro.workflow.presets import get_preset
 
 #: the model sizes measured: the benchmark's train-bound size and the
@@ -185,11 +184,3 @@ CASE = BenchCase(
     run=lambda args: run_train_benchmark(repeats=args.repeats),
     format_result=format_result,
     gate_failure=gate_failure)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    return case_main(CASE, "python -m repro.workflow.train_hotpath", argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -8,13 +8,12 @@ import pytest
 from repro.analysis import (LatentRegimeClassifier, REGION_APPROACHING, REGION_NAMES,
                             REGION_RECEDING, REGION_VORTEX, evaluate_inversion,
                             histogram_distance, label_particles, majority_region,
-                            momentum_histogram, peak_momentum,
-                            region_momentum_histograms)
+                            momentum_histogram, peak_momentum)
 from repro.analysis.evaluation import held_out_accuracy
 from repro.analysis.histograms import detects_two_populations, mean_momentum
-from repro.analysis.regions import FLOW_MOMENTUM_COLUMN, region_fractions
+from repro.analysis.regions import FLOW_MOMENTUM_COLUMN
 from repro.continual.buffer import TrainingSample
-from repro.models import ArtificialScientistModel, small_config
+from repro.models import ArtificialScientistModel, ModelConfig
 
 
 class TestRegionLabels:
@@ -44,13 +43,6 @@ class TestRegionLabels:
         # all three regions are populated
         assert set(np.unique(labels)) == {0, 1, 2}
 
-    def test_region_fractions_sum_to_one(self, rng):
-        positions, momenta, extent = self.make_setup(rng)
-        labels = label_particles(positions, momenta, extent)
-        fractions = region_fractions(labels)
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        assert set(fractions) == set(REGION_NAMES.values())
-
     def test_majority_region(self):
         assert majority_region(np.array([0, 0, 1])) == REGION_APPROACHING
         assert majority_region(np.array([2, 2, 0])) == REGION_VORTEX
@@ -70,13 +62,6 @@ class TestHistograms:
         centres, counts = momentum_histogram(momenta, bins=100)
         assert peak_momentum(centres, counts) == pytest.approx(0.2, abs=0.02)
         assert mean_momentum(centres, counts) == pytest.approx(0.2, abs=0.02)
-
-    def test_region_histograms_keys(self, rng):
-        momenta = rng.normal(size=(100, 3)) * 0.1
-        labels = rng.integers(0, 3, size=100)
-        hists = region_momentum_histograms(momenta, labels)
-        assert set(hists) <= set(REGION_NAMES.values())
-        assert len(hists) == 3
 
     def test_histogram_distance_bounds(self, rng):
         a = np.histogram(rng.normal(0.2, 0.02, 1000), bins=50, range=(-1, 1))[0]
@@ -146,7 +131,7 @@ class TestInversionEvaluation:
         return samples
 
     def test_report_structure(self, rng):
-        config = small_config()
+        config = ModelConfig()
         model = ArtificialScientistModel(config, rng=rng)
         samples = self.make_samples(rng, config)
         report = evaluate_inversion(model, samples, n_posterior_samples=2, rng=rng)
@@ -160,7 +145,7 @@ class TestInversionEvaluation:
         assert report.n_evaluation_samples == 9
 
     def test_true_peaks_reflect_input_distributions(self, rng):
-        config = small_config()
+        config = ModelConfig()
         model = ArtificialScientistModel(config, rng=rng)
         samples = self.make_samples(rng, config, n_per_region=4)
         report = evaluate_inversion(model, samples, n_posterior_samples=1, rng=rng)
@@ -173,7 +158,7 @@ class TestInversionEvaluation:
         """Random latents with random labels hold nothing to learn: scored
         on the samples it was fitted to, the classifier read 1.0 at 40
         samples; held out, it reads near chance (1/3)."""
-        config = small_config()
+        config = ModelConfig()
         model = ArtificialScientistModel(config, rng=rng)
         model.encode_to_latent = lambda clouds: rng.normal(size=(len(clouds), 32))
         accuracies = [evaluate_inversion(model, [TrainingSample(
@@ -191,7 +176,7 @@ class TestInversionEvaluation:
 
     def test_report_states_the_share_of_momenta_it_clipped(self, rng):
         """Half the predicted momenta lie far outside the histogram range."""
-        config = small_config()
+        config = ModelConfig()
         model = ArtificialScientistModel(config, rng=rng)
 
         def predict(spectra, n_samples):
@@ -207,6 +192,6 @@ class TestInversionEvaluation:
         assert {row["clipped_fraction"] for row in report.rows()} == {0.5}
 
     def test_requires_samples(self, rng):
-        model = ArtificialScientistModel(small_config(), rng=rng)
+        model = ArtificialScientistModel(ModelConfig(), rng=rng)
         with pytest.raises(ValueError):
             evaluate_inversion(model, [])

@@ -11,7 +11,8 @@ from repro.campaign import (CampaignStore, ResultCache, RunRecord, aggregate,
                             run_campaign)
 from repro.campaign.store import STATUS_COMPLETED, STATUS_FAILED
 
-from tests.campaign.test_scheduler_store import fake_worker, smoke_spec
+from tests.campaign.test_scheduler_store import (cached_entries, fake_worker,
+                                                 smoke_spec)
 
 
 def refusing_worker(payload):
@@ -32,13 +33,13 @@ class TestResultCache:
         cache = ResultCache(str(tmp_path / "cache"))
         assert cache.get("deadbeef") is None
         assert cache.stats() == {"hits": 0, "misses": 1}
-        assert len(cache) == 0
+        assert cached_entries(cache) == 0
 
     def test_put_get_roundtrip_marks_provenance(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
         record = completed_record()
         assert cache.put(record) is True
-        assert len(cache) == 1
+        assert cached_entries(cache) == 1
         hit = cache.get("a")
         assert hit.cached is True
         assert hit.summary == record.summary
@@ -100,7 +101,7 @@ class TestCachedCampaigns:
         first = run_campaign(spec, CampaignStore(str(tmp_path / "a.jsonl")),
                              worker=fake_worker, cache=cache)
         assert first.executed == 8 and first.cache_hits == 0
-        assert len(cache) == 8
+        assert cached_entries(cache) == 8
 
         second = run_campaign(spec, CampaignStore(str(tmp_path / "b.jsonl")),
                               worker=refusing_worker, cache=cache)
@@ -173,11 +174,11 @@ class TestCachedCampaigns:
 
         first = run_campaign(spec, CampaignStore(str(tmp_path / "a.jsonl")),
                              worker=bad, cache=cache)
-        assert first.failed == 2 and len(cache) == 0
+        assert first.failed == 2 and cached_entries(cache) == 0
         second = run_campaign(spec, CampaignStore(str(tmp_path / "b.jsonl")),
                               worker=fake_worker, cache=cache)
         assert second.executed == 2 and second.completed == 2
-        assert len(cache) == 2
+        assert cached_entries(cache) == 2
 
     def test_cached_records_resume_through_the_store_too(self, tmp_path):
         """Cache-served records land in the store, so a later launch of the

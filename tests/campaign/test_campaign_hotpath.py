@@ -10,10 +10,11 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign.hotpath import (CASE, CampaignThroughputResult,
-                                    check_equivalence, format_result, main,
+                                    check_equivalence, format_result,
                                     run_campaign_benchmark)
 from repro.campaign.store import RunRecord, STATUS_COMPLETED, STATUS_FAILED
-from repro.utils.benchjson import latest_run
+from repro.cli import main as cli_main
+from repro.utils.benchjson import bench_path, load_history
 
 
 def record(run_id, loss=1.0, status=STATUS_COMPLETED):
@@ -88,9 +89,9 @@ class TestPersistAndFormat:
         """The record schema: the case's params/metrics plus the harness's
         ``repeats`` stamp, so a record says how it was taken."""
         monkeypatch.setattr(CASE, "run", lambda args: stub_result())
-        assert main(["--repeats", "5", "--output-dir", str(tmp_path)]) == 0
+        assert cli_main(["bench-campaign", "--repeats", "5", "--output-dir", str(tmp_path)]) == 0
         assert "BENCH_campaign_throughput.json" in capsys.readouterr().out
-        saved = latest_run("campaign_throughput", str(tmp_path))
+        saved = load_history(bench_path("campaign_throughput", str(tmp_path)))["runs"][-1]
         assert saved["params"] == {
             "preset": "campaign-smoke", "n_runs": 8, "max_workers": 2,
             "start_method": "spawn", "executors": ["serial", "workers"],

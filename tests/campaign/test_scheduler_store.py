@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import glob
 import itertools
+import os
 import threading
+from collections import Counter
 
 import pytest
 
 from repro.campaign import (CampaignSpec, CampaignStore, RunRecord,
-                            available_executors, execute_run, get_campaign_preset,
+                            execute_run, get_campaign_preset,
                             get_executor, run_campaign, shutdown_shared_pools)
 from repro.campaign.store import STATUS_COMPLETED, STATUS_FAILED
 
@@ -33,6 +36,16 @@ def twin_fails(payload):
     if payload["index"] == 1:
         raise RuntimeError("twin failed")
     return {"final_total_loss": 1.0}
+
+
+def statuses(store: CampaignStore) -> Counter:
+    """Latest-record counts per status."""
+    return Counter(record.status for record in store.records())
+
+
+def cached_entries(cache) -> int:
+    """Entries a :class:`ResultCache` holds on disk."""
+    return len(glob.glob(os.path.join(cache.root, "*", "*.json")))
 
 
 def smoke_spec(**kwargs) -> CampaignSpec:
@@ -60,9 +73,9 @@ class TestStore:
                                summary={"final_total_loss": 1.0}))
         store.append(RunRecord(run_id="b", index=1, params={}, driver="serial",
                                n_steps=2, status=STATUS_FAILED, error="boom"))
-        assert len(store) == 2
+        assert len(store.records()) == 2
         assert store.completed_run_ids() == {"a"}
-        assert store.counts() == {"completed": 1, "failed": 1}
+        assert statuses(store) == {"completed": 1, "failed": 1}
 
     def test_last_record_per_run_id_wins(self, tmp_path):
         store = CampaignStore(str(tmp_path / "log.jsonl"))
@@ -70,7 +83,7 @@ class TestStore:
                                n_steps=2, status=STATUS_FAILED, error="boom"))
         store.append(RunRecord(run_id="a", index=0, params={}, driver="serial",
                                n_steps=2, status=STATUS_COMPLETED))
-        assert len(store) == 1
+        assert len(store.records()) == 1
         assert store.completed_run_ids() == {"a"}
 
     def test_round_trips_record_fields(self, tmp_path):
@@ -132,8 +145,7 @@ class TestStore:
 
 class TestExecutors:
     def test_registry_names(self):
-        assert available_executors() == ("serial", "workers")
-        with pytest.raises(ValueError, match="valid executors"):
+        with pytest.raises(ValueError, match="valid executors: serial, workers$"):
             get_executor("quantum")
 
     def test_default_pool_workers_is_machine_derived_and_bounded(self):
@@ -283,7 +295,7 @@ class TestRunCampaign:
         store = CampaignStore(str(tmp_path / "log.jsonl"))
         depths = []
         outcome = run_campaign(spec, store, worker=fake_worker,
-                               on_record=lambda r: depths.append(len(store)))
+                               on_record=lambda r: depths.append(len(store.records())))
         assert outcome.completed == 8 and outcome.done
         # the store grew by one row per finished run, not in one batch
         assert depths == list(range(1, 9))
@@ -299,7 +311,7 @@ class TestRunCampaign:
         assert first.failed == 2 and not first.done
         second = run_campaign(spec, store, worker=fake_worker)
         assert second.executed == 2 and second.completed == 2 and second.done
-        assert store.counts() == {"completed": 2, "failed": 0}
+        assert statuses(store) == {"completed": 2}
 
     def test_raising_observer_is_detached_not_fatal(self, tmp_path, caplog):
         """The service guarantee: a buggy ``on_record`` observer must not
@@ -317,7 +329,7 @@ class TestRunCampaign:
             outcome = run_campaign(spec, store, worker=fake_worker,
                                    on_record=bad_observer)
         assert outcome.completed == 8 and outcome.done
-        assert store.counts() == {"completed": 8, "failed": 0}
+        assert statuses(store) == {"completed": 8}
         # the observer raised on its first record and was detached for the
         # rest of the launch — not retried per record
         assert calls == [store.records()[0].run_id]
@@ -342,8 +354,8 @@ class TestRunCampaign:
         record = outcome.records[0]
         assert record.status == STATUS_FAILED and record.attempts == 2
         assert record.error.startswith("NonFiniteLossError:")
-        assert store.counts() == {"completed": 0, "failed": 1}
-        assert len(cache) == 0
+        assert statuses(store) == {"failed": 1}
+        assert cached_entries(cache) == 0
         again = run_campaign(spec, store, worker=fake_worker, cache=cache)
         assert again.cache_hits == 0 and again.executed == 2 and again.done
 

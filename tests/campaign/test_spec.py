@@ -297,9 +297,3 @@ class TestValidationAndRoundTrip:
                             repetitions=1)
         run = spec.resolve()[0]
         assert run.config["ml"]["model"]["n_input_points"] == 48
-
-    def test_swept_parameters(self):
-        assert smoke_spec().swept_parameters() == ["ml.base_learning_rate"]
-        explicit = smoke_spec(sampler="explicit", parameters={},
-                              explicit=[{"seed": 1}, {"ml.n_rep": 2}])
-        assert explicit.swept_parameters() == ["ml.n_rep", "seed"]

@@ -273,11 +273,11 @@ class TestStudyCommands:
         assert "speedup" in out and "fused == reference: OK" in out
 
     def test_bench_hotpath_writes_history(self, capsys, tmp_path):
-        from repro.utils.benchjson import latest_run
+        from repro.utils.benchjson import bench_path, load_history
 
         assert cli_main(["bench-hotpath", "--steps", "2", "--warmup", "1",
                          "--repeats", "1", "--output-dir", str(tmp_path)]) == 0
-        record = latest_run("pic_hotpath", str(tmp_path))
+        record = load_history(bench_path("pic_hotpath", str(tmp_path)))["runs"][-1]
         assert record is not None
         assert record["metrics"]["equivalent"] is True
 

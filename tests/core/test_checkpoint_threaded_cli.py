@@ -41,7 +41,7 @@ class TestCheckpoint:
         directory = str(tmp_path / "ckpt")
         info = save_checkpoint(directory, model, trainer, step=3)
         assert info.training_iterations == 3
-        assert os.path.exists(info.manifest_path)
+        assert os.path.exists(os.path.join(info.directory, "manifest.json"))
 
         fresh_model = ArtificialScientistModel(SMALL, rng=np.random.default_rng(99))
         fresh_trainer = InTransitTrainer(fresh_model,
@@ -201,7 +201,7 @@ class TestThreadedRunner:
         assert report.iterations_streamed == 3
         assert report.training_iterations == 3  # n_rep=1
         assert report.samples_streamed == 12
-        assert result.max_queue_depth <= session.broker.queue_limit
+        assert result.max_queue_depth <= session.brokers["mlapp"].queue_limit
 
     def test_invalid_steps(self):
         session = WorkflowBuilder().config(tiny_config()).driver("pipelined").build()

@@ -57,7 +57,7 @@ class TestWorkflowConfig:
         cfg = WorkflowConfig()
         assert cfg.ml.model.spectrum_dim == \
             cfg.n_detector_directions * cfg.n_detector_frequencies
-        assert cfg.n_regions == 4
+        assert np.prod(cfg.region_counts) == 4
 
 
 class TestRegionPartition:
@@ -74,7 +74,7 @@ class TestRegionPartition:
         partition = RegionPartition(grid, (1, 4, 1))
         positions = rng.uniform(0, 1, size=(200, 3)) * np.asarray(grid.extent)
         ids = partition.region_of(positions)
-        assert ids.min() >= 0 and ids.max() < partition.n_regions
+        assert ids.min() >= 0 and ids.max() < np.prod(partition.region_counts)
 
     @pytest.mark.parametrize("counts", [(1, 4, 1), (2, 3, 2), (1, 1, 1), (3, 1, 5)])
     def test_region_of_is_the_whole_array_formula(self, counts, rng):

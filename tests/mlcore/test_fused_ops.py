@@ -295,7 +295,8 @@ class TestAffine:
         upstream = rng.normal(size=(2, 4, 2, 6, 2))
 
         def run():
-            deconv.zero_grad()
+            for parameter in deconv.parameters():
+                parameter.zero_grad()
             t = Tensor(x, requires_grad=True)
             out = deconv(t)
             (out * Tensor(upstream)).sum().backward()
@@ -459,7 +460,8 @@ class TestLossTailNodes:
 # --------------------------------------------------------------------------- #
 def _block_run(block: GlowCouplingBlock, x: np.ndarray, upstream: np.ndarray,
                inverse: bool):
-    block.zero_grad()
+    for parameter in block.parameters():
+        parameter.zero_grad()
     t = Tensor(x, requires_grad=True)
     out = block.inverse(t) if inverse else block(t)
     (out * Tensor(upstream)).sum().backward()

@@ -201,13 +201,6 @@ class TestContainersAndModule:
         with pytest.raises(KeyError, match="unexpected=\\['extra'\\]"):
             layer.load_state_dict(state)
 
-    def test_zero_grad_clears_every_parameter(self, rng):
-        model = Sequential(Linear(3, 4, rng=rng), ReLU(), Linear(4, 1, rng=rng))
-        model(Tensor(rng.normal(size=(5, 3)))).sum().backward()
-        assert all(p.grad is not None for p in model.parameters())
-        model.zero_grad()
-        assert all(p.grad is None for p in model.parameters())
-
     def test_add_module_registers_a_named_child(self, rng):
         parent = Module()
         child = Linear(2, 2, rng=rng)

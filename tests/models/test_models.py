@@ -9,11 +9,11 @@ from repro.mlcore.tensor import Tensor
 from repro.models import (ArtificialScientistModel, CombinedLoss, GlowCouplingBlock,
                           InvertibleNetwork, LossWeights, ModelConfig,
                           PointCloudDecoder, PointNetEncoder,
-                          VariationalAutoEncoder, paper_config, small_config)
+                          VariationalAutoEncoder, paper_config)
 from repro.models.config import POINT_DIM
 
 
-CFG = small_config()
+CFG = ModelConfig()
 
 
 def random_cloud(rng, batch=2, config=CFG):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import constants
-from repro.pic.grid import GridConfig, YeeGrid
+from repro.pic.grid import STAGGER, GridConfig, YeeGrid
 from repro.pic.interpolation import gather_component
 from repro.pic.kernels import (deposit_charge_cic, deposit_current_esirkepov,
                                gather_fields)
@@ -37,7 +37,7 @@ class TestGather:
         # away from the periodic seam the gather must be exact
         positions = np.array([[4.3, 1.7, 2.2], [7.9, 0.4, 3.6], [10.5, 2.0, 1.0]])
         values = gather_component(grid.Ex, positions, grid.config.cell_size,
-                                  grid.stagger("Ex"))
+                                  STAGGER["Ex"])
         np.testing.assert_allclose(values, positions[:, 0], rtol=1e-12)
 
     def test_rejects_bad_positions(self):

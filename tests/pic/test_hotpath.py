@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.pic import kernels
-from repro.pic.hotpath import (CASE, HotpathResult, format_result, main,
+from repro.pic.hotpath import (CASE, HotpathResult, format_result,
                                run_hotpath_benchmark)
-from repro.utils.benchjson import latest_run
+from repro.utils.benchjson import bench_path, load_history
 
 
 def tiny_result():
@@ -84,9 +85,9 @@ class TestPersistAndFormat:
         ``repeats`` stamp, so a record says how it was taken."""
         result = stub_result()
         monkeypatch.setattr(CASE, "run", lambda args: result)
-        assert main(["--repeats", "5", "--output-dir", str(tmp_path)]) == 0
+        assert cli_main(["bench-hotpath", "--repeats", "5", "--output-dir", str(tmp_path)]) == 0
         assert "BENCH_pic_hotpath.json" in capsys.readouterr().out
-        record = latest_run("pic_hotpath", str(tmp_path))
+        record = load_history(bench_path("pic_hotpath", str(tmp_path)))["runs"][-1]
         assert record["params"] == {
             "grid_shape": [8, 16, 2], "particles_per_cell": 4,
             "n_macro_particles": 2048, "chunk": kernels.CHUNK,
@@ -106,7 +107,7 @@ class TestPersistAndFormat:
         result = stub_result(helper_identical=False)
         assert not result.equivalent
         monkeypatch.setattr(CASE, "run", lambda args: result)
-        assert main(["--no-persist"]) == 1
+        assert cli_main(["bench-hotpath", "--no-persist"]) == 1
         captured = capsys.readouterr()
         assert "helper == fused: FAILED" in captured.out
         assert "fused == reference: OK" in captured.out

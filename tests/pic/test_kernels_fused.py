@@ -349,7 +349,8 @@ def two_species_simulation(seed, sizes=(300, 173), workspace=True):
             size=simulation.grid.shape)
     for make, n in zip((ParticleSpecies.electrons, ParticleSpecies.protons), sizes):
         positions, weights = random_particles(rng, simulation.grid, n)
-        simulation.add_species(make(positions, 0.3 * rng.normal(size=(n, 3)), weights))
+        simulation.species.append(make(positions, 0.3 * rng.normal(size=(n, 3)),
+                                       weights))
     return simulation
 
 
@@ -787,9 +788,12 @@ class TestFullStepEquivalence:
         """The oracle loop is a drop-in for ``PICSimulation.step``: plugins
         see the same calls at the same step indices, and the timer the same
         sections the same number of times."""
+        from collections import Counter
+
         from repro.pic.hotpath import STEP
         from repro.pic.khi import KHIConfig, make_khi_simulation
         from repro.pic.simulation import Plugin
+        from repro.telemetry import SpanRecorder, recording
 
         class Probe(Plugin):
             def __init__(self):
@@ -806,10 +810,14 @@ class TestFullStepEquivalence:
             simulation = make_khi_simulation(KHIConfig(
                 grid_shape=(4, 8, 2), particles_per_cell=2, seed=5))
             probe = simulation.add_plugin(Probe())
-            for _ in range(3):
-                step(simulation)
-            seen[kernel] = (probe.calls, simulation.timer.counts())
+            recorder = SpanRecorder()
+            with recording(recorder):
+                for _ in range(3):
+                    step(simulation)
+            seen[kernel] = (probe.calls,
+                            Counter(span.name for span in recorder.spans))
         assert seen["reference"] == seen["fused"]
         calls, counts = seen["fused"]
         assert calls == [("start", 0), ("step", 1), ("step", 2), ("step", 3)]
-        assert set(counts) == {"gather", "push", "deposit", "fields", "plugins"}
+        assert set(counts) == {"pic.gather", "pic.push", "pic.deposit",
+                               "pic.fields", "pic.plugins"}

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro import constants
-from repro.pic.diagnostics import (ChargeConservationMonitor, EnergyHistory,
-                                   momentum_histogram)
+from repro.analysis.histograms import momentum_histogram
+from repro.pic.diagnostics import ChargeConservationMonitor, EnergyHistory
 from repro.pic.fom import FigureOfMerit, figure_of_merit
 from repro.pic.grid import GridConfig
 from repro.pic.khi import (FLOW_AXIS, SHEAR_AXIS, KHIConfig, growth_rate_estimate,
@@ -29,7 +29,7 @@ class TestSimulationLoop:
             weights=np.array([1.0]))
         sim = PICSimulation(SimulationConfig(grid=grid), species=[electrons])
         x0 = electrons.positions[0, 0]
-        v = electrons.velocities()[0, 0]
+        v = 0.1 / np.sqrt(1.01) * constants.SPEED_OF_LIGHT
         sim.step()
         # single macro-particle with weight 1: self-fields are negligible
         assert electrons.positions[0, 0] == pytest.approx(x0 + v * sim.config.dt, rel=1e-6)
@@ -57,8 +57,7 @@ class TestSimulationLoop:
         sim = make_khi_simulation(tiny_khi())
         fom = sim.run(2)
         assert isinstance(fom, FigureOfMerit)
-        assert fom.value > 0
-        assert fom.particle_updates_per_second > fom.cell_updates_per_second * 0
+        assert fom.particle_updates_per_second > 0
 
     def test_invalid_config(self):
         grid = GridConfig(shape=(4, 4, 4), cell_size=(1e-5,) * 3)
@@ -89,8 +88,9 @@ class TestKHISetup:
 
     def test_charge_neutral_start(self):
         sim = make_khi_simulation(tiny_khi())
-        total_charge = sum(s.total_charge() for s in sim.species)
-        electron_charge = abs(sim.get_species("electrons").total_charge())
+        charges = {s.name: s.charge * s.weights.sum() for s in sim.species}
+        total_charge = sum(charges.values())
+        electron_charge = abs(charges["electrons"])
         assert abs(total_charge) < 1e-9 * electron_charge
 
     def test_particle_count_matches_ppc(self):
@@ -178,7 +178,8 @@ class TestKHIPhysics:
 
     def test_momentum_histogram_shows_two_streams(self):
         sim = make_khi_simulation(tiny_khi())
-        centres, hist = momentum_histogram(sim.get_species("electrons"), axis=0,
+        electrons = sim.get_species("electrons")
+        centres, hist = momentum_histogram(electrons.momenta, electrons.weights,
                                            bins=41, momentum_range=(-0.5, 0.5))
         gamma_beta = 0.2 / np.sqrt(1 - 0.04)
         peak_positive = centres[np.argmax(hist * (centres > 0))]
@@ -188,12 +189,10 @@ class TestKHIPhysics:
 
 
 class TestFOM:
-    def test_weighted_sum(self):
+    def test_update_rates(self):
         fom = figure_of_merit(n_particles=1000, n_cells=100, n_steps=10, wall_time=2.0)
         assert fom.particle_updates_per_second == pytest.approx(5000)
         assert fom.cell_updates_per_second == pytest.approx(500)
-        assert fom.value == pytest.approx(0.9 * 5000 + 0.1 * 500)
-        assert fom.tera_updates_per_second == pytest.approx(fom.value / 1e12)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -11,13 +11,24 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
-from repro.service.sse import parse_events
+from repro.service.sse import SSEEvent, SSEParser
+
+
+def parse_events(raw: str) -> List[SSEEvent]:
+    """Parse a complete SSE stream body into its events."""
+    return SSEParser().feed(raw if raw.endswith("\n") else raw + "\n")
 
 
 def parse_sse_events(raw: str) -> List[Dict[str, Any]]:
     """Parse SSE stream text into a list of ``{event, data, id}`` dicts."""
     return [{"event": event.event, "data": event.data, "id": event.id}
             for event in parse_events(raw)]
+
+
+def subscriber_count(bus, topic: str) -> int:
+    """Open subscriptions of a :class:`RunEventBus` topic."""
+    with bus._lock:
+        return len(bus._subscribers.get(topic, ()))
 
 
 def events_of_kind(events: List[Dict[str, Any]], kind: str

@@ -5,6 +5,7 @@ from __future__ import annotations
 import threading
 
 import pytest
+from sse_helpers import subscriber_count
 
 from repro.service.bus import RunEventBus
 
@@ -41,7 +42,7 @@ class TestPublishSubscribe:
         bus.unsubscribe(sub)
         bus.publish("c", "run", {})
         assert sub.get(timeout=0.05) is None
-        assert bus.subscriber_count("c") == 0
+        assert subscriber_count(bus, "c") == 0
 
     def test_publish_never_blocks_without_subscribers(self):
         bus = RunEventBus(max_queue_size=1)

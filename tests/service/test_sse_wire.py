@@ -9,12 +9,12 @@ disconnects are deterministic — every assertion goes through the shared
 
 from __future__ import annotations
 
-from sse_helpers import events_of_kind, parse_sse_events, run_ids_of
+from sse_helpers import (events_of_kind, parse_events, parse_sse_events,
+                         run_ids_of, subscriber_count)
 
 from repro.service.bus import RunEventBus
 from repro.service.server import sse_event_stream
-from repro.service.sse import (SSEParser, format_comment, format_event,
-                               parse_events)
+from repro.service.sse import SSEParser, format_comment, format_event
 
 
 class TestWireFormat:
@@ -86,7 +86,7 @@ class TestEventStream:
         assert [event["event"] for event in events] == \
             ["snapshot", "snapshot", "done"]
         assert run_ids_of(events) == ["r1", "r2"]
-        assert bus.subscriber_count(job.id) == 0
+        assert subscriber_count(bus, job.id) == 0
 
     def test_live_append_streams_run_frames_until_done(self):
         bus = RunEventBus()
@@ -102,7 +102,7 @@ class TestEventStream:
         events = parse_sse_events("".join(collected))
         assert [event["event"] for event in events] == ["run", "run", "done"]
         assert run_ids_of(events) == ["live-1", "live-2"]
-        assert bus.subscriber_count(job.id) == 0
+        assert subscriber_count(bus, job.id) == 0
 
     def test_snapshot_plus_live_mix(self):
         bus = RunEventBus()
@@ -188,9 +188,9 @@ class TestEventStream:
         next(stream)                     # keep-alive tick: now subscribed
         _publish_run(bus, job.id, "r1")
         assert parse_sse_events(next(stream))[0]["event"] == "run"
-        assert bus.subscriber_count(job.id) == 1
+        assert subscriber_count(bus, job.id) == 1
         stream.close()                   # client went away mid-stream
-        assert bus.subscriber_count(job.id) == 0
+        assert subscriber_count(bus, job.id) == 0
 
     def test_terminal_job_with_lost_done_event_still_ends_the_stream(self):
         """If the terminal event itself fell to the drop policy, the
@@ -201,4 +201,4 @@ class TestEventStream:
         events = parse_sse_events("".join(stream))
         assert events[-1]["event"] == "done"
         assert events[-1]["data"]["state"] == "completed"
-        assert bus.subscriber_count(job.id) == 0
+        assert subscriber_count(bus, job.id) == 0

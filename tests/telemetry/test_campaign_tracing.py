@@ -21,6 +21,8 @@ from repro.campaign import (CampaignSpec, CampaignStore, ResultCache,
                             get_campaign_preset, run_campaign)
 from repro.telemetry import REGISTRY, disabled, read_spans, trace_path_for
 
+from tests.telemetry.test_metrics import observed, value
+
 
 def smoke_spec(**kwargs) -> CampaignSpec:
     base = get_campaign_preset("campaign-smoke").to_dict()
@@ -126,7 +128,7 @@ class TestSerialTracing:
         assert outcome.completed == 8
         assert not os.path.exists(trace_path_for(store.path))
         runs_total = REGISTRY.counter("repro_campaign_runs_total")
-        assert runs_total.value(campaign=spec.name, status="completed",
+        assert value(runs_total, campaign=spec.name, status="completed",
                                 cached="false") == 0
 
     def test_cache_hits_settle_directly_under_the_root(self, tmp_path):
@@ -265,7 +267,7 @@ class TestWorkerPoolTracing:
             sorted(r.run_id for r in runs)
         assert_complete_trees(spans, list(store.records()))
         events = REGISTRY.counter("repro_worker_pool_events_total")
-        assert events.value(event="requeued_runs") >= 8
+        assert value(events, event="requeued_runs") >= 8
 
 
 class TestMetricsUnderConcurrency:
@@ -298,11 +300,11 @@ class TestMetricsUnderConcurrency:
         assert errors == []
         runs_total = REGISTRY.counter("repro_campaign_runs_total")
         for spec in specs:
-            assert runs_total.value(campaign=spec.name, status="completed",
+            assert value(runs_total, campaign=spec.name, status="completed",
                                     cached="false") == 8
         seconds = REGISTRY.histogram("repro_campaign_run_seconds")
         for spec in specs:
-            assert seconds.value(campaign=spec.name) == 8
+            assert observed(seconds, campaign=spec.name)[0] == 8
         # each launch wrote its own complete trace despite sharing the pool
         for spec, store in zip(specs, stores):
             spans = spans_of(store)

@@ -19,7 +19,7 @@ import repro.pic.hotpath as pic_hotpath
 import repro.workflow.learning as learning
 import repro.workflow.train_hotpath as train_hotpath
 from repro.cli import main as cli_main
-from repro.utils.benchjson import best_of_interleaved, latest_run
+from repro.utils.benchjson import bench_path, best_of_interleaved, load_history
 from tests.campaign.test_campaign_hotpath import stub_result as campaign_stub
 from tests.pic.test_hotpath import stub_result as pic_stub
 from tests.workflow.test_learning import stub_result as learning_stub
@@ -28,7 +28,7 @@ from tests.workflow.test_train_hotpath import stub_result as train_stub
 pytestmark = pytest.mark.usefixtures("short_training")
 
 #: per case: module, CLI command, the smallest real invocation, the flags
-#: the entry points accept, a stub result factory and what a failed gate
+#: the command accepts, a stub result factory and what a failed gate
 #: names on stderr
 CASES = {
     "pic": dict(
@@ -79,10 +79,9 @@ def case(request):
     return CASES[request.param]
 
 
-def entry_points(case):
-    """The two ways in: ``python -m <module>`` and ``repro.cli <command>``."""
-    return [case["module"].main,
-            lambda argv: cli_main([case["command"], *argv])]
+def run(case, argv):
+    """The case's ``repro.cli`` command with ``argv``."""
+    return cli_main([case["command"], *argv])
 
 
 class TestBestOfInterleaved:
@@ -118,7 +117,7 @@ class TestBestOfInterleaved:
 class TestCaseContract:
     def test_no_persist_prints_no_recorded_line(self, case, capsys, tmp_path):
         argv = case["tiny"] + ["--no-persist", "--output-dir", str(tmp_path)]
-        assert case["module"].main(argv) == 0
+        assert run(case, argv) == 0
         out = capsys.readouterr().out
         assert "OK" in out and "recorded" not in out
         assert list(tmp_path.iterdir()) == []
@@ -126,42 +125,38 @@ class TestCaseContract:
     def test_output_dir_appends_a_readable_record(self, case, capsys,
                                                   tmp_path):
         argv = case["tiny"] + ["--output-dir", str(tmp_path)]
-        assert case["module"].main(argv) == 0
+        assert run(case, argv) == 0
         assert "recorded in" in capsys.readouterr().out
-        record = latest_run(case["module"].CASE.topic, str(tmp_path))
+        record = load_history(bench_path(case["module"].CASE.topic,
+                                         str(tmp_path)))["runs"][-1]
         assert record["params"]["repeats"] == 1
         assert record["metrics"]["equivalent"] is True
 
     @pytest.mark.parametrize("name, flags", BAD_FLAGS)
     def test_a_bad_flag_exits_2_not_1(self, name, flags, capsys):
         """A bad argument must not look like a failed gate (exit 1)."""
-        for entry in entry_points(CASES[name]):
-            assert entry(flags + ["--no-persist"]) == 2
-            captured = capsys.readouterr()
-            assert captured.err.startswith("error: ")
-            assert "Traceback" not in captured.err
-            assert captured.out == ""
+        assert run(CASES[name], flags + ["--no-persist"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_a_failed_gate_exits_1_naming_both_sides(self, case, capsys,
                                                      monkeypatch):
         failed = case["stub"](equivalent=False)
         monkeypatch.setattr(case["module"].CASE, "run", lambda args: failed)
-        for entry in entry_points(case):
-            assert entry(["--no-persist"]) == 1
-            captured = capsys.readouterr()
-            assert "FAILED" in captured.out
-            assert all(part in captured.err for part in case["failure"])
+        assert run(case, ["--no-persist"]) == 1
+        captured = capsys.readouterr()
+        assert "FAILED" in captured.out
+        assert all(part in captured.err for part in case["failure"])
 
     def test_cli_mounts_exactly_the_module_flags(self, case, capsys):
-        """Flags are declared once: both entry points list the same set."""
-        listed = []
-        for entry in entry_points(case):
-            with pytest.raises(SystemExit) as exit_info:
-                entry(["--help"])
-            assert exit_info.value.code == 0
-            listed.append(set(re.findall(r"--[a-z][a-z-]*",
-                                         capsys.readouterr().out)))
-        assert listed[0] == listed[1] == case["flags"]
+        """Flags are declared once, by the case: the command lists them."""
+        with pytest.raises(SystemExit) as exit_info:
+            run(case, ["--help"])
+        assert exit_info.value.code == 0
+        assert set(re.findall(r"--[a-z][a-z-]*",
+                              capsys.readouterr().out)) == case["flags"]
 
     def test_bench_campaign_has_no_preset_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:

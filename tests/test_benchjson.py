@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.utils.benchjson import (SCHEMA_VERSION, append_run, bench_path,
-                                   git_revision, latest_run, load_history,
+                                   git_revision, load_history,
                                    make_record)
 
 
@@ -103,17 +103,6 @@ class TestLoadHistory:
                                     "topic": "bad", "runs": {}}))
         with pytest.raises(ValueError, match="non-list"):
             load_history(str(path))
-
-
-class TestLatestRun:
-    def test_none_without_history(self, tmp_path):
-        assert latest_run("nothing", str(tmp_path)) is None
-
-    def test_returns_most_recent(self, tmp_path):
-        directory = str(tmp_path)
-        append_run("t", {"n": 1}, {}, directory)
-        append_run("t", {"n": 2}, {}, directory)
-        assert latest_run("t", directory)["params"]["n"] == 2
 
 
 class TestGitRevision:

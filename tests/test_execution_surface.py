@@ -34,7 +34,6 @@ import repro.openpmd
 import repro.perfmodel
 import repro.streaming
 from repro.campaign import (CampaignSpec, WorkerPool, WorkerPoolExecutor,
-                            available_campaign_presets, available_executors,
                             executor_for, get_campaign_preset, get_executor)
 from repro.cli import _build_parser
 from repro.continual import InTransitTrainer
@@ -76,14 +75,80 @@ from repro.workflow import (WorkflowBuilder, WorkflowSession,
                             get_preset)
 from repro.workflow import drivers as workflow_drivers
 from repro.workflow import learning
-from repro.workflow.builder import ConsumerSpec
+from repro.workflow.builder import ConsumerSpec, WorkflowHooks
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: ``module[:class]`` -> the names the call census deleted, because only
+#: tests called them (``tests/test_call_census.py``)
+CENSUS_REMOVED = {
+    "repro": ["__dir__"],
+    "repro.constants": ["lorentz_gamma", "plasma_wavelength", "skin_depth"],
+    "repro.analysis": ["region_momentum_histograms"],
+    "repro.analysis.growth:GrowthRateFit": ["e_folding_time"],
+    "repro.analysis.histograms": ["region_momentum_histograms"],
+    "repro.analysis.regions": ["region_fractions"],
+    "repro.campaign": ["available_campaign_presets", "available_executors"],
+    "repro.campaign.presets": ["available_campaign_presets"],
+    "repro.campaign.scheduler": ["available_executors"],
+    "repro.campaign.cache:ResultCache": ["__len__"],
+    "repro.campaign.store:CampaignStore": ["__len__", "counts"],
+    "repro.campaign.spec:CampaignSpec": ["swept_parameters"],
+    "repro.campaign.hotpath": ["main"],
+    "repro.pic.hotpath": ["main"],
+    "repro.workflow.train_hotpath": ["main"],
+    "repro.workflow.learning": ["main"],
+    "repro.utils": ["latest_run", "check_probability", "check_shape"],
+    "repro.utils.benchjson": ["case_main", "latest_run"],
+    "repro.utils.validation": ["broadcast_shapes", "check_in",
+                               "check_probability", "check_shape"],
+    "repro.continual.buffer:TrainingBuffer": ["batch_size", "ep_steps",
+                                              "now_steps"],
+    "repro.continual.trainer:TrainingHistory": ["latest"],
+    "repro.core.checkpoint:CheckpointInfo": ["manifest_path"],
+    "repro.core.config:WorkflowConfig": ["n_regions"],
+    "repro.core.transforms:RegionPartition": ["n_regions"],
+    "repro.models": ["small_config"],
+    "repro.models.config": ["small_config"],
+    "repro.pic.diagnostics": ["momentum_histogram"],
+    "repro.pic.fom:FigureOfMerit": ["value", "tera_updates_per_second"],
+    "repro.pic.grid:YeeGrid": ["stagger"],
+    "repro.pic.particles:ParticleSpecies": ["beta", "sample", "select",
+                                            "total_charge", "velocities"],
+    "repro.pic.simulation:PICSimulation": ["add_species"],
+    "repro.radiation": ["total_radiated_energy"],
+    "repro.radiation.detector:RadiationDetector": [
+        "frequencies_in_plasma_units", "shape"],
+    "repro.radiation.spectrum": ["total_radiated_energy"],
+    "repro.service": ["parse_events"],
+    "repro.service.sse": ["parse_events"],
+    "repro.service.bus:RunEventBus": ["subscriber_count"],
+    "repro.service.jobs:CampaignJob": ["pending_count"],
+    "repro.streaming.noop:NoOpConsumer": ["mean_step_time", "total_bytes"],
+    "repro.streaming.reduction:Reducer": ["factor"],
+    "repro.streaming.reduction:ReductionPipeline": ["total_factor"],
+    "repro.streaming.reduction:ReductionReport": ["factor", "saved_fraction"],
+    "repro.telemetry": ["context_of"],
+    "repro.telemetry.spans": ["context_of"],
+    "repro.telemetry.spans:Timer": ["counts"],
+    "repro.telemetry.export:TraceWriter": ["__enter__", "__exit__"],
+    "repro.telemetry.metrics:Metric": ["value"],
+    "repro.telemetry.metrics:Gauge": ["inc"],
+    "repro.telemetry.metrics:Histogram": ["series", "sum", "value"],
+    "repro.telemetry.metrics:MetricsRegistry": ["reset", "snapshot"],
+    "repro.workflow": ["register_consumer", "register_preset"],
+    "repro.workflow.consumers": ["register_consumer"],
+    "repro.workflow.presets": ["register_preset"],
+    "repro.workflow.builder:WorkflowBuilder": ["on_run_end",
+                                               "replace_consumers"],
+    "repro.workflow.builder:WorkflowSession": ["broker", "consumed",
+                                               "reader_series"],
+    "repro.workflow.fanout:FanOutBroker": ["closed", "queue_limit"],
+}
 
 
 class TestSurface:
     def test_removed_names_are_gone_not_aliased(self):
-        assert available_executors() == ("serial", "workers")
         assert available_drivers() == ("pipelined", "serial")
         for name in ("thread", "process", "sharded"):
             with pytest.raises(ValueError, match="unknown executor .*; "
@@ -106,6 +171,14 @@ class TestSurface:
         assert importlib.util.find_spec("repro.campaign.sharding") is None
         assert [name for name in dir(repro.campaign)
                 if "shard" in name.lower() or "router" in name.lower()] == []
+        # what only tests called: gone from its module, its class and
+        # every package that exported it
+        for path, names in CENSUS_REMOVED.items():
+            module, _, cls = path.partition(":")
+            owner = importlib.import_module(module)
+            owner = getattr(owner, cls) if cls else owner
+            assert [name for name in names if name in vars(owner)] == [], path
+        assert field_names(WorkflowHooks) == ["on_step", "on_iteration_consumed"]
 
 
 def shape_of(executor):
@@ -259,8 +332,11 @@ class TestOptionsCensus:
     def test_a_campaign_launch_takes_exactly_these_options(self):
         """One concurrent executor; a spec carries no execution hints but
         its cache directory."""
-        assert available_executors() == ("serial", "workers")
-        assert available_campaign_presets() == ("campaign-smoke",)
+        with pytest.raises(ValueError, match="valid executors: serial, workers$"):
+            get_executor("threads")
+        with pytest.raises(ValueError,
+                           match="valid campaign presets: campaign-smoke$"):
+            get_campaign_preset("campaign-large")
         assert parameters_of(executor_for) == ["options"]
         assert [field.name for field in dataclasses.fields(CampaignSpec)] == [
             "name", "base_preset", "base_config", "sampler", "parameters",
@@ -476,7 +552,8 @@ class TestOptionsCensus:
             mlcore_init: ["xavier_uniform", "xavier_normal", "zeros"],
             mlcore_losses: ["l1_loss", "gaussian_nll", "sinkhorn_emd",
                             "_logsumexp"],
-            Module: ["register_parameter", "named_modules", "modules", "forward"],
+            Module: ["register_parameter", "named_modules", "modules", "forward",
+                     "zero_grad"],
             optim: ["SGD", "sqrt_lr_scaling"],
             optim.Optimizer: ["set_lr", "add_param_group", "step_count", "step"],
             GlowCouplingBlock: ["log_det_jacobian", "_scale_shift"],

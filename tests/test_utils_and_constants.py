@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from repro import constants
 from repro.utils.rng import derive_seed, seeded_rng, spawn_rngs
 from repro.utils.serialization import jsonable
-from repro.utils.validation import (broadcast_shapes, check_array, check_in,
-                                    check_positive, check_probability, check_shape)
+from repro.utils.validation import check_array, check_positive
 
 
 class TestConstants:
@@ -22,26 +21,12 @@ class TestConstants:
         omega_p = constants.plasma_frequency(1e18)
         assert omega_p == pytest.approx(5.64e10, rel=0.01)
 
-    def test_skin_depth_and_wavelength_consistent(self):
-        n = 1e20
-        omega_p = constants.plasma_frequency(n)
-        assert constants.skin_depth(n) == pytest.approx(constants.SPEED_OF_LIGHT / omega_p)
-        assert constants.plasma_wavelength(n) == pytest.approx(
-            2 * math.pi * constants.skin_depth(n))
-
     def test_zero_density_limits(self):
         assert constants.plasma_frequency(0.0) == 0.0
-        assert constants.skin_depth(0.0) == math.inf
 
     def test_negative_density_raises(self):
         with pytest.raises(ValueError):
             constants.plasma_frequency(-1.0)
-
-    def test_lorentz_gamma(self):
-        assert constants.lorentz_gamma(0.0) == pytest.approx(1.0)
-        assert constants.lorentz_gamma(0.6) == pytest.approx(1.25)
-        with pytest.raises(ValueError):
-            constants.lorentz_gamma(1.0)
 
     def test_courant_limit_cubic(self):
         dt = constants.courant_limit(1e-5, 1e-5, 1e-5)
@@ -140,13 +125,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_array([], "m", allow_empty=False)
 
-    def test_check_shape(self):
-        check_shape(np.zeros((3, 4)), (3, None), "m")
-        with pytest.raises(ValueError):
-            check_shape(np.zeros((3, 4)), (4, None), "m")
-        with pytest.raises(ValueError):
-            check_shape(np.zeros((3,)), (3, 1), "m")
-
     def test_check_positive(self):
         assert check_positive(2.0, "x") == 2.0
         assert check_positive(0.0, "x", strict=False) == 0.0
@@ -154,16 +132,3 @@ class TestValidation:
             check_positive(0.0, "x")
         with pytest.raises(ValueError):
             check_positive(-1.0, "x", strict=False)
-
-    def test_check_probability(self):
-        assert check_probability(0.5, "p") == 0.5
-        with pytest.raises(ValueError):
-            check_probability(1.5, "p")
-
-    def test_check_in(self):
-        assert check_in("a", ("a", "b"), "mode") == "a"
-        with pytest.raises(ValueError):
-            check_in("c", ("a", "b"), "mode")
-
-    def test_broadcast_shapes(self):
-        assert broadcast_shapes((3, 1), (1, 4)) == (3, 4)

@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.producer import POINT_CLOUDS
 from repro.workflow import (HistogramMonitorConsumer, WorkflowBuilder,
-                            WorkflowSession, available_consumers,
-                            get_consumer_factory, register_consumer)
+                            WorkflowSession)
 from tests.core.test_artificial_scientist import tiny_config
 
 
@@ -54,7 +53,6 @@ class TestSessionBasics:
         with pytest.raises(ValueError):
             session.run(0)
         # a failed validation does not consume the session
-        assert not session.consumed
         assert session.run(1).ok
 
     def test_evaluate_after_run(self):
@@ -125,44 +123,20 @@ class TestFanOut:
         with pytest.raises(ValueError, match="duplicate consumer names"):
             builder.build()
 
-    def test_custom_consumer_registration(self):
-        seen = []
-
-        class CountingConsumer(HistogramMonitorConsumer):
-            def consume(self, max_iterations=None, on_iteration=None):
-                consumed = super().consume(max_iterations, on_iteration)
-                seen.append(consumed)
-                return consumed
-
-        register_consumer("counting", lambda name, series, session, rng:
-                          CountingConsumer(name, series), overwrite=True)
-        try:
-            assert "counting" in available_consumers()
-            session = (WorkflowBuilder().config(tiny_config())
-                       .add_consumer("counter", kind="counting").build())
-            assert session.run(2).ok
-            assert sum(seen) == 2
-            assert get_consumer_factory("counting") is not None
-        finally:
-            from repro.workflow import consumers
-            consumers._CONSUMER_FACTORIES.pop("counting", None)
-
 
 class TestHooks:
     def test_lifecycle_hooks_fire(self):
-        events = {"steps": [], "iterations": [], "run_end": []}
+        events = {"steps": [], "iterations": []}
         session = (
             WorkflowBuilder().config(tiny_config())
             .on_step(lambda s, i: events["steps"].append(i))
             .on_iteration_consumed(
                 lambda s, name, index, n: events["iterations"].append((name, index, n)))
-            .on_run_end(lambda s, result: events["run_end"].append(result))
             .build())
-        result = session.run(3)
+        session.run(3)
         assert events["steps"] == [0, 1, 2]
         assert len(events["iterations"]) == 3
         assert all(name == "mlapp" and n == 4 for name, _, n in events["iterations"])
-        assert events["run_end"] == [result]
 
     def test_iteration_hook_fires_per_consumer(self):
         names = []
@@ -179,8 +153,6 @@ class TestHooks:
 class TestSessionAccessors:
     def test_seed_compatible_surface(self):
         session = build_session()
-        assert session.broker is session.brokers["mlapp"]
         assert session.mlapp is session.consumers["mlapp"].mlapp
         assert session.model is session.mlapp.model
-        assert session.reader_series is session.consumer_series["mlapp"]
         assert session.primary_name == WorkflowSession.PRIMARY_CONSUMER

@@ -7,8 +7,7 @@ import dataclasses
 import pytest
 
 from repro.core.config import MLConfig, StreamingConfig, WorkflowConfig
-from repro.workflow import (available_presets, get_preset, preset_rows,
-                            register_preset)
+from repro.workflow import available_presets, get_preset, preset_rows
 
 
 class TestRoundTrip:
@@ -87,17 +86,6 @@ class TestPresetRegistry:
         assert config.ml.model.n_input_points == 30_000
         assert config.ml.model.latent_dim == 544
         assert config.n_detector_directions * config.n_detector_frequencies == 128
-
-    def test_register_preset_and_overwrite_guard(self):
-        name = "test-only-preset"
-        register_preset(name, lambda: WorkflowConfig(), overwrite=True)
-        try:
-            assert get_preset(name) == WorkflowConfig()
-            with pytest.raises(ValueError, match="already registered"):
-                register_preset(name, lambda: WorkflowConfig())
-        finally:
-            from repro.workflow import presets
-            presets._PRESETS.pop(name, None)
 
     def test_preset_rows_digest(self):
         rows = {row["name"]: row for row in preset_rows()}

@@ -6,10 +6,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.utils.benchjson import latest_run
+from repro.cli import main as cli_main
+from repro.utils.benchjson import bench_path, load_history
 from repro.workflow import learning
 from repro.workflow.learning import (BANDS, CASE, LearningResult,
-                                     format_result, main,
+                                     format_result,
                                      run_learning_benchmark, stream_config)
 
 #: the session metrics whose bands gate at the recorded BANDS
@@ -94,7 +95,7 @@ class TestGate:
 
     def test_a_failed_gate_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(CASE, "run", lambda args: stub_result(wins=0))
-        assert main(["--no-persist"]) == 1
+        assert cli_main(["bench-learning", "--no-persist"]) == 1
         captured = capsys.readouterr()
         assert "FAILED" in captured.out
         assert "replay-on ended lower on 0/10" in captured.err
@@ -120,8 +121,8 @@ class TestCutRun:
 class TestPersistAndFormat:
     def test_persist_appends_bench_record(self, tmp_path, monkeypatch):
         monkeypatch.setattr(CASE, "run", lambda args: stub_result())
-        assert main(["--output-dir", str(tmp_path)]) == 0
-        record = latest_run("learning", str(tmp_path))
+        assert cli_main(["bench-learning", "--output-dir", str(tmp_path)]) == 0
+        record = load_history(bench_path("learning", str(tmp_path)))["runs"][-1]
         assert [arm["n_ep"] for arm in
                 record["params"]["stream_config"].values()] == [0, 4]
         assert record["metrics"]["forgetting"]["replay_off_forgot"] == 10

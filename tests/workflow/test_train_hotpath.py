@@ -12,13 +12,14 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.mlcore import functional as F
 from repro.mlcore.tensor import Tensor
-from repro.utils.benchjson import latest_run
+from repro.utils.benchjson import bench_path, load_history
 from repro.workflow import train_hotpath
 from repro.workflow.train_hotpath import (CASE, MAX_TAPE_NODES, SIZES,
                                           TrainHotpathResult, count_nodes,
-                                          format_result, gate_failure, main,
+                                          format_result, gate_failure,
                                           run_train_benchmark)
 from tests.mlcore.test_fused_ops import oracle_weighted_sum
 
@@ -107,9 +108,9 @@ class TestRunTrainBenchmark:
 class TestPersistAndFormat:
     def test_persist_appends_bench_record(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(CASE, "run", lambda args: stub_result())
-        assert main(["--repeats", "2", "--output-dir", str(tmp_path)]) == 0
+        assert cli_main(["bench-train", "--repeats", "2", "--output-dir", str(tmp_path)]) == 0
         assert "BENCH_train_hotpath.json" in capsys.readouterr().out
-        record = latest_run("train_hotpath", str(tmp_path))
+        record = load_history(bench_path("train_hotpath", str(tmp_path)))["runs"][-1]
         assert record["params"] == {
             "sizes": list(SIZES), "n_parameters": {"bench-tiny": 13782,
                                                    "laptop": 39038},
