@@ -43,6 +43,16 @@ class TestRegionLabels:
         # all three regions are populated
         assert set(np.unique(labels)) == {0, 1, 2}
 
+    def test_region_fractions_sum_to_one(self, rng):
+        """Every particle gets exactly one of the named regions."""
+        positions, momenta, extent = self.make_setup(rng)
+        labels = label_particles(positions, momenta, extent)
+        assert labels.shape == (len(positions),)
+        assert set(np.unique(labels)) <= set(REGION_NAMES)
+        fractions = np.bincount(labels, minlength=len(REGION_NAMES)) / len(labels)
+        assert fractions.sum() == pytest.approx(1.0)
+        assert np.all(fractions > 0)
+
     def test_majority_region(self):
         assert majority_region(np.array([0, 0, 1])) == REGION_APPROACHING
         assert majority_region(np.array([2, 2, 0])) == REGION_VORTEX

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.growth import (fit_exponential_growth, growth_rate_from_energy_history,
+from repro.analysis.growth import (LINEAR_PHASE_R_SQUARED, _linear_fit,
+                                   fit_exponential_growth, growth_rate_from_energy_history,
                                    growth_rate_from_radiation_history,
                                    identify_linear_phase)
 from repro.pic.diagnostics import EnergyHistory
@@ -109,3 +112,50 @@ class TestLinearPhaseDetection:
     def test_too_short_series(self):
         with pytest.raises(ValueError):
             identify_linear_phase([1.0, 2.0])
+
+    @pytest.mark.parametrize("energies", [np.full(40, 3.0),
+                                          np.exp(-0.2 * np.arange(40))],
+                             ids=["flat", "decaying"])
+    def test_a_series_that_never_grows_gets_its_middle_half(self, energies):
+        assert identify_linear_phase(energies) == (10, 30)
+
+    def test_picks_the_longest_straight_rise(self):
+        """A short steep rise, a plateau, a long slow rise: the long one."""
+        energies = np.exp(np.concatenate([0.5 * np.arange(12), np.full(10, 5.5),
+                                          5.5 + 0.1 * np.arange(1, 41)]))
+        start, stop = identify_linear_phase(energies)
+        assert start >= 12 and stop == len(energies)
+        fit = fit_exponential_growth(np.arange(len(energies)), energies,
+                                     window=(start, stop))
+        assert fit.energy_rate == pytest.approx(0.1, rel=0.05)
+
+    def test_window_never_spans_a_non_positive_sample(self):
+        """A zero sample splits the growth; the window is the longer side."""
+        energies = np.exp(0.2 * np.arange(50))
+        energies[15] = 0.0
+        assert identify_linear_phase(energies) == (16, 50)
+
+    def test_matches_a_direct_search_of_every_window(self):
+        """The prefix-sum scan against fitting each window: the longest
+        (then earliest) positive window whose log rises straight enough."""
+        rng = np.random.default_rng(7)
+        for n in rng.integers(5, 30, size=40):
+            energies = np.exp(np.cumsum(rng.normal(0.3, 0.3, n)))
+            energies[rng.random(n) < 0.1] = 0.0
+            best, longest = (n // 4, max(n // 4 + 3, (3 * n) // 4)), 0
+            for start, stop in ((a, b) for a in range(n) for b in range(a + 3, n + 1)
+                                if b - a > longest and all(energies[a:b] > 0)):
+                _, slope, r2 = _linear_fit(np.arange(start, stop),
+                                           np.log(energies[start:stop]))
+                if slope > 0 and r2 >= LINEAR_PHASE_R_SQUARED:
+                    best, longest = (start, stop), stop - start
+            assert identify_linear_phase(energies) == best
+
+    @given(st.lists(st.floats(1e-12, 1e12), min_size=5, max_size=60))
+    @settings(max_examples=50, deadline=None)
+    def test_the_window_can_always_be_fitted(self, energies):
+        start, stop = identify_linear_phase(energies)
+        assert 0 <= start and start + 3 <= stop <= len(energies)
+        fit = fit_exponential_growth(np.arange(len(energies)), energies,
+                                     window=(start, stop))
+        assert np.isfinite(fit.rate)

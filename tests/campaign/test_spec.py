@@ -206,6 +206,15 @@ class TestSampling:
 
 
 class TestValidationAndRoundTrip:
+    def test_swept_parameters(self):
+        """A run's params, which the report groups by, are its swept point."""
+        assert {tuple(run.params) for run in smoke_spec().resolve()} == \
+            {("ml.base_learning_rate",)}
+        explicit = smoke_spec(sampler="explicit", parameters={}, repetitions=1,
+                              explicit=[{"seed": 1}, {"ml.n_rep": 2}])
+        assert [run.params for run in explicit.resolve()] == \
+            [{"seed": 1}, {"ml.n_rep": 2}]
+
     def test_rejects_unknown_sampler_and_bad_counts(self):
         with pytest.raises(ValueError, match="valid samplers"):
             CampaignSpec(sampler="bayesian")

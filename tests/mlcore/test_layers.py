@@ -8,6 +8,7 @@ import pytest
 from repro.mlcore.layers import (MLP, ConvTranspose3d, Linear, MaxPoolPoints,
                                  ModuleList, PointwiseConv, ReLU, Sequential)
 from repro.mlcore.module import Module, Parameter
+from repro.mlcore.optim import Adam
 from repro.mlcore.tensor import Tensor
 
 
@@ -200,6 +201,15 @@ class TestContainersAndModule:
         state["extra"] = np.zeros(1)
         with pytest.raises(KeyError, match="unexpected=\\['extra'\\]"):
             layer.load_state_dict(state)
+
+    def test_zero_grad_clears_every_parameter(self, rng):
+        """The optimiser's, as the trainer calls it: nested models too."""
+        model = Sequential(Linear(3, 4, rng=rng), ReLU(), Linear(4, 1, rng=rng))
+        optimizer = Adam(model.parameters(), lr=1e-3)
+        model(Tensor(rng.normal(size=(5, 3)))).sum().backward()
+        assert all(p.grad is not None for p in model.parameters())
+        optimizer.zero_grad()
+        assert all(p.grad is None for p in model.parameters())
 
     def test_add_module_registers_a_named_child(self, rng):
         parent = Module()

@@ -21,6 +21,16 @@ class TestParticleSpecies:
         s = single_electron(u=(0.6, 0.0, 0.0))
         assert s.gamma()[0] == pytest.approx(np.sqrt(1.0 + 0.36))
 
+    def test_total_charge(self):
+        """A macro-particle of weight w carries w real particles' charge."""
+        s = ParticleSpecies.electrons(np.zeros((5, 3)), np.zeros((5, 3)),
+                                      np.full(5, 2.0))
+        assert s.charge * s.weights.sum() == pytest.approx(
+            -10 * constants.ELEMENTARY_CHARGE)
+        p = ParticleSpecies.protons(np.zeros((1, 3)), np.zeros((1, 3)), np.ones(1))
+        assert (p.charge, p.mass) == (constants.ELEMENTARY_CHARGE,
+                                      constants.PROTON_MASS)
+
     def test_kinetic_energy_nonrelativistic_limit(self):
         u = 1e-3
         s = single_electron(u=(u, 0.0, 0.0))

@@ -131,6 +131,18 @@ class TestSpectrumHelpers:
         with pytest.raises(ValueError):
             spectrum_from_amplitude(np.zeros((3, 4)), 1.0)
 
+    def test_total_energy_positive(self, rng):
+        """``|A|^2`` per bin: positive for any amplitude, zero for none."""
+        amplitude = rng.normal(size=(3, 8, 3)) + 1j * rng.normal(size=(3, 8, 3))
+        spectrum = spectrum_from_amplitude(amplitude, constants.ELEMENTARY_CHARGE)
+        assert spectrum.shape == (3, 8) and np.all(spectrum > 0)
+        assert not spectrum_from_amplitude(0 * amplitude, 1.0).any()
+
+    def test_spectrum_scales_with_charge_squared(self, rng):
+        amplitude = rng.normal(size=(2, 4, 3)) + 1j * rng.normal(size=(2, 4, 3))
+        np.testing.assert_allclose(spectrum_from_amplitude(amplitude, 2.0),
+                                   4 * spectrum_from_amplitude(amplitude, 1.0))
+
     def test_normalize_log_spectrum_range(self, rng):
         spectrum = 10.0 ** rng.uniform(-20, 2, size=(4, 16))
         normalised = normalize_log_spectrum(spectrum)

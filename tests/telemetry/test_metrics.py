@@ -101,6 +101,15 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered"):
             registry.gauge("x_total")
 
+    def test_collect_lists_every_metric_sorted_by_name(self, registry):
+        speed = registry.gauge("speed")
+        runs = registry.counter("runs_total")
+        latency = registry.histogram("latency_seconds")
+        assert registry.collect() == [latency, runs, speed]
+        text = registry.render_prometheus()
+        assert text.index("# TYPE latency_seconds") < \
+            text.index("# TYPE runs_total") < text.index("# TYPE speed")
+
     def test_render_prometheus_format(self, registry):
         runs = registry.counter("runs_total", "Total runs")
         runs.inc(3, campaign="smoke", status="completed")

@@ -24,7 +24,9 @@ import shutil
 import socket
 import signal
 import subprocess
+import sys
 import textwrap
+import types
 from pathlib import Path
 
 import pytest
@@ -212,6 +214,14 @@ def definitions():
     return found
 
 
+def recorded(out: Path, defined: dict) -> list:
+    """``module:qualname`` of each function the profiler wrote to ``out``,
+    in order (a module or class body is not a function)."""
+    keys = [line.rsplit(":", 1) for line in out.read_text().splitlines()]
+    return [defined[path, int(first)] for path, first in keys
+            if (path, int(first)) in defined]
+
+
 @pytest.fixture(scope="module")
 def census(tmp_path_factory):
     scratch = tmp_path_factory.mktemp("census")
@@ -227,13 +237,8 @@ def census(tmp_path_factory):
                 os.kill(int(pid.read_text()), signal.SIGTERM)
             except ProcessLookupError:
                 pass
-    reached = set()
-    for line in out.read_text().splitlines():
-        path, first = line.rsplit(":", 1)
-        reached.add((path, int(first)))
     defined = definitions()
-    return set(defined.values()), {defined[key] for key in reached
-                                   if key in defined}
+    return set(defined.values()), set(recorded(out, defined))
 
 
 @pytest.mark.slow
@@ -247,3 +252,102 @@ def test_the_allow_list_names_only_functions_ci_does_not_call(census):
     defined, reached = census
     assert sorted(set(ALLOWED) - defined) == []
     assert sorted(set(ALLOWED) & reached) == []
+
+
+
+# The census's own parts, fast enough for tier-1
+
+
+def test_the_allow_list_names_functions_that_are_defined():
+    assert sorted(set(ALLOWED) - set(definitions().values())) == []
+
+
+def test_every_allow_list_entry_gives_a_reason_to_stay():
+    """Never reason 3: a listed function CI calls fails the census."""
+    assert [key for key, reason in ALLOWED.items()
+            if not re.match(r"[124]: \S", reason)] == []
+
+
+def test_definitions_are_keyed_as_code_objects_report_them():
+    """A function, a decorated one (its code starts at the decorator), a
+    static method, a closure and a package's own function."""
+    import repro
+    from repro.analysis import growth
+    from repro.pic.particles import ParticleSpecies
+    from repro.telemetry import spans
+
+    traced, = [const for const in spans.carry_trace.__code__.co_consts
+               if isinstance(const, types.CodeType)]
+    expected = {
+        growth.identify_linear_phase.__code__:
+            "repro.analysis.growth:identify_linear_phase",
+        ParticleSpecies.n_macro.fget.__code__:
+            "repro.pic.particles:ParticleSpecies.n_macro",
+        ParticleSpecies.electrons.__code__:
+            "repro.pic.particles:ParticleSpecies.electrons",
+        traced: "repro.telemetry.spans:carry_trace.<locals>.traced",
+        repro.__getattr__.__code__: "repro:__getattr__"}
+    found = definitions()
+    assert {found.get((os.path.realpath(code.co_filename), code.co_firstlineno))
+            for code in expected} == set(expected.values())
+
+
+def test_ci_steps_reads_every_run_step():
+    text = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    steps = ci_steps()
+    assert len(steps) == len(re.findall(r"^\s+run: ", text, re.MULTILINE))
+    assert {job for job, _, _ in steps} == {
+        "tests", "worker-smoke", "service-smoke", "bench-smoke", "docs"}
+    assert all(name and not script.startswith(" ") for _, name, script in steps)
+
+
+def test_ci_drives_the_documented_commands_the_census_counts_as_called():
+    """Not allow-listed: only CI reaches their handlers."""
+    scripts = "\n".join(script for _, _, script in ci_steps())
+    assert re.search(r"run --preset bench-tiny --steps 2 \\\s+"
+                     r"--json --monitor --evaluate", scripts)
+    assert "repro.cli campaign submit --url" in scripts
+    assert "repro.cli campaign watch" in scripts
+
+
+def profiled_run(tmp_path, code):
+    """What the census profiler records while ``python -c code`` runs."""
+    (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE)
+    env = dict(os.environ, CALL_CENSUS_OUT=str(tmp_path / "calls.txt"),
+               CALL_CENSUS_PACKAGE=str(PACKAGE.resolve()),
+               PYTHONPATH=os.pathsep.join([str(tmp_path), str(PACKAGE.parent)]))
+    subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=tmp_path,
+                   env=env, check=True, timeout=120)
+    return recorded(tmp_path / "calls.txt", definitions())
+
+
+def test_the_profiler_records_each_function_once_and_threads_too(tmp_path):
+    records = profiled_run(tmp_path, """
+        import threading
+        from repro.analysis.growth import fit_exponential_growth, identify_linear_phase
+        identify_linear_phase([1.0, 2.0, 4.0, 8.0, 16.0])
+        identify_linear_phase([1.0, 2.0, 4.0, 8.0, 16.0])
+        thread = threading.Thread(target=fit_exponential_growth,
+                                  args=([0, 1, 2, 3], [1.0, 2.0, 4.0, 8.0]))
+        thread.start()
+        thread.join()
+        """)
+    assert len(records) == len(set(records))
+    assert {"repro.analysis.growth:identify_linear_phase",
+            "repro.analysis.growth:fit_exponential_growth",
+            "repro.analysis.growth:_linear_fit"} <= set(records)
+
+
+def test_the_profiler_follows_a_spawned_process(tmp_path):
+    """Only the child calls it: the census sees pool workers' calls."""
+    records = profiled_run(tmp_path, """
+        import multiprocessing
+        from repro.analysis.growth import identify_linear_phase
+        if __name__ == "__main__":
+            child = multiprocessing.get_context("spawn").Process(
+                target=identify_linear_phase, args=([1.0, 2.0, 4.0, 8.0, 16.0],))
+            child.start()
+            child.join()
+            assert child.exitcode == 0
+        """)
+    assert "repro.analysis.growth:identify_linear_phase" in records

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.producer import POINT_CLOUDS
 from repro.workflow import (HistogramMonitorConsumer, WorkflowBuilder,
-                            WorkflowSession)
+                            WorkflowSession, available_consumers,
+                            get_consumer_factory)
 from tests.core.test_artificial_scientist import tiny_config
 
 
@@ -74,6 +75,14 @@ class TestSessionBasics:
             WorkflowBuilder().driver("quantum")
         with pytest.raises(ValueError, match="valid kinds"):
             WorkflowBuilder().add_consumer("x", kind="does-not-exist")
+
+    def test_consumer_kinds_are_the_registry(self):
+        assert available_consumers() == ("histogram-monitor", "mlapp")
+        assert all(callable(get_consumer_factory(kind))
+                   for kind in available_consumers())
+        with pytest.raises(ValueError,
+                           match="valid kinds: histogram-monitor, mlapp$"):
+            get_consumer_factory("custom")
 
 
 class TestFanOut:
