@@ -38,7 +38,7 @@ def real_inmemory_benchmark(n_steps: int = 5) -> None:
         simulation.step()
         broker.put_step(Step(index, {"particles/phase_space": electrons.phase_space(),
                                      "particles/weighting": electrons.weights}))
-        consumer.run(max_steps=1)
+        consumer.run()
     broker.close()
 
     result = measure_stream_throughput(consumer.step_times, n_nodes=1,

@@ -15,21 +15,21 @@ from typing import Optional
 
 import numpy as np
 
-from repro.utils.rng import RandomState, seeded_rng
+from repro.analysis.regions import REGION_NAMES
+
+#: Full-batch gradient-descent epochs, step size and L2 penalty of a fit.
+N_EPOCHS = 300
+LEARNING_RATE = 0.1
+L2 = 1e-4
 
 
 class LatentRegimeClassifier:
-    """Multinomial logistic regression ``labels = argmax softmax(z W + b)``."""
+    """Multinomial logistic regression ``labels = argmax softmax(z W + b)``
+    over the :data:`~repro.analysis.regions.REGION_NAMES` regimes."""
 
-    def __init__(self, n_classes: int = 3, learning_rate: float = 0.1,
-                 n_epochs: int = 300, l2: float = 1e-4, rng: RandomState = None) -> None:
-        if n_classes < 2:
-            raise ValueError("need at least two classes")
-        self.n_classes = int(n_classes)
-        self.learning_rate = float(learning_rate)
-        self.n_epochs = int(n_epochs)
-        self.l2 = float(l2)
-        self.rng = seeded_rng(rng)
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.n_classes = len(REGION_NAMES)
+        self.rng = rng
         self.weights: Optional[np.ndarray] = None
         self.bias: Optional[np.ndarray] = None
         self._mean: Optional[np.ndarray] = None
@@ -64,13 +64,13 @@ class LatentRegimeClassifier:
         one_hot[np.arange(n), labels] = 1.0
         self.weights = 0.01 * self.rng.standard_normal((d, self.n_classes))
         self.bias = np.zeros(self.n_classes)
-        for _ in range(self.n_epochs):
+        for _ in range(N_EPOCHS):
             probabilities = self._softmax(x @ self.weights + self.bias)
             grad_logits = (probabilities - one_hot) / n
-            grad_w = x.T @ grad_logits + self.l2 * self.weights
+            grad_w = x.T @ grad_logits + L2 * self.weights
             grad_b = grad_logits.sum(axis=0)
-            self.weights -= self.learning_rate * grad_w
-            self.bias -= self.learning_rate * grad_b
+            self.weights -= LEARNING_RATE * grad_w
+            self.bias -= LEARNING_RATE * grad_b
         return self
 
     def predict_proba(self, latents: np.ndarray) -> np.ndarray:

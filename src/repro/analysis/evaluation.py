@@ -22,12 +22,12 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.analysis.classifier import LatentRegimeClassifier
-from repro.analysis.histograms import (detects_two_populations, histogram_distance,
-                                       mean_momentum, momentum_histogram, peak_momentum)
+from repro.analysis.histograms import (MOMENTUM_RANGE, detects_two_populations,
+                                       histogram_distance, mean_momentum,
+                                       momentum_histogram, peak_momentum)
 from repro.analysis.regions import FLOW_MOMENTUM_COLUMN, REGION_NAMES
 from repro.continual.buffer import TrainingSample
 from repro.models.model import ArtificialScientistModel
-from repro.utils.rng import RandomState, seeded_rng
 
 #: Region name -> integer label (inverse of REGION_NAMES).
 _REGION_IDS = {name: idx for idx, name in REGION_NAMES.items()}
@@ -104,11 +104,10 @@ def _momentum_from_cloud(cloud: np.ndarray) -> np.ndarray:
 
 
 def held_out_accuracy(latents: np.ndarray, labels: np.ndarray,
-                      rng: RandomState = None) -> float:
+                      rng: np.random.Generator) -> float:
     """The latent regime classifier's accuracy on samples it was not fitted
     to (on its own, it reads 1.0 on random labels at 40 samples): every
     sample is scored once, in :data:`CLASSIFIER_FOLDS` interleaved folds."""
-    rng = seeded_rng(rng)
     latents, labels = np.asarray(latents), np.asarray(labels)
     folds = np.arange(len(labels)) % min(CLASSIFIER_FOLDS, len(labels))
     correct = 0
@@ -123,10 +122,8 @@ def held_out_accuracy(latents: np.ndarray, labels: np.ndarray,
 
 def evaluate_inversion(model: ArtificialScientistModel,
                        samples: Sequence[TrainingSample],
-                       n_posterior_samples: int = 4,
-                       bins: int = 48,
-                       momentum_range=( -0.35, 0.35),
-                       rng: RandomState = None) -> InversionReport:
+                       n_posterior_samples: int = 4, *,
+                       rng: np.random.Generator) -> InversionReport:
     """Evaluate the trained model on held-out samples.
 
     Parameters
@@ -141,7 +138,6 @@ def evaluate_inversion(model: ArtificialScientistModel,
     """
     if not samples:
         raise ValueError("need at least one evaluation sample")
-    rng = seeded_rng(rng)
 
     # group samples by region
     by_region: Dict[str, List[TrainingSample]] = {}
@@ -166,7 +162,7 @@ def evaluate_inversion(model: ArtificialScientistModel,
         # An untrained / partially trained decoder can produce momenta outside
         # the physical range; clip them onto the histogram range so the
         # comparison stays well defined without coarsening the binning.
-        low, high = momentum_range
+        low, high = MOMENTUM_RANGE
         span = high - low
         predicted_clipped = np.clip(predicted_momenta, low + 1e-6 * span,
                                     high - 1e-6 * span)
@@ -174,13 +170,8 @@ def evaluate_inversion(model: ArtificialScientistModel,
         n_clipped += clipped
         n_predicted += predicted_momenta.size
 
-        true_centres, true_hist = momentum_histogram(true_momenta[:, None] if
-                                                     true_momenta.ndim == 1 else true_momenta,
-                                                     bins=bins, momentum_range=momentum_range,
-                                                     axis=0)
-        pred_centres, pred_hist = momentum_histogram(predicted_clipped[:, None],
-                                                     bins=bins, momentum_range=momentum_range,
-                                                     axis=0)
+        true_centres, true_hist = momentum_histogram(true_momenta)
+        pred_centres, pred_hist = momentum_histogram(predicted_clipped)
 
         # surrogate: particles -> spectrum
         clouds = np.stack([s.point_cloud for s in region_samples], axis=0)

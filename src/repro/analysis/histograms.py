@@ -2,35 +2,34 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
+#: Bins of a momentum histogram and the ``gamma beta`` range they span.
+MOMENTUM_BINS = 48
+MOMENTUM_RANGE = (-0.35, 0.35)
+#: Least separation of the two peaks, and least height of each relative to
+#: the highest bin, for :func:`detects_two_populations`.
+MINIMUM_SEPARATION = 0.1
+PROMINENCE = 0.2
 
-def momentum_histogram(momenta: np.ndarray, weights: Optional[np.ndarray] = None,
-                       bins: int = 64, momentum_range: Tuple[float, float] = (-0.35, 0.35),
-                       axis: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-    """Charge-weighted histogram of one momentum component.
+
+def momentum_histogram(momenta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Histogram of one momentum component over :data:`MOMENTUM_RANGE`.
 
     Parameters
     ----------
     momenta:
-        ``(N, 3)`` (or ``(N,)``) array of ``gamma beta``.
-    weights:
-        Macro-particle weights (uniform if omitted).
-    axis:
-        Momentum component — 0 is the component "in the direction of the
-        detector" plotted in Fig. 9.
+        ``(N,)`` array of ``gamma beta`` "in the direction of the detector"
+        (the component plotted in Fig. 9).
 
     Returns
     -------
     ``(bin_centres, counts)``.
     """
-    momenta = np.asarray(momenta, dtype=np.float64)
-    values = momenta[:, axis] if momenta.ndim == 2 else momenta
-    if weights is None:
-        weights = np.ones_like(values)
-    hist, edges = np.histogram(values, bins=bins, range=momentum_range, weights=weights)
+    values = np.asarray(momenta, dtype=np.float64)
+    hist, edges = np.histogram(values, bins=MOMENTUM_BINS, range=MOMENTUM_RANGE)
     centres = 0.5 * (edges[:-1] + edges[1:])
     return centres, hist
 
@@ -64,9 +63,7 @@ def histogram_distance(counts_a: np.ndarray, counts_b: np.ndarray) -> float:
     return float(np.abs(a / a_sum - b / b_sum).sum())
 
 
-def detects_two_populations(centres: np.ndarray, counts: np.ndarray,
-                            minimum_separation: float = 0.1,
-                            prominence: float = 0.2) -> bool:
+def detects_two_populations(centres: np.ndarray, counts: np.ndarray) -> bool:
     """Heuristic check whether a histogram shows two distinct peaks.
 
     Used to verify the paper's qualitative claim that the ML reconstruction
@@ -86,5 +83,5 @@ def detects_two_populations(centres: np.ndarray, counts: np.ndarray,
     peak_neg = normalised[negative].max()
     centre_pos = centres[positive][np.argmax(normalised[positive])]
     centre_neg = centres[negative][np.argmax(normalised[negative])]
-    return (peak_pos >= prominence and peak_neg >= prominence
-            and (centre_pos - centre_neg) >= minimum_separation)
+    return (peak_pos >= PROMINENCE and peak_neg >= PROMINENCE
+            and (centre_pos - centre_neg) >= MINIMUM_SEPARATION)

@@ -30,6 +30,10 @@ REGION_VORTEX = 2
 #: along the flow, towards the detector.
 FLOW_MOMENTUM_COLUMN = 3 + FLOW_AXIS
 
+#: Half-width of the vortex band around each shear surface, as a share of
+#: the box size along the shear axis.
+VORTEX_HALF_WIDTH = 0.10
+
 REGION_NAMES: Dict[int, str] = {
     REGION_APPROACHING: "approaching",
     REGION_RECEDING: "receding",
@@ -43,8 +47,7 @@ def shear_surface_positions(extent_shear: float) -> Tuple[float, float]:
 
 
 def label_particles(positions: np.ndarray, momenta: np.ndarray,
-                    extent: Sequence[float],
-                    vortex_half_width: float | None = None) -> np.ndarray:
+                    extent: Sequence[float]) -> np.ndarray:
     """Label each particle as approaching / receding / vortex.
 
     The geometry is the KHI setup's: flow along
@@ -57,9 +60,9 @@ def label_particles(positions: np.ndarray, momenta: np.ndarray,
         ``(N, 3)`` arrays (metres / dimensionless ``gamma beta``).
     extent:
         Physical box size.
-    vortex_half_width:
-        Particles within this distance of a shear surface are labelled
-        vortex; defaults to 10 % of the box size along the shear axis.
+
+    Particles within :data:`VORTEX_HALF_WIDTH` of the box size along the
+    shear axis from a shear surface are labelled vortex.
 
     Returns
     -------
@@ -70,8 +73,7 @@ def label_particles(positions: np.ndarray, momenta: np.ndarray,
     if positions.shape != momenta.shape or positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions and momenta must both have shape (N, 3)")
     extent_shear = float(extent[SHEAR_AXIS])
-    if vortex_half_width is None:
-        vortex_half_width = 0.10 * extent_shear
+    vortex_half_width = VORTEX_HALF_WIDTH * extent_shear
     y = wrap_periodic(positions[:, SHEAR_AXIS], extent_shear)
     s1, s2 = shear_surface_positions(extent_shear)
     near_shear = (np.abs(y - s1) < vortex_half_width) | (np.abs(y - s2) < vortex_half_width)

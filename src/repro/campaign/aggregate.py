@@ -22,9 +22,9 @@ from repro.campaign.store import RunRecord
 
 
 def status_document(campaign: str, total_runs: int,
-                    records: Sequence[RunRecord], store: Optional[str] = None,
-                    include_records: bool = False,
-                    telemetry: Optional[Dict[str, object]] = None
+                    records: Sequence[RunRecord],
+                    telemetry: Optional[Dict[str, object]],
+                    store: Optional[str] = None, include_records: bool = False
                     ) -> Dict[str, object]:
     """The machine-readable campaign status document.
 
@@ -38,14 +38,15 @@ def status_document(campaign: str, total_runs: int,
         total_runs: resolved size of the campaign (``len(spec.resolve())``).
         records: the campaign's recorded runs (latest record per run id,
             already scoped to this campaign's run ids).
+        telemetry: JSON-able telemetry summary (executor counter deltas,
+            event-bus drops, cache stats) appended verbatim under a
+            ``telemetry`` key — the service fills it from its job
+            bookkeeping, the CLI from the launch's persisted trace
+            (``None`` before a launch left one: no key).
         store: optional store path to include (the CLI always has one).
         include_records: append a ``records`` list with one
             :meth:`repro.campaign.store.RunRecord.to_dict` row per recorded
             run — the service's per-run detail; the CLI summary omits it.
-        telemetry: optional JSON-able telemetry summary (executor counter
-            deltas, event-bus drops, cache stats) appended verbatim under
-            a ``telemetry`` key — the service fills it from its job
-            bookkeeping, the CLI from the launch's persisted trace.
 
     Returns:
         A flat JSON-able dict: counts (``total_runs`` / ``completed`` /

@@ -107,9 +107,8 @@ def _attempt_run(payload: Dict[str, object], worker: RunWorker,
         return _attempt_run_impl(payload, worker, retries, timeout)
     recorder = SpanRecorder()
     with recording(recorder):
-        with span("execute", ctx=trace_ctx,
-                  attrs={"run_id": payload["run_id"],
-                         "pid": os.getpid()}) as execute_span:
+        with span("execute", {"run_id": payload["run_id"], "pid": os.getpid()},
+                  trace_ctx) as execute_span:
             record = _attempt_run_impl(payload, worker, retries, timeout)
             if execute_span is not None:
                 execute_span.attrs["attempts"] = record.attempts
@@ -188,23 +187,17 @@ def _failed_record(payload: Dict[str, object], error: str,
 DEFAULT_MAX_POOL_WORKERS = 8
 
 
-def default_pool_workers(maximum: int = DEFAULT_MAX_POOL_WORKERS) -> int:
+def default_pool_workers() -> int:
     """The machine-derived default worker count of the worker pool.
 
-    ``os.cpu_count()`` clamped to ``[2, maximum]``: at least two workers so
-    concurrency semantics are always exercised (and a single-core box still
-    overlaps the GIL-released numpy sections), at most ``maximum`` so a
-    large host does not fork dozens of simulation processes by default.
-    Callers wanting the machine's full width pass ``max_workers``
-    explicitly.
-
-    Args:
-        maximum: upper clamp (default :data:`DEFAULT_MAX_POOL_WORKERS`).
-
-    Returns:
-        The default number of pool workers for this machine.
+    ``os.cpu_count()`` clamped to ``[2, DEFAULT_MAX_POOL_WORKERS]``: at
+    least two workers so concurrency semantics are always exercised (and a
+    single-core box still overlaps the GIL-released numpy sections), at
+    most :data:`DEFAULT_MAX_POOL_WORKERS` so a large host does not fork
+    dozens of simulation processes by default.  Callers wanting the
+    machine's full width pass ``max_workers`` explicitly.
     """
-    return max(2, min(os.cpu_count() or 1, maximum))
+    return max(2, min(os.cpu_count() or 1, DEFAULT_MAX_POOL_WORKERS))
 
 
 class CampaignExecutor:
@@ -275,20 +268,18 @@ _EXECUTORS: Dict[str, Type[CampaignExecutor]] = {
 }
 
 
-def register_executor(name: str, executor_cls: Type[CampaignExecutor],
-                      overwrite: bool = False) -> None:
+def register_executor(name: str, executor_cls: Type[CampaignExecutor]) -> None:
     """Register a campaign executor (the hook for remote backends).
 
     Args:
         name: the registry key (what ``--executor`` and :func:`get_executor`
             accept).
         executor_cls: a :class:`CampaignExecutor` subclass.
-        overwrite: allow replacing an existing registration.
 
     Raises:
-        ValueError: if ``name`` is taken and ``overwrite`` is false.
+        ValueError: if ``name`` is taken.
     """
-    if name in _EXECUTORS and not overwrite:
+    if name in _EXECUTORS:
         raise ValueError(f"executor {name!r} is already registered")
     _EXECUTORS[name] = executor_cls
 
@@ -315,8 +306,7 @@ def get_executor(name: str, **kwargs) -> CampaignExecutor:
     return executor_cls(**kwargs)
 
 
-def executor_for(options: Optional[Dict[str, object]] = None
-                 ) -> CampaignExecutor:
+def executor_for(options: Dict[str, object]) -> CampaignExecutor:
     """Build the executor a launch under ``options`` runs on.
 
     The one resolution rule behind CLI ``campaign run`` and the service's
@@ -330,7 +320,6 @@ def executor_for(options: Optional[Dict[str, object]] = None
     Raises:
         ValueError: on an unknown executor name or rejected options.
     """
-    options = options or {}
     kwargs = {key: options[key] for key in ("max_workers", "timeout", "retries")
               if options.get(key) is not None}
     return get_executor(str(options.get("executor") or "serial"), **kwargs)
@@ -459,7 +448,8 @@ class _LaunchTrace:
     def abort(self) -> None:
         """Close the root as errored (launch died mid-execution)."""
         self.root.attrs["aborted"] = True
-        self.writer.emit(self.root.finish(status="error"))
+        self.root.status = "error"
+        self.writer.emit(self.root.finish())
         self.writer.close()
 
 

@@ -49,7 +49,7 @@ RUN_LEVEL_KEYS = ("driver", "n_steps")
 SAMPLERS = ("grid", "random", "explicit")
 
 
-def _as_int(name: str, value: object, minimum: Optional[int] = None) -> int:
+def _as_int(name: str, value: object) -> int:
     """Coerce an integer-valued field, refusing silent float truncation."""
     if not isinstance(value, int):
         if isinstance(value, float) and not value.is_integer():
@@ -61,8 +61,6 @@ def _as_int(name: str, value: object, minimum: Optional[int] = None) -> int:
         except (TypeError, ValueError):
             raise ValueError(
                 f"{name} must be an integer, got {value!r}") from None
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return value
 
 
@@ -260,7 +258,10 @@ class CampaignSpec:
                     elif key == "n_steps":
                         # swept values get the same guard as the spec field:
                         # no silent 2.5 -> 2 truncation, no 0-step runs
-                        n_steps = _as_int("swept n_steps", value, minimum=1)
+                        n_steps = _as_int("swept n_steps", value)
+                        if n_steps < 1:
+                            raise ValueError(f"swept n_steps must be >= 1, "
+                                             f"got {n_steps!r}")
                     else:
                         apply_override(config, key, value)
                 # fail at resolve time, not deep inside a worker process

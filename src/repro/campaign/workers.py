@@ -15,9 +15,10 @@ launches for exactly that reason).  This module removes that tax:
   worker, and a worker that finishes pulls the next run — so unequal
   runs balance themselves and no worker waits while another holds a
   prefetched run;
-* each worker has a bounded **capacity** of runs it may hold (one
-  executing, the rest prefetched in its pipe), so the next run's IPC
-  overlaps the current run's compute without flooding a slow worker;
+* each worker has a bounded **capacity** (:data:`CAPACITY`) of runs it
+  may hold (one executing, the rest prefetched in its pipe), so the next
+  run's IPC overlaps the current run's compute without flooding a slow
+  worker;
 * one :meth:`WorkerPool.run` call is one **lease**, and any number of
   leases share the pool at once: whichever lease thread holds the pump
   reads every pipe and routes each result, by the lease id the message
@@ -26,14 +27,14 @@ launches for exactly that reason).  This module removes that tax:
   with the fewest runs in flight, so two campaigns interleave run by
   run;
 * a lease's **cooperative stop** drops its undispatched queue; the runs
-  the workers already hold (at most ``capacity`` each) finish and are
+  the workers already hold (at most :data:`CAPACITY` each) finish and are
   recorded;
 * workers send **heartbeats** from a background thread; a worker silent
   past the liveness deadline (or whose process died) is terminated,
   respawned warm, and the runs it held are **requeued** — safe because
   run records are idempotent (the store keeps the last record per run id
   and :class:`repro.campaign.cache.ResultCache` writes are atomic).
-  Only the run that was *executing* is charged against ``max_requeues``;
+  Only the run that was *executing* is charged against :data:`MAX_REQUEUES`;
   runs merely prefetched behind it go back to the queue uncharged.
 
 The executor side, :class:`WorkerPoolExecutor`, registers as ``workers``
@@ -80,26 +81,34 @@ _POOL_EVENTS = REGISTRY.counter(
 #: Default start method of worker processes.  ``spawn`` gives workers a
 #: clean interpreter (no inherited threads/locks — safe under the threaded
 #: campaign service) at the cost of one import pass per worker, paid once
-#: per pool lifetime.  Overridable per pool/executor (tests use ``fork``).
+#: per pool lifetime.  Overridable per pool (tests use ``fork``).
 DEFAULT_START_METHOD = "spawn"
 
-#: Default per-worker capacity: runs a worker may hold at once.  Two keeps
-#: one run computing while the next waits in the pipe.
-DEFAULT_CAPACITY = 2
+#: Per-worker capacity: runs a worker may hold at once (one executing, the
+#: rest prefetched; also what a stop leaves to finish per worker).  Two
+#: keeps one run computing while the next waits in the pipe.
+CAPACITY = 2
 
-#: Default crash-requeue bound: how often one run may be requeued after
-#: killing its worker before it is recorded as failed (guards against a
-#: run that reliably kills its worker taking the pool down forever).
-DEFAULT_MAX_REQUEUES = 2
+#: Crash-requeue bound: how often one run may be requeued after killing its
+#: worker before it is recorded as failed (guards against a run that
+#: reliably kills its worker taking the pool down forever).
+MAX_REQUEUES = 2
 
-#: Default worker heartbeat interval (seconds).
-DEFAULT_HEARTBEAT_INTERVAL_S = 1.0
+#: Worker heartbeat interval (seconds), read when a pool is built.
+HEARTBEAT_INTERVAL_S = 1.0
 
-#: Default liveness deadline (seconds): a worker silent this long is
-#: declared dead even if its process object still looks alive (wedged in
-#: non-Python code).  Generous by default — workers heartbeat from a
+#: Liveness deadline (seconds), read when a pool is built: a worker silent
+#: this long is declared dead even if its process object still looks alive
+#: (wedged in non-Python code).  Generous — workers heartbeat from a
 #: dedicated thread, so ordinary long runs keep beating.
-DEFAULT_LIVENESS_TIMEOUT_S = 30.0
+LIVENESS_TIMEOUT_S = 30.0
+
+#: Seconds :meth:`WorkerPool.wait_ready` waits for every worker to report.
+READY_TIMEOUT_S = 60.0
+
+#: Seconds a shutdown waits for a worker to exit after the stop message
+#: before terminating it.
+SHUTDOWN_TIMEOUT_S = 5.0
 
 #: The pool's event counters (lifetime on the pool, per lease in
 #: ``WorkerPoolExecutor.last_stats``).  ``dispatched_batches`` counts pipe
@@ -201,9 +210,9 @@ class WorkerPool:
         n_workers: number of worker processes (``>= 1``).
         start_method: multiprocessing start method (default
             :data:`DEFAULT_START_METHOD`).
-        heartbeat_interval: seconds between worker heartbeats.
-        liveness_timeout: seconds of silence after which a worker is
-            declared dead and respawned.
+
+    Workers heartbeat every :data:`HEARTBEAT_INTERVAL_S` and are declared
+    dead and respawned after :data:`LIVENESS_TIMEOUT_S` of silence.
 
     Raises:
         ValueError: on a non-positive ``n_workers`` or an unknown start
@@ -211,20 +220,15 @@ class WorkerPool:
     """
 
     def __init__(self, n_workers: int,
-                 start_method: Optional[str] = None,
-                 heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL_S,
-                 liveness_timeout: float = DEFAULT_LIVENESS_TIMEOUT_S) -> None:
+                 start_method: Optional[str] = None) -> None:
         if not isinstance(n_workers, int) or isinstance(n_workers, bool) \
                 or n_workers < 1:
             raise ValueError(f"n_workers must be an integer >= 1, "
                              f"got {n_workers!r}")
-        if heartbeat_interval <= 0 or liveness_timeout <= 0:
-            raise ValueError("heartbeat_interval and liveness_timeout must "
-                             "be positive")
         self.n_workers = n_workers
         self.start_method = start_method or DEFAULT_START_METHOD
-        self.heartbeat_interval = float(heartbeat_interval)
-        self.liveness_timeout = float(liveness_timeout)
+        self.heartbeat_interval = HEARTBEAT_INTERVAL_S
+        self.liveness_timeout = LIVENESS_TIMEOUT_S
         self._context = multiprocessing.get_context(self.start_method)
         #: guards every field below; held for bookkeeping only
         self._lock = threading.RLock()
@@ -238,8 +242,8 @@ class WorkerPool:
         self._lease_ids = itertools.count()
         self.counters: Dict[str, int] = dict.fromkeys(_COUNTERS, 0)
 
-    def _count(self, name: str, amount: int = 1,
-               lease: Optional["_Lease"] = None) -> None:
+    def _count(self, name: str, lease: Optional["_Lease"],
+               amount: int = 1) -> None:
         """Bump a lifetime counter (and the lease's share of it), mirroring
         it into the metrics registry."""
         self.counters[name] += amount
@@ -273,19 +277,17 @@ class WorkerPool:
                     self._spawn(slot)
             self._started = True
 
-    def wait_ready(self, timeout: float = 60.0) -> bool:
+    def wait_ready(self) -> bool:
         """Start the pool and wait until every worker reported ready.
 
         Used to warm the pool outside a timed section (benchmarks) — a
         campaign run does not need it, runs queue in the pipes.
 
-        Args:
-            timeout: seconds to wait before giving up.
-
         Returns:
-            ``True`` if every worker is ready, ``False`` on timeout.
+            ``True`` if every worker is ready, ``False`` after
+            :data:`READY_TIMEOUT_S`.
         """
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + READY_TIMEOUT_S
         self.start()
         while time.monotonic() < deadline:
             self._turn(0.05)
@@ -309,13 +311,9 @@ class WorkerPool:
                         pids=[pid for pid in self.worker_pids()
                               if pid is not None])
 
-    def shutdown(self, timeout: float = 5.0) -> None:
-        """Stop every worker (politely, then forcefully) and close the pipes.
-
-        Args:
-            timeout: seconds to wait for a worker to exit after the stop
-                message before terminating it.
-        """
+    def shutdown(self) -> None:
+        """Stop every worker (politely, then, after
+        :data:`SHUTDOWN_TIMEOUT_S`, forcefully) and close the pipes."""
         with self._lock:
             self._closed = True
             workers = [worker for worker in self._workers
@@ -326,7 +324,7 @@ class WorkerPool:
                 worker.conn.send(("stop",))
             except (OSError, ValueError):
                 pass
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + SHUTDOWN_TIMEOUT_S
         for worker in workers:
             worker.process.join(max(0.0, deadline - time.monotonic()))
             if worker.process.is_alive():
@@ -396,10 +394,10 @@ class WorkerPool:
             _, lease_id, ticket, record, started = message
             _, sent = worker.tickets.pop(ticket, (lease_id, started))
             lease = self._leases.get(lease_id)
-            self._count("results", lease=lease)
+            self._count("results", lease)
             if lease is None:
                 # its lease was aborted (on_record raised) before it answered
-                self._count("stale_results_dropped")
+                self._count("stale_results_dropped", None)
                 return
             record._placement = {
                 "worker": worker.slot,
@@ -438,7 +436,7 @@ class WorkerPool:
             except OSError:
                 pass
             self._spawn(slot)
-            self._count("respawns", lease=orphans[0][1] if orphans else None)
+            self._count("respawns", orphans[0][1] if orphans else None)
             # newest first, so requeueing at the front restores the order
             for rank in reversed(range(len(orphans))):
                 ticket, lease = orphans[rank]
@@ -462,7 +460,7 @@ class WorkerPool:
                 return
             worker = min(live, key=lambda worker: len(worker.tickets))
             ready = [lease for lease in self._leases.values()
-                     if lease.queue and len(worker.tickets) < lease.capacity]
+                     if lease.queue and len(worker.tickets) < CAPACITY]
             if not ready:
                 break
             lease = min(ready, key=lambda lease: lease.in_flight)
@@ -470,12 +468,10 @@ class WorkerPool:
 
     # -- the drain loop ----------------------------------------------------- #
     def run(self, payloads: Sequence[Dict[str, object]], worker: RunWorker,
-            retries: int = 0, timeout: Optional[float] = None,
+            counters: Dict[str, int], retries: int = 0,
+            timeout: Optional[float] = None,
             on_record: Optional[RecordCallback] = None,
-            should_stop: Optional[StopCheck] = None,
-            capacity: int = DEFAULT_CAPACITY,
-            max_requeues: int = DEFAULT_MAX_REQUEUES,
-            counters: Optional[Dict[str, int]] = None
+            should_stop: Optional[StopCheck] = None
             ) -> List[Optional[RunRecord]]:
         """Execute the payloads on the warm pool; records in submission order.
 
@@ -489,17 +485,13 @@ class WorkerPool:
         Args:
             payloads: resolved run payloads (``RunSpec.payload()`` dicts).
             worker: picklable callable executing one payload.
+            counters: receives this lease's share of the pool counters.
             retries: per-run retries (applied inside the worker process).
             timeout: per-run cooperative wall-clock budget (seconds).
             on_record: observer invoked once per finished record.
             should_stop: cooperative stop; once true, the undispatched
                 runs are dropped and the runs the workers already hold
-                (at most ``capacity`` each) finish.
-            capacity: runs a worker may hold at once (``>= 1``).
-            max_requeues: how often a run may kill its worker and be
-                requeued before it is recorded failed.
-            counters: if given, receives this lease's share of the pool
-                counters.
+                (at most :data:`CAPACITY` each) finish.
 
         Returns:
             One entry per payload, in submission order: its
@@ -508,17 +500,11 @@ class WorkerPool:
 
         Raises:
             RuntimeError: if the pool was shut down.
-            ValueError: on invalid ``capacity``/``max_requeues``.
         """
         payloads = list(payloads)
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if max_requeues < 0:
-            raise ValueError("max_requeues must be >= 0")
         if not payloads:
             return []
-        lease = _Lease(self, payloads, worker, retries, timeout, capacity,
-                       max_requeues)
+        lease = _Lease(self, payloads, worker, retries, timeout)
         with self._lock:
             self.start()
             self._leases[lease.id] = lease
@@ -544,8 +530,7 @@ class WorkerPool:
             # this thread may have held the pump: let another lease take it
             for other in remaining:
                 other.wake.set()
-        if counters is not None:
-            counters.update(lease.counters)
+        counters.update(lease.counters)
         return [records.get(position) for position in range(len(payloads))]
 
 
@@ -558,14 +543,12 @@ class _Lease:
     finished records out of ``inbox``.
     """
 
-    def __init__(self, pool: WorkerPool, payloads, worker, retries, timeout,
-                 capacity, max_requeues) -> None:
+    def __init__(self, pool: WorkerPool, payloads, worker, retries,
+                 timeout) -> None:
         self.pool = pool
         self.worker_fn = worker
         self.retries = retries
         self.timeout = timeout
-        self.capacity = capacity
-        self.max_requeues = max_requeues
         self.id = next(pool._lease_ids)
         self.position_of: Dict[int, int] = {}
         self.payload_of: Dict[int, Dict[str, object]] = {}
@@ -602,17 +585,17 @@ class _Lease:
         dropped = len(self.queue)
         self.queue.clear()
         self.cancelled += dropped
-        self.pool._count("cancelled_runs", dropped, lease=self)
+        self.pool._count("cancelled_runs", self, dropped)
 
     def orphaned(self, ticket: int, executing: bool) -> None:
         """A worker died holding this ticket: requeue it, or fail it.
 
         Only the run the worker was executing can have killed it, so only
-        that one is charged against ``max_requeues``.
+        that one is charged against :data:`MAX_REQUEUES`.
         """
         if executing:
             crashes = self.requeues[ticket] = self.requeues.get(ticket, 0) + 1
-            if crashes > self.max_requeues:
+            if crashes > MAX_REQUEUES:
                 self.deliver(ticket, _failed_record(
                     self.payload_of[ticket],
                     f"WorkerCrashError: worker died executing this run "
@@ -620,10 +603,10 @@ class _Lease:
                 return
         if self.stopped:
             self.cancelled += 1
-            self.pool._count("cancelled_runs", lease=self)
+            self.pool._count("cancelled_runs", self)
         else:
             self.queue.appendleft(ticket)
-            self.pool._count("requeued_runs", lease=self)
+            self.pool._count("requeued_runs", self)
         self.wake.set()
 
     def send(self, worker: _Worker, ticket: int) -> None:
@@ -644,8 +627,8 @@ class _Lease:
                 f"DispatchError: {type(exc).__name__}: {exc}"))
             return
         worker.tickets[ticket] = (self.id, time.time())
-        self.pool._count("dispatched_batches", lease=self)
-        self.pool._count("dispatched_runs", lease=self)
+        self.pool._count("dispatched_batches", self)
+        self.pool._count("dispatched_runs", self)
 
 
 # --------------------------------------------------------------------------- #
@@ -655,8 +638,7 @@ _SHARED_POOLS: Dict[Tuple[int, str], WorkerPool] = {}
 _SHARED_LOCK = threading.Lock()
 
 
-def shared_pool(n_workers: Optional[int] = None,
-                start_method: Optional[str] = None) -> WorkerPool:
+def shared_pool(n_workers: Optional[int] = None) -> WorkerPool:
     """The process-wide warm pool for a worker count (created on first use).
 
     Every :class:`WorkerPoolExecutor` that is not given an explicit pool
@@ -668,14 +650,13 @@ def shared_pool(n_workers: Optional[int] = None,
     Args:
         n_workers: pool size (default
             :func:`repro.campaign.scheduler.default_pool_workers`).
-        start_method: multiprocessing start method (default
-            :data:`DEFAULT_START_METHOD`).
 
     Returns:
-        The shared :class:`WorkerPool` for ``(n_workers, start_method)``.
+        The shared :class:`WorkerPool` for ``n_workers`` workers started by
+        :data:`DEFAULT_START_METHOD`.
     """
     n_workers = n_workers or default_pool_workers()
-    method = start_method or DEFAULT_START_METHOD
+    method = DEFAULT_START_METHOD
     with _SHARED_LOCK:
         pool = _SHARED_POOLS.get((n_workers, method))
         if pool is None or pool._closed:
@@ -684,13 +665,13 @@ def shared_pool(n_workers: Optional[int] = None,
         return pool
 
 
-def shutdown_shared_pools(timeout: float = 5.0) -> None:
+def shutdown_shared_pools() -> None:
     """Shut down every shared pool (idempotent; registered via ``atexit``)."""
     with _SHARED_LOCK:
         pools = list(_SHARED_POOLS.values())
         _SHARED_POOLS.clear()
     for pool in pools:
-        pool.shutdown(timeout=timeout)
+        pool.shutdown()
 
 
 atexit.register(shutdown_shared_pools)
@@ -716,11 +697,6 @@ class WorkerPoolExecutor(CampaignExecutor):
         retries: retries per failing run (inside the worker process).
         pool: explicit :class:`WorkerPool` to lease (tests, embedders);
             the caller owns its lifecycle.
-        capacity: runs a worker may hold at once (one executing, the rest
-            prefetched); also what a stop leaves to finish per worker.
-        max_requeues: how often a run may kill its worker and be requeued
-            before it is failed.
-        start_method: start method of a lazily-leased shared pool.
 
     Attributes:
         last_stats: after :meth:`execute`, this call's share of the pool
@@ -732,27 +708,17 @@ class WorkerPoolExecutor(CampaignExecutor):
 
     def __init__(self, max_workers: Optional[int] = None,
                  timeout: Optional[float] = None, retries: int = 0,
-                 pool: Optional[WorkerPool] = None,
-                 capacity: int = DEFAULT_CAPACITY,
-                 max_requeues: int = DEFAULT_MAX_REQUEUES,
-                 start_method: Optional[str] = None) -> None:
+                 pool: Optional[WorkerPool] = None) -> None:
         super().__init__(max_workers=max_workers, timeout=timeout,
                          retries=retries)
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        if max_requeues < 0:
-            raise ValueError("max_requeues must be >= 0")
         self._pool = pool
-        self.capacity = capacity
-        self.max_requeues = max_requeues
-        self.start_method = start_method
         self.last_stats: Dict[str, object] = {}
 
     def pool(self) -> WorkerPool:
         """The pool this executor leases (shared unless one was injected)."""
         if self._pool is not None:
             return self._pool
-        return shared_pool(self.max_workers, start_method=self.start_method)
+        return shared_pool(self.max_workers)
 
     def execute(self, payloads, worker, on_record=None, should_stop=None):
         """Execute the payloads on the warm pool (see the base contract)."""
@@ -762,10 +728,9 @@ class WorkerPoolExecutor(CampaignExecutor):
             return []
         pool = self.pool()
         counters: Dict[str, int] = {}
-        records = pool.run(payloads, worker, retries=self.retries,
+        records = pool.run(payloads, worker, counters, retries=self.retries,
                            timeout=self.timeout, on_record=on_record,
-                           should_stop=should_stop, capacity=self.capacity,
-                           max_requeues=self.max_requeues, counters=counters)
+                           should_stop=should_stop)
         self.last_stats = dict(counters, n_workers=pool.n_workers)
         return records
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 
 
 def register(subparsers) -> None:
@@ -48,11 +49,22 @@ def _serve(args: argparse.Namespace) -> int:
 
     def banner(server) -> None:
         print(f"campaign service listening on {server.url} "
-              f"(store dir {server.manager.store_dir}); Ctrl-C stops it",
-              flush=True)
+              f"(store dir {server.manager.store_dir}); Ctrl-C or SIGTERM "
+              f"stops it", flush=True)
 
-    # a taken port or an unwritable store dir is an OSError
-    return serve(args.host, args.port, args.store_dir, ready=banner)
+    def interrupt(signum, frame) -> None:
+        raise KeyboardInterrupt
+
+    # a shell starts a background job with SIGINT ignored, so `kill` (SIGTERM)
+    # is how a service started with `&` is stopped: it shuts down as on Ctrl-C
+    previous = signal.signal(signal.SIGTERM, interrupt)
+    try:
+        # a taken port or an unwritable store dir is an OSError
+        code = serve(args.host, args.port, args.store_dir, ready=banner)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    print("campaign service stopped", flush=True)
+    return code
 
 
 def _trace_candidates(args: argparse.Namespace) -> list:

@@ -33,22 +33,13 @@ MU_0 = 1.256_637_062_12e-6
 BOLTZMANN = 1.380_649e-23
 
 
-def plasma_frequency(density: float, charge: float = ELEMENTARY_CHARGE,
-                     mass: float = ELECTRON_MASS) -> float:
-    """Electron (or generic species) plasma frequency ``omega_p`` [rad/s].
-
-    Parameters
-    ----------
-    density:
-        Number density of the species [1/m^3].
-    charge:
-        Particle charge magnitude [C].
-    mass:
-        Particle mass [kg].
-    """
+def plasma_frequency(density: float) -> float:
+    """Electron plasma frequency ``omega_p`` [rad/s] at an electron number
+    ``density`` [1/m^3]."""
     if density < 0:
         raise ValueError("density must be non-negative")
-    return math.sqrt(density * charge * charge / (mass * EPSILON_0))
+    return math.sqrt(density * ELEMENTARY_CHARGE * ELEMENTARY_CHARGE
+                     / (ELECTRON_MASS * EPSILON_0))
 
 
 def courant_limit(dx: float, dy: float, dz: float) -> float:

@@ -7,7 +7,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.utils.rng import RandomState, seeded_rng
 
 #: Paper defaults (Section IV-C).
 PAPER_NOW_BUFFER_SIZE = 10
@@ -58,25 +57,25 @@ class TrainingBuffer:
     ----------
     now_size, ep_size:
         Capacities of the two buffers (paper: 10 and 20).
-    n_now, n_ep:
-        Batch composition (paper: 4 + 4 = batch size 8).
+    n_ep:
+        EP samples per batch; :data:`PAPER_N_NOW` come from the now-buffer
+        (paper: 4 + 4 = batch size 8).
     rng:
         Random source for sampling and eviction.
     """
 
     def __init__(self, now_size: int = PAPER_NOW_BUFFER_SIZE,
                  ep_size: int = PAPER_EP_BUFFER_SIZE,
-                 n_now: int = PAPER_N_NOW, n_ep: int = PAPER_N_EP,
-                 rng: RandomState = None) -> None:
+                 n_ep: int = PAPER_N_EP, *, rng: np.random.Generator) -> None:
         if now_size < 1 or ep_size < 0:
             raise ValueError("now_size must be >= 1 and ep_size >= 0")
-        if n_now < 0 or n_ep < 0 or n_now + n_ep < 1:
-            raise ValueError("batch composition must request at least one sample")
+        if n_ep < 0:
+            raise ValueError("n_ep must be >= 0")
         self.now_size = int(now_size)
         self.ep_size = int(ep_size)
-        self.n_now = int(n_now)
+        self.n_now = PAPER_N_NOW
         self.n_ep = int(n_ep)
-        self.rng = seeded_rng(rng)
+        self.rng = rng
         self._now: List[TrainingSample] = []
         self._ep: List[TrainingSample] = []
         self.total_added = 0

@@ -12,7 +12,7 @@ bounded streaming queue makes explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -56,21 +56,21 @@ class InTransitTrainer:
         The model being trained, its optimiser and the experience-replay
         buffer.
     loss:
-        The combined Eq. (1) loss (a fresh default instance if omitted).
+        The combined Eq. (1) loss.
     n_rep:
         Training iterations per streamed simulation step (paper: up to 96
         explored, learning success up to about 48).
     """
 
     def __init__(self, model: ArtificialScientistModel, optimizer: Optimizer,
-                 buffer: TrainingBuffer, loss: Optional[CombinedLoss] = None,
+                 buffer: TrainingBuffer, loss: CombinedLoss,
                  n_rep: int = 4) -> None:
         if n_rep < 1:
             raise ValueError("n_rep must be >= 1")
         self.model = model
         self.optimizer = optimizer
         self.buffer = buffer
-        self.loss = loss or CombinedLoss()
+        self.loss = loss
         self.n_rep = int(n_rep)
         self.history = TrainingHistory()
         self.timer = Timer("continual")

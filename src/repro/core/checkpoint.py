@@ -26,7 +26,7 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -122,9 +122,9 @@ def save_checkpoint(directory: str, model: ArtificialScientistModel,
 
 
 def load_checkpoint(directory: str, model: ArtificialScientistModel,
-                    trainer: Optional[InTransitTrainer] = None) -> Dict[str, object]:
-    """Restore model weights (and, if given, the trainer's buffers and loss
-    history) in place.
+                    trainer: InTransitTrainer) -> Dict[str, object]:
+    """Restore the model weights and the trainer's buffers and loss history
+    in place.
 
     Returns the checkpoint manifest.
     """
@@ -137,14 +137,13 @@ def load_checkpoint(directory: str, model: ArtificialScientistModel,
 
     model.load_state_dict(_load_npz(os.path.join(state, "model.npz")))
 
-    if trainer is not None:
-        arrays = _load_npz(os.path.join(state, "buffer.npz"))
-        trainer.buffer._now = _arrays_to_samples(arrays, "now")
-        trainer.buffer._ep = _arrays_to_samples(arrays, "ep")
-        history = _load_npz(os.path.join(state, "history.npz"))
-        term_names = [k[len("loss_"):] for k in history if k.startswith("loss_")]
-        trainer.history.steps = [int(s) for s in history["steps"]]
-        trainer.history.terms = [
-            {name: float(history[f"loss_{name}"][i]) for name in term_names}
-            for i in range(len(history["steps"]))]
+    arrays = _load_npz(os.path.join(state, "buffer.npz"))
+    trainer.buffer._now = _arrays_to_samples(arrays, "now")
+    trainer.buffer._ep = _arrays_to_samples(arrays, "ep")
+    history = _load_npz(os.path.join(state, "history.npz"))
+    term_names = [k[len("loss_"):] for k in history if k.startswith("loss_")]
+    trainer.history.steps = [int(s) for s in history["steps"]]
+    trainer.history.terms = [
+        {name: float(history[f"loss_{name}"][i]) for name in term_names}
+        for i in range(len(history["steps"]))]
     return manifest

@@ -83,8 +83,9 @@ class StreamingConfig:
             raise ValueError(f"reduce_precision must be true or false, "
                              f"got {self.reduce_precision!r}")
 
-    def build_reduction_pipeline(self, rng=None):
-        """Create the producer-side reduction pipeline (or ``None`` if disabled)."""
+    def build_reduction_pipeline(self, rng):
+        """Create the producer-side reduction pipeline (or ``None`` if
+        disabled); ``rng`` is the subsampler's generator."""
         from repro.streaming.reduction import (ParticleSubsampleReducer,
                                                PrecisionReducer, ReductionPipeline)
         reducers = []

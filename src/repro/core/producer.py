@@ -35,6 +35,10 @@ REGIONS = "particles/ml_samples/regions"
 _REGION_IDS: Dict[str, int] = {name: index for index, name in REGION_NAMES.items()}
 
 
+#: The radiating species whose samples and records are streamed.
+SPECIES = "electrons"
+
+
 class StreamingProducerPlugin(Plugin):
     """Attachable plugin that streams training samples as openPMD iterations."""
 
@@ -42,7 +46,7 @@ class StreamingProducerPlugin(Plugin):
 
     def __init__(self, series: Series, detector: RadiationDetector,
                  partition: RegionPartition, n_points: int,
-                 species_name: str = "electrons", sample_interval: int = 1,
+                 sample_interval: int = 1,
                  reduction=None, rng: RandomState = None) -> None:
         if sample_interval < 1:
             raise ValueError("sample_interval must be >= 1")
@@ -50,7 +54,6 @@ class StreamingProducerPlugin(Plugin):
         self.detector = detector
         self.partition = partition
         self.n_points = int(n_points)
-        self.species_name = species_name
         self.sample_interval = int(sample_interval)
         #: optional :class:`repro.streaming.reduction.ReductionPipeline`
         #: applied to the raw species records before they enter the stream
@@ -65,11 +68,11 @@ class StreamingProducerPlugin(Plugin):
 
     # -- plugin hooks -------------------------------------------------------- #
     def on_start(self, simulation: PICSimulation) -> None:
-        species = simulation.get_species(self.species_name)
+        species = simulation.get_species(SPECIES)
         self._previous_momenta = species.momenta.copy()
 
     def on_step(self, simulation: PICSimulation) -> None:
-        species = simulation.get_species(self.species_name)
+        species = simulation.get_species(SPECIES)
         if self._previous_momenta is None or \
                 self._previous_momenta.shape != species.momenta.shape:
             self._previous_momenta = species.momenta.copy()
@@ -100,8 +103,8 @@ class StreamingProducerPlugin(Plugin):
         # weighting), so that other consumers can attach to the same stream
         # without knowing about the ML sample encoding; an optional
         # reduction pipeline shrinks these records close to the producer
-        species = simulation.get_species(self.species_name)
-        prefix = f"particles/{self.species_name}"
+        species = simulation.get_species(SPECIES)
+        prefix = f"particles/{SPECIES}"
         raw_records: Dict[str, np.ndarray] = {}
         for axis, name in enumerate(("x", "y", "z")):
             raw_records[f"{prefix}/position/{name}"] = species.positions[:, axis]

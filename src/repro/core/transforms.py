@@ -33,7 +33,6 @@ from repro.pic.pusher import wrap_periodic
 from repro.radiation.detector import RadiationDetector
 from repro.radiation.lienard_wiechert import radiation_amplitude_step
 from repro.radiation.spectrum import normalize_log_spectrum, spectrum_from_amplitude
-from repro.utils.rng import RandomState, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -128,6 +127,10 @@ def region_spectrum(detector: RadiationDetector, positions: np.ndarray,
     return spectrum_from_amplitude(amplitude, charge)
 
 
+#: Least particles a sub-volume needs to become a training sample.
+MIN_PARTICLES_PER_REGION = 8
+
+
 def _beta(momenta: np.ndarray) -> np.ndarray:
     """Normalised velocities ``u / gamma`` of ``(n, 3)`` momenta ``u``."""
     gamma = np.sqrt(1.0 + np.einsum("ij,ij->i", momenta, momenta))
@@ -137,8 +140,7 @@ def _beta(momenta: np.ndarray) -> np.ndarray:
 def make_training_samples(species: ParticleSpecies, previous_momenta: np.ndarray,
                           detector: RadiationDetector, partition: RegionPartition,
                           n_points: int, step: int, time: float, dt: float,
-                          rng: RandomState = None,
-                          min_particles_per_region: int = 8) -> List[TrainingSample]:
+                          rng: np.random.Generator) -> List[TrainingSample]:
     """Build one training sample per populated sub-volume for the current step.
 
     Parameters
@@ -150,11 +152,10 @@ def make_training_samples(species: ParticleSpecies, previous_momenta: np.ndarray
         entering the Liénard-Wiechert kernel).
     detector, partition, n_points:
         Detector geometry, sub-volume partition and point-cloud size.
-    min_particles_per_region:
-        Regions with fewer particles are skipped (they cannot represent the
-        local dynamics).
+
+    Regions with fewer than :data:`MIN_PARTICLES_PER_REGION` particles are
+    skipped (they cannot represent the local dynamics).
     """
-    rng = seeded_rng(rng)
     previous_momenta = np.asarray(previous_momenta, dtype=np.float64)
     if previous_momenta.shape != species.momenta.shape:
         raise ValueError("previous_momenta must match the species' momenta shape")
@@ -170,7 +171,7 @@ def make_training_samples(species: ParticleSpecies, previous_momenta: np.ndarray
     for flat_id, region in enumerate(regions):
         mask = region_ids == flat_id
         count = int(mask.sum())
-        if count < min_particles_per_region:
+        if count < MIN_PARTICLES_PER_REGION:
             continue
         indices = np.flatnonzero(mask)
         chosen = rng.choice(indices, size=n_points, replace=count < n_points)

@@ -7,7 +7,7 @@ chains as the oracles every node must reproduce."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -85,21 +85,20 @@ def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
     return Tensor._make(value, terms, lambda g: tuple(g * w for w in weights))
 
 
-def affine_forward(x: np.ndarray, weight: np.ndarray,
-                   bias: Optional[np.ndarray], relu: bool) -> np.ndarray:
-    """Array half of :func:`affine`: ``x @ weight (+ bias)``, optionally
+def affine_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                   relu: bool) -> np.ndarray:
+    """Array half of :func:`affine`: ``x @ weight + bias``, optionally
     rectified.  A bias shorter than the output width repeats along it."""
     out = x @ weight
-    if bias is not None:
-        view = out.reshape(-1, bias.shape[0])
-        view += bias
+    view = out.reshape(-1, bias.shape[0])
+    view += bias
     if relu:
         np.maximum(out, 0.0, out=out)
     return out
 
 
 def affine_backward(g: np.ndarray, x: np.ndarray, weight: np.ndarray,
-                    bias: Optional[np.ndarray], out: np.ndarray, relu: bool,
+                    bias: np.ndarray, out: np.ndarray, relu: bool,
                     need_input: bool = True):
     """Gradients of :func:`affine_forward` with respect to ``(x, weight,
     bias)`` given the gradient ``g`` of its output ``out``; the input
@@ -109,11 +108,11 @@ def affine_backward(g: np.ndarray, x: np.ndarray, weight: np.ndarray,
     g2 = g.reshape(-1, weight.shape[1])
     g_input = (g2 @ weight.T).reshape(x.shape) if need_input else None
     g_weight = x.reshape(-1, weight.shape[0]).T @ g2
-    g_bias = None if bias is None else g.reshape(-1, bias.shape[0]).sum(axis=0)
+    g_bias = g.reshape(-1, bias.shape[0]).sum(axis=0)
     return g_input, g_weight, g_bias
 
 
-def affine(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
+def affine(x: Tensor, weight: Tensor, bias: Tensor,
            relu: bool = False) -> Tensor:
     """``x @ weight + bias`` (then ReLU if ``relu``) as one autograd node.
 
@@ -122,11 +121,10 @@ def affine(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
     (the transposed convolution's one-bias-per-channel over ``k^3`` kernel
     offsets).
     """
-    b = None if bias is None else bias.data
+    b = bias.data
     out = affine_forward(x.data, weight.data, b, relu)
-    parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(
-        out, parents,
+        out, (x, weight, bias),
         lambda g: affine_backward(g, x.data, weight.data, b, out, relu,
                                   need_input=x.requires_grad))
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from repro.mlcore.layers.activation import ReLU
-from repro.mlcore.layers.conv import PointwiseConv
 from repro.mlcore.layers.linear import Linear
 from repro.mlcore.module import Module
 from repro.mlcore.tensor import Tensor
@@ -30,15 +29,14 @@ class ModuleList(Module):
 class Sequential(ModuleList):
     """Apply modules in order.
 
-    A :class:`ReLU` rectifies the Linear or PointwiseConv layer before it,
-    and the two run as one autograd node
-    (:func:`repro.mlcore.functional.affine`).
+    A :class:`ReLU` rectifies the Linear layer before it, and the two run as
+    one autograd node (:func:`repro.mlcore.functional.affine`).
     """
 
     def __init__(self, *modules: Module) -> None:
         for before, module in zip((None,) + modules, modules):
-            if type(module) is ReLU and not isinstance(before, (Linear, PointwiseConv)):
-                raise ValueError("a ReLU must follow a Linear or PointwiseConv layer")
+            if type(module) is ReLU and not isinstance(before, Linear):
+                raise ValueError("a ReLU must follow a Linear layer")
         super().__init__(modules)
 
     def forward(self, x: Tensor) -> Tensor:

@@ -1,9 +1,10 @@
 """Convolution-style layers for point clouds and voxel grids.
 
-The paper's encoder applies 1×1 convolutions to each particle independently
-(channels 6 → 16 → 32 → 64 → 128 → 256 → 608); a 1×1 convolution over a
-point set is mathematically a Linear layer applied to the channel axis, which
-is how :class:`PointwiseConv` implements it (a single batched matmul).
+The paper's encoder applies 1×1 convolutions, each followed by a ReLU, to
+each particle independently (channels 6 → 16 → 32 → 64 → 128 → 256 → 608);
+a 1×1 convolution over a point set is mathematically a Linear layer applied
+to the channel axis, which is how :class:`PointwiseConv` implements it (a
+single batched matmul, rectified in the same node).
 
 The decoder upsamples a ``(4, 4, 4, 16)`` latent voxel grid with 3D
 transposed convolutions with kernel size 2³ and stride 2³.  For that special
@@ -21,29 +22,28 @@ from repro.mlcore import functional as F
 from repro.mlcore import init
 from repro.mlcore.module import Module, Parameter
 from repro.mlcore.tensor import Tensor
-from repro.utils.rng import RandomState, seeded_rng
 
 
 class PointwiseConv(Module):
-    """1×1 convolution over a point cloud: ``(B, N, C_in) -> (B, N, C_out)``."""
+    """1×1 convolution over a point cloud, then ReLU:
+    ``(B, N, C_in) -> (B, N, C_out)``."""
 
     def __init__(self, in_channels: int, out_channels: int,
-                 rng: RandomState = None) -> None:
+                 rng: np.random.Generator) -> None:
         super().__init__()
         if in_channels <= 0 or out_channels <= 0:
             raise ValueError("channel counts must be positive")
-        rng = seeded_rng(rng)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.weight = Parameter(init.kaiming_uniform((in_channels, out_channels), rng))
         bound = 1.0 / np.sqrt(in_channels)
         self.bias = Parameter(rng.uniform(-bound, bound, size=(out_channels,)))
 
-    def forward(self, x: Tensor, relu: bool = False) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if x.shape[-1] != self.in_channels:
             raise ValueError(f"expected last dimension {self.in_channels}, "
                              f"got {x.shape[-1]}")
-        return F.affine(x, self.weight, self.bias, relu)
+        return F.affine(x, self.weight, self.bias, relu=True)
 
 
 #: The paper's deconvolution kernel and stride, per axis.
@@ -60,9 +60,8 @@ class ConvTranspose3d(Module):
     """
 
     def __init__(self, in_channels: int, out_channels: int,
-                 rng: RandomState = None) -> None:
+                 rng: np.random.Generator) -> None:
         super().__init__()
-        rng = seeded_rng(rng)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.weight = Parameter(init.kaiming_uniform(

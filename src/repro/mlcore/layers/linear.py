@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -10,7 +10,6 @@ from repro.mlcore import functional as F
 from repro.mlcore import init
 from repro.mlcore.module import Module, Parameter
 from repro.mlcore.tensor import Tensor
-from repro.utils.rng import RandomState, seeded_rng
 
 
 class Linear(Module):
@@ -21,21 +20,16 @@ class Linear(Module):
     a transpose on the hot path.
     """
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
-                 rng: RandomState = None) -> None:
+    def __init__(self, in_features: int, out_features: int,
+                 rng: np.random.Generator) -> None:
         super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("feature dimensions must be positive")
         self.in_features = in_features
         self.out_features = out_features
-        rng = seeded_rng(rng)
         self.weight = Parameter(init.kaiming_uniform((in_features, out_features), rng))
-        if bias:
-            bound = 1.0 / np.sqrt(in_features)
-            self.bias: Optional[Parameter] = Parameter(
-                rng.uniform(-bound, bound, size=(out_features,)))
-        else:
-            self.bias = None
+        bound = 1.0 / np.sqrt(in_features)
+        self.bias = Parameter(rng.uniform(-bound, bound, size=(out_features,)))
 
     def forward(self, x: Tensor, relu: bool = False) -> Tensor:
         return F.affine(x, self.weight, self.bias, relu)
@@ -53,13 +47,12 @@ class MLP(Module):
         Sequence of layer widths ``(in, hidden..., out)``.
     """
 
-    def __init__(self, dims: Sequence[int], rng: RandomState = None) -> None:
+    def __init__(self, dims: Sequence[int], rng: np.random.Generator) -> None:
         super().__init__()
         if len(dims) < 2:
             raise ValueError("MLP needs at least an input and an output width")
         from repro.mlcore.layers.activation import ReLU
         from repro.mlcore.layers.container import Sequential
-        rng = seeded_rng(rng)
         self.dims = tuple(int(d) for d in dims)
         layers = []
         for a, b in zip(self.dims[:-1], self.dims[1:]):

@@ -18,6 +18,10 @@ import numpy as np
 from repro.mlcore import functional as F
 from repro.mlcore.tensor import Tensor, concatenate
 
+#: Bandwidths of the inverse multi-quadratic kernel of :func:`mmd_imq`: the
+#: multi-scale choice common in INN training.
+MMD_SCALES = (0.05, 0.2, 0.9)
+
 ArrayOrTensor = Union[Tensor, np.ndarray]
 
 
@@ -154,18 +158,15 @@ def _imq_mmd(d2: Tensor, n_x: int, scales: Sequence[float]) -> Tensor:
                         lambda g: (g * slope,))
 
 
-def mmd_imq(x: ArrayOrTensor, y: ArrayOrTensor,
-            scales: Sequence[float] = (0.05, 0.2, 0.9)) -> Tensor:
-    """Maximum mean discrepancy with an inverse multi-quadratic kernel.
+def mmd_imq(x: ArrayOrTensor, y: ArrayOrTensor) -> Tensor:
+    """Maximum mean discrepancy with an inverse multi-quadratic kernel of
+    bandwidths :data:`MMD_SCALES`.
 
     Parameters
     ----------
     x, y:
         Samples of shape ``(N, D)`` and ``(M, D)`` drawn from the two
         distributions to compare.
-    scales:
-        Bandwidth parameters of the IMQ kernel; the default follows the
-        multi-scale choice common in INN training.
 
     Returns
     -------
@@ -182,4 +183,4 @@ def mmd_imq(x: ArrayOrTensor, y: ArrayOrTensor,
         raise ValueError("mmd_imq expects 2D sample matrices (N, D)")
     stacked = concatenate([x, y], axis=0)
     d2 = F.pairwise_squared_distances(stacked, stacked)
-    return _imq_mmd(d2, x.shape[0], scales)
+    return _imq_mmd(d2, x.shape[0], MMD_SCALES)

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.mlcore.module import Parameter
 
-#: Default Adam hyper-parameters from the paper.
+#: Adam hyper-parameters from the paper.
 PAPER_ADAM_BETAS = (0.8, 0.9)
 PAPER_ADAM_EPS = 1e-6
 PAPER_WEIGHT_DECAY = 2e-5
@@ -48,14 +48,14 @@ class Optimizer:
     """Holds the parameter groups; :class:`Adam` steps them."""
 
     def __init__(self, params: Union[Iterable[Parameter], Sequence[ParamGroup]],
-                 lr: float, weight_decay: float = 0.0) -> None:
+                 lr: float) -> None:
         _check_lr(lr)
         params = list(params)
         if params and isinstance(params[0], ParamGroup):
             self.param_groups: List[ParamGroup] = list(params)  # type: ignore[arg-type]
         else:
             self.param_groups = [ParamGroup(params=list(params), lr=lr,
-                                            weight_decay=weight_decay)]
+                                            weight_decay=PAPER_WEIGHT_DECAY)]
         for group in self.param_groups:
             _check_lr(group.lr)
 
@@ -66,7 +66,9 @@ class Optimizer:
 
 
 class Adam(Optimizer):
-    """Adam optimiser with the paper's default hyper-parameters.
+    """Adam optimiser with the paper's hyper-parameters
+    (:data:`PAPER_ADAM_BETAS`, :data:`PAPER_ADAM_EPS`; parameters not in a
+    group decay by :data:`PAPER_WEIGHT_DECAY`).
 
     A parameter group's moments live in flat buffers (``group.state["m"]``
     and ``["v"]``, parameters laid end to end in group order, with a step
@@ -81,19 +83,10 @@ class Adam(Optimizer):
     training step where every parameter has one is the whole group.
     """
 
-    def __init__(self, params, lr: float = PAPER_BASE_LEARNING_RATE,
-                 betas: Sequence[float] = PAPER_ADAM_BETAS,
-                 eps: float = PAPER_ADAM_EPS,
-                 weight_decay: float = PAPER_WEIGHT_DECAY) -> None:
-        super().__init__(params, lr, weight_decay)
-        beta1, beta2 = betas
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError("betas must lie in [0, 1)")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+    def __init__(self, params, lr: float = PAPER_BASE_LEARNING_RATE) -> None:
+        super().__init__(params, lr)
+        self.beta1, self.beta2 = PAPER_ADAM_BETAS
+        self.eps = PAPER_ADAM_EPS
 
     def step(self) -> None:
         for group in self.param_groups:
@@ -164,10 +157,9 @@ class Adam(Optimizer):
 
 def make_block_param_groups(vae_params: Iterable[Parameter],
                             inn_params: Iterable[Parameter],
-                            base_lr: float, m_vae: float,
-                            weight_decay: float = PAPER_WEIGHT_DECAY
-                            ) -> List[ParamGroup]:
-    """Create the VAE/INN parameter groups with separate learning rates.
+                            base_lr: float, m_vae: float) -> List[ParamGroup]:
+    """Create the VAE/INN parameter groups with separate learning rates
+    (both decaying by :data:`PAPER_WEIGHT_DECAY`).
 
     The paper observes that the VAE only finds good minima at the highest
     learning rate while the INN losses converge best at lower rates, hence
@@ -175,7 +167,7 @@ def make_block_param_groups(vae_params: Iterable[Parameter],
     """
     return [
         ParamGroup(params=list(vae_params), lr=base_lr * m_vae,
-                   weight_decay=weight_decay, name="vae"),
+                   weight_decay=PAPER_WEIGHT_DECAY, name="vae"),
         ParamGroup(params=list(inn_params), lr=base_lr,
-                   weight_decay=weight_decay, name="inn"),
+                   weight_decay=PAPER_WEIGHT_DECAY, name="inn"),
     ]

@@ -307,26 +307,23 @@ class Tensor:
             count = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / max(count, 1))
 
-    def max(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        value = self.data.max(axis=axis, keepdims=keepdims)
+    def max(self, axis: int) -> "Tensor":
+        """The maximum along ``axis`` (removed); tied maxima share the
+        gradient equally."""
+        value = self.data.max(axis=axis)
         data = self.data
 
         def backward(g: np.ndarray):
             g = np.asarray(g, dtype=np.float64)
-            if axis is None:
-                mask = (data == data.max()).astype(np.float64)
-                mask /= mask.sum()
-                return (mask * g,)
             vkeep = data.max(axis=axis, keepdims=True)
             mask = (data == vkeep).astype(np.float64)
             mask /= np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-            gk = g if keepdims else np.expand_dims(g, axis)
-            return (mask * gk,)
+            return (mask * np.expand_dims(g, axis),)
 
         return self._make(value, (self,), backward)
 
-    def min(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        return -((-self).max(axis=axis, keepdims=keepdims))
+    def min(self, axis: int) -> "Tensor":
+        return -((-self).max(axis))
 
     # ------------------------------------------------------------------ #
     # shape manipulation

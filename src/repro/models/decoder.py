@@ -14,15 +14,13 @@ from repro.mlcore.layers import ConvTranspose3d, Linear, ModuleList
 from repro.mlcore.module import Module
 from repro.mlcore.tensor import Tensor
 from repro.models.config import ModelConfig
-from repro.utils.rng import RandomState, seeded_rng
 
 
 class PointCloudDecoder(Module):
     """Map latent vectors ``(B, latent_dim)`` to point clouds ``(B, M, POINT_DIM)``."""
 
-    def __init__(self, config: ModelConfig, rng: RandomState = None) -> None:
+    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
         super().__init__()
-        rng = seeded_rng(rng)
         self.config = config
         d, h, w = config.decoder_grid
         first_channels = config.decoder_channels[0]

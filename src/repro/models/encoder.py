@@ -11,26 +11,24 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.mlcore.layers import MLP, MaxPoolPoints, PointwiseConv, ReLU, Sequential
+import numpy as np
+
+from repro.mlcore.layers import MLP, MaxPoolPoints, PointwiseConv, Sequential
 from repro.mlcore.module import Module
 from repro.mlcore.tensor import Tensor
 from repro.models.config import POINT_DIM, ModelConfig
-from repro.utils.rng import RandomState, seeded_rng
 
 
 class PointNetEncoder(Module):
     """Map a batch of point clouds ``(B, N, POINT_DIM)`` to ``(mu, log_var)``."""
 
-    def __init__(self, config: ModelConfig, rng: RandomState = None) -> None:
+    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
         super().__init__()
-        rng = seeded_rng(rng)
         self.config = config
-        layers = []
         channels = (POINT_DIM,) + tuple(config.encoder_channels)
-        for c_in, c_out in zip(channels[:-1], channels[1:]):
-            layers.append(PointwiseConv(c_in, c_out, rng=rng))
-            layers.append(ReLU())
-        self.point_features = Sequential(*layers)
+        self.point_features = Sequential(*(
+            PointwiseConv(c_in, c_out, rng=rng)
+            for c_in, c_out in zip(channels[:-1], channels[1:])))
         self.pool = MaxPoolPoints()
         feature_dim = channels[-1]
         self.mu_head = MLP((feature_dim, config.encoder_head_hidden, config.latent_dim),

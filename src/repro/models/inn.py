@@ -21,7 +21,9 @@ from repro.mlcore.layers import MLP, Linear, ModuleList
 from repro.mlcore.module import Module
 from repro.mlcore.tensor import Tensor, concatenate
 from repro.models.config import ModelConfig
-from repro.utils.rng import RandomState, seeded_rng
+
+#: Bound of a coupling block's log-scales: ``CLAMP * tanh(s)``.
+CLAMP = 2.0
 
 
 def _subnet_forward(layers: Sequence[Linear], x: np.ndarray) -> List[np.ndarray]:
@@ -106,15 +108,14 @@ class GlowCouplingBlock(Module):
     ``tests/mlcore/test_fused_ops.py``.
     """
 
-    def __init__(self, dim: int, hidden: Tuple[int, ...] = (64,), clamp: float = 2.0,
-                 rng: RandomState = None) -> None:
+    def __init__(self, dim: int, hidden: Tuple[int, ...] = (64,), *,
+                 rng: np.random.Generator) -> None:
         super().__init__()
         if dim < 2 or dim % 2 != 0:
             raise ValueError("dim must be an even number >= 2")
-        rng = seeded_rng(rng)
         self.dim = int(dim)
         self.half = self.dim // 2
-        self.clamp = float(clamp)
+        self.clamp = CLAMP
         self.subnet1 = MLP((self.half, *hidden, 2 * self.half), rng=rng)
         self.subnet2 = MLP((self.half, *hidden, 2 * self.half), rng=rng)
         self._linears = tuple(tuple(m for m in net.net if isinstance(m, Linear))
@@ -174,9 +175,8 @@ class GlowCouplingBlock(Module):
 class _Permutation(Module):
     """Fixed random permutation of the feature axis (invertible, no parameters)."""
 
-    def __init__(self, dim: int, rng: RandomState = None) -> None:
+    def __init__(self, dim: int, rng: np.random.Generator) -> None:
         super().__init__()
-        rng = seeded_rng(rng)
         self.permutation = rng.permutation(dim)
         self.inverse_permutation = np.argsort(self.permutation)
 
@@ -197,9 +197,8 @@ class InvertibleNetwork(Module):
     model configuration.
     """
 
-    def __init__(self, config: ModelConfig, rng: RandomState = None) -> None:
+    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
         super().__init__()
-        rng = seeded_rng(rng)
         self.config = config
         blocks: List[Module] = []
         permutations: List[Module] = []

@@ -41,7 +41,6 @@ class CombinedLoss:
     """Callable evaluating the total loss and its individual terms."""
 
     weights: LossWeights = field(default_factory=LossWeights)
-    mmd_scales: tuple = (0.05, 0.2, 0.9)
 
     def __call__(self, output: "ModelOutput", point_cloud: Tensor,
                  spectrum: Tensor) -> Tensor:
@@ -50,9 +49,8 @@ class CombinedLoss:
         l_cd = chamfer_distance(output.reconstruction, point_cloud)
         l_kl = kl_divergence_normal(output.mu, output.log_var)
         l_mse = mse_loss(output.spectrum_prediction, spectrum)
-        l_mmd_latent = mmd_imq(output.latent, output.latent_backward, scales=self.mmd_scales)
-        l_mmd_normal = mmd_imq(output.normal_prediction, output.normal_reference,
-                               scales=self.mmd_scales)
+        l_mmd_latent = mmd_imq(output.latent, output.latent_backward)
+        l_mmd_normal = mmd_imq(output.normal_prediction, output.normal_reference)
         total = F.weighted_sum(
             (l_cd, l_kl, l_mse, l_mmd_latent, l_mmd_normal),
             (w.chamfer, w.kl, w.mse, w.mmd_latent, w.mmd_normal))

@@ -17,7 +17,7 @@ sampling from the posterior of the ill-posed inverse problem.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from repro.mlcore.tensor import Tensor, no_grad
 from repro.models.config import POINT_DIM, ModelConfig
 from repro.models.inn import InvertibleNetwork
 from repro.models.vae import VariationalAutoEncoder
-from repro.utils.rng import RandomState, seeded_rng
 
 
 @dataclass
@@ -46,13 +45,12 @@ class ModelOutput:
 class ArtificialScientistModel(Module):
     """VAE + INN with the paper's three tasks (inversion, compression, surrogate)."""
 
-    def __init__(self, config: Optional[ModelConfig] = None, rng: RandomState = None) -> None:
+    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
         super().__init__()
-        rng = seeded_rng(rng)
-        self.config = config or ModelConfig()
+        self.config = config
         self.vae = VariationalAutoEncoder(self.config, rng=rng)
         self.inn = InvertibleNetwork(self.config, rng=rng)
-        self._rng = seeded_rng(int(rng.integers(0, 2**31 - 1)))
+        self._rng = np.random.default_rng(int(rng.integers(0, 2**31 - 1)))
 
     # -- parameter groups (for the separate l_VAE / l_INN learning rates) -- #
     def vae_parameters(self) -> List[Parameter]:

@@ -19,19 +19,17 @@ from repro.mlcore.tensor import Tensor
 from repro.models.config import ModelConfig
 from repro.models.decoder import PointCloudDecoder
 from repro.models.encoder import PointNetEncoder
-from repro.utils.rng import RandomState, seeded_rng
 
 
 class VariationalAutoEncoder(Module):
     """Encoder + reparameterised sampling + decoder."""
 
-    def __init__(self, config: ModelConfig, rng: RandomState = None) -> None:
+    def __init__(self, config: ModelConfig, rng: np.random.Generator) -> None:
         super().__init__()
-        rng = seeded_rng(rng)
         self.config = config
         self.encoder = PointNetEncoder(config, rng=rng)
         self.decoder = PointCloudDecoder(config, rng=rng)
-        self._sample_rng = seeded_rng(int(rng.integers(0, 2**31 - 1)))
+        self._sample_rng = np.random.default_rng(int(rng.integers(0, 2**31 - 1)))
 
     def encode(self, point_cloud: Tensor) -> Tuple[Tensor, Tensor]:
         """Return ``(mu, log_var)`` of the latent distribution."""

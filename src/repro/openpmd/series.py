@@ -28,21 +28,17 @@ class Series:
     or anything else with their ``put_step`` / ``get_step`` / ``close``.
     """
 
-    #: seconds a put or get may block before it raises: a deadlock guard,
-    #: not a tuning knob
-    TIMEOUT = 30.0
-
     def __init__(self, broker) -> None:
         self.broker = broker
 
     def close_iteration(self, step: Step) -> None:
         """Hand one finished iteration to the readers."""
-        self.broker.put_step(step, timeout=self.TIMEOUT)
+        self.broker.put_step(step)
 
     def read_iterations(self) -> Iterator[Step]:
         """Yield the steps in order until the stream ends."""
         while True:
-            step = self.broker.get_step(timeout=self.TIMEOUT)
+            step = self.broker.get_step()
             if step is None:
                 return
             yield step
@@ -68,7 +64,7 @@ class DirectoryStore:
     def _path(self, index: int, suffix: str) -> str:
         return os.path.join(self.directory, f"iteration_{index:06d}{suffix}")
 
-    def put_step(self, step: Step, timeout: Optional[float] = None) -> None:
+    def put_step(self, step: Step) -> None:
         if os.path.exists(self._path(step.index, ".json")):
             raise FileExistsError(
                 f"iteration {step.index} is already in {self.directory!r}")
@@ -77,7 +73,7 @@ class DirectoryStore:
         with open(self._path(step.index, ".json"), "w", encoding="utf-8") as handle:
             json.dump({"attributes": step.attributes, "paths": list(step.arrays)}, handle)
 
-    def get_step(self, timeout: Optional[float] = None) -> Optional[Step]:
+    def get_step(self) -> Optional[Step]:
         if self._unread is None:
             self._unread = iter(sorted(
                 int(name[len("iteration_"):-len(".json")])

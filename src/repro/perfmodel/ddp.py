@@ -156,7 +156,7 @@ class DDPWeakScalingModel:
             ))
         return points
 
-    def deficit_attribution(self, n_nodes: int = 96) -> Dict[str, float]:
+    def deficit_attribution(self, n_nodes: int) -> Dict[str, float]:
         """How much of the efficiency lost since ``BASE_NODES`` each
         component accounts for."""
         base = self.step_time(BASE_NODES)

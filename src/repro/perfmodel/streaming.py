@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.perfmodel.machines import FRONTIER
-from repro.utils.rng import RandomState, seeded_rng
+from repro.utils.rng import seeded_rng
 
 #: Particle data produced per compute node and time step (Section IV-B).
 PAPER_BYTES_PER_NODE = 5.86e9
@@ -105,10 +105,11 @@ class ModeledDataPlane:
         return (self.latency + nbytes / bw) * noise
 
 
-def make_data_plane(kind: str, rng: RandomState = None) -> ModeledDataPlane:
+def make_data_plane(kind: str) -> ModeledDataPlane:
     """The ``"libfabric"`` (CXI provider) or ``"mpi"`` (``MPI_Open_port``)
-    data plane with paper-calibrated parameters."""
-    rng = seeded_rng(rng)
+    data plane with paper-calibrated parameters, its jitter seeded by
+    :data:`STUDY_SEED`."""
+    rng = seeded_rng(STUDY_SEED)
     if kind == "libfabric":
         # Lower-level control: fastest per-node rates at moderate scale with
         # the all-at-once strategy, but that strategy breaks beyond ~half of
@@ -200,7 +201,7 @@ class StreamingScalingStudy:
                  enqueue_strategy: str = "batched") -> StreamingScalingPoint:
         """Model one scaling run: ``PAPER_STEPS_PER_RUN`` steps of
         ``bytes_per_node`` each."""
-        plane = make_data_plane(plane_name, rng=STUDY_SEED)
+        plane = make_data_plane(plane_name)
         if not plane.supports(n_nodes, enqueue_strategy):
             return StreamingScalingPoint(plane_name, enqueue_strategy, n_nodes, None)
         step_times = [plane.transfer_time(int(self.bytes_per_node), n_nodes=n_nodes,

@@ -26,7 +26,6 @@ from repro.pic.kernels import (boris_push_fused, deposit_charge_cic,
 from repro.pic.maxwell import YeeSolver
 from repro.pic.simulation import PICSimulation, SimulationConfig, Plugin
 from repro.pic.khi import KHIConfig, make_khi_simulation
-from repro.pic.fom import FigureOfMerit, figure_of_merit
 
 __all__ = [
     "GridConfig",
@@ -43,6 +42,4 @@ __all__ = [
     "Plugin",
     "KHIConfig",
     "make_khi_simulation",
-    "FigureOfMerit",
-    "figure_of_merit",
 ]

@@ -23,8 +23,8 @@ from repro.pic.grid import STAGGER, YeeGrid
 from repro.pic.interpolation import _cic_indices_weights
 
 
-def _hat_weights(xi: np.ndarray, base: np.ndarray, n_nodes: int = 4) -> np.ndarray:
-    """First-order (hat-function) shape weights on a local node stencil.
+def _hat_weights(xi: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """First-order (hat-function) shape weights on a four-node stencil.
 
     Parameters
     ----------
@@ -35,9 +35,9 @@ def _hat_weights(xi: np.ndarray, base: np.ndarray, n_nodes: int = 4) -> np.ndarr
 
     Returns
     -------
-    ``(N, n_nodes)`` array with ``S[s] = max(0, 1 - |xi - (base + s)|)``.
+    ``(N, 4)`` array with ``S[s] = max(0, 1 - |xi - (base + s)|)``.
     """
-    nodes = base[:, None] + np.arange(n_nodes)[None, :]
+    nodes = base[:, None] + np.arange(4)[None, :]
     return np.maximum(0.0, 1.0 - np.abs(xi[:, None] - nodes))
 
 

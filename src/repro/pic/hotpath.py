@@ -106,6 +106,12 @@ class HotpathResult:
                 "equivalent": self.equivalent}
 
 
+#: Seed of the benchmarked KHI problem, and the steps the equivalence
+#: checks run both paths for.
+BENCH_SEED = 11
+EQUIVALENCE_STEPS = 10
+
+
 def reference_step(simulation: PICSimulation) -> None:
     """Advance ``simulation`` by one step on the reference kernels.
 
@@ -161,9 +167,9 @@ def _stepping(path: str, simulation: PICSimulation):
         yield simulation.step
 
 
-def _bench_config(grid_shape=BENCH_TINY_GRID, seed: int = 11) -> KHIConfig:
+def _bench_config(grid_shape=BENCH_TINY_GRID) -> KHIConfig:
     return KHIConfig(grid_shape=tuple(grid_shape),
-                     particles_per_cell=BENCH_TINY_PPC, seed=seed)
+                     particles_per_cell=BENCH_TINY_PPC, seed=BENCH_SEED)
 
 
 def engages_helper(grid_shape=BENCH_TINY_GRID) -> bool:
@@ -201,9 +207,9 @@ def _time_kernel(path: str, n_steps: int, warmup: int,
     return n_steps / wall, (sections, simulation.n_macro_particles)
 
 
-def check_equivalence(n_steps: int = 10,
-                      grid_shape=BENCH_TINY_GRID) -> float:
-    """Max relative field/position deviation, fused vs reference, after a run.
+def check_equivalence(grid_shape=BENCH_TINY_GRID) -> float:
+    """Max relative field/position deviation, fused vs reference, after
+    :data:`EQUIVALENCE_STEPS` steps.
 
     Both paths step the *same* initial state; the return value is the worst
     relative difference over all six field components and the particle
@@ -212,7 +218,7 @@ def check_equivalence(n_steps: int = 10,
     sims = {kernel: make_khi_simulation(_bench_config(grid_shape))
             for kernel in STEP}
     for kernel, simulation in sims.items():
-        for _ in range(n_steps):
+        for _ in range(EQUIVALENCE_STEPS):
             STEP[kernel](simulation)
     fused, reference = sims["fused"], sims["reference"]
     worst = 0.0
@@ -228,14 +234,15 @@ def check_equivalence(n_steps: int = 10,
     return worst
 
 
-def helper_is_identical(n_steps: int = 10, grid_shape=BENCH_TINY_GRID) -> bool:
-    """Whether ``n_steps`` with a helper lent leave every field, current,
-    position and momentum as the one-thread steps do, bit for bit."""
+def helper_is_identical(grid_shape) -> bool:
+    """Whether :data:`EQUIVALENCE_STEPS` steps with a helper lent leave every
+    field, current, position and momentum as the one-thread steps do, bit
+    for bit."""
     states = []
     for path in ("fused", "helper"):
         simulation = make_khi_simulation(_bench_config(grid_shape))
         with _stepping(path, simulation) as step:
-            for _ in range(n_steps):
+            for _ in range(EQUIVALENCE_STEPS):
                 step()
         grid = simulation.grid
         states.append([grid.component(name) for name in
@@ -246,7 +253,7 @@ def helper_is_identical(n_steps: int = 10, grid_shape=BENCH_TINY_GRID) -> bool:
 
 
 def run_hotpath_benchmark(n_steps: int = 40, warmup: int = 5,
-                          equivalence_steps: int = 10, repeats: int = 3,
+                          repeats: int = 3,
                           grid_shape=BENCH_TINY_GRID) -> HotpathResult:
     """Measure both kernel paths and their equivalence on bench-tiny.
 
@@ -266,7 +273,7 @@ def run_hotpath_benchmark(n_steps: int = 40, warmup: int = 5,
     for path, (rate, (per_section, n_macro)) in best.items():
         rates[path] = rate
         sections[path] = per_section
-    error = check_equivalence(equivalence_steps, grid_shape)
+    error = check_equivalence(grid_shape)
     simulation = make_khi_simulation(_bench_config(grid_shape))
     with _stepping("helper", simulation) as step:
         for _ in range(warmup):
@@ -279,9 +286,8 @@ def run_hotpath_benchmark(n_steps: int = 40, warmup: int = 5,
                          stay_fraction=stay_fraction,
                          scratch_bytes=simulation.scratch_bytes,
                          equivalence_error=error,
-                         helper_identical=helper_is_identical(
-                             equivalence_steps, grid_shape) if engaged
-                         else None)
+                         helper_identical=helper_is_identical(grid_shape)
+                         if engaged else None)
 
 
 def format_result(result: HotpathResult) -> str:

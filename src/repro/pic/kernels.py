@@ -228,26 +228,24 @@ _XY_PAIRS = (((1, 0), ((0, 0), (4, 1))), ((0, 1), ((1, 0), (3, 1))),
              ((0, 0), ((2, 1),)), ((1, 1), ((5, 0),)))
 
 
-def gather_fields(grid: YeeGrid, positions: np.ndarray,
-                  workspace: Optional[Workspace] = None,
-                  out: Optional[np.ndarray] = None
-                  ) -> Tuple[np.ndarray, np.ndarray]:
+def gather_fields(grid: YeeGrid, positions: np.ndarray, workspace: Workspace,
+                  out: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Interpolate E and B to the particles, ``CHUNK`` particles at a time.
 
     Returns ``(E, B)``, each ``(N, 3)`` in SI units (V/m and T): transposed
-    rows of one ``(6, N)`` array — ``out``, or a new one — so ``E[a:b].T``
-    is three contiguous rows.  E/B are copied once per call into a ghost-padded
+    rows of the ``(6, N)`` array ``out``, so ``E[a:b].T`` is three
+    contiguous rows.  E/B are copied once per call into a ghost-padded
     workspace array; per block a component's eight corners are its
     :func:`_lower_nodes` index plus eight constant offsets, and its weights
     are composed as ``(x ⊕ y) ⊕ z``, the ``x ⊕ y`` half once per
-    :data:`_XY_PAIRS` entry.  All scratch comes from ``workspace`` (``None``:
-    a private one).  No reduction runs across particles, so the result does
-    not depend on ``CHUNK``.  A non-finite position raises ``ValueError``.
+    :data:`_XY_PAIRS` entry.  All scratch comes from ``workspace``.  No
+    reduction runs across particles, so the result does not depend on
+    ``CHUNK``.  A non-finite position raises ``ValueError``.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 3:
         raise ValueError("positions must have shape (N, 3)")
-    workspace = (Workspace() if workspace is None else workspace).begin()
+    workspace.begin()
     nx, ny, nz = shape = grid.shape
     padded = workspace.array("gather.padded", (6, nx + 1, ny + 1, nz + 1))
     for row, name in enumerate(_E_B):
@@ -350,7 +348,7 @@ def _carve(flat: np.ndarray, shapes) -> list:
 def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
                               new_positions: np.ndarray, charge: float,
                               weights: np.ndarray, dt: float,
-                              workspace: Optional[Workspace] = None,
+                              workspace: Workspace,
                               blocks: Optional[np.ndarray] = None) -> None:
     """Charge-conserving (Esirkepov, first order) current deposition.
 
@@ -378,8 +376,8 @@ def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
     ordered stay-first and the two classes run one body at their own
     ``(width, planes)``, in sub-blocks sized by :data:`SUB_BLOCK`, each
     writing its scattered pairs straight to their place in the block's;
-    every buffer is taken from ``workspace`` (``None``: a private
-    one) once per block and sized by it, whatever the split.
+    every buffer is taken from ``workspace`` once per block and sized by it,
+    whatever the split.
 
     ``blocks`` (``None``: add into ``grid.J*``) is a ``(n_blocks(N), 3,
     n_cells)`` array that receives each block's current instead, for
@@ -405,7 +403,7 @@ def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
     nvec = np.array([nx, ny, nz], dtype=np.int64)[:, None, None]
     svec = np.array([ny * nz, nz, 1], dtype=np.int64)[:, None, None]
     component = n_cells * np.arange(3)[:, None, None]
-    workspace = (Workspace() if workspace is None else workspace).begin()
+    workspace.begin()
     n_values = 3 * _GO[1] * _GO[0] ** 2       # per particle, at most
 
     for block_index, (start, stop) in enumerate(_chunks(n)):
@@ -600,16 +598,15 @@ def _norm_sq(a: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
 
 
 def boris_push_fused(species: ParticleSpecies, e_fields: np.ndarray,
-                     b_fields: np.ndarray, dt: float,
-                     workspace: Optional[Workspace] = None,
-                     particles: slice = slice(None)) -> None:
-    """Relativistic Boris push of ``species.momenta[particles]`` (all of
-    them by default), ``CHUNK`` particles at a time, in place.
+                     b_fields: np.ndarray, dt: float, workspace: Workspace,
+                     particles: slice) -> None:
+    """Relativistic Boris push of ``species.momenta[particles]``, ``CHUNK``
+    particles at a time, in place.
 
     Same scheme as its oracle :func:`repro.pic.pusher.boris_push` (half
     electric kick, magnetic rotation, half electric kick).  Each block is
     transposed into component-major ``(3, m)`` rows taken from
-    ``workspace`` (``None``: a private one for this call), every term is a
+    ``workspace``, every term is a
     contiguous row operation written with ``out=``, and the result is
     transposed back into ``species.momenta`` — no ``(N, 3)`` intermediate is
     allocated and no strided column is walked more than once.  The fields
@@ -623,7 +620,7 @@ def boris_push_fused(species: ParticleSpecies, e_fields: np.ndarray,
     momenta = species.momenta[particles]
     if e_fields.shape != momenta.shape or b_fields.shape != momenta.shape:
         raise ValueError("field arrays must have shape (N, 3)")
-    workspace = (Workspace() if workspace is None else workspace).begin()
+    workspace.begin()
 
     qmdt2 = species.charge * dt / (2.0 * species.mass * constants.SPEED_OF_LIGHT)
     qdt2m = species.charge * dt / (2.0 * species.mass)

@@ -124,10 +124,9 @@ def _shear_velocity_profile(y: np.ndarray, extent_y: float, beta: float) -> np.n
     return np.where(inside, beta, -beta)
 
 
-def make_khi_simulation(config: KHIConfig | None = None,
+def make_khi_simulation(config: KHIConfig,
                         rng: RandomState = None) -> PICSimulation:
     """Create a :class:`PICSimulation` initialised with the KHI configuration."""
-    config = config or KHIConfig()
     if config.omega_p_dt() > 2.0:
         import warnings
         warnings.warn(

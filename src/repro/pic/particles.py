@@ -45,9 +45,9 @@ class ParticleSpecies:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        self.positions = check_array(self.positions, "positions", dtype=np.float64, ndim=2)
-        self.momenta = check_array(self.momenta, "momenta", dtype=np.float64, ndim=2)
-        self.weights = check_array(self.weights, "weights", dtype=np.float64, ndim=1)
+        self.positions = check_array(self.positions, "positions", ndim=2)
+        self.momenta = check_array(self.momenta, "momenta", ndim=2)
+        self.weights = check_array(self.weights, "weights", ndim=1)
         if self.positions.shape[1] != 3 or self.momenta.shape[1] != 3:
             raise ValueError("positions and momenta must have shape (N, 3)")
         if not (len(self.positions) == len(self.momenta) == len(self.weights)):

@@ -14,7 +14,6 @@ one openPMD iteration.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import Executor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -23,7 +22,6 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from repro.pic import kernels
-from repro.pic.fom import FigureOfMerit, figure_of_merit
 from repro.pic.grid import GridConfig, YeeGrid
 from repro.pic.kernels import (Workspace, add_current, boris_push_fused,
                                deposit_charge_cic, deposit_current_esirkepov,
@@ -78,7 +76,7 @@ class PICSimulation:
     """A complete PIC simulation: grid, species, field solver and plugins."""
 
     def __init__(self, config: SimulationConfig,
-                 species: Sequence[ParticleSpecies] = ()) -> None:
+                 species: Sequence[ParticleSpecies]) -> None:
         self.config = config
         self.grid = YeeGrid(config.grid)
         self.solver = YeeSolver(self.grid)
@@ -244,18 +242,14 @@ class PICSimulation:
         return sum(workspace.nbytes for workspace in
                    (self._workspace, *self._helper_workspaces))
 
-    def run(self, n_steps: int) -> FigureOfMerit:
-        """Run ``n_steps`` and return the figure of merit of the run."""
+    def run(self, n_steps: int) -> None:
+        """Run ``n_steps``, then finish every plugin."""
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        start = time.perf_counter()
         for _ in range(n_steps):
             self.step()
-        wall = time.perf_counter() - start
         for plugin in self.plugins:
             plugin.on_finish(self)
-        return figure_of_merit(self.n_macro_particles, self.config.grid.n_cells,
-                               n_steps, wall)
 
     # -- diagnostics --------------------------------------------------------- #
     def total_kinetic_energy(self) -> float:

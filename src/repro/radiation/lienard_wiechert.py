@@ -30,6 +30,10 @@ from repro import constants
 from repro.radiation.detector import RadiationDetector
 
 #: Prefactor of the spectral energy density, q^2 / (16 pi^3 eps0 c).
+#: Particles per vectorised chunk of the amplitude sum.
+CHUNK_SIZE = 512
+
+
 def spectral_prefactor(charge: float) -> float:
     return charge ** 2 / (16.0 * np.pi ** 3 * constants.EPSILON_0
                           * constants.SPEED_OF_LIGHT)
@@ -41,8 +45,7 @@ def radiation_amplitude_step(detector: RadiationDetector,
                              beta_dot: np.ndarray,
                              weights: np.ndarray,
                              time: float,
-                             dt: float,
-                             chunk_size: int = 512) -> np.ndarray:
+                             dt: float) -> np.ndarray:
     """One time step's contribution to the complex far-field amplitude.
 
     Parameters
@@ -63,8 +66,8 @@ def radiation_amplitude_step(detector: RadiationDetector,
         Current simulation time [s].
     dt:
         Time-step length [s] (the integration measure).
-    chunk_size:
-        Number of particles per vectorised chunk.
+
+    Particles go :data:`CHUNK_SIZE` at a time.
 
     Returns
     -------
@@ -82,8 +85,8 @@ def radiation_amplitude_step(detector: RadiationDetector,
     if n == 0:
         return out
     inv_c = 1.0 / constants.SPEED_OF_LIGHT
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
+    for start in range(0, n, CHUNK_SIZE):
+        stop = min(start + CHUNK_SIZE, n)
         pos = positions[start:stop]                       # (P, 3)
         b = beta[start:stop]
         bdot = beta_dot[start:stop]
@@ -112,11 +115,10 @@ def radiation_amplitude_step(detector: RadiationDetector,
 
 def accumulate_amplitude(total: Optional[np.ndarray], detector: RadiationDetector,
                          positions: np.ndarray, beta: np.ndarray, beta_dot: np.ndarray,
-                         weights: np.ndarray, time: float, dt: float,
-                         chunk_size: int = 512) -> np.ndarray:
+                         weights: np.ndarray, time: float, dt: float) -> np.ndarray:
     """Add one step's contribution to ``total`` (allocating it if ``None``)."""
     step = radiation_amplitude_step(detector, positions, beta, beta_dot, weights,
-                                    time, dt, chunk_size=chunk_size)
+                                    time, dt)
     if total is None:
         return step
     total += step

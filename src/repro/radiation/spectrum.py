@@ -30,15 +30,19 @@ def spectrum_from_amplitude(amplitude: np.ndarray, charge: float) -> np.ndarray:
     return spectral_prefactor(charge) * power
 
 
-def normalize_log_spectrum(spectrum: np.ndarray, floor: float = 1e-30) -> np.ndarray:
+#: Least intensity :func:`normalize_log_spectrum` takes the log of.
+SPECTRUM_FLOOR = 1e-30
+
+
+def normalize_log_spectrum(spectrum: np.ndarray) -> np.ndarray:
     """Log-scale and normalise a spectrum for use as an ML input.
 
     The observed intensities span many orders of magnitude (Fig. 9a); the
-    MLapp feeds ``log10`` intensities normalised to zero mean and unit range
-    per sample to the INN.
+    MLapp feeds ``log10`` intensities, floored at :data:`SPECTRUM_FLOOR`,
+    normalised to zero mean and unit range per sample to the INN.
     """
     spectrum = np.asarray(spectrum, dtype=np.float64)
-    logged = np.log10(np.maximum(spectrum, floor))
+    logged = np.log10(np.maximum(spectrum, SPECTRUM_FLOOR))
     lo, hi = logged.min(), logged.max()
     if hi - lo < 1e-12:
         return np.zeros_like(logged)

@@ -35,8 +35,12 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.telemetry import REGISTRY
 
-#: Default per-subscriber queue capacity.
-DEFAULT_QUEUE_SIZE = 256
+#: Per-subscriber queue capacity, read when a subscription is made.
+QUEUE_SIZE = 256
+
+#: Seconds :meth:`Subscription.get` waits for an event: the interval of the
+#: SSE keep-alive comments a silent stream sends.
+KEEPALIVE_S = 15.0
 
 _BUS_PUBLISHED = REGISTRY.counter(
     "repro_bus_events_total", "Events published on the run event bus, by kind")
@@ -70,10 +74,10 @@ class Subscription:
     _dropped_unreported: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def get(self, timeout: Optional[float] = None) -> Optional[BusEvent]:
-        """Next event, or ``None`` after ``timeout`` seconds of silence."""
+    def get(self) -> Optional[BusEvent]:
+        """Next event, or ``None`` after :data:`KEEPALIVE_S` of silence."""
         try:
-            return self._queue.get(timeout=timeout)
+            return self._queue.get(timeout=KEEPALIVE_S)
         except queue.Empty:
             return None
 
@@ -101,17 +105,10 @@ class Subscription:
 
 
 class RunEventBus:
-    """Topic-keyed fan-out of campaign events with per-topic history.
+    """Topic-keyed fan-out of campaign events with per-topic history; each
+    subscriber queue holds :data:`QUEUE_SIZE` events."""
 
-    Args:
-        max_queue_size: default capacity of each subscriber queue (a
-            subscription may override it at ``subscribe`` time).
-    """
-
-    def __init__(self, max_queue_size: int = DEFAULT_QUEUE_SIZE) -> None:
-        if max_queue_size < 1:
-            raise ValueError("max_queue_size must be >= 1")
-        self.max_queue_size = int(max_queue_size)
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._history: Dict[str, List[BusEvent]] = {}
         self._subscribers: Dict[str, List[Subscription]] = {}
@@ -160,19 +157,14 @@ class RunEventBus:
         return event
 
     # -- subscribing -------------------------------------------------------- #
-    def subscribe(self, topic: str, max_queue_size: Optional[int] = None
-                  ) -> Tuple[List[BusEvent], Subscription]:
+    def subscribe(self, topic: str) -> Tuple[List[BusEvent], Subscription]:
         """Register a subscriber, atomically returning (history, subscription).
 
         The snapshot and the registration happen under one lock, so every
         event of the topic lands in exactly one of the two: the returned
         history list or the subscription's queue.
         """
-        size = self.max_queue_size if max_queue_size is None \
-            else int(max_queue_size)
-        if size < 1:
-            raise ValueError("max_queue_size must be >= 1")
-        subscription = Subscription(topic=topic, _queue=queue.Queue(size))
+        subscription = Subscription(topic=topic, _queue=queue.Queue(QUEUE_SIZE))
         with self._lock:
             history = list(self._history.get(topic, ()))
             self._subscribers.setdefault(topic, []).append(subscription)

@@ -26,6 +26,9 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.service.sse import EVENT_DONE, SSEEvent, SSEParser
 
+#: Seconds between the health polls of :meth:`ServiceClient.wait_ready`.
+POLL_INTERVAL_S = 0.1
+
 
 class ServiceError(OSError):
     """An HTTP-level failure, carrying the status code and error payload.
@@ -81,9 +84,9 @@ class ServiceClient:
         """``GET /v1/health``."""
         return self._request("GET", "/v1/health")
 
-    def wait_ready(self, timeout: float = 10.0, interval: float = 0.1
-                   ) -> Dict[str, object]:
-        """Poll ``/v1/health`` until the service answers (startup helper).
+    def wait_ready(self, timeout: float = 10.0) -> Dict[str, object]:
+        """Poll ``/v1/health`` every :data:`POLL_INTERVAL_S` until the
+        service answers (startup helper).
 
         Raises:
             TimeoutError: if the service does not come up in time.
@@ -97,7 +100,7 @@ class ServiceClient:
                     raise TimeoutError(
                         f"service at {self.base_url} not ready after "
                         f"{timeout:.1f} s") from None
-                time.sleep(interval)
+                time.sleep(POLL_INTERVAL_S)
 
     def submit(self, spec: Optional[Dict[str, object]] = None,
                preset: Optional[str] = None,
@@ -139,13 +142,12 @@ class ServiceClient:
         return self._request("DELETE", f"/v1/campaigns/{campaign_id}")
 
     # -- streaming ---------------------------------------------------------- #
-    def events(self, campaign_id: str,
-               timeout: Optional[float] = None) -> Iterator[SSEEvent]:
-        """Open the SSE stream and yield parsed events until it closes.
+    def events(self, campaign_id: str) -> Iterator[SSEEvent]:
+        """Open the SSE stream and yield parsed events until it closes; each
+        read waits up to the client timeout.
 
         Args:
             campaign_id: which campaign to watch.
-            timeout: per-read socket timeout (default: the client timeout).
 
         Yields:
             :class:`repro.service.sse.SSEEvent` frames — ``snapshot``
@@ -160,8 +162,7 @@ class ServiceClient:
             f"{self.base_url}/v1/campaigns/{campaign_id}/events",
             headers={"Accept": "text/event-stream"})
         try:
-            response = urllib.request.urlopen(
-                request, timeout=self.timeout if timeout is None else timeout)
+            response = urllib.request.urlopen(request, timeout=self.timeout)
         except urllib.error.HTTPError as error:
             raise ServiceError(error.code, self._error_message(error)) \
                 from None
@@ -179,10 +180,9 @@ class ServiceClient:
         finally:
             response.close()
 
-    def watch(self, campaign_id: str,
-              timeout: Optional[float] = None) -> Iterator[SSEEvent]:
+    def watch(self, campaign_id: str) -> Iterator[SSEEvent]:
         """Like :meth:`events`, but stop after the terminal ``done`` frame."""
-        for event in self.events(campaign_id, timeout=timeout):
+        for event in self.events(campaign_id):
             yield event
             if event.event == EVENT_DONE:
                 return

@@ -54,6 +54,9 @@ STATE_INTERRUPTED = "interrupted"    #: found on disk with pending runs (resubmi
 TERMINAL_STATES = frozenset({STATE_CANCELLED, STATE_COMPLETED, STATE_FAILED,
                              STATE_INTERRUPTED})
 
+#: Seconds a shutdown waits for each campaign job's thread.
+JOIN_TIMEOUT_S = 5.0
+
 #: Executor options a submission may carry.
 EXECUTOR_OPTION_KEYS = ("executor", "max_workers", "timeout", "retries",
                         "cache_dir")
@@ -80,14 +83,14 @@ class CampaignJob:
 
     def __init__(self, campaign_id: str, spec: CampaignSpec,
                  store: CampaignStore, bus: RunEventBus,
-                 worker: Callable = execute_run,
-                 executor_options: Optional[Dict[str, object]] = None) -> None:
+                 executor_options: Dict[str, object],
+                 worker: Callable = execute_run) -> None:
         self.id = campaign_id
         self.spec = spec
         self.store = store
         self.bus = bus
         self.worker = worker
-        self.executor_options = dict(executor_options or {})
+        self.executor_options = dict(executor_options)
         self.error: Optional[str] = None
         #: the latest launch's executor counters
         #: (``WorkerPoolExecutor.last_stats``; empty for other executors)
@@ -159,11 +162,12 @@ class CampaignJob:
                 self.state = STATE_CANCELLING
             return self.state
 
-    def join(self, timeout: Optional[float] = None) -> None:
-        """Wait for the runner thread (no-op if it never started)."""
+    def join(self) -> None:
+        """Wait up to :data:`JOIN_TIMEOUT_S` for the runner thread (no-op if
+        it never started)."""
         thread = self._thread
         if thread is not None:
-            thread.join(timeout)
+            thread.join(JOIN_TIMEOUT_S)
 
     # -- the runner thread -------------------------------------------------- #
     def _run(self) -> None:
@@ -277,14 +281,13 @@ class CampaignJobManager:
                 spec = CampaignSpec.from_file(self._spec_path(campaign_id))
                 self._jobs[campaign_id] = CampaignJob(
                     campaign_id, spec, CampaignStore(self._store_path(campaign_id)),
-                    self.bus, worker=self.worker)
+                    self.bus, {}, worker=self.worker)
             except (ValueError, OSError) as error:
                 logger.warning("skipping unloadable campaign %s: %s",
                                campaign_id, error)
 
     # -- API ---------------------------------------------------------------- #
-    def submit(self, spec: CampaignSpec,
-               options: Optional[Dict[str, object]] = None
+    def submit(self, spec: CampaignSpec, options: Dict[str, object]
                ) -> Tuple[CampaignJob, bool, bool]:
         """Submit (or resume, or attach to) a campaign.
 
@@ -303,7 +306,7 @@ class CampaignJobManager:
         Raises:
             ValueError: on invalid executor options or an unresolvable spec.
         """
-        options = dict(options or {})
+        options = dict(options)
         unknown = sorted(set(options) - set(EXECUTOR_OPTION_KEYS))
         if unknown:
             raise ValueError(f"unknown submit options {unknown}; valid "
@@ -315,9 +318,8 @@ class CampaignJobManager:
             created = job is None
             if created:
                 store = CampaignStore(self._store_path(campaign_id))
-                job = CampaignJob(campaign_id, spec, store, self.bus,
-                                  worker=self.worker,
-                                  executor_options=options)
+                job = CampaignJob(campaign_id, spec, store, self.bus, options,
+                                  worker=self.worker)
                 spec.to_file(self._spec_path(campaign_id))
                 self._jobs[campaign_id] = job
             else:
@@ -335,9 +337,9 @@ class CampaignJobManager:
         with self._lock:
             return list(self._jobs.values())
 
-    def shutdown(self, timeout: float = 5.0) -> None:
+    def shutdown(self) -> None:
         """Cancel every running job and wait briefly for the threads."""
         for job in self.jobs():
             job.request_cancel()
         for job in self.jobs():
-            job.join(timeout)
+            job.join()

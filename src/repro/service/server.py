@@ -54,16 +54,12 @@ logger = get_logger(__name__)
 _REQUESTS = REGISTRY.counter(
     "repro_service_requests_total", "HTTP requests served, by method")
 
-#: Seconds of subscriber silence between SSE keep-alive comments.
-DEFAULT_KEEPALIVE_S = 15.0
-
 _CAMPAIGN_PATH = re.compile(r"^/v1/campaigns/([A-Za-z0-9._-]+)$")
 _EVENTS_PATH = re.compile(r"^/v1/campaigns/([A-Za-z0-9._-]+)/events$")
 _REPORT_PATH = re.compile(r"^/v1/campaigns/([A-Za-z0-9._-]+)/report$")
 
 
-def sse_event_stream(job: CampaignJob, keepalive_s: float = DEFAULT_KEEPALIVE_S,
-                     max_queue_size: Optional[int] = None) -> Iterator[str]:
+def sse_event_stream(job: CampaignJob) -> Iterator[str]:
     """Yield the SSE frames of one subscriber watching one campaign.
 
     The contract (exercised directly by ``tests/service/test_sse_wire.py``):
@@ -77,17 +73,16 @@ def sse_event_stream(job: CampaignJob, keepalive_s: float = DEFAULT_KEEPALIVE_S,
       ``dropped`` frame carries the loss count (the client re-reads
       ``GET /v1/campaigns/{id}`` for the authoritative state),
     * the stream ends with exactly one ``done`` frame.  Silence longer
-      than ``keepalive_s`` yields comment frames, which both keep proxies
-      from timing the stream out and let the server detect a vanished
-      client; if the terminal event itself was dropped, the keep-alive
+      than :data:`repro.service.bus.KEEPALIVE_S` yields comment frames,
+      which both keep proxies from timing the stream out and let the
+      server detect a vanished client; if the terminal event itself was dropped, the keep-alive
       tick notices the terminal job state and synthesises the ``done``
       frame from it.
 
     The generator unsubscribes from the bus when closed, whether it ran to
     ``done`` or the consumer disconnected mid-stream.
     """
-    history, subscription = job.bus.subscribe(job.id,
-                                              max_queue_size=max_queue_size)
+    history, subscription = job.bus.subscribe(job.id)
     try:
         for index, event in enumerate(history):
             if event.kind == EVENT_DONE:
@@ -105,7 +100,7 @@ def sse_event_stream(job: CampaignJob, keepalive_s: float = DEFAULT_KEEPALIVE_S,
                 continue
             yield format_event(EVENT_SNAPSHOT, event.data, event_id=event.seq)
         while True:
-            event = subscription.get(timeout=keepalive_s)
+            event = subscription.get()
             dropped = subscription.take_dropped()
             if dropped:
                 yield format_event(EVENT_DROPPED, {"campaign_id": job.id,
@@ -290,9 +285,7 @@ class CampaignServiceHandler(BaseHTTPRequestHandler):
         # no Content-Length: the stream ends when the server closes it
         self.send_header("Connection", "close")
         self.end_headers()
-        frames = sse_event_stream(
-            job, keepalive_s=self.server.keepalive_s,
-            max_queue_size=self.server.subscriber_queue_size)
+        frames = sse_event_stream(job)
         try:
             for frame in frames:
                 self.wfile.write(frame.encode("utf-8"))
@@ -316,13 +309,10 @@ class CampaignServiceServer(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, address: Tuple[str, int], manager: CampaignJobManager,
-                 keepalive_s: float = DEFAULT_KEEPALIVE_S,
-                 subscriber_queue_size: Optional[int] = None) -> None:
+    def __init__(self, address: Tuple[str, int],
+                 manager: CampaignJobManager) -> None:
         super().__init__(address, CampaignServiceHandler)
         self.manager = manager
-        self.keepalive_s = float(keepalive_s)
-        self.subscriber_queue_size = subscriber_queue_size
 
     @property
     def url(self) -> str:
@@ -330,19 +320,17 @@ class CampaignServiceServer(ThreadingHTTPServer):
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
 
-    def shutdown_service(self, timeout: float = 5.0) -> None:
+    def shutdown_service(self) -> None:
         """Stop accepting requests and cancel/join the campaign jobs."""
         self.shutdown()
         self.server_close()
-        self.manager.shutdown(timeout)
+        self.manager.shutdown()
 
 
 def create_server(host: str = "127.0.0.1", port: int = 0,
                   store_dir: str = "campaign-service",
                   worker: Callable = execute_run,
-                  bus: Optional[RunEventBus] = None,
-                  keepalive_s: float = DEFAULT_KEEPALIVE_S,
-                  subscriber_queue_size: Optional[int] = None
+                  bus: Optional[RunEventBus] = None
                   ) -> CampaignServiceServer:
     """Build a ready-to-serve campaign service (``port=0`` picks a free one).
 
@@ -354,9 +342,6 @@ def create_server(host: str = "127.0.0.1", port: int = 0,
         worker: the per-run worker (tests inject fakes; the default runs
             the real coupled workflow).
         bus: optionally share a pre-built event bus.
-        keepalive_s: SSE keep-alive comment interval.
-        subscriber_queue_size: per-SSE-subscriber bounded queue size
-            (default: the bus default).
 
     Returns:
         An unstarted :class:`CampaignServiceServer`; call
@@ -367,30 +352,25 @@ def create_server(host: str = "127.0.0.1", port: int = 0,
     if not 0 <= port <= 65535:
         raise ValueError(f"port must lie in 0..65535, got {port}")
     manager = CampaignJobManager(store_dir, worker=worker, bus=bus)
-    return CampaignServiceServer((host, port), manager,
-                                 keepalive_s=keepalive_s,
-                                 subscriber_queue_size=subscriber_queue_size)
+    return CampaignServiceServer((host, port), manager)
 
 
 def serve(host: str, port: int, store_dir: str,
-          ready: Optional[Callable[[CampaignServiceServer], None]] = None
-          ) -> int:
+          ready: Callable[[CampaignServiceServer], None]) -> int:
     """Run the service until interrupted (the ``repro.cli serve`` backend).
 
     Args:
         host: bind address.
         port: bind port (0 picks a free one; the banner shows the choice).
         store_dir: store directory (created if missing).
-        ready: optional callback invoked with the bound server before
-            serving — the CLI prints the banner there, tests capture the
-            server handle.
+        ready: callback invoked with the bound server before serving —
+            the CLI prints the banner there.
 
     Returns:
         Process exit code (0 on a clean Ctrl-C shutdown).
     """
     server = create_server(host=host, port=port, store_dir=store_dir)
-    if ready is not None:
-        ready(server)
+    ready(server)
     try:
         server.serve_forever(poll_interval=0.2)
     except KeyboardInterrupt:

@@ -23,6 +23,11 @@ _STREAM_BYTES = REGISTRY.counter(
     "repro_stream_bytes_total", "Bytes written through the SST brokers")
 
 
+#: Seconds a put or get may block before it raises: a deadlock guard, not a
+#: tuning knob.
+TIMEOUT_S = 30.0
+
+
 class StreamClosedError(RuntimeError):
     """Raised when interacting with a stream whose writer has closed it."""
 
@@ -51,15 +56,16 @@ class SSTBroker:
         self.bytes_written = 0
 
     # -- writer side -------------------------------------------------------- #
-    def put_step(self, step: Step, timeout: Optional[float] = None) -> None:
-        """Enqueue a finished step, blocking while the queue is full."""
+    def put_step(self, step: Step) -> None:
+        """Enqueue a finished step, blocking while the queue is full (up to
+        :data:`TIMEOUT_S`)."""
         with self._lock:
             if self._closed:
                 raise StreamClosedError(f"stream {self.stream_name!r} is closed")
             if len(self._queue) >= self.queue_limit:
                 deadline_ok = self._not_full.wait_for(
                     lambda: len(self._queue) < self.queue_limit or self._closed,
-                    timeout=timeout)
+                    timeout=TIMEOUT_S)
                 if not deadline_ok:
                     raise TimeoutError("timed out waiting for the reader to drain the queue")
                 if self._closed:
@@ -79,11 +85,12 @@ class SSTBroker:
             self._not_full.notify_all()
 
     # -- reader side ----------------------------------------------------------- #
-    def get_step(self, timeout: Optional[float] = None) -> Optional[Step]:
-        """Dequeue the next step; ``None`` signals end of stream."""
+    def get_step(self) -> Optional[Step]:
+        """Dequeue the next step, waiting up to :data:`TIMEOUT_S` for one;
+        ``None`` signals end of stream."""
         with self._lock:
             ready = self._not_empty.wait_for(
-                lambda: self._queue or self._closed, timeout=timeout)
+                lambda: self._queue or self._closed, timeout=TIMEOUT_S)
             if not ready:
                 raise TimeoutError("timed out waiting for the writer to produce a step")
             if not self._queue:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.streaming.broker import SSTBroker
 
@@ -24,16 +24,14 @@ class NoOpConsumer:
     step_times: List[float] = field(default_factory=list)
     step_bytes: List[int] = field(default_factory=list)
 
-    def run(self, max_steps: Optional[int] = None) -> int:
-        """Drain the stream (or ``max_steps`` of it); returns steps consumed."""
-        consumed = 0
-        while max_steps is None or consumed < max_steps:
-            step = self.broker.get_step()
-            if step is None:
-                break
-            start = time.perf_counter()
-            nbytes = step.nbytes
-            self.step_times.append(time.perf_counter() - start)
-            self.step_bytes.append(nbytes)
-            consumed += 1
-        return consumed
+    def run(self) -> int:
+        """Consume the next step (a writer alternates its puts with this);
+        returns 1, or 0 once the stream has ended."""
+        step = self.broker.get_step()
+        if step is None:
+            return 0
+        start = time.perf_counter()
+        nbytes = step.nbytes
+        self.step_times.append(time.perf_counter() - start)
+        self.step_bytes.append(nbytes)
+        return 1

@@ -18,8 +18,6 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.utils.rng import RandomState, seeded_rng
-
 
 class Reducer:
     """Base class of in-stream reducers."""
@@ -54,11 +52,11 @@ class ParticleSubsampleReducer(Reducer):
     preserved in expectation.
     """
 
-    def __init__(self, fraction: float, rng: RandomState = None) -> None:
+    def __init__(self, fraction: float, rng: np.random.Generator) -> None:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("fraction must lie in (0, 1]")
         self.fraction = float(fraction)
-        self.rng = seeded_rng(rng)
+        self.rng = rng
         self._selection_cache: Dict[int, np.ndarray] = {}
 
     def _selection(self, n: int) -> np.ndarray:

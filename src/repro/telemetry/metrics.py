@@ -24,13 +24,13 @@ text exposition format (``# HELP``/``# TYPE`` headers plus one
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.telemetry.state import is_enabled
 
-#: Default histogram bucket upper bounds (seconds): spans sub-millisecond
+#: Histogram bucket upper bounds (seconds), ascending: spans sub-millisecond
 #: settles through minute-scale coupled runs.
-DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 2.5, 5.0,
+BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 2.5, 5.0,
                    10.0, 30.0, 60.0, 120.0)
 
 #: One series key: the label items sorted by label name.
@@ -141,20 +141,15 @@ class Histogram(Metric):
 
     The per-series value map holds ``(bucket_counts, sum, count)``; the
     exposition renders the standard ``_bucket``/``_sum``/``_count``
-    triplet with cumulative ``le`` buckets ending in ``+Inf``.
+    triplet with cumulative ``le`` buckets at :data:`BUCKETS` ending in
+    ``+Inf``.
     """
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "",
-                 buckets: Optional[Iterable[float]] = None) -> None:
+    def __init__(self, name: str, help: str) -> None:
         super().__init__(name, help)
-        bounds = tuple(sorted(float(b) for b in
-                              (DEFAULT_BUCKETS if buckets is None
-                               else buckets)))
-        if not bounds:
-            raise ValueError("a histogram needs at least one bucket bound")
-        self.buckets = bounds
+        self.buckets = BUCKETS
         self._data: Dict[LabelKey, Tuple[List[int], float, int]] = {}
 
     def observe(self, value: float, **labels) -> None:
@@ -204,7 +199,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._metrics: Dict[str, Metric] = {}
 
-    def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Metric:
+    def _get_or_create(self, cls, name: str, help: str) -> Metric:
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
@@ -213,7 +208,7 @@ class MetricsRegistry:
                         f"metric {name!r} is already registered as a "
                         f"{existing.kind}, not a {cls.kind}")
                 return existing
-            metric = cls(name, help, **kwargs)
+            metric = cls(name, help)
             self._metrics[name] = metric
             return metric
 
@@ -221,14 +216,13 @@ class MetricsRegistry:
         """Get or create the :class:`Counter` called ``name``."""
         return self._get_or_create(Counter, name, help)
 
-    def gauge(self, name: str, help: str = "") -> Gauge:
+    def gauge(self, name: str, help: str) -> Gauge:
         """Get or create the :class:`Gauge` called ``name``."""
         return self._get_or_create(Gauge, name, help)
 
-    def histogram(self, name: str, help: str = "",
-                  buckets: Optional[Iterable[float]] = None) -> Histogram:
+    def histogram(self, name: str, help: str) -> Histogram:
         """Get or create the :class:`Histogram` called ``name``."""
-        return self._get_or_create(Histogram, name, help, buckets=buckets)
+        return self._get_or_create(Histogram, name, help)
 
     def collect(self) -> List[Metric]:
         """Every registered metric, sorted by name."""

@@ -80,21 +80,14 @@ class Span:
         """Seconds from start to end, or ``None`` while the span is open."""
         return None if self.end_s is None else self.end_s - self.start_s
 
-    def finish(self, end_s: Optional[float] = None,
-               status: Optional[str] = None) -> "Span":
-        """Close the span (idempotent: an already-set end is kept).
-
-        Args:
-            end_s: explicit end time (default: now).
-            status: overriding status (default: keep the current one).
+    def finish(self) -> "Span":
+        """Close the span now (idempotent: an already-set end is kept).
 
         Returns:
             The span itself, for chaining into a sink's ``emit``.
         """
         if self.end_s is None:
-            self.end_s = time.time() if end_s is None else end_s
-        if status is not None:
-            self.status = status
+            self.end_s = time.time()
         return self
 
     def to_dict(self) -> Dict[str, object]:
@@ -166,8 +159,8 @@ def recording(sink) -> Iterator[None]:
 
 
 @contextmanager
-def span(name: str, attrs: Optional[Dict[str, object]] = None,
-         ctx: Optional[Mapping[str, str]] = None) -> Iterator[Optional[Span]]:
+def span(name: str, attrs: Dict[str, object],
+         ctx: Optional[Mapping[str, str]]) -> Iterator[Optional[Span]]:
     """Open a span under the current one (or a remote ``ctx``), then emit it.
 
     Yields the open :class:`Span` so the body can add attributes — or
@@ -179,7 +172,7 @@ def span(name: str, attrs: Optional[Dict[str, object]] = None,
     Args:
         name: the span name (e.g. ``execute``).
         attrs: initial attributes.
-        ctx: a remote parent's ``{"trace_id", "span_id"}``; without it the
+        ctx: a remote parent's ``{"trace_id", "span_id"}``; with ``None`` the
             parent is the thread's current span (a fresh trace id is
             minted at the root).
     """
@@ -219,7 +212,8 @@ def _close(sink, opened: Span, error: Optional[BaseException]) -> None:
         opened.finish()
     else:
         opened.attrs.setdefault("exception", type(error).__name__)
-        opened.finish(status=STATUS_ERROR)
+        opened.status = STATUS_ERROR
+        opened.finish()
     _STATE.stack.pop()
     sink.emit(opened)
 

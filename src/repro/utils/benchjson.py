@@ -61,7 +61,7 @@ def bench_path(topic: str, directory: str = ".") -> str:
     return os.path.join(directory, f"BENCH_{topic}.json")
 
 
-def git_revision(directory: str = ".") -> Optional[str]:
+def git_revision(directory: str) -> Optional[str]:
     """The short git revision of ``directory``, or ``None`` outside a repo."""
     try:
         out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
@@ -75,7 +75,7 @@ def git_revision(directory: str = ".") -> Optional[str]:
 
 
 def make_record(params: Dict[str, object], metrics: Dict[str, object],
-                directory: str = ".") -> Dict[str, object]:
+                directory: str) -> Dict[str, object]:
     """One run record: UTC timestamp + git revision + params + metrics."""
     return {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -108,7 +108,7 @@ def load_history(path: str) -> Dict[str, object]:
 
 
 def append_run(topic: str, params: Dict[str, object],
-               metrics: Dict[str, object], directory: str = ".") -> str:
+               metrics: Dict[str, object], directory: str) -> str:
     """Append one run record to ``BENCH_<topic>.json``; returns the path.
 
     Creates the file (with the schema header) on first use.  The write is

@@ -38,7 +38,7 @@ def resolve_level(level: Optional[Union[str, int]]) -> int:
     return resolved
 
 
-def setup_logging(level: Optional[Union[str, int]] = None) -> logging.Logger:
+def setup_logging(level: Optional[Union[str, int]]) -> logging.Logger:
     """Configure the ``repro`` logger hierarchy (idempotent).
 
     Installs a single stderr handler with :data:`LOG_FORMAT` on the

@@ -31,24 +31,15 @@ def seeded_rng(seed: RandomState = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_rngs(seed: RandomState, count: int) -> List[np.random.Generator]:
-    """Create ``count`` independent generators derived from ``seed``.
+def spawn_rngs(seed: int, count: int) -> List[np.random.Generator]:
+    """Create ``count`` independent generators derived from the integer
+    ``seed`` (a campaign's: one per resolved run).
 
     Uses :class:`numpy.random.SeedSequence` spawning so the streams are
-    statistically independent; used to give each simulated rank / domain its
-    own stream (mirroring per-GPU RNG state in PIConGPU).
+    statistically independent.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    if isinstance(seed, np.random.Generator):
-        # Derive children deterministically from the generator's own stream,
-        # but through a SeedSequence: seeding each child with a raw
-        # ``integers(0, 2**63 - 1)`` draw can hand two children the same
-        # seed (birthday collisions), silently correlating their streams.
-        # SeedSequence children differ by spawn key even for equal entropy.
-        entropy = [int(value) for value in seed.integers(0, 2**63 - 1, size=4)]
-        seq = np.random.SeedSequence(entropy=entropy)
-        return [np.random.default_rng(child) for child in seq.spawn(count)]
     seq = np.random.SeedSequence(seed)
     return [np.random.default_rng(child) for child in seq.spawn(count)]
 

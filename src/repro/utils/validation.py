@@ -4,19 +4,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import Optional
-
 import numpy as np
 
 
-def check_array(value, name: str, *, dtype=None, ndim: Optional[int] = None,
-                allow_empty: bool = True) -> np.ndarray:
-    """Coerce ``value`` to an ndarray and validate basic structural facts."""
-    arr = np.asarray(value, dtype=dtype)
-    if ndim is not None and arr.ndim != ndim:
+def check_array(value, name: str, *, ndim: int) -> np.ndarray:
+    """Coerce ``value`` to a float64 ndarray of ``ndim`` dimensions."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim != ndim:
         raise ValueError(f"{name} must have ndim={ndim}, got {arr.ndim}")
-    if not allow_empty and arr.size == 0:
-        raise ValueError(f"{name} must not be empty")
     return arr
 
 
@@ -33,11 +28,9 @@ def is_finite_real(value: object) -> bool:
         and math.isfinite(value)
 
 
-def check_positive(value: float, name: str, *, strict: bool = True) -> float:
-    """Validate a (strictly) positive scalar."""
+def check_positive(value: float, name: str) -> float:
+    """Validate a strictly positive scalar."""
     value = float(value)
-    if strict and not value > 0:
+    if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value}")
-    if not strict and value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
     return value

@@ -84,13 +84,12 @@ class WorkflowSession:
 
     PRIMARY_CONSUMER = "mlapp"
 
-    def __init__(self, config: Optional[WorkflowConfig] = None,
-                 driver: Optional[ExecutionDriver] = None,
-                 consumer_specs: Optional[List[ConsumerSpec]] = None,
-                 hooks: Optional[WorkflowHooks] = None) -> None:
-        self.config = config or WorkflowConfig()
-        self.driver = driver or SerialDriver()
-        self.hooks = hooks or WorkflowHooks()
+    def __init__(self, config: WorkflowConfig, driver: ExecutionDriver,
+                 consumer_specs: List[ConsumerSpec],
+                 hooks: WorkflowHooks) -> None:
+        self.config = config
+        self.driver = driver
+        self.hooks = hooks
         cfg = self.config
 
         # --- producer: PIC simulation + streaming output plugin ------------ #
@@ -103,9 +102,6 @@ class WorkflowSession:
         self.partition = RegionPartition(cfg.khi.grid_config, cfg.region_counts)
 
         # --- consumers: one bounded queue + reader series each -------------- #
-        if consumer_specs is None:
-            consumer_specs = [ConsumerSpec(self.PRIMARY_CONSUMER,
-                                           get_consumer_factory("mlapp"))]
         if not consumer_specs:
             raise ValueError("a workflow session needs at least one consumer")
         names = [spec.name for spec in consumer_specs]
@@ -231,7 +227,7 @@ class WorkflowBuilder:
     """
 
     def __init__(self) -> None:
-        self._config: Optional[WorkflowConfig] = None
+        self._config = WorkflowConfig()
         self._driver: Optional[ExecutionDriver] = None
         self._consumer_specs: List[ConsumerSpec] = [
             ConsumerSpec(WorkflowSession.PRIMARY_CONSUMER,
@@ -261,19 +257,11 @@ class WorkflowBuilder:
         return self
 
     # -- consumers -------------------------------------------------------------- #
-    def add_consumer(self, name: str, kind: Optional[str] = None,
-                     factory: Optional[ConsumerFactory] = None) -> "WorkflowBuilder":
-        """Attach an additional named consumer to the stream.
-
-        Provide either a registered ``kind`` (see
-        :func:`repro.workflow.consumers.available_consumers`) or a custom
-        ``factory``; by default ``kind=name`` is assumed.
-        """
-        if factory is None:
-            factory = get_consumer_factory(kind or name)
-        elif kind is not None:
-            raise ValueError("pass either kind or factory, not both")
-        self._consumer_specs.append(ConsumerSpec(name, factory))
+    def add_consumer(self, name: str, kind: str) -> "WorkflowBuilder":
+        """Attach an additional consumer called ``name``, of a registered
+        ``kind`` (see :func:`repro.workflow.consumers.available_consumers`),
+        to the stream."""
+        self._consumer_specs.append(ConsumerSpec(name, get_consumer_factory(kind)))
         return self
 
     # -- lifecycle hooks ---------------------------------------------------------- #
@@ -290,6 +278,7 @@ class WorkflowBuilder:
         hooks = WorkflowHooks(on_step=list(self._hooks.on_step),
                               on_iteration_consumed=list(
                                   self._hooks.on_iteration_consumed))
-        return WorkflowSession(config=self._config, driver=self._driver,
+        return WorkflowSession(config=self._config,
+                               driver=self._driver or SerialDriver(),
                                consumer_specs=list(self._consumer_specs),
                                hooks=hooks)

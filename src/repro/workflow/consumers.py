@@ -66,7 +66,7 @@ class MLAppConsumer(StreamConsumer):
     """The paper's MLapp as a session consumer: trains the VAE+INN in transit."""
 
     def __init__(self, name: str, series: Series, session: "WorkflowSession",
-                 rng: RandomState = None) -> None:
+                 rng: np.random.Generator) -> None:
         super().__init__(name)
         self.mlapp = MLApp(series, session.config.ml, rng=rng)
         self.keep_for_evaluation = 0
@@ -74,8 +74,8 @@ class MLAppConsumer(StreamConsumer):
     def configure_run(self, keep_for_evaluation: int) -> None:
         self.keep_for_evaluation = int(keep_for_evaluation)
 
-    def consume(self, max_iterations: Optional[int] = None,
-                on_iteration: Optional[IterationCallback] = None) -> int:
+    def consume(self, max_iterations: Optional[int] = None, *,
+                on_iteration: IterationCallback) -> int:
         consumed = self.mlapp.consume(max_iterations=max_iterations,
                                       keep_for_evaluation=self.keep_for_evaluation,
                                       on_iteration=on_iteration)
@@ -93,6 +93,12 @@ class MLAppConsumer(StreamConsumer):
         }
 
 
+#: Bins of the monitor's momentum histogram and the ``gamma beta`` range
+#: ``(-MONITOR_RANGE, MONITOR_RANGE)`` they span.
+MONITOR_BINS = 16
+MONITOR_RANGE = 0.5
+
+
 class HistogramMonitorConsumer(StreamConsumer):
     """A monitoring consumer: histograms momenta, averages spectra, trains nothing.
 
@@ -101,18 +107,16 @@ class HistogramMonitorConsumer(StreamConsumer):
     the trainer (or even about the raw particle records).
     """
 
-    def __init__(self, name: str, series: Series, n_bins: int = 16,
-                 momentum_range: float = 0.5) -> None:
+    def __init__(self, name: str, series: Series) -> None:
         super().__init__(name)
         self.series = series
-        self.n_bins = int(n_bins)
-        self.bin_edges = np.linspace(-momentum_range, momentum_range, self.n_bins + 1)
-        self.momentum_counts = np.zeros(self.n_bins, dtype=np.int64)
+        self.bin_edges = np.linspace(-MONITOR_RANGE, MONITOR_RANGE, MONITOR_BINS + 1)
+        self.momentum_counts = np.zeros(MONITOR_BINS, dtype=np.int64)
         self.spectrum_sum: Optional[np.ndarray] = None
         self.per_step_sample_counts: Dict[int, int] = {}
 
-    def consume(self, max_iterations: Optional[int] = None,
-                on_iteration: Optional[IterationCallback] = None) -> int:
+    def consume(self, max_iterations: Optional[int] = None, *,
+                on_iteration: IterationCallback) -> int:
         consumed = 0
         for step in self.series.read_iterations():
             clouds = step.arrays[POINT_CLOUDS]
@@ -128,8 +132,7 @@ class HistogramMonitorConsumer(StreamConsumer):
             self.iterations_consumed += 1
             self.samples_consumed += n_samples
             consumed += 1
-            if on_iteration is not None:
-                on_iteration(step.index, n_samples)
+            on_iteration(step.index, n_samples)
             if max_iterations is not None and consumed >= max_iterations:
                 break
         return consumed

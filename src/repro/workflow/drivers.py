@@ -172,6 +172,12 @@ class SerialDriver(ExecutionDriver):
                          consumer_summaries=_collect_summaries(session))
 
 
+#: Seconds the producer waits for the consumers to make room in the stream,
+#: and seconds the run waits for its threads to finish, before giving up.
+WAIT_TIMEOUT_S = 60.0
+JOIN_TIMEOUT_S = 300.0
+
+
 class PipelinedDriver(ExecutionDriver):
     """The simulation in a producer thread, every consumer in its own thread.
 
@@ -186,13 +192,10 @@ class PipelinedDriver(ExecutionDriver):
 
     name = "pipelined"
 
-    def __init__(self, max_in_flight: Optional[int] = None,
-                 join_timeout: float = 300.0, wait_timeout: float = 60.0) -> None:
+    def __init__(self, max_in_flight: Optional[int] = None) -> None:
         if max_in_flight is not None and max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
         self.max_in_flight = max_in_flight
-        self.join_timeout = float(join_timeout)
-        self.wait_timeout = float(wait_timeout)
 
     def execute(self, session: "WorkflowSession", n_steps: int) -> RunResult:
         lock = threading.Lock()
@@ -221,11 +224,11 @@ class PipelinedDriver(ExecutionDriver):
             with condition:
                 done = condition.wait_for(
                     lambda: in_flight() < limit or abort.is_set(),
-                    timeout=self.wait_timeout)
+                    timeout=WAIT_TIMEOUT_S)
             if not done:
                 raise TimeoutError(
                     "pipelined back-pressure stalled: no consumer drained the "
-                    f"stream for {self.wait_timeout:.0f} s")
+                    f"stream for {WAIT_TIMEOUT_S:.0f} s")
 
         def produce() -> None:
             try:
@@ -287,7 +290,7 @@ class PipelinedDriver(ExecutionDriver):
                                         name="workflow-producer", daemon=True))
         for thread in threads:
             thread.start()
-        deadline = time.monotonic() + self.join_timeout
+        deadline = time.monotonic() + JOIN_TIMEOUT_S
         stuck = []
         for thread in threads:
             thread.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -296,7 +299,7 @@ class PipelinedDriver(ExecutionDriver):
         if stuck:
             abort.set()
             timeout_error = TimeoutError(
-                f"threads did not finish within {self.join_timeout:.0f} s: "
+                f"threads did not finish within {JOIN_TIMEOUT_S:.0f} s: "
                 f"{', '.join(stuck)}")
             with lock:
                 if context["producer_error"] is None:

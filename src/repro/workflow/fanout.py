@@ -18,7 +18,7 @@ argues for.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.streaming.broker import SSTBroker, StreamClosedError
 from repro.streaming.step import Step
@@ -48,15 +48,14 @@ class FanOutBroker:
         self.bytes_written = 0
 
     # -- writer interface (what the writer Series calls) -------------------- #
-    def put_step(self, step: Step, timeout: Optional[float] = None) -> None:
+    def put_step(self, step: Step) -> None:
         """Present one step to every live downstream queue."""
         delivered = 0
         for broker in self.downstreams:
             if broker.closed:
                 continue
             try:
-                broker.put_step(step if delivered == 0 else _copy_step(step),
-                                timeout=timeout)
+                broker.put_step(step if delivered == 0 else _copy_step(step))
             except StreamClosedError:
                 continue  # the consumer went away between the check and the put
             delivered += 1

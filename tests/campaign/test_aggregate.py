@@ -139,11 +139,11 @@ class TestStatusDocument:
     def test_runs_per_sec_counts_executed_runs_only(self):
         records = [record("a", 1.0, 1e-3, elapsed=2.0),
                    record("b", 1.0, 1e-3, elapsed=7.5, cached=True)]
-        document = status_document("study", 4, records)
+        document = status_document("study", 4, records, None)
         assert document["runs_per_sec"] == 0.5
         assert document["cached"] == 1
 
     def test_runs_per_sec_is_none_until_something_executed(self):
-        assert status_document("study", 4, [])["runs_per_sec"] is None
+        assert status_document("study", 4, [], None)["runs_per_sec"] is None
         cached = [record("a", 1.0, 1e-3, elapsed=5.0, cached=True)]
-        assert status_document("study", 4, cached)["runs_per_sec"] is None
+        assert status_document("study", 4, cached, None)["runs_per_sec"] is None

@@ -148,7 +148,8 @@ class TestExecutors:
         with pytest.raises(ValueError, match="valid executors: serial, workers$"):
             get_executor("quantum")
 
-    def test_default_pool_workers_is_machine_derived_and_bounded(self):
+    def test_default_pool_workers_is_machine_derived_and_bounded(
+            self, monkeypatch):
         import os as os_module
 
         from repro.campaign import default_pool_workers
@@ -157,7 +158,9 @@ class TestExecutors:
         value = default_pool_workers()
         assert 2 <= value <= DEFAULT_MAX_POOL_WORKERS
         assert value <= max(2, os_module.cpu_count() or 1)
-        assert default_pool_workers(maximum=3) <= 3
+        monkeypatch.setattr("repro.campaign.scheduler.DEFAULT_MAX_POOL_WORKERS",
+                            3)
+        assert default_pool_workers() <= 3
 
     @pytest.mark.parametrize("name", ("serial", "workers"))
     def test_executor_runs_every_payload(self, name, fork_workers):

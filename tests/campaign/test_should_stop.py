@@ -53,8 +53,8 @@ EXECUTORS = {
 
 
 @pytest.fixture
-def pool():
-    pool = WorkerPool(2, start_method="fork", heartbeat_interval=0.05)
+def pool(fast_heartbeat):
+    pool = WorkerPool(2, start_method="fork")
     yield pool
     pool.shutdown()
 

@@ -21,6 +21,7 @@ from repro.campaign import (CampaignSpec, CampaignStore, WorkerPool,
                             WorkerPoolExecutor, aggregate,
                             get_campaign_preset, get_executor, run_campaign,
                             shared_pool, shutdown_shared_pools)
+from repro.campaign import workers
 from repro.campaign.store import STATUS_COMPLETED, STATUS_FAILED
 
 
@@ -127,9 +128,8 @@ def with_config(payloads, **extra):
 
 
 @pytest.fixture
-def pool():
-    pool = WorkerPool(2, start_method="fork", heartbeat_interval=0.05,
-                      liveness_timeout=5.0)
+def pool(fast_heartbeat):
+    pool = WorkerPool(2, start_method="fork")
     yield pool
     pool.shutdown()
 
@@ -138,7 +138,7 @@ class TestWorkerPoolBasics:
     def test_records_in_submission_order_with_serialized_observer(self, pool):
         payloads = smoke_payloads()
         seen = []
-        records = pool.run(payloads, fake_worker, on_record=seen.append)
+        records = pool.run(payloads, fake_worker, {}, on_record=seen.append)
         assert [r.run_id for r in records] == [p["run_id"] for p in payloads]
         assert all(r.completed and r.attempts == 1 for r in records)
         assert sorted(r.run_id for r in seen) == \
@@ -146,62 +146,58 @@ class TestWorkerPoolBasics:
 
     def test_workers_stay_warm_across_runs(self, pool):
         payloads = smoke_payloads()
-        pool.run(payloads, fake_worker)
+        pool.run(payloads, fake_worker, {})
         pids = pool.worker_pids()
-        pool.run(payloads, fake_worker)
+        pool.run(payloads, fake_worker, {})
         assert pool.worker_pids() == pids
         assert all(pid is not None for pid in pids)
 
     def test_exceptions_are_captured_not_raised(self, pool):
-        records = pool.run(smoke_payloads(repetitions=1), exploding_worker)
+        records = pool.run(smoke_payloads(repetitions=1), exploding_worker, {})
         assert all(r.status == STATUS_FAILED for r in records)
         assert all("kaboom" in r.error for r in records)
 
     def test_duplicate_run_ids_keep_their_own_records(self, pool):
         payload = smoke_payloads(repetitions=1)[0]
         twin = dict(payload, index=1)
-        records = pool.run([payload, twin], fake_worker)
+        records = pool.run([payload, twin], fake_worker, {})
         assert len(records) == 2
         assert [r.index for r in records] == [payload["index"], 1]
 
     def test_empty_payloads(self, pool):
-        assert pool.run([], fake_worker) == []
+        assert pool.run([], fake_worker, {}) == []
 
     def test_timeout_is_applied_inside_the_worker(self, pool):
         payloads = with_config(smoke_payloads(repetitions=1)[:1], sleep_s=0.1)
-        record = pool.run(payloads, slow_worker, timeout=0.01)[0]
+        record = pool.run(payloads, slow_worker, {}, timeout=0.01)[0]
         assert record.completed
         assert "TimeoutWarning" in record.error
 
     def test_unpicklable_worker_becomes_failed_records(self, pool):
         records = pool.run(smoke_payloads(repetitions=1),
-                           lambda payload: {"ok": True})
+                           lambda payload: {"ok": True}, {})
         assert all(r.status == STATUS_FAILED for r in records)
         assert all("DispatchError" in r.error for r in records)
         # the pool survives a dispatch failure and keeps serving
         assert all(r.completed for r in pool.run(smoke_payloads(repetitions=1),
-                                                 fake_worker))
+                                                 fake_worker, {}))
 
     def test_invalid_arguments(self, pool):
         with pytest.raises(ValueError):
             WorkerPool(0)
         with pytest.raises(ValueError):
-            WorkerPool(2, heartbeat_interval=0.0)
-        with pytest.raises(ValueError):
-            pool.run(smoke_payloads(), fake_worker, capacity=0)
-        with pytest.raises(ValueError):
-            pool.run(smoke_payloads(), fake_worker, max_requeues=-1)
+            WorkerPool(2, start_method="teleport")
 
     def test_shutdown_pool_refuses_new_work(self):
         pool = WorkerPool(1, start_method="fork")
         pool.shutdown()
         with pytest.raises(RuntimeError, match="shut down"):
-            pool.run(smoke_payloads(repetitions=1), fake_worker)
+            pool.run(smoke_payloads(repetitions=1), fake_worker, {})
 
     def test_one_pipe_message_per_run(self, pool):
         """Dispatch is run-granular: as many messages as runs."""
         payloads = smoke_payloads()
-        pool.run(payloads, fake_worker)
+        pool.run(payloads, fake_worker, {})
         assert pool.counters["dispatched_runs"] == len(payloads)
         assert pool.counters["dispatched_batches"] == len(payloads)
 
@@ -210,7 +206,7 @@ class TestDispatchShape:
     def test_two_runs_execute_on_two_workers_at_once(self, pool):
         """Breadth-first: with two runs and two workers nobody idles —
         the barrier only opens if both runs execute concurrently."""
-        records = pool.run(smoke_payloads(repetitions=1), barrier_worker)
+        records = pool.run(smoke_payloads(repetitions=1), barrier_worker, {})
         assert all(r.completed for r in records), [r.error for r in records]
         assert len({r.summary["pid"] for r in records}) == 2
 
@@ -220,7 +216,7 @@ class TestDispatchShape:
         payloads = smoke_payloads()
         result = {}
         thread = threading.Thread(target=lambda: result.update(
-            records=pool.run(payloads[:3], gated_worker, capacity=2)))
+            records=pool.run(payloads[:3], gated_worker, {})))
         thread.start()
         wait_for(lambda: pool.stats()["dispatched_runs"] == 3,
                  message="three dispatches")
@@ -237,7 +233,7 @@ class TestDispatchShape:
         payloads = smoke_payloads()
         result = {}
         thread = threading.Thread(target=lambda: result.update(
-            records=pool.run(payloads, gated_worker, capacity=2)))
+            records=pool.run(payloads, gated_worker, {})))
         thread.start()
         wait_for(lambda: pool.stats()["dispatched_runs"] == 4,
                  message="the pool to fill")
@@ -257,9 +253,8 @@ class TestCooperativeStop:
         seen, stats, result = [], {}, {}
         stop = threading.Event()
         thread = threading.Thread(target=lambda: result.update(
-            records=pool.run(payloads, gated_worker, on_record=seen.append,
-                             should_stop=stop.is_set, capacity=2,
-                             counters=stats)))
+            records=pool.run(payloads, gated_worker, stats,
+                             on_record=seen.append, should_stop=stop.is_set)))
         thread.start()
         wait_for(lambda: pool.stats()["dispatched_runs"] == 4,
                  message="the pool to fill")
@@ -280,7 +275,7 @@ class TestCooperativeStop:
 
     def test_stop_before_anything_started(self, pool):
         payloads = smoke_payloads(repetitions=1)
-        assert pool.run(payloads, fake_worker, should_stop=lambda: True) == \
+        assert pool.run(payloads, fake_worker, {}, should_stop=lambda: True) == \
             [None, None]
         assert pool.stats()["dispatched_runs"] == 0
 
@@ -362,7 +357,7 @@ class TestConcurrentLeases:
 
         def launch(n):
             try:
-                results[n] = pool.run(payload_sets[n], fake_worker)
+                results[n] = pool.run(payload_sets[n], fake_worker, {})
             except BaseException as error:  # noqa: BLE001 - reported below
                 errors.append(error)
 
@@ -396,7 +391,7 @@ class TestCrashRequeue:
         attempt counts)."""
         payloads = with_config(smoke_payloads(), marker_dir=str(tmp_path),
                                crash_ids="all")
-        records = pool.run(payloads, crash_once_worker)
+        records = pool.run(payloads, crash_once_worker, {})
         serial = get_executor("serial").execute(payloads, crash_once_worker)
         assert [r.run_id for r in records] == [r.run_id for r in serial]
         assert all(r.completed for r in records)
@@ -405,34 +400,35 @@ class TestCrashRequeue:
         assert aggregate(records).deterministic_dict() == \
             aggregate(serial).deterministic_dict()
 
-    def test_poison_run_fails_after_bounded_requeues(self, pool, tmp_path):
+    def test_poison_run_fails_after_bounded_requeues(self, pool, tmp_path,
+                                                     monkeypatch):
         """A run that reliably kills its worker must not requeue forever:
-        after max_requeues worker deaths it gets a failed record, and the
+        after MAX_REQUEUES worker deaths it gets a failed record, and the
         rest of the campaign still completes."""
+        monkeypatch.setattr(workers, "MAX_REQUEUES", 1)
         payloads = smoke_payloads()
         poison_id = payloads[3]["run_id"]
         payloads[3] = dict(payloads[3],
                            config=dict(payloads[3]["config"], poison=True))
 
-        records = pool.run(payloads, poison_worker,
-                           max_requeues=1)
+        records = pool.run(payloads, poison_worker, {})
         by_id = {r.run_id: r for r in records}
         assert by_id[poison_id].status == STATUS_FAILED
         assert "WorkerCrashError" in by_id[poison_id].error
         others = [r for r in records if r.run_id != poison_id]
         assert all(r.completed for r in others)
 
-    def test_a_crash_is_charged_to_the_executing_run_only(self):
+    def test_a_crash_is_charged_to_the_executing_run_only(self, fast_heartbeat,
+                                                          monkeypatch):
         """A run prefetched behind a poison run is innocent: with
-        ``max_requeues=0`` only the poison run may fail."""
-        pool = WorkerPool(1, start_method="fork", heartbeat_interval=0.05,
-                          liveness_timeout=5.0)
+        ``MAX_REQUEUES = 0`` only the poison run may fail."""
+        monkeypatch.setattr(workers, "MAX_REQUEUES", 0)
+        pool = WorkerPool(1, start_method="fork")
         try:
             payloads = smoke_payloads(repetitions=1)   # 2 runs, 1 worker
             payloads[0] = dict(payloads[0],
                                config=dict(payloads[0]["config"], poison=True))
-            poisoned, neighbour = pool.run(payloads, poison_worker,
-                                           capacity=2, max_requeues=0)
+            poisoned, neighbour = pool.run(payloads, poison_worker, {})
         finally:
             pool.shutdown()
         assert poisoned.status == STATUS_FAILED
@@ -443,13 +439,13 @@ class TestCrashRequeue:
     def test_externally_killed_worker_is_detected_and_replaced(self, pool):
         """SIGKILL from outside (OOM killer, operator) while runs are in
         flight: liveness detection requeues and the campaign completes."""
-        assert pool.wait_ready(timeout=30)
+        assert pool.wait_ready()
         victim = next(pid for pid in pool.worker_pids() if pid is not None)
         payloads = with_config(smoke_payloads(), sleep_s=0.2)
         result = {}
 
         def launch():
-            result["records"] = pool.run(payloads, slow_worker)
+            result["records"] = pool.run(payloads, slow_worker, {})
 
         thread = threading.Thread(target=launch)
         thread.start()
@@ -476,14 +472,14 @@ class TestAbortedLease:
         # two runs, two workers: the ungated one answers, the observer
         # raises, and the lease ends with the gated one parked on a worker
         with pytest.raises(OSError):
-            pool.run(payloads, gated_worker, on_record=unwritable_store)
+            pool.run(payloads, gated_worker, {}, on_record=unwritable_store)
         assert sorted(loads(pool)) == [0, 1]
         gate.set()
         # four runs over three free slots: the parked worker gets one, and
         # its pipe is first-in-first-out, so the late result is read (and
         # dropped) before this launch can finish
         later = smoke_payloads(repetitions=2)
-        again = pool.run(later, fake_worker)
+        again = pool.run(later, fake_worker, {})
         assert [r.run_id for r in again] == [p["run_id"] for p in later]
         assert [r.summary for r in again] == [fake_worker(p) for p in later]
         assert pool.counters["stale_results_dropped"] == 1
@@ -496,10 +492,6 @@ class TestWorkerPoolExecutor:
                                 timeout=5.0)
         assert isinstance(executor, WorkerPoolExecutor)
         assert executor.max_workers == 3
-        with pytest.raises(ValueError):
-            WorkerPoolExecutor(capacity=0)
-        with pytest.raises(ValueError):
-            WorkerPoolExecutor(max_requeues=-1)
 
     def test_executor_reports_per_call_stats(self, pool):
         executor = WorkerPoolExecutor(max_workers=2, pool=pool)

@@ -180,17 +180,21 @@ class TestCampaignStatusAndReport:
 @contextlib.contextmanager
 def live_service(tmp_path):
     """An in-thread campaign service (real worker) for submit/watch tests."""
+    from repro.service import bus, jobs
     from repro.service.server import create_server
 
-    server = create_server(store_dir=str(tmp_path / "svc"), keepalive_s=0.5)
-    thread = threading.Thread(target=server.serve_forever,
-                              kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    try:
-        yield server.url
-    finally:
-        server.shutdown_service(timeout=10)
-        thread.join(timeout=5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bus, "KEEPALIVE_S", 0.5)
+        patch.setattr(jobs, "JOIN_TIMEOUT_S", 10.0)
+        server = create_server(store_dir=str(tmp_path / "svc"))
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
+        thread.start()
+        try:
+            yield server.url
+        finally:
+            server.shutdown_service()
+            thread.join(timeout=5)
 
 
 class TestServiceCLI:
@@ -268,3 +272,32 @@ class TestServiceCLI:
         finally:
             process.send_signal(signal.SIGINT)
             assert process.wait(timeout=15) == 0
+
+    def test_serve_shuts_down_on_sigterm(self, tmp_path):
+        """A shell starts a background job with SIGINT ignored, so
+        ``kill`` (SIGTERM) is how such a service is stopped: it shuts
+        down as on Ctrl-C and exits 0."""
+        import signal
+        import subprocess
+        import sys as _sys
+
+        from repro.service.client import ServiceClient
+
+        process = subprocess.Popen(
+            [_sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0",
+             "--store-dir", str(tmp_path / "svc")],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+        try:
+            banner = process.stdout.readline()
+            url = [word for word in banner.split()
+                   if word.startswith("http://")][0]
+            assert ServiceClient(url).wait_ready(timeout=10)["status"] == "ok"
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=15) == 0
+            assert process.stdout.read().splitlines() == [
+                "campaign service stopped"]
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()

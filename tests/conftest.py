@@ -33,6 +33,16 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
+def fast_heartbeat(monkeypatch) -> None:
+    """Worker pools built in the test heartbeat every 50 ms and declare a
+    worker dead after 5 s of silence."""
+    from repro.campaign import workers
+
+    monkeypatch.setattr(workers, "HEARTBEAT_INTERVAL_S", 0.05)
+    monkeypatch.setattr(workers, "LIVENESS_TIMEOUT_S", 5.0)
+
+
+@pytest.fixture
 def short_training(monkeypatch) -> None:
     """Cut the ``bench-train`` case to 2 timed iterations after 1 warmup."""
     from repro.workflow import train_hotpath

@@ -11,7 +11,7 @@ from repro.continual import InTransitTrainer, TrainingBuffer, TrainingSample
 from repro.continual.buffer import (PAPER_EP_BUFFER_SIZE, PAPER_N_EP, PAPER_N_NOW,
                                     PAPER_NOW_BUFFER_SIZE)
 from repro.mlcore.optim import Adam, make_block_param_groups
-from repro.models import ArtificialScientistModel
+from repro.models import ArtificialScientistModel, CombinedLoss
 from repro.models.config import POINT_DIM, ModelConfig
 
 
@@ -34,8 +34,8 @@ class TestTrainingSample:
 
 
 class TestTrainingBuffer:
-    def test_paper_defaults(self):
-        buffer = TrainingBuffer()
+    def test_paper_defaults(self, rng):
+        buffer = TrainingBuffer(rng=rng)
         assert buffer.now_size == PAPER_NOW_BUFFER_SIZE == 10
         assert buffer.ep_size == PAPER_EP_BUFFER_SIZE == 20
         assert buffer.n_now == PAPER_N_NOW == 4
@@ -59,25 +59,25 @@ class TestTrainingBuffer:
         assert buffer.total_evicted == 20 - 2 - 4
 
     def test_sample_batch_mixture(self, rng):
-        buffer = TrainingBuffer(now_size=5, ep_size=10, n_now=3, n_ep=2, rng=rng)
+        buffer = TrainingBuffer(now_size=5, ep_size=10, n_ep=2, rng=rng)
         for step in range(20):
             buffer.add(make_sample(step, rng))
         batch = buffer.sample_batch()
-        assert len(batch) == 5
+        assert len(batch) == 6
         now_steps = set([s.step for s in buffer._now])
         from_now = sum(1 for s in batch if s.step in now_steps)
-        assert from_now == 3
+        assert from_now == PAPER_N_NOW == 4
 
     def test_sample_before_ep_filled_uses_now_only(self, rng):
-        buffer = TrainingBuffer(now_size=10, ep_size=20, n_now=4, n_ep=4, rng=rng)
+        buffer = TrainingBuffer(now_size=10, ep_size=20, n_ep=4, rng=rng)
         buffer.add(make_sample(0, rng))
         batch = buffer.sample_batch()
         assert len(batch) == 8
         assert all(s.step == 0 for s in batch)
 
-    def test_sample_empty_raises(self):
+    def test_sample_empty_raises(self, rng):
         with pytest.raises(RuntimeError):
-            TrainingBuffer().sample_batch()
+            TrainingBuffer(rng=rng).sample_batch()
 
     def test_batch_arrays_shapes(self, rng):
         buffer = TrainingBuffer(rng=rng)
@@ -96,11 +96,11 @@ class TestTrainingBuffer:
         old_in_ep = [s for s in [s.step for s in buffer._ep] if s < 80]
         assert len(old_in_ep) > 0
 
-    def test_invalid_configuration(self):
+    def test_invalid_configuration(self, rng):
         with pytest.raises(ValueError):
-            TrainingBuffer(now_size=0)
+            TrainingBuffer(now_size=0, rng=rng)
         with pytest.raises(ValueError):
-            TrainingBuffer(n_now=0, n_ep=0)
+            TrainingBuffer(n_ep=-1, rng=rng)
 
     @given(st.integers(1, 8), st.integers(0, 8), st.integers(1, 40))
     @settings(max_examples=20, deadline=None)
@@ -122,7 +122,8 @@ class TestInTransitTrainer:
                                          base_lr=1e-3, m_vae=1.0)
         optimizer = Adam(groups, lr=1e-3)
         buffer = TrainingBuffer(rng=rng)
-        return InTransitTrainer(model, optimizer, buffer, n_rep=n_rep)
+        return InTransitTrainer(model, optimizer, buffer, CombinedLoss(),
+                                n_rep=n_rep)
 
     def test_train_on_stream_step_runs_n_rep_iterations(self, rng):
         trainer = self.make_trainer(rng, n_rep=3)
@@ -169,4 +170,4 @@ class TestInTransitTrainer:
         model = ArtificialScientistModel(CFG, rng=rng)
         with pytest.raises(ValueError):
             InTransitTrainer(model, Adam(model.parameters(), lr=1e-3),
-                             TrainingBuffer(), n_rep=0)
+                             TrainingBuffer(rng=rng), CombinedLoss(), n_rep=0)

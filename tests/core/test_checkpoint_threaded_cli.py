@@ -12,7 +12,7 @@ from repro.continual import InTransitTrainer, TrainingBuffer, TrainingSample
 from repro.core import checkpoint
 from repro.core.checkpoint import load_checkpoint, save_checkpoint
 from repro.mlcore.optim import Adam
-from repro.models import ArtificialScientistModel, ModelConfig
+from repro.models import ArtificialScientistModel, CombinedLoss, ModelConfig
 from repro.workflow import WorkflowBuilder
 from tests.core.test_artificial_scientist import tiny_config
 
@@ -25,7 +25,7 @@ SMALL = ModelConfig(n_input_points=24, encoder_channels=(12, 24), encoder_head_h
 def make_trained_trainer(rng, n_iterations=3):
     model = ArtificialScientistModel(SMALL, rng=rng)
     trainer = InTransitTrainer(model, Adam(model.parameters(), lr=1e-3),
-                               TrainingBuffer(rng=rng), n_rep=1)
+                               TrainingBuffer(rng=rng), CombinedLoss(), n_rep=1)
     samples = [TrainingSample(point_cloud=rng.normal(size=(SMALL.n_input_points, 6)),
                               spectrum=rng.random(SMALL.spectrum_dim), step=i,
                               region="approaching")
@@ -33,6 +33,13 @@ def make_trained_trainer(rng, n_iterations=3):
     for i, sample in enumerate(samples):
         trainer.train_on_stream_step([sample], step=i)
     return model, trainer
+
+
+def trainer_for(model):
+    """A fresh trainer of ``model`` for a checkpoint to load into."""
+    return InTransitTrainer(model, Adam(model.parameters(), lr=1e-3),
+                            TrainingBuffer(rng=np.random.default_rng(98)),
+                            CombinedLoss(), n_rep=1)
 
 
 class TestCheckpoint:
@@ -47,6 +54,7 @@ class TestCheckpoint:
         fresh_trainer = InTransitTrainer(fresh_model,
                                          Adam(fresh_model.parameters(), lr=1e-3),
                                          TrainingBuffer(rng=np.random.default_rng(98)),
+                                         CombinedLoss(),
                                          n_rep=1)
         manifest = load_checkpoint(directory, fresh_model, fresh_trainer)
         assert manifest["step"] == 3
@@ -88,6 +96,7 @@ class TestCheckpoint:
         fresh = ArtificialScientistModel(SMALL, rng=np.random.default_rng(99))
         fresh_trainer = InTransitTrainer(fresh, Adam(fresh.parameters(), lr=1e-3),
                                          TrainingBuffer(rng=np.random.default_rng(98)),
+                                         CombinedLoss(),
                                          n_rep=1)
         manifest = load_checkpoint(directory, fresh, fresh_trainer)
         with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as handle:
@@ -108,7 +117,7 @@ class TestCheckpoint:
         trainer.train_iteration(step=4)
         save_checkpoint(directory, model, trainer, step=4)
         fresh = ArtificialScientistModel(SMALL, rng=np.random.default_rng(99))
-        manifest = load_checkpoint(directory, fresh)
+        manifest = load_checkpoint(directory, fresh, trainer_for(fresh))
         assert (manifest["step"], manifest["training_iterations"]) == (4, 4)
         assert sorted(os.listdir(directory)) == sorted(["manifest.json", manifest["state"]])
         for name, value in model.state_dict().items():
@@ -117,13 +126,13 @@ class TestCheckpoint:
     def test_load_missing_checkpoint(self, rng, tmp_path):
         model = ArtificialScientistModel(SMALL, rng=rng)
         with pytest.raises(FileNotFoundError):
-            load_checkpoint(str(tmp_path / "missing"), model)
+            load_checkpoint(str(tmp_path / "missing"), model, trainer_for(model))
 
     def test_the_manifest_records_the_training_state(self, rng, tmp_path):
         model, trainer = make_trained_trainer(rng)
         info = save_checkpoint(str(tmp_path / "ckpt"), model, trainer, step=7)
-        manifest = load_checkpoint(info.directory,
-                                   ArtificialScientistModel(SMALL, rng=rng))
+        fresh = ArtificialScientistModel(SMALL, rng=rng)
+        manifest = load_checkpoint(info.directory, fresh, trainer_for(fresh))
         assert manifest["step"] == info.step == 7
         assert manifest["training_iterations"] == info.training_iterations == 3
         assert manifest["samples_consumed"] == trainer.samples_consumed == 3
@@ -141,6 +150,7 @@ class TestCheckpoint:
         fresh = ArtificialScientistModel(SMALL, rng=np.random.default_rng(99))
         fresh_trainer = InTransitTrainer(fresh, Adam(fresh.parameters(), lr=1e-3),
                                          TrainingBuffer(rng=np.random.default_rng(98)),
+                                         CombinedLoss(),
                                          n_rep=1)
         load_checkpoint(directory, fresh, fresh_trainer)
         assert fresh_trainer.history.steps == trainer.history.steps
@@ -156,13 +166,14 @@ class TestCheckpoint:
     def test_an_untrained_trainer_checkpoints_and_loads(self, rng, tmp_path):
         model = ArtificialScientistModel(SMALL, rng=rng)
         trainer = InTransitTrainer(model, Adam(model.parameters(), lr=1e-3),
-                                   TrainingBuffer(rng=rng), n_rep=1)
+                                   TrainingBuffer(rng=rng), CombinedLoss(), n_rep=1)
         directory = str(tmp_path / "ckpt")
         info = save_checkpoint(directory, model, trainer, step=0)
         assert (info.training_iterations, info.n_buffer_samples) == (0, 0)
         fresh = ArtificialScientistModel(SMALL, rng=np.random.default_rng(99))
         fresh_trainer = InTransitTrainer(fresh, Adam(fresh.parameters(), lr=1e-3),
                                          TrainingBuffer(rng=np.random.default_rng(98)),
+                                         CombinedLoss(),
                                          n_rep=1)
         load_checkpoint(directory, fresh, fresh_trainer)
         assert len(fresh_trainer.history) == 0 and len(fresh_trainer.buffer) == 0
@@ -179,16 +190,7 @@ class TestCheckpoint:
                         decoder_channels=(8, 6), spectrum_dim=8, inn_blocks=3,
                         inn_hidden=(16,)), rng=rng)
         with pytest.raises(KeyError, match="state dict mismatch"):
-            load_checkpoint(directory, other)
-
-    def test_model_only_load(self, rng, tmp_path):
-        model, trainer = make_trained_trainer(rng)
-        directory = str(tmp_path / "ckpt2")
-        save_checkpoint(directory, model, trainer, step=1)
-        other = ArtificialScientistModel(SMALL, rng=np.random.default_rng(5))
-        load_checkpoint(directory, other)
-        np.testing.assert_allclose(other.state_dict()["vae.encoder.mu_head.net.0.weight"],
-                                   model.state_dict()["vae.encoder.mu_head.net.0.weight"])
+            load_checkpoint(directory, other, trainer_for(other))
 
 
 class TestThreadedRunner:

@@ -211,10 +211,10 @@ class TestMakeTrainingSamples:
         partition = RegionPartition(cfg.grid_config, (1, 2, 1))
         with pytest.raises(ValueError):
             make_training_samples(electrons, electrons.momenta[:5], detector, partition,
-                                  n_points=8, step=0, time=0.0, dt=1e-13)
+                                  n_points=8, step=0, time=0.0, dt=1e-13, rng=rng)
         with pytest.raises(ValueError):
             make_training_samples(electrons, electrons.momenta.copy(), detector, partition,
-                                  n_points=8, step=0, time=0.0, dt=0.0)
+                                  n_points=8, step=0, time=0.0, dt=0.0, rng=rng)
 
 
 class TestProducerPlugin:
@@ -254,8 +254,8 @@ class TestProducerPlugin:
         simulation.step()
         assert not np.array_equal(electrons.momenta, first)
 
-        zero_copy = session.brokers["mlapp"].get_step(timeout=5.0)
-        fanned_out = session.brokers["monitor"].get_step(timeout=5.0)
+        zero_copy = session.brokers["mlapp"].get_step()
+        fanned_out = session.brokers["monitor"].get_step()
         assert zero_copy.index == fanned_out.index == 1
         for axis, name in enumerate("xyz"):
             np.testing.assert_array_equal(

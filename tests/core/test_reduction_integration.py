@@ -52,4 +52,4 @@ class TestStreamReduction:
 
     def test_reduction_disabled_by_default(self):
         config = tiny_config()
-        assert config.streaming.build_reduction_pipeline() is None
+        assert config.streaming.build_reduction_pipeline(None) is None

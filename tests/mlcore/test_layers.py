@@ -18,11 +18,6 @@ class TestLinear:
         out = layer(Tensor(rng.normal(size=(7, 5))))
         assert out.shape == (7, 3)
 
-    def test_no_bias(self, rng):
-        layer = Linear(4, 2, bias=False, rng=rng)
-        assert layer.bias is None
-        assert len(layer.parameters()) == 1
-
     def test_gradients_flow_to_parameters(self, rng):
         layer = Linear(4, 2, rng=rng)
         out = layer(Tensor(rng.normal(size=(3, 4)))).sum()
@@ -35,9 +30,9 @@ class TestLinear:
         out = layer(Tensor(rng.normal(size=(2, 5, 4))))
         assert out.shape == (2, 5, 2)
 
-    def test_invalid_dims(self):
+    def test_invalid_dims(self, rng):
         with pytest.raises(ValueError):
-            Linear(0, 3)
+            Linear(0, 3, rng=rng)
 
 
 class TestMLP:
@@ -46,9 +41,9 @@ class TestMLP:
         out = mlp(Tensor(rng.normal(size=(4, 6))))
         assert out.shape == (4, 8)
 
-    def test_too_few_dims(self):
+    def test_too_few_dims(self, rng):
         with pytest.raises(ValueError):
-            MLP((4,))
+            MLP((4,), rng=rng)
 
     def test_relu_between_layers_only(self, rng):
         mlp = MLP((3, 5, 4, 2), rng=rng)

@@ -71,8 +71,8 @@ class TestAdam:
 
     def test_converges_on_regression(self, rng):
         x, y, w_true = quadratic_problem(rng)
-        layer = Linear(4, 1, bias=False, rng=rng)
-        opt = Adam(layer.parameters(), lr=0.05, weight_decay=0.0)
+        layer = Linear(4, 1, rng=rng)
+        opt = Adam(layer.parameters(), lr=0.05)
         for _ in range(400):
             opt.zero_grad()
             loss = mse_loss(layer(Tensor(x)), Tensor(y))
@@ -82,14 +82,14 @@ class TestAdam:
 
     def test_in_place_update_matches_the_textbook_formula(self, rng):
         p = Parameter(rng.normal(size=(3, 2)))
-        opt = Adam([p], lr=0.01, betas=(0.8, 0.9), eps=1e-6, weight_decay=0.02)
+        opt = Adam([p], lr=0.01)
         want = p.data.copy()
         m, v = np.zeros_like(want), np.zeros_like(want)
         moments = []
         for t in range(1, 6):
             p.grad = rng.normal(size=(3, 2))
             kept = p.grad.copy()
-            grad = kept + 0.02 * want
+            grad = kept + 2e-5 * want
             m = 0.8 * m + 0.2 * grad
             v = 0.9 * v + 0.1 * grad * grad
             want = want - 0.01 * (m / (1 - 0.8 ** t)) / (np.sqrt(v / (1 - 0.9 ** t)) + 1e-6)
@@ -127,7 +127,7 @@ class TestAdam:
 
     def test_a_parameter_without_a_gradient_keeps_its_moments_and_step(self, rng):
         params = [Parameter(rng.normal(size=s)) for s in [(3,), (2, 2), (4,), (2,)]]
-        opt = Adam(params, lr=0.01, weight_decay=0.02)
+        opt = Adam(params, lr=0.01)
         arrays, oracle = [p.data.copy() for p in params], PerParameterAdam()
         for t in range(8):
             grads = [rng.normal(size=p.shape) for p in params]
@@ -139,7 +139,7 @@ class TestAdam:
                 grads = [None] * len(params)
             for p, grad in zip(params, grads):
                 p.grad = grad
-            oracle.step(arrays, grads, 0.01, 0.02)
+            oracle.step(arrays, grads, 0.01, optim.PAPER_WEIGHT_DECAY)
             opt.step()
             for p, want in zip(params, arrays):
                 np.testing.assert_array_equal(p.data, want)
@@ -181,17 +181,11 @@ class TestAdam:
 
     def test_weight_decay_shrinks_weights(self):
         p = Parameter(np.full(4, 10.0))
-        opt = Adam([p], lr=0.1, weight_decay=1.0)
+        opt = Adam([ParamGroup([p], lr=0.1, weight_decay=1.0)])
         p.grad = np.zeros(4)
         for _ in range(50):
             opt.step()
         assert np.all(np.abs(p.data) < 10.0)
-
-    def test_invalid_hyperparameters(self):
-        with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1))], betas=(1.2, 0.9))
-        with pytest.raises(ValueError):
-            Adam([Parameter(np.zeros(1))], eps=0.0)
 
 
 class TestParamGroupsAndScaling:

@@ -130,9 +130,9 @@ class TestINN:
         x = rng.normal(size=(5, 16))
         assert not np.allclose(block(Tensor(x)).numpy(), x)
 
-    def test_coupling_block_validation(self):
+    def test_coupling_block_validation(self, rng):
         with pytest.raises(ValueError):
-            GlowCouplingBlock(dim=15)
+            GlowCouplingBlock(dim=15, rng=rng)
 
     def test_full_network_invertible(self, rng):
         inn = InvertibleNetwork(CFG, rng=rng)

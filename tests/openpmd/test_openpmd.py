@@ -113,9 +113,9 @@ class TestStreamedLayout:
         steps = []
         put_step = session.fanout.put_step
 
-        def recording_put(step, timeout=None):
+        def recording_put(step):
             steps.append(step)
-            put_step(step, timeout=timeout)
+            put_step(step)
 
         session.fanout.put_step = recording_put
         report = session.run(3).raise_if_failed().report

@@ -10,12 +10,17 @@ from hypothesis import strategies as st
 from repro import constants
 from repro.pic.grid import STAGGER, GridConfig, YeeGrid
 from repro.pic.interpolation import gather_component
-from repro.pic.kernels import (deposit_charge_cic, deposit_current_esirkepov,
-                               gather_fields)
+from repro.pic.kernels import (Workspace, deposit_charge_cic,
+                               deposit_current_esirkepov, gather_fields)
 
 
 def make_grid(shape=(8, 8, 8), cell=1.0e-5):
     return YeeGrid(GridConfig(shape=shape, cell_size=(cell, cell, cell)))
+
+
+def rows_for(positions):
+    """A fresh ``(6, N)`` array for :func:`gather_fields` to fill."""
+    return np.empty((6, len(positions)))
 
 
 class TestGather:
@@ -24,7 +29,7 @@ class TestGather:
         grid.Ex.fill(3.0)
         grid.By.fill(-2.0)
         positions = rng.uniform(0, 8e-5, size=(50, 3))
-        e, b = gather_fields(grid, positions)
+        e, b = gather_fields(grid, positions, Workspace(), rows_for(positions))
         np.testing.assert_allclose(e[:, 0], 3.0)
         np.testing.assert_allclose(e[:, 1], 0.0)
         np.testing.assert_allclose(b[:, 1], -2.0)
@@ -43,7 +48,8 @@ class TestGather:
     def test_rejects_bad_positions(self):
         grid = make_grid()
         with pytest.raises(ValueError):
-            gather_fields(grid, np.zeros((3, 2)))
+            gather_fields(grid, np.zeros((3, 2)),
+                          Workspace(), rows_for(np.zeros((3, 2))))
 
 
 class TestChargeDeposition:
@@ -90,7 +96,8 @@ class TestCurrentDeposition:
         deposit_charge_cic(rho_before, old_positions, charge, weights)
         deposit_charge_cic(rho_after, np.mod(new_positions, extent), charge, weights)
 
-        deposit_current_esirkepov(grid, old_positions, new_positions, charge, weights, dt)
+        deposit_current_esirkepov(grid, old_positions, new_positions, charge, weights, dt,
+                                  Workspace())
 
         drho_dt = (rho_after.rho - rho_before.rho) / dt
         residual = drho_dt + grid.divergence_j()
@@ -108,7 +115,8 @@ class TestCurrentDeposition:
         new_positions = old_positions + velocities * dt
         weights = rng.uniform(0.5, 2.0, size=n)
         charge = constants.ELEMENTARY_CHARGE
-        deposit_current_esirkepov(grid, old_positions, new_positions, charge, weights, dt)
+        deposit_current_esirkepov(grid, old_positions, new_positions, charge, weights, dt,
+                                  Workspace())
         total = np.array([np.sum(grid.Jx), np.sum(grid.Jy), np.sum(grid.Jz)]) \
             * grid.config.cell_volume
         expected = charge * (weights[:, None] * velocities).sum(axis=0)
@@ -117,7 +125,8 @@ class TestCurrentDeposition:
     def test_esirkepov_zero_for_static_particles(self, rng):
         grid = make_grid()
         pos = rng.uniform(0, 8e-5, size=(20, 3))
-        deposit_current_esirkepov(grid, pos, pos.copy(), 1.0, np.ones(20), 1e-13)
+        deposit_current_esirkepov(grid, pos, pos.copy(), 1.0, np.ones(20), 1e-13,
+                                  Workspace())
         assert np.all(grid.Jx == 0.0) and np.all(grid.Jy == 0.0) and np.all(grid.Jz == 0.0)
 
     def test_esirkepov_rejects_large_displacement(self):
@@ -125,12 +134,13 @@ class TestCurrentDeposition:
         old = np.array([[1.0e-6, 1.0e-6, 1.0e-6]])
         new = old + 2.0e-6
         with pytest.raises(ValueError):
-            deposit_current_esirkepov(grid, old, new, 1.0, np.ones(1), 1e-13)
+            deposit_current_esirkepov(grid, old, new, 1.0, np.ones(1), 1e-13,
+                                      Workspace())
 
     def test_esirkepov_empty_input(self):
         grid = make_grid()
         deposit_current_esirkepov(grid, np.zeros((0, 3)), np.zeros((0, 3)), 1.0,
-                                  np.zeros(0), 1e-13)
+                                  np.zeros(0), 1e-13, Workspace())
         assert np.all(grid.Jx == 0.0)
 
 
@@ -150,7 +160,7 @@ class TestContinuityProperty:
         rho0, rho1 = YeeGrid(grid.config), YeeGrid(grid.config)
         deposit_charge_cic(rho0, old, 1.0, weights)
         deposit_charge_cic(rho1, np.mod(new, extent), 1.0, weights)
-        deposit_current_esirkepov(grid, old, new, 1.0, weights, dt)
+        deposit_current_esirkepov(grid, old, new, 1.0, weights, dt, Workspace())
         residual = (rho1.rho - rho0.rho) / dt + grid.divergence_j()
         scale = max(np.max(np.abs(rho1.rho - rho0.rho) / dt), 1e-30)
         assert np.max(np.abs(residual)) <= 1e-8 * scale

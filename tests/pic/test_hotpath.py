@@ -9,15 +9,16 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main as cli_main
-from repro.pic import kernels
+from repro.pic import hotpath, kernels
 from repro.pic.hotpath import (CASE, HotpathResult, format_result,
                                run_hotpath_benchmark)
 from repro.utils.benchjson import bench_path, load_history
 
 
 def tiny_result():
-    return run_hotpath_benchmark(n_steps=2, warmup=1, equivalence_steps=2,
-                                 repeats=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hotpath, "EQUIVALENCE_STEPS", 2)
+        return run_hotpath_benchmark(n_steps=2, warmup=1, repeats=1)
 
 
 def stub_result(equivalent=True, **overrides):

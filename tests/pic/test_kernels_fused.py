@@ -35,6 +35,11 @@ def make_grid(shape=(9, 7, 6), cell=1.0e-5):
     return YeeGrid(GridConfig(shape=shape, cell_size=(cell, cell, cell)))
 
 
+def rows_for(positions):
+    """A fresh ``(6, N)`` array for :func:`gather_fields` to fill."""
+    return np.empty((6, len(positions)))
+
+
 def random_particles(rng, grid, n, straddle=True):
     """Random particle set; with ``straddle``, some sit on the periodic seam."""
     extent = np.asarray(grid.config.extent)
@@ -57,7 +62,8 @@ class TestGatherEquivalence:
             grid.component(name)[...] = rng.normal(size=grid.config.shape)
         positions, _ = random_particles(rng, grid, 64)
         e_ref, b_ref = gather_fields_reference(grid, positions)
-        e_fused, b_fused = gather_fields(grid, positions)
+        e_fused, b_fused = gather_fields(grid, positions,
+                                         Workspace(), rows_for(positions))
         # the paths differ only in floating-point summation order
         np.testing.assert_allclose(e_fused, e_ref, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(b_fused, b_ref, rtol=1e-10, atol=1e-13)
@@ -87,7 +93,7 @@ class TestDepositionEquivalence:
         new = old + displacement
         charge = -constants.ELEMENTARY_CHARGE
         deposit_current_esirkepov_reference(ref, old, new, charge, weights, dt)
-        deposit_current_esirkepov(fused, old, new, charge, weights, dt)
+        deposit_current_esirkepov(fused, old, new, charge, weights, dt, Workspace())
         for name in ("Jx", "Jy", "Jz"):
             a, b = fused.component(name), ref.component(name)
             scale = np.max(np.abs(b)) + 1e-300
@@ -102,9 +108,9 @@ class TestDepositionEquivalence:
         new = old + rng.uniform(-0.9, 0.9, size=(n, 3)) \
             * np.asarray(grid_a.config.cell_size)
         assert n <= kernels.CHUNK
-        deposit_current_esirkepov(grid_b, old, new, 1.0, weights, dt)
+        deposit_current_esirkepov(grid_b, old, new, 1.0, weights, dt, Workspace())
         monkeypatch.setattr(kernels, "CHUNK", 64)
-        deposit_current_esirkepov(grid_a, old, new, 1.0, weights, dt)
+        deposit_current_esirkepov(grid_a, old, new, 1.0, weights, dt, Workspace())
         for name in ("Jx", "Jy", "Jz"):
             a, b = grid_a.component(name), grid_b.component(name)
             scale = np.max(np.abs(b)) + 1e-300
@@ -115,10 +121,11 @@ class TestDepositionEquivalence:
         old = np.array([[1.0e-6, 1.0e-6, 1.0e-6]])
         with pytest.raises(ValueError):
             deposit_current_esirkepov(grid, old, old + 2.0e-6, 1.0,
-                                      np.ones(1), 1e-13)
+                                      np.ones(1), 1e-13, Workspace())
 
-    @pytest.mark.parametrize("deposit", [deposit_current_esirkepov,
-                                         deposit_current_esirkepov_reference],
+    @pytest.mark.parametrize("deposit", [
+        lambda *args: deposit_current_esirkepov(*args, Workspace()),
+        deposit_current_esirkepov_reference],
                              ids=["fused", "reference"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_esirkepov_rejects_a_non_finite_position(self, deposit, bad, recwarn):
@@ -148,7 +155,7 @@ class TestDepositionEquivalence:
         charge = -constants.ELEMENTARY_CHARGE
         deposit_charge_cic(rho0, old, charge, weights)
         deposit_charge_cic(rho1, np.mod(new, extent), charge, weights)
-        deposit_current_esirkepov(grid, old, new, charge, weights, dt)
+        deposit_current_esirkepov(grid, old, new, charge, weights, dt, Workspace())
         residual = (rho1.rho - rho0.rho) / dt + grid.divergence_j()
         scale = np.max(np.abs((rho1.rho - rho0.rho) / dt))
         assert np.max(np.abs(residual)) < 1e-12 * scale
@@ -232,7 +239,7 @@ def deposit_three_nodes_two_planes(monkeypatch, grid, *args):
     arithmetic the kernel ran before it told stayers from goers."""
     with monkeypatch.context() as patch:
         patch.setattr(kernels, "_STAY", kernels._GO)
-        deposit_current_esirkepov(grid, *args)
+        deposit_current_esirkepov(grid, *args, Workspace())
 
 
 def assert_currents_close(got, want, rtol):
@@ -253,7 +260,7 @@ class TestTwoClassDeposit:
         weights = rng.uniform(0.5, 2.0, size=n)
         charge, dt = -constants.ELEMENTARY_CHARGE, two_class.config.courant_time_step()
         args = (old, new, charge, weights, dt)
-        deposit_current_esirkepov(two_class, *args)
+        deposit_current_esirkepov(two_class, *args, Workspace())
         deposit_three_nodes_two_planes(monkeypatch, oracle, *args)
         deposit_current_esirkepov_reference(reference, *args)
         assert_currents_close(two_class, oracle, 1e-15)
@@ -308,7 +315,7 @@ class TestTwoClassDeposit:
         n = 2 * 64 + 9
         old, new = stay_go_case(kind, rng, grid, n)
         scattered = spy_on_bincount(monkeypatch)
-        deposit_current_esirkepov(grid, old, new, 1.0, np.ones(n), 1e-15)
+        deposit_current_esirkepov(grid, old, new, 1.0, np.ones(n), 1e-15, Workspace())
         expected = []
         for start in range(0, n, 64):
             k = n_staying(grid, old[start:start + 64], new[start:start + 64])
@@ -335,14 +342,12 @@ class TestTwoClassDeposit:
         assert len(seen["mixed"][0]) == 4 * len(set(seen["mixed"][0]))
 
 
-def two_species_simulation(seed, sizes=(300, 173), workspace=True):
+def two_species_simulation(seed, sizes=(300, 173)):
     """A small simulation whose two pushed species differ in size."""
     rng = np.random.default_rng(seed)
     config = SimulationConfig(grid=GridConfig(shape=(8, 6, 4),
                                               cell_size=(1.0e-5, 1.0e-5, 1.0e-5)))
-    simulation = PICSimulation(config)
-    if not workspace:
-        simulation._workspace = None        # every step allocates afresh
+    simulation = PICSimulation(config, [])
     for name in ("Ex", "Ey", "Ez", "Bx", "By", "Bz"):
         scale = 1.0e6 if name.startswith("E") else 1.0e-3
         simulation.grid.component(name)[...] = scale * rng.normal(
@@ -377,12 +382,12 @@ class TestWorkspace:
         for n in (90, 37, 90, 141, 8):
             old, weights = random_particles(rng, grid, n)
             new = old + rng.uniform(-0.4, 0.4, size=old.shape) * grid.config.cell_size[0]
-            fresh = gather_fields(grid, old)
-            reused = gather_fields(grid, old, workspace=workspace)
+            fresh = gather_fields(grid, old, Workspace(), rows_for(old))
+            reused = gather_fields(grid, old, workspace, rows_for(old))
             np.testing.assert_array_equal(reused[0], fresh[0])
             np.testing.assert_array_equal(reused[1], fresh[1])
             a, b = make_grid(), make_grid()
-            deposit_current_esirkepov(a, old, new, charge, weights, dt)
+            deposit_current_esirkepov(a, old, new, charge, weights, dt, Workspace())
             deposit_current_esirkepov(b, old, new, charge, weights, dt,
                                       workspace=workspace)
             for name in ("Jx", "Jy", "Jz"):
@@ -398,10 +403,10 @@ class TestWorkspace:
         assert not np.shares_memory(big, workspace.array("x", (5, 10)))
 
     def test_stepping_with_the_workspace_is_bit_identical_over_20_steps(self):
-        fresh = two_species_simulation(seed=9, workspace=False)
+        fresh = two_species_simulation(seed=9)
         reused = two_species_simulation(seed=9)
-        assert fresh._workspace is None and reused._workspace is not None
         for _ in range(20):
+            fresh._workspace = Workspace()      # every step allocates afresh
             fresh.step()
             reused.step()
         for got, want in zip(simulation_state(reused), simulation_state(fresh)):
@@ -449,12 +454,14 @@ class TestWorkspace:
         species = probe.species[0]
         dt = probe.config.dt
         positions = species.positions
-        e_fields, b_fields = gather_fields(probe.grid, positions)
+        e_fields, b_fields = gather_fields(probe.grid, positions,
+                                           Workspace(), rows_for(positions))
         need = {}
         for kernel, call in (
-                ("gather", lambda ws: gather_fields(probe.grid, positions, ws)),
+                ("gather", lambda ws: gather_fields(probe.grid, positions, ws,
+                                                    rows_for(positions))),
                 ("push", lambda ws: boris_push_fused(species, e_fields, b_fields,
-                                                     dt, workspace=ws)),
+                                                     dt, workspace=ws, particles=slice(None))),
                 ("deposit", lambda ws: deposit_current_esirkepov(
                     probe.grid, positions, positions, species.charge,
                     species.weights, dt, workspace=ws))):
@@ -556,9 +563,9 @@ class TestBlockedKernels:
         positions = awkward_positions(rng, grid, n) if n >= 40 \
             else random_particles(rng, grid, n)[0]
         assert n <= kernels.CHUNK
-        whole = gather_fields(grid, positions)
+        whole = gather_fields(grid, positions, Workspace(), rows_for(positions))
         monkeypatch.setattr(kernels, "CHUNK", 64)   # 129: a last block of one
-        blocked = gather_fields(grid, positions, Workspace())
+        blocked = gather_fields(grid, positions, Workspace(), rows_for(positions))
         for got, want in zip(blocked, whole):
             assert got.shape == (n, 3)
             assert got.tobytes() == want.tobytes()
@@ -578,7 +585,8 @@ class TestBlockedKernels:
         b_fields = rng.normal(scale=10.0, size=(n, 3))
         boris_push_n3(species[0], e_fields, b_fields, 1e-14)
         stored = species[1].momenta
-        boris_push_fused(species[1], e_fields, b_fields, 1e-14)
+        boris_push_fused(species[1], e_fields, b_fields, 1e-14,
+                         Workspace(), slice(None))
         assert species[1].momenta is stored          # updated in place
         assert stored.tobytes() == species[0].momenta.tobytes()
         boris_push(species[2], e_fields, b_fields, 1e-14)
@@ -695,7 +703,8 @@ class TestGhostLayerGather:
         positions = awkward_positions(rng, grid, n) if n >= 40 \
             else random_particles(rng, grid, n)[0]
         monkeypatch.setattr(kernels, "CHUNK", 64)    # several blocks
-        for got, want in zip(gather_fields(grid, positions),
+        for got, want in zip(gather_fields(grid, positions,
+                                           Workspace(), rows_for(positions)),
                              gather_eight_wrapped_corners(grid, positions)):
             assert got.tobytes() == want.tobytes()
 
@@ -709,7 +718,7 @@ class TestGhostLayerGather:
         positions = np.vstack([random_particles(rng, grid, 150)[0],
                                face_positions(grid)])
         monkeypatch.setattr(kernels, "CHUNK", 64)
-        fields = gather_fields(grid, positions)
+        fields = gather_fields(grid, positions, Workspace(), rows_for(positions))
         for got, want in zip(fields, gather_eight_wrapped_corners(grid, positions)):
             assert got.tobytes() == want.tobytes()
         for got, want in zip(fields, gather_fields_reference(grid, positions)):
@@ -729,7 +738,8 @@ class TestGhostLayerGather:
         rng = np.random.default_rng(9)
         grid = random_fields(rng, make_grid())
         positions, _ = random_particles(rng, grid, 200)
-        e_fields, b_fields = gather_fields(grid, positions)
+        e_fields, b_fields = gather_fields(grid, positions,
+                                           Workspace(), rows_for(positions))
         for fields in (e_fields, b_fields):
             assert fields.shape == (200, 3)
             assert fields.T.flags.c_contiguous
@@ -746,7 +756,7 @@ class TestGhostLayerGather:
         positions, weights = random_particles(rng, grid, 150)
         positions[97, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            gather_fields(grid, positions)
+            gather_fields(grid, positions, Workspace(), rows_for(positions))
         with pytest.raises(ValueError, match="finite"):
             deposit_charge_cic(grid, positions, 1.0, weights)
         assert not grid.rho.any()
@@ -771,16 +781,18 @@ class TestBorisEquivalence:
         b_fields = rng.normal(scale=1e-2, size=(n, 3))
         dt = 1e-12
         boris_push(ref, e_fields, b_fields, dt)
-        boris_push_fused(fused, e_fields, b_fields, dt)
+        boris_push_fused(fused, e_fields, b_fields, dt, Workspace(), slice(None))
         np.testing.assert_allclose(fused.momenta, ref.momenta,
                                    rtol=1e-13, atol=1e-300)
 
 
 class TestFullStepEquivalence:
-    def test_khi_run_matches_between_kernels(self):
+    def test_khi_run_matches_between_kernels(self, monkeypatch):
+        from repro.pic import hotpath
         from repro.pic.hotpath import EQUIVALENCE_RTOL, check_equivalence
 
-        error = check_equivalence(n_steps=5)
+        monkeypatch.setattr(hotpath, "EQUIVALENCE_STEPS", 5)
+        error = check_equivalence()
         assert np.isfinite(error)
         assert error < EQUIVALENCE_RTOL
 

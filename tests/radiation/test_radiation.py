@@ -34,16 +34,15 @@ def oscillating_charge_spectrum(omega0: float, drift_beta: float, detector: Radi
 
 class TestDetector:
     def test_direction_grid_unit_vectors(self):
-        dirs = direction_grid(5, n_phi=4, axis=(0.0, 1.0, 0.0))
-        assert dirs.shape == (20, 3)
+        dirs = direction_grid(5)
+        assert dirs.shape == (5, 3)
         np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0)
+        np.testing.assert_array_equal(dirs[0], [1.0, 0.0, 0.0])   # the flow axis
 
-    def test_frequency_grid_log_and_linear(self):
-        log = frequency_grid(10, omega_max=1e15, spacing="log")
-        lin = frequency_grid(10, omega_max=1e15, spacing="linear")
-        assert log[0] > 0 and log[-1] == pytest.approx(1e15)
-        assert lin[0] == 0.0 and lin[-1] == pytest.approx(1e15)
-        assert np.all(np.diff(log) > 0) and np.all(np.diff(lin) > 0)
+    def test_frequency_grid_is_log_spaced(self):
+        log = frequency_grid(10, omega_max=1e15, omega_min=1e12)
+        assert log[0] == pytest.approx(1e12) and log[-1] == pytest.approx(1e15)
+        np.testing.assert_allclose(np.diff(np.log(log)), np.log(1e3) / 9)
 
     def test_detector_validation(self):
         with pytest.raises(ValueError):
@@ -74,8 +73,7 @@ class TestLienardWiechert:
         omega0 = 1.0e14
         det = RadiationDetector(
             directions=np.array([[1.0, 0.0, 0.0]]),
-            frequencies=frequency_grid(41, omega_max=3 * omega0, omega_min=omega0 / 3,
-                                       spacing="log"))
+            frequencies=frequency_grid(41, omega_max=3 * omega0, omega_min=omega0 / 3))
         spectrum = oscillating_charge_spectrum(omega0, drift_beta=0.0, detector=det)
         peak_omega = det.frequencies[np.argmax(spectrum[0])]
         assert peak_omega == pytest.approx(omega0, rel=0.1)
@@ -99,8 +97,7 @@ class TestLienardWiechert:
         doppler = 1.0 / (1.0 - drift)           # observed frequency shift
         det = RadiationDetector(
             directions=np.array([[1.0, 0.0, 0.0]]),
-            frequencies=frequency_grid(61, omega_max=3 * omega0, omega_min=omega0 / 3,
-                                       spacing="log"))
+            frequencies=frequency_grid(61, omega_max=3 * omega0, omega_min=omega0 / 3))
         approaching = oscillating_charge_spectrum(omega0, drift_beta=drift, detector=det)
         receding = oscillating_charge_spectrum(omega0, drift_beta=-drift, detector=det)
         omega_peak_approaching = det.frequencies[np.argmax(approaching[0])]

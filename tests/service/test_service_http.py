@@ -24,6 +24,8 @@ from sse_helpers import run_ids_of
 
 from repro.campaign import (CampaignSpec, CampaignStore, get_campaign_preset,
                             run_campaign, shared_pool, shutdown_shared_pools)
+from repro.service import bus as bus_module
+from repro.service import jobs
 from repro.service.bus import RunEventBus
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import CampaignJobManager, campaign_id_of
@@ -125,16 +127,19 @@ def small_spec(name="svc-test", repetitions=1, n_steps=2):
 @contextlib.contextmanager
 def service(tmp_path, worker=fake_worker, subdir="svc", **kwargs):
     """A live service on a free port + a client pointed at it."""
-    server = create_server(store_dir=str(tmp_path / subdir), worker=worker,
-                           keepalive_s=0.2, **kwargs)
-    thread = threading.Thread(target=server.serve_forever,
-                              kwargs={"poll_interval": 0.05}, daemon=True)
-    thread.start()
-    try:
-        yield ServiceClient(server.url, timeout=15), server
-    finally:
-        server.shutdown_service(timeout=10)
-        thread.join(timeout=5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bus_module, "KEEPALIVE_S", 0.2)
+        patch.setattr(jobs, "JOIN_TIMEOUT_S", 10.0)
+        server = create_server(store_dir=str(tmp_path / subdir), worker=worker,
+                               **kwargs)
+        thread = threading.Thread(target=server.serve_forever,
+                                  kwargs={"poll_interval": 0.05}, daemon=True)
+        thread.start()
+        try:
+            yield ServiceClient(server.url, timeout=15), server
+        finally:
+            server.shutdown_service()
+            thread.join(timeout=5)
 
 
 def watch_in_thread(client, campaign_id):
@@ -411,7 +416,7 @@ class TestRestartResume:
             assert again["created"] is False and again["started"] is False
 
     def test_a_spec_file_with_a_removed_key_is_skipped_and_resubmit_resumes(
-            self, tmp_path, caplog):
+            self, tmp_path, caplog, monkeypatch):
         """A spec file written when specs still carried ``routing`` no
         longer loads on restart.  The campaign id never hashed that key,
         so resubmitting the sweep reattaches to its store and executes
@@ -442,9 +447,10 @@ class TestRestartResume:
         assert f"skipping unloadable campaign {campaign_id}" in caplog.text
         assert "unknown CampaignSpec keys ['routing']" in caplog.text
 
-        job, created, started = manager.submit(spec)
+        job, created, started = manager.submit(spec, {})
         assert (job.id, created, started) == (campaign_id, True, True)
-        job.join(timeout=30)
+        monkeypatch.setattr(jobs, "JOIN_TIMEOUT_S", 30.0)
+        job.join()
         assert job.status()["state"] == "completed"
         assert sorted(executed) == sorted(
             run.run_id for run in spec.resolve() if run.run_id not in finished)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from sse_helpers import (events_of_kind, parse_events, parse_sse_events,
                          run_ids_of, subscriber_count)
 
+from repro.service import bus as bus_module
 from repro.service.bus import RunEventBus
 from repro.service.server import sse_event_stream
 from repro.service.sse import SSEParser, format_comment, format_event
@@ -88,10 +89,11 @@ class TestEventStream:
         assert run_ids_of(events) == ["r1", "r2"]
         assert subscriber_count(bus, job.id) == 0
 
-    def test_live_append_streams_run_frames_until_done(self):
+    def test_live_append_streams_run_frames_until_done(self, monkeypatch):
         bus = RunEventBus()
         job = _StubJob(bus)
-        stream = sse_event_stream(job, keepalive_s=0.05)
+        monkeypatch.setattr(bus_module, "KEEPALIVE_S", 0.05)
+        stream = sse_event_stream(job)
         collected = [next(stream)]       # keep-alive tick: now subscribed
         _publish_run(bus, job.id, "live-1")
         collected.append(next(stream))
@@ -108,7 +110,7 @@ class TestEventStream:
         bus = RunEventBus()
         job = _StubJob(bus)
         bus.seed(job.id, "run", {"run_id": "old", "status": "completed"})
-        stream = sse_event_stream(job, keepalive_s=5)
+        stream = sse_event_stream(job)
         first = next(stream)
         _publish_run(bus, job.id, "new")
         bus.publish(job.id, "done", {"state": "completed"})
@@ -122,7 +124,7 @@ class TestEventStream:
         job = _StubJob(bus)              # resumed: running again
         bus.seed(job.id, "run", {"run_id": "old", "status": "completed"})
         bus.seed(job.id, "done", {"state": "cancelled"})
-        stream = sse_event_stream(job, keepalive_s=5)
+        stream = sse_event_stream(job)
         first = next(stream)             # subscribed, replaying "old"
         _publish_run(bus, job.id, "new")
         first += next(stream)            # passes over the stale done
@@ -144,7 +146,7 @@ class TestEventStream:
         job = _StubJob(bus)              # resumed: running again
         bus.seed(job.id, "run", {"run_id": "old", "status": "completed"})
         bus.seed(job.id, "done", {"state": "cancelled"})
-        stream = sse_event_stream(job, keepalive_s=5)
+        stream = sse_event_stream(job)
         first = next(stream)             # subscribed, replaying "old"
         _publish_run(bus, job.id, "new")
         job.state = "completed"          # set before its done is published
@@ -155,13 +157,15 @@ class TestEventStream:
         assert run_ids_of(events) == ["old", "new"]
         assert events[-1]["data"]["state"] == "completed"
 
-    def test_slow_consumer_drop_is_reported_on_the_wire(self):
+    def test_slow_consumer_drop_is_reported_on_the_wire(self, monkeypatch):
         """A subscriber whose bounded queue overflows gets an explicit
         ``dropped`` frame with the loss count — never silent gaps."""
         bus = RunEventBus()
         job = _StubJob(bus)
         _publish_run(bus, job.id, "r0")
-        stream = sse_event_stream(job, keepalive_s=0.1, max_queue_size=2)
+        monkeypatch.setattr(bus_module, "KEEPALIVE_S", 0.1)
+        monkeypatch.setattr(bus_module, "QUEUE_SIZE", 2)
+        stream = sse_event_stream(job)
         first = next(stream)             # subscribes, replays r0 as snapshot
         # the subscriber is not pulling: 5 more records + done land on a
         # queue of 2, so r1/r2 are queued and r3/r4/r5/done are dropped
@@ -179,12 +183,14 @@ class TestEventStream:
         assert events[-1]["event"] == "done"
         assert run_ids_of(events) == ["r0", "r1", "r2"]
 
-    def test_mid_stream_disconnect_detaches_the_subscription(self):
+    def test_mid_stream_disconnect_detaches_the_subscription(self,
+                                                             monkeypatch):
         """Closing the generator (what the handler does when the socket
         write fails) must release the bus subscription."""
         bus = RunEventBus()
         job = _StubJob(bus)
-        stream = sse_event_stream(job, keepalive_s=0.05)
+        monkeypatch.setattr(bus_module, "KEEPALIVE_S", 0.05)
+        stream = sse_event_stream(job)
         next(stream)                     # keep-alive tick: now subscribed
         _publish_run(bus, job.id, "r1")
         assert parse_sse_events(next(stream))[0]["event"] == "run"
@@ -192,12 +198,15 @@ class TestEventStream:
         stream.close()                   # client went away mid-stream
         assert subscriber_count(bus, job.id) == 0
 
-    def test_terminal_job_with_lost_done_event_still_ends_the_stream(self):
+    def test_terminal_job_with_lost_done_event_still_ends_the_stream(
+            self, monkeypatch):
         """If the terminal event itself fell to the drop policy, the
         keep-alive tick synthesises ``done`` from the job state."""
         bus = RunEventBus()
         job = _StubJob(bus, state="completed")
-        stream = sse_event_stream(job, keepalive_s=0.05, max_queue_size=1)
+        monkeypatch.setattr(bus_module, "KEEPALIVE_S", 0.05)
+        monkeypatch.setattr(bus_module, "QUEUE_SIZE", 1)
+        stream = sse_event_stream(job)
         events = parse_sse_events("".join(stream))
         assert events[-1]["event"] == "done"
         assert events[-1]["data"]["state"] == "completed"

@@ -61,7 +61,7 @@ class TestParticleSubsampleReducer:
 
     def test_invalid_fraction(self):
         with pytest.raises(ValueError):
-            ParticleSubsampleReducer(0.0)
+            ParticleSubsampleReducer(0.0, rng=np.random.default_rng(0))
 
     def test_new_step_changes_selection(self, rng):
         reducer = ParticleSubsampleReducer(0.5, rng=np.random.default_rng(0))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.streaming import NoOpConsumer, SSTBroker, Step
+from repro.streaming import broker as broker_module
 from repro.streaming.broker import StreamClosedError
 
 
@@ -43,11 +44,12 @@ class TestBroker:
         with pytest.raises(StreamClosedError):
             broker.put_step(Step(index=0))
 
-    def test_block_policy_times_out(self):
+    def test_block_policy_times_out(self, monkeypatch):
+        monkeypatch.setattr(broker_module, "TIMEOUT_S", 0.05)
         broker = SSTBroker("s", queue_limit=1)
         broker.put_step(Step(index=0))
         with pytest.raises(TimeoutError):
-            broker.put_step(Step(index=1), timeout=0.05)
+            broker.put_step(Step(index=1))
 
     def test_blocking_producer_consumer_threads(self, rng):
         """Writer stalls on the bounded queue until the reader drains it."""
@@ -57,12 +59,11 @@ class TestBroker:
 
         def produce():
             for i in range(n_steps):
-                broker.put_step(Step(i, {"x": np.full(100, float(i))}),
-                                timeout=10)
+                broker.put_step(Step(i, {"x": np.full(100, float(i))}))
             broker.close()
 
         def consume():
-            while (step := broker.get_step(timeout=10)) is not None:
+            while (step := broker.get_step()) is not None:
                 received.append(float(step.arrays["x"][0]))
 
         producer = threading.Thread(target=produce)
@@ -85,7 +86,7 @@ class TestNoOpConsumer:
             broker.put_step(Step(i, {"data": rng.random(1000)}))
         broker.close()
         consumer = NoOpConsumer(broker)
-        consumed = consumer.run()
+        consumed = sum(iter(consumer.run, 0))
         assert consumed == 4
         assert sum(consumer.step_bytes) == 4 * 8000
         assert len(consumer.step_times) == 4
@@ -96,6 +97,7 @@ class TestNoOpConsumer:
             broker.put_step(Step(i, {"data": rng.random(10)}))
         broker.close()
         consumer = NoOpConsumer(broker)
-        assert consumer.run(max_steps=2) == 2
+        assert [consumer.run(), consumer.run()] == [1, 1]
+        assert len(consumer.step_times) == 2
         assert broker.queued_steps == 3
 

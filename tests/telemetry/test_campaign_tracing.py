@@ -177,7 +177,13 @@ class TestSerialTracing:
 @pytest.mark.parametrize("driver", ["serial", "pipelined"])
 def test_real_runs_trace_their_sections_under_execute(tmp_path, driver):
     """Each run's workflow sections hang off its execute span, the layers'
-    sections off those, and the spans add up to the record's times."""
+    sections off those, and the spans add up to the record's times.
+
+    Nesting is what both drivers guarantee: every ``pic.*`` section lies
+    inside its ``workflow.pic`` span and together they fill at most that
+    span.  That they fill it to within 5 % holds on the serial driver only:
+    under the pipelined one a thread switch between two sections is time
+    in ``workflow.pic`` that no section holds."""
     spec = smoke_spec(name=f"trace-sections-{driver}", driver=driver)
     store = CampaignStore(tmp_path / "t.campaign.jsonl")
     assert run_campaign(spec, store).completed == 8
@@ -202,18 +208,31 @@ def test_real_runs_trace_their_sections_under_execute(tmp_path, driver):
             ("core.train", "continual.backward")} <= edges
     assert {name for parent, name in edges if parent == "workflow.pic"} == \
         {f"pic.{layer}" for layer in layers}
+    assert {parent for parent, name in edges if name.startswith("pic.")} == \
+        {"workflow.pic"}
+    filled = {}
+    for s in spans:
+        if s.name.startswith("pic."):
+            outer = by_id[s.parent_id]
+            assert outer.start_s <= s.start_s and s.end_s <= outer.end_s
+            filled[outer.span_id] = filled.get(outer.span_id, 0.0) + s.duration_s
+    assert filled and all(total <= by_id[span_id].duration_s + 1e-6
+                          for span_id, total in filled.items())
     for record in store.records():
         pic = seconds[(record.run_id, "workflow.pic")]
-        assert seconds[(record.run_id, "pic.*")] == pytest.approx(pic, rel=0.05)
+        if driver == "serial":
+            assert seconds[(record.run_id, "pic.*")] == pytest.approx(pic,
+                                                                      rel=0.05)
         assert pic == pytest.approx(record.summary["simulation_time_s"],
                                     abs=1e-3)
 
 
 class TestWorkerPoolTracing:
-    def test_execute_spans_come_back_from_worker_processes(self, tmp_path):
+    def test_execute_spans_come_back_from_worker_processes(self, tmp_path,
+                                                           fast_heartbeat):
         spec = smoke_spec(name="trace-pool")
         store = CampaignStore(tmp_path / "t.campaign.jsonl")
-        pool = WorkerPool(2, start_method="fork", heartbeat_interval=0.05)
+        pool = WorkerPool(2, start_method="fork")
         try:
             executor = WorkerPoolExecutor(max_workers=2, pool=pool)
             outcome = run_campaign(spec, store, executor, worker=fake_worker)
@@ -248,12 +267,12 @@ class TestWorkerPoolTracing:
         (root,) = by_name(spans, "campaign")
         assert root.attrs["deferred"] == 5 and root.status == "ok"
 
-    def test_crash_requeue_settles_each_run_exactly_once(self, tmp_path):
+    def test_crash_requeue_settles_each_run_exactly_once(self, tmp_path,
+                                                         fast_heartbeat):
         spec = smoke_spec(name="trace-crash")
         runs = runs_with_config(spec, marker_dir=str(tmp_path))
         store = CampaignStore(tmp_path / "t.campaign.jsonl")
-        pool = WorkerPool(2, start_method="fork", heartbeat_interval=0.05,
-                          liveness_timeout=5.0)
+        pool = WorkerPool(2, start_method="fork")
         try:
             executor = WorkerPoolExecutor(max_workers=2, pool=pool)
             outcome = run_campaign(spec, store, executor,
@@ -271,14 +290,15 @@ class TestWorkerPoolTracing:
 
 
 class TestMetricsUnderConcurrency:
-    def test_two_thread_executor_launches_count_independently(self, tmp_path):
+    def test_two_thread_executor_launches_count_independently(
+            self, tmp_path, fast_heartbeat):
         specs = [smoke_spec(name=f"trace-conc-{index}") for index in (0, 1)]
         stores = [CampaignStore(tmp_path / f"{index}.campaign.jsonl")
                   for index in (0, 1)]
         errors = []
         # two campaigns leasing one warm pool at once, as two service
         # campaigns do: their records settle concurrently
-        pool = WorkerPool(2, start_method="fork", heartbeat_interval=0.05)
+        pool = WorkerPool(2, start_method="fork")
 
         def launch(spec, store):
             try:
@@ -302,7 +322,7 @@ class TestMetricsUnderConcurrency:
         for spec in specs:
             assert value(runs_total, campaign=spec.name, status="completed",
                                     cached="false") == 8
-        seconds = REGISTRY.histogram("repro_campaign_run_seconds")
+        seconds = REGISTRY.histogram("repro_campaign_run_seconds", "")
         for spec in specs:
             assert observed(seconds, campaign=spec.name)[0] == 8
         # each launch wrote its own complete trace despite sharing the pool

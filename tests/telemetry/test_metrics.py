@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.telemetry import MetricsRegistry, disabled, is_enabled, set_enabled
-from repro.telemetry.metrics import DEFAULT_BUCKETS, _label_key
+from repro.telemetry.metrics import BUCKETS, _label_key
 
 
 def value(metric, **labels) -> float:
@@ -62,7 +62,7 @@ class TestCounter:
 
 class TestGauge:
     def test_set(self, registry):
-        gauge = registry.gauge("throughput")
+        gauge = registry.gauge("throughput", "runs per second")
         gauge.set(4.5, campaign="a")
         assert value(gauge, campaign="a") == 4.5
         gauge.set(0.25, campaign="a")
@@ -71,7 +71,7 @@ class TestGauge:
 
 class TestHistogram:
     def test_observations_land_in_cumulative_buckets(self, registry):
-        hist = registry.histogram("seconds", buckets=(0.1, 1.0, 10.0))
+        hist = registry.histogram("seconds", "run time")
         for value in (0.05, 0.5, 5.0, 50.0):
             hist.observe(value)
         count, total = observed(hist)
@@ -84,12 +84,8 @@ class TestHistogram:
         assert "seconds_count 4" in rendered
 
     def test_default_buckets_are_sorted_and_used(self, registry):
-        hist = registry.histogram("h")
-        assert hist.buckets == tuple(sorted(DEFAULT_BUCKETS))
-
-    def test_empty_bucket_list_rejected(self, registry):
-        with pytest.raises(ValueError, match="at least one bucket"):
-            registry.histogram("h", buckets=())
+        hist = registry.histogram("h", "")
+        assert hist.buckets == BUCKETS == tuple(sorted(BUCKETS))
 
 
 class TestRegistry:
@@ -99,12 +95,12 @@ class TestRegistry:
     def test_kind_conflict_raises(self, registry):
         registry.counter("x_total")
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("x_total")
+            registry.gauge("x_total", "")
 
     def test_collect_lists_every_metric_sorted_by_name(self, registry):
-        speed = registry.gauge("speed")
+        speed = registry.gauge("speed", "runs per second")
         runs = registry.counter("runs_total")
-        latency = registry.histogram("latency_seconds")
+        latency = registry.histogram("latency_seconds", "latency")
         assert registry.collect() == [latency, runs, speed]
         text = registry.render_prometheus()
         assert text.index("# TYPE latency_seconds") < \
@@ -151,7 +147,7 @@ class TestEnabledSwitch:
 class TestThreadSafety:
     def test_concurrent_increments_from_many_threads(self, registry):
         counter = registry.counter("c_total")
-        hist = registry.histogram("h", buckets=(1.0,))
+        hist = registry.histogram("h", "")
         n_threads, per_thread = 8, 500
 
         def hammer(index):

@@ -23,7 +23,7 @@ def traced_run(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     recorder = SpanRecorder()
     session = WorkflowBuilder().config(tiny_config()).driver("serial").build()
-    with recording(recorder), span("run"):
+    with recording(recorder), span("run", {}, None):
         session.run(2).raise_if_failed()
     return recorder.spans
 

@@ -21,8 +21,8 @@ class TestSpanBasics:
     def test_nesting_builds_parent_links_and_one_trace(self):
         recorder = SpanRecorder()
         with recording(recorder):
-            with span("outer") as outer:
-                with span("inner") as inner:
+            with span("outer", {}, None) as outer:
+                with span("inner", {}, None) as inner:
                     assert current_span() is inner
                     assert inner.parent_id == outer.span_id
                     assert inner.trace_id == outer.trace_id
@@ -31,14 +31,14 @@ class TestSpanBasics:
         assert all(s.end_s is not None for s in recorder.spans)
 
     def test_no_sink_yields_none(self):
-        with span("anything") as opened:
+        with span("anything", {}, None) as opened:
             assert opened is None
         assert current_span() is None
 
     def test_disabled_yields_none_even_with_sink(self):
         recorder = SpanRecorder()
         with recording(recorder), disabled():
-            with span("x") as opened:
+            with span("x", {}, None) as opened:
                 assert opened is None
         assert recorder.spans == []
 
@@ -46,7 +46,7 @@ class TestSpanBasics:
         recorder = SpanRecorder()
         remote = Span(name="dispatch", trace_id=new_id())
         with recording(recorder):
-            with span("execute", ctx={"trace_id": remote.trace_id,
+            with span("execute", {}, {"trace_id": remote.trace_id,
                                       "span_id": remote.span_id}) as execute:
                 assert execute.trace_id == remote.trace_id
                 assert execute.parent_id == remote.span_id
@@ -55,7 +55,7 @@ class TestSpanBasics:
         recorder = SpanRecorder()
         with recording(recorder):
             with pytest.raises(RuntimeError):
-                with span("boom"):
+                with span("boom", {}, None):
                     raise RuntimeError("kaboom")
         (emitted,) = recorder.spans
         assert emitted.status == "error"
@@ -69,7 +69,8 @@ class TestSpanBasics:
 
     def test_finish_is_idempotent(self):
         opened = Span(name="x", trace_id=new_id())
-        first_end = opened.finish(end_s=123.0).end_s
+        first_end = opened.finish().end_s
+        time.sleep(0.01)
         assert opened.finish().end_s == first_end
         assert opened.duration_s is not None
 
@@ -103,7 +104,7 @@ class TestTimer:
         recorder = SpanRecorder()
         timer = Timer("pic")
         with recording(recorder):
-            with span("execute") as execute:
+            with span("execute", {}, None) as execute:
                 with timer.section("gather"):
                     pass
         gather, _ = recorder.spans
@@ -140,7 +141,7 @@ class TestTimer:
         recorder = SpanRecorder()
         timer = Timer("workflow")
         with recording(recorder):
-            with span("execute") as execute:
+            with span("execute", {}, None) as execute:
                 worker = threading.Thread(target=carry_trace(_step),
                                           args=(timer,))
                 worker.start()
@@ -167,7 +168,7 @@ class TestTimer:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with recording(recorder), span("execute"):
+            with recording(recorder), span("execute", {}, None):
                 threads = [threading.Thread(target=carry_trace(drain),
                                             args=(name,)) for name in names]
                 for thread in threads:

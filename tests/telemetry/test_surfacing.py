@@ -53,7 +53,7 @@ def service(tmp_path):
     try:
         yield server
     finally:
-        server.shutdown_service(timeout=10)
+        server.shutdown_service()
         thread.join(timeout=5)
 
 
@@ -105,7 +105,7 @@ class TestLoggingSetup:
         marked = [h for h in logger.handlers
                   if getattr(h, "_repro_logging_handler", False)]
         assert len(marked) == 1
-        setup_logging()   # back to the default for the rest of the suite
+        setup_logging(None)   # back to the default for the rest of the suite
         assert logger.level == logging.WARNING
 
     def test_resolve_level_accepts_names_and_ints(self):
@@ -161,7 +161,7 @@ class TestMetricsEndpoint:
 
 class TestStatusDocuments:
     def test_status_document_telemetry_block_is_optional(self):
-        base = status_document("c", 0, [])
+        base = status_document("c", 0, [], telemetry=None)
         assert "telemetry" not in base
         extended = status_document("c", 0, [], telemetry={"bus": {}})
         assert extended["telemetry"] == {"bus": {}}

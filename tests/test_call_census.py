@@ -1,5 +1,6 @@
 """The call census: every function defined in ``src/repro`` is called by the
-traffic CI drives, or is allow-listed below with its reason.
+traffic CI drives, and every defaulted parameter of one takes two values in
+it, or is allow-listed below with its reason.
 
 The traffic is CI's own steps (``.github/workflows/ci.yml``: the CLI smoke,
 the examples, the campaign, worker-pool and service smokes, the ``bench-*``
@@ -8,16 +9,23 @@ Each job runs in a scratch root whose ``src`` holds ``repro`` and a
 ``sitecustomize`` that profiles every interpreter the steps start — pool
 workers, the service and its threads included — and appends each
 ``src/repro`` function called to one file as it is first called, so a
-worker that is killed has already reported.
+worker that is killed has already reported.  It also writes a key of each
+argument of a defaulted parameter (:func:`value_key`) the first time it
+sees that key, up to :data:`MAX_KEYS` per argument.
 
-A function that only tests call is not part of the system: delete it, or
-give it one of the four reasons to stay.  The census is ``slow`` (a few
+A function that only tests call is not part of the system, and a parameter
+every CI step holds at one value is not an option: delete it (inline the
+value, or make the argument required), or give it one of the four reasons
+to stay.  The census is ``slow`` (a few
 minutes); run it with ``pytest --runslow tests/test_call_census.py``.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
+import json
+import numbers
 import os
 import re
 import shutil
@@ -114,23 +122,123 @@ ALLOWED = {
              "decode_point_cloud"),
 }
 
-SITECUSTOMIZE = '''
-import os, sys, threading
+#: ``module:qualname(parameter)`` -> why a defaulted parameter CI holds at
+#: one value stays a parameter.  The same four reasons, for a parameter:
+#: (1) an open ROADMAP item makes it two-valued, (2) it is documented
+#: surface — a CLI flag, an HTTP submit key or a deployment setting —, (3)
+#: something outside the census sets it — a ``WorkflowConfig`` option or
+#: the benchmark — or (4) tests substitute a collaborator through it, or it
+#: is an oracle's.  A scalar only tests change is a module constant.
+ONE_VALUED_PARAMETERS = {
+    **_allow("1: the spectra item streams every n-th step",
+             "repro.core.producer",
+             "StreamingProducerPlugin.__init__(sample_interval)"),
+    **_allow("2: bench-campaign --repeats, --max-workers, --start-method, "
+             "--repetitions", "repro.campaign.hotpath",
+             "run_campaign_benchmark(repeats)",
+             "run_campaign_benchmark(max_workers)",
+             "run_campaign_benchmark(start_method)",
+             "run_campaign_benchmark(repetitions)"),
+    **_allow("2: bench-hotpath --repeats", "repro.pic.hotpath",
+             "run_hotpath_benchmark(repeats)"),
+    **_allow("2: bench-train --repeats", "repro.workflow.train_hotpath",
+             "run_train_benchmark(repeats)"),
+    **_allow("2: bench-learning --repeats", "repro.workflow.learning",
+             "run_learning_benchmark(repeats)"),
+    **_allow("2: campaign run --timeout / --retries and the submit keys",
+             "repro.campaign.scheduler", "CampaignExecutor.__init__(timeout)",
+             "CampaignExecutor.__init__(retries)"),
+    **_allow("2: campaign run --timeout / --retries and the submit keys",
+             "repro.campaign.workers", "WorkerPoolExecutor.__init__(timeout)",
+             "WorkerPoolExecutor.__init__(retries)", "WorkerPool.run(timeout)",
+             "WorkerPool.run(retries)"),
+    **_allow("2: campaign run --max-runs", "repro.campaign.scheduler",
+             "run_campaign(max_runs)"),
+    **_allow("2: trace --run", "repro.telemetry.render",
+             "render_traces(run_id)"),
+    **_allow("2: main(argv), the CLI's entry point", "repro.cli", "main(argv)"),
+    **_allow("2: serve --host, a deployment setting", "repro.service.server",
+             "create_server(host)"),
+    **_allow("2: the client's network timeout, a deployment setting",
+             "repro.service.client", "ServiceClient.__init__(timeout)"),
+    **_allow("3: the streaming.queue_limit option feeds it",
+             "repro.streaming.broker", "SSTBroker.__init__(queue_limit)"),
+    **_allow("3: the benchmark's coupled-overlap workload sets it",
+             "repro.workflow.drivers", "PipelinedDriver.__init__(max_in_flight)"),
+    **_allow("4: tests run campaigns on a fake worker through it",
+             "repro.campaign.scheduler", "run_campaign(worker)"),
+    **_allow("4: tests run campaigns on a fake worker through it",
+             "repro.service.jobs", "CampaignJob.__init__(worker)",
+             "CampaignJobManager.__init__(worker)"),
+    **_allow("4: tests run campaigns on a fake worker through it",
+             "repro.service.server", "create_server(worker)"),
+    **_allow("4: the tape oracles seed the backward pass with it",
+             "repro.mlcore.tensor", "Tensor.backward(grad)"),
+}
 
+
+def value_key(value):
+    """What the census records of one argument: a scalar, ``None`` or a
+    short tuple of scalars by ``repr``, a function or class by its
+    qualified name, anything else by its type."""
+    scalar = (numbers.Number, str, bytes, type(None))
+    if isinstance(value, scalar) or (type(value) is tuple and len(value) <= 8
+                                     and all(isinstance(item, scalar)
+                                             for item in value)):
+        return repr(value)[:200]
+    name = getattr(value, "__qualname__", None)
+    if callable(value) and isinstance(name, str):
+        return f"{getattr(value, '__module__', None)}.{name}"
+    return f"{type(value).__module__}.{type(value).__qualname__}"
+
+
+#: keys recorded per argument; two show it varies, three leave a margin
+MAX_KEYS = 3
+
+SITECUSTOMIZE = "import json, numbers, os, sys, threading\n\n\n" + \
+    inspect.getsource(value_key) + f"""
+
+MAX_KEYS = {MAX_KEYS}
+""" + '''
 _package = os.environ["CALL_CENSUS_PACKAGE"] + os.sep
 _fd = os.open(os.environ["CALL_CENSUS_OUT"],
               os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+with open(os.environ["CALL_CENSUS_DEFAULTED"], encoding="utf-8") as _handle:
+    _defaulted = json.load(_handle)     # site -> its defaulted parameters
 _seen = {}
 
 
 def _record(frame, event, arg):
-    if event == "call":
-        code = frame.f_code
-        if id(code) not in _seen:
-            _seen[id(code)] = code      # held, so no id is reused
-            path = os.path.realpath(code.co_filename)
-            if path.startswith(_package):
-                os.write(_fd, f"{path}:{code.co_firstlineno}\\n".encode())
+    if event != "call":
+        return
+    code = frame.f_code
+    entry = _seen.get(id(code))
+    if entry is None:
+        path = os.path.realpath(code.co_filename)
+        site, open_keys = None, None
+        if path.startswith(_package):
+            site = f"{path}:{code.co_firstlineno}"
+            os.write(_fd, f"{site}\\n".encode())
+            open_keys = {name: set() for name in _defaulted.get(site, ())} \\
+                or None
+        entry = _seen[id(code)] = [code, site, open_keys]  # held: no id reuse
+    open_keys = entry[2]
+    if open_keys is None:
+        return
+    arguments, lines, full = frame.f_locals, [], []
+    for name, keys in open_keys.items():
+        key = value_key(arguments.get(name))
+        if key not in keys:
+            keys.add(key)
+            lines.append(f"{entry[1]}\\t{name}\\t{key}\\n")
+            if len(keys) >= MAX_KEYS:
+                full.append(name)
+    if lines:
+        for name in full:
+            del open_keys[name]
+        if not open_keys:
+            entry[2] = None
+        os.write(_fd, "".join(lines).encode())
 
 
 sys.setprofile(_record)
@@ -167,6 +275,8 @@ def run_traffic(scratch: Path, out: Path) -> None:
     port.close()
     env = dict(os.environ, CALL_CENSUS_OUT=str(out),
                CALL_CENSUS_PACKAGE=str(PACKAGE.resolve()),
+               CALL_CENSUS_DEFAULTED=str(write_defaulted(
+                   scratch / "defaulted.json")),
                TMPDIR=str(scratch))
     for job, name, script in ci_steps():
         if "pip install" in script or "pytest" in script:
@@ -189,10 +299,10 @@ def run_traffic(scratch: Path, out: Path) -> None:
             f"CI step {job} / {name} failed:\n{done.stdout}\n{done.stderr}")
 
 
-def definitions():
-    """``module:qualname`` of every function in ``src/repro``, keyed by
-    the ``(path, first line)`` its code object reports."""
-    found = {}
+def functions():
+    """``((path, first line), module:qualname, node)`` of every function
+    in ``src/repro``, the key being what its code object reports."""
+    found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
         module = module.removesuffix(".__init__")
@@ -204,8 +314,8 @@ def definitions():
                 elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     first = min([child.lineno] + [decorator.lineno for decorator
                                                   in child.decorator_list])
-                    found[(str(path.resolve()), first)] = \
-                        f"{module}:{prefix}{child.name}"
+                    found.append(((str(path.resolve()), first),
+                                  f"{module}:{prefix}{child.name}", child))
                     visit(child, f"{prefix}{child.name}.<locals>.")
                 else:
                     visit(child, prefix)
@@ -214,12 +324,60 @@ def definitions():
     return found
 
 
+def definitions():
+    """``module:qualname`` of every function in ``src/repro``, keyed by
+    the ``(path, first line)`` its code object reports."""
+    return {site: name for site, name, _ in functions()}
+
+
+def _with_default(node) -> list:
+    """The names of a function node's parameters that have a default."""
+    arguments = node.args
+    positional = arguments.posonlyargs + arguments.args
+    return [argument.arg for argument in
+            positional[len(positional) - len(arguments.defaults):]] + [
+        argument.arg for argument, default in zip(arguments.kwonlyargs,
+                                                  arguments.kw_defaults)
+        if default is not None]
+
+
+def defaulted_parameters():
+    """``module:qualname`` -> the ``module:qualname(parameter)`` of each of
+    its parameters that has a default."""
+    return {name: [f"{name}({argument})" for argument in _with_default(node)]
+            for _, name, node in functions()}
+
+
+def write_defaulted(path: Path) -> Path:
+    """The profiler's list of what to record: ``"path:first line"`` -> the
+    parameters with a default (a method's ``self`` never reaches three
+    keys, and recording it on every call would slow the traffic down)."""
+    path.write_text(json.dumps({f"{site[0]}:{site[1]}": _with_default(node)
+                                for site, _, node in functions()}))
+    return path
+
+
 def recorded(out: Path, defined: dict) -> list:
     """``module:qualname`` of each function the profiler wrote to ``out``,
     in order (a module or class body is not a function)."""
-    keys = [line.rsplit(":", 1) for line in out.read_text().splitlines()]
+    keys = [line.rsplit(":", 1) for line in out.read_text().splitlines()
+            if "\t" not in line]
     return [defined[path, int(first)] for path, first in keys
             if (path, int(first)) in defined]
+
+
+def argument_keys(out: Path, defined: dict) -> dict:
+    """``module:qualname(argument)`` -> the value keys the profiler wrote
+    to ``out`` for it."""
+    found = {}
+    for line in out.read_text().splitlines():
+        if "\t" in line:
+            site, argument, key = line.split("\t", 2)
+            path, first = site.rsplit(":", 1)
+            if (path, int(first)) in defined:
+                found.setdefault(f"{defined[path, int(first)]}({argument})",
+                                 set()).add(key)
+    return found
 
 
 @pytest.fixture(scope="module")
@@ -229,8 +387,8 @@ def census(tmp_path_factory):
     try:
         run_traffic(scratch, out)
     finally:
-        # CI's stop step sends SIGINT, which a job a non-interactive shell
-        # put in the background ignores: the service is still serving
+        # CI's stop step sends SIGTERM, but a step that fails before it
+        # leaves the service serving
         pid = scratch / "service-smoke" / "serve.pid"
         if pid.exists():
             try:
@@ -238,20 +396,40 @@ def census(tmp_path_factory):
             except ProcessLookupError:
                 pass
     defined = definitions()
-    return set(defined.values()), set(recorded(out, defined))
+    return types.SimpleNamespace(
+        defined=set(defined.values()), reached=set(recorded(out, defined)),
+        keys=argument_keys(out, defined))
 
 
 @pytest.mark.slow
 def test_every_function_is_called_by_ci_or_allow_listed(census):
-    defined, reached = census
-    assert sorted(defined - reached - set(ALLOWED)) == []
+    assert sorted(census.defined - census.reached - set(ALLOWED)) == []
 
 
 @pytest.mark.slow
 def test_the_allow_list_names_only_functions_ci_does_not_call(census):
-    defined, reached = census
-    assert sorted(set(ALLOWED) - defined) == []
-    assert sorted(set(ALLOWED) & reached) == []
+    assert sorted(set(ALLOWED) - census.defined) == []
+    assert sorted(set(ALLOWED) & census.reached) == []
+
+
+def one_valued(census) -> list:
+    """The defaulted parameters of the functions CI calls (less those in
+    ``ALLOWED``) that take fewer than two value keys across its steps."""
+    return sorted(parameter for function, parameters
+                  in defaulted_parameters().items()
+                  if function in census.reached and function not in ALLOWED
+                  for parameter in parameters
+                  if len(census.keys.get(parameter, ())) < 2)
+
+
+@pytest.mark.slow
+def test_every_defaulted_parameter_ci_holds_at_one_value_is_allow_listed(census):
+    assert sorted(set(one_valued(census)) - set(ONE_VALUED_PARAMETERS)) == []
+
+
+@pytest.mark.slow
+def test_the_one_valued_list_names_only_parameters_ci_holds_at_one_value(census):
+    assert sorted(set(ONE_VALUED_PARAMETERS) - set(one_valued(census))) == []
 
 
 
@@ -266,6 +444,67 @@ def test_every_allow_list_entry_gives_a_reason_to_stay():
     """Never reason 3: a listed function CI calls fails the census."""
     assert [key for key, reason in ALLOWED.items()
             if not re.match(r"[124]: \S", reason)] == []
+
+
+def test_the_one_valued_list_names_defaulted_parameters_of_censused_functions():
+    defaulted = defaulted_parameters()
+    assert sorted(set(ONE_VALUED_PARAMETERS) - {
+        parameter for function, parameters in defaulted.items()
+        if function not in ALLOWED for parameter in parameters}) == []
+
+
+def test_every_one_valued_entry_gives_a_reason_to_stay():
+    assert [key for key, reason in ONE_VALUED_PARAMETERS.items()
+            if not re.match(r"[1234]: \S", reason)] == []
+
+
+def test_defaulted_parameters_are_named_as_argument_keys_are():
+    """Positional and keyword-only defaults; a parameter without one is
+    not censused."""
+    found = defaulted_parameters()
+    assert found["repro.analysis.growth:fit_exponential_growth"] == [
+        "repro.analysis.growth:fit_exponential_growth(window)",
+        "repro.analysis.growth:fit_exponential_growth(floor)"]
+    assert found["repro.continual.buffer:TrainingBuffer.__init__"] == [
+        f"repro.continual.buffer:TrainingBuffer.__init__({name})"
+        for name in ("now_size", "ep_size", "n_ep")]
+    assert found["repro.analysis.growth:identify_linear_phase"] == []
+
+
+def test_a_scalar_none_or_short_tuple_of_scalars_is_keyed_by_repr():
+    import numpy as np
+
+    values = (3, 0.5, True, None, "log", b"x", np.float64(2.0), np.int64(7),
+              (1, 2.0, "a"), ())
+    assert [value_key(value) for value in values] == [repr(value)
+                                                      for value in values]
+    assert value_key("x" * 500) == repr("x" * 500)[:200]
+
+
+def test_a_function_or_class_is_keyed_by_its_qualified_name():
+    from repro.campaign.scheduler import execute_run
+    from repro.pic.particles import ParticleSpecies
+
+    assert value_key(execute_run) == "repro.campaign.scheduler.execute_run"
+    assert value_key(ParticleSpecies) == "repro.pic.particles.ParticleSpecies"
+    assert value_key(ParticleSpecies.electrons) == \
+        "repro.pic.particles.ParticleSpecies.electrons"
+    assert value_key(len) == "builtins.len"
+
+
+def test_any_other_object_is_keyed_by_its_type():
+    import numpy as np
+
+    from repro.models.losses import CombinedLoss
+
+    assert value_key(np.random.default_rng(0)) == \
+        "numpy.random._generator.Generator"
+    assert value_key(np.zeros(3)) == "numpy.ndarray"
+    assert value_key([1, 2]) == value_key([]) == "builtins.list"
+    assert value_key({"a": 1}) == "builtins.dict"
+    assert value_key(tuple(range(9))) == "builtins.tuple"     # not short
+    assert value_key((1, [2])) == "builtins.tuple"            # not scalars
+    assert value_key(CombinedLoss()) == "repro.models.losses.CombinedLoss"
 
 
 def test_definitions_are_keyed_as_code_objects_report_them():
@@ -311,18 +550,23 @@ def test_ci_drives_the_documented_commands_the_census_counts_as_called():
 
 
 def profiled_run(tmp_path, code):
-    """What the census profiler records while ``python -c code`` runs."""
+    """What the census profiler records while ``python -c code`` runs: the
+    functions called, in order, and the argument keys."""
     (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE)
     env = dict(os.environ, CALL_CENSUS_OUT=str(tmp_path / "calls.txt"),
                CALL_CENSUS_PACKAGE=str(PACKAGE.resolve()),
+               CALL_CENSUS_DEFAULTED=str(write_defaulted(
+                   tmp_path / "defaulted.json")),
                PYTHONPATH=os.pathsep.join([str(tmp_path), str(PACKAGE.parent)]))
     subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=tmp_path,
                    env=env, check=True, timeout=120)
-    return recorded(tmp_path / "calls.txt", definitions())
+    defined = definitions()
+    return (recorded(tmp_path / "calls.txt", defined),
+            argument_keys(tmp_path / "calls.txt", defined))
 
 
 def test_the_profiler_records_each_function_once_and_threads_too(tmp_path):
-    records = profiled_run(tmp_path, """
+    records, keys = profiled_run(tmp_path, """
         import threading
         from repro.analysis.growth import fit_exponential_growth, identify_linear_phase
         identify_linear_phase([1.0, 2.0, 4.0, 8.0, 16.0])
@@ -336,18 +580,36 @@ def test_the_profiler_records_each_function_once_and_threads_too(tmp_path):
     assert {"repro.analysis.growth:identify_linear_phase",
             "repro.analysis.growth:fit_exponential_growth",
             "repro.analysis.growth:_linear_fit"} <= set(records)
+    # the thread's call: each parameter with a default, once per key
+    growth = "repro.analysis.growth:fit_exponential_growth"
+    assert keys == {f"{growth}(window)": {"None"}, f"{growth}(floor)": {"0.0"}}
 
 
 def test_the_profiler_follows_a_spawned_process(tmp_path):
     """Only the child calls it: the census sees pool workers' calls."""
-    records = profiled_run(tmp_path, """
+    records, keys = profiled_run(tmp_path, """
         import multiprocessing
-        from repro.analysis.growth import identify_linear_phase
+        from repro.analysis.growth import fit_exponential_growth
         if __name__ == "__main__":
             child = multiprocessing.get_context("spawn").Process(
-                target=identify_linear_phase, args=([1.0, 2.0, 4.0, 8.0, 16.0],))
+                target=fit_exponential_growth,
+                args=([0, 1, 2, 3], [1.0, 2.0, 4.0, 8.0], (0, 4)))
             child.start()
             child.join()
             assert child.exitcode == 0
         """)
-    assert "repro.analysis.growth:identify_linear_phase" in records
+    growth = "repro.analysis.growth:fit_exponential_growth"
+    assert growth in records
+    assert keys == {f"{growth}(window)": {"(0, 4)"}, f"{growth}(floor)": {"0.0"}}
+
+
+def test_the_profiler_keeps_at_most_max_keys_per_argument(tmp_path):
+    records, keys = profiled_run(tmp_path, """
+        from repro.analysis.growth import fit_exponential_growth
+        for floor in (0.0, 0.1, 0.2, 0.3, 0.4):
+            fit_exponential_growth([0, 1, 2, 3], [1.0, 2.0, 4.0, 8.0],
+                                   floor=floor)
+        """)
+    growth = "repro.analysis.growth:fit_exponential_growth"
+    assert keys[f"{growth}(floor)"] == {"0.0", "0.1", "0.2"}
+    assert keys[f"{growth}(window)"] == {"None"}

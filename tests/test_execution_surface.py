@@ -111,7 +111,8 @@ CENSUS_REMOVED = {
     "repro.models": ["small_config"],
     "repro.models.config": ["small_config"],
     "repro.pic.diagnostics": ["momentum_histogram"],
-    "repro.pic.fom:FigureOfMerit": ["value", "tera_updates_per_second"],
+    "repro.pic": ["FigureOfMerit", "figure_of_merit"],
+    "repro.pic.simulation": ["FigureOfMerit", "figure_of_merit"],
     "repro.pic.grid:YeeGrid": ["stagger"],
     "repro.pic.particles:ParticleSpecies": ["beta", "sample", "select",
                                             "total_charge", "velocities"],
@@ -146,6 +147,80 @@ CENSUS_REMOVED = {
     "repro.workflow.fanout:FanOutBroker": ["closed", "queue_limit"],
 }
 
+#: ``module:qualname`` -> the parameters the argument census deleted, because
+#: every CI step passed them one value (``tests/test_call_census.py``): each
+#: became a module constant or the value its callers always passed
+CENSUS_REMOVED_PARAMETERS = {
+    function: names.split() for function, names in (
+        row.split(None, 1) for row in """
+repro.analysis.classifier:LatentRegimeClassifier.__init__ n_classes learning_rate n_epochs l2
+repro.analysis.evaluation:evaluate_inversion bins momentum_range
+repro.analysis.histograms:momentum_histogram weights bins momentum_range axis
+repro.analysis.histograms:detects_two_populations minimum_separation prominence
+repro.analysis.regions:label_particles vortex_half_width
+repro.campaign.scheduler:default_pool_workers maximum
+repro.campaign.scheduler:register_executor overwrite
+repro.campaign.spec:_as_int minimum
+repro.campaign.workers:WorkerPool.__init__ heartbeat_interval liveness_timeout
+repro.campaign.workers:WorkerPool.wait_ready timeout
+repro.campaign.workers:WorkerPool.shutdown timeout
+repro.campaign.workers:WorkerPool.run capacity max_requeues
+repro.campaign.workers:shared_pool start_method
+repro.campaign.workers:shutdown_shared_pools timeout
+repro.campaign.workers:WorkerPoolExecutor.__init__ capacity max_requeues start_method
+repro.constants:plasma_frequency charge mass
+repro.continual.buffer:TrainingBuffer.__init__ n_now
+repro.core.producer:StreamingProducerPlugin.__init__ species_name
+repro.core.transforms:make_training_samples min_particles_per_region
+repro.mlcore.layers.conv:PointwiseConv.forward relu
+repro.mlcore.layers.linear:Linear.__init__ bias
+repro.mlcore.losses:mmd_imq scales
+repro.mlcore.optim:Optimizer.__init__ weight_decay
+repro.mlcore.optim:Adam.__init__ betas eps weight_decay
+repro.mlcore.optim:make_block_param_groups weight_decay
+repro.mlcore.tensor:Tensor.max keepdims
+repro.mlcore.tensor:Tensor.min keepdims
+repro.models.inn:GlowCouplingBlock.__init__ clamp
+repro.openpmd.series:DirectoryStore.put_step timeout
+repro.openpmd.series:DirectoryStore.get_step timeout
+repro.perfmodel.streaming:make_data_plane rng
+repro.pic.deposition:_hat_weights n_nodes
+repro.pic.hotpath:_bench_config seed
+repro.pic.hotpath:check_equivalence n_steps
+repro.pic.hotpath:helper_is_identical n_steps
+repro.pic.hotpath:run_hotpath_benchmark equivalence_steps
+repro.radiation.detector:direction_grid n_phi axis opening_angle
+repro.radiation.detector:frequency_grid spacing
+repro.radiation.detector:RadiationDetector.for_khi max_omega_in_plasma_units axis
+repro.radiation.lienard_wiechert:radiation_amplitude_step chunk_size
+repro.radiation.lienard_wiechert:accumulate_amplitude chunk_size
+repro.radiation.spectrum:normalize_log_spectrum floor
+repro.service.bus:Subscription.get timeout
+repro.service.bus:RunEventBus.__init__ max_queue_size
+repro.service.bus:RunEventBus.subscribe max_queue_size
+repro.service.client:ServiceClient.wait_ready interval
+repro.service.client:ServiceClient.events timeout
+repro.service.client:ServiceClient.watch timeout
+repro.service.jobs:CampaignJob.join timeout
+repro.service.jobs:CampaignJobManager.shutdown timeout
+repro.service.server:sse_event_stream keepalive_s max_queue_size
+repro.service.server:CampaignServiceServer.__init__ keepalive_s subscriber_queue_size
+repro.service.server:CampaignServiceServer.shutdown_service timeout
+repro.service.server:create_server keepalive_s subscriber_queue_size
+repro.streaming.broker:SSTBroker.put_step timeout
+repro.streaming.broker:SSTBroker.get_step timeout
+repro.streaming.noop:NoOpConsumer.run max_steps
+repro.telemetry.metrics:Histogram.__init__ buckets
+repro.telemetry.metrics:MetricsRegistry.histogram buckets
+repro.telemetry.spans:Span.finish end_s status
+repro.utils.validation:check_array dtype allow_empty
+repro.utils.validation:check_positive strict
+repro.workflow.builder:WorkflowBuilder.add_consumer factory
+repro.workflow.consumers:HistogramMonitorConsumer.__init__ n_bins momentum_range
+repro.workflow.drivers:PipelinedDriver.__init__ join_timeout wait_timeout
+repro.workflow.fanout:FanOutBroker.put_step timeout
+""".strip().splitlines())}
+
 
 class TestSurface:
     def test_removed_names_are_gone_not_aliased(self):
@@ -169,6 +244,9 @@ class TestSurface:
                 or name == "WorkflowReport"] == []
         # the sharded executor, its routers and their module
         assert importlib.util.find_spec("repro.campaign.sharding") is None
+        # nothing read the figure of merit a simulation run returned: the
+        # module went, its FOM weights live in repro.perfmodel.fom
+        assert importlib.util.find_spec("repro.pic.fom") is None
         assert [name for name in dir(repro.campaign)
                 if "shard" in name.lower() or "router" in name.lower()] == []
         # what only tests called: gone from its module, its class and
@@ -179,6 +257,15 @@ class TestSurface:
             owner = getattr(owner, cls) if cls else owner
             assert [name for name in names if name in vars(owner)] == [], path
         assert field_names(WorkflowHooks) == ["on_step", "on_iteration_consumed"]
+
+    def test_parameters_the_argument_census_removed_are_gone(self):
+        for path, names in CENSUS_REMOVED_PARAMETERS.items():
+            module, _, qualname = path.partition(":")
+            function = importlib.import_module(module)
+            for part in qualname.split("."):
+                function = getattr(function, part)
+            assert [name for name in names
+                    if name in parameters_of(function)] == [], path
 
 
 def shape_of(executor):
@@ -400,11 +487,10 @@ class TestOptionsCensus:
 
     def test_the_run_path_takes_exactly_these_options(self):
         assert parameters_of(WorkerPoolExecutor.__init__) == [
-            "max_workers", "timeout", "retries", "pool", "capacity",
-            "max_requeues", "start_method"]
+            "max_workers", "timeout", "retries", "pool"]
         assert parameters_of(WorkerPool.run) == [
-            "payloads", "worker", "retries", "timeout", "on_record",
-            "should_stop", "capacity", "max_requeues", "counters"]
+            "payloads", "worker", "counters", "retries", "timeout",
+            "on_record", "should_stop"]
         assert parameters_of(SSTBroker.__init__) == [
             "stream_name", "queue_limit"]
         assert parameters_of(Series.__init__) == ["broker"]
@@ -422,7 +508,7 @@ class TestOptionsCensus:
             "index", "arrays", "attributes"]
         assert [field.name for field in dataclasses.fields(NoOpConsumer)] == [
             "broker", "step_times", "step_bytes"]
-        assert parameters_of(NoOpConsumer.run) == ["max_steps"]
+        assert parameters_of(NoOpConsumer.run) == []
         # a step is flat arrays: no engines, rank blocks or step protocol
         assert [name for name in ("SSTWriterEngine", "SSTReaderEngine",
                                   "Variable", "Block", "StepStatus",
@@ -434,8 +520,7 @@ class TestOptionsCensus:
             "config", "driver", "consumer_specs", "hooks"]
         # every consumer queue is streaming.queue_limit deep
         assert field_names(ConsumerSpec) == ["name", "factory"]
-        assert parameters_of(WorkflowBuilder.add_consumer) == [
-            "name", "kind", "factory"]
+        assert parameters_of(WorkflowBuilder.add_consumer) == ["name", "kind"]
         assert parameters_of(InTransitTrainer.__init__) == [
             "model", "optimizer", "buffer", "loss", "n_rep"]
         assert [field.name for field in dataclasses.fields(StreamingConfig)] \
@@ -457,7 +542,7 @@ class TestOptionsCensus:
         assert parameters_of(ParticleSpecies.protons) == [
             "positions", "momenta", "weights"]
         assert parameters_of(label_particles) == [
-            "positions", "momenta", "extent", "vortex_half_width"]
+            "positions", "momenta", "extent"]
         assert parameters_of(pic_simulation.gather_fields) == [
             "grid", "positions", "workspace", "out"]
         assert parameters_of(pic_simulation.deposit_charge_cic) == [
@@ -512,7 +597,8 @@ class TestOptionsCensus:
             "pairwise_squared_distances", "reparameterize", "take_columns",
             "weighted_sum"]
         assert public_names(mlcore_losses) == [
-            "chamfer_distance", "kl_divergence_normal", "mmd_imq", "mse_loss"]
+            "MMD_SCALES", "chamfer_distance", "kl_divergence_normal", "mmd_imq",
+            "mse_loss"]
         assert public_names(optim) == [
             "Adam", "Optimizer", "PAPER_ADAM_BETAS", "PAPER_ADAM_EPS",
             "PAPER_BASE_LEARNING_RATE", "PAPER_WEIGHT_DECAY", "ParamGroup",
@@ -521,7 +607,7 @@ class TestOptionsCensus:
     def test_mlcore_options_with_one_value_are_constants(self):
         assert parameters_of(mlcore_losses.chamfer_distance) == ["a", "b"]
         assert parameters_of(optim.make_block_param_groups) == [
-            "vae_params", "inn_params", "base_lr", "m_vae", "weight_decay"]
+            "vae_params", "inn_params", "base_lr", "m_vae"]
         assert parameters_of(mlcore_layers.MLP.__init__) == ["dims", "rng"]
         assert parameters_of(mlcore_layers.MaxPoolPoints.__init__) == []
         assert parameters_of(mlcore_init.kaiming_uniform) == ["shape", "rng"]

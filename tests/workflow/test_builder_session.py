@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.producer import POINT_CLOUDS
+from repro.workflow import consumers
 from repro.workflow import (HistogramMonitorConsumer, WorkflowBuilder,
                             WorkflowSession, available_consumers,
                             get_consumer_factory)
@@ -102,7 +103,7 @@ class TestFanOut:
         # the trainer is unaffected by the second consumer
         assert result.report.training_iterations == 4
 
-    def test_consumers_get_isolated_buffers(self):
+    def test_consumers_get_isolated_buffers(self, monkeypatch):
         """A consumer mutating its loaded arrays must not affect the trainer."""
         class VandalConsumer(HistogramMonitorConsumer):
             def consume(self, max_iterations=None, on_iteration=None):
@@ -115,11 +116,13 @@ class TestFanOut:
                         break
                 return consumed
 
+        monkeypatch.setitem(consumers._CONSUMER_FACTORIES, "vandal",
+                            lambda name, series, s, rng: VandalConsumer(name, series))
+
         def run_losses(with_vandal):
             builder = WorkflowBuilder().config(tiny_config(n_rep=1)).driver("serial")
             if with_vandal:
-                builder.add_consumer("vandal", factory=lambda name, series, s, rng:
-                                     VandalConsumer(name, series))
+                builder.add_consumer("vandal", kind="vandal")
             result = builder.build().run(3)
             assert result.ok
             return result.report.loss_history_total

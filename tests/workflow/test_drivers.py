@@ -106,12 +106,12 @@ class TestTiming:
     @pytest.mark.parametrize("driver", available_drivers())
     def test_on_step_hooks_run_outside_the_timed_step(self, driver):
         def hook(session, index):
-            with span("hook"):
+            with span("hook", {}, None):
                 pass
         session = (WorkflowBuilder().config(tiny_config()).driver(driver)
                    .on_step(hook).build())
         recorder = SpanRecorder()
-        with recording(recorder), span("execute"):
+        with recording(recorder), span("execute", {}, None):
             assert session.run(2).ok
         parents = {s.span_id: s.name for s in recorder.spans}
         hooks = [s for s in recorder.spans if s.name == "hook"]

@@ -9,9 +9,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.streaming import broker as broker_module
 from repro.streaming.broker import SSTBroker, StreamClosedError
 from repro.streaming.step import Step
 from repro.workflow import FanOutBroker, WorkflowBuilder, WorkflowSession
+from repro.workflow.builder import WorkflowHooks
+from repro.workflow.drivers import SerialDriver
 from tests.core.test_artificial_scientist import tiny_config
 
 
@@ -47,7 +50,7 @@ class TestZeroConsumers:
 
     def test_session_requires_a_consumer(self):
         with pytest.raises(ValueError, match="at least one consumer"):
-            WorkflowSession(tiny_config(), consumer_specs=[])
+            WorkflowSession(tiny_config(), SerialDriver(), [], WorkflowHooks())
 
     def test_put_with_every_queue_closed_raises(self):
         downstream = SSTBroker("s#only", queue_limit=2)
@@ -99,9 +102,9 @@ class TestConsumerUnregisteredMidRun:
         racy = SSTBroker("s#b", queue_limit=4)
         original_put = racy.put_step
 
-        def closing_put(step, timeout=None):
+        def closing_put(step):
             racy.close()
-            return original_put(step, timeout=timeout)
+            return original_put(step)
 
         racy.put_step = closing_put
         fanout = FanOutBroker("s", [survivor, racy])
@@ -111,21 +114,23 @@ class TestConsumerUnregisteredMidRun:
 
 
 class TestSlowConsumerBackPressure:
-    def test_full_bounded_queue_blocks_until_drained(self):
+    def test_full_bounded_queue_blocks_until_drained(self, monkeypatch):
         fast = SSTBroker("s#fast", queue_limit=8)
         slow = SSTBroker("s#slow", queue_limit=1)
         fanout = FanOutBroker("s", [fast, slow])
         fanout.put_step(make_step(0))  # fills the slow queue
 
         # with nobody draining, the tee times out on the full queue
+        monkeypatch.setattr(broker_module, "TIMEOUT_S", 0.05)
         with pytest.raises(TimeoutError):
-            fanout.put_step(make_step(1), timeout=0.05)
+            fanout.put_step(make_step(1))
 
         # a reader draining the slow queue releases the writer
+        monkeypatch.setattr(broker_module, "TIMEOUT_S", 5.0)
         release = threading.Timer(0.05, slow.get_step)
         release.start()
         try:
-            fanout.put_step(make_step(2), timeout=5.0)
+            fanout.put_step(make_step(2))
         finally:
             release.join()
         assert slow.queued_steps == 1
