@@ -25,6 +25,13 @@ class TestLinear:
         assert layer.weight.grad is not None
         assert layer.bias is not None and layer.bias.grad is not None
 
+    def test_bias_gets_the_output_gradient_summed_over_rows(self, rng):
+        layer = Linear(4, 2, rng=rng)
+        upstream = rng.normal(size=(3, 2))
+        (layer(Tensor(rng.normal(size=(3, 4)))) * Tensor(upstream)).sum().backward()
+        np.testing.assert_allclose(layer.bias.grad, upstream.sum(axis=0))
+        assert len(layer.parameters()) == 2
+
     def test_batched_input(self, rng):
         layer = Linear(4, 2, rng=rng)
         out = layer(Tensor(rng.normal(size=(2, 5, 4))))

@@ -286,6 +286,13 @@ class TestReductionsAndShapes:
         x.max(axis=0).backward()
         np.testing.assert_allclose(x.grad, [0.0, 0.5, 0.5, 0.0])
 
+    def test_max_along_rows_splits_ties_within_each_row(self):
+        x = Tensor([[1.0, 3.0, 3.0], [2.0, 2.0, 0.0]], requires_grad=True)
+        out = x.max(axis=1)
+        assert out.shape == (2,)
+        out.sum().backward()
+        np.testing.assert_allclose(x.grad, [[0.0, 0.5, 0.5], [0.5, 0.5, 0.0]])
+
     def test_reshape_takes_a_tuple(self, rng):
         x0 = rng.normal(size=(3, 4))
         assert Tensor(x0).reshape((2, 6)).shape == (2, 6)

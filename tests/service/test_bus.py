@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 from sse_helpers import subscriber_count
@@ -41,6 +42,13 @@ class TestPublishSubscribe:
         subs = [bus.subscribe("c")[1] for _ in range(3)]
         event = bus.publish("c", "run", {"n": 1})
         assert all(sub.get().seq == event.seq for sub in subs)
+
+    def test_a_silent_subscriber_waits_out_the_keepalive(self):
+        bus = RunEventBus()
+        _, sub = bus.subscribe("silent")
+        start = time.monotonic()
+        assert sub.get() is None
+        assert time.monotonic() - start >= bus_module.KEEPALIVE_S
 
     def test_unsubscribe_stops_delivery_and_is_idempotent(self):
         bus = RunEventBus()

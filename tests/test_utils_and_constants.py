@@ -55,6 +55,20 @@ class TestRNG:
         values = [c.random() for c in children]
         assert len(set(values)) == 3
 
+    def test_spawn_rngs_deterministic(self):
+        a = spawn_rngs(3, 4)
+        b = spawn_rngs(3, 4)
+        for left, right in zip(a, b):
+            np.testing.assert_array_equal(left.random(5), right.random(5))
+
+    def test_spawn_rngs_children_are_the_seed_sequence_spawn(self):
+        """A campaign's per-run streams are pinned: child ``i`` of seed ``s``
+        is the generator of ``SeedSequence(s).spawn(n)[i]``."""
+        children = spawn_rngs(11, 3)
+        for child, seq in zip(children, np.random.SeedSequence(11).spawn(3)):
+            np.testing.assert_array_equal(child.random(4),
+                                          np.random.default_rng(seq).random(4))
+
     def test_spawn_negative_raises(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
