@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import constants
+from repro.analysis.regions import REGION_NAMES
 from repro.core.transforms import RegionPartition, make_training_samples
 from repro.pic.khi import KHIConfig, make_khi_simulation
 from repro.radiation.detector import RadiationDetector, frequency_grid
@@ -71,15 +72,14 @@ def khi_region_spectra() -> None:
     detector = RadiationDetector.for_khi(density=config.density, n_directions=1,
                                          n_frequencies=32)
     partition = RegionPartition(config.grid_config, (1, 4, 1))
-    samples = make_training_samples(electrons, previous, detector, partition,
-                                    n_points=128, step=simulation.step_index,
-                                    time=simulation.time, dt=simulation.config.dt,
-                                    rng=np.random.default_rng(0))
+    _, spectra, regions = make_training_samples(
+        electrons, previous, detector, partition, n_points=128,
+        time=simulation.time, dt=simulation.config.dt, rng=np.random.default_rng(0))
     print(f"{'region':>12} {'spectral centroid (bin index)':>32}")
-    for sample in samples:
-        weights = sample.spectrum + 1e-9
+    for spectrum, region in zip(spectra, regions):
+        weights = spectrum + 1e-9
         centroid = float(np.sum(np.arange(weights.size) * weights) / weights.sum())
-        print(f"{sample.region:>12} {centroid:>32.2f}")
+        print(f"{REGION_NAMES[int(region)]:>12} {centroid:>32.2f}")
     print("\nApproaching regions concentrate spectral weight at higher "
           "frequencies than receding ones — the signature the INN exploits "
           "for the inversion.")

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import List, Sequence
 
 import numpy as np
 
@@ -31,15 +31,12 @@ class TrainingSample:
         Simulation step the sample was produced at.
     region:
         Free-form region label ("approaching", "receding", "vortex", ...).
-    metadata:
-        Anything else worth carrying along (region bounds, rank, ...).
     """
 
     point_cloud: np.ndarray
     spectrum: np.ndarray
     step: int = 0
     region: str = ""
-    metadata: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.point_cloud = np.asarray(self.point_cloud, dtype=np.float64)

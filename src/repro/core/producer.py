@@ -15,12 +15,10 @@ streamed as its id in :data:`repro.analysis.regions.REGION_NAMES`.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.analysis.regions import REGION_NAMES
-from repro.continual.buffer import TrainingSample
 from repro.core.transforms import RegionPartition, make_training_samples
 from repro.openpmd.series import Series
 from repro.pic.simulation import PICSimulation, Plugin
@@ -31,8 +29,6 @@ from repro.utils.rng import RandomState, seeded_rng
 POINT_CLOUDS = "particles/ml_samples/point_clouds"
 SPECTRA = "particles/ml_samples/spectra"
 REGIONS = "particles/ml_samples/regions"
-
-_REGION_IDS: Dict[str, int] = {name: index for index, name in REGION_NAMES.items()}
 
 
 #: The radiating species whose samples and records are streamed.
@@ -81,24 +77,25 @@ class StreamingProducerPlugin(Plugin):
             self._previous_momenta = species.momenta.copy()
             return
 
-        samples = make_training_samples(
+        clouds, spectra, regions = make_training_samples(
             species, self._previous_momenta, self.detector, self.partition,
-            n_points=self.n_points, step=simulation.step_index,
-            time=simulation.time, dt=simulation.config.dt, rng=self.rng)
+            n_points=self.n_points, time=simulation.time,
+            dt=simulation.config.dt, rng=self.rng)
         # this step's momenta, which the next push overwrites in place: the
         # streamed momentum records are views of this copy, not of the live
         # array (a queued step must keep its own step's values)
         self._previous_momenta = species.momenta.copy()
-        if not samples:
+        if not len(regions):
             return
-        self._write_iteration(simulation, samples)
+        self._write_iteration(simulation, {POINT_CLOUDS: clouds, SPECTRA: spectra,
+                                           REGIONS: regions})
 
     def on_finish(self, simulation: PICSimulation) -> None:
         self.series.close()
 
     # -- openPMD output --------------------------------------------------------- #
     def _write_iteration(self, simulation: PICSimulation,
-                         samples: List[TrainingSample]) -> None:
+                         samples: Dict[str, np.ndarray]) -> None:
         # the raw species data the paper streams (positions, momenta,
         # weighting), so that other consumers can attach to the same stream
         # without knowing about the ML sample encoding; an optional
@@ -114,18 +111,11 @@ class StreamingProducerPlugin(Plugin):
         if self.reduction is not None:
             raw_records = self.reduction.reduce_step(raw_records)
 
-        arrays = {
-            POINT_CLOUDS: np.stack([s.point_cloud for s in samples], axis=0),
-            SPECTRA: np.stack([s.spectrum for s in samples], axis=0),
-            REGIONS: np.array([_REGION_IDS[s.region] for s in samples],
-                              dtype=np.float64),
-            **raw_records,
-        }
-        step = Step(simulation.step_index, arrays,
+        step = Step(simulation.step_index, {**samples, **raw_records},
                     {"iteration": simulation.step_index,
                      "time": float(simulation.time),
                      "dt": float(simulation.config.dt), "timeUnitSI": 1.0})
         self.bytes_streamed += step.nbytes
         self.series.close_iteration(step)
-        self.samples_streamed += len(samples)
+        self.samples_streamed += len(samples[REGIONS])
         self.iterations_streamed += 1

@@ -20,36 +20,17 @@ data".  In this reproduction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.analysis.regions import REGION_NAMES, label_particles, majority_region
-from repro.continual.buffer import TrainingSample
+from repro.analysis.regions import label_particles, majority_region
 from repro.pic.grid import GridConfig
 from repro.pic.particles import ParticleSpecies
 from repro.pic.pusher import wrap_periodic
 from repro.radiation.detector import RadiationDetector
 from repro.radiation.lienard_wiechert import radiation_amplitude_step
 from repro.radiation.spectrum import normalize_log_spectrum, spectrum_from_amplitude
-
-
-@dataclass(frozen=True)
-class Region:
-    """One sub-volume of the simulation box."""
-
-    index: Tuple[int, int, int]
-    lower: Tuple[float, float, float]
-    upper: Tuple[float, float, float]
-
-    @property
-    def centre(self) -> np.ndarray:
-        return 0.5 * (np.asarray(self.lower) + np.asarray(self.upper))
-
-    @property
-    def size(self) -> np.ndarray:
-        return np.asarray(self.upper) - np.asarray(self.lower)
 
 
 class RegionPartition:
@@ -64,17 +45,11 @@ class RegionPartition:
         extent = np.asarray(grid_config.extent)
         self._sizes = extent / np.asarray(self.region_counts)
 
-    def regions(self) -> List[Region]:
-        regions = []
-        cx, cy, cz = self.region_counts
-        for ix in range(cx):
-            for iy in range(cy):
-                for iz in range(cz):
-                    lower = self._sizes * np.array([ix, iy, iz])
-                    upper = self._sizes * np.array([ix + 1, iy + 1, iz + 1])
-                    regions.append(Region(index=(ix, iy, iz), lower=tuple(lower),
-                                          upper=tuple(upper)))
-        return regions
+    def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Lower and upper corners ``(n_regions, 3)`` of the sub-volumes, in
+        flat-id order (the order :meth:`region_of` counts in)."""
+        index = np.indices(self.region_counts).reshape(3, -1).T
+        return self._sizes * index, self._sizes * (index + 1)
 
     def region_of(self, positions: np.ndarray) -> np.ndarray:
         """Flat region id of each particle position, shape ``(N,)``; only the
@@ -92,39 +67,32 @@ class RegionPartition:
 
 
 def encode_point_cloud(positions: np.ndarray, momenta: np.ndarray,
-                       region: Region) -> np.ndarray:
-    """Fixed-size per-particle features: normalised positions + momenta."""
+                       lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Fixed-size per-particle features: positions normalised to ``[-1, 1]``
+    within the sub-volume ``[lower, upper]``, then raw momenta.  Leading axes
+    broadcast: ``(k, n, 3)`` particles in ``(k, 1, 3)`` bounds are k clouds."""
     positions = np.asarray(positions, dtype=np.float64)
     momenta = np.asarray(momenta, dtype=np.float64)
-    centre = region.centre
-    half = 0.5 * region.size
+    centre = 0.5 * (lower + upper)
+    half = 0.5 * (upper - lower)
     normalised = (positions - centre) / np.maximum(half, 1e-300)
-    return np.concatenate([normalised, momenta], axis=1)
+    return np.concatenate([normalised, momenta], axis=-1)
 
 
-def decode_point_cloud(point_cloud: np.ndarray, region: Region
-                       ) -> Tuple[np.ndarray, np.ndarray]:
+def decode_point_cloud(point_cloud: np.ndarray, lower: np.ndarray,
+                       upper: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Invert :func:`encode_point_cloud` (positions in metres, momenta raw)."""
     point_cloud = np.asarray(point_cloud, dtype=np.float64)
-    centre = region.centre
-    half = 0.5 * region.size
-    positions = point_cloud[:, :3] * half + centre
-    momenta = point_cloud[:, 3:]
-    return positions, momenta
+    positions = point_cloud[..., :3] * (0.5 * (upper - lower)) + 0.5 * (lower + upper)
+    return positions, point_cloud[..., 3:]
 
 
 def encode_spectrum(spectrum: np.ndarray) -> np.ndarray:
-    """Flattened, log-scaled, [0, 1]-normalised spectrum encoding."""
-    return normalize_log_spectrum(np.asarray(spectrum)).reshape(-1)
-
-
-def region_spectrum(detector: RadiationDetector, positions: np.ndarray,
-                    beta: np.ndarray, beta_dot: np.ndarray, weights: np.ndarray,
-                    charge: float, time: float, dt: float) -> np.ndarray:
-    """Far-field spectrum of one sub-volume's particles for one time step."""
-    amplitude = radiation_amplitude_step(detector, positions, beta, beta_dot, weights,
-                                         time=time, dt=dt)
-    return spectrum_from_amplitude(amplitude, charge)
+    """Flattened, log-scaled, [0, 1]-normalised encoding of a
+    ``(..., directions, frequencies)`` spectrum: ``(..., spectrum_dim)``."""
+    normalised = normalize_log_spectrum(spectrum)
+    *batch, n_directions, n_frequencies = normalised.shape
+    return normalised.reshape(*batch, n_directions * n_frequencies)
 
 
 #: Least particles a sub-volume needs to become a training sample.
@@ -132,16 +100,17 @@ MIN_PARTICLES_PER_REGION = 8
 
 
 def _beta(momenta: np.ndarray) -> np.ndarray:
-    """Normalised velocities ``u / gamma`` of ``(n, 3)`` momenta ``u``."""
-    gamma = np.sqrt(1.0 + np.einsum("ij,ij->i", momenta, momenta))
-    return momenta / gamma[:, None]
+    """Normalised velocities ``u / gamma`` of ``(..., 3)`` momenta ``u``."""
+    gamma = np.sqrt(1.0 + np.einsum("...i,...i->...", momenta, momenta))
+    return momenta / gamma[..., None]
 
 
 def make_training_samples(species: ParticleSpecies, previous_momenta: np.ndarray,
                           detector: RadiationDetector, partition: RegionPartition,
-                          n_points: int, step: int, time: float, dt: float,
-                          rng: np.random.Generator) -> List[TrainingSample]:
-    """Build one training sample per populated sub-volume for the current step.
+                          n_points: int, time: float, dt: float,
+                          rng: np.random.Generator
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The training samples of the current step, one per populated sub-volume.
 
     Parameters
     ----------
@@ -155,6 +124,13 @@ def make_training_samples(species: ParticleSpecies, previous_momenta: np.ndarray
 
     Regions with fewer than :data:`MIN_PARTICLES_PER_REGION` particles are
     skipped (they cannot represent the local dynamics).
+
+    Returns
+    -------
+    The ``k`` samples as the three arrays a step streams: point clouds
+    ``(k, n_points, 6)``, encoded spectra ``(k, spectrum_dim)`` and each
+    sample's region as its float id in
+    :data:`repro.analysis.regions.REGION_NAMES` ``(k,)``.
     """
     previous_momenta = np.asarray(previous_momenta, dtype=np.float64)
     if previous_momenta.shape != species.momenta.shape:
@@ -162,35 +138,32 @@ def make_training_samples(species: ParticleSpecies, previous_momenta: np.ndarray
     if dt <= 0:
         raise ValueError("dt must be positive")
 
-    extent = partition.grid_config.extent
-    labels = label_particles(species.positions, species.momenta, extent)
+    labels = label_particles(species.positions, species.momenta,
+                             partition.grid_config.extent)
     region_ids = partition.region_of(species.positions)
-    regions = partition.regions()
 
-    samples: List[TrainingSample] = []
-    for flat_id, region in enumerate(regions):
-        mask = region_ids == flat_id
-        count = int(mask.sum())
-        if count < MIN_PARTICLES_PER_REGION:
+    # region by region only what orders the random stream: the particles
+    # drawn and the majority label; the rest runs on all k samples at once
+    lower, upper = partition.bounds()
+    kept, chosen, majority = [], [], []
+    for flat_id in range(len(lower)):
+        indices = np.flatnonzero(region_ids == flat_id)
+        if indices.size < MIN_PARTICLES_PER_REGION:
             continue
-        indices = np.flatnonzero(mask)
-        chosen = rng.choice(indices, size=n_points, replace=count < n_points)
+        kept.append(flat_id)
+        chosen.append(rng.choice(indices, size=n_points,
+                                 replace=indices.size < n_points))
+        majority.append(majority_region(labels[indices]))
+    chosen = np.array(chosen, dtype=np.int64).reshape(len(kept), n_points)
 
-        # only the chosen rows radiate, so beta and its rate of change are
-        # worked out for them alone (element-wise: same values as all-N)
-        positions, momenta = species.positions[chosen], species.momenta[chosen]
-        beta_now = _beta(momenta)
-        beta_dot = (beta_now - _beta(previous_momenta[chosen])) / dt
-        cloud = encode_point_cloud(positions, momenta, region)
-        spectrum = region_spectrum(detector, positions, beta_now, beta_dot,
-                                   species.weights[chosen], species.charge,
-                                   time=time, dt=dt)
-        region_label = REGION_NAMES[majority_region(labels[indices])]
-        samples.append(TrainingSample(
-            point_cloud=cloud,
-            spectrum=encode_spectrum(spectrum),
-            step=step,
-            region=region_label,
-            metadata={"region_index": region.index, "n_particles": count},
-        ))
-    return samples
+    # only the chosen rows radiate, so beta and its rate of change are
+    # worked out for them alone (element-wise: same values as all-N)
+    positions, momenta = species.positions[chosen], species.momenta[chosen]
+    beta_now = _beta(momenta)
+    beta_dot = (beta_now - _beta(previous_momenta[chosen])) / dt
+    clouds = encode_point_cloud(positions, momenta, lower[kept, None],
+                                upper[kept, None])
+    amplitude = radiation_amplitude_step(detector, positions, beta_now, beta_dot,
+                                         species.weights[chosen], time=time, dt=dt)
+    spectra = encode_spectrum(spectrum_from_amplitude(amplitude, species.charge))
+    return clouds, spectra, np.array(majority, dtype=np.float64)

@@ -14,8 +14,9 @@ model must reconstruct the particle dynamics.
 
 The coupled workflow computes its per-step, per-sub-volume radiation inside
 :class:`repro.core.producer.StreamingProducerPlugin`
-(:func:`repro.core.transforms.region_spectrum` →
-:func:`radiation_amplitude_step`); there is no separate radiation plugin.
+(:func:`repro.core.transforms.make_training_samples` → one
+:func:`radiation_amplitude_step` call for all sub-volumes of a step); there
+is no separate radiation plugin.
 """
 
 from repro.radiation.detector import RadiationDetector, direction_grid, frequency_grid

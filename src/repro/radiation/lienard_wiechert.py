@@ -53,14 +53,16 @@ def radiation_amplitude_step(detector: RadiationDetector,
     detector:
         Observation directions and angular frequencies.
     positions:
-        Particle positions ``(N, 3)`` [m] at the current step.
+        Particle positions ``(..., N, 3)`` [m] at the current step.  Leading
+        axes batch independent particle sets (one per sub-volume), each
+        summed on its own.
     beta:
-        Normalised velocities ``(N, 3)`` at the current step.
+        Normalised velocities ``(..., N, 3)`` at the current step.
     beta_dot:
-        Time derivative of ``beta`` ``(N, 3)`` [1/s] (finite difference of
-        the momenta across the step).
+        Time derivative of ``beta`` ``(..., N, 3)`` [1/s] (finite difference
+        of the momenta across the step).
     weights:
-        Macro-particle weights ``(N,)``.  Weights multiply the *amplitude*
+        Macro-particle weights ``(..., N)``.  Weights multiply the *amplitude*
         (fully coherent macro-particles).
     time:
         Current simulation time [s].
@@ -71,45 +73,45 @@ def radiation_amplitude_step(detector: RadiationDetector,
 
     Returns
     -------
-    Complex array of shape ``(n_directions, n_frequencies, 3)``.
+    Complex array of shape ``(..., n_directions, n_frequencies, 3)``.
     """
     positions = np.asarray(positions, dtype=np.float64)
     beta = np.asarray(beta, dtype=np.float64)
     beta_dot = np.asarray(beta_dot, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
-    n = positions.shape[0]
+    n = positions.shape[-2]
     directions = detector.directions                      # (D, 3)
     omegas = detector.frequencies                         # (F,)
-    out = np.zeros((detector.n_directions, detector.n_frequencies, 3),
+    out = np.zeros(positions.shape[:-2]
+                   + (detector.n_directions, detector.n_frequencies, 3),
                    dtype=np.complex128)
     if n == 0:
         return out
     inv_c = 1.0 / constants.SPEED_OF_LIGHT
     for start in range(0, n, CHUNK_SIZE):
         stop = min(start + CHUNK_SIZE, n)
-        pos = positions[start:stop]                       # (P, 3)
-        b = beta[start:stop]
-        bdot = beta_dot[start:stop]
-        w = weights[start:stop]
+        pos = positions[..., start:stop, :]               # (..., P, 3)
+        b = beta[..., start:stop, :]
+        bdot = beta_dot[..., start:stop, :]
+        w = weights[..., start:stop]
 
-        # geometry terms, shape (P, D, ...)
-        n_dot_beta = b @ directions.T                     # (P, D)
+        # geometry terms, shape (..., P, D, ...)
+        n_dot_beta = b @ directions.T                     # (..., P, D)
         one_minus = 1.0 - n_dot_beta
         np.clip(one_minus, 1e-12, None, out=one_minus)
         # n x ((n - beta) x beta_dot) for every particle/direction
-        diff = directions[None, :, :] - b[:, None, :]     # (P, D, 3)
-        inner = np.cross(diff, bdot[:, None, :])          # (P, D, 3)
-        vector = np.cross(directions[None, :, :], inner)  # (P, D, 3)
-        vector /= (one_minus ** 2)[:, :, None]
-        vector *= w[:, None, None]
+        diff = directions - b[..., None, :]               # (..., P, D, 3)
+        inner = np.cross(diff, bdot[..., None, :])        # (..., P, D, 3)
+        vector = np.cross(directions, inner)              # (..., P, D, 3)
+        vector /= (one_minus ** 2)[..., None]
+        vector *= w[..., None, None]
 
-        # retarded phase: omega * (t - n.r/c), shape (P, D, F)
-        n_dot_r = pos @ directions.T                      # (P, D)
-        phase = np.exp(1j * omegas[None, None, :]
-                       * (time - n_dot_r[:, :, None] * inv_c))
+        # retarded phase: omega * (t - n.r/c), shape (..., P, D, F)
+        n_dot_r = pos @ directions.T                      # (..., P, D)
+        phase = np.exp(1j * omegas * (time - n_dot_r[..., None] * inv_c))
 
-        # sum over particles in the chunk
-        out += np.einsum("pdf,pdc->dfc", phase, vector) * dt
+        # sum over the particles of the chunk, set by set
+        out += np.einsum("...pdf,...pdc->...dfc", phase, vector) * dt
     return out
 
 

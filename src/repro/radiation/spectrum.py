@@ -13,19 +13,20 @@ def spectrum_from_amplitude(amplitude: np.ndarray, charge: float) -> np.ndarray:
     Parameters
     ----------
     amplitude:
-        Complex array ``(n_directions, n_frequencies, 3)`` as accumulated by
-        :func:`repro.radiation.lienard_wiechert.accumulate_amplitude`.
+        Complex array ``(..., n_directions, n_frequencies, 3)`` as accumulated
+        by :func:`repro.radiation.lienard_wiechert.accumulate_amplitude`;
+        leading axes batch independent amplitudes.
     charge:
         Charge of one real particle [C] (the macro-particle weights are
         already folded into the amplitude).
 
     Returns
     -------
-    Real array ``(n_directions, n_frequencies)`` in J·s/sr.
+    Real array ``(..., n_directions, n_frequencies)`` in J·s/sr.
     """
     amplitude = np.asarray(amplitude)
-    if amplitude.ndim != 3 or amplitude.shape[-1] != 3:
-        raise ValueError("amplitude must have shape (directions, frequencies, 3)")
+    if amplitude.ndim < 3 or amplitude.shape[-1] != 3:
+        raise ValueError("amplitude must have shape (..., directions, frequencies, 3)")
     power = np.sum(np.abs(amplitude) ** 2, axis=-1)
     return spectral_prefactor(charge) * power
 
@@ -39,11 +40,13 @@ def normalize_log_spectrum(spectrum: np.ndarray) -> np.ndarray:
 
     The observed intensities span many orders of magnitude (Fig. 9a); the
     MLapp feeds ``log10`` intensities, floored at :data:`SPECTRUM_FLOOR`,
-    normalised to zero mean and unit range per sample to the INN.
+    scaled to ``[0, 1]`` per sample to the INN.  A sample is the
+    ``(directions, frequencies)`` spectrum of the last two axes; a flat one
+    normalises to zeros.
     """
     spectrum = np.asarray(spectrum, dtype=np.float64)
     logged = np.log10(np.maximum(spectrum, SPECTRUM_FLOOR))
-    lo, hi = logged.min(), logged.max()
-    if hi - lo < 1e-12:
-        return np.zeros_like(logged)
-    return (logged - lo) / (hi - lo)
+    lo = logged.min(axis=(-2, -1), keepdims=True)
+    span = logged.max(axis=(-2, -1), keepdims=True) - lo
+    return np.divide(logged - lo, span, out=np.zeros_like(logged),
+                     where=~(span < 1e-12))

@@ -8,7 +8,8 @@ import pytest
 from repro.core import (MLConfig, RegionPartition, StreamingConfig,
                         StreamingProducerPlugin, WorkflowConfig, encode_point_cloud,
                         encode_spectrum, make_training_samples)
-from repro.core.transforms import Region, decode_point_cloud
+from repro.analysis.regions import REGION_NAMES
+from repro.core.transforms import decode_point_cloud
 from repro.models.config import ModelConfig
 from repro.core.producer import POINT_CLOUDS
 from repro.openpmd import Series
@@ -64,10 +65,12 @@ class TestRegionPartition:
     def test_partition_covers_box(self):
         grid = GridConfig(shape=(8, 16, 2), cell_size=(1e-5,) * 3)
         partition = RegionPartition(grid, (2, 4, 1))
-        regions = partition.regions()
-        assert len(regions) == 8
-        uppers = np.max([r.upper for r in regions], axis=0)
-        np.testing.assert_allclose(uppers, grid.extent)
+        lower, upper = partition.bounds()
+        assert lower.shape == upper.shape == (8, 3)
+        np.testing.assert_allclose(upper.max(axis=0), grid.extent)
+        # flat ids count as region_of does: each region's centre is its own
+        np.testing.assert_array_equal(partition.region_of(0.5 * (lower + upper)),
+                                      np.arange(8))
 
     def test_region_of_assigns_all_particles(self, rng):
         grid = GridConfig(shape=(8, 16, 2), cell_size=(1e-5,) * 3)
@@ -93,12 +96,12 @@ class TestRegionPartition:
         np.testing.assert_array_equal(partition.region_of(positions), expected)
 
     def test_point_cloud_encoding_roundtrip(self, rng):
-        region = Region(index=(0, 0, 0), lower=(0.0, 0.0, 0.0), upper=(2.0, 4.0, 2.0))
-        positions = rng.uniform(0, 1, size=(10, 3)) * np.array([2.0, 4.0, 2.0])
+        lower, upper = np.zeros(3), np.array([2.0, 4.0, 2.0])
+        positions = rng.uniform(0, 1, size=(10, 3)) * upper
         momenta = rng.normal(size=(10, 3)) * 0.2
-        cloud = encode_point_cloud(positions, momenta, region)
+        cloud = encode_point_cloud(positions, momenta, lower, upper)
         assert np.all(np.abs(cloud[:, :3]) <= 1.0 + 1e-12)
-        back_pos, back_mom = decode_point_cloud(cloud, region)
+        back_pos, back_mom = decode_point_cloud(cloud, lower, upper)
         np.testing.assert_allclose(back_pos, positions)
         np.testing.assert_allclose(back_mom, momenta)
 
@@ -122,14 +125,31 @@ class TestMakeTrainingSamples:
         detector = RadiationDetector.for_khi(density=cfg.density, n_directions=2,
                                              n_frequencies=8)
         partition = RegionPartition(cfg.grid_config, (1, 4, 1))
-        samples = make_training_samples(electrons, electrons.momenta.copy(), detector,
-                                        partition, n_points=32, step=0, time=0.0,
-                                        dt=1e-13, rng=rng)
-        assert len(samples) == 4
-        for sample in samples:
-            assert sample.point_cloud.shape == (32, 6)
-            assert sample.spectrum.shape == (16,)
-            assert sample.region in {"approaching", "receding", "vortex"}
+        clouds, spectra, regions = make_training_samples(
+            electrons, electrons.momenta.copy(), detector, partition, n_points=32,
+            time=0.0, dt=1e-13, rng=rng)
+        assert clouds.shape == (4, 32, 6)
+        assert spectra.shape == (4, 16)
+        assert regions.shape == (4,) and regions.dtype == np.float64
+        assert {REGION_NAMES[int(region)] for region in regions} \
+            <= {"approaching", "receding", "vortex"}
+
+    def test_no_populated_region_gives_empty_arrays(self, rng):
+        """Every sub-volume under the particle minimum: zero samples, in the
+        shapes a step streams."""
+        cfg = KHIConfig(grid_shape=(8, 16, 2), particles_per_cell=2, seed=7)
+        sim = make_khi_simulation(cfg)
+        electrons = sim.get_species("electrons")
+        detector = RadiationDetector.for_khi(density=cfg.density, n_directions=2,
+                                             n_frequencies=8)
+        partition = RegionPartition(cfg.grid_config, (8, 16, 2))
+        before = rng.bit_generator.state
+        clouds, spectra, regions = make_training_samples(
+            electrons, electrons.momenta.copy(), detector, partition, n_points=32,
+            time=0.0, dt=1e-13, rng=rng)
+        assert (clouds.shape, spectra.shape, regions.shape) \
+            == ((0, 32, 6), (0, 16), (0,))
+        assert rng.bit_generator.state == before
 
     def test_momenta_preserved_in_encoding(self, rng):
         cfg = KHIConfig(grid_shape=(8, 16, 2), particles_per_cell=4, seed=7)
@@ -138,23 +158,25 @@ class TestMakeTrainingSamples:
         detector = RadiationDetector.for_khi(density=cfg.density, n_directions=2,
                                              n_frequencies=8)
         partition = RegionPartition(cfg.grid_config, (1, 4, 1))
-        samples = make_training_samples(electrons, electrons.momenta.copy(), detector,
-                                        partition, n_points=64, step=0, time=0.0,
-                                        dt=1e-13, rng=rng)
+        clouds, _, _ = make_training_samples(
+            electrons, electrons.momenta.copy(), detector, partition, n_points=64,
+            time=0.0, dt=1e-13, rng=rng)
         # bulk regions keep the ±0.2c drift in the encoded momentum column
-        drifts = {s.region: np.mean(s.point_cloud[:, 3]) for s in samples}
-        assert any(v > 0.1 for v in drifts.values())
-        assert any(v < -0.1 for v in drifts.values())
+        drifts = clouds[:, :, 3].mean(axis=1)
+        assert np.any(drifts > 0.1)
+        assert np.any(drifts < -0.1)
 
     def test_samples_equal_the_all_particle_formulation(self):
-        """beta and beta-dot worked out for the chosen rows only are, array for
-        array, what computing them for every electron and indexing gives."""
-        from repro.analysis.regions import (REGION_NAMES, label_particles,
-                                            majority_region)
-        from repro.core.transforms import region_spectrum
+        """One pass over all sub-volumes, with beta and beta-dot worked out
+        for the chosen rows only, gives array for array what computing them
+        for every electron, indexing, and working each sub-volume on its own
+        gives."""
+        from repro.analysis.regions import label_particles, majority_region
+        from repro.radiation.lienard_wiechert import radiation_amplitude_step
+        from repro.radiation.spectrum import spectrum_from_amplitude
 
-        def all_particle_oracle(species, previous, detector, partition, n_points,
-                                time, dt, rng, min_particles_per_region=8):
+        def per_region_oracle(species, previous, detector, partition, n_points,
+                              time, dt, rng, min_particles_per_region=8):
             gamma_now = species.gamma()
             beta_now = species.momenta / gamma_now[:, None]
             gamma_prev = np.sqrt(1.0 + np.einsum("ij,ij->i", previous, previous))
@@ -162,22 +184,23 @@ class TestMakeTrainingSamples:
             labels = label_particles(species.positions, species.momenta,
                                      partition.grid_config.extent)
             region_ids = partition.region_of(species.positions)
-            out = []
-            for flat_id, region in enumerate(partition.regions()):
+            clouds, spectra, regions = [], [], []
+            for flat_id, (lower, upper) in enumerate(zip(*partition.bounds())):
                 indices = np.flatnonzero(region_ids == flat_id)
                 if indices.size < min_particles_per_region:
                     continue
                 chosen = rng.choice(indices, size=n_points,
                                     replace=indices.size < n_points)
-                cloud = encode_point_cloud(species.positions[chosen],
-                                           species.momenta[chosen], region)
-                spectrum = region_spectrum(detector, species.positions[chosen],
-                                           beta_now[chosen], beta_dot[chosen],
-                                           species.weights[chosen], species.charge,
-                                           time=time, dt=dt)
-                out.append((cloud, encode_spectrum(spectrum),
-                            REGION_NAMES[majority_region(labels[indices])]))
-            return out
+                clouds.append(encode_point_cloud(species.positions[chosen],
+                                                 species.momenta[chosen],
+                                                 lower, upper))
+                amplitude = radiation_amplitude_step(
+                    detector, species.positions[chosen], beta_now[chosen],
+                    beta_dot[chosen], species.weights[chosen], time=time, dt=dt)
+                spectra.append(encode_spectrum(
+                    spectrum_from_amplitude(amplitude, species.charge)))
+                regions.append(float(majority_region(labels[indices])))
+            return np.stack(clouds), np.stack(spectra), np.array(regions)
 
         cfg = KHIConfig(grid_shape=(8, 16, 2), particles_per_cell=4, seed=7)
         sim = make_khi_simulation(cfg)
@@ -187,19 +210,19 @@ class TestMakeTrainingSamples:
             sim.step()
         detector = RadiationDetector.for_khi(density=cfg.density, n_directions=2,
                                              n_frequencies=8)
-        partition = RegionPartition(cfg.grid_config, (1, 4, 1))
-        samples = make_training_samples(electrons, previous, detector, partition,
-                                        n_points=32, step=3, time=sim.time,
-                                        dt=sim.config.dt,
-                                        rng=np.random.default_rng(17))
-        expected = all_particle_oracle(electrons, previous, detector, partition, 32,
-                                       sim.time, sim.config.dt,
-                                       np.random.default_rng(17))
-        assert len(samples) == len(expected) == 4
-        for sample, (cloud, spectrum, region) in zip(samples, expected):
-            np.testing.assert_array_equal(sample.point_cloud, cloud)
-            np.testing.assert_array_equal(sample.spectrum, spectrum)
-            assert sample.region == region
+        for counts, n_points in (((1, 4, 1), 32), ((2, 3, 2), 100)):
+            partition = RegionPartition(cfg.grid_config, counts)
+            samples = make_training_samples(electrons, previous, detector, partition,
+                                            n_points=n_points, time=sim.time,
+                                            dt=sim.config.dt,
+                                            rng=np.random.default_rng(17))
+            expected = per_region_oracle(electrons, previous, detector, partition,
+                                         n_points, sim.time, sim.config.dt,
+                                         np.random.default_rng(17))
+            assert len(expected[2]) == int(np.prod(counts))
+            for got, want in zip(samples, expected):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
         assert not np.array_equal(previous, electrons.momenta)
 
     def test_validation(self, rng):
@@ -211,10 +234,10 @@ class TestMakeTrainingSamples:
         partition = RegionPartition(cfg.grid_config, (1, 2, 1))
         with pytest.raises(ValueError):
             make_training_samples(electrons, electrons.momenta[:5], detector, partition,
-                                  n_points=8, step=0, time=0.0, dt=1e-13, rng=rng)
+                                  n_points=8, time=0.0, dt=1e-13, rng=rng)
         with pytest.raises(ValueError):
             make_training_samples(electrons, electrons.momenta.copy(), detector, partition,
-                                  n_points=8, step=0, time=0.0, dt=0.0, rng=rng)
+                                  n_points=8, time=0.0, dt=0.0, rng=rng)
 
 
 class TestProducerPlugin:

@@ -14,7 +14,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import constants
@@ -53,6 +53,46 @@ def random_particles(rng, grid, n, straddle=True):
     return positions, weights
 
 
+def esirkepov_tolerance(grid, old, new, charge, weights, dt):
+    """What the fused and the reference Esirkepov deposits may differ by, per
+    current component and node: an ``(3, nx, ny, nz)`` array.
+
+    The rounding that matters is not the summation order's.  Both sides
+    work in cell units ``xi = x / d`` (|xi| <= Xi), so every hat weight
+    ``1 - |xi - node|`` carries an absolute error of about ``eps * (1 + Xi)``,
+    and a particle that barely moves along an axis has a shape change
+    ``ds = s1 - s0`` far smaller than the hats it is the difference of: its
+    current along that axis is small but keeps that absolute error.  (With
+    ``n=1, seed=419`` the particle moves 1e-4 cells along x at xi = 8.8;
+    Jx = 2.8 on both sides differs by 5.2e-11, and each side is ~2e-11 from
+    the exact rational result, so neither side is the inaccurate one.)
+    To first order, ``xi`` is off by <= 2u Xi (u = eps / 2; the fused side
+    multiplies by a rounded ``1 / d``) and a hat by <= eps (1 + Xi), so a
+    ``ds`` by <= 2 eps (1 + Xi); with hats <= 1, the sum of |ds| <= 2 and
+    the transverse factor <= 1, the prefix sum over <= 4 planes is then off
+    by <= 24 eps (1 + Xi) per side, in units of the current of a unit shape
+    change, ``|q w / (dV dt)| * d``.  That is 48 for the two sides, plus
+    ``2 m eps`` for summing the ``m`` particles whose stencils hold a node.
+    A stencil runs from ``floor(min(xi0, xi1)) - 1`` for five nodes an axis,
+    covering both sides' (the reference scatters round-off on a fourth
+    plane past the fused kernel's three).
+    """
+    cell = np.asarray(grid.config.cell_size)
+    xi0, xi1 = old / cell, new / cell
+    conditioning = 1.0 + np.maximum(np.abs(xi0), np.abs(xi1)).max(axis=1)
+    unit = np.abs(charge * weights / (grid.config.cell_volume * dt)) * conditioning
+    first = np.floor(np.minimum(xi0, xi1)).astype(np.int64) - 1
+    i, j, k = ((first[:, axis, None] + np.arange(5)) % grid.shape[axis]
+               for axis in range(3))
+    nodes = (i[:, :, None, None], j[:, None, :, None], k[:, None, None, :])
+    scale, count = np.zeros(grid.shape), np.zeros(grid.shape)
+    np.add.at(scale, nodes, np.broadcast_to(unit[:, None, None, None],
+                                            (len(unit), 5, 5, 5)))
+    np.add.at(count, nodes, 1.0)
+    eps = np.finfo(np.float64).eps
+    return eps * (48.0 + 2.0 * count) * scale * cell[:, None, None, None]
+
+
 class TestGatherEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fused_matches_reference_on_random_fields(self, seed):
@@ -81,9 +121,11 @@ class TestDepositionEquivalence:
         np.testing.assert_allclose(fused.rho, ref.rho, rtol=1e-12, atol=1e-300)
 
     @given(st.integers(1, 120), st.integers(0, 2 ** 31 - 1))
+    @example(n=1, seed=419)   # barely moves along x: see esirkepov_tolerance
     @settings(max_examples=25, deadline=None)
     def test_esirkepov_property(self, n, seed):
-        """Property: fused == reference for any count, incl. seam straddlers."""
+        """Property: fused == reference for any count, incl. seam straddlers,
+        within the rounding the cell-unit coordinates carry."""
         rng = np.random.default_rng(seed)
         ref, fused = make_grid(), make_grid()
         dt = ref.config.courant_time_step()
@@ -94,10 +136,10 @@ class TestDepositionEquivalence:
         charge = -constants.ELEMENTARY_CHARGE
         deposit_current_esirkepov_reference(ref, old, new, charge, weights, dt)
         deposit_current_esirkepov(fused, old, new, charge, weights, dt, Workspace())
-        for name in ("Jx", "Jy", "Jz"):
-            a, b = fused.component(name), ref.component(name)
-            scale = np.max(np.abs(b)) + 1e-300
-            assert np.max(np.abs(a - b)) < 1e-12 * scale
+        tolerance = esirkepov_tolerance(ref, old, new, charge, weights, dt)
+        for axis, name in enumerate(("Jx", "Jy", "Jz")):
+            difference = np.abs(fused.component(name) - ref.component(name))
+            assert np.all(difference <= tolerance[axis]), name
 
     def test_esirkepov_chunked_matches_unchunked(self, monkeypatch):
         rng = np.random.default_rng(7)

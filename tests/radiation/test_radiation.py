@@ -7,7 +7,9 @@ import pytest
 
 from repro import constants
 from repro.radiation.detector import RadiationDetector, direction_grid, frequency_grid
-from repro.radiation.lienard_wiechert import accumulate_amplitude
+from repro.radiation import lienard_wiechert
+from repro.radiation.lienard_wiechert import (accumulate_amplitude,
+                                              radiation_amplitude_step)
 from repro.radiation.spectrum import normalize_log_spectrum, spectrum_from_amplitude
 
 
@@ -149,3 +151,51 @@ class TestSpectrumHelpers:
     def test_normalize_constant_spectrum(self):
         out = normalize_log_spectrum(np.full((2, 2), 5.0))
         np.testing.assert_allclose(out, 0.0)
+
+    def test_normalize_each_spectrum_of_a_batch_on_its_own(self, rng):
+        batch = 10.0 ** rng.uniform(-20, 2, size=(3, 2, 8))
+        batch[1] = 5.0
+        np.testing.assert_array_equal(normalize_log_spectrum(batch),
+                                      [normalize_log_spectrum(s) for s in batch])
+
+
+def particle_sets(rng, k: int, n: int):
+    """``k`` independent sets of ``n`` particles: positions, beta, beta-dot,
+    weights, each with the leading ``(k, n)`` axes."""
+    positions = rng.uniform(0.0, 2e-5, size=(k, n, 3))
+    momenta = rng.normal(scale=0.3, size=(k, n, 3))
+    beta = momenta / np.sqrt(1.0 + np.sum(momenta ** 2, axis=-1))[..., None]
+    beta_dot = rng.normal(scale=1e13, size=(k, n, 3))
+    weights = rng.uniform(0.5, 2.0, size=(k, n))
+    return positions, beta, beta_dot, weights
+
+
+class TestBatchAxis:
+    """Leading axes batch independent particle sets: one call equals one
+    call per set, bit for bit."""
+
+    @pytest.mark.parametrize("k, n, chunk", [(4, 32, 512), (3, 100, 512),
+                                             (4, 37, 8), (2, 100, 32), (1, 5, 2)])
+    def test_amplitude_of_a_batch_is_each_set_s_amplitude(self, rng, monkeypatch,
+                                                         k, n, chunk):
+        monkeypatch.setattr(lienard_wiechert, "CHUNK_SIZE", chunk)
+        detector = RadiationDetector.for_khi(density=1e24, n_directions=2,
+                                             n_frequencies=8)
+        positions, beta, beta_dot, weights = particle_sets(rng, k, n)
+        batched = radiation_amplitude_step(detector, positions, beta, beta_dot,
+                                           weights, time=3e-14, dt=1e-16)
+        assert batched.shape == (k, 2, 8, 3)
+        for i in range(k):
+            np.testing.assert_array_equal(
+                batched[i], radiation_amplitude_step(detector, positions[i], beta[i],
+                                                     beta_dot[i], weights[i],
+                                                     time=3e-14, dt=1e-16))
+
+    def test_spectrum_of_a_batch_is_each_amplitude_s_spectrum(self, rng):
+        amplitude = rng.normal(size=(4, 2, 8, 3)) + 1j * rng.normal(size=(4, 2, 8, 3))
+        batched = spectrum_from_amplitude(amplitude, constants.ELEMENTARY_CHARGE)
+        assert batched.shape == (4, 2, 8)
+        for i in range(4):
+            np.testing.assert_array_equal(
+                batched[i],
+                spectrum_from_amplitude(amplitude[i], constants.ELEMENTARY_CHARGE))

@@ -267,6 +267,22 @@ class TestSurface:
             assert [name for name in names
                     if name in parameters_of(function)] == [], path
 
+    def test_a_step_s_samples_are_built_in_one_pass(self):
+        """The producer streams the arrays ``make_training_samples`` returns:
+        no per-region spectrum helper, region record or sample metadata,
+        and no restack of sample objects on the way out."""
+        from repro.continual.buffer import TrainingSample
+        from repro.core import producer, transforms
+        assert [name for name in ("region_spectrum", "Region")
+                if name in vars(transforms)] == []
+        assert "_REGION_IDS" not in vars(producer)
+        assert "regions" not in vars(transforms.RegionPartition)
+        assert field_names(TrainingSample) == ["point_cloud", "spectrum", "step",
+                                               "region"]
+        assert parameters_of(transforms.make_training_samples) == [
+            "species", "previous_momenta", "detector", "partition", "n_points",
+            "time", "dt", "rng"]
+
 
 def shape_of(executor):
     """An executor's type and constructor arguments, comparably."""
