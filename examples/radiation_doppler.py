@@ -9,7 +9,11 @@ physical origin of that signature directly with the radiation substrate:
 * an oscillating charge drifting *towards* the detector radiates at an
   up-shifted frequency,
 * the same charge drifting *away* radiates at a down-shifted frequency,
-* a KHI snapshot's bulk regions therefore produce distinguishable spectra.
+* a KHI snapshot's regions, each spectrum built from one step as the
+  producer streams it, do *not* show that ordering: one step's spectrum is
+  the spatial form factor of the particles drawn for it (a single
+  particle's one-step spectrum is flat in frequency); the single charge's
+  shift above shows in a spectrum integrated over 3 000 steps.
 
 Run with::
 
@@ -62,7 +66,7 @@ def single_particle_doppler() -> None:
 
 
 def khi_region_spectra() -> None:
-    print("\n--- KHI sub-volumes: who radiates at higher frequencies? ----------")
+    print("\n--- KHI sub-volumes, one-step spectra --------------------------")
     config = KHIConfig(grid_shape=(8, 16, 2), particles_per_cell=4, seed=11)
     simulation = make_khi_simulation(config)
     electrons = simulation.get_species("electrons")
@@ -80,9 +84,10 @@ def khi_region_spectra() -> None:
         weights = spectrum + 1e-9
         centroid = float(np.sum(np.arange(weights.size) * weights) / weights.sum())
         print(f"{REGION_NAMES[int(region)]:>12} {centroid:>32.2f}")
-    print("\nApproaching regions concentrate spectral weight at higher "
-          "frequencies than receding ones — the signature the INN exploits "
-          "for the inversion.")
+    print("\nThe centroids differ from region to region, but not by flow "
+          "direction: a one-step spectrum is the form factor of the particles "
+          "drawn for that step; the single charge's Doppler shift above "
+          "shows in a spectrum integrated over 3 000 steps.")
 
 
 def main() -> None:

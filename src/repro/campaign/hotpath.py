@@ -179,8 +179,7 @@ def run_campaign_benchmark(repeats: int = 3,
             best = best_of_interleaved(
                 {name: partial(_time_execute, executors[name], payloads)
                  for name in BENCH_EXECUTORS}, repeats, setup=warm_up)
-            pool_stats = {key: value for key, value in pool.stats().items()
-                          if key != "pids"}
+            pool_stats = pool.stats()
     finally:
         pool.shutdown()
 

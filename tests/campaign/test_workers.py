@@ -9,6 +9,7 @@ the benchmark harness and CI's worker-smoke job.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import signal
@@ -119,7 +120,7 @@ def wait_for(predicate, timeout=15.0, message="condition"):
 def loads(pool):
     """Runs each worker currently holds, by slot."""
     with pool._lock:
-        return [len(worker.tickets) for worker in pool._workers]
+        return [len(slot.held) for slot in pool._slots]
 
 
 def with_config(payloads, **extra):
@@ -455,6 +456,36 @@ class TestCrashRequeue:
         assert not thread.is_alive()
         assert all(r.completed for r in result["records"])
         assert pool.counters["respawns"] >= 1
+        assert victim not in pool.worker_pids()
+
+    def test_a_silent_worker_is_killed_and_its_run_requeued(
+            self, fast_heartbeat, monkeypatch):
+        """A worker alive but wedged (stopped here, one second into its
+        run) stops beating: a lease kills it after ``LIVENESS_TIMEOUT_S``
+        and the run completes on a fresh worker."""
+        monkeypatch.setattr(workers, "LIVENESS_TIMEOUT_S", 0.5)
+        pool = WorkerPool(1, start_method="fork")
+        payloads = with_config(smoke_payloads(repetitions=1)[:1], sleep_s=1.0)
+        result = {}
+        try:
+            assert pool.wait_ready()
+            victim = pool.worker_pids()[0]
+            thread = threading.Thread(target=lambda: result.update(
+                records=pool.run(payloads, slow_worker, {})))
+            thread.start()
+            wait_for(lambda: pool.stats()["dispatched_runs"] == 1,
+                     message="the run to be dispatched")
+            os.kill(victim, signal.SIGSTOP)
+            thread.join(timeout=20)
+            assert not thread.is_alive()
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(victim, signal.SIGCONT)
+            pool.shutdown()
+        (record,) = result["records"]
+        assert record.completed
+        assert pool.counters["respawns"] == 1
+        assert pool.counters["requeued_runs"] == 1
         assert victim not in pool.worker_pids()
 
 

@@ -1,6 +1,6 @@
 """Documentation quality gates.
 
-Two checks back the ``docs/`` tree:
+Three checks back the ``docs/`` tree:
 
 * **docstring coverage** — every public class/function of the
   ``repro.campaign``, ``repro.service`` and ``repro.telemetry`` packages
@@ -10,6 +10,9 @@ Two checks back the ``docs/`` tree:
 * **intra-repo links** — every relative markdown link in ``README.md``
   and ``docs/*.md`` resolves to an existing file, so the docs tree cannot
   silently rot as files move.
+* **named code exists** — every backticked dotted ``repro.*`` name in
+  those files resolves to a module or an attribute, so a deleted module,
+  class or constant cannot live on in the docs.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 #: ``[text](target)`` markdown links; targets with spaces/titles excluded
 #: by the character class (none are used in this repo).
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: a dotted name in the package between backticks, as the docs write
+#: ``repro.campaign.workers``
+_CODE_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
 
 
 def _modules_of(package_name):
@@ -126,6 +133,32 @@ def test_intra_repo_markdown_links_resolve(md_file):
             broken.append(target)
     assert not broken, (f"broken intra-repo links in "
                         f"{md_file.relative_to(REPO_ROOT)}: {broken}")
+
+
+def _resolves(name):
+    """Whether ``name`` is a module or an attribute reached from one."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            found = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for part in parts[split:]:
+            if not hasattr(found, part):
+                return False
+            found = getattr(found, part)
+        return True
+    return False
+
+
+def test_named_code_resolves():
+    names = {(str(md_file.relative_to(REPO_ROOT)), name)
+             for md_file in _markdown_files()
+             for name in _CODE_NAME.findall(
+                 md_file.read_text(encoding="utf-8"))}
+    assert len(names) >= 40             # the pattern still finds the names
+    stale = sorted(entry for entry in names if not _resolves(entry[1]))
+    assert not stale, f"names in the docs that resolve to nothing: {stale}"
 
 
 def test_docs_tree_is_present():

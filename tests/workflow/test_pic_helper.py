@@ -12,6 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.campaign import (WorkerPool, WorkerPoolExecutor,
+                            get_campaign_preset)
 from repro.pic import kernels
 from repro.pic import simulation as pic_simulation
 from repro.pic.khi import make_khi_simulation
@@ -59,6 +61,14 @@ def small_blocks(monkeypatch):
 
 def tiny_session(driver="serial"):
     return WorkflowBuilder().config(tiny_config()).driver(driver).build()
+
+
+def box_worker(payload):
+    """A campaign run's summary, saying whether the run may take a second
+    core for a helper."""
+    return {"final_total_loss": 1.0, "training_iterations": 1,
+            "samples_streamed": 1, "wall_time_s": 0.0, "ok": True,
+            "has_the_box": has_the_box()}
 
 
 class TestWhenTheHelperSteps:
@@ -118,6 +128,22 @@ class TestOnlyARunWithTheBoxToItselfGetsOne:
         monkeypatch.setattr(multiprocessing, "parent_process", object)
         tiny_session().run(2).raise_if_failed()
         assert set(gather_threads) == {threading.main_thread().name}
+
+    def test_a_run_on_the_campaign_worker_pool_never_starts_it(
+            self, small_blocks, fast_heartbeat):
+        """The ``workers`` executor's processes run campaigns side by
+        side, so the serial driver lends none of its runs a helper."""
+        assert has_the_box()
+        spec = get_campaign_preset("campaign-smoke")
+        payloads = [run.payload() for run in spec.resolve()][:2]
+        pool = WorkerPool(2, start_method="fork")
+        try:
+            records = WorkerPoolExecutor(max_workers=2, pool=pool).execute(
+                payloads, box_worker)
+        finally:
+            pool.shutdown()
+        assert [record.summary["has_the_box"] for record in records] == \
+            [False, False]
 
     def test_a_run_on_one_core_never_starts_it(self, small_blocks,
                                                gather_threads, monkeypatch):
