@@ -5,8 +5,8 @@ in-transit-learning loop runs at scale across many physics scenarios, not
 as one hand-launched session.  This subsystem turns one declarative
 :class:`CampaignSpec` into a fleet of :mod:`repro.workflow` runs:
 
-* :mod:`repro.campaign.spec`      — grid/random/explicit sampling over
-  dotted ``WorkflowConfig`` overrides with deterministic per-run seeds,
+* :mod:`repro.campaign.spec`      — a grid of dotted ``WorkflowConfig``
+  overrides with deterministic per-run seeds,
 * :mod:`repro.campaign.scheduler` — the executor contract and registry,
   the serial executor, per-run timeout/retry with captured exceptions,
   :func:`executor_for` (options → executor) and :func:`run_campaign`

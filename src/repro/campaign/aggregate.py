@@ -199,8 +199,8 @@ def aggregate(records: Sequence[RunRecord],
         groups: Dict[str, List[RunRecord]] = {}
         for record in completed:
             if param in record.params:
-                # str, not repr: swept string values (e.g. driver names) must
-                # not grow embedded quotes in the report keys
+                # str, not repr: swept string values must not grow
+                # embedded quotes in the report keys
                 groups.setdefault(str(record.params[param]), []).append(record)
         per_parameter[param] = {}
         for value, members in groups.items():

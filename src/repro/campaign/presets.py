@@ -38,11 +38,9 @@ def _campaign_smoke() -> CampaignSpec:
     return CampaignSpec(
         name="campaign-smoke",
         base_config=_smoke_base_config().to_dict(),
-        sampler="grid",
         parameters={"ml.base_learning_rate": [1e-3, 3e-4]},
         repetitions=4,
         n_steps=2,
-        driver="serial",
         seed=2025)
 
 

@@ -41,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Type
 
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import RUN_DRIVER, CampaignSpec
 from repro.campaign.store import (CampaignStore, RunRecord, STATUS_COMPLETED,
                                   STATUS_FAILED)
 from repro.telemetry import (REGISTRY, Span, SpanRecorder, is_enabled,
@@ -78,8 +78,7 @@ def execute_run(payload: Dict[str, object]) -> Dict[str, object]:
     from repro.workflow import WorkflowBuilder
 
     config = WorkflowConfig.from_dict(payload["config"])
-    session = (WorkflowBuilder().config(config)
-               .driver(payload["driver"]).build())
+    session = WorkflowBuilder().config(config).driver(RUN_DRIVER).build()
     result = session.run(int(payload["n_steps"]))
     result.raise_if_failed()
     return result.summary()
@@ -165,7 +164,7 @@ def _attempt_run_impl(payload: Dict[str, object], worker: RunWorker,
             error = None
         break
     return RunRecord(run_id=payload["run_id"], index=payload["index"],
-                     params=dict(payload["params"]), driver=payload["driver"],
+                     params=dict(payload["params"]), driver=RUN_DRIVER,
                      n_steps=int(payload["n_steps"]), status=status,
                      attempts=attempts,
                      elapsed_s=time.perf_counter() - started,
@@ -176,7 +175,7 @@ def _failed_record(payload: Dict[str, object], error: str,
                    attempts: int = 1) -> RunRecord:
     """The failed record of a run the execution infrastructure lost."""
     return RunRecord(run_id=payload["run_id"], index=payload["index"],
-                     params=dict(payload["params"]), driver=payload["driver"],
+                     params=dict(payload["params"]), driver=RUN_DRIVER,
                      n_steps=int(payload["n_steps"]), status=STATUS_FAILED,
                      attempts=attempts, error=error)
 

@@ -77,12 +77,15 @@ def _execute(payload, worker, retries, timeout):
 
 
 class _Slot:
-    """One worker: its executor, pid, heartbeat and the runs it holds, as
-    ``(future, executor, lease, ticket, sent)`` in submission order — so
-    the oldest entry of an executor is the run its worker is executing."""
+    """One worker: its executor, its process (``process``, known once the
+    executor starts it; ``pid``, written by its initializer), heartbeat and
+    the runs it holds, as ``(future, executor, lease, ticket, sent)`` in
+    submission order — so the oldest entry of an executor is the run its
+    worker is executing."""
 
     def __init__(self, index: int, context) -> None:
         self.index, self.executor, self.held = index, None, []
+        self.process = 0
         self.pid = context.Value("i", 0, lock=False)
         self.beat = context.Value("d", 0.0, lock=False)
 
@@ -123,6 +126,10 @@ class WorkerPool:
             max_workers=1, mp_context=self._context, initializer=_worker_init,
             initargs=(slot.pid, slot.beat, HEARTBEAT_INTERVAL_S))
         slot.executor.submit(int)       # spawns the worker ahead of any run
+        # the executor starts its one process inside that submit: knowing
+        # it here lets the liveness check kill a worker that never reaches
+        # its initializer
+        (slot.process,) = slot.executor._processes
 
     def _turn(self) -> None:
         """Start missing workers, kill those that hold runs and went
@@ -133,13 +140,13 @@ class WorkerPool:
         for slot in self._slots:
             if slot.executor is None:
                 self._renew(slot, None)
-            elif slot.held and slot.pid.value \
+            elif slot.held \
                     and time.time() - slot.beat.value > LIVENESS_TIMEOUT_S:
                 logger.warning("worker pool: worker %d (pid %s) went silent "
                                "holding %d run(s); killing it", slot.index,
-                               slot.pid.value, len(slot.held))
+                               slot.process, len(slot.held))
                 with contextlib.suppress(ProcessLookupError):
-                    os.kill(slot.pid.value, signal.SIGKILL)
+                    os.kill(slot.process, signal.SIGKILL)
                 self._renew(slot, slot.held[0][2])
         # callbacks go on after the pass, so a run that finished during its
         # own submit cannot free its slot (and take the next run) mid-pass

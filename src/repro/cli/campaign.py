@@ -129,8 +129,7 @@ def _run(args: argparse.Namespace) -> int:
     spec = _spec(args)
     store = _store(args, spec)
     executor = executor_for(vars(args))
-    cache_dir = args.cache_dir or spec.cache_dir
-    cache = ResultCache(cache_dir) if cache_dir else None
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
     runs = spec.resolve()
     done_ids = store.completed_run_ids()
 
@@ -153,7 +152,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.json:
         payload = outcome.summary()
         if cache is not None:
-            payload["cache"] = dict(cache.stats(), dir=cache_dir)
+            payload["cache"] = dict(cache.stats(), dir=args.cache_dir)
         if executor_stats:
             payload["executor_stats"] = executor_stats
         print(json.dumps(jsonable(payload), indent=2))
@@ -167,7 +166,7 @@ def _run(args: argparse.Namespace) -> int:
             percent = (100.0 * outcome.cache_hits / attempted
                        if attempted else 0.0)
             print(f"cache: {outcome.cache_hits} hit(s) of {attempted} "
-                  f"pending ({percent:.0f}%), dir {cache_dir}")
+                  f"pending ({percent:.0f}%), dir {args.cache_dir}")
         summary = outcome.summary()
         print(", ".join(f"{key}: {summary[key]}" for key in
                         ("total_runs", "skipped", "cache_hits", "executed",

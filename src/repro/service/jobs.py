@@ -11,10 +11,9 @@ pending for the next submit.
 
 The :class:`CampaignJobManager` owns the id→job map, the shared
 :class:`repro.service.bus.RunEventBus` and the store directory.  A
-campaign's id is derived from the spec's *execution identity* (everything
-except the ``cache_dir`` hint, which never changes run ids),
-so resubmitting the same sweep — after a crash, a restart, or from a
-second client — attaches to the same store and resumes exactly like CLI
+campaign's id is derived from its spec (the cache directory is a submit
+option, not part of the spec), so resubmitting the same sweep — after a
+crash, a restart, or from a second client — attaches to the same store and resumes exactly like CLI
 ``campaign run`` does.  Specs are persisted next to their stores
 (``<id>.spec.json``), so a restarted service lists and resumes every
 campaign it ever accepted.
@@ -63,17 +62,14 @@ EXECUTOR_OPTION_KEYS = ("executor", "max_workers", "timeout", "retries",
 
 
 def campaign_id_of(spec: CampaignSpec) -> str:
-    """Stable campaign identity: slugged name + hash of the execution identity.
+    """Stable campaign identity: slugged name + hash of the spec.
 
-    The hash covers everything that shapes the resolved runs and drops the
-    ``cache_dir`` hint (it is not part of run identity — resubmitting a
-    cache-pointed copy of a sweep must resume the same campaign, not start
-    a parallel one).
+    The spec holds only what shapes the resolved runs; the cache directory
+    is a submit option, so resubmitting a sweep with a cache resumes the
+    same campaign instead of starting a parallel one.
     """
-    identity = spec.to_dict()
-    identity.pop("cache_dir", None)
-    digest = hashlib.sha256(
-        json.dumps(identity, sort_keys=True).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(json.dumps(
+        spec.to_dict(), sort_keys=True).encode("utf-8")).hexdigest()
     slug = re.sub(r"[^A-Za-z0-9._-]+", "-", spec.name).strip("-") or "campaign"
     return f"{slug}-{digest[:10]}"
 
@@ -173,8 +169,7 @@ class CampaignJob:
     def _run(self) -> None:
         try:
             executor = executor_for(self.executor_options)
-            cache_dir = (self.executor_options.get("cache_dir")
-                         or self.spec.cache_dir)
+            cache_dir = self.executor_options.get("cache_dir")
             cache = ResultCache(str(cache_dir)) if cache_dir else None
             # the in-memory mirror already knows what is complete: hand it
             # over so run_campaign does not re-read the store

@@ -199,20 +199,74 @@ class TestCachedCampaigns:
         spec = smoke_spec()
         run_campaign(spec, CampaignStore(str(tmp_path / "a.jsonl")),
                      worker=fake_worker, cache=cache)
-        # an explicit spec naming one of the smoke runs' configs directly
+        # a one-point grid naming one of the smoke runs' configs directly
         one_run = spec.resolve()[3]
-        explicit = smoke_spec(
-            name="single", sampler="explicit", parameters={},
-            repetitions=1,
-            explicit=[dict(one_run.params,
-                           **{"khi.seed": one_run.config["khi"]["seed"],
-                              "seed": one_run.config["seed"]})])
-        resolved = explicit.resolve()
+        single = smoke_spec(
+            name="single", repetitions=1,
+            parameters={key: [value] for key, value in dict(
+                one_run.params, **{"khi.seed": one_run.config["khi"]["seed"],
+                                   "seed": one_run.config["seed"]}).items()})
+        resolved = single.resolve()
         assert [r.run_id for r in resolved] == [one_run.run_id]
-        outcome = run_campaign(explicit,
+        outcome = run_campaign(single,
                                CampaignStore(str(tmp_path / "b.jsonl")),
                                worker=refusing_worker, cache=cache)
         assert outcome.cache_hits == 1
         record = outcome.records[0]
         assert record.index == resolved[0].index == 0
         assert record.params == resolved[0].params
+
+
+#: A store row, byte for byte as a launch wrote it while a spec could still
+#: name its driver: the first ``campaign-smoke`` run, executed for real.
+PINNED_ROW = (
+    '{"attempts": 1, "cached": false, "driver": "serial", "elapsed_s": '
+    '0.022669524998491397, "error": null, "index": 0, "n_steps": 2, '
+    '"params": {"ml.base_learning_rate": 0.001}, "run_id": '
+    '"5ef38b78210e5b49", "status": "completed", "summary": {"driver": '
+    '"serial", "final_total_loss": 698.0555435733977, '
+    '"iterations_streamed": 2, "max_queue_depth": 1, "ok": true, '
+    '"samples_streamed": 8, "simulation_time_s": 0.009, "steps": 2, '
+    '"streamed_megabytes": 0.06, "training_iterations": 2, '
+    '"training_time_s": 0.008, "wall_time_s": 0.017}}')
+
+
+class TestRowsWrittenBeforeTheSpecShrank:
+    """Stores and caches written when a spec named its driver resume and
+    replay: run ids still hash ``"driver": "serial"`` and the row schema
+    still carries the column."""
+
+    @staticmethod
+    def one_run():
+        return smoke_spec(name="pinned-row", repetitions=1,
+                          parameters={"ml.base_learning_rate": [1e-3]})
+
+    def test_the_row_resolves_to_the_same_run(self):
+        (run,) = self.one_run().resolve()
+        row = json.loads(PINNED_ROW)
+        assert (run.run_id, run.index, run.params, run.n_steps) == (
+            row["run_id"], row["index"], row["params"], row["n_steps"])
+
+    def test_a_pinned_store_row_counts_as_completed(self, tmp_path):
+        path = tmp_path / "pinned.campaign.jsonl"
+        path.write_text(PINNED_ROW + "\n", encoding="utf-8")
+        store = CampaignStore(str(path))
+        assert store.completed_run_ids() == {"5ef38b78210e5b49"}
+        outcome = run_campaign(self.one_run(), store, worker=refusing_worker)
+        assert (outcome.skipped, outcome.executed, outcome.done) == \
+            (1, 0, True)
+
+    def test_a_pinned_cache_entry_replays(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
+        os.makedirs(os.path.dirname(cache.entry_path("5ef38b78210e5b49")))
+        with open(cache.entry_path("5ef38b78210e5b49"), "w",
+                  encoding="utf-8") as handle:
+            handle.write(PINNED_ROW)
+        store = CampaignStore(str(tmp_path / "replay.campaign.jsonl"))
+        outcome = run_campaign(self.one_run(), store, worker=refusing_worker,
+                               cache=cache)
+        assert (outcome.cache_hits, outcome.executed, outcome.done) == \
+            (1, 0, True)
+        (record,) = store.records()
+        assert record.cached and record.driver == "serial"
+        assert record.summary == json.loads(PINNED_ROW)["summary"]

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import os
 
 import pytest
 
@@ -11,6 +13,9 @@ from repro.campaign import (CampaignSpec, apply_override,
 from repro.core.config import WorkflowConfig
 from repro.service.jobs import campaign_id_of
 from repro.workflow import get_preset
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 def smoke_spec(**kwargs) -> CampaignSpec:
@@ -133,36 +138,17 @@ class TestSampling:
         assert sorted(run.config["seed"] for run in runs) == [1, 2]
         assert all(run.config["khi"]["seed"] == 5 for run in runs)
 
-    def test_run_level_parameters(self):
-        spec = smoke_spec(parameters={"driver": ["serial", "pipelined"],
-                                      "n_steps": [2, 3]}, repetitions=1)
-        runs = spec.resolve()
-        assert {(run.driver, run.n_steps) for run in runs} == \
-            {("serial", 2), ("serial", 3), ("pipelined", 2), ("pipelined", 3)}
-
-    def test_random_sampler_draws_choices_and_ranges(self):
-        spec = smoke_spec(sampler="random", n_samples=12, repetitions=1,
-                          parameters={"ml.n_rep": [1, 2],
-                                      "ml.base_learning_rate":
-                                          {"low": 1e-5, "high": 1e-3, "log": True}})
-        runs = spec.resolve()
-        assert 0 < len(runs) <= 12
-        for run in runs:
-            assert run.params["ml.n_rep"] in (1, 2)
-            assert 1e-5 <= run.params["ml.base_learning_rate"] <= 1e-3
-
-    def test_explicit_sampler(self):
-        spec = smoke_spec(sampler="explicit", parameters={}, repetitions=1,
-                          explicit=[{"ml.n_rep": 1}, {"ml.n_rep": 2,
-                                                      "n_steps": 4}])
-        runs = spec.resolve()
-        assert len(runs) == 2
-        assert runs[1].n_steps == 4
+    @pytest.mark.parametrize("key", ["driver", "n_steps"])
+    def test_a_sweep_names_only_config_keys(self, key):
+        """Every run of a campaign uses the serial driver and the spec's
+        ``n_steps``: a sweep over either is an unknown config key."""
+        spec = smoke_spec(parameters={key: [2, 3]}, repetitions=1)
+        with pytest.raises(ValueError,
+                           match=f"unknown key {key!r}; valid keys"):
+            spec.resolve()
 
     def test_resolution_is_deterministic(self):
-        spec = smoke_spec(sampler="random", n_samples=6,
-                          parameters={"ml.base_learning_rate":
-                                      {"low": 1e-5, "high": 1e-3}})
+        spec = smoke_spec(parameters={"ml.n_rep": [1, 2]}, repetitions=3)
         first = [(run.run_id, run.config["seed"]) for run in spec.resolve()]
         second = [(run.run_id, run.config["seed"]) for run in spec.resolve()]
         assert first == second
@@ -170,38 +156,41 @@ class TestSampling:
     def test_run_ids_hash_the_resolved_run(self):
         spec = smoke_spec(repetitions=2, parameters={})
         run = spec.resolve()[0]
-        assert run.run_id == run_id_of(run.config, run.driver, run.n_steps)
+        assert run.run_id == run_id_of(run.config, run.n_steps)
         assert len({r.run_id for r in spec.resolve()}) == 2
 
     def test_smoke_campaign_and_run_ids_are_pinned(self):
         """Campaign and run identities are content hashes that stores,
         caches and service ids key on: a change to what they hash must be
-        deliberate, so the smoke campaign's are pinned literally."""
+        deliberate, so the smoke campaign's are pinned literally.  The run
+        ids are the ones stores and caches have held since the spec could
+        name a driver; the campaign id hashes the spec's seven fields."""
         spec = get_campaign_preset("campaign-smoke")
-        assert campaign_id_of(spec) == "campaign-smoke-1e654b7dea"
-        assert [run.run_id for run in spec.resolve()[:2]] == [
-            "5ef38b78210e5b49", "e96a51ce100346ed"]
+        assert campaign_id_of(spec) == "campaign-smoke-e79e44526f"
+        assert [run.run_id for run in spec.resolve()] == [
+            "5ef38b78210e5b49", "e96a51ce100346ed", "015a895fe87bce0e",
+            "525ef18a3359c031", "f1d6835edbb7d779", "20526353170a403c",
+            "e14f1d4f8538b565", "5a2768c72f925a7f"]
+
+    def test_the_benchmark_sweeps_run_ids_are_pinned(self, monkeypatch):
+        """The benchmark's sweep at both sizes resolves to the run ids its
+        stores and caches were written under.  The benchmark is imported
+        read-only, so the repository root must be on ``sys.path``."""
+        monkeypatch.syspath_prepend(ROOT)
+        workloads = importlib.import_module("bench.workloads")
+        ids = {smoke: [run.run_id for run in workloads.sweep_spec(
+                   "pinned", 11, smoke).resolve()]
+               for smoke in (True, False)}
+        assert ids == {
+            True: ["4c3febb838aa3240", "f294a7fb950c7230"],
+            False: ["f692a18c55fdaa71", "24e682d83bda49b1",
+                    "b06b4671317175ac", "8c2732e3bd5ddb57",
+                    "e6f8c6c1a20a5938", "c08e7f6bf3bf09ca",
+                    "843a1fbdea804035", "aaa8e5b674744e05"]}
 
     def test_bad_override_fails_at_resolve_time(self):
         spec = smoke_spec(parameters={"khi.warp_factor": [9]}, repetitions=1)
         with pytest.raises(ValueError, match="warp_factor"):
-            spec.resolve()
-
-    def test_swept_n_steps_is_validated_like_the_spec_field(self):
-        with pytest.raises(ValueError, match="swept n_steps.*integer"):
-            smoke_spec(parameters={"n_steps": [2.5]}, repetitions=1).resolve()
-        with pytest.raises(ValueError, match="swept n_steps must be >= 1"):
-            smoke_spec(parameters={"n_steps": [0]}, repetitions=1).resolve()
-        runs = smoke_spec(parameters={"n_steps": [1, 3]},
-                          repetitions=1).resolve()
-        assert {run.n_steps for run in runs} == {1, 3}
-
-    def test_bad_driver_fails_at_resolve_time(self):
-        with pytest.raises(ValueError, match="valid drivers"):
-            smoke_spec(driver="threded", repetitions=1).resolve()
-        spec = smoke_spec(parameters={"driver": ["serial", "threded"]},
-                          repetitions=1)
-        with pytest.raises(ValueError, match="valid drivers"):
             spec.resolve()
 
 
@@ -210,22 +199,16 @@ class TestValidationAndRoundTrip:
         """A run's params, which the report groups by, are its swept point."""
         assert {tuple(run.params) for run in smoke_spec().resolve()} == \
             {("ml.base_learning_rate",)}
-        explicit = smoke_spec(sampler="explicit", parameters={}, repetitions=1,
-                              explicit=[{"seed": 1}, {"ml.n_rep": 2}])
-        assert [run.params for run in explicit.resolve()] == \
-            [{"seed": 1}, {"ml.n_rep": 2}]
+        grid = smoke_spec(parameters={"seed": [1], "ml.n_rep": [1, 2]},
+                          repetitions=1)
+        assert [run.params for run in grid.resolve()] == \
+            [{"ml.n_rep": 1, "seed": 1}, {"ml.n_rep": 2, "seed": 1}]
 
-    def test_rejects_unknown_sampler_and_bad_counts(self):
-        with pytest.raises(ValueError, match="valid samplers"):
-            CampaignSpec(sampler="bayesian")
+    def test_rejects_bad_counts(self):
         with pytest.raises(ValueError, match="repetitions"):
             CampaignSpec(repetitions=0)
         with pytest.raises(ValueError, match="n_steps"):
             CampaignSpec(n_steps=0)
-        with pytest.raises(ValueError, match="explicit"):
-            CampaignSpec(sampler="explicit")
-        with pytest.raises(ValueError, match="sampler='explicit'"):
-            CampaignSpec(explicit=[{"seed": 1}])
 
     def test_grid_requires_value_lists(self):
         spec = smoke_spec(parameters={"ml.n_rep": 3}, repetitions=1)
@@ -233,8 +216,7 @@ class TestValidationAndRoundTrip:
             spec.resolve()
 
     def test_fully_pinned_repetitions_warn_about_dropped_duplicates(self):
-        spec = smoke_spec(sampler="explicit", parameters={},
-                          explicit=[{"seed": 1, "khi.seed": 1}],
+        spec = smoke_spec(parameters={"seed": [1], "khi.seed": [1]},
                           repetitions=3)
         with pytest.warns(RuntimeWarning, match="dropped 2 duplicate"):
             runs = spec.resolve()
@@ -254,18 +236,8 @@ class TestValidationAndRoundTrip:
     def test_container_fields_fail_clearly(self):
         with pytest.raises(ValueError, match="parameters must be a mapping"):
             CampaignSpec(parameters=42)
-        with pytest.raises(ValueError, match="list of override mappings"):
-            CampaignSpec(sampler="explicit", explicit=[5])
         with pytest.raises(ValueError, match="base_config must be"):
             CampaignSpec(base_config=[1, 2])
-
-    def test_log_range_requires_positive_low(self):
-        spec = smoke_spec(
-            sampler="random", repetitions=1, n_samples=2,
-            parameters={"ml.base_learning_rate":
-                        {"low": 0, "high": 1e-3, "log": True}})
-        with pytest.raises(ValueError, match="base_learning_rate.*low > 0"):
-            spec.resolve()
 
     def test_dict_and_file_round_trip(self, tmp_path):
         spec = smoke_spec(parameters={"ml.n_rep": [1, 2]}, repetitions=2,
@@ -281,6 +253,19 @@ class TestValidationAndRoundTrip:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown CampaignSpec keys"):
             CampaignSpec.from_dict({"executor": "serial"})
+
+    @pytest.mark.parametrize("key, value", [
+        ("sampler", "random"), ("explicit", [{"seed": 1}]),
+        ("n_samples", 4), ("driver", "serial"), ("cache_dir", "cache")])
+    def test_a_removed_key_is_refused_with_the_valid_keys(self, key, value):
+        """The samplers, the spec's driver and its cache directory are gone:
+        a spec naming one is refused, not read as the grid it would run."""
+        smoke = get_campaign_preset("campaign-smoke").to_dict()
+        with pytest.raises(ValueError, match=(
+                rf"unknown CampaignSpec keys \['{key}'\]; valid keys: "
+                r"base_config, base_preset, n_steps, name, parameters, "
+                r"repetitions, seed$")):
+            CampaignSpec.from_dict(dict(smoke, **{key: value}))
 
     @pytest.mark.parametrize("document", [5, True, "abc", [1, 2], None])
     def test_from_dict_rejects_a_non_object(self, document):

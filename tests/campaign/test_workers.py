@@ -489,6 +489,39 @@ class TestCrashRequeue:
         assert victim not in pool.worker_pids()
 
 
+    def test_a_worker_hung_before_its_initializer_is_killed(
+            self, fast_heartbeat, monkeypatch, tmp_path):
+        """A worker that never reaches its initializer (hung the first time
+        one starts, as an import that never returns would hang it) never
+        beats: a lease kills it by the process its executor started, and
+        the run completes on a fresh worker."""
+        monkeypatch.setattr(workers, "LIVENESS_TIMEOUT_S", 1.0)
+        marker, initializer = str(tmp_path / "hung"), workers._worker_init
+
+        def hang_once(*args):
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+            except FileExistsError:
+                return initializer(*args)
+            time.sleep(30)
+
+        monkeypatch.setattr(workers, "_worker_init", hang_once)
+        pool = WorkerPool(1, start_method="fork")
+        payloads = smoke_payloads(repetitions=1)[:1]
+        result = {}
+        try:
+            thread = threading.Thread(target=lambda: result.update(
+                records=pool.run(payloads, fake_worker, {})))
+            thread.start()
+            thread.join(timeout=20)
+            assert not thread.is_alive()
+        finally:
+            pool.shutdown()
+        (record,) = result["records"]
+        assert record.completed
+        assert pool.counters["respawns"] == 1
+
+
 class TestAbortedLease:
     def test_late_results_are_dropped_not_misattributed(self, pool, gate):
         """A lease whose observer raises (an unwritable store) ends with a

@@ -458,6 +458,31 @@ class TestRestartResume:
         (reloaded,) = CampaignJobManager(str(store_dir)).jobs()
         assert (reloaded.id, reloaded.state) == (campaign_id, "completed")
 
+    def test_a_spec_file_naming_a_sampler_or_driver_is_skipped(
+            self, tmp_path, caplog):
+        """Spec files written when a spec named its sampler, driver and
+        cache directory no longer load on restart; the store beside one
+        keeps its records."""
+        spec = small_spec(name="twelve-fields")
+        store_dir = tmp_path / "svc"
+        store_dir.mkdir()
+        old_id = "twelve-fields-0123456789"
+        store = CampaignStore(str(store_dir / f"{old_id}.campaign.jsonl"))
+        run_campaign(spec, store, worker=fake_worker)
+        with open(store_dir / f"{old_id}.spec.json", "w",
+                  encoding="utf-8") as handle:
+            json.dump(dict(spec.to_dict(), sampler="grid", explicit=[],
+                           n_samples=8, driver="serial", cache_dir=None),
+                      handle)
+        with caplog.at_level("WARNING", logger="repro.service.jobs"):
+            manager = CampaignJobManager(str(store_dir))
+        assert manager.jobs() == []
+        assert f"skipping unloadable campaign {old_id}" in caplog.text
+        assert ("unknown CampaignSpec keys ['cache_dir', 'driver', "
+                "'explicit', 'n_samples', 'sampler']") in caplog.text
+        assert store.completed_run_ids() == {
+            run.run_id for run in spec.resolve()}
+
 
 class TestErrorPaths:
     def test_unknown_campaign_routes_are_404(self, tmp_path):
@@ -491,6 +516,9 @@ class TestErrorPaths:
         ({"base_config": {"khi": 5}},
          "KHIConfig must be a JSON object, got int 5"),
         ({"routing": {}}, r"unknown CampaignSpec keys \['routing'\]"),
+        ({"sampler": "random"}, r"unknown CampaignSpec keys \['sampler'\]; "
+         r"valid keys: base_config, base_preset, n_steps, name, parameters, "
+         r"repetitions, seed$"),
         ({"parameters": {"streaming.queue_limit": [0]}},
          "queue_limit must be an integer >= 1"),
     ])

@@ -17,9 +17,11 @@ from dataclasses import replace
 import pytest
 
 from repro.campaign import (CampaignSpec, CampaignStore, ResultCache,
-                            WorkerPool, WorkerPoolExecutor,
+                            WorkerPool, WorkerPoolExecutor, execute_run,
                             get_campaign_preset, run_campaign)
+from repro.core.config import WorkflowConfig
 from repro.telemetry import REGISTRY, disabled, read_spans, trace_path_for
+from repro.workflow import WorkflowBuilder
 
 from tests.telemetry.test_metrics import observed, value
 
@@ -174,6 +176,17 @@ class TestSerialTracing:
         assert rendered.count("settle") == 2
 
 
+def run_pipelined(payload):
+    """``execute_run`` on the pipelined driver: its producer and consumer
+    threads join the run's trace through ``carry_trace``."""
+    session = (WorkflowBuilder()
+               .config(WorkflowConfig.from_dict(payload["config"]))
+               .driver("pipelined").build())
+    result = session.run(int(payload["n_steps"]))
+    result.raise_if_failed()
+    return result.summary()
+
+
 @pytest.mark.parametrize("driver", ["serial", "pipelined"])
 def test_real_runs_trace_their_sections_under_execute(tmp_path, driver):
     """Each run's workflow sections hang off its execute span, the layers'
@@ -181,12 +194,15 @@ def test_real_runs_trace_their_sections_under_execute(tmp_path, driver):
 
     Nesting is what both drivers guarantee: every ``pic.*`` section lies
     inside its ``workflow.pic`` span and together they fill at most that
-    span.  That they fill it to within 5 % holds on the serial driver only:
-    under the pipelined one a thread switch between two sections is time
-    in ``workflow.pic`` that no section holds."""
-    spec = smoke_spec(name=f"trace-sections-{driver}", driver=driver)
+    span.  That they fill it to within 5 % holds on the serial driver only
+    (under the pipelined one a thread switch between two sections is time
+    in ``workflow.pic`` that no section holds), and only summed over the
+    launch: one preemption between two sections of a ~20 ms span can take
+    more than 5 % of it."""
+    spec = smoke_spec(name=f"trace-sections-{driver}")
     store = CampaignStore(tmp_path / "t.campaign.jsonl")
-    assert run_campaign(spec, store).completed == 8
+    worker = run_pipelined if driver == "pipelined" else execute_run
+    assert run_campaign(spec, store, worker=worker).completed == 8
     spans = spans_of(store)
     by_id = {s.span_id: s for s in spans}
     edges, seconds = set(), {}
@@ -220,11 +236,14 @@ def test_real_runs_trace_their_sections_under_execute(tmp_path, driver):
                           for span_id, total in filled.items())
     for record in store.records():
         pic = seconds[(record.run_id, "workflow.pic")]
-        if driver == "serial":
-            assert seconds[(record.run_id, "pic.*")] == pytest.approx(pic,
-                                                                      rel=0.05)
         assert pic == pytest.approx(record.summary["simulation_time_s"],
                                     abs=1e-3)
+    if driver == "serial":
+        launch = {name: sum(value for (_, key), value in seconds.items()
+                            if key == name)
+                  for name in ("pic.*", "workflow.pic")}
+        assert launch["pic.*"] == pytest.approx(launch["workflow.pic"],
+                                                rel=0.05)
 
 
 class TestWorkerPoolTracing:

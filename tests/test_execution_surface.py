@@ -21,6 +21,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -49,6 +50,7 @@ from repro.mlcore.tensor import Tensor
 from repro.analysis.evaluation import RegionEvaluation
 from repro.analysis.regions import label_particles
 from repro.campaign import presets as campaign_presets
+from repro.campaign import spec as campaign_spec
 from repro.campaign.spec import RunSpec
 from repro.models.decoder import PointCloudDecoder
 from repro.models.encoder import PointNetEncoder
@@ -233,11 +235,12 @@ class TestSurface:
             get_driver("threaded")
         with pytest.raises(ValueError, match="pipelined, serial"):
             WorkflowBuilder().driver("threaded")
-        spec = CampaignSpec.from_dict(dict(
-            get_campaign_preset("campaign-smoke").to_dict(),
-            driver="threaded"))
-        with pytest.raises(ValueError, match="pipelined, serial"):
-            spec.resolve()
+        # every campaign run uses the serial driver: a spec names none
+        with pytest.raises(ValueError,
+                           match=r"unknown CampaignSpec keys \['driver'\]"):
+            CampaignSpec.from_dict(dict(
+                get_campaign_preset("campaign-smoke").to_dict(),
+                driver="threaded"))
         # the facade classes and the modules that held them
         assert [name for name in dir(repro.core)
                 if "scientist" in name.lower() or "threaded" in name.lower()
@@ -352,6 +355,9 @@ ONE_VALUED = {
                                  "two-valued",
     "streaming.stream_name": "a name",
 }
+#: ``CampaignSpec`` fields that every launched spec leaves at one value,
+#: each kept for the reason given (none: each of the seven takes two)
+ONE_VALUED_SPEC_FIELDS = {}
 #: values computed from the options, never set
 DERIVED = {"n_detector_frequencies": "spectrum_dim // n_detector_directions"}
 #: options made constants or derived, each with the section it left
@@ -398,6 +404,26 @@ def census_traffic():
     return configs
 
 
+def spec_traffic():
+    """Every ``CampaignSpec`` the repository launches: the smoke campaign
+    and CI's 12-repetition copy of it, the example's sweep, the benchmark's
+    sweep at both sizes and CI's ``cli-spec.json``.  The benchmark is
+    imported read-only, so the repository root must be on ``sys.path``."""
+    workloads = importlib.import_module("bench.workloads")
+    smoke = get_campaign_preset("campaign-smoke")
+    with open(os.path.join(ROOT, ".github", "workflows", "ci.yml"),
+              encoding="utf-8") as handle:
+        (cli_spec,) = re.findall(r"echo '(\{.*\})' > cli-spec\.json",
+                                 handle.read())
+    return [smoke,
+            dataclasses.replace(smoke, name="campaign-smoke-cancel",
+                                repetitions=12),
+            _example("campaign_sweep").sweep_spec("census"),
+            *(workloads.sweep_spec("census", workloads.DEFAULT_SEED, size)
+              for size in (True, False)),
+            CampaignSpec.from_dict(json.loads(cli_spec))]
+
+
 def config_leaves(data, prefix=""):
     """``(dotted path, JSON of the value)`` of every leaf of ``to_dict()``."""
     for key, value in data.items():
@@ -432,9 +458,24 @@ class TestOptionsCensus:
                        * config.n_detector_directions
                        == config.ml.model.spectrum_dim for config in traffic)
 
+    def test_every_spec_field_takes_two_values_in_use(self, monkeypatch):
+        """A ``CampaignSpec`` field the launched specs leave at one value
+        is a constant, unless ``ONE_VALUED_SPEC_FIELDS`` says why it stays
+        a field."""
+        monkeypatch.syspath_prepend(ROOT)
+        values = {}
+        for spec in spec_traffic():
+            for name, value in spec.to_dict().items():
+                values.setdefault(name, set()).add(
+                    json.dumps(value, sort_keys=True))
+        assert sorted(values) == sorted(field.name for field
+                                        in dataclasses.fields(CampaignSpec))
+        assert sorted(name for name, seen in values.items()
+                      if len(seen) < 2) == sorted(ONE_VALUED_SPEC_FIELDS)
+
     def test_a_campaign_launch_takes_exactly_these_options(self):
-        """One concurrent executor; a spec carries no execution hints but
-        its cache directory."""
+        """One concurrent executor; a spec carries no execution hints, and
+        a cache is named at launch."""
         with pytest.raises(ValueError, match="valid executors: serial, workers$"):
             get_executor("threads")
         with pytest.raises(ValueError,
@@ -442,9 +483,10 @@ class TestOptionsCensus:
             get_campaign_preset("campaign-large")
         assert parameters_of(executor_for) == ["options"]
         assert [field.name for field in dataclasses.fields(CampaignSpec)] == [
-            "name", "base_preset", "base_config", "sampler", "parameters",
-            "explicit", "n_samples", "repetitions", "n_steps", "driver",
-            "seed", "cache_dir"]
+            "name", "base_preset", "base_config", "parameters", "repetitions",
+            "n_steps", "seed"]
+        assert [field.name for field in dataclasses.fields(RunSpec)] == [
+            "run_id", "index", "params", "config", "n_steps", "repetition"]
         assert flags_of(_build_parser(), "campaign", "run") == [
             "--cache-dir", "--executor", "--help", "--json", "--max-runs",
             "--max-workers", "--preset", "--retries", "--spec", "--store",
@@ -728,7 +770,8 @@ class TestFigureModels:
             WorkflowSession: ["primary"],
             workflow_drivers: ["register_driver"],
             campaign_presets: ["register_campaign_preset"],
-            RunSpec: ["build_config"],
+            campaign_spec: ["RUN_LEVEL_KEYS", "SAMPLERS"],
+            RunSpec: ["build_config", "driver"],
             pic_diagnostics.EnergyHistory: ["as_dict", "magnetic_growth_factor"],
             pic_diagnostics: ["current_sheet_indicator", "density_field"],
             YeeGrid: ["B", "E", "J"],
