@@ -9,8 +9,10 @@ back to local particle momentum distributions.  The script
 2. evaluates the inversion per plasma region (bulk approaching / receding /
    vortex),
 3. prints a Fig. 9-style comparison table (true vs predicted momentum peaks,
-   histogram distance, two-population detection in the vortex region) and
-   the latent-regime-classifier accuracy.
+   histogram distance, two-population detection in the vortex region), the
+   surrogate MSE and the latent-regime-classifier accuracy, each beside the
+   spectrum-blind constant it has to beat: the pooled momentum histogram of
+   all regions, the mean spectrum and the majority region's share.
 
 Run with::
 
@@ -56,23 +58,36 @@ def main() -> None:
     evaluation = session.evaluate(n_posterior_samples=4)
 
     header = (f"{'region':>12} {'n':>4} {'true peak':>10} {'pred peak':>10} "
-              f"{'peak err':>9} {'hist L1':>8} {'2 pops (true/pred)':>20}")
+              f"{'peak err':>9} {'hist L1':>8} {'const L1':>9} "
+              f"{'2 pops (true/pred)':>20}")
     print("\n--- Fig. 9-style comparison ------------------------------------")
     print(header)
     for row in evaluation.rows():
         print(f"{row['region']:>12} {row['n_samples']:>4} {row['true_peak']:>10.3f} "
               f"{row['predicted_peak']:>10.3f} {row['peak_error']:>9.3f} "
-              f"{row['histogram_l1']:>8.3f} "
+              f"{row['histogram_l1']:>8.3f} {row['constant_histogram_l1']:>9.3f} "
               f"{str(row['two_populations_true']):>9}/{str(row['two_populations_predicted']):<9}")
 
-    summary = evaluation.summary()
-    print("\nsurrogate spectrum MSE      :", round(summary["surrogate_spectrum_mse"], 5))
-    print("latent regime classifier acc:", round(summary["latent_classifier_accuracy"], 3))
-    print("\nInterpretation: as in the paper, identifying the region of origin "
-          "(approaching / receding / vortex) from the predicted momentum "
-          "distribution is the primary success criterion; exact momenta of the "
-          "vortex population are the hard part.")
+    print(f"\nsurrogate spectrum MSE      : {evaluation.surrogate_spectrum_mse:.5f}"
+          f"  (mean spectrum: {evaluation.constant_spectrum_mse:.5f})")
+    print(f"latent regime classifier acc: {evaluation.latent_classifier_accuracy:.3f}"
+          f"  (majority share: {evaluation.majority_share:.3f})")
 
+    ratios = evaluation.ratios()
+    beaten = [name for name, ratio in ratios.items() if ratio < 1]
+    lost = [name for name, ratio in ratios.items() if ratio >= 1]
+    print("\nerror over the constant's error (below 1 beats it):")
+    for name, ratio in ratios.items():
+        print(f"  {name:>26}: {ratio:.3f}")
+    inverted = all(ratio < 1 for name, ratio in ratios.items()
+                   if name.startswith("histogram_l1."))
+    print(f"\nInterpretation: at {n_steps} steps the model beats its "
+          f"spectrum-blind constant on {', '.join(beaten) or 'no metric'} and "
+          f"not on {', '.join(lost) or 'any other'}. The classifier reads the "
+          "latents of the true clouds, not the spectra; the inversion "
+          "(Fig. 9) works where a region's L1 ratio is below 1, and this run "
+          + ("shows that in every region." if inverted else
+             "does not show that in every region."))
 
 if __name__ == "__main__":
     main()

@@ -11,7 +11,8 @@ region labels), the evaluation
    vortex populations),
 3. runs the surrogate direction (particles → spectrum) and reports its MSE,
 4. fits the latent regime classifier and reports its accuracy on samples
-   it was not fitted to (:func:`held_out_accuracy`).
+   it was not fitted to (:func:`held_out_accuracy`),
+5. scores a spectrum-blind constant beside each (:meth:`InversionReport.ratios`).
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ class RegionEvaluation:
     true_mean: float
     predicted_mean: float
     histogram_l1: float
+    #: L1 of the pooled histogram of every region's true momenta
+    constant_histogram_l1: float
     two_populations_true: bool
     two_populations_predicted: bool
     #: share of the predicted momenta clipped onto the histogram range
@@ -63,7 +66,9 @@ class InversionReport:
 
     regions: Dict[str, RegionEvaluation]
     surrogate_spectrum_mse: float
+    constant_spectrum_mse: float
     latent_classifier_accuracy: float
+    majority_share: float
     n_evaluation_samples: int
     #: share of all predicted momenta clipped onto the histogram range (an
     #: L1 near 2.0 with this near 1 reads "out of range", not "unlearned")
@@ -82,20 +87,25 @@ class InversionReport:
                 "true_mean": round(ev.true_mean, 4),
                 "predicted_mean": round(ev.predicted_mean, 4),
                 "histogram_l1": round(ev.histogram_l1, 4),
+                "constant_histogram_l1": round(ev.constant_histogram_l1, 4),
                 "two_populations_true": ev.two_populations_true,
                 "two_populations_predicted": ev.two_populations_predicted,
                 "clipped_fraction": round(ev.clipped_fraction, 4),
             })
         return rows
 
-    def summary(self) -> Dict[str, float]:
-        peaks = [ev.peak_error for ev in self.regions.values()]
-        return {
-            "mean_peak_error": float(np.mean(peaks)) if peaks else float("nan"),
-            "surrogate_spectrum_mse": self.surrogate_spectrum_mse,
-            "latent_classifier_accuracy": self.latent_classifier_accuracy,
-            "clipped_fraction": self.clipped_fraction,
-        }
+    def ratios(self) -> Dict[str, float]:
+        """Each metric's error over its constant's (1 - accuracy for the
+        classifier), below 1 where the model beats it; none where the
+        constant is exact (one region), as there is nothing to beat."""
+        pairs = {f"histogram_l1.{name}": (ev.histogram_l1, ev.constant_histogram_l1)
+                 for name, ev in sorted(self.regions.items())}
+        pairs.update(surrogate_spectrum_mse=(self.surrogate_spectrum_mse,
+                                             self.constant_spectrum_mse),
+                     latent_classifier_accuracy=(1.0 - self.latent_classifier_accuracy,
+                                                 1.0 - self.majority_share))
+        return {name: model / constant
+                for name, (model, constant) in pairs.items() if constant > 0}
 
 
 def _momentum_from_cloud(cloud: np.ndarray) -> np.ndarray:
@@ -146,7 +156,12 @@ def evaluate_inversion(model: ArtificialScientistModel,
 
     region_evaluations: Dict[str, RegionEvaluation] = {}
     n_clipped = n_predicted = 0
+    # the constants: the pooled histogram of all regions, the mean spectrum
+    _, pooled_hist = momentum_histogram(np.concatenate(
+        [_momentum_from_cloud(s.point_cloud) for s in samples]))
+    mean_spectrum = np.mean([s.spectrum for s in samples], axis=0)
     surrogate_errors: List[float] = []
+    constant_errors: List[float] = []       # the mean spectrum's
     latents: List[np.ndarray] = []
     labels: List[int] = []
 
@@ -177,6 +192,7 @@ def evaluate_inversion(model: ArtificialScientistModel,
         clouds = np.stack([s.point_cloud for s in region_samples], axis=0)
         predicted_spectra = model.predict_radiation_from_particles(clouds)
         surrogate_errors.append(float(np.mean((predicted_spectra - spectra) ** 2)))
+        constant_errors.append(float(np.mean((mean_spectrum - spectra) ** 2)))
 
         # latent space for the regime classifier
         z = model.encode_to_latent(clouds)
@@ -191,6 +207,7 @@ def evaluate_inversion(model: ArtificialScientistModel,
             true_mean=mean_momentum(true_centres, true_hist),
             predicted_mean=mean_momentum(pred_centres, pred_hist),
             histogram_l1=histogram_distance(true_hist, pred_hist),
+            constant_histogram_l1=histogram_distance(true_hist, pooled_hist),
             two_populations_true=detects_two_populations(true_centres, true_hist),
             two_populations_predicted=detects_two_populations(pred_centres, pred_hist),
             clipped_fraction=clipped / predicted_momenta.size,
@@ -199,13 +216,13 @@ def evaluate_inversion(model: ArtificialScientistModel,
     # latent classifier accuracy (only meaningful with more than one class)
     latent_matrix = np.concatenate(latents, axis=0)
     label_array = np.asarray(labels)
-    if len(set(labels)) > 1:
-        accuracy = held_out_accuracy(latent_matrix, label_array, rng)
-    else:
-        accuracy = 1.0
+    accuracy = held_out_accuracy(latent_matrix, label_array, rng) \
+        if len(set(labels)) > 1 else 1.0
 
     return InversionReport(regions=region_evaluations,
                            surrogate_spectrum_mse=float(np.mean(surrogate_errors)),
+                           constant_spectrum_mse=float(np.mean(constant_errors)),
                            latent_classifier_accuracy=accuracy,
+                           majority_share=max(np.bincount(labels)) / len(labels),
                            n_evaluation_samples=len(samples),
                            clipped_fraction=n_clipped / n_predicted)

@@ -130,11 +130,17 @@ def _run(args: argparse.Namespace) -> int:
         evaluation = session.evaluate()
         if args.json:
             payload["evaluation"] = evaluation.rows()
+            payload["ratios_to_constant"] = evaluation.ratios()
         else:
-            print("\nregion, true peak, predicted peak, histogram L1")
+            print("\nregion, true peak, predicted peak, histogram L1 (pooled's)")
             for row in evaluation.rows():
                 print(f"{row['region']:>12}, {row['true_peak']:+.3f}, "
-                      f"{row['predicted_peak']:+.3f}, {row['histogram_l1']:.3f}")
+                      f"{row['predicted_peak']:+.3f}, {row['histogram_l1']:.3f} "
+                      f"({row['constant_histogram_l1']:.3f})")
+            print(f"surrogate spectrum MSE {evaluation.surrogate_spectrum_mse:.4f} "
+                  f"(the mean spectrum's {evaluation.constant_spectrum_mse:.4f}), "
+                  f"classifier accuracy {evaluation.latent_classifier_accuracy:.3f} "
+                  f"(majority share {evaluation.majority_share:.3f})")
 
     if args.checkpoint:
         from repro.core.checkpoint import save_checkpoint

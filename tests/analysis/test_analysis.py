@@ -149,9 +149,13 @@ class TestInversionEvaluation:
         rows = report.rows()
         assert len(rows) == 3
         assert {"region", "true_peak", "predicted_peak", "histogram_l1"} <= set(rows[0])
-        summary = report.summary()
-        assert summary["surrogate_spectrum_mse"] >= 0.0
-        assert 0.0 <= summary["latent_classifier_accuracy"] <= 1.0
+        assert report.surrogate_spectrum_mse >= 0.0
+        assert 0.0 <= report.latent_classifier_accuracy <= 1.0
+        assert report.majority_share == pytest.approx(1 / 3)
+        assert set(report.ratios()) == {
+            "histogram_l1.approaching", "histogram_l1.receding",
+            "histogram_l1.vortex", "surrogate_spectrum_mse",
+            "latent_classifier_accuracy"}
         assert report.n_evaluation_samples == 9
 
     def test_true_peaks_reflect_input_distributions(self, rng):
@@ -197,9 +201,67 @@ class TestInversionEvaluation:
         model.predict_particles_from_radiation = predict
         report = evaluate_inversion(model, self.make_samples(rng, config),
                                     n_posterior_samples=2, rng=rng)
-        assert report.clipped_fraction == report.summary()["clipped_fraction"] \
-            == 0.5
+        assert report.clipped_fraction == 0.5
         assert {row["clipped_fraction"] for row in report.rows()} == {0.5}
+
+    def test_a_model_that_predicts_the_true_clouds_has_l1_ratio_0(self, rng):
+        config = ModelConfig()
+        model = ArtificialScientistModel(config, rng=rng)
+        samples = self.make_samples(rng, config)
+        for sample in samples:      # no true momentum outside the histogram
+            np.clip(sample.point_cloud, -0.3, 0.3, out=sample.point_cloud)
+        clouds = {sample.spectrum.tobytes(): sample.point_cloud
+                  for sample in samples}
+        model.predict_particles_from_radiation = lambda spectra, n_samples: \
+            np.stack([[clouds[spectrum.tobytes()]] * n_samples
+                      for spectrum in spectra])
+        report = evaluate_inversion(model, samples, n_posterior_samples=2,
+                                    rng=rng)
+        ratios = report.ratios()
+        assert [ratios[f"histogram_l1.{name}"] for name in
+                ("approaching", "receding", "vortex")] == [0.0, 0.0, 0.0]
+        # the pooled histogram is a constant worth beating
+        assert min(ev.constant_histogram_l1
+                   for ev in report.regions.values()) > 0.5
+
+    def test_a_surrogate_that_returns_the_mean_spectrum_has_ratio_1(self, rng):
+        config = ModelConfig()
+        model = ArtificialScientistModel(config, rng=rng)
+        samples = self.make_samples(rng, config)
+        mean_spectrum = np.mean([sample.spectrum for sample in samples], axis=0)
+        model.predict_radiation_from_particles = lambda clouds: \
+            np.tile(mean_spectrum, (len(clouds), 1))
+        report = evaluate_inversion(model, samples, n_posterior_samples=1,
+                                    rng=rng)
+        assert report.surrogate_spectrum_mse == report.constant_spectrum_mse > 0
+        assert report.ratios()["surrogate_spectrum_mse"] == 1.0
+
+    def test_a_classifier_at_the_majority_share_has_ratio_1(self, rng):
+        """Latents that hold nothing: every fold predicts the majority
+        region, so the accuracy is its share, 6 of 8."""
+        config = ModelConfig()
+        model = ArtificialScientistModel(config, rng=rng)
+        model.encode_to_latent = lambda clouds: np.zeros((len(clouds), 4))
+        samples = [sample for sample in self.make_samples(rng, config, 6)
+                   if sample.region != "vortex"][:8]
+        report = evaluate_inversion(model, samples, n_posterior_samples=1,
+                                    rng=rng)
+        assert report.latent_classifier_accuracy == report.majority_share \
+            == 0.75
+        assert report.ratios()["latent_classifier_accuracy"] == 1.0
+
+    def test_a_one_region_sample_set_has_no_classifier_ratio(self, rng):
+        """One region is its own majority and its own pooled histogram:
+        there is no constant to beat, so neither gets a ratio."""
+        config = ModelConfig()
+        model = ArtificialScientistModel(config, rng=rng)
+        samples = [sample for sample in self.make_samples(rng, config)
+                   if sample.region == "receding"]
+        report = evaluate_inversion(model, samples, n_posterior_samples=1,
+                                    rng=rng)
+        assert report.majority_share == 1.0
+        assert report.regions["receding"].constant_histogram_l1 == 0.0
+        assert set(report.ratios()) == {"surrogate_spectrum_mse"}
 
     def test_requires_samples(self, rng):
         model = ArtificialScientistModel(ModelConfig(), rng=rng)

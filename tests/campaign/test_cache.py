@@ -48,7 +48,8 @@ class TestResultCache:
         # the record itself was not mutated, and the disk entry stays
         # provenance-free so every lookup stamps its own copy
         assert record.cached is False
-        on_disk = json.load(open(cache.entry_path("a"), encoding="utf-8"))
+        with open(cache.entry_path("a"), encoding="utf-8") as entry:
+            on_disk = json.load(entry)
         assert on_disk["cached"] is False
 
     def test_failed_records_are_refused(self, tmp_path):

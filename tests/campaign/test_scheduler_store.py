@@ -124,7 +124,8 @@ class TestStore:
         store.append(RunRecord(run_id="a", index=0, params={}, driver="serial",
                                n_steps=2, status=STATUS_COMPLETED,
                                summary={"final_total_loss": float("nan")}))
-        raw = open(store.path, encoding="utf-8").read()
+        with open(store.path, encoding="utf-8") as log:
+            raw = log.read()
         assert "NaN" not in raw
         assert store.records()[0].summary["final_total_loss"] is None
 

@@ -258,20 +258,23 @@ class TestServiceCLI:
 
         from repro.service.client import ServiceClient
 
-        process = subprocess.Popen(
-            [_sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0",
-             "--store-dir", str(tmp_path / "svc")],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
-        try:
-            banner = process.stdout.readline()
-            assert "campaign service listening on http://" in banner
-            url = [word for word in banner.split()
-                   if word.startswith("http://")][0]
-            health = ServiceClient(url).wait_ready(timeout=10)
-            assert health["status"] == "ok"
-        finally:
-            process.send_signal(signal.SIGINT)
-            assert process.wait(timeout=15) == 0
+        with subprocess.Popen(
+                [_sys.executable, "-u", "-m", "repro.cli", "serve", "--port",
+                 "0", "--store-dir", str(tmp_path / "svc")],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                text=True) as process:
+            try:
+                banner = process.stdout.readline()
+                assert "campaign service listening on http://" in banner
+                url = [word for word in banner.split()
+                       if word.startswith("http://")][0]
+                health = ServiceClient(url).wait_ready(timeout=10)
+                assert health["status"] == "ok"
+                process.send_signal(signal.SIGINT)
+                assert process.wait(timeout=15) == 0
+            finally:
+                if process.poll() is None:
+                    process.kill()
 
     def test_serve_shuts_down_on_sigterm(self, tmp_path):
         """A shell starts a background job with SIGINT ignored, so
@@ -283,21 +286,22 @@ class TestServiceCLI:
 
         from repro.service.client import ServiceClient
 
-        process = subprocess.Popen(
-            [_sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0",
-             "--store-dir", str(tmp_path / "svc")],
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
-        try:
-            banner = process.stdout.readline()
-            url = [word for word in banner.split()
-                   if word.startswith("http://")][0]
-            assert ServiceClient(url).wait_ready(timeout=10)["status"] == "ok"
-            process.send_signal(signal.SIGTERM)
-            assert process.wait(timeout=15) == 0
-            assert process.stdout.read().splitlines() == [
-                "campaign service stopped"]
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait()
+        with subprocess.Popen(
+                [_sys.executable, "-u", "-m", "repro.cli", "serve", "--port",
+                 "0", "--store-dir", str(tmp_path / "svc")],
+                stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                preexec_fn=lambda: signal.signal(signal.SIGINT,
+                                                 signal.SIG_IGN)) as process:
+            try:
+                banner = process.stdout.readline()
+                url = [word for word in banner.split()
+                       if word.startswith("http://")][0]
+                assert ServiceClient(url).wait_ready(
+                    timeout=10)["status"] == "ok"
+                process.send_signal(signal.SIGTERM)
+                assert process.wait(timeout=15) == 0
+                assert process.stdout.read().splitlines() == [
+                    "campaign service stopped"]
+            finally:
+                if process.poll() is None:
+                    process.kill()

@@ -180,8 +180,9 @@ class TestRunCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["consumer_summaries"]["monitor"]["iterations_consumed"] == 3
         assert payload["evaluation"]
-        assert {"region", "true_peak", "predicted_peak"} <= \
-            set(payload["evaluation"][0])
+        assert {"region", "true_peak", "predicted_peak",
+                "constant_histogram_l1"} <= set(payload["evaluation"][0])
+        assert "surrogate_spectrum_mse" in payload["ratios_to_constant"]
         assert payload["checkpoint"]["directory"].startswith(checkpoint)
 
     def test_run_evaluate_and_checkpoint(self, capsys, tmp_path):
@@ -189,7 +190,8 @@ class TestRunCommand:
         assert cli_main(["run", "--steps", "3", "--evaluate",
                          "--checkpoint", checkpoint] + TINY) == 0
         out = capsys.readouterr().out
-        assert "predicted peak" in out
+        assert "predicted peak" in out and "histogram L1 (pooled's)" in out
+        assert "mean spectrum's" in out and "majority share" in out
         assert os.path.exists(os.path.join(checkpoint, "manifest.json"))
 
     def test_unwritable_checkpoint_exits_2_with_one_line(self, capsys, tmp_path):

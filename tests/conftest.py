@@ -7,9 +7,13 @@ import pytest
 
 
 def pytest_configure(config) -> None:
-    """Register the suite's custom markers (no pytest.ini in this repo)."""
+    """Register the suite's custom markers (no pytest.ini in this repo) and
+    fail a test that leaks a file, socket or subprocess pipe."""
     config.addinivalue_line(
         "markers", "slow: a long-horizon test, skipped unless --runslow is given")
+    for category in ("ResourceWarning",
+                     "pytest.PytestUnraisableExceptionWarning"):
+        config.addinivalue_line("filterwarnings", f"error::{category}")
 
 
 def pytest_addoption(parser) -> None:

@@ -21,17 +21,21 @@ GATED = {"loss_at_step_budget", "surrogate_spectrum_mse",
 def stub_result(equivalent: bool = True, forgot: int = 10, wins: int = 10,
                 gap: float = 0.15, **session):
     """Replay-off forgets on ``forgot`` of ten seeds, replay-on ends ``gap``
-    lower on ``wins`` (higher on the rest); the session sits mid-band."""
+    lower on ``wins`` (higher on the rest); the session at every seed sits
+    mid-band, with ``session`` overriding seed 0's metrics."""
     replay_off = [(0.05 if seed < forgot else 0.5, 0.35 + 0.01 * seed)
                   for seed in range(10)]
     replay_on = [(before, after - gap if seed < wins else after + gap)
                  for seed, (before, after) in enumerate(replay_off)]
     values = {name: (low + high) / 2 for name, (low, high) in BANDS.items()}
-    values.update(session)
+    values.update(clipped_fraction=0.6, ratios_to_constant={
+        "histogram_l1.vortex": 1.5, "latent_classifier_accuracy": 0.2})
     if not equivalent:
         values["surrogate_spectrum_mse"] = 9.0
+    sessions = [dict(values) for _ in learning.SEEDS]
+    sessions[0].update(session)
     return LearningResult(replay_off=replay_off, replay_on=replay_on,
-                          session=values, steps_in_wall_budget=70)
+                          sessions=sessions, steps_in_wall_budget=70)
 
 
 def failure(result) -> str:
@@ -58,40 +62,43 @@ class TestGate:
     def test_a_gated_metric_outside_its_band_fails(self):
         low, high = BANDS["loss_at_step_budget"]
         assert failure(stub_result(loss_at_step_budget=high + 1.0)) == (
-            f"loss_at_step_budget {high + 1.0:.4f} left its band "
+            f"loss_at_step_budget {high + 1.0:.4f} at seed 0 left its band "
             f"{low:.4f}..{high:.4f}")
-        assert "surrogate_spectrum_mse nan left its band" in failure(
+        assert "surrogate_spectrum_mse nan at seed 0 left its band" in failure(
             stub_result(surrogate_spectrum_mse=float("nan")))
+
+    def test_every_seed_is_checked_against_the_bands(self):
+        """A metric that leaves its band at a later seed alone fails, and
+        the failure names each seed outside."""
+        result = stub_result()
+        low, high = BANDS["latent_classifier_accuracy"]
+        for seed in (3, 7):
+            result.sessions[seed]["latent_classifier_accuracy"] = low - 0.1
+        assert failure(result) == (
+            f"latent_classifier_accuracy {low - 0.1:.4f} at seed 3, "
+            f"{low - 0.1:.4f} at seed 7 left its band {low:.4f}..{high:.4f}")
 
     def test_the_wall_clock_loss_is_recorded_but_never_gated(self):
         result = stub_result(loss_at_wall_budget=1e6)
         verdict = result.verdicts()["loss_at_wall_budget"]
-        assert verdict["inside"] is False and result.equivalent
+        assert verdict["outside"] == {0: 1e6} and result.equivalent
         assert "machine" in verdict["ungated_reason"]
         assert {name for name, verdict in stub_result().verdicts().items()
                 if verdict["ungated_reason"] is None} == GATED
 
-    def test_a_band_that_reaches_the_worst_value_is_not_gated(self,
-                                                               monkeypatch):
-        """Every region's L1 at its maximum 2.0 and every prediction
-        clipped sit inside bands that reach those values: such a band could
-        only fail an improvement, so it is recorded with the reason and
-        not gated.  A band short of the worst value gates."""
-        worst = {name: (2.0 if name.startswith("histogram_l1") else 1.0)
-                 for name in BANDS
-                 if name.startswith(("histogram_l1", "clipped_fraction"))}
-        assert len(worst) == 4
-        result = stub_result(**worst)
-        for name, value in worst.items():
-            verdict = result.verdicts()[name]
-            assert verdict["inside"] and verdict["band"][1] == value
-            assert verdict["ungated_reason"] == (
-                f"its band reaches the worst value {value:g}")
-        monkeypatch.setitem(BANDS, "histogram_l1.vortex", (1.1, 1.8))
-        monkeypatch.setitem(BANDS, "clipped_fraction", (0.5, 0.9))
-        assert failure(result) == (
-            "histogram_l1.vortex 2.0000 left its band 1.1000..1.8000; "
-            "clipped_fraction 1.0000 left its band 0.5000..0.9000")
+    def test_the_ratios_and_clipped_share_are_recorded_not_gated(self):
+        """Ratios far above 1 (the model loses to every constant) and every
+        prediction clipped leave the gate passing; each seed's are kept."""
+        ratios = {"histogram_l1.vortex": 2.0, "surrogate_spectrum_mse": 4.4,
+                  "latent_classifier_accuracy": 0.1}
+        result = stub_result(clipped_fraction=1.0, ratios_to_constant=ratios)
+        assert result.equivalent and set(result.verdicts()) == set(BANDS)
+        sessions = result.metrics()["sessions"]
+        assert [session["clipped_fraction"] for session in sessions] == \
+            [1.0] + [0.6] * 9
+        assert sessions[0]["ratios_to_constant"] == ratios
+        assert sessions[1]["ratios_to_constant"] == {
+            "histogram_l1.vortex": 1.5, "latent_classifier_accuracy": 0.2}
 
     def test_a_failed_gate_exits_1(self, monkeypatch, capsys):
         monkeypatch.setattr(CASE, "run", lambda args: stub_result(wins=0))
@@ -107,7 +114,10 @@ class TestCutRun:
         result = run_learning_benchmark()
         assert result.equivalent, failure(result)
         assert result.steps_in_wall_budget >= 1
-        assert set(result.session) == set(BANDS)
+        assert len(result.sessions) == 1
+        assert set(BANDS) < set(result.sessions[0])
+        assert set(result.sessions[0]["ratios_to_constant"]) >= {
+            "surrogate_spectrum_mse"}
 
     def test_replay_off_in_both_arms_fails_the_gate(self, monkeypatch):
         monkeypatch.setattr(learning, "stream_config",
@@ -126,11 +136,17 @@ class TestPersistAndFormat:
         assert [arm["n_ep"] for arm in
                 record["params"]["stream_config"].values()] == [0, 4]
         assert record["metrics"]["forgetting"]["replay_off_forgot"] == 10
-        verdict = record["metrics"]["session"]["loss_at_step_budget"]
+        verdict = record["metrics"]["bands"]["loss_at_step_budget"]
         assert verdict["band"] == list(BANDS["loss_at_step_budget"])
-        assert verdict["inside"] and verdict["ungated_reason"] is None
+        assert verdict["outside"] == {} and verdict["ungated_reason"] is None
+        sessions = record["metrics"]["sessions"]
+        assert [session["loss_at_step_budget"] for session in sessions] == \
+            [sum(BANDS["loss_at_step_budget"]) / 2] * 10
+        assert all(session["ratios_to_constant"] for session in sessions)
 
     def test_format_names_every_gate(self):
-        assert format_result(stub_result()).count("OK") == 3 + len(GATED)
+        text = format_result(stub_result())
+        assert text.count("OK") == 3 + len(GATED)
+        assert "200-step sessions at 10 seeds" in text
         failed = format_result(stub_result(forgot=0, wins=0, equivalent=False))
         assert failed.count("FAILED") == 4
