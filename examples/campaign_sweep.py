@@ -27,7 +27,7 @@ import os
 import sys
 
 from repro.campaign import (CampaignSpec, CampaignStore, ResultCache,
-                            aggregate, get_executor, run_campaign)
+                            WorkerPoolExecutor, aggregate, run_campaign)
 
 
 def sweep_spec(name: str) -> CampaignSpec:
@@ -45,7 +45,7 @@ def main() -> None:
     store_path = sys.argv[1] if len(sys.argv) > 1 else "sweep.campaign.jsonl"
     work_dir = os.path.dirname(os.path.abspath(store_path))
     cache = ResultCache(os.path.join(work_dir, "campaign-cache"))
-    executor = get_executor("workers", max_workers=2)
+    executor = WorkerPoolExecutor(max_workers=2)
 
     spec = sweep_spec("lr-sweep")
     store = CampaignStore(store_path)

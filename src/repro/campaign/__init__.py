@@ -7,8 +7,8 @@ as one hand-launched session.  This subsystem turns one declarative
 
 * :mod:`repro.campaign.spec`      — a grid of dotted ``WorkflowConfig``
   overrides with deterministic per-run seeds,
-* :mod:`repro.campaign.scheduler` — the executor contract and registry,
-  the serial executor, per-run timeout/retry with captured exceptions,
+* :mod:`repro.campaign.scheduler` — the executor contract, the serial
+  executor, one attempt per run with captured exceptions,
   :func:`executor_for` (options → executor) and :func:`run_campaign`
   tying everything together,
 * :mod:`repro.campaign.store`     — the append-only JSONL result log keyed
@@ -37,9 +37,8 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.presets import get_campaign_preset
 from repro.campaign.scheduler import (CampaignExecutor, CampaignOutcome,
                                       SerialExecutor, default_pool_workers,
-                                      execute_run,
-                                      executor_for, get_executor,
-                                      register_executor, run_campaign)
+                                      execute_run, executor_for,
+                                      run_campaign)
 from repro.campaign.workers import (WorkerPool, WorkerPoolExecutor,
                                     shared_pool, shutdown_shared_pools)
 from repro.campaign.spec import (CampaignSpec, RunSpec, apply_override,
@@ -61,9 +60,7 @@ __all__ = [
     "shared_pool",
     "shutdown_shared_pools",
     "default_pool_workers",
-    "get_executor",
     "executor_for",
-    "register_executor",
     "execute_run",
     "run_campaign",
     "CampaignOutcome",

@@ -27,8 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.aggregate import aggregate
 from repro.campaign.presets import get_campaign_preset
-from repro.campaign.scheduler import (default_pool_workers, execute_run,
-                                      get_executor)
+from repro.campaign.scheduler import (SerialExecutor, default_pool_workers,
+                                      execute_run)
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import RunRecord
 from repro.campaign.workers import WorkerPool, WorkerPoolExecutor
@@ -161,7 +161,7 @@ def run_campaign_benchmark(repeats: int = 3,
                  else max_workers)
 
     pool = WorkerPool(workers_n, start_method=start_method)
-    executors = {"serial": get_executor("serial"),
+    executors = {"serial": SerialExecutor(),
                  "workers": WorkerPoolExecutor(max_workers=workers_n,
                                                pool=pool)}
 

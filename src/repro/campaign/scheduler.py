@@ -1,26 +1,22 @@
-"""Campaign execution: pluggable executors over resolved workflow runs.
+"""Campaign execution: the two executors over resolved workflow runs.
 
 The scheduler owns the mechanics the spec deliberately leaves out: *how*
 the resolved runs get executed.  Executors share one contract —
 ``execute(payloads, worker, on_record, should_stop)`` returns one
-:class:`repro.campaign.store.RunRecord` per payload, with per-run retry,
-a cooperative wall-clock timeout and every exception captured into the
-record instead of raised, and ``None`` in place of a run that a tripped
-``should_stop`` kept from starting — so a new backend (remote workers,
-a batch system) only has to implement this interface.
+:class:`repro.campaign.store.RunRecord` per payload, each run one attempt
+with every exception captured into the record instead of raised, and
+``None`` in place of a run that a tripped ``should_stop`` kept from
+starting:
 
 * :class:`SerialExecutor` — one run after another, in process,
 * :class:`repro.campaign.workers.WorkerPoolExecutor` — warm worker
   processes shared across launches: real CPU parallelism (the worker and
   payloads are picklable by construction).
 
-The timeout and the stop are *cooperative*: an in-flight run is never
-killed (neither threads nor in-process work can be interrupted safely); a
-stop only keeps further runs from starting.  The timeout budgets the
-whole run including retries: a failing attempt is only retried while wall
-time remains, and a successful attempt is always recorded completed — over
-budget it keeps its result, annotated with a ``TimeoutWarning`` (discarding
-finished work would re-execute it on every resume, forever).
+:func:`executor_for` names one of them from a launch's options.  The stop
+is *cooperative*: an in-flight run is never killed (neither threads nor
+in-process work can be interrupted safely); a stop only keeps further
+runs from starting.
 
 :func:`run_campaign` ties spec, store, executor and (optionally) a
 :class:`repro.campaign.cache.ResultCache` together: resolve the spec, skip
@@ -39,7 +35,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Type
+from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.campaign.spec import RUN_DRIVER, CampaignSpec
 from repro.campaign.store import (CampaignStore, RunRecord, STATUS_COMPLETED,
@@ -88,87 +84,59 @@ class NonFiniteLossError(ArithmeticError):
     """The run's training diverged: its ``final_total_loss`` is NaN or inf."""
 
 
-def _attempt_run(payload: Dict[str, object], worker: RunWorker,
-                 retries: int, timeout: Optional[float]) -> RunRecord:
-    """Run one payload with retry + cooperative timeout, capturing failures.
+def _attempt_run(payload: Dict[str, object], worker: RunWorker) -> RunRecord:
+    """Run one payload once, capturing a failure into the record.
 
     The universal per-run wrapper: the serial executor calls it in
     process, the warm worker pool calls it inside its children.  That
     makes it the single place where the *execute* span of a trace
     opens — when the payload carries a ``trace`` propagation
-    context (attached by :func:`run_campaign`), the attempt runs inside an
+    context (attached by :func:`run_campaign`), the run executes inside an
     ``execute`` span joined to the dispatching parent, and the finished
     spans travel back on the record as a ``_spans`` instance attribute
     (surviving pickling, invisible to ``asdict``/the store).
     """
     trace_ctx = payload.get("trace")
     if trace_ctx is None or not is_enabled():
-        return _attempt_run_impl(payload, worker, retries, timeout)
+        return _attempt_run_impl(payload, worker)
     recorder = SpanRecorder()
     with recording(recorder):
         with span("execute", {"run_id": payload["run_id"], "pid": os.getpid()},
                   trace_ctx) as execute_span:
-            record = _attempt_run_impl(payload, worker, retries, timeout)
-            if execute_span is not None:
-                execute_span.attrs["attempts"] = record.attempts
-                if record.status != STATUS_COMPLETED:
-                    execute_span.status = "error"
+            record = _attempt_run_impl(payload, worker)
+            if execute_span is not None \
+                    and record.status != STATUS_COMPLETED:
+                execute_span.status = "error"
     record._spans = [finished.to_dict() for finished in recorder.spans]
     return record
 
 
-def _attempt_run_impl(payload: Dict[str, object], worker: RunWorker,
-                      retries: int, timeout: Optional[float]) -> RunRecord:
+def _attempt_run_impl(payload: Dict[str, object],
+                      worker: RunWorker) -> RunRecord:
     """The untraced body of :func:`_attempt_run`.
 
-    ``timeout`` budgets the *whole run* including retries: a failing attempt
-    is only retried while wall time is left.  A successful attempt is always
-    recorded completed; over budget its record carries a ``TimeoutWarning``
-    but the result is kept.  A summary whose ``final_total_loss`` is not
-    finite is a failed attempt like any raising one — a diverged run must
-    not settle as completed, or the result cache would replay it forever.
+    A summary whose ``final_total_loss`` is not finite is a failed run like
+    a raising one — a diverged run must not settle as completed, or the
+    result cache would replay it forever.
     """
-    attempts = 0
     error: Optional[str] = None
     summary: Dict[str, object] = {}
-    status = STATUS_FAILED
     started = time.perf_counter()
-
-    def budget_spent() -> bool:
-        return (timeout is not None
-                and time.perf_counter() - started > timeout)
-
-    while attempts <= retries:
-        attempts += 1
-        try:
-            summary = worker(payload)
-            loss = summary.get("final_total_loss")
-            if isinstance(loss, float) and not math.isfinite(loss):
-                raise NonFiniteLossError(f"final_total_loss is {loss}")
-        except BaseException as exc:  # noqa: BLE001 - captured in the record
-            error = f"{type(exc).__name__}: {exc}"
-            if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-                raise
-            if budget_spent():
-                break
-            continue
-        status = STATUS_COMPLETED
-        total = time.perf_counter() - started
-        if timeout is not None and total > timeout:
-            # the work is done — discarding it (and re-running forever on
-            # resume) helps nobody; keep the result, annotate the overrun
-            error = (f"TimeoutWarning: run exceeded the {timeout:.1f} s "
-                     f"budget ({total:.1f} s across {attempts} attempt(s)); "
-                     f"result kept")
-        else:
-            error = None
-        break
+    try:
+        summary = worker(payload)
+        loss = summary.get("final_total_loss")
+        if isinstance(loss, float) and not math.isfinite(loss):
+            raise NonFiniteLossError(f"final_total_loss is {loss}")
+    except (KeyboardInterrupt, SystemExit):
+        raise
+    except BaseException as exc:  # noqa: BLE001 - captured in the record
+        error = f"{type(exc).__name__}: {exc}"
     return RunRecord(run_id=payload["run_id"], index=payload["index"],
                      params=dict(payload["params"]), driver=RUN_DRIVER,
-                     n_steps=int(payload["n_steps"]), status=status,
-                     attempts=attempts,
-                     elapsed_s=time.perf_counter() - started,
-                     error=error, summary=summary)
+                     n_steps=int(payload["n_steps"]),
+                     status=STATUS_FAILED if error else STATUS_COMPLETED,
+                     elapsed_s=time.perf_counter() - started, error=error,
+                     summary=summary)
 
 
 def _failed_record(payload: Dict[str, object], error: str,
@@ -203,18 +171,6 @@ class CampaignExecutor:
     """Strategy interface: execute resolved run payloads into records."""
 
     name: str = "abstract"
-
-    def __init__(self, max_workers: Optional[int] = None,
-                 timeout: Optional[float] = None, retries: int = 0) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive")
-        self.max_workers = max_workers
-        self.timeout = timeout
-        self.retries = int(retries)
 
     def execute(self, payloads: Sequence[Dict[str, object]], worker: RunWorker,
                 on_record: Optional[RecordCallback] = None,
@@ -252,57 +208,11 @@ class SerialExecutor(CampaignExecutor):
         for position, payload in enumerate(payloads):
             if should_stop is not None and should_stop():
                 break
-            record = _attempt_run(payload, worker, self.retries, self.timeout)
+            record = _attempt_run(payload, worker)
             records[position] = record
             if on_record is not None:
                 on_record(record)
         return records
-
-
-# --------------------------------------------------------------------------- #
-# registry
-# --------------------------------------------------------------------------- #
-_EXECUTORS: Dict[str, Type[CampaignExecutor]] = {
-    SerialExecutor.name: SerialExecutor,
-}
-
-
-def register_executor(name: str, executor_cls: Type[CampaignExecutor]) -> None:
-    """Register a campaign executor (the hook for remote backends).
-
-    Args:
-        name: the registry key (what ``--executor`` and :func:`get_executor`
-            accept).
-        executor_cls: a :class:`CampaignExecutor` subclass.
-
-    Raises:
-        ValueError: if ``name`` is taken.
-    """
-    if name in _EXECUTORS:
-        raise ValueError(f"executor {name!r} is already registered")
-    _EXECUTORS[name] = executor_cls
-
-
-def get_executor(name: str, **kwargs) -> CampaignExecutor:
-    """Instantiate a registered executor by name.
-
-    Args:
-        name: one of the registered executors (``serial``, ``workers``
-            or a user-registered backend).
-        **kwargs: forwarded to the executor's constructor.
-
-    Returns:
-        A fresh executor instance.
-
-    Raises:
-        ValueError: on an unknown name or constructor-rejected options.
-    """
-    try:
-        executor_cls = _EXECUTORS[name]
-    except KeyError:
-        raise ValueError(f"unknown executor {name!r}; valid executors: "
-                         f"{', '.join(sorted(_EXECUTORS))}") from None
-    return executor_cls(**kwargs)
 
 
 def executor_for(options: Dict[str, object]) -> CampaignExecutor:
@@ -310,18 +220,29 @@ def executor_for(options: Dict[str, object]) -> CampaignExecutor:
 
     The one resolution rule behind CLI ``campaign run`` and the service's
     submit body: the ``executor`` option names it (``serial`` when unset),
-    and ``max_workers`` / ``timeout`` / ``retries`` are forwarded when set.
+    and ``max_workers`` sizes the ``workers`` pool.
 
     Args:
-        options: ``executor``, ``max_workers``, ``timeout``, ``retries``;
-            ``None`` values and other keys are ignored.
+        options: ``executor`` and ``max_workers``; ``None`` values and
+            other keys are ignored.
 
     Raises:
-        ValueError: on an unknown executor name or rejected options.
+        ValueError: on an unknown executor name, or ``max_workers``
+            without the ``workers`` executor.
     """
-    kwargs = {key: options[key] for key in ("max_workers", "timeout", "retries")
-              if options.get(key) is not None}
-    return get_executor(str(options.get("executor") or "serial"), **kwargs)
+    from repro.campaign.workers import WorkerPoolExecutor
+
+    name = options.get("executor") or SerialExecutor.name
+    max_workers = options.get("max_workers")
+    if name == WorkerPoolExecutor.name:
+        return WorkerPoolExecutor(max_workers=max_workers)
+    if name != SerialExecutor.name:
+        raise ValueError(f"unknown executor {name!r}; valid executors: "
+                         f"{SerialExecutor.name}, {WorkerPoolExecutor.name}")
+    if max_workers is not None:
+        raise ValueError("max_workers sizes the worker pool; it needs "
+                         "executor 'workers'")
+    return SerialExecutor()
 
 
 # --------------------------------------------------------------------------- #
@@ -490,11 +411,9 @@ def run_campaign(spec: CampaignSpec, store: CampaignStore,
         cache: optional :class:`repro.campaign.cache.ResultCache`; pending
             runs found there are recorded (``cached=True``) without being
             executed, and newly completed runs are added to it.
-        should_stop: cooperative stop handed to the executor (forwarded
-            only when given, so an executor written against the
-            three-argument ``execute`` keeps working); runs it kept from
-            starting are counted in ``deferred`` and stay pending for the
-            next launch.
+        should_stop: cooperative stop handed to the executor; runs it
+            kept from starting are counted in ``deferred`` and stay pending
+            for the next launch.
 
     Returns:
         The launch's :class:`CampaignOutcome`; ``executed`` counts only
@@ -532,10 +451,10 @@ def run_campaign(spec: CampaignSpec, store: CampaignStore,
         # strip them before the record reaches the store or any observer
         child_spans = record.__dict__.pop("_spans", None)
         placement = record.__dict__.pop("_placement", None)
-        # one lock around append + cache + dispatch: a registered executor
-        # may call this from its own threads, and observers (progress
-        # printers, event buses) must see records one at a time, in the
-        # order they were persisted
+        # one lock around append + cache + dispatch: an executor may call
+        # this from its own threads, and observers (progress printers,
+        # event buses) must see records one at a time, in the order they
+        # were persisted
         with record_lock:
             settle_started = time.time()
             store.append(record)
@@ -590,10 +509,10 @@ def run_campaign(spec: CampaignSpec, store: CampaignStore,
     if trace is not None:
         for payload in payloads:
             trace.attach(payload)
-    stop = {} if should_stop is None else {"should_stop": should_stop}
     try:
         executed = executor.execute(payloads, worker,
-                                    on_record=record_and_store, **stop)
+                                    on_record=record_and_store,
+                                    should_stop=should_stop)
     except BaseException:
         if trace is not None:
             trace.abort()

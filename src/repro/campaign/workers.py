@@ -20,8 +20,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional
 
 from repro.campaign.scheduler import (CampaignExecutor, _attempt_run,
-                                      _failed_record, default_pool_workers,
-                                      register_executor)
+                                      _failed_record, default_pool_workers)
 from repro.campaign.store import RunRecord
 from repro.telemetry import REGISTRY
 from repro.utils.logging import get_logger
@@ -70,10 +69,10 @@ def _worker_init(pid, beat, interval: float) -> None:
     import repro.workflow  # noqa: F401 - the import a warm worker has paid
 
 
-def _execute(payload, worker, retries, timeout):
+def _execute(payload, worker):
     """One run inside a worker: its record and the wall time it started."""
     started = time.time()
-    return _attempt_run(payload, worker, retries, timeout), started
+    return _attempt_run(payload, worker), started
 
 
 class _Slot:
@@ -225,13 +224,13 @@ class WorkerPool:
             elif error is None:     # its lease was aborted (on_record raised)
                 self._count("stale_results_dropped", None)
 
-    def run(self, payloads, worker, counters, retries=0, timeout=None,
-            on_record=None, should_stop=None) -> List[Optional[RunRecord]]:
+    def run(self, payloads, worker, counters, on_record=None,
+            should_stop=None) -> List[Optional[RunRecord]]:
         """Execute the payloads as one lease: the
         :class:`repro.campaign.scheduler.CampaignExecutor` contract, with
         ``counters`` receiving the lease's share of the pool counters.
         ``RuntimeError`` if the pool is shut down."""
-        lease = _Lease(self, list(payloads), worker, retries, timeout)
+        lease = _Lease(self, list(payloads), worker)
         if not lease.payloads:
             return []
         with self._lock:
@@ -271,9 +270,8 @@ class _Lease:
     of tickets, so a requeued run goes back to its submission-order place.
     """
 
-    def __init__(self, pool, payloads, worker, retries, timeout) -> None:
+    def __init__(self, pool, payloads, worker) -> None:
         self.pool, self.payloads, self.worker_fn = pool, payloads, worker
-        self.retries, self.timeout = retries, timeout
         self.id = next(pool._lease_ids)
         self.queue = list(range(len(payloads)))       # sorted: a heap
         self.requeues: Dict[int, int] = {}
@@ -321,8 +319,7 @@ class _Lease:
 
     def send(self, slot: _Slot, ticket: int) -> None:
         """Submit one run to one slot, renewing a slot whose worker died."""
-        call = (_execute, self.payloads[ticket], self.worker_fn,
-                self.retries, self.timeout)
+        call = (_execute, self.payloads[ticket], self.worker_fn)
         try:
             future = slot.executor.submit(*call)
         except BrokenProcessPool:
@@ -368,10 +365,12 @@ class WorkerPoolExecutor(CampaignExecutor):
     name = "workers"
 
     def __init__(self, max_workers: Optional[int] = None,
-                 timeout: Optional[float] = None, retries: int = 0,
                  pool: Optional[WorkerPool] = None) -> None:
-        super().__init__(max_workers=max_workers, timeout=timeout,
-                         retries=retries)
+        if max_workers is not None \
+                and (type(max_workers) is not int or max_workers < 1):
+            raise ValueError(f"max_workers must be an integer >= 1, "
+                             f"got {max_workers!r}")
+        self.max_workers = max_workers
         self._pool = pool
         self.last_stats: Dict[str, object] = {}
 
@@ -382,12 +381,8 @@ class WorkerPoolExecutor(CampaignExecutor):
     def execute(self, payloads, worker, on_record=None, should_stop=None):
         """Execute the payloads on the warm pool (see the base contract)."""
         pool, counters = self.pool(), {}
-        records = pool.run(payloads, worker, counters, retries=self.retries,
-                           timeout=self.timeout, on_record=on_record,
+        records = pool.run(payloads, worker, counters, on_record=on_record,
                            should_stop=should_stop)
         self.last_stats = dict(counters, n_workers=pool.n_workers) \
             if records else {}
         return records
-
-
-register_executor(WorkerPoolExecutor.name, WorkerPoolExecutor)

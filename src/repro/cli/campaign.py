@@ -75,14 +75,8 @@ def _add_launch_flags(parser: argparse.ArgumentParser) -> None:
                         help="campaign executor: serial (default) or workers "
                              "(persistent warm worker pool)")
     parser.add_argument("--max-workers", type=int, default=None,
-                        help="width of the worker pool (--executor workers)")
-    parser.add_argument("--retries", type=int, default=None,
-                        help="retries per failing run (default 0)")
-    parser.add_argument("--timeout", type=float, default=None,
-                        help="per-run wall-clock budget in seconds, covering "
-                             "retries (cooperative: checked after each "
-                             "attempt finishes, never kills an in-flight run; "
-                             "a successful over-budget run keeps its result)")
+                        help="width of the worker pool "
+                             "(needs --executor workers)")
     parser.add_argument("--cache-dir", type=str, default=None,
                         help="content-addressed result cache: pending runs "
                              "already cached (even by another campaign) are "
@@ -249,8 +243,7 @@ def _submit(args: argparse.Namespace) -> int:
     spec = _spec(args)
     document = ServiceClient(args.url).submit(
         spec=spec.to_dict(), executor=args.executor,
-        max_workers=args.max_workers, retries=args.retries,
-        timeout=args.timeout, cache_dir=args.cache_dir)
+        max_workers=args.max_workers, cache_dir=args.cache_dir)
     if args.json:
         print(json.dumps(jsonable(document), indent=2))
     else:

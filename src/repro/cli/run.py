@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from typing import Dict
@@ -102,7 +103,10 @@ def _run(args: argparse.Namespace) -> int:
         builder.add_consumer("monitor", kind="histogram-monitor")
     session = builder.build()
 
-    result = session.run(args.steps)
+    # --evaluate holds out every sub-volume's sample of each step: the
+    # first alone is always the same region
+    keep = math.prod(session.config.region_counts) if args.evaluate else 0
+    result = session.run(args.steps, keep_for_evaluation=keep)
     if result.producer_exception is not None:
         print(f"producer failed: {result.producer_exception}", file=sys.stderr)
     for name, error in result.consumer_exceptions.items():

@@ -111,7 +111,7 @@ class ServiceClient:
             spec: a ``CampaignSpec.to_dict()`` payload.
             preset: a named campaign preset (exactly one of the two).
             **options: executor options (``executor``, ``max_workers``,
-                ``timeout``, ``retries``, ``cache_dir``).
+                ``cache_dir``).
 
         Returns:
             The submission document (``campaign_id``, ``state``,

@@ -57,8 +57,7 @@ TERMINAL_STATES = frozenset({STATE_CANCELLED, STATE_COMPLETED, STATE_FAILED,
 JOIN_TIMEOUT_S = 5.0
 
 #: Executor options a submission may carry.
-EXECUTOR_OPTION_KEYS = ("executor", "max_workers", "timeout", "retries",
-                        "cache_dir")
+EXECUTOR_OPTION_KEYS = ("executor", "max_workers", "cache_dir")
 
 
 def campaign_id_of(spec: CampaignSpec) -> str:

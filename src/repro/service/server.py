@@ -128,7 +128,7 @@ def parse_submission(body: Dict[str, object]
     The body names the campaign either way FastAPI-style services do:
     ``{"preset": "campaign-smoke"}`` or ``{"spec": {...CampaignSpec...}}``,
     plus any of the executor option keys (``executor``, ``max_workers``,
-    ``timeout``, ``retries``, ``cache_dir``).
+    ``cache_dir``).
 
     Raises:
         ValueError: on a body that is not a JSON object, names both or

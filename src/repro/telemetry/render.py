@@ -20,8 +20,8 @@ from repro.telemetry.spans import Span
 
 #: Attributes worth echoing inline after a span's timing.
 _SHOWN_ATTRS = ("run_id", "campaign", "executor", "status", "cached",
-                "attempts", "n_runs", "n_pending", "deferred", "worker",
-                "queued_ms", "pid", "exception")
+                "n_runs", "n_pending", "deferred", "worker", "queued_ms",
+                "pid", "exception")
 
 
 def _format_duration(duration_s: Optional[float]) -> str:

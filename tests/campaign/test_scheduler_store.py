@@ -11,8 +11,9 @@ from collections import Counter
 import pytest
 
 from repro.campaign import (CampaignSpec, CampaignStore, RunRecord,
-                            execute_run, get_campaign_preset,
-                            get_executor, run_campaign, shutdown_shared_pools)
+                            SerialExecutor, WorkerPoolExecutor, execute_run,
+                            executor_for, get_campaign_preset, run_campaign,
+                            shutdown_shared_pools)
 from repro.campaign.store import STATUS_COMPLETED, STATUS_FAILED
 
 
@@ -38,6 +39,15 @@ def twin_fails(payload):
     return {"final_total_loss": 1.0}
 
 
+def counted_failure(payload):
+    """Marks each call in ``payload["calls_dir"]``, then fails (module-level,
+    like the above)."""
+    with open(os.path.join(payload["calls_dir"], payload["run_id"]), "a",
+              encoding="utf-8") as calls:
+        calls.write("x")
+    raise RuntimeError("seeded failure")
+
+
 def statuses(store: CampaignStore) -> Counter:
     """Latest-record counts per status."""
     return Counter(record.status for record in store.records())
@@ -48,6 +58,12 @@ def cached_entries(cache) -> int:
     return len(glob.glob(os.path.join(cache.root, "*", "*.json")))
 
 
+def make_executor(name: str):
+    """The named executor; ``workers`` two wide."""
+    return SerialExecutor() if name == "serial" \
+        else WorkerPoolExecutor(max_workers=2)
+
+
 def smoke_spec(**kwargs) -> CampaignSpec:
     base = get_campaign_preset("campaign-smoke").to_dict()
     base.update(kwargs)
@@ -56,7 +72,7 @@ def smoke_spec(**kwargs) -> CampaignSpec:
 
 @pytest.fixture
 def fork_workers(monkeypatch):
-    """``get_executor("workers")`` on a fork pool (see ``test_workers.py``)."""
+    """``WorkerPoolExecutor`` on a fork pool (see ``test_workers.py``)."""
     monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD", "fork")
     shutdown_shared_pools()
     yield
@@ -145,9 +161,9 @@ class TestStore:
 
 
 class TestExecutors:
-    def test_registry_names(self):
+    def test_an_unknown_executor_name_lists_the_two(self):
         with pytest.raises(ValueError, match="valid executors: serial, workers$"):
-            get_executor("quantum")
+            executor_for({"executor": "quantum"})
 
     def test_default_pool_workers_is_machine_derived_and_bounded(
             self, monkeypatch):
@@ -168,7 +184,7 @@ class TestExecutors:
         spec = smoke_spec(repetitions=2)
         payloads = [run.payload() for run in spec.resolve()]
         seen = []
-        records = get_executor(name, max_workers=2).execute(
+        records = make_executor(name).execute(
             payloads, fake_worker, on_record=seen.append)
         assert [r.run_id for r in records] == [p["run_id"] for p in payloads]
         assert all(r.completed and r.attempts == 1 for r in records)
@@ -179,66 +195,23 @@ class TestExecutors:
             raise RuntimeError("kaboom " + payload["run_id"])
 
         payloads = [run.payload() for run in smoke_spec(repetitions=2).resolve()]
-        records = get_executor("serial").execute(payloads, exploding)
+        records = SerialExecutor().execute(payloads, exploding)
         assert all(r.status == STATUS_FAILED for r in records)
         assert all("kaboom" in r.error for r in records)
 
-    def test_retries_until_success(self):
-        calls = itertools.count()
-        lock = threading.Lock()
-
-        def flaky(payload):
-            with lock:
-                attempt = next(calls)
-            if attempt < 2:
-                raise RuntimeError("transient")
-            return {"final_total_loss": 1.0}
-
-        payload = smoke_spec(repetitions=1).resolve()[0].payload()
-        record = get_executor("serial", retries=3).execute([payload], flaky)[0]
-        assert record.completed
-        assert record.attempts == 3
-
-    def test_retries_exhausted_keeps_last_error(self):
-        def always_bad(payload):
-            raise ValueError("still broken")
-
-        payload = smoke_spec(repetitions=1).resolve()[0].payload()
-        record = get_executor("serial", retries=2).execute([payload], always_bad)[0]
-        assert record.status == STATUS_FAILED
-        assert record.attempts == 3
-        assert "still broken" in record.error
-
-    def test_cooperative_timeout_keeps_a_successful_overrun(self):
-        """A run that succeeds over budget keeps its result (discarding it
-        would re-execute the run on every resume, forever) with a warning."""
-        import time
-
-        def slow(payload):
-            time.sleep(0.05)
-            return {"final_total_loss": 1.0}
-
-        payload = smoke_spec(repetitions=1).resolve()[0].payload()
-        record = get_executor("serial", timeout=0.01).execute([payload], slow)[0]
-        assert record.completed
-        assert record.summary == {"final_total_loss": 1.0}
-        assert "TimeoutWarning" in record.error and "budget" in record.error
-
-    def test_timeout_budgets_the_whole_run_including_retries(self):
-        """--timeout is a per-run budget: a failing run is not re-executed
-        retries+1 times for (retries+1) x timeout total."""
-        import time
-
-        def slow_failing(payload):
-            time.sleep(0.05)
-            raise RuntimeError("still failing")
-
-        payload = smoke_spec(repetitions=1).resolve()[0].payload()
-        executor = get_executor("serial", timeout=0.01, retries=5)
-        record = executor.execute([payload], slow_failing)[0]
-        assert record.status == STATUS_FAILED
-        assert record.attempts == 1
-        assert "still failing" in record.error
+    @pytest.mark.parametrize("name", ("serial", "workers"))
+    def test_a_failing_run_is_executed_once(self, name, tmp_path,
+                                            fork_workers):
+        """A seeded run fails the same way every time: each run is one
+        attempt, recorded failed with ``attempts == 1``."""
+        payloads = [dict(run.payload(), calls_dir=str(tmp_path))
+                    for run in smoke_spec(repetitions=1).resolve()]
+        records = make_executor(name).execute(payloads, counted_failure)
+        assert [(r.status, r.attempts) for r in records] \
+            == [(STATUS_FAILED, 1)] * len(payloads)
+        assert all(r.error == "RuntimeError: seeded failure" for r in records)
+        assert sorted(path.read_text(encoding="utf-8")
+                      for path in tmp_path.iterdir()) == ["x"] * len(payloads)
 
     @pytest.mark.parametrize("name", ("serial", "workers"))
     def test_duplicate_run_ids_keep_their_own_records(self, name,
@@ -247,8 +220,7 @@ class TestExecutors:
         sharing a run id must each come back with their own record."""
         payload = smoke_spec(repetitions=1).resolve()[0].payload()
         twin = dict(payload, index=1)
-        records = get_executor(name, max_workers=2).execute([payload, twin],
-                                                            twin_fails)
+        records = make_executor(name).execute([payload, twin], twin_fails)
         assert [r.index for r in records] == [0, 1]
         assert [r.status for r in records] == [STATUS_COMPLETED,
                                                STATUS_FAILED]
@@ -269,26 +241,22 @@ class TestExecutors:
             return {"final_total_loss": 1.0}
 
         with pytest.raises(KeyboardInterrupt):
-            get_executor("serial").execute(payloads, interrupting)
+            SerialExecutor().execute(payloads, interrupting)
         # the abort surfaced at once; the rest never ran
         with lock:
             executed = next(calls)
         assert executed == 1
 
     def test_invalid_executor_options(self):
-        with pytest.raises(ValueError):
-            get_executor("workers", max_workers=0)
-        with pytest.raises(ValueError):
-            get_executor("serial", retries=-1)
-        with pytest.raises(ValueError):
-            get_executor("serial", timeout=0.0)
+        with pytest.raises(ValueError,
+                           match="max_workers must be an integer >= 1"):
+            WorkerPoolExecutor(max_workers=0)
 
     def test_process_executor_runs_real_workflows(self, tmp_path,
                                                   fork_workers):
         spec = smoke_spec(repetitions=1)
         store = CampaignStore(str(tmp_path / "proc.jsonl"))
-        outcome = run_campaign(spec, store,
-                               get_executor("workers", max_workers=2))
+        outcome = run_campaign(spec, store, WorkerPoolExecutor(max_workers=2))
         assert outcome.completed == 2, [r.error for r in outcome.records]
         assert all(r.summary["ok"] for r in store.records())
 
@@ -342,21 +310,20 @@ class TestRunCampaign:
     @pytest.mark.parametrize("name", ("serial", "workers"))
     def test_a_diverged_run_fails_and_is_never_cached(self, name, tmp_path,
                                                       fork_workers):
-        """Injected NaN loss: the run settles ``failed`` (through the retry
-        path), the cache refuses it, and a relaunch executes it again
+        """Injected NaN loss: the run settles ``failed`` after its one
+        attempt, the cache refuses it, and a relaunch executes it again
         instead of replaying the NaN as a hit."""
         from repro.campaign import ResultCache
 
         spec = smoke_spec(repetitions=1)
         store = CampaignStore(str(tmp_path / "log.jsonl"))
         cache = ResultCache(str(tmp_path / "cache"))
-        outcome = run_campaign(spec, store,
-                               get_executor(name, max_workers=2, retries=1),
+        outcome = run_campaign(spec, store, make_executor(name),
                                worker=diverging_worker, cache=cache,
                                max_runs=1)
         assert outcome.failed == 1 and outcome.completed == 0
         record = outcome.records[0]
-        assert record.status == STATUS_FAILED and record.attempts == 2
+        assert record.status == STATUS_FAILED and record.attempts == 1
         assert record.error.startswith("NonFiniteLossError:")
         assert statuses(store) == {"failed": 1}
         assert cached_entries(cache) == 0

@@ -1,6 +1,6 @@
 """The cooperative-stop contract of ``CampaignExecutor.execute``.
 
-Every registered executor must honour it the same way: once
+Both executors must honour it the same way: once
 ``should_stop`` is true no further run *starts*, every run that did start
 finishes with a record, the result keeps one entry per payload (``None``
 for a run that never started), and ``run_campaign`` reports the rest as
@@ -17,11 +17,9 @@ import time
 
 import pytest
 
-from repro.campaign import (CampaignSpec, CampaignStore, WorkerPool,
-                            WorkerPoolExecutor, get_campaign_preset,
-                            get_executor, run_campaign)
-from repro.campaign.scheduler import (_EXECUTORS, CampaignExecutor,
-                                      register_executor)
+from repro.campaign import (CampaignSpec, CampaignStore, SerialExecutor,
+                            WorkerPool, WorkerPoolExecutor,
+                            get_campaign_preset, run_campaign)
 
 #: Records after which the observer trips the stop.
 STOP_AFTER = 2
@@ -47,7 +45,7 @@ def sweep(name: str) -> CampaignSpec:
 
 
 EXECUTORS = {
-    "serial": lambda pool: get_executor("serial"),
+    "serial": lambda pool: SerialExecutor(),
     "workers": lambda pool: WorkerPoolExecutor(max_workers=2, pool=pool),
 }
 
@@ -113,25 +111,3 @@ class TestShouldStopContract:
             stored = [json.loads(line)["run_id"] for line in handle]
         assert sorted(stored) == expected          # every run id exactly once
 
-
-class TestOlderExecutorsKeepWorking:
-    def test_three_argument_execute_is_only_given_what_it_knows(self, tmp_path):
-        """An executor written before ``should_stop`` existed still runs a
-        campaign that does not ask for a stop."""
-
-        class Legacy(CampaignExecutor):
-            name = "legacy-three-arg"
-
-            def execute(self, payloads, worker, on_record=None):
-                return get_executor("serial").execute(payloads, worker,
-                                                      on_record=on_record)
-
-        register_executor(Legacy.name, Legacy)
-        try:
-            spec = sweep("legacy")
-            outcome = run_campaign(spec, CampaignStore(str(tmp_path / "l.jsonl")),
-                                   get_executor(Legacy.name),
-                                   worker=paced_worker)
-            assert outcome.done
-        finally:
-            _EXECUTORS.pop(Legacy.name)

@@ -18,9 +18,9 @@ import time
 
 import pytest
 
-from repro.campaign import (CampaignSpec, CampaignStore, WorkerPool,
-                            WorkerPoolExecutor, aggregate,
-                            get_campaign_preset, get_executor, run_campaign,
+from repro.campaign import (CampaignSpec, CampaignStore, SerialExecutor,
+                            WorkerPool, WorkerPoolExecutor, aggregate,
+                            executor_for, get_campaign_preset, run_campaign,
                             shared_pool, shutdown_shared_pools)
 from repro.campaign import workers
 from repro.campaign.store import STATUS_COMPLETED, STATUS_FAILED
@@ -167,12 +167,6 @@ class TestWorkerPoolBasics:
 
     def test_empty_payloads(self, pool):
         assert pool.run([], fake_worker, {}) == []
-
-    def test_timeout_is_applied_inside_the_worker(self, pool):
-        payloads = with_config(smoke_payloads(repetitions=1)[:1], sleep_s=0.1)
-        record = pool.run(payloads, slow_worker, {}, timeout=0.01)[0]
-        assert record.completed
-        assert "TimeoutWarning" in record.error
 
     def test_unpicklable_worker_becomes_failed_records(self, pool):
         records = pool.run(smoke_payloads(repetitions=1),
@@ -393,7 +387,7 @@ class TestCrashRequeue:
         payloads = with_config(smoke_payloads(), marker_dir=str(tmp_path),
                                crash_ids="all")
         records = pool.run(payloads, crash_once_worker, {})
-        serial = get_executor("serial").execute(payloads, crash_once_worker)
+        serial = SerialExecutor().execute(payloads, crash_once_worker)
         assert [r.run_id for r in records] == [r.run_id for r in serial]
         assert all(r.completed for r in records)
         assert pool.counters["respawns"] >= 1
@@ -551,9 +545,8 @@ class TestAbortedLease:
 
 
 class TestWorkerPoolExecutor:
-    def test_registered_and_validated(self):
-        executor = get_executor("workers", max_workers=3, retries=1,
-                                timeout=5.0)
+    def test_resolved_by_name(self):
+        executor = executor_for({"executor": "workers", "max_workers": 3})
         assert isinstance(executor, WorkerPoolExecutor)
         assert executor.max_workers == 3
 
@@ -603,9 +596,9 @@ class TestWorkerPoolExecutor:
                 aggregate(executor.execute(payloads, fake_worker))
                 .deterministic_dict()
                 for executor in (
-                    get_executor("serial"),
+                    SerialExecutor(),
                     WorkerPoolExecutor(max_workers=2, pool=pool),
-                    get_executor("workers", max_workers=2))]
+                    WorkerPoolExecutor(max_workers=2))]
         finally:
             shutdown_shared_pools()
         assert reports[0] == reports[1] == reports[2]

@@ -237,6 +237,19 @@ class TestServiceCLI:
             assert document["created"] is False
             assert document["started"] is False
 
+    def test_submit_max_workers_without_the_pool_fails_cleanly(
+            self, capsys, tmp_path, tiny_campaign):
+        """The service refuses ``max_workers`` with no ``executor``
+        (HTTP 400): one error line, exit 2, and nothing was started."""
+        spec_path, _ = tiny_campaign
+        with live_service(tmp_path) as url:
+            assert cli_main(["campaign", "submit", "--spec", spec_path,
+                             "--url", url, "--max-workers", "2"]) == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "HTTP 400" in err
+            assert "it needs executor 'workers'" in err
+            assert list((tmp_path / "svc").iterdir()) == []
+
     def test_watch_unknown_campaign_fails_cleanly(self, capsys, tmp_path):
         with live_service(tmp_path) as url:
             assert cli_main(["campaign", "watch", "nope", "--url", url]) == 2

@@ -9,6 +9,7 @@ the ``presets`` listing command.
 from __future__ import annotations
 
 import os
+import re
 
 import pytest
 
@@ -193,6 +194,18 @@ class TestRunCommand:
         assert "predicted peak" in out and "histogram L1 (pooled's)" in out
         assert "mean spectrum's" in out and "majority share" in out
         assert os.path.exists(os.path.join(checkpoint, "manifest.json"))
+
+    def test_run_evaluate_scores_every_sub_volume(self, capsys):
+        """Each step's samples are held out for every sub-volume, not only
+        the first (always the same region): the evaluation spans regions
+        and its classifier has a majority share below 1 to beat."""
+        assert cli_main(["run", "--preset", "bench-tiny", "--steps", "10",
+                         "--evaluate"]) == 0
+        out = capsys.readouterr().out
+        table = out.split("histogram L1 (pooled's)\n")[1].splitlines()[:-1]
+        assert len({row.split(",")[0].strip() for row in table}) > 1, out
+        share = re.search(r"majority share ([0-9.]+)\)", out)
+        assert float(share.group(1)) < 1.0, out
 
     def test_unwritable_checkpoint_exits_2_with_one_line(self, capsys, tmp_path):
         blocker = tmp_path / "a-file"

@@ -504,11 +504,35 @@ class TestErrorPaths:
                 {"preset": "campaign-smoke", "bogus": 1},    # unknown key
                 {"preset": "no-such-preset"},
                 {"preset": "campaign-smoke", "executor": "no-such-executor"},
+                # a pool width that is not a positive integer
+                {"preset": "campaign-smoke", "executor": "workers",
+                 "max_workers": "2"},
+                {"preset": "campaign-smoke", "executor": "workers",
+                 "max_workers": 1.5},
             ]
             for body in cases:
                 with pytest.raises(ServiceError) as excinfo:
                     client._request("POST", "/v1/campaigns", body)
                 assert excinfo.value.status == 400, body
+
+    def test_launch_options_no_executor_takes_are_400(self, tmp_path):
+        """The removed ``retries``/``timeout`` keys are refused with the
+        valid ones named; ``max_workers`` without the worker pool too."""
+        keys = "valid keys: cache_dir, executor, max_workers, preset, spec$"
+        cases = [({"retries": 1}, r"unknown submission keys \['retries'\]; "
+                  + keys),
+                 ({"timeout": 5.0}, r"unknown submission keys \['timeout'\]; "
+                  + keys),
+                 ({"max_workers": 2}, "max_workers sizes the worker pool; "
+                  "it needs executor 'workers'$")]
+        with service(tmp_path) as (client, _):
+            for options, message in cases:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit(preset="campaign-smoke", **options)
+                assert excinfo.value.status == 400, options
+                assert re.search(message, excinfo.value.message), \
+                    excinfo.value.message
+            assert client.list_campaigns() == []
 
     @pytest.mark.parametrize("spec, message", [
         (5, "CampaignSpec must be a JSON object, got int 5"),

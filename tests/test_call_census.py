@@ -82,9 +82,8 @@ ALLOWED = {
              "format_comment"),
     **_allow("2: a service restart replays a store into the bus",
              "repro.service.bus", "RunEventBus.seed", "RunEventBus.history"),
-    **_allow("2: a run that times out, a launch that dies, a lost run",
-             "repro.campaign.scheduler", "_attempt_run_impl.<locals>.budget_spent",
-             "_LaunchTrace.abort", "_failed_record"),
+    **_allow("2: a launch that dies, a lost run",
+             "repro.campaign.scheduler", "_LaunchTrace.abort", "_failed_record"),
     **_allow("2: a worker that dies holding a run", "repro.campaign.workers",
              "_Lease.orphaned"),
     **_allow("2: a bench-train gate that fails", "repro.workflow.train_hotpath",
@@ -145,13 +144,6 @@ ONE_VALUED_PARAMETERS = {
              "run_train_benchmark(repeats)"),
     **_allow("2: bench-learning --repeats", "repro.workflow.learning",
              "run_learning_benchmark(repeats)"),
-    **_allow("2: campaign run --timeout / --retries and the submit keys",
-             "repro.campaign.scheduler", "CampaignExecutor.__init__(timeout)",
-             "CampaignExecutor.__init__(retries)"),
-    **_allow("2: campaign run --timeout / --retries and the submit keys",
-             "repro.campaign.workers", "WorkerPoolExecutor.__init__(timeout)",
-             "WorkerPoolExecutor.__init__(retries)", "WorkerPool.run(timeout)",
-             "WorkerPool.run(retries)"),
     **_allow("2: campaign run --max-runs", "repro.campaign.scheduler",
              "run_campaign(max_runs)"),
     **_allow("2: trace --run", "repro.telemetry.render",

@@ -34,8 +34,9 @@ import repro.mlcore
 import repro.openpmd
 import repro.perfmodel
 import repro.streaming
-from repro.campaign import (CampaignSpec, WorkerPool, WorkerPoolExecutor,
-                            executor_for, get_campaign_preset, get_executor)
+from repro.campaign import (CampaignExecutor, CampaignSpec, SerialExecutor,
+                            WorkerPool, WorkerPoolExecutor, executor_for,
+                            get_campaign_preset)
 from repro.cli import _build_parser
 from repro.continual import InTransitTrainer
 from repro.core.config import StreamingConfig, WorkflowConfig
@@ -50,6 +51,7 @@ from repro.mlcore.tensor import Tensor
 from repro.analysis.evaluation import RegionEvaluation
 from repro.analysis.regions import label_particles
 from repro.campaign import presets as campaign_presets
+from repro.campaign import scheduler as campaign_scheduler
 from repro.campaign import spec as campaign_spec
 from repro.campaign.spec import RunSpec
 from repro.models.decoder import PointCloudDecoder
@@ -161,7 +163,6 @@ repro.analysis.histograms:momentum_histogram weights bins momentum_range axis
 repro.analysis.histograms:detects_two_populations minimum_separation prominence
 repro.analysis.regions:label_particles vortex_half_width
 repro.campaign.scheduler:default_pool_workers maximum
-repro.campaign.scheduler:register_executor overwrite
 repro.campaign.spec:_as_int minimum
 repro.campaign.workers:WorkerPool.__init__ heartbeat_interval liveness_timeout
 repro.campaign.workers:WorkerPool.wait_ready timeout
@@ -230,7 +231,12 @@ class TestSurface:
         for name in ("thread", "process", "sharded"):
             with pytest.raises(ValueError, match="unknown executor .*; "
                                "valid executors: serial, workers$"):
-                get_executor(name)
+                executor_for({"executor": name})
+        # the executor registry: the two executors are named directly
+        for owner in (repro.campaign, campaign_scheduler):
+            assert [name for name in ("register_executor", "get_executor",
+                                      "_EXECUTORS", "TimeoutWarning")
+                    if hasattr(owner, name)] == []
         with pytest.raises(ValueError, match="pipelined, serial"):
             get_driver("threaded")
         with pytest.raises(ValueError, match="pipelined, serial"):
@@ -288,18 +294,29 @@ class TestSurface:
 
 
 def shape_of(executor):
-    """An executor's type and constructor arguments, comparably."""
-    return type(executor), {key: getattr(executor, key)
-                            for key in ("max_workers", "timeout", "retries")}
+    """An executor's type and pool width, comparably."""
+    return type(executor), getattr(executor, "max_workers", None)
 
 
 #: executor options — each spelled as flags and as a body.
 CASES = {
     "default-serial": {},
-    "explicit-workers": {"executor": "workers", "max_workers": 2,
-                         "timeout": 30.0, "retries": 1},
-    "explicit-serial": {"executor": "serial", "retries": 2},
+    "explicit-workers": {"executor": "workers", "max_workers": 2},
+    "explicit-serial": {"executor": "serial"},
 }
+#: options no executor takes — refused as flags and as a body alike.
+REFUSED = {
+    "max-workers-alone": {"max_workers": 2},
+    "max-workers-on-serial": {"executor": "serial", "max_workers": 2},
+}
+
+
+def flag_argv(options):
+    """``campaign run`` argv spelling ``options`` as flags."""
+    argv = ["campaign", "run", "--preset", "campaign-smoke"]
+    for key, value in options.items():
+        argv += [f"--{key.replace('_', '-')}", str(value)]
+    return argv
 
 
 class TestOneResolutionRule:
@@ -309,10 +326,8 @@ class TestOneResolutionRule:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_flags_and_submit_body_resolve_alike(self, case):
         options = CASES[case]
-        argv = ["campaign", "run", "--preset", "campaign-smoke"]
-        for key, value in options.items():
-            argv += [f"--{key.replace('_', '-')}", str(value)]
-        from_flags = executor_for(vars(_build_parser().parse_args(argv)))
+        from_flags = executor_for(vars(_build_parser().parse_args(
+            flag_argv(options))))
 
         _, body_options = parse_submission(dict(options,
                                                 preset="campaign-smoke"))
@@ -320,6 +335,24 @@ class TestOneResolutionRule:
 
         assert shape_of(from_flags) == shape_of(from_body) \
             == shape_of(executor_for(options))
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_flags_and_submit_body_refuse_alike(self, case, capsys):
+        """``max_workers`` sizes the worker pool: without ``executor
+        workers`` it is refused, not dropped, in either spelling."""
+        options = REFUSED[case]
+        message = "max_workers sizes the worker pool; it needs executor 'workers'"
+        with pytest.raises(ValueError) as from_flags:
+            executor_for(vars(_build_parser().parse_args(flag_argv(options))))
+        _, body_options = parse_submission(dict(options,
+                                                preset="campaign-smoke"))
+        with pytest.raises(ValueError) as from_body:
+            jobs.executor_for(body_options)
+        assert str(from_flags.value) == str(from_body.value) == message
+        # the CLI: exit 2 and one error line, before anything runs
+        assert repro.cli.main(flag_argv(options)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
 
 
 def parameters_of(function):
@@ -477,7 +510,7 @@ class TestOptionsCensus:
         """One concurrent executor; a spec carries no execution hints, and
         a cache is named at launch."""
         with pytest.raises(ValueError, match="valid executors: serial, workers$"):
-            get_executor("threads")
+            executor_for({"executor": "threads"})
         with pytest.raises(ValueError,
                            match="valid campaign presets: campaign-smoke$"):
             get_campaign_preset("campaign-large")
@@ -489,8 +522,9 @@ class TestOptionsCensus:
             "run_id", "index", "params", "config", "n_steps", "repetition"]
         assert flags_of(_build_parser(), "campaign", "run") == [
             "--cache-dir", "--executor", "--help", "--json", "--max-runs",
-            "--max-workers", "--preset", "--retries", "--spec", "--store",
-            "--timeout", "-h"]
+            "--max-workers", "--preset", "--spec", "--store", "-h"]
+        assert jobs.EXECUTOR_OPTION_KEYS == ("executor", "max_workers",
+                                             "cache_dir")
         # submit sends run's spec and executor flags; the store and the
         # launch size are the service's
         assert flags_of(_build_parser(), "campaign", "submit") == sorted(
@@ -529,12 +563,23 @@ class TestOptionsCensus:
             CampaignSpec.from_dict(dict(smoke, routing={}))
         with pytest.raises(ValueError, match="valid campaign presets"):
             get_campaign_preset("campaign-smoke-sharded")
-        for flag in ("--shards", "--route", "--inner-executor"):
-            with pytest.raises(SystemExit) as exited:
-                _build_parser().parse_args(["campaign", "run", "--preset",
-                                            "campaign-smoke", flag, "2"])
-            assert exited.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
+        for command, url in (("run", []), ("submit", ["--url", "http://x"])):
+            for flag in ("--shards", "--route", "--inner-executor",
+                         "--retries", "--timeout"):
+                with pytest.raises(SystemExit) as exited:
+                    _build_parser().parse_args(
+                        ["campaign", command, *url, "--preset",
+                         "campaign-smoke", flag, "2"])
+                assert exited.value.code == 2
+                assert f"unrecognized arguments: {flag} 2" \
+                    in capsys.readouterr().err
+        # so are the submit keys
+        for key in ("retries", "timeout"):
+            with pytest.raises(ValueError,
+                               match=rf"unknown submission keys \['{key}'\]; "
+                                     r"valid keys: cache_dir, executor, "
+                                     r"max_workers, preset, spec$"):
+                parse_submission({"preset": "campaign-smoke", key: 1})
         with pytest.raises(TypeError, match="strict"):
             jsonable(float("nan"), strict=False)
         # a removed flag is not read as a prefix of a surviving one
@@ -544,11 +589,15 @@ class TestOptionsCensus:
         assert "unrecognized arguments: --store" in capsys.readouterr().err
 
     def test_the_run_path_takes_exactly_these_options(self):
+        # a run is one attempt: no retries, no timeout
         assert parameters_of(WorkerPoolExecutor.__init__) == [
-            "max_workers", "timeout", "retries", "pool"]
+            "max_workers", "pool"]
+        assert [cls.__name__ for cls in (CampaignExecutor, SerialExecutor)
+                if "__init__" in vars(cls)] == []
         assert parameters_of(WorkerPool.run) == [
-            "payloads", "worker", "counters", "retries", "timeout",
-            "on_record", "should_stop"]
+            "payloads", "worker", "counters", "on_record", "should_stop"]
+        assert parameters_of(campaign_scheduler._attempt_run) == [
+            "payload", "worker"]
         assert parameters_of(SSTBroker.__init__) == [
             "stream_name", "queue_limit"]
         assert parameters_of(Series.__init__) == ["broker"]
@@ -639,7 +688,7 @@ class TestOptionsCensus:
         # the name in two pieces: a grep for it over the tree stays empty
         redispatch_threshold = "straggler" + "_after"
         with pytest.raises(TypeError, match=redispatch_threshold):
-            get_executor("workers", **{redispatch_threshold: 1.0})
+            WorkerPoolExecutor(**{redispatch_threshold: 1.0})
 
     def test_mlcore_exports_exactly_what_a_run_or_an_oracle_reaches(self):
         """The PyTorch stand-in is what the model, its trainer and the
