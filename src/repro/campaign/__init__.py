@@ -20,9 +20,6 @@ as one hand-launched session.  This subsystem turns one declarative
   long-lived warm worker processes shared across calls and campaigns,
   run-granular breadth-first dispatch, concurrent leases, heartbeats
   and crash-requeue,
-* :mod:`repro.campaign.hotpath`   — the campaign-throughput benchmark
-  case (``BENCH_campaign_throughput.json``; the harness it runs under is
-  :mod:`repro.utils.benchjson`),
 * :mod:`repro.campaign.aggregate` — the campaign-level report (per-parameter
   stats, best-run selection, throughput, cache provenance),
 * :mod:`repro.campaign.presets`   — named campaigns (``campaign-smoke``).

@@ -32,8 +32,9 @@ _POOL_EVENTS = REGISTRY.counter(
     "Worker-pool lifecycle events (dispatches, results, requeues, "
     "cancellations, respawns), by event")
 
-#: Start method of the shared pools' workers: ``spawn`` inherits none of
-#: the threads the service runs executors from (tests use ``fork``).
+#: Start method of every pool's workers, read when a pool is built:
+#: ``spawn`` inherits none of the threads the service runs executors from
+#: (tests patch it to ``fork``).
 DEFAULT_START_METHOD = "spawn"
 #: Runs a slot holds at once: one executing, one in the call queue.
 CAPACITY = 2
@@ -93,13 +94,12 @@ class WorkerPool:
     """``n_workers`` long-lived worker processes, started on first use;
     any number of threads may :meth:`run` at once."""
 
-    def __init__(self, n_workers: int,
-                 start_method: Optional[str] = None) -> None:
+    def __init__(self, n_workers: int) -> None:
         if type(n_workers) is not int or n_workers < 1:
             raise ValueError(f"n_workers must be an integer >= 1, "
                              f"got {n_workers!r}")
         self.n_workers = n_workers
-        self.start_method = start_method or DEFAULT_START_METHOD
+        self.start_method = DEFAULT_START_METHOD
         self._context = multiprocessing.get_context(self.start_method)
         self._lock = threading.RLock()   # a callback may run inside _turn()
         self._slots = [_Slot(index, self._context)
@@ -338,10 +338,11 @@ def shared_pool(n_workers: Optional[int] = None) -> WorkerPool:
     """The process-wide warm pool of ``n_workers`` (default
     :func:`repro.campaign.scheduler.default_pool_workers`) workers that
     every :class:`WorkerPoolExecutor` without an explicit pool leases."""
-    key = (n_workers or default_pool_workers(), DEFAULT_START_METHOD)
+    n_workers = n_workers or default_pool_workers()
+    key = (n_workers, DEFAULT_START_METHOD)
     with _SHARED_LOCK:
         if key not in _SHARED_POOLS or _SHARED_POOLS[key]._closed:
-            _SHARED_POOLS[key] = WorkerPool(*key)
+            _SHARED_POOLS[key] = WorkerPool(n_workers)
         return _SHARED_POOLS[key]
 
 

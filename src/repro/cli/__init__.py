@@ -17,9 +17,9 @@ One module per command group; each declares its sub-commands in a
 * :mod:`~repro.cli.studies` — the paper-scale figure studies ``placement``
   (Fig. 3c), ``fom-scan`` (Fig. 4), ``streaming-study`` (Fig. 6),
   ``ddp-scan`` (Fig. 8) and ``khi-info`` (the Section IV-A setup),
-* :mod:`~repro.cli.bench` — ``bench-hotpath``, ``bench-campaign`` and
-  ``bench-train``, each mounting the flags its case declares and running
-  under the harness in :mod:`repro.utils.benchjson`.
+* :mod:`~repro.cli.bench` — ``bench-train`` and ``bench-learning``, each
+  mounting the flags its case declares and running under the harness in
+  :mod:`repro.utils.benchjson`.
 
 Handlers return an exit code (0, or 1 for a failed run or gate) and raise
 on bad input; :func:`main` turns a ``ValueError`` or ``OSError`` into one

@@ -9,9 +9,9 @@ setup of Section IV-A and the figure-of-merit accounting of Fig. 4.
 
 The readable ``*_reference`` implementations and ``boris_push`` are the
 oracles those kernels are tested against, not run options, and are not
-re-exported here; neither is :mod:`repro.pic.hotpath` (its
-``reference_step`` steps a simulation on them), so ``python -m
-repro.pic.hotpath`` imports it exactly once.
+re-exported here; neither is
+:func:`repro.pic.simulation.reference_step`, which steps a simulation on
+them.
 
 Scales are laptop sized (10^4–10^6 macro-particles instead of 2.7·10^13) but
 the algorithms are the same, so the data fed to the ML pipeline exercises

@@ -2,7 +2,7 @@
 
 Each is tested against a readable ``*_reference`` oracle (``boris_push``
 for the push) in :mod:`repro.pic.interpolation`, :mod:`repro.pic.pusher`
-and :mod:`repro.pic.deposition`; :func:`repro.pic.hotpath.reference_step`
+and :mod:`repro.pic.deposition`; :func:`repro.pic.simulation.reference_step`
 steps a simulation on them.  The oracles recompute the CIC indices and
 weights of every component from scratch (6× per step) and scatter through
 ``np.add.at``, which is unbuffered and roughly an order of magnitude slower
@@ -113,7 +113,7 @@ class Workspace:
     the same memory (a kernel re-requests its buffers once per block).  The
     gather, the push and the deposit never run at the same time, so they all
     start at the front of the region, and it is as large as the largest
-    single call's need — :attr:`nbytes` — not the sum of the kernels' needs.
+    single call's need, not the sum of the kernels' needs.
     It only grows: a call that outgrows it carries on in a larger region
     (the arrays it already holds keep the old one alive until they go).  The
     contents are unspecified; every user fully overwrites what it takes
@@ -134,12 +134,6 @@ class Workspace:
         #: ``(name, dtype) -> (offset, nbytes)`` of this call's arrays
         self._slots: Dict[tuple, Tuple[int, int]] = {}
         self._used = 0
-        self._peak = 0
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of scratch held: the largest one kernel call has needed."""
-        return self._peak
 
     def begin(self) -> "Workspace":
         """Start a kernel call: every array handed out so far is released."""
@@ -154,7 +148,6 @@ class Workspace:
         if slot is None or slot[1] < nbytes:
             slot = self._slots[name, dtype] = (self._used, nbytes)
             self._used += -(-nbytes // _ALIGN) * _ALIGN
-            self._peak = max(self._peak, self._used)
             if self._used > self._region.nbytes:
                 pages = mmap.mmap(-1, max(self._used, _RESERVE),
                                   flags=mmap.MAP_PRIVATE)

@@ -28,7 +28,7 @@ from repro.pic.kernels import (Workspace, add_current, boris_push_fused,
                                gather_fields, n_blocks)
 from repro.pic.maxwell import YeeSolver
 from repro.pic.particles import ParticleSpecies
-from repro.pic.pusher import advance_positions, wrap_periodic
+from repro.pic.pusher import advance_positions, boris_push, wrap_periodic
 from repro.telemetry.spans import Timer, carry_trace
 
 
@@ -145,8 +145,8 @@ class PICSimulation:
         """Advance the whole system by one time step (on two threads while
         a helper is :meth:`lent`).
 
-        :func:`repro.pic.hotpath.reference_step` is the same step on the
-        readable oracle kernels; keep the two in step when editing this one.
+        :func:`reference_step` is the same step on the readable oracle
+        kernels; keep the two in step when editing this one.
         """
         if not self._started:
             for plugin in self.plugins:
@@ -235,13 +235,6 @@ class PICSimulation:
                                         out=new_positions)
         return blocks
 
-    @property
-    def scratch_bytes(self) -> int:
-        """Bytes of kernel scratch held, over every :class:`Workspace` of
-        the stepping thread and the helper's."""
-        return sum(workspace.nbytes for workspace in
-                   (self._workspace, *self._helper_workspaces))
-
     def run(self, n_steps: int) -> None:
         """Run ``n_steps``, then finish every plugin."""
         if n_steps < 1:
@@ -258,3 +251,44 @@ class PICSimulation:
     def total_energy(self) -> float:
         """Field plus particle kinetic energy [J]."""
         return self.grid.field_energy() + self.total_kinetic_energy()
+
+
+def reference_step(simulation: PICSimulation) -> None:
+    """Advance ``simulation`` by one step on the reference kernels.
+
+    The oracle of :meth:`PICSimulation.step`: the same phases in the same
+    order, the same plugin hooks and timer sections, with
+    :func:`~repro.pic.interpolation.gather_fields_reference`,
+    :func:`~repro.pic.pusher.boris_push` and
+    :func:`~repro.pic.deposition.deposit_current_esirkepov_reference` in
+    place of the :mod:`repro.pic.kernels` the simulation runs.
+    """
+    # imported here: a run never loads the oracle modules
+    from repro.pic.deposition import deposit_current_esirkepov_reference
+    from repro.pic.interpolation import gather_fields_reference
+
+    if not simulation._started:
+        for plugin in simulation.plugins:
+            plugin.on_start(simulation)
+        simulation._started = True
+    dt = simulation.config.dt
+    extent = simulation.config.grid.extent
+    grid, timer = simulation.grid, simulation.timer
+
+    grid.clear_currents()
+    for s in simulation.species:
+        with timer.section("gather"):
+            e_at_p, b_at_p = gather_fields_reference(grid, s.positions)
+        with timer.section("push"):
+            boris_push(s, e_at_p, b_at_p, dt)
+            new_positions = advance_positions(s, dt)
+        with timer.section("deposit"):
+            deposit_current_esirkepov_reference(
+                grid, s.positions, new_positions, s.charge, s.weights, dt)
+            s.positions = wrap_periodic(new_positions, extent)
+    with timer.section("fields"):
+        simulation.solver.step(dt)
+    simulation.step_index += 1
+    with timer.section("plugins"):
+        for plugin in simulation.plugins:
+            plugin.on_step(simulation)

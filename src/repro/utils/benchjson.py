@@ -9,7 +9,7 @@ File schema (version 1)::
 
     {
       "schema_version": 1,
-      "topic": "pic_hotpath",
+      "topic": "train_hotpath",
       "runs": [
         {
           "timestamp": "2026-08-08T12:34:56+00:00",
@@ -26,8 +26,7 @@ corrupts the history; unknown or corrupt files fail loudly rather than being
 silently overwritten.
 
 The module is also the one harness under every persisted benchmark
-(:mod:`repro.pic.hotpath`, :mod:`repro.campaign.hotpath`,
-:mod:`repro.workflow.train_hotpath`, :mod:`repro.workflow.learning`).  A
+(:mod:`repro.workflow.train_hotpath`, :mod:`repro.workflow.learning`).  A
 benchmark is a :class:`BenchCase`: its topic, its own flags, a
 ``run(args)`` returning a result with ``params()`` / ``metrics()`` /
 ``equivalent``, the result's text rendering and the message of a failed
@@ -137,22 +136,17 @@ def append_run(topic: str, params: Dict[str, object],
 # The harness every persisted benchmark runs under
 # --------------------------------------------------------------------------- #
 def best_of_interleaved(timed: Mapping[str, Callable[[], Tuple[float, Any]]],
-                        repeats: int,
-                        setup: Optional[Callable[[], None]] = None
-                        ) -> Dict[str, Tuple[float, Any]]:
+                        repeats: int) -> Dict[str, Tuple[float, Any]]:
     """Measure the named callables in ``repeats`` interleaved blocks.
 
     Each callable returns ``(rate, payload)``; per name, the block with the
     highest rate is kept, payload included.  Interleaving makes background
     load hit every side alike instead of whichever happened to run during a
     busy window, and the best block is the usual robust wall-clock
-    estimator.  ``setup`` (e.g. a one-off warmup) runs once before the first
-    block, after ``repeats`` was checked, so a bad argument never pays for it.
+    estimator.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if setup is not None:
-        setup()
     best: Dict[str, Tuple[float, Any]] = {}
     for _ in range(repeats):
         for name, measure in timed.items():

@@ -21,7 +21,9 @@ Both time the same two things with the session's
 section named after the consumer; the report's ``simulation_time`` and
 ``training_time`` are those totals.  Producer and consumer exceptions are
 always captured (never silently dropped) and surfaced together on the
-``RunResult``.
+``RunResult``.  A ``KeyboardInterrupt`` or ``SystemExit`` is not a failure
+of either side: it stops the run and propagates at once, with no thread of
+the run left stepping or training.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
+from functools import partial
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Type
 
 from repro.streaming.broker import StreamClosedError
@@ -79,6 +82,8 @@ def _drain(session: "WorkflowSession", name: str, consumer,
         with session.timer.section(name):
             consumer.consume(max_iterations=max_iterations,
                              on_iteration=_iteration_callback(session, name))
+    except (KeyboardInterrupt, SystemExit):
+        raise
     except BaseException as error:  # noqa: BLE001 - surfaced in the result
         consumer_errors[name] = error
         session.brokers[name].close()
@@ -140,6 +145,8 @@ class SerialDriver(ExecutionDriver):
                         session.simulation.step()
                     session.fire_step(index)
                     steps_done += 1
+                except (KeyboardInterrupt, SystemExit):
+                    raise
                 except BaseException as error:  # noqa: BLE001 - surfaced in the result
                     producer_error = error
                     break
@@ -154,6 +161,8 @@ class SerialDriver(ExecutionDriver):
         # flush: end the stream and let every consumer drain what is left
         try:
             session.writer_series.close()
+        except (KeyboardInterrupt, SystemExit):
+            raise
         except BaseException as error:  # noqa: BLE001
             producer_error = producer_error or error
         for name, consumer in session.consumers.items():
@@ -282,20 +291,48 @@ class PipelinedDriver(ExecutionDriver):
         # both sides record into the caller's trace, under its open span;
         # the consumers start first, so their start-up never lands inside
         # the producer's first step
-        threads = [threading.Thread(target=carry_trace(consume),
-                                    args=(name, consumer),
-                                    name=f"workflow-consumer-{name}", daemon=True)
-                   for name, consumer in session.consumers.items()]
-        threads.append(threading.Thread(target=carry_trace(produce),
-                                        name="workflow-producer", daemon=True))
+        targets = {f"workflow-consumer-{name}": partial(consume, name, consumer)
+                   for name, consumer in session.consumers.items()}
+        targets["workflow-producer"] = produce
+        # set as each thread's target returns: a Ctrl-C in Thread.join marks
+        # the thread it waited for stopped while it still runs (CPython 3.11)
+        ended = {name: threading.Event() for name in targets}
+
+        def run(name: str) -> None:
+            try:
+                targets[name]()
+            finally:
+                ended[name].set()
+
+        threads = [threading.Thread(target=carry_trace(run), args=(name,),
+                                    name=name, daemon=True)
+                   for name in targets]
         for thread in threads:
             thread.start()
         deadline = time.monotonic() + JOIN_TIMEOUT_S
-        stuck = []
-        for thread in threads:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-            if thread.is_alive():
-                stuck.append(thread.name)
+
+        def join() -> List[str]:
+            """Wait for every thread until the deadline; the names of those
+            still running."""
+            for end in ended.values():
+                end.wait(timeout=max(0.0, deadline - time.monotonic()))
+            for thread in threads:
+                if ended[thread.name].is_set():
+                    thread.join()
+            return [name for name, end in ended.items() if not end.is_set()]
+
+        try:
+            stuck = join()
+        except BaseException:
+            # a Ctrl-C: stop the producer before its next step, end every
+            # consumer's stream, and let no thread go on stepping or training
+            abort.set()
+            with condition:
+                condition.notify_all()
+            for broker in session.brokers.values():
+                broker.close()
+            join()
+            raise
         if stuck:
             abort.set()
             timeout_error = TimeoutError(

@@ -1,16 +1,15 @@
 """The training hot-path benchmark case: one replay iteration, phase by phase.
 
-The trainer-side sibling of :mod:`repro.pic.hotpath`: it measures
-iterations/second of :meth:`InTransitTrainer.train_iteration` — the loop the
-paper's MLapp runs ``n_rep`` times per streamed step — at the ``bench-tiny``
-and ``laptop`` models, split into the trainer's own timer sections
-(``batch`` assembly, ``forward`` = model forward + Eq. (1) loss,
+It measures iterations/second of :meth:`InTransitTrainer.train_iteration` —
+the loop the paper's MLapp runs ``n_rep`` times per streamed step — at the
+``bench-tiny`` and ``laptop`` models, split into the trainer's own timer
+sections (``batch`` assembly, ``forward`` = model forward + Eq. (1) loss,
 ``backward``, ``optimizer``), plus the autograd nodes one iteration builds
 (:func:`count_nodes`, the count ``tests/mlcore/test_fused_ops.py`` also
-bounds by :data:`MAX_TAPE_NODES`).  Each size trains a trainer built by
+bounds by :data:`MAX_TAPE_NODES`). Each size trains a trainer built by
 :func:`repro.core.mlapp.build_trainer` from the preset's ``MLConfig`` on a
-replay buffer filled with seeded synthetic samples of the model's shapes,
-so the measurement is the trainer alone, with no simulation in front of it.
+replay buffer filled with seeded synthetic samples of the model's shapes, so
+the measurement is the trainer alone, with no simulation in front of it.
 This module is the *case*; the measurement loop, the shared flags,
 persistence to ``BENCH_train_hotpath.json`` and the exit codes belong to the
 harness in :mod:`repro.utils.benchjson`.

@@ -11,9 +11,9 @@ from collections import Counter
 import pytest
 
 from repro.campaign import (CampaignSpec, CampaignStore, RunRecord,
-                            SerialExecutor, WorkerPoolExecutor, execute_run,
-                            executor_for, get_campaign_preset, run_campaign,
-                            shutdown_shared_pools)
+                            SerialExecutor, WorkerPool, WorkerPoolExecutor,
+                            aggregate, execute_run, executor_for,
+                            get_campaign_preset, run_campaign)
 from repro.campaign.store import STATUS_COMPLETED, STATUS_FAILED
 
 
@@ -68,15 +68,6 @@ def smoke_spec(**kwargs) -> CampaignSpec:
     base = get_campaign_preset("campaign-smoke").to_dict()
     base.update(kwargs)
     return CampaignSpec.from_dict(base)
-
-
-@pytest.fixture
-def fork_workers(monkeypatch):
-    """``WorkerPoolExecutor`` on a fork pool (see ``test_workers.py``)."""
-    monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD", "fork")
-    shutdown_shared_pools()
-    yield
-    shutdown_shared_pools()
 
 
 class TestStore:
@@ -180,7 +171,7 @@ class TestExecutors:
         assert default_pool_workers() <= 3
 
     @pytest.mark.parametrize("name", ("serial", "workers"))
-    def test_executor_runs_every_payload(self, name, fork_workers):
+    def test_executor_runs_every_payload(self, name, fork_pools):
         spec = smoke_spec(repetitions=2)
         payloads = [run.payload() for run in spec.resolve()]
         seen = []
@@ -201,7 +192,7 @@ class TestExecutors:
 
     @pytest.mark.parametrize("name", ("serial", "workers"))
     def test_a_failing_run_is_executed_once(self, name, tmp_path,
-                                            fork_workers):
+                                            fork_pools):
         """A seeded run fails the same way every time: each run is one
         attempt, recorded failed with ``attempts == 1``."""
         payloads = [dict(run.payload(), calls_dir=str(tmp_path))
@@ -215,7 +206,7 @@ class TestExecutors:
 
     @pytest.mark.parametrize("name", ("serial", "workers"))
     def test_duplicate_run_ids_keep_their_own_records(self, name,
-                                                      fork_workers):
+                                                      fork_pools):
         """The executor contract takes arbitrary payloads: two payloads
         sharing a run id must each come back with their own record."""
         payload = smoke_spec(repetitions=1).resolve()[0].payload()
@@ -252,8 +243,29 @@ class TestExecutors:
                            match="max_workers must be an integer >= 1"):
             WorkerPoolExecutor(max_workers=0)
 
+    def test_workers_reproduce_the_serial_records(self, fork_pools):
+        """The smoke campaign's real runs through both executors: the same
+        run ids in submission order, every run completed, and the same
+        deterministic report (losses, counters, best run)."""
+        payloads = [run.payload()
+                    for run in get_campaign_preset("campaign-smoke").resolve()]
+        pool = WorkerPool(2)
+        try:
+            records = {
+                "serial": SerialExecutor().execute(payloads, execute_run),
+                "workers": WorkerPoolExecutor(max_workers=2, pool=pool)
+                .execute(payloads, execute_run)}
+        finally:
+            pool.shutdown()
+        assert [r.run_id for r in records["workers"]] \
+            == [r.run_id for r in records["serial"]] \
+            == [p["run_id"] for p in payloads]
+        assert all(r.completed for r in records["workers"])
+        assert aggregate(records["workers"]).deterministic_dict() \
+            == aggregate(records["serial"]).deterministic_dict()
+
     def test_process_executor_runs_real_workflows(self, tmp_path,
-                                                  fork_workers):
+                                                  fork_pools):
         spec = smoke_spec(repetitions=1)
         store = CampaignStore(str(tmp_path / "proc.jsonl"))
         outcome = run_campaign(spec, store, WorkerPoolExecutor(max_workers=2))
@@ -309,7 +321,7 @@ class TestRunCampaign:
 
     @pytest.mark.parametrize("name", ("serial", "workers"))
     def test_a_diverged_run_fails_and_is_never_cached(self, name, tmp_path,
-                                                      fork_workers):
+                                                      fork_pools):
         """Injected NaN loss: the run settles ``failed`` after its one
         attempt, the cache refuses it, and a relaunch executes it again
         instead of replaying the NaN as a hit."""

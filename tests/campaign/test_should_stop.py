@@ -6,7 +6,7 @@ finishes with a record, the result keeps one entry per payload (``None``
 for a run that never started), and ``run_campaign`` reports the rest as
 ``deferred`` so the next launch picks up exactly the remainder.
 
-Pools use ``start_method="fork"`` for the reason given in
+Pools fork their workers (``fork_pools``) for the reason given in
 ``test_workers.py``.
 """
 
@@ -51,8 +51,8 @@ EXECUTORS = {
 
 
 @pytest.fixture
-def pool(fast_heartbeat):
-    pool = WorkerPool(2, start_method="fork")
+def pool(fast_heartbeat, fork_pools):
+    pool = WorkerPool(2)
     yield pool
     pool.shutdown()
 

@@ -1,10 +1,11 @@
 """Tests of the persistent worker-pool executor (``repro.campaign.workers``).
 
-Every pool here uses ``start_method="fork"``: the test module is not an
-importable package, so spawn-started workers could not unpickle the worker
-functions defined below — and fork keeps the suite fast.  The production
-default (``spawn``) is exercised structurally (clean-interpreter start) by
-the benchmark harness and CI's worker-smoke job.
+Every pool here forks its workers (the ``fork_pools`` fixture): the test
+module is not an importable package, so spawn-started workers could not
+unpickle the worker functions defined below — and fork keeps the suite
+fast.  The production default (``spawn``) is exercised structurally
+(clean-interpreter start) by the repo benchmark's ``campaign-pool``
+workload and CI's worker-smoke job.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from repro.campaign import (CampaignSpec, CampaignStore, SerialExecutor,
                             shared_pool, shutdown_shared_pools)
 from repro.campaign import workers
 from repro.campaign.store import STATUS_COMPLETED, STATUS_FAILED
+
+pytestmark = pytest.mark.usefixtures("fork_pools")
 
 
 def smoke_spec(**kwargs) -> CampaignSpec:
@@ -130,7 +133,7 @@ def with_config(payloads, **extra):
 
 @pytest.fixture
 def pool(fast_heartbeat):
-    pool = WorkerPool(2, start_method="fork")
+    pool = WorkerPool(2)
     yield pool
     pool.shutdown()
 
@@ -180,11 +183,39 @@ class TestWorkerPoolBasics:
     def test_invalid_arguments(self, pool):
         with pytest.raises(ValueError):
             WorkerPool(0)
-        with pytest.raises(ValueError):
-            WorkerPool(2, start_method="teleport")
+
+    def test_a_pool_takes_the_start_method_of_when_it_is_built(
+            self, monkeypatch):
+        """The fixture's ``fork``, then ``spawn``: each pool keeps its own,
+        and its stats say which (no worker starts before the first run)."""
+        forked = WorkerPool(1)
+        monkeypatch.setattr(workers, "DEFAULT_START_METHOD", "spawn")
+        spawned = WorkerPool(1)
+        try:
+            assert forked.stats()["start_method"] == "fork"
+            assert spawned.stats()["start_method"] == "spawn"
+            assert spawned.worker_pids() == [None]
+        finally:
+            forked.shutdown()
+            spawned.shutdown()
+
+    def test_an_unknown_start_method_is_refused_when_a_pool_is_built(
+            self, monkeypatch):
+        monkeypatch.setattr(workers, "DEFAULT_START_METHOD", "teleport")
+        with pytest.raises(ValueError, match="teleport"):
+            WorkerPool(2)
+
+    def test_a_shared_pool_is_kept_per_start_method(self, monkeypatch):
+        forked = shared_pool(2)
+        assert shared_pool(2) is forked
+        monkeypatch.setattr(workers, "DEFAULT_START_METHOD", "spawn")
+        spawned = shared_pool(2)
+        assert spawned is not forked
+        assert spawned.start_method == "spawn"
+        assert forked.start_method == "fork"
 
     def test_shutdown_pool_refuses_new_work(self):
-        pool = WorkerPool(1, start_method="fork")
+        pool = WorkerPool(1)
         pool.shutdown()
         with pytest.raises(RuntimeError, match="shut down"):
             pool.run(smoke_payloads(repetitions=1), fake_worker, {})
@@ -418,7 +449,7 @@ class TestCrashRequeue:
         """A run prefetched behind a poison run is innocent: with
         ``MAX_REQUEUES = 0`` only the poison run may fail."""
         monkeypatch.setattr(workers, "MAX_REQUEUES", 0)
-        pool = WorkerPool(1, start_method="fork")
+        pool = WorkerPool(1)
         try:
             payloads = smoke_payloads(repetitions=1)   # 2 runs, 1 worker
             payloads[0] = dict(payloads[0],
@@ -458,7 +489,7 @@ class TestCrashRequeue:
         run) stops beating: a lease kills it after ``LIVENESS_TIMEOUT_S``
         and the run completes on a fresh worker."""
         monkeypatch.setattr(workers, "LIVENESS_TIMEOUT_S", 0.5)
-        pool = WorkerPool(1, start_method="fork")
+        pool = WorkerPool(1)
         payloads = with_config(smoke_payloads(repetitions=1)[:1], sleep_s=1.0)
         result = {}
         try:
@@ -500,7 +531,7 @@ class TestCrashRequeue:
             time.sleep(30)
 
         monkeypatch.setattr(workers, "_worker_init", hang_once)
-        pool = WorkerPool(1, start_method="fork")
+        pool = WorkerPool(1)
         payloads = smoke_payloads(repetitions=1)[:1]
         result = {}
         try:
@@ -586,27 +617,16 @@ class TestWorkerPoolExecutor:
         assert pool.counters["respawns"] == 0
 
     def test_records_identical_across_serial_workers_and_the_shared_pool(
-            self, pool, monkeypatch):
-        monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD",
-                            "fork")
-        shutdown_shared_pools()
+            self, pool):
         payloads = smoke_payloads()
-        try:
-            reports = [
-                aggregate(executor.execute(payloads, fake_worker))
-                .deterministic_dict()
-                for executor in (
-                    SerialExecutor(),
-                    WorkerPoolExecutor(max_workers=2, pool=pool),
-                    WorkerPoolExecutor(max_workers=2))]
-        finally:
-            shutdown_shared_pools()
+        reports = [aggregate(executor.execute(payloads, fake_worker))
+                   .deterministic_dict()
+                   for executor in (SerialExecutor(),
+                                    WorkerPoolExecutor(max_workers=2, pool=pool),
+                                    WorkerPoolExecutor(max_workers=2))]
         assert reports[0] == reports[1] == reports[2]
 
-    def test_shared_pool_is_shared_across_executors(self, monkeypatch):
-        monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD",
-                            "fork")
-        shutdown_shared_pools()
+    def test_shared_pool_is_shared_across_executors(self):
         try:
             first = WorkerPoolExecutor(max_workers=2)
             second = WorkerPoolExecutor(max_workers=2)

@@ -281,20 +281,13 @@ class TestStudyCommands:
         assert captured.out == ""           # no table header before the error
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
-    def test_bench_hotpath_no_persist(self, capsys):
-        assert cli_main(["bench-hotpath", "--steps", "2", "--warmup", "1",
-                         "--repeats", "1", "--no-persist"]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out and "fused == reference: OK" in out
-
-    def test_bench_hotpath_writes_history(self, capsys, tmp_path):
-        from repro.utils.benchjson import bench_path, load_history
-
-        assert cli_main(["bench-hotpath", "--steps", "2", "--warmup", "1",
-                         "--repeats", "1", "--output-dir", str(tmp_path)]) == 0
-        record = load_history(bench_path("pic_hotpath", str(tmp_path)))["runs"][-1]
-        assert record is not None
-        assert record["metrics"]["equivalent"] is True
+    @pytest.mark.parametrize("command", ["bench-hotpath", "bench-campaign"])
+    def test_the_benchmarks_bench_run_covers_are_not_commands(self, command,
+                                                              capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli_main([command])
+        assert exited.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):

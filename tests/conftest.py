@@ -47,6 +47,19 @@ def fast_heartbeat(monkeypatch) -> None:
 
 
 @pytest.fixture
+def fork_pools(monkeypatch):
+    """Worker pools built in the test fork their workers: spawned ones could
+    not import the worker functions a test module defines, and fork keeps
+    the suite fast.  The shared pools are shut down before and after."""
+    from repro.campaign import workers
+
+    monkeypatch.setattr(workers, "DEFAULT_START_METHOD", "fork")
+    workers.shutdown_shared_pools()
+    yield
+    workers.shutdown_shared_pools()
+
+
+@pytest.fixture
 def short_training(monkeypatch) -> None:
     """Cut the ``bench-train`` case to 2 timed iterations after 1 warmup."""
     from repro.workflow import train_hotpath

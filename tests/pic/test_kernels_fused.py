@@ -11,6 +11,10 @@ from __future__ import annotations
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import ExitStack
+from dataclasses import replace
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
@@ -28,7 +32,8 @@ from repro.pic.kernels import (Workspace, boris_push_fused, deposit_charge_cic,
                                deposit_current_esirkepov, gather_fields)
 from repro.pic.particles import ParticleSpecies
 from repro.pic.pusher import boris_push
-from repro.pic.simulation import PICSimulation, SimulationConfig
+from repro.pic.simulation import (PICSimulation, SimulationConfig,
+                                  reference_step)
 
 
 def make_grid(shape=(9, 7, 6), cell=1.0e-5):
@@ -216,6 +221,21 @@ def count_workspace_calls(monkeypatch):
     return calls
 
 
+def workspace_peaks(monkeypatch):
+    """Spy on ``Workspace.array``; returns ``{workspace: bytes}``, the most
+    scratch one kernel call has taken from each workspace."""
+    peaks = {}
+    original = Workspace.array
+
+    def spy(self, name, shape, dtype=np.float64):
+        array = original(self, name, shape, dtype)
+        peaks[self] = max(peaks.get(self, 0), self._used)
+        return array
+
+    monkeypatch.setattr(Workspace, "array", spy)
+    return peaks
+
+
 #: cell size of the stay/go cases: a power of two, so ``index + fraction``
 #: survives the trip through metres exactly and "on a cell face" means it
 FACE_EXACT_CELL = 2.0 ** -16
@@ -369,6 +389,7 @@ class TestTwoClassDeposit:
         the same order and leave a workspace of the same size."""
         monkeypatch.setattr(kernels, "CHUNK", 64)
         calls = count_workspace_calls(monkeypatch)
+        peaks = workspace_peaks(monkeypatch)
         rng = np.random.default_rng(3)
         grid = make_grid((9, 7, 6), FACE_EXACT_CELL)
         n = 3 * 64 + 17
@@ -379,7 +400,7 @@ class TestTwoClassDeposit:
             del calls[:]
             deposit_current_esirkepov(grid, old, new, 1.0, np.ones(n), 1e-15,
                                       workspace=workspace)
-            seen[kind] = (list(calls), workspace.nbytes)
+            seen[kind] = (list(calls), peaks[workspace])
         assert seen["all-stay"] == seen["all-go"] == seen["mixed"]
         assert len(seen["mixed"][0]) == 4 * len(set(seen["mixed"][0]))
 
@@ -491,6 +512,7 @@ class TestWorkspace:
         simulation holds the scratch its largest single kernel call needs
         (the deposit's), not the sum of the three."""
         monkeypatch.setattr(kernels, "CHUNK", 64)
+        peaks = workspace_peaks(monkeypatch)
         sizes = (3 * 64 + 17, 64)
         probe = two_species_simulation(seed=6, sizes=sizes)
         species = probe.species[0]
@@ -509,13 +531,13 @@ class TestWorkspace:
                     species.weights, dt, workspace=ws))):
             workspace = Workspace()
             call(workspace)
-            need[kernel] = workspace.nbytes
+            need[kernel] = peaks[workspace]
         assert max(need.values()) == need["deposit"]
         assert max(need.values()) < sum(need.values())
 
         simulation = two_species_simulation(seed=6, sizes=sizes)
         simulation.step()
-        assert simulation._workspace.nbytes == need["deposit"]
+        assert peaks[simulation._workspace] == need["deposit"]
 
     def test_a_step_holds_the_arrays_of_one_species_at_a_time(self, monkeypatch):
         """Heap high-water of a step per macro-particle of one species, as
@@ -665,12 +687,13 @@ class TestBlockedKernels:
 
     def test_workspace_footprint_is_bounded_by_the_chunk(self, monkeypatch):
         monkeypatch.setattr(kernels, "CHUNK", 64)
+        peaks = workspace_peaks(monkeypatch)
 
         def footprint(n):
             simulation = two_species_simulation(seed=4, sizes=(n, n))
             for _ in range(2):
                 simulation.step()
-            return simulation._workspace.nbytes
+            return peaks[simulation._workspace]
 
         assert footprint(3 * 64 + 17) == footprint(64)
         assert footprint(64) > footprint(8)
@@ -828,14 +851,95 @@ class TestBorisEquivalence:
                                    rtol=1e-13, atol=1e-300)
 
 
-class TestFullStepEquivalence:
-    def test_khi_run_matches_between_kernels(self, monkeypatch):
-        from repro.pic import hotpath
-        from repro.pic.hotpath import EQUIVALENCE_RTOL, check_equivalence
+#: relative tolerance of the fused-vs-reference comparison; the paths
+#: differ only in floating-point summation order, which stays many orders of
+#: magnitude below this over a handful of steps
+EQUIVALENCE_RTOL = 1e-9
+#: how each kernel path advances a simulation by one step
+STEP = {"fused": PICSimulation.step, "reference": reference_step}
 
-        monkeypatch.setattr(hotpath, "EQUIVALENCE_STEPS", 5)
-        error = check_equivalence()
+
+#: the KHI problem of the full-step gate: bench-tiny's grid and particles
+BENCH_TINY = KHIConfig(grid_shape=(8, 16, 2), particles_per_cell=4, seed=11)
+#: more problems both kernel paths step: other seeds (other mixes of
+#: particles that stay in their cell and that cross a face), a grid two cells
+#: thin in x, one four cells deep in z, one and nine particles a cell
+PROBLEMS = {
+    "bench-tiny": BENCH_TINY,
+    "seed-3": replace(BENCH_TINY, seed=3),
+    "seed-29": replace(BENCH_TINY, seed=29),
+    "deep-z": KHIConfig(grid_shape=(4, 8, 4), particles_per_cell=2, seed=3),
+    "thin-x": KHIConfig(grid_shape=(2, 16, 2), particles_per_cell=1, seed=29),
+    "dense": KHIConfig(grid_shape=(4, 8, 2), particles_per_cell=9, seed=7),
+}
+
+
+def check_equivalence(n_steps: int, khi: KHIConfig = BENCH_TINY,
+                      helper: Optional[Executor] = None) -> float:
+    """Max relative field/position deviation, fused vs reference, after
+    ``n_steps`` steps of the KHI problem ``khi`` (bench-tiny's by default);
+    with ``helper``, the fused path steps with it lent.
+
+    Both paths step the *same* initial state; the return value is the worst
+    relative difference over all six field components and the particle
+    positions of every species.
+    """
+    sims = {kernel: make_khi_simulation(khi) for kernel in STEP}
+    with ExitStack() as stack:
+        if helper is not None:
+            stack.enter_context(sims["fused"].lent(helper))
+        for kernel, simulation in sims.items():
+            for _ in range(n_steps):
+                STEP[kernel](simulation)
+    fused, reference = sims["fused"], sims["reference"]
+    pairs = [(fused.grid.component(name), reference.grid.component(name))
+             for name in ("Ex", "Ey", "Ez", "Bx", "By", "Bz")]
+    pairs += [(a.positions, b.positions)
+              for a, b in zip(fused.species, reference.species)]
+    return max(float(np.max(np.abs(a - b)) / (np.max(np.abs(b)) + 1e-300))
+               for a, b in pairs)
+
+
+class CountingHelper(ThreadPoolExecutor):
+    """A one-thread helper that counts the species steps it is handed."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+class TestFullStepEquivalence:
+    def test_khi_run_matches_between_kernels(self):
+        error = check_equivalence(5)
         assert np.isfinite(error)
+        assert error < EQUIVALENCE_RTOL
+
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["one-block", "blocks-of-64"])
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_every_problem_matches_between_kernels(self, problem, chunk,
+                                                   monkeypatch):
+        """Blocks of 64 particles split every species of these problems
+        into several blocks, whose currents the fused deposit sums in block
+        order."""
+        if chunk is not None:
+            monkeypatch.setattr(kernels, "CHUNK", chunk)
+        error = check_equivalence(5, PROBLEMS[problem])
+        assert np.isfinite(error)
+        assert error < EQUIVALENCE_RTOL
+
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    def test_a_step_with_a_lent_helper_matches_the_reference(self, problem,
+                                                             monkeypatch):
+        """Blocks of 64 particles engage the helper on every problem here:
+        it steps the second species of the pair each step."""
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        with CountingHelper() as helper:
+            error = check_equivalence(3, PROBLEMS[problem], helper)
+        assert helper.submitted == 3
         assert error < EQUIVALENCE_RTOL
 
     def test_reference_step_has_the_hooks_and_timer_sections_of_step(self):
@@ -844,8 +948,6 @@ class TestFullStepEquivalence:
         sections the same number of times."""
         from collections import Counter
 
-        from repro.pic.hotpath import STEP
-        from repro.pic.khi import KHIConfig, make_khi_simulation
         from repro.pic.simulation import Plugin
         from repro.telemetry import SpanRecorder, recording
 
@@ -875,3 +977,69 @@ class TestFullStepEquivalence:
         assert calls == [("start", 0), ("step", 1), ("step", 2), ("step", 3)]
         assert set(counts) == {"pic.gather", "pic.push", "pic.deposit",
                                "pic.fields", "pic.plugins"}
+
+
+def gauss_terms(simulation) -> Tuple[np.ndarray, np.ndarray]:
+    """``div E`` and ``rho / eps0`` on every node, with the CIC charge of
+    the particles where they are now."""
+    grid = simulation.grid
+    dx, dy, dz = grid.config.cell_size
+    div_e = ((grid.Ex - np.roll(grid.Ex, 1, axis=0)) / dx
+             + (grid.Ey - np.roll(grid.Ey, 1, axis=1)) / dy
+             + (grid.Ez - np.roll(grid.Ez, 1, axis=2)) / dz)
+    charge = YeeGrid(grid.config)
+    for species in simulation.species:
+        deposit_charge_cic(charge, species.positions, species.charge,
+                           species.weights)
+    return div_e, charge.rho / constants.EPSILON_0
+
+
+#: the problems the conservation checks step: bench-tiny's, the deep grid
+#: and the dense one
+CONSERVATION_PROBLEMS = ("bench-tiny", "deep-z", "dense")
+
+
+class TestBothKernelPathsConserve:
+    """What makes the reference step an oracle worth matching: on its own,
+    each path keeps the invariants of an Esirkepov PIC step."""
+
+    @pytest.mark.parametrize("problem", CONSERVATION_PROBLEMS)
+    @pytest.mark.parametrize("kernel", sorted(STEP))
+    def test_the_deposit_satisfies_the_continuity_equation(self, kernel,
+                                                           problem):
+        from repro.pic.diagnostics import ChargeConservationMonitor
+
+        simulation = make_khi_simulation(PROBLEMS[problem])
+        monitor = simulation.add_plugin(ChargeConservationMonitor())
+        for _ in range(5):
+            STEP[kernel](simulation)
+        assert len(monitor.residuals) == 5
+        assert monitor.max_residual() < 1e-12
+
+    @pytest.mark.parametrize("problem", CONSERVATION_PROBLEMS)
+    @pytest.mark.parametrize("kernel", sorted(STEP))
+    def test_the_gauss_law_residual_does_not_drift(self, kernel, problem):
+        """A charge-conserving deposit feeds the Yee solver a current whose
+        divergence is the charge's change, so ``div E - rho / eps0`` stays
+        where the initial state put it."""
+        simulation = make_khi_simulation(PROBLEMS[problem])
+        div_e, charge = gauss_terms(simulation)
+        before = div_e - charge
+        for _ in range(5):
+            STEP[kernel](simulation)
+        div_e, charge = gauss_terms(simulation)
+        drift = np.max(np.abs(div_e - charge - before))
+        assert drift < 1e-12 * np.max(np.abs(charge))
+
+    @pytest.mark.parametrize("kernel", sorted(STEP))
+    def test_every_particle_stays_in_the_box_with_its_weight(self, kernel):
+        simulation = make_khi_simulation(PROBLEMS["thin-x"])
+        weights = [species.weights.copy() for species in simulation.species]
+        for _ in range(5):
+            STEP[kernel](simulation)
+        extent = np.asarray(simulation.config.grid.extent)
+        for species, weight in zip(simulation.species, weights):
+            assert np.all(species.positions >= 0.0)
+            assert np.all(species.positions < extent)
+            np.testing.assert_array_equal(species.weights, weight)
+        assert simulation.step_index == 5

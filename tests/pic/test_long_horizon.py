@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from repro.pic.diagnostics import ChargeConservationMonitor
-from repro.pic.hotpath import EQUIVALENCE_RTOL, STEP
 from repro.pic.khi import make_khi_simulation
 from repro.workflow import get_preset
+from tests.pic.test_kernels_fused import EQUIVALENCE_RTOL, STEP
 
 REFERENCE_JSON = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                               "bench", "reference.json")
@@ -54,7 +54,7 @@ def test_fused_tracks_reference_over_200_steps():
                 assert len(monitor.residuals) == step
                 assert monitor.max_residual() < 1e-12, (kernel, step)
         # the paths differ by summation order only: ten steps stay below
-        # EQUIVALENCE_RTOL (the hot-path gate) and the bound grows with the run
+        # EQUIVALENCE_RTOL (the tier-1 gate) and the bound grows with the run
         assert worst_deviation(sims["fused"], sims["reference"]) \
             < EQUIVALENCE_RTOL * max(1.0, step / 10), step
         if step == BAND_STEPS:

@@ -23,7 +23,7 @@ import pytest
 from sse_helpers import run_ids_of
 
 from repro.campaign import (CampaignSpec, CampaignStore, get_campaign_preset,
-                            run_campaign, shared_pool, shutdown_shared_pools)
+                            run_campaign, shared_pool)
 from repro.service import bus as bus_module
 from repro.service import jobs
 from repro.service.bus import RunEventBus
@@ -86,15 +86,12 @@ def pool_blocked_worker(payload):
 
 
 @pytest.fixture
-def fork_pool(monkeypatch):
+def fork_pool(fork_pools):
     """The process-wide 2-worker pool the service leases, fork-started
     (spawned workers could not import this test module), gate closed."""
-    monkeypatch.setattr("repro.campaign.workers.DEFAULT_START_METHOD", "fork")
-    shutdown_shared_pools()
     _POOL_GATE.clear()
     yield shared_pool(2)
     _POOL_GATE.set()
-    shutdown_shared_pools()
 
 
 class OrderedBus(RunEventBus):

@@ -1,6 +1,6 @@
 """End-to-end tracing + metrics across the campaign layer.
 
-Worker pools use ``start_method="fork"`` for the same reason the
+Worker pools fork their workers (``fork_pools``) for the same reason the
 ``tests/campaign/test_workers.py`` suite does: the test module is not an
 importable package, so spawn-started children could not unpickle the
 worker functions below — and fork keeps the suite fast.  Cross-process
@@ -24,6 +24,8 @@ from repro.telemetry import REGISTRY, disabled, read_spans, trace_path_for
 from repro.workflow import WorkflowBuilder
 
 from tests.telemetry.test_metrics import observed, value
+
+pytestmark = pytest.mark.usefixtures("fork_pools")
 
 
 def smoke_spec(**kwargs) -> CampaignSpec:
@@ -251,7 +253,7 @@ class TestWorkerPoolTracing:
                                                            fast_heartbeat):
         spec = smoke_spec(name="trace-pool")
         store = CampaignStore(tmp_path / "t.campaign.jsonl")
-        pool = WorkerPool(2, start_method="fork")
+        pool = WorkerPool(2)
         try:
             executor = WorkerPoolExecutor(max_workers=2, pool=pool)
             outcome = run_campaign(spec, store, executor, worker=fake_worker)
@@ -291,7 +293,7 @@ class TestWorkerPoolTracing:
         spec = smoke_spec(name="trace-crash")
         runs = runs_with_config(spec, marker_dir=str(tmp_path))
         store = CampaignStore(tmp_path / "t.campaign.jsonl")
-        pool = WorkerPool(2, start_method="fork")
+        pool = WorkerPool(2)
         try:
             executor = WorkerPoolExecutor(max_workers=2, pool=pool)
             outcome = run_campaign(spec, store, executor,
@@ -317,7 +319,7 @@ class TestMetricsUnderConcurrency:
         errors = []
         # two campaigns leasing one warm pool at once, as two service
         # campaigns do: their records settle concurrently
-        pool = WorkerPool(2, start_method="fork")
+        pool = WorkerPool(2)
 
         def launch(spec, store):
             try:

@@ -1,11 +1,10 @@
 """The benchmark harness contract (``repro.utils.benchjson``), tested once.
 
-Every persisted benchmark — ``repro.pic.hotpath``,
-``repro.campaign.hotpath``, ``repro.workflow.train_hotpath`` and
-``repro.workflow.learning`` — is a case
-definition over one harness, so the behaviour they share (shared flags,
-persistence, exit codes, the flags the CLI mounts) is checked here over
-every case instead of once per module.
+Every persisted benchmark — ``repro.workflow.train_hotpath`` and
+``repro.workflow.learning`` — is a case definition over one harness, so
+the behaviour they share (shared flags, persistence, exit codes, the flags
+the CLI mounts) is checked here over every case instead of once per
+module.
 """
 
 from __future__ import annotations
@@ -14,14 +13,10 @@ import re
 
 import pytest
 
-import repro.campaign.hotpath as campaign_hotpath
-import repro.pic.hotpath as pic_hotpath
 import repro.workflow.learning as learning
 import repro.workflow.train_hotpath as train_hotpath
 from repro.cli import main as cli_main
 from repro.utils.benchjson import bench_path, best_of_interleaved, load_history
-from tests.campaign.test_campaign_hotpath import stub_result as campaign_stub
-from tests.pic.test_hotpath import stub_result as pic_stub
 from tests.workflow.test_learning import stub_result as learning_stub
 from tests.workflow.test_train_hotpath import stub_result as train_stub
 
@@ -31,19 +26,6 @@ pytestmark = pytest.mark.usefixtures("short_training")
 #: the command accepts, a stub result factory and what a failed gate
 #: names on stderr
 CASES = {
-    "pic": dict(
-        module=pic_hotpath, command="bench-hotpath",
-        tiny=["--steps", "2", "--warmup", "1", "--repeats", "1"],
-        flags={"--steps", "--warmup", "--grid", "--repeats", "--output-dir",
-               "--no-persist", "--help"},
-        stub=pic_stub, failure=("disagree", "fused", "reference")),
-    "campaign": dict(
-        module=campaign_hotpath, command="bench-campaign",
-        tiny=["--repeats", "1", "--repetitions", "1", "--max-workers", "2",
-              "--start-method", "fork"],
-        flags={"--repetitions", "--max-workers", "--start-method",
-               "--repeats", "--output-dir", "--no-persist", "--help"},
-        stub=campaign_stub, failure=("disagree", "workers", "serial")),
     "train": dict(
         module=train_hotpath, command="bench-train",
         tiny=["--repeats", "1"],
@@ -58,17 +40,11 @@ CASES = {
 }
 
 BAD_FLAGS = [
-    pytest.param("pic", ["--grid", "0", "16", "2"], id="pic-grid"),
-    pytest.param("pic", ["--steps", "0"], id="pic-steps"),
-    pytest.param("pic", ["--warmup", "-1"], id="pic-warmup"),
-    pytest.param("pic", ["--repeats", "0"], id="pic-repeats"),
-    pytest.param("campaign", ["--repeats", "0"], id="campaign-repeats"),
-    pytest.param("campaign", ["--repetitions", "0"],
-                 id="campaign-repetitions"),
-    pytest.param("campaign", ["--max-workers", "0"],
-                 id="campaign-max-workers"),
     pytest.param("train", ["--repeats", "0"], id="train-repeats"),
     pytest.param("learning", ["--repeats", "0"], id="learning-repeats"),
+    pytest.param("train", ["--repeats", "-2"], id="train-negative-repeats"),
+    pytest.param("learning", ["--repeats", "-2"],
+                 id="learning-negative-repeats"),
 ]
 
 
@@ -100,17 +76,10 @@ class TestBestOfInterleaved:
         assert calls == ["a", "b", "a", "b", "a", "b"]
         assert best == {"a": (3.0, "a-block-3.0"), "b": (6.0, "b-block-6.0")}
 
-    def test_setup_runs_once_before_the_first_block(self):
-        events = []
-        best_of_interleaved({"a": lambda: (events.append("a") or 1.0, None)},
-                            2, setup=lambda: events.append("setup"))
-        assert events == ["setup", "a", "a"]
-
     def test_rejects_repeats_below_one_before_any_work(self):
         ran = []
         with pytest.raises(ValueError, match="repeats"):
-            best_of_interleaved({"a": lambda: ran.append("a")}, 0,
-                                setup=lambda: ran.append("setup"))
+            best_of_interleaved({"a": lambda: ran.append("a")}, 0)
         assert ran == []
 
 
@@ -158,8 +127,8 @@ class TestCaseContract:
         assert set(re.findall(r"--[a-z][a-z-]*",
                               capsys.readouterr().out)) == case["flags"]
 
-    def test_bench_campaign_has_no_preset_flag(self, capsys):
+    def test_bench_train_has_no_preset_flag(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            cli_main(["bench-campaign", "--preset", "campaign-smoke"])
+            cli_main(["bench-train", "--preset", "bench-tiny"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err

@@ -3,9 +3,9 @@ traffic CI drives, and every defaulted parameter of one takes two values in
 it, or is allow-listed below with its reason.
 
 The traffic is CI's own steps (``.github/workflows/ci.yml``: the CLI smoke,
-the examples, the campaign, worker-pool and service smokes, the ``bench-*``
-cases and ``bench/run.py --smoke``), less the installs and the test suites.
-Each job runs in a scratch root whose ``src`` holds ``repro`` and a
+the examples, the campaign, worker-pool and service smokes, the
+``bench-train`` and ``bench-learning`` cases and ``bench/run.py
+--smoke``), less the installs and the test suites.  Each job runs in a scratch root whose ``src`` holds ``repro`` and a
 ``sitecustomize`` that profiles every interpreter the steps start — pool
 workers, the service and its threads included — and appends each
 ``src/repro`` function called to one file as it is first called, so a
@@ -88,6 +88,9 @@ ALLOWED = {
              "_Lease.orphaned"),
     **_allow("2: a bench-train gate that fails", "repro.workflow.train_hotpath",
              "gate_failure"),
+    **_allow("2: an append to an existing history, as to the repo-root "
+             "BENCH_*.json files, and the documented reader",
+             "repro.utils.benchjson", "load_history"),
     **_allow("2: a traced pipelined run's threads", "repro.telemetry.spans",
              "carry_trace.<locals>.traced"),
     **_allow("2: the README's config round trip", "repro.core.config",
@@ -111,6 +114,16 @@ ALLOWED = {
              "Tensor.sum", "Tensor.sum.<locals>.backward", "Tensor.mean",
              "Tensor.min", "Tensor.exp", "Tensor.tanh", "Tensor.transpose",
              "Tensor.swapaxes", "Tensor.squeeze", "Tensor.expand_dims"),
+    **_allow("4: the fused step's oracle", "repro.pic.simulation",
+             "reference_step"),
+    **_allow("4: the fused gather's oracle", "repro.pic.interpolation",
+             "gather_fields_reference", "gather_component",
+             "_cic_indices_weights"),
+    **_allow("4: the fused push's oracle", "repro.pic.pusher", "boris_push"),
+    **_allow("4: the fused current deposit's oracle", "repro.pic.deposition",
+             "deposit_current_esirkepov_reference",
+             "deposit_current_esirkepov_reference.<locals>.w_block",
+             "_hat_weights"),
     **_allow("4: the fused charge deposit's oracle", "repro.pic.deposition",
              "deposit_charge_cic_reference", "_scatter_cic"),
     **_allow("4: the field solver's divergence oracles", "repro.pic.grid",
@@ -132,20 +145,19 @@ ONE_VALUED_PARAMETERS = {
     **_allow("1: the spectra item streams every n-th step",
              "repro.core.producer",
              "StreamingProducerPlugin.__init__(sample_interval)"),
-    **_allow("2: bench-campaign --repeats, --max-workers, --start-method, "
-             "--repetitions", "repro.campaign.hotpath",
-             "run_campaign_benchmark(repeats)",
-             "run_campaign_benchmark(max_workers)",
-             "run_campaign_benchmark(start_method)",
-             "run_campaign_benchmark(repetitions)"),
-    **_allow("2: bench-hotpath --repeats", "repro.pic.hotpath",
-             "run_hotpath_benchmark(repeats)"),
     **_allow("2: bench-train --repeats", "repro.workflow.train_hotpath",
              "run_train_benchmark(repeats)"),
     **_allow("2: bench-learning --repeats", "repro.workflow.learning",
              "run_learning_benchmark(repeats)"),
     **_allow("2: campaign run --max-runs", "repro.campaign.scheduler",
              "run_campaign(max_runs)"),
+    **_allow("2: the executor contract's observer is optional "
+             "(docs/extending-executors.md)", "repro.campaign.scheduler",
+             "SerialExecutor.execute(on_record)"),
+    **_allow("2: the executor contract's observer is optional "
+             "(docs/extending-executors.md)", "repro.campaign.workers",
+             "WorkerPoolExecutor.execute(on_record)",
+             "WorkerPool.run(on_record)"),
     **_allow("2: trace --run", "repro.telemetry.render",
              "render_traces(run_id)"),
     **_allow("2: main(argv), the CLI's entry point", "repro.cli", "main(argv)"),

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 
 import numpy as np
 import pytest
 
+from repro.continual.trainer import InTransitTrainer
+from repro.pic import kernels
 from repro.telemetry import SpanRecorder, recording, span
 from repro.workflow import (PipelinedDriver, WorkflowBuilder, available_drivers,
                             get_driver)
+from repro.workflow.drivers import HELPER_THREAD
 from tests.core.test_artificial_scientist import tiny_config
 
 
@@ -223,6 +228,142 @@ class TestFailureSurfacing:
         assert result.producer_exception is None
         assert result.report.iterations_streamed == 3
         assert result.report.training_iterations == 3
+
+
+def run_threads():
+    """The threads a run starts: the pipelined producer and consumers and
+    the serial driver's PIC helper."""
+    return [thread.name for thread in threading.enumerate()
+            if thread.name.startswith(("workflow-", HELPER_THREAD))]
+
+
+def interrupt_third_iteration(monkeypatch, interrupt):
+    """Call ``interrupt`` in place of the trainer's third iteration."""
+    calls = []
+    train_iteration = InTransitTrainer.train_iteration
+
+    def faulty(self, *args, **kwargs):
+        calls.append(threading.current_thread().name)
+        if len(calls) == 3:
+            interrupt()
+        return train_iteration(self, *args, **kwargs)
+    monkeypatch.setattr(InTransitTrainer, "train_iteration", faulty)
+
+
+class TestInterrupt:
+    """A Ctrl-C is not a consumer failure: it stops the run at once, and no
+    thread of the run goes on stepping or training."""
+
+    def test_the_serial_driver_stops_at_the_interrupted_iteration(
+            self, monkeypatch):
+        # blocks of 64 particles and two cores: the run lends a helper
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def interrupt():
+            raise KeyboardInterrupt
+        interrupt_third_iteration(monkeypatch, interrupt)
+        session = (WorkflowBuilder().config(tiny_config()).driver("serial")
+                   .add_consumer("monitor", kind="histogram-monitor").build())
+        with pytest.raises(KeyboardInterrupt):
+            session.run(40)
+        assert session.simulation.step_index == 3
+        assert session.consumers["monitor"].summary()["iterations_consumed"] == 2
+        assert run_threads() == []
+
+    def test_the_pipelined_driver_stops_its_threads_before_it_raises(
+            self, monkeypatch):
+        """SIGINT reaches the main thread in the join loop while the trainer
+        runs its third iteration."""
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        interrupt_third_iteration(monkeypatch, lambda: signal.pthread_kill(
+            threading.main_thread().ident, signal.SIGINT))
+        session = (WorkflowBuilder().config(tiny_config()).driver("pipelined")
+                   .add_consumer("monitor", kind="histogram-monitor").build())
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                session.run(40)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert run_threads() == []
+        # the producer stopped within its in-flight bound of the trainer
+        assert session.simulation.step_index < 10
+
+    def test_a_system_exit_stops_the_serial_driver_too(self, monkeypatch):
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+        def exit_run():
+            raise SystemExit(3)
+        interrupt_third_iteration(monkeypatch, exit_run)
+        session = (WorkflowBuilder().config(tiny_config()).driver("serial")
+                   .build())
+        with pytest.raises(SystemExit):
+            session.run(40)
+        assert session.simulation.step_index == 3
+        assert run_threads() == []
+
+    def test_an_interrupt_in_a_pic_step_is_not_a_producer_failure(
+            self, monkeypatch):
+        """The serial driver's third step is interrupted: the run raises at
+        once instead of reporting two steps and a failed producer."""
+        monkeypatch.setattr(kernels, "CHUNK", 64)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        session = (WorkflowBuilder().config(tiny_config()).driver("serial")
+                   .build())
+        step = session.simulation.step
+
+        def interrupted_step():
+            if session.simulation.step_index == 2:
+                raise KeyboardInterrupt
+            step()
+        monkeypatch.setattr(session.simulation, "step", interrupted_step)
+        with pytest.raises(KeyboardInterrupt):
+            session.run(40)
+        assert session.simulation.step_index == 2
+        assert run_threads() == []
+
+    def test_an_interrupt_while_the_stream_closes_propagates(self,
+                                                              monkeypatch):
+        """The serial driver's flush: a Ctrl-C in closing the stream is
+        raised, and no consumer drains after it."""
+        session = (WorkflowBuilder().config(tiny_config()).driver("serial")
+                   .add_consumer("monitor", kind="histogram-monitor").build())
+
+        def interrupted_close():
+            raise KeyboardInterrupt
+        monkeypatch.setattr(session.writer_series, "close", interrupted_close)
+        drained = []
+        consume = session.consumers["monitor"].consume
+
+        def counting_consume(*args, **kwargs):
+            drained.append(kwargs.get("max_iterations"))
+            return consume(*args, **kwargs)
+        monkeypatch.setattr(session.consumers["monitor"], "consume",
+                            counting_consume)
+        with pytest.raises(KeyboardInterrupt):
+            session.run(2)
+        # one bounded drain per step, and no final unbounded one
+        assert drained == [1, 1]
+
+    def test_a_system_exit_in_the_join_loop_stops_the_pipelined_threads(
+            self, monkeypatch):
+        """A SIGINT handler that exits, as a service's might: the pipelined
+        run stops its threads before the ``SystemExit`` leaves it."""
+        def exit_run(signum, frame):
+            raise SystemExit(130)
+        previous = signal.signal(signal.SIGINT, exit_run)
+        interrupt_third_iteration(monkeypatch, lambda: signal.pthread_kill(
+            threading.main_thread().ident, signal.SIGINT))
+        session = (WorkflowBuilder().config(tiny_config()).driver("pipelined")
+                   .build())
+        try:
+            with pytest.raises(SystemExit):
+                session.run(40)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert run_threads() == []
+        assert session.simulation.step_index < 10
 
 
 class TestLegacyThreadedRunner:

@@ -130,13 +130,13 @@ class TestOnlyARunWithTheBoxToItselfGetsOne:
         assert set(gather_threads) == {threading.main_thread().name}
 
     def test_a_run_on_the_campaign_worker_pool_never_starts_it(
-            self, small_blocks, fast_heartbeat):
+            self, small_blocks, fast_heartbeat, fork_pools):
         """The ``workers`` executor's processes run campaigns side by
         side, so the serial driver lends none of its runs a helper."""
         assert has_the_box()
         spec = get_campaign_preset("campaign-smoke")
         payloads = [run.payload() for run in spec.resolve()][:2]
-        pool = WorkerPool(2, start_method="fork")
+        pool = WorkerPool(2)
         try:
             records = WorkerPoolExecutor(max_workers=2, pool=pool).execute(
                 payloads, box_worker)
