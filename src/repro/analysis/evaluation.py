@@ -69,7 +69,6 @@ class InversionReport:
     constant_spectrum_mse: float
     latent_classifier_accuracy: float
     majority_share: float
-    n_evaluation_samples: int
     #: share of all predicted momenta clipped onto the histogram range (an
     #: L1 near 2.0 with this near 1 reads "out of range", not "unlearned")
     clipped_fraction: float
@@ -224,5 +223,4 @@ def evaluate_inversion(model: ArtificialScientistModel,
                            constant_spectrum_mse=float(np.mean(constant_errors)),
                            latent_classifier_accuracy=accuracy,
                            majority_share=max(np.bincount(labels)) / len(labels),
-                           n_evaluation_samples=len(samples),
                            clipped_fraction=n_clipped / n_predicted)

@@ -9,6 +9,7 @@ import contextlib
 import functools
 import heapq
 import itertools
+import logging
 import multiprocessing
 import os
 import signal
@@ -23,9 +24,8 @@ from repro.campaign.scheduler import (CampaignExecutor, _attempt_run,
                                       _failed_record, default_pool_workers)
 from repro.campaign.store import RunRecord
 from repro.telemetry import REGISTRY
-from repro.utils.logging import get_logger
 
-logger = get_logger(__name__)
+logger = logging.getLogger(__name__)
 
 _POOL_EVENTS = REGISTRY.counter(
     "repro_worker_pool_events_total",

@@ -75,14 +75,11 @@ class TrainingBuffer:
         self.rng = rng
         self._now: List[TrainingSample] = []
         self._ep: List[TrainingSample] = []
-        self.total_added = 0
-        self.total_evicted = 0
 
     # -- ingestion --------------------------------------------------------- #
     def add(self, sample: TrainingSample) -> None:
         """Prepend a new sample to the now-buffer, spilling the overflow to EP."""
         self._now.insert(0, sample)
-        self.total_added += 1
         while len(self._now) > self.now_size:
             spilled = self._now.pop()
             self._add_to_ep(spilled)
@@ -93,12 +90,10 @@ class TrainingBuffer:
 
     def _add_to_ep(self, sample: TrainingSample) -> None:
         if self.ep_size == 0:
-            self.total_evicted += 1
             return
         if len(self._ep) >= self.ep_size:
             victim = int(self.rng.integers(0, len(self._ep)))
             self._ep.pop(victim)
-            self.total_evicted += 1
         self._ep.append(sample)
 
     # -- sampling ------------------------------------------------------------ #
@@ -142,6 +137,3 @@ class TrainingBuffer:
     @property
     def ep_count(self) -> int:
         return len(self._ep)
-
-    def __len__(self) -> int:
-        return len(self._now) + len(self._ep)

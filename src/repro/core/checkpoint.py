@@ -42,7 +42,6 @@ class CheckpointInfo:
     directory: str
     step: int
     training_iterations: int
-    n_buffer_samples: int
 
 
 def _save_npz(path: str, arrays: Dict[str, np.ndarray]) -> None:
@@ -117,8 +116,7 @@ def save_checkpoint(directory: str, model: ArtificialScientistModel,
             shutil.rmtree(os.path.join(directory, entry), ignore_errors=True)
 
     return CheckpointInfo(directory=directory, step=int(step),
-                          training_iterations=len(history),
-                          n_buffer_samples=len(trainer.buffer))
+                          training_iterations=len(history))
 
 
 def load_checkpoint(directory: str, model: ArtificialScientistModel,

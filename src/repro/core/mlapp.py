@@ -52,14 +52,10 @@ class MLApp:
 
     def __init__(self, series: Series, config: MLConfig, rng: RandomState = None) -> None:
         self.series = series
-        self.config = config
         self.trainer = build_trainer(config, rng)
         self.model = self.trainer.model
-        self.optimizer = self.trainer.optimizer
-        self.buffer = self.trainer.buffer
         self.timer = Timer("core")
         self.iterations_consumed = 0
-        self.samples_consumed = 0
         self.evaluation_samples: List[TrainingSample] = []
 
     # -- stream consumption ----------------------------------------------------- #
@@ -98,7 +94,6 @@ class MLApp:
             with self.timer.section("train"):
                 self.trainer.train_on_stream_step(samples, step=step.index)
             self.iterations_consumed += 1
-            self.samples_consumed += len(samples)
             consumed += 1
             if on_iteration is not None:
                 on_iteration(step.index, len(samples))

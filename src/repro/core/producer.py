@@ -35,6 +35,14 @@ REGIONS = "particles/ml_samples/regions"
 SPECIES = "electrons"
 
 
+def _read_only(data: np.ndarray) -> np.ndarray:
+    """A read-only view of ``data``: every consumer of a step reads the same
+    arrays, and ``data`` itself (a species' own array) stays writable."""
+    view = data.view()
+    view.flags.writeable = False
+    return view
+
+
 class StreamingProducerPlugin(Plugin):
     """Attachable plugin that streams training samples as openPMD iterations."""
 
@@ -60,7 +68,6 @@ class StreamingProducerPlugin(Plugin):
         self.samples_streamed = 0
         self.iterations_streamed = 0
         self.bytes_streamed = 0
-        self.bytes_before_reduction = 0
 
     # -- plugin hooks -------------------------------------------------------- #
     def on_start(self, simulation: PICSimulation) -> None:
@@ -107,11 +114,12 @@ class StreamingProducerPlugin(Plugin):
             raw_records[f"{prefix}/position/{name}"] = species.positions[:, axis]
             raw_records[f"{prefix}/momentum/{name}"] = self._previous_momenta[:, axis]
         raw_records[f"{prefix}/weighting"] = species.weights
-        self.bytes_before_reduction += int(sum(a.nbytes for a in raw_records.values()))
         if self.reduction is not None:
             raw_records = self.reduction.reduce_step(raw_records)
 
-        step = Step(simulation.step_index, {**samples, **raw_records},
+        step = Step(simulation.step_index,
+                    {path: _read_only(data)
+                     for path, data in {**samples, **raw_records}.items()},
                     {"iteration": simulation.step_index,
                      "time": float(simulation.time),
                      "dt": float(simulation.config.dt), "timeUnitSI": 1.0})

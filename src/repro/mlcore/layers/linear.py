@@ -25,8 +25,6 @@ class Linear(Module):
         super().__init__()
         if in_features <= 0 or out_features <= 0:
             raise ValueError("feature dimensions must be positive")
-        self.in_features = in_features
-        self.out_features = out_features
         self.weight = Parameter(init.kaiming_uniform((in_features, out_features), rng))
         bound = 1.0 / np.sqrt(in_features)
         self.bias = Parameter(rng.uniform(-bound, bound, size=(out_features,)))

@@ -20,7 +20,7 @@ paths in this repository.  Each model is what one CLI study prints:
   ``ddp-scan``).
 """
 
-from repro.perfmodel.machines import FRONTIER, SUMMIT, MachineSpec
+from repro.perfmodel.machines import FRONTIER, MachineSpec
 from repro.perfmodel.placement import PlacementMode, ResourcePlan
 from repro.perfmodel.fom import FOMScalingModel
 from repro.perfmodel.streaming import (StreamingScalingPoint, StreamingScalingStudy,
@@ -30,7 +30,6 @@ from repro.perfmodel.ddp import DDPScalingPoint, DDPWeakScalingModel
 __all__ = [
     "MachineSpec",
     "FRONTIER",
-    "SUMMIT",
     "PlacementMode",
     "ResourcePlan",
     "FOMScalingModel",

@@ -80,7 +80,6 @@ class DDPScalingPoint:
     global_batch_size: int
     step_time: float
     efficiency: float
-    compute_fraction: float
     allreduce_fraction: float
     mmd_fraction: float
 
@@ -150,7 +149,6 @@ class DDPWeakScalingModel:
                 global_batch_size=self.batch_per_gcd * self.n_gcds(int(n_nodes)),
                 step_time=t,
                 efficiency=base_time / t,
-                compute_fraction=self.compute_time / t,
                 allreduce_fraction=self.allreduce_time(int(n_nodes)) / t,
                 mmd_fraction=self.mmd_time(int(n_nodes)) / t,
             ))

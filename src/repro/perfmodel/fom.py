@@ -18,9 +18,6 @@ from typing import List
 
 import numpy as np
 
-from repro.perfmodel.machines import FRONTIER, SUMMIT, MachineSpec
-
-
 #: The FOM weights used in the paper / the Frontier acceptance benchmarks.
 PARTICLE_WEIGHT = 0.9
 CELL_WEIGHT = 0.1
@@ -32,9 +29,6 @@ class FOMScalingModel:
 
     Parameters
     ----------
-    machine:
-        The system the calibration describes (a label; the rates carry
-        the numbers).
     per_gpu_particle_rate:
         Macro-particle updates per second of one GPU package.
     per_gpu_cell_rate:
@@ -47,7 +41,6 @@ class FOMScalingModel:
         Reference size at which efficiency is defined as 1.
     """
 
-    machine: MachineSpec = FRONTIER
     per_gpu_particle_rate: float = 1.85e9
     per_gpu_cell_rate: float = 2.4e8
     scaling_loss_per_decade: float = 0.015
@@ -72,12 +65,11 @@ class FOMScalingModel:
     @classmethod
     def frontier_calibrated(cls) -> "FOMScalingModel":
         """Calibrated so the full-Frontier run lands at ~65.3 TeraUpdates/s."""
-        model = cls(machine=FRONTIER)
+        model = cls()
         target = 65.3e12
         full_gpus = 36_864
         scale = target / model.fom(full_gpus)
-        return cls(machine=FRONTIER,
-                   per_gpu_particle_rate=model.per_gpu_particle_rate * scale,
+        return cls(per_gpu_particle_rate=model.per_gpu_particle_rate * scale,
                    per_gpu_cell_rate=model.per_gpu_cell_rate * scale,
                    scaling_loss_per_decade=model.scaling_loss_per_decade,
                    base_gpus=model.base_gpus)
@@ -85,12 +77,11 @@ class FOMScalingModel:
     @classmethod
     def summit_calibrated(cls) -> "FOMScalingModel":
         """Calibrated so the full-Summit baseline lands at ~14.7 TeraUpdates/s."""
-        model = cls(machine=SUMMIT, base_gpus=24)
+        model = cls(base_gpus=24)
         target = 14.7e12
         full_gpus = 27_648
         scale = target / model.fom(full_gpus)
-        return cls(machine=SUMMIT,
-                   per_gpu_particle_rate=model.per_gpu_particle_rate * scale,
+        return cls(per_gpu_particle_rate=model.per_gpu_particle_rate * scale,
                    per_gpu_cell_rate=model.per_gpu_cell_rate * scale,
                    scaling_loss_per_decade=model.scaling_loss_per_decade,
                    base_gpus=24)

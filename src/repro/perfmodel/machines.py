@@ -71,16 +71,3 @@ FRONTIER = MachineSpec(
     filesystem_bandwidth=10.0e12,
     node_local_ssd_bandwidth=35.0e12,
 )
-
-#: Summit (OLCF): 4608 nodes with 6 V100 GPUs, dual EDR InfiniBand (25 GB/s
-#: aggregate), 2.5 TB/s Alpine filesystem.
-SUMMIT = MachineSpec(
-    name="Summit",
-    n_nodes=4608,
-    gpus_per_node=6,
-    gcds_per_gpu=1,
-    nic_bandwidth=12.5e9,
-    nics_per_node=2,
-    filesystem_bandwidth=2.5e12,
-    node_local_ssd_bandwidth=7.0e12,
-)

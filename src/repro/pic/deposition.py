@@ -108,6 +108,9 @@ def deposit_current_esirkepov_reference(grid: YeeGrid, old_positions: np.ndarray
     xi1 = new_positions / cell
     displacement = np.abs(xi1 - xi0)
     if not np.all(displacement < 1.0):          # NaN must fail the check too
+        if not np.isfinite(displacement).all():
+            raise ValueError("Esirkepov deposition requires finite particle "
+                             "positions")
         raise ValueError("Esirkepov deposition requires particles to move "
                          "less than one cell per step")
 

@@ -428,6 +428,9 @@ def deposit_current_esirkepov(grid: YeeGrid, old_positions: np.ndarray,
         # "not all below", not "any at or above": a NaN coordinate compares
         # False either way and must not reach the integer cast
         if not np.all(base < 1.0):
+            if not np.isfinite(base).all():
+                raise ValueError("Esirkepov deposition requires finite "
+                                 "particle positions")
             raise ValueError("Esirkepov deposition requires particles to move "
                              "less than one cell per step")
         # the stencil starts at floor(min(xi0, xi1)) = the smaller floor; a

@@ -183,6 +183,16 @@ class PICSimulation:
         with self.timer.section("plugins"):
             for plugin in self.plugins:
                 plugin.on_step(self)
+        self._check_fields()
+
+    def _check_fields(self) -> None:
+        """Fail the step that leaves a NaN or an infinity in E or B, a
+        plugin's write included: a run must not settle on non-finite
+        fields."""
+        for name in ("Ex", "Ey", "Ez", "Bx", "By", "Bz"):
+            if not np.isfinite(getattr(self.grid, name)).all():
+                raise FloatingPointError(
+                    f"non-finite {name} after step {self.step_index}")
 
     def _advance(self, s: ParticleSpecies, scratch: Workspace,
                  held: Optional[Workspace] = None,
@@ -292,3 +302,4 @@ def reference_step(simulation: PICSimulation) -> None:
     with timer.section("plugins"):
         for plugin in simulation.plugins:
             plugin.on_step(simulation)
+    simulation._check_fields()

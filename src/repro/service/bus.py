@@ -69,8 +69,8 @@ class Subscription:
 
     topic: str
     _queue: "queue.Queue[BusEvent]" = field(repr=False)
-    #: events dropped because this subscriber's queue was full (total)
-    dropped: int = 0
+    #: events dropped because this subscriber's queue was full, not yet
+    #: reported
     _dropped_unreported: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
@@ -88,7 +88,6 @@ class Subscription:
             return True
         except queue.Full:
             with self._lock:
-                self.dropped += 1
                 self._dropped_unreported += 1
             return False
 

@@ -31,6 +31,7 @@ See ``docs/service.md`` for the full API reference with curl examples.
 from __future__ import annotations
 
 import json
+import logging
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -46,10 +47,9 @@ from repro.service.jobs import (EXECUTOR_OPTION_KEYS, CampaignJob,
 from repro.service.sse import (EVENT_DONE, EVENT_DROPPED, EVENT_RUN,
                                EVENT_SNAPSHOT, format_comment, format_event)
 from repro.telemetry import REGISTRY, get_registry
-from repro.utils.logging import get_logger
 from repro.utils.serialization import jsonable
 
-logger = get_logger(__name__)
+logger = logging.getLogger(__name__)
 
 _REQUESTS = REGISTRY.counter(
     "repro_service_requests_total", "HTTP requests served, by method")

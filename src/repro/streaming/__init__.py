@@ -29,13 +29,12 @@ from repro.streaming.step import Step
 from repro.streaming.broker import SSTBroker
 from repro.streaming.noop import NoOpConsumer
 from repro.streaming.reduction import (ParticleSubsampleReducer, PrecisionReducer,
-                                       ReductionPipeline, ReductionReport)
+                                       ReductionPipeline)
 
 __all__ = [
     "ParticleSubsampleReducer",
     "PrecisionReducer",
     "ReductionPipeline",
-    "ReductionReport",
     "Step",
     "SSTBroker",
     "NoOpConsumer",

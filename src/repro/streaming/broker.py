@@ -51,9 +51,6 @@ class SSTBroker:
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         self._closed = False
-        self.steps_written = 0
-        self.steps_read = 0
-        self.bytes_written = 0
 
     # -- writer side -------------------------------------------------------- #
     def put_step(self, step: Step) -> None:
@@ -71,8 +68,6 @@ class SSTBroker:
                 if self._closed:
                     raise StreamClosedError(f"stream {self.stream_name!r} is closed")
             self._queue.append(step)
-            self.steps_written += 1
-            self.bytes_written += step.nbytes
             _STREAM_STEPS.inc(1, event="written")
             _STREAM_BYTES.inc(step.nbytes)
             self._not_empty.notify_all()
@@ -96,7 +91,6 @@ class SSTBroker:
             if not self._queue:
                 return None  # closed and drained
             step = self._queue.popleft()
-            self.steps_read += 1
             _STREAM_STEPS.inc(1, event="read")
             self._not_full.notify_all()
             return step

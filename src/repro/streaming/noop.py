@@ -3,8 +3,8 @@
 "Employing the no-op consumer gives us a testbed for full-system scaling
 runs of a particle data stream fed by PIConGPU, helping us identify and
 eliminate scaling issues before applying the full PIConGPU+MLapp pipeline"
-(Section IV-B).  The consumer reads every array of every step, measures
-the time needed for loading the data, and discards it.
+(Section IV-B).  The consumer takes every step off the stream, measures
+the time needed for loading it, and discards it.
 """
 
 from __future__ import annotations
@@ -22,16 +22,12 @@ class NoOpConsumer:
 
     broker: SSTBroker
     step_times: List[float] = field(default_factory=list)
-    step_bytes: List[int] = field(default_factory=list)
 
     def run(self) -> int:
         """Consume the next step (a writer alternates its puts with this);
         returns 1, or 0 once the stream has ended."""
-        step = self.broker.get_step()
-        if step is None:
-            return 0
         start = time.perf_counter()
-        nbytes = step.nbytes
+        if self.broker.get_step() is None:
+            return 0
         self.step_times.append(time.perf_counter() - start)
-        self.step_bytes.append(nbytes)
         return 1

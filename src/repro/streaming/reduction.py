@@ -3,8 +3,8 @@
 "Reducing simulation data close to the producer lowers bandwidth
 requirements" — the second of the three streaming aspects the paper
 identifies.  The reducers below operate on the per-step variables before
-they enter the stream; they are composable and each reports the compression
-factor it achieved so the workflow can account for the saved bandwidth.
+they enter the stream, and a pipeline composes them; the bytes that reach
+the stream are the producer's ``bytes_streamed``.
 
 Reduction is *lossy* in general (that is the point: "often done by
 discarding highly valuable data in practice"); the in-transit workflow makes
@@ -13,8 +13,7 @@ the loss explicit and controllable instead of dropping whole time steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -82,21 +81,11 @@ class ParticleSubsampleReducer(Reducer):
         return reduced
 
 
-@dataclass
-class ReductionReport:
-    """Bytes before/after one step's reduction."""
-
-    original_bytes: int
-    reduced_bytes: int
-    per_variable: Dict[str, float]
-
-
 class ReductionPipeline(Reducer):
-    """Apply several reducers in sequence and keep per-step statistics."""
+    """Apply several reducers in sequence, one streamed step at a time."""
 
     def __init__(self, reducers: Sequence[Reducer]) -> None:
         self.reducers = list(reducers)
-        self.reports: List[ReductionReport] = []
 
     def reduce(self, name: str, data: np.ndarray) -> np.ndarray:
         reduced = np.asarray(data)
@@ -105,22 +94,8 @@ class ReductionPipeline(Reducer):
         return reduced
 
     def reduce_step(self, variables: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-        """Reduce a whole step's variables and record a report."""
+        """Reduce a whole step's variables."""
         for reducer in self.reducers:
             if isinstance(reducer, ParticleSubsampleReducer):
                 reducer.new_step()
-        original_bytes = 0
-        reduced_bytes = 0
-        per_variable: Dict[str, float] = {}
-        out: Dict[str, np.ndarray] = {}
-        for name, data in variables.items():
-            data = np.asarray(data)
-            reduced = self.reduce(name, data)
-            out[name] = reduced
-            original_bytes += data.nbytes
-            reduced_bytes += reduced.nbytes
-            per_variable[name] = data.nbytes / max(reduced.nbytes, 1)
-        self.reports.append(ReductionReport(original_bytes=original_bytes,
-                                            reduced_bytes=reduced_bytes,
-                                            per_variable=per_variable))
-        return out
+        return {name: self.reduce(name, data) for name, data in variables.items()}

@@ -63,14 +63,3 @@ def setup_logging(level: Optional[Union[str, int]]) -> logging.Logger:
         logger.addHandler(handler)
     return logger
 
-
-def get_logger(name: str) -> logging.Logger:
-    """A module-level logger under the shared ``repro`` hierarchy.
-
-    Args:
-        name: the module's ``__name__`` (prefixed with ``repro.`` when it
-            is not already inside the package).
-    """
-    if name != "repro" and not name.startswith("repro."):
-        name = f"repro.{name}"
-    return logging.getLogger(name)

@@ -111,7 +111,6 @@ class WorkflowSession:
             raise ValueError("'pic' names the simulation's timer section, "
                              "not a consumer")
         self.brokers: Dict[str, SSTBroker] = {}
-        self.consumer_series: Dict[str, Series] = {}
         self.consumers: Dict[str, StreamConsumer] = {}
         for position, spec in enumerate(consumer_specs):
             broker = SSTBroker(f"{cfg.streaming.stream_name}#{spec.name}",
@@ -122,7 +121,6 @@ class WorkflowSession:
             stream_index = 4 if spec.name == self.PRIMARY_CONSUMER else 10 + position
             rng = seeded_rng(derive_seed(cfg.seed, stream_index))
             self.brokers[spec.name] = broker
-            self.consumer_series[spec.name] = series
             self.consumers[spec.name] = spec.factory(spec.name, series, self, rng)
         self.primary_name = names[0]
 

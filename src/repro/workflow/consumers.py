@@ -46,8 +46,6 @@ class StreamConsumer(abc.ABC):
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.iterations_consumed = 0
-        self.samples_consumed = 0
 
     def configure_run(self, keep_for_evaluation: int) -> None:
         """Per-run knobs pushed down by the session before driving starts."""
@@ -76,18 +74,15 @@ class MLAppConsumer(StreamConsumer):
 
     def consume(self, max_iterations: Optional[int] = None, *,
                 on_iteration: IterationCallback) -> int:
-        consumed = self.mlapp.consume(max_iterations=max_iterations,
-                                      keep_for_evaluation=self.keep_for_evaluation,
-                                      on_iteration=on_iteration)
-        self.iterations_consumed = self.mlapp.iterations_consumed
-        self.samples_consumed = self.mlapp.samples_consumed
-        return consumed
+        return self.mlapp.consume(max_iterations=max_iterations,
+                                  keep_for_evaluation=self.keep_for_evaluation,
+                                  on_iteration=on_iteration)
 
     def summary(self) -> Dict[str, object]:
         return {
             "kind": "mlapp",
-            "iterations_consumed": self.iterations_consumed,
-            "samples_consumed": self.samples_consumed,
+            "iterations_consumed": self.mlapp.iterations_consumed,
+            "samples_consumed": self.mlapp.trainer.samples_consumed,
             "training_iterations": len(self.mlapp.history),
             "final_losses": self.mlapp.loss_summary(),
         }
@@ -113,7 +108,8 @@ class HistogramMonitorConsumer(StreamConsumer):
         self.bin_edges = np.linspace(-MONITOR_RANGE, MONITOR_RANGE, MONITOR_BINS + 1)
         self.momentum_counts = np.zeros(MONITOR_BINS, dtype=np.int64)
         self.spectrum_sum: Optional[np.ndarray] = None
-        self.per_step_sample_counts: Dict[int, int] = {}
+        self.iterations_consumed = 0
+        self.samples_consumed = 0
 
     def consume(self, max_iterations: Optional[int] = None, *,
                 on_iteration: IterationCallback) -> int:
@@ -128,7 +124,6 @@ class HistogramMonitorConsumer(StreamConsumer):
             self.spectrum_sum = total if self.spectrum_sum is None \
                 else self.spectrum_sum + total
             n_samples = len(clouds)
-            self.per_step_sample_counts[step.index] = n_samples
             self.iterations_consumed += 1
             self.samples_consumed += n_samples
             consumed += 1

@@ -24,19 +24,12 @@ from repro.streaming.broker import SSTBroker, StreamClosedError
 from repro.streaming.step import Step
 
 
-def _copy_step(step: Step) -> Step:
-    """Copy every array so one consumer cannot mutate another's buffers."""
-    return Step(step.index, {path: data.copy() for path, data in step.arrays.items()},
-                dict(step.attributes))
-
-
 class FanOutBroker:
     """Writer-side tee over one bounded :class:`SSTBroker` per consumer.
 
-    The first live consumer receives the producer's buffers zero-copy (the
-    in-transit fast path); every further consumer gets its own copy, as
-    independent SST reader cohorts would — so no consumer can corrupt the
-    data another one trains on.
+    Every live consumer receives the same step, zero-copy.  The producer
+    streams read-only arrays, so no consumer can corrupt the data another
+    one trains on: a write raises instead.
     """
 
     def __init__(self, stream_name: str, downstreams: Sequence[SSTBroker]) -> None:
@@ -44,8 +37,6 @@ class FanOutBroker:
             raise ValueError("a FanOutBroker needs at least one downstream broker")
         self.stream_name = stream_name
         self.downstreams: List[SSTBroker] = list(downstreams)
-        self.steps_written = 0
-        self.bytes_written = 0
 
     # -- writer interface (what the writer Series calls) -------------------- #
     def put_step(self, step: Step) -> None:
@@ -55,15 +46,13 @@ class FanOutBroker:
             if broker.closed:
                 continue
             try:
-                broker.put_step(step if delivered == 0 else _copy_step(step))
+                broker.put_step(step)
             except StreamClosedError:
                 continue  # the consumer went away between the check and the put
             delivered += 1
         if delivered == 0:
             raise StreamClosedError(
                 f"stream {self.stream_name!r} has no live consumers left")
-        self.steps_written += 1
-        self.bytes_written += step.nbytes
 
     def close(self) -> None:
         for broker in self.downstreams:

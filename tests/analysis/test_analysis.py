@@ -156,7 +156,7 @@ class TestInversionEvaluation:
             "histogram_l1.approaching", "histogram_l1.receding",
             "histogram_l1.vortex", "surrogate_spectrum_mse",
             "latent_classifier_accuracy"}
-        assert report.n_evaluation_samples == 9
+        assert sum(ev.n_samples for ev in report.regions.values()) == 9
 
     def test_true_peaks_reflect_input_distributions(self, rng):
         config = ModelConfig()

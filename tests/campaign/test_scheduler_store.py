@@ -342,6 +342,42 @@ class TestRunCampaign:
         again = run_campaign(spec, store, worker=fake_worker, cache=cache)
         assert again.cache_hits == 0 and again.executed == 2 and again.done
 
+    def test_a_run_with_non_finite_fields_fails_and_is_never_cached(
+            self, tmp_path, monkeypatch):
+        """A plugin writes NaN into ``Ex`` in a real run's last step: the
+        step fails, so the run settles ``failed`` and the cache refuses it."""
+        from repro.campaign import ResultCache
+        from repro.pic.simulation import Plugin
+        from repro.workflow import WorkflowBuilder
+
+        spec = smoke_spec(repetitions=1)
+
+        class PoisonLastStep(Plugin):
+            order = 200
+
+            def on_step(self, simulation):
+                if simulation.step_index == spec.n_steps:
+                    simulation.grid.Ex[0, 0, 0] = float("nan")
+
+        build = WorkflowBuilder.build
+
+        def poisoned_build(builder):
+            session = build(builder)
+            session.simulation.add_plugin(PoisonLastStep())
+            return session
+
+        monkeypatch.setattr(WorkflowBuilder, "build", poisoned_build)
+        store = CampaignStore(str(tmp_path / "log.jsonl"))
+        cache = ResultCache(str(tmp_path / "cache"))
+        outcome = run_campaign(spec, store, SerialExecutor(), cache=cache,
+                               max_runs=1)
+        record = outcome.records[0]
+        assert record.status == STATUS_FAILED
+        assert record.error == (f"FloatingPointError: non-finite Ex after "
+                                f"step {spec.n_steps}")
+        assert statuses(store) == {"failed": 1}
+        assert cached_entries(cache) == 0
+
     def test_max_runs_bounds_a_launch(self, tmp_path):
         spec = smoke_spec()
         store = CampaignStore(str(tmp_path / "log.jsonl"))

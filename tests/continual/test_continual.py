@@ -56,7 +56,9 @@ class TestTrainingBuffer:
         for step in range(20):
             buffer.add(make_sample(step, rng))
         assert buffer.ep_count == 4
-        assert buffer.total_evicted == 20 - 2 - 4
+        # the now-buffer holds the newest two, the EP buffer four of the rest
+        assert sorted(s.step for s in buffer._now) == [18, 19]
+        assert {s.step for s in buffer._ep} <= set(range(18))
 
     def test_sample_batch_mixture(self, rng):
         buffer = TrainingBuffer(now_size=5, ep_size=10, n_ep=2, rng=rng)
@@ -112,7 +114,8 @@ class TestTrainingBuffer:
                                       spectrum=np.zeros(3), step=step))
         assert buffer.now_count <= now_size
         assert buffer.ep_count <= ep_size
-        assert buffer.total_added == n_samples
+        assert buffer.now_count + buffer.ep_count == min(n_samples,
+                                                         now_size + ep_size)
 
 
 class TestInTransitTrainer:

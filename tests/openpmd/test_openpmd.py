@@ -54,7 +54,7 @@ class TestSeriesWithBackends:
         assert [step.index for step in read] == [0, 1, 2, 3]
         for got, expected in zip(read, written):
             assert got is expected      # in transit: the step itself, no copy
-        assert broker.steps_read == 4
+        assert broker.queued_steps == 0
 
     def test_directory_store_roundtrip(self, rng, tmp_path):
         writer = Series(DirectoryStore(str(tmp_path)))

@@ -263,7 +263,8 @@ class TestDDPModel:
     def test_fractions_sum_to_one(self):
         model = DDPWeakScalingModel.paper_calibrated()
         for point in model.scan((8, 48, 96)):
-            total = point.compute_fraction + point.allreduce_fraction + point.mmd_fraction
+            total = (model.compute_time / point.step_time
+                     + point.allreduce_fraction + point.mmd_fraction)
             assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_invalid_nodes(self):

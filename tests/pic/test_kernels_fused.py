@@ -166,7 +166,7 @@ class TestDepositionEquivalence:
     def test_esirkepov_fused_rejects_large_displacement(self):
         grid = make_grid(cell=1.0e-6)
         old = np.array([[1.0e-6, 1.0e-6, 1.0e-6]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="less than one cell per step"):
             deposit_current_esirkepov(grid, old, old + 2.0e-6, 1.0,
                                       np.ones(1), 1e-13, Workspace())
 
@@ -177,13 +177,14 @@ class TestDepositionEquivalence:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_esirkepov_rejects_a_non_finite_position(self, deposit, bad, recwarn):
         """``NaN >= 1`` is False: the check must be "not all below one cell",
-        or the NaN is cast to a garbage index and lands in ``J``."""
+        or the NaN is cast to a garbage index and lands in ``J``; and the
+        error names the non-finite position, not a too-large move."""
         rng = np.random.default_rng(4)
         grid = make_grid()
         old, weights = random_particles(rng, grid, 40)
         new = old + 0.1 * grid.config.cell_size[0]
         new[17, 1] = bad
-        with pytest.raises(ValueError, match="less than one cell"):
+        with pytest.raises(ValueError, match="requires finite particle positions"):
             deposit(grid, old, new, 1.0, weights, 1e-15)
         assert not recwarn.list
         assert not grid.Jx.any() and not grid.Jy.any() and not grid.Jz.any()

@@ -52,6 +52,25 @@ class TestSimulationLoop:
         sim.run(3)
         assert events == ["start", "step", "step", "step", "finish"]
 
+    @pytest.mark.parametrize("name, bad", [("Ex", np.nan), ("Bz", np.inf)])
+    def test_a_non_finite_field_fails_its_step(self, name, bad):
+        """Even when a plugin writes it in the last step, which no later
+        deposit would see: the step raises and names the step."""
+        class Poison(Plugin):
+            order = 200
+
+            def on_step(self, simulation):
+                if simulation.step_index == 3:
+                    simulation.grid.component(name)[0, 1, 0] = bad
+
+        sim = make_khi_simulation(tiny_khi())
+        sim.add_plugin(Poison())
+        sim.step()
+        sim.step()
+        with pytest.raises(FloatingPointError,
+                           match=f"non-finite {name} after step 3"):
+            sim.step()
+
     def test_run_advances_n_steps(self):
         sim = make_khi_simulation(tiny_khi())
         assert sim.run(2) is None

@@ -80,7 +80,7 @@ class TestBroker:
 
 
 class TestNoOpConsumer:
-    def test_drains_stream_and_counts_bytes(self, rng):
+    def test_drains_stream_and_times_each_step(self, rng):
         broker = SSTBroker("sim", queue_limit=10)
         for i in range(4):
             broker.put_step(Step(i, {"data": rng.random(1000)}))
@@ -88,7 +88,6 @@ class TestNoOpConsumer:
         consumer = NoOpConsumer(broker)
         consumed = sum(iter(consumer.run, 0))
         assert consumed == 4
-        assert sum(consumer.step_bytes) == 4 * 8000
         assert len(consumer.step_times) == 4
 
     def test_max_steps_limit(self, rng):

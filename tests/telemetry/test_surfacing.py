@@ -17,7 +17,7 @@ from repro.campaign import (CampaignSpec, CampaignStore, get_campaign_preset,
 from repro.cli import main as cli_main
 from repro.service.client import ServiceClient
 from repro.service.server import create_server
-from repro.utils.logging import get_logger, resolve_level, setup_logging
+from repro.utils.logging import resolve_level, setup_logging
 
 
 def fake_worker(payload):
@@ -115,10 +115,6 @@ class TestLoggingSetup:
         assert resolve_level(None) == logging.WARNING
         with pytest.raises(ValueError, match="unknown log level"):
             resolve_level("loud")
-
-    def test_get_logger_prefixes_into_the_repro_tree(self):
-        assert get_logger("campaign.workers").name == "repro.campaign.workers"
-        assert get_logger("repro.service").name == "repro.service"
 
     def test_cli_rejects_unknown_level(self, capsys):
         assert cli_main(["--log-level", "loud", "presets"]) == 2

@@ -553,67 +553,79 @@ def test_ci_drives_the_documented_commands_the_census_counts_as_called():
     assert "repro.cli campaign watch" in scripts
 
 
-def profiled_run(tmp_path, code):
-    """What the census profiler records while ``python -c code`` runs: the
-    functions called, in order, and the argument keys."""
+#: What the profiler's own tests run, in one profiled interpreter: a call
+#: from a thread, an argument past :data:`MAX_KEYS` values, and a spawned
+#: child that reports to a file of its own
+PROFILED = """
+import multiprocessing
+import os
+import threading
+
+from repro.analysis.growth import fit_exponential_growth, identify_linear_phase
+from repro.utils.rng import seeded_rng
+
+if __name__ == "__main__":
+    identify_linear_phase([1.0, 2.0, 4.0, 8.0, 16.0])
+    identify_linear_phase([1.0, 2.0, 4.0, 8.0, 16.0])
+    thread = threading.Thread(target=fit_exponential_growth,
+                              args=([0, 1, 2, 3], [1.0, 2.0, 4.0, 8.0]))
+    thread.start()
+    thread.join()
+    for seed in range(5):
+        seeded_rng(seed)
+    os.environ["CALL_CENSUS_OUT"] = os.path.abspath("child.txt")
+    child = multiprocessing.get_context("spawn").Process(
+        target=fit_exponential_growth,
+        args=([0, 1, 2, 3], [1.0, 2.0, 4.0, 8.0], (0, 4)))
+    child.start()
+    child.join()
+    assert child.exitcode == 0
+"""
+
+
+@pytest.fixture(scope="module")
+def profiled(tmp_path_factory):
+    """What the census profiler records while :data:`PROFILED` runs: the
+    functions called, in order, and the argument keys, of the interpreter
+    (``parent``) and of the child it spawns (``child``)."""
+    tmp_path = tmp_path_factory.mktemp("profiled")
     (tmp_path / "sitecustomize.py").write_text(SITECUSTOMIZE)
     env = dict(os.environ, CALL_CENSUS_OUT=str(tmp_path / "calls.txt"),
                CALL_CENSUS_PACKAGE=str(PACKAGE.resolve()),
                CALL_CENSUS_DEFAULTED=str(write_defaulted(
                    tmp_path / "defaulted.json")),
                PYTHONPATH=os.pathsep.join([str(tmp_path), str(PACKAGE.parent)]))
-    subprocess.run([sys.executable, "-c", textwrap.dedent(code)], cwd=tmp_path,
-                   env=env, check=True, timeout=120)
+    subprocess.run([sys.executable, "-c", PROFILED], cwd=tmp_path, env=env,
+                   check=True, timeout=120)
     defined = definitions()
-    return (recorded(tmp_path / "calls.txt", defined),
-            argument_keys(tmp_path / "calls.txt", defined))
+    return types.SimpleNamespace(**{
+        name: (recorded(tmp_path / out, defined),
+               argument_keys(tmp_path / out, defined))
+        for name, out in (("parent", "calls.txt"), ("child", "child.txt"))})
 
 
-def test_the_profiler_records_each_function_once_and_threads_too(tmp_path):
-    records, keys = profiled_run(tmp_path, """
-        import threading
-        from repro.analysis.growth import fit_exponential_growth, identify_linear_phase
-        identify_linear_phase([1.0, 2.0, 4.0, 8.0, 16.0])
-        identify_linear_phase([1.0, 2.0, 4.0, 8.0, 16.0])
-        thread = threading.Thread(target=fit_exponential_growth,
-                                  args=([0, 1, 2, 3], [1.0, 2.0, 4.0, 8.0]))
-        thread.start()
-        thread.join()
-        """)
+def test_the_profiler_records_each_function_once_and_threads_too(profiled):
+    records, keys = profiled.parent
     assert len(records) == len(set(records))
     assert {"repro.analysis.growth:identify_linear_phase",
             "repro.analysis.growth:fit_exponential_growth",
             "repro.analysis.growth:_linear_fit"} <= set(records)
     # the thread's call: each parameter with a default, once per key
     growth = "repro.analysis.growth:fit_exponential_growth"
-    assert keys == {f"{growth}(window)": {"None"}, f"{growth}(floor)": {"0.0"}}
+    assert {key: values for key, values in keys.items()
+            if key.startswith("repro.analysis.growth:")} == {
+        f"{growth}(window)": {"None"}, f"{growth}(floor)": {"0.0"}}
 
 
-def test_the_profiler_follows_a_spawned_process(tmp_path):
-    """Only the child calls it: the census sees pool workers' calls."""
-    records, keys = profiled_run(tmp_path, """
-        import multiprocessing
-        from repro.analysis.growth import fit_exponential_growth
-        if __name__ == "__main__":
-            child = multiprocessing.get_context("spawn").Process(
-                target=fit_exponential_growth,
-                args=([0, 1, 2, 3], [1.0, 2.0, 4.0, 8.0], (0, 4)))
-            child.start()
-            child.join()
-            assert child.exitcode == 0
-        """)
+def test_the_profiler_follows_a_spawned_process(profiled):
+    """The child reports what it calls: the census sees pool workers'
+    calls."""
+    records, keys = profiled.child
     growth = "repro.analysis.growth:fit_exponential_growth"
     assert growth in records
     assert keys == {f"{growth}(window)": {"(0, 4)"}, f"{growth}(floor)": {"0.0"}}
 
 
-def test_the_profiler_keeps_at_most_max_keys_per_argument(tmp_path):
-    records, keys = profiled_run(tmp_path, """
-        from repro.analysis.growth import fit_exponential_growth
-        for floor in (0.0, 0.1, 0.2, 0.3, 0.4):
-            fit_exponential_growth([0, 1, 2, 3], [1.0, 2.0, 4.0, 8.0],
-                                   floor=floor)
-        """)
-    growth = "repro.analysis.growth:fit_exponential_growth"
-    assert keys[f"{growth}(floor)"] == {"0.0", "0.1", "0.2"}
-    assert keys[f"{growth}(window)"] == {"None"}
+def test_the_profiler_keeps_at_most_max_keys_per_argument(profiled):
+    _, keys = profiled.parent
+    assert keys["repro.utils.rng:seeded_rng(seed)"] == {"0", "1", "2"}

@@ -105,7 +105,7 @@ CENSUS_REMOVED = {
     "repro.utils.validation": ["broadcast_shapes", "check_in",
                                "check_probability", "check_shape"],
     "repro.continual.buffer:TrainingBuffer": ["batch_size", "ep_steps",
-                                              "now_steps"],
+                                              "now_steps", "__len__"],
     "repro.continual.trainer:TrainingHistory": ["latest"],
     "repro.core.checkpoint:CheckpointInfo": ["manifest_path"],
     "repro.core.config:WorkflowConfig": ["n_regions"],
@@ -131,7 +131,6 @@ CENSUS_REMOVED = {
     "repro.streaming.noop:NoOpConsumer": ["mean_step_time", "total_bytes"],
     "repro.streaming.reduction:Reducer": ["factor"],
     "repro.streaming.reduction:ReductionPipeline": ["total_factor"],
-    "repro.streaming.reduction:ReductionReport": ["factor", "saved_fraction"],
     "repro.telemetry": ["context_of"],
     "repro.telemetry.spans": ["context_of"],
     "repro.telemetry.spans:Timer": ["counts"],
@@ -253,6 +252,17 @@ class TestSurface:
         # layers, and the tests hold their gates
         for module in ("repro.pic.hotpath", "repro.campaign.hotpath"):
             assert importlib.util.find_spec(module) is None, module
+        # the per-step reduction reports and the machine label only
+        # FOMScalingModel.machine read (tests/test_state_census.py), the
+        # fan-out's copies and the second way to get a logger
+        for module, name in (("repro.streaming", "ReductionReport"),
+                             ("repro.streaming.reduction", "ReductionReport"),
+                             ("repro.workflow.fanout", "_copy_step"),
+                             ("repro.perfmodel", "SUMMIT"),
+                             ("repro.perfmodel.machines", "SUMMIT"),
+                             ("repro.utils", "get_logger"),
+                             ("repro.utils.logging", "get_logger")):
+            assert not hasattr(importlib.import_module(module), name), name
         # nothing read the figure of merit a simulation run returned: the
         # module went, its FOM weights live in repro.perfmodel.fom
         assert importlib.util.find_spec("repro.pic.fom") is None
@@ -614,7 +624,7 @@ class TestOptionsCensus:
         assert [field.name for field in dataclasses.fields(Step)] == [
             "index", "arrays", "attributes"]
         assert [field.name for field in dataclasses.fields(NoOpConsumer)] == [
-            "broker", "step_times", "step_bytes"]
+            "broker", "step_times"]
         assert parameters_of(NoOpConsumer.run) == []
         # a step is flat arrays: no engines, rank blocks or step protocol
         assert [name for name in ("SSTWriterEngine", "SSTReaderEngine",
@@ -778,9 +788,9 @@ class TestFigureModels:
         every Frontier-scale figure model lives in ``perfmodel``."""
         assert repro.streaming.__all__ == [
             "ParticleSubsampleReducer", "PrecisionReducer", "ReductionPipeline",
-            "ReductionReport", "Step", "SSTBroker", "NoOpConsumer"]
+            "Step", "SSTBroker", "NoOpConsumer"]
         assert repro.perfmodel.__all__ == [
-            "MachineSpec", "FRONTIER", "SUMMIT", "PlacementMode", "ResourcePlan",
+            "MachineSpec", "FRONTIER", "PlacementMode", "ResourcePlan",
             "FOMScalingModel", "StreamingScalingStudy", "StreamingScalingPoint",
             "measure_stream_throughput", "DDPWeakScalingModel", "DDPScalingPoint"]
         for module in ("repro.streaming.dataplane", "repro.streaming.throughput",

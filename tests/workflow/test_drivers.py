@@ -175,7 +175,8 @@ class TestFailureSurfacing:
         result = session.run(5)
         assert not result.ok
         assert isinstance(result.producer_exception, ValueError)
-        assert "less than one cell" in str(result.producer_exception)
+        assert "requires finite particle positions" in str(
+            result.producer_exception)
         assert not result.consumer_exceptions
         assert simulation.step_index == 2
         assert result.report.iterations_streamed == 2

@@ -172,7 +172,7 @@ class TestLifecycle:
 class TestFaults:
     @pytest.mark.parametrize("fault, message", [
         ("position", "must be finite"),          # the gather refuses it
-        ("momentum", "less than one cell"),      # the last deposit block does
+        ("momentum", "finite particle positions"),  # the last deposit block does
     ], ids=["position", "momentum"])
     def test_a_fault_on_the_helper_fails_the_run_and_adds_no_current(
             self, small_blocks, fault, message):
