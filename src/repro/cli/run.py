@@ -163,7 +163,8 @@ def _run(args: argparse.Namespace) -> int:
 
 
 def _presets(_: argparse.Namespace) -> int:
-    from repro.workflow import available_consumers, available_drivers, preset_rows
+    from repro.workflow import (HistogramMonitorConsumer, MLAppConsumer,
+                                PipelinedDriver, SerialDriver, preset_rows)
 
     print(f"{'preset':>12} {'grid':>12} {'ppc':>4} {'points':>7} "
           f"{'latent':>7} {'n_rep':>6} {'seed':>6}")
@@ -171,6 +172,6 @@ def _presets(_: argparse.Namespace) -> int:
         print(f"{row['name']:>12} {row['grid']:>12} {row['particles_per_cell']:>4} "
               f"{row['n_input_points']:>7} {row['latent_dim']:>7} "
               f"{row['n_rep']:>6} {row['seed']:>6}")
-    print(f"\ndrivers  : {', '.join(available_drivers())}")
-    print(f"consumers: {', '.join(available_consumers())}")
+    print(f"\ndrivers  : {PipelinedDriver.name}, {SerialDriver.name}")
+    print(f"consumers: {HistogramMonitorConsumer.kind}, {MLAppConsumer.kind}")
     return 0

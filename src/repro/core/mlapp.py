@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-import numpy as np
-
 from repro.analysis.regions import REGION_NAMES
 from repro.continual.buffer import TrainingBuffer, TrainingSample
 from repro.continual.trainer import InTransitTrainer

@@ -8,7 +8,6 @@ variations (Section IV-C).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np

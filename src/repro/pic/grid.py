@@ -19,7 +19,7 @@ which keeps the roll/curl operations on the innermost axis contiguous
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np

@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Iterator, Optional, Tuple
 from urllib.parse import urlparse
@@ -46,7 +45,7 @@ from repro.service.jobs import (EXECUTOR_OPTION_KEYS, CampaignJob,
                                 CampaignJobManager)
 from repro.service.sse import (EVENT_DONE, EVENT_DROPPED, EVENT_RUN,
                                EVENT_SNAPSHOT, format_comment, format_event)
-from repro.telemetry import REGISTRY, get_registry
+from repro.telemetry import REGISTRY
 from repro.utils.serialization import jsonable
 
 logger = logging.getLogger(__name__)
@@ -199,7 +198,7 @@ class CampaignServiceHandler(BaseHTTPRequestHandler):
 
     def _send_metrics(self) -> None:
         """Serve the process metrics registry in Prometheus text format."""
-        body = get_registry().render_prometheus().encode("utf-8")
+        body = REGISTRY.render_prometheus().encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type",
                          "text/plain; version=0.0.4; charset=utf-8")

@@ -23,7 +23,7 @@ instrumentation site reduces to a boolean test.
 
 from repro.telemetry.state import disabled, is_enabled, set_enabled
 from repro.telemetry.metrics import (Counter, Gauge, Histogram,
-                                     MetricsRegistry, REGISTRY, get_registry)
+                                     MetricsRegistry, REGISTRY)
 from repro.telemetry.spans import (Span, SpanRecorder, Timer, carry_trace,
                                    current_span, new_id, recording, span)
 from repro.telemetry.export import (TRACE_SUFFIX, TraceWriter, read_spans,
@@ -33,7 +33,6 @@ from repro.telemetry.render import render_trace, render_traces
 __all__ = [
     "disabled", "is_enabled", "set_enabled",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
-    "get_registry",
     "Span", "SpanRecorder", "Timer", "carry_trace", "current_span",
     "new_id", "recording", "span",
     "TRACE_SUFFIX", "TraceWriter", "read_spans", "trace_path_for",

@@ -239,8 +239,3 @@ class MetricsRegistry:
 
 #: The process-wide default registry every instrumented module uses.
 REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default :class:`MetricsRegistry`."""
-    return REGISTRY

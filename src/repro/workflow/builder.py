@@ -7,7 +7,8 @@ object reflects that — it assembles named components around one stream:
 * one **producer**: the KHI PIC simulation with the streaming output plugin,
 * one **stream**: a :class:`repro.workflow.fanout.FanOutBroker` teeing every
   step into a bounded per-consumer queue,
-* *N* **consumers** (the MLapp by default; more via the consumer registry),
+* its **consumers**: the MLapp, named ``mlapp``, and any histogram
+  monitors attached beside it,
 * one **execution driver** (serial / pipelined) that owns the
   run schedule and returns a uniform :class:`repro.workflow.report.RunResult`.
 
@@ -30,8 +31,7 @@ raises ``RuntimeError("session already consumed")``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Union
+from typing import Callable, Dict, List, Sequence, TYPE_CHECKING, Union
 
 from repro.core.config import WorkflowConfig
 from repro.core.producer import StreamingProducerPlugin
@@ -43,9 +43,8 @@ from repro.radiation.detector import RadiationDetector
 from repro.streaming.broker import SSTBroker
 from repro.telemetry.spans import Timer
 from repro.utils.rng import derive_seed, seeded_rng
-from repro.workflow.consumers import (ConsumerFactory, MLAppConsumer, StreamConsumer,
-                                      get_consumer_factory)
-from repro.workflow.drivers import ExecutionDriver, SerialDriver, get_driver
+from repro.workflow.consumers import HistogramMonitorConsumer, MLAppConsumer
+from repro.workflow.drivers import PipelinedDriver, SerialDriver, driver_for
 from repro.workflow.fanout import FanOutBroker
 from repro.workflow.presets import get_preset
 from repro.workflow.report import RunResult, WorkflowReport
@@ -60,36 +59,20 @@ StepHook = Callable[["WorkflowSession", int], None]
 IterationHook = Callable[["WorkflowSession", str, int, int], None]
 
 
-@dataclass
-class WorkflowHooks:
-    """Lifecycle callbacks observed by every driver."""
-
-    on_step: List[StepHook] = field(default_factory=list)
-    on_iteration_consumed: List[IterationHook] = field(default_factory=list)
-
-
-@dataclass
-class ConsumerSpec:
-    """A named consumer to attach to the session's stream."""
-
-    name: str
-    factory: ConsumerFactory
-
-
 class WorkflowSession:
     """One assembled, single-use coupled run.
 
     Prefer :class:`WorkflowBuilder` over calling this constructor directly.
     """
 
-    PRIMARY_CONSUMER = "mlapp"
-
-    def __init__(self, config: WorkflowConfig, driver: ExecutionDriver,
-                 consumer_specs: List[ConsumerSpec],
-                 hooks: WorkflowHooks) -> None:
+    def __init__(self, config: WorkflowConfig,
+                 driver: Union[SerialDriver, PipelinedDriver],
+                 monitors: Sequence[str], on_step: Sequence[StepHook],
+                 on_iteration_consumed: Sequence[IterationHook]) -> None:
         self.config = config
         self.driver = driver
-        self.hooks = hooks
+        self.on_step = list(on_step)
+        self.on_iteration_consumed = list(on_iteration_consumed)
         cfg = self.config
 
         # --- producer: PIC simulation + streaming output plugin ------------ #
@@ -102,27 +85,21 @@ class WorkflowSession:
         self.partition = RegionPartition(cfg.khi.grid_config, cfg.region_counts)
 
         # --- consumers: one bounded queue + reader series each -------------- #
-        if not consumer_specs:
-            raise ValueError("a workflow session needs at least one consumer")
-        names = [spec.name for spec in consumer_specs]
+        names = ["mlapp", *monitors]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate consumer names: {names}")
         if "pic" in names:
             raise ValueError("'pic' names the simulation's timer section, "
                              "not a consumer")
-        self.brokers: Dict[str, SSTBroker] = {}
-        self.consumers: Dict[str, StreamConsumer] = {}
-        for position, spec in enumerate(consumer_specs):
-            broker = SSTBroker(f"{cfg.streaming.stream_name}#{spec.name}",
-                               queue_limit=cfg.streaming.queue_limit)
-            series = Series(broker)
-            # the primary consumer keeps the seed's RNG derivation, so a
-            # default session reproduces the seed's results bit-for-bit
-            stream_index = 4 if spec.name == self.PRIMARY_CONSUMER else 10 + position
-            rng = seeded_rng(derive_seed(cfg.seed, stream_index))
-            self.brokers[spec.name] = broker
-            self.consumers[spec.name] = spec.factory(spec.name, series, self, rng)
-        self.primary_name = names[0]
+        self.brokers: Dict[str, SSTBroker] = {
+            name: SSTBroker(f"{cfg.streaming.stream_name}#{name}",
+                            queue_limit=cfg.streaming.queue_limit)
+            for name in names}
+        self.consumers: Dict[str, Union[MLAppConsumer, HistogramMonitorConsumer]] = {
+            "mlapp": MLAppConsumer(Series(self.brokers["mlapp"]), cfg.ml,
+                                   rng=seeded_rng(derive_seed(cfg.seed, 4)))}
+        for name in monitors:
+            self.consumers[name] = HistogramMonitorConsumer(Series(self.brokers[name]))
 
         # --- the stream: one writer teeing into every consumer queue -------- #
         self.fanout = FanOutBroker(cfg.streaming.stream_name,
@@ -143,8 +120,10 @@ class WorkflowSession:
         self._consumed = False
 
     # -- running ------------------------------------------------------------ #
-    def run(self, n_steps: int, keep_for_evaluation: int = 1) -> RunResult:
-        """Drive the session for ``n_steps`` with the configured driver."""
+    def run(self, n_steps: int, keep_for_evaluation: int = 0) -> RunResult:
+        """Drive the session for ``n_steps`` with the configured driver,
+        holding out ``keep_for_evaluation`` samples of every streamed
+        iteration for :meth:`evaluate`."""
         if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self._consumed:
@@ -152,18 +131,17 @@ class WorkflowSession:
                 "session already consumed: a stream cannot be rewound, build "
                 "a new WorkflowSession to run again")
         self._consumed = True
-        for consumer in self.consumers.values():
-            consumer.configure_run(keep_for_evaluation)
+        self.consumers["mlapp"].keep_for_evaluation = keep_for_evaluation
         return self.driver.execute(self, n_steps)
 
     # -- driver-facing helpers ----------------------------------------------- #
     def fire_step(self, step_index: int) -> None:
-        for hook in self.hooks.on_step:
+        for hook in self.on_step:
             hook(self, step_index)
 
     def notify_iteration(self, consumer_name: str, iteration_index: int,
                          n_samples: int) -> None:
-        for hook in self.hooks.on_iteration_consumed:
+        for hook in self.on_iteration_consumed:
             hook(self, consumer_name, iteration_index, n_samples)
 
     def queue_depth(self) -> int:
@@ -178,37 +156,31 @@ class WorkflowSession:
             n_steps=n_steps,
             iterations_streamed=self.producer.iterations_streamed,
             samples_streamed=self.producer.samples_streamed,
-            training_iterations=len(mlapp.history) if mlapp is not None else 0,
+            training_iterations=len(mlapp.history),
             bytes_streamed=self.producer.bytes_streamed,
             wall_time=wall_time,
             simulation_time=totals.get("pic", 0.0),
-            training_time=totals.get(self.primary_name, 0.0),
-            final_losses=mlapp.loss_summary() if mlapp is not None else {},
+            training_time=totals.get("mlapp", 0.0),
+            final_losses=mlapp.loss_summary(),
             loss_history_total=list(mlapp.history.series("total"))
-            if mlapp is not None and len(mlapp.history) else [],
+            if len(mlapp.history) else [],
         )
 
     # -- convenience accessors ------------------------------------------------ #
     @property
     def mlapp(self):
-        """The first training consumer's MLapp (``None`` if there is none)."""
-        for consumer in self.consumers.values():
-            if isinstance(consumer, MLAppConsumer):
-                return consumer.mlapp
-        return None
+        """The session's MLapp: the ``mlapp`` consumer's trainer."""
+        return self.consumers["mlapp"].mlapp
 
     @property
     def model(self):
-        mlapp = self.mlapp
-        return mlapp.model if mlapp is not None else None
+        return self.mlapp.model
 
     def evaluate(self, n_posterior_samples: int = 4) -> "InversionReport":
         """Evaluate the trained model on the held-out streamed samples (Fig. 9)."""
         from repro.analysis.evaluation import evaluate_inversion
 
         mlapp = self.mlapp
-        if mlapp is None:
-            raise RuntimeError("this session has no training consumer to evaluate")
         if not mlapp.evaluation_samples:
             raise RuntimeError("no evaluation samples were kept; run() with "
                                "keep_for_evaluation >= 1 first")
@@ -226,11 +198,10 @@ class WorkflowBuilder:
 
     def __init__(self) -> None:
         self._config = WorkflowConfig()
-        self._driver: Optional[ExecutionDriver] = None
-        self._consumer_specs: List[ConsumerSpec] = [
-            ConsumerSpec(WorkflowSession.PRIMARY_CONSUMER,
-                         get_consumer_factory("mlapp"))]
-        self._hooks = WorkflowHooks()
+        self._driver: Union[SerialDriver, PipelinedDriver] = SerialDriver()
+        self._monitors: List[str] = []
+        self._on_step: List[StepHook] = []
+        self._on_iteration_consumed: List[IterationHook] = []
 
     # -- configuration -------------------------------------------------------- #
     def config(self, config: WorkflowConfig) -> "WorkflowBuilder":
@@ -243,40 +214,32 @@ class WorkflowBuilder:
         return self
 
     # -- execution strategy ---------------------------------------------------- #
-    def driver(self, driver: Union[str, ExecutionDriver],
-               **driver_kwargs) -> "WorkflowBuilder":
-        """Select the execution driver by name or instance."""
-        if isinstance(driver, ExecutionDriver):
-            if driver_kwargs:
-                raise ValueError("driver kwargs only apply when passing a name")
-            self._driver = driver
-        else:
-            self._driver = get_driver(driver, **driver_kwargs)
+    def driver(self, driver: str, **driver_kwargs) -> "WorkflowBuilder":
+        """Select the execution driver by name: ``serial`` (the default)
+        or ``pipelined``."""
+        self._driver = driver_for(driver, **driver_kwargs)
         return self
 
     # -- consumers -------------------------------------------------------------- #
     def add_consumer(self, name: str, kind: str) -> "WorkflowBuilder":
-        """Attach an additional consumer called ``name``, of a registered
-        ``kind`` (see :func:`repro.workflow.consumers.available_consumers`),
-        to the stream."""
-        self._consumer_specs.append(ConsumerSpec(name, get_consumer_factory(kind)))
+        """Attach a consumer called ``name`` to the stream beside the MLapp;
+        its ``kind`` is ``histogram-monitor``."""
+        if kind != HistogramMonitorConsumer.kind:
+            raise ValueError(f"unknown consumer kind {kind!r}; valid kinds: "
+                             f"{HistogramMonitorConsumer.kind}")
+        self._monitors.append(name)
         return self
 
     # -- lifecycle hooks ---------------------------------------------------------- #
     def on_step(self, hook: StepHook) -> "WorkflowBuilder":
-        self._hooks.on_step.append(hook)
+        self._on_step.append(hook)
         return self
 
     def on_iteration_consumed(self, hook: IterationHook) -> "WorkflowBuilder":
-        self._hooks.on_iteration_consumed.append(hook)
+        self._on_iteration_consumed.append(hook)
         return self
 
     # -- assembly --------------------------------------------------------------- #
     def build(self) -> WorkflowSession:
-        hooks = WorkflowHooks(on_step=list(self._hooks.on_step),
-                              on_iteration_consumed=list(
-                                  self._hooks.on_iteration_consumed))
-        return WorkflowSession(config=self._config,
-                               driver=self._driver or SerialDriver(),
-                               consumer_specs=list(self._consumer_specs),
-                               hooks=hooks)
+        return WorkflowSession(self._config, self._driver, self._monitors,
+                               self._on_step, self._on_iteration_consumed)

@@ -1,76 +1,51 @@
-"""Stream consumers: pluggable reader applications of one workflow stream.
+"""Stream consumers: the reader applications of one workflow stream.
 
 In the paper any number of independent consumer applications can attach to
 the openPMD-over-SST stream — the MLapp is simply the one that trains.
-This module gives consumers a uniform shape (:class:`StreamConsumer`) so
-that :class:`repro.workflow.builder.WorkflowSession` can fan one producer
-stream out to several of them, and a small registry so that the CLI and
-configs can name them.  A consumer reads its own
-:class:`repro.openpmd.Series`, whose iterations are
-:class:`repro.streaming.Step` dicts keyed by openPMD record path.
-
-Two consumers ship by default:
+:class:`repro.workflow.builder.WorkflowSession` fans one producer stream out
+to its consumers, each reading its own :class:`repro.openpmd.Series`, whose
+iterations are :class:`repro.streaming.Step` dicts keyed by openPMD record
+path.  Both kinds answer the drivers' two calls, ``consume`` and
+``summary``:
 
 * :class:`MLAppConsumer` — wraps :class:`repro.core.mlapp.MLApp`, the
-  in-transit trainer (the primary consumer of every session),
+  in-transit trainer (every session has one, named ``mlapp``),
 * :class:`HistogramMonitorConsumer` — a lightweight monitoring application
   that histograms streamed momenta and tracks spectra without training,
-  the kind of live diagnostic the loose coupling is meant to enable.
+  the kind of live diagnostic the loose coupling is meant to enable
+  (``add_consumer(name, kind="histogram-monitor")``).
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Callable, Dict, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from repro.analysis.regions import FLOW_MOMENTUM_COLUMN
+from repro.core.config import MLConfig
 from repro.core.mlapp import MLApp
 from repro.core.producer import POINT_CLOUDS, SPECTRA
 from repro.openpmd.series import Series
 from repro.utils.rng import RandomState
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.workflow.builder import WorkflowSession
-
 #: Called after a consumer finishes one iteration: ``(iteration_index, n_samples)``.
 IterationCallback = Callable[[int, int], None]
 
-#: Builds a consumer: ``factory(name, series, session, rng) -> StreamConsumer``.
-ConsumerFactory = Callable[[str, Series, "WorkflowSession", RandomState], "StreamConsumer"]
 
+class MLAppConsumer:
+    """The paper's MLapp as a session consumer: trains the VAE+INN in transit.
 
-class StreamConsumer(abc.ABC):
-    """One reader application attached to the workflow stream."""
+    :attr:`keep_for_evaluation` is the samples per iteration the run holds
+    out for :meth:`~repro.workflow.builder.WorkflowSession.evaluate`;
+    :meth:`~repro.workflow.builder.WorkflowSession.run` sets it.
+    """
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    kind = "mlapp"
 
-    def configure_run(self, keep_for_evaluation: int) -> None:
-        """Per-run knobs pushed down by the session before driving starts."""
-
-    @abc.abstractmethod
-    def consume(self, max_iterations: Optional[int] = None,
-                on_iteration: Optional[IterationCallback] = None) -> int:
-        """Read up to ``max_iterations`` from the stream (all, if ``None``)."""
-
-    @abc.abstractmethod
-    def summary(self) -> Dict[str, object]:
-        """A JSON-able digest of what this consumer did."""
-
-
-class MLAppConsumer(StreamConsumer):
-    """The paper's MLapp as a session consumer: trains the VAE+INN in transit."""
-
-    def __init__(self, name: str, series: Series, session: "WorkflowSession",
-                 rng: np.random.Generator) -> None:
-        super().__init__(name)
-        self.mlapp = MLApp(series, session.config.ml, rng=rng)
+    def __init__(self, series: Series, config: MLConfig, rng: RandomState) -> None:
+        self.mlapp = MLApp(series, config, rng=rng)
         self.keep_for_evaluation = 0
-
-    def configure_run(self, keep_for_evaluation: int) -> None:
-        self.keep_for_evaluation = int(keep_for_evaluation)
 
     def consume(self, max_iterations: Optional[int] = None, *,
                 on_iteration: IterationCallback) -> int:
@@ -80,7 +55,7 @@ class MLAppConsumer(StreamConsumer):
 
     def summary(self) -> Dict[str, object]:
         return {
-            "kind": "mlapp",
+            "kind": self.kind,
             "iterations_consumed": self.mlapp.iterations_consumed,
             "samples_consumed": self.mlapp.trainer.samples_consumed,
             "training_iterations": len(self.mlapp.history),
@@ -94,7 +69,7 @@ MONITOR_BINS = 16
 MONITOR_RANGE = 0.5
 
 
-class HistogramMonitorConsumer(StreamConsumer):
+class HistogramMonitorConsumer:
     """A monitoring consumer: histograms momenta, averages spectra, trains nothing.
 
     It only touches the ``ml_samples`` records, demonstrating that a second
@@ -102,8 +77,9 @@ class HistogramMonitorConsumer(StreamConsumer):
     the trainer (or even about the raw particle records).
     """
 
-    def __init__(self, name: str, series: Series) -> None:
-        super().__init__(name)
+    kind = "histogram-monitor"
+
+    def __init__(self, series: Series) -> None:
         self.series = series
         self.bin_edges = np.linspace(-MONITOR_RANGE, MONITOR_RANGE, MONITOR_BINS + 1)
         self.momentum_counts = np.zeros(MONITOR_BINS, dtype=np.int64)
@@ -141,41 +117,9 @@ class HistogramMonitorConsumer(StreamConsumer):
     def summary(self) -> Dict[str, object]:
         mean = self.mean_spectrum
         return {
-            "kind": "histogram-monitor",
+            "kind": self.kind,
             "iterations_consumed": self.iterations_consumed,
             "samples_consumed": self.samples_consumed,
             "momentum_histogram": self.momentum_counts.tolist(),
             "mean_spectrum_peak": None if mean is None else float(mean.max()),
         }
-
-
-# --------------------------------------------------------------------------- #
-# registry
-# --------------------------------------------------------------------------- #
-def _make_mlapp(name: str, series: Series, session: "WorkflowSession",
-                rng: RandomState) -> StreamConsumer:
-    return MLAppConsumer(name, series, session, rng=rng)
-
-
-def _make_histogram_monitor(name: str, series: Series, session: "WorkflowSession",
-                            rng: RandomState) -> StreamConsumer:
-    return HistogramMonitorConsumer(name, series)
-
-
-_CONSUMER_FACTORIES: Dict[str, ConsumerFactory] = {
-    "mlapp": _make_mlapp,
-    "histogram-monitor": _make_histogram_monitor,
-}
-
-
-def available_consumers() -> tuple:
-    return tuple(sorted(_CONSUMER_FACTORIES))
-
-
-def get_consumer_factory(kind: str) -> ConsumerFactory:
-    try:
-        return _CONSUMER_FACTORIES[kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown consumer kind {kind!r}; valid kinds: "
-            f"{', '.join(available_consumers())}") from None

@@ -35,7 +35,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from functools import partial
-from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Type
+from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Union
 
 from repro.streaming.broker import StreamClosedError
 from repro.telemetry.spans import carry_trace
@@ -109,16 +109,7 @@ def _true_producer_error(producer_error: Optional[BaseException],
     return producer_error
 
 
-class ExecutionDriver:
-    """Strategy interface: drive a session for ``n_steps`` steps."""
-
-    name: str = "abstract"
-
-    def execute(self, session: "WorkflowSession", n_steps: int) -> RunResult:
-        raise NotImplementedError
-
-
-class SerialDriver(ExecutionDriver):
+class SerialDriver:
     """Alternate one simulation step with draining every consumer's queue."""
 
     name = "serial"
@@ -187,7 +178,7 @@ WAIT_TIMEOUT_S = 60.0
 JOIN_TIMEOUT_S = 300.0
 
 
-class PipelinedDriver(ExecutionDriver):
+class PipelinedDriver:
     """The simulation in a producer thread, every consumer in its own thread.
 
     The bounded SST queues couple the threads (the paper's co-scheduled
@@ -366,24 +357,12 @@ class PipelinedDriver(ExecutionDriver):
 _ConcurrentDriverBase = PipelinedDriver
 
 
-# --------------------------------------------------------------------------- #
-# registry
-# --------------------------------------------------------------------------- #
-_DRIVERS: Dict[str, Type[ExecutionDriver]] = {
-    SerialDriver.name: SerialDriver,
-    PipelinedDriver.name: PipelinedDriver,
-}
-
-
-def available_drivers() -> tuple:
-    return tuple(sorted(_DRIVERS))
-
-
-def get_driver(name: str, **kwargs) -> ExecutionDriver:
-    """Instantiate a driver by name (``serial``, ``pipelined``)."""
-    try:
-        driver_cls = _DRIVERS[name]
-    except KeyError:
-        raise ValueError(f"unknown driver {name!r}; valid drivers: "
-                         f"{', '.join(available_drivers())}") from None
-    return driver_cls(**kwargs)
+def driver_for(name: str, **kwargs) -> Union[SerialDriver, PipelinedDriver]:
+    """The driver called ``name`` (``serial`` or ``pipelined``), built with
+    ``kwargs``."""
+    if name == SerialDriver.name:
+        return SerialDriver(**kwargs)
+    if name == PipelinedDriver.name:
+        return PipelinedDriver(**kwargs)
+    raise ValueError(f"unknown driver {name!r}; valid drivers: "
+                     f"{PipelinedDriver.name}, {SerialDriver.name}")

@@ -1,7 +1,7 @@
 """Uniform result types of the composable workflow API.
 
-Every :class:`repro.workflow.drivers.ExecutionDriver` — serial or
-pipelined — returns the same two-level result: a :class:`WorkflowReport`
+Both drivers of :mod:`repro.workflow.drivers` — serial and
+pipelined — return the same two-level result: a :class:`WorkflowReport`
 with the producer/trainer accounting (the schema the seed API already used)
 wrapped in a :class:`RunResult` that adds driver metadata, per-consumer
 summaries and any exceptions raised concurrently.  Callers therefore never

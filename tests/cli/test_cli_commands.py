@@ -14,13 +14,14 @@ import re
 import pytest
 
 from repro.cli import main as cli_main
-from repro.workflow import available_drivers, available_presets
+from repro.workflow import available_presets
 
+DRIVERS = ("pipelined", "serial")
 TINY = ["--grid", "6", "12", "2", "--particles-per-cell", "3", "--n-rep", "1"]
 
 
 class TestRunCommand:
-    @pytest.mark.parametrize("driver", available_drivers())
+    @pytest.mark.parametrize("driver", DRIVERS)
     def test_run_with_every_driver(self, capsys, driver):
         assert cli_main(["run", "--steps", "2", "--driver", driver] + TINY) == 0
         out = capsys.readouterr().out
@@ -45,8 +46,7 @@ class TestRunCommand:
     def test_run_with_unknown_driver_prints_helpful_error(self, capsys):
         assert cli_main(["run", "--steps", "1", "--driver", "quantum"] + TINY) == 2
         err = capsys.readouterr().err
-        for name in available_drivers():
-            assert name in err
+        assert err.rstrip().endswith("valid drivers: pipelined, serial")
 
     def test_run_with_missing_config_file_prints_error(self, capsys):
         assert cli_main(["run", "--steps", "1",
@@ -222,8 +222,8 @@ class TestPresetsCommand:
         out = capsys.readouterr().out
         for name in available_presets():
             assert name in out
-        for name in available_drivers():
-            assert name in out
+        assert "drivers  : pipelined, serial\nconsumers: histogram-monitor, mlapp\n" \
+            in out
         assert "192x256x12" in out  # the paper preset's grid
 
 

@@ -23,6 +23,7 @@ minutes); run it with ``pytest --runslow tests/test_call_census.py``.
 from __future__ import annotations
 
 import ast
+import functools
 import inspect
 import json
 import numbers
@@ -97,11 +98,6 @@ ALLOWED = {
              "WorkflowConfig.to_file"),
     **_allow("2: the hook every executor implements", "repro.campaign.scheduler",
              "CampaignExecutor.execute"),
-    **_allow("2: the hook every driver implements", "repro.workflow.drivers",
-             "ExecutionDriver.execute"),
-    **_allow("2: the hooks every consumer implements",
-             "repro.workflow.consumers", "StreamConsumer.consume",
-             "StreamConsumer.summary"),
     **_allow("2: the hook every reducer implements",
              "repro.streaming.reduction", "Reducer.reduce"),
     **_allow("2: a plugin's default hooks", "repro.pic.simulation",
@@ -303,9 +299,18 @@ def run_traffic(scratch: Path, out: Path) -> None:
             f"CI step {job} / {name} failed:\n{done.stdout}\n{done.stderr}")
 
 
-def functions():
+@functools.lru_cache(maxsize=None)
+def parse(path: Path) -> ast.Module:
+    """``path``'s syntax tree, parsed once a session: the call, state and
+    import censuses all read it."""
+    return ast.parse(path.read_text(), str(path))
+
+
+@functools.lru_cache(maxsize=None)
+def functions() -> tuple:
     """``((path, first line), module:qualname, node)`` of every function
-    in ``src/repro``, the key being what its code object reports."""
+    in ``src/repro``, the key being what its code object reports; parsed
+    once a session."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
@@ -324,8 +329,8 @@ def functions():
                 else:
                     visit(child, prefix)
 
-        visit(ast.parse(path.read_text(), str(path)), "")
-    return found
+        visit(parse(path), "")
+    return tuple(found)
 
 
 def definitions():

@@ -34,6 +34,7 @@ import repro.mlcore
 import repro.openpmd
 import repro.perfmodel
 import repro.streaming
+import repro.workflow
 from repro.campaign import (CampaignExecutor, CampaignSpec, SerialExecutor,
                             WorkerPool, WorkerPoolExecutor, executor_for,
                             get_campaign_preset)
@@ -74,12 +75,13 @@ from repro.service import jobs, parse_submission
 from repro.service import sse as service_sse
 from repro.service.bus import RunEventBus
 from repro.streaming import NoOpConsumer, SSTBroker, Step
-from repro.workflow import (WorkflowBuilder, WorkflowSession,
-                            available_drivers, available_presets, get_driver,
-                            get_preset)
+from repro.workflow import (HistogramMonitorConsumer, MLAppConsumer,
+                            WorkflowBuilder, WorkflowSession, available_presets,
+                            driver_for, get_preset)
+from repro.workflow import builder as workflow_builder
+from repro.workflow import consumers as workflow_consumers
 from repro.workflow import drivers as workflow_drivers
 from repro.workflow import learning
-from repro.workflow.builder import ConsumerSpec, WorkflowHooks
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -222,7 +224,9 @@ repro.workflow.fanout:FanOutBroker.put_step timeout
 
 class TestSurface:
     def test_removed_names_are_gone_not_aliased(self):
-        assert available_drivers() == ("pipelined", "serial")
+        assert [type(driver_for(name)).__name__
+                for name in ("pipelined", "serial")] == ["PipelinedDriver",
+                                                         "SerialDriver"]
         for name in ("thread", "process", "sharded"):
             with pytest.raises(ValueError, match="unknown executor .*; "
                                "valid executors: serial, workers$"):
@@ -232,10 +236,29 @@ class TestSurface:
             assert [name for name in ("register_executor", "get_executor",
                                       "_EXECUTORS", "TimeoutWarning")
                     if hasattr(owner, name)] == []
-        with pytest.raises(ValueError, match="pipelined, serial"):
-            get_driver("threaded")
-        with pytest.raises(ValueError, match="pipelined, serial"):
-            WorkflowBuilder().driver("threaded")
+        for resolve in (driver_for, WorkflowBuilder().driver):
+            with pytest.raises(ValueError,
+                               match="valid drivers: pipelined, serial$"):
+                resolve("threaded")
+        # the closed driver and consumer registries, their base classes and
+        # the session's records: a session is its MLapp and its monitors
+        for owner, names in (
+                (repro.workflow, ["ExecutionDriver", "available_drivers",
+                                  "get_driver", "StreamConsumer",
+                                  "available_consumers", "get_consumer_factory",
+                                  "ConsumerSpec", "WorkflowHooks"]),
+                (workflow_drivers, ["ExecutionDriver", "_DRIVERS",
+                                    "available_drivers", "get_driver"]),
+                (workflow_consumers, ["StreamConsumer", "ConsumerFactory",
+                                      "_make_mlapp", "_make_histogram_monitor",
+                                      "_CONSUMER_FACTORIES",
+                                      "available_consumers",
+                                      "get_consumer_factory"]),
+                (workflow_builder, ["WorkflowHooks", "ConsumerSpec"]),
+                (WorkflowSession, ["PRIMARY_CONSUMER"]),
+                (MLAppConsumer, ["configure_run"]),
+                (HistogramMonitorConsumer, ["configure_run"])):
+            assert [name for name in names if hasattr(owner, name)] == [], owner
         # every campaign run uses the serial driver: a spec names none
         with pytest.raises(ValueError,
                            match=r"unknown CampaignSpec keys \['driver'\]"):
@@ -261,7 +284,9 @@ class TestSurface:
                              ("repro.perfmodel", "SUMMIT"),
                              ("repro.perfmodel.machines", "SUMMIT"),
                              ("repro.utils", "get_logger"),
-                             ("repro.utils.logging", "get_logger")):
+                             ("repro.utils.logging", "get_logger"),
+                             ("repro.telemetry", "get_registry"),
+                             ("repro.telemetry.metrics", "get_registry")):
             assert not hasattr(importlib.import_module(module), name), name
         # nothing read the figure of merit a simulation run returned: the
         # module went, its FOM weights live in repro.perfmodel.fom
@@ -275,7 +300,6 @@ class TestSurface:
             owner = importlib.import_module(module)
             owner = getattr(owner, cls) if cls else owner
             assert [name for name in names if name in vars(owner)] == [], path
-        assert field_names(WorkflowHooks) == ["on_step", "on_iteration_consumed"]
 
     def test_parameters_the_argument_census_removed_are_gone(self):
         for path, names in CENSUS_REMOVED_PARAMETERS.items():
@@ -633,11 +657,12 @@ class TestOptionsCensus:
                 if hasattr(repro.streaming, name)] == []
         assert importlib.util.find_spec("repro.streaming.engine") is None
         assert importlib.util.find_spec("repro.streaming.variable") is None
-        assert parameters_of(WorkflowSession.__init__) == [
-            "config", "driver", "consumer_specs", "hooks"]
         # every consumer queue is streaming.queue_limit deep
-        assert field_names(ConsumerSpec) == ["name", "factory"]
+        assert parameters_of(WorkflowSession.__init__) == [
+            "config", "driver", "monitors", "on_step", "on_iteration_consumed"]
         assert parameters_of(WorkflowBuilder.add_consumer) == ["name", "kind"]
+        assert parameters_of(MLAppConsumer.__init__) == ["series", "config", "rng"]
+        assert parameters_of(HistogramMonitorConsumer.__init__) == ["series"]
         assert parameters_of(InTransitTrainer.__init__) == [
             "model", "optimizer", "buffer", "loss", "n_rep"]
         assert [field.name for field in dataclasses.fields(StreamingConfig)] \

@@ -19,13 +19,12 @@ call census's four reasons to stay (``tests/test_call_census.py``).
 from __future__ import annotations
 
 import ast
-import functools
 import re
 from pathlib import Path
 
 import pytest
 
-from test_call_census import ci_steps
+from test_call_census import ci_steps, parse
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
@@ -58,11 +57,6 @@ ALLOWED_STATE = {
 #: a call on an attribute with one of these names writes through it
 MUTATORS = frozenset({"append", "appendleft", "extend", "add", "update",
                       "insert", "clear"})
-
-
-@functools.lru_cache(maxsize=None)
-def _parse(path: Path) -> ast.Module:
-    return ast.parse(path.read_text(), str(path))
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -125,7 +119,7 @@ def state() -> dict:
     found = {}
     for path in sorted(PACKAGE.rglob("*.py")):
         module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
-        found.update(state_of(_parse(path), module.removesuffix(".__init__")))
+        found.update(state_of(parse(path), module.removesuffix(".__init__")))
     return found
 
 
@@ -159,7 +153,7 @@ def reads() -> set:
     for directory in (PACKAGE, ROOT / "bench", ROOT / "examples"):
         for path in sorted(directory.rglob("*.py")):
             if "tests" not in path.relative_to(ROOT).parts:
-                names |= reads_of(_parse(path))
+                names |= reads_of(parse(path))
     for _, _, script in ci_steps():
         names |= set(re.findall(r"\.([A-Za-z_]\w*)", script))
     return names

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.producer import POINT_CLOUDS
-from repro.workflow import consumers
-from repro.workflow import (HistogramMonitorConsumer, WorkflowBuilder,
-                            WorkflowSession, available_consumers,
-                            get_consumer_factory)
+from repro.workflow import HistogramMonitorConsumer, WorkflowBuilder
+from repro.workflow import builder as workflow_builder
 from tests.core.test_artificial_scientist import tiny_config
 
 
@@ -57,6 +55,13 @@ class TestSessionBasics:
         # a failed validation does not consume the session
         assert session.run(1).ok
 
+    def test_a_default_run_holds_out_nothing(self):
+        session = build_session()
+        assert session.run(3).ok
+        assert session.mlapp.evaluation_samples == []
+        with pytest.raises(RuntimeError, match="no evaluation samples were kept"):
+            session.evaluate()
+
     def test_evaluate_after_run(self):
         session = build_session()
         session.run(3, keep_for_evaluation=2)
@@ -74,16 +79,10 @@ class TestSessionBasics:
             WorkflowBuilder().preset("gigantic")
         with pytest.raises(ValueError, match="valid drivers"):
             WorkflowBuilder().driver("quantum")
-        with pytest.raises(ValueError, match="valid kinds"):
-            WorkflowBuilder().add_consumer("x", kind="does-not-exist")
-
-    def test_consumer_kinds_are_the_registry(self):
-        assert available_consumers() == ("histogram-monitor", "mlapp")
-        assert all(callable(get_consumer_factory(kind))
-                   for kind in available_consumers())
-        with pytest.raises(ValueError,
-                           match="valid kinds: histogram-monitor, mlapp$"):
-            get_consumer_factory("custom")
+        # the session's one MLapp is built in; a monitor is what attaches
+        for kind in ("does-not-exist", "mlapp"):
+            with pytest.raises(ValueError, match="valid kinds: histogram-monitor$"):
+                WorkflowBuilder().add_consumer("x", kind=kind)
 
 
 class TestFanOut:
@@ -117,13 +116,13 @@ class TestFanOut:
                         break
                 return consumed
 
-        monkeypatch.setitem(consumers._CONSUMER_FACTORIES, "vandal",
-                            lambda name, series, s, rng: VandalConsumer(name, series))
+        monkeypatch.setattr(workflow_builder, "HistogramMonitorConsumer",
+                            VandalConsumer)
 
         def run(with_vandal):
             builder = WorkflowBuilder().config(tiny_config(n_rep=1)).driver("serial")
             if with_vandal:
-                builder.add_consumer("vandal", kind="vandal")
+                builder.add_consumer("vandal", kind="histogram-monitor")
             return builder.build().run(3)
 
         vandalised, alone = run(True), run(False)
@@ -171,4 +170,5 @@ class TestSessionAccessors:
         session = build_session()
         assert session.mlapp is session.consumers["mlapp"].mlapp
         assert session.model is session.mlapp.model
-        assert session.primary_name == WorkflowSession.PRIMARY_CONSUMER
+        assert [name for name in ("primary_name", "hooks")
+                if hasattr(session, name)] == []

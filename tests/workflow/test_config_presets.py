@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.config import MLConfig, StreamingConfig, WorkflowConfig
+from repro.core.config import WorkflowConfig
 from repro.workflow import available_presets, get_preset, preset_rows
 
 

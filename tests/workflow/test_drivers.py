@@ -12,10 +12,11 @@ import pytest
 from repro.continual.trainer import InTransitTrainer
 from repro.pic import kernels
 from repro.telemetry import SpanRecorder, recording, span
-from repro.workflow import (PipelinedDriver, WorkflowBuilder, available_drivers,
-                            get_driver)
+from repro.workflow import PipelinedDriver, WorkflowBuilder, driver_for
 from repro.workflow.drivers import HELPER_THREAD
 from tests.core.test_artificial_scientist import tiny_config
+
+DRIVERS = ("pipelined", "serial")
 
 
 def run_with(driver, n_steps=3, n_rep=1, **kwargs):
@@ -46,7 +47,7 @@ def crash_both_sides():
 
 
 class TestDriverParity:
-    @pytest.mark.parametrize("driver", available_drivers())
+    @pytest.mark.parametrize("driver", DRIVERS)
     def test_every_driver_same_schema_and_accounting(self, driver):
         result = run_with(driver)
         assert result.ok, (result.producer_exception, result.consumer_exceptions)
@@ -59,9 +60,9 @@ class TestDriverParity:
         assert report.final_losses["total"] > 0
 
     def test_all_drivers_identical_summary_keys(self):
-        summaries = [set(run_with(d).report.summary()) for d in available_drivers()]
+        summaries = [set(run_with(d).report.summary()) for d in DRIVERS]
         assert all(keys == summaries[0] for keys in summaries)
-        results = [run_with(d) for d in available_drivers()]
+        results = [run_with(d) for d in DRIVERS]
         assert all(set(r.summary()) == set(results[0].summary()) for r in results)
 
     def test_drivers_train_identically_for_the_same_seed(self):
@@ -87,15 +88,15 @@ class TestDriverParity:
         with pytest.raises(ValueError):
             PipelinedDriver(max_in_flight=0)
 
-    def test_get_driver_error_lists_choices(self):
+    def test_driver_for_error_lists_choices(self):
         with pytest.raises(ValueError) as excinfo:
-            get_driver("warp")
-        for name in available_drivers():
+            driver_for("warp")
+        for name in DRIVERS:
             assert name in str(excinfo.value)
 
 
 class TestTiming:
-    @pytest.mark.parametrize("driver", available_drivers())
+    @pytest.mark.parametrize("driver", DRIVERS)
     def test_the_report_reads_the_session_timer(self, driver):
         session = (WorkflowBuilder().config(tiny_config()).driver(driver)
                    .add_consumer("monitor", kind="histogram-monitor").build())
@@ -108,7 +109,7 @@ class TestTiming:
         assert report.simulation_time == totals["pic"]
         assert report.training_time == totals["mlapp"]
 
-    @pytest.mark.parametrize("driver", available_drivers())
+    @pytest.mark.parametrize("driver", DRIVERS)
     def test_on_step_hooks_run_outside_the_timed_step(self, driver):
         def hook(session, index):
             with span("hook", {}, None):
@@ -158,7 +159,7 @@ class TestFailureSurfacing:
         with pytest.raises(RuntimeError, match="simulated consumer crash"):
             result.raise_if_failed()
 
-    @pytest.mark.parametrize("driver", available_drivers())
+    @pytest.mark.parametrize("driver", DRIVERS)
     def test_a_nan_position_mid_run_fails_the_run(self, driver):
         """A momentum that goes NaN after step 2 makes step 3's new position
         NaN: the deposit refuses it, the run ends not ok with that producer

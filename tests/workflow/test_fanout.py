@@ -1,6 +1,6 @@
 """Edge-case tests of the fan-out layer: what each consumer's arrays share,
 consumers leaving mid-run, back-pressure against a full bounded queue, and
-zero-consumer sessions."""
+a fan-out with no live downstream."""
 
 from __future__ import annotations
 
@@ -13,9 +13,7 @@ from repro.core.producer import POINT_CLOUDS
 from repro.streaming import broker as broker_module
 from repro.streaming.broker import SSTBroker, StreamClosedError
 from repro.streaming.step import Step
-from repro.workflow import FanOutBroker, WorkflowBuilder, WorkflowSession
-from repro.workflow.builder import WorkflowHooks
-from repro.workflow.drivers import SerialDriver
+from repro.workflow import FanOutBroker, WorkflowBuilder
 from tests.core.test_artificial_scientist import tiny_config
 
 
@@ -53,10 +51,6 @@ class TestZeroConsumers:
         with pytest.raises(ValueError, match="at least one downstream"):
             FanOutBroker("stream", [])
 
-    def test_session_requires_a_consumer(self):
-        with pytest.raises(ValueError, match="at least one consumer"):
-            WorkflowSession(tiny_config(), SerialDriver(), [], WorkflowHooks())
-
     def test_put_with_every_queue_closed_raises(self):
         downstream = SSTBroker("s#only", queue_limit=2)
         fanout = FanOutBroker("s", [downstream])
@@ -88,7 +82,7 @@ class TestConsumerUnregisteredMidRun:
             if step_index == 1:
                 sess.brokers["monitor"].close()
 
-        session.hooks.on_step.append(unregister_monitor)
+        session.on_step.append(unregister_monitor)
         result = session.run(4)
         assert result.ok, (result.producer_exception,
                            result.consumer_exceptions)
