@@ -43,6 +43,7 @@ from repro.campaign.store import (CampaignStore, RunRecord, STATUS_COMPLETED,
 from repro.telemetry import (REGISTRY, Span, SpanRecorder, is_enabled,
                              new_id, recording, span, trace_path_for,
                              TraceWriter)
+from repro.utils.cpus import usable_cpu_count
 
 logger = logging.getLogger(__name__)
 
@@ -157,14 +158,15 @@ DEFAULT_MAX_POOL_WORKERS = 8
 def default_pool_workers() -> int:
     """The machine-derived default worker count of the worker pool.
 
-    ``os.cpu_count()`` clamped to ``[2, DEFAULT_MAX_POOL_WORKERS]``: at
-    least two workers so concurrency semantics are always exercised (and a
-    single-core box still overlaps the GIL-released numpy sections), at
-    most :data:`DEFAULT_MAX_POOL_WORKERS` so a large host does not fork
-    dozens of simulation processes by default.  Callers wanting the
-    machine's full width pass ``max_workers`` explicitly.
+    The CPUs this process may use (:func:`repro.utils.cpus.usable_cpu_count`)
+    clamped to ``[2, DEFAULT_MAX_POOL_WORKERS]``: at least two workers so
+    concurrency semantics are always exercised (and a single-core box
+    still overlaps the GIL-released numpy sections), at most
+    :data:`DEFAULT_MAX_POOL_WORKERS` so a large host does not fork dozens
+    of simulation processes by default.  Callers wanting the machine's
+    full width pass ``max_workers`` explicitly.
     """
-    return max(2, min(os.cpu_count() or 1, DEFAULT_MAX_POOL_WORKERS))
+    return max(2, min(usable_cpu_count(), DEFAULT_MAX_POOL_WORKERS))
 
 
 class CampaignExecutor:

@@ -29,7 +29,6 @@ the run left stepping or training.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -39,6 +38,7 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING, Union
 
 from repro.streaming.broker import StreamClosedError
 from repro.telemetry.spans import carry_trace
+from repro.utils.cpus import usable_cpu_count
 from repro.workflow.report import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,16 +51,17 @@ HELPER_THREAD = "pic-helper"
 def has_the_box() -> bool:
     """Whether a run started here may take a second core for a helper.
 
-    Only a run on the main thread of a process no pool started, on a box of
-    two cores or more.  Its siblings busy the other cores wherever runs go
-    side by side: a campaign's worker processes, the service's job threads,
-    a pipelined producer beside its trainer.  A helper there is one more
-    busy thread than there are cores, which loses (0.94x measured beside
-    the pipelined producer).
+    Only a run on the main thread of a process no pool started, that may
+    run on two cores or more (its affinity mask, not the host's count).
+    Its siblings busy the other cores wherever runs go side by side: a
+    campaign's worker processes, the service's job threads, a pipelined
+    producer beside its trainer.  A helper there is one more busy thread
+    than there are cores, which loses (0.94x measured beside the pipelined
+    producer).
     """
     return (threading.current_thread() is threading.main_thread()
             and multiprocessing.parent_process() is None
-            and (os.cpu_count() or 1) >= 2)
+            and usable_cpu_count() >= 2)
 
 
 def _iteration_callback(session: "WorkflowSession", name: str,

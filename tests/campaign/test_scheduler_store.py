@@ -170,6 +170,21 @@ class TestExecutors:
                             3)
         assert default_pool_workers() <= 3
 
+    def test_default_pool_workers_counts_the_cpus_the_process_may_use(
+            self, monkeypatch):
+        """A 4-CPU mask on a 16-CPU host is four workers, not eight."""
+        import os as os_module
+
+        from repro.campaign import default_pool_workers
+
+        monkeypatch.setattr(os_module, "cpu_count", lambda: 16)
+        monkeypatch.setattr(os_module, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3}, raising=False)
+        assert default_pool_workers() == 4
+        # without an affinity mask the host's count is what there is
+        monkeypatch.delattr(os_module, "sched_getaffinity", raising=False)
+        assert default_pool_workers() == 8
+
     @pytest.mark.parametrize("name", ("serial", "workers"))
     def test_executor_runs_every_payload(self, name, fork_pools):
         spec = smoke_spec(repetitions=2)

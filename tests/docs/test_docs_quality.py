@@ -8,8 +8,14 @@ Three checks back the ``docs/`` tree:
   These packages are the public scaling + control-plane + observability
   API; an undocumented symbol there is a regression.
 * **intra-repo links** — every relative markdown link in ``README.md``
-  and ``docs/*.md`` resolves to an existing file, so the docs tree cannot
-  silently rot as files move.
+  and ``docs/*.md`` resolves to an existing file, and its ``#anchor`` (an
+  in-file ``#…`` link too) to a heading of the target, by GitHub's slug
+  rule, so the docs tree cannot silently rot as files move or sections
+  are renamed.
+* **cited sections exist** — every ``<doc>.md``, "<Section>" citation in
+  the docs, ``src/`` and ``tests/`` names a heading of that document, and
+  ``docs/performance.md`` is a reference by layer: no heading of it names
+  a PR or says "nothing moved".
 * **named code exists** — every backticked dotted ``repro.*`` name in
   those files resolves to a module or an attribute, so a deleted module,
   class or constant cannot live on in the docs.
@@ -37,6 +43,16 @@ _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: a dotted name in the package between backticks, as the docs write
 #: ``repro.campaign.workers``
 _CODE_NAME = re.compile(r"`(repro(?:\.[A-Za-z_]\w*)+)`")
+
+#: a markdown heading line, outside fenced code
+_HEADING = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
+
+#: ``performance.md``, "Training hot path" and its backticked forms, on
+#: text whose wrapped lines are joined
+_CITATION = re.compile(r"([\w./-]+\.md)`*\s*,\s*\"([^\"]+)\"")
+
+#: a heading of the performance reference that is a journal entry
+_JOURNAL_HEADING = re.compile(r"\bPR\s*\d+|nothing moved", re.IGNORECASE)
 
 
 def _modules_of(package_name):
@@ -118,21 +134,78 @@ def _markdown_files():
     return files
 
 
+def _headings(md_file):
+    """The heading texts of a markdown file, fenced code skipped."""
+    headings, fenced = [], False
+    for line in md_file.read_text(encoding="utf-8").splitlines():
+        if line.lstrip().startswith(("```", "~~~")):
+            fenced = not fenced
+        elif not fenced and (match := _HEADING.match(line)):
+            headings.append(match.group(1))
+    return headings
+
+
+def _slug(heading):
+    """GitHub's anchor for a heading: lower case, every character but
+    letters, digits, spaces, ``-`` and ``_`` dropped, spaces to ``-``."""
+    return re.sub(r"[^\w\- ]", "", heading.lower()).replace(" ", "-")
+
+
 @pytest.mark.parametrize("md_file", _markdown_files(),
                          ids=lambda path: str(path.relative_to(REPO_ROOT)))
 def test_intra_repo_markdown_links_resolve(md_file):
     assert md_file.exists(), f"{md_file} disappeared"
     broken = []
     for target in _MD_LINK.findall(md_file.read_text(encoding="utf-8")):
-        if target.startswith(("http://", "https://", "mailto:", "#")):
+        if target.startswith(("http://", "https://", "mailto:")):
             continue
-        relative = target.split("#", 1)[0]
-        if not relative:
-            continue
-        if not (md_file.parent / relative).exists():
+        relative, _, anchor = target.partition("#")
+        linked = md_file.parent / relative if relative else md_file
+        if not linked.exists():
+            broken.append(target)
+        elif anchor and linked.suffix == ".md" and anchor not in {
+                _slug(heading) for heading in _headings(linked)}:
             broken.append(target)
     assert not broken, (f"broken intra-repo links in "
                         f"{md_file.relative_to(REPO_ROOT)}: {broken}")
+
+
+def _citations():
+    """(citing file, cited document, cited title) for every ``<doc>.md``,
+    "<Section>" citation in the docs, ``src/`` and ``tests/``."""
+    files = _markdown_files()
+    for tree in ("src", "tests"):
+        files += sorted((REPO_ROOT / tree).rglob("*.py"))
+    found = []
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        # a citation wrapped over lines, in prose, a docstring or a comment
+        joined = re.sub(r"\s*\n\s*(?:#:?\s+)?", " ", text)
+        for document, title in _CITATION.findall(joined):
+            found.append((str(path.relative_to(REPO_ROOT)), document, title))
+    return found
+
+
+def test_cited_sections_exist():
+    citations = _citations()
+    assert len(citations) >= 5          # the pattern still finds them
+    missing = []
+    for citing, document, title in citations:
+        candidates = [REPO_ROOT / document,
+                      REPO_ROOT / "docs" / Path(document).name]
+        cited = next((path for path in candidates if path.exists()), None)
+        if cited is None or not any(
+                heading.lower().startswith(title.lower())
+                for heading in _headings(cited)):
+            missing.append(f'{citing}: {document}, "{title}"')
+    assert not missing, f"citations of sections that do not exist: {missing}"
+
+
+def test_the_performance_reference_has_no_journal_headings():
+    journal = [heading for heading in
+               _headings(REPO_ROOT / "docs" / "performance.md")
+               if _JOURNAL_HEADING.search(heading)]
+    assert not journal, f"headings titled by a PR or a non-event: {journal}"
 
 
 def _resolves(name):
@@ -164,5 +237,5 @@ def test_named_code_resolves():
 def test_docs_tree_is_present():
     """The documented entry points of the docs tree must exist."""
     for page in ("architecture.md", "campaigns.md", "extending-executors.md",
-                 "observability.md", "service.md"):
+                 "observability.md", "performance.md", "service.md"):
         assert (REPO_ROOT / "docs" / page).exists(), f"docs/{page} is missing"

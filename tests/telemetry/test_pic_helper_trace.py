@@ -20,7 +20,8 @@ def traced_run(monkeypatch):
     64 particles: the tiny problem's 432 a species are over ``CHUNK``, two
     species beside each other as in ``coupled-pic-bound``)."""
     monkeypatch.setattr(kernels, "CHUNK", 64)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
     recorder = SpanRecorder()
     session = WorkflowBuilder().config(tiny_config()).driver("serial").build()
     with recording(recorder), span("run", {}, None):

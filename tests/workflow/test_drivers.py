@@ -260,7 +260,8 @@ class TestInterrupt:
             self, monkeypatch):
         # blocks of 64 particles and two cores: the run lends a helper
         monkeypatch.setattr(kernels, "CHUNK", 64)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
 
         def interrupt():
             raise KeyboardInterrupt
@@ -293,7 +294,8 @@ class TestInterrupt:
 
     def test_a_system_exit_stops_the_serial_driver_too(self, monkeypatch):
         monkeypatch.setattr(kernels, "CHUNK", 64)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
 
         def exit_run():
             raise SystemExit(3)
@@ -310,7 +312,8 @@ class TestInterrupt:
         """The serial driver's third step is interrupted: the run raises at
         once instead of reporting two steps and a failed producer."""
         monkeypatch.setattr(kernels, "CHUNK", 64)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         session = (WorkflowBuilder().config(tiny_config()).driver("serial")
                    .build())
         step = session.simulation.step

@@ -53,10 +53,11 @@ def gather_threads(monkeypatch):
 @pytest.fixture
 def small_blocks(monkeypatch):
     """Blocks of 64 particles: the tiny problem's 432 per species engage
-    the helper and are seven blocks each (on a box of two cores, which the
+    the helper and are seven blocks each (on two usable cores, which the
     serial driver asks for before it lends one)."""
     monkeypatch.setattr(kernels, "CHUNK", 64)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
 
 
 def tiny_session(driver="serial"):
@@ -147,7 +148,12 @@ class TestOnlyARunWithTheBoxToItselfGetsOne:
 
     def test_a_run_on_one_core_never_starts_it(self, small_blocks,
                                                gather_threads, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        """What counts is the CPUs the process may run on (``taskset -c
+        0`` on a two-core host), not the host's."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert not has_the_box()
         tiny_session().run(2).raise_if_failed()
         assert set(gather_threads) == {threading.main_thread().name}
 
