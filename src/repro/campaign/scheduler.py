@@ -173,6 +173,9 @@ class CampaignExecutor:
     """Strategy interface: execute resolved run payloads into records."""
 
     name: str = "abstract"
+    #: the last :meth:`execute` call's executor counters; replaced by each
+    #: call, never mutated in place (empty for an executor that keeps none)
+    last_stats: Dict[str, object] = {}
 
     def execute(self, payloads: Sequence[Dict[str, object]], worker: RunWorker,
                 on_record: Optional[RecordCallback] = None,
@@ -357,9 +360,8 @@ class _LaunchTrace:
     def finish(self, executor: CampaignExecutor,
                outcome: "CampaignOutcome") -> None:
         """Close the root span with the launch totals and executor stats."""
-        stats = getattr(executor, "last_stats", None)
-        if stats:
-            self.root.attrs["executor_stats"] = dict(stats)
+        if executor.last_stats:
+            self.root.attrs["executor_stats"] = dict(executor.last_stats)
         self.root.attrs.update(
             {"executed": outcome.executed, "completed": outcome.completed,
              "failed": outcome.failed, "cache_hits": outcome.cache_hits,

@@ -373,7 +373,6 @@ class WorkerPoolExecutor(CampaignExecutor):
                              f"got {max_workers!r}")
         self.max_workers = max_workers
         self._pool = pool
-        self.last_stats: Dict[str, object] = {}
 
     def pool(self) -> WorkerPool:
         """The pool this executor leases (shared unless one was injected)."""

@@ -142,7 +142,7 @@ def _run(args: argparse.Namespace) -> int:
     outcome = run_campaign(spec, store, executor, max_runs=args.max_runs,
                            on_record=progress, runs=runs,
                            completed_ids=done_ids, cache=cache)
-    executor_stats = getattr(executor, "last_stats", None)
+    executor_stats = executor.last_stats
     if args.json:
         payload = outcome.summary()
         if cache is not None:

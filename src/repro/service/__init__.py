@@ -11,12 +11,14 @@ Layers (each its own module, bottom up):
 
 * :mod:`repro.service.sse`    — the SSE wire format: encoder + incremental
   parser shared by server, client and tests,
-* :mod:`repro.service.bus`    — :class:`RunEventBus`: in-process pub/sub
-  with per-subscriber bounded queues, a slow-subscriber drop policy and
-  atomic history+subscribe (the exactly-once snapshot/live guarantee),
+* :mod:`repro.service.bus`    — :class:`RunEventBus`: in-process fan-out
+  with per-subscriber bounded queues and a slow-subscriber drop policy;
+  it keeps no history,
 * :mod:`repro.service.jobs`   — :class:`CampaignJobManager`: background
   campaign threads keyed by campaign id, one launch each with the cancel
-  flag as its cooperative stop,
+  flag as its cooperative stop; a job's record snapshot and bus
+  subscription, taken under one lock, give the exactly-once
+  snapshot/live guarantee,
   with the append-only JSONL store as the single source of truth (service
   restarts resume exactly like CLI ``campaign run``),
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer`` API

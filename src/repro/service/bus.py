@@ -5,7 +5,13 @@ service's live streams: :mod:`repro.service.jobs` publishes one event per
 :class:`repro.campaign.store.RunRecord` as ``run_campaign``'s ``on_record``
 observer fires, and every open SSE response holds one subscription.
 
-Three properties make it safe to put between a hot executor and an unknown
+The bus only fans out: it keeps no event once it has been offered.  What a
+late subscriber must replay is the job's own record list, and
+:meth:`repro.service.jobs.CampaignJob.subscribe` takes that snapshot and
+the subscription under the job's lock, so every record lands in exactly
+one of the two.
+
+Two properties make it safe to put between a hot executor and an unknown
 number of HTTP clients:
 
 * **bounded subscriber queues** — each subscription owns a fixed-size
@@ -15,23 +21,15 @@ number of HTTP clients:
   subscription, so one stalled client can neither back-pressure the
   executor nor starve its peers (the SSE layer reports the loss with a
   ``dropped`` event; a client that must not miss anything re-reads the
-  store, which remains the source of truth),
-* **atomic history + subscribe** — the bus retains each topic's event
-  history (bounded by campaign size: one event per run record plus the
-  terminal event), and :meth:`RunEventBus.subscribe` returns the history
-  snapshot and the registered subscription under one lock.  There is no
-  gap in which a concurrently published event could be in neither the
-  snapshot nor the queue — the exactly-once guarantee of snapshot+live
-  streaming rests here.
+  store, which remains the source of truth).
 """
 
 from __future__ import annotations
 
-import itertools
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.telemetry import REGISTRY
 
@@ -104,20 +102,18 @@ class Subscription:
 
 
 class RunEventBus:
-    """Topic-keyed fan-out of campaign events with per-topic history; each
-    subscriber queue holds :data:`QUEUE_SIZE` events."""
+    """Topic-keyed fan-out of campaign events; each subscriber queue holds
+    :data:`QUEUE_SIZE` events."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._history: Dict[str, List[BusEvent]] = {}
         self._subscribers: Dict[str, List[Subscription]] = {}
-        self._seq: Dict[str, "itertools.count[int]"] = {}
+        self._published: Dict[str, int] = {}
         self._dropped: Dict[str, int] = {}
 
-    # -- publishing --------------------------------------------------------- #
     def publish(self, topic: str, kind: str,
                 data: Dict[str, object]) -> BusEvent:
-        """Append an event to the topic history and offer it to subscribers.
+        """Number an event within its topic and offer it to the subscribers.
 
         Never blocks: a full subscriber queue drops the event for that
         subscriber (counted on its :class:`Subscription`).
@@ -127,8 +123,9 @@ class RunEventBus:
             number.
         """
         with self._lock:
-            event = self._append(topic, kind, data)
+            seq = self._published[topic] = self._published.get(topic, 0) + 1
             subscribers = list(self._subscribers.get(topic, ()))
+        event = BusEvent(seq=seq, kind=kind, data=dict(data))
         _BUS_PUBLISHED.inc(1, kind=kind)
         drops = sum(1 for subscription in subscribers
                     if not subscription._offer(event))
@@ -138,36 +135,12 @@ class RunEventBus:
                 self._dropped[topic] = self._dropped.get(topic, 0) + drops
         return event
 
-    def seed(self, topic: str, kind: str, data: Dict[str, object]) -> BusEvent:
-        """Append to the topic history *without* fanning out to subscribers.
-
-        Used when attaching to an existing campaign store after a service
-        restart: the store's records become replayable history, but they
-        are not "new" events for anyone already subscribed.
-        """
-        with self._lock:
-            return self._append(topic, kind, data)
-
-    def _append(self, topic: str, kind: str,
-                data: Dict[str, object]) -> BusEvent:
-        counter = self._seq.setdefault(topic, itertools.count(1))
-        event = BusEvent(seq=next(counter), kind=kind, data=dict(data))
-        self._history.setdefault(topic, []).append(event)
-        return event
-
-    # -- subscribing -------------------------------------------------------- #
-    def subscribe(self, topic: str) -> Tuple[List[BusEvent], Subscription]:
-        """Register a subscriber, atomically returning (history, subscription).
-
-        The snapshot and the registration happen under one lock, so every
-        event of the topic lands in exactly one of the two: the returned
-        history list or the subscription's queue.
-        """
+    def subscribe(self, topic: str) -> Subscription:
+        """Register a subscriber: it receives every event published after."""
         subscription = Subscription(topic=topic, _queue=queue.Queue(QUEUE_SIZE))
         with self._lock:
-            history = list(self._history.get(topic, ()))
             self._subscribers.setdefault(topic, []).append(subscription)
-        return history, subscription
+        return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
         """Detach a subscription; idempotent (a double detach is a no-op)."""
@@ -176,15 +149,10 @@ class RunEventBus:
             if subscription in subscribers:
                 subscribers.remove(subscription)
 
-    # -- introspection ------------------------------------------------------ #
     def topic_stats(self, topic: str) -> Dict[str, int]:
-        """JSON-able per-topic accounting: events, subscribers, drops."""
+        """JSON-able per-topic accounting: events published since the bus
+        was made, open subscribers, drops."""
         with self._lock:
-            return {"events": len(self._history.get(topic, ())),
+            return {"events": self._published.get(topic, 0),
                     "subscribers": len(self._subscribers.get(topic, ())),
                     "dropped": self._dropped.get(topic, 0)}
-
-    def history(self, topic: str) -> List[BusEvent]:
-        """A snapshot of the topic's full event history."""
-        with self._lock:
-            return list(self._history.get(topic, ()))

@@ -9,6 +9,11 @@ launch's ``should_stop``, so runs already started are never killed (the
 scheduler's own rule) and nothing else starts; what did not start stays
 pending for the next submit.
 
+The job's record list is also what a late SSE subscriber replays:
+:meth:`CampaignJob.subscribe` takes it and a bus subscription under the
+job's lock, the lock every record and the terminal event are published
+under, so each record reaches a watcher exactly once.
+
 The :class:`CampaignJobManager` owns the id→job map, the shared
 :class:`repro.service.bus.RunEventBus` and the store directory.  A
 campaign's id is derived from its spec (the cache directory is a submit
@@ -16,7 +21,8 @@ option, not part of the spec), so resubmitting the same sweep — after a
 crash, a restart, or from a second client — attaches to the same store and resumes exactly like CLI
 ``campaign run`` does.  Specs are persisted next to their stores
 (``<id>.spec.json``), so a restarted service lists and resumes every
-campaign it ever accepted.
+campaign it ever accepted: a complete one as ``completed``, any other as
+``interrupted``.
 """
 
 from __future__ import annotations
@@ -35,19 +41,18 @@ from repro.campaign.scheduler import (execute_run, executor_for,
                                       run_campaign)
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import CampaignStore
-from repro.service.bus import RunEventBus
+from repro.service.bus import RunEventBus, Subscription
 from repro.service.sse import EVENT_DONE, EVENT_RUN
 
 logger = logging.getLogger(__name__)
 
 #: Job lifecycle states.
-STATE_PENDING = "pending"            #: accepted, thread not yet scheduling
 STATE_RUNNING = "running"
 STATE_CANCELLING = "cancelling"      #: cancel requested, finishing in-flight runs
 STATE_CANCELLED = "cancelled"
 STATE_COMPLETED = "completed"        #: every resolved run completed
 STATE_FAILED = "failed"              #: finished, but some runs failed (or the launch died)
-STATE_INTERRUPTED = "interrupted"    #: found on disk with pending runs (resubmit resumes)
+STATE_INTERRUPTED = "interrupted"    #: pending runs and no launch (resubmit resumes)
 
 #: States in which the job's thread is finished (or never started).
 TERMINAL_STATES = frozenset({STATE_CANCELLED, STATE_COMPLETED, STATE_FAILED,
@@ -87,8 +92,7 @@ class CampaignJob:
         self.worker = worker
         self.executor_options = dict(executor_options)
         self.error: Optional[str] = None
-        #: the latest launch's executor counters
-        #: (``WorkerPoolExecutor.last_stats``; empty for other executors)
+        #: the latest launch's ``CampaignExecutor.last_stats``
         self.executor_stats: Dict[str, int] = {}
         self.runs = spec.resolve()
         self._lock = threading.RLock()
@@ -99,29 +103,32 @@ class CampaignJob:
         self._records = {record.run_id: record
                          for record in store.records()
                          if record.run_id in {run.run_id for run in self.runs}}
-        for record in self._records.values():
-            bus.seed(self.id, EVENT_RUN, self._event_payload(record))
-        completed = sum(1 for r in self._records.values() if r.completed)
-        if completed == len(self.runs):
-            self.state = STATE_COMPLETED
-            if not bus.history(self.id) or \
-                    bus.history(self.id)[-1].kind != EVENT_DONE:
-                bus.seed(self.id, EVENT_DONE, self._done_payload())
-        elif self._records:
-            self.state = STATE_INTERRUPTED
-        else:
-            self.state = STATE_PENDING
+        self.state = (STATE_COMPLETED if self._complete()
+                      else STATE_INTERRUPTED)
 
-    # -- event payloads ----------------------------------------------------- #
+    def _complete(self) -> bool:
+        return len(self.runs) == sum(
+            1 for record in self._records.values() if record.completed)
+
     def _event_payload(self, record) -> Dict[str, object]:
         payload = record.to_dict()
         payload["campaign_id"] = self.id
         return payload
 
-    def _done_payload(self) -> Dict[str, object]:
-        payload = self.status(include_records=False)
-        payload.pop("records", None)
-        return payload
+    def subscribe(self) -> Tuple[List[Dict[str, object]], bool, Subscription]:
+        """What a new watcher sees: ``(snapshot, ended, subscription)``.
+
+        ``snapshot`` holds the recorded runs as event payloads and ``ended``
+        whether the job was terminal; the bus subscription receives what is
+        published after.  All three are taken under the lock every record
+        and the terminal event are published under, so each record is in
+        the snapshot or in the queue, never both and never neither.
+        """
+        with self._lock:
+            snapshot = [self._event_payload(record)
+                        for record in self._records.values()]
+            return (snapshot, self.state in TERMINAL_STATES,
+                    self.bus.subscribe(self.id))
 
     # -- lifecycle ---------------------------------------------------------- #
     def start(self) -> bool:
@@ -133,8 +140,7 @@ class CampaignJob:
         with self._lock:
             if self._thread is not None and self._thread.is_alive():
                 return False
-            if self.state == STATE_COMPLETED and len(self.runs) == sum(
-                    1 for record in self._records.values() if record.completed):
+            if self.state == STATE_COMPLETED and self._complete():
                 return False
             self._cancel.clear()
             self.state = STATE_RUNNING
@@ -180,8 +186,7 @@ class CampaignJob:
                                    completed_ids=done_ids, cache=cache,
                                    should_stop=self._cancel.is_set)
             with self._lock:
-                self.executor_stats = dict(
-                    getattr(executor, "last_stats", None) or {})
+                self.executor_stats = dict(executor.last_stats)
             if outcome.deferred:
                 self._finish(STATE_CANCELLED)
             else:
@@ -195,12 +200,12 @@ class CampaignJob:
     def _publish(self, record) -> None:
         with self._lock:
             self._records[record.run_id] = record
-        self.bus.publish(self.id, EVENT_RUN, self._event_payload(record))
+            self.bus.publish(self.id, EVENT_RUN, self._event_payload(record))
 
     def _finish(self, state: str) -> None:
         with self._lock:
             self.state = state
-        self.bus.publish(self.id, EVENT_DONE, self._done_payload())
+            self.bus.publish(self.id, EVENT_DONE, self.status())
 
     # -- status ------------------------------------------------------------- #
     def records(self) -> List:
@@ -318,7 +323,9 @@ class CampaignJobManager:
                 self._jobs[campaign_id] = job
             else:
                 job.executor_options = options
-        started = job.start()
+            # started before the lock is released, so no reader sees a new
+            # job in the interrupted state it is made in
+            started = job.start()
         return job, created, started
 
     def get(self, campaign_id: str) -> Optional[CampaignJob]:

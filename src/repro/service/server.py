@@ -19,11 +19,12 @@ DELETE    ``/v1/campaigns/{id}``             cooperative cancel
 ========  =================================  =====================================
 
 The SSE endpoint streams :func:`sse_event_stream`, a plain generator over
-the :class:`repro.service.bus.RunEventBus` that is also driven directly by
-the wire-format tests: frames already recorded when the client connects
-arrive as ``snapshot`` events, records landing while subscribed arrive as
-``run`` events, a slow consumer's losses are announced with a ``dropped``
-event, and the stream always ends with one terminal ``done`` event.
+the job's record snapshot and a :class:`repro.service.bus.RunEventBus`
+subscription that is also driven directly by the wire-format tests: runs
+already recorded when the client connects arrive as ``snapshot`` events,
+records landing while subscribed arrive as ``run`` events, a slow
+consumer's losses are announced with a ``dropped`` event, and the stream
+always ends with one terminal ``done`` event.
 
 See ``docs/service.md`` for the full API reference with curl examples.
 """
@@ -63,41 +64,32 @@ def sse_event_stream(job: CampaignJob) -> Iterator[str]:
 
     The contract (exercised directly by ``tests/service/test_sse_wire.py``):
 
-    * every event already in the campaign's history is replayed first as a
-      ``snapshot`` frame (run records) — the atomic history+subscribe of
-      :meth:`repro.service.bus.RunEventBus.subscribe` guarantees each
+    * every run the job had recorded when the client connected is replayed
+      first as a ``snapshot`` frame — :meth:`CampaignJob.subscribe` takes
+      that snapshot and the bus subscription under the job's lock, so each
       record appears exactly once across snapshot and live frames,
-    * records landing while subscribed stream as ``run`` frames,
+    * a job that had already ended then sends ``done`` at once,
+    * otherwise records landing while subscribed stream as ``run`` frames,
     * if this subscriber fell behind and the bus dropped events for it, a
       ``dropped`` frame carries the loss count (the client re-reads
       ``GET /v1/campaigns/{id}`` for the authoritative state),
     * the stream ends with exactly one ``done`` frame.  Silence longer
       than :data:`repro.service.bus.KEEPALIVE_S` yields comment frames,
       which both keep proxies from timing the stream out and let the
-      server detect a vanished client; if the terminal event itself was dropped, the keep-alive
-      tick notices the terminal job state and synthesises the ``done``
-      frame from it.
+      server detect a vanished client; if the terminal event itself was
+      dropped, the keep-alive tick notices the terminal job state and
+      synthesises the ``done`` frame from it.
 
     The generator unsubscribes from the bus when closed, whether it ran to
     ``done`` or the consumer disconnected mid-stream.
     """
-    history, subscription = job.bus.subscribe(job.id)
+    snapshot, ended, subscription = job.subscribe()
     try:
-        for index, event in enumerate(history):
-            if event.kind == EVENT_DONE:
-                # a launch publishes its runs before it turns terminal, so
-                # a terminal job with an empty queue has had no launch since
-                # this marker (the order of the two checks matters)
-                if index == len(history) - 1 and job.is_terminal() \
-                        and subscription.pending() == 0:
-                    yield format_event(EVENT_DONE, event.data,
-                                       event_id=event.seq)
-                    return
-                # a stale terminal marker from an earlier launch (the
-                # campaign was cancelled/interrupted and then resumed):
-                # skip it and keep streaming the new launch live
-                continue
-            yield format_event(EVENT_SNAPSHOT, event.data, event_id=event.seq)
+        for payload in snapshot:
+            yield format_event(EVENT_SNAPSHOT, payload)
+        if ended:
+            yield format_event(EVENT_DONE, job.status())
+            return
         while True:
             event = subscription.get()
             dropped = subscription.take_dropped()

@@ -27,7 +27,7 @@ silently overwritten.
 
 The module is also the one harness under every persisted benchmark
 (:mod:`repro.workflow.train_hotpath`, :mod:`repro.workflow.learning`).  A
-benchmark is a :class:`BenchCase`: its topic, its own flags, a
+benchmark is a :class:`BenchCase`: its topic, its description, a
 ``run(args)`` returning a result with ``params()`` / ``metrics()`` /
 ``equivalent``, the result's text rendering and the message of a failed
 gate.  The harness supplies the rest:
@@ -164,8 +164,6 @@ class BenchCase:
     topic: str
     #: the ``--help`` text of the entry points
     description: str
-    #: declares the case's own flags on a parser
-    add_arguments: Callable[[argparse.ArgumentParser], None]
     #: measures; ``ValueError`` means a bad argument.  The result exposes
     #: ``params()``, ``metrics()`` and the gate verdict ``equivalent``
     run: Callable[[argparse.Namespace], Any]
@@ -177,8 +175,7 @@ class BenchCase:
 
 def add_case_arguments(parser: argparse.ArgumentParser,
                        case: BenchCase) -> None:
-    """Declare ``case``'s own flags and the shared harness flags."""
-    case.add_arguments(parser)
+    """Declare the harness flags every case shares."""
     parser.add_argument("--repeats", type=int, default=3,
                         help="interleaved measurement blocks; the best block "
                              "of each side is recorded (default 3)")

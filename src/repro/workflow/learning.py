@@ -258,7 +258,6 @@ CASE = BenchCase(
                 "forgetting over ten seeds, and bench-tiny sessions' loss "
                 "and Fig. 9 metrics in their bands at ten seeds (appends to "
                 "BENCH_learning.json)",
-    add_arguments=lambda parser: None,
     run=lambda args: run_learning_benchmark(repeats=args.repeats),
     format_result=format_result,
     gate_failure=lambda result: "; ".join(result.failures()))

@@ -179,7 +179,6 @@ CASE = BenchCase(
     description="benchmark one in-transit training iteration, phase by phase, "
                 "at the bench-tiny and laptop models (appends to "
                 "BENCH_train_hotpath.json)",
-    add_arguments=lambda parser: None,
     run=lambda args: run_train_benchmark(repeats=args.repeats),
     format_result=format_result,
     gate_failure=gate_failure)

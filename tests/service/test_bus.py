@@ -1,4 +1,5 @@
-"""Tests of the in-process RunEventBus: fan-out, bounds, drops, atomicity."""
+"""Tests of the in-process RunEventBus (fan-out, bounds, drops) and of
+the job-side snapshot that makes a late subscriber's replay exactly once."""
 
 from __future__ import annotations
 
@@ -8,8 +9,11 @@ import time
 import pytest
 from sse_helpers import subscriber_count
 
+from repro.campaign import CampaignStore, get_campaign_preset
+from repro.campaign.store import RunRecord
 from repro.service import bus as bus_module
 from repro.service.bus import RunEventBus
+from repro.service.jobs import STATE_RUNNING, CampaignJob
 
 
 @pytest.fixture(autouse=True)
@@ -21,8 +25,7 @@ def short_keepalive(monkeypatch):
 class TestPublishSubscribe:
     def test_subscriber_receives_published_events_in_order(self):
         bus = RunEventBus()
-        history, sub = bus.subscribe("c1")
-        assert history == []
+        sub = bus.subscribe("c1")
         for index in range(3):
             bus.publish("c1", "run", {"index": index})
         got = [sub.get() for _ in range(3)]
@@ -31,28 +34,28 @@ class TestPublishSubscribe:
 
     def test_topics_are_isolated(self):
         bus = RunEventBus()
-        _, sub_a = bus.subscribe("a")
-        _, sub_b = bus.subscribe("b")
+        sub_a = bus.subscribe("a")
+        sub_b = bus.subscribe("b")
         bus.publish("a", "run", {"topic": "a"})
         assert sub_a.get().data == {"topic": "a"}
         assert sub_b.get() is None
 
     def test_fan_out_reaches_every_subscriber(self):
         bus = RunEventBus()
-        subs = [bus.subscribe("c")[1] for _ in range(3)]
+        subs = [bus.subscribe("c") for _ in range(3)]
         event = bus.publish("c", "run", {"n": 1})
         assert all(sub.get().seq == event.seq for sub in subs)
 
     def test_a_silent_subscriber_waits_out_the_keepalive(self):
         bus = RunEventBus()
-        _, sub = bus.subscribe("silent")
+        sub = bus.subscribe("silent")
         start = time.monotonic()
         assert sub.get() is None
         assert time.monotonic() - start >= bus_module.KEEPALIVE_S
 
     def test_unsubscribe_stops_delivery_and_is_idempotent(self):
         bus = RunEventBus()
-        _, sub = bus.subscribe("c")
+        sub = bus.subscribe("c")
         bus.unsubscribe(sub)
         bus.unsubscribe(sub)
         bus.publish("c", "run", {})
@@ -62,31 +65,34 @@ class TestPublishSubscribe:
     def test_publish_never_blocks_without_subscribers(self, monkeypatch):
         monkeypatch.setattr(bus_module, "QUEUE_SIZE", 1)
         bus = RunEventBus()
-        for index in range(100):
-            bus.publish("quiet", "run", {"index": index})
-        assert len(bus.history("quiet")) == 100
+        events = [bus.publish("quiet", "run", {"index": index})
+                  for index in range(100)]
+        assert [event.seq for event in events] == list(range(1, 101))
+        assert bus.topic_stats("quiet") == {"events": 100, "subscribers": 0,
+                                            "dropped": 0}
 
 
 class TestSlowSubscriberDropPolicy:
     def test_full_queue_drops_new_events_and_counts_them(self, monkeypatch):
         monkeypatch.setattr(bus_module, "QUEUE_SIZE", 2)
         bus = RunEventBus()
-        _, slow = bus.subscribe("c")
+        slow = bus.subscribe("c")
         for index in range(10):
             bus.publish("c", "run", {"index": index})
         # the first two made it; the other eight were dropped for this
-        # subscriber only (history keeps everything)
+        # subscriber only
         assert [slow.get().data["index"] for _ in range(2)] == [0, 1]
         assert slow.take_dropped() == 8
         assert slow.take_dropped() == 0
-        assert len(bus.history("c")) == 10
+        assert bus.topic_stats("c") == {"events": 10, "subscribers": 1,
+                                        "dropped": 8}
 
     def test_a_slow_subscriber_does_not_starve_its_peers(self, monkeypatch):
         bus = RunEventBus()
         monkeypatch.setattr(bus_module, "QUEUE_SIZE", 1)
-        _, slow = bus.subscribe("c")
+        slow = bus.subscribe("c")
         monkeypatch.setattr(bus_module, "QUEUE_SIZE", 64)
-        _, fast = bus.subscribe("c")
+        fast = bus.subscribe("c")
         for index in range(20):
             bus.publish("c", "run", {"index": index})
         received = [fast.get().data["index"] for _ in range(20)]
@@ -94,38 +100,40 @@ class TestSlowSubscriberDropPolicy:
         assert slow.take_dropped() == 19
 
 
-class TestHistoryAndAtomicity:
-    def test_seed_fills_history_without_fanning_out(self):
-        bus = RunEventBus()
-        _, sub = bus.subscribe("c")
-        bus.seed("c", "run", {"replayed": True})
-        assert sub.get() is None
-        assert [event.data for event in bus.history("c")] == [{"replayed": True}]
-
-    def test_subscribe_snapshot_plus_live_sees_every_event_exactly_once(
-            self, monkeypatch):
-        """The exactly-once guarantee: under concurrent publishing, every
-        event lands in either the subscribe-time snapshot or the queue —
-        never both, never neither."""
-        bus = RunEventBus()
+class TestJobSubscribe:
+    def test_snapshot_plus_live_sees_every_record_exactly_once(
+            self, tmp_path, monkeypatch):
+        """The exactly-once guarantee: while a launch publishes records,
+        every watcher that joins finds each of them either in the snapshot
+        :meth:`CampaignJob.subscribe` returns or in its queue — never both,
+        never neither."""
         total = 300
         monkeypatch.setattr(bus_module, "QUEUE_SIZE", total)
+        spec = get_campaign_preset("campaign-smoke")
+        job = CampaignJob("c", spec, CampaignStore(str(tmp_path / "c.jsonl")),
+                          RunEventBus(), {})
+        job.state = STATE_RUNNING        # as its launch thread would set it
+        records = [RunRecord(run_id=f"r{index:03d}", index=index, params={},
+                             driver="serial", n_steps=1, status="completed")
+                   for index in range(total)]
         started = threading.Event()
 
         def publisher():
             started.set()
-            for index in range(total):
-                bus.publish("c", "run", {"index": index})
+            for record in records:
+                job._publish(record)
 
         thread = threading.Thread(target=publisher)
         thread.start()
         started.wait()
-        history, sub = bus.subscribe("c")
+        watchers = [job.subscribe() for _ in range(4)]
         thread.join()
-        seen = [event.data["index"] for event in history]
-        while True:
-            event = sub.get()
-            if event is None:
-                break
-            seen.append(event.data["index"])
-        assert seen == list(range(total))
+        for snapshot, ended, subscription in watchers:
+            assert not ended
+            seen = [payload["run_id"] for payload in snapshot]
+            while True:
+                event = subscription.get()
+                if event is None:
+                    break
+                seen.append(event.data["run_id"])
+            assert seen == [record.run_id for record in records]

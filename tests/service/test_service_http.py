@@ -122,10 +122,11 @@ def small_spec(name="svc-test", repetitions=1, n_steps=2):
 
 
 @contextlib.contextmanager
-def service(tmp_path, worker=fake_worker, subdir="svc", **kwargs):
+def service(tmp_path, worker=fake_worker, subdir="svc", keepalive_s=0.2,
+            **kwargs):
     """A live service on a free port + a client pointed at it."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bus_module, "KEEPALIVE_S", 0.2)
+        patch.setattr(bus_module, "KEEPALIVE_S", keepalive_s)
         patch.setattr(jobs, "JOIN_TIMEOUT_S", 10.0)
         server = create_server(store_dir=str(tmp_path / subdir), worker=worker,
                                **kwargs)
@@ -411,6 +412,32 @@ class TestRestartResume:
             assert [doc["state"] for doc in listed] == ["completed"]
             again = client.submit(spec=spec.to_dict())
             assert again["created"] is False and again["started"] is False
+
+    def test_a_restarted_campaign_without_a_launch_ends_its_watch_at_once(
+            self, tmp_path):
+        """Restarted, a never-started campaign (a spec file and no store)
+        and a half-done one are both ``interrupted``: a watch replays what
+        is recorded and ends on one ``done`` at once, not one keep-alive
+        later (the keep-alive stays at its 15 s default)."""
+        store_dir = tmp_path / "svc"
+        store_dir.mkdir()
+        never, half = small_spec(name="never-started"), small_spec(
+            name="half-done")
+        for spec in (never, half):
+            spec.to_file(str(store_dir / f"{campaign_id_of(spec)}.spec.json"))
+        store = CampaignStore(
+            str(store_dir / f"{campaign_id_of(half)}.campaign.jsonl"))
+        run_campaign(half, store, worker=fake_worker, max_runs=1)
+        with service(tmp_path, keepalive_s=bus_module.KEEPALIVE_S) \
+                as (client, _):
+            for spec, recorded in ((never, 0), (half, 1)):
+                started = time.monotonic()
+                events = list(client.watch(campaign_id_of(spec)))
+                assert time.monotonic() - started < 2.0
+                assert [event.event for event in events] == \
+                    ["snapshot"] * recorded + ["done"]
+                assert events[-1].data["state"] == "interrupted"
+                assert events[-1].data["completed"] == recorded
 
     def test_a_spec_file_with_a_removed_key_is_skipped_and_resubmit_resumes(
             self, tmp_path, caplog, monkeypatch):

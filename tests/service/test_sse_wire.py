@@ -4,16 +4,22 @@
 socket, driven here directly (no server) against a real ``RunEventBus`` so
 snapshot-replay, live-append, slow-consumer drops and mid-stream
 disconnects are deterministic — every assertion goes through the shared
-``parse_sse_events`` helper, i.e. through the real line protocol.
+``parse_sse_events`` helper, i.e. through the real line protocol.  Most
+tests stand a stub in for the job; the resume test drives a real
+``CampaignJob`` launch.
 """
 
 from __future__ import annotations
 
+import threading
+
 from sse_helpers import (events_of_kind, parse_events, parse_sse_events,
                          run_ids_of, subscriber_count)
 
+from repro.campaign import CampaignStore, get_campaign_preset, run_campaign
 from repro.service import bus as bus_module
 from repro.service.bus import RunEventBus
+from repro.service.jobs import CampaignJob
 from repro.service.server import sse_event_stream
 from repro.service.sse import SSEParser, format_comment, format_event
 
@@ -58,16 +64,23 @@ class TestWireFormat:
 class _StubJob:
     """The minimal job surface ``sse_event_stream`` consumes."""
 
-    def __init__(self, bus, campaign_id="stub-campaign", state="running"):
+    def __init__(self, bus, campaign_id="stub-campaign", state="running",
+                 recorded=()):
         self.bus = bus
         self.id = campaign_id
         self.state = state
+        self.recorded = list(recorded)
 
     def is_terminal(self):
         return self.state in ("completed", "failed", "cancelled")
 
     def status(self, include_records=False):
         return {"campaign": "stub", "state": self.state, "done": True}
+
+    def subscribe(self):
+        return ([{"run_id": run_id, "status": "completed"}
+                 for run_id in self.recorded],
+                self.is_terminal(), self.bus.subscribe(self.id))
 
 
 def _publish_run(bus, topic, run_id):
@@ -76,17 +89,17 @@ def _publish_run(bus, topic, run_id):
 
 class TestEventStream:
     def test_snapshot_replay_then_done(self):
-        """Records landed before connect arrive as ``snapshot`` frames; a
-        history that already ends in ``done`` terminates the stream."""
+        """Records landed before connect arrive as ``snapshot`` frames,
+        without an ``id:``; a job that had already ended then sends
+        ``done`` at once."""
         bus = RunEventBus()
-        job = _StubJob(bus, state="completed")
-        for run_id in ("r1", "r2"):
-            bus.seed(job.id, "run", {"run_id": run_id, "status": "completed"})
-        bus.seed(job.id, "done", {"state": "completed"})
+        job = _StubJob(bus, state="completed", recorded=("r1", "r2"))
         events = parse_sse_events("".join(sse_event_stream(job)))
         assert [event["event"] for event in events] == \
             ["snapshot", "snapshot", "done"]
+        assert [event["id"] for event in events] == [None, None, None]
         assert run_ids_of(events) == ["r1", "r2"]
+        assert events[-1]["data"]["state"] == "completed"
         assert subscriber_count(bus, job.id) == 0
 
     def test_live_append_streams_run_frames_until_done(self, monkeypatch):
@@ -103,13 +116,13 @@ class TestEventStream:
         collected.extend(stream)         # runs to the terminal frame
         events = parse_sse_events("".join(collected))
         assert [event["event"] for event in events] == ["run", "run", "done"]
+        assert [event["id"] for event in events] == [1, 2, 3]
         assert run_ids_of(events) == ["live-1", "live-2"]
         assert subscriber_count(bus, job.id) == 0
 
     def test_snapshot_plus_live_mix(self):
         bus = RunEventBus()
-        job = _StubJob(bus)
-        bus.seed(job.id, "run", {"run_id": "old", "status": "completed"})
+        job = _StubJob(bus, recorded=("old",))
         stream = sse_event_stream(job)
         first = next(stream)
         _publish_run(bus, job.id, "new")
@@ -119,50 +132,45 @@ class TestEventStream:
             ["snapshot", "run", "done"]
         assert run_ids_of(events) == ["old", "new"]
 
-    def test_a_stale_done_is_skipped_while_the_resumed_launch_runs(self):
-        bus = RunEventBus()
-        job = _StubJob(bus)              # resumed: running again
-        bus.seed(job.id, "run", {"run_id": "old", "status": "completed"})
-        bus.seed(job.id, "done", {"state": "cancelled"})
-        stream = sse_event_stream(job)
-        first = next(stream)             # subscribed, replaying "old"
-        _publish_run(bus, job.id, "new")
-        first += next(stream)            # passes over the stale done
-        assert parse_sse_events(first)[-1]["event"] == "run"
-        job.state = "completed"
-        bus.publish(job.id, "done", {"state": "completed"})
-        events = parse_sse_events(first + "".join(stream))
-        assert [event["event"] for event in events] == \
-            ["snapshot", "run", "done"]
-        assert run_ids_of(events) == ["old", "new"]
-        assert events[-1]["data"]["state"] == "completed"
+    def test_a_resumed_campaign_streams_its_new_launch_to_its_done(
+            self, tmp_path):
+        """A campaign whose first launch ended early is resumed: the old
+        records arrive as ``snapshot`` frames, the new runs as ``run``
+        frames, and the stream ends on the new launch's ``done``."""
+        spec = get_campaign_preset("campaign-smoke")
+        store = CampaignStore(str(tmp_path / "resumed.jsonl"))
+        gate = threading.Event()
 
-    def test_a_resumed_launch_that_ends_mid_replay_is_streamed(self):
-        """A cancelled campaign was resubmitted; its new launch runs and
-        turns terminal while the old history is still being replayed.  The
-        old ``done`` is stale: the stream carries the new runs and ends on
-        the new launch's ``done``."""
-        bus = RunEventBus()
-        job = _StubJob(bus)              # resumed: running again
-        bus.seed(job.id, "run", {"run_id": "old", "status": "completed"})
-        bus.seed(job.id, "done", {"state": "cancelled"})
+        def worker(payload):
+            assert gate.wait(timeout=30), "test gate never released"
+            return {"final_total_loss": 1.0, "ok": True}
+
+        gate.set()
+        run_campaign(spec, store, worker=worker, max_runs=1)
+        old = sorted(store.completed_run_ids())
+        gate.clear()
+        job = CampaignJob("resumed", spec, store, RunEventBus(), {},
+                          worker=worker)
+        assert job.state == "interrupted"
+        assert job.start()
         stream = sse_event_stream(job)
-        first = next(stream)             # subscribed, replaying "old"
-        _publish_run(bus, job.id, "new")
-        job.state = "completed"          # set before its done is published
-        bus.publish(job.id, "done", {"state": "completed"})
+        first = next(stream)             # subscribed while the launch waits
+        gate.set()
         events = parse_sse_events(first + "".join(stream))
-        assert [event["event"] for event in events] == \
-            ["snapshot", "run", "done"]
-        assert run_ids_of(events) == ["old", "new"]
+        kinds = [event["event"] for event in events]
+        assert kinds == ["snapshot"] + ["run"] * (len(spec.resolve()) - 1) \
+            + ["done"]
+        assert run_ids_of(events)[:1] == old
+        assert sorted(run_ids_of(events)) == \
+            sorted(run.run_id for run in spec.resolve())
         assert events[-1]["data"]["state"] == "completed"
+        job.join()
 
     def test_slow_consumer_drop_is_reported_on_the_wire(self, monkeypatch):
         """A subscriber whose bounded queue overflows gets an explicit
         ``dropped`` frame with the loss count — never silent gaps."""
         bus = RunEventBus()
-        job = _StubJob(bus)
-        _publish_run(bus, job.id, "r0")
+        job = _StubJob(bus, recorded=("r0",))
         monkeypatch.setattr(bus_module, "KEEPALIVE_S", 0.1)
         monkeypatch.setattr(bus_module, "QUEUE_SIZE", 2)
         stream = sse_event_stream(job)
@@ -203,11 +211,16 @@ class TestEventStream:
         """If the terminal event itself fell to the drop policy, the
         keep-alive tick synthesises ``done`` from the job state."""
         bus = RunEventBus()
-        job = _StubJob(bus, state="completed")
+        job = _StubJob(bus)
         monkeypatch.setattr(bus_module, "KEEPALIVE_S", 0.05)
         monkeypatch.setattr(bus_module, "QUEUE_SIZE", 1)
         stream = sse_event_stream(job)
-        events = parse_sse_events("".join(stream))
-        assert events[-1]["event"] == "done"
+        first = next(stream)             # keep-alive tick: now subscribed
+        _publish_run(bus, job.id, "r1")  # fills the queue of one
+        job.state = "completed"
+        bus.publish(job.id, "done", {"state": "completed"})   # dropped
+        events = parse_sse_events(first + "".join(stream))
+        assert [event["event"] for event in events] == \
+            ["dropped", "run", "done"]
         assert events[-1]["data"]["state"] == "completed"
         assert subscriber_count(bus, job.id) == 0

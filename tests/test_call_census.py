@@ -81,8 +81,11 @@ ALLOWED = {
              "CampaignServiceHandler._error"),
     **_allow("2: the SSE keep-alive of an idle stream", "repro.service.sse",
              "format_comment"),
-    **_allow("2: a service restart replays a store into the bus",
-             "repro.service.bus", "RunEventBus.seed", "RunEventBus.history"),
+    **_allow("2: a stream whose done fell to the drop policy, and "
+             "/v1/health's running count", "repro.service.jobs",
+             "CampaignJob.is_terminal"),
+    **_allow("2: a stream whose done fell to the drop policy",
+             "repro.service.bus", "Subscription.pending"),
     **_allow("2: a launch that dies, a lost run",
              "repro.campaign.scheduler", "_LaunchTrace.abort", "_failed_record"),
     **_allow("2: a worker that dies holding a run", "repro.campaign.workers",
