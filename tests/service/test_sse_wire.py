@@ -166,6 +166,27 @@ class TestEventStream:
         assert events[-1]["data"]["state"] == "completed"
         job.join()
 
+    def test_a_resumed_launch_that_ends_mid_replay_is_streamed(self):
+        """A resumed campaign's new launch records a run and turns terminal
+        while the old records are still being replayed.  The job had not
+        ended when the watcher subscribed, so the stream does not stop at
+        the replay: it carries the new run and ends on the launch's own
+        ``done``."""
+        bus = RunEventBus()
+        job = _StubJob(bus, recorded=("old-1", "old-2"))  # running again
+        stream = sse_event_stream(job)
+        first = next(stream)             # subscribed, replaying "old-1"
+        _publish_run(bus, job.id, "new")
+        job.state = "completed"          # set before its done is published
+        bus.publish(job.id, "done", {"state": "completed"})
+        events = parse_sse_events(first + "".join(stream))
+        assert [event["event"] for event in events] == \
+            ["snapshot", "snapshot", "run", "done"]
+        assert [event["id"] for event in events] == [None, None, 1, 2]
+        assert run_ids_of(events) == ["old-1", "old-2", "new"]
+        assert events[-1]["data"]["state"] == "completed"
+        assert subscriber_count(bus, job.id) == 0
+
     def test_slow_consumer_drop_is_reported_on_the_wire(self, monkeypatch):
         """A subscriber whose bounded queue overflows gets an explicit
         ``dropped`` frame with the loss count — never silent gaps."""
