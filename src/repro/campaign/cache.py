@@ -27,14 +27,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import warnings
 from dataclasses import replace
 from typing import Dict, Optional
 
 from repro.campaign.store import RunRecord
 from repro.telemetry import REGISTRY
-from repro.utils.serialization import jsonable
+from repro.utils.serialization import jsonable, write_json
 
 _CACHE_HITS = REGISTRY.counter(
     "repro_cache_hits_total", "Result-cache lookups served from the cache")
@@ -117,21 +116,8 @@ class ResultCache:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         # cached=False in the entry: every get() stamps its own copy, and
         # a record must not claim cache provenance it does not have yet
-        row = json.dumps(jsonable(replace(record, cached=False).to_dict()),
-                         sort_keys=True, allow_nan=False)
-        handle = tempfile.NamedTemporaryFile(
-            "w", encoding="utf-8", dir=os.path.dirname(path),
-            prefix=f".{record.run_id}.", suffix=".tmp", delete=False)
-        try:
-            with handle:
-                handle.write(row)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        write_json(path, jsonable(replace(record, cached=False).to_dict()),
+                   indent=None)
         return True
 
     def stats(self) -> Dict[str, int]:

@@ -32,6 +32,7 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.core.config import WorkflowConfig, check_keys
 from repro.utils.rng import spawn_rngs
+from repro.utils.serialization import write_json
 from repro.workflow.presets import get_preset
 
 #: The driver every campaign run uses; run ids hash it and store rows name it.
@@ -219,9 +220,9 @@ class CampaignSpec:
         return cls(**dict(data))
 
     def to_file(self, path: str) -> None:
-        """Write the spec as an indented JSON file (``from_file`` reads it)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
+        """Write the spec as an indented JSON file (``from_file`` reads it),
+        atomically: a failed write leaves the previous file as it was."""
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_file(cls, path: str) -> "CampaignSpec":

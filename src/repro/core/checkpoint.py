@@ -13,9 +13,10 @@ experience-replay buffers (``buffer.npz``) and the per-iteration loss
 history (``history.npz``).  Adam's moments are not saved: the optimiser of
 a restored trainer starts them afresh.
 
-A save is atomic.  The archives and the new manifest are written into a
-fresh state directory, and a single rename of the manifest commits them;
-only then does the previous state directory go.  A save that fails before
+A save is atomic.  The archives are written into a fresh state directory,
+and the rename that puts the new manifest in place commits them
+(:func:`repro.utils.serialization.write_json`); only then does the previous
+state directory go.  A save that fails before
 the rename leaves the previous checkpoint loading exactly as it was.
 """
 
@@ -33,6 +34,7 @@ import numpy as np
 from repro.continual.buffer import TrainingBuffer, TrainingSample
 from repro.continual.trainer import InTransitTrainer
 from repro.models.model import ArtificialScientistModel
+from repro.utils.serialization import write_json
 
 
 @dataclass(frozen=True)
@@ -104,10 +106,7 @@ def save_checkpoint(directory: str, model: ArtificialScientistModel,
         _save_npz(os.path.join(state, "model.npz"), model.state_dict())
         _save_npz(os.path.join(state, "buffer.npz"), _buffer_to_arrays(trainer.buffer))
         _save_npz(os.path.join(state, "history.npz"), history_arrays)
-        staged = os.path.join(state, "manifest.json")
-        with open(staged, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2)
-        os.replace(staged, os.path.join(directory, "manifest.json"))
+        write_json(os.path.join(directory, "manifest.json"), manifest)
     except BaseException:
         shutil.rmtree(state, ignore_errors=True)
         raise

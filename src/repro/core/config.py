@@ -16,6 +16,7 @@ from typing import Dict, Mapping, Tuple
 
 from repro.models.config import ModelConfig
 from repro.pic.khi import KHIConfig
+from repro.utils.serialization import write_json
 from repro.utils.validation import check_int, is_finite_real
 
 
@@ -82,19 +83,6 @@ class StreamingConfig:
         if not isinstance(self.reduce_precision, bool):
             raise ValueError(f"reduce_precision must be true or false, "
                              f"got {self.reduce_precision!r}")
-
-    def build_reduction_pipeline(self, rng):
-        """Create the producer-side reduction pipeline (or ``None`` if
-        disabled); ``rng`` is the subsampler's generator."""
-        from repro.streaming.reduction import (ParticleSubsampleReducer,
-                                               PrecisionReducer, ReductionPipeline)
-        reducers = []
-        if self.particle_subsample_fraction < 1.0:
-            reducers.append(ParticleSubsampleReducer(self.particle_subsample_fraction,
-                                                     rng=rng))
-        if self.reduce_precision:
-            reducers.append(PrecisionReducer())
-        return ReductionPipeline(reducers) if reducers else None
 
 
 @dataclass
@@ -201,9 +189,9 @@ class WorkflowConfig:
         return cls(**kwargs)
 
     def to_file(self, path: str) -> None:
-        """Write the config as JSON (readable by :meth:`from_file`)."""
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2)
+        """Write the config as JSON (readable by :meth:`from_file`),
+        atomically."""
+        write_json(path, self.to_dict())
 
     @classmethod
     def from_file(cls, path: str) -> "WorkflowConfig":

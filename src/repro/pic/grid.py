@@ -108,9 +108,6 @@ class YeeGrid:
         self.Jy.fill(0.0)
         self.Jz.fill(0.0)
 
-    def clear_charge(self) -> None:
-        self.rho.fill(0.0)
-
     # -- diagnostics ------------------------------------------------------- #
     def electric_energy(self) -> float:
         """Total electric field energy ``(eps0/2) ∫ E² dV`` in joules."""

@@ -171,11 +171,8 @@ def make_khi_simulation(config: KHIConfig,
     ion_gamma = 1.0 / np.sqrt(1.0 - ion_speed ** 2)
     ion_momenta = ion_beta * ion_gamma[:, None]
     ions = ParticleSpecies.protons(positions.copy(), ion_momenta, weights.copy())
-    simulation = PICSimulation(SimulationConfig(grid=grid_config),
-                               species=[electrons, ions])
-
-    simulation.initialize_fields_from_charge()
-    return simulation
+    return PICSimulation(SimulationConfig(grid=grid_config),
+                         species=[electrons, ions])
 
 
 def growth_rate_estimate(config: KHIConfig) -> float:

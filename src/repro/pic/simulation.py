@@ -24,8 +24,7 @@ import numpy as np
 from repro.pic import kernels
 from repro.pic.grid import GridConfig, YeeGrid
 from repro.pic.kernels import (Workspace, add_current, boris_push_fused,
-                               deposit_charge_cic, deposit_current_esirkepov,
-                               gather_fields, n_blocks)
+                               deposit_current_esirkepov, gather_fields, n_blocks)
 from repro.pic.maxwell import YeeSolver
 from repro.pic.particles import ParticleSpecies
 from repro.pic.pusher import advance_positions, boris_push, wrap_periodic
@@ -114,12 +113,6 @@ class PICSimulation:
     @property
     def n_macro_particles(self) -> int:
         return int(sum(s.n_macro for s in self.species))
-
-    def initialize_fields_from_charge(self) -> None:
-        """Deposit the initial charge density (used for Gauss-law diagnostics)."""
-        self.grid.clear_charge()
-        for s in self.species:
-            deposit_charge_cic(self.grid, s.positions, s.charge, s.weights)
 
     @contextmanager
     def lent(self, helper: Executor) -> Iterator["PICSimulation"]:

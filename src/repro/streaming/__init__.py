@@ -16,7 +16,8 @@ writer — and nothing of its rank/block layout:
   dict plus attributes,
 * :class:`repro.streaming.broker.SSTBroker` — the bounded step queue
   between the writer and one reader group,
-* :mod:`repro.streaming.reduction` — producer-side reducers (Fig. 3b),
+* :class:`repro.streaming.reduction.ReductionPipeline` — the producer-side
+  reduction (Fig. 3b),
 * :class:`repro.streaming.noop.NoOpConsumer` — the synthetic benchmark
   consumer that only measures and discards.
 
@@ -28,12 +29,9 @@ throughput study (Fig. 6) are not a transport; they live in
 from repro.streaming.step import Step
 from repro.streaming.broker import SSTBroker
 from repro.streaming.noop import NoOpConsumer
-from repro.streaming.reduction import (ParticleSubsampleReducer, PrecisionReducer,
-                                       ReductionPipeline)
+from repro.streaming.reduction import ReductionPipeline
 
 __all__ = [
-    "ParticleSubsampleReducer",
-    "PrecisionReducer",
     "ReductionPipeline",
     "Step",
     "SSTBroker",

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
-from repro.utils.serialization import jsonable
+from repro.utils.serialization import jsonable, write_json
 
 SCHEMA_VERSION = 1
 
@@ -111,8 +111,7 @@ def append_run(topic: str, params: Dict[str, object],
     """Append one run record to ``BENCH_<topic>.json``; returns the path.
 
     Creates the file (with the schema header) on first use.  The write is
-    atomic: the updated history lands in a temp file first and replaces the
-    original in one ``os.replace``.
+    atomic (:func:`repro.utils.serialization.write_json`).
     """
     path = bench_path(topic, directory)
     os.makedirs(directory or ".", exist_ok=True)
@@ -124,11 +123,7 @@ def append_run(topic: str, params: Dict[str, object],
     else:
         history = {"schema_version": SCHEMA_VERSION, "topic": topic, "runs": []}
     history["runs"].append(make_record(params, metrics, directory))
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(history, handle, indent=2)
-        handle.write("\n")
-    os.replace(tmp, path)
+    write_json(path, history)
     return path
 
 

@@ -3,8 +3,11 @@ writer and the service."""
 
 from __future__ import annotations
 
+import contextlib
+import json
 import math
 import os
+import threading
 
 import numpy as np
 
@@ -48,3 +51,24 @@ def open_append(path: str):
     if torn:
         handle.write("\n")
     return handle
+
+
+def write_json(path: str, document, indent: int | None = 2) -> None:
+    """Write ``document`` to the JSON file ``path`` atomically.
+
+    The text goes to a temp file beside ``path`` (the same filesystem, so
+    the rename is atomic; named by process and thread, so concurrent writers
+    of one path never share one), which then replaces ``path`` in one
+    ``os.replace``.  A write that fails or is killed part way leaves the
+    previous file as it was, and a failure removes the temp file.
+    """
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, indent=indent)
+            handle.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise

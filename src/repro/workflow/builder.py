@@ -41,6 +41,7 @@ from repro.pic.khi import make_khi_simulation
 from repro.pic.simulation import PICSimulation
 from repro.radiation.detector import RadiationDetector
 from repro.streaming.broker import SSTBroker
+from repro.streaming.reduction import ReductionPipeline
 from repro.telemetry.spans import Timer
 from repro.utils.rng import derive_seed, seeded_rng
 from repro.workflow.consumers import HistogramMonitorConsumer, MLAppConsumer
@@ -105,8 +106,12 @@ class WorkflowSession:
         self.fanout = FanOutBroker(cfg.streaming.stream_name,
                                    list(self.brokers.values()))
         self.writer_series = Series(self.fanout)
-        reduction = cfg.streaming.build_reduction_pipeline(
-            rng=seeded_rng(derive_seed(cfg.seed, 6)))
+        reduction = None
+        if (cfg.streaming.particle_subsample_fraction < 1.0
+                or cfg.streaming.reduce_precision):
+            reduction = ReductionPipeline(cfg.streaming.particle_subsample_fraction,
+                                          cfg.streaming.reduce_precision,
+                                          rng=seeded_rng(derive_seed(cfg.seed, 6)))
         self.producer = StreamingProducerPlugin(
             self.writer_series, self.detector, self.partition,
             n_points=cfg.ml.model.n_input_points,

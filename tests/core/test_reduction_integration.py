@@ -50,6 +50,10 @@ class TestStreamReduction:
         assert w.sum() == pytest.approx(
             session.simulation.get_species("electrons").weights.sum(), rel=0.05)
 
-    def test_reduction_disabled_by_default(self):
-        config = tiny_config()
-        assert config.streaming.build_reduction_pipeline(None) is None
+    def test_no_pipeline_unless_an_option_is_set(self):
+        assert default_session(tiny_config()).producer.reduction is None
+        for streaming in (StreamingConfig(particle_subsample_fraction=0.5),
+                          StreamingConfig(reduce_precision=True)):
+            config = tiny_config()
+            config.streaming = streaming
+            assert default_session(config).producer.reduction is not None

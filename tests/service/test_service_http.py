@@ -14,6 +14,7 @@ import contextlib
 import itertools
 import json
 import multiprocessing
+import os
 import re
 import threading
 import time
@@ -506,6 +507,32 @@ class TestRestartResume:
                 "'explicit', 'n_samples', 'sampler']") in caplog.text
         assert store.completed_run_ids() == {
             run.run_id for run in spec.resolve()}
+
+
+    def test_a_spec_write_that_fails_part_way_keeps_the_campaign_listed(
+            self, tmp_path, monkeypatch):
+        """A failure in the middle of rewriting ``<id>.spec.json`` leaves
+        the previous file whole and no temp file beside it, so a restarted
+        manager still lists the campaign."""
+        spec = small_spec(name="torn-spec")
+        store_dir = tmp_path / "svc"
+        job, _, _ = CampaignJobManager(str(store_dir),
+                                       worker=fake_worker).submit(spec, {})
+        monkeypatch.setattr(jobs, "JOIN_TIMEOUT_S", 30.0)
+        job.join()
+        spec_path = store_dir / f"{job.id}.spec.json"
+        saved = spec_path.read_text()
+        with monkeypatch.context() as patch:
+            # json.dump has written the name when the next key fails
+            patch.setattr(CampaignSpec, "to_dict",
+                          lambda self: {"name": self.name, "torn": object()})
+            with pytest.raises(TypeError):
+                spec.to_file(str(spec_path))
+        assert spec_path.read_text() == saved
+        assert [name for name in os.listdir(store_dir)
+                if name.endswith(".tmp")] == []
+        (reloaded,) = CampaignJobManager(str(store_dir)).jobs()
+        assert (reloaded.id, reloaded.state) == (job.id, "completed")
 
 
 class TestErrorPaths:

@@ -66,24 +66,22 @@ ALLOWED = {
              "ChargeConservationMonitor.max_residual",
              "ChargeConservationMonitor.on_start",
              "ChargeConservationMonitor.on_step"),
+    **_allow("1: the run-time invariants item's energy drift and continuity "
+             "residual", "repro.pic.kernels", "deposit_charge_cic"),
     **_allow("1: the float32-tape item re-measures the bands with it",
              "repro.workflow.learning", "measure_bands"),
     **_allow("2: GET /v1/campaigns/{id}/report and campaign report --json",
              "repro.campaign.aggregate", "CampaignReport.to_dict"),
     **_allow("2: GET /v1/campaigns/{id}/report", "repro.service.jobs",
              "CampaignJob.records", "CampaignJob.report"),
-    **_allow("2: the client calls of documented endpoints",
-             "repro.service.client", "ServiceClient.report",
-             "ServiceClient.list_campaigns"),
+    **_allow("2: the client call of a documented endpoint",
+             "repro.service.client", "ServiceClient.report"),
     **_allow("2: an HTTP error", "repro.service.client",
              "ServiceClient._error_message", "ServiceError.__init__"),
     **_allow("2: an HTTP error", "repro.service.server",
              "CampaignServiceHandler._error"),
     **_allow("2: the SSE keep-alive of an idle stream", "repro.service.sse",
              "format_comment"),
-    **_allow("2: a stream whose done fell to the drop policy, and "
-             "/v1/health's running count", "repro.service.jobs",
-             "CampaignJob.is_terminal"),
     **_allow("2: a stream whose done fell to the drop policy",
              "repro.service.bus", "Subscription.pending"),
     **_allow("2: a launch that dies, a lost run",
@@ -101,8 +99,6 @@ ALLOWED = {
              "WorkflowConfig.to_file"),
     **_allow("2: the hook every executor implements", "repro.campaign.scheduler",
              "CampaignExecutor.execute"),
-    **_allow("2: the hook every reducer implements",
-             "repro.streaming.reduction", "Reducer.reduce"),
     **_allow("2: a plugin's default hooks", "repro.pic.simulation",
              "Plugin.on_start", "Plugin.on_step", "Plugin.on_finish"),
     **_allow("4: the tape oracles of the fused nodes", "repro.mlcore.tensor",

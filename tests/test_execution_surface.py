@@ -66,6 +66,7 @@ from repro.perfmodel import fom as perfmodel_fom
 from repro.perfmodel import streaming as perfmodel_streaming
 from repro.utils.serialization import jsonable
 from repro.pic import diagnostics as pic_diagnostics
+from repro.pic import kernels as pic_kernels
 from repro.pic import simulation as pic_simulation
 from repro.pic.grid import YeeGrid
 from repro.pic.khi import KHIConfig
@@ -131,7 +132,6 @@ CENSUS_REMOVED = {
     "repro.service.bus:RunEventBus": ["subscriber_count"],
     "repro.service.jobs:CampaignJob": ["pending_count"],
     "repro.streaming.noop:NoOpConsumer": ["mean_step_time", "total_bytes"],
-    "repro.streaming.reduction:Reducer": ["factor"],
     "repro.streaming.reduction:ReductionPipeline": ["total_factor"],
     "repro.telemetry": ["context_of"],
     "repro.telemetry.spans": ["context_of"],
@@ -257,7 +257,18 @@ class TestSurface:
                 (workflow_builder, ["WorkflowHooks", "ConsumerSpec"]),
                 (WorkflowSession, ["PRIMARY_CONSUMER"]),
                 (MLAppConsumer, ["configure_run"]),
-                (HistogramMonitorConsumer, ["configure_run"])):
+                (HistogramMonitorConsumer, ["configure_run"]),
+                # the reducer hierarchy, its selection cache and the config's
+                # factory: reduce_step is the one reduction path
+                *((owner, ["Reducer", "PrecisionReducer",
+                           "ParticleSubsampleReducer"])
+                  for owner in (repro.streaming, repro.streaming.reduction)),
+                (repro.streaming.ReductionPipeline, ["reduce", "new_step",
+                                                     "reducers"]),
+                (StreamingConfig, ["build_reduction_pipeline"]),
+                # the start-up charge deposit nothing read
+                (PICSimulation, ["initialize_fields_from_charge"]),
+                (YeeGrid, ["clear_charge"])):
             assert [name for name in names if hasattr(owner, name)] == [], owner
         # every campaign run uses the serial driver: a spec names none
         with pytest.raises(ValueError,
@@ -687,7 +698,7 @@ class TestOptionsCensus:
             "positions", "momenta", "extent"]
         assert parameters_of(pic_simulation.gather_fields) == [
             "grid", "positions", "workspace", "out"]
-        assert parameters_of(pic_simulation.deposit_charge_cic) == [
+        assert parameters_of(pic_kernels.deposit_charge_cic) == [
             "grid", "positions", "charge", "weights"]
         assert parameters_of(pic_simulation.deposit_current_esirkepov) == [
             "grid", "old_positions", "new_positions", "charge", "weights",
@@ -812,8 +823,7 @@ class TestFigureModels:
         """``streaming`` is the transport, ``core`` the coupled app, and
         every Frontier-scale figure model lives in ``perfmodel``."""
         assert repro.streaming.__all__ == [
-            "ParticleSubsampleReducer", "PrecisionReducer", "ReductionPipeline",
-            "Step", "SSTBroker", "NoOpConsumer"]
+            "ReductionPipeline", "Step", "SSTBroker", "NoOpConsumer"]
         assert repro.perfmodel.__all__ == [
             "MachineSpec", "FRONTIER", "PlacementMode", "ResourcePlan",
             "FOMScalingModel", "StreamingScalingStudy", "StreamingScalingPoint",

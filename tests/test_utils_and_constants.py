@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro import constants
 from repro.utils.rng import derive_seed, seeded_rng, spawn_rngs
-from repro.utils.serialization import jsonable
+from repro.utils.serialization import jsonable, write_json
 from repro.utils.validation import check_array, check_positive
 
 
@@ -86,16 +89,12 @@ class TestRNG:
 
 class TestJsonable:
     def test_coerces_numpy_scalars_arrays_and_containers(self):
-        import json
-
         payload = jsonable({"a": np.float64(1.5), "b": np.arange(3),
                             "c": (np.int32(2), [np.bool_(True)])})
         assert payload == {"a": 1.5, "b": [0, 1, 2], "c": [2, [True]]}
         json.dumps(payload)
 
     def test_non_finite_floats_become_null(self):
-        import json
-
         payload = jsonable({"loss": float("nan"), "bound": np.inf,
                             "arr": np.array([1.0, np.nan])})
         assert payload == {"loss": None, "bound": None, "arr": [1.0, None]}
@@ -104,6 +103,37 @@ class TestJsonable:
     def test_zero_dimensional_arrays_become_scalars(self):
         assert jsonable(np.array(1.5)) == 1.5
         assert jsonable({"a": np.array(2)}) == {"a": 2}
+
+
+class TestWriteJson:
+    def test_a_write_that_fails_part_way_leaves_the_previous_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(str(path), {"version": 1})
+        saved = path.read_text()
+        # json.dump has written the first key when the second fails
+        with pytest.raises(TypeError):
+            write_json(str(path), {"version": 2, "torn": object()})
+        assert path.read_text() == saved
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_concurrent_writers_of_one_path_leave_one_whole_document(
+            self, tmp_path):
+        path = str(tmp_path / "doc.json")
+        documents = [{"writer": i, "rows": list(range(2000))} for i in range(4)]
+
+        def write_many(document):
+            for _ in range(20):
+                write_json(path, document)
+
+        threads = [threading.Thread(target=write_many, args=(document,))
+                   for document in documents]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        with open(path, encoding="utf-8") as handle:
+            assert json.load(handle) in documents
+        assert os.listdir(tmp_path) == ["doc.json"]
 
 
 class TestValidation:
